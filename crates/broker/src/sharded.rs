@@ -271,7 +271,7 @@ impl BrokerTransport for ShardedBroker {
 
     fn publish(&self, exchange: &str, key: &str, payload: &[u8]) -> Result<usize, BrokerError> {
         shared_counters().publishes.inc();
-        self.shard_for(key).publish(exchange, key, payload.to_vec())
+        self.shard_for(key).publish(exchange, key, payload)
     }
 
     fn publish_message(&self, exchange: &str, message: Message) -> Result<usize, BrokerError> {

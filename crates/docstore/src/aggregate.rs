@@ -2,9 +2,9 @@
 //! analytics use): `$match`, `$group`, `$sort`, `$skip`, `$limit`,
 //! `$project` and `$count`.
 
-use crate::collection::SortOrder;
+use crate::collection::{compare_at_path, project, SortOrder};
 use crate::filter::Filter;
-use crate::value::{compare_values, get_path, set_path};
+use crate::value::{compare_values, get_path};
 use crate::StoreError;
 use serde_json::{json, Map, Value};
 use std::cmp::Ordering;
@@ -129,44 +129,14 @@ fn apply_stage(docs: Vec<Value>, stage: &Stage) -> Result<Vec<Value>, StoreError
         Stage::Count(name) => Ok(vec![json!({ name.as_str(): docs.len() })]),
         Stage::Sort(path, order) => {
             let mut docs = docs;
-            let mut error = None;
-            docs.sort_by(|a, b| {
-                let va = get_path(a, path).unwrap_or(&Value::Null);
-                let vb = get_path(b, path).unwrap_or(&Value::Null);
-                match compare_values(va, vb) {
-                    Some(ord) => {
-                        if *order == SortOrder::Descending {
-                            ord.reverse()
-                        } else {
-                            ord
-                        }
-                    }
-                    None => {
-                        error.get_or_insert_with(|| path.clone());
-                        Ordering::Equal
-                    }
-                }
-            });
-            match error {
-                Some(path) => Err(StoreError::Unorderable(path)),
-                None => Ok(docs),
+            let mut unorderable = false;
+            docs.sort_by(|a, b| compare_at_path(path, *order, a, b, &mut unorderable));
+            if unorderable {
+                return Err(StoreError::Unorderable(path.clone()));
             }
+            Ok(docs)
         }
-        Stage::Project(paths) => Ok(docs
-            .into_iter()
-            .map(|doc| {
-                let mut projected = Value::Object(Map::new());
-                if let Some(id) = get_path(&doc, "_id") {
-                    set_path(&mut projected, "_id", id.clone());
-                }
-                for path in paths {
-                    if let Some(value) = get_path(&doc, path) {
-                        set_path(&mut projected, path, value.clone());
-                    }
-                }
-                projected
-            })
-            .collect()),
+        Stage::Project(paths) => Ok(docs.iter().map(|doc| project(doc, paths)).collect()),
         Stage::Group(spec) => group(docs, spec),
     }
 }

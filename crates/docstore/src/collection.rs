@@ -1,16 +1,16 @@
 //! Collections: insert / find / update / delete with indexes.
 
-use crate::durability::{self, DurableCtx};
+use crate::durability::{journaled, Deltas, DurableCtx};
 use crate::filter::Filter;
 use crate::index::PathIndex;
-use crate::planner::{plan_query, QueryPlan};
+use crate::planner::plan_query;
 use crate::telemetry::telemetry;
 use crate::update::Update;
 use crate::value::{compare_values, get_path, set_path, DocId};
 use crate::StoreError;
 use mps_telemetry::SpanTimer;
 use parking_lot::Mutex;
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -89,7 +89,7 @@ pub(crate) struct CollectionInner {
 }
 
 impl CollectionInner {
-    pub(crate) fn index_doc(&mut self, id: DocId, doc: &Value) {
+    fn index_doc(&mut self, id: DocId, doc: &Value) {
         for (path, index) in &mut self.indexes {
             if let Some(value) = get_path(doc, path) {
                 index.insert(value, id);
@@ -97,7 +97,7 @@ impl CollectionInner {
         }
     }
 
-    pub(crate) fn unindex_doc(&mut self, id: DocId, doc: &Value) {
+    fn unindex_doc(&mut self, id: DocId, doc: &Value) {
         for (path, index) in &mut self.indexes {
             if let Some(value) = get_path(doc, path) {
                 index.remove(value, id);
@@ -105,30 +105,104 @@ impl CollectionInner {
         }
     }
 
-    /// Plans `filter` against this collection's indexes and records the
-    /// chosen plan in `docstore_query_plans_total{plan=...}`.
-    fn plan(&self, filter: &Filter) -> QueryPlan {
+    /// Documents matching `filter` in `_id` order — the one read path
+    /// under find, count, distinct, update and delete. The planner's
+    /// candidates are fetched and re-checked against the full filter;
+    /// without a usable index every document is visited. The chosen plan
+    /// is recorded in `docstore_query_plans_total{plan=...}`.
+    fn matches<'a>(&'a self, filter: &'a Filter) -> impl Iterator<Item = (DocId, &'a Value)> + 'a {
         let plan = plan_query(filter, &self.indexes);
         telemetry().record_plan(plan.kind);
-        plan
+        let scan = plan.candidates.is_none().then(|| self.docs.iter());
+        plan.candidates
+            .into_iter()
+            .flatten()
+            .filter_map(move |id| self.docs.get_key_value(&id))
+            .chain(scan.into_iter().flatten())
+            .filter(move |(_, doc)| filter.matches(doc))
+            .map(|(id, doc)| (*id, doc))
     }
 
-    /// Ids of documents matching `filter`, planner-backed, in `_id`
-    /// order — the shared candidate step of update/delete.
-    pub(crate) fn matching_ids(&self, filter: &Filter) -> Vec<DocId> {
-        match self.plan(filter).candidates {
-            Some(candidates) => candidates
-                .into_iter()
-                .filter(|id| self.docs.get(id).is_some_and(|d| filter.matches(d)))
-                .collect(),
-            None => self
-                .docs
-                .iter()
-                .filter(|(_, doc)| filter.matches(doc))
-                .map(|(id, _)| *id)
-                .collect(),
+    fn matching_ids(&self, filter: &Filter) -> Vec<DocId> {
+        self.matches(filter).map(|(id, _)| id).collect()
+    }
+
+    fn insert(&mut self, mut doc: Value, log: Deltas<'_>) -> Result<DocId, StoreError> {
+        let id = DocId(self.next_id);
+        doc.as_object_mut()
+            .ok_or(StoreError::NotAnObject)?
+            .insert("_id".to_owned(), Value::from(id.0));
+        telemetry().collection_insert.inc();
+        self.next_id += 1;
+        self.index_doc(id, &doc);
+        if let Some(log) = log {
+            log.push(json!({"op": "insert", "id": id.0, "doc": doc.clone()}));
+        }
+        self.docs.insert(id, doc);
+        Ok(id)
+    }
+
+    /// Builds an index on `path` over the current documents; returns
+    /// whether a new index was actually created.
+    pub(crate) fn create_index(&mut self, path: &str) -> bool {
+        if self.indexes.contains_key(path) {
+            return false;
+        }
+        let mut index = PathIndex::new();
+        for (id, doc) in &self.docs {
+            if let Some(value) = get_path(doc, path) {
+                index.insert(value, *id);
+            }
+        }
+        self.indexes.insert(path.to_owned(), index);
+        true
+    }
+}
+
+/// Orders two documents by the value at `path`, a missing value sorting
+/// as null. Arrays and objects have no order: they compare equal and set
+/// `unorderable`, which the caller turns into
+/// [`StoreError::Unorderable`] once the sort is done.
+pub(crate) fn compare_at_path(
+    path: &str,
+    order: SortOrder,
+    a: &Value,
+    b: &Value,
+    unorderable: &mut bool,
+) -> Ordering {
+    let va = get_path(a, path).unwrap_or(&Value::Null);
+    let vb = get_path(b, path).unwrap_or(&Value::Null);
+    match (compare_values(va, vb), order) {
+        (Some(ordering), SortOrder::Ascending) => ordering,
+        (Some(ordering), SortOrder::Descending) => ordering.reverse(),
+        (None, _) => {
+            *unorderable = true;
+            Ordering::Equal
         }
     }
+}
+
+/// A copy of `doc` holding only `_id` and the given dotted paths.
+pub(crate) fn project(doc: &Value, paths: &[String]) -> Value {
+    let mut projected = Value::Object(serde_json::Map::new());
+    for path in std::iter::once("_id").chain(paths.iter().map(String::as_str)) {
+        if let Some(value) = get_path(doc, path) {
+            set_path(&mut projected, path, value.clone());
+        }
+    }
+    projected
+}
+
+/// Skip, limit and projection, applied in that order to documents that
+/// are already in their final order.
+fn window<'a>(docs: impl Iterator<Item = &'a Value>, options: &FindOptions) -> Vec<Value> {
+    docs.skip(options.skip)
+        .take(options.limit.unwrap_or(usize::MAX))
+        .map(|doc| match &options.projection {
+            Some(paths) => project(doc, paths),
+            None => doc.clone(),
+        })
+        .collect()
 }
 
 /// A named collection of JSON documents.
@@ -152,6 +226,19 @@ impl Collection {
         Self::default()
     }
 
+    /// Every mutation below runs through here: `apply` changes the
+    /// collection under its lock and, on a journaled store only, pushes
+    /// the deltas that [`journaled`] then makes durable.
+    fn mutate<T>(
+        &self,
+        apply: impl FnOnce(&mut CollectionInner, Deltas<'_>) -> T,
+    ) -> Result<T, StoreError> {
+        let journal = self.durable.as_deref();
+        let journal = journal.map(|ctx| (&*ctx.shared, ctx.name.as_str()));
+        let (out, logged) = journaled(journal, |log| apply(&mut self.inner.lock(), log));
+        logged.map(|()| out)
+    }
+
     /// Inserts a document, assigning and returning its [`DocId`]. The id
     /// is also written into the document's `_id` field.
     ///
@@ -160,25 +247,9 @@ impl Collection {
     /// Returns [`StoreError::NotAnObject`] if `doc` is not a JSON
     /// object, or [`StoreError::Durability`] when a durable store
     /// cannot log the insert.
-    pub fn insert_one(&self, mut doc: Value) -> Result<DocId, StoreError> {
-        if let Some(ctx) = self.durable.clone() {
-            return durability::insert_one(self, &ctx, doc);
-        }
-        if doc.as_object_mut().is_none() {
-            return Err(StoreError::NotAnObject);
-        }
-        let metrics = telemetry();
-        metrics.collection_insert.inc();
-        let _timer = SpanTimer::start(&metrics.collection_insert_seconds);
-        let mut inner = self.inner.lock();
-        let id = DocId(inner.next_id);
-        inner.next_id += 1;
-        if let Some(fields) = doc.as_object_mut() {
-            fields.insert("_id".to_owned(), Value::from(id.0));
-        }
-        inner.index_doc(id, &doc);
-        inner.docs.insert(id, doc);
-        Ok(id)
+    pub fn insert_one(&self, doc: Value) -> Result<DocId, StoreError> {
+        let _timer = SpanTimer::start(&telemetry().collection_insert_seconds);
+        self.mutate(|inner, log| inner.insert(doc, log))?
     }
 
     /// Inserts many documents; stops at the first error.
@@ -193,10 +264,12 @@ impl Collection {
         &self,
         docs: impl IntoIterator<Item = Value>,
     ) -> Result<Vec<DocId>, StoreError> {
-        if let Some(ctx) = self.durable.clone() {
-            return durability::insert_many(self, &ctx, docs);
-        }
-        docs.into_iter().map(|d| self.insert_one(d)).collect()
+        let _timer = SpanTimer::start(&telemetry().collection_insert_seconds);
+        self.mutate(|inner, mut log| {
+            docs.into_iter()
+                .map(|doc| inner.insert(doc, log.as_deref_mut()))
+                .collect()
+        })?
     }
 
     /// Fetches a document by id.
@@ -229,9 +302,9 @@ impl Collection {
     ///
     /// The query planner consults secondary indexes first (see
     /// [`crate::planner`]); unsorted queries additionally stop visiting
-    /// documents once `skip + limit` results have been cloned, and sorted
-    /// queries order references in place, cloning only the requested
-    /// window.
+    /// documents once `skip + limit` results have been produced, and
+    /// sorted queries order references in place, copying only the
+    /// requested window (and of it only the projected paths).
     ///
     /// # Errors
     ///
@@ -246,90 +319,19 @@ impl Collection {
         metrics.collection_find.inc();
         let _timer = SpanTimer::start(&metrics.collection_find_seconds);
         let inner = self.inner.lock();
-        let candidates = inner.plan(filter).candidates;
-
-        let mut limited: Vec<Value> = if let Some((path, order)) = &options.sort {
-            // Sorting needs every match: order references in place, then
-            // clone only the `skip..skip+limit` window.
-            let mut matches: Vec<&Value> = match &candidates {
-                Some(ids) => ids
-                    .iter()
-                    .filter_map(|id| inner.docs.get(id))
-                    .filter(|doc| filter.matches(doc))
-                    .collect(),
-                None => inner
-                    .docs
-                    .values()
-                    .filter(|doc| filter.matches(doc))
-                    .collect(),
-            };
-            let mut sort_error = None;
-            matches.sort_by(|a, b| {
-                let va = get_path(a, path).unwrap_or(&Value::Null);
-                let vb = get_path(b, path).unwrap_or(&Value::Null);
-                match compare_values(va, vb) {
-                    Some(ord) => {
-                        if *order == SortOrder::Descending {
-                            ord.reverse()
-                        } else {
-                            ord
-                        }
-                    }
-                    None => {
-                        sort_error.get_or_insert_with(|| path.clone());
-                        Ordering::Equal
-                    }
-                }
-            });
-            if let Some(path) = sort_error {
-                return Err(StoreError::Unorderable(path));
-            }
-            let window = matches.into_iter().skip(options.skip);
-            match options.limit {
-                Some(n) => window.take(n).cloned().collect(),
-                None => window.cloned().collect(),
-            }
-        } else {
-            // Candidate ids and the document map both run in `_id`
-            // order, so the window can be taken while scanning — the
-            // iterator stops visiting documents once it is full.
-            let take = options.limit.unwrap_or(usize::MAX);
-            match &candidates {
-                Some(ids) => ids
-                    .iter()
-                    .filter_map(|id| inner.docs.get(id))
-                    .filter(|doc| filter.matches(doc))
-                    .skip(options.skip)
-                    .take(take)
-                    .cloned()
-                    .collect(),
-                None => inner
-                    .docs
-                    .values()
-                    .filter(|doc| filter.matches(doc))
-                    .skip(options.skip)
-                    .take(take)
-                    .cloned()
-                    .collect(),
-            }
+        let matches = inner.matches(filter).map(|(_, doc)| doc);
+        let Some((path, order)) = &options.sort else {
+            // Matches arrive in `_id` order: the scan stops once the
+            // window is full.
+            return Ok(window(matches, options));
         };
-        drop(inner);
-
-        if let Some(paths) = &options.projection {
-            for doc in &mut limited {
-                let mut projected = Value::Object(serde_json::Map::new());
-                if let Some(id) = get_path(doc, "_id") {
-                    set_path(&mut projected, "_id", id.clone());
-                }
-                for path in paths {
-                    if let Some(value) = get_path(doc, path) {
-                        set_path(&mut projected, path, value.clone());
-                    }
-                }
-                *doc = projected;
-            }
+        let mut all: Vec<&Value> = matches.collect();
+        let mut unorderable = false;
+        all.sort_by(|a, b| compare_at_path(path, *order, a, b, &mut unorderable));
+        if unorderable {
+            return Err(StoreError::Unorderable(path.clone()));
         }
-        Ok(limited)
+        Ok(window(all.into_iter(), options))
     }
 
     /// Counts documents matching `filter`.
@@ -338,19 +340,7 @@ impl Collection {
     ///
     /// Currently infallible; returns `Result` for parity with `find`.
     pub fn count(&self, filter: &Filter) -> Result<usize, StoreError> {
-        let inner = self.inner.lock();
-        Ok(match inner.plan(filter).candidates {
-            Some(candidates) => candidates
-                .into_iter()
-                .filter_map(|id| inner.docs.get(&id))
-                .filter(|doc| filter.matches(doc))
-                .count(),
-            None => inner
-                .docs
-                .values()
-                .filter(|doc| filter.matches(doc))
-                .count(),
-        })
+        Ok(self.inner.lock().matches(filter).count())
     }
 
     /// Applies `update` to every document matching `filter`; returns the
@@ -359,33 +349,34 @@ impl Collection {
     /// # Errors
     ///
     /// Propagates [`StoreError::BadUpdate`] from applying the update; any
-    /// documents updated before the failure stay updated.
+    /// documents updated before the failure stay updated (and logged).
+    /// A durable store returns [`StoreError::Durability`] when the
+    /// update cannot be logged.
     pub fn update_many(&self, filter: &Filter, update: &Update) -> Result<usize, StoreError> {
-        if let Some(ctx) = self.durable.clone() {
-            return durability::update_many(self, &ctx, filter, update);
-        }
         let metrics = telemetry();
         metrics.collection_update.inc();
         let _timer = SpanTimer::start(&metrics.collection_update_seconds);
-        let mut inner = self.inner.lock();
-        let ids = inner.matching_ids(filter);
-        let mut updated = 0;
-        for id in &ids {
-            // Ids were collected under this same lock, so the lookup
-            // cannot miss; skipping is still safer than panicking.
-            let Some(mut doc) = inner.docs.get(id).cloned() else {
-                continue;
-            };
-            inner.unindex_doc(*id, &doc);
-            let result = update.apply(&mut doc);
-            // Re-index whatever state the document is in, then propagate
-            // any error.
-            inner.index_doc(*id, &doc);
-            inner.docs.insert(*id, doc);
-            result?;
-            updated += 1;
-        }
-        Ok(updated)
+        self.mutate(|inner, mut log| {
+            let ids = inner.matching_ids(filter);
+            for id in &ids {
+                // Ids were collected under this same lock, so the lookup
+                // cannot miss; skipping is still safer than panicking.
+                let Some(mut doc) = inner.docs.remove(id) else {
+                    continue;
+                };
+                inner.unindex_doc(*id, &doc);
+                let result = update.apply(&mut doc);
+                // Re-index and log whatever state the document is in,
+                // then propagate any error.
+                inner.index_doc(*id, &doc);
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(json!({"op": "update", "id": id.0, "doc": doc.clone()}));
+                }
+                inner.docs.insert(*id, doc);
+                result?;
+            }
+            Ok(ids.len())
+        })?
     }
 
     /// Deletes every document matching `filter`; returns how many were
@@ -396,18 +387,20 @@ impl Collection {
     /// Infallible in memory; a durable store returns
     /// [`StoreError::Durability`] when the delete cannot be logged.
     pub fn delete_many(&self, filter: &Filter) -> Result<usize, StoreError> {
-        if let Some(ctx) = self.durable.clone() {
-            return durability::delete_many(self, &ctx, filter);
-        }
         telemetry().collection_delete.inc();
-        let mut inner = self.inner.lock();
-        let ids = inner.matching_ids(filter);
-        for id in &ids {
-            if let Some(doc) = inner.docs.remove(id) {
-                inner.unindex_doc(*id, &doc);
+        self.mutate(|inner, log| {
+            let ids = inner.matching_ids(filter);
+            for id in &ids {
+                if let Some(doc) = inner.docs.remove(id) {
+                    inner.unindex_doc(*id, &doc);
+                }
             }
-        }
-        Ok(ids.len())
+            if let (Some(log), false) = (log, ids.is_empty()) {
+                let ids: Vec<u64> = ids.iter().map(|id| id.0).collect();
+                log.push(json!({"op": "delete", "ids": ids}));
+            }
+            ids.len()
+        })
     }
 
     /// Creates a secondary index on `path`, indexing existing documents.
@@ -418,28 +411,11 @@ impl Collection {
     /// Infallible in memory; a durable store returns
     /// [`StoreError::Durability`] when the definition cannot be logged.
     pub fn create_index(&self, path: &str) -> Result<(), StoreError> {
-        if let Some(ctx) = self.durable.clone() {
-            return durability::create_index(self, &ctx, path);
-        }
-        self.create_index_mem(path);
-        Ok(())
-    }
-
-    /// The in-memory index build; returns whether a new index was
-    /// actually created.
-    pub(crate) fn create_index_mem(&self, path: &str) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.indexes.contains_key(path) {
-            return false;
-        }
-        let mut index = PathIndex::new();
-        for (id, doc) in &inner.docs {
-            if let Some(value) = get_path(doc, path) {
-                index.insert(value, *id);
+        self.mutate(|inner, log| {
+            if let (true, Some(log)) = (inner.create_index(path), log) {
+                log.push(json!({"op": "create_index", "path": path}));
             }
-        }
-        inner.indexes.insert(path.to_owned(), index);
-        true
+        })
     }
 
     /// Drops the index on `path`, if present.
@@ -449,11 +425,11 @@ impl Collection {
     /// Infallible in memory; a durable store returns
     /// [`StoreError::Durability`] when the drop cannot be logged.
     pub fn drop_index(&self, path: &str) -> Result<(), StoreError> {
-        if let Some(ctx) = self.durable.clone() {
-            return durability::drop_index(self, &ctx, path);
-        }
-        self.inner.lock().indexes.remove(path);
-        Ok(())
+        self.mutate(|inner, log| {
+            if let (Some(_), Some(log)) = (inner.indexes.remove(path), log) {
+                log.push(json!({"op": "drop_index", "path": path}));
+            }
+        })
     }
 
     /// Whether an index exists on `path`.
@@ -471,25 +447,16 @@ impl Collection {
     /// skipped; MongoDB's `distinct` with our scalar ordering).
     pub fn distinct(&self, path: &str, filter: &Filter) -> Vec<serde_json::Value> {
         let inner = self.inner.lock();
-        let mut values: Vec<serde_json::Value> = Vec::new();
-        for doc in inner.docs.values().filter(|d| filter.matches(d)) {
-            if let Some(v) = get_path(doc, path) {
-                if matches!(
-                    v,
-                    serde_json::Value::Array(_) | serde_json::Value::Object(_)
-                ) {
-                    continue;
-                }
-                if !values
-                    .iter()
-                    .any(|seen| compare_values(seen, v) == Some(Ordering::Equal))
-                {
-                    values.push(v.clone());
-                }
-            }
-        }
+        let mut values: Vec<&Value> = inner
+            .matches(filter)
+            .filter_map(|(_, doc)| get_path(doc, path))
+            .filter(|v| !v.is_array() && !v.is_object())
+            .collect();
+        // Stable, so of several equal values (1 and 1.0) the one from the
+        // lowest `_id` is the one kept.
         values.sort_by(|a, b| compare_values(a, b).unwrap_or(Ordering::Equal));
-        values
+        values.dedup_by(|b, a| compare_values(a, b) == Some(Ordering::Equal));
+        values.into_iter().cloned().collect()
     }
 
     /// Removes every document (indexes stay defined, but empty).
@@ -499,17 +466,15 @@ impl Collection {
     /// Infallible in memory; a durable store returns
     /// [`StoreError::Durability`] when the clear cannot be logged.
     pub fn clear(&self) -> Result<(), StoreError> {
-        if let Some(ctx) = self.durable.clone() {
-            return durability::clear(self, &ctx);
-        }
-        let mut inner = self.inner.lock();
-        let ids: Vec<DocId> = inner.docs.keys().copied().collect();
-        for id in ids {
-            if let Some(doc) = inner.docs.remove(&id) {
-                inner.unindex_doc(id, &doc);
+        self.mutate(|inner, log| {
+            if let (false, Some(log)) = (inner.docs.is_empty(), log) {
+                log.push(json!({"op": "clear"}));
             }
-        }
-        Ok(())
+            inner.docs.clear();
+            for index in inner.indexes.values_mut() {
+                *index = PathIndex::new();
+            }
+        })
     }
 
     /// Snapshot of all documents, in `_id` order.
@@ -791,6 +756,22 @@ mod tests {
         c.insert_one(json!({"v": 1.0})).unwrap();
         c.insert_one(json!({"v": 2})).unwrap();
         assert_eq!(c.distinct("v", &Filter::True).len(), 2);
+    }
+
+    #[test]
+    fn distinct_is_the_same_with_and_without_an_index() {
+        let c = seeded();
+        let filters = [
+            Filter::eq("model", "A"),
+            Filter::gt("spl", 50.0),
+            Filter::and(vec![Filter::eq("model", "A"), Filter::gt("spl", 50.0)]),
+        ];
+        let scanned: Vec<_> = filters.iter().map(|f| c.distinct("spl", f)).collect();
+        assert_eq!(scanned[0], vec![json!(40.0), json!(70.0)]);
+        c.create_index("model").unwrap();
+        c.create_index("spl").unwrap();
+        let indexed: Vec<_> = filters.iter().map(|f| c.distinct("spl", f)).collect();
+        assert_eq!(scanned, indexed);
     }
 
     #[test]

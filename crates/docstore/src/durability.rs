@@ -1,11 +1,21 @@
-//! Durable stores: write-ahead logging, recovery, snapshots.
+//! Durable stores: the journal behind the one mutation path.
 //!
-//! A store opened with [`Durability::Durable`] logs every mutation as a
-//! JSON delta to an [`mps_wal::Wal`] before the call returns: inserts
-//! and updates carry the full resulting document, deletes carry the id
-//! list, index create/drop and collection drop/clear carry their names.
-//! Batched operations (`insert_many`, `update_many`) append all their
-//! deltas with **one** group-committed fsync.
+//! Every mutation of a [`Store`] or [`Collection`] has a single body,
+//! and it runs the same way in both modes: **apply** the change under
+//! the collection (or collections-map) lock, and — only when the store
+//! was opened with [`Durability::Durable`] — collect one JSON delta per
+//! change and hand them to the **log tail** in [`journaled`]. The tail
+//! takes the store-wide WAL lock *before* the apply, so log order is
+//! apply order; appends the call's deltas as **one** group-committed
+//! batch (`insert_many` and `update_many` of any size cost one fsync);
+//! and then checks the snapshot cadence. `Ok` means applied and
+//! durable. An in-memory store runs the same body with no journal: no
+//! delta is built and no document cloned for one.
+//!
+//! Deltas name their `op` and `coll`: `insert` and `update` carry the
+//! `id` and the full resulting `doc`, `delete` the `ids`, `create_index`
+//! and `drop_index` the `path`; `touch` (collection created), `clear`
+//! and `drop_collection` carry nothing more.
 //!
 //! [`Store::open`] replays the newest snapshot plus the log tail and
 //! rebuilds secondary indexes from the recovered documents, reproducing
@@ -14,21 +24,20 @@
 //! [`DurabilityConfig::snapshot_every`] logged records (and manually
 //! via [`Store::checkpoint`]); the WAL then compacts covered segments.
 //!
-//! **Limits.** The in-memory deterministic-sim path
-//! ([`Durability::InMemory`], the default constructors) is untouched by
-//! all of this. A durability failure mid-operation (disk error, crash
-//! kill) can leave the in-memory state *ahead* of the log — callers
-//! must treat the instance as dead and reopen, which is exactly what a
-//! crashed process does. Empty collections that were never written to
-//! are not recreated by recovery.
+//! **Limits.** A durability failure mid-operation (disk error, crash
+//! kill) leaves the in-memory state *ahead* of the log — callers must
+//! treat the instance as dead and reopen, which is exactly what a
+//! crashed process does; every later mutation fails too. A [`Collection`]
+//! handle obtained before [`Store::drop_collection`] stays usable and
+//! keeps logging under its old name, while the store no longer holds
+//! it: such writes are replayed into a collection the live store does
+//! not have, so replay diverges from live state. Drop a collection only
+//! once its handles are done writing.
 
 use crate::collection::Collection;
 use crate::telemetry::telemetry;
-use crate::update::Update;
 use crate::value::DocId;
-use crate::Filter;
 use crate::{Store, StoreError};
-use mps_telemetry::SpanTimer;
 use mps_wal::{Recovered, Wal, WalConfig};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -111,18 +120,52 @@ fn corrupt(why: impl std::fmt::Display) -> StoreError {
     StoreError::Durability(format!("log replay failed: {why}"))
 }
 
+/// Where a mutation records its deltas: `Some` only on a journaled
+/// store, so the in-memory path builds none.
+pub(crate) type Deltas<'a> = Option<&'a mut Vec<Value>>;
+
+/// Runs one mutation of the collection named by `journal` — or of an
+/// in-memory store, when there is none. `apply` makes the change under
+/// the lock it needs and, given a delta list, pushes what it changed
+/// (each delta's `coll` is filled in here). Returns `apply`'s result
+/// beside the log's: the change is in memory either way, durable only on
+/// `Ok`.
+///
+/// Lock order everywhere: wal → collections-map → collection-inner.
+pub(crate) fn journaled<T>(
+    journal: Option<(&DurableShared, &str)>,
+    apply: impl FnOnce(Deltas<'_>) -> T,
+) -> (T, Result<(), StoreError>) {
+    let Some((shared, coll)) = journal else {
+        return (apply(None), Ok(()));
+    };
+    let mut wal = shared.lock_wal();
+    let mut deltas = Vec::new();
+    let out = apply(Some(&mut deltas));
+    let logged = shared.append(&mut wal, coll, &mut deltas);
+    drop(wal);
+    if logged.is_ok() {
+        shared.maybe_snapshot();
+    }
+    (out, logged)
+}
+
 impl DurableShared {
     fn lock_wal(&self) -> MutexGuard<'_, Wal> {
         self.wal.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends `deltas` as one group-committed batch.
-    fn append(&self, wal: &mut Wal, deltas: &[Value]) -> Result<(), StoreError> {
+    /// Appends `deltas`, each stamped with `coll`, as one group-committed
+    /// batch.
+    fn append(&self, wal: &mut Wal, coll: &str, deltas: &mut [Value]) -> Result<(), StoreError> {
         if deltas.is_empty() {
             return Ok(());
         }
         let mut payloads = Vec::with_capacity(deltas.len());
         for delta in deltas {
+            if let Some(fields) = delta.as_object_mut() {
+                fields.insert("coll".to_owned(), Value::from(coll));
+            }
             payloads.push(serde_json::to_vec(delta).map_err(corrupt)?);
         }
         wal.append_batch(&payloads).map_err(wal_err)?;
@@ -178,29 +221,8 @@ fn export_value(map: &CollectionMap) -> Value {
     })
 }
 
-/// Gets (or creates, with the durable context attached) a collection
-/// during replay and normal operation.
-fn get_or_create(map: &CollectionMap, shared: &Arc<DurableShared>, name: &str) -> Collection {
-    let mut collections = map.lock();
-    if let Some(existing) = collections.get(name) {
-        return existing.clone();
-    }
-    telemetry().store_collections.inc();
-    let mut collection = Collection::new();
-    collection.durable = Some(Arc::new(DurableCtx {
-        name: name.to_owned(),
-        shared: Arc::clone(shared),
-    }));
-    collections.insert(name.to_owned(), collection.clone());
-    collection
-}
-
 /// Rebuilds collections from a recovered snapshot + log tail.
-fn restore(
-    map: &CollectionMap,
-    shared: &Arc<DurableShared>,
-    recovered: &Recovered,
-) -> Result<(), StoreError> {
+fn restore(store: &Store, recovered: &Recovered) -> Result<(), StoreError> {
     // Index definitions are collected first and built once at the end,
     // over the final document set — equivalent to maintaining them
     // through the replay, and linear instead of quadratic.
@@ -213,7 +235,7 @@ fn restore(
             .and_then(Value::as_object)
             .ok_or_else(|| corrupt("snapshot has no collections object"))?;
         for (name, cstate) in collections {
-            let collection = get_or_create(map, shared, name);
+            let collection = store.get_or_create(name);
             let mut inner = collection.inner.lock();
             inner.next_id = cstate.get("next_id").and_then(Value::as_u64).unwrap_or(0);
             for doc in cstate
@@ -263,13 +285,13 @@ fn restore(
                     .get("doc")
                     .cloned()
                     .ok_or_else(|| corrupt(format!("{op} delta at lsn {lsn} has no doc")))?;
-                let collection = get_or_create(map, shared, name);
+                let collection = store.get_or_create(name);
                 let mut inner = collection.inner.lock();
                 inner.docs.insert(DocId(id), doc);
                 inner.next_id = inner.next_id.max(id + 1);
             }
             "delete" => {
-                let collection = get_or_create(map, shared, name);
+                let collection = store.get_or_create(name);
                 let mut inner = collection.inner.lock();
                 for id in delta
                     .get("ids")
@@ -287,7 +309,7 @@ fn restore(
                     .get("path")
                     .and_then(Value::as_str)
                     .ok_or_else(|| corrupt(format!("{op} delta at lsn {lsn} has no path")))?;
-                let _ = get_or_create(map, shared, name);
+                let _ = store.get_or_create(name);
                 let paths = index_paths.entry(name.to_owned()).or_default();
                 if op == "create_index" {
                     paths.insert(path.to_owned());
@@ -296,14 +318,14 @@ fn restore(
                 }
             }
             "touch" => {
-                let _ = get_or_create(map, shared, name);
+                let _ = store.get_or_create(name);
             }
             "clear" => {
-                let collection = get_or_create(map, shared, name);
+                let collection = store.get_or_create(name);
                 collection.inner.lock().docs.clear();
             }
             "drop_collection" => {
-                if map.lock().remove(name).is_some() {
+                if store.collections.lock().remove(name).is_some() {
                     telemetry().store_collections.dec();
                 }
                 index_paths.remove(name);
@@ -316,11 +338,12 @@ fn restore(
 
     // Secondary-index rebuild over the recovered documents.
     for (name, paths) in index_paths {
-        let Some(collection) = map.lock().get(&name).cloned() else {
+        let Some(collection) = store.collections.lock().get(&name).cloned() else {
             continue;
         };
+        let mut inner = collection.inner.lock();
         for path in paths {
-            collection.create_index_mem(&path);
+            inner.create_index(&path);
         }
     }
     Ok(())
@@ -341,18 +364,19 @@ impl Store {
             Durability::InMemory => Ok(Self::new()),
             Durability::Durable(config) => {
                 let (wal, recovered) = Wal::open(&config.dir, config.wal).map_err(wal_err)?;
-                let collections: CollectionMap = Arc::new(parking_lot::Mutex::new(BTreeMap::new()));
+                let collections: CollectionMap = Arc::default();
                 let shared = Arc::new(DurableShared {
                     wal: StdMutex::new(wal),
                     snapshot_every: config.snapshot_every,
                     appended: AtomicU64::new(0),
                     collections: Arc::downgrade(&collections),
                 });
-                restore(&collections, &shared, &recovered)?;
-                Ok(Self {
+                let store = Self {
                     collections,
                     durable: Some(shared),
-                })
+                };
+                restore(&store, &recovered)?;
+                Ok(store)
             }
         }
     }
@@ -385,228 +409,10 @@ impl Store {
     }
 }
 
-// ---------------------------------------------------------------------
-// Durable implementations of the collection mutations. Each takes the
-// store-wide WAL lock first, applies the mutation under the collection
-// lock, then appends the delta batch with one group-committed fsync.
-// Lock order everywhere: wal → collections-map → collection-inner.
-// ---------------------------------------------------------------------
-
-pub(crate) fn insert_one(
-    collection: &Collection,
-    ctx: &DurableCtx,
-    doc: Value,
-) -> Result<DocId, StoreError> {
-    let ids = insert_many(collection, ctx, [doc])?;
-    match ids.first() {
-        Some(id) => Ok(*id),
-        // insert_many of one document returns one id or an error.
-        None => Err(StoreError::Durability("insert logged no id".to_owned())),
-    }
-}
-
-pub(crate) fn insert_many(
-    collection: &Collection,
-    ctx: &DurableCtx,
-    docs: impl IntoIterator<Item = Value>,
-) -> Result<Vec<DocId>, StoreError> {
-    let metrics = telemetry();
-    let _timer = SpanTimer::start(&metrics.collection_insert_seconds);
-    let shared = &ctx.shared;
-    let mut wal = shared.lock_wal();
-    let mut ids = Vec::new();
-    let mut deltas = Vec::new();
-    let mut failure = None;
-    {
-        let mut inner = collection.inner.lock();
-        for mut doc in docs {
-            if doc.as_object_mut().is_none() {
-                failure = Some(StoreError::NotAnObject);
-                break;
-            }
-            metrics.collection_insert.inc();
-            let id = DocId(inner.next_id);
-            inner.next_id += 1;
-            if let Some(fields) = doc.as_object_mut() {
-                fields.insert("_id".to_owned(), Value::from(id.0));
-            }
-            inner.index_doc(id, &doc);
-            deltas.push(json!({"op": "insert", "coll": ctx.name, "id": id.0, "doc": doc.clone()}));
-            inner.docs.insert(id, doc);
-            ids.push(id);
-        }
-    }
-    // Documents inserted before a failure stay inserted — and logged.
-    shared.append(&mut wal, &deltas)?;
-    drop(wal);
-    shared.maybe_snapshot();
-    match failure {
-        Some(err) => Err(err),
-        None => Ok(ids),
-    }
-}
-
-pub(crate) fn update_many(
-    collection: &Collection,
-    ctx: &DurableCtx,
-    filter: &Filter,
-    update: &Update,
-) -> Result<usize, StoreError> {
-    let metrics = telemetry();
-    metrics.collection_update.inc();
-    let _timer = SpanTimer::start(&metrics.collection_update_seconds);
-    let shared = &ctx.shared;
-    let mut wal = shared.lock_wal();
-    let (deltas, result) = {
-        let mut inner = collection.inner.lock();
-        let ids = inner.matching_ids(filter);
-        let mut deltas = Vec::new();
-        let mut failure = None;
-        for id in ids {
-            let Some(mut doc) = inner.docs.get(&id).cloned() else {
-                continue;
-            };
-            inner.unindex_doc(id, &doc);
-            let applied = update.apply(&mut doc);
-            inner.index_doc(id, &doc);
-            deltas.push(json!({"op": "update", "coll": ctx.name, "id": id.0, "doc": doc.clone()}));
-            inner.docs.insert(id, doc);
-            if let Err(err) = applied {
-                failure = Some(err);
-                break;
-            }
-        }
-        (deltas, failure)
-    };
-    let updated = deltas.len();
-    shared.append(&mut wal, &deltas)?;
-    drop(wal);
-    shared.maybe_snapshot();
-    match result {
-        Some(err) => Err(err),
-        None => Ok(updated),
-    }
-}
-
-pub(crate) fn delete_many(
-    collection: &Collection,
-    ctx: &DurableCtx,
-    filter: &Filter,
-) -> Result<usize, StoreError> {
-    telemetry().collection_delete.inc();
-    let shared = &ctx.shared;
-    let mut wal = shared.lock_wal();
-    let ids = {
-        let mut inner = collection.inner.lock();
-        let ids = inner.matching_ids(filter);
-        for id in &ids {
-            if let Some(doc) = inner.docs.remove(id) {
-                inner.unindex_doc(*id, &doc);
-            }
-        }
-        ids
-    };
-    if !ids.is_empty() {
-        let id_values: Vec<u64> = ids.iter().map(|id| id.0).collect();
-        let delta = json!({"op": "delete", "coll": ctx.name, "ids": id_values});
-        shared.append(&mut wal, std::slice::from_ref(&delta))?;
-    }
-    drop(wal);
-    shared.maybe_snapshot();
-    Ok(ids.len())
-}
-
-pub(crate) fn create_index(
-    collection: &Collection,
-    ctx: &DurableCtx,
-    path: &str,
-) -> Result<(), StoreError> {
-    let shared = &ctx.shared;
-    let mut wal = shared.lock_wal();
-    if !collection.create_index_mem(path) {
-        return Ok(());
-    }
-    let delta = json!({"op": "create_index", "coll": ctx.name, "path": path});
-    shared.append(&mut wal, std::slice::from_ref(&delta))
-}
-
-pub(crate) fn drop_index(
-    collection: &Collection,
-    ctx: &DurableCtx,
-    path: &str,
-) -> Result<(), StoreError> {
-    let shared = &ctx.shared;
-    let mut wal = shared.lock_wal();
-    if collection.inner.lock().indexes.remove(path).is_none() {
-        return Ok(());
-    }
-    let delta = json!({"op": "drop_index", "coll": ctx.name, "path": path});
-    shared.append(&mut wal, std::slice::from_ref(&delta))
-}
-
-pub(crate) fn clear(collection: &Collection, ctx: &DurableCtx) -> Result<(), StoreError> {
-    let shared = &ctx.shared;
-    let mut wal = shared.lock_wal();
-    let was_empty = {
-        let mut inner = collection.inner.lock();
-        let empty = inner.docs.is_empty();
-        let ids: Vec<DocId> = inner.docs.keys().copied().collect();
-        for id in ids {
-            if let Some(doc) = inner.docs.remove(&id) {
-                inner.unindex_doc(id, &doc);
-            }
-        }
-        empty
-    };
-    if was_empty {
-        return Ok(());
-    }
-    let delta = json!({"op": "clear", "coll": ctx.name});
-    shared.append(&mut wal, std::slice::from_ref(&delta))
-}
-
-/// Store-level durable drop: removes the collection and logs it.
-pub(crate) fn drop_collection(
-    store: &Store,
-    shared: &Arc<DurableShared>,
-    name: &str,
-) -> Result<(), StoreError> {
-    let mut wal = shared.lock_wal();
-    match store.collections.lock().remove(name) {
-        Some(_) => {
-            telemetry().store_collections.dec();
-            let delta = json!({"op": "drop_collection", "coll": name});
-            shared.append(&mut wal, std::slice::from_ref(&delta))
-        }
-        None => Err(StoreError::CollectionNotFound(name.to_owned())),
-    }
-}
-
-/// Collection accessor used by [`Store::collection`] on durable stores.
-/// Creating a collection logs a `touch` delta so that even empty
-/// collections survive recovery. `Store::collection` is infallible, so
-/// a logging failure (possible only on a crash-killed or failing disk)
-/// leaves the collection in memory; its first logged write recreates it
-/// on replay anyway.
-pub(crate) fn durable_collection(
-    store: &Store,
-    shared: &Arc<DurableShared>,
-    name: &str,
-) -> Collection {
-    if let Some(existing) = store.collections.lock().get(name) {
-        return existing.clone();
-    }
-    let mut wal = shared.lock_wal();
-    let collection = get_or_create(&store.collections, shared, name);
-    let delta = json!({"op": "touch", "coll": name});
-    let _ = shared.append(&mut wal, std::slice::from_ref(&delta));
-    collection
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Update;
+    use crate::{Filter, Update};
     use mps_wal::KillPoint;
     use std::sync::atomic::AtomicU64 as TestSeq;
 
@@ -734,6 +540,145 @@ mod tests {
         let c = recovered.collection("obs");
         assert_eq!(c.len(), 1, "torn tail truncated, prefix intact");
         assert_eq!(c.get(DocId(0)).unwrap()["i"], json!(0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// All nine mutations run the one path: whatever each changes is what
+    /// a reopen sees, and a crash in its append kills the instance and
+    /// loses exactly that mutation. Each logs a single record here, so
+    /// the torn tail is the whole of it.
+    #[test]
+    fn every_mutation_kind_replays_and_dies_cleanly() {
+        type Mutation = fn(&Store) -> Result<(), StoreError>;
+        let kinds: [(&str, Mutation); 9] = [
+            ("insert_one", |s| {
+                let doc = json!({"model": "C"});
+                s.collection("obs").insert_one(doc).map(drop)
+            }),
+            ("insert_many", |s| {
+                let docs = [json!({"model": "C"})];
+                s.collection("obs").insert_many(docs).map(drop)
+            }),
+            ("update_many", |s| {
+                let (filter, update) = (Filter::eq("model", "B"), Update::set("spl", 56.0));
+                s.collection("obs").update_many(&filter, &update).map(drop)
+            }),
+            ("delete_many", |s| {
+                let filter = Filter::eq("model", "B");
+                s.collection("obs").delete_many(&filter).map(drop)
+            }),
+            ("create_index", |s| s.collection("obs").create_index("spl")),
+            ("drop_index", |s| s.collection("obs").drop_index("model")),
+            ("clear", |s| s.collection("obs").clear()),
+            ("collection", |s| {
+                s.collection("fresh");
+                Ok(())
+            }),
+            ("drop_collection", |s| s.drop_collection("meta")),
+        ];
+        for (kind, mutate) in kinds {
+            let dir = temp_dir(kind);
+            let store = Store::open(durable(&dir)).unwrap();
+            seed(&store);
+            let before = store.export_json();
+            mutate(&store).unwrap();
+            let live = store.export_json();
+            assert_ne!(live, before, "{kind} changes the store");
+            drop(store);
+            assert_eq!(Store::open(durable(&dir)).unwrap().export_json(), live);
+            std::fs::remove_dir_all(&dir).unwrap();
+
+            let kill = mps_wal::KillSwitch::new();
+            let config = DurabilityConfig::new(&dir)
+                .wal(WalConfig::default().telemetry(false).kill(kill.clone()));
+            let store = Store::open(Durability::Durable(config)).unwrap();
+            seed(&store);
+            let prefix = store.export_json();
+            kill.arm(KillPoint::MidAppend, 0);
+            match mutate(&store) {
+                // `Store::collection` cannot report it; the next call does.
+                Ok(()) => assert_eq!(kind, "collection"),
+                Err(err) => assert!(matches!(err, StoreError::Durability(_)), "{kind}: {err}"),
+            }
+            assert_eq!(kill.dead(), Some(KillPoint::MidAppend), "{kind}");
+            for _ in 0..2 {
+                let later = store.collection("obs").insert_one(json!({}));
+                assert!(matches!(later, Err(StoreError::Durability(_))), "{kind}");
+            }
+            drop(store);
+            let reopened = Store::open(durable(&dir)).unwrap().export_json();
+            assert_eq!(reopened, prefix, "{kind}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// One literal payload per `op`, as stores have written them since
+    /// the log format was introduced.
+    const GOLDEN_LOG: [&[u8]; 13] = [
+        br#"{"coll":"obs","op":"touch"}"#,
+        br#"{"coll":"obs","op":"create_index","path":"model"}"#,
+        br#"{"coll":"obs","doc":{"_id":0,"model":"A","spl":40},"id":0,"op":"insert"}"#,
+        br#"{"coll":"obs","doc":{"_id":1,"model":"B","spl":55},"id":1,"op":"insert"}"#,
+        br#"{"coll":"obs","doc":{"_id":0,"flagged":true,"model":"A","spl":40},"id":0,"op":"update"}"#,
+        br#"{"coll":"obs","ids":[1],"op":"delete"}"#,
+        br#"{"coll":"obs","op":"create_index","path":"spl"}"#,
+        br#"{"coll":"obs","op":"drop_index","path":"spl"}"#,
+        br#"{"coll":"tmp","op":"touch"}"#,
+        br#"{"coll":"tmp","doc":{"_id":0,"k":"v"},"id":0,"op":"insert"}"#,
+        br#"{"coll":"tmp","op":"clear"}"#,
+        br#"{"coll":"gone","op":"touch"}"#,
+        br#"{"coll":"gone","op":"drop_collection"}"#,
+    ];
+
+    const GOLDEN_EXPORT: &str = r#"{"collections":{"obs":{"docs":[{"_id":0,"flagged":true,"model":"A","spl":40}],"indexes":["model"],"next_id":2},"tmp":{"docs":[],"indexes":[],"next_id":1}}}"#;
+
+    #[test]
+    fn golden_log_replays_to_the_golden_export() {
+        let dir = temp_dir("golden-replay");
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
+        wal.append_batch(&GOLDEN_LOG.map(<[u8]>::to_vec)).unwrap();
+        drop(wal);
+        let store = Store::open(durable(&dir)).unwrap();
+        assert_eq!(store.export_json(), GOLDEN_EXPORT);
+        assert_eq!(store.collection("obs").index_cardinality("model"), Some(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_same_mutations_write_the_golden_log() {
+        let dir = temp_dir("golden-write");
+        let config = DurabilityConfig::new(&dir)
+            .wal(WalConfig::default().telemetry(false))
+            .snapshot_every(0);
+        let store = Store::open(Durability::Durable(config)).unwrap();
+        let obs = store.collection("obs");
+        obs.create_index("model").unwrap();
+        obs.insert_many([
+            json!({"model": "A", "spl": 40}),
+            json!({"model": "B", "spl": 55}),
+        ])
+        .unwrap();
+        obs.update_many(&Filter::eq("model", "A"), &Update::set("flagged", true))
+            .unwrap();
+        obs.delete_many(&Filter::eq("model", "B")).unwrap();
+        obs.create_index("spl").unwrap();
+        obs.drop_index("spl").unwrap();
+        let tmp = store.collection("tmp");
+        tmp.insert_one(json!({"k": "v"})).unwrap();
+        tmp.clear().unwrap();
+        store.collection("gone");
+        store.drop_collection("gone").unwrap();
+        assert_eq!(store.export_json(), GOLDEN_EXPORT);
+        drop((store, obs, tmp));
+
+        let (_wal, recovered) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
+        let written: Vec<&str> = recovered
+            .entries
+            .iter()
+            .map(|(_, payload)| std::str::from_utf8(payload).unwrap())
+            .collect();
+        let golden = GOLDEN_LOG.map(|payload| std::str::from_utf8(payload).unwrap());
+        assert_eq!(written, golden);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

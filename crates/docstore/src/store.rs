@@ -1,10 +1,11 @@
 //! The store: a namespace of collections.
 
-use crate::durability::DurableShared;
+use crate::durability::{journaled, DurableCtx, DurableShared};
 use crate::telemetry::telemetry;
 use crate::Collection;
 use crate::StoreError;
 use parking_lot::Mutex;
+use serde_json::json;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -43,15 +44,47 @@ impl Store {
     /// returned handle shares data with every other handle to the same
     /// name.
     pub fn collection(&self, name: &str) -> Collection {
-        if let Some(shared) = &self.durable {
-            return crate::durability::durable_collection(self, shared, name);
+        if let Some(existing) = self.collections.lock().get(name) {
+            return existing.clone();
         }
+        // A journaled store logs a `touch` so that even an empty
+        // collection survives recovery. This call is infallible, so a
+        // logging failure (a crash-killed or failing disk) is not
+        // reported here: the instance is dead and its next mutation says
+        // so.
+        let (collection, _logged) = journaled(self.journal(name), |log| {
+            if let Some(log) = log {
+                log.push(json!({"op": "touch"}));
+            }
+            self.get_or_create(name)
+        });
+        collection
+    }
+
+    /// Gets or creates `name` without logging — what [`Store::collection`]
+    /// and log replay share. A new collection is linked to this store's
+    /// journal, if it has one.
+    pub(crate) fn get_or_create(&self, name: &str) -> Collection {
         let mut collections = self.collections.lock();
         if let Some(existing) = collections.get(name) {
             return existing.clone();
         }
         telemetry().store_collections.inc();
-        collections.entry(name.to_owned()).or_default().clone()
+        let collection = Collection {
+            inner: Arc::default(),
+            durable: self.durable.as_ref().map(|shared| {
+                Arc::new(DurableCtx {
+                    name: name.to_owned(),
+                    shared: Arc::clone(shared),
+                })
+            }),
+        };
+        collections.insert(name.to_owned(), collection.clone());
+        collection
+    }
+
+    fn journal<'a>(&'a self, name: &'a str) -> Option<(&'a DurableShared, &'a str)> {
+        self.durable.as_deref().map(|shared| (shared, name))
     }
 
     /// Whether a collection named `name` exists.
@@ -72,15 +105,21 @@ impl Store {
     /// this name, and [`StoreError::Durability`] when a durable store
     /// cannot log the drop.
     pub fn drop_collection(&self, name: &str) -> Result<(), StoreError> {
-        if let Some(shared) = &self.durable {
-            return crate::durability::drop_collection(self, &Arc::clone(shared), name);
-        }
-        match self.collections.lock().remove(name) {
-            Some(_) => {
+        let (removed, logged) = journaled(self.journal(name), |log| {
+            let removed = self.collections.lock().remove(name).is_some();
+            if removed {
                 telemetry().store_collections.dec();
-                Ok(())
+                if let Some(log) = log {
+                    log.push(json!({"op": "drop_collection"}));
+                }
             }
-            None => Err(StoreError::CollectionNotFound(name.to_owned())),
+            removed
+        });
+        logged?;
+        if removed {
+            Ok(())
+        } else {
+            Err(StoreError::CollectionNotFound(name.to_owned()))
         }
     }
 

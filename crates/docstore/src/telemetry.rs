@@ -27,7 +27,7 @@ pub(crate) struct StoreTelemetry {
     pub(crate) query_plan_index_range: Counter,
     /// Queries intersecting several indexes (`plan="index_intersect"`).
     pub(crate) query_plan_index_intersect: Counter,
-    /// Latency of one insert, in seconds.
+    /// Latency of one insert call (one document or a batch), in seconds.
     pub(crate) collection_insert_seconds: Histogram,
     /// Latency of one find, in seconds.
     pub(crate) collection_find_seconds: Histogram,
@@ -82,7 +82,7 @@ pub(crate) fn telemetry() -> &'static StoreTelemetry {
             ),
             collection_insert_seconds: registry.histogram(
                 "docstore_collection_insert_seconds",
-                "Latency of one document insert (s)",
+                "Latency of one insert call, one document or a batch (s)",
                 &latency,
             ),
             collection_find_seconds: registry.histogram(

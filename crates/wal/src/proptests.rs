@@ -1,8 +1,62 @@
 //! In-crate property tests: record framing roundtrip and recovery
-//! under arbitrary truncation.
+//! under arbitrary truncation. Seeded loops over a small splitmix64, so
+//! they run wherever the unit tests do.
 
 use crate::{decode_one, encode_into, Decoded, Wal, WalConfig};
-use proptest::prelude::*;
+
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// splitmix64 (Steele, Lea & Flood 2014).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..hi`.
+    fn size(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo) as u64) as usize
+    }
+
+    /// `min..max` payloads of `0..max_len` arbitrary bytes each.
+    fn payloads(&mut self, min: usize, max: usize, max_len: usize) -> Vec<Vec<u8>> {
+        (0..self.size(min, max))
+            .map(|_| {
+                (0..self.size(0, max_len))
+                    .map(|_| self.next() as u8)
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Names the seed of the case that was running when a property panicked.
+struct Seed(u64);
+
+impl Drop for Seed {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "property failed at seed {0}; replay it alone with `property(&mut Rng({0}))`",
+                self.0
+            );
+        }
+    }
+}
+
+/// Runs `property` once per seed in `0..CASES`.
+fn check(property: impl Fn(&mut Rng)) {
+    for seed in 0..CASES {
+        let _seed = Seed(seed);
+        property(&mut Rng(seed));
+    }
+}
 
 fn temp_dir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,13 +73,12 @@ fn first_segment(dir: &std::path::Path) -> std::path::PathBuf {
     dir.join(format!("wal-{:020}.log", 1))
 }
 
-proptest! {
-    /// Any sequence of payloads encodes to a buffer that decodes back to
-    /// exactly those payloads.
-    #[test]
-    fn record_encode_decode_roundtrip(
-        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 0..20),
-    ) {
+/// Any sequence of payloads encodes to a buffer that decodes back to
+/// exactly those payloads.
+#[test]
+fn record_encode_decode_roundtrip() {
+    check(|rng| {
+        let payloads = rng.payloads(0, 20, 200);
         let mut buf = Vec::new();
         for p in &payloads {
             encode_into(&mut buf, p);
@@ -42,17 +95,17 @@ proptest! {
                 Decoded::Torn => panic!("valid buffer decoded as torn"),
             }
         }
-        prop_assert_eq!(seen, payloads);
-    }
+        assert_eq!(seen, payloads);
+    });
+}
 
-    /// Truncating the segment at *any* byte offset never panics the
-    /// recovery scan, and what survives is always an exact prefix of
-    /// what was appended.
-    #[test]
-    fn any_truncation_recovers_a_prefix_without_panic(
-        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..12),
-        cut_fraction in 0.0f64..=1.0,
-    ) {
+/// Truncating the segment at *any* byte offset never panics the
+/// recovery scan, and what survives is always an exact prefix of
+/// what was appended.
+#[test]
+fn any_truncation_recovers_a_prefix_without_panic() {
+    check(|rng| {
+        let payloads = rng.payloads(1, 12, 64);
         let dir = temp_dir();
         {
             let (mut wal, _) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
@@ -60,7 +113,8 @@ proptest! {
         }
         let segment = first_segment(&dir);
         let full = std::fs::metadata(&segment).unwrap().len();
-        let cut = ((full as f64) * cut_fraction) as u64;
+        // Any offset from 0 to the full length, both included.
+        let cut = rng.size(0, full as usize + 1) as u64;
         std::fs::OpenOptions::new()
             .write(true)
             .open(&segment)
@@ -69,10 +123,10 @@ proptest! {
             .unwrap();
 
         let (_wal, recovered) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
-        prop_assert!(recovered.entries.len() <= payloads.len());
+        assert!(recovered.entries.len() <= payloads.len());
         for (i, (lsn, payload)) in recovered.entries.iter().enumerate() {
-            prop_assert_eq!(*lsn, i as u64 + 1);
-            prop_assert_eq!(payload, &payloads[i]);
+            assert_eq!(*lsn, i as u64 + 1);
+            assert_eq!(payload, &payloads[i]);
         }
         // A cut landing exactly on a record boundary is a clean (shorter)
         // tail; anywhere else it is torn and gets truncated back to the
@@ -84,14 +138,14 @@ proptest! {
             }))
             .collect();
         let records_covered = boundaries.iter().filter(|b| **b <= cut).count() - 1;
-        prop_assert_eq!(recovered.entries.len(), records_covered);
-        prop_assert_eq!(recovered.report.torn_tail, !boundaries.contains(&cut));
+        assert_eq!(recovered.entries.len(), records_covered);
+        assert_eq!(recovered.report.torn_tail, !boundaries.contains(&cut));
 
         // Recovery repaired the tail in place: a second open is clean
         // and sees the same prefix.
         let (_wal2, again) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
-        prop_assert!(!again.report.torn_tail);
-        prop_assert_eq!(again.entries.len(), recovered.entries.len());
+        assert!(!again.report.torn_tail);
+        assert_eq!(again.entries.len(), recovered.entries.len());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
+    });
 }
