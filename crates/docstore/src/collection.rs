@@ -1,6 +1,6 @@
 //! Collections: insert / find / update / delete with indexes.
 
-use crate::durability::{journaled, Deltas, DurableCtx};
+use crate::durability::{journaled, DurableCtx, Journal};
 use crate::filter::Filter;
 use crate::index::PathIndex;
 use crate::planner::plan_query;
@@ -10,7 +10,7 @@ use crate::value::{compare_values, get_path, set_path, DocId};
 use crate::StoreError;
 use mps_telemetry::SpanTimer;
 use parking_lot::Mutex;
-use serde_json::{json, Value};
+use serde_json::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -127,7 +127,7 @@ impl CollectionInner {
         self.matches(filter).map(|(id, _)| id).collect()
     }
 
-    fn insert(&mut self, mut doc: Value, log: Deltas<'_>) -> Result<DocId, StoreError> {
+    fn insert(&mut self, mut doc: Value, log: Option<&mut Journal>) -> Result<DocId, StoreError> {
         let id = DocId(self.next_id);
         doc.as_object_mut()
             .ok_or(StoreError::NotAnObject)?
@@ -136,7 +136,7 @@ impl CollectionInner {
         self.next_id += 1;
         self.index_doc(id, &doc);
         if let Some(log) = log {
-            log.push(json!({"op": "insert", "id": id.0, "doc": doc.clone()}));
+            log.doc("insert", id, &doc);
         }
         self.docs.insert(id, doc);
         Ok(id)
@@ -227,11 +227,11 @@ impl Collection {
     }
 
     /// Every mutation below runs through here: `apply` changes the
-    /// collection under its lock and, on a journaled store only, pushes
+    /// collection under its lock and, on a journaled store only, encodes
     /// the deltas that [`journaled`] then makes durable.
-    fn mutate<T>(
+    pub(crate) fn mutate<T>(
         &self,
-        apply: impl FnOnce(&mut CollectionInner, Deltas<'_>) -> T,
+        apply: impl FnOnce(&mut CollectionInner, Option<&mut Journal>) -> T,
     ) -> Result<T, StoreError> {
         let journal = self.durable.as_deref();
         let journal = journal.map(|ctx| (&*ctx.shared, ctx.name.as_str()));
@@ -370,7 +370,7 @@ impl Collection {
                 // then propagate any error.
                 inner.index_doc(*id, &doc);
                 if let Some(log) = log.as_deref_mut() {
-                    log.push(json!({"op": "update", "id": id.0, "doc": doc.clone()}));
+                    log.doc("update", *id, &doc);
                 }
                 inner.docs.insert(*id, doc);
                 result?;
@@ -396,8 +396,7 @@ impl Collection {
                 }
             }
             if let (Some(log), false) = (log, ids.is_empty()) {
-                let ids: Vec<u64> = ids.iter().map(|id| id.0).collect();
-                log.push(json!({"op": "delete", "ids": ids}));
+                log.delete(&ids);
             }
             ids.len()
         })
@@ -413,7 +412,7 @@ impl Collection {
     pub fn create_index(&self, path: &str) -> Result<(), StoreError> {
         self.mutate(|inner, log| {
             if let (true, Some(log)) = (inner.create_index(path), log) {
-                log.push(json!({"op": "create_index", "path": path}));
+                log.index("create_index", path);
             }
         })
     }
@@ -427,7 +426,7 @@ impl Collection {
     pub fn drop_index(&self, path: &str) -> Result<(), StoreError> {
         self.mutate(|inner, log| {
             if let (Some(_), Some(log)) = (inner.indexes.remove(path), log) {
-                log.push(json!({"op": "drop_index", "path": path}));
+                log.index("drop_index", path);
             }
         })
     }
@@ -468,7 +467,7 @@ impl Collection {
     pub fn clear(&self) -> Result<(), StoreError> {
         self.mutate(|inner, log| {
             if let (false, Some(log)) = (inner.docs.is_empty(), log) {
-                log.push(json!({"op": "clear"}));
+                log.bare("clear");
             }
             inner.docs.clear();
             for index in inner.indexes.values_mut() {

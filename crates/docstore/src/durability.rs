@@ -3,14 +3,16 @@
 //! Every mutation of a [`Store`] or [`Collection`] has a single body,
 //! and it runs the same way in both modes: **apply** the change under
 //! the collection (or collections-map) lock, and — only when the store
-//! was opened with [`Durability::Durable`] — collect one JSON delta per
-//! change and hand them to the **log tail** in [`journaled`]. The tail
-//! takes the store-wide WAL lock *before* the apply, so log order is
-//! apply order; appends the call's deltas as **one** group-committed
-//! batch (`insert_many` and `update_many` of any size cost one fsync);
-//! and then checks the snapshot cadence. `Ok` means applied and
-//! durable. An in-memory store runs the same body with no journal: no
-//! delta is built and no document cloned for one.
+//! was opened with [`Durability::Durable`] — **encode** one delta per
+//! change into the call's [`Journal`], straight from the borrowed
+//! document: the bytes the log will hold are written once, and nothing
+//! is cloned or rebuilt as a tree on the way. The **log tail** in
+//! [`journaled`] takes the store-wide WAL lock *before* the apply, so log
+//! order is apply order; appends the call's records as **one**
+//! group-committed `append_batch` (`insert_many` and `update_many` of any
+//! size cost one fsync); and then checks the snapshot cadence. `Ok`
+//! means applied and durable. An in-memory store runs the same body with
+//! no journal: no delta is encoded and no document cloned for one.
 //!
 //! Deltas name their `op` and `coll`: `insert` and `update` carry the
 //! `id` and the full resulting `doc`, `delete` the `ids`, `create_index`
@@ -20,9 +22,20 @@
 //! [`Store::open`] replays the newest snapshot plus the log tail and
 //! rebuilds secondary indexes from the recovered documents, reproducing
 //! identical collection contents, `_id` assignment and index
-//! definitions. Snapshots are taken automatically every
+//! definitions; recovered documents move out of the parsed snapshot and
+//! deltas, they are not copied. Snapshots are taken automatically every
 //! [`DurabilityConfig::snapshot_every`] logged records (and manually
 //! via [`Store::checkpoint`]); the WAL then compacts covered segments.
+//!
+//! **What a snapshot costs.** The state is streamed once from the locked
+//! collections into one buffer (the writer behind [`Store::export_json`])
+//! and handed to the log, which checksums it and writes it without
+//! another copy. The writer that reached the cadence does this holding
+//! the WAL lock, so every writer waits for the export, the fsync and the
+//! compaction (`docstore_snapshot_seconds`). Each snapshot rewrites the
+//! whole, growing state every `snapshot_every` records, so snapshot work
+//! in total is quadratic in store size; changing that cadence is future
+//! work.
 //!
 //! **Limits.** A durability failure mid-operation (disk error, crash
 //! kill) leaves the in-memory state *ahead* of the log — callers must
@@ -38,9 +51,11 @@ use crate::collection::Collection;
 use crate::telemetry::telemetry;
 use crate::value::DocId;
 use crate::{Store, StoreError};
+use mps_telemetry::SpanTimer;
 use mps_wal::{Recovered, Wal, WalConfig};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError, Weak};
@@ -120,29 +135,77 @@ fn corrupt(why: impl std::fmt::Display) -> StoreError {
     StoreError::Durability(format!("log replay failed: {why}"))
 }
 
-/// Where a mutation records its deltas: `Some` only on a journaled
-/// store, so the in-memory path builds none.
-pub(crate) type Deltas<'a> = Option<&'a mut Vec<Value>>;
+/// What one mutation call logs: each delta already encoded, as the bytes
+/// the log stores. Exists only on a journaled store, so the in-memory
+/// path builds none. Members are written in key order (`coll`, `doc`,
+/// `id`, `ids`, `op`, `path`) — the order `serde_json` gives an object's
+/// members, and so the bytes every existing log holds.
+#[derive(Debug)]
+pub(crate) struct Journal {
+    /// The collection's name as JSON text, escaped once per call.
+    coll: String,
+    payloads: Vec<Vec<u8>>,
+}
+
+impl Journal {
+    fn new(coll: &str) -> Self {
+        Self {
+            coll: Value::from(coll).to_string(),
+            payloads: Vec::new(),
+        }
+    }
+
+    /// One record: `coll`, then `rest` — the other members, in key order.
+    fn push(&mut self, rest: fmt::Arguments<'_>) {
+        // A batch's records are near one size: the previous one's length
+        // saves the next its regrowth.
+        let mut text = String::with_capacity(self.payloads.last().map_or(0, Vec::len));
+        // Writing to a String cannot fail.
+        let _ = write!(text, r#"{{"coll":{},{rest}}}"#, self.coll);
+        self.payloads.push(text.into_bytes());
+    }
+
+    /// `insert` / `update`: the id and the full resulting document,
+    /// encoded from the borrow.
+    pub(crate) fn doc(&mut self, op: &str, id: DocId, doc: &Value) {
+        self.push(format_args!(r#""doc":{doc},"id":{},"op":"{op}""#, id.0));
+    }
+
+    /// `delete`: the ids removed.
+    pub(crate) fn delete(&mut self, ids: &[DocId]) {
+        let ids: Vec<u64> = ids.iter().map(|id| id.0).collect();
+        self.push(format_args!(r#""ids":{},"op":"delete""#, json!(ids)));
+    }
+
+    /// `create_index` / `drop_index`: the indexed path.
+    pub(crate) fn index(&mut self, op: &str, path: &str) {
+        self.push(format_args!(r#""op":"{op}","path":{}"#, Value::from(path)));
+    }
+
+    /// `touch`, `clear` and `drop_collection` carry nothing more.
+    pub(crate) fn bare(&mut self, op: &str) {
+        self.push(format_args!(r#""op":"{op}""#));
+    }
+}
 
 /// Runs one mutation of the collection named by `journal` — or of an
 /// in-memory store, when there is none. `apply` makes the change under
-/// the lock it needs and, given a delta list, pushes what it changed
-/// (each delta's `coll` is filled in here). Returns `apply`'s result
-/// beside the log's: the change is in memory either way, durable only on
-/// `Ok`.
+/// the lock it needs and, given a [`Journal`], records what it changed.
+/// Returns `apply`'s result beside the log's: the change is in memory
+/// either way, durable only on `Ok`.
 ///
 /// Lock order everywhere: wal → collections-map → collection-inner.
 pub(crate) fn journaled<T>(
     journal: Option<(&DurableShared, &str)>,
-    apply: impl FnOnce(Deltas<'_>) -> T,
+    apply: impl FnOnce(Option<&mut Journal>) -> T,
 ) -> (T, Result<(), StoreError>) {
     let Some((shared, coll)) = journal else {
         return (apply(None), Ok(()));
     };
     let mut wal = shared.lock_wal();
-    let mut deltas = Vec::new();
-    let out = apply(Some(&mut deltas));
-    let logged = shared.append(&mut wal, coll, &mut deltas);
+    let mut journal = Journal::new(coll);
+    let out = apply(Some(&mut journal));
+    let logged = shared.append(&mut wal, &journal.payloads);
     drop(wal);
     if logged.is_ok() {
         shared.maybe_snapshot();
@@ -155,28 +218,22 @@ impl DurableShared {
         self.wal.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends `deltas`, each stamped with `coll`, as one group-committed
-    /// batch.
-    fn append(&self, wal: &mut Wal, coll: &str, deltas: &mut [Value]) -> Result<(), StoreError> {
-        if deltas.is_empty() {
+    /// Appends one call's records as one group-committed batch.
+    fn append(&self, wal: &mut Wal, payloads: &[Vec<u8>]) -> Result<(), StoreError> {
+        if payloads.is_empty() {
             return Ok(());
         }
-        let mut payloads = Vec::with_capacity(deltas.len());
-        for delta in deltas {
-            if let Some(fields) = delta.as_object_mut() {
-                fields.insert("coll".to_owned(), Value::from(coll));
-            }
-            payloads.push(serde_json::to_vec(delta).map_err(corrupt)?);
-        }
-        wal.append_batch(&payloads).map_err(wal_err)?;
+        wal.append_batch(payloads).map_err(wal_err)?;
         self.appended
             .fetch_add(payloads.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Takes a snapshot when the cadence says so; snapshot failures are
-    /// deliberately swallowed (the log itself is still intact, and a
-    /// crash-killed instance fails its next mutation anyway).
+    /// Takes a snapshot when the cadence says so. A failure is counted
+    /// (`docstore_snapshot_failures_total`) but not reported to the
+    /// mutation that happened to trigger it: that mutation is durable,
+    /// the log itself is still intact, and a crash-killed instance fails
+    /// its next mutation anyway.
     fn maybe_snapshot(&self) {
         if self.snapshot_every == 0 || self.appended.load(Ordering::Relaxed) < self.snapshot_every {
             return;
@@ -186,20 +243,64 @@ impl DurableShared {
     }
 
     /// Snapshots the full store state and compacts covered segments.
+    /// The wal lock is held throughout, so every writer waits for the
+    /// export, the fsync and the compaction: `docstore_snapshot_seconds`.
     pub(crate) fn snapshot_now(&self) -> Result<u64, StoreError> {
         let Some(map) = self.collections.upgrade() else {
             return Ok(0);
         };
+        let metrics = telemetry();
         let mut wal = self.lock_wal();
-        let state = serde_json::to_vec(&export_value(&map)).map_err(corrupt)?;
-        wal.snapshot(&state).map_err(wal_err)
+        let _timer = SpanTimer::start(&metrics.snapshot_seconds);
+        let state = export_json(&map);
+        metrics.snapshot_bytes.set(state.len() as i64);
+        wal.snapshot(state.as_bytes()).map_err(|e| {
+            metrics.snapshot_failures.inc();
+            wal_err(e)
+        })
     }
 }
 
-/// The full-store state as a canonical JSON value: collections sorted
-/// by name, documents in `_id` order, index paths sorted — identical
-/// state always serialises to identical bytes.
-fn export_value(map: &CollectionMap) -> Value {
+/// The full-store state as canonical JSON text,
+/// `{"collections":{name:{"docs":[…],"indexes":[…],"next_id":N}}}`:
+/// collections sorted by name, documents in `_id` order, index paths
+/// sorted — identical state always serialises to identical bytes. Each
+/// document is written once, from the borrow, into the one buffer, which
+/// a collection's first document sizes for the rest.
+fn export_json(map: &CollectionMap) -> String {
+    // Writing to a String cannot fail.
+    let mut out = String::from(r#"{"collections":{"#);
+    for (c, (name, collection)) in map.lock().iter().enumerate() {
+        let inner = collection.inner.lock();
+        let comma = if c > 0 { "," } else { "" };
+        let _ = write!(out, r#"{comma}{}:{{"docs":["#, Value::from(name.as_str()));
+        for (d, doc) in inner.docs.values().enumerate() {
+            if d > 0 {
+                out.push(',');
+            }
+            let start = out.len();
+            let _ = write!(out, "{doc}");
+            if d == 0 {
+                out.reserve((out.len() - start + 1) * (inner.docs.len() - 1));
+            }
+        }
+        let indexes: Vec<&str> = inner.indexes.keys().map(String::as_str).collect();
+        let next_id = inner.next_id;
+        let _ = write!(
+            out,
+            r#"],"indexes":{},"next_id":{next_id}}}"#,
+            json!(indexes)
+        );
+    }
+    out.push_str("}}");
+    out
+}
+
+/// The same state as a deep-cloned tree: the route `export_json` took
+/// before it streamed, kept verbatim as the reference the property tests
+/// hold the streamed bytes to.
+#[cfg(test)]
+pub(crate) fn export_value(map: &CollectionMap) -> Value {
     let mut collections = serde_json::Map::new();
     for (name, collection) in map.lock().iter() {
         let inner = collection.inner.lock();
@@ -221,69 +322,68 @@ fn export_value(map: &CollectionMap) -> Value {
     })
 }
 
-/// Rebuilds collections from a recovered snapshot + log tail.
-fn restore(store: &Store, recovered: &Recovered) -> Result<(), StoreError> {
+/// Removes member `key` from a JSON object, by value.
+fn take(object: &mut Value, key: &str) -> Option<Value> {
+    object.as_object_mut()?.remove(key)
+}
+
+/// Rebuilds collections from a recovered snapshot + log tail. The parsed
+/// trees are taken apart by value: every document moves into its
+/// collection, none is cloned.
+fn restore(store: &Store, recovered: Recovered) -> Result<(), StoreError> {
     // Index definitions are collected first and built once at the end,
     // over the final document set — equivalent to maintaining them
     // through the replay, and linear instead of quadratic.
     let mut index_paths: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
 
-    if let Some(bytes) = &recovered.snapshot {
-        let state: Value = serde_json::from_slice(bytes).map_err(corrupt)?;
-        let collections = state
-            .get("collections")
-            .and_then(Value::as_object)
-            .ok_or_else(|| corrupt("snapshot has no collections object"))?;
-        for (name, cstate) in collections {
-            let collection = store.get_or_create(name);
+    if let Some(bytes) = recovered.snapshot {
+        let mut state: Value = serde_json::from_slice(&bytes).map_err(corrupt)?;
+        // Megabytes, and done with: freed before the collections fill.
+        drop(bytes);
+        let Some(Value::Object(collections)) = take(&mut state, "collections") else {
+            return Err(corrupt("snapshot has no collections object"));
+        };
+        for (name, mut cstate) in collections {
+            let collection = store.get_or_create(&name);
             let mut inner = collection.inner.lock();
             inner.next_id = cstate.get("next_id").and_then(Value::as_u64).unwrap_or(0);
-            for doc in cstate
-                .get("docs")
-                .and_then(Value::as_array)
-                .into_iter()
-                .flatten()
-            {
-                let id = doc
-                    .get("_id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| corrupt("snapshot document without _id"))?;
-                inner.docs.insert(DocId(id), doc.clone());
+            if let Some(Value::Array(docs)) = take(&mut cstate, "docs") {
+                for doc in docs {
+                    let id = doc
+                        .get("_id")
+                        .and_then(Value::as_u64)
+                        .ok_or_else(|| corrupt("snapshot document without _id"))?;
+                    inner.docs.insert(DocId(id), doc);
+                }
             }
-            let paths = index_paths.entry(name.clone()).or_default();
-            for path in cstate
-                .get("indexes")
-                .and_then(Value::as_array)
-                .into_iter()
-                .flatten()
-            {
-                if let Some(path) = path.as_str() {
-                    paths.insert(path.to_owned());
+            let paths = index_paths.entry(name).or_default();
+            if let Some(Value::Array(indexes)) = take(&mut cstate, "indexes") {
+                for path in indexes {
+                    if let Value::String(path) = path {
+                        paths.insert(path);
+                    }
                 }
             }
         }
     }
 
-    for (lsn, payload) in &recovered.entries {
-        let delta: Value = serde_json::from_slice(payload)
+    for (lsn, payload) in recovered.entries {
+        let mut delta: Value = serde_json::from_slice(&payload)
             .map_err(|e| corrupt(format!("bad delta at lsn {lsn}: {e}")))?;
-        let op = delta
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt(format!("delta at lsn {lsn} has no op")))?;
-        let name = delta
-            .get("coll")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt(format!("delta at lsn {lsn} has no coll")))?;
+        let Some(Value::String(op)) = take(&mut delta, "op") else {
+            return Err(corrupt(format!("delta at lsn {lsn} has no op")));
+        };
+        let Some(Value::String(name)) = take(&mut delta, "coll") else {
+            return Err(corrupt(format!("delta at lsn {lsn} has no coll")));
+        };
+        let (op, name) = (op.as_str(), name.as_str());
         match op {
             "insert" | "update" => {
                 let id = delta
                     .get("id")
                     .and_then(Value::as_u64)
                     .ok_or_else(|| corrupt(format!("{op} delta at lsn {lsn} has no id")))?;
-                let doc = delta
-                    .get("doc")
-                    .cloned()
+                let doc = take(&mut delta, "doc")
                     .ok_or_else(|| corrupt(format!("{op} delta at lsn {lsn} has no doc")))?;
                 let collection = store.get_or_create(name);
                 let mut inner = collection.inner.lock();
@@ -375,7 +475,7 @@ impl Store {
                     collections,
                     durable: Some(shared),
                 };
-                restore(&store, &recovered)?;
+                restore(&store, recovered)?;
                 Ok(store)
             }
         }
@@ -405,7 +505,7 @@ impl Store {
     /// identical contents export identical bytes — the determinism
     /// check the recovery matrix relies on.
     pub fn export_json(&self) -> String {
-        export_value(&self.collections).to_string()
+        export_json(&self.collections)
     }
 }
 
@@ -540,6 +640,38 @@ mod tests {
         let c = recovered.collection("obs");
         assert_eq!(c.len(), 1, "torn tail truncated, prefix intact");
         assert_eq!(c.get(DocId(0)).unwrap()["i"], json!(0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_swallowed_snapshot_failure_is_counted() {
+        let registry = mps_telemetry::Registry::global();
+        // Other tests snapshot too: lower bounds only.
+        let failures = || {
+            registry
+                .counter_value("docstore_snapshot_failures_total")
+                .unwrap_or(0)
+        };
+        let dir = temp_dir("snapfail");
+        let kill = mps_wal::KillSwitch::new();
+        let config = DurabilityConfig::new(&dir)
+            .wal(WalConfig::default().telemetry(false).kill(kill.clone()))
+            .snapshot_every(2);
+        let store = Store::open(Durability::Durable(config)).unwrap();
+        let c = store.collection("obs");
+        let before = failures();
+        kill.arm(KillPoint::MidSnapshot, 0);
+        // The second record is due a snapshot, which dies; the insert is
+        // durable all the same and says so.
+        c.insert_one(json!({"i": 0})).unwrap();
+        assert_eq!(kill.dead(), Some(KillPoint::MidSnapshot));
+        assert!(failures() > before);
+        assert!(registry.gauge_value("docstore_snapshot_bytes").unwrap_or(0) > 0);
+        assert!(c.insert_one(json!({"i": 1})).is_err());
+        drop(store);
+
+        let recovered = Store::open(durable(&dir)).unwrap();
+        assert_eq!(recovered.collection("obs").len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -679,6 +811,24 @@ mod tests {
             .collect();
         let golden = GOLDEN_LOG.map(|payload| std::str::from_utf8(payload).unwrap());
         assert_eq!(written, golden);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every mutation enters through `Collection::mutate` or, for the two
+    /// store-level ones, `journaled(store.journal(..))`: in memory both
+    /// hand `apply` no journal, so no delta can be built.
+    #[test]
+    fn the_in_memory_path_builds_no_journal() {
+        let memory = Store::new();
+        let collection = memory.collection("obs");
+        assert_eq!(collection.mutate(|_, log| log.is_none()), Ok(true));
+        assert!(journaled(memory.journal("obs"), |log| log.is_none()).0);
+
+        let dir = temp_dir("journal");
+        let store = Store::open(durable(&dir)).unwrap();
+        let collection = store.collection("obs");
+        assert_eq!(collection.mutate(|_, log| log.is_some()), Ok(true));
+        assert!(journaled(store.journal("obs"), |log| log.is_some()).0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

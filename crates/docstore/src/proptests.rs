@@ -1,7 +1,8 @@
 //! In-crate property tests over store invariants: seeded loops over a
 //! small splitmix64, so they run wherever the unit tests do.
 
-use crate::value::compare_values;
+use crate::durability::export_value;
+use crate::value::{compare_values, DocId};
 use crate::{
     Collection, Durability, DurabilityConfig, Filter, FindOptions, SortOrder, Store, Update,
 };
@@ -56,6 +57,40 @@ impl Rng {
         (0..self.size(min, max)).map(|_| item(self)).collect()
     }
 
+    fn pick<'a>(&mut self, pool: &[&'a str]) -> &'a str {
+        pool[self.size(0, pool.len())]
+    }
+
+    /// Any JSON value, nested at most `depth` deep: integers (negative
+    /// and beyond `i64`), floats, text and keys that need every escape.
+    fn value(&mut self, depth: usize) -> Value {
+        let text = |r: &mut Rng| r.letters(WILD, 0, 6);
+        match self.size(0, if depth == 0 { 5 } else { 7 }) {
+            0 => self.scalar(),
+            1 => Value::from(self.next()),
+            2 => Value::from(-(self.next() as i64 >> 1)),
+            3 => Value::from(self.float(-1e9, 1e9) * 10f64.powi(self.int(-12, 12) as i32)),
+            4 => Value::from(text(self)),
+            5 => Value::from(self.vec(0, 4, |r| r.value(depth - 1))),
+            _ => {
+                let members = self.vec(0, 4, |r| (text(r), r.value(depth - 1)));
+                Value::Object(members.into_iter().collect())
+            }
+        }
+    }
+
+    /// A document for the op sequences: `v` and `m`, which the filters
+    /// and indexes use, beside anything at all.
+    fn doc(&mut self) -> Value {
+        let mut doc: serde_json::Map<String, Value> = self
+            .vec(0, 4, |r| (r.letters(WILD, 1, 4), r.value(2)))
+            .into_iter()
+            .collect();
+        doc.insert("v".to_owned(), Value::from(self.int(-50, 50)));
+        doc.insert("m".to_owned(), Value::from(self.letters("abc", 1, 1)));
+        Value::Object(doc)
+    }
+
     fn scalar(&mut self) -> Value {
         match self.size(0, 5) {
             0 => Value::Null,
@@ -66,6 +101,15 @@ impl Rng {
         }
     }
 }
+
+/// Letters that between them need every JSON string escape: quote,
+/// backslash, the named and the `\u00..` control characters, non-ASCII
+/// inside and outside the basic plane.
+const WILD: &str = "ab \"\\/\n\r\t\u{8}\u{c}\u{0}\u{1f}\u{7f}é√😀";
+
+/// Collection names and index paths the op sequences draw from.
+const NAMES: [&str; 2] = ["a", "b\"\\\n\u{1}é😀"];
+const PATHS: [&str; 3] = ["v", "m", "k\"\\\té"];
 
 /// Names the seed of the case that was running when a property panicked.
 struct Seed(u64);
@@ -259,10 +303,13 @@ fn windowed_find_equals_materialized_slice() {
     });
 }
 
-/// One mutation of the durable-replay property below.
+/// One mutation of the durable properties below: between them, all nine
+/// kinds.
 #[derive(Debug, Clone)]
 enum Op {
+    Touch,
     Insert(Value),
+    InsertMany(Vec<Value>),
     Update(i64, f64),
     Delete(i64),
     CreateIndex(String),
@@ -271,32 +318,49 @@ enum Op {
     DropCollection,
 }
 
-/// A mutation and the collection (`a` or `b`) it goes to.
+impl Op {
+    /// The documents an update or a delete goes to.
+    fn filter(&self) -> Filter {
+        match self {
+            Op::Update(threshold, _) => Filter::lt("v", *threshold),
+            Op::Delete(threshold) => Filter::gt("v", *threshold),
+            _ => Filter::True,
+        }
+    }
+}
+
+/// A mutation and the collection (one of [`NAMES`]) it goes to.
 fn op(rng: &mut Rng) -> (String, Op) {
-    let op = match rng.size(0, 14) {
-        0..=4 => Op::Insert(json!({"v": rng.int(-50, 50), "m": rng.letters("abc", 1, 1)})),
-        5..=7 => Op::Update(rng.int(-60, 60), rng.float(-10.0, 10.0)),
-        8..=9 => Op::Delete(rng.int(-60, 60)),
-        10 => Op::CreateIndex(rng.letters("vm", 1, 1)),
-        11 => Op::DropIndex(rng.letters("vm", 1, 1)),
-        12 => Op::Clear,
+    let op = match rng.size(0, 16) {
+        0 => Op::Touch,
+        1..=4 => Op::Insert(rng.doc()),
+        5 => Op::InsertMany(rng.vec(0, 4, Rng::doc)),
+        6..=8 => Op::Update(rng.int(-60, 60), rng.float(-10.0, 10.0)),
+        9..=10 => Op::Delete(rng.int(-60, 60)),
+        11..=12 => Op::CreateIndex(rng.pick(&PATHS).to_owned()),
+        13 => Op::DropIndex(rng.pick(&PATHS).to_owned()),
+        14 => Op::Clear,
         _ => Op::DropCollection,
     };
-    (rng.letters("ab", 1, 1), op)
+    (rng.pick(&NAMES).to_owned(), op)
 }
 
 fn apply(store: &Store, (name, op): &(String, Op)) {
     let c = store.collection(name);
     match op {
+        Op::Touch => {}
         Op::Insert(doc) => {
             c.insert_one(doc.clone()).unwrap();
         }
-        Op::Update(threshold, delta) => {
-            c.update_many(&Filter::lt("v", *threshold), &Update::inc("v", *delta))
+        Op::InsertMany(docs) => {
+            c.insert_many(docs.iter().cloned()).unwrap();
+        }
+        Op::Update(_, delta) => {
+            c.update_many(&op.filter(), &Update::inc("v", *delta))
                 .unwrap();
         }
-        Op::Delete(threshold) => {
-            c.delete_many(&Filter::gt("v", *threshold)).unwrap();
+        Op::Delete(_) => {
+            c.delete_many(&op.filter()).unwrap();
         }
         Op::CreateIndex(p) => c.create_index(p).unwrap(),
         Op::DropIndex(p) => c.drop_index(p).unwrap(),
@@ -340,7 +404,7 @@ fn durable_replay_equals_in_memory() {
         let recovered = Store::open(Durability::Durable(config)).unwrap();
         assert_eq!(recovered.export_json(), memory.export_json());
         for name in memory.collection_names() {
-            for path in ["v", "m"] {
+            for path in PATHS {
                 assert_eq!(
                     recovered.collection(&name).has_index(path),
                     memory.collection(&name).has_index(path),
@@ -348,6 +412,106 @@ fn durable_replay_equals_in_memory() {
                 );
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
+}
+
+/// The streamed export is the tree route's bytes: every collection deep-
+/// cloned into one `Value` and serialised, as `export_json` did before.
+#[test]
+fn streamed_export_equals_the_tree_route() {
+    check(|rng| {
+        let store = Store::new();
+        for name in rng.vec(0, 4, |r| r.letters(WILD, 0, 5)) {
+            let c = store.collection(&name);
+            // Possibly none: an empty collection, with or without indexes.
+            c.insert_many(rng.vec(0, 6, Rng::doc)).unwrap();
+            for path in rng.vec(0, 3, |r| r.pick(&PATHS)) {
+                c.create_index(path).unwrap();
+            }
+            if rng.flag() {
+                c.delete_many(&Filter::gt("v", rng.int(-60, 60))).unwrap();
+            }
+        }
+        let tree = export_value(&store.collections).to_string();
+        assert_eq!(store.export_json(), tree);
+    });
+}
+
+/// Applies `step` and returns what the tree route logged for it: one
+/// `json!` delta per change, stamped with `coll`, through `to_string`.
+fn apply_and_expect(store: &Store, step: &(String, Op)) -> Vec<String> {
+    let (name, op) = step;
+    let mut expected = Vec::new();
+    let mut log = |mut delta: Value| {
+        let members = delta.as_object_mut().unwrap();
+        members.insert("coll".to_owned(), Value::from(name.as_str()));
+        expected.push(delta.to_string());
+    };
+    if !store.has_collection(name) {
+        log(json!({"op": "touch"}));
+    }
+    let c = store.collection(name);
+    let first_new = c.inner.lock().next_id;
+    let matched: Vec<u64> = c
+        .find(&op.filter())
+        .unwrap()
+        .iter()
+        .map(|doc| doc["_id"].as_u64().unwrap())
+        .collect();
+    let indexed: Vec<&str> = PATHS.into_iter().filter(|p| c.has_index(p)).collect();
+    apply(store, step);
+    let next_id = c.inner.lock().next_id;
+    let doc = |id: u64| c.get(DocId(id)).unwrap();
+    match op {
+        Op::Touch => {}
+        Op::Insert(_) | Op::InsertMany(_) => {
+            for id in first_new..next_id {
+                log(json!({"op": "insert", "id": id, "doc": doc(id)}));
+            }
+        }
+        Op::Update(..) => {
+            for id in matched {
+                log(json!({"op": "update", "id": id, "doc": doc(id)}));
+            }
+        }
+        Op::Delete(_) if matched.is_empty() => {}
+        Op::Delete(_) => log(json!({"op": "delete", "ids": matched})),
+        Op::CreateIndex(path) if indexed.contains(&path.as_str()) => {}
+        Op::CreateIndex(path) => log(json!({"op": "create_index", "path": path})),
+        Op::DropIndex(path) if !indexed.contains(&path.as_str()) => {}
+        Op::DropIndex(path) => log(json!({"op": "drop_index", "path": path})),
+        Op::Clear if matched.is_empty() => {}
+        Op::Clear => log(json!({"op": "clear"})),
+        Op::DropCollection => log(json!({"op": "drop_collection"})),
+    }
+    expected
+}
+
+/// Every mutation kind reaches the log as the bytes the tree route wrote.
+#[test]
+fn logged_payloads_equal_the_tree_route() {
+    check(|rng| {
+        let ops = rng.vec(0, 30, op);
+        let dir = prop_temp_dir();
+        let wal = mps_wal::WalConfig::default().telemetry(false);
+        let config = DurabilityConfig::new(&dir)
+            .wal(wal.clone())
+            .snapshot_every(0);
+        let store = Store::open(Durability::Durable(config)).unwrap();
+        let expected: Vec<String> = ops
+            .iter()
+            .flat_map(|step| apply_and_expect(&store, step))
+            .collect();
+        drop(store);
+
+        let (_wal, recovered) = mps_wal::Wal::open(&dir, wal).unwrap();
+        let logged: Vec<&str> = recovered
+            .entries
+            .iter()
+            .map(|(_, payload)| std::str::from_utf8(payload).unwrap())
+            .collect();
+        assert_eq!(logged, expected);
         std::fs::remove_dir_all(&dir).unwrap();
     });
 }

@@ -5,7 +5,6 @@ use crate::telemetry::telemetry;
 use crate::Collection;
 use crate::StoreError;
 use parking_lot::Mutex;
-use serde_json::json;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -54,7 +53,7 @@ impl Store {
         // so.
         let (collection, _logged) = journaled(self.journal(name), |log| {
             if let Some(log) = log {
-                log.push(json!({"op": "touch"}));
+                log.bare("touch");
             }
             self.get_or_create(name)
         });
@@ -83,7 +82,7 @@ impl Store {
         collection
     }
 
-    fn journal<'a>(&'a self, name: &'a str) -> Option<(&'a DurableShared, &'a str)> {
+    pub(crate) fn journal<'a>(&'a self, name: &'a str) -> Option<(&'a DurableShared, &'a str)> {
         self.durable.as_deref().map(|shared| (shared, name))
     }
 
@@ -110,7 +109,7 @@ impl Store {
             if removed {
                 telemetry().store_collections.dec();
                 if let Some(log) = log {
-                    log.push(json!({"op": "drop_collection"}));
+                    log.bare("drop_collection");
                 }
             }
             removed

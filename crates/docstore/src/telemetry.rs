@@ -35,6 +35,13 @@ pub(crate) struct StoreTelemetry {
     pub(crate) collection_update_seconds: Histogram,
     /// Live collections per store, with a high watermark.
     pub(crate) store_collections: Gauge,
+    /// Snapshots that failed (the automatic ones report it nowhere else).
+    pub(crate) snapshot_failures: Counter,
+    /// Duration of one snapshot — export, write + fsync, compaction —
+    /// which is how long writers wait behind it, in seconds.
+    pub(crate) snapshot_seconds: Histogram,
+    /// Size of the last snapshot's state, in bytes.
+    pub(crate) snapshot_bytes: Gauge,
 }
 
 /// The lazily-registered docstore metric set.
@@ -99,6 +106,19 @@ pub(crate) fn telemetry() -> &'static StoreTelemetry {
                 "docstore_store_collections",
                 "Live collections across all stores",
             ),
+            snapshot_failures: registry.counter(
+                "docstore_snapshot_failures_total",
+                "Snapshots that failed, automatic or requested",
+            ),
+            snapshot_seconds: registry.histogram(
+                "docstore_snapshot_seconds",
+                "Duration of one snapshot: export, write + fsync, compaction; writers wait (s)",
+                &Histogram::exponential_buckets(1e-4, 4.0, 9),
+            ),
+            snapshot_bytes: registry.gauge(
+                "docstore_snapshot_bytes",
+                "Size of the last snapshot's state (bytes)",
+            ),
         }
     })
 }
@@ -133,6 +153,9 @@ mod tests {
             "docstore_collection_find_seconds",
             "docstore_collection_update_seconds",
             "docstore_store_collections",
+            "docstore_snapshot_failures_total",
+            "docstore_snapshot_seconds",
+            "docstore_snapshot_bytes",
         ] {
             assert!(names.iter().any(|n| n == name), "missing {name}");
         }

@@ -2,7 +2,8 @@
 //! under arbitrary truncation. Seeded loops over a small splitmix64, so
 //! they run wherever the unit tests do.
 
-use crate::{decode_one, encode_into, Decoded, Wal, WalConfig};
+use crate::record::crc32_bytewise;
+use crate::{crc32, decode_one, encode_into, Decoded, Wal, WalConfig};
 
 /// Cases per property.
 const CASES: u64 = 256;
@@ -24,13 +25,17 @@ impl Rng {
         lo + (self.next() % (hi - lo) as u64) as usize
     }
 
+    /// `len` arbitrary bytes.
+    fn bytes(&mut self, len: usize) -> Vec<u8> {
+        (0..len).map(|_| self.next() as u8).collect()
+    }
+
     /// `min..max` payloads of `0..max_len` arbitrary bytes each.
     fn payloads(&mut self, min: usize, max: usize, max_len: usize) -> Vec<Vec<u8>> {
         (0..self.size(min, max))
             .map(|_| {
-                (0..self.size(0, max_len))
-                    .map(|_| self.next() as u8)
-                    .collect()
+                let len = self.size(0, max_len);
+                self.bytes(len)
             })
             .collect()
     }
@@ -148,4 +153,35 @@ fn any_truncation_recovers_a_prefix_without_panic() {
         assert_eq!(again.entries.len(), recovered.entries.len());
         std::fs::remove_dir_all(&dir).unwrap();
     });
+}
+
+#[test]
+fn crc32_equals_the_bytewise_loop_at_every_short_length() {
+    let mut rng = Rng(1);
+    for len in 0..=64 {
+        let bytes = rng.bytes(len);
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+    }
+}
+
+#[test]
+fn crc32_equals_the_bytewise_loop_on_random_lengths() {
+    check(|rng| {
+        let len = rng.size(0, 64 * 1024 + 1);
+        let bytes = rng.bytes(len);
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+    });
+}
+
+#[test]
+fn crc32_equals_the_bytewise_loop_at_every_alignment() {
+    // Every start offset against every end offset within a word:
+    // unaligned heads and all eight tail lengths.
+    let buffer = Rng(7).bytes(256);
+    for start in 0..8 {
+        for end in buffer.len() - 8..=buffer.len() {
+            let bytes = &buffer[start..end];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "{start}..{end}");
+        }
+    }
 }

@@ -14,9 +14,12 @@ pub const RECORD_HEADER_BYTES: usize = 8;
 /// is classified as a torn tail instead of attempting a huge read.
 pub(crate) const MAX_RECORD_BYTES: usize = 1 << 26; // 64 MiB
 
-/// The CRC-32 (IEEE 802.3) lookup table, built at compile time.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The CRC-32 (IEEE 802.3) lookup tables for slice-by-8, built at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// which is what lets eight input bytes be folded in one step.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -29,28 +32,72 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 (IEEE 802.3) of `bytes` — the polynomial every torn-tail
 /// scanner and external inspector of this log format must agree on.
+/// Slice-by-8: eight bytes per step through eight tables, the tail a
+/// byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][(hi >> 8 & 0xff) as usize]
+            ^ t[1][(hi >> 16 & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
 
+/// CRC-32 a byte at a time through the classic table: the reference the
+/// seeded tests in `proptests.rs` hold [`crc32`] to.
+#[cfg(test)]
+pub(crate) fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut c = 0xffff_ffffu32;
+    for &b in bytes {
+        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    }
+    c ^ 0xffff_ffff
+}
+
+/// The eight framing bytes that precede `payload` on disk.
+pub(crate) fn header(payload: &[u8]) -> [u8; RECORD_HEADER_BYTES] {
+    let mut header = [0; RECORD_HEADER_BYTES];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
 /// Appends one framed record to `out`.
 pub fn encode_into(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&header(payload));
     out.extend_from_slice(payload);
 }
 

@@ -1,7 +1,7 @@
 //! The log itself: segments, group commit, snapshots, recovery.
 
 use crate::kill::{KillPoint, KillSwitch};
-use crate::record::{decode_one, encode_into, Decoded};
+use crate::record::{decode_one, encode_into, header, Decoded, RECORD_HEADER_BYTES};
 use crate::telemetry::telemetry;
 use crate::WalError;
 use mps_telemetry::trace::{FlightRecorder, Hop, Outcome, SpanRecord, TraceId};
@@ -313,23 +313,33 @@ impl Wal {
     /// returns the LSN of the last record. An empty batch is a no-op
     /// and returns the current last LSN.
     pub fn append_batch(&mut self, payloads: &[Vec<u8>]) -> Result<Lsn, WalError> {
+        self.append_frames(payloads)
+    }
+
+    /// Appends a single record; see [`Wal::append_batch`].
+    pub fn append(&mut self, payload: &[u8]) -> Result<Lsn, WalError> {
+        self.append_frames(&[payload])
+    }
+
+    /// Frames `payloads` into one exactly-sized buffer and writes it with
+    /// one `write` and at most one fsync.
+    fn append_frames<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<Lsn, WalError> {
         self.check_alive()?;
-        if payloads.is_empty() {
+        let Some(last) = payloads.last() else {
             return Ok(self.next_lsn - 1);
-        }
+        };
         self.maybe_roll()?;
 
-        let mut buf = Vec::new();
-        let mut last_offset = 0usize;
+        let framed = |p: &P| RECORD_HEADER_BYTES + p.as_ref().len();
+        let mut buf = Vec::with_capacity(payloads.iter().map(framed).sum());
         for payload in payloads {
-            last_offset = buf.len();
-            encode_into(&mut buf, payload);
+            encode_into(&mut buf, payload.as_ref());
         }
 
         if self.config.kill.should_fire(KillPoint::MidAppend) {
             // Half of the final record reaches the disk: the classic
             // torn write a recovery scan must truncate.
-            let cut = last_offset + (buf.len() - last_offset) / 2;
+            let cut = buf.len() - framed(last) + framed(last) / 2;
             self.active.write_all(&buf[..cut])?;
             self.active.sync_all()?;
             return Err(WalError::Killed(KillPoint::MidAppend));
@@ -356,12 +366,6 @@ impl Wal {
         Ok(self.next_lsn - 1)
     }
 
-    /// Appends a single record; see [`Wal::append_batch`].
-    pub fn append(&mut self, payload: &[u8]) -> Result<Lsn, WalError> {
-        let batch = [payload.to_vec()];
-        self.append_batch(&batch)
-    }
-
     /// Writes a snapshot covering every record appended so far, then
     /// compacts: older snapshots and fully covered closed segments are
     /// deleted. The snapshot is committed atomically (temp file, fsync,
@@ -375,17 +379,17 @@ impl Wal {
         }
         let final_path = snapshot_path(&self.dir, covered);
         let tmp_path = final_path.with_extension("snap.tmp");
-        let mut buf = Vec::with_capacity(state.len() + crate::RECORD_HEADER_BYTES);
-        encode_into(&mut buf, state);
-
+        // The framing bytes, then the state straight from the caller's
+        // buffer: the same file as one framed record, without a copy.
         let mut tmp = File::create(&tmp_path)?;
+        tmp.write_all(&header(state))?;
         if self.config.kill.should_fire(KillPoint::MidSnapshot) {
             // Orphan the temp file half-written; recovery removes it.
-            tmp.write_all(&buf[..buf.len() / 2])?;
+            tmp.write_all(&state[..state.len() / 2])?;
             tmp.sync_all()?;
             return Err(WalError::Killed(KillPoint::MidSnapshot));
         }
-        tmp.write_all(&buf)?;
+        tmp.write_all(state)?;
         tmp.sync_all()?;
         std::fs::rename(&tmp_path, &final_path)?;
         sync_dir(&self.dir);
