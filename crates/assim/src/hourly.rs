@@ -337,7 +337,7 @@ mod tests {
             .attrs
             .iter()
             .any(|(k, v)| *k == "members" && v == &members.len().to_string()));
-        assert!(!members.iter().any(|m| *m == batch.trace), "own trace id");
+        assert!(!members.contains(&batch.trace), "own trace id");
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl Matrix {
     /// Solves `self · x = b` via a blocked (right-looking) Cholesky
     /// factorization.
     ///
-    /// The factorization proceeds in panels of [`CHOLESKY_BLOCK`] columns:
+    /// The factorization proceeds in panels of `CHOLESKY_BLOCK` columns:
     /// factor the diagonal block, triangular-solve the panel below it,
     /// then rank-update the trailing submatrix. The trailing update — the
     /// O(n³) bulk of the work — runs over contiguous row slices, so it

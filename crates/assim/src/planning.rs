@@ -170,7 +170,7 @@ pub fn infer_exposure(field: &DiurnalField, trajectory: &[(GeoPoint, u32)]) -> O
 mod tests {
     use super::*;
     use crate::city::CityModel;
-    use crate::hourly::{DiurnalAnalysis, HourlyObservation};
+    use crate::hourly::DiurnalAnalysis;
     use crate::noise::NoiseSimulator;
     use mps_simcore::SimRng;
     use mps_types::GeoBounds;

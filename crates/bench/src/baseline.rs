@@ -61,6 +61,7 @@ pub fn median_ns_per_op(samples: usize, iters: usize, mut op: impl FnMut()) -> f
     let iters = iters.max(1);
     let mut timings = Vec::with_capacity(samples);
     for _ in 0..samples {
+        #[allow(clippy::disallowed_methods)] // a benchmark exists to read the wall clock
         let start = Instant::now();
         for _ in 0..iters {
             op();
@@ -458,6 +459,7 @@ pub fn ingest_batching(batch: usize, rounds: usize) -> (f64, f64, f64, f64) {
         let fsyncs_before = registry.counter_value("wal_fsyncs_total").unwrap_or(0);
         let now = SimTime::from_hms(0, 12, 5, 0);
         let mut stored = 0usize;
+        #[allow(clippy::disallowed_methods)] // a benchmark exists to read the wall clock
         let start = Instant::now();
         for chunk in payloads.chunks(drain_size) {
             for (key, payload) in chunk {
@@ -663,9 +665,64 @@ pub fn baseline_report(measurements: &[Measurement]) -> Value {
     })
 }
 
+/// Renders a report the way the committed `BENCH_pipeline.json` is laid
+/// out (two-space indent, one scalar per line, keys in order), so a
+/// regenerated report diffs against it line by line.
+pub fn render_report(report: &Value) -> String {
+    fn write(value: &Value, depth: usize, out: &mut String) {
+        let pad = |depth: usize, out: &mut String| out.push_str(&"  ".repeat(depth));
+        match value {
+            Value::Array(items) if !items.is_empty() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i == 0 { "\n" } else { ",\n" });
+                    pad(depth + 1, out);
+                    write(item, depth + 1, out);
+                }
+                out.push('\n');
+                pad(depth, out);
+                out.push(']');
+            }
+            Value::Object(fields) if !fields.is_empty() => {
+                out.push('{');
+                for (i, (key, field)) in fields.iter().enumerate() {
+                    out.push_str(if i == 0 { "\n" } else { ",\n" });
+                    pad(depth + 1, out);
+                    out.push_str(&json!(key).to_string());
+                    out.push_str(": ");
+                    write(field, depth + 1, out);
+                }
+                out.push('\n');
+                pad(depth, out);
+                out.push('}');
+            }
+            scalar => out.push_str(&scalar.to_string()),
+        }
+    }
+    let mut out = String::new();
+    write(report, 0, &mut out);
+    out.push('\n');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rendered_report_parses_back_and_matches_the_committed_layout() {
+        let report = json!({"results": [{"bench": "b \"q\"", "size": 10}, {}], "empty": []});
+        let text = render_report(&report);
+        assert_eq!(serde_json::from_str::<Value>(&text).unwrap(), report);
+        assert_eq!(
+            text,
+            "{\n  \"empty\": [],\n  \"results\": [\n    {\n      \"bench\": \"b \\\"q\\\"\",\n      \"size\": 10\n    },\n    {}\n  ]\n}\n"
+        );
+        // The committed report is in this layout.
+        let committed = include_str!("../../../BENCH_pipeline.json");
+        let parsed: Value = serde_json::from_str(committed).unwrap();
+        assert_eq!(render_report(&parsed), committed);
+    }
 
     #[test]
     fn trie_routing_beats_naive_scan_at_1k_bindings() {
@@ -707,9 +764,9 @@ mod tests {
             median_ns_per_op: 1.0,
         }];
         let report = baseline_report(&measurements);
-        assert_eq!(report["schema"], "mps-perf-baseline/1");
+        assert_eq!(report["schema"], json!("mps-perf-baseline/1"));
         assert_eq!(report["results"].as_array().unwrap().len(), 1);
-        assert_eq!(report["results"][0]["bench"], "broker_routing");
+        assert_eq!(report["results"][0]["bench"], json!("broker_routing"));
     }
 
     #[test]
@@ -729,10 +786,16 @@ mod tests {
         // counts loopback noise dwarfs that, so this only guards against
         // gross regressions (a lock on the hot path, an allocation per
         // sample): the two variants must stay within 1.5x of each other.
-        let (_, tcp, tcp_bare) = net_round_trip(64, 3, 30);
+        // A neighbouring test taking the core for a few milliseconds
+        // inflates whichever variant was running, and only ever upwards,
+        // so each variant is judged by the fastest of five interleaved
+        // measurements; a regression raises that floor too.
+        let runs: Vec<_> = (0..5).map(|_| net_round_trip(64, 3, 30)).collect();
+        let tcp = runs.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
+        let tcp_bare = runs.iter().map(|r| r.2).fold(f64::INFINITY, f64::min);
         assert!(
             tcp < tcp_bare * 1.5 && tcp_bare < tcp * 1.5,
-            "instrumented {tcp} ns/op vs bare {tcp_bare} ns/op"
+            "instrumented {tcp} ns/op vs bare {tcp_bare} ns/op, fastest of {runs:?}"
         );
     }
 

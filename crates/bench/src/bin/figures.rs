@@ -637,7 +637,7 @@ fn fleet() {
             break;
         }
         client.flush_at(&link, now);
-        now = now + SimDuration::from_mins(5);
+        now += SimDuration::from_mins(5);
     }
     server
         .ingest_pending(&app, now, 1_000_000)

@@ -12,7 +12,7 @@
 //! printed summary shows the speedup of every optimized variant over its
 //! naive reference; `docs/PERFORMANCE.md` documents the setups.
 
-use mps_bench::baseline::{baseline_measurements, baseline_report, Measurement};
+use mps_bench::baseline::{baseline_measurements, baseline_report, render_report, Measurement};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -47,14 +47,7 @@ fn main() {
     let measurements = baseline_measurements(quick, telemetry);
     print_speedups(&measurements);
 
-    let report = baseline_report(&measurements);
-    let pretty = match serde_json::to_string_pretty(&report) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("failed to serialize report: {err}");
-            std::process::exit(1);
-        }
-    };
+    let report = render_report(&baseline_report(&measurements));
     if let Some(parent) = std::path::Path::new(&out_path)
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
@@ -64,7 +57,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if let Err(err) = std::fs::write(&out_path, pretty + "\n") {
+    if let Err(err) = std::fs::write(&out_path, report) {
         eprintln!("failed to write {out_path}: {err}");
         std::process::exit(1);
     }

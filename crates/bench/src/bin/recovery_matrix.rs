@@ -42,6 +42,12 @@ use std::sync::Arc;
 /// the mid-snapshot and mid-compaction kill points fire early.
 const SNAPSHOT_EVERY: u64 = 8;
 
+/// Every cell's log: segments of a few records each, so snapshots find
+/// closed segments to compact and the mid-compaction kill point fires.
+fn wal_config() -> WalConfig {
+    WalConfig::default().telemetry(false).segment_max_bytes(512)
+}
+
 fn main() {
     let mut long = false;
     let mut out_path = "recovery-report.txt".to_owned();
@@ -202,7 +208,7 @@ fn docstore_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> 
     let plan = CrashPlan::at(CrashTarget::Docstore, point, skip);
     let kill = plan.armed_switch();
     let config = DurabilityConfig::new(&dir)
-        .wal(WalConfig::default().telemetry(false).kill(kill.clone()))
+        .wal(wal_config().kill(kill.clone()))
         .snapshot_every(SNAPSHOT_EVERY);
     let store =
         Store::open(Durability::Durable(config)).map_err(|e| format!("faulted open: {e}"))?;
@@ -241,7 +247,7 @@ fn docstore_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> 
     // Two independent replays of the same log must agree byte-for-byte.
     let reopen = || -> Result<(String, Vec<u64>), String> {
         let config = DurabilityConfig::new(&dir)
-            .wal(WalConfig::default().telemetry(false))
+            .wal(wal_config())
             .snapshot_every(SNAPSHOT_EVERY);
         let store = Store::open(Durability::Durable(config)).map_err(|e| format!("reopen: {e}"))?;
         let export = store.export_json();
@@ -297,10 +303,11 @@ fn docstore_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> 
 fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
     let dir = scratch("broker", point, skip);
     let _ = std::fs::remove_dir_all(&dir);
-    let plan = CrashPlan::at(CrashTarget::Broker, point, skip);
-    let kill = plan.armed_switch();
+    // Armed only after the topology is declared, so `skip` counts the
+    // workload's appends, not the setup's.
+    let kill = KillSwitch::new();
     let config = BrokerDurabilityConfig::new(&dir)
-        .wal(WalConfig::default().telemetry(false).kill(kill.clone()))
+        .wal(wal_config().kill(kill.clone()))
         .snapshot_every(SNAPSHOT_EVERY);
     let broker = Broker::open_durable(config).map_err(|e| format!("faulted open: {e}"))?;
     let setup = || -> Result<(), mps_broker::BrokerError> {
@@ -311,6 +318,7 @@ fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
         broker.configure_dead_letter("q", 2, "dlq")
     };
     setup().map_err(|e| format!("topology: {e}"))?;
+    CrashPlan::at(CrashTarget::Broker, point, skip).arm(&kill);
 
     let seq_of = |payload: &[u8]| -> u64 {
         std::str::from_utf8(payload)
@@ -323,7 +331,7 @@ fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
     let mut dead_lettered: Vec<u64> = Vec::new();
     let mut ambiguous: BTreeSet<u64> = BTreeSet::new();
     'workload: for i in 0..ops {
-        match broker.publish("app", "obs.zone.noise", format!("{i}")) {
+        match broker.publish("app", "obs.zone.noise", format!("{i}").into_bytes()) {
             Ok(_) => published.push(i),
             Err(_) => {
                 ambiguous.insert(i);
@@ -384,7 +392,7 @@ fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
     // Two independent replays must agree snapshot-for-snapshot.
     let reopen = || -> Result<(mps_broker::QueueSnapshot, mps_broker::QueueSnapshot), String> {
         let config = BrokerDurabilityConfig::new(&dir)
-            .wal(WalConfig::default().telemetry(false))
+            .wal(wal_config())
             .snapshot_every(SNAPSHOT_EVERY);
         let broker = Broker::open_durable(config).map_err(|e| format!("reopen: {e}"))?;
         let q = broker.queue_snapshot("q").map_err(|e| format!("q: {e}"))?;
@@ -464,7 +472,7 @@ fn ingest_cell(point: KillPoint, skip: u64, batches: u64) -> Result<Cell, String
     // appends, not the setup's index-creation records.
     let kill = KillSwitch::new();
     let config = DurabilityConfig::new(&dir)
-        .wal(WalConfig::default().telemetry(false).kill(kill.clone()))
+        .wal(wal_config().kill(kill.clone()))
         .snapshot_every(SNAPSHOT_EVERY);
     let store =
         Store::open(Durability::Durable(config)).map_err(|e| format!("faulted open: {e}"))?;
@@ -524,7 +532,7 @@ fn ingest_cell(point: KillPoint, skip: u64, batches: u64) -> Result<Cell, String
     // Two independent replays of the same log must agree byte-for-byte.
     let reopen = || -> Result<(String, Vec<u64>), String> {
         let config = DurabilityConfig::new(&dir)
-            .wal(WalConfig::default().telemetry(false))
+            .wal(wal_config())
             .snapshot_every(SNAPSHOT_EVERY);
         let store = Store::open(Durability::Durable(config)).map_err(|e| format!("reopen: {e}"))?;
         let export = store.export_json();

@@ -6,10 +6,9 @@
 //!   all`) regenerates every table and figure of the paper's evaluation
 //!   (Figures 4 and 8–21) from a deployment replay, printing the measured
 //!   series next to the published values;
-//! * **Criterion benches** (`cargo bench -p mps-bench`) measure the
-//!   substrates: broker routing, document-store operations, end-to-end
-//!   ingest, BLUE assimilation, the client-buffering ablation and raw
-//!   simulation throughput.
+//! * the **`perf_baseline` and `recovery_matrix` binaries** time the
+//!   substrates (routing, ingest, WAL append, BLUE, the network boundary)
+//!   into `BENCH_pipeline.json` and drive the crash-kill matrix.
 //!
 //! This library crate only hosts shared helpers for those targets.
 

@@ -5,7 +5,6 @@ use crate::metrics::MetricsSnapshot;
 use crate::router::{ExchangeIndex, RouteCache};
 use crate::topic::CompiledPattern;
 use crate::{BindingPattern, BrokerError, BrokerMetrics, Delivery, Message, RoutingKey};
-use bytes::Bytes;
 use mps_telemetry::trace::{
     encode_contexts, parse_contexts, FlightRecorder, Hop, Outcome, SpanRecord, SENT_MS_HEADER,
     TRACE_HEADER,
@@ -819,7 +818,7 @@ impl Broker {
         &self,
         exchange: &str,
         key: &str,
-        payload: impl Into<Bytes>,
+        payload: impl Into<Arc<[u8]>>,
     ) -> Result<usize, BrokerError> {
         let key = RoutingKey::new(key)?;
         self.publish_message(exchange, Message::new(key, payload))
@@ -1107,7 +1106,7 @@ impl Broker {
                 // queue for good. A full or deleted dead-letter queue degrades
                 // to a counted drop — never a silent loss.
                 Some(target) => match state.queues.get_mut(&target) {
-                    Some(dlq) if !dlq.capacity.is_some_and(|cap| dlq.ready.len() >= cap) => {
+                    Some(dlq) if dlq.capacity.is_none_or(|cap| dlq.ready.len() < cap) => {
                         dlq.ready.push_back((Arc::clone(&message), 0, durable_id));
                         dlq.enqueued_total += 1;
                         self.metrics.on_dead_lettered();
@@ -1359,6 +1358,23 @@ mod tests {
         b.bind_queue("f", "q1", "ignored").unwrap();
         b.bind_queue("f", "q2", "also-ignored").unwrap();
         assert_eq!(b.publish("f", "whatever.key", &b""[..]).unwrap(), 2);
+    }
+
+    #[test]
+    fn fanned_out_message_shares_one_payload_allocation() {
+        let b = Broker::new();
+        b.declare_exchange("f", ExchangeType::Fanout).unwrap();
+        b.declare_queue("q1").unwrap();
+        b.declare_queue("q2").unwrap();
+        b.bind_queue("f", "q1", "#").unwrap();
+        b.bind_queue("f", "q2", "#").unwrap();
+        let payload: Arc<[u8]> = Arc::from(&b"one buffer"[..]);
+        assert_eq!(b.publish("f", "k", Arc::clone(&payload)).unwrap(), 2);
+        let d1 = b.consume("q1", 1).unwrap().remove(0);
+        let d2 = b.consume("q2", 1).unwrap().remove(0);
+        // Neither the publish nor the fan-out copied the bytes.
+        assert!(Arc::ptr_eq(d1.payload(), &payload));
+        assert!(Arc::ptr_eq(d1.payload(), d2.payload()));
     }
 
     #[test]

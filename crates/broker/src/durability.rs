@@ -231,7 +231,7 @@ pub(crate) fn from_hex(s: &str) -> Result<Vec<u8>, BrokerError> {
         }
     }
     let raw = s.as_bytes();
-    if raw.len() % 2 != 0 {
+    if !raw.len().is_multiple_of(2) {
         return Err(corrupt("odd-length hex payload"));
     }
     let mut out = Vec::with_capacity(raw.len() / 2);
@@ -870,6 +870,6 @@ mod tests {
             report: Default::default(),
         };
         let state = replay(&recovered).unwrap();
-        assert!(state.queues.get("q").is_none());
+        assert!(!state.queues.contains_key("q"));
     }
 }

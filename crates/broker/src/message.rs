@@ -1,7 +1,6 @@
 //! Messages and deliveries.
 
 use crate::RoutingKey;
-use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -9,7 +8,7 @@ use std::sync::Arc;
 /// A published message: a routing key, an opaque payload, and optional
 /// string headers.
 ///
-/// Payloads are [`Bytes`], so a message fanned out to many queues shares
+/// Payloads are `Arc<[u8]>`, so a message fanned out to many queues shares
 /// one buffer. GoFlow publishes JSON-serialized observations.
 ///
 /// # Examples
@@ -25,13 +24,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     routing_key: RoutingKey,
-    payload: Bytes,
+    payload: Arc<[u8]>,
     headers: BTreeMap<String, String>,
 }
 
 impl Message {
     /// Creates a message with the given routing key and payload.
-    pub fn new(routing_key: RoutingKey, payload: impl Into<Bytes>) -> Self {
+    pub fn new(routing_key: RoutingKey, payload: impl Into<Arc<[u8]>>) -> Self {
         Self {
             routing_key,
             payload: payload.into(),
@@ -51,7 +50,7 @@ impl Message {
     }
 
     /// The message payload.
-    pub fn payload(&self) -> &Bytes {
+    pub fn payload(&self) -> &Arc<[u8]> {
         &self.payload
     }
 
@@ -102,7 +101,7 @@ pub struct Delivery {
 
 impl Delivery {
     /// Shorthand for the message payload.
-    pub fn payload(&self) -> &Bytes {
+    pub fn payload(&self) -> &Arc<[u8]> {
         self.message.payload()
     }
 
@@ -131,14 +130,14 @@ mod tests {
 
     #[test]
     fn empty_payload() {
-        let msg = Message::new(key("a"), Bytes::new());
+        let msg = Message::new(key("a"), Vec::new());
         assert!(msg.is_empty());
         assert_eq!(msg.len(), 0);
     }
 
     #[test]
     fn headers_set_get_iterate() {
-        let msg = Message::new(key("a"), Bytes::new())
+        let msg = Message::new(key("a"), Vec::new())
             .with_header("b", "2")
             .with_header("a", "1")
             .with_header("b", "3"); // replaces

@@ -1,29 +1,33 @@
-//! In-crate property tests over broker invariants.
+//! In-crate property tests over broker invariants: seeded loops over
+//! [`SimRng`], so they run wherever the unit tests do.
 
 use crate::{topic_matches, Broker, CompiledPattern, ExchangeType, RoutingKey, TopicTrie};
 use mps_faults::{FaultPlan, FaultSpec, FaultyLink, Link, LinkError};
+use mps_simcore::check::{check, size, text, vec};
+use mps_simcore::SimRng;
 use mps_types::{SimDuration, SimTime};
-use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-fn key_strategy() -> impl Strategy<Value = String> {
-    prop::collection::vec("[a-zA-Z0-9_-]{1,6}", 1..5).prop_map(|w| w.join("."))
+/// `1..5` dot-joined words of up to six key characters each.
+fn key(r: &mut SimRng) -> String {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-";
+    vec(r, 1, 5, |r| text(r, ALPHABET, 1, 6)).join(".")
 }
 
 /// Keys over a deliberately tiny alphabet so arbitrary patterns collide
 /// with them often — equivalence tests are worthless if nothing matches.
-fn small_key_strategy() -> impl Strategy<Value = String> {
-    prop::collection::vec("[ab]{1,2}", 1..5).prop_map(|w| w.join("."))
+pub(crate) fn small_key(r: &mut SimRng) -> String {
+    vec(r, 1, 5, |r| text(r, b"ab", 1, 2)).join(".")
 }
 
 /// Patterns over the same tiny alphabet plus both wildcards.
-fn wild_pattern_strategy() -> impl Strategy<Value = String> {
-    let word = prop_oneof![
-        2 => Just("*".to_owned()),
-        2 => Just("#".to_owned()),
-        3 => "[ab]{1,2}".prop_map(|w| w),
-    ];
-    prop::collection::vec(word, 1..5).prop_map(|w| w.join("."))
+fn wild_pattern(r: &mut SimRng) -> String {
+    vec(r, 1, 5, |r| match r.index(7) {
+        0 | 1 => "*".to_owned(),
+        2 | 3 => "#".to_owned(),
+        _ => text(r, b"ab", 1, 2),
+    })
+    .join(".")
 }
 
 /// A broker publish boundary as a fault-injectable link.
@@ -35,88 +39,94 @@ struct BrokerProbe<'a> {
 impl Link for BrokerProbe<'_> {
     fn send(&self, route: &str, payload: &[u8]) -> Result<usize, LinkError> {
         self.broker
-            .publish(self.exchange, route, payload.to_vec())
+            .publish(self.exchange, route, payload)
             .map_err(|err| LinkError::Unavailable(err.to_string()))
     }
 }
 
 /// An arbitrary (but sane) fault mix, exercising every fault class.
-fn spec_strategy() -> impl Strategy<Value = FaultSpec> {
-    (
-        0.0..0.5f64,
-        0.0..0.5f64,
-        1i64..600,
-        0.0..0.3f64,
-        1u32..4,
-        0.0..0.3f64,
-        prop::option::of((0i64..100, 1i64..100)),
+fn spec(r: &mut SimRng) -> FaultSpec {
+    let spec = FaultSpec {
+        drop_prob: r.uniform_in(0.0, 0.5),
+        delay_prob: r.uniform_in(0.0, 0.5),
+        mean_delay: SimDuration::from_secs(size(r, 1, 600) as i64),
+        duplicate_prob: r.uniform_in(0.0, 0.3),
+        max_duplicates: size(r, 1, 4) as u32,
+        reorder_prob: r.uniform_in(0.0, 0.3),
+        reorder_window: SimDuration::from_secs(30),
+        ..FaultSpec::none()
+    };
+    if r.chance(0.5) {
+        return spec;
+    }
+    let (from_s, len_s) = (r.index(100) as i64, size(r, 1, 100) as i64);
+    spec.with_blackhole(
+        "obs",
+        SimTime::from_millis(from_s * 1_000),
+        SimTime::from_millis((from_s + len_s) * 1_000),
     )
-        .prop_map(
-            |(drop_prob, delay_prob, delay_s, duplicate_prob, max_duplicates, reorder_prob, bh)| {
-                let mut spec = FaultSpec {
-                    drop_prob,
-                    delay_prob,
-                    mean_delay: SimDuration::from_secs(delay_s),
-                    duplicate_prob,
-                    max_duplicates,
-                    reorder_prob,
-                    reorder_window: SimDuration::from_secs(30),
-                    ..FaultSpec::none()
-                };
-                if let Some((from_s, len_s)) = bh {
-                    spec = spec.with_blackhole(
-                        "obs",
-                        SimTime::from_millis(from_s * 1_000),
-                        SimTime::from_millis((from_s + len_s) * 1_000),
-                    );
-                }
-                spec
-            },
-        )
 }
 
-proptest! {
-    #[test]
-    fn valid_keys_parse_and_roundtrip(key in key_strategy()) {
+#[test]
+fn valid_keys_parse_and_roundtrip() {
+    check(|r| {
+        let key = key(r);
         let parsed = RoutingKey::new(key.clone()).unwrap();
-        prop_assert_eq!(parsed.as_str(), key.as_str());
-        prop_assert_eq!(parsed.words().count(), key.split('.').count());
-    }
+        assert_eq!(parsed.as_str(), key.as_str());
+        assert_eq!(parsed.words().count(), key.split('.').count());
+    });
+}
 
-    #[test]
-    fn arbitrary_strings_never_panic_validation(s in ".{0,40}") {
+#[test]
+fn arbitrary_strings_never_panic_validation() {
+    check(|r| {
+        // Half the characters are the ones validation looks at, half are
+        // any scalar value at all.
+        let s: String = vec(r, 0, 41, |r| match r.index(2) {
+            0 => *r.pick(&['.', '*', '#', 'a', ' ', '\0', 'é', '😀']),
+            _ => char::from_u32(r.index(0x11_0000) as u32).unwrap_or('.'),
+        })
+        .into_iter()
+        .collect();
         // Validation may accept or reject, but must never panic.
         let _ = RoutingKey::new(s.clone());
         let _ = crate::BindingPattern::new(s);
-    }
+    });
+}
 
-    #[test]
-    fn publish_consume_ack_conserves(keys in prop::collection::vec(key_strategy(), 1..25)) {
+#[test]
+fn publish_consume_ack_conserves() {
+    check(|r| {
+        let keys = vec(r, 1, 25, key);
         let broker = Broker::new();
         broker.declare_exchange("e", ExchangeType::Topic).unwrap();
         broker.declare_queue("q").unwrap();
         broker.bind_queue("e", "q", "#").unwrap();
         for k in &keys {
-            broker.publish("e", k, k.as_bytes().to_vec()).unwrap();
+            broker.publish("e", k, k.as_bytes()).unwrap();
         }
         // Interleave partial consumes and acks.
         let mut seen = 0usize;
         while seen < keys.len() {
             let batch = broker.consume("q", 3).unwrap();
-            prop_assert!(!batch.is_empty());
+            assert!(!batch.is_empty());
             for d in batch {
-                prop_assert_eq!(d.payload().as_ref(), keys[seen].as_bytes());
+                assert_eq!(d.payload().as_ref(), keys[seen].as_bytes());
                 broker.ack("q", d.tag).unwrap();
                 seen += 1;
             }
         }
         let m = broker.metrics();
-        prop_assert_eq!(m.acked, keys.len() as u64);
-        prop_assert_eq!(broker.queue_depth("q").unwrap(), 0);
-    }
+        assert_eq!(m.acked, keys.len() as u64);
+        assert_eq!(broker.queue_depth("q").unwrap(), 0);
+    });
+}
 
-    #[test]
-    fn nack_requeue_never_loses(n in 1usize..20, requeue_mask in any::<u32>()) {
+#[test]
+fn nack_requeue_never_loses() {
+    check(|r| {
+        let n = size(r, 1, 20);
+        let requeue_mask = r.index(1 << 32) as u32;
         let broker = Broker::new();
         broker.declare_exchange("e", ExchangeType::Fanout).unwrap();
         broker.declare_queue("q").unwrap();
@@ -135,27 +145,30 @@ proptest! {
                 broker.ack("q", d.tag).unwrap();
             }
         }
-        prop_assert_eq!(broker.queue_depth("q").unwrap(), requeued);
+        assert_eq!(broker.queue_depth("q").unwrap(), requeued);
         // Redelivered flags are set on the survivors.
         for d in broker.consume("q", n).unwrap() {
-            prop_assert!(d.redelivered);
+            assert!(d.redelivered);
             broker.ack("q", d.tag).unwrap();
         }
-    }
+    });
+}
 
-    #[test]
-    fn fault_plan_conserves_messages_for_any_seed(
-        seed in any::<u64>(),
-        spec in spec_strategy(),
-        sends in 50usize..200,
-    ) {
+#[test]
+fn fault_plan_conserves_messages_for_any_seed() {
+    check(|r| {
+        let spec = spec(r);
+        let sends = size(r, 50, 200);
         let broker = Broker::new();
         broker.declare_exchange("e", ExchangeType::Topic).unwrap();
         broker.declare_queue("q").unwrap();
         broker.bind_queue("e", "q", "#").unwrap();
         let link = FaultyLink::new(
-            BrokerProbe { broker: &broker, exchange: "e" },
-            FaultPlan::new(seed, spec),
+            BrokerProbe {
+                broker: &broker,
+                exchange: "e",
+            },
+            FaultPlan::new(r.seed(), spec),
         );
         for i in 0..sends {
             let now = SimTime::from_millis(i as i64 * 1_000);
@@ -165,27 +178,29 @@ proptest! {
         link.drain_pending().unwrap();
         let stats = link.stats();
         let arrived = broker.queue_depth("q").unwrap() as u64;
-        prop_assert_eq!(link.pending(), 0);
+        assert_eq!(link.pending(), 0);
         // Zero silent loss: every send is delivered into the queue,
         // duplicated, or counted as dropped / black-holed.
-        prop_assert_eq!(
+        assert_eq!(
             arrived + stats.dropped + stats.blackholed,
             sends as u64 + stats.duplicated
         );
-    }
+    });
+}
 
-    #[test]
-    fn dead_letter_policy_conserves_messages(
-        n in 1usize..15,
-        max_attempts in 1u32..6,
-        ack_mask in any::<u16>(),
-    ) {
+#[test]
+fn dead_letter_policy_conserves_messages() {
+    check(|r| {
+        let (n, max_attempts) = (size(r, 1, 15), size(r, 1, 6) as u32);
+        let ack_mask = r.index(1 << 16) as u16;
         let broker = Broker::new();
         broker.declare_exchange("e", ExchangeType::Fanout).unwrap();
         broker.declare_queue("q").unwrap();
         broker.declare_queue("dlq").unwrap();
         broker.bind_queue("e", "q", "#").unwrap();
-        broker.configure_dead_letter("q", max_attempts, "dlq").unwrap();
+        broker
+            .configure_dead_letter("q", max_attempts, "dlq")
+            .unwrap();
         for i in 0..n {
             broker.publish("e", "k", vec![i as u8]).unwrap();
         }
@@ -206,19 +221,24 @@ proptest! {
             }
         }
         let dead_lettered = broker.queue_depth("dlq").unwrap();
-        prop_assert_eq!(acked + dead_lettered, n, "every message acked or dead-lettered");
+        assert_eq!(
+            acked + dead_lettered,
+            n,
+            "every message acked or dead-lettered"
+        );
         let m = broker.metrics();
-        prop_assert_eq!(m.dead_lettered, dead_lettered as u64);
-        prop_assert_eq!(m.dropped, 0);
+        assert_eq!(m.dead_lettered, dead_lettered as u64);
+        assert_eq!(m.dropped, 0);
         // A nacked delivery is a failed delivery, every time.
-        prop_assert!(m.delivery_failed >= m.dead_lettered);
-    }
+        assert!(m.delivery_failed >= m.dead_lettered);
+    });
+}
 
-    #[test]
-    fn trie_router_equals_naive_matcher(
-        patterns in prop::collection::vec(wild_pattern_strategy(), 1..40),
-        keys in prop::collection::vec(small_key_strategy(), 1..20),
-    ) {
+#[test]
+fn trie_router_equals_naive_matcher() {
+    check(|r| {
+        let patterns = vec(r, 1, 40, wild_pattern);
+        let keys = vec(r, 1, 20, small_key);
         // The trie must agree with the retained naive matcher
         // (`topic_matches`) for every binding set and key.
         let mut trie = TopicTrie::new();
@@ -233,15 +253,16 @@ proptest! {
                 .filter(|(_, p)| topic_matches(p, key))
                 .map(|(id, _)| id)
                 .collect();
-            prop_assert_eq!(trie.matches(&words), naive, "key {}", key);
+            assert_eq!(trie.matches(&words), naive, "key {key}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn published_routes_equal_naive_expectation(
-        bindings in prop::collection::vec((0usize..4, wild_pattern_strategy()), 1..25),
-        keys in prop::collection::vec(small_key_strategy(), 1..10),
-    ) {
+#[test]
+fn published_routes_equal_naive_expectation() {
+    check(|r| {
+        let bindings = vec(r, 1, 25, |r| (r.index(4), wild_pattern(r)));
+        let keys = vec(r, 1, 10, small_key);
         // End to end through the broker (trie + route cache): the routed
         // queue count must equal the naive per-binding scan, on the cold
         // publish and again on the cached one.
@@ -261,16 +282,17 @@ proptest! {
                 .collect();
             let cold = broker.publish("e", key, &b""[..]).unwrap();
             let cached = broker.publish("e", key, &b""[..]).unwrap();
-            prop_assert_eq!(cold, expected.len(), "cold route for {}", key);
-            prop_assert_eq!(cached, expected.len(), "cached route for {}", key);
+            assert_eq!(cold, expected.len(), "cold route for {key}");
+            assert_eq!(cached, expected.len(), "cached route for {key}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn direct_index_equals_literal_scan(
-        bindings in prop::collection::vec((0usize..4, small_key_strategy()), 1..25),
-        keys in prop::collection::vec(small_key_strategy(), 1..10),
-    ) {
+#[test]
+fn direct_index_equals_literal_scan() {
+    check(|r| {
+        let bindings = vec(r, 1, 25, |r| (r.index(4), small_key(r)));
+        let keys = vec(r, 1, 10, small_key);
         // Direct exchanges compare byte-for-byte; the BTreeMap key index
         // must agree with a literal scan of the binding list.
         let broker = Broker::new();
@@ -288,12 +310,15 @@ proptest! {
                 .map(|(q, _)| *q)
                 .collect();
             let routed = broker.publish("d", key, &b""[..]).unwrap();
-            prop_assert_eq!(routed, expected.len(), "direct route for {}", key);
+            assert_eq!(routed, expected.len(), "direct route for {key}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn bounded_queue_never_exceeds_capacity(cap in 1usize..10, publishes in 1usize..40) {
+#[test]
+fn bounded_queue_never_exceeds_capacity() {
+    check(|r| {
+        let (cap, publishes) = (size(r, 1, 10), size(r, 1, 40));
         let broker = Broker::new();
         broker.declare_exchange("e", ExchangeType::Fanout).unwrap();
         broker.declare_queue_with_capacity("q", cap).unwrap();
@@ -301,12 +326,12 @@ proptest! {
         for _ in 0..publishes {
             broker.publish("e", "k", &b"m"[..]).unwrap();
         }
-        prop_assert!(broker.queue_depth("q").unwrap() <= cap);
+        assert!(broker.queue_depth("q").unwrap() <= cap);
         let m = broker.metrics();
-        prop_assert_eq!(
+        assert_eq!(
             m.routed + m.dropped,
             publishes as u64,
             "every publish either routed or dropped"
         );
-    }
+    });
 }

@@ -12,7 +12,7 @@
 //!   binding set (direct exchanges compare keys byte-for-byte).
 //! * **Fanout** — every binding matches; no index needed.
 //!
-//! On top of the indexes sits a bounded [`RouteCache`] memoizing the full
+//! On top of the indexes sits a bounded `RouteCache` memoizing the full
 //! breadth-first destination set per `(entry exchange, routing key)`; the
 //! broker invalidates it on every bind/unbind/delete. The naive matcher
 //! ([`crate::topic_matches`] / `BindingPattern::matches`) is retained as

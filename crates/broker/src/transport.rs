@@ -279,7 +279,7 @@ impl BrokerTransport for Broker {
     }
 
     fn publish(&self, exchange: &str, key: &str, payload: &[u8]) -> Result<usize, BrokerError> {
-        Broker::publish(self, exchange, key, payload.to_vec())
+        Broker::publish(self, exchange, key, payload)
     }
 
     fn publish_message(&self, exchange: &str, message: Message) -> Result<usize, BrokerError> {
@@ -498,7 +498,7 @@ mod tests {
                 self.0.queue_depth(n)
             }
             fn publish(&self, e: &str, k: &str, p: &[u8]) -> Result<usize, BrokerError> {
-                self.0.publish(e, k, p.to_vec())
+                self.0.publish(e, k, p)
             }
             fn publish_message(&self, e: &str, m: Message) -> Result<usize, BrokerError> {
                 self.0.publish_message(e, m)

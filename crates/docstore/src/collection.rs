@@ -301,7 +301,7 @@ impl Collection {
     /// projection applied (in that order).
     ///
     /// The query planner consults secondary indexes first (see
-    /// [`crate::planner`]); unsorted queries additionally stop visiting
+    /// `crate::planner`); unsorted queries additionally stop visiting
     /// documents once `skip + limit` results have been produced, and
     /// sorted queries order references in place, copying only the
     /// requested window (and of it only the projected paths).

@@ -4,10 +4,10 @@
 //! and it runs the same way in both modes: **apply** the change under
 //! the collection (or collections-map) lock, and — only when the store
 //! was opened with [`Durability::Durable`] — **encode** one delta per
-//! change into the call's [`Journal`], straight from the borrowed
+//! change into the call's `Journal`, straight from the borrowed
 //! document: the bytes the log will hold are written once, and nothing
 //! is cloned or rebuilt as a tree on the way. The **log tail** in
-//! [`journaled`] takes the store-wide WAL lock *before* the apply, so log
+//! `journaled` takes the store-wide WAL lock *before* the apply, so log
 //! order is apply order; appends the call's records as **one**
 //! group-committed `append_batch` (`insert_many` and `update_many` of any
 //! size cost one fsync); and then checks the snapshot cadence. `Ok`

@@ -40,7 +40,7 @@ pub fn shard_for_collection(name: &str, shards: usize) -> usize {
 }
 
 /// N independent [`Store`] shards presenting as one document store. See
-/// the [module docs](self) for the partitioning scheme.
+/// the module docs in `sharded.rs` for the partitioning scheme.
 #[derive(Debug)]
 pub struct ShardedStore {
     shards: Vec<Arc<Store>>,

@@ -62,6 +62,15 @@ pub trait CollectionOps: fmt::Debug + Send + Sync {
     /// Returns [`StoreError::Transport`] when the store is unreachable.
     fn len(&self) -> Result<usize, StoreError>;
 
+    /// Whether the collection holds no documents.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Transport`] when the store is unreachable.
+    fn is_empty(&self) -> Result<bool, StoreError> {
+        Ok(self.len()? == 0)
+    }
+
     /// Documents matching a filter.
     ///
     /// # Errors

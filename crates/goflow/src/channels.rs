@@ -121,7 +121,7 @@ impl ChannelManager {
     /// exchange and GF queue, with the app exchange forwarding everything
     /// into GF for storage. Also declares the GF dead-letter queue and
     /// points the GF queue's dead-letter policy at it, so messages that
-    /// exhaust [`GF_MAX_DELIVERY_ATTEMPTS`] ingest attempts are parked
+    /// exhaust `GF_MAX_DELIVERY_ATTEMPTS` ingest attempts are parked
     /// there instead of dropped. Idempotent.
     ///
     /// # Errors
@@ -237,7 +237,7 @@ mod tests {
 
     fn setup() -> (Arc<Broker>, ChannelManager, AppId) {
         let broker = Arc::new(Broker::new());
-        let manager = ChannelManager::new(Arc::clone(&broker));
+        let manager = ChannelManager::new(broker.clone());
         let app = AppId::soundcity();
         manager.setup_app(&app).unwrap();
         (broker, manager, app)

@@ -224,11 +224,17 @@ mod tests {
             .to_filter();
         assert!(f.matches(&doc("gps", 10.0, 0)));
         let mut outside = doc("gps", 10.0, 0);
-        outside["lat"] = json!(45.0);
+        outside
+            .as_object_mut()
+            .unwrap()
+            .insert("lat".into(), json!(45.0));
         assert!(!f.matches(&outside));
         // Unlocalized docs (null lat) never match a bbox.
         let mut unlocalized = doc("gps", 10.0, 0);
-        unlocalized["lat"] = Value::Null;
+        unlocalized
+            .as_object_mut()
+            .unwrap()
+            .insert("lat".into(), Value::Null);
         assert!(!f.matches(&unlocalized));
     }
 

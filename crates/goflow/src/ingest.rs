@@ -26,12 +26,25 @@
 //! attributes the loss to individual messages exactly as ingest always
 //! has. Both paths build documents from the same observations with the
 //! same code, so they store byte-identical documents.
+//!
+//! Delivery into storage is at-least-once, and a failed `insert_many` on
+//! a durable store may still have put a prefix of its documents on disk
+//! (a torn group commit keeps its whole records; see
+//! `docs/DURABILITY.md`). Ingest nacks such a batch whole, so after
+//! recovery the dead-letter queue holds messages part of whose
+//! observations are already stored. A **replay** pass
+//! ([`GoFlowServer::replay_dead_letters`](crate::GoFlowServer::replay_dead_letters))
+//! is the same drain run over the dead-letter queue with one more step:
+//! observations whose trace the collection already holds are skipped
+//! ([`IngestOutcome::already_stored`]), so the replay stores every
+//! arrival once. A store whose journal failed is ahead of its log, so the
+//! skip is only trusted while no storage call has failed since the last
+//! one that succeeded.
 
-use crate::channels::gf_queue;
 use crate::telemetry::telemetry;
 use crate::{PrivacyPolicy, UsageAnalytics};
 use mps_broker::BrokerTransport;
-use mps_docstore::CollectionHandle;
+use mps_docstore::{CollectionHandle, Filter};
 use mps_telemetry::trace::{
     parse_contexts, FlightRecorder, Hop, Outcome, SpanRecord, TraceContext, SENT_MS_HEADER,
     TRACE_HEADER,
@@ -39,7 +52,8 @@ use mps_telemetry::trace::{
 use mps_telemetry::{SimSpanTimer, SpanTimer};
 use mps_types::{AppId, Observation, SimDuration, SimTime};
 use serde_json::{json, Value};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Result of one ingest pass.
@@ -55,6 +69,9 @@ pub struct IngestOutcome {
     /// Messages nacked back for redelivery after a storage failure (they
     /// dead-letter once the queue's delivery attempts are exhausted).
     pub requeued: usize,
+    /// Observations a replay pass skipped because the collection already
+    /// holds their trace (always 0 for an ordinary pass).
+    pub already_stored: usize,
 }
 
 /// Conversion of wire observations into stored documents.
@@ -103,6 +120,10 @@ pub(crate) struct Ingestor {
     policy: PrivacyPolicy,
     /// Late-data threshold in milliseconds; negative means disabled.
     late_threshold_ms: AtomicI64,
+    /// A storage call failed and none has succeeded since: the store may
+    /// be ahead of its log, so what it reads back is no evidence that a
+    /// document is durable and a replay pass skips nothing.
+    storage_suspect: AtomicBool,
     /// Test hook: number of upcoming inserts to fail artificially (also
     /// fails the batched store attempt while non-zero, without counting
     /// down, so the per-message fallback attributes each failure).
@@ -128,6 +149,7 @@ impl Ingestor {
             broker,
             policy,
             late_threshold_ms: AtomicI64::new(-1),
+            storage_suspect: AtomicBool::new(false),
             #[cfg(test)]
             force_storage_failures: std::sync::atomic::AtomicUsize::new(0),
             #[cfg(test)]
@@ -160,9 +182,9 @@ impl Ingestor {
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()
         {
-            return Err(mps_docstore::StoreError::NotAnObject);
+            return self.stored(Err(mps_docstore::StoreError::NotAnObject));
         }
-        collection.insert_one(doc)
+        self.stored(collection.insert_one(doc))
     }
 
     /// Decodes a payload into one or more observations (v1.3 clients send
@@ -176,39 +198,29 @@ impl Ingestor {
         }
     }
 
-    /// Drains up to `max_messages` from the app's GF queue into
-    /// `collection`, stamping `now` as the arrival time and recording
-    /// per-day counts in `analytics`. Malformed payloads and late
-    /// observations are parked in `quarantine`; storage failures nack the
+    /// Drains up to `max_messages` from the pass's queue into its
+    /// collection, stamping `now` as the arrival time and recording
+    /// per-day counts in the analytics. Malformed payloads and late
+    /// observations are parked in quarantine; storage failures nack the
     /// message back for redelivery (and, eventually, dead-lettering).
     ///
     /// On-time observations are stored with one batched insert and the
     /// drained messages settled with one batched ack per pass; a failed
     /// batch falls back to per-message storage (see the [module
     /// docs](self)).
-    pub(crate) fn drain(
-        &self,
-        app: &AppId,
-        collection: &CollectionHandle,
-        quarantine: &CollectionHandle,
-        analytics: &UsageAnalytics,
-        now: SimTime,
-        max_messages: usize,
-    ) -> IngestOutcome {
-        let queue = gf_queue(app);
+    pub(crate) fn drain(&self, pass: &DrainPass<'_>, max_messages: usize) -> IngestOutcome {
+        let DrainPass {
+            app,
+            queue,
+            quarantine,
+            analytics,
+            now,
+            ..
+        } = *pass;
         let metrics = telemetry();
         let _drain_timer = SpanTimer::start(&metrics.ingest_drain_seconds);
         let mut outcome = IngestOutcome::default();
-        let pass = DrainPass {
-            app,
-            queue: &queue,
-            collection,
-            quarantine,
-            analytics,
-            late_threshold: self.late_threshold(),
-            now,
-        };
-        let Ok(deliveries) = self.broker.consume(&queue, max_messages) else {
+        let Ok(deliveries) = self.broker.consume(queue, max_messages) else {
             return outcome;
         };
 
@@ -230,12 +242,12 @@ impl Ingestor {
                 Err(err) => {
                     outcome.malformed += 1;
                     metrics.ingest_malformed.inc();
-                    let parked = quarantine.insert_one(json!({
+                    let parked = self.stored(quarantine.insert_one(json!({
                         "reason": "malformed",
                         "error": err.to_string(),
-                        "payload": String::from_utf8_lossy(delivery.payload()),
+                        "payload": String::from_utf8_lossy(delivery.payload()).as_ref(),
                         "arrived_ms": now.as_millis(),
-                    }));
+                    })));
                     if parked.is_ok() {
                         outcome.quarantined += 1;
                         metrics.ingest_quarantined_malformed.inc();
@@ -251,7 +263,7 @@ impl Ingestor {
                     }
                     // The payload is preserved in quarantine, so the broker
                     // copy can be discarded without silent loss.
-                    let _ = self.broker.nack(&queue, delivery.tag, false);
+                    let _ = self.broker.nack(queue, delivery.tag, false);
                 }
             }
         }
@@ -259,10 +271,17 @@ impl Ingestor {
             return outcome;
         }
 
+        let screen = Screen {
+            late_threshold: self.late_threshold(),
+            already_stored: self.already_stored(pass, &decoded),
+        };
         metrics.ingest_batches.inc();
-        if let Some(batch) = self.try_store_batch(&pass, &decoded) {
+        if let Some(batch) = self.try_store_batch(pass, &screen, &decoded) {
+            for ctx in batch.already_stored {
+                Self::skip_stored(ctx, now, &mut outcome);
+            }
             for late in batch.late {
-                self.quarantine_late(&pass, late, &mut outcome);
+                self.quarantine_late(pass, late, &mut outcome);
             }
             for stored in batch.stored {
                 outcome.stored += 1;
@@ -274,15 +293,58 @@ impl Ingestor {
                 record_ingest_span(stored.ctx, Hop::DocstoreWrite, Outcome::Ok, "stored", now);
             }
             let tags: Vec<u64> = decoded.iter().map(|m| m.tag).collect();
-            let _ = self.broker.ack_many(&queue, &tags);
+            let _ = self.broker.ack_many(queue, &tags);
             return outcome;
         }
 
         metrics.ingest_batch_fallbacks.inc();
         for message in decoded {
-            self.store_per_message(&pass, message, &mut outcome);
+            self.store_per_message(pass, &screen, message, &mut outcome);
         }
         outcome
+    }
+
+    /// The traces among `decoded` that the collection already holds:
+    /// what a replay pass skips. Empty for an ordinary pass, and empty
+    /// while the store is suspect (see the [module docs](self)).
+    fn already_stored(&self, pass: &DrainPass<'_>, decoded: &[DecodedMessage]) -> BTreeSet<String> {
+        if !pass.replay || self.storage_suspect.load(Ordering::SeqCst) {
+            return BTreeSet::new();
+        }
+        let traces: Vec<Value> = decoded
+            .iter()
+            .flat_map(|m| &m.contexts)
+            .map(|ctx| json!(ctx.trace.to_string()))
+            .collect();
+        pass.collection
+            .distinct("trace", &Filter::is_in("trace", traces))
+            .iter()
+            .filter_map(|t| t.as_str().map(str::to_owned))
+            .collect()
+    }
+
+    /// Accounts for one observation a replay pass found already stored.
+    fn skip_stored(ctx: TraceContext, now: SimTime, outcome: &mut IngestOutcome) {
+        outcome.already_stored += 1;
+        record_ingest_span(
+            Some(ctx),
+            Hop::DocstoreWrite,
+            Outcome::Ok,
+            "already_stored",
+            now,
+        );
+    }
+
+    /// Passes a storage call's result through, remembering whether the
+    /// store can be trusted: a journaled store that accepts a write is
+    /// alive, one that refused may be ahead of its log.
+    fn stored<T>(
+        &self,
+        result: Result<T, mps_docstore::StoreError>,
+    ) -> Result<T, mps_docstore::StoreError> {
+        self.storage_suspect
+            .store(result.is_err(), Ordering::SeqCst);
+        result
     }
 
     /// Attempts the batched store: classifies every decoded observation
@@ -292,6 +354,7 @@ impl Ingestor {
     fn try_store_batch(
         &self,
         pass: &DrainPass<'_>,
+        screen: &Screen,
         decoded: &[DecodedMessage],
     ) -> Option<StoredBatch> {
         #[cfg(test)]
@@ -305,8 +368,12 @@ impl Ingestor {
         for message in decoded {
             for (i, obs) in message.observations.iter().enumerate() {
                 let ctx = message.contexts.get(i).copied();
+                if let Some(ctx) = ctx.filter(|c| screen.holds(c)) {
+                    batch.already_stored.push(ctx);
+                    continue;
+                }
                 let delay = pass.now.saturating_since(obs.captured_at);
-                if pass.late_threshold.is_some_and(|limit| delay > limit) {
+                if screen.is_late(delay) {
                     batch.late.push(LateObservation {
                         ctx,
                         delay,
@@ -315,8 +382,8 @@ impl Ingestor {
                     continue;
                 }
                 let mut doc = ObservationRecord::to_document(obs, pass.now, &self.policy);
-                if let Some(ctx) = ctx {
-                    doc["trace"] = json!(ctx.trace.to_string());
+                if let (Some(ctx), Some(fields)) = (ctx, doc.as_object_mut()) {
+                    fields.insert("trace".to_owned(), json!(ctx.trace.to_string()));
                 }
                 docs.push(doc);
                 batch.stored.push(StoredObservation {
@@ -327,7 +394,7 @@ impl Ingestor {
             }
         }
         if !docs.is_empty() {
-            pass.collection.insert_many(docs).ok()?;
+            self.stored(pass.collection.insert_many(docs)).ok()?;
         }
         Some(batch)
     }
@@ -339,6 +406,7 @@ impl Ingestor {
     fn store_per_message(
         &self,
         pass: &DrainPass<'_>,
+        screen: &Screen,
         message: DecodedMessage,
         outcome: &mut IngestOutcome,
     ) {
@@ -346,8 +414,12 @@ impl Ingestor {
         let mut storage_failed = false;
         for (i, obs) in message.observations.iter().enumerate() {
             let ctx = message.contexts.get(i).copied();
+            if let Some(ctx) = ctx.filter(|c| screen.holds(c)) {
+                Self::skip_stored(ctx, pass.now, outcome);
+                continue;
+            }
             let delay = pass.now.saturating_since(obs.captured_at);
-            if pass.late_threshold.is_some_and(|limit| delay > limit) {
+            if screen.is_late(delay) {
                 let late = LateObservation {
                     ctx,
                     delay,
@@ -357,8 +429,8 @@ impl Ingestor {
                 continue;
             }
             let mut doc = ObservationRecord::to_document(obs, pass.now, &self.policy);
-            if let Some(ctx) = ctx {
-                doc["trace"] = json!(ctx.trace.to_string());
+            if let (Some(ctx), Some(fields)) = (ctx, doc.as_object_mut()) {
+                fields.insert("trace".to_owned(), json!(ctx.trace.to_string()));
             }
             if self.insert_observation(pass.collection, doc).is_ok() {
                 outcome.stored += 1;
@@ -395,13 +467,13 @@ impl Ingestor {
         late: LateObservation,
         outcome: &mut IngestOutcome,
     ) {
-        let parked = pass.quarantine.insert_one(json!({
+        let parked = self.stored(pass.quarantine.insert_one(json!({
             "reason": "late",
             "delay_ms": late.delay.as_millis(),
             "arrived_ms": pass.now.as_millis(),
             "trace": late.ctx.map(|c| c.trace.to_string()),
             "observation": late.document,
-        }));
+        })));
         if parked.is_ok() {
             outcome.quarantined += 1;
             telemetry().ingest_quarantined_late.inc();
@@ -416,15 +488,38 @@ impl Ingestor {
     }
 }
 
-/// Shared context of one drain pass.
-struct DrainPass<'a> {
-    app: &'a AppId,
-    queue: &'a str,
-    collection: &'a CollectionHandle,
-    quarantine: &'a CollectionHandle,
-    analytics: &'a UsageAnalytics,
+/// What one drain pass works on.
+#[derive(Clone, Copy)]
+pub(crate) struct DrainPass<'a> {
+    pub(crate) app: &'a AppId,
+    /// The queue drained: the app's GF queue, or its dead-letter queue
+    /// for a replay.
+    pub(crate) queue: &'a str,
+    pub(crate) collection: &'a CollectionHandle,
+    pub(crate) quarantine: &'a CollectionHandle,
+    pub(crate) analytics: &'a UsageAnalytics,
+    /// Stamped as the arrival time.
+    pub(crate) now: SimTime,
+    /// Skip observations the collection already holds.
+    pub(crate) replay: bool,
+}
+
+/// What keeps a decoded observation out of the collection.
+struct Screen {
     late_threshold: Option<SimDuration>,
-    now: SimTime,
+    /// Traces the collection already holds (replay passes only).
+    already_stored: BTreeSet<String>,
+}
+
+impl Screen {
+    fn is_late(&self, delay: SimDuration) -> bool {
+        self.late_threshold.is_some_and(|limit| delay > limit)
+    }
+
+    fn holds(&self, ctx: &TraceContext) -> bool {
+        // Empty on every ordinary pass, which then builds no string.
+        !self.already_stored.is_empty() && self.already_stored.contains(&ctx.trace.to_string())
+    }
 }
 
 /// A decoded GF message awaiting storage: the broker tag to settle, the
@@ -438,6 +533,7 @@ struct DecodedMessage {
 /// Classification result of a successful batched store attempt.
 #[derive(Default)]
 struct StoredBatch {
+    already_stored: Vec<TraceContext>,
     late: Vec<LateObservation>,
     stored: Vec<StoredObservation>,
 }
@@ -541,25 +637,25 @@ mod tests {
         let obs = sample_obs();
         let arrived = obs.captured_at + SimDuration::from_secs(9);
         let doc = ObservationRecord::to_document(&obs, arrived, &PrivacyPolicy::default());
-        assert_eq!(doc["model"], "ONEPLUS A0001");
-        assert_eq!(doc["hour"], 14);
-        assert_eq!(doc["day"], 40);
-        assert_eq!(doc["month"], 1);
-        assert_eq!(doc["delay_ms"], 9_000);
-        assert_eq!(doc["localized"], true);
-        assert_eq!(doc["provider"], "network");
-        assert_eq!(doc["accuracy"], 28.0);
-        assert_eq!(doc["activity"], "foot");
-        assert_eq!(doc["mode"], "journey");
-        assert_eq!(doc["app_version"], "1.2.9");
+        assert_eq!(doc["model"], json!("ONEPLUS A0001"));
+        assert_eq!(doc["hour"], json!(14));
+        assert_eq!(doc["day"], json!(40));
+        assert_eq!(doc["month"], json!(1));
+        assert_eq!(doc["delay_ms"], json!(9_000));
+        assert_eq!(doc["localized"], json!(true));
+        assert_eq!(doc["provider"], json!("network"));
+        assert_eq!(doc["accuracy"], json!(28.0));
+        assert_eq!(doc["activity"], json!("foot"));
+        assert_eq!(doc["mode"], json!("journey"));
+        assert_eq!(doc["app_version"], json!("1.2.9"));
     }
 
     #[test]
     fn document_pseudonymises_ids() {
         let obs = sample_obs();
         let doc = ObservationRecord::to_document(&obs, obs.captured_at, &PrivacyPolicy::default());
-        assert_ne!(doc["device"], 7);
-        assert_ne!(doc["user"], 3);
+        assert_ne!(doc["device"], json!(7));
+        assert_ne!(doc["user"], json!(3));
         // Stable across calls.
         let doc2 = ObservationRecord::to_document(&obs, obs.captured_at, &PrivacyPolicy::default());
         assert_eq!(doc["device"], doc2["device"]);
@@ -570,7 +666,7 @@ mod tests {
         let mut obs = sample_obs();
         obs.location = None;
         let doc = ObservationRecord::to_document(&obs, obs.captured_at, &PrivacyPolicy::default());
-        assert_eq!(doc["localized"], false);
+        assert_eq!(doc["localized"], json!(false));
         assert!(doc["provider"].is_null());
         assert!(doc["accuracy"].is_null());
         assert!(doc["lat"].is_null());

@@ -26,7 +26,7 @@ impl fmt::Display for JobId {
 }
 
 /// Lifecycle state of a job.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobStatus {
     /// Submitted, not yet run.
     Pending,

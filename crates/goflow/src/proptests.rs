@@ -1,59 +1,83 @@
-//! In-crate property tests over middleware invariants.
+//! In-crate property tests over middleware invariants: seeded loops over
+//! [`SimRng`], so they run wherever the unit tests do.
 
 use crate::{AccountManager, PrivacyPolicy, Role};
+use mps_simcore::check::{any_u64, check, text};
 use mps_types::AppId;
-use proptest::prelude::*;
+use std::collections::BTreeSet;
 
-proptest! {
-    #[test]
-    fn pseudonyms_are_injective_on_samples(key in any::<u64>(),
-                                           ids in prop::collection::btree_set(any::<u64>(), 2..40)) {
+#[test]
+fn pseudonyms_are_injective_on_samples() {
+    check(|r| {
+        let key = any_u64(r);
+        let count = 2 + r.index(38);
+        let mut ids = BTreeSet::new();
+        while ids.len() < count {
+            ids.insert(any_u64(r));
+        }
         let policy = PrivacyPolicy::new(key);
-        let pseudonyms: std::collections::BTreeSet<u64> =
-            ids.iter().map(|id| policy.pseudonymize(*id).raw()).collect();
-        prop_assert_eq!(pseudonyms.len(), ids.len(), "collision under key {}", key);
-    }
+        let pseudonyms: BTreeSet<u64> = ids
+            .iter()
+            .map(|id| policy.pseudonymize(*id).raw())
+            .collect();
+        assert_eq!(pseudonyms.len(), ids.len(), "collision under key {key}");
+    });
+}
 
-    #[test]
-    fn pseudonyms_depend_on_key(id in any::<u64>(), k1 in any::<u64>(), k2 in any::<u64>()) {
-        prop_assume!(k1 != k2);
+#[test]
+fn pseudonyms_depend_on_key() {
+    check(|r| {
+        let (id, k1, k2) = (any_u64(r), any_u64(r), any_u64(r));
+        if k1 == k2 {
+            return;
+        }
         let a = PrivacyPolicy::new(k1).pseudonymize(id);
         let b = PrivacyPolicy::new(k2).pseudonymize(id);
         // Not a strict guarantee for every pair, but collisions are
         // 2^-64; treat one as a failure worth investigating.
-        prop_assert_ne!(a, b);
-    }
+        assert_ne!(a, b);
+    });
+}
 
-    #[test]
-    fn redaction_removes_exactly_the_private_paths(
-        keep in "[a-m]{1,6}",
-        private in "[n-z]{1,6}",
-    ) {
+#[test]
+fn redaction_removes_exactly_the_private_paths() {
+    check(|r| {
+        let keep = text(r, b"abcdefghijklm", 1, 6);
+        let private = text(r, b"nopqrstuvwxyz", 1, 6);
         let policy = PrivacyPolicy::default().with_private_path(private.clone());
         let mut doc = serde_json::json!({
             keep.clone(): 1,
             private.clone(): 2,
         });
         policy.redact(&mut doc);
-        prop_assert!(doc.get(&keep).is_some());
-        prop_assert!(doc.get(&private).is_none());
-    }
+        assert!(doc.get(&keep).is_some());
+        assert!(doc.get(&private).is_none());
+    });
+}
 
-    #[test]
-    fn tokens_are_unique_across_users(n in 1u64..40) {
+#[test]
+fn tokens_are_unique_across_users() {
+    check(|r| {
+        let n = 1 + r.index(39) as u64;
         let m = AccountManager::new();
         let app = AppId::soundcity();
         m.register_app(&app);
-        let mut tokens = std::collections::BTreeSet::new();
+        let mut tokens = BTreeSet::new();
         for user in 0..n {
-            let t = m.register_user(&app, user.into(), Role::Contributor).unwrap();
-            prop_assert!(tokens.insert(t.as_str().to_owned()), "duplicate token");
+            let t = m
+                .register_user(&app, user.into(), Role::Contributor)
+                .unwrap();
+            assert!(tokens.insert(t.as_str().to_owned()), "duplicate token");
         }
-        prop_assert_eq!(m.user_count(&app), n as usize);
-    }
+        assert_eq!(m.user_count(&app), n as usize);
+    });
+}
 
-    #[test]
-    fn authentication_partitions_tokens(n in 1u64..20, revoke_mask in any::<u32>()) {
+#[test]
+fn authentication_partitions_tokens() {
+    check(|r| {
+        let n = 1 + r.index(19) as u64;
+        let revoke_mask = any_u64(r) as u32;
         let m = AccountManager::new();
         let app = AppId::soundcity();
         m.register_app(&app);
@@ -67,7 +91,7 @@ proptest! {
         }
         for (i, t) in tokens.iter().enumerate() {
             let revoked = revoke_mask & (1 << (i % 32)) != 0;
-            prop_assert_eq!(m.authenticate(t).is_err(), revoked);
+            assert_eq!(m.authenticate(t).is_err(), revoked);
         }
-    }
+    });
 }

@@ -2,9 +2,9 @@
 
 use crate::accounts::{AccountManager, Role, Token};
 use crate::analytics::UsageAnalytics;
-use crate::channels::{ChannelManager, ClientSession};
+use crate::channels::{gf_dlq, gf_queue, ChannelManager, ClientSession};
 use crate::data::{ObservationQuery, Packaging};
-use crate::ingest::{IngestOutcome, Ingestor};
+use crate::ingest::{DrainPass, IngestOutcome, Ingestor};
 use crate::jobs::{JobId, JobRegistry, JobStatus};
 use crate::privacy::PrivacyPolicy;
 use crate::telemetry::telemetry;
@@ -261,17 +261,49 @@ impl GoFlowServer {
         now: SimTime,
         max_messages: usize,
     ) -> Result<IngestOutcome, GoFlowError> {
-        let collection = self.collection(app)?;
-        let quarantine = self.quarantine(app)?;
         telemetry().server_ingest_passes.inc();
-        Ok(self.ingestor.drain(
+        self.drain(app, &gf_queue(app), false, now, max_messages)
+    }
+
+    /// Replays up to `max_messages` from the app's GF dead-letter queue
+    /// into storage: the same pass as
+    /// [`ingest_pending`](GoFlowServer::ingest_pending), except that an
+    /// observation whose trace the collection already holds is skipped
+    /// and counted in [`IngestOutcome::already_stored`]. That is how the
+    /// backlog a crashed store left behind is stored once: the whole
+    /// records of its torn last batch survive recovery although ingest
+    /// saw the batch fail (`docs/DURABILITY.md`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GoFlowError::UnknownApp`] for an unregistered app.
+    pub fn replay_dead_letters(
+        &self,
+        app: &AppId,
+        now: SimTime,
+        max_messages: usize,
+    ) -> Result<IngestOutcome, GoFlowError> {
+        self.drain(app, &gf_dlq(app), true, now, max_messages)
+    }
+
+    fn drain(
+        &self,
+        app: &AppId,
+        queue: &str,
+        replay: bool,
+        now: SimTime,
+        max_messages: usize,
+    ) -> Result<IngestOutcome, GoFlowError> {
+        let pass = DrainPass {
             app,
-            &collection,
-            &quarantine,
-            &self.analytics,
+            queue,
+            collection: &self.collection(app)?,
+            quarantine: &self.quarantine(app)?,
+            analytics: &self.analytics,
             now,
-            max_messages,
-        ))
+            replay,
+        };
+        Ok(self.ingestor.drain(&pass, max_messages))
     }
 
     /// Enables (or, with `None`, disables) late-data quarantine:
@@ -417,7 +449,7 @@ mod tests {
         let o = obs(1, 61.0, SimTime::from_hms(0, 10, 0, 0));
         let payload = serde_json::to_vec(&o).unwrap();
         let key = session.observation_key("noise", "FR75013");
-        broker.publish(session.exchange(), &key, payload).unwrap();
+        broker.publish(session.exchange(), &key, &payload).unwrap();
 
         let now = SimTime::from_hms(0, 10, 0, 20);
         let outcome = server.ingest_pending(&app, now, 100).unwrap();
@@ -453,9 +485,9 @@ mod tests {
         // The payload survives in the quarantine collection.
         let parked = server.quarantine(&app).unwrap().all();
         assert_eq!(parked.len(), 1);
-        assert_eq!(parked[0]["reason"], "malformed");
-        assert_eq!(parked[0]["payload"], "garbage");
-        assert!(parked[0]["error"].is_string());
+        assert_eq!(parked[0]["reason"], json!("malformed"));
+        assert_eq!(parked[0]["payload"], json!("garbage"));
+        assert!(parked[0]["error"].as_str().is_some());
         // The broker copy is gone — quarantine owns it now.
         assert_eq!(broker.queue_depth("gf-SC-queue").unwrap(), 0);
     }
@@ -473,7 +505,7 @@ mod tests {
         let stale = obs(1, 60.0, SimTime::from_hms(0, 10, 0, 0));
         for o in [&fresh, &stale] {
             broker
-                .publish(session.exchange(), &key, serde_json::to_vec(o).unwrap())
+                .publish(session.exchange(), &key, &serde_json::to_vec(o).unwrap())
                 .unwrap();
         }
         server.set_late_quarantine(Some(SimDuration::from_hours(24)));
@@ -484,7 +516,7 @@ mod tests {
         assert_eq!(server.observation_total(&app), 1);
         let parked = server.quarantine(&app).unwrap().all();
         assert_eq!(parked.len(), 1);
-        assert_eq!(parked[0]["reason"], "late");
+        assert_eq!(parked[0]["reason"], json!("late"));
         assert_eq!(parked[0]["delay_ms"], json!(48 * 3_600_000));
         assert_eq!(parked[0]["observation"]["spl"], json!(60.0));
 
@@ -494,7 +526,7 @@ mod tests {
             .publish(
                 session.exchange(),
                 &key,
-                serde_json::to_vec(&stale).unwrap(),
+                &serde_json::to_vec(&stale).unwrap(),
             )
             .unwrap();
         let outcome = server.ingest_pending(&app, now, 10).unwrap();
@@ -514,7 +546,7 @@ mod tests {
             .publish(
                 session.exchange(),
                 &session.observation_key("noise", "FR75013"),
-                serde_json::to_vec(&o).unwrap(),
+                &serde_json::to_vec(&o).unwrap(),
             )
             .unwrap();
 
@@ -553,6 +585,75 @@ mod tests {
     }
 
     #[test]
+    fn replay_skips_what_the_collection_already_holds() {
+        use mps_broker::Message;
+        use mps_telemetry::trace::{encode_contexts, TraceContext, TraceId, TRACE_HEADER};
+        let (broker, server, app) = server();
+        let token = server
+            .register_user(&app, 1.into(), Role::Contributor)
+            .unwrap();
+        let session = server.login(&token).unwrap();
+        // Three traced observations. The first is stored on its own; the
+        // message carrying all three then fails until it dead-letters —
+        // what a torn batch leaves behind: a stored prefix of a message
+        // ingest only ever saw fail.
+        let batch: Vec<_> = (0..3)
+            .map(|i| obs(1, 50.0 + f64::from(i), SimTime::from_hms(0, 9, i, 0)))
+            .collect();
+        let contexts: Vec<_> = batch
+            .iter()
+            .map(|o| TraceContext::new(TraceId::for_observation(1, o.captured_at.as_millis())))
+            .collect();
+        let key = session.observation_key("noise", "FR75013");
+        let publish = |n: usize| {
+            let message = Message::new(
+                key.parse().unwrap(),
+                serde_json::to_vec(&batch[..n]).unwrap(),
+            )
+            .with_header(TRACE_HEADER, encode_contexts(&contexts[..n]));
+            broker.publish_message(session.exchange(), message).unwrap();
+        };
+        let now = SimTime::from_hms(0, 10, 0, 0);
+        publish(1);
+        assert_eq!(server.ingest_pending(&app, now, 10).unwrap().stored, 1);
+        publish(3);
+        let failures = &server.ingestor.force_storage_failures;
+        failures.store(usize::MAX, std::sync::atomic::Ordering::SeqCst);
+        for _ in 0..5 {
+            assert_eq!(server.ingest_pending(&app, now, 10).unwrap().requeued, 1);
+        }
+        let dlq = server.dead_letter_queue(&app);
+        assert_eq!(broker.queue_depth(&dlq).unwrap(), 1);
+
+        // While storage is failing, what the store reads back is not
+        // trusted: the replay skips nothing and the message stays put.
+        let outcome = server.replay_dead_letters(&app, now, 10).unwrap();
+        assert_eq!((outcome.already_stored, outcome.requeued), (0, 1));
+        assert_eq!(broker.queue_depth(&dlq).unwrap(), 1);
+
+        // Healed: an ordinary write succeeds, and the replay stores the
+        // two missing observations and skips the one already there.
+        failures.store(0, std::sync::atomic::Ordering::SeqCst);
+        broker
+            .publish(
+                session.exchange(),
+                &key,
+                &serde_json::to_vec(&obs(2, 70.0, SimTime::from_hms(0, 9, 30, 0))).unwrap(),
+            )
+            .unwrap();
+        assert_eq!(server.ingest_pending(&app, now, 10).unwrap().stored, 1);
+        let outcome = server.replay_dead_letters(&app, now, 10).unwrap();
+        assert_eq!((outcome.stored, outcome.already_stored), (2, 1));
+        assert_eq!(broker.queue_depth(&dlq).unwrap(), 0);
+        let docs = server.query(&app, &ObservationQuery::new()).unwrap();
+        let mut traces: Vec<_> = docs.iter().filter_map(|d| d["trace"].as_str()).collect();
+        traces.sort_unstable();
+        let mut expected: Vec<_> = contexts.iter().map(|c| c.trace.to_string()).collect();
+        expected.sort_unstable();
+        assert_eq!(traces, expected, "each traced observation stored once");
+    }
+
+    #[test]
     fn batched_payload_stores_each_observation() {
         let (broker, server, app) = server();
         let token = server
@@ -566,7 +667,7 @@ mod tests {
             .publish(
                 session.exchange(),
                 &session.observation_key("noise", "FR75013"),
-                serde_json::to_vec(&batch).unwrap(),
+                &serde_json::to_vec(&batch).unwrap(),
             )
             .unwrap();
         let outcome = server
@@ -592,7 +693,7 @@ mod tests {
             for i in 0..3 {
                 let o = obs(1, 50.0 + i as f64, SimTime::from_hms(2, 9, i as u32, 0));
                 broker
-                    .publish(session.exchange(), &key, serde_json::to_vec(&o).unwrap())
+                    .publish(session.exchange(), &key, &serde_json::to_vec(&o).unwrap())
                     .unwrap();
             }
             let batch: Vec<Observation> = (0..5)
@@ -602,7 +703,7 @@ mod tests {
                 .publish(
                     session.exchange(),
                     &key,
-                    serde_json::to_vec(&batch).unwrap(),
+                    &serde_json::to_vec(&batch).unwrap(),
                 )
                 .unwrap();
             broker
@@ -613,7 +714,7 @@ mod tests {
                 .publish(
                     session.exchange(),
                     &key,
-                    serde_json::to_vec(&stale).unwrap(),
+                    &serde_json::to_vec(&stale).unwrap(),
                 )
                 .unwrap();
             server.set_late_quarantine(Some(SimDuration::from_hours(24)));
@@ -665,7 +766,7 @@ mod tests {
         for i in 0..2 {
             let o = obs(1, 50.0 + i as f64, SimTime::EPOCH);
             broker
-                .publish(session.exchange(), &key, serde_json::to_vec(&o).unwrap())
+                .publish(session.exchange(), &key, &serde_json::to_vec(&o).unwrap())
                 .unwrap();
         }
         // One transient storage failure: the batched attempt steps aside
@@ -699,7 +800,7 @@ mod tests {
                 .publish(
                     session.exchange(),
                     &session.observation_key("noise", "FR75013"),
-                    serde_json::to_vec(&o).unwrap(),
+                    &serde_json::to_vec(&o).unwrap(),
                 )
                 .unwrap();
         }
@@ -725,7 +826,7 @@ mod tests {
             .publish(
                 session.exchange(),
                 &session.observation_key("noise", "FR75013"),
-                serde_json::to_vec(&o).unwrap(),
+                &serde_json::to_vec(&o).unwrap(),
             )
             .unwrap();
         server.ingest_pending(&app, SimTime::EPOCH, 10).unwrap();
@@ -805,7 +906,7 @@ mod tests {
                     .publish(
                         session.exchange(),
                         &session.observation_key("noise", "FR75001"),
-                        serde_json::to_vec(&o).unwrap(),
+                        &serde_json::to_vec(&o).unwrap(),
                     )
                     .unwrap();
             }

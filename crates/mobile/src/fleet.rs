@@ -33,8 +33,8 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A lazily-derived crowd of simulated devices. See the [module
-/// docs](self).
+/// A lazily-derived crowd of simulated devices. See the module docs of
+/// `fleet.rs`.
 ///
 /// # Examples
 ///
@@ -168,9 +168,7 @@ impl Fleet {
     /// Expected observations per 5-minute slot at the daily peak hour —
     /// the arrival pressure a sustained-throughput target must absorb.
     pub fn peak_slot_arrivals(&self) -> f64 {
-        let peak = (0..24)
-            .map(|h| Self::diurnal_share(h))
-            .fold(0.0f64, f64::max);
+        let peak = (0..24).map(Self::diurnal_share).fold(0.0f64, f64::max);
         self.expected_observations_per_day() * peak / SLOTS_PER_HOUR
     }
 }

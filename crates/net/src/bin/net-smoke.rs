@@ -107,7 +107,7 @@ fn smoke_broker(addr: &str) -> Result<(), String> {
     check(deliveries.len() == 1, "consumed exactly one delivery")?;
     let delivery = &deliveries[0];
     check(
-        delivery.payload() == br#"{"spl": 61.5}"#,
+        delivery.payload().as_ref() == br#"{"spl": 61.5}"#,
         "payload survived the round trip",
     )?;
     check(

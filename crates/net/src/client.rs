@@ -226,6 +226,7 @@ impl WireConn {
     }
 
     fn recv_frame(&mut self) -> Result<Frame, NetError> {
+        #[allow(clippy::disallowed_methods)] // a socket deadline is real host time
         let started = Instant::now();
         let mut chunk = [0u8; 16 * 1024];
         loop {
@@ -272,7 +273,7 @@ impl WireConn {
 /// This is the concurrency kernel of [`ClientPool`], factored out so
 /// the loom model in `tests/loom.rs` can exhaustively check the
 /// checkout/return interleavings with a cheap payload (`u32`) instead
-/// of a live socket. Its `Mutex` comes from [`crate::sync`], so a
+/// of a live socket. Its `Mutex` comes from `crate::sync`, so a
 /// `RUSTFLAGS="--cfg loom"` build swaps in the modelled version.
 ///
 /// Invariants the model asserts: the stack never holds more than
@@ -405,6 +406,7 @@ impl ClientPool {
     ) -> Result<Vec<u8>, NetError> {
         let shared = telemetry();
         shared.client_requests.inc();
+        #[allow(clippy::disallowed_methods)] // RPC latency is real host time
         let started = Instant::now();
         let result = self.call_once(opcode, headers, body).or_else(|err| {
             if err.is_transport() {
@@ -533,29 +535,6 @@ mod tests {
             // error rather than hanging.
             Err(_) => assert!(pool.call(OP_UPPER, &[], b"y").unwrap_err().is_transport()),
         }
-    }
-
-    #[test]
-    fn pool_gauges_track_idle_and_in_use() {
-        let registry = mps_telemetry::Registry::global();
-        let idle_of = || {
-            registry
-                .gauge_value_labeled("net_client_pool_connections", &[("state", "idle")])
-                .unwrap_or(0)
-        };
-        let mut server =
-            WireServer::bind("127.0.0.1:0", Arc::new(Upper), ServerConfig::default()).unwrap();
-        let before = idle_of();
-        let pool = ClientPool::new(server.local_addr().to_string(), ClientConfig::default());
-        pool.call(OP_UPPER, &[], b"abc").unwrap();
-        assert!(idle_of() > before, "the call's connection was parked idle");
-        let in_use = registry
-            .gauge_value_labeled("net_client_pool_connections", &[("state", "in_use")])
-            .unwrap_or(0);
-        assert!(in_use >= 0, "in_use never goes negative");
-        drop(pool);
-        assert!(idle_of() <= before + 1, "drop withdrew the idle connection");
-        server.shutdown();
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * [`MarkovChain`] — a finite-state Markov chain (drives the activity
 //!   model of Figure 21).
 //! * [`stats`] — online moments and quantile helpers used by the analyses.
+//! * [`check`] — the seeded loop and generators the workspace's property
+//!   tests run on.
 //!
 //! # Examples
 //!
@@ -27,6 +29,7 @@
 //! assert_eq!((t.as_millis(), event), (10, "first"));
 //! ```
 
+pub mod check;
 mod markov;
 #[cfg(test)]
 mod proptests;

@@ -1,70 +1,132 @@
-//! In-crate property tests over the domain types' invariants.
+//! In-crate property tests over the domain types' invariants: seeded
+//! loops over a small splitmix64 (this crate sits below `mps-simcore`),
+//! so they run wherever the unit tests do.
 
 use crate::{GeoBounds, GeoPoint, SimDuration, SimTime, SoundLevel};
-use proptest::prelude::*;
 
-proptest! {
-    #[test]
-    fn bounds_lerp_always_inside(u in 0.0f64..=1.0, v in 0.0f64..=1.0) {
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// splitmix64 (Steele, Lea & Flood 2014).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..hi`.
+    fn int(&mut self, lo: i64, hi: i64) -> i64 {
+        lo + (self.next() % (hi - lo) as u64) as i64
+    }
+
+    /// Uniform in `lo..hi`.
+    fn float(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+    }
+}
+
+/// Runs `property` once per seed in `0..CASES`, naming the seed that failed.
+fn check(property: impl Fn(&mut Rng)) {
+    for seed in 0..CASES {
+        let run = std::panic::AssertUnwindSafe(|| property(&mut Rng(seed)));
+        if std::panic::catch_unwind(run).is_err() {
+            panic!(
+                "property failed at seed {seed}; replay it alone with `property(&mut Rng({seed}))`"
+            );
+        }
+    }
+}
+
+#[test]
+fn bounds_lerp_always_inside() {
+    check(|r| {
         let b = GeoBounds::paris();
-        prop_assert!(b.contains(b.lerp(u, v)));
-    }
+        // The closed unit square: the far edges are the likeliest to fall out.
+        let (u, v) = match r.int(0, 8) {
+            0 => (1.0, r.float(0.0, 1.0)),
+            1 => (r.float(0.0, 1.0), 1.0),
+            _ => (r.float(0.0, 1.0), r.float(0.0, 1.0)),
+        };
+        assert!(b.contains(b.lerp(u, v)));
+    });
+}
 
-    #[test]
-    fn distance_is_nonnegative_and_symmetric(
-        lat1 in -80.0f64..80.0, lon1 in -179.0f64..179.0,
-        lat2 in -80.0f64..80.0, lon2 in -179.0f64..179.0,
-    ) {
-        let a = GeoPoint::new(lat1, lon1);
-        let b = GeoPoint::new(lat2, lon2);
+#[test]
+fn distance_is_nonnegative_and_symmetric() {
+    check(|r| {
+        let a = GeoPoint::new(r.float(-80.0, 80.0), r.float(-179.0, 179.0));
+        let b = GeoPoint::new(r.float(-80.0, 80.0), r.float(-179.0, 179.0));
         let d = a.distance_m(b);
-        prop_assert!(d >= 0.0);
-        prop_assert!((d - b.distance_m(a)).abs() < 1e-6);
-        prop_assert!(d < 2.1e7, "no distance exceeds half the circumference: {}", d);
-    }
+        assert!(d >= 0.0);
+        assert!((d - b.distance_m(a)).abs() < 1e-6);
+        assert!(d < 2.1e7, "no distance exceeds half the circumference: {d}");
+    });
+}
 
-    #[test]
-    fn sound_combine_is_permutation_invariant(levels in prop::collection::vec(0.0f64..110.0, 1..8)) {
+#[test]
+fn sound_combine_is_permutation_invariant() {
+    check(|r| {
+        let levels: Vec<f64> = (0..r.int(1, 8)).map(|_| r.float(0.0, 110.0)).collect();
         let forward = SoundLevel::combine(levels.iter().map(|l| SoundLevel::new(*l)));
         let backward = SoundLevel::combine(levels.iter().rev().map(|l| SoundLevel::new(*l)));
-        prop_assert!((forward.db() - backward.db()).abs() < 1e-9);
-    }
+        assert!((forward.db() - backward.db()).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn sound_combine_is_monotone_in_each_source(base in 30.0f64..90.0, extra in 0.0f64..90.0) {
+#[test]
+fn sound_combine_is_monotone_in_each_source() {
+    check(|r| {
+        let (base, extra) = (r.float(30.0, 90.0), r.float(0.0, 90.0));
         let one = SoundLevel::combine([SoundLevel::new(base)]);
         let two = SoundLevel::combine([SoundLevel::new(base), SoundLevel::new(extra)]);
-        prop_assert!(two.db() >= one.db() - 1e-9);
-    }
+        assert!(two.db() >= one.db() - 1e-9);
+    });
+}
 
-    #[test]
-    fn leq_of_duplicated_samples_is_unchanged(db in 0.0f64..100.0, n in 1usize..20) {
-        let samples = vec![SoundLevel::new(db); n];
-        prop_assert!((SoundLevel::leq(&samples).db() - db).abs() < 1e-9);
-    }
+#[test]
+fn leq_of_duplicated_samples_is_unchanged() {
+    check(|r| {
+        let db = r.float(0.0, 100.0);
+        let samples = vec![SoundLevel::new(db); r.int(1, 20) as usize];
+        assert!((SoundLevel::leq(&samples).db() - db).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn time_day_hour_decomposition(day in -500i64..500, hour in 0u32..24, min in 0u32..60) {
+#[test]
+fn time_day_hour_decomposition() {
+    check(|r| {
+        let (day, hour, min) = (r.int(-500, 500), r.int(0, 24) as u32, r.int(0, 60) as u32);
         let t = SimTime::from_hms(day, hour, min, 0);
-        prop_assert_eq!(t.day(), day);
-        prop_assert_eq!(t.hour_of_day(), hour);
-        prop_assert_eq!(t.minute_of_hour(), min);
-    }
+        assert_eq!(t.day(), day);
+        assert_eq!(t.hour_of_day(), hour);
+        assert_eq!(t.minute_of_hour(), min);
+    });
+}
 
-    #[test]
-    fn duration_scaling_distributes(ms in -1_000_000i64..1_000_000, k in 1i64..50) {
+#[test]
+fn duration_scaling_distributes() {
+    check(|r| {
+        let (ms, k) = (r.int(-1_000_000, 1_000_000), r.int(1, 50));
         let d = SimDuration::from_millis(ms);
-        prop_assert_eq!((d * k).as_millis(), ms * k);
-        prop_assert_eq!(((d * k) / k).as_millis(), ms);
-    }
+        assert_eq!((d * k).as_millis(), ms * k);
+        assert_eq!(((d * k) / k).as_millis(), ms);
+    });
+}
 
-    #[test]
-    fn local_xy_magnitude_matches_haversine(dx in -10_000.0f64..10_000.0, dy in -10_000.0f64..10_000.0) {
+#[test]
+fn local_xy_magnitude_matches_haversine() {
+    check(|r| {
+        let (dx, dy) = (r.float(-10_000.0, 10_000.0), r.float(-10_000.0, 10_000.0));
         let origin = GeoPoint::PARIS;
         let p = GeoPoint::from_local_xy(origin, dx, dy);
         let planar = (dx * dx + dy * dy).sqrt();
         let sphere = origin.distance_m(p);
         // At city scale the equirectangular projection is metre-accurate.
-        prop_assert!((planar - sphere).abs() < 0.5 + planar * 1e-3);
-    }
+        assert!((planar - sphere).abs() < 0.5 + planar * 1e-3);
+    });
 }

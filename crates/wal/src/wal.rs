@@ -721,7 +721,7 @@ mod tests {
         // Other tests share the global counter, so assert only a lower
         // bound plus the single-batch delta being possible: one batch of
         // 16 records adds exactly one barrier from *this* instance.
-        assert!(count(registry) >= before + 1);
+        assert!(count(registry) > before);
         drop(wal);
 
         // fsync: false skips the barrier (and the counter); an explicit
@@ -731,7 +731,7 @@ mod tests {
         let before = count(registry);
         wal.append_batch(&payloads(0..16)).unwrap();
         wal.sync().unwrap();
-        assert!(count(registry) >= before + 1);
+        assert!(count(registry) > before);
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&dir2).unwrap();
     }

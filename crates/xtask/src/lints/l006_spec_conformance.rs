@@ -171,7 +171,7 @@ fn extract(role: &str, file: &SourceFile, out: &mut Vec<CodeConst>) {
 
 /// Reads `const NAME: Ty = <num>` starting at the `const` keyword;
 /// returns (name token, value token, value).
-fn read_const<'a>(tokens: &'a [Token], i: usize) -> Option<(&'a Token, &'a Token, i64)> {
+fn read_const(tokens: &[Token], i: usize) -> Option<(&Token, &Token, i64)> {
     let name = tokens.get(i + 1)?;
     if name.kind != TokenKind::Ident || name.text == "fn" {
         return None;

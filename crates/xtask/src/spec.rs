@@ -12,7 +12,7 @@
 //!   nearest enclosing heading (band `<role> op`);
 //! * `| code | error | … |` — an error-code table, attributed to the
 //!   role named in the closest preceding prose line containing
-//!   "<role> error" (band `<role> err`).
+//!   "`<role>` error" (band `<role> err`).
 //!
 //! Tables that match none of these shapes (or that cannot be attributed
 //! to a configured role) are ignored, so the spec may freely contain

@@ -54,17 +54,36 @@ fn deployment_observations_feed_assimilation() {
 
 /// The calibration ablation: per-model calibration beats none and is
 /// close to the per-device oracle — the paper's Section 5.2 conclusion.
+///
+/// It is a conclusion about the mean: the party that estimates a model's
+/// bias brings four other phones of that model, so one study in six has
+/// the per-model map up to 0.3 dB worse than the uncalibrated one (5 of
+/// seeds 0..32, where the gain averaged 0.27 dB with a spread of 0.2).
+/// Eight studies put the mean gain over three standard errors from zero.
 #[test]
 fn calibration_granularity_ablation() {
-    let study = CalibrationStudy::new(23);
-    let rows = study.run_all();
-    let none = rows["uncalibrated"];
-    let per_model = rows["per-model"];
-    let oracle = rows["per-device (oracle)"];
-    assert!(per_model.rmse_analysis <= none.rmse_analysis + 1e-9);
-    assert!(per_model.rmse_analysis <= oracle.rmse_analysis + 0.5);
-    // All strategies improve on the raw background.
-    for outcome in [none, per_model, oracle] {
+    let studies: Vec<_> = (16..24)
+        .map(|seed| CalibrationStudy::new(seed).run_all())
+        .collect();
+    let mean_rmse = |strategy: &str| {
+        studies
+            .iter()
+            .map(|rows| rows[strategy].rmse_analysis)
+            .sum::<f64>()
+            / studies.len() as f64
+    };
+    let (none, per_model, oracle) = (
+        mean_rmse("uncalibrated"),
+        mean_rmse("per-model"),
+        mean_rmse("per-device (oracle)"),
+    );
+    assert!(per_model < none, "per-model {per_model} vs none {none}");
+    assert!(
+        per_model <= oracle + 0.5,
+        "per-model {per_model} vs oracle {oracle}"
+    );
+    // All strategies improve on the raw background, in every study.
+    for outcome in studies.iter().flat_map(|rows| rows.values()) {
         assert!(outcome.rmse_analysis < outcome.rmse_background);
     }
 }

@@ -15,6 +15,9 @@
 //! 3. **Recovery to full service** — after reopen the recovered state
 //!    serves queries, the dead-lettered backlog replays through ingest,
 //!    and nothing is lost or duplicated: final documents equal arrivals.
+//!    The records of the torn group commit that reached the disk whole
+//!    survive recovery although ingest saw their batch fail; the replay
+//!    finds them stored and skips them.
 
 use soundcity::broker::{Broker, BrokerDurabilityConfig};
 use soundcity::docstore::{Durability, DurabilityConfig, Store};
@@ -30,12 +33,15 @@ use soundcity::types::{
     AppId, AppVersion, DeviceModel, GeoBounds, GeoPoint, LocationFix, LocationProvider,
     Observation, SimDuration, SimTime, SoundLevel,
 };
-use soundcity::wal::{KillPoint, WalConfig};
+use soundcity::wal::{KillPoint, KillSwitch, WalConfig};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 const DEVICE: u64 = 45;
 const CYCLES: i64 = 120;
+/// Messages per ingest pass: one group-committed WAL append each.
+const INGEST_BATCH: usize = 16;
 
 fn observation(i: i64, at: GeoPoint) -> Observation {
     Observation::builder()
@@ -79,8 +85,7 @@ fn crash_killed_pipeline_recovers_without_silent_loss() {
 
     // The docstore's log dies mid-append partway through the ingest
     // batch; the broker's log stays healthy and records the fallout.
-    let plan = CrashPlan::at(CrashTarget::Docstore, KillPoint::MidAppend, 40);
-    let kill = plan.armed_switch();
+    let kill = KillSwitch::new();
     let store = Store::open(store_config(
         &doc_dir,
         WalConfig::default().kill(kill.clone()),
@@ -99,6 +104,9 @@ fn crash_killed_pipeline_recovers_without_silent_loss() {
     let key = session.observation_key("noise", "FR75013");
     let gf_queue = "gf-SC-queue";
     let dlq_name = server.dead_letter_queue(&app);
+    // Armed after registration, so the skip counts ingest batches, not
+    // the setup's index records: three batches land, the fourth is torn.
+    CrashPlan::at(CrashTarget::Docstore, KillPoint::MidAppend, 3).arm(&kill);
 
     // Two simulated hours, one observation per minute, over a flaky
     // link: drops and delays, no duplicates (so documents count 1:1).
@@ -143,8 +151,8 @@ fn crash_killed_pipeline_recovers_without_silent_loss() {
     // Ingest until the queue drains: the WAL dies mid-batch, so the
     // tail of the backlog cycles through redelivery into the DLQ.
     let mut stored_total = 0usize;
-    for _ in 0..32 {
-        let outcome = server.ingest_pending(&app, end, 10_000).unwrap();
+    for _ in 0..64 {
+        let outcome = server.ingest_pending(&app, end, INGEST_BATCH).unwrap();
         stored_total += outcome.stored;
         assert_eq!(outcome.malformed, 0);
         assert_eq!(outcome.quarantined, 0);
@@ -169,12 +177,14 @@ fn crash_killed_pipeline_recovers_without_silent_loss() {
     assert!(index.unterminated().is_empty());
     let mut ok = 0u64;
     let mut lost = 0u64;
+    let mut stored_traces = BTreeSet::new();
     for trace in &expected {
         let tree = index.get(*trace).expect("observation trace retained");
         let primaries = tree.terminals().filter(|s| !s.duplicate).count();
         assert_eq!(primaries, 1, "trace {trace} must terminate exactly once");
         if tree.terminal().unwrap().outcome == Outcome::Ok {
             ok += 1;
+            stored_traces.insert(trace.to_string());
         } else {
             lost += 1;
         }
@@ -262,36 +272,38 @@ fn crash_killed_pipeline_recovers_without_silent_loss() {
     // Re-declaring the topology and indexes is idempotent on recovery.
     server.register_app(&app).unwrap();
     let docs = server.query(&app, &ObservationQuery::new()).unwrap();
-    assert_eq!(docs.len(), stored_total, "recovered store serves queries");
+    let recovered: BTreeSet<&str> = docs.iter().filter_map(|d| d["trace"].as_str()).collect();
+    assert_eq!(recovered.len(), docs.len(), "one document per trace");
+    assert!(
+        stored_traces.iter().all(|t| recovered.contains(t.as_str())),
+        "recovered store serves everything ingest stored"
+    );
+    // What else survived is the torn batch short of its torn record.
+    let prefix = docs.len() - stored_total;
+    assert!(
+        (1..INGEST_BATCH).contains(&prefix),
+        "durable prefix of the crash batch: {prefix} documents"
+    );
     assert_eq!(broker.queue_depth(&dlq_name).unwrap() as u64, dlq_depth);
 
-    // An operator replays the dead-lettered backlog through ingest.
-    // Accounts are in-memory (only storage and messaging are durable),
-    // so the operator re-registers before logging in.
-    let token = server
-        .register_user(&app, DEVICE.into(), Role::Contributor)
-        .unwrap();
-    let session = server.login(&token).unwrap();
-    let deliveries = broker.consume(&dlq_name, 10_000).unwrap();
-    assert_eq!(deliveries.len() as u64, dlq_depth);
-    for delivery in &deliveries {
-        broker
-            .publish_message(session.exchange(), (*delivery.message).clone())
-            .unwrap();
-        broker.ack(&dlq_name, delivery.tag).unwrap();
-    }
+    // An operator replays the dead-lettered backlog through ingest,
+    // which skips what the torn batch already left in the store.
     let late = end + SimDuration::from_mins(5);
     let mut replayed = 0usize;
+    let mut already_stored = 0usize;
     for _ in 0..8 {
-        let outcome = server.ingest_pending(&app, late, 10_000).unwrap();
+        let outcome = server.replay_dead_letters(&app, late, 10_000).unwrap();
         replayed += outcome.stored;
+        already_stored += outcome.already_stored;
         assert_eq!(outcome.requeued, 0, "the healed store accepts everything");
-        if broker.queue_depth(gf_queue).unwrap() == 0 {
+        if broker.queue_depth(&dlq_name).unwrap() == 0 {
             break;
         }
     }
-    assert_eq!(replayed as u64, dlq_depth);
+    assert_eq!(already_stored, prefix);
+    assert_eq!((replayed + already_stored) as u64, dlq_depth);
     assert_eq!(broker.queue_depth(&dlq_name).unwrap(), 0);
+    assert_eq!(broker.queue_depth(gf_queue).unwrap(), 0);
     let docs = server.query(&app, &ObservationQuery::new()).unwrap();
     assert_eq!(
         docs.len() as u64,

@@ -22,13 +22,16 @@ fn crowd_dataset() -> &'static Dataset {
 /// timeline).
 fn longitudinal_dataset() -> &'static Dataset {
     static DATASET: OnceLock<Dataset> = OnceLock::new();
-    DATASET.get_or_init(|| {
-        let config = ExperimentConfig::quick()
-            .with_months(10)
-            .with_scale(0.03)
-            .with_models(vec![DeviceModel::OneplusA0001, DeviceModel::SamsungSmG901f]);
-        Deployment::new(config).run()
-    })
+    DATASET.get_or_init(|| longitudinal_replay(ExperimentConfig::quick().seed))
+}
+
+fn longitudinal_replay(seed: u64) -> Dataset {
+    let config = ExperimentConfig::quick()
+        .with_seed(seed)
+        .with_months(10)
+        .with_scale(0.03)
+        .with_models(vec![DeviceModel::OneplusA0001, DeviceModel::SamsungSmG901f]);
+    Deployment::new(config).run()
 }
 
 // ----- pipeline sanity ------------------------------------------------------
@@ -237,20 +240,19 @@ fn fig15_same_model_users_align() {
 
 // ----- Figure 17: transmission delays -------------------------------------------
 
+/// What holds replay by replay. The longitudinal crowd is five devices,
+/// and a device is Wi-Fi-only or not for all ten months, so the masses
+/// themselves swing with the draw (the >2 h share of v1.2.9 ran from 0 to
+/// 0.51 over twelve seeds); the orderings between versions did not.
 #[test]
 fn fig17_delay_cdf_shape() {
     let report = DelayReport::build(&longitudinal_dataset().observations);
     // All three versions shipped during the 10 months.
     assert_eq!(report.versions().len(), 3);
 
-    // v1.2.9 (unbuffered, optimised): a substantial immediate mass and a
-    // heavy >2 h disconnection tail.
+    // v1.1's per-send channel setup makes its ≤10 s mass smaller than
+    // that of v1.2.9 (unbuffered, optimised).
     let quick = report.cdf_at(AppVersion::V1_2_9, 10.0);
-    assert!((0.15..0.50).contains(&quick), "v1.2.9 ≤10 s mass {quick}");
-    let tail = report.beyond_two_hours(AppVersion::V1_2_9);
-    assert!((0.20..0.55).contains(&tail), "v1.2.9 >2 h mass {tail}");
-
-    // v1.1's per-send channel setup makes its ≤10 s mass smaller.
     assert!(
         report.cdf_at(AppVersion::V1_1, 10.0) < quick,
         "v1.1 should be slower than v1.2.9"
@@ -266,10 +268,31 @@ fn fig17_delay_cdf_shape() {
         "v1.3 mass concentrates at ≤1 h or >2 h: {within_hour} + {v13_tail}"
     );
     // Buffering moderately worsens the tail (paper: 35 % -> 45 %).
+    let tail = report.beyond_two_hours(AppVersion::V1_2_9);
     assert!(
         v13_tail > tail - 0.05,
         "buffered tail {v13_tail} vs unbuffered {tail}"
     );
+}
+
+/// What holds for the population: the masses of Figure 17 are set by the
+/// shares of the connectivity classes, so they are read off eight replays
+/// pooled (forty devices), not off one.
+#[test]
+fn fig17_delay_masses_of_the_pooled_crowd() {
+    let seed = ExperimentConfig::quick().seed;
+    let mut pooled = longitudinal_dataset().observations.clone();
+    for other in 1..8 {
+        pooled.extend(longitudinal_replay(seed + other).observations);
+    }
+    let report = DelayReport::build(&pooled);
+
+    // v1.2.9: a substantial immediate mass and a heavy >2 h
+    // disconnection tail.
+    let quick = report.cdf_at(AppVersion::V1_2_9, 10.0);
+    assert!((0.15..0.50).contains(&quick), "v1.2.9 ≤10 s mass {quick}");
+    let tail = report.beyond_two_hours(AppVersion::V1_2_9);
+    assert!((0.20..0.55).contains(&tail), "v1.2.9 >2 h mass {tail}");
 }
 
 // ----- Figures 18-19: participation across time ----------------------------------

@@ -230,7 +230,7 @@ fn diy_pipeline_with_broker_and_store() {
             .publish(
                 "feed",
                 &format!("obs.{zone}.{kind}"),
-                json!({"zone": zone}).to_string(),
+                json!({"zone": zone}).to_string().into_bytes(),
             )
             .unwrap();
     }

@@ -198,7 +198,7 @@ fn socket_faults_are_visible_failures_with_zero_silent_loss() {
             break;
         }
         client.flush_at(&link, now);
-        now = now + SimDuration::from_mins(5);
+        now += SimDuration::from_mins(5);
     }
     assert_eq!(client.pending(), 0, "every upload must eventually land");
     assert_eq!(client.queued_retries(), 0);

@@ -134,7 +134,7 @@ fn merged_flight_recorders_reconstruct_every_trace() {
             break;
         }
         client.flush_at(&link, now);
-        now = now + SimDuration::from_mins(5);
+        now += SimDuration::from_mins(5);
     }
     assert_eq!(client.pending(), 0, "every upload must eventually land");
     let outcome = server.ingest_pending(&app, now, 1_000_000).expect("ingest");
