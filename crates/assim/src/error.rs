@@ -20,6 +20,15 @@ pub enum AssimError {
     NoObservations,
     /// Grid construction was given non-positive dimensions.
     BadGridShape,
+    /// A stored observation cannot enter an hourly analysis: its hour of
+    /// day is not in `0..24`, or its error standard deviation is not
+    /// strictly positive and finite.
+    InvalidObservation {
+        /// Hour of day of the offending observation.
+        hour: u32,
+        /// Its observation-error standard deviation, dB.
+        sigma_db: f64,
+    },
 }
 
 impl fmt::Display for AssimError {
@@ -33,6 +42,11 @@ impl fmt::Display for AssimError {
             }
             AssimError::NoObservations => write!(f, "no observations to assimilate"),
             AssimError::BadGridShape => write!(f, "grid dimensions must be positive"),
+            AssimError::InvalidObservation { hour, sigma_db } => write!(
+                f,
+                "observation with hour {hour} and error {sigma_db} dB: \
+                 the hour must be in 0..24 and the error positive and finite"
+            ),
         }
     }
 }
@@ -50,5 +64,10 @@ mod tests {
         assert!(!AssimError::SingularCovariance.to_string().is_empty());
         assert!(!AssimError::NoObservations.to_string().is_empty());
         assert!(!AssimError::BadGridShape.to_string().is_empty());
+        let e = AssimError::InvalidObservation {
+            hour: 24,
+            sigma_db: 0.0,
+        };
+        assert!(e.to_string().contains("24"));
     }
 }

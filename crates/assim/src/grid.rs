@@ -119,6 +119,17 @@ impl Grid {
         self.bounds.lerp(u, v)
     }
 
+    /// Latitude of the cell centres of row `iy`; it does not depend on
+    /// `ix`, which lets per-row work be shared along the row.
+    pub(crate) fn row_lat(&self, iy: usize) -> f64 {
+        self.cell_center(0, iy).lat
+    }
+
+    /// Longitude of the cell centres of column `ix`, whatever the row.
+    pub(crate) fn col_lon(&self, ix: usize) -> f64 {
+        self.cell_center(ix, 0).lon
+    }
+
     /// Fractional grid coordinates of a point (cell units, origin at the
     /// centre of cell `(0, 0)`), or `None` outside the bounds.
     fn frac_coords(&self, point: GeoPoint) -> Option<(f64, f64)> {
@@ -223,6 +234,17 @@ impl Grid {
     }
 }
 
+/// Asserts that two grids are the same grid down to the last bit of every
+/// cell — what the reference-oracle tests of this crate compare with.
+#[cfg(test)]
+pub(crate) fn assert_same_bits(got: &Grid, want: &Grid, what: &str) {
+    assert_eq!(got.bounds(), want.bounds(), "{what}");
+    assert_eq!((got.nx(), got.ny()), (want.nx(), want.ny()), "{what}");
+    for (i, (g, w)) in got.values().iter().zip(want.values()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: cell {i}: {g} vs {w}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,6 +274,18 @@ mod tests {
         // Cell (0, 0) centre latitude: 48 + 1/8.
         assert!((g.at(0, 0) - 48.125).abs() < 1e-12);
         assert!((g.at(0, 3) - 48.875).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cell_centres_are_row_latitude_and_column_longitude() {
+        let g = Grid::constant(GeoBounds::paris(), 7, 5, 0.0);
+        for iy in 0..g.ny() {
+            for ix in 0..g.nx() {
+                let c = g.cell_center(ix, iy);
+                assert_eq!(c.lat.to_bits(), g.row_lat(iy).to_bits());
+                assert_eq!(c.lon.to_bits(), g.col_lon(ix).to_bits());
+            }
+        }
     }
 
     #[test]

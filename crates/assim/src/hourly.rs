@@ -12,8 +12,21 @@
 //! forward model's hourly modulation) corrected by that hour's mobile
 //! observations. A static all-day analysis cannot track the diurnal
 //! cycle; the hourly analysis does.
+//!
+//! # How a day is scheduled
+//!
+//! The day's observations are checked and dealt into 24 buckets in one
+//! pass; the 24 backgrounds come from one
+//! [`NoiseSimulator::simulate_day`], which measures every cell against
+//! every source once for the whole day. The 24 analyses share nothing, so
+//! `std::thread::available_parallelism()` workers, the calling thread
+//! among them, each take the next unstarted hour from a shared counter
+//! until none is left. Which worker solves which hour varies from run to
+//! run; nothing else does: every hour's map is the same single-threaded
+//! [`Blue::analyse`], maps come back in hour order, and of several failing
+//! hours the earliest is reported.
 
-use crate::blue::{Blue, PointObservation};
+use crate::blue::{available_threads, Blue, PointObservation};
 use crate::grid::Grid;
 use crate::noise::NoiseSimulator;
 use crate::telemetry::telemetry;
@@ -21,6 +34,7 @@ use crate::AssimError;
 use mps_telemetry::trace::{FlightRecorder, Hop, Outcome, SpanRecord, TraceId};
 use mps_telemetry::SpanTimer;
 use mps_types::GeoPoint;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A timestamped observation for time-varying assimilation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,6 +47,23 @@ pub struct HourlyObservation {
     pub sigma_db: f64,
     /// Hour of day of the capture, `0..24`.
     pub hour: u32,
+}
+
+impl HourlyObservation {
+    /// The hour as an index into the day and the observation as BLUE
+    /// takes it, provided the hour is one and the error is one
+    /// [`PointObservation::new`] does not panic on.
+    fn checked(&self) -> Result<(usize, PointObservation), AssimError> {
+        if self.hour < 24 && PointObservation::is_valid_error(self.sigma_db) {
+            let point = PointObservation::new(self.at, self.value_db, self.sigma_db);
+            Ok((self.hour as usize, point))
+        } else {
+            Err(AssimError::InvalidObservation {
+                hour: self.hour,
+                sigma_db: self.sigma_db,
+            })
+        }
+    }
 }
 
 /// A field with one analysis per hour of day.
@@ -97,36 +128,81 @@ impl DiurnalAnalysis {
         Self { blue, nx, ny }
     }
 
-    /// Runs the 24 hourly analyses: the background of hour `h` comes from
-    /// `model.simulate_at_hour(h)`, corrected by the observations stamped
+    /// Runs the 24 hourly analyses: the background of hour `h` is
+    /// `model.simulate_day(..)[h]`, corrected by the observations stamped
     /// with hour `h`. Hours without observations keep their background.
+    ///
+    /// The hours are independent, so they are solved on as many threads
+    /// as the machine offers; the maps do not depend on that number.
     ///
     /// # Errors
     ///
-    /// Propagates BLUE errors (an observation outside the model's grid,
-    /// singular covariance).
+    /// Returns [`AssimError::InvalidObservation`] for the first
+    /// observation whose hour is not in `0..24` or whose error is not
+    /// positive and finite, before anything is solved. Otherwise
+    /// propagates BLUE errors (an observation outside the model's grid,
+    /// singular covariance), the earliest failing hour's if several fail.
     pub fn run(
         &self,
+        model: &NoiseSimulator,
+        observations: &[HourlyObservation],
+    ) -> Result<DiurnalField, AssimError> {
+        self.run_on(available_threads(), model, observations)
+    }
+
+    /// [`DiurnalAnalysis::run`] on at most `workers` threads, the calling
+    /// one included.
+    fn run_on(
+        &self,
+        workers: usize,
         model: &NoiseSimulator,
         observations: &[HourlyObservation],
     ) -> Result<DiurnalField, AssimError> {
         let metrics = telemetry();
         metrics.hourly_runs.inc();
         let _timer = SpanTimer::start(&metrics.hourly_run_seconds);
-        let mut maps = Vec::with_capacity(24);
-        for hour in 0..24u32 {
-            let background = model.simulate_at_hour(self.nx, self.ny, hour);
-            let hour_obs: Vec<PointObservation> = observations
-                .iter()
-                .filter(|o| o.hour == hour)
-                .map(|o| PointObservation::new(o.at, o.value_db, o.sigma_db))
+        let mut by_hour: [Vec<PointObservation>; 24] = Default::default();
+        for observation in observations {
+            let (hour, point) = observation.checked()?;
+            by_hour[hour].push(point);
+        }
+        let mut maps = model.simulate_day(self.nx, self.ny);
+
+        // Each worker takes the next hour nobody has started until none
+        // is left. The counter hands out tickets and publishes nothing,
+        // so `Relaxed` is enough; the scope's joins publish the results.
+        let next_hour = AtomicUsize::new(0);
+        let solve_hours = || {
+            let mut solved = Vec::new();
+            loop {
+                let hour = next_hour.fetch_add(1, Ordering::Relaxed);
+                if hour >= 24 {
+                    return solved;
+                }
+                if !by_hour[hour].is_empty() {
+                    solved.push((hour, self.blue.analyse(&maps[hour], &by_hour[hour])));
+                }
+            }
+        };
+        let busy_hours = by_hour.iter().filter(|obs| !obs.is_empty()).count();
+        let mut solved = std::thread::scope(|scope| {
+            // The caller is a worker too: one thread fewer to start, and
+            // one allocator arena fewer to keep.
+            let spawned: Vec<_> = (1..workers.min(busy_hours))
+                .map(|_| scope.spawn(solve_hours))
                 .collect();
-            let analysis = if hour_obs.is_empty() {
-                background
-            } else {
-                self.blue.analyse(&background, &hour_obs)?
-            };
-            maps.push(analysis);
+            let mut solved = solve_hours();
+            for worker in spawned {
+                match worker.join() {
+                    Ok(theirs) => solved.extend(theirs),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            solved
+        });
+        solved.sort_by_key(|(hour, _)| *hour);
+        for (hour, analysis) in solved {
+            maps[hour] = analysis?;
         }
         Ok(DiurnalField { maps })
     }
@@ -176,7 +252,8 @@ impl DiurnalAnalysis {
     ///
     /// # Errors
     ///
-    /// Propagates BLUE errors.
+    /// Returns [`AssimError::InvalidObservation`] as
+    /// [`DiurnalAnalysis::run`] does, and propagates BLUE errors.
     pub fn run_static(
         &self,
         model: &NoiseSimulator,
@@ -186,10 +263,10 @@ impl DiurnalAnalysis {
         metrics.hourly_runs.inc();
         let _timer = SpanTimer::start(&metrics.hourly_run_seconds);
         let background = model.simulate(self.nx, self.ny);
-        let pooled: Vec<PointObservation> = observations
+        let pooled = observations
             .iter()
-            .map(|o| PointObservation::new(o.at, o.value_db, o.sigma_db))
-            .collect();
+            .map(|o| o.checked().map(|(_, point)| point))
+            .collect::<Result<Vec<_>, _>>()?;
         let analysis = if pooled.is_empty() {
             background
         } else {
@@ -205,6 +282,8 @@ impl DiurnalAnalysis {
 mod tests {
     use super::*;
     use crate::city::CityModel;
+    use crate::grid::assert_same_bits;
+    use mps_simcore::check::{check, size};
     use mps_simcore::SimRng;
     use mps_types::GeoBounds;
 
@@ -295,6 +374,132 @@ mod tests {
         // Hour 12 was corrected away from its background.
         let noon_bg = model_sim.simulate_at_hour(16, 16, 12);
         assert!(field.at_hour(12).rmse(&noon_bg) > 0.1);
+    }
+
+    /// The run written out hour after hour on one thread, each hour
+    /// simulating its own background and picking its observations out of
+    /// the day: the oracle for the shared geometry pass and the workers.
+    fn sequential_reference(
+        blue: Blue,
+        (nx, ny): (usize, usize),
+        model: &NoiseSimulator,
+        observations: &[HourlyObservation],
+    ) -> Vec<Grid> {
+        (0..24u32)
+            .map(|hour| {
+                let background = model.simulate_at_hour(nx, ny, hour);
+                let hour_obs: Vec<PointObservation> = observations
+                    .iter()
+                    .filter(|o| o.hour == hour)
+                    .map(|o| PointObservation::new(o.at, o.value_db, o.sigma_db))
+                    .collect();
+                if hour_obs.is_empty() {
+                    background
+                } else {
+                    blue.analyse(&background, &hour_obs).unwrap()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_keeps_the_bits_of_the_sequential_run_on_any_worker_count() {
+        check(|r| {
+            let city = CityModel::synthetic(GeoBounds::paris(), size(r, 1, 4), size(r, 0, 10), r);
+            let model = NoiseSimulator::new(city);
+            let shape = (size(r, 2, 9), size(r, 2, 9));
+            // A few busy hours, out of order in the input; the rest of
+            // the day has nothing and must come back as the background.
+            let busy: Vec<u32> = (0..size(r, 0, 5)).map(|_| r.index(24) as u32).collect();
+            let observations: Vec<HourlyObservation> = (0..busy.len() * size(r, 1, 8))
+                .map(|_| HourlyObservation {
+                    at: GeoBounds::paris().lerp(r.uniform(), r.uniform()),
+                    value_db: r.uniform_in(35.0, 75.0),
+                    sigma_db: r.uniform_in(0.5, 4.0),
+                    hour: *r.pick(&busy),
+                })
+                .collect();
+            let blue = Blue::new(r.uniform_in(1.0, 6.0), r.uniform_in(300.0, 2_500.0));
+            let analysis = DiurnalAnalysis::new(blue, shape.0, shape.1);
+            let reference = sequential_reference(blue, shape, &model, &observations);
+            // One worker, and more workers than there are hours to solve.
+            for workers in [1, 2, busy.len() + 3] {
+                let field = analysis.run_on(workers, &model, &observations).unwrap();
+                for (hour, want) in (0u32..).zip(&reference) {
+                    let got = field.at_hour(hour);
+                    assert_same_bits(got, want, &format!("{workers} workers, hour {hour}"));
+                    if !busy.contains(&hour) {
+                        assert_eq!(got, &model.simulate_at_hour(shape.0, shape.1, hour));
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn the_earliest_failing_hour_is_the_one_reported() {
+        let (_, model_sim, truth) = setup();
+        let mut obs = observations_of_truth(&truth, 3, 5);
+        // Two hours each hold an observation off the grid; the later one
+        // comes first in the input and is the cheaper hour to reach.
+        let outside = |lat, hour| HourlyObservation {
+            at: GeoPoint::new(lat, 0.0),
+            value_db: 60.0,
+            sigma_db: 1.5,
+            hour,
+        };
+        obs.insert(0, outside(17.0, 17));
+        obs.push(outside(5.0, 5));
+        let analysis = DiurnalAnalysis::new(Blue::new(4.0, 1_500.0), 16, 16);
+        for workers in [1, 2, 4, 30] {
+            assert_eq!(
+                analysis.run_on(workers, &model_sim, &obs).unwrap_err(),
+                AssimError::ObservationOutsideGrid { lat: 5.0, lon: 0.0 },
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unusable_error_is_an_error_not_a_panic() {
+        let (_, model_sim, truth) = setup();
+        let analysis = DiurnalAnalysis::new(Blue::new(4.0, 1_500.0), 16, 16);
+        for sigma_db in [0.0, -1.5, f64::NAN, f64::INFINITY] {
+            let mut obs = observations_of_truth(&truth, 2, 6);
+            obs[7].sigma_db = sigma_db;
+            let hour = obs[7].hour;
+            for result in [
+                analysis.run(&model_sim, &obs),
+                analysis.run_static(&model_sim, &obs),
+            ] {
+                match result.unwrap_err() {
+                    AssimError::InvalidObservation {
+                        hour: h,
+                        sigma_db: s,
+                    } => {
+                        assert_eq!(h, hour);
+                        assert_eq!(s.to_bits(), sigma_db.to_bits());
+                    }
+                    other => panic!("sigma {sigma_db}: {other}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_hour_past_the_day_is_an_error_not_dropped() {
+        let (_, model_sim, truth) = setup();
+        let analysis = DiurnalAnalysis::new(Blue::new(4.0, 1_500.0), 16, 16);
+        for hour in [24, 25, u32::MAX] {
+            let mut obs = observations_of_truth(&truth, 2, 7);
+            obs[3].hour = hour;
+            let invalid = AssimError::InvalidObservation {
+                hour,
+                sigma_db: 1.5,
+            };
+            assert_eq!(analysis.run(&model_sim, &obs).unwrap_err(), invalid);
+            assert_eq!(analysis.run_static(&model_sim, &obs).unwrap_err(), invalid);
+        }
     }
 
     #[test]

@@ -40,6 +40,40 @@ impl Matrix {
         m
     }
 
+    /// Creates a symmetric `n × n` matrix from its lower triangle:
+    /// `f(i, j)` is evaluated for `j <= i` only and mirrored.
+    pub(crate) fn symmetric_from_fn(n: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+        let mut m = Self::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let v = f(i, j);
+                m.data[i * n + j] = v;
+                m.data[j * n + i] = v;
+            }
+        }
+        m
+    }
+
+    /// The square sub-matrix of the rows and columns listed in `indices`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` is empty or names a row or column out of range.
+    pub(crate) fn principal_submatrix(&self, indices: &[usize]) -> Self {
+        let k = indices.len();
+        assert!(k > 0, "matrix dimensions must be positive");
+        let mut data = Vec::with_capacity(k * k);
+        for &i in indices {
+            let row = &self.data[i * self.cols..(i + 1) * self.cols];
+            data.extend(indices.iter().map(|&j| row[j]));
+        }
+        Self {
+            rows: k,
+            cols: k,
+            data,
+        }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

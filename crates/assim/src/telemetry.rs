@@ -51,7 +51,10 @@ pub(crate) fn telemetry() -> &'static AssimTelemetry {
             blue_pass_seconds: registry.histogram(
                 "assim_blue_pass_seconds",
                 "Wall-clock duration of one BLUE analysis pass (s)",
-                &Histogram::exponential_buckets(1e-5, 10.0, 8),
+                // 50 µs (one observation, a small grid) to 6.6 s, a
+                // bucket per doubling: a pass that gets twice as fast
+                // moves to the next bucket.
+                &Histogram::exponential_buckets(5e-5, 2.0, 18),
             ),
             hourly_runs: registry.counter(
                 "assim_hourly_runs_total",
@@ -60,7 +63,8 @@ pub(crate) fn telemetry() -> &'static AssimTelemetry {
             hourly_run_seconds: registry.histogram(
                 "assim_hourly_run_seconds",
                 "Wall-clock duration of one diurnal assimilation run (s)",
-                &Histogram::exponential_buckets(1e-4, 10.0, 8),
+                // 1 ms to 33 s, a bucket per doubling.
+                &Histogram::exponential_buckets(1e-3, 2.0, 16),
             ),
         }
     })

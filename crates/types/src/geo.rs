@@ -11,6 +11,27 @@ use std::fmt;
 /// Mean Earth radius in metres (IUGG).
 const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
+/// The haversine `sin²(Δ/2)` of an angle difference given in degrees.
+///
+/// Together with [`haversine_distance_m`] this is
+/// [`GeoPoint::distance_m`] taken apart: on a regular lat/lon grid the
+/// latitude term depends on the row alone and the longitude term on the
+/// column alone, so a caller measuring many cells against the same points
+/// evaluates each term once and still gets the bits `distance_m` returns.
+#[inline]
+pub fn haversine_deg(delta_deg: f64) -> f64 {
+    (delta_deg.to_radians() / 2.0).sin().powi(2)
+}
+
+/// Great-circle distance in metres from the haversines of the latitude
+/// and longitude differences ([`haversine_deg`]) and the product of the
+/// cosines of the two latitudes (the first point's times the second's).
+#[inline]
+pub fn haversine_distance_m(hav_lat: f64, cos_lats: f64, hav_lon: f64) -> f64 {
+    let a = hav_lat + cos_lats * hav_lon;
+    2.0 * EARTH_RADIUS_M * a.sqrt().asin()
+}
+
 /// A WGS-84 position (latitude/longitude in degrees).
 ///
 /// # Examples
@@ -45,12 +66,11 @@ impl GeoPoint {
 
     /// Great-circle distance to `other` in metres (haversine formula).
     pub fn distance_m(self, other: GeoPoint) -> f64 {
-        let lat1 = self.lat.to_radians();
-        let lat2 = other.lat.to_radians();
-        let dlat = (other.lat - self.lat).to_radians();
-        let dlon = (other.lon - self.lon).to_radians();
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_M * a.sqrt().asin()
+        haversine_distance_m(
+            haversine_deg(other.lat - self.lat),
+            self.lat.to_radians().cos() * other.lat.to_radians().cos(),
+            haversine_deg(other.lon - self.lon),
+        )
     }
 
     /// Projects this point to planar metres east/north of `origin`

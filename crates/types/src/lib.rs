@@ -43,7 +43,7 @@ mod version;
 
 pub use activity::Activity;
 pub use error::ParseEnumError;
-pub use geo::{GeoBounds, GeoPoint};
+pub use geo::{haversine_deg, haversine_distance_m, GeoBounds, GeoPoint};
 pub use id::{AppId, ClientId, DeviceId, UserId};
 pub use location::{LocationFix, LocationProvider};
 pub use model::DeviceModel;

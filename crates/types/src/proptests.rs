@@ -69,6 +69,27 @@ fn distance_is_nonnegative_and_symmetric() {
 }
 
 #[test]
+fn distance_keeps_the_bits_of_the_one_expression_haversine() {
+    // `distance_m` is assembled from `haversine_deg` and
+    // `haversine_distance_m` so that grid code can share their terms; the
+    // formula written out in one piece is what it must still return.
+    check(|r| {
+        let a = GeoPoint::new(r.float(-80.0, 80.0), r.float(-179.0, 179.0));
+        // Half the cases a city apart, half anywhere.
+        let b = match r.int(0, 2) {
+            0 => GeoPoint::new(a.lat + r.float(-0.1, 0.1), a.lon + r.float(-0.1, 0.1)),
+            _ => GeoPoint::new(r.float(-80.0, 80.0), r.float(-179.0, 179.0)),
+        };
+        let (lat1, lat2) = (a.lat.to_radians(), b.lat.to_radians());
+        let dlat = (b.lat - a.lat).to_radians();
+        let dlon = (b.lon - a.lon).to_radians();
+        let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        let written_out = 2.0 * 6_371_008.8 * h.sqrt().asin();
+        assert_eq!(a.distance_m(b).to_bits(), written_out.to_bits());
+    });
+}
+
+#[test]
 fn sound_combine_is_permutation_invariant() {
     check(|r| {
         let levels: Vec<f64> = (0..r.int(1, 8)).map(|_| r.float(0.0, 110.0)).collect();
