@@ -1,9 +1,14 @@
 //! A small aggregation pipeline (the subset of MongoDB's that GoFlow's
 //! analytics use): `$match`, `$group`, `$sort`, `$skip`, `$limit`,
 //! `$project` and `$count`.
+//!
+//! The input is borrowed, never copied: selecting and reordering stages
+//! and `$group`'s accumulators work on references, and a document is
+//! built only where a stage *outputs* one.
 
-use crate::collection::{compare_at_path, project, SortOrder};
+use crate::collection::{project, sorted_by_path, SortOrder};
 use crate::filter::Filter;
+use crate::index::IndexKey;
 use crate::value::{compare_values, get_path};
 use crate::StoreError;
 use serde_json::{json, Map, Value};
@@ -96,14 +101,12 @@ pub enum Stage {
     Count(String),
 }
 
-#[derive(Default)]
-struct GroupAcc {
+struct GroupAcc<'a> {
     count: u64,
     sums: Vec<f64>,
     sum_counts: Vec<u64>,
-    mins: Vec<Option<Value>>,
-    maxs: Vec<Option<Value>>,
-    firsts: Vec<Option<Value>>,
+    /// What `Min`, `Max` and `First` hold so far, borrowed from the input.
+    picks: Vec<Option<&'a Value>>,
 }
 
 /// Runs `stages` over `docs` and returns the resulting documents.
@@ -114,108 +117,90 @@ struct GroupAcc {
 /// arrays/objects, and [`StoreError::BadPipeline`] for a group key that is
 /// an array/object.
 pub fn aggregate(docs: &[Value], stages: &[Stage]) -> Result<Vec<Value>, StoreError> {
-    let mut current: Vec<Value> = docs.to_vec();
-    for stage in stages {
-        current = apply_stage(current, stage)?;
-    }
-    Ok(current)
+    run(docs.iter().collect(), stages)
 }
 
-fn apply_stage(docs: Vec<Value>, stage: &Stage) -> Result<Vec<Value>, StoreError> {
-    match stage {
-        Stage::Match(filter) => Ok(docs.into_iter().filter(|d| filter.matches(d)).collect()),
-        Stage::Skip(n) => Ok(docs.into_iter().skip(*n).collect()),
-        Stage::Limit(n) => Ok(docs.into_iter().take(*n).collect()),
-        Stage::Count(name) => Ok(vec![json!({ name.as_str(): docs.len() })]),
-        Stage::Sort(path, order) => {
-            let mut docs = docs;
-            let mut unorderable = false;
-            docs.sort_by(|a, b| compare_at_path(path, *order, a, b, &mut unorderable));
-            if unorderable {
-                return Err(StoreError::Unorderable(path.clone()));
+/// Selecting and reordering stages narrow `docs` in place; the first
+/// stage that makes new documents hands them to the rest of the pipeline.
+fn run(mut docs: Vec<&Value>, stages: &[Stage]) -> Result<Vec<Value>, StoreError> {
+    for (i, stage) in stages.iter().enumerate() {
+        let made = match stage {
+            Stage::Match(filter) => {
+                docs.retain(|doc| filter.matches(doc));
+                continue;
             }
-            Ok(docs)
-        }
-        Stage::Project(paths) => Ok(docs.iter().map(|doc| project(doc, paths)).collect()),
-        Stage::Group(spec) => group(docs, spec),
+            Stage::Skip(n) => {
+                docs.drain(..docs.len().min(*n));
+                continue;
+            }
+            Stage::Limit(n) => {
+                docs.truncate(*n);
+                continue;
+            }
+            Stage::Sort(path, order) => {
+                docs = sorted_by_path(docs.into_iter(), path, *order)?;
+                continue;
+            }
+            Stage::Count(name) => vec![json!({ name.as_str(): docs.len() })],
+            Stage::Project(paths) => docs.iter().map(|doc| project(*doc, paths)).collect(),
+            Stage::Group(spec) => group(&docs, spec)?,
+        };
+        return match &stages[i + 1..] {
+            [] => Ok(made),
+            rest => run(made.iter().collect(), rest),
+        };
     }
+    Ok(docs.into_iter().cloned().collect())
 }
 
-fn group(docs: Vec<Value>, spec: &GroupSpec) -> Result<Vec<Value>, StoreError> {
-    // Group key -> (representative _id value, accumulator state). BTreeMap
-    // on the serialized key keeps output order deterministic.
-    let mut groups: BTreeMap<String, (Value, GroupAcc)> = BTreeMap::new();
+/// One output document per distinct key, in key order. Keys group and
+/// order as [`IndexKey`]s — the order `distinct`, `$eq` and the indexes
+/// use — so `1` and `1.0` are one group (shown as whichever came first)
+/// and hour 9 precedes hour 10.
+fn group(docs: &[&Value], spec: &GroupSpec) -> Result<Vec<Value>, StoreError> {
+    let mut groups: BTreeMap<IndexKey, GroupAcc<'_>> = BTreeMap::new();
     let n_acc = spec.accumulators.len();
 
-    for doc in &docs {
-        let key_value = match &spec.key {
-            Some(path) => get_path(doc, path).cloned().unwrap_or(Value::Null),
-            None => Value::Null,
-        };
-        if key_value.is_array() || key_value.is_object() {
-            return Err(StoreError::BadPipeline("group key must be a scalar".into()));
-        }
-        let map_key = key_value.to_string();
-        let entry = groups.entry(map_key).or_insert_with(|| {
-            (
-                key_value.clone(),
-                GroupAcc {
-                    count: 0,
-                    sums: vec![0.0; n_acc],
-                    sum_counts: vec![0; n_acc],
-                    mins: vec![None; n_acc],
-                    maxs: vec![None; n_acc],
-                    firsts: vec![None; n_acc],
-                },
-            )
+    for doc in docs {
+        let key = spec.key.as_deref().and_then(|path| get_path(doc, path));
+        let key = IndexKey::new(key.unwrap_or(&Value::Null))
+            .ok_or_else(|| StoreError::BadPipeline("group key must be a scalar".into()))?;
+        let acc = groups.entry(key).or_insert_with(|| GroupAcc {
+            count: 0,
+            sums: vec![0.0; n_acc],
+            sum_counts: vec![0; n_acc],
+            picks: vec![None; n_acc],
         });
-        let acc = &mut entry.1;
         acc.count += 1;
         for (i, (_, a)) in spec.accumulators.iter().enumerate() {
-            match a {
-                Accumulator::Count => {}
+            let (path, wanted) = match a {
+                Accumulator::Count => continue,
                 Accumulator::Sum(path) | Accumulator::Avg(path) => {
                     if let Some(x) = get_path(doc, path).and_then(Value::as_f64) {
                         acc.sums[i] += x;
                         acc.sum_counts[i] += 1;
                     }
+                    continue;
                 }
-                Accumulator::Min(path) => {
-                    if let Some(v) = get_path(doc, path) {
-                        let better = match &acc.mins[i] {
-                            None => true,
-                            Some(cur) => compare_values(v, cur) == Some(Ordering::Less),
-                        };
-                        if better {
-                            acc.mins[i] = Some(v.clone());
-                        }
-                    }
-                }
-                Accumulator::Max(path) => {
-                    if let Some(v) = get_path(doc, path) {
-                        let better = match &acc.maxs[i] {
-                            None => true,
-                            Some(cur) => compare_values(v, cur) == Some(Ordering::Greater),
-                        };
-                        if better {
-                            acc.maxs[i] = Some(v.clone());
-                        }
-                    }
-                }
-                Accumulator::First(path) => {
-                    if acc.firsts[i].is_none() {
-                        acc.firsts[i] = get_path(doc, path).cloned();
-                    }
+                Accumulator::Min(path) => (path, Some(Ordering::Less)),
+                Accumulator::Max(path) => (path, Some(Ordering::Greater)),
+                Accumulator::First(path) => (path, None),
+            };
+            // The first value seen, then any that compares as wanted.
+            let pick = &mut acc.picks[i];
+            if let Some(v) = get_path(doc, path) {
+                if pick.is_none_or(|held| wanted.is_some() && compare_values(v, held) == wanted) {
+                    *pick = Some(v);
                 }
             }
         }
     }
 
     Ok(groups
-        .into_values()
-        .map(|(key_value, acc)| {
+        .into_iter()
+        .map(|(key, acc)| {
             let mut out = Map::new();
-            out.insert("_id".to_owned(), key_value);
+            out.insert("_id".to_owned(), key.value().clone());
             for (i, (name, a)) in spec.accumulators.iter().enumerate() {
                 let value = match a {
                     Accumulator::Count => Value::from(acc.count),
@@ -227,9 +212,9 @@ fn group(docs: Vec<Value>, spec: &GroupSpec) -> Result<Vec<Value>, StoreError> {
                             Value::from(acc.sums[i] / acc.sum_counts[i] as f64)
                         }
                     }
-                    Accumulator::Min(_) => acc.mins[i].clone().unwrap_or(Value::Null),
-                    Accumulator::Max(_) => acc.maxs[i].clone().unwrap_or(Value::Null),
-                    Accumulator::First(_) => acc.firsts[i].clone().unwrap_or(Value::Null),
+                    Accumulator::Min(_) | Accumulator::Max(_) | Accumulator::First(_) => {
+                        acc.picks[i].cloned().unwrap_or(Value::Null)
+                    }
                 };
                 out.insert(name.clone(), value);
             }
@@ -298,6 +283,39 @@ mod tests {
         let out = aggregate(&docs, &[Stage::Group(spec)]).unwrap();
         assert_eq!(out.len(), 2);
         assert!(out.iter().any(|d| d["_id"].is_null() && d["n"] == json!(1)));
+    }
+
+    #[test]
+    fn group_keys_merge_as_equal_values_do() {
+        // `1` and `1.0` are one value to `$eq`, `distinct` and the
+        // indexes, so they are one group; it shows the first seen.
+        let docs = vec![
+            json!({"k": 1, "a": 1}),
+            json!({"k": 1.0, "a": 2}),
+            json!({"k": "1", "a": 4}),
+            json!({"k": 1, "a": 8}),
+        ];
+        let spec = GroupSpec::by("k").accumulate("total", Accumulator::Sum("a".into()));
+        let out = aggregate(&docs, &[Stage::Group(spec)]).unwrap();
+        assert_eq!(
+            out,
+            vec![
+                json!({"_id": 1, "total": 11.0}),
+                json!({"_id": "1", "total": 4.0}),
+            ]
+        );
+    }
+
+    #[test]
+    fn groups_come_out_in_key_order_not_text_order() {
+        // Hours 0-23, met in a scrambled order: "10" sorts before "9" as
+        // text, 10 after 9 as a number.
+        let docs: Vec<Value> = (0..48).map(|i| json!({"hour": (i * 7) % 24})).collect();
+        let spec = GroupSpec::by("hour").accumulate("n", Accumulator::Count);
+        let out = aggregate(&docs, &[Stage::Group(spec)]).unwrap();
+        let hours: Vec<i64> = out.iter().map(|g| g["_id"].as_i64().unwrap()).collect();
+        assert_eq!(hours, (0..24).collect::<Vec<_>>());
+        assert!(out.iter().all(|g| g["n"] == json!(2)));
     }
 
     #[test]

@@ -1,12 +1,27 @@
 //! Collections: insert / find / update / delete with indexes.
+//!
+//! A collection is an ordered map from `_id` to [`Row`] (see
+//! [`crate::row`]), its secondary indexes and its shape registry, behind
+//! one lock. `Value` documents exist only at the boundary: `insert` takes
+//! one apart, `find` / `get` / `all` build one per document *returned*,
+//! `update_many` converts the document it changes there and back.
+//!
+//! **Reads** share one iterator, `CollectionInner::matches`: the
+//! planner's candidates (or every row) re-checked against the full
+//! filter in `_id` order. `count` consumes it without building anything,
+//! an unsorted `find` stops it when the window is full, and a sorted one
+//! reads each match's key once, stable-sorts `(key, &Row)` pairs and
+//! converts only the window. **Writes** share `Collection::mutate` (see
+//! [`crate::durability`]).
 
 use crate::durability::{journaled, DurableCtx, Journal};
 use crate::filter::Filter;
 use crate::index::PathIndex;
 use crate::planner::plan_query;
+use crate::row::{Doc, Row, Shapes, Slots};
 use crate::telemetry::telemetry;
 use crate::update::Update;
-use crate::value::{compare_values, get_path, set_path, DocId};
+use crate::value::{compare_values, set_path, DocId};
 use crate::StoreError;
 use mps_telemetry::SpanTimer;
 use parking_lot::Mutex;
@@ -83,62 +98,108 @@ impl FindOptions {
 
 #[derive(Debug, Default)]
 pub(crate) struct CollectionInner {
-    pub(crate) docs: BTreeMap<DocId, Value>,
+    pub(crate) docs: BTreeMap<DocId, Row>,
     pub(crate) next_id: u64,
     pub(crate) indexes: BTreeMap<String, PathIndex>,
+    shapes: Shapes,
 }
 
 impl CollectionInner {
-    fn index_doc(&mut self, id: DocId, doc: &Value) {
+    fn index_doc(&mut self, id: DocId, doc: &Row) {
         for (path, index) in &mut self.indexes {
-            if let Some(value) = get_path(doc, path) {
+            if let Some(value) = doc.at(path) {
                 index.insert(value, id);
             }
         }
     }
 
-    fn unindex_doc(&mut self, id: DocId, doc: &Value) {
-        for (path, index) in &mut self.indexes {
-            if let Some(value) = get_path(doc, path) {
-                index.remove(value, id);
+    /// `doc` as a row of this collection — with an `id`, `_id` is set to
+    /// it on the way. Only an object can be one.
+    pub(crate) fn row_of(&mut self, doc: Value, id: Option<DocId>) -> Result<Row, StoreError> {
+        match doc {
+            Value::Object(map) => {
+                let newest = self.docs.last_key_value().map(|(_, row)| row);
+                Ok(Row::from_map(map, id, newest, &mut self.shapes))
             }
+            _ => Err(StoreError::NotAnObject),
         }
     }
 
-    /// Documents matching `filter` in `_id` order — the one read path
-    /// under find, count, distinct, update and delete. The planner's
-    /// candidates are fetched and re-checked against the full filter;
-    /// without a usable index every document is visited. The chosen plan
-    /// is recorded in `docstore_query_plans_total{plan=...}`.
-    fn matches<'a>(&'a self, filter: &'a Filter) -> impl Iterator<Item = (DocId, &'a Value)> + 'a {
+    /// Stores `row` at `id` without indexing it: what log replay does
+    /// (it builds the indexes once, at the end).
+    pub(crate) fn put(&mut self, id: DocId, row: Row) {
+        if let Some(replaced) = self.docs.insert(id, row) {
+            self.shapes.release(replaced);
+        }
+    }
+
+    /// Indexes `row`, logs it as `op` and stores it at `id`, where no
+    /// indexed row may be (see [`take`](Self::take)).
+    fn file(&mut self, id: DocId, row: Row, op: &str, log: Option<&mut Journal>) {
+        self.index_doc(id, &row);
+        if let Some(log) = log {
+            log.doc(op, id, &row);
+        }
+        self.put(id, row);
+    }
+
+    /// Takes the row at `id` out of the map and the indexes. The caller
+    /// gives it back to the shape registry once it has read it.
+    fn take(&mut self, id: DocId) -> Option<Row> {
+        let row = self.docs.remove(&id)?;
+        for (path, index) in &mut self.indexes {
+            if let Some(value) = row.at(path) {
+                index.remove(value, id);
+            }
+        }
+        Some(row)
+    }
+
+    /// Deletes the row at `id`, if there is one.
+    pub(crate) fn discard(&mut self, id: DocId) {
+        if let Some(row) = self.take(id) {
+            self.shapes.release(row);
+        }
+    }
+
+    /// Forgets every row (and so every shape); indexes stay defined.
+    pub(crate) fn clear(&mut self) {
+        self.docs.clear();
+        self.shapes = Shapes::default();
+        for index in self.indexes.values_mut() {
+            *index = PathIndex::new();
+        }
+    }
+
+    /// Rows matching `filter` in `_id` order — the one read path under
+    /// find, count, distinct, update and delete. The planner's candidates
+    /// are fetched and re-checked against the full filter; without a
+    /// usable index every row is visited. The chosen plan is recorded in
+    /// `docstore_query_plans_total{plan=...}`.
+    fn matches<'a>(&'a self, filter: &'a Filter) -> impl Iterator<Item = (DocId, &'a Row)> + 'a {
         let plan = plan_query(filter, &self.indexes);
         telemetry().record_plan(plan.kind);
         let scan = plan.candidates.is_none().then(|| self.docs.iter());
+        let mut slots = Slots::of(filter);
         plan.candidates
             .into_iter()
             .flatten()
             .filter_map(move |id| self.docs.get_key_value(&id))
             .chain(scan.into_iter().flatten())
-            .filter(move |(_, doc)| filter.matches(doc))
-            .map(|(id, doc)| (*id, doc))
+            .filter(move |(_, row)| filter.matches_doc(&slots.view(row)))
+            .map(|(id, row)| (*id, row))
     }
 
     fn matching_ids(&self, filter: &Filter) -> Vec<DocId> {
         self.matches(filter).map(|(id, _)| id).collect()
     }
 
-    fn insert(&mut self, mut doc: Value, log: Option<&mut Journal>) -> Result<DocId, StoreError> {
+    fn insert(&mut self, doc: Value, log: Option<&mut Journal>) -> Result<DocId, StoreError> {
         let id = DocId(self.next_id);
-        doc.as_object_mut()
-            .ok_or(StoreError::NotAnObject)?
-            .insert("_id".to_owned(), Value::from(id.0));
+        let row = self.row_of(doc, Some(id))?;
         telemetry().collection_insert.inc();
         self.next_id += 1;
-        self.index_doc(id, &doc);
-        if let Some(log) = log {
-            log.doc("insert", id, &doc);
-        }
-        self.docs.insert(id, doc);
+        self.file(id, row, "insert", log);
         Ok(id)
     }
 
@@ -150,7 +211,7 @@ impl CollectionInner {
         }
         let mut index = PathIndex::new();
         for (id, doc) in &self.docs {
-            if let Some(value) = get_path(doc, path) {
+            if let Some(value) = doc.at(path) {
                 index.insert(value, *id);
             }
         }
@@ -159,48 +220,53 @@ impl CollectionInner {
     }
 }
 
-/// Orders two documents by the value at `path`, a missing value sorting
-/// as null. Arrays and objects have no order: they compare equal and set
-/// `unorderable`, which the caller turns into
-/// [`StoreError::Unorderable`] once the sort is done.
-pub(crate) fn compare_at_path(
+/// `docs` in the order of the value at `path`, a missing value sorting as
+/// null. Each document's key is read once; the sort is stable, so ties
+/// stay in arrival (`_id`) order either way round. Arrays and objects
+/// have no order: meeting one in a comparison is
+/// [`StoreError::Unorderable`].
+pub(crate) fn sorted_by_path<'a, D: Doc>(
+    docs: impl Iterator<Item = &'a D>,
     path: &str,
     order: SortOrder,
-    a: &Value,
-    b: &Value,
-    unorderable: &mut bool,
-) -> Ordering {
-    let va = get_path(a, path).unwrap_or(&Value::Null);
-    let vb = get_path(b, path).unwrap_or(&Value::Null);
-    match (compare_values(va, vb), order) {
+) -> Result<Vec<&'a D>, StoreError> {
+    let mut keyed: Vec<(&Value, &D)> = docs
+        .map(|doc| (doc.at(path).unwrap_or(&Value::Null), doc))
+        .collect();
+    let mut unorderable = false;
+    keyed.sort_by(|(a, _), (b, _)| match (compare_values(a, b), order) {
         (Some(ordering), SortOrder::Ascending) => ordering,
         (Some(ordering), SortOrder::Descending) => ordering.reverse(),
         (None, _) => {
-            *unorderable = true;
+            unorderable = true;
             Ordering::Equal
         }
+    });
+    if unorderable {
+        return Err(StoreError::Unorderable(path.to_owned()));
     }
+    Ok(keyed.into_iter().map(|(_, doc)| doc).collect())
 }
 
-/// A copy of `doc` holding only `_id` and the given dotted paths.
-pub(crate) fn project(doc: &Value, paths: &[String]) -> Value {
+/// A new document holding only `_id` and the given dotted paths of `doc`.
+pub(crate) fn project(doc: &impl Doc, paths: &[String]) -> Value {
     let mut projected = Value::Object(serde_json::Map::new());
     for path in std::iter::once("_id").chain(paths.iter().map(String::as_str)) {
-        if let Some(value) = get_path(doc, path) {
+        if let Some(value) = doc.at(path) {
             set_path(&mut projected, path, value.clone());
         }
     }
     projected
 }
 
-/// Skip, limit and projection, applied in that order to documents that
-/// are already in their final order.
-fn window<'a>(docs: impl Iterator<Item = &'a Value>, options: &FindOptions) -> Vec<Value> {
-    docs.skip(options.skip)
+/// Skip, limit and projection, applied in that order to rows that are
+/// already in their final order: the only rows a find turns into values.
+fn window<'a>(rows: impl Iterator<Item = &'a Row>, options: &FindOptions) -> Vec<Value> {
+    rows.skip(options.skip)
         .take(options.limit.unwrap_or(usize::MAX))
-        .map(|doc| match &options.projection {
-            Some(paths) => project(doc, paths),
-            None => doc.clone(),
+        .map(|row| match &options.projection {
+            Some(paths) => project(row, paths),
+            None => row.to_value(),
         })
         .collect()
 }
@@ -274,7 +340,7 @@ impl Collection {
 
     /// Fetches a document by id.
     pub fn get(&self, id: DocId) -> Option<Value> {
-        self.inner.lock().docs.get(&id).cloned()
+        self.inner.lock().docs.get(&id).map(Row::to_value)
     }
 
     /// Number of documents in the collection.
@@ -303,8 +369,9 @@ impl Collection {
     /// The query planner consults secondary indexes first (see
     /// `crate::planner`); unsorted queries additionally stop visiting
     /// documents once `skip + limit` results have been produced, and
-    /// sorted queries order references in place, copying only the
-    /// requested window (and of it only the projected paths).
+    /// sorted queries read each match's sort key once, order references,
+    /// and build documents only for the requested window (and of it only
+    /// the projected paths).
     ///
     /// # Errors
     ///
@@ -319,19 +386,14 @@ impl Collection {
         metrics.collection_find.inc();
         let _timer = SpanTimer::start(&metrics.collection_find_seconds);
         let inner = self.inner.lock();
-        let matches = inner.matches(filter).map(|(_, doc)| doc);
+        let matches = inner.matches(filter).map(|(_, row)| row);
         let Some((path, order)) = &options.sort else {
             // Matches arrive in `_id` order: the scan stops once the
             // window is full.
             return Ok(window(matches, options));
         };
-        let mut all: Vec<&Value> = matches.collect();
-        let mut unorderable = false;
-        all.sort_by(|a, b| compare_at_path(path, *order, a, b, &mut unorderable));
-        if unorderable {
-            return Err(StoreError::Unorderable(path.clone()));
-        }
-        Ok(window(all.into_iter(), options))
+        let sorted = sorted_by_path(matches, path, *order)?;
+        Ok(window(sorted.into_iter(), options))
     }
 
     /// Counts documents matching `filter`.
@@ -361,18 +423,17 @@ impl Collection {
             for id in &ids {
                 // Ids were collected under this same lock, so the lookup
                 // cannot miss; skipping is still safer than panicking.
-                let Some(mut doc) = inner.docs.remove(id) else {
+                let Some(old) = inner.take(*id) else {
                     continue;
                 };
-                inner.unindex_doc(*id, &doc);
+                let mut doc = old.to_value();
                 let result = update.apply(&mut doc);
                 // Re-index and log whatever state the document is in,
-                // then propagate any error.
-                inner.index_doc(*id, &doc);
-                if let Some(log) = log.as_deref_mut() {
-                    log.doc("update", *id, &doc);
-                }
-                inner.docs.insert(*id, doc);
+                // then propagate any error. The old row goes once the new
+                // one holds their shape, if they share it.
+                let row = inner.row_of(doc, None);
+                inner.shapes.release(old);
+                inner.file(*id, row?, "update", log.as_deref_mut());
                 result?;
             }
             Ok(ids.len())
@@ -391,9 +452,7 @@ impl Collection {
         self.mutate(|inner, log| {
             let ids = inner.matching_ids(filter);
             for id in &ids {
-                if let Some(doc) = inner.docs.remove(id) {
-                    inner.unindex_doc(*id, &doc);
-                }
+                inner.discard(*id);
             }
             if let (Some(log), false) = (log, ids.is_empty()) {
                 log.delete(&ids);
@@ -448,7 +507,7 @@ impl Collection {
         let inner = self.inner.lock();
         let mut values: Vec<&Value> = inner
             .matches(filter)
-            .filter_map(|(_, doc)| get_path(doc, path))
+            .filter_map(|(_, row)| row.at(path))
             .filter(|v| !v.is_array() && !v.is_object())
             .collect();
         // Stable, so of several equal values (1 and 1.0) the one from the
@@ -469,16 +528,13 @@ impl Collection {
             if let (false, Some(log)) = (inner.docs.is_empty(), log) {
                 log.bare("clear");
             }
-            inner.docs.clear();
-            for index in inner.indexes.values_mut() {
-                *index = PathIndex::new();
-            }
+            inner.clear();
         })
     }
 
     /// Snapshot of all documents, in `_id` order.
     pub fn all(&self) -> Vec<Value> {
-        self.inner.lock().docs.values().cloned().collect()
+        self.inner.lock().docs.values().map(Row::to_value).collect()
     }
 }
 
@@ -682,6 +738,23 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(c.len(), 2);
         assert_eq!(c.count(&Filter::lt("spl", 60.0)).unwrap(), 0);
+    }
+
+    #[test]
+    fn integers_above_two_to_the_53_are_told_apart() {
+        // As `f64` these two device ids are one number: `$eq` matched the
+        // neighbour's documents and an index filed both under one key.
+        let (mine, neighbour) = (9_007_199_254_740_993u64, 9_007_199_254_740_992u64);
+        let c = Collection::new();
+        c.insert_many([json!({"device": mine}), json!({"device": neighbour})])
+            .unwrap();
+        let filter = Filter::parse(&json!({"device": {"$eq": mine}})).unwrap();
+        let scanned = c.find(&filter).unwrap();
+        assert_eq!(scanned, vec![json!({"_id": 0, "device": mine})]);
+        c.create_index("device").unwrap();
+        assert_eq!(c.index_cardinality("device"), Some(2));
+        assert_eq!(c.find(&filter).unwrap(), scanned);
+        assert_eq!(c.distinct("device", &Filter::True).len(), 2);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! and it runs the same way in both modes: **apply** the change under
 //! the collection (or collections-map) lock, and — only when the store
 //! was opened with [`Durability::Durable`] — **encode** one delta per
-//! change into the call's `Journal`, straight from the borrowed
-//! document: the bytes the log will hold are written once, and nothing
-//! is cloned or rebuilt as a tree on the way. The **log tail** in
+//! change into the call's `Journal`, straight from the stored row: the
+//! bytes the log will hold are written once, and nothing is cloned or
+//! rebuilt as a tree on the way. The **log tail** in
 //! `journaled` takes the store-wide WAL lock *before* the apply, so log
 //! order is apply order; appends the call's records as **one**
 //! group-committed `append_batch` (`insert_many` and `update_many` of any
@@ -19,11 +19,23 @@
 //! and `drop_index` the `path`; `touch` (collection created), `clear`
 //! and `drop_collection` carry nothing more.
 //!
+//! **Written from rows, byte for byte.** Deltas, snapshots and exports
+//! are written by `Row::write_json` from the collection's rows (see
+//! `crate::row`), and the bytes are the ones `Value` documents gave: a
+//! row's members are in `str` order, the order `serde_json::Map` wrote
+//! them in; each `"key":` comes from the same JSON string writer, once
+//! per shape instead of once per document; each value goes through
+//! `Value`'s own writer. A directory written before documents were rows
+//! opens to the same export, and the reverse; the golden log and export
+//! in this module's tests pin that.
+//!
 //! [`Store::open`] replays the newest snapshot plus the log tail and
 //! rebuilds secondary indexes from the recovered documents, reproducing
 //! identical collection contents, `_id` assignment and index
-//! definitions; recovered documents move out of the parsed snapshot and
-//! deltas, they are not copied. Snapshots are taken automatically every
+//! definitions; recovered documents' values move out of the parsed
+//! snapshot and deltas into their rows, they are not copied (the key
+//! strings are dropped there and then, which the store used to leave to
+//! its own drop). Snapshots are taken automatically every
 //! [`DurabilityConfig::snapshot_every`] logged records (and manually
 //! via [`Store::checkpoint`]); the WAL then compacts covered segments.
 //!
@@ -48,6 +60,7 @@
 //! once its handles are done writing.
 
 use crate::collection::Collection;
+use crate::row::Row;
 use crate::telemetry::telemetry;
 use crate::value::DocId;
 use crate::{Store, StoreError};
@@ -166,9 +179,11 @@ impl Journal {
     }
 
     /// `insert` / `update`: the id and the full resulting document,
-    /// encoded from the borrow.
-    pub(crate) fn doc(&mut self, op: &str, id: DocId, doc: &Value) {
-        self.push(format_args!(r#""doc":{doc},"id":{},"op":"{op}""#, id.0));
+    /// encoded from the stored row.
+    pub(crate) fn doc(&mut self, op: &str, id: DocId, doc: &Row) {
+        let mut text = String::new();
+        doc.write_json(&mut text);
+        self.push(format_args!(r#""doc":{text},"id":{},"op":"{op}""#, id.0));
     }
 
     /// `delete`: the ids removed.
@@ -265,8 +280,8 @@ impl DurableShared {
 /// `{"collections":{name:{"docs":[…],"indexes":[…],"next_id":N}}}`:
 /// collections sorted by name, documents in `_id` order, index paths
 /// sorted — identical state always serialises to identical bytes. Each
-/// document is written once, from the borrow, into the one buffer, which
-/// a collection's first document sizes for the rest.
+/// row is written once, straight into the one buffer, which a
+/// collection's first document sizes for the rest.
 fn export_json(map: &CollectionMap) -> String {
     // Writing to a String cannot fail.
     let mut out = String::from(r#"{"collections":{"#);
@@ -279,7 +294,7 @@ fn export_json(map: &CollectionMap) -> String {
                 out.push(',');
             }
             let start = out.len();
-            let _ = write!(out, "{doc}");
+            doc.write_json(&mut out);
             if d == 0 {
                 out.reserve((out.len() - start + 1) * (inner.docs.len() - 1));
             }
@@ -304,7 +319,7 @@ pub(crate) fn export_value(map: &CollectionMap) -> Value {
     let mut collections = serde_json::Map::new();
     for (name, collection) in map.lock().iter() {
         let inner = collection.inner.lock();
-        let docs: Vec<Value> = inner.docs.values().cloned().collect();
+        let docs: Vec<Value> = inner.docs.values().map(Row::to_value).collect();
         let indexes: Vec<String> = inner.indexes.keys().cloned().collect();
         collections.insert(
             name.clone(),
@@ -328,8 +343,8 @@ fn take(object: &mut Value, key: &str) -> Option<Value> {
 }
 
 /// Rebuilds collections from a recovered snapshot + log tail. The parsed
-/// trees are taken apart by value: every document moves into its
-/// collection, none is cloned.
+/// trees are taken apart by value: every document's values move into its
+/// row, none is cloned.
 fn restore(store: &Store, recovered: Recovered) -> Result<(), StoreError> {
     // Index definitions are collected first and built once at the end,
     // over the final document set — equivalent to maintaining them
@@ -353,7 +368,8 @@ fn restore(store: &Store, recovered: Recovered) -> Result<(), StoreError> {
                         .get("_id")
                         .and_then(Value::as_u64)
                         .ok_or_else(|| corrupt("snapshot document without _id"))?;
-                    inner.docs.insert(DocId(id), doc);
+                    let row = inner.row_of(doc, None).map_err(corrupt)?;
+                    inner.put(DocId(id), row);
                 }
             }
             let paths = index_paths.entry(name).or_default();
@@ -387,7 +403,10 @@ fn restore(store: &Store, recovered: Recovered) -> Result<(), StoreError> {
                     .ok_or_else(|| corrupt(format!("{op} delta at lsn {lsn} has no doc")))?;
                 let collection = store.get_or_create(name);
                 let mut inner = collection.inner.lock();
-                inner.docs.insert(DocId(id), doc);
+                let row = inner
+                    .row_of(doc, None)
+                    .map_err(|e| corrupt(format!("{op} delta at lsn {lsn}: {e}")))?;
+                inner.put(DocId(id), row);
                 inner.next_id = inner.next_id.max(id + 1);
             }
             "delete" => {
@@ -400,7 +419,7 @@ fn restore(store: &Store, recovered: Recovered) -> Result<(), StoreError> {
                     .flatten()
                 {
                     if let Some(id) = id.as_u64() {
-                        inner.docs.remove(&DocId(id));
+                        inner.discard(DocId(id));
                     }
                 }
             }
@@ -422,7 +441,7 @@ fn restore(store: &Store, recovered: Recovered) -> Result<(), StoreError> {
             }
             "clear" => {
                 let collection = store.get_or_create(name);
-                collection.inner.lock().docs.clear();
+                collection.inner.lock().clear();
             }
             "drop_collection" => {
                 if store.collections.lock().remove(name).is_some() {

@@ -1,6 +1,7 @@
 //! Mongo-style filter documents.
 
-use crate::value::{compare_values, get_path};
+use crate::row::Doc;
+use crate::value::compare_values;
 use crate::StoreError;
 use serde_json::Value;
 use std::cmp::Ordering;
@@ -120,6 +121,10 @@ pub enum Filter {
 }
 
 fn values_equal(a: &Value, b: &Value) -> bool {
+    if let (Value::String(a), Value::String(b)) = (a, b) {
+        // Lengths first: most unequal strings are never read.
+        return a == b;
+    }
     match compare_values(a, b) {
         Some(ord) => ord == Ordering::Equal,
         None => a == b, // deep equality for arrays/objects
@@ -395,13 +400,18 @@ impl Filter {
 
     /// Whether this filter matches `doc`.
     pub fn matches(&self, doc: &Value) -> bool {
+        self.matches_doc(doc)
+    }
+
+    /// [`Filter::matches`] over either document representation.
+    pub(crate) fn matches_doc(&self, doc: &impl Doc) -> bool {
         match self {
             Filter::True => true,
-            Filter::And(filters) => filters.iter().all(|f| f.matches(doc)),
-            Filter::Or(filters) => filters.iter().any(|f| f.matches(doc)),
-            Filter::Not(inner) => !inner.matches(doc),
+            Filter::And(filters) => filters.iter().all(|f| f.matches_doc(doc)),
+            Filter::Or(filters) => filters.iter().any(|f| f.matches_doc(doc)),
+            Filter::Not(inner) => !inner.matches_doc(doc),
             Filter::Cmp { path, op, value } => {
-                let found = get_path(doc, path);
+                let found = doc.at(path);
                 match op {
                     CmpOp::Eq => match found {
                         Some(v) => values_equal(v, value),
@@ -440,16 +450,34 @@ impl Filter {
                 values,
                 negated,
             } => {
-                let hit = match get_path(doc, path) {
+                let hit = match doc.at(path) {
                     Some(v) => values.iter().any(|candidate| values_equal(v, candidate)),
                     None => values.iter().any(Value::is_null),
                 };
                 hit != *negated
             }
-            Filter::Exists { path, expected } => get_path(doc, path).is_some() == *expected,
-            Filter::Contains { path, needle } => get_path(doc, path)
+            Filter::Exists { path, expected } => doc.at(path).is_some() == *expected,
+            Filter::Contains { path, needle } => doc
+                .at(path)
                 .and_then(Value::as_str)
                 .is_some_and(|s| s.contains(needle.as_str())),
+        }
+    }
+
+    /// Visits every path this filter reads — the very `&str`s evaluation
+    /// will ask a document for, which is how
+    /// [`Slots`](crate::row::Slots) recognises them.
+    pub(crate) fn each_path<'a>(&'a self, visit: &mut impl FnMut(&'a str)) {
+        match self {
+            Filter::True => {}
+            Filter::And(filters) | Filter::Or(filters) => {
+                filters.iter().for_each(|f| f.each_path(visit));
+            }
+            Filter::Not(inner) => inner.each_path(visit),
+            Filter::Cmp { path, .. }
+            | Filter::In { path, .. }
+            | Filter::Exists { path, .. }
+            | Filter::Contains { path, .. } => visit(path),
         }
     }
 

@@ -77,12 +77,10 @@ impl PathIndex {
         }
     }
 
-    /// Ids of documents whose indexed value equals `value`.
-    pub(crate) fn lookup_eq(&self, value: &Value) -> Vec<DocId> {
-        IndexKey::new(value)
-            .and_then(|key| self.entries.get(&key))
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
+    /// Ids of documents whose indexed value equals `value`, borrowed:
+    /// the planner walks or probes the set where it lies.
+    pub(crate) fn eq_set(&self, value: &Value) -> Option<&BTreeSet<DocId>> {
+        self.entries.get(&IndexKey::new(value)?)
     }
 
     /// Ids of documents whose indexed value falls in the given bounds.
@@ -134,6 +132,12 @@ mod tests {
     use super::*;
     use serde_json::json;
 
+    impl PathIndex {
+        fn lookup_eq(&self, value: &Value) -> Vec<DocId> {
+            self.eq_set(value).into_iter().flatten().copied().collect()
+        }
+    }
+
     #[test]
     fn index_key_rejects_compound() {
         assert!(IndexKey::new(&json!([1])).is_none());
@@ -147,6 +151,18 @@ mod tests {
         let a = IndexKey::new(&json!(1)).unwrap();
         let b = IndexKey::new(&json!(2.5)).unwrap();
         assert!(a < b);
+    }
+
+    #[test]
+    fn integers_above_two_to_the_53_get_keys_of_their_own() {
+        let mut idx = PathIndex::new();
+        idx.insert(&json!(9_007_199_254_740_992u64), DocId(1));
+        idx.insert(&json!(9_007_199_254_740_993u64), DocId(2));
+        assert_eq!(idx.cardinality(), 2);
+        assert_eq!(
+            idx.lookup_eq(&json!(9_007_199_254_740_993u64)),
+            vec![DocId(2)]
+        );
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! small query planner, sorted/paged cursors and an aggregation-pipeline
 //! subset.
 //!
-//! Documents are [`serde_json::Value`] objects; every stored document gets
-//! a numeric `_id`.
+//! Documents go in and come out as [`serde_json::Value`] objects; every
+//! stored document gets a numeric `_id`. In between they are kept as
+//! shape-shared rows (documents with the same keys share one key list)
+//! and read in place — a query builds a `Value` only for what it returns.
 //!
 //! Stores are in-memory by default (the deterministic-sim path); opening
 //! one with [`Store::open`] and [`Durability::Durable`] write-ahead-logs
@@ -44,6 +46,7 @@ mod index;
 mod planner;
 #[cfg(test)]
 mod proptests;
+mod row;
 mod sharded;
 mod store;
 mod telemetry;

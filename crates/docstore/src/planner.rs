@@ -1,11 +1,15 @@
 //! Query planner: choose secondary indexes before touching documents.
 //!
 //! The planner inspects a [`Filter`]'s indexable predicates (each non-null
-//! equality and each merged range over a top-level `And`), probes the
-//! collection's secondary indexes, and intersects the resulting sorted
-//! candidate-id sets. Executors then fetch only the candidate documents —
-//! re-checking each against the full filter, so the planner only ever has
-//! to be *conservative* (a superset of the true matches is always safe).
+//! equality and each merged range over a top-level `And`) and asks the
+//! collection's secondary indexes for each one's candidate ids: an
+//! equality's set is *borrowed* from the index, a range's is gathered
+//! across its keys and sorted. It then walks the smallest set and probes
+//! the others for each of its ids ([`intersect`]) — a 139-id window
+//! against a 10 000-id model costs 139 lookups, and the large set is
+//! never copied. Executors fetch only the surviving candidates and
+//! re-check each against the full filter, so the planner only ever has to
+//! be *conservative* (a superset of the true matches is always safe).
 //!
 //! Which plan ran is exported as
 //! `docstore_query_plans_total{plan=...}` — watching `full_scan` climb on
@@ -14,7 +18,7 @@
 use crate::filter::{Filter, IndexablePredicate};
 use crate::index::PathIndex;
 use crate::value::DocId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which strategy the planner selected for a query, in increasing order
 /// of selectivity.
@@ -51,89 +55,109 @@ pub(crate) struct QueryPlan {
     pub(crate) candidates: Option<Vec<DocId>>,
 }
 
-/// Plans `filter` against the collection's `indexes`.
-///
-/// Every indexable predicate backed by an index contributes a candidate
-/// set; the sets are intersected smallest-first. Predicates without an
-/// index are simply left to the execution-time re-check.
+/// One indexed predicate's candidate ids, in ascending `_id` order.
+#[derive(Debug)]
+pub(crate) enum IdSet<'a> {
+    /// An equality's ids, where the index keeps them.
+    Borrowed(&'a BTreeSet<DocId>),
+    /// A range's ids, gathered in key order and sorted by id.
+    Sorted(Vec<DocId>),
+}
+
+impl IdSet<'_> {
+    fn len(&self) -> usize {
+        match self {
+            IdSet::Borrowed(ids) => ids.len(),
+            IdSet::Sorted(ids) => ids.len(),
+        }
+    }
+
+    fn contains(&self, id: &DocId) -> bool {
+        match self {
+            IdSet::Borrowed(ids) => ids.contains(id),
+            IdSet::Sorted(ids) => ids.binary_search(id).is_ok(),
+        }
+    }
+}
+
+/// Plans `filter` against the collection's `indexes`: every indexable
+/// predicate backed by an index contributes a candidate set, the others
+/// are left to the execution-time re-check.
 pub(crate) fn plan_query(filter: &Filter, indexes: &BTreeMap<String, PathIndex>) -> QueryPlan {
-    let mut sets: Vec<Vec<DocId>> = Vec::new();
-    let mut used_eq = false;
-    let mut used_range = false;
+    let mut sets: Vec<IdSet<'_>> = Vec::new();
+    let mut kind = PlanKind::FullScan;
     for predicate in filter.indexable_predicates() {
-        match predicate {
-            IndexablePredicate::Eq { path, value } => {
-                if let Some(index) = indexes.get(path) {
-                    // `lookup_eq` iterates a `BTreeSet<DocId>`: already
-                    // in ascending id order.
-                    sets.push(index.lookup_eq(value));
-                    used_eq = true;
+        let (set, alone) = match predicate {
+            IndexablePredicate::Eq { path, value } => match indexes.get(path) {
+                Some(index) => {
+                    let ids = index.eq_set(value).map(IdSet::Borrowed);
+                    (ids.unwrap_or(IdSet::Sorted(Vec::new())), PlanKind::IndexEq)
                 }
-            }
-            IndexablePredicate::Range((path, lo, hi)) => {
-                if let Some(index) = indexes.get(path) {
+                None => continue,
+            },
+            IndexablePredicate::Range((path, lo, hi)) => match indexes.get(path) {
+                Some(index) => {
                     // `lookup_range` returns ids in *key* order; the
                     // executor promises `_id` order, so sort here.
                     let mut ids = index.lookup_range(lo, hi);
                     ids.sort_unstable();
-                    sets.push(ids);
-                    used_range = true;
+                    (IdSet::Sorted(ids), PlanKind::IndexRange)
                 }
-            }
-        }
-    }
-    if sets.is_empty() {
-        return QueryPlan {
-            kind: PlanKind::FullScan,
-            candidates: None,
+                None => continue,
+            },
         };
-    }
-    let kind = if sets.len() > 1 {
-        PlanKind::IndexIntersect
-    } else if used_eq {
-        PlanKind::IndexEq
-    } else {
-        debug_assert!(used_range);
-        PlanKind::IndexRange
-    };
-    // Intersect smallest-first so the accumulator only ever shrinks.
-    sets.sort_by_key(Vec::len);
-    let mut iter = sets.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    for set in iter {
-        if acc.is_empty() {
-            break;
-        }
-        acc = intersect_sorted(&acc, &set);
+        kind = match sets.len() {
+            0 => alone,
+            _ => PlanKind::IndexIntersect,
+        };
+        sets.push(set);
     }
     QueryPlan {
         kind,
-        candidates: Some(acc),
+        candidates: (!sets.is_empty()).then(|| intersect(sets)),
     }
 }
 
-/// Intersection of two ascending id slices, by linear merge.
-fn intersect_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+/// The ids every one of `sets` holds, ascending: the smallest set is
+/// walked, the others are only probed, and none is copied but the result.
+pub(crate) fn intersect(mut sets: Vec<IdSet<'_>>) -> Vec<DocId> {
+    let Some(smallest) = (0..sets.len()).min_by_key(|&i| sets[i].len()) else {
+        return Vec::new();
+    };
+    let driver = sets.swap_remove(smallest);
+    let in_the_rest = |id: &DocId| sets.iter().all(|set| set.contains(id));
+    match driver {
+        IdSet::Borrowed(ids) => ids.iter().copied().filter(in_the_rest).collect(),
+        IdSet::Sorted(mut ids) => {
+            ids.retain(in_the_rest);
+            ids
         }
     }
-    out
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use serde_json::{json, Value};
+
+    /// Intersection of two ascending id slices, by linear merge: how the
+    /// planner intersected before it probed, kept as the tests' reference.
+    pub(crate) fn intersect_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+        let mut out = Vec::with_capacity(a.len().min(b.len()));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    out.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out
+    }
 
     fn index_on(entries: &[(Value, u64)]) -> PathIndex {
         let mut index = PathIndex::new();

@@ -1,13 +1,19 @@
 //! In-crate property tests over store invariants: seeded loops over a
 //! small splitmix64, so they run wherever the unit tests do.
 
+use crate::collection::project;
 use crate::durability::export_value;
-use crate::value::{compare_values, DocId};
+use crate::planner::tests::intersect_sorted;
+use crate::planner::{intersect, IdSet};
+use crate::row::{Row, Shapes, Slots};
+use crate::value::{compare_values, get_path, DocId};
 use crate::{
-    Collection, Durability, DurabilityConfig, Filter, FindOptions, SortOrder, Store, Update,
+    Collection, Durability, DurabilityConfig, Filter, FindOptions, SortOrder, Store, StoreError,
+    Update,
 };
 use serde_json::{json, Value};
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// Cases per property.
@@ -100,7 +106,119 @@ impl Rng {
             _ => Value::from(self.letters("abcdefghijklmnopqrstuvwxyz", 0, 5)),
         }
     }
+
+    /// A number within two of ±2⁵³, ±2⁶³ or 2⁶⁴ — where `f64` stops
+    /// telling integers apart and where `i64` and `u64` end — as a
+    /// non-negative integer, a negative integer or a float (itself or a
+    /// neighbour).
+    fn edge_number(&mut self) -> Value {
+        let base = [1i128 << 53, 1 << 63, 1 << 64][self.size(0, 3)];
+        let n = base + i128::from(self.int(-2, 3));
+        match self.size(0, 3) {
+            0 => Value::from(u64::try_from(n).unwrap_or(u64::MAX)),
+            1 => Value::from(i64::try_from(-n).unwrap_or(i64::MIN)),
+            _ => {
+                let f = if self.flag() { n as f64 } else { -(n as f64) };
+                Value::from([f.next_down(), f, f.next_up()][self.size(0, 3)])
+            }
+        }
+    }
+
+    /// What the comparison properties draw: any scalar, or an edge number.
+    fn comparable(&mut self) -> Value {
+        if self.flag() {
+            self.scalar()
+        } else {
+            self.edge_number()
+        }
+    }
+
+    /// A document of one of five key sets (the empty one among them), so
+    /// that a collection of them interleaves shapes: `v` and `m` are
+    /// mostly an integer and a letter, sometimes null, `1.0` or absent.
+    fn shaped(&mut self) -> Value {
+        let v = match self.size(0, 8) {
+            0 => Value::Null,
+            1 => json!(1.0),
+            _ => Value::from(self.int(-5, 6)),
+        };
+        let m = match self.size(0, 6) {
+            0 => Value::Null,
+            _ => Value::from(self.letters("abc", 1, 1)),
+        };
+        match self.size(0, 5) {
+            0 => json!({}),
+            1 => json!({"v": v}),
+            2 => json!({"v": v, "m": m}),
+            3 => json!({"v": v, "m": m, "n": {"x": self.int(-3, 4)}, "t": [1, "a"]}),
+            _ => self.doc(),
+        }
+    }
+
+    /// A value a filter compares against: the kinds [`Rng::shaped`] holds.
+    fn probe(&mut self) -> Value {
+        match self.size(0, 5) {
+            0 => Value::Null,
+            1 => json!(1.0),
+            2 => Value::from(self.letters("abc", 1, 1)),
+            3 => json!({"x": self.int(-3, 4)}),
+            _ => Value::from(self.int(-5, 6)),
+        }
+    }
+
+    /// Any filter, nested at most `depth` deep, over [`READ_PATHS`].
+    fn filter(&mut self, depth: usize) -> Filter {
+        let path = self.pick(&READ_PATHS).to_owned();
+        match self.size(0, if depth == 0 { 8 } else { 11 }) {
+            0 => Filter::eq(path, self.probe()),
+            1 => Filter::ne(path, self.probe()),
+            2 => Filter::eq(path, Value::Null),
+            3 => match self.size(0, 4) {
+                0 => Filter::gt(path, self.probe()),
+                1 => Filter::gte(path, self.probe()),
+                2 => Filter::lt(path, self.probe()),
+                _ => Filter::lte(path, self.probe()),
+            },
+            4 => Filter::exists(path, self.flag()),
+            5 | 6 => Filter::In {
+                path,
+                values: self.vec(0, 4, Rng::probe),
+                negated: self.flag(),
+            },
+            7 => Filter::Contains {
+                path,
+                needle: self.letters("abc", 0, 1),
+            },
+            8 => Filter::and(self.vec(0, 4, |r| r.filter(depth - 1))),
+            9 => Filter::or(self.vec(0, 4, |r| r.filter(depth - 1))),
+            _ => Filter::Not(Box::new(self.filter(depth - 1))),
+        }
+    }
+
+    /// Sort × skip × limit × projection, each present or not.
+    fn find_options(&mut self) -> FindOptions {
+        let mut options = FindOptions::new();
+        if self.flag() {
+            let order = [SortOrder::Ascending, SortOrder::Descending][self.size(0, 2)];
+            options = options.sort(self.pick(&READ_PATHS), order);
+        }
+        if self.flag() {
+            options = options.skip(self.size(0, 6));
+        }
+        if self.flag() {
+            options = options.limit(self.size(0, 8));
+        }
+        if self.flag() {
+            options = options.project(self.vec(0, 3, |r| r.pick(&READ_PATHS).to_owned()));
+        }
+        options
+    }
 }
+
+/// Paths the random filters, sorts and projections read: top-level,
+/// nested, an object, absent, through a scalar, absent below an object,
+/// and the id.
+const READ_PATHS: [&str; 8] = ["v", "m", "n.x", "n", "zz", "v.x", "n.zz", "_id"];
 
 /// Letters that between them need every JSON string escape: quote,
 /// backslash, the named and the `\u00..` control characters, non-ASCII
@@ -144,22 +262,34 @@ fn collection_of(values: &[i64]) -> Collection {
 #[test]
 fn compare_is_reflexive_and_antisymmetric() {
     check(|rng| {
-        let (a, b) = (rng.scalar(), rng.scalar());
+        let (a, b) = (rng.comparable(), rng.comparable());
         assert_eq!(compare_values(&a, &a), Some(Ordering::Equal));
         let ab = compare_values(&a, &b).unwrap();
         let ba = compare_values(&b, &a).unwrap();
         assert_eq!(ab, ba.reverse());
+        // Two integers order as integers, however large.
+        let int = |v: &Value| v.as_u64().map(i128::from).or(v.as_i64().map(i128::from));
+        if let (Some(x), Some(y)) = (int(&a), int(&b)) {
+            assert_eq!(ab, x.cmp(&y), "{a} against {b}");
+        }
     });
 }
 
 #[test]
 fn compare_is_transitive() {
     check(|rng| {
-        let (a, b, c) = (rng.scalar(), rng.scalar(), rng.scalar());
-        let ab = compare_values(&a, &b).unwrap();
-        let bc = compare_values(&b, &c).unwrap();
-        if ab != Ordering::Greater && bc != Ordering::Greater {
-            assert_ne!(compare_values(&a, &c).unwrap(), Ordering::Greater);
+        // Edge numbers collide often: a case is worth several triples.
+        for _ in 0..8 {
+            let (a, b, c) = (rng.comparable(), rng.comparable(), rng.comparable());
+            let ab = compare_values(&a, &b).unwrap();
+            let bc = compare_values(&b, &c).unwrap();
+            let ac = compare_values(&a, &c).unwrap();
+            if ab != Ordering::Greater && bc != Ordering::Greater {
+                assert_ne!(ac, Ordering::Greater, "{a} {b} {c}");
+            }
+            if ab == Ordering::Equal && bc == Ordering::Equal {
+                assert_eq!(ac, Ordering::Equal, "{a} {b} {c}");
+            }
         }
     });
 }
@@ -513,5 +643,273 @@ fn logged_payloads_equal_the_tree_route() {
             .collect();
         assert_eq!(logged, expected);
         std::fs::remove_dir_all(&dir).unwrap();
+    });
+}
+
+/// `doc` as a row, its shape guessed from `like`.
+fn row_of(doc: &Value, id: Option<DocId>, like: Option<&Row>, shapes: &mut Shapes) -> Row {
+    let Value::Object(map) = doc.clone() else {
+        panic!("{doc} is not an object")
+    };
+    Row::from_map(map, id, like, shapes)
+}
+
+fn json_of(row: &Row) -> String {
+    let mut text = String::new();
+    row.write_json(&mut text);
+    text
+}
+
+/// A row is its document: back to the same `Value`, and written as the
+/// same bytes — with the id the caller's, none, or spliced in on the
+/// way, and whether or not the shape guess holds.
+#[test]
+fn rows_round_trip_documents() {
+    check(|rng| {
+        let mut shapes = Shapes::default();
+        let mut rows: Vec<Row> = Vec::new();
+        for _ in 0..rng.size(1, 6) {
+            let mut doc = match rng.size(0, 3) {
+                0 => rng.shaped(),
+                1 => rng.doc(),
+                // Anything at all under keys that need every escape.
+                _ => Value::Object(
+                    rng.vec(0, 5, |r| (r.letters(WILD, 0, 4), r.value(2)))
+                        .into_iter()
+                        .collect(),
+                ),
+            };
+            if rng.flag() {
+                let members = doc.as_object_mut().unwrap();
+                members.insert("_id".to_owned(), rng.value(1));
+            }
+            let like = rng.flag().then(|| rows.last()).flatten();
+            let row = row_of(&doc, None, like, &mut shapes);
+            assert_eq!(row.to_value(), doc);
+            assert_eq!(json_of(&row), doc.to_string());
+
+            let id = DocId(rng.next());
+            let stamped = row_of(&doc, Some(id), rng.flag().then_some(&row), &mut shapes);
+            let members = doc.as_object_mut().unwrap();
+            members.insert("_id".to_owned(), Value::from(id.0));
+            assert_eq!(stamped.to_value(), doc);
+            assert_eq!(json_of(&stamped), doc.to_string());
+            rows.extend([row, stamped]);
+        }
+        // Every row of one key set shares one shape.
+        let key_sets: BTreeSet<Vec<String>> = rows
+            .iter()
+            .map(|row| match row.to_value() {
+                Value::Object(map) => map.keys().cloned().collect(),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(shapes.len(), key_sets.len());
+        for row in rows {
+            shapes.release(row);
+        }
+        assert_eq!(shapes.len(), 0);
+    });
+}
+
+/// A filter sees in a row — read directly, or through a scan's slot memo
+/// as the shape changes from row to row — what it sees in the document.
+#[test]
+fn filters_match_rows_as_they_match_documents() {
+    check(|rng| {
+        let mut shapes = Shapes::default();
+        let docs = rng.vec(1, 10, Rng::shaped);
+        let mut rows: Vec<Row> = Vec::new();
+        for doc in &docs {
+            let row = row_of(
+                doc,
+                Some(DocId(rows.len() as u64)),
+                rows.last(),
+                &mut shapes,
+            );
+            rows.push(row);
+        }
+        for _ in 0..4 {
+            let filter = rng.filter(2);
+            let mut slots = Slots::of(&filter);
+            for row in &rows {
+                let expected = filter.matches(&row.to_value());
+                assert_eq!(filter.matches_doc(row), expected, "{filter:?} on {row:?}");
+                assert_eq!(
+                    filter.matches_doc(&slots.view(row)),
+                    expected,
+                    "{filter:?} through slots on {row:?}"
+                );
+            }
+        }
+    });
+}
+
+/// Probing the other sets for the smallest one's ids gives what merging
+/// them pairwise gave: over borrowed and materialised sets, empty ones,
+/// disjoint ones (the two id ranges) and a single set.
+#[test]
+fn probe_intersection_equals_merge_intersection() {
+    check(|rng| {
+        let sets: Vec<BTreeSet<DocId>> = rng.vec(1, 5, |r| {
+            let from = [0, 0, 25, 100][r.size(0, 4)];
+            let ids = r.vec(0, 30, |r| DocId(from + r.size(0, 40) as u64));
+            ids.into_iter().collect()
+        });
+        let as_vec = |set: &BTreeSet<DocId>| set.iter().copied().collect::<Vec<_>>();
+        let expected = sets
+            .iter()
+            .map(as_vec)
+            .reduce(|a, b| intersect_sorted(&a, &b))
+            .unwrap();
+        let probed = sets
+            .iter()
+            .map(|set| match rng.flag() {
+                true => IdSet::Borrowed(set),
+                false => IdSet::Sorted(as_vec(set)),
+            })
+            .collect();
+        assert_eq!(intersect(probed), expected);
+    });
+}
+
+/// The naive store: documents in a `Vec`, every query a scan of `Value`s
+/// with the public `Filter::matches`. What the collection must equal.
+#[derive(Default)]
+struct Naive {
+    docs: Vec<Value>,
+    next_id: u64,
+}
+
+impl Naive {
+    fn insert(&mut self, mut doc: Value) {
+        let members = doc.as_object_mut().unwrap();
+        members.insert("_id".to_owned(), Value::from(self.next_id));
+        self.next_id += 1;
+        self.docs.push(doc);
+    }
+
+    /// Stops at the first document the update fails on, as the
+    /// collection does, leaving it however far the update got.
+    fn update(&mut self, filter: &Filter, update: &Update) {
+        for doc in self.docs.iter_mut().filter(|doc| filter.matches(doc)) {
+            if update.apply(doc).is_err() {
+                break;
+            }
+        }
+    }
+
+    fn find(&self, filter: &Filter, options: &FindOptions) -> Result<Vec<Value>, StoreError> {
+        let mut found: Vec<&Value> = self.docs.iter().filter(|d| filter.matches(d)).collect();
+        if let Some((path, order)) = &options.sort {
+            let key = |doc: &Value| get_path(doc, path).cloned().unwrap_or(Value::Null);
+            // Any sort of two or more compares every one of them.
+            let compound = |doc: &&Value| key(doc).is_array() || key(doc).is_object();
+            if found.len() > 1 && found.iter().any(compound) {
+                return Err(StoreError::Unorderable(path.clone()));
+            }
+            found.sort_by(|a, b| {
+                let ordering = compare_values(&key(a), &key(b)).unwrap();
+                match order {
+                    SortOrder::Ascending => ordering,
+                    SortOrder::Descending => ordering.reverse(),
+                }
+            });
+        }
+        let window = found
+            .into_iter()
+            .skip(options.skip)
+            .take(options.limit.unwrap_or(usize::MAX));
+        Ok(window
+            .map(|doc| match &options.projection {
+                Some(paths) => project(doc, paths),
+                None => doc.clone(),
+            })
+            .collect())
+    }
+
+    fn distinct(&self, path: &str, filter: &Filter) -> Vec<Value> {
+        let mut values: Vec<Value> = Vec::new();
+        let matching = self.docs.iter().filter(|doc| filter.matches(doc));
+        for v in matching.filter_map(|doc| get_path(doc, path)) {
+            let seen = |seen: &Value| compare_values(seen, v) == Some(Ordering::Equal);
+            if !v.is_array() && !v.is_object() && !values.iter().any(seen) {
+                values.push(v.clone());
+            }
+        }
+        values.sort_by(|a, b| compare_values(a, b).unwrap());
+        values
+    }
+}
+
+/// Random inserts, updates, deletes, index changes and clears, over
+/// documents of interleaved shapes: after every step the collection
+/// answers `all`, `count`, `distinct` and `find_with_options` (sort ×
+/// skip × limit × projection) exactly as the naive store does.
+#[test]
+fn the_collection_equals_a_naive_scan_store() {
+    const INDEX_PATHS: [&str; 4] = ["v", "m", "n.x", "k\"\\\té"];
+    check(|rng| {
+        let c = Collection::new();
+        let mut naive = Naive::default();
+        for step in 0..rng.size(1, 25) {
+            match rng.size(0, 12) {
+                0..=3 => {
+                    let doc = rng.shaped();
+                    naive.insert(doc.clone());
+                    c.insert_one(doc).unwrap();
+                }
+                4 => {
+                    let docs = rng.vec(0, 5, Rng::shaped);
+                    docs.iter().for_each(|doc| naive.insert(doc.clone()));
+                    c.insert_many(docs).unwrap();
+                }
+                5..=6 => {
+                    let update = match rng.size(0, 4) {
+                        0 => Update::inc("v", rng.float(-2.0, 2.0)),
+                        1 => Update::set("flag", rng.flag()),
+                        2 => Update::set("n.x", rng.int(-3, 4)),
+                        _ => Update::parse(&json!({"$unset": {"m": 1}})).unwrap(),
+                    };
+                    let filter = rng.filter(1);
+                    naive.update(&filter, &update);
+                    // An `$inc` of a null or a `$set` through a scalar
+                    // fails part-way on both sides alike.
+                    let _ = c.update_many(&filter, &update);
+                }
+                7..=8 => {
+                    let filter = rng.filter(1);
+                    let before = naive.docs.len();
+                    naive.docs.retain(|doc| !filter.matches(doc));
+                    let deleted = c.delete_many(&filter).unwrap();
+                    assert_eq!(deleted, before - naive.docs.len());
+                }
+                9 => c.create_index(rng.pick(&INDEX_PATHS)).unwrap(),
+                10 => c.drop_index(rng.pick(&INDEX_PATHS)).unwrap(),
+                _ => {
+                    naive.docs.clear();
+                    c.clear().unwrap();
+                }
+            }
+            assert_eq!(c.all(), naive.docs, "step {step}");
+            for _ in 0..2 {
+                let (filter, options) = (rng.filter(2), rng.find_options());
+                assert_eq!(
+                    c.find_with_options(&filter, &options),
+                    naive.find(&filter, &options),
+                    "step {step}: {filter:?} {options:?}"
+                );
+                assert_eq!(
+                    c.count(&filter).unwrap(),
+                    naive.find(&filter, &FindOptions::new()).unwrap().len()
+                );
+                let path = rng.pick(&READ_PATHS);
+                assert_eq!(
+                    c.distinct(path, &filter),
+                    naive.distinct(path, &filter),
+                    "step {step}: distinct {path} where {filter:?}"
+                );
+            }
+        }
     });
 }

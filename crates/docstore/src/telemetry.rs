@@ -42,6 +42,8 @@ pub(crate) struct StoreTelemetry {
     pub(crate) snapshot_seconds: Histogram,
     /// Size of the last snapshot's state, in bytes.
     pub(crate) snapshot_bytes: Gauge,
+    /// Distinct key sets (row shapes) live across all collections.
+    pub(crate) shapes: Gauge,
 }
 
 /// The lazily-registered docstore metric set.
@@ -119,6 +121,10 @@ pub(crate) fn telemetry() -> &'static StoreTelemetry {
                 "docstore_snapshot_bytes",
                 "Size of the last snapshot's state (bytes)",
             ),
+            shapes: registry.gauge(
+                "docstore_row_shapes",
+                "Distinct document key sets (row shapes) live across all collections",
+            ),
         }
     })
 }
@@ -156,6 +162,7 @@ mod tests {
             "docstore_snapshot_failures_total",
             "docstore_snapshot_seconds",
             "docstore_snapshot_bytes",
+            "docstore_row_shapes",
         ] {
             assert!(names.iter().any(|n| n == name), "missing {name}");
         }

@@ -1,7 +1,8 @@
 //! JSON value helpers: dotted-path access and a total scalar ordering.
 
+use crate::row::Doc;
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{Number, Value};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -34,11 +35,7 @@ impl fmt::Display for DocId {
 /// assert_eq!(get_path(&doc, "location.provider"), None);
 /// ```
 pub fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
-    let mut current = doc;
-    for segment in path.split('.') {
-        current = current.as_object()?.get(segment)?;
-    }
-    Some(current)
+    doc.at(path)
 }
 
 /// Writes `value` at a dotted path, creating intermediate objects as
@@ -111,7 +108,8 @@ fn type_rank(v: &Value) -> u8 {
 ///
 /// Values of different types order by type rank (null < number < string <
 /// bool), matching MongoDB's cross-type sort behaviour closely enough for
-/// GoFlow's queries. Numbers compare as `f64`.
+/// GoFlow's queries. Numbers compare by exact value whatever their
+/// kind: `1 == 1.0`, and two integers above 2⁵³ that differ, differ.
 ///
 /// # Examples
 ///
@@ -136,13 +134,35 @@ pub fn compare_values(a: &Value, b: &Value) -> Option<Ordering> {
     }
     match (a, b) {
         (Value::Null, Value::Null) => Some(Ordering::Equal),
-        (Value::Number(x), Value::Number(y)) => {
-            let (x, y) = (x.as_f64()?, y.as_f64()?);
-            x.partial_cmp(&y)
-        }
+        (Value::Number(x), Value::Number(y)) => compare_numbers(x, y),
         (Value::String(x), Value::String(y)) => Some(x.cmp(y)),
         (Value::Bool(x), Value::Bool(y)) => Some(x.cmp(y)),
         _ => None,
+    }
+}
+
+/// Orders two numbers as the reals they denote, never rounding an
+/// integer through `f64` (where 2⁵³ and 2⁵³ + 1 are one value).
+fn compare_numbers(x: &Number, y: &Number) -> Option<Ordering> {
+    // Every JSON integer the parser keeps as one fits `i128`.
+    let int = |n: &Number| match n.as_u64() {
+        Some(u) => Some(i128::from(u)),
+        None => n.as_i64().map(i128::from),
+    };
+    // An integer against a float: against the float's whole part, which
+    // `i128` holds exactly inside ±2¹²⁶, then that part against the float.
+    // A float beyond that is beyond every integer, as it is beyond zero.
+    let int_float = |i: i128, f: f64| match f.trunc() {
+        whole if whole.abs() < 2f64.powi(126) => {
+            Some(i.cmp(&(whole as i128)).then(whole.total_cmp(&f)))
+        }
+        _ => 0.0.partial_cmp(&f),
+    };
+    match (int(x), int(y)) {
+        (Some(x), Some(y)) => Some(x.cmp(&y)),
+        (Some(x), None) => int_float(x, y.as_f64()?),
+        (None, Some(y)) => int_float(y, x.as_f64()?).map(Ordering::reverse),
+        (None, None) => x.as_f64()?.partial_cmp(&y.as_f64()?),
     }
 }
 
@@ -212,6 +232,47 @@ mod tests {
             compare_values(&json!(null), &json!(null)),
             Some(Ordering::Equal)
         );
+    }
+
+    #[test]
+    fn numbers_compare_by_exact_value_across_kinds() {
+        let two_53 = 9_007_199_254_740_992u64;
+        let less = Some(Ordering::Less);
+        // Integers `f64` cannot tell apart.
+        assert_eq!(compare_values(&json!(two_53), &json!(two_53 + 1)), less);
+        assert_eq!(compare_values(&json!(u64::MAX - 1), &json!(u64::MAX)), less);
+        assert_eq!(compare_values(&json!(i64::MIN), &json!(i64::MIN + 1)), less);
+        assert_eq!(compare_values(&json!(i64::MIN), &json!(u64::MAX)), less);
+        // An integer against a float is not rounded to meet it.
+        assert_eq!(
+            compare_values(&json!(two_53 as f64), &json!(two_53 + 1)),
+            less
+        );
+        assert_eq!(
+            compare_values(&json!(u64::MAX), &json!(2f64.powi(64))),
+            less
+        );
+        assert_eq!(
+            compare_values(&json!(-(2f64.powi(64))), &json!(i64::MIN)),
+            less
+        );
+        assert_eq!(
+            compare_values(&json!(1e300), &json!(u64::MAX)),
+            less.map(Ordering::reverse)
+        );
+        assert_eq!(compare_values(&json!(0), &json!(0.5)), less);
+        assert_eq!(compare_values(&json!(-0.5), &json!(0)), less);
+        assert_eq!(compare_values(&json!(-1), &json!(-0.5)), less);
+        // Equal values are equal whatever their kind.
+        let equal = Some(Ordering::Equal);
+        assert_eq!(compare_values(&json!(1), &json!(1.0)), equal);
+        assert_eq!(compare_values(&json!(0), &json!(-0.0)), equal);
+        assert_eq!(compare_values(&json!(0.0), &json!(-0.0)), equal);
+        assert_eq!(
+            compare_values(&json!(i64::MIN), &json!(-(2f64.powi(63)))),
+            equal
+        );
+        assert_eq!(compare_values(&json!(two_53), &json!(two_53 as f64)), equal);
     }
 
     #[test]
