@@ -7,27 +7,42 @@
 //! `update_many` converts the document it changes there and back.
 //!
 //! **Reads** share one iterator, `CollectionInner::matches`: the
-//! planner's candidates (or every row) re-checked against the full
-//! filter in `_id` order. `count` consumes it without building anything,
-//! an unsorted `find` stops it when the window is full, and a sorted one
-//! reads each match's key once, stable-sorts `(key, &Row)` pairs and
-//! converts only the window. **Writes** share `Collection::mutate` (see
+//! planner's candidates, or without a usable index the rows of the blocks
+//! a scan cannot skip, re-checked against the full filter in `_id` order.
+//! `count` consumes it without building anything, an unsorted `find`
+//! stops it when the window is full, and a sorted one reads each match's
+//! key once, stable-sorts `(key, &Row)` pairs and converts only the
+//! window. **Writes** share `Collection::mutate` (see
 //! [`crate::durability`]).
+//!
+//! **Block summaries** are what lets a scan skip: the store is an append
+//! log in arrival order, arrival is very nearly capture order, and what
+//! reads it asks for a numeric window (a day, an hour, a box). Per block
+//! of 1 024 consecutive `_id`s and per key set met there, the collection
+//! keeps bounds on the numbers stored at each top-level member (`Block`)
+//! — widened in `put`, the one place a row is stored, never narrowed,
+//! dropped with the block's last row. A full scan passes over every
+//! block in which no key set can satisfy the filter's numeric equalities
+//! and range bounds on undotted paths. Like the planner's candidates,
+//! summaries only ever have to be conservative (every row walked is
+//! re-checked), and they are derived state: no byte on disk, rebuilt by
+//! replay through `put`. A pruned scan is still `PlanKind::FullScan`;
+//! `docstore_scan_blocks_{visited,skipped}_total` count what it saved.
 
 use crate::durability::{journaled, DurableCtx, Journal};
-use crate::filter::Filter;
+use crate::filter::{Filter, IndexablePredicate, RangeBound};
 use crate::index::PathIndex;
 use crate::planner::plan_query;
-use crate::row::{Doc, Row, Shapes, Slots};
+use crate::row::{slot_in, Doc, Row, Shapes, Slots};
 use crate::telemetry::telemetry;
 use crate::update::Update;
-use crate::value::{compare_values, set_path, DocId};
+use crate::value::{compare_numbers, compare_values, set_path, DocId};
 use crate::StoreError;
 use mps_telemetry::SpanTimer;
 use parking_lot::Mutex;
-use serde_json::Value;
+use serde_json::{Number, Value};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 /// Sort direction for [`FindOptions`].
@@ -96,12 +111,183 @@ impl FindOptions {
     }
 }
 
+/// Consecutive `_id`s that share one [`Block`] summary.
+const BLOCK_IDS: u64 = if cfg!(test) { 8 } else { 1024 };
+
+/// Key sets a block tells apart. One that meets more stops summarising
+/// and is always visited, so neither an insert nor a scan is ever linear
+/// in the key sets of a block.
+const BLOCK_KEY_SETS: usize = 8;
+
+/// The first `_id` of the block `id` falls in: the block's key.
+fn block_of(id: DocId) -> u64 {
+    id.0 - id.0 % BLOCK_IDS
+}
+
+/// Bounds on the numbers one member has held, as `f64`s: the smallest
+/// and the largest, exactly, of floats and of integers below 2⁵³ (every
+/// id, count and timestamp); an integer beyond is bracketed by the
+/// `f64`s either side of its own, so bounds there err outward by an ulp
+/// and never inward. A query's number is compared with a bound exactly
+/// ([`compare_numbers`] rounds neither). `(∞, −∞)`: no number yet.
+type Bounds = (f64, f64);
+const NO_NUMBER: Bounds = (f64::INFINITY, f64::NEG_INFINITY);
+/// 2⁵³: every integer of smaller magnitude is an `f64`.
+const EXACT_BELOW: f64 = 9_007_199_254_740_992.0;
+
+/// What a block of `_id`s has held since it was last empty: per key set,
+/// per top-level member, [`Bounds`] on the *numbers* stored there. They
+/// widen with every row stored and never narrow, so they are a superset
+/// of what the block holds now — all a scan needs to skip it safely.
+#[derive(Debug, Default)]
+struct Block {
+    /// Rows in the block now; the summary goes with the last.
+    rows: u64,
+    /// The key sets met. More than [`BLOCK_KEY_SETS`]: the block has
+    /// stopped summarising.
+    key_sets: Vec<KeySet>,
+}
+
+/// A key list (the shape registry's own, never the shape: a block must
+/// not keep one alive) and the bounds of its members, in order.
+type KeySet = (Arc<[String]>, Box<[Bounds]>);
+
+impl Block {
+    /// Takes `row`'s numbers into the bounds of its key set. Out of line:
+    /// inlined into `put`, and with it into the insert loop, it cost
+    /// `ingest_mem` 3 % beyond its own ~60 ns a row.
+    #[inline(never)]
+    fn widen(&mut self, row: &Row) {
+        if self.key_sets.len() > BLOCK_KEY_SETS {
+            return;
+        }
+        let keys = row.keys();
+        // The pointer settles it for a stream; a key set that left the
+        // registry and came back has a new list with the old contents.
+        let sets = &mut self.key_sets;
+        let same = sets.iter().position(|(known, _)| Arc::ptr_eq(known, keys));
+        let equal = || sets.iter().position(|(known, _)| **known == **keys);
+        let at = same.or_else(equal).unwrap_or_else(|| {
+            let members = vec![NO_NUMBER; keys.len()].into_boxed_slice();
+            sets.push((Arc::clone(keys), members));
+            sets.len() - 1
+        });
+        for ((min, max), value) in sets[at].1.iter_mut().zip(row.values()) {
+            let Value::Number(n) = value else { continue };
+            let (lo, hi) = match n.as_f64() {
+                Some(f) if f.abs() < EXACT_BELOW => (f, f),
+                Some(f) => (f.next_down(), f.next_up()),
+                None => (f64::NEG_INFINITY, f64::INFINITY),
+            };
+            if lo < *min {
+                *min = lo;
+            }
+            if hi > *max {
+                *max = hi;
+            }
+        }
+    }
+
+    /// Whether a row of the block may satisfy every one of `ranges`: some
+    /// key set has each member, with numbers on the right side of each
+    /// bound. A member that is absent or has held no number satisfies
+    /// none — a number is equal to, and ordered against, numbers only.
+    fn may_hold(&self, ranges: &[NumericRange<'_>]) -> bool {
+        // Whether `end`, the bound of what is held on the side that
+        // matters, is not `beyond` the query's `bound`.
+        let reaches = |end: f64, bound: Option<(&Number, bool)>, beyond: Ordering| {
+            let (Some(end), Some((n, inclusive))) = (Number::from_f64(end), bound) else {
+                return true; // unbounded, on one side or the other
+            };
+            match compare_numbers(&end, n) {
+                Some(Ordering::Equal) => inclusive,
+                side => side != Some(beyond),
+            }
+        };
+        let within = |keys: &[String], bounds: &[Bounds], range: &NumericRange<'_>| {
+            let Some(&(min, max)) = slot_in(keys, range.key).map(|slot| &bounds[slot]) else {
+                return false;
+            };
+            min <= max
+                && reaches(max, range.lo, Ordering::Less)
+                && reaches(min, range.hi, Ordering::Greater)
+        };
+        self.key_sets.len() > BLOCK_KEY_SETS
+            || self
+                .key_sets
+                .iter()
+                .any(|(keys, bounds)| ranges.iter().all(|range| within(keys, bounds, range)))
+    }
+}
+
+/// A conjunct of a filter that summaries can rule a block out by: the
+/// top-level member `key` is a number within these bounds.
+#[derive(Debug)]
+struct NumericRange<'a> {
+    key: &'a str,
+    lo: Option<(&'a Number, bool)>,
+    hi: Option<(&'a Number, bool)>,
+}
+
+/// The [`NumericRange`]s among what the planner extracts from `filter`:
+/// equalities and range bounds against a number, on an undotted path.
+/// Anything else — other types, `$ne`, `$in`, `$exists`, `$or`, `$not`,
+/// nested members — is left to the re-check and rules nothing out.
+fn numeric_ranges(filter: &Filter) -> Vec<NumericRange<'_>> {
+    fn number(bound: Option<RangeBound<'_>>) -> Option<(&Number, bool)> {
+        match bound {
+            Some((Value::Number(n), inclusive)) => Some((n, inclusive)),
+            _ => None,
+        }
+    }
+    let predicates = filter.indexable_predicates().into_iter();
+    let ranges = predicates.filter_map(|predicate| {
+        let (key, lo, hi) = match predicate {
+            IndexablePredicate::Eq { path, value } => {
+                (path, Some((value, true)), Some((value, true)))
+            }
+            IndexablePredicate::Range(range) => range,
+        };
+        let (lo, hi) = (number(lo), number(hi));
+        let prunes = !key.contains('.') && (lo.is_some() || hi.is_some());
+        prunes.then_some(NumericRange { key, lo, hi })
+    });
+    ranges.collect()
+}
+
+/// Blocks one scan walked and skipped: added to the counters once, when
+/// the scan ends or is abandoned (as a full window abandons it).
+#[derive(Debug, Default)]
+struct BlockTally {
+    visited: u64,
+    skipped: u64,
+}
+
+impl BlockTally {
+    /// Counts one block, walked if `visit`; hands `visit` back.
+    fn note(&mut self, visit: bool) -> bool {
+        self.visited += u64::from(visit);
+        self.skipped += u64::from(!visit);
+        visit
+    }
+}
+
+impl Drop for BlockTally {
+    fn drop(&mut self) {
+        telemetry().scan_blocks_visited.add(self.visited);
+        telemetry().scan_blocks_skipped.add(self.skipped);
+    }
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct CollectionInner {
     pub(crate) docs: BTreeMap<DocId, Row>,
     pub(crate) next_id: u64,
     pub(crate) indexes: BTreeMap<String, PathIndex>,
     shapes: Shapes,
+    /// A summary per block that holds a row, by [`block_of`]: sparse, so
+    /// nothing is sized by an `_id`.
+    blocks: BTreeMap<u64, Block>,
 }
 
 impl CollectionInner {
@@ -126,10 +312,14 @@ impl CollectionInner {
     }
 
     /// Stores `row` at `id` without indexing it: what log replay does
-    /// (it builds the indexes once, at the end).
+    /// (it builds the indexes once, at the end). The one place a row is
+    /// stored, and so the one place a block's summary widens.
     pub(crate) fn put(&mut self, id: DocId, row: Row) {
-        if let Some(replaced) = self.docs.insert(id, row) {
-            self.shapes.release(replaced);
+        let block = self.blocks.entry(block_of(id)).or_default();
+        block.widen(&row);
+        match self.docs.insert(id, row) {
+            Some(replaced) => self.shapes.release(replaced),
+            None => block.rows += 1,
         }
     }
 
@@ -147,6 +337,12 @@ impl CollectionInner {
     /// gives it back to the shape registry once it has read it.
     fn take(&mut self, id: DocId) -> Option<Row> {
         let row = self.docs.remove(&id)?;
+        if let Entry::Occupied(mut block) = self.blocks.entry(block_of(id)) {
+            block.get_mut().rows -= 1;
+            if block.get().rows == 0 {
+                block.remove();
+            }
+        }
         for (path, index) in &mut self.indexes {
             if let Some(value) = row.at(path) {
                 index.remove(value, id);
@@ -165,21 +361,45 @@ impl CollectionInner {
     /// Forgets every row (and so every shape); indexes stay defined.
     pub(crate) fn clear(&mut self) {
         self.docs.clear();
+        self.blocks.clear();
         self.shapes = Shapes::default();
         for index in self.indexes.values_mut() {
             *index = PathIndex::new();
         }
     }
 
+    /// The rows a full scan has to look at, in `_id` order: those of the
+    /// blocks whose summaries cannot rule out one of `filter`'s numeric
+    /// conjuncts.
+    pub(crate) fn scan<'a>(
+        &'a self,
+        filter: &'a Filter,
+    ) -> impl Iterator<Item = (&'a DocId, &'a Row)> + 'a {
+        let ranges = numeric_ranges(filter);
+        let mut tally = BlockTally::default();
+        let surviving = self
+            .blocks
+            .iter()
+            .filter(move |(_, block)| tally.note(block.may_hold(&ranges)));
+        surviving.flat_map(|(first, _)| {
+            self.docs
+                .range(DocId(*first)..=DocId(first + (BLOCK_IDS - 1)))
+        })
+    }
+
     /// Rows matching `filter` in `_id` order — the one read path under
     /// find, count, distinct, update and delete. The planner's candidates
     /// are fetched and re-checked against the full filter; without a
-    /// usable index every row is visited. The chosen plan is recorded in
+    /// usable index the rows of every block [`scan`](Self::scan) cannot
+    /// skip are. The chosen plan is recorded in
     /// `docstore_query_plans_total{plan=...}`.
-    fn matches<'a>(&'a self, filter: &'a Filter) -> impl Iterator<Item = (DocId, &'a Row)> + 'a {
+    pub(crate) fn matches<'a>(
+        &'a self,
+        filter: &'a Filter,
+    ) -> impl Iterator<Item = (DocId, &'a Row)> + 'a {
         let plan = plan_query(filter, &self.indexes);
         telemetry().record_plan(plan.kind);
-        let scan = plan.candidates.is_none().then(|| self.docs.iter());
+        let scan = plan.candidates.is_none().then(|| self.scan(filter));
         let mut slots = Slots::of(filter);
         plan.candidates
             .into_iter()
@@ -223,8 +443,10 @@ impl CollectionInner {
 /// `docs` in the order of the value at `path`, a missing value sorting as
 /// null. Each document's key is read once; the sort is stable, so ties
 /// stay in arrival (`_id`) order either way round. Arrays and objects
-/// have no order: meeting one in a comparison is
-/// [`StoreError::Unorderable`].
+/// have no order: one among two or more keys is
+/// [`StoreError::Unorderable`] — found before the sort, which is then
+/// never handed a comparison that is no total order (it may panic on
+/// one).
 pub(crate) fn sorted_by_path<'a, D: Doc>(
     docs: impl Iterator<Item = &'a D>,
     path: &str,
@@ -233,18 +455,17 @@ pub(crate) fn sorted_by_path<'a, D: Doc>(
     let mut keyed: Vec<(&Value, &D)> = docs
         .map(|doc| (doc.at(path).unwrap_or(&Value::Null), doc))
         .collect();
-    let mut unorderable = false;
-    keyed.sort_by(|(a, _), (b, _)| match (compare_values(a, b), order) {
-        (Some(ordering), SortOrder::Ascending) => ordering,
-        (Some(ordering), SortOrder::Descending) => ordering.reverse(),
-        (None, _) => {
-            unorderable = true;
-            Ordering::Equal
-        }
-    });
-    if unorderable {
+    let compound = |(key, _): &(&Value, &D)| key.is_array() || key.is_object();
+    if keyed.len() > 1 && keyed.iter().any(compound) {
         return Err(StoreError::Unorderable(path.to_owned()));
     }
+    keyed.sort_by(|(a, _), (b, _)| {
+        let ordering = compare_values(a, b).unwrap_or(Ordering::Equal);
+        match order {
+            SortOrder::Ascending => ordering,
+            SortOrder::Descending => ordering.reverse(),
+        }
+    });
     Ok(keyed.into_iter().map(|(_, doc)| doc).collect())
 }
 
@@ -402,6 +623,9 @@ impl Collection {
     ///
     /// Currently infallible; returns `Result` for parity with `find`.
     pub fn count(&self, filter: &Filter) -> Result<usize, StoreError> {
+        let metrics = telemetry();
+        metrics.collection_count.inc();
+        let _timer = SpanTimer::start(&metrics.collection_count_seconds);
         Ok(self.inner.lock().matches(filter).count())
     }
 
@@ -630,6 +854,24 @@ mod tests {
     }
 
     #[test]
+    fn sort_on_compounds_among_scalars_errors_and_never_panics() {
+        // "Equal" for every pair with an array in it is no total order,
+        // and the standard sort may panic when it notices.
+        let c = Collection::new();
+        c.insert_many((0..64).map(|i| match i % 3 {
+            0 => json!({"v": [i]}),
+            _ => json!({"v": (i * 37) % 64}),
+        }))
+        .unwrap();
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
+            assert_eq!(
+                c.find_with_options(&Filter::True, &FindOptions::new().sort("v", order)),
+                Err(StoreError::Unorderable("v".to_owned()))
+            );
+        }
+    }
+
+    #[test]
     fn projection_keeps_id_and_paths() {
         let c = seeded();
         let opts = FindOptions::new().project(vec!["loc.acc".into()]);
@@ -738,6 +980,166 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(c.len(), 2);
         assert_eq!(c.count(&Filter::lt("spl", 60.0)).unwrap(), 0);
+    }
+
+    /// Forty documents, `day` rising one per block of eight (the block
+    /// size under test), two key sets interleaved.
+    fn days() -> Collection {
+        let c = Collection::new();
+        c.insert_many((0..40).map(|i| match i % 2 {
+            0 => json!({"day": i / 8, "kind": "a"}),
+            _ => json!({"day": i / 8, "kind": "b", "note": i}),
+        }))
+        .unwrap();
+        c
+    }
+
+    fn visited(c: &Collection, filter: &Value) -> Vec<u64> {
+        let filter = Filter::parse(filter).unwrap();
+        let inner = c.inner.lock();
+        let scanned = inner.scan(&filter).map(|(id, _)| id.0);
+        scanned.collect()
+    }
+
+    #[test]
+    fn a_scan_visits_only_the_blocks_its_numeric_conjuncts_allow() {
+        let c = days();
+        let (all, third): (Vec<u64>, Vec<u64>) = ((0..40).collect(), (16..24).collect());
+        assert_eq!(visited(&c, &json!({"kind": "a", "day": 2})), third);
+        assert_eq!(visited(&c, &json!({"day": {"$gt": 1, "$lt": 3}})), third);
+        assert_eq!(
+            visited(&c, &json!({"day": {"$gte": 2.0, "$lte": 2.5}})),
+            third
+        );
+        assert_eq!(visited(&c, &json!({"day": {"$gt": 3}})), all[32..]);
+        assert_eq!(
+            visited(&c, &json!({"day": {"$lt": 1}, "note": {"$gt": 7}})),
+            [] as [u64; 0]
+        );
+        assert_eq!(
+            visited(&c, &json!({"day": {"$lt": 1}, "note": {"$gte": 7}})),
+            all[..8]
+        );
+        assert_eq!(visited(&c, &json!({"day": 7})), [] as [u64; 0]);
+        // What is not a number, not at the top, or not a conjunct rules
+        // nothing out — nor does a member's absence from *some* key set.
+        for filter in [
+            json!({}),
+            json!({"kind": "a"}),
+            json!({"day": {"$ne": 2}}),
+            json!({"day": {"$in": [2]}}),
+            json!({"day": {"$gt": "2"}}),
+            json!({"day.x": 2}),
+            json!({"$or": [{"day": 2}, {"day": 3}]}),
+            json!({"$not": {"day": 2}}),
+            json!({"day": null}),
+            json!({"note": {"$exists": false}}),
+        ] {
+            assert_eq!(visited(&c, &filter), all, "{filter}");
+        }
+        let filter = Filter::parse(&json!({"kind": "a", "day": 2})).unwrap();
+        assert_eq!(c.count(&filter).unwrap(), 4);
+        assert_eq!(c.find(&filter).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn summaries_widen_with_updates_and_go_with_the_last_row() {
+        let c = days();
+        // A value moved outside its block's bounds is found where it is.
+        c.update_many(&Filter::eq("_id", 3), &Update::set("day", 99))
+            .unwrap();
+        assert_eq!(
+            visited(&c, &json!({"day": {"$gte": 50}})),
+            (0..8).collect::<Vec<_>>()
+        );
+        // Bounds never narrow: the block is still visited for what left.
+        c.update_many(&Filter::eq("_id", 3), &Update::set("day", 0))
+            .unwrap();
+        assert_eq!(
+            visited(&c, &json!({"day": {"$gte": 50}})),
+            (0..8).collect::<Vec<_>>()
+        );
+        // Until its last row goes, and the summary with it.
+        c.delete_many(&Filter::lt("_id", 8)).unwrap();
+        assert_eq!(c.inner.lock().blocks.len(), 4);
+        assert_eq!(visited(&c, &json!({"day": {"$gte": 50}})), [] as [u64; 0]);
+        c.clear().unwrap();
+        assert!(c.inner.lock().blocks.is_empty());
+        c.insert_one(json!({"day": 50})).unwrap();
+        assert_eq!(visited(&c, &json!({"day": {"$gte": 50}})), [40]);
+    }
+
+    #[test]
+    fn summaries_tell_apart_integers_that_are_one_f64() {
+        // Bounds rounded to the nearest `f64` would end at ±2⁵³ and lose
+        // the documents one beyond: they are rounded outward.
+        let two_53 = 9_007_199_254_740_992i64;
+        let c = Collection::new();
+        c.insert_many([two_53, two_53 + 1, -two_53, -two_53 - 1].map(|t| json!({"t": t})))
+            .unwrap();
+        let count = |filter: Value| c.count(&Filter::parse(&filter).unwrap()).unwrap();
+        assert_eq!(count(json!({"t": {"$gt": two_53}})), 1);
+        assert_eq!(count(json!({"t": {"$gt": two_53 as f64}})), 1);
+        assert_eq!(count(json!({"t": two_53 + 1})), 1);
+        assert_eq!(count(json!({"t": {"$lt": -two_53}})), 1);
+        assert_eq!(count(json!({"t": {"$lte": -two_53 - 1}})), 1);
+        // And end within an ulp (two, out here) of there.
+        assert!(visited(&c, &json!({"t": {"$gt": two_53 + 2}})).is_empty());
+        assert!(visited(&c, &json!({"t": {"$lt": -two_53 - 2}})).is_empty());
+        // Below 2⁵³ they end where the numbers do.
+        c.clear().unwrap();
+        c.insert_many([json!({"t": two_53 - 2}), json!({"t": -1e15 - 0.5})])
+            .unwrap();
+        assert_eq!(count(json!({"t": {"$gte": two_53 - 2}})), 1);
+        assert!(visited(&c, &json!({"t": {"$gt": two_53 - 2}})).is_empty());
+        assert!(visited(&c, &json!({"t": {"$lt": -1e15 - 0.5}})).is_empty());
+    }
+
+    #[test]
+    fn a_block_of_many_key_sets_stops_summarising() {
+        // A document given a new member — a new key set — at a time,
+        // beside one that keeps the block, and its summary, alive.
+        let c = Collection::new();
+        c.insert_many([json!({"k0": 0}), json!({"k0": 0})]).unwrap();
+        let held = |c: &Collection| c.inner.lock().blocks[&0].key_sets.len();
+        for sets in 1..=BLOCK_KEY_SETS + 3 {
+            assert_eq!(held(&c), sets.min(BLOCK_KEY_SETS + 1));
+            let skipped = visited(&c, &json!({"absent": 7})).is_empty();
+            assert_eq!(skipped, sets <= BLOCK_KEY_SETS, "after {sets} key sets");
+            c.update_many(&Filter::eq("_id", 1), &Update::set(format!("k{sets}"), 1))
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn scans_count_the_blocks_they_visit_and_skip_once_each() {
+        let registry = mps_telemetry::Registry::global();
+        let count = |name: &str| registry.counter_value(name).unwrap_or(0);
+        let read = || {
+            (
+                count("docstore_scan_blocks_visited_total"),
+                count("docstore_scan_blocks_skipped_total"),
+                count("docstore_collection_count_total"),
+            )
+        };
+        let c = days();
+        // Other tests scan too: the counters are the process's, so only
+        // this scan's own share can be asserted, as a lower bound.
+        let before = read();
+        let filter = Filter::parse(&json!({"kind": "a", "day": 2})).unwrap();
+        assert_eq!(c.count(&filter).unwrap(), 4);
+        let after = read();
+        assert!(after.0 > before.0, "one block visited");
+        assert!(after.1 >= before.1 + 4, "four blocks skipped");
+        assert!(after.2 > before.2, "the count is counted");
+        // A window that fills early leaves the later blocks uncounted,
+        // but counts the ones it passed.
+        let first = FindOptions::new().limit(1);
+        let before = read();
+        let filter = Filter::parse(&json!({"day": {"$gte": 1}})).unwrap();
+        assert_eq!(c.find_with_options(&filter, &first).unwrap().len(), 1);
+        let after = read();
+        assert!(after.0 > before.0 && after.1 > before.1);
     }
 
     #[test]

@@ -796,6 +796,33 @@ mod tests {
     }
 
     #[test]
+    fn a_replayed_id_sizes_nothing() {
+        // Block summaries are kept by id: in a sparse map, so an id from
+        // the log — any `u64` — costs one entry, not a table up to it.
+        const FAR: u64 = 1 << 63;
+        let dir = temp_dir("far-id");
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
+        wal.append_batch(&[
+            br#"{"coll":"obs","doc":{"_id":3,"day":1},"id":3,"op":"insert"}"#.to_vec(),
+            br#"{"coll":"obs","doc":{"_id":9223372036854775808,"day":2},"id":9223372036854775808,"op":"insert"}"#.to_vec(),
+        ])
+        .unwrap();
+        drop(wal);
+        let store = Store::open(durable(&dir)).unwrap();
+        let obs = store.collection("obs");
+        assert_eq!(
+            obs.find(&Filter::eq("day", 2)).unwrap(),
+            [json!({"_id": FAR, "day": 2})]
+        );
+        assert_eq!(obs.count(&Filter::gte("_id", FAR)).unwrap(), 1);
+        assert_eq!(obs.count(&Filter::lt("_id", FAR)).unwrap(), 1);
+        assert_eq!(obs.insert_one(json!({"day": 3})).unwrap(), DocId(FAR + 1));
+        assert_eq!(obs.delete_many(&Filter::gte("day", 2)).unwrap(), 2);
+        assert_eq!(obs.all(), [json!({"_id": 3, "day": 1})]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn the_same_mutations_write_the_golden_log() {
         let dir = temp_dir("golden-write");
         let config = DurabilityConfig::new(&dir)

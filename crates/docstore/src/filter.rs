@@ -486,10 +486,34 @@ impl Filter {
     /// looking through conjunctions at any depth (`Filter::parse` nests
     /// multi-operator path objects as an inner `And`).
     ///
-    /// Bounds repeated on the same side of the same path keep the last
-    /// occurrence, which can only *widen* the candidate range — safe,
-    /// because candidates are re-checked against the full filter.
+    /// Bounds repeated on the same side of the same path keep the tighter
+    /// one (see `tighten`); what is extracted is always a superset of the
+    /// matches, because candidates are re-checked against the full filter.
     pub(crate) fn indexable_predicates(&self) -> Vec<IndexablePredicate<'_>> {
+        /// Replaces `kept` by `new` where `new` is the tighter bound: for
+        /// a lower bound the `Greater` one, for an upper the `Less`, and
+        /// of two equal ones the exclusive. Bounds of different types do
+        /// not compare (no value satisfies both): the first stays, the
+        /// other is left to the re-check.
+        fn tighten<'a>(
+            kept: &mut Option<RangeBound<'a>>,
+            new: Option<RangeBound<'a>>,
+            tighter: Ordering,
+        ) {
+            let (Some((old, old_inclusive)), Some((value, inclusive))) = (*kept, new) else {
+                *kept = kept.or(new);
+                return;
+            };
+            let same_type = std::mem::discriminant(old) == std::mem::discriminant(value);
+            let replace = match compare_values(value, old) {
+                Some(Ordering::Equal) => old_inclusive && !inclusive,
+                Some(ordering) => same_type && ordering == tighter,
+                None => false,
+            };
+            if replace {
+                *kept = new;
+            }
+        }
         fn range_of(f: &Filter) -> Option<RangePredicate<'_>> {
             match f {
                 Filter::Cmp { path, op, value } => match op {
@@ -521,12 +545,8 @@ impl Filter {
                         if let Some((path, lo, hi)) = range_of(clause) {
                             match ranges.iter_mut().find(|(p, _, _)| *p == path) {
                                 Some((_, mlo, mhi)) => {
-                                    if lo.is_some() {
-                                        *mlo = lo;
-                                    }
-                                    if hi.is_some() {
-                                        *mhi = hi;
-                                    }
+                                    tighten(mlo, lo, Ordering::Greater);
+                                    tighten(mhi, hi, Ordering::Less);
                                 }
                                 None => ranges.push((path, lo, hi)),
                             }
@@ -816,6 +836,62 @@ mod tests {
         let f = Filter::parse(&json!({"spl": {"$gt": 5}, "acc": {"$lte": 30}})).unwrap();
         let preds = f.indexable_predicates();
         assert_eq!(preds.len(), 2, "one merged range per path");
+    }
+
+    #[test]
+    fn repeated_bounds_on_one_path_keep_the_tighter() {
+        let range_of = |doc: Value| match Filter::parse(&doc).unwrap().indexable_predicates()[..] {
+            [IndexablePredicate::Range((_, lo, hi))] => (
+                lo.map(|(v, inclusive)| (v.clone(), inclusive)),
+                hi.map(|(v, inclusive)| (v.clone(), inclusive)),
+            ),
+            ref other => panic!("one range expected, got {other:?}"),
+        };
+        let and = |a: Value, b: Value| json!({"$and": [{"t": a}, {"t": b}]});
+        // Whichever comes last: last-wins planned `t >= 1` for the first.
+        for (a, b) in [
+            (json!({"$gte": 100}), json!({"$gte": 1})),
+            (json!({"$gte": 1}), json!({"$gte": 100})),
+        ] {
+            assert_eq!(range_of(and(a, b)), (Some((json!(100), true)), None));
+        }
+        assert_eq!(
+            range_of(and(
+                json!({"$lt": 7, "$gt": 2.5}),
+                json!({"$lte": 3, "$gte": 2})
+            )),
+            (Some((json!(2.5), false)), Some((json!(3), true)))
+        );
+        // Equal values: the exclusive bound is the tighter, either way
+        // round, and `1` against `1.0` is such a tie.
+        for (a, b) in [
+            (
+                json!({"$gt": 1, "$lte": 9}),
+                json!({"$gte": 1.0, "$lt": 9.0}),
+            ),
+            (
+                json!({"$gte": 1, "$lt": 9}),
+                json!({"$gt": 1.0, "$lte": 9.0}),
+            ),
+        ] {
+            let (lo, hi) = range_of(and(a, b));
+            assert_eq!((lo.unwrap().1, hi.unwrap().1), (false, false));
+        }
+        // Integers `f64` cannot tell apart still order.
+        let two_53 = 9_007_199_254_740_992u64;
+        assert_eq!(
+            range_of(and(json!({"$gt": two_53}), json!({"$gt": two_53 + 1}))).0,
+            Some((json!(two_53 + 1), false))
+        );
+        // Different types do not compare: the first is kept.
+        assert_eq!(
+            range_of(and(json!({"$gte": 5}), json!({"$gte": "a"}))).0,
+            Some((json!(5), true))
+        );
+        assert_eq!(
+            range_of(and(json!({"$lt": "a"}), json!({"$lt": 5}))).1,
+            Some((json!("a"), false))
+        );
     }
 
     #[test]

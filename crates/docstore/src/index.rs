@@ -89,6 +89,15 @@ impl PathIndex {
         lo: Option<(&Value, bool)>,
         hi: Option<(&Value, bool)>,
     ) -> Vec<DocId> {
+        // Bounds that cross hold nothing, and `BTreeMap::range` panics on
+        // them — as it does on one value excluded from both sides.
+        if let (Some((lo, lo_inclusive)), Some((hi, hi_inclusive))) = (lo, hi) {
+            match compare_values(lo, hi) {
+                Some(Ordering::Greater) => return Vec::new(),
+                Some(Ordering::Equal) if !(lo_inclusive && hi_inclusive) => return Vec::new(),
+                _ => {}
+            }
+        }
         let lo_bound = match lo {
             None => Bound::Unbounded,
             Some((v, inclusive)) => match IndexKey::new(v) {
@@ -191,6 +200,25 @@ mod tests {
         assert_eq!(ids, vec![DocId(0), DocId(1), DocId(2)]);
         let ids = idx.lookup_range(Some((&json!(8), false)), None);
         assert_eq!(ids, vec![DocId(9)]);
+    }
+
+    #[test]
+    fn crossed_range_bounds_are_empty_not_a_panic() {
+        let mut idx = PathIndex::new();
+        for i in 0..10 {
+            idx.insert(&json!(i), DocId(i as u64));
+        }
+        let (five, six) = (json!(5), json!(6.0));
+        for (lo, hi) in [
+            ((&six, true), (&five, true)),
+            ((&five, false), (&five, false)),
+            ((&five, true), (&five, false)),
+            ((&five, false), (&five, true)),
+        ] {
+            assert!(idx.lookup_range(Some(lo), Some(hi)).is_empty());
+        }
+        let ids = idx.lookup_range(Some((&five, true)), Some((&five, true)));
+        assert_eq!(ids, vec![DocId(5)]);
     }
 
     #[test]

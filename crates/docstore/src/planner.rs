@@ -11,9 +11,16 @@
 //! re-check each against the full filter, so the planner only ever has to
 //! be *conservative* (a superset of the true matches is always safe).
 //!
+//! The same holds for the second mechanism built on these predicates:
+//! where no index serves, the scan drops whole blocks of `_id`s on their
+//! numeric summaries (see [`crate::collection`]) and re-checks every row
+//! of the rest. That is not a plan of its own — the planner chose, and
+//! reports, a full scan.
+//!
 //! Which plan ran is exported as
 //! `docstore_query_plans_total{plan=...}` — watching `full_scan` climb on
-//! a hot collection is the signal that an index is missing.
+//! a hot collection is the signal that an index is missing, whether or
+//! not its scans skip.
 
 use crate::filter::{Filter, IndexablePredicate};
 use crate::index::PathIndex;

@@ -112,7 +112,12 @@ impl Rng {
     /// non-negative integer, a negative integer or a float (itself or a
     /// neighbour).
     fn edge_number(&mut self) -> Value {
-        let base = [1i128 << 53, 1 << 63, 1 << 64][self.size(0, 3)];
+        let base = EDGES[self.size(0, 3)];
+        self.edge_near(base)
+    }
+
+    /// [`Rng::edge_number`] at one of the [`EDGES`].
+    fn edge_near(&mut self, base: i128) -> Value {
         let n = base + i128::from(self.int(-2, 3));
         match self.size(0, 3) {
             0 => Value::from(u64::try_from(n).unwrap_or(u64::MAX)),
@@ -195,6 +200,88 @@ impl Rng {
         }
     }
 
+    /// What [`Rng::timed`] files under `t` at insertion number `at`: mostly
+    /// a number that rises with `at` plus jitter — as `day` and
+    /// `captured_ms` do in arrival order, which is what makes a block
+    /// skippable — as an integer or a float; sometimes an edge number,
+    /// `1` or `1.0`; sometimes no number at all (null, a string, a bool,
+    /// an array holding the number, an object), or nothing (`None`). With
+    /// an `edge`, mostly numbers within two of it, of every kind: a block
+    /// then holds neighbours that are one `f64`.
+    fn stamp(&mut self, at: u64, edge: Option<i128>) -> Option<Value> {
+        if let Some(edge) = edge.filter(|_| self.size(0, 4) > 0) {
+            return Some(self.edge_near(edge));
+        }
+        let rising = at as i64 * 4 + self.int(-6, 7);
+        Some(match self.size(0, 16) {
+            0 => return None,
+            1 => Value::Null,
+            2 => Value::from(rising.to_string()),
+            3 => Value::from(self.flag()),
+            4 => json!([rising]),
+            5 => json!({"x": rising}),
+            6 => self.edge_number(),
+            7 => [json!(1), json!(1.0)][self.size(0, 2)].clone(),
+            8..=10 => Value::from(rising as f64 + [0.0, 0.5][self.size(0, 2)]),
+            _ => Value::from(rising),
+        })
+    }
+
+    /// A document of one of four key sets, stamped (see [`Rng::stamp`])
+    /// under `t`, with a second, unordered number under `w`.
+    fn timed(&mut self, at: u64, edge: Option<i128>) -> Value {
+        let mut doc = match self.size(0, 4) {
+            0 => json!({}),
+            1 => json!({"m": self.letters("abc", 1, 1)}),
+            2 => json!({"m": self.letters("abc", 1, 1), "n": {"x": self.int(-3, 4)}}),
+            _ => {
+                let w = [json!(1), json!(1.0), json!(-2), json!("1")];
+                json!({"w": w[self.size(0, 4)]})
+            }
+        };
+        if let Some(t) = self.stamp(at, edge) {
+            doc.as_object_mut().unwrap().insert("t".to_owned(), t);
+        }
+        doc
+    }
+
+    /// One comparison with `value`, of the five kinds that let a scan
+    /// skip blocks — of `t`, or at times of `t.x`, which a dotted path
+    /// must keep from doing so.
+    fn versus(&mut self, value: Value) -> Filter {
+        let path = ["t", "t", "t", "t.x"][self.size(0, 4)];
+        match self.size(0, 5) {
+            0 => Filter::eq(path, value),
+            1 => Filter::gt(path, value),
+            2 => Filter::gte(path, value),
+            3 => Filter::lt(path, value),
+            _ => Filter::lte(path, value),
+        }
+    }
+
+    /// A filter that lets a scan skip blocks — a conjunction holding one
+    /// to three comparisons of `t` (so bounds repeat on the path) against
+    /// values drawn by `value`, one of `w` at times — among conjuncts
+    /// that must not: any filter at all, over any path.
+    fn skipping(&mut self, value: &mut impl FnMut(&mut Rng) -> Value) -> Filter {
+        let mut conjuncts = self.vec(1, 4, |r| {
+            let value = value(r);
+            r.versus(value)
+        });
+        if self.flag() {
+            conjuncts.push(Filter::gte(
+                "w",
+                [json!(1), json!(1.5)][self.size(0, 2)].clone(),
+            ));
+        }
+        conjuncts.extend(self.vec(0, 3, |r| r.filter(1)));
+        // Nested, as `Filter::parse` nests a path's operators, or flat.
+        match self.flag() {
+            true => Filter::and(conjuncts),
+            false => Filter::and(vec![Filter::and(conjuncts), Filter::True]),
+        }
+    }
+
     /// Sort × skip × limit × projection, each present or not.
     fn find_options(&mut self) -> FindOptions {
         let mut options = FindOptions::new();
@@ -215,10 +302,13 @@ impl Rng {
     }
 }
 
+/// Where `f64` stops telling integers apart, and where `i64` and `u64` end.
+const EDGES: [i128; 3] = [1 << 53, 1 << 63, 1 << 64];
+
 /// Paths the random filters, sorts and projections read: top-level,
 /// nested, an object, absent, through a scalar, absent below an object,
-/// and the id.
-const READ_PATHS: [&str; 8] = ["v", "m", "n.x", "n", "zz", "v.x", "n.zz", "_id"];
+/// the id, and the stamp of [`Rng::timed`] with what may lie below it.
+const READ_PATHS: [&str; 10] = ["v", "m", "n.x", "n", "zz", "v.x", "n.zz", "_id", "t", "t.x"];
 
 /// Letters that between them need every JSON string escape: quote,
 /// backslash, the named and the `\u00..` control characters, non-ASCII
@@ -378,7 +468,7 @@ fn indexed_and_scan_agree_on_random_filters() {
 fn planner_equals_full_scan_on_conjunctions() {
     // The same conjunction, answered by a full scan, by each single
     // index, and by an index intersection, must return identical
-    // documents in identical order.
+    // documents in identical order: those the filter matches one by one.
     check(|rng| {
         let docs = rng.vec(0, 40, |r| (r.letters("abc", 1, 1), r.int(-50, 50)));
         let probe_m = rng.letters("abcd", 1, 1);
@@ -394,11 +484,27 @@ fn planner_equals_full_scan_on_conjunctions() {
             eq_only.insert_one(json!({"m": m, "v": v})).unwrap();
             both.insert_one(json!({"m": m, "v": v})).unwrap();
         }
-        let filter = Filter::and(vec![
-            Filter::eq("m", probe_m),
-            Filter::range("v", lo, lo + span),
-        ]);
+        let mut clauses = vec![Filter::eq("m", probe_m), Filter::range("v", lo, lo + span)];
+        // Bounds repeated on the path — looser, tighter or equal, strict
+        // or not, an integer or the same number as a float — before,
+        // between and after: the planner keeps the tighter of each side.
+        for _ in 0..rng.size(0, 4) {
+            let bound = match (rng.int(-60, 60), rng.flag()) {
+                (bound, true) => Value::from(bound),
+                (bound, false) => Value::from(bound as f64),
+            };
+            let clause = match rng.size(0, 4) {
+                0 => Filter::gt("v", bound),
+                1 => Filter::gte("v", bound),
+                2 => Filter::lt("v", bound),
+                _ => Filter::lte("v", bound),
+            };
+            clauses.insert(rng.size(0, clauses.len() + 1), clause);
+        }
+        let filter = Filter::and(clauses);
         let expected = scan.find(&filter).unwrap();
+        let walked = scan.all().into_iter().filter(|doc| filter.matches(doc));
+        assert_eq!(walked.collect::<Vec<_>>(), expected);
         assert_eq!(eq_only.find(&filter).unwrap(), expected);
         assert_eq!(both.find(&filter).unwrap(), expected);
         assert_eq!(both.count(&filter).unwrap(), expected.len());
@@ -512,11 +618,34 @@ fn prop_temp_dir() -> PathBuf {
 /// The durable-replay property: any op sequence applied to a durable
 /// store and to a plain in-memory store leaves both with identical
 /// contents — and a store recovered from the log alone exports the
-/// very same bytes, with the same index definitions.
+/// very same bytes, with the same index definitions, and answers scans
+/// that skip blocks (its summaries are rebuilt by the replay, the other
+/// store's carry its history) with the same documents.
 #[test]
 fn durable_replay_equals_in_memory() {
     check(|rng| {
-        let ops = rng.vec(0, 30, op);
+        let mut ops = rng.vec(0, 30, op);
+        // Stamp what is inserted (see `Rng::stamp`): blocks can be told
+        // apart by `t`.
+        let mut at = 0;
+        for (_, op) in &mut ops {
+            let docs = match op {
+                Op::Insert(doc) => std::slice::from_mut(doc),
+                Op::InsertMany(docs) => docs.as_mut_slice(),
+                _ => continue,
+            };
+            for doc in docs {
+                at += 1;
+                if let Some(t) = rng.stamp(at, None) {
+                    doc.as_object_mut().unwrap().insert("t".to_owned(), t);
+                }
+            }
+        }
+        let mut aim = |rng: &mut Rng| Value::from(rng.int(-8, at as i64 * 4 + 8));
+        let far = |rng: &mut Rng| match rng.size(0, 3) {
+            0 => Update::parse(&json!({"$unset": {"t": 1}})).unwrap(),
+            _ => Update::set("t", rng.int(-1000, 1000)),
+        };
         let snapshot_every = if rng.flag() { 5 } else { 0 };
         let dir = prop_temp_dir();
         let config = DurabilityConfig::new(&dir)
@@ -528,20 +657,51 @@ fn durable_replay_equals_in_memory() {
             apply(&durable, op);
             apply(&memory, op);
         }
+        // Logged too, so replayed below: stamps moved outside the bounds
+        // of their blocks, and documents deleted, where a scan that
+        // skips blocks finds them.
+        for name in memory.collection_names() {
+            let (moved, gone, update) = (rng.skipping(&mut aim), rng.skipping(&mut aim), far(rng));
+            for store in [&durable, &memory] {
+                store
+                    .collection(&name)
+                    .update_many(&moved, &update)
+                    .unwrap();
+                store.collection(&name).delete_many(&gone).unwrap();
+            }
+        }
         assert_eq!(durable.export_json(), memory.export_json());
         drop(durable);
 
         let recovered = Store::open(Durability::Durable(config)).unwrap();
         assert_eq!(recovered.export_json(), memory.export_json());
         for name in memory.collection_names() {
+            let (replayed, kept) = (recovered.collection(&name), memory.collection(&name));
             for path in PATHS {
                 assert_eq!(
-                    recovered.collection(&name).has_index(path),
-                    memory.collection(&name).has_index(path),
+                    replayed.has_index(path),
+                    kept.has_index(path),
                     "index {path} on {name}"
                 );
             }
+            for _ in 0..3 {
+                let (filter, options) = (rng.skipping(&mut aim), rng.find_options());
+                assert_eq!(replayed.count(&filter), kept.count(&filter), "{filter:?}");
+                assert_eq!(
+                    replayed.find_with_options(&filter, &options),
+                    kept.find_with_options(&filter, &options),
+                    "{filter:?} {options:?}"
+                );
+                assert_eq!(replayed.distinct("t", &filter), kept.distinct("t", &filter));
+            }
+            let (moved, gone, update) = (rng.skipping(&mut aim), rng.skipping(&mut aim), far(rng));
+            assert_eq!(
+                replayed.update_many(&moved, &update),
+                kept.update_many(&moved, &update)
+            );
+            assert_eq!(replayed.delete_many(&gone), kept.delete_many(&gone));
         }
+        assert_eq!(recovered.export_json(), memory.export_json());
         std::fs::remove_dir_all(&dir).unwrap();
     });
 }
@@ -773,6 +933,164 @@ fn probe_intersection_equals_merge_intersection() {
     });
 }
 
+/// The numbers filed under `t`, block of eight `_id`s by block (the block
+/// size under test), each block's in ascending order: what the filters of
+/// the property below aim at.
+fn stamps_by_block(c: &Collection) -> Vec<Vec<Value>> {
+    let mut blocks: Vec<(u64, Vec<Value>)> = Vec::new();
+    for doc in c.all() {
+        let block = doc["_id"].as_u64().unwrap() / 8;
+        if blocks.last().is_none_or(|(last, _)| *last != block) {
+            blocks.push((block, Vec::new()));
+        }
+        if let Some(t @ Value::Number(_)) = doc.get("t") {
+            blocks.last_mut().unwrap().1.push(t.clone());
+        }
+    }
+    let mut blocks: Vec<Vec<Value>> = blocks.into_iter().map(|(_, stamps)| stamps).collect();
+    for stamps in &mut blocks {
+        stamps.sort_by(|a, b| compare_values(a, b).unwrap());
+    }
+    blocks
+}
+
+/// Block summaries never change an answer: after any history of inserts,
+/// updates that move a value outside its block's old bounds (or take the
+/// number away), deletes that empty whole blocks, and clears, `matches`
+/// yields exactly the ids, in the order, of a walk over every row — for
+/// filters whose bounds sit on the blocks' own smallest and largest
+/// numbers, inclusive and exclusive, on numbers `f64` cannot tell apart,
+/// and beside every kind of conjunct that must rule nothing out. And the
+/// summaries do work: most rows of those scans are never visited.
+#[test]
+fn pruned_scans_equal_unpruned_scans() {
+    use std::cell::Cell;
+    let (visited, stored) = (Cell::new(0usize), Cell::new(0usize));
+    check(|rng| {
+        let c = Collection::new();
+        // One case in three lives at an edge of the number kinds.
+        let edge = (rng.size(0, 3) == 0).then(|| EDGES[rng.size(0, 3)]);
+        let edge_number = |rng: &mut Rng| match edge {
+            Some(edge) => rng.edge_near(edge),
+            None => rng.edge_number(),
+        };
+        let mut at = 0u64;
+        let mut timed = |rng: &mut Rng| {
+            at += 1;
+            rng.timed(at, edge)
+        };
+        for step in 0..rng.size(1, 10) {
+            let stamps = stamps_by_block(&c);
+            // A number a filter compares `t` with: a block's smallest or
+            // largest, one near or among the rest, or an edge number.
+            let mut aim = |rng: &mut Rng| {
+                let held = stamps.iter().filter(|block| !block.is_empty());
+                let held: Vec<&Vec<Value>> = held.collect();
+                if held.is_empty() || rng.size(0, 8) == 0 {
+                    return edge_number(rng);
+                }
+                let block = held[rng.size(0, held.len())];
+                match rng.size(0, 4) {
+                    0 => block[0].clone(),
+                    1 => block[block.len() - 1].clone(),
+                    2 => block[rng.size(0, block.len())].clone(),
+                    _ => {
+                        let near = block[0].as_f64().unwrap() as i64;
+                        Value::from(near.saturating_add(rng.int(-9, 10)))
+                    }
+                }
+            };
+            let next_id = c.inner.lock().next_id;
+            let ids = |rng: &mut Rng| {
+                // Whole blocks, or a few documents of one.
+                let from = rng.int(0, next_id as i64 / 8 + 1) * 8;
+                let to = from + [3, 8, 8, 24][rng.size(0, 4)];
+                Filter::range("_id", from, to - 1)
+            };
+            match rng.size(0, 20) {
+                0..=5 => {
+                    c.insert_many(rng.vec(1, 30, &mut timed)).unwrap();
+                }
+                6..=7 => {
+                    c.insert_one(timed(rng)).unwrap();
+                }
+                8..=12 => {
+                    let update = match rng.size(0, 5) {
+                        0 => Update::set("t", rng.int(-1000, 1000)),
+                        1 => Update::set("t", edge_number(rng)),
+                        2 => Update::set("t", rng.probe()),
+                        3 => Update::inc("t", rng.float(-500.0, 500.0).round()),
+                        _ => Update::parse(&json!({"$unset": {"t": 1}})).unwrap(),
+                    };
+                    let filter = match rng.flag() {
+                        true => ids(rng),
+                        false => rng.skipping(&mut aim),
+                    };
+                    // An `$inc` of what is no number fails part-way.
+                    let _ = c.update_many(&filter, &update);
+                }
+                13..=18 => {
+                    let filter = match rng.flag() {
+                        true => ids(rng),
+                        false => rng.skipping(&mut aim),
+                    };
+                    c.delete_many(&filter).unwrap();
+                }
+                _ => c.clear().unwrap(),
+            }
+
+            let stamps = stamps_by_block(&c);
+            let mut aim = |rng: &mut Rng| match stamps.iter().flatten().count() {
+                0 => edge_number(rng),
+                _ => loop {
+                    let block = &stamps[rng.size(0, stamps.len())];
+                    if let Some(last) = block.last() {
+                        break [&block[0], last, &block[rng.size(0, block.len())]][rng.size(0, 3)]
+                            .clone();
+                    }
+                },
+            };
+            let inner = c.inner.lock();
+            let walk = |filter: &Filter| -> Vec<DocId> {
+                let rows = inner
+                    .docs
+                    .iter()
+                    .filter(|(_, row)| filter.matches_doc(*row));
+                rows.map(|(id, _)| *id).collect()
+            };
+            for _ in 0..6 {
+                let filter = rng.skipping(&mut aim);
+                let found: Vec<DocId> = inner.matches(&filter).map(|(id, _)| id).collect();
+                assert_eq!(found, walk(&filter), "step {step}: {filter:?}");
+                visited.set(visited.get() + inner.scan(&filter).count());
+                stored.set(stored.get() + inner.docs.len());
+            }
+            // The same comparisons where they are no conjunct: every row
+            // is visited, and the answer is the walk's.
+            let (a, b) = (aim(rng), aim(rng));
+            let loose = match rng.size(0, 5) {
+                0 => Filter::or(vec![rng.versus(a), rng.versus(b)]),
+                1 => Filter::Not(Box::new(rng.versus(a))),
+                2 => Filter::ne("t", a),
+                3 => Filter::is_in("t", vec![a, b]),
+                _ => Filter::and(vec![
+                    Filter::eq("t", Value::Null),
+                    Filter::exists("w", false),
+                ]),
+            };
+            assert_eq!(inner.scan(&loose).count(), inner.docs.len(), "{loose:?}");
+            let found: Vec<DocId> = inner.matches(&loose).map(|(id, _)| id).collect();
+            assert_eq!(found, walk(&loose), "step {step}: {loose:?}");
+        }
+    });
+    assert!(
+        visited.get() * 2 < stored.get(),
+        "scans visited {} of {} rows",
+        visited.get(),
+        stored.get()
+    );
+}
+
 /// The naive store: documents in a `Vec`, every query a scan of `Value`s
 /// with the public `Filter::matches`. What the collection must equal.
 #[derive(Default)]
@@ -852,33 +1170,57 @@ fn the_collection_equals_a_naive_scan_store() {
     check(|rng| {
         let c = Collection::new();
         let mut naive = Naive::default();
+        // A shaped document, stamped (see `Rng::stamp`) so that blocks
+        // can be told apart by `t`; and half the filters aim there, so
+        // that the scans they lead to skip blocks.
+        let stamped = |rng: &mut Rng, naive: &Naive| {
+            let mut doc = rng.shaped();
+            if let Some(t) = rng.stamp(naive.next_id, None) {
+                doc.as_object_mut().unwrap().insert("t".to_owned(), t);
+            }
+            doc
+        };
+        let filter = |rng: &mut Rng, naive: &Naive, depth: usize| match rng.flag() {
+            true => rng.filter(depth),
+            false => {
+                let top = naive.next_id as i64 * 4 + 8;
+                rng.skipping(&mut |rng: &mut Rng| Value::from(rng.int(-8, top)))
+            }
+        };
         for step in 0..rng.size(1, 25) {
             match rng.size(0, 12) {
                 0..=3 => {
-                    let doc = rng.shaped();
+                    let doc = stamped(rng, &naive);
                     naive.insert(doc.clone());
                     c.insert_one(doc).unwrap();
                 }
                 4 => {
-                    let docs = rng.vec(0, 5, Rng::shaped);
-                    docs.iter().for_each(|doc| naive.insert(doc.clone()));
+                    let mut docs = Vec::new();
+                    for _ in 0..rng.size(0, 12) {
+                        docs.push(stamped(rng, &naive));
+                        naive.insert(docs[docs.len() - 1].clone());
+                    }
                     c.insert_many(docs).unwrap();
                 }
                 5..=6 => {
-                    let update = match rng.size(0, 4) {
+                    let update = match rng.size(0, 7) {
                         0 => Update::inc("v", rng.float(-2.0, 2.0)),
                         1 => Update::set("flag", rng.flag()),
                         2 => Update::set("n.x", rng.int(-3, 4)),
-                        _ => Update::parse(&json!({"$unset": {"m": 1}})).unwrap(),
+                        3 => Update::parse(&json!({"$unset": {"m": 1}})).unwrap(),
+                        // Out of the old bounds of the block, or away.
+                        4 => Update::inc("t", rng.float(-300.0, 300.0).round()),
+                        5 => Update::set("t", rng.int(-1000, 1000)),
+                        _ => Update::parse(&json!({"$unset": {"t": 1}})).unwrap(),
                     };
-                    let filter = rng.filter(1);
+                    let filter = filter(rng, &naive, 1);
                     naive.update(&filter, &update);
                     // An `$inc` of a null or a `$set` through a scalar
                     // fails part-way on both sides alike.
                     let _ = c.update_many(&filter, &update);
                 }
                 7..=8 => {
-                    let filter = rng.filter(1);
+                    let filter = filter(rng, &naive, 1);
                     let before = naive.docs.len();
                     naive.docs.retain(|doc| !filter.matches(doc));
                     let deleted = c.delete_many(&filter).unwrap();
@@ -893,7 +1235,7 @@ fn the_collection_equals_a_naive_scan_store() {
             }
             assert_eq!(c.all(), naive.docs, "step {step}");
             for _ in 0..2 {
-                let (filter, options) = (rng.filter(2), rng.find_options());
+                let (filter, options) = (filter(rng, &naive, 2), rng.find_options());
                 assert_eq!(
                     c.find_with_options(&filter, &options),
                     naive.find(&filter, &options),

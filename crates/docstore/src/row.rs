@@ -101,8 +101,13 @@ impl Shape {
 
     /// Position of member `key`.
     fn slot(&self, key: &str) -> Option<usize> {
-        self.keys.binary_search_by(|k| k.as_str().cmp(key)).ok()
+        slot_in(&self.keys, key)
     }
+}
+
+/// Position of `key` in a key list (ascending, as every shape's is).
+pub(crate) fn slot_in(keys: &[String], key: &str) -> Option<usize> {
+    keys.binary_search_by(|k| k.as_str().cmp(key)).ok()
 }
 
 /// One collection's shapes: exactly those its rows use. A shape enters
@@ -206,6 +211,16 @@ impl Row {
             shape,
             values: values.into_boxed_slice(),
         }
+    }
+
+    /// The member names, in `str` order: the list the registry shares.
+    pub(crate) fn keys(&self) -> &Arc<[String]> {
+        &self.shape.keys
+    }
+
+    /// The member values, in the order of [`keys`](Self::keys).
+    pub(crate) fn values(&self) -> &[Value] {
+        &self.values
     }
 
     /// The document as a `Value`: what `find`, `get` and `all` return.

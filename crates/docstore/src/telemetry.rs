@@ -15,6 +15,8 @@ pub(crate) struct StoreTelemetry {
     pub(crate) collection_insert: Counter,
     /// Find queries executed across all collections.
     pub(crate) collection_find: Counter,
+    /// Counts executed across all collections.
+    pub(crate) collection_count: Counter,
     /// Update-many operations executed across all collections.
     pub(crate) collection_update: Counter,
     /// Delete-many operations executed across all collections.
@@ -27,10 +29,16 @@ pub(crate) struct StoreTelemetry {
     pub(crate) query_plan_index_range: Counter,
     /// Queries intersecting several indexes (`plan="index_intersect"`).
     pub(crate) query_plan_index_intersect: Counter,
+    /// Blocks full scans walked: their summaries could not rule them out.
+    pub(crate) scan_blocks_visited: Counter,
+    /// Blocks full scans passed over on their summaries alone.
+    pub(crate) scan_blocks_skipped: Counter,
     /// Latency of one insert call (one document or a batch), in seconds.
     pub(crate) collection_insert_seconds: Histogram,
     /// Latency of one find, in seconds.
     pub(crate) collection_find_seconds: Histogram,
+    /// Latency of one count, in seconds.
+    pub(crate) collection_count_seconds: Histogram,
     /// Latency of one update-many, in seconds.
     pub(crate) collection_update_seconds: Histogram,
     /// Live collections per store, with a high watermark.
@@ -61,6 +69,10 @@ pub(crate) fn telemetry() -> &'static StoreTelemetry {
                 "docstore_collection_find_total",
                 "Find queries executed across all collections",
             ),
+            collection_count: registry.counter(
+                "docstore_collection_count_total",
+                "Count queries executed across all collections",
+            ),
             collection_update: registry.counter(
                 "docstore_collection_update_total",
                 "Update-many operations across all collections",
@@ -89,6 +101,14 @@ pub(crate) fn telemetry() -> &'static StoreTelemetry {
                 &[("plan", "index_intersect")],
                 "Queries by chosen plan",
             ),
+            scan_blocks_visited: registry.counter(
+                "docstore_scan_blocks_visited_total",
+                "Blocks of 1024 ids that full scans walked",
+            ),
+            scan_blocks_skipped: registry.counter(
+                "docstore_scan_blocks_skipped_total",
+                "Blocks of 1024 ids that full scans skipped on their summaries",
+            ),
             collection_insert_seconds: registry.histogram(
                 "docstore_collection_insert_seconds",
                 "Latency of one insert call, one document or a batch (s)",
@@ -97,6 +117,11 @@ pub(crate) fn telemetry() -> &'static StoreTelemetry {
             collection_find_seconds: registry.histogram(
                 "docstore_collection_find_seconds",
                 "Latency of one find query (s)",
+                &latency,
+            ),
+            collection_count_seconds: registry.histogram(
+                "docstore_collection_count_seconds",
+                "Latency of one count query (s)",
                 &latency,
             ),
             collection_update_seconds: registry.histogram(
@@ -153,10 +178,14 @@ mod tests {
         for name in [
             "docstore_collection_insert_total",
             "docstore_collection_find_total",
+            "docstore_collection_count_total",
             "docstore_collection_update_total",
             "docstore_collection_delete_total",
+            "docstore_scan_blocks_visited_total",
+            "docstore_scan_blocks_skipped_total",
             "docstore_collection_insert_seconds",
             "docstore_collection_find_seconds",
+            "docstore_collection_count_seconds",
             "docstore_collection_update_seconds",
             "docstore_store_collections",
             "docstore_snapshot_failures_total",

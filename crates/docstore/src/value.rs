@@ -143,7 +143,7 @@ pub fn compare_values(a: &Value, b: &Value) -> Option<Ordering> {
 
 /// Orders two numbers as the reals they denote, never rounding an
 /// integer through `f64` (where 2⁵³ and 2⁵³ + 1 are one value).
-fn compare_numbers(x: &Number, y: &Number) -> Option<Ordering> {
+pub(crate) fn compare_numbers(x: &Number, y: &Number) -> Option<Ordering> {
     // Every JSON integer the parser keeps as one fits `i128`.
     let int = |n: &Number| match n.as_u64() {
         Some(u) => Some(i128::from(u)),

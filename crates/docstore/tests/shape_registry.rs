@@ -1,6 +1,7 @@
-//! The shape registry is bounded by the live documents: a test of its
-//! own, in a process of its own, because `docstore_row_shapes` is one gauge
-//! for the whole process and this reads it exactly.
+//! The shape registry — and the block summaries beside it — are bounded
+//! by the live documents: a test of its own, in a process of its own,
+//! because `docstore_row_shapes` is one gauge (and the block counters one
+//! pair) for the whole process and this reads them exactly.
 
 use mps_docstore::{Filter, Store, Update};
 use mps_telemetry::Registry;
@@ -10,6 +11,15 @@ fn shapes() -> i64 {
     Registry::global()
         .gauge_value("docstore_row_shapes")
         .unwrap_or(0)
+}
+
+/// Blocks that scans have visited and skipped so far.
+fn blocks() -> (u64, u64) {
+    let count = |name: &str| Registry::global().counter_value(name).unwrap_or(0);
+    (
+        count("docstore_scan_blocks_visited_total"),
+        count("docstore_scan_blocks_skipped_total"),
+    )
 }
 
 #[test]
@@ -60,4 +70,32 @@ fn shapes_live_exactly_as_long_as_their_rows() {
     assert_eq!(shapes(), 1);
     drop(store);
     assert_eq!(shapes(), 0);
+
+    // Block summaries are bounded alike. A block (1 024 ids) that meets
+    // more than a few key sets stops telling them apart: it is visited
+    // whatever is asked, and keeps nothing per key set. Its summary goes
+    // with its last row; the rows that come next start a fresh one.
+    let store = Store::new();
+    let c = store.collection("obs");
+    let nowhere = Filter::eq("nowhere", 1);
+    let scanned = || {
+        let before = blocks();
+        assert_eq!(c.count(&nowhere).unwrap(), 0);
+        let after = blocks();
+        (after.0 - before.0, after.1 - before.1)
+    };
+    c.insert_many((0..1_000).map(|i| {
+        let mut doc = Map::new();
+        doc.insert(format!("k{i}"), Value::from(i));
+        Value::Object(doc)
+    }))
+    .unwrap();
+    assert_eq!(scanned(), (1, 0), "no longer summarised: visited");
+    assert_eq!(c.delete_many(&Filter::True).unwrap(), 1_000);
+    assert_eq!(shapes(), 0);
+    assert_eq!(scanned(), (0, 0), "no summary outlives its rows");
+    c.insert_many((0..10).map(|i| json!({"v": i}))).unwrap();
+    assert_eq!(scanned(), (0, 1), "one key set has no such member: skipped");
+    c.clear().unwrap();
+    assert_eq!(scanned(), (0, 0));
 }

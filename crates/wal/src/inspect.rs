@@ -6,7 +6,7 @@
 //!
 //! [`Wal::open`]: crate::Wal::open
 
-use crate::record::{decode_one, Decoded};
+use crate::record::{decode_one, snapshot_state, Decoded};
 use crate::WalError;
 use std::path::{Path, PathBuf};
 
@@ -106,15 +106,11 @@ pub fn inspect(dir: impl AsRef<Path>) -> Result<InspectReport, WalError> {
             });
         } else if let Some(lsn) = parse(name, "snap-", ".snap") {
             let bytes = std::fs::read(&path)?;
-            let valid = matches!(
-                decode_one(&bytes),
-                Decoded::Record { consumed, .. } if consumed == bytes.len()
-            );
             report.snapshots.push(SnapshotInfo {
                 path,
                 lsn,
                 bytes: bytes.len() as u64,
-                valid,
+                valid: snapshot_state(&bytes).is_some(),
             });
         }
     }

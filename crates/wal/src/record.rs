@@ -10,8 +10,9 @@
 /// Bytes of framing before each payload: `u32` length + `u32` CRC.
 pub const RECORD_HEADER_BYTES: usize = 8;
 
-/// Upper bound on a single record's payload, so a corrupt length field
-/// is classified as a torn tail instead of attempting a huge read.
+/// Upper bound on a single *log* record's payload, so a corrupt length
+/// field is classified as a torn tail instead of attempting a huge read.
+/// A snapshot file is not held to it: see [`snapshot_state`].
 pub(crate) const MAX_RECORD_BYTES: usize = 1 << 26; // 64 MiB
 
 /// The CRC-32 (IEEE 802.3) lookup tables for slice-by-8, built at
@@ -145,9 +146,40 @@ pub fn decode_one(buf: &[u8]) -> Decoded<'_> {
     }
 }
 
+/// The state a snapshot file holds, if `file` is one: exactly one framed
+/// record, validated by its own length (`8 + len` is the file's size) and
+/// its CRC. [`MAX_RECORD_BYTES`] is not consulted — the whole file is in
+/// memory by now, so the cap would protect nothing, and a store's state
+/// outgrows it (64 MiB is ~232 k stored observations).
+pub(crate) fn snapshot_state(file: &[u8]) -> Option<&[u8]> {
+    let (head, state) = file.split_first_chunk::<RECORD_HEADER_BYTES>()?;
+    let fits = u32::try_from(state.len()).is_ok();
+    (fits && *head == header(state)).then_some(state)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_snapshot_file_is_one_whole_record_of_any_length() {
+        let mut file = Vec::new();
+        encode_into(&mut file, b"state");
+        assert_eq!(snapshot_state(&file), Some(b"state".as_slice()));
+        for cut in 0..file.len() {
+            assert_eq!(snapshot_state(&file[..cut]), None, "cut at {cut}");
+        }
+        for i in 0..file.len() {
+            let mut flipped = file.clone();
+            flipped[i] ^= 0x40;
+            assert_eq!(snapshot_state(&flipped), None, "flip at {i}");
+        }
+        file.push(0);
+        assert_eq!(snapshot_state(&file), None, "bytes after the record");
+        let mut empty = Vec::new();
+        encode_into(&mut empty, b"");
+        assert_eq!(snapshot_state(&empty), Some(b"".as_slice()));
+    }
 
     #[test]
     fn crc_matches_known_vectors() {

@@ -1,7 +1,9 @@
 //! The log itself: segments, group commit, snapshots, recovery.
 
 use crate::kill::{KillPoint, KillSwitch};
-use crate::record::{decode_one, encode_into, header, Decoded, RECORD_HEADER_BYTES};
+use crate::record::{
+    decode_one, encode_into, header, snapshot_state, Decoded, RECORD_HEADER_BYTES,
+};
 use crate::telemetry::telemetry;
 use crate::WalError;
 use mps_telemetry::trace::{FlightRecorder, Hop, Outcome, SpanRecord, TraceId};
@@ -171,13 +173,13 @@ impl Wal {
         let mut snapshot: Option<Vec<u8>> = None;
         let mut snapshot_lsn: Lsn = 0;
         for (lsn, path) in &snapshots {
-            let bytes = std::fs::read(path)?;
-            if let Decoded::Record { payload, consumed } = decode_one(&bytes) {
-                if consumed == bytes.len() {
-                    snapshot = Some(payload.to_vec());
-                    snapshot_lsn = *lsn;
-                    break;
-                }
+            let mut bytes = std::fs::read(path)?;
+            if snapshot_state(&bytes).is_some() {
+                // The buffer becomes the state: no second copy of it.
+                bytes.drain(..RECORD_HEADER_BYTES);
+                snapshot = Some(bytes);
+                snapshot_lsn = *lsn;
+                break;
             }
         }
         let replay_from = snapshot_lsn + 1;
@@ -373,6 +375,14 @@ impl Wal {
     /// intact. Returns the LSN the snapshot covers through.
     pub fn snapshot(&mut self, state: &[u8]) -> Result<Lsn, WalError> {
         self.check_alive()?;
+        if u32::try_from(state.len()).is_err() {
+            // The length field is a `u32`: a cast would truncate it and
+            // commit a file that can never be read back.
+            return Err(WalError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("a snapshot of {} bytes exceeds the format", state.len()),
+            )));
+        }
         let covered = self.next_lsn - 1;
         if covered == 0 {
             return Ok(0);
@@ -676,6 +686,38 @@ mod tests {
         let lsns: Vec<Lsn> = recovered.entries.iter().map(|(l, _)| *l).collect();
         assert_eq!(lsns, vec![25, 26]);
         assert_eq!(wal.next_lsn(), 27);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_beyond_the_record_cap_is_read_back() {
+        // 64 MiB is ~232 k stored observations: such a snapshot used to be
+        // written, acknowledged and compacted for, then skipped on open
+        // as "damaged" — with the segments it covered already deleted.
+        let dir = temp_dir("big-snap");
+        let config = quiet().segment_max_bytes(64);
+        let (mut wal, _) = Wal::open(&dir, config.clone()).unwrap();
+        for batch in 0..5u64 {
+            wal.append_batch(&payloads(batch * 4..batch * 4 + 4))
+                .unwrap();
+        }
+        assert!(wal.segment_count() > 1, "64-byte budget must roll");
+        let mut state = vec![0x5a; crate::record::MAX_RECORD_BYTES + 1];
+        state[0] = b'{';
+        *state.last_mut().unwrap() = b'}';
+        assert_eq!(wal.snapshot(&state).unwrap(), 20);
+        assert_eq!(wal.segment_count(), 1, "covered segments deleted");
+        wal.append(b"after").unwrap();
+        drop(wal);
+
+        let report = crate::inspect(&dir).unwrap();
+        assert!(report.snapshots[0].valid && report.healthy());
+        let (wal, recovered) = Wal::open(&dir, config).unwrap();
+        assert_eq!(recovered.snapshot_lsn, 20);
+        // Not `assert_eq!`: a failure would print 64 MiB twice.
+        assert!(recovered.snapshot.as_deref() == Some(state.as_slice()));
+        assert_eq!(recovered.entries, vec![(21, b"after".to_vec())]);
+        assert_eq!(wal.next_lsn(), 22);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
