@@ -38,8 +38,11 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Records appended between snapshot attempts in every cell — small, so
-/// the mid-snapshot and mid-compaction kill points fire early.
+/// The snapshot floor in every cell — small, so the mid-snapshot and
+/// mid-compaction kill points fire early. The cadence also waits for as
+/// many log bytes as the last snapshot holds, so snapshots thin out as a
+/// cell's state grows: each `snapshot_skips` entry must still be reached
+/// within the cell's operations (`kill never fired` fails the cell).
 const SNAPSHOT_EVERY: u64 = 8;
 
 /// Every cell's log: segments of a few records each, so snapshots find
@@ -77,7 +80,8 @@ fn main() {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "crash-kill recovery matrix ({} mode, {ops} ops/cell, snapshot every {SNAPSHOT_EVERY})",
+        "crash-kill recovery matrix ({} mode, {ops} ops/cell, snapshot once the log since the \
+         last one holds >= {SNAPSHOT_EVERY} records and >= that snapshot's bytes)",
         if long { "long" } else { "quick" },
     );
     let mut failures = 0usize;

@@ -314,7 +314,12 @@ impl Broker {
             .durable
             .as_ref()
             .ok_or_else(|| BrokerError::Durability("broker is not durable".into()))?;
-        let state = self.state.lock();
+        Self::snapshot(durable, &self.state.lock())
+    }
+
+    /// Writes the snapshot of `state` (held locked by the caller) into
+    /// the log.
+    fn snapshot(durable: &BrokerDurable, state: &State) -> Result<u64, BrokerError> {
         let mut view: BTreeMap<String, Vec<durability::RecoveredEntry>> = BTreeMap::new();
         for (name, q) in &state.queues {
             let mut entries: Vec<durability::RecoveredEntry> = q
@@ -371,12 +376,14 @@ impl Broker {
     /// crash-killed instance fails its next mutation anyway). Must be
     /// called *without* the state lock held.
     fn maybe_snapshot(&self) {
-        if self
-            .durable
-            .as_ref()
-            .is_some_and(BrokerDurable::snapshot_due)
-        {
-            let _ = self.checkpoint();
+        let Some(durable) = self.durable.as_ref().filter(|d| d.snapshot_due()) else {
+            return;
+        };
+        // Asked again under the state lock, which every append and every
+        // snapshot holds: of two writers that saw it due, one snapshots.
+        let state = self.state.lock();
+        if durable.snapshot_due() {
+            let _ = Self::snapshot(durable, &state);
         }
     }
 
@@ -2033,6 +2040,43 @@ mod tests {
         let q = recovered.queue_snapshot("q").unwrap();
         assert_eq!(q.ready, live.ready);
         assert_eq!(q.ready.len(), 24);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// GoFlow is down and the backlog builds: the cadence rewrites it as
+    /// it doubles, not every `snapshot_every` records however long it is.
+    #[test]
+    fn a_durable_backlog_is_snapshotted_as_it_doubles() {
+        const FLOOR: u64 = 4;
+        const MESSAGES: u64 = 64 * FLOOR;
+        let dir = temp_dir("backlog");
+        let config = durable_config(&dir).snapshot_every(FLOOR);
+        let b = Broker::open_durable(config.clone()).unwrap();
+        declare_app(&b);
+        let newest = || {
+            let report = mps_wal::inspect(&dir).unwrap();
+            report.snapshots.first().map(|s| s.lsn)
+        };
+        let (mut snapshots, mut seen) = (0, newest());
+        for i in 0..MESSAGES {
+            b.publish("app", "obs.x", vec![i as u8; 256]).unwrap();
+            if i % 3 == 0 {
+                // Delivered and never acked: still owed, still in the state.
+                b.consume("q", 1).unwrap();
+            }
+            let now = newest();
+            snapshots += u64::from(now != seen);
+            seen = now;
+        }
+        // ⌈log₂(N / floor)⌉ + 1, and one for the topology's five records;
+        // a snapshot every floor would be 64.
+        assert!((3..=8).contains(&snapshots), "{snapshots} snapshots");
+        let live = b.queue_snapshot("q").unwrap();
+        assert_eq!(live.ready.len() + live.unacked.len(), MESSAGES as usize);
+        drop(b);
+
+        let recovered = Broker::open_durable(config).unwrap();
+        assert_eq!(recovered.queue_depth("q").unwrap(), MESSAGES as usize);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

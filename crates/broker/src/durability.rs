@@ -31,7 +31,6 @@ use mps_wal::Recovered;
 use serde_json::{json, Map, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex as StdMutex, MutexGuard, PoisonError};
 
 /// Configuration for a durable broker.
@@ -42,15 +41,18 @@ pub struct BrokerDurabilityConfig {
     /// The underlying log's tuning (fsync policy, segment size,
     /// telemetry, recovery span, crash-kill switch).
     pub wal: mps_wal::WalConfig,
-    /// Take a snapshot (and compact) every this many logged records;
-    /// `0` disables automatic snapshots
+    /// Take a snapshot (and compact) once at least this many records
+    /// **and** as many bytes as the last snapshot holds were logged
+    /// since it ([`mps_wal::Wal::snapshot_due`]) — a backlog is not
+    /// rewritten every few records however large it grew; `0` disables
+    /// automatic snapshots
     /// ([`Broker::checkpoint`](crate::Broker::checkpoint) still works).
     pub snapshot_every: u64,
 }
 
 impl BrokerDurabilityConfig {
-    /// Durability in `dir` with default WAL tuning and a snapshot every
-    /// 4096 logged records.
+    /// Durability in `dir` with default WAL tuning and a snapshot floor
+    /// of 4096 logged records.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
@@ -65,7 +67,7 @@ impl BrokerDurabilityConfig {
         self
     }
 
-    /// Sets the automatic snapshot cadence (`0` = manual only).
+    /// Sets the automatic snapshot floor (`0` = manual only).
     pub fn snapshot_every(mut self, records: u64) -> Self {
         self.snapshot_every = records;
         self
@@ -141,7 +143,6 @@ pub(crate) struct ReplayedState {
 pub(crate) struct BrokerDurable {
     wal: StdMutex<mps_wal::Wal>,
     snapshot_every: u64,
-    appended: AtomicU64,
 }
 
 impl BrokerDurable {
@@ -149,7 +150,6 @@ impl BrokerDurable {
         Self {
             wal: StdMutex::new(wal),
             snapshot_every,
-            appended: AtomicU64::new(0),
         }
     }
 
@@ -167,19 +167,12 @@ impl BrokerDurable {
             payloads.push(serde_json::to_vec(delta).map_err(corrupt)?);
         }
         self.lock_wal().append_batch(&payloads).map_err(wal_err)?;
-        self.appended
-            .fetch_add(payloads.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Whether the snapshot cadence has been reached; resets the counter
-    /// when it has.
+    /// Whether the log's cadence asks for a snapshot now.
     pub(crate) fn snapshot_due(&self) -> bool {
-        if self.snapshot_every == 0 || self.appended.load(Ordering::Relaxed) < self.snapshot_every {
-            return false;
-        }
-        self.appended.store(0, Ordering::Relaxed);
-        true
+        self.lock_wal().snapshot_due(self.snapshot_every)
     }
 
     /// Writes the snapshot bytes and compacts covered segments.

@@ -35,9 +35,9 @@
 //! definitions; recovered documents' values move out of the parsed
 //! snapshot and deltas into their rows, they are not copied (the key
 //! strings are dropped there and then, which the store used to leave to
-//! its own drop). Snapshots are taken automatically every
-//! [`DurabilityConfig::snapshot_every`] logged records (and manually
-//! via [`Store::checkpoint`]); the WAL then compacts covered segments.
+//! its own drop). Snapshots are taken automatically when the log's
+//! cadence says so (below; manually via [`Store::checkpoint`]); the WAL
+//! then compacts covered segments.
 //!
 //! **What a snapshot costs.** The state is streamed once from the locked
 //! collections into one buffer (the writer behind [`Store::export_json`])
@@ -45,9 +45,11 @@
 //! another copy. The writer that reached the cadence does this holding
 //! the WAL lock, so every writer waits for the export, the fsync and the
 //! compaction (`docstore_snapshot_seconds`). Each snapshot rewrites the
-//! whole, growing state every `snapshot_every` records, so snapshot work
-//! in total is quadratic in store size; changing that cadence is future
-//! work.
+//! whole state, so the cadence ([`Wal::snapshot_due`], asked under that
+//! lock) waits until as many bytes were logged as the last snapshot
+//! holds, and [`DurabilityConfig::snapshot_every`] records at least:
+//! snapshot bytes written stay within ~2× the log's, however large the
+//! store grows, and a reopen reads a tail no larger than its snapshot.
 //!
 //! **Limits.** A durability failure mid-operation (disk error, crash
 //! kill) leaves the in-memory state *ahead* of the log — callers must
@@ -70,7 +72,6 @@ use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError, Weak};
 
 /// How (and whether) a [`Store`] persists its mutations.
@@ -92,15 +93,16 @@ pub struct DurabilityConfig {
     /// The underlying log's tuning (fsync policy, segment size,
     /// telemetry, recovery span, crash-kill switch).
     pub wal: WalConfig,
-    /// Take a snapshot (and compact) every this many logged records;
-    /// `0` disables automatic snapshots ([`Store::checkpoint`] still
-    /// works).
+    /// Take a snapshot (and compact) once at least this many records
+    /// **and** as many bytes as the last snapshot holds were logged
+    /// since it ([`Wal::snapshot_due`]); `0` disables automatic
+    /// snapshots ([`Store::checkpoint`] still works).
     pub snapshot_every: u64,
 }
 
 impl DurabilityConfig {
-    /// Durability in `dir` with default WAL tuning and a snapshot every
-    /// 4096 logged records.
+    /// Durability in `dir` with default WAL tuning and a snapshot floor
+    /// of 4096 logged records.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
@@ -115,7 +117,7 @@ impl DurabilityConfig {
         self
     }
 
-    /// Sets the automatic snapshot cadence (`0` = manual only).
+    /// Sets the automatic snapshot floor (`0` = manual only).
     pub fn snapshot_every(mut self, records: u64) -> Self {
         self.snapshot_every = records;
         self
@@ -129,7 +131,6 @@ type CollectionMap = Arc<parking_lot::Mutex<BTreeMap<String, Collection>>>;
 pub(crate) struct DurableShared {
     wal: StdMutex<Wal>,
     snapshot_every: u64,
-    appended: AtomicU64,
     collections: Weak<parking_lot::Mutex<BTreeMap<String, Collection>>>,
 }
 
@@ -168,22 +169,34 @@ impl Journal {
         }
     }
 
-    /// One record: `coll`, then `rest` — the other members, in key order.
-    fn push(&mut self, rest: fmt::Arguments<'_>) {
+    /// A record's buffer, `{"coll":…,` written: the members that follow
+    /// go in key order.
+    fn record(&self) -> String {
         // A batch's records are near one size: the previous one's length
         // saves the next its regrowth.
         let mut text = String::with_capacity(self.payloads.last().map_or(0, Vec::len));
+        text.push_str(r#"{"coll":"#);
+        text.push_str(&self.coll);
+        text.push(',');
+        text
+    }
+
+    /// One record: `coll`, then `rest` — the other members.
+    fn push(&mut self, rest: fmt::Arguments<'_>) {
+        let mut text = self.record();
         // Writing to a String cannot fail.
-        let _ = write!(text, r#"{{"coll":{},{rest}}}"#, self.coll);
+        let _ = write!(text, "{rest}}}");
         self.payloads.push(text.into_bytes());
     }
 
     /// `insert` / `update`: the id and the full resulting document,
-    /// encoded from the stored row.
+    /// written from the stored row straight into the record.
     pub(crate) fn doc(&mut self, op: &str, id: DocId, doc: &Row) {
-        let mut text = String::new();
+        let mut text = self.record();
+        text.push_str(r#""doc":"#);
         doc.write_json(&mut text);
-        self.push(format_args!(r#""doc":{text},"id":{},"op":"{op}""#, id.0));
+        let _ = write!(text, r#","id":{},"op":"{op}"}}"#, id.0);
+        self.payloads.push(text.into_bytes());
     }
 
     /// `delete`: the ids removed.
@@ -220,10 +233,19 @@ pub(crate) fn journaled<T>(
     let mut wal = shared.lock_wal();
     let mut journal = Journal::new(coll);
     let out = apply(Some(&mut journal));
-    let logged = shared.append(&mut wal, &journal.payloads);
-    drop(wal);
-    if logged.is_ok() {
-        shared.maybe_snapshot();
+    let logged = match journal.payloads.as_slice() {
+        [] => Ok(()),
+        // One call's records are one group-committed batch.
+        payloads => wal.append_batch(payloads).map(drop).map_err(wal_err),
+    };
+    // Decided under the lock the append took, so of two writers that
+    // cross the cadence together one snapshots. A failure is counted
+    // (`docstore_snapshot_failures_total`) but not reported to the
+    // mutation that happened to trigger it: that mutation is durable, the
+    // log itself is still intact, and a crash-killed instance fails its
+    // next mutation anyway.
+    if logged.is_ok() && wal.snapshot_due(shared.snapshot_every) {
+        let _ = shared.snapshot(&mut wal);
     }
     (out, logged)
 }
@@ -233,39 +255,14 @@ impl DurableShared {
         self.wal.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends one call's records as one group-committed batch.
-    fn append(&self, wal: &mut Wal, payloads: &[Vec<u8>]) -> Result<(), StoreError> {
-        if payloads.is_empty() {
-            return Ok(());
-        }
-        wal.append_batch(payloads).map_err(wal_err)?;
-        self.appended
-            .fetch_add(payloads.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Takes a snapshot when the cadence says so. A failure is counted
-    /// (`docstore_snapshot_failures_total`) but not reported to the
-    /// mutation that happened to trigger it: that mutation is durable,
-    /// the log itself is still intact, and a crash-killed instance fails
-    /// its next mutation anyway.
-    fn maybe_snapshot(&self) {
-        if self.snapshot_every == 0 || self.appended.load(Ordering::Relaxed) < self.snapshot_every {
-            return;
-        }
-        self.appended.store(0, Ordering::Relaxed);
-        let _ = self.snapshot_now();
-    }
-
     /// Snapshots the full store state and compacts covered segments.
     /// The wal lock is held throughout, so every writer waits for the
     /// export, the fsync and the compaction: `docstore_snapshot_seconds`.
-    pub(crate) fn snapshot_now(&self) -> Result<u64, StoreError> {
+    fn snapshot(&self, wal: &mut Wal) -> Result<u64, StoreError> {
         let Some(map) = self.collections.upgrade() else {
             return Ok(0);
         };
         let metrics = telemetry();
-        let mut wal = self.lock_wal();
         let _timer = SpanTimer::start(&metrics.snapshot_seconds);
         let state = export_json(&map);
         metrics.snapshot_bytes.set(state.len() as i64);
@@ -487,7 +484,6 @@ impl Store {
                 let shared = Arc::new(DurableShared {
                     wal: StdMutex::new(wal),
                     snapshot_every: config.snapshot_every,
-                    appended: AtomicU64::new(0),
                     collections: Arc::downgrade(&collections),
                 });
                 let store = Self {
@@ -514,7 +510,7 @@ impl Store {
     /// written.
     pub fn checkpoint(&self) -> Result<u64, StoreError> {
         match &self.durable {
-            Some(shared) => shared.snapshot_now(),
+            Some(shared) => shared.snapshot(&mut shared.lock_wal()),
             None => Ok(0),
         }
     }
@@ -533,7 +529,7 @@ mod tests {
     use super::*;
     use crate::{Filter, Update};
     use mps_wal::KillPoint;
-    use std::sync::atomic::AtomicU64 as TestSeq;
+    use std::sync::atomic::{AtomicU64 as TestSeq, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static SEQ: TestSeq = TestSeq::new(0);
@@ -679,18 +675,152 @@ mod tests {
         let store = Store::open(Durability::Durable(config)).unwrap();
         let c = store.collection("obs");
         let before = failures();
-        kill.arm(KillPoint::MidSnapshot, 0);
-        // The second record is due a snapshot, which dies; the insert is
-        // durable all the same and says so.
+        // The second record is due a snapshot, which fails (its temp path
+        // is taken); the insert is durable all the same and says so.
+        let blocker = dir.join(format!("snap-{:020}.snap.tmp", 2));
+        std::fs::create_dir(&blocker).unwrap();
         c.insert_one(json!({"i": 0})).unwrap();
-        assert_eq!(kill.dead(), Some(KillPoint::MidSnapshot));
         assert!(failures() > before);
         assert!(registry.gauge_value("docstore_snapshot_bytes").unwrap_or(0) > 0);
-        assert!(c.insert_one(json!({"i": 1})).is_err());
+        // Not again at the next record, which would have succeeded, but
+        // `snapshot_every` records after the failure.
+        c.insert_one(json!({"i": 1})).unwrap();
+        assert_eq!(newest_snapshot(&dir), None, "retried one record on");
+        c.insert_one(json!({"i": 2})).unwrap();
+        assert_eq!(newest_snapshot(&dir).map(|(lsn, _)| lsn), Some(4));
+        std::fs::remove_dir(&blocker).unwrap();
+
+        // A snapshot that dies takes the instance with it.
+        let before = failures();
+        kill.arm(KillPoint::MidSnapshot, 0);
+        c.insert_many([json!({"i": 3}), json!({"i": 4})]).unwrap();
+        assert_eq!(kill.dead(), Some(KillPoint::MidSnapshot));
+        assert!(failures() > before);
+        assert!(c.insert_one(json!({"i": 5})).is_err());
         drop(store);
 
         let recovered = Store::open(durable(&dir)).unwrap();
-        assert_eq!(recovered.collection("obs").len(), 1);
+        assert_eq!(recovered.collection("obs").len(), 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The committed snapshot in `dir`, as the file system shows it: the
+    /// LSN it covers through and its state's bytes.
+    fn newest_snapshot(dir: &PathBuf) -> Option<(u64, u64)> {
+        let report = mps_wal::inspect(dir).unwrap();
+        let newest = report.snapshots.first()?;
+        assert!(newest.valid);
+        Some((
+            newest.lsn,
+            newest.bytes - mps_wal::RECORD_HEADER_BYTES as u64,
+        ))
+    }
+
+    /// Runs `ops` mutations of one durable store with a snapshot floor of
+    /// `FLOOR` records and returns what reached the disk: snapshots
+    /// taken, their bytes in total, and the log's bytes (one segment,
+    /// never compacted: the active one is not).
+    fn snapshot_work(tag: &str, ops: u64, mutate: impl Fn(&Collection, u64)) -> (u64, u64, u64) {
+        let dir = temp_dir(tag);
+        let wal = WalConfig::default()
+            .telemetry(false)
+            .fsync(false)
+            .segment_max_bytes(u64::MAX);
+        let config = DurabilityConfig::new(&dir).wal(wal).snapshot_every(FLOOR);
+        let store = Store::open(Durability::Durable(config)).unwrap();
+        let c = store.collection("obs");
+        let (mut snapshots, mut snapshot_bytes, mut newest) = (0, 0, None);
+        for i in 0..ops {
+            mutate(&c, i);
+            let now = newest_snapshot(&dir);
+            if now != newest {
+                snapshots += 1;
+                snapshot_bytes += now.unwrap().1;
+                newest = now;
+            }
+        }
+        let report = mps_wal::inspect(&dir).unwrap();
+        assert_eq!(report.segments.len(), 1);
+        let log_bytes = report.segments[0].bytes;
+        let live = store.export_json();
+        drop((c, store));
+        assert_eq!(Store::open(durable(&dir)).unwrap().export_json(), live);
+        std::fs::remove_dir_all(&dir).unwrap();
+        (snapshots, snapshot_bytes, log_bytes)
+    }
+
+    const FLOOR: u64 = 8;
+
+    /// Snapshot work is linear in what was logged, not quadratic in what
+    /// is stored: each snapshot waits for as many log bytes as the last
+    /// one holds, so all of them together weigh at most twice the log
+    /// (plus the first, which only the floor gates), and a store that
+    /// only grows is rewritten a logarithmic number of times.
+    #[test]
+    fn snapshot_work_is_linear() {
+        // 1 KiB documents, so a record is its document and little else.
+        let text = "x".repeat(1024);
+        let insert = |c: &Collection, i: u64| {
+            c.insert_one(json!({"i": i, "text": text})).unwrap();
+        };
+        let slack = FLOOR * 2 * text.len() as u64;
+
+        const INSERTS: u64 = 64 * FLOOR;
+        let (snapshots, snapshot_bytes, log_bytes) = snapshot_work("linear", INSERTS, insert);
+        // ⌈log₂(N / floor)⌉ + 1; a snapshot every floor would be 64.
+        let doublings = u64::from((INSERTS / FLOOR).next_power_of_two().trailing_zeros());
+        assert!(
+            (2..=doublings + 1).contains(&snapshots),
+            "{snapshots} snapshots of {INSERTS} inserts"
+        );
+        assert!(
+            snapshot_bytes <= 2 * log_bytes + slack,
+            "{snapshot_bytes} snapshot bytes for {log_bytes} log bytes"
+        );
+
+        // Updates, deletes and clears log bytes the state does not keep:
+        // the same bound holds with room to spare.
+        let (snapshots, snapshot_bytes, log_bytes) =
+            snapshot_work("mixed", INSERTS, |c, i| match i % 16 {
+                3 | 11 => drop(c.update_many(&Filter::gte("i", i - 3), &Update::set("seen", i))),
+                7 => drop(c.delete_many(&Filter::eq("i", i - 5))),
+                15 if i % 128 == 127 => c.clear().unwrap(),
+                _ => insert(c, i),
+            });
+        assert!(snapshots >= 2, "{snapshots} snapshots");
+        assert!(
+            snapshot_bytes <= 2 * log_bytes + slack,
+            "{snapshot_bytes} snapshot bytes for {log_bytes} log bytes"
+        );
+    }
+
+    #[test]
+    fn the_cadence_survives_a_reopen() {
+        let dir = temp_dir("cadence-reopen");
+        let config = DurabilityConfig::new(&dir)
+            .wal(WalConfig::default().telemetry(false))
+            .snapshot_every(FLOOR);
+        let store = Store::open(Durability::Durable(config.clone())).unwrap();
+        let c = store.collection("obs");
+        for i in 0..64 {
+            c.insert_one(json!({"i": i})).unwrap();
+        }
+        let covered = store.checkpoint().unwrap();
+        for i in 64..67 {
+            c.insert_one(json!({"i": i})).unwrap();
+        }
+        assert_eq!(newest_snapshot(&dir).map(|(lsn, _)| lsn), Some(covered));
+        drop((c, store));
+
+        // A reopened store knows what its snapshot weighs and what was
+        // logged since: `snapshot_every` more records are far from the 64
+        // documents the snapshot holds, and do not rewrite them.
+        let store = Store::open(Durability::Durable(config)).unwrap();
+        let c = store.collection("obs");
+        for i in 67..67 + FLOOR {
+            c.insert_one(json!({"i": i})).unwrap();
+        }
+        assert_eq!(newest_snapshot(&dir).map(|(lsn, _)| lsn), Some(covered));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

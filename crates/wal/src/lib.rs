@@ -13,8 +13,9 @@
 //! The log stores opaque byte payloads; each append is assigned a
 //! monotonically increasing [`Lsn`]. Callers (see `mps-docstore` and
 //! `mps-broker`) serialise their own deltas, replay
-//! [`Recovered::entries`] on open, and periodically hand a full-state
-//! snapshot back via [`Wal::snapshot`].
+//! [`Recovered::entries`] on open, and hand a full-state snapshot back
+//! via [`Wal::snapshot`] when [`Wal::snapshot_due`] says the log written
+//! since the last one outweighs it.
 //!
 //! Crash faults are first-class: a [`KillSwitch`] armed at one of the
 //! [`KillPoint`]s makes the instance die exactly the way a process

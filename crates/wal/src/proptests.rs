@@ -155,6 +155,66 @@ fn any_truncation_recovers_a_prefix_without_panic() {
     });
 }
 
+/// The cadence's three counts — records and framed bytes since the
+/// newest snapshot, and that snapshot's state bytes — are facts of the
+/// directory: after any sequence of appends, snapshots and segment rolls,
+/// a reopened log holds the counts the live one kept, and answers
+/// `snapshot_due` the same.
+#[test]
+fn a_reopened_log_keeps_the_cadence_counts() {
+    let counts = |wal: &Wal| {
+        (
+            wal.next_lsn() - 1 - wal.snapshot_lsn(),
+            wal.bytes_since_snapshot(),
+            wal.snapshot_bytes(),
+        )
+    };
+    check(|rng| {
+        let dir = temp_dir();
+        // Small segments: batches roll them, snapshots compact them.
+        let config = WalConfig::default()
+            .telemetry(false)
+            .segment_max_bytes(rng.size(32, 512) as u64);
+        let (mut wal, _) = Wal::open(&dir, config.clone()).unwrap();
+        // Kept beside the log: what was appended since the last snapshot.
+        let (mut records, mut bytes, mut state_bytes) = (0u64, 0u64, 0u64);
+        for _ in 0..rng.size(1, 24) {
+            match rng.size(0, 8) {
+                0 => {
+                    let len = rng.size(0, 400);
+                    let state = rng.bytes(len);
+                    if wal.snapshot(&state).unwrap() > 0 {
+                        (records, bytes, state_bytes) = (0, 0, state.len() as u64);
+                    }
+                }
+                1 => {
+                    drop(wal);
+                    wal = Wal::open(&dir, config.clone()).unwrap().0;
+                }
+                _ => {
+                    let batch = rng.payloads(0, 6, 80);
+                    wal.append_batch(&batch).unwrap();
+                    records += batch.len() as u64;
+                    bytes += batch
+                        .iter()
+                        .map(|p| (crate::RECORD_HEADER_BYTES + p.len()) as u64)
+                        .sum::<u64>();
+                }
+            }
+            assert_eq!(counts(&wal), (records, bytes, state_bytes));
+            let floor = rng.size(0, 12) as u64;
+            let due = floor != 0 && records >= floor && bytes >= state_bytes;
+            assert_eq!(wal.snapshot_due(floor), due, "floor {floor}");
+        }
+        let live = counts(&wal);
+        drop(wal);
+        let (reopened, recovered) = Wal::open(&dir, config).unwrap();
+        assert_eq!(counts(&reopened), live);
+        assert_eq!(recovered.entries.len() as u64, live.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
+}
+
 #[test]
 fn crc32_equals_the_bytewise_loop_at_every_short_length() {
     let mut rng = Rng(1);

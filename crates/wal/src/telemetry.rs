@@ -24,6 +24,11 @@ pub(crate) struct WalTelemetry {
     /// commit) — the denominator the batching benches divide stored
     /// observations by.
     pub(crate) fsyncs: Counter,
+    /// Snapshots committed, and the bytes written to their files,
+    /// framing included. Kept apart from `bytes_written`: snapshot bytes
+    /// over log bytes is the write amplification of the cadence.
+    pub(crate) snapshots: Counter,
+    pub(crate) snapshot_bytes_written: Counter,
     /// Segment files (closed + active) across live `Wal` instances —
     /// each instance contributes deltas and withdraws them on drop, so
     /// the readiness probe sees compaction keeping the count bounded.
@@ -53,6 +58,11 @@ pub(crate) fn telemetry() -> &'static WalTelemetry {
                 "wal_fsyncs_total",
                 "Group-commit durability barriers issued on the append path",
             ),
+            snapshots: registry.counter("wal_snapshots_total", "Snapshots committed"),
+            snapshot_bytes_written: registry.counter(
+                "wal_snapshot_bytes_written_total",
+                "Bytes written to committed snapshot files, framing included",
+            ),
             open_segments: registry.gauge(
                 "wal_open_segments",
                 "Segment files (closed + active) across live WAL instances",
@@ -77,6 +87,8 @@ mod tests {
             "wal_recoveries_total",
             "wal_torn_tail_truncations_total",
             "wal_fsyncs_total",
+            "wal_snapshots_total",
+            "wal_snapshot_bytes_written_total",
             "wal_open_segments",
         ] {
             assert!(names.iter().any(|n| n == name), "missing {name}");
@@ -86,6 +98,8 @@ mod tests {
             &t.recoveries,
             &t.torn_tail_truncations,
             &t.fsyncs,
+            &t.snapshots,
+            &t.snapshot_bytes_written,
         );
     }
 }

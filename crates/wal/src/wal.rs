@@ -132,6 +132,16 @@ pub struct Wal {
     closed: Vec<ClosedSegment>,
     next_lsn: Lsn,
     snapshot_lsn: Lsn,
+    /// State bytes of the newest snapshot and framed bytes logged since
+    /// it — with `next_lsn - 1 - snapshot_lsn`, what
+    /// [`Wal::snapshot_due`] weighs. [`Wal::open`] re-derives both from
+    /// the snapshot file and the recovered tail.
+    snapshot_bytes: u64,
+    tail_bytes: u64,
+    /// The LSN the last snapshot attempt, committed or failed, covered
+    /// through: the record floor counts from here, so a snapshot that
+    /// keeps failing is retried every floor, not every append.
+    attempt_lsn: Lsn,
     /// The segment count this instance last contributed to the
     /// process-wide `wal_open_segments` gauge (withdrawn on drop).
     gauge_segments: i64,
@@ -299,6 +309,12 @@ impl Wal {
             closed,
             next_lsn,
             snapshot_lsn,
+            snapshot_bytes: snapshot.as_ref().map_or(0, |state| state.len() as u64),
+            tail_bytes: entries
+                .iter()
+                .map(|(_, payload)| (RECORD_HEADER_BYTES + payload.len()) as u64)
+                .sum(),
+            attempt_lsn: snapshot_lsn,
             gauge_segments: 0,
         };
         wal.publish_segment_gauge();
@@ -360,6 +376,7 @@ impl Wal {
         }
 
         self.active_bytes += buf.len() as u64;
+        self.tail_bytes += buf.len() as u64;
         self.next_lsn += payloads.len() as u64;
         if self.config.telemetry {
             telemetry().appends.add(payloads.len() as u64);
@@ -375,6 +392,11 @@ impl Wal {
     /// intact. Returns the LSN the snapshot covers through.
     pub fn snapshot(&mut self, state: &[u8]) -> Result<Lsn, WalError> {
         self.check_alive()?;
+        let covered = self.next_lsn - 1;
+        if covered == 0 {
+            return Ok(0);
+        }
+        self.attempt_lsn = covered;
         if u32::try_from(state.len()).is_err() {
             // The length field is a `u32`: a cast would truncate it and
             // commit a file that can never be read back.
@@ -382,10 +404,6 @@ impl Wal {
                 std::io::ErrorKind::InvalidInput,
                 format!("a snapshot of {} bytes exceeds the format", state.len()),
             )));
-        }
-        let covered = self.next_lsn - 1;
-        if covered == 0 {
-            return Ok(0);
         }
         let final_path = snapshot_path(&self.dir, covered);
         let tmp_path = final_path.with_extension("snap.tmp");
@@ -406,11 +424,32 @@ impl Wal {
 
         let previous = self.snapshot_lsn;
         self.snapshot_lsn = covered;
-        if previous > 0 {
+        self.snapshot_bytes = state.len() as u64;
+        self.tail_bytes = 0;
+        if self.config.telemetry {
+            telemetry().snapshots.inc();
+            telemetry()
+                .snapshot_bytes_written
+                .add((RECORD_HEADER_BYTES + state.len()) as u64);
+        }
+        // A second snapshot of the same LSN replaced the file in place.
+        if previous > 0 && previous != covered {
             let _ = std::fs::remove_file(snapshot_path(&self.dir, previous));
         }
         self.compact()?;
         Ok(covered)
+    }
+
+    /// The snapshot cadence: whether the log since the newest snapshot
+    /// is worth a new one — at least `min_records` records (`0`: never;
+    /// counted from the last attempt, if that failed) **and** at least
+    /// as many framed bytes as that snapshot's state holds. Snapshot
+    /// bytes written so stay within ~2× the log's, and recovery reads a
+    /// tail no larger than its snapshot, however large the state grows.
+    pub fn snapshot_due(&self, min_records: u64) -> bool {
+        min_records != 0
+            && self.next_lsn - 1 - self.attempt_lsn >= min_records
+            && self.tail_bytes >= self.snapshot_bytes
     }
 
     /// Deletes closed segments fully covered by the current snapshot.
@@ -460,6 +499,16 @@ impl Wal {
     /// The LSN covered by the newest committed snapshot (`0` if none).
     pub fn snapshot_lsn(&self) -> Lsn {
         self.snapshot_lsn
+    }
+
+    /// State bytes of the newest committed snapshot (`0` if none).
+    pub fn snapshot_bytes(&self) -> u64 {
+        self.snapshot_bytes
+    }
+
+    /// Framed bytes logged after the newest committed snapshot.
+    pub fn bytes_since_snapshot(&self) -> u64 {
+        self.tail_bytes
     }
 
     /// Number of segment files (closed + active).
@@ -686,6 +735,62 @@ mod tests {
         let lsns: Vec<Lsn> = recovered.entries.iter().map(|(l, _)| *l).collect();
         assert_eq!(lsns, vec![25, 26]);
         assert_eq!(wal.next_lsn(), 27);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_second_snapshot_of_the_same_lsn_keeps_the_file() {
+        // It is renamed over the first: deleting "the previous snapshot"
+        // then would delete it, with the segments it covers already gone.
+        let dir = temp_dir("snap-twice");
+        let config = quiet().segment_max_bytes(64);
+        let (mut wal, _) = Wal::open(&dir, config.clone()).unwrap();
+        for batch in 0..3u64 {
+            wal.append_batch(&payloads(batch * 4..batch * 4 + 4))
+                .unwrap();
+        }
+        assert_eq!(wal.snapshot(b"first").unwrap(), 12);
+        assert_eq!(wal.snapshot(b"again").unwrap(), 12);
+        drop(wal);
+        let (wal, recovered) = Wal::open(&dir, config).unwrap();
+        assert_eq!(recovered.snapshot.as_deref(), Some(b"again".as_slice()));
+        assert_eq!((recovered.snapshot_lsn, wal.next_lsn()), (12, 13));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_is_due_once_the_log_outweighs_it() {
+        let dir = temp_dir("due");
+        let (mut wal, _) = Wal::open(&dir, quiet()).unwrap();
+        let framed = |n: u64| n * (RECORD_HEADER_BYTES + "record-0".len()) as u64;
+        // No snapshot yet: the record floor alone decides, `0` is never.
+        wal.append_batch(&payloads(0..3)).unwrap();
+        assert!(!wal.snapshot_due(4) && wal.snapshot_due(3) && !wal.snapshot_due(0));
+        // A state worth six records: the floor is not enough any more.
+        wal.snapshot(&vec![b's'; framed(6) as usize]).unwrap();
+        assert!(!wal.snapshot_due(1), "nothing logged since");
+        wal.append_batch(&payloads(0..5)).unwrap();
+        assert_eq!(wal.bytes_since_snapshot(), framed(5));
+        assert!(!wal.snapshot_due(3), "five records against six");
+        wal.append_batch(&payloads(5..6)).unwrap();
+        assert!(wal.snapshot_due(3) && !wal.snapshot_due(7));
+
+        // A failed attempt (its temp path is taken) leaves the log alive
+        // and the counts standing; the floor counts on from the attempt.
+        let blocker = snapshot_path(&dir, 9).with_extension("snap.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(matches!(wal.snapshot(b"state"), Err(WalError::Io(_))));
+        assert_eq!(
+            (wal.snapshot_lsn(), wal.bytes_since_snapshot()),
+            (3, framed(6))
+        );
+        wal.append_batch(&payloads(6..8)).unwrap();
+        assert!(!wal.snapshot_due(3), "two records since the failure");
+        wal.append_batch(&payloads(8..9)).unwrap();
+        assert!(wal.snapshot_due(3));
+        assert_eq!(wal.snapshot(b"state").unwrap(), 12);
+        assert_eq!((wal.snapshot_bytes(), wal.bytes_since_snapshot()), (5, 0));
+        std::fs::remove_dir(&blocker).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
