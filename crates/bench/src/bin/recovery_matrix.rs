@@ -27,7 +27,7 @@
 #![allow(clippy::print_stdout)]
 
 use mps_broker::{Broker, BrokerDurabilityConfig, BrokerTransport, ExchangeType};
-use mps_docstore::{Durability, DurabilityConfig, Filter, Store};
+use mps_docstore::{Durability, DurabilityConfig, Filter, Store, Update};
 use mps_faults::{CrashPlan, CrashTarget};
 use mps_goflow::{GoFlowServer, Role};
 use mps_types::{AppId, DeviceModel, Observation, SimTime, SoundLevel};
@@ -39,10 +39,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The snapshot floor in every cell — small, so the mid-snapshot and
-/// mid-compaction kill points fire early. The cadence also waits for as
-/// many log bytes as the last snapshot holds, so snapshots thin out as a
-/// cell's state grows: each `snapshot_skips` entry must still be reached
-/// within the cell's operations (`kill never fired` fails the cell).
+/// mid-compaction kill points fire early. The cadence also waits until
+/// half of what a reopen would read is dead, so a cell must supersede
+/// what it wrote (updates, deletes, acks) to be snapshotted at all, and
+/// snapshots thin out as its state grows: each `snapshot_skips` entry
+/// must still be reached within the cell's operations (`kill never
+/// fired` fails the cell; the report's snapshot count says how close a
+/// cell came).
 const SNAPSHOT_EVERY: u64 = 8;
 
 /// Every cell's log: segments of a few records each, so snapshots find
@@ -80,11 +83,16 @@ fn main() {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "crash-kill recovery matrix ({} mode, {ops} ops/cell, snapshot once the log since the \
-         last one holds >= {SNAPSHOT_EVERY} records and >= that snapshot's bytes)",
+        "crash-kill recovery matrix ({} mode, {ops} ops/cell, snapshot once >= {SNAPSHOT_EVERY} \
+         records were logged since the last one and, of the records a reopen would read, >= \
+         {SNAPSHOT_EVERY} and >= half are dead)",
         if long { "long" } else { "quick" },
     );
     let mut failures = 0usize;
+    let mut record = |line: String| {
+        failures += usize::from(line.starts_with("FAIL"));
+        let _ = writeln!(report, "{line}");
+    };
     for target in [CrashTarget::Docstore, CrashTarget::Broker] {
         for point in KillPoint::ALL {
             let skips = match point {
@@ -96,29 +104,7 @@ fn main() {
                     CrashTarget::Docstore => docstore_cell(point, skip, ops),
                     CrashTarget::Broker => broker_cell(point, skip, ops),
                 };
-                let line = match outcome {
-                    Ok(cell) => format!(
-                        "PASS {:>8} {:>18} skip {:>2}: {} committed, {} ambiguous, {} recovered, torn_tail={}, deterministic",
-                        target.as_str(),
-                        point.as_str(),
-                        skip,
-                        cell.committed,
-                        cell.ambiguous,
-                        cell.recovered,
-                        cell.torn,
-                    ),
-                    Err(why) => {
-                        failures += 1;
-                        format!(
-                            "FAIL {:>8} {:>18} skip {:>2}: {why}",
-                            target.as_str(),
-                            point.as_str(),
-                            skip,
-                        )
-                    }
-                };
-                println!("{line}");
-                let _ = writeln!(report, "{line}");
+                record(line(target.as_str(), point, skip, outcome));
             }
         }
     }
@@ -127,29 +113,8 @@ fn main() {
     for point in [KillPoint::MidAppend, KillPoint::PostAppendPreAck] {
         for &skip in append_skips {
             let batches = if long { 64 } else { 12 };
-            let line = match ingest_cell(point, skip, batches) {
-                Ok(cell) => format!(
-                    "PASS {:>8} {:>18} skip {:>2}: {} committed, {} ambiguous, {} recovered, torn_tail={}, deterministic",
-                    "ingest",
-                    point.as_str(),
-                    skip,
-                    cell.committed,
-                    cell.ambiguous,
-                    cell.recovered,
-                    cell.torn,
-                ),
-                Err(why) => {
-                    failures += 1;
-                    format!(
-                        "FAIL {:>8} {:>18} skip {:>2}: {why}",
-                        "ingest",
-                        point.as_str(),
-                        skip,
-                    )
-                }
-            };
-            println!("{line}");
-            let _ = writeln!(report, "{line}");
+            let outcome = ingest_cell(point, skip, batches);
+            record(line("ingest", point, skip, outcome));
         }
     }
 
@@ -170,6 +135,51 @@ fn main() {
     }
 }
 
+/// One cell's line of the report, printed as it is made.
+fn line(target: &str, point: KillPoint, skip: u64, outcome: Result<Cell, String>) -> String {
+    let (verdict, what) = match outcome {
+        Ok(cell) => (
+            "PASS",
+            format!(
+                "{} committed, {} ambiguous, {} recovered, {} snapshots, torn_tail={}, deterministic",
+                cell.committed, cell.ambiguous, cell.recovered, cell.snapshots, cell.torn,
+            ),
+        ),
+        Err(why) => ("FAIL", why),
+    };
+    let line = format!(
+        "{verdict} {target:>8} {:>18} skip {skip:>2}: {what}",
+        point.as_str()
+    );
+    println!("{line}");
+    line
+}
+
+/// Counts the snapshots a cell's workload commits: the newest one's LSN
+/// in the directory, looked at between operations.
+struct Snapshots<'a> {
+    dir: &'a PathBuf,
+    newest: Option<u64>,
+    taken: usize,
+}
+
+impl<'a> Snapshots<'a> {
+    fn of(dir: &'a PathBuf) -> Self {
+        Self {
+            dir,
+            newest: None,
+            taken: 0,
+        }
+    }
+
+    fn look(&mut self) {
+        let report = mps_wal::inspect(self.dir).unwrap_or_default();
+        let newest = report.snapshots.first().map(|snapshot| snapshot.lsn);
+        self.taken += usize::from(newest != self.newest);
+        self.newest = newest;
+    }
+}
+
 /// What a passing cell measured, for the report artifact.
 struct Cell {
     /// Operations acknowledged before the crash.
@@ -178,6 +188,8 @@ struct Cell {
     ambiguous: usize,
     /// Entities present after recovery (documents or messages).
     recovered: usize,
+    /// Snapshots committed before the crash.
+    snapshots: usize,
     /// Whether recovery truncated a torn tail.
     torn: bool,
 }
@@ -203,7 +215,8 @@ fn torn_tail(dir: &PathBuf) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Docstore: inserts plus periodic deletes, then crash, reopen twice.
+// Docstore: inserts, each followed by an update of the document before
+// it, plus periodic deletes; then crash, reopen twice.
 // ---------------------------------------------------------------------
 
 fn docstore_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
@@ -220,14 +233,30 @@ fn docstore_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> 
     obs.create_index("seq").map_err(|e| format!("index: {e}"))?;
 
     let mut inserted: Vec<u64> = Vec::new();
+    let mut updated: BTreeSet<u64> = BTreeSet::new();
     let mut deleted: Vec<u64> = Vec::new();
     let mut ambiguous: BTreeSet<u64> = BTreeSet::new();
+    let mut snapshots = Snapshots::of(&dir);
     for i in 0..ops {
+        snapshots.look();
         match obs.insert_one(json!({"seq": i, "zone": format!("z{}", i % 4)})) {
             Ok(_) => inserted.push(i),
             Err(_) => {
                 ambiguous.insert(i);
                 break;
+            }
+        }
+        // Supersede the record of the document before this one (never a
+        // deleted one: a victim goes two inserts after its own): without
+        // dead records in the log there is nothing to snapshot for.
+        if let Some(earlier) = i.checked_sub(1) {
+            match obs.update_many(&Filter::eq("seq", earlier), &Update::set("seen", true)) {
+                Ok(1) => drop(updated.insert(earlier)),
+                Ok(n) => return Err(format!("update of seq {earlier} matched {n} documents")),
+                Err(_) => {
+                    ambiguous.insert(earlier);
+                    break;
+                }
             }
         }
         if i % 5 == 4 {
@@ -246,24 +275,27 @@ fn docstore_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> 
     }
     drop(obs);
     drop(store);
+    snapshots.look();
     let torn = torn_tail(&dir);
 
     // Two independent replays of the same log must agree byte-for-byte.
-    let reopen = || -> Result<(String, Vec<u64>), String> {
+    // A document is its `seq` and whether an update reached it.
+    let reopen = || -> Result<(String, Vec<(u64, bool)>), String> {
         let config = DurabilityConfig::new(&dir)
             .wal(wal_config())
             .snapshot_every(SNAPSHOT_EVERY);
         let store = Store::open(Durability::Durable(config)).map_err(|e| format!("reopen: {e}"))?;
         let export = store.export_json();
-        let seqs = store
+        let docs = store
             .collection("obs")
             .all()
             .iter()
-            .filter_map(|d| d.get("seq").and_then(serde_json::Value::as_u64))
+            .filter_map(|d| Some((d.get("seq")?.as_u64()?, d.get("seen").is_some())))
             .collect();
-        Ok((export, seqs))
+        Ok((export, docs))
     };
-    let (export_a, seqs) = reopen()?;
+    let (export_a, docs) = reopen()?;
+    let seqs: Vec<u64> = docs.iter().map(|(seq, _)| *seq).collect();
     let (export_b, _) = reopen()?;
     if export_a != export_b {
         return Err("replay is not deterministic: exports differ".to_owned());
@@ -284,6 +316,14 @@ fn docstore_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> 
             return Err(format!("deleted doc seq {s} resurrected"));
         }
     }
+    for (s, seen) in docs.iter().filter(|(s, _)| !ambiguous.contains(s)) {
+        if *seen != updated.contains(s) {
+            return Err(format!(
+                "doc seq {s} recovered with seen={seen}, committed update={}",
+                updated.contains(s)
+            ));
+        }
+    }
     let inserted_set: BTreeSet<u64> = inserted.iter().copied().collect();
     for s in &seqs {
         if !inserted_set.contains(s) && !ambiguous.contains(s) {
@@ -294,6 +334,7 @@ fn docstore_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> 
         committed: inserted_set.len(),
         ambiguous: ambiguous.len(),
         recovered: seqs.len(),
+        snapshots: snapshots.taken,
         torn,
     };
     let _ = std::fs::remove_dir_all(&dir);
@@ -334,7 +375,9 @@ fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
     let mut acked: Vec<u64> = Vec::new();
     let mut dead_lettered: Vec<u64> = Vec::new();
     let mut ambiguous: BTreeSet<u64> = BTreeSet::new();
+    let mut snapshots = Snapshots::of(&dir);
     'workload: for i in 0..ops {
+        snapshots.look();
         match broker.publish("app", "obs.zone.noise", format!("{i}").into_bytes()) {
             Ok(_) => published.push(i),
             Err(_) => {
@@ -391,6 +434,7 @@ fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
         return Err(format!("kill never fired (dead={:?})", kill.dead()));
     }
     drop(broker);
+    snapshots.look();
     let torn = torn_tail(&dir);
 
     // Two independent replays must agree snapshot-for-snapshot.
@@ -455,6 +499,7 @@ fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
         committed: published_set.len(),
         ambiguous: ambiguous.len(),
         recovered: everywhere.len(),
+        snapshots: snapshots.taken,
         torn,
     };
     let _ = std::fs::remove_dir_all(&dir);
@@ -505,7 +550,9 @@ fn ingest_cell(point: KillPoint, skip: u64, batches: u64) -> Result<Cell, String
     let now = SimTime::from_hms(0, 10, 5, 0);
     let mut committed: BTreeSet<u64> = BTreeSet::new();
     let mut ambiguous: BTreeSet<u64> = BTreeSet::new();
+    let mut snapshots = Snapshots::of(&dir);
     for b in 0..batches {
+        snapshots.look();
         let seqs: Vec<u64> = (b * INGEST_BATCH as u64..(b + 1) * INGEST_BATCH as u64).collect();
         for &seq in &seqs {
             let payload = serde_json::to_vec(&obs_for(seq)).map_err(|e| format!("encode: {e}"))?;
@@ -531,6 +578,7 @@ fn ingest_cell(point: KillPoint, skip: u64, batches: u64) -> Result<Cell, String
     }
     drop(session);
     drop(server);
+    snapshots.look();
     let torn = torn_tail(&dir);
 
     // Two independent replays of the same log must agree byte-for-byte.
@@ -578,6 +626,7 @@ fn ingest_cell(point: KillPoint, skip: u64, batches: u64) -> Result<Cell, String
         committed: committed.len(),
         ambiguous: ambiguous.len(),
         recovered: seqs.len(),
+        snapshots: snapshots.taken,
         torn,
     };
     let _ = std::fs::remove_dir_all(&dir);

@@ -142,6 +142,14 @@ struct State {
     route_cache: RouteCache,
 }
 
+impl State {
+    /// Message copies a snapshot taken now would hold: ready and unacked.
+    fn copies(&self) -> u64 {
+        let copies = |q: &QueueState| q.ready.len() + q.unacked.len();
+        self.queues.values().map(copies).sum::<usize>() as u64
+    }
+}
+
 /// Management view of an exchange.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExchangeInfo {
@@ -293,7 +301,11 @@ impl Broker {
         Ok(Self {
             state: Mutex::new(state),
             metrics: BrokerMetrics::default(),
-            durable: Some(BrokerDurable::new(wal, config.snapshot_every)),
+            durable: Some(BrokerDurable::new(
+                wal,
+                replayed.snapshot_held,
+                config.snapshot_every,
+            )),
         })
     }
 
@@ -368,7 +380,7 @@ impl Broker {
             }
         }
         let bytes = durability::encode_snapshot(&view, state.next_durable_id, &topology)?;
-        durable.write_snapshot(&bytes)
+        durable.write_snapshot(&bytes, state.copies())
     }
 
     /// Takes a snapshot when the cadence says so; snapshot failures are
@@ -376,13 +388,13 @@ impl Broker {
     /// crash-killed instance fails its next mutation anyway). Must be
     /// called *without* the state lock held.
     fn maybe_snapshot(&self) {
-        let Some(durable) = self.durable.as_ref().filter(|d| d.snapshot_due()) else {
+        let Some(durable) = &self.durable else {
             return;
         };
-        // Asked again under the state lock, which every append and every
-        // snapshot holds: of two writers that saw it due, one snapshots.
+        // Asked under the state lock, which every append and every
+        // snapshot holds: of two writers that cross it, one snapshots.
         let state = self.state.lock();
-        if durable.snapshot_due() {
+        if durable.snapshot_due(state.copies()) {
             let _ = Self::snapshot(durable, &state);
         }
     }
@@ -2043,12 +2055,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// GoFlow is down and the backlog builds: the cadence rewrites it as
-    /// it doubles, not every `snapshot_every` records however long it is.
+    /// GoFlow is down and the backlog builds: every copy is still owed, so
+    /// a snapshot would reclaim nothing and none is taken, however long
+    /// the backlog grows; recovery is the log. Draining it is what kills
+    /// records, and what makes a snapshot due.
     #[test]
-    fn a_durable_backlog_is_snapshotted_as_it_doubles() {
+    fn a_durable_backlog_nobody_acks_is_never_snapshotted() {
         const FLOOR: u64 = 4;
-        const MESSAGES: u64 = 64 * FLOOR;
+        const MESSAGES: usize = 256;
         let dir = temp_dir("backlog");
         let config = durable_config(&dir).snapshot_every(FLOOR);
         let b = Broker::open_durable(config.clone()).unwrap();
@@ -2057,26 +2071,56 @@ mod tests {
             let report = mps_wal::inspect(&dir).unwrap();
             report.snapshots.first().map(|s| s.lsn)
         };
-        let (mut snapshots, mut seen) = (0, newest());
+        let mut declared = None;
         for i in 0..MESSAGES {
             b.publish("app", "obs.x", vec![i as u8; 256]).unwrap();
             if i % 3 == 0 {
                 // Delivered and never acked: still owed, still in the state.
                 b.consume("q", 1).unwrap();
             }
-            let now = newest();
-            snapshots += u64::from(now != seen);
-            seen = now;
+            if i == 0 {
+                // The topology's five records, live nowhere, are worth
+                // one snapshot to the first writer that asks.
+                declared = newest();
+                assert!(declared.is_some());
+            }
+            assert_eq!(newest(), declared, "message {i}");
         }
-        // ⌈log₂(N / floor)⌉ + 1, and one for the topology's five records;
-        // a snapshot every floor would be 64.
-        assert!((3..=8).contains(&snapshots), "{snapshots} snapshots");
         let live = b.queue_snapshot("q").unwrap();
-        assert_eq!(live.ready.len() + live.unacked.len(), MESSAGES as usize);
+        assert_eq!(live.ready.len() + live.unacked.len(), MESSAGES);
+        drop(b);
+
+        // From the log alone, in the order published; a delivery nobody
+        // acked is not logged.
+        let b = Broker::open_durable(config.clone()).unwrap();
+        let mut owed: Vec<MessageView> = live.ready.into_iter().chain(live.unacked).collect();
+        owed.sort_by_key(|m| m.durable_id);
+        owed.iter_mut().for_each(|m| m.deliveries = 0);
+        assert_eq!(b.queue_snapshot("q").unwrap().ready, owed);
+
+        // Each ack kills two records, the copy's and its own: a third of
+        // the way down, half of what a reopen would read is dead.
+        let due_at = MESSAGES.div_ceil(3);
+        for acked in 1..=due_at {
+            let d = b.consume("q", 1).unwrap();
+            b.ack("q", d[0].tag).unwrap();
+            assert_eq!(newest() != declared, acked == due_at, "ack {acked}");
+        }
+        let drained_a_third = newest();
+        // The rest in one batch: one more snapshot, of nothing.
+        let tags: Vec<u64> = b
+            .consume("q", MESSAGES)
+            .unwrap()
+            .iter()
+            .map(|d| d.tag)
+            .collect();
+        assert_eq!(tags.len(), MESSAGES - due_at);
+        b.ack_many("q", &tags).unwrap();
+        assert!(newest() > drained_a_third);
         drop(b);
 
         let recovered = Broker::open_durable(config).unwrap();
-        assert_eq!(recovered.queue_depth("q").unwrap(), MESSAGES as usize);
+        assert_eq!(recovered.queue_depth("q").unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

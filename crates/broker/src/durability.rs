@@ -21,6 +21,13 @@
 //! no longer have to re-declare capacities and DLQ policies on startup
 //! (re-declaring stays idempotent and harmless).
 //!
+//! **Snapshots** hold the topology and every message copy still owed
+//! (ready or unacked), and are taken when the log's cadence
+//! ([`mps_wal::Wal::snapshot_due`]) says half of what a reopen would read
+//! is dead: copies acked, discarded or purged, and the records that
+//! settled them. A backlog nobody acks is never rewritten, however long
+//! it grows; recovery replays it from the log.
+//!
 //! **Limits.** Per-queue session counters (`enqueued_total`, delivery
 //! tags) restart. As with the docstore, a durability failure
 //! mid-operation can leave memory ahead of the log; the instance must
@@ -42,10 +49,10 @@ pub struct BrokerDurabilityConfig {
     /// telemetry, recovery span, crash-kill switch).
     pub wal: mps_wal::WalConfig,
     /// Take a snapshot (and compact) once at least this many records
-    /// **and** as many bytes as the last snapshot holds were logged
-    /// since it ([`mps_wal::Wal::snapshot_due`]) — a backlog is not
-    /// rewritten every few records however large it grew; `0` disables
-    /// automatic snapshots
+    /// were logged since the last one **and**, of the records a reopen
+    /// would read, at least this many and at least half are dead
+    /// ([`mps_wal::Wal::snapshot_due`]) — a backlog nobody acks is never
+    /// rewritten; `0` disables automatic snapshots
     /// ([`Broker::checkpoint`](crate::Broker::checkpoint) still works).
     pub snapshot_every: u64,
 }
@@ -132,6 +139,8 @@ pub(crate) struct ReplayedState {
     pub(crate) topology: ReplayedTopology,
     pub(crate) queues: BTreeMap<String, VecDeque<RecoveredEntry>>,
     pub(crate) next_id: u64,
+    /// Message copies the snapshot held, before the tail was applied.
+    pub(crate) snapshot_held: u64,
 }
 
 /// Broker-wide durable state: the log plus the snapshot cadence.
@@ -141,20 +150,22 @@ pub(crate) struct ReplayedState {
 /// the state lock (state → wal), never the other way around.
 #[derive(Debug)]
 pub(crate) struct BrokerDurable {
-    wal: StdMutex<mps_wal::Wal>,
+    /// The log and, under the same lock, the message copies its newest
+    /// snapshot held when it was taken: what the cadence is asked with.
+    log: StdMutex<(mps_wal::Wal, u64)>,
     snapshot_every: u64,
 }
 
 impl BrokerDurable {
-    pub(crate) fn new(wal: mps_wal::Wal, snapshot_every: u64) -> Self {
+    pub(crate) fn new(wal: mps_wal::Wal, held: u64, snapshot_every: u64) -> Self {
         Self {
-            wal: StdMutex::new(wal),
+            log: StdMutex::new((wal, held)),
             snapshot_every,
         }
     }
 
-    fn lock_wal(&self) -> MutexGuard<'_, mps_wal::Wal> {
-        self.wal.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_log(&self) -> MutexGuard<'_, (mps_wal::Wal, u64)> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Appends `deltas` as one group-committed batch.
@@ -166,18 +177,25 @@ impl BrokerDurable {
         for delta in deltas {
             payloads.push(serde_json::to_vec(delta).map_err(corrupt)?);
         }
-        self.lock_wal().append_batch(&payloads).map_err(wal_err)?;
+        self.lock_log().0.append_batch(&payloads).map_err(wal_err)?;
         Ok(())
     }
 
-    /// Whether the log's cadence asks for a snapshot now.
-    pub(crate) fn snapshot_due(&self) -> bool {
-        self.lock_wal().snapshot_due(self.snapshot_every)
+    /// Whether the log's cadence asks for a snapshot now, of the `live`
+    /// message copies one would hold.
+    pub(crate) fn snapshot_due(&self, live: u64) -> bool {
+        let log = self.lock_log();
+        log.0.snapshot_due(self.snapshot_every, log.1, live)
     }
 
-    /// Writes the snapshot bytes and compacts covered segments.
-    pub(crate) fn write_snapshot(&self, state: &[u8]) -> Result<u64, BrokerError> {
-        self.lock_wal().snapshot(state).map_err(wal_err)
+    /// Writes the snapshot bytes, a state of `live` message copies, and
+    /// compacts covered segments.
+    pub(crate) fn write_snapshot(&self, state: &[u8], live: u64) -> Result<u64, BrokerError> {
+        let mut log = self.lock_log();
+        let (wal, held) = &mut *log;
+        let covered = wal.snapshot_holding(state, *held, live).map_err(wal_err)?;
+        *held = live;
+        Ok(covered)
     }
 }
 
@@ -525,6 +543,7 @@ pub(crate) fn replay(recovered: &Recovered) -> Result<ReplayedState, BrokerError
     let mut queues: BTreeMap<String, VecDeque<RecoveredEntry>> = BTreeMap::new();
     let mut topology = ReplayedTopology::default();
     let mut next_id: u64 = 1;
+    let mut snapshot_held = 0;
 
     if let Some(bytes) = &recovered.snapshot {
         let state: Value = serde_json::from_slice(bytes).map_err(corrupt)?;
@@ -542,6 +561,7 @@ pub(crate) fn replay(recovered: &Recovered) -> Result<ReplayedState, BrokerError
             for value in list.as_array().into_iter().flatten() {
                 entries.push_back(parse_entry(value, &format!("snapshot queue {name}"))?);
             }
+            snapshot_held += entries.len() as u64;
             queues.insert(name.clone(), entries);
         }
     }
@@ -715,6 +735,7 @@ pub(crate) fn replay(recovered: &Recovered) -> Result<ReplayedState, BrokerError
         topology,
         queues,
         next_id,
+        snapshot_held,
     })
 }
 

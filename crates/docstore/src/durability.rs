@@ -46,10 +46,13 @@
 //! the WAL lock, so every writer waits for the export, the fsync and the
 //! compaction (`docstore_snapshot_seconds`). Each snapshot rewrites the
 //! whole state, so the cadence ([`Wal::snapshot_due`], asked under that
-//! lock) waits until as many bytes were logged as the last snapshot
-//! holds, and [`DurabilityConfig::snapshot_every`] records at least:
-//! snapshot bytes written stay within ~2× the log's, however large the
-//! store grows, and a reopen reads a tail no larger than its snapshot.
+//! lock) takes one only for what it reclaims: once at least
+//! [`DurabilityConfig::snapshot_every`] of the records a reopen would
+//! read, and at least half of them, are dead (updated, deleted,
+//! cleared). A store that only receives documents, as the paper's did,
+//! is never rewritten and reopens from its log ([`Store::checkpoint`]
+//! still forces a snapshot); one that churns is rewritten when it has
+//! mostly turned over (`docs/DURABILITY.md` derives the bounds).
 //!
 //! **Limits.** A durability failure mid-operation (disk error, crash
 //! kill) leaves the in-memory state *ahead* of the log — callers must
@@ -94,9 +97,10 @@ pub struct DurabilityConfig {
     /// telemetry, recovery span, crash-kill switch).
     pub wal: WalConfig,
     /// Take a snapshot (and compact) once at least this many records
-    /// **and** as many bytes as the last snapshot holds were logged
-    /// since it ([`Wal::snapshot_due`]); `0` disables automatic
-    /// snapshots ([`Store::checkpoint`] still works).
+    /// were logged since the last one **and**, of the records a reopen
+    /// would read, at least this many and at least half are dead
+    /// ([`Wal::snapshot_due`]): never for inserts alone. `0` disables
+    /// automatic snapshots ([`Store::checkpoint`] still works).
     pub snapshot_every: u64,
 }
 
@@ -129,7 +133,9 @@ type CollectionMap = Arc<parking_lot::Mutex<BTreeMap<String, Collection>>>;
 /// Store-wide durable state shared by every collection handle.
 #[derive(Debug)]
 pub(crate) struct DurableShared {
-    wal: StdMutex<Wal>,
+    /// The log and, under the same lock, the documents its newest
+    /// snapshot held when it was taken: what the cadence is asked with.
+    log: StdMutex<(Wal, u64)>,
     snapshot_every: u64,
     collections: Weak<parking_lot::Mutex<BTreeMap<String, Collection>>>,
 }
@@ -230,13 +236,13 @@ pub(crate) fn journaled<T>(
     let Some((shared, coll)) = journal else {
         return (apply(None), Ok(()));
     };
-    let mut wal = shared.lock_wal();
+    let mut log = shared.lock_log();
     let mut journal = Journal::new(coll);
     let out = apply(Some(&mut journal));
     let logged = match journal.payloads.as_slice() {
         [] => Ok(()),
         // One call's records are one group-committed batch.
-        payloads => wal.append_batch(payloads).map(drop).map_err(wal_err),
+        payloads => log.0.append_batch(payloads).map(drop).map_err(wal_err),
     };
     // Decided under the lock the append took, so of two writers that
     // cross the cadence together one snapshots. A failure is counted
@@ -244,21 +250,28 @@ pub(crate) fn journaled<T>(
     // mutation that happened to trigger it: that mutation is durable, the
     // log itself is still intact, and a crash-killed instance fails its
     // next mutation anyway.
-    if logged.is_ok() && wal.snapshot_due(shared.snapshot_every) {
-        let _ = shared.snapshot(&mut wal);
+    let (wal, held) = &*log;
+    if logged.is_ok() && wal.snapshot_due(shared.snapshot_every, *held, shared.live()) {
+        let _ = shared.snapshot(&mut log);
     }
     (out, logged)
 }
 
 impl DurableShared {
-    fn lock_wal(&self) -> MutexGuard<'_, Wal> {
-        self.wal.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_log(&self) -> MutexGuard<'_, (Wal, u64)> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Documents over all collections: what a snapshot taken now holds.
+    fn live(&self) -> u64 {
+        let map = self.collections.upgrade();
+        map.map_or(0, |map| map.lock().values().map(|c| c.len() as u64).sum())
     }
 
     /// Snapshots the full store state and compacts covered segments.
     /// The wal lock is held throughout, so every writer waits for the
     /// export, the fsync and the compaction: `docstore_snapshot_seconds`.
-    fn snapshot(&self, wal: &mut Wal) -> Result<u64, StoreError> {
+    fn snapshot(&self, (wal, held): &mut (Wal, u64)) -> Result<u64, StoreError> {
         let Some(map) = self.collections.upgrade() else {
             return Ok(0);
         };
@@ -266,10 +279,14 @@ impl DurableShared {
         let _timer = SpanTimer::start(&metrics.snapshot_seconds);
         let state = export_json(&map);
         metrics.snapshot_bytes.set(state.len() as i64);
-        wal.snapshot(state.as_bytes()).map_err(|e| {
+        let live = self.live();
+        let snapshot = wal.snapshot_holding(state.as_bytes(), *held, live);
+        let covered = snapshot.map_err(|e| {
             metrics.snapshot_failures.inc();
             wal_err(e)
-        })
+        })?;
+        *held = live;
+        Ok(covered)
     }
 }
 
@@ -341,12 +358,13 @@ fn take(object: &mut Value, key: &str) -> Option<Value> {
 
 /// Rebuilds collections from a recovered snapshot + log tail. The parsed
 /// trees are taken apart by value: every document's values move into its
-/// row, none is cloned.
-fn restore(store: &Store, recovered: Recovered) -> Result<(), StoreError> {
+/// row, none is cloned. Returns how many documents the snapshot held.
+fn restore(store: &Store, recovered: Recovered) -> Result<u64, StoreError> {
     // Index definitions are collected first and built once at the end,
     // over the final document set — equivalent to maintaining them
     // through the replay, and linear instead of quadratic.
     let mut index_paths: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let mut held = 0;
 
     if let Some(bytes) = recovered.snapshot {
         let mut state: Value = serde_json::from_slice(&bytes).map_err(corrupt)?;
@@ -360,6 +378,7 @@ fn restore(store: &Store, recovered: Recovered) -> Result<(), StoreError> {
             let mut inner = collection.inner.lock();
             inner.next_id = cstate.get("next_id").and_then(Value::as_u64).unwrap_or(0);
             if let Some(Value::Array(docs)) = take(&mut cstate, "docs") {
+                held += docs.len() as u64;
                 for doc in docs {
                     let id = doc
                         .get("_id")
@@ -462,7 +481,7 @@ fn restore(store: &Store, recovered: Recovered) -> Result<(), StoreError> {
             inner.create_index(&path);
         }
     }
-    Ok(())
+    Ok(held)
 }
 
 impl Store {
@@ -482,15 +501,15 @@ impl Store {
                 let (wal, recovered) = Wal::open(&config.dir, config.wal).map_err(wal_err)?;
                 let collections: CollectionMap = Arc::default();
                 let shared = Arc::new(DurableShared {
-                    wal: StdMutex::new(wal),
+                    log: StdMutex::new((wal, 0)),
                     snapshot_every: config.snapshot_every,
                     collections: Arc::downgrade(&collections),
                 });
                 let store = Self {
                     collections,
-                    durable: Some(shared),
+                    durable: Some(Arc::clone(&shared)),
                 };
-                restore(&store, recovered)?;
+                shared.lock_log().1 = restore(&store, recovered)?;
                 Ok(store)
             }
         }
@@ -510,7 +529,7 @@ impl Store {
     /// written.
     pub fn checkpoint(&self) -> Result<u64, StoreError> {
         match &self.durable {
-            Some(shared) => shared.snapshot(&mut shared.lock_wal()),
+            Some(shared) => shared.snapshot(&mut shared.lock_log()),
             None => Ok(0),
         }
     }
@@ -674,154 +693,206 @@ mod tests {
             .snapshot_every(2);
         let store = Store::open(Durability::Durable(config)).unwrap();
         let c = store.collection("obs");
-        let before = failures();
-        // The second record is due a snapshot, which fails (its temp path
-        // is taken); the insert is durable all the same and says so.
-        let blocker = dir.join(format!("snap-{:020}.snap.tmp", 2));
-        std::fs::create_dir(&blocker).unwrap();
+        let update = |seen: u64| {
+            let changed = c.update_many(&Filter::gte("i", 0), &Update::set("seen", seen));
+            assert_eq!(changed.unwrap(), c.len());
+        };
         c.insert_one(json!({"i": 0})).unwrap();
+        assert_eq!(newest_snapshot(&dir), None, "one document, all of it live");
+        let before = failures();
+        // The first update leaves two of three records dead: a snapshot
+        // is due and fails (its temp path is taken); the update is
+        // durable all the same and says so.
+        let blocker = dir.join(format!("snap-{:020}.snap.tmp", 3));
+        std::fs::create_dir(&blocker).unwrap();
+        update(1);
         assert!(failures() > before);
         assert!(registry.gauge_value("docstore_snapshot_bytes").unwrap_or(0) > 0);
         // Not again at the next record, which would have succeeded, but
         // `snapshot_every` records after the failure.
-        c.insert_one(json!({"i": 1})).unwrap();
+        update(2);
         assert_eq!(newest_snapshot(&dir), None, "retried one record on");
-        c.insert_one(json!({"i": 2})).unwrap();
-        assert_eq!(newest_snapshot(&dir).map(|(lsn, _)| lsn), Some(4));
+        update(3);
+        assert_eq!(newest_snapshot(&dir), Some(5));
         std::fs::remove_dir(&blocker).unwrap();
 
         // A snapshot that dies takes the instance with it.
+        c.insert_one(json!({"i": 1})).unwrap();
         let before = failures();
         kill.arm(KillPoint::MidSnapshot, 0);
-        c.insert_many([json!({"i": 3}), json!({"i": 4})]).unwrap();
+        update(4);
         assert_eq!(kill.dead(), Some(KillPoint::MidSnapshot));
         assert!(failures() > before);
-        assert!(c.insert_one(json!({"i": 5})).is_err());
+        assert!(c.insert_one(json!({"i": 2})).is_err());
         drop(store);
 
         let recovered = Store::open(durable(&dir)).unwrap();
-        assert_eq!(recovered.collection("obs").len(), 5);
+        let seen = recovered.collection("obs").find(&Filter::eq("seen", 4));
+        assert_eq!(seen.unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The committed snapshot in `dir`, as the file system shows it: the
-    /// LSN it covers through and its state's bytes.
-    fn newest_snapshot(dir: &PathBuf) -> Option<(u64, u64)> {
+    /// The LSN the committed snapshot in `dir` covers through, as the
+    /// file system shows it.
+    fn newest_snapshot(dir: &PathBuf) -> Option<u64> {
         let report = mps_wal::inspect(dir).unwrap();
         let newest = report.snapshots.first()?;
         assert!(newest.valid);
-        Some((
-            newest.lsn,
-            newest.bytes - mps_wal::RECORD_HEADER_BYTES as u64,
-        ))
+        Some(newest.lsn)
     }
 
-    /// Runs `ops` mutations of one durable store with a snapshot floor of
-    /// `FLOOR` records and returns what reached the disk: snapshots
-    /// taken, their bytes in total, and the log's bytes (one segment,
-    /// never compacted: the active one is not).
-    fn snapshot_work(tag: &str, ops: u64, mutate: impl Fn(&Collection, u64)) -> (u64, u64, u64) {
+    /// What [`snapshot_work`] saw reach the disk.
+    #[derive(Default)]
+    struct Work {
+        /// Automatic snapshots taken, and the documents they wrote.
+        snapshots: u64,
+        documents_written: u64,
+        records_logged: u64,
+    }
+
+    /// Runs `ops` mutations of one collection at a snapshot floor of
+    /// `FLOOR` records and checks the recovery-read bound after every
+    /// call: a reopen would read the documents its snapshot holds and the
+    /// records logged since, fewer than twice the live documents (or, for
+    /// the first `FLOOR` records after a snapshot, than it held) plus the
+    /// floor.
+    fn snapshot_work(tag: &str, ops: u64, mut mutate: impl FnMut(&Collection, u64)) -> Work {
         let dir = temp_dir(tag);
         let wal = WalConfig::default()
             .telemetry(false)
             .fsync(false)
-            .segment_max_bytes(u64::MAX);
+            .segment_max_bytes(4096);
         let config = DurabilityConfig::new(&dir).wal(wal).snapshot_every(FLOOR);
         let store = Store::open(Durability::Durable(config)).unwrap();
         let c = store.collection("obs");
-        let (mut snapshots, mut snapshot_bytes, mut newest) = (0, 0, None);
+        let (mut work, mut held, mut newest) = (Work::default(), 0, None);
         for i in 0..ops {
             mutate(&c, i);
-            let now = newest_snapshot(&dir);
+            let live = c.len() as u64;
+            let report = mps_wal::inspect(&dir).unwrap();
+            let now = report.snapshots.first().map(|newest| newest.lsn);
             if now != newest {
-                snapshots += 1;
-                snapshot_bytes += now.unwrap().1;
-                newest = now;
+                // Taken as the call ended: it holds what is live now.
+                work.snapshots += 1;
+                work.documents_written += live;
+                (held, newest) = (live, now);
             }
+            let last = report.segments.last().unwrap();
+            work.records_logged = last.start_lsn + last.records as u64 - 1;
+            let reads = held + work.records_logged - now.unwrap_or(0);
+            assert!(
+                reads < (2 * live).max(held) + FLOOR,
+                "op {i}: a reopen reads {reads} records for {live} live, {held} held"
+            );
         }
-        let report = mps_wal::inspect(&dir).unwrap();
-        assert_eq!(report.segments.len(), 1);
-        let log_bytes = report.segments[0].bytes;
         let live = store.export_json();
         drop((c, store));
         assert_eq!(Store::open(durable(&dir)).unwrap().export_json(), live);
         std::fs::remove_dir_all(&dir).unwrap();
-        (snapshots, snapshot_bytes, log_bytes)
+        work
     }
 
     const FLOOR: u64 = 8;
 
-    /// Snapshot work is linear in what was logged, not quadratic in what
-    /// is stored: each snapshot waits for as many log bytes as the last
-    /// one holds, so all of them together weigh at most twice the log
-    /// (plus the first, which only the floor gates), and a store that
-    /// only grows is rewritten a logarithmic number of times.
+    /// Snapshots follow the dead weight in the log, not its length: a
+    /// store that only grows has none and is never rewritten; one whose
+    /// documents are superseded is rewritten once half of what a reopen
+    /// would read is dead, so a reopen reads at most about twice the live
+    /// documents and all snapshots together hold no more documents than
+    /// records were logged.
     #[test]
-    fn snapshot_work_is_linear() {
-        // 1 KiB documents, so a record is its document and little else.
-        let text = "x".repeat(1024);
-        let insert = |c: &Collection, i: u64| {
-            c.insert_one(json!({"i": i, "text": text})).unwrap();
+    fn snapshots_track_dead_weight() {
+        let insert = |c: &Collection, i: u64| drop(c.insert_one(json!({"i": i})));
+        let update = |c: &Collection, i: u64, seen: u64| {
+            let changed = c.update_many(&Filter::eq("i", i), &Update::set("seen", seen));
+            assert_eq!(changed.unwrap(), 1);
         };
-        let slack = FLOOR * 2 * text.len() as u64;
 
-        const INSERTS: u64 = 64 * FLOOR;
-        let (snapshots, snapshot_bytes, log_bytes) = snapshot_work("linear", INSERTS, insert);
-        // ⌈log₂(N / floor)⌉ + 1; a snapshot every floor would be 64.
-        let doublings = u64::from((INSERTS / FLOOR).next_power_of_two().trailing_zeros());
-        assert!(
-            (2..=doublings + 1).contains(&snapshots),
-            "{snapshots} snapshots of {INSERTS} inserts"
-        );
-        assert!(
-            snapshot_bytes <= 2 * log_bytes + slack,
-            "{snapshot_bytes} snapshot bytes for {log_bytes} log bytes"
-        );
+        // Insert-only (the paper's stream): nothing to reclaim. Doubling
+        // on bytes took 15 snapshots here, one every floor 64.
+        let grown = snapshot_work("grow", 64 * FLOOR, insert);
+        assert_eq!(grown.snapshots, 0);
 
-        // Updates, deletes and clears log bytes the state does not keep:
-        // the same bound holds with room to spare.
-        let (snapshots, snapshot_bytes, log_bytes) =
-            snapshot_work("mixed", INSERTS, |c, i| match i % 16 {
-                3 | 11 => drop(c.update_many(&Filter::gte("i", i - 3), &Update::set("seen", i))),
-                7 => drop(c.delete_many(&Filter::eq("i", i - 5))),
-                15 if i % 128 == 127 => c.clear().unwrap(),
-                _ => insert(c, i),
+        // Update-only over N documents: each update kills one record, so
+        // one snapshot per max(floor, N) of them. (Doubling on bytes: 8
+        // and 24 — an update record outweighs the document it rewrites.)
+        for (documents, parent) in [(FLOOR / 2, 8), (4 * FLOOR, 24)] {
+            let period = documents.max(FLOOR);
+            let work = snapshot_work("update", documents + 8 * period, |c, i| {
+                match i.checked_sub(documents) {
+                    None => insert(c, i),
+                    Some(nth) => update(c, nth % documents, i),
+                }
             });
-        assert!(snapshots >= 2, "{snapshots} snapshots");
+            assert_eq!(work.snapshots, 8, "{documents} documents");
+            assert!(work.snapshots <= parent);
+            assert!(work.documents_written <= work.records_logged);
+        }
+
+        // A seeded mix of all four, one document or many at a time.
+        let mut state = 20u64;
+        let mut next = |below: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % below.max(1)
+        };
+        let mixed = snapshot_work("mixed", 256 * FLOOR, |c, i| match next(16) {
+            0..=3 => insert(c, i),
+            4..=10 => drop(c.update_many(&Filter::eq("i", next(i)), &Update::set("seen", i))),
+            11 => drop(c.update_many(
+                &Filter::gte("i", i - next(i).min(9)),
+                &Update::set("seen", i),
+            )),
+            12..=13 => drop(c.delete_many(&Filter::eq("i", next(i)))),
+            14 if next(8) == 0 => drop(c.delete_many(&Filter::lt("i", next(i) / 4))),
+            15 if next(32) == 0 => c.clear().unwrap(),
+            _ => insert(c, i),
+        });
+        // Doubling on bytes took 42 snapshots on this stream.
+        assert!((2..=42).contains(&mixed.snapshots), "{}", mixed.snapshots);
         assert!(
-            snapshot_bytes <= 2 * log_bytes + slack,
-            "{snapshot_bytes} snapshot bytes for {log_bytes} log bytes"
+            mixed.documents_written <= mixed.records_logged,
+            "{} documents snapshotted for {} records logged",
+            mixed.documents_written,
+            mixed.records_logged
         );
     }
 
     #[test]
     fn the_cadence_survives_a_reopen() {
-        let dir = temp_dir("cadence-reopen");
-        let config = DurabilityConfig::new(&dir)
-            .wal(WalConfig::default().telemetry(false))
-            .snapshot_every(FLOOR);
-        let store = Store::open(Durability::Durable(config.clone())).unwrap();
-        let c = store.collection("obs");
-        for i in 0..64 {
-            c.insert_one(json!({"i": i})).unwrap();
-        }
-        let covered = store.checkpoint().unwrap();
-        for i in 64..67 {
-            c.insert_one(json!({"i": i})).unwrap();
-        }
-        assert_eq!(newest_snapshot(&dir).map(|(lsn, _)| lsn), Some(covered));
-        drop((c, store));
-
-        // A reopened store knows what its snapshot weighs and what was
-        // logged since: `snapshot_every` more records are far from the 64
-        // documents the snapshot holds, and do not rewrite them.
-        let store = Store::open(Durability::Durable(config)).unwrap();
-        let c = store.collection("obs");
-        for i in 67..67 + FLOOR {
-            c.insert_one(json!({"i": i})).unwrap();
-        }
-        assert_eq!(newest_snapshot(&dir).map(|(lsn, _)| lsn), Some(covered));
-        std::fs::remove_dir_all(&dir).unwrap();
+        const DOCUMENTS: u64 = 2 * FLOOR;
+        // A snapshot of DOCUMENTS, then as many updates less one: one
+        // short of due. The last is logged by the same instance or by one
+        // that reopened the directory, and counted what its snapshot holds.
+        let run = |reopen: bool| {
+            let dir = temp_dir("cadence-reopen");
+            let config = DurabilityConfig::new(&dir)
+                .wal(WalConfig::default().telemetry(false))
+                .snapshot_every(FLOOR);
+            let mut store = Store::open(Durability::Durable(config.clone())).unwrap();
+            store
+                .collection("obs")
+                .insert_many((0..DOCUMENTS).map(|i| json!({"i": i})))
+                .unwrap();
+            let covered = store.checkpoint().unwrap();
+            for i in 0..DOCUMENTS {
+                if i == DOCUMENTS - 1 {
+                    assert_eq!(newest_snapshot(&dir), Some(covered), "one short of due");
+                    if reopen {
+                        drop(store);
+                        store = Store::open(Durability::Durable(config.clone())).unwrap();
+                    }
+                }
+                let changed = store
+                    .collection("obs")
+                    .update_many(&Filter::eq("i", i), &Update::set("seen", true));
+                assert_eq!(changed.unwrap(), 1);
+            }
+            let taken = newest_snapshot(&dir).unwrap();
+            assert_eq!(taken, covered + DOCUMENTS);
+            std::fs::remove_dir_all(&dir).unwrap();
+            taken
+        };
+        assert_eq!(run(true), run(false));
     }
 
     /// All nine mutations run the one path: whatever each changes is what

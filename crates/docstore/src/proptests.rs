@@ -12,6 +12,7 @@ use crate::{
     Update,
 };
 use serde_json::{json, Value};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -623,6 +624,8 @@ fn prop_temp_dir() -> PathBuf {
 /// store's carry its history) with the same documents.
 #[test]
 fn durable_replay_equals_in_memory() {
+    // Cases run with automatic snapshots, and those that crossed one.
+    let (snapshotting, crossed) = (Cell::new(0), Cell::new(0));
     check(|rng| {
         let mut ops = rng.vec(0, 30, op);
         // Stamp what is inserted (see `Rng::stamp`): blocks can be told
@@ -672,6 +675,9 @@ fn durable_replay_equals_in_memory() {
         }
         assert_eq!(durable.export_json(), memory.export_json());
         drop(durable);
+        snapshotting.set(snapshotting.get() + u32::from(snapshot_every != 0));
+        let report = mps_wal::inspect(&dir).unwrap();
+        crossed.set(crossed.get() + u32::from(!report.snapshots.is_empty()));
 
         let recovered = Store::open(Durability::Durable(config)).unwrap();
         assert_eq!(recovered.export_json(), memory.export_json());
@@ -704,6 +710,13 @@ fn durable_replay_equals_in_memory() {
         assert_eq!(recovered.export_json(), memory.export_json());
         std::fs::remove_dir_all(&dir).unwrap();
     });
+    // Few of these streams only insert: enough of them supersede half of
+    // what they logged for recovery from a snapshot to stay covered.
+    let (snapshotting, crossed) = (snapshotting.get(), crossed.get());
+    assert!(
+        3 * crossed >= snapshotting,
+        "{crossed} of {snapshotting} cases crossed a snapshot"
+    );
 }
 
 /// The streamed export is the tree route's bytes: every collection deep-

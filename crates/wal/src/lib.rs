@@ -14,8 +14,9 @@
 //! monotonically increasing [`Lsn`]. Callers (see `mps-docstore` and
 //! `mps-broker`) serialise their own deltas, replay
 //! [`Recovered::entries`] on open, and hand a full-state snapshot back
-//! via [`Wal::snapshot`] when [`Wal::snapshot_due`] says the log written
-//! since the last one outweighs it.
+//! via [`Wal::snapshot`] when [`Wal::snapshot_due`] says half of what a
+//! reopen would read is dead. A log whose records are never superseded
+//! is never snapshotted: it is the store.
 //!
 //! Crash faults are first-class: a [`KillSwitch`] armed at one of the
 //! [`KillPoint`]s makes the instance die exactly the way a process

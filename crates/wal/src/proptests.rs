@@ -155,19 +155,23 @@ fn any_truncation_recovers_a_prefix_without_panic() {
     });
 }
 
-/// The cadence's three counts — records and framed bytes since the
-/// newest snapshot, and that snapshot's state bytes — are facts of the
-/// directory: after any sequence of appends, snapshots and segment rolls,
-/// a reopened log holds the counts the live one kept, and answers
-/// `snapshot_due` the same.
+/// The cadence is a fact of the directory: after any sequence of appends,
+/// snapshots and segment rolls, a log dropped and reopened answers
+/// `snapshot_due` as the live one does, for every floor and every pair
+/// of counts a client could hold beside it.
 #[test]
-fn a_reopened_log_keeps_the_cadence_counts() {
-    let counts = |wal: &Wal| {
-        (
-            wal.next_lsn() - 1 - wal.snapshot_lsn(),
-            wal.bytes_since_snapshot(),
-            wal.snapshot_bytes(),
-        )
+fn a_reopened_log_answers_snapshot_due_as_the_live_one() {
+    // Every floor against a grid of (held then, held now).
+    let answers = |wal: &Wal| -> Vec<bool> {
+        let mut out = Vec::new();
+        for floor in 0..12 {
+            for then in [0, 1, 5, 40] {
+                for now in [0, 1, 2, 5, 9, 40, 90] {
+                    out.push(wal.snapshot_due(floor, then, now));
+                }
+            }
+        }
+        out
     };
     check(|rng| {
         let dir = temp_dir();
@@ -176,41 +180,43 @@ fn a_reopened_log_keeps_the_cadence_counts() {
             .telemetry(false)
             .segment_max_bytes(rng.size(32, 512) as u64);
         let (mut wal, _) = Wal::open(&dir, config.clone()).unwrap();
-        // Kept beside the log: what was appended since the last snapshot.
-        let (mut records, mut bytes, mut state_bytes) = (0u64, 0u64, 0u64);
+        // Kept beside the log, as a client does: what the newest snapshot
+        // held, and the records appended since it.
+        let (mut held, mut records) = (0u64, 0u64);
         for _ in 0..rng.size(1, 24) {
             match rng.size(0, 8) {
                 0 => {
-                    let len = rng.size(0, 400);
-                    let state = rng.bytes(len);
-                    if wal.snapshot(&state).unwrap() > 0 {
-                        (records, bytes, state_bytes) = (0, 0, state.len() as u64);
+                    let (len, now) = (rng.size(0, 400), rng.size(0, 60) as u64);
+                    if wal.snapshot_holding(&rng.bytes(len), held, now).unwrap() > 0 {
+                        (held, records) = (now, 0);
                     }
                 }
                 1 => {
+                    let live = answers(&wal);
                     drop(wal);
                     wal = Wal::open(&dir, config.clone()).unwrap().0;
+                    assert_eq!(answers(&wal), live);
                 }
                 _ => {
                     let batch = rng.payloads(0, 6, 80);
                     wal.append_batch(&batch).unwrap();
                     records += batch.len() as u64;
-                    bytes += batch
-                        .iter()
-                        .map(|p| (crate::RECORD_HEADER_BYTES + p.len()) as u64)
-                        .sum::<u64>();
                 }
             }
-            assert_eq!(counts(&wal), (records, bytes, state_bytes));
-            let floor = rng.size(0, 12) as u64;
-            let due = floor != 0 && records >= floor && bytes >= state_bytes;
-            assert_eq!(wal.snapshot_due(floor), due, "floor {floor}");
+            assert_eq!(wal.next_lsn() - 1 - wal.snapshot_lsn(), records);
+            // The rule, restated: at least `floor` records since the
+            // snapshot, and of what a reopen reads at least `floor` and
+            // at least half are dead.
+            let (floor, now) = (rng.size(0, 12) as u64, rng.size(0, 90) as u64);
+            let dead = (held + records).saturating_sub(now);
+            let due = floor != 0 && records >= floor && dead >= floor.max(now);
+            assert_eq!(wal.snapshot_due(floor, held, now), due, "floor {floor}");
         }
-        let live = counts(&wal);
+        let live = answers(&wal);
         drop(wal);
         let (reopened, recovered) = Wal::open(&dir, config).unwrap();
-        assert_eq!(counts(&reopened), live);
-        assert_eq!(recovered.entries.len() as u64, live.0);
+        assert_eq!(answers(&reopened), live);
+        assert_eq!(recovered.entries.len() as u64, records);
         std::fs::remove_dir_all(&dir).unwrap();
     });
 }

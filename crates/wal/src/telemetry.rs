@@ -29,6 +29,10 @@ pub(crate) struct WalTelemetry {
     /// over log bytes is the write amplification of the cadence.
     pub(crate) snapshots: Counter,
     pub(crate) snapshot_bytes_written: Counter,
+    /// Dead records committed snapshots dropped: what a reopen would
+    /// have read beyond what the snapshot holds. Snapshot bytes over
+    /// this is what the cadence pays per record it reclaims.
+    pub(crate) records_reclaimed: Counter,
     /// Segment files (closed + active) across live `Wal` instances —
     /// each instance contributes deltas and withdraws them on drop, so
     /// the readiness probe sees compaction keeping the count bounded.
@@ -63,6 +67,10 @@ pub(crate) fn telemetry() -> &'static WalTelemetry {
                 "wal_snapshot_bytes_written_total",
                 "Bytes written to committed snapshot files, framing included",
             ),
+            records_reclaimed: registry.counter(
+                "wal_records_reclaimed_total",
+                "Dead records dropped by committed snapshots",
+            ),
             open_segments: registry.gauge(
                 "wal_open_segments",
                 "Segment files (closed + active) across live WAL instances",
@@ -89,6 +97,7 @@ mod tests {
             "wal_fsyncs_total",
             "wal_snapshots_total",
             "wal_snapshot_bytes_written_total",
+            "wal_records_reclaimed_total",
             "wal_open_segments",
         ] {
             assert!(names.iter().any(|n| n == name), "missing {name}");
@@ -100,6 +109,7 @@ mod tests {
             &t.fsyncs,
             &t.snapshots,
             &t.snapshot_bytes_written,
+            &t.records_reclaimed,
         );
     }
 }

@@ -132,12 +132,6 @@ pub struct Wal {
     closed: Vec<ClosedSegment>,
     next_lsn: Lsn,
     snapshot_lsn: Lsn,
-    /// State bytes of the newest snapshot and framed bytes logged since
-    /// it — with `next_lsn - 1 - snapshot_lsn`, what
-    /// [`Wal::snapshot_due`] weighs. [`Wal::open`] re-derives both from
-    /// the snapshot file and the recovered tail.
-    snapshot_bytes: u64,
-    tail_bytes: u64,
     /// The LSN the last snapshot attempt, committed or failed, covered
     /// through: the record floor counts from here, so a snapshot that
     /// keeps failing is retried every floor, not every append.
@@ -309,11 +303,6 @@ impl Wal {
             closed,
             next_lsn,
             snapshot_lsn,
-            snapshot_bytes: snapshot.as_ref().map_or(0, |state| state.len() as u64),
-            tail_bytes: entries
-                .iter()
-                .map(|(_, payload)| (RECORD_HEADER_BYTES + payload.len()) as u64)
-                .sum(),
             attempt_lsn: snapshot_lsn,
             gauge_segments: 0,
         };
@@ -376,7 +365,6 @@ impl Wal {
         }
 
         self.active_bytes += buf.len() as u64;
-        self.tail_bytes += buf.len() as u64;
         self.next_lsn += payloads.len() as u64;
         if self.config.telemetry {
             telemetry().appends.add(payloads.len() as u64);
@@ -424,8 +412,6 @@ impl Wal {
 
         let previous = self.snapshot_lsn;
         self.snapshot_lsn = covered;
-        self.snapshot_bytes = state.len() as u64;
-        self.tail_bytes = 0;
         if self.config.telemetry {
             telemetry().snapshots.inc();
             telemetry()
@@ -440,16 +426,48 @@ impl Wal {
         Ok(covered)
     }
 
-    /// The snapshot cadence: whether the log since the newest snapshot
-    /// is worth a new one — at least `min_records` records (`0`: never;
-    /// counted from the last attempt, if that failed) **and** at least
-    /// as many framed bytes as that snapshot's state holds. Snapshot
-    /// bytes written so stay within ~2× the log's, and recovery reads a
-    /// tail no larger than its snapshot, however large the state grows.
-    pub fn snapshot_due(&self, min_records: u64) -> bool {
+    /// [`Wal::snapshot`] for a client that keeps the cadence's two counts
+    /// (see [`Wal::snapshot_due`]): the dead records a committed
+    /// snapshot drops are added to `wal_records_reclaimed_total`.
+    pub fn snapshot_holding(
+        &mut self,
+        state: &[u8],
+        held_then: u64,
+        held_now: u64,
+    ) -> Result<Lsn, WalError> {
+        let dead = self.dead_records(held_then, held_now);
+        let covered = self.snapshot(state)?;
+        if self.config.telemetry {
+            telemetry().records_reclaimed.add(dead);
+        }
+        Ok(covered)
+    }
+
+    /// The snapshot cadence: whether a snapshot taken now would reclaim
+    /// enough to be worth writing. `held_then` is the number of records
+    /// (documents, message copies) the newest snapshot held when it was
+    /// taken — `0` without one; the client keeps it beside the log and
+    /// counts it again from the snapshot it restores on open — and
+    /// `held_now` the number a snapshot taken now would hold. A reopen
+    /// would read `held_then` plus every record logged since; what it
+    /// reads beyond `held_now` is dead. Due when at least `min_records`
+    /// were logged since the last attempt (`0`: never) **and** the dead
+    /// records number at least `min_records` and at least `held_now`:
+    /// half of what recovery would read. A log that only adds records
+    /// has none dead and is never due; one that supersedes them is
+    /// rewritten once it is mostly dead, so a reopen reads fewer than
+    /// `2 × held_now + min_records` records, the directory holds as few,
+    /// and snapshots rewrite no more records than were logged.
+    pub fn snapshot_due(&self, min_records: u64, held_then: u64, held_now: u64) -> bool {
         min_records != 0
             && self.next_lsn - 1 - self.attempt_lsn >= min_records
-            && self.tail_bytes >= self.snapshot_bytes
+            && self.dead_records(held_then, held_now) >= min_records.max(held_now)
+    }
+
+    /// Records a reopen would read — `held_then` in the newest snapshot
+    /// and the log after it — beyond the `held_now` that are live.
+    fn dead_records(&self, held_then: u64, held_now: u64) -> u64 {
+        (held_then + self.next_lsn - 1 - self.snapshot_lsn).saturating_sub(held_now)
     }
 
     /// Deletes closed segments fully covered by the current snapshot.
@@ -499,16 +517,6 @@ impl Wal {
     /// The LSN covered by the newest committed snapshot (`0` if none).
     pub fn snapshot_lsn(&self) -> Lsn {
         self.snapshot_lsn
-    }
-
-    /// State bytes of the newest committed snapshot (`0` if none).
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.snapshot_bytes
-    }
-
-    /// Framed bytes logged after the newest committed snapshot.
-    pub fn bytes_since_snapshot(&self) -> u64 {
-        self.tail_bytes
     }
 
     /// Number of segment files (closed + active).
@@ -759,37 +767,40 @@ mod tests {
     }
 
     #[test]
-    fn a_snapshot_is_due_once_the_log_outweighs_it() {
+    fn a_snapshot_is_due_once_half_the_log_is_dead() {
         let dir = temp_dir("due");
         let (mut wal, _) = Wal::open(&dir, quiet()).unwrap();
-        let framed = |n: u64| n * (RECORD_HEADER_BYTES + "record-0".len()) as u64;
-        // No snapshot yet: the record floor alone decides, `0` is never.
-        wal.append_batch(&payloads(0..3)).unwrap();
-        assert!(!wal.snapshot_due(4) && wal.snapshot_due(3) && !wal.snapshot_due(0));
-        // A state worth six records: the floor is not enough any more.
-        wal.snapshot(&vec![b's'; framed(6) as usize]).unwrap();
-        assert!(!wal.snapshot_due(1), "nothing logged since");
-        wal.append_batch(&payloads(0..5)).unwrap();
-        assert_eq!(wal.bytes_since_snapshot(), framed(5));
-        assert!(!wal.snapshot_due(3), "five records against six");
-        wal.append_batch(&payloads(5..6)).unwrap();
-        assert!(wal.snapshot_due(3) && !wal.snapshot_due(7));
+        // Six records and no snapshot: a reopen reads six. While all six
+        // are live nothing is dead, however low the floor.
+        wal.append_batch(&payloads(0..6)).unwrap();
+        assert!(!wal.snapshot_due(1, 0, 6), "nothing dead");
+        // Three live: three dead, as many as live and as the floor.
+        assert!(wal.snapshot_due(3, 0, 3));
+        assert!(!wal.snapshot_due(3, 0, 4), "two dead against four live");
+        assert!(!wal.snapshot_due(4, 0, 3), "three dead, floor four");
+        assert!(!wal.snapshot_due(0, 0, 0), "`0` is never");
+
+        // A snapshot that held three, and four records since: seven read.
+        wal.snapshot_holding(b"three", 0, 3).unwrap();
+        assert!(!wal.snapshot_due(1, 3, 0), "nothing logged since");
+        wal.append_batch(&payloads(6..10)).unwrap();
+        assert!(wal.snapshot_due(3, 3, 3) && wal.snapshot_due(4, 3, 0));
+        assert!(!wal.snapshot_due(3, 3, 4), "three dead against four live");
+        assert!(!wal.snapshot_due(5, 3, 0), "four records, floor five");
+        assert!(!wal.snapshot_due(1, 3, 9), "more live than a reopen reads");
 
         // A failed attempt (its temp path is taken) leaves the log alive
-        // and the counts standing; the floor counts on from the attempt.
-        let blocker = snapshot_path(&dir, 9).with_extension("snap.tmp");
+        // and the snapshot standing; the floor counts on from the attempt.
+        let blocker = snapshot_path(&dir, 10).with_extension("snap.tmp");
         std::fs::create_dir(&blocker).unwrap();
-        assert!(matches!(wal.snapshot(b"state"), Err(WalError::Io(_))));
-        assert_eq!(
-            (wal.snapshot_lsn(), wal.bytes_since_snapshot()),
-            (3, framed(6))
-        );
-        wal.append_batch(&payloads(6..8)).unwrap();
-        assert!(!wal.snapshot_due(3), "two records since the failure");
-        wal.append_batch(&payloads(8..9)).unwrap();
-        assert!(wal.snapshot_due(3));
-        assert_eq!(wal.snapshot(b"state").unwrap(), 12);
-        assert_eq!((wal.snapshot_bytes(), wal.bytes_since_snapshot()), (5, 0));
+        let failed = wal.snapshot_holding(b"state", 3, 0);
+        assert!(matches!(failed, Err(WalError::Io(_))));
+        assert_eq!(wal.snapshot_lsn(), 6);
+        wal.append_batch(&payloads(10..12)).unwrap();
+        assert!(!wal.snapshot_due(3, 3, 0), "two records since the failure");
+        wal.append_batch(&payloads(12..13)).unwrap();
+        assert!(wal.snapshot_due(3, 3, 0));
+        assert_eq!(wal.snapshot_holding(b"state", 3, 0).unwrap(), 13);
         std::fs::remove_dir(&blocker).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
