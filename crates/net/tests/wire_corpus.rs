@@ -1,0 +1,1195 @@
+//! Golden wire frames: the bytes every broker and docstore RPC puts on
+//! the wire, pinned as hex literals.
+//!
+//! For each opcode the corpus holds the request body the client stub
+//! encodes for fixed arguments and the reply the service encodes from a
+//! fixed in-memory [`Broker`] / [`Store`] state; for each `err::*` code
+//! it holds the error payload. Two directions are asserted against the
+//! same literals: the stubs, driven over a loopback [`WireServer`]
+//! through a recording [`Tap`], must produce exactly the golden request
+//! bodies (and decode the golden replies to the expected values), and
+//! the services, fed the golden requests directly, must answer with
+//! exactly the golden replies. A refactor of either side that moves one
+//! byte fails here, by opcode name.
+
+use mps_broker::{Broker, BrokerError, BrokerTransport, ExchangeType, Message};
+use mps_docstore::{
+    DocId, DocstoreTransport, Filter, FindOptions, SortOrder, Store, StoreError, Update,
+};
+use mps_net::broker_api::{self, decode_broker_error, encode_broker_error};
+use mps_net::docstore_api::{self, decode_store_error, encode_store_error};
+use mps_net::rpc::{STATUS_BAD_REQUEST, STATUS_OK};
+use mps_net::wire::WireWriter;
+use mps_net::{
+    BrokerService, ClientConfig, DocstoreService, RemoteBroker, RemoteStore, ServerConfig,
+    ServiceError, WireServer, WireService,
+};
+use mps_types::headers::{SENT_MS_HEADER, TRACE_HEADER};
+use serde_json::{json, Value};
+use std::sync::{Arc, Mutex};
+
+// ------------------------------------------------------------- plumbing
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    (0..text.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&text[i..i + 2], 16).expect("hex literal"))
+        .collect()
+}
+
+/// One request/response exchange as the service saw it.
+#[derive(Debug, Clone)]
+struct Exchange {
+    opcode: u8,
+    headers: Vec<(String, String)>,
+    request: Vec<u8>,
+    status: u8,
+    reply: Vec<u8>,
+}
+
+/// Records every exchange on its way to the wrapped service.
+struct Tap {
+    inner: Arc<dyn WireService>,
+    log: Mutex<Vec<Exchange>>,
+}
+
+impl Tap {
+    fn new(inner: Arc<dyn WireService>) -> Arc<Tap> {
+        Arc::new(Tap {
+            inner,
+            log: Mutex::new(Vec::new()),
+        })
+    }
+
+    fn take(&self) -> Vec<Exchange> {
+        std::mem::take(&mut *self.log.lock().unwrap())
+    }
+}
+
+impl WireService for Tap {
+    fn handle(
+        &self,
+        opcode: u8,
+        headers: &[(String, String)],
+        body: &[u8],
+    ) -> Result<Vec<u8>, ServiceError> {
+        let result = self.inner.handle(opcode, headers, body);
+        let (status, reply) = match &result {
+            Ok(reply) => (STATUS_OK, reply.clone()),
+            Err(error) => (error.code, error.payload.clone()),
+        };
+        self.log.lock().unwrap().push(Exchange {
+            opcode,
+            headers: headers.to_vec(),
+            request: body.to_vec(),
+            status,
+            reply,
+        });
+        result
+    }
+}
+
+fn serve(service: Arc<dyn WireService>) -> WireServer {
+    WireServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback")
+}
+
+/// One corpus call: the opcode it must put on the wire and the stub
+/// invocation (with fixed arguments) that does so, returning the `Debug`
+/// rendering of what the stub decoded.
+struct Call<C> {
+    name: &'static str,
+    opcode: u8,
+    call: fn(&C) -> String,
+}
+
+/// The golden bytes of one corpus call: request body, response status
+/// and body (hex), and the value the stub decodes the reply to.
+struct Frame {
+    name: &'static str,
+    request: &'static str,
+    status: u8,
+    reply: &'static str,
+    decoded: &'static str,
+}
+
+fn shown<T: std::fmt::Debug>(value: T) -> String {
+    format!("{value:?}")
+}
+
+/// Documents render as their JSON text, not as the value tree's `Debug`.
+fn docs(result: Result<Vec<Value>, StoreError>) -> String {
+    match result {
+        Ok(docs) => serde_json::to_string(&Value::Array(docs)).unwrap(),
+        Err(error) => format!("Err({error:?})"),
+    }
+}
+
+/// Drives every corpus call through `client` and checks what the tap
+/// saw, and what the stub returned, against the literals.
+fn assert_stub_direction<C>(calls: &[Call<C>], frames: &[Frame], client: &C, tap: &Tap) {
+    assert_eq!(calls.len(), frames.len(), "one frame per call");
+    for (call, frame) in calls.iter().zip(frames) {
+        assert_eq!(call.name, frame.name, "calls and frames are in step");
+        let decoded = (call.call)(client);
+        let seen = tap.take();
+        assert_eq!(seen.len(), 1, "{}: exactly one RPC", call.name);
+        let seen = &seen[0];
+        assert_eq!(seen.opcode, call.opcode, "{}: opcode", call.name);
+        assert_eq!(hex(&seen.request), frame.request, "{}: request", call.name);
+        assert_eq!(seen.status, frame.status, "{}: status", call.name);
+        assert_eq!(hex(&seen.reply), frame.reply, "{}: reply", call.name);
+        assert_eq!(decoded, frame.decoded, "{}: decoded reply", call.name);
+    }
+}
+
+/// Feeds every golden request straight to `service` and checks the
+/// answers against the literals.
+fn assert_dispatch_direction<C>(calls: &[Call<C>], frames: &[Frame], service: &dyn WireService) {
+    for (call, frame) in calls.iter().zip(frames) {
+        let (status, reply) = answer(service, call.opcode, &unhex(frame.request));
+        assert_eq!(status, frame.status, "{}: status", call.name);
+        assert_eq!(hex(&reply), frame.reply, "{}: reply", call.name);
+    }
+}
+
+fn answer(service: &dyn WireService, opcode: u8, body: &[u8]) -> (u8, Vec<u8>) {
+    match service.handle(opcode, &[], body) {
+        Ok(reply) => (STATUS_OK, reply),
+        Err(error) => (error.code, error.payload),
+    }
+}
+
+// --------------------------------------------------------------- broker
+
+/// The fixed broker state every broker golden is answered from.
+fn broker_state() -> Arc<dyn BrokerTransport> {
+    let broker = Broker::new();
+    broker.declare_exchange("app", ExchangeType::Topic).unwrap();
+    broker
+        .declare_exchange("edge", ExchangeType::Fanout)
+        .unwrap();
+    broker.declare_queue("inbox").unwrap();
+    broker.declare_queue("dead").unwrap();
+    broker.bind_queue("app", "inbox", "obs.#").unwrap();
+    let traced = Message::new("obs.paris.noise".parse().unwrap(), &br#"{"spl":61.5}"#[..])
+        .with_header(TRACE_HEADER, "t-1");
+    broker.publish_message("app", traced).unwrap();
+    broker.publish("app", "obs.lyon.gps", &b"hi"[..]).unwrap();
+    Arc::new(broker)
+}
+
+mod bop {
+    pub use mps_net::broker_api::op::*;
+}
+
+const BROKER_CALLS: &[Call<RemoteBroker>] = &[
+    Call {
+        name: "DECLARE_EXCHANGE",
+        opcode: bop::DECLARE_EXCHANGE,
+        call: |b| shown(b.declare_exchange("metrics", ExchangeType::Direct)),
+    },
+    Call {
+        name: "DECLARE_QUEUE",
+        opcode: bop::DECLARE_QUEUE,
+        call: |b| shown(b.declare_queue("work")),
+    },
+    Call {
+        name: "DECLARE_QUEUE_WITH_CAPACITY",
+        opcode: bop::DECLARE_QUEUE_WITH_CAPACITY,
+        call: |b| shown(b.declare_queue_with_capacity("small", 8)),
+    },
+    Call {
+        name: "EXCHANGE_EXISTS",
+        opcode: bop::EXCHANGE_EXISTS,
+        call: |b| shown(b.exchange_exists("app")),
+    },
+    Call {
+        name: "QUEUE_EXISTS (absent)",
+        opcode: bop::QUEUE_EXISTS,
+        call: |b| shown(b.queue_exists("ghost")),
+    },
+    Call {
+        name: "BIND_QUEUE",
+        opcode: bop::BIND_QUEUE,
+        call: |b| shown(b.bind_queue("app", "work", "obs.*.noise")),
+    },
+    Call {
+        name: "BIND_EXCHANGE",
+        opcode: bop::BIND_EXCHANGE,
+        call: |b| shown(b.bind_exchange("edge", "app", "#")),
+    },
+    Call {
+        name: "UNBIND_QUEUE",
+        opcode: bop::UNBIND_QUEUE,
+        call: |b| shown(b.unbind_queue("app", "work", "obs.*.noise")),
+    },
+    Call {
+        name: "DELETE_EXCHANGE",
+        opcode: bop::DELETE_EXCHANGE,
+        call: |b| shown(b.delete_exchange("metrics")),
+    },
+    Call {
+        name: "DELETE_QUEUE",
+        opcode: bop::DELETE_QUEUE,
+        call: |b| shown(b.delete_queue("small")),
+    },
+    Call {
+        name: "CONFIGURE_DEAD_LETTER",
+        opcode: bop::CONFIGURE_DEAD_LETTER,
+        call: |b| shown(b.configure_dead_letter("inbox", 3, "dead")),
+    },
+    Call {
+        name: "DEAD_LETTER_POLICY (present)",
+        opcode: bop::DEAD_LETTER_POLICY,
+        call: |b| shown(b.dead_letter_policy("inbox")),
+    },
+    Call {
+        name: "DEAD_LETTER_POLICY (absent)",
+        opcode: bop::DEAD_LETTER_POLICY,
+        call: |b| shown(b.dead_letter_policy("dead")),
+    },
+    Call {
+        name: "QUEUE_DEPTH",
+        opcode: bop::QUEUE_DEPTH,
+        call: |b| shown(b.queue_depth("inbox")),
+    },
+    Call {
+        name: "PUBLISH",
+        opcode: bop::PUBLISH,
+        call: |b| shown(b.publish("app", "obs.nice.noise", b"\x00\x01\xff")),
+    },
+    Call {
+        name: "PUBLISH_MESSAGE",
+        opcode: bop::PUBLISH_MESSAGE,
+        call: |b| {
+            let message = Message::new("obs.lyon.noise".parse().unwrap(), &b"{}"[..])
+                .with_header(TRACE_HEADER, "t-2")
+                .with_header(SENT_MS_HEADER, "1700")
+                .with_header("content-type", "application/json");
+            shown(b.publish_message("app", message))
+        },
+    },
+    Call {
+        name: "CONSUME",
+        opcode: bop::CONSUME,
+        call: |b| shown(b.consume("inbox", 3)),
+    },
+    Call {
+        name: "ACK",
+        opcode: bop::ACK,
+        call: |b| shown(b.ack("inbox", 1)),
+    },
+    Call {
+        name: "NACK",
+        opcode: bop::NACK,
+        call: |b| shown(b.nack("inbox", 2, true)),
+    },
+    Call {
+        name: "PURGE_QUEUE",
+        opcode: bop::PURGE_QUEUE,
+        call: |b| shown(b.purge_queue("inbox")),
+    },
+    Call {
+        name: "PUBLISH (ExchangeNotFound)",
+        opcode: bop::PUBLISH,
+        call: |b| shown(b.publish("ghost", "k", b"")),
+    },
+    Call {
+        name: "ACK (UnknownDeliveryTag)",
+        opcode: bop::ACK,
+        call: |b| shown(b.ack("inbox", 99)),
+    },
+    Call {
+        name: "DECLARE_EXCHANGE (ExchangeTypeMismatch)",
+        opcode: bop::DECLARE_EXCHANGE,
+        call: |b| shown(b.declare_exchange("app", ExchangeType::Direct)),
+    },
+];
+
+/// What the parent tree puts on the wire for [`BROKER_CALLS`], in order.
+const BROKER_FRAMES: &[Frame] = &[
+    Frame {
+        name: "DECLARE_EXCHANGE",
+        request: "070000006d65747269637301",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "DECLARE_QUEUE",
+        request: "04000000776f726b",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "DECLARE_QUEUE_WITH_CAPACITY",
+        request: "05000000736d616c6c0800000000000000",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "EXCHANGE_EXISTS",
+        request: "03000000617070",
+        status: 0,
+        reply: "01",
+        decoded: "true",
+    },
+    Frame {
+        name: "QUEUE_EXISTS (absent)",
+        request: "0500000067686f7374",
+        status: 0,
+        reply: "00",
+        decoded: "false",
+    },
+    Frame {
+        name: "BIND_QUEUE",
+        request: "0300000061707004000000776f726b0b0000006f62732e2a2e6e6f697365",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "BIND_EXCHANGE",
+        request: "0400000065646765030000006170700100000023",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "UNBIND_QUEUE",
+        request: "0300000061707004000000776f726b0b0000006f62732e2a2e6e6f697365",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "DELETE_EXCHANGE",
+        request: "070000006d657472696373",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "DELETE_QUEUE",
+        request: "05000000736d616c6c",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "CONFIGURE_DEAD_LETTER",
+        request: "05000000696e626f78030000000400000064656164",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "DEAD_LETTER_POLICY (present)",
+        request: "05000000696e626f78",
+        status: 0,
+        reply: "01030000000400000064656164",
+        decoded: "Ok(Some(DeadLetterPolicy { max_delivery_attempts: 3, target: \"dead\" }))",
+    },
+    Frame {
+        name: "DEAD_LETTER_POLICY (absent)",
+        request: "0400000064656164",
+        status: 0,
+        reply: "00",
+        decoded: "Ok(None)",
+    },
+    Frame {
+        name: "QUEUE_DEPTH",
+        request: "05000000696e626f78",
+        status: 0,
+        reply: "0200000000000000",
+        decoded: "Ok(2)",
+    },
+    Frame {
+        name: "PUBLISH",
+        request: "030000006170700e0000006f62732e6e6963652e6e6f697365030000000001ff",
+        status: 0,
+        reply: "0100000000000000",
+        decoded: "Ok(1)",
+    },
+    Frame {
+        name: "PUBLISH_MESSAGE",
+        request: "030000006170700e0000006f62732e6c796f6e2e6e6f697365020000007b7d03000c000000636f6e74656e742d74797065100000006170706c69636174696f6e2f6a736f6e07000000782d747261636503000000742d320f000000782d74726163652d73656e742d6d730400000031373030",
+        status: 0,
+        reply: "0100000000000000",
+        decoded: "Ok(1)",
+    },
+    Frame {
+        name: "CONSUME",
+        request: "05000000696e626f7803000000",
+        status: 0,
+        reply: "030000000000000000000000000f0000006f62732e70617269732e6e6f6973650c0000007b2273706c223a36312e357d010007000000782d747261636503000000742d310100000000000000000c0000006f62732e6c796f6e2e67707302000000686900000200000000000000000e0000006f62732e6e6963652e6e6f697365030000000001ff0000",
+        decoded: "Ok([Delivery { tag: 0, message: Message { routing_key: RoutingKey(\"obs.paris.noise\"), payload: [123, 34, 115, 112, 108, 34, 58, 54, 49, 46, 53, 125], headers: {\"x-trace\": \"t-1\"} }, redelivered: false }, Delivery { tag: 1, message: Message { routing_key: RoutingKey(\"obs.lyon.gps\"), payload: [104, 105], headers: {} }, redelivered: false }, Delivery { tag: 2, message: Message { routing_key: RoutingKey(\"obs.nice.noise\"), payload: [0, 1, 255], headers: {} }, redelivered: false }])",
+    },
+    Frame {
+        name: "ACK",
+        request: "05000000696e626f780100000000000000",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "NACK",
+        request: "05000000696e626f78020000000000000001",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "PURGE_QUEUE",
+        request: "05000000696e626f78",
+        status: 0,
+        reply: "0200000000000000",
+        decoded: "Ok(2)",
+    },
+    Frame {
+        name: "PUBLISH (ExchangeNotFound)",
+        request: "0500000067686f7374010000006b00000000",
+        status: 16,
+        reply: "0500000067686f7374",
+        decoded: "Err(ExchangeNotFound(\"ghost\"))",
+    },
+    Frame {
+        name: "ACK (UnknownDeliveryTag)",
+        request: "05000000696e626f786300000000000000",
+        status: 20,
+        reply: "05000000696e626f786300000000000000",
+        decoded: "Err(UnknownDeliveryTag { queue: \"inbox\", tag: 99 })",
+    },
+    Frame {
+        name: "DECLARE_EXCHANGE (ExchangeTypeMismatch)",
+        request: "0300000061707001",
+        status: 18,
+        reply: "03000000617070",
+        decoded: "Err(ExchangeTypeMismatch { name: \"app\" })",
+    },
+];
+
+#[test]
+fn broker_stubs_put_the_golden_bytes_on_the_wire() {
+    let tap = Tap::new(Arc::new(BrokerService::new(broker_state())));
+    let mut server = serve(tap.clone());
+    let remote = RemoteBroker::connect(server.local_addr().to_string(), ClientConfig::default());
+    assert_stub_direction(BROKER_CALLS, BROKER_FRAMES, &remote, &tap);
+    server.shutdown();
+}
+
+#[test]
+fn broker_dispatch_answers_the_golden_requests_with_the_golden_replies() {
+    let service = BrokerService::new(broker_state());
+    assert_dispatch_direction(BROKER_CALLS, BROKER_FRAMES, &service);
+}
+
+/// The trace context of a published message also rides the request
+/// envelope (`docs/WIRE_PROTOCOL.md` §10) and nothing else does.
+#[test]
+fn publish_message_copies_trace_headers_onto_the_envelope() {
+    let tap = Tap::new(Arc::new(BrokerService::new(broker_state())));
+    let mut server = serve(tap.clone());
+    let remote = RemoteBroker::connect(server.local_addr().to_string(), ClientConfig::default());
+    for call in BROKER_CALLS {
+        (call.call)(&remote);
+        let seen = tap.take().remove(0);
+        if call.opcode == bop::PUBLISH_MESSAGE {
+            let expected = [(TRACE_HEADER, "t-2"), (SENT_MS_HEADER, "1700")]
+                .map(|(k, v)| (k.to_string(), v.to_string()));
+            assert_eq!(seen.headers, expected);
+        } else {
+            assert!(
+                seen.headers.is_empty(),
+                "{}: no envelope headers",
+                call.name
+            );
+        }
+    }
+    server.shutdown();
+}
+
+// ------------------------------------------------------------- docstore
+
+/// The fixed store state every docstore golden is answered from.
+fn store_state() -> Arc<dyn DocstoreTransport> {
+    let store = Store::new();
+    let obs = store.collection("obs");
+    obs.insert_many(vec![
+        json!({"city": "paris", "spl": 61.5}),
+        json!({"city": "lyon", "spl": 40.0}),
+        json!({"city": "paris", "spl": 72.25}),
+    ])
+    .unwrap();
+    obs.create_index("city").unwrap();
+    store
+        .collection("scratch")
+        .insert_one(json!({"tmp": true}))
+        .unwrap();
+    store
+        .collection("mixed")
+        .insert_many(vec![json!({"k": [1]}), json!({"k": [2]})])
+        .unwrap();
+    Arc::new(store)
+}
+
+mod dop {
+    pub use mps_net::docstore_api::op::*;
+}
+
+fn paris() -> Filter {
+    Filter::eq("city", "paris")
+}
+
+const DOCSTORE_CALLS: &[Call<RemoteStore>] = &[
+    Call {
+        name: "INSERT_ONE",
+        opcode: dop::INSERT_ONE,
+        call: |s| {
+            shown(
+                s.collection("obs")
+                    .insert_one(json!({"city": "nice", "spl": 55.0})),
+            )
+        },
+    },
+    Call {
+        name: "INSERT_MANY",
+        opcode: dop::INSERT_MANY,
+        call: |s| {
+            shown(s.collection("obs").insert_many(vec![
+                json!({"city": "paris", "spl": 30.0}),
+                json!({"city": "lille", "spl": 48.5, "tags": ["a", "b"]}),
+            ]))
+        },
+    },
+    Call {
+        name: "GET (present)",
+        opcode: dop::GET,
+        call: |s| docs(Ok(s.collection("obs").get(DocId(2)).into_iter().collect())),
+    },
+    Call {
+        name: "GET (absent)",
+        opcode: dop::GET,
+        call: |s| {
+            docs(Ok(s
+                .collection("obs")
+                .get(DocId(999))
+                .into_iter()
+                .collect()))
+        },
+    },
+    Call {
+        name: "LEN",
+        opcode: dop::LEN,
+        call: |s| shown(s.collection("obs").len()),
+    },
+    Call {
+        name: "FIND",
+        opcode: dop::FIND,
+        call: |s| docs(s.collection("obs").find(&paris())),
+    },
+    Call {
+        name: "FIND_WITH_OPTIONS",
+        opcode: dop::FIND_WITH_OPTIONS,
+        call: |s| {
+            let options = FindOptions::new()
+                .sort("spl", SortOrder::Descending)
+                .skip(1)
+                .limit(2)
+                .project(vec!["city".into()]);
+            docs(
+                s.collection("obs")
+                    .find_with_options(&Filter::gte("spl", 40.0), &options),
+            )
+        },
+    },
+    Call {
+        name: "COUNT",
+        opcode: dop::COUNT,
+        call: |s| shown(s.collection("obs").count(&paris())),
+    },
+    Call {
+        name: "UPDATE_MANY",
+        opcode: dop::UPDATE_MANY,
+        call: |s| {
+            shown(
+                s.collection("obs")
+                    .update_many(&Filter::eq("city", "lyon"), &Update::inc("spl", 1.5)),
+            )
+        },
+    },
+    Call {
+        name: "DELETE_MANY",
+        opcode: dop::DELETE_MANY,
+        call: |s| {
+            shown(
+                s.collection("obs")
+                    .delete_many(&Filter::eq("city", "lille")),
+            )
+        },
+    },
+    Call {
+        name: "CREATE_INDEX",
+        opcode: dop::CREATE_INDEX,
+        call: |s| shown(s.collection("obs").create_index("spl")),
+    },
+    Call {
+        name: "DROP_INDEX",
+        opcode: dop::DROP_INDEX,
+        call: |s| shown(s.collection("obs").drop_index("spl")),
+    },
+    Call {
+        name: "HAS_INDEX",
+        opcode: dop::HAS_INDEX,
+        call: |s| shown(s.collection("obs").has_index("city")),
+    },
+    Call {
+        name: "INDEX_CARDINALITY (present)",
+        opcode: dop::INDEX_CARDINALITY,
+        call: |s| shown(s.collection("obs").index_cardinality("city")),
+    },
+    Call {
+        name: "INDEX_CARDINALITY (absent)",
+        opcode: dop::INDEX_CARDINALITY,
+        call: |s| shown(s.collection("obs").index_cardinality("nope")),
+    },
+    Call {
+        name: "DISTINCT",
+        opcode: dop::DISTINCT,
+        call: |s| docs(Ok(s.collection("obs").distinct("city", &Filter::True))),
+    },
+    Call {
+        name: "ALL",
+        opcode: dop::ALL,
+        call: |s| docs(Ok(s.collection("obs").all())),
+    },
+    Call {
+        name: "CLEAR",
+        opcode: dop::CLEAR,
+        call: |s| shown(s.collection("scratch").clear()),
+    },
+    Call {
+        name: "HAS_COLLECTION",
+        opcode: dop::HAS_COLLECTION,
+        call: |s| shown(s.has_collection("obs")),
+    },
+    Call {
+        name: "COLLECTION_NAMES",
+        opcode: dop::COLLECTION_NAMES,
+        call: |s| shown(s.collection_names()),
+    },
+    Call {
+        name: "DROP_COLLECTION",
+        opcode: dop::DROP_COLLECTION,
+        call: |s| shown(s.drop_collection("scratch")),
+    },
+    Call {
+        name: "TOTAL_DOCUMENTS",
+        opcode: dop::TOTAL_DOCUMENTS,
+        call: |s| shown(s.total_documents()),
+    },
+    Call {
+        name: "INSERT_ONE (NotAnObject)",
+        opcode: dop::INSERT_ONE,
+        call: |s| shown(s.collection("obs").insert_one(json!([1, 2, 3]))),
+    },
+    Call {
+        name: "DROP_COLLECTION (CollectionNotFound)",
+        opcode: dop::DROP_COLLECTION,
+        call: |s| shown(s.drop_collection("ghost")),
+    },
+    Call {
+        name: "FIND_WITH_OPTIONS (Unorderable)",
+        opcode: dop::FIND_WITH_OPTIONS,
+        call: |s| {
+            let options = FindOptions::new().sort("k", SortOrder::Ascending);
+            docs(
+                s.collection("mixed")
+                    .find_with_options(&Filter::True, &options),
+            )
+        },
+    },
+];
+
+/// What the parent tree puts on the wire for [`DOCSTORE_CALLS`], in order.
+const DOCSTORE_FRAMES: &[Frame] = &[
+    Frame {
+        name: "INSERT_ONE",
+        request: "030000006f62731a0000007b2263697479223a226e696365222c2273706c223a35352e307d",
+        status: 0,
+        reply: "0300000000000000",
+        decoded: "Ok(DocId(3))",
+    },
+    Frame {
+        name: "INSERT_MANY",
+        request: "030000006f6273020000001b0000007b2263697479223a227061726973222c2273706c223a33302e307d2c0000007b2263697479223a226c696c6c65222c2273706c223a34382e352c2274616773223a5b2261222c2262225d7d",
+        status: 0,
+        reply: "0200000004000000000000000500000000000000",
+        decoded: "Ok([DocId(4), DocId(5)])",
+    },
+    Frame {
+        name: "GET (present)",
+        request: "030000006f62730200000000000000",
+        status: 0,
+        reply: "01240000007b225f6964223a322c2263697479223a227061726973222c2273706c223a37322e32357d",
+        decoded: "[{\"_id\":2,\"city\":\"paris\",\"spl\":72.25}]",
+    },
+    Frame {
+        name: "GET (absent)",
+        request: "030000006f6273e703000000000000",
+        status: 0,
+        reply: "00",
+        decoded: "[]",
+    },
+    Frame {
+        name: "LEN",
+        request: "030000006f6273",
+        status: 0,
+        reply: "0600000000000000",
+        decoded: "6",
+    },
+    Frame {
+        name: "FIND",
+        request: "030000006f6273180000007b2263697479223a7b22246571223a227061726973227d7d",
+        status: 0,
+        reply: "03000000230000007b225f6964223a302c2263697479223a227061726973222c2273706c223a36312e357d240000007b225f6964223a322c2263697479223a227061726973222c2273706c223a37322e32357d230000007b225f6964223a342c2263697479223a227061726973222c2273706c223a33302e307d",
+        decoded: "[{\"_id\":0,\"city\":\"paris\",\"spl\":61.5},{\"_id\":2,\"city\":\"paris\",\"spl\":72.25},{\"_id\":4,\"city\":\"paris\",\"spl\":30.0}]",
+    },
+    Frame {
+        name: "FIND_WITH_OPTIONS",
+        request: "030000006f6273150000007b2273706c223a7b2224677465223a34302e307d7d4f0000007b226c696d6974223a322c2270726f6a656374696f6e223a5b2263697479225d2c22736b6970223a312c22736f7274223a7b226f72646572223a2264657363222c2270617468223a2273706c227d7d",
+        status: 0,
+        reply: "02000000180000007b225f6964223a302c2263697479223a227061726973227d170000007b225f6964223a332c2263697479223a226e696365227d",
+        decoded: "[{\"_id\":0,\"city\":\"paris\"},{\"_id\":3,\"city\":\"nice\"}]",
+    },
+    Frame {
+        name: "COUNT",
+        request: "030000006f6273180000007b2263697479223a7b22246571223a227061726973227d7d",
+        status: 0,
+        reply: "0300000000000000",
+        decoded: "Ok(3)",
+    },
+    Frame {
+        name: "UPDATE_MANY",
+        request: "030000006f6273170000007b2263697479223a7b22246571223a226c796f6e227d7d140000007b2224696e63223a7b2273706c223a312e357d7d",
+        status: 0,
+        reply: "0100000000000000",
+        decoded: "Ok(1)",
+    },
+    Frame {
+        name: "DELETE_MANY",
+        request: "030000006f6273180000007b2263697479223a7b22246571223a226c696c6c65227d7d",
+        status: 0,
+        reply: "0100000000000000",
+        decoded: "Ok(1)",
+    },
+    Frame {
+        name: "CREATE_INDEX",
+        request: "030000006f62730300000073706c",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "DROP_INDEX",
+        request: "030000006f62730300000073706c",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "HAS_INDEX",
+        request: "030000006f62730400000063697479",
+        status: 0,
+        reply: "01",
+        decoded: "true",
+    },
+    Frame {
+        name: "INDEX_CARDINALITY (present)",
+        request: "030000006f62730400000063697479",
+        status: 0,
+        reply: "010300000000000000",
+        decoded: "Some(3)",
+    },
+    Frame {
+        name: "INDEX_CARDINALITY (absent)",
+        request: "030000006f6273040000006e6f7065",
+        status: 0,
+        reply: "00",
+        decoded: "None",
+    },
+    Frame {
+        name: "DISTINCT",
+        request: "030000006f62730400000063697479020000007b7d",
+        status: 0,
+        reply: "0300000006000000226c796f6e2206000000226e696365220700000022706172697322",
+        decoded: "[\"lyon\",\"nice\",\"paris\"]",
+    },
+    Frame {
+        name: "ALL",
+        request: "030000006f6273",
+        status: 0,
+        reply: "05000000230000007b225f6964223a302c2263697479223a227061726973222c2273706c223a36312e357d220000007b225f6964223a312c2263697479223a226c796f6e222c2273706c223a34312e357d240000007b225f6964223a322c2263697479223a227061726973222c2273706c223a37322e32357d220000007b225f6964223a332c2263697479223a226e696365222c2273706c223a35352e307d230000007b225f6964223a342c2263697479223a227061726973222c2273706c223a33302e307d",
+        decoded: "[{\"_id\":0,\"city\":\"paris\",\"spl\":61.5},{\"_id\":1,\"city\":\"lyon\",\"spl\":41.5},{\"_id\":2,\"city\":\"paris\",\"spl\":72.25},{\"_id\":3,\"city\":\"nice\",\"spl\":55.0},{\"_id\":4,\"city\":\"paris\",\"spl\":30.0}]",
+    },
+    Frame {
+        name: "CLEAR",
+        request: "0700000073637261746368",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "HAS_COLLECTION",
+        request: "030000006f6273",
+        status: 0,
+        reply: "01",
+        decoded: "true",
+    },
+    Frame {
+        name: "COLLECTION_NAMES",
+        request: "",
+        status: 0,
+        reply: "03000000050000006d69786564030000006f62730700000073637261746368",
+        decoded: "[\"mixed\", \"obs\", \"scratch\"]",
+    },
+    Frame {
+        name: "DROP_COLLECTION",
+        request: "0700000073637261746368",
+        status: 0,
+        reply: "",
+        decoded: "Ok(())",
+    },
+    Frame {
+        name: "TOTAL_DOCUMENTS",
+        request: "",
+        status: 0,
+        reply: "0700000000000000",
+        decoded: "7",
+    },
+    Frame {
+        name: "INSERT_ONE (NotAnObject)",
+        request: "030000006f6273070000005b312c322c335d",
+        status: 16,
+        reply: "",
+        decoded: "Err(NotAnObject)",
+    },
+    Frame {
+        name: "DROP_COLLECTION (CollectionNotFound)",
+        request: "0500000067686f7374",
+        status: 20,
+        reply: "0500000067686f7374",
+        decoded: "Err(CollectionNotFound(\"ghost\"))",
+    },
+    Frame {
+        name: "FIND_WITH_OPTIONS (Unorderable)",
+        request: "050000006d69786564020000007b7d4b0000007b226c696d6974223a6e756c6c2c2270726f6a656374696f6e223a6e756c6c2c22736b6970223a302c22736f7274223a7b226f72646572223a22617363222c2270617468223a226b227d7d",
+        status: 21,
+        reply: "010000006b",
+        decoded: "Err(Unorderable(\"k\"))",
+    },
+];
+
+#[test]
+fn docstore_stubs_put_the_golden_bytes_on_the_wire() {
+    let tap = Tap::new(Arc::new(DocstoreService::new(store_state())));
+    let mut server = serve(tap.clone());
+    let remote = RemoteStore::connect(server.local_addr().to_string(), ClientConfig::default());
+    assert_stub_direction(DOCSTORE_CALLS, DOCSTORE_FRAMES, &remote, &tap);
+    server.shutdown();
+}
+
+#[test]
+fn docstore_dispatch_answers_the_golden_requests_with_the_golden_replies() {
+    let service = DocstoreService::new(store_state());
+    assert_dispatch_direction(DOCSTORE_CALLS, DOCSTORE_FRAMES, &service);
+}
+
+/// Every opcode of both tables has at least one golden frame.
+#[test]
+fn the_corpus_covers_every_opcode() {
+    let gaps = |calls: &[u8], band: std::ops::RangeInclusive<u8>| {
+        band.filter(|op| !calls.contains(op)).collect::<Vec<u8>>()
+    };
+    let broker: Vec<u8> = BROKER_CALLS.iter().map(|c| c.opcode).collect();
+    let docstore: Vec<u8> = DOCSTORE_CALLS.iter().map(|c| c.opcode).collect();
+    assert_eq!(gaps(&broker, 1..=19), Vec::<u8>::new(), "broker gaps");
+    assert_eq!(gaps(&docstore, 1..=20), Vec::<u8>::new(), "docstore gaps");
+}
+
+// ------------------------------------------------------- error payloads
+
+fn broker_errors() -> Vec<(u8, BrokerError)> {
+    use broker_api::err;
+    vec![
+        (
+            err::EXCHANGE_NOT_FOUND,
+            BrokerError::ExchangeNotFound("e".into()),
+        ),
+        (err::QUEUE_NOT_FOUND, BrokerError::QueueNotFound("q".into())),
+        (
+            err::EXCHANGE_TYPE_MISMATCH,
+            BrokerError::ExchangeTypeMismatch { name: "n".into() },
+        ),
+        (err::INVALID_KEY, BrokerError::InvalidKey("a..b".into())),
+        (
+            err::UNKNOWN_DELIVERY_TAG,
+            BrokerError::UnknownDeliveryTag {
+                queue: "q".into(),
+                tag: 7,
+            },
+        ),
+        (err::QUEUE_FULL, BrokerError::QueueFull("q".into())),
+        (
+            err::INVALID_DEAD_LETTER,
+            BrokerError::InvalidDeadLetter("self".into()),
+        ),
+        (err::DURABILITY, BrokerError::Durability("torn".into())),
+        (err::TRANSPORT, BrokerError::Transport("refused".into())),
+    ]
+}
+
+fn store_errors() -> Vec<(u8, StoreError)> {
+    use docstore_api::err;
+    vec![
+        (err::NOT_AN_OBJECT, StoreError::NotAnObject),
+        (err::BAD_FILTER, StoreError::BadFilter("f".into())),
+        (err::BAD_UPDATE, StoreError::BadUpdate("u".into())),
+        (err::BAD_PIPELINE, StoreError::BadPipeline("p".into())),
+        (
+            err::COLLECTION_NOT_FOUND,
+            StoreError::CollectionNotFound("c".into()),
+        ),
+        (err::UNORDERABLE, StoreError::Unorderable("a.b".into())),
+        (err::DURABILITY, StoreError::Durability("disk".into())),
+        (err::TRANSPORT, StoreError::Transport("refused".into())),
+    ]
+}
+
+/// Error payloads in the order of [`broker_errors`] / [`store_errors`].
+const BROKER_ERROR_PAYLOADS: &[&str] = &[
+    "0100000065",
+    "0100000071",
+    "010000006e",
+    "04000000612e2e62",
+    "01000000710700000000000000",
+    "0100000071",
+    "0400000073656c66",
+    "04000000746f726e",
+    "0700000072656675736564",
+];
+const DOCSTORE_ERROR_PAYLOADS: &[&str] = &[
+    "",
+    "0100000066",
+    "0100000075",
+    "0100000070",
+    "0100000063",
+    "03000000612e62",
+    "040000006469736b",
+    "0700000072656675736564",
+];
+
+#[test]
+fn error_codecs_speak_the_golden_bytes() {
+    let broker = broker_errors();
+    assert_eq!(broker.len(), BROKER_ERROR_PAYLOADS.len());
+    for ((code, error), payload) in broker.into_iter().zip(BROKER_ERROR_PAYLOADS) {
+        let encoded = encode_broker_error(&error);
+        assert_eq!(encoded.code, code, "{error:?}");
+        assert_eq!(hex(&encoded.payload), *payload, "{error:?}");
+        assert_eq!(decode_broker_error(code, &unhex(payload)), error);
+    }
+    let store = store_errors();
+    assert_eq!(store.len(), DOCSTORE_ERROR_PAYLOADS.len());
+    for ((code, error), payload) in store.into_iter().zip(DOCSTORE_ERROR_PAYLOADS) {
+        let encoded = encode_store_error(&error);
+        assert_eq!(encoded.code, code, "{error:?}");
+        assert_eq!(hex(&encoded.payload), *payload, "{error:?}");
+        assert_eq!(decode_store_error(code, &unhex(payload)), error);
+    }
+}
+
+// --------------------------------------------- malformed request bodies
+
+/// A hand-built request body and the answer it must get. Bodies that a
+/// field-level decoder rejects answer `STATUS_BAD_REQUEST` (the text is a
+/// diagnostic, not pinned); bodies whose fields all read but whose JSON,
+/// filter or update does not parse answer a typed error, pinned.
+struct Malformed {
+    name: &'static str,
+    opcode: u8,
+    body: fn(&mut WireWriter),
+    status: u8,
+    reply: &'static str,
+}
+
+const MALFORMED_DOCSTORE: &[Malformed] = &[
+    Malformed {
+        name: "FIND: filter is not JSON -> typed, after the fields were read",
+        opcode: dop::FIND,
+        body: |w| {
+            w.string("obs").bytes(b"{nope");
+        },
+        status: docstore_api::err::TRANSPORT,
+        reply: "33000000756e6465636f6461626c652066696c7465723a206578706563746564206120737472696e67206b657920617420627974652031",
+    },
+    Malformed {
+        name: "FIND: filter is JSON but not a filter -> BadFilter",
+        opcode: dop::FIND,
+        body: |w| {
+            w.string("obs").bytes(br#"{"spl":{"$bogus":1}}"#);
+        },
+        status: docstore_api::err::BAD_FILTER,
+        reply: "23000000756e6b6e6f776e206f70657261746f722024626f677573206f6e20706174682073706c",
+    },
+    Malformed {
+        name: "UPDATE_MANY: bad filter and a missing update field -> the field error wins",
+        opcode: dop::UPDATE_MANY,
+        body: |w| {
+            w.string("obs").bytes(b"{nope");
+        },
+        status: STATUS_BAD_REQUEST,
+        reply: "",
+    },
+    Malformed {
+        name: "UPDATE_MANY: bad filter and bad update -> the filter's error answers",
+        opcode: dop::UPDATE_MANY,
+        body: |w| {
+            w.string("obs").bytes(b"{nope").bytes(br#"{"$nope":{}}"#);
+        },
+        status: docstore_api::err::TRANSPORT,
+        reply: "33000000756e6465636f6461626c652066696c7465723a206578706563746564206120737472696e67206b657920617420627974652031",
+    },
+    Malformed {
+        name: "UPDATE_MANY: good filter, bad update -> BadUpdate",
+        opcode: dop::UPDATE_MANY,
+        body: |w| {
+            w.string("obs").bytes(b"{}").bytes(br#"{"$nope":{}}"#);
+        },
+        status: docstore_api::err::BAD_UPDATE,
+        reply: "1800000075706461746520686173206e6f206f7065726174696f6e73",
+    },
+    Malformed {
+        name: "FIND_WITH_OPTIONS: good filter, bad options -> typed",
+        opcode: dop::FIND_WITH_OPTIONS,
+        body: |w| {
+            w.string("obs").bytes(b"{}").bytes(br#"{"skip":"x"}"#);
+        },
+        status: docstore_api::err::TRANSPORT,
+        reply: "160000006261642066696e64206f7074696f6e733a20736b6970",
+    },
+    Malformed {
+        name: "INSERT_MANY: two unparsable documents -> the last one's error answers",
+        opcode: dop::INSERT_MANY,
+        body: |w| {
+            w.string("obs")
+                .u32(3)
+                .bytes(b"{a")
+                .bytes(b"{}")
+                .bytes(b"[1,");
+        },
+        status: docstore_api::err::TRANSPORT,
+        reply: "37000000756e6465636f6461626c6520646f63756d656e743a20756e657870656374656420656e64206f6620696e70757420617420627974652033",
+    },
+    Malformed {
+        name: "INSERT_ONE: trailing byte",
+        opcode: dop::INSERT_ONE,
+        body: |w| {
+            w.string("obs").bytes(b"{}").u8(0);
+        },
+        status: STATUS_BAD_REQUEST,
+        reply: "",
+    },
+    Malformed {
+        name: "GET: truncated id",
+        opcode: dop::GET,
+        body: |w| {
+            w.string("obs").u32(7);
+        },
+        status: STATUS_BAD_REQUEST,
+        reply: "",
+    },
+    Malformed {
+        name: "HAS_COLLECTION: name is not UTF-8",
+        opcode: dop::HAS_COLLECTION,
+        body: |w| {
+            w.bytes(&[0xff, 0xfe]);
+        },
+        status: STATUS_BAD_REQUEST,
+        reply: "",
+    },
+];
+
+const MALFORMED_BROKER: &[Malformed] = &[
+    Malformed {
+        name: "PUBLISH_MESSAGE: routing key does not parse -> field-level",
+        opcode: bop::PUBLISH_MESSAGE,
+        body: |w| {
+            w.string("app").string("a..b").bytes(b"x").u16(0);
+        },
+        status: STATUS_BAD_REQUEST,
+        reply: "",
+    },
+    Malformed {
+        name: "PUBLISH: routing key does not parse -> InvalidKey",
+        opcode: bop::PUBLISH,
+        body: |w| {
+            w.string("app").string("a..b").bytes(b"x");
+        },
+        status: broker_api::err::INVALID_KEY,
+        reply: "04000000612e2e62",
+    },
+    Malformed {
+        name: "DECLARE_EXCHANGE: unknown exchange type",
+        opcode: bop::DECLARE_EXCHANGE,
+        body: |w| {
+            w.string("x").u8(9);
+        },
+        status: STATUS_BAD_REQUEST,
+        reply: "",
+    },
+    Malformed {
+        name: "NACK: missing requeue flag",
+        opcode: bop::NACK,
+        body: |w| {
+            w.string("inbox").u64(0);
+        },
+        status: STATUS_BAD_REQUEST,
+        reply: "",
+    },
+    Malformed {
+        name: "CONSUME: trailing bytes",
+        opcode: bop::CONSUME,
+        body: |w| {
+            w.string("inbox").u32(1).u8(0);
+        },
+        status: STATUS_BAD_REQUEST,
+        reply: "",
+    },
+];
+
+#[test]
+fn malformed_bodies_answer_bad_request_or_a_typed_error_as_pinned() {
+    let docstore = DocstoreService::new(store_state());
+    let broker = BrokerService::new(broker_state());
+    for (service, cases) in [
+        (&docstore as &dyn WireService, MALFORMED_DOCSTORE),
+        (&broker, MALFORMED_BROKER),
+    ] {
+        for case in cases {
+            let mut w = WireWriter::new();
+            (case.body)(&mut w);
+            let (status, reply) = answer(service, case.opcode, &w.finish());
+            assert_eq!(status, case.status, "{}: status", case.name);
+            if status != STATUS_BAD_REQUEST {
+                assert_eq!(hex(&reply), case.reply, "{}: reply", case.name);
+            }
+        }
+    }
+}
