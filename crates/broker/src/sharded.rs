@@ -31,7 +31,7 @@ use crate::broker::{Broker, DeadLetterPolicy, ExchangeType};
 use crate::durability::BrokerDurabilityConfig;
 use crate::error::BrokerError;
 use crate::message::{Delivery, Message};
-use crate::transport::BrokerTransport;
+use crate::transport::{row_if, BrokerTransport};
 use mps_telemetry::Registry;
 use std::sync::Arc;
 
@@ -166,20 +166,50 @@ impl ShardedBroker {
     }
 }
 
-impl BrokerTransport for ShardedBroker {
-    fn declare_exchange(&self, name: &str, kind: ExchangeType) -> Result<(), BrokerError> {
-        for shard in &self.shards {
-            shard.declare_exchange(name, kind)?;
+/// Emits one fanned-out [`BrokerTransport`] method from its row's shard
+/// class; a `custom` row emits nothing (its body is written out below).
+macro_rules! shard_op {
+    (broadcast fn $method:ident($($arg:ident: $ty:ty),*) -> $ret:ty) => {
+        fn $method(&self $(, $arg: $ty)*) -> $ret {
+            for shard in &self.shards {
+                shard.$method($($arg),*)?;
+            }
+            Ok(())
         }
-        Ok(())
-    }
+    };
+    (first fn $method:ident($($arg:ident: $ty:ty),*) -> $ret:ty) => {
+        fn $method(&self $(, $arg: $ty)*) -> $ret {
+            self.shards[0].$method($($arg),*)
+        }
+    };
+    (sum fn $method:ident($($arg:ident: $ty:ty),*) -> $ret:ty) => {
+        fn $method(&self $(, $arg: $ty)*) -> $ret {
+            let mut total = 0;
+            for shard in &self.shards {
+                total += shard.$method($($arg),*)?;
+            }
+            Ok(total)
+        }
+    };
+    (custom $($signature:tt)*) => {};
+}
 
-    fn declare_queue(&self, name: &str) -> Result<(), BrokerError> {
-        for shard in &self.shards {
-            shard.declare_queue(name)?;
-        }
-        Ok(())
-    }
+/// Emits [`ShardedBroker`]'s fanned-out methods: management rows apply
+/// to every shard, reads answer from shard 0 (the mirrors are identical
+/// by construction) or sum.
+macro_rules! emit_sharded {
+    ([] $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
+        $(shard_op! {
+            $class fn $method($($arg: $(&$rty)? $($vty)?),*)
+                -> row_if!([$($degrades)?] { $ret } { Result<$ret, BrokerError> })
+        })*
+    };
+}
+
+impl BrokerTransport for ShardedBroker {
+    crate::broker_ops!(emit_sharded);
 
     fn declare_queue_with_capacity(&self, name: &str, capacity: usize) -> Result<(), BrokerError> {
         let per_shard = self.shard_capacity(capacity);
@@ -187,86 +217,6 @@ impl BrokerTransport for ShardedBroker {
             shard.declare_queue_with_capacity(name, per_shard)?;
         }
         Ok(())
-    }
-
-    fn exchange_exists(&self, name: &str) -> bool {
-        self.shards[0].exchange_exists(name)
-    }
-
-    fn queue_exists(&self, name: &str) -> bool {
-        self.shards[0].queue_exists(name)
-    }
-
-    fn bind_queue(&self, exchange: &str, queue: &str, pattern: &str) -> Result<(), BrokerError> {
-        for shard in &self.shards {
-            shard.bind_queue(exchange, queue, pattern)?;
-        }
-        Ok(())
-    }
-
-    fn bind_exchange(
-        &self,
-        source: &str,
-        destination: &str,
-        pattern: &str,
-    ) -> Result<(), BrokerError> {
-        for shard in &self.shards {
-            shard.bind_exchange(source, destination, pattern)?;
-        }
-        Ok(())
-    }
-
-    fn unbind_queue(&self, exchange: &str, queue: &str, pattern: &str) -> Result<(), BrokerError> {
-        for shard in &self.shards {
-            shard.unbind_queue(exchange, queue, pattern)?;
-        }
-        Ok(())
-    }
-
-    fn delete_exchange(&self, name: &str) -> Result<(), BrokerError> {
-        for shard in &self.shards {
-            shard.delete_exchange(name)?;
-        }
-        Ok(())
-    }
-
-    fn delete_queue(&self, name: &str) -> Result<(), BrokerError> {
-        for shard in &self.shards {
-            shard.delete_queue(name)?;
-        }
-        Ok(())
-    }
-
-    fn purge_queue(&self, name: &str) -> Result<usize, BrokerError> {
-        let mut purged = 0;
-        for shard in &self.shards {
-            purged += shard.purge_queue(name)?;
-        }
-        Ok(purged)
-    }
-
-    fn configure_dead_letter(
-        &self,
-        queue: &str,
-        max_delivery_attempts: u32,
-        target: &str,
-    ) -> Result<(), BrokerError> {
-        for shard in &self.shards {
-            shard.configure_dead_letter(queue, max_delivery_attempts, target)?;
-        }
-        Ok(())
-    }
-
-    fn dead_letter_policy(&self, queue: &str) -> Result<Option<DeadLetterPolicy>, BrokerError> {
-        self.shards[0].dead_letter_policy(queue)
-    }
-
-    fn queue_depth(&self, name: &str) -> Result<usize, BrokerError> {
-        let mut depth = 0;
-        for shard in &self.shards {
-            depth += shard.queue_depth(name)?;
-        }
-        Ok(depth)
     }
 
     fn publish(&self, exchange: &str, key: &str, payload: &[u8]) -> Result<usize, BrokerError> {

@@ -22,7 +22,203 @@ use crate::message::{Delivery, Message};
 use std::fmt;
 use std::sync::Arc;
 
-/// The broker operations a client may perform, over any transport.
+/// The broker's operation table: every client-facing operation, stated
+/// once. A row is what `docs/WIRE_PROTOCOL.md` §5 tabulates — opcode,
+/// `NAME`, each argument's Rust type `=>` its wire field, the reply's —
+/// plus the method's documentation, how a [`ShardedBroker`] fans it out
+/// (`broadcast` to every shard, answer from the `first`, `sum` the
+/// answers, or a `custom` body in `sharded.rs`) and, marked `degrades`,
+/// whether the signature is infallible (a remote client then answers the
+/// default when it cannot reach its server).
+///
+/// `broker_ops!(emit, ctx…)` expands to `emit! { [ctx…] rows… }`, so each
+/// crate generates the part it owns: this one the trait, the delegating
+/// impls and the sharded fan-out; `mps-net` the opcode constants, the
+/// client stub and the server dispatch. Adding an operation is adding a
+/// row (and its `docs/WIRE_PROTOCOL.md` line, which `mps-lint` L006
+/// holds the row to).
+///
+/// [`ShardedBroker`]: crate::ShardedBroker
+#[macro_export]
+macro_rules! broker_ops {
+    ($emit:path $(, $($ctx:tt)*)?) => {
+        $emit! {
+            [$($($ctx)*)?]
+            /// Declares an exchange of the given type. Redeclaring with the same
+            /// type is a no-op.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`BrokerError::ExchangeTypeMismatch`] on a type conflict,
+            /// or [`BrokerError::Transport`] when the broker is unreachable.
+            1 DECLARE_EXCHANGE broadcast
+            fn declare_exchange(name: &str => string, kind: ExchangeType => u8) -> () => empty;
+            /// Declares an unbounded queue. Redeclaring is a no-op.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`BrokerError::Transport`] when the broker is unreachable.
+            2 DECLARE_QUEUE broadcast
+            fn declare_queue(name: &str => string) -> () => empty;
+            /// Declares a queue holding at most `capacity` ready messages.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`BrokerError::Transport`] when the broker is unreachable.
+            3 DECLARE_QUEUE_WITH_CAPACITY custom
+            fn declare_queue_with_capacity(name: &str => string, capacity: usize => u64) -> () => empty;
+            /// Whether an exchange with this name exists (`false` when the
+            /// broker cannot be reached).
+            4 EXCHANGE_EXISTS first
+            fn exchange_exists(name: &str => string) -> bool => bool, degrades;
+            /// Whether a queue with this name exists (`false` when the broker
+            /// cannot be reached).
+            5 QUEUE_EXISTS first
+            fn queue_exists(name: &str => string) -> bool => bool, degrades;
+            /// Binds `queue` to `exchange` with a topic `pattern`.
+            ///
+            /// # Errors
+            ///
+            /// Propagates the broker's not-found / invalid-pattern errors, or
+            /// [`BrokerError::Transport`].
+            6 BIND_QUEUE broadcast
+            fn bind_queue(exchange: &str => string, queue: &str => string, pattern: &str => string) -> () => empty;
+            /// Binds exchange `destination` to exchange `source` with `pattern`.
+            ///
+            /// # Errors
+            ///
+            /// Propagates the broker's not-found / invalid-pattern errors, or
+            /// [`BrokerError::Transport`].
+            7 BIND_EXCHANGE broadcast
+            fn bind_exchange(source: &str => string, destination: &str => string, pattern: &str => string) -> () => empty;
+            /// Removes a queue binding. Removing a non-existent binding is a
+            /// no-op.
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::ExchangeNotFound`], or
+            /// [`BrokerError::Transport`].
+            8 UNBIND_QUEUE broadcast
+            fn unbind_queue(exchange: &str => string, queue: &str => string, pattern: &str => string) -> () => empty;
+            /// Deletes an exchange and every binding pointing at it.
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::ExchangeNotFound`], or
+            /// [`BrokerError::Transport`].
+            9 DELETE_EXCHANGE broadcast
+            fn delete_exchange(name: &str => string) -> () => empty;
+            /// Deletes a queue and any messages still buffered in it.
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::QueueNotFound`], or
+            /// [`BrokerError::Transport`].
+            10 DELETE_QUEUE broadcast
+            fn delete_queue(name: &str => string) -> () => empty;
+            /// Discards every ready message in a queue, returning how many were
+            /// removed.
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::QueueNotFound`], or
+            /// [`BrokerError::Transport`].
+            11 PURGE_QUEUE sum
+            fn purge_queue(name: &str => string) -> usize => u64;
+            /// Installs a dead-letter policy on `queue`.
+            ///
+            /// # Errors
+            ///
+            /// Propagates the broker's validation errors, or
+            /// [`BrokerError::Transport`].
+            12 CONFIGURE_DEAD_LETTER broadcast
+            fn configure_dead_letter(queue: &str => string, max_delivery_attempts: u32 => u32, target: &str => string) -> () => empty;
+            /// The dead-letter policy of a queue, if one is configured.
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::QueueNotFound`], or
+            /// [`BrokerError::Transport`].
+            13 DEAD_LETTER_POLICY first
+            fn dead_letter_policy(queue: &str => string) -> Option<DeadLetterPolicy> => option<policy>;
+            /// Number of ready messages in a queue.
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::QueueNotFound`], or
+            /// [`BrokerError::Transport`].
+            14 QUEUE_DEPTH sum
+            fn queue_depth(name: &str => string) -> usize => u64;
+            /// Publishes `payload` to `exchange` under routing key `key`,
+            /// returning how many queues received it.
+            ///
+            /// # Errors
+            ///
+            /// Propagates the broker's routing errors, or
+            /// [`BrokerError::Transport`].
+            15 PUBLISH custom
+            fn publish(exchange: &str => string, key: &str => string, payload: &[u8] => bytes) -> usize => u64;
+            /// Publishes a full [`Message`] (routing key, payload and headers)
+            /// to `exchange`, returning how many queues received it.
+            ///
+            /// # Errors
+            ///
+            /// Propagates the broker's routing errors, or
+            /// [`BrokerError::Transport`].
+            16 PUBLISH_MESSAGE custom
+            fn publish_message(exchange: &str => string, message: Message => message) -> usize => u64;
+            /// Takes up to `max` ready messages from a queue for processing.
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::QueueNotFound`], or
+            /// [`BrokerError::Transport`].
+            17 CONSUME custom
+            fn consume(queue: &str => string, max: usize => u32) -> Vec<Delivery> => deliveries;
+            /// Acknowledges a delivery, removing it permanently.
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::UnknownDeliveryTag`], or
+            /// [`BrokerError::Transport`].
+            18 ACK custom
+            fn ack(queue: &str => string, tag: u64 => u64) -> () => empty;
+            /// Rejects a delivery; with `requeue` it is redelivered (subject to
+            /// the queue's dead-letter policy), otherwise dropped (counted).
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::UnknownDeliveryTag`], or
+            /// [`BrokerError::Transport`].
+            19 NACK custom
+            fn nack(queue: &str => string, tag: u64 => u64, requeue: bool => bool) -> () => empty;
+        }
+    };
+}
+
+/// Picks `then` when the bracket holds a token and `otherwise` when it is
+/// empty: how the emitters branch on a row's optional parts (`degrades`,
+/// a by-reference argument).
+macro_rules! row_if {
+    ([] { $($then:tt)* } { $($otherwise:tt)* }) => { $($otherwise)* };
+    ([$present:tt] { $($then:tt)* } { $($otherwise:tt)* }) => { $($then)* };
+}
+pub(crate) use row_if;
+
+/// Emits the [`BrokerTransport`] methods: one per row, carrying the
+/// row's documentation.
+macro_rules! emit_trait {
+    ([] $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
+        $($(#[$doc])*
+        fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
+            -> row_if!([$($degrades)?] { $ret } { Result<$ret, BrokerError> });)*
+    };
+}
+
+/// The broker operations a client may perform, over any transport — the
+/// rows of [`broker_ops!`](crate::broker_ops).
 ///
 /// Mirrors the inherent [`Broker`] API method for method, with two
 /// deliberate deviations that keep the trait object-safe and
@@ -35,154 +231,7 @@ use std::sync::Arc;
 ///   a remote implementation reports `false` when it cannot reach the
 ///   server (and counts the failure in its own metrics).
 pub trait BrokerTransport: fmt::Debug + Send + Sync {
-    /// Declares an exchange of the given type. Redeclaring with the same
-    /// type is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::ExchangeTypeMismatch`] on a type conflict,
-    /// or [`BrokerError::Transport`] when the broker is unreachable.
-    fn declare_exchange(&self, name: &str, kind: ExchangeType) -> Result<(), BrokerError>;
-
-    /// Declares an unbounded queue. Redeclaring is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::Transport`] when the broker is unreachable.
-    fn declare_queue(&self, name: &str) -> Result<(), BrokerError>;
-
-    /// Declares a queue holding at most `capacity` ready messages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::Transport`] when the broker is unreachable.
-    fn declare_queue_with_capacity(&self, name: &str, capacity: usize) -> Result<(), BrokerError>;
-
-    /// Whether an exchange with this name exists (`false` when the
-    /// broker cannot be reached).
-    fn exchange_exists(&self, name: &str) -> bool;
-
-    /// Whether a queue with this name exists (`false` when the broker
-    /// cannot be reached).
-    fn queue_exists(&self, name: &str) -> bool;
-
-    /// Binds `queue` to `exchange` with a topic `pattern`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the broker's not-found / invalid-pattern errors, or
-    /// [`BrokerError::Transport`].
-    fn bind_queue(&self, exchange: &str, queue: &str, pattern: &str) -> Result<(), BrokerError>;
-
-    /// Binds exchange `destination` to exchange `source` with `pattern`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the broker's not-found / invalid-pattern errors, or
-    /// [`BrokerError::Transport`].
-    fn bind_exchange(
-        &self,
-        source: &str,
-        destination: &str,
-        pattern: &str,
-    ) -> Result<(), BrokerError>;
-
-    /// Removes a queue binding. Removing a non-existent binding is a
-    /// no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::ExchangeNotFound`], or
-    /// [`BrokerError::Transport`].
-    fn unbind_queue(&self, exchange: &str, queue: &str, pattern: &str) -> Result<(), BrokerError>;
-
-    /// Deletes an exchange and every binding pointing at it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::ExchangeNotFound`], or
-    /// [`BrokerError::Transport`].
-    fn delete_exchange(&self, name: &str) -> Result<(), BrokerError>;
-
-    /// Deletes a queue and any messages still buffered in it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::QueueNotFound`], or
-    /// [`BrokerError::Transport`].
-    fn delete_queue(&self, name: &str) -> Result<(), BrokerError>;
-
-    /// Discards every ready message in a queue, returning how many were
-    /// removed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::QueueNotFound`], or
-    /// [`BrokerError::Transport`].
-    fn purge_queue(&self, name: &str) -> Result<usize, BrokerError>;
-
-    /// Installs a dead-letter policy on `queue`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the broker's validation errors, or
-    /// [`BrokerError::Transport`].
-    fn configure_dead_letter(
-        &self,
-        queue: &str,
-        max_delivery_attempts: u32,
-        target: &str,
-    ) -> Result<(), BrokerError>;
-
-    /// The dead-letter policy of a queue, if one is configured.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::QueueNotFound`], or
-    /// [`BrokerError::Transport`].
-    fn dead_letter_policy(&self, queue: &str) -> Result<Option<DeadLetterPolicy>, BrokerError>;
-
-    /// Number of ready messages in a queue.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::QueueNotFound`], or
-    /// [`BrokerError::Transport`].
-    fn queue_depth(&self, name: &str) -> Result<usize, BrokerError>;
-
-    /// Publishes `payload` to `exchange` under routing key `key`,
-    /// returning how many queues received it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the broker's routing errors, or
-    /// [`BrokerError::Transport`].
-    fn publish(&self, exchange: &str, key: &str, payload: &[u8]) -> Result<usize, BrokerError>;
-
-    /// Publishes a full [`Message`] (routing key, payload and headers)
-    /// to `exchange`, returning how many queues received it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the broker's routing errors, or
-    /// [`BrokerError::Transport`].
-    fn publish_message(&self, exchange: &str, message: Message) -> Result<usize, BrokerError>;
-
-    /// Takes up to `max` ready messages from a queue for processing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::QueueNotFound`], or
-    /// [`BrokerError::Transport`].
-    fn consume(&self, queue: &str, max: usize) -> Result<Vec<Delivery>, BrokerError>;
-
-    /// Acknowledges a delivery, removing it permanently.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::UnknownDeliveryTag`], or
-    /// [`BrokerError::Transport`].
-    fn ack(&self, queue: &str, tag: u64) -> Result<(), BrokerError>;
+    broker_ops!(emit_trait);
 
     /// Acknowledges a batch of deliveries from one queue. The default
     /// implementation loops [`ack`](BrokerTransport::ack), so remote
@@ -200,106 +249,31 @@ pub trait BrokerTransport: fmt::Debug + Send + Sync {
         }
         Ok(())
     }
-
-    /// Rejects a delivery; with `requeue` it is redelivered (subject to
-    /// the queue's dead-letter policy), otherwise dropped (counted).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::UnknownDeliveryTag`], or
-    /// [`BrokerError::Transport`].
-    fn nack(&self, queue: &str, tag: u64, requeue: bool) -> Result<(), BrokerError>;
 }
 
+/// Emits every row as a method forwarding to `$target::method(receiver,
+/// args…)`, where `receiver` is an expression over `$this` (the method's
+/// `self`).
+macro_rules! emit_delegate {
+    ([|$this:ident| $target:ty, $receiver:expr]
+        $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
+        $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
+            -> row_if!([$($degrades)?] { $ret } { Result<$ret, BrokerError> }) {
+            let $this = self;
+            <$target>::$method($receiver $(, $arg)*)
+        })*
+    };
+}
+
+/// The embedded broker is a transport by pure delegation to its inherent
+/// methods, which makes the embedded path zero-cost.
 impl BrokerTransport for Broker {
-    fn declare_exchange(&self, name: &str, kind: ExchangeType) -> Result<(), BrokerError> {
-        Broker::declare_exchange(self, name, kind)
-    }
-
-    fn declare_queue(&self, name: &str) -> Result<(), BrokerError> {
-        Broker::declare_queue(self, name)
-    }
-
-    fn declare_queue_with_capacity(&self, name: &str, capacity: usize) -> Result<(), BrokerError> {
-        Broker::declare_queue_with_capacity(self, name, capacity)
-    }
-
-    fn exchange_exists(&self, name: &str) -> bool {
-        Broker::exchange_exists(self, name)
-    }
-
-    fn queue_exists(&self, name: &str) -> bool {
-        Broker::queue_exists(self, name)
-    }
-
-    fn bind_queue(&self, exchange: &str, queue: &str, pattern: &str) -> Result<(), BrokerError> {
-        Broker::bind_queue(self, exchange, queue, pattern)
-    }
-
-    fn bind_exchange(
-        &self,
-        source: &str,
-        destination: &str,
-        pattern: &str,
-    ) -> Result<(), BrokerError> {
-        Broker::bind_exchange(self, source, destination, pattern)
-    }
-
-    fn unbind_queue(&self, exchange: &str, queue: &str, pattern: &str) -> Result<(), BrokerError> {
-        Broker::unbind_queue(self, exchange, queue, pattern)
-    }
-
-    fn delete_exchange(&self, name: &str) -> Result<(), BrokerError> {
-        Broker::delete_exchange(self, name)
-    }
-
-    fn delete_queue(&self, name: &str) -> Result<(), BrokerError> {
-        Broker::delete_queue(self, name)
-    }
-
-    fn purge_queue(&self, name: &str) -> Result<usize, BrokerError> {
-        Broker::purge_queue(self, name)
-    }
-
-    fn configure_dead_letter(
-        &self,
-        queue: &str,
-        max_delivery_attempts: u32,
-        target: &str,
-    ) -> Result<(), BrokerError> {
-        Broker::configure_dead_letter(self, queue, max_delivery_attempts, target)
-    }
-
-    fn dead_letter_policy(&self, queue: &str) -> Result<Option<DeadLetterPolicy>, BrokerError> {
-        Broker::dead_letter_policy(self, queue)
-    }
-
-    fn queue_depth(&self, name: &str) -> Result<usize, BrokerError> {
-        Broker::queue_depth(self, name)
-    }
-
-    fn publish(&self, exchange: &str, key: &str, payload: &[u8]) -> Result<usize, BrokerError> {
-        Broker::publish(self, exchange, key, payload)
-    }
-
-    fn publish_message(&self, exchange: &str, message: Message) -> Result<usize, BrokerError> {
-        Broker::publish_message(self, exchange, message)
-    }
-
-    fn consume(&self, queue: &str, max: usize) -> Result<Vec<Delivery>, BrokerError> {
-        Broker::consume(self, queue, max)
-    }
-
-    fn ack(&self, queue: &str, tag: u64) -> Result<(), BrokerError> {
-        Broker::ack(self, queue, tag)
-    }
+    broker_ops!(emit_delegate, |this| Broker, this);
 
     fn ack_many(&self, queue: &str, tags: &[u64]) -> Result<(), BrokerError> {
         Broker::ack_many(self, queue, tags)
-    }
-
-    fn nack(&self, queue: &str, tag: u64, requeue: bool) -> Result<(), BrokerError> {
-        Broker::nack(self, queue, tag, requeue)
     }
 }
 
@@ -307,94 +281,10 @@ impl BrokerTransport for Broker {
 /// remote client) be used directly wherever a [`BrokerTransport`] bound
 /// is expected.
 impl<T: BrokerTransport + ?Sized> BrokerTransport for Arc<T> {
-    fn declare_exchange(&self, name: &str, kind: ExchangeType) -> Result<(), BrokerError> {
-        (**self).declare_exchange(name, kind)
-    }
-
-    fn declare_queue(&self, name: &str) -> Result<(), BrokerError> {
-        (**self).declare_queue(name)
-    }
-
-    fn declare_queue_with_capacity(&self, name: &str, capacity: usize) -> Result<(), BrokerError> {
-        (**self).declare_queue_with_capacity(name, capacity)
-    }
-
-    fn exchange_exists(&self, name: &str) -> bool {
-        (**self).exchange_exists(name)
-    }
-
-    fn queue_exists(&self, name: &str) -> bool {
-        (**self).queue_exists(name)
-    }
-
-    fn bind_queue(&self, exchange: &str, queue: &str, pattern: &str) -> Result<(), BrokerError> {
-        (**self).bind_queue(exchange, queue, pattern)
-    }
-
-    fn bind_exchange(
-        &self,
-        source: &str,
-        destination: &str,
-        pattern: &str,
-    ) -> Result<(), BrokerError> {
-        (**self).bind_exchange(source, destination, pattern)
-    }
-
-    fn unbind_queue(&self, exchange: &str, queue: &str, pattern: &str) -> Result<(), BrokerError> {
-        (**self).unbind_queue(exchange, queue, pattern)
-    }
-
-    fn delete_exchange(&self, name: &str) -> Result<(), BrokerError> {
-        (**self).delete_exchange(name)
-    }
-
-    fn delete_queue(&self, name: &str) -> Result<(), BrokerError> {
-        (**self).delete_queue(name)
-    }
-
-    fn purge_queue(&self, name: &str) -> Result<usize, BrokerError> {
-        (**self).purge_queue(name)
-    }
-
-    fn configure_dead_letter(
-        &self,
-        queue: &str,
-        max_delivery_attempts: u32,
-        target: &str,
-    ) -> Result<(), BrokerError> {
-        (**self).configure_dead_letter(queue, max_delivery_attempts, target)
-    }
-
-    fn dead_letter_policy(&self, queue: &str) -> Result<Option<DeadLetterPolicy>, BrokerError> {
-        (**self).dead_letter_policy(queue)
-    }
-
-    fn queue_depth(&self, name: &str) -> Result<usize, BrokerError> {
-        (**self).queue_depth(name)
-    }
-
-    fn publish(&self, exchange: &str, key: &str, payload: &[u8]) -> Result<usize, BrokerError> {
-        (**self).publish(exchange, key, payload)
-    }
-
-    fn publish_message(&self, exchange: &str, message: Message) -> Result<usize, BrokerError> {
-        (**self).publish_message(exchange, message)
-    }
-
-    fn consume(&self, queue: &str, max: usize) -> Result<Vec<Delivery>, BrokerError> {
-        (**self).consume(queue, max)
-    }
-
-    fn ack(&self, queue: &str, tag: u64) -> Result<(), BrokerError> {
-        (**self).ack(queue, tag)
-    }
+    broker_ops!(emit_delegate, |this| T, &**this);
 
     fn ack_many(&self, queue: &str, tags: &[u64]) -> Result<(), BrokerError> {
         (**self).ack_many(queue, tags)
-    }
-
-    fn nack(&self, queue: &str, tag: u64, requeue: bool) -> Result<(), BrokerError> {
-        (**self).nack(queue, tag, requeue)
     }
 }
 

@@ -19,7 +19,7 @@
 use crate::durability::{Durability, DurabilityConfig};
 use crate::error::StoreError;
 use crate::store::Store;
-use crate::transport::{CollectionHandle, DocstoreTransport};
+use crate::transport::{row_if, CollectionHandle, DocstoreTransport};
 use std::sync::Arc;
 
 /// FNV-1a over the collection name — the broker's key-partitioning hash
@@ -108,38 +108,48 @@ impl ShardedStore {
     }
 }
 
+/// Emits one routed [`DocstoreTransport`] method from its row's shard
+/// class.
+macro_rules! shard_op {
+    (by_name fn $method:ident($name:ident: $ty:ty) -> $ret:ty) => {
+        fn $method(&self, $name: $ty) -> $ret {
+            self.shard_for($name).$method($name)
+        }
+    };
+    (sum fn $method:ident() -> $ret:ty) => {
+        fn $method(&self) -> $ret {
+            self.shards.iter().map(|shard| shard.$method()).sum()
+        }
+    };
+    // A name lives on exactly one shard, so concatenating the per-shard
+    // (sorted) listings and re-sorting merges without duplicates.
+    (sorted fn $method:ident() -> $ret:ty) => {
+        fn $method(&self) -> $ret {
+            let mut all: $ret = self.shards.iter().flat_map(|s| s.$method()).collect();
+            all.sort();
+            all
+        }
+    };
+}
+
+/// Emits [`ShardedStore`]'s store-level methods from the `store` rows.
+macro_rules! emit_sharded {
+    ([] collection { $($collection:tt)* } store { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* }) => {
+        $(shard_op! {
+            $class fn $method($($arg: $(&$rty)? $($vty)?),*)
+                -> row_if!([$($degrades)?] { $ret } { Result<$ret, StoreError> })
+        })*
+    };
+}
+
 impl DocstoreTransport for ShardedStore {
     fn collection(&self, name: &str) -> CollectionHandle {
         DocstoreTransport::collection(&**self.shard_for(name), name)
     }
 
-    fn has_collection(&self, name: &str) -> bool {
-        self.shard_for(name).has_collection(name)
-    }
-
-    fn collection_names(&self) -> Vec<String> {
-        // A name lives on exactly one shard, so concatenating the
-        // per-shard (sorted) listings and re-sorting merges without
-        // duplicates.
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.collection_names())
-            .collect();
-        names.sort();
-        names
-    }
-
-    fn drop_collection(&self, name: &str) -> Result<(), StoreError> {
-        self.shard_for(name).drop_collection(name)
-    }
-
-    fn total_documents(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.total_documents())
-            .sum()
-    }
+    crate::docstore_ops!(emit_sharded);
 }
 
 #[cfg(test)]

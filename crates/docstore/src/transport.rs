@@ -26,41 +26,224 @@ use serde_json::Value;
 use std::fmt;
 use std::sync::Arc;
 
+/// The store's operation table: every client-facing operation, stated
+/// once. A row is what `docs/WIRE_PROTOCOL.md` §6 tabulates — opcode,
+/// `NAME`, each argument's Rust type `=>` its wire field, the reply's —
+/// plus the method's documentation, where a [`ShardedStore`] sends it
+/// (`by_collection` / `by_name` to the shard owning that name, `sum`
+/// over the shards, or their `sorted` union) and, marked `degrades`,
+/// whether the embedded answer is infallible (the handle or a remote
+/// client then answers the default when the store cannot be reached).
+/// The `collection` rows are [`CollectionOps`] — on the wire each carries
+/// its collection's name as a leading `string` — and the `store` rows
+/// are [`DocstoreTransport`].
+///
+/// `docstore_ops!(emit, ctx…)` expands to
+/// `emit! { [ctx…] collection { rows… } store { rows… } }`, so each
+/// crate generates the part it owns: this one the traits, the delegating
+/// impls, [`CollectionHandle`] and the sharded routing; `mps-net` the
+/// opcode constants, the client stubs and the server dispatch. Adding
+/// an operation is adding a row (and its `docs/WIRE_PROTOCOL.md` line,
+/// which `mps-lint` L006 holds the row to).
+///
+/// [`ShardedStore`]: crate::ShardedStore
+#[macro_export]
+macro_rules! docstore_ops {
+    ($emit:path $(, $($ctx:tt)*)?) => {
+        $emit! {
+            [$($($ctx)*)?]
+            collection {
+                /// Inserts one document, returning its id.
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's validation errors, or
+                /// [`StoreError::Transport`].
+                1 INSERT_ONE by_collection
+                fn insert_one(doc: Value => json) -> DocId => u64;
+                /// Inserts a batch of documents, returning their ids in order.
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's validation errors, or
+                /// [`StoreError::Transport`].
+                2 INSERT_MANY by_collection
+                fn insert_many(docs: Vec<Value> => seq<json>) -> Vec<DocId> => seq<u64>;
+                /// Fetches a document by id (the handle answers `None` if it
+                /// is missing *or* the store is unreachable).
+                ///
+                /// # Errors
+                ///
+                /// Returns [`StoreError::Transport`] when the store is
+                /// unreachable.
+                3 GET by_collection
+                fn get(id: DocId => u64) -> Option<Value> => option<json>, degrades;
+                /// Number of documents in the collection (the handle answers
+                /// `0` when the store is unreachable).
+                ///
+                /// # Errors
+                ///
+                /// Returns [`StoreError::Transport`] when the store is
+                /// unreachable.
+                4 LEN by_collection
+                fn len() -> usize => u64, degrades;
+                /// Documents matching a filter.
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's filter errors, or
+                /// [`StoreError::Transport`].
+                5 FIND by_collection
+                fn find(filter: &Filter => json) -> Vec<Value> => docs;
+                /// Documents matching a filter, with sort/skip/limit/projection.
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's filter/sort errors, or
+                /// [`StoreError::Transport`].
+                6 FIND_WITH_OPTIONS by_collection
+                fn find_with_options(filter: &Filter => json, options: &FindOptions => json) -> Vec<Value> => docs;
+                /// Number of documents matching a filter.
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's filter errors, or
+                /// [`StoreError::Transport`].
+                7 COUNT by_collection
+                fn count(filter: &Filter => json) -> usize => u64;
+                /// Applies an update to every matching document, returning how
+                /// many changed.
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's filter/update errors, or
+                /// [`StoreError::Transport`].
+                8 UPDATE_MANY by_collection
+                fn update_many(filter: &Filter => json, update: &Update => json) -> usize => u64;
+                /// Deletes every matching document, returning how many were
+                /// removed.
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's filter errors, or
+                /// [`StoreError::Transport`].
+                9 DELETE_MANY by_collection
+                fn delete_many(filter: &Filter => json) -> usize => u64;
+                /// Creates (or rebuilds) a secondary index on a dotted path.
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's errors, or [`StoreError::Transport`].
+                10 CREATE_INDEX by_collection
+                fn create_index(path: &str => string) -> () => empty;
+                /// Drops the index on a dotted path.
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's errors, or [`StoreError::Transport`].
+                11 DROP_INDEX by_collection
+                fn drop_index(path: &str => string) -> () => empty;
+                /// Whether an index exists on a dotted path (the handle answers
+                /// `false` when the store is unreachable).
+                ///
+                /// # Errors
+                ///
+                /// Returns [`StoreError::Transport`] when the store is
+                /// unreachable.
+                12 HAS_INDEX by_collection
+                fn has_index(path: &str => string) -> bool => bool, degrades;
+                /// Number of distinct keys in an index, if one exists on the
+                /// path (the handle answers `None` when the store is
+                /// unreachable).
+                ///
+                /// # Errors
+                ///
+                /// Returns [`StoreError::Transport`] when the store is
+                /// unreachable.
+                13 INDEX_CARDINALITY by_collection
+                fn index_cardinality(path: &str => string) -> Option<usize> => option<u64>, degrades;
+                /// Distinct values at a dotted path among matching documents
+                /// (the handle answers the empty vector when the store is
+                /// unreachable).
+                ///
+                /// # Errors
+                ///
+                /// Returns [`StoreError::Transport`] when the store is
+                /// unreachable.
+                14 DISTINCT by_collection
+                fn distinct(path: &str => string, filter: &Filter => json) -> Vec<Value> => docs, degrades;
+                /// Removes every document (indexes stay declared).
+                ///
+                /// # Errors
+                ///
+                /// Propagates the store's errors, or [`StoreError::Transport`].
+                15 CLEAR by_collection
+                fn clear() -> () => empty;
+                /// Every document in the collection (the handle answers the
+                /// empty vector when the store is unreachable).
+                ///
+                /// # Errors
+                ///
+                /// Returns [`StoreError::Transport`] when the store is
+                /// unreachable.
+                16 ALL by_collection
+                fn all() -> Vec<Value> => docs, degrades;
+            }
+            store {
+                /// Whether a collection with this name exists (`false` when the
+                /// store is unreachable).
+                17 HAS_COLLECTION by_name
+                fn has_collection(name: &str => string) -> bool => bool, degrades;
+                /// Names of every collection, sorted (empty when the store is
+                /// unreachable).
+                18 COLLECTION_NAMES sorted
+                fn collection_names() -> Vec<String> => seq<string>, degrades;
+                /// Removes a collection and its documents.
+                ///
+                /// # Errors
+                ///
+                /// Propagates [`StoreError::CollectionNotFound`], or
+                /// [`StoreError::Transport`].
+                19 DROP_COLLECTION by_name
+                fn drop_collection(name: &str => string) -> () => empty;
+                /// Documents across every collection (`0` when the store is
+                /// unreachable).
+                20 TOTAL_DOCUMENTS sum
+                fn total_documents() -> usize => u64, degrades;
+            }
+        }
+    };
+}
+
+/// Picks `then` when the bracket holds a token and `otherwise` when it is
+/// empty: how the emitters branch on a row's optional parts (`degrades`,
+/// a by-reference argument).
+macro_rules! row_if {
+    ([] { $($then:tt)* } { $($otherwise:tt)* }) => { $($otherwise)* };
+    ([$present:tt] { $($then:tt)* } { $($otherwise:tt)* }) => { $($then)* };
+}
+pub(crate) use row_if;
+
+/// Emits the [`CollectionOps`] methods: one per `collection` row, each
+/// returning `Result` whether or not the embedded answer can fail.
+macro_rules! emit_collection_trait {
+    ([] collection { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* } store { $($store:tt)* }) => {
+        $($(#[$doc])*
+        fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*) -> Result<$ret, StoreError>;)*
+    };
+}
+
 /// The per-collection operations a client may perform, over any
-/// transport. Object-safe mirror of [`Collection`]'s public API; every
-/// method returns `Result` so remote implementations can report
-/// connectivity failures ([`StoreError::Transport`]) even for
-/// operations the embedded collection answers infallibly.
+/// transport — the `collection` rows of
+/// [`docstore_ops!`](crate::docstore_ops). Object-safe mirror of
+/// [`Collection`]'s public API; every method returns `Result` so remote
+/// implementations can report connectivity failures
+/// ([`StoreError::Transport`]) even for operations the embedded
+/// collection answers infallibly.
 pub trait CollectionOps: fmt::Debug + Send + Sync {
-    /// Inserts one document, returning its id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's validation errors, or
-    /// [`StoreError::Transport`].
-    fn insert_one(&self, doc: Value) -> Result<DocId, StoreError>;
-
-    /// Inserts a batch of documents, returning their ids in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's validation errors, or
-    /// [`StoreError::Transport`].
-    fn insert_many(&self, docs: Vec<Value>) -> Result<Vec<DocId>, StoreError>;
-
-    /// Fetches a document by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Transport`] when the store is unreachable.
-    fn get(&self, id: DocId) -> Result<Option<Value>, StoreError>;
-
-    /// Number of documents in the collection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Transport`] when the store is unreachable.
-    fn len(&self) -> Result<usize, StoreError>;
+    docstore_ops!(emit_collection_trait);
 
     /// Whether the collection holds no documents.
     ///
@@ -70,170 +253,23 @@ pub trait CollectionOps: fmt::Debug + Send + Sync {
     fn is_empty(&self) -> Result<bool, StoreError> {
         Ok(self.len()? == 0)
     }
+}
 
-    /// Documents matching a filter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter errors, or
-    /// [`StoreError::Transport`].
-    fn find(&self, filter: &Filter) -> Result<Vec<Value>, StoreError>;
-
-    /// Documents matching a filter, with sort/skip/limit/projection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter/sort errors, or
-    /// [`StoreError::Transport`].
-    fn find_with_options(
-        &self,
-        filter: &Filter,
-        options: &FindOptions,
-    ) -> Result<Vec<Value>, StoreError>;
-
-    /// Number of documents matching a filter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter errors, or
-    /// [`StoreError::Transport`].
-    fn count(&self, filter: &Filter) -> Result<usize, StoreError>;
-
-    /// Applies an update to every matching document, returning how many
-    /// changed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter/update errors, or
-    /// [`StoreError::Transport`].
-    fn update_many(&self, filter: &Filter, update: &Update) -> Result<usize, StoreError>;
-
-    /// Deletes every matching document, returning how many were removed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter errors, or
-    /// [`StoreError::Transport`].
-    fn delete_many(&self, filter: &Filter) -> Result<usize, StoreError>;
-
-    /// Creates (or rebuilds) a secondary index on a dotted path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's errors, or [`StoreError::Transport`].
-    fn create_index(&self, path: &str) -> Result<(), StoreError>;
-
-    /// Drops the index on a dotted path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's errors, or [`StoreError::Transport`].
-    fn drop_index(&self, path: &str) -> Result<(), StoreError>;
-
-    /// Whether an index exists on a dotted path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Transport`] when the store is unreachable.
-    fn has_index(&self, path: &str) -> Result<bool, StoreError>;
-
-    /// Number of distinct keys in an index, if one exists on the path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Transport`] when the store is unreachable.
-    fn index_cardinality(&self, path: &str) -> Result<Option<usize>, StoreError>;
-
-    /// Distinct values at a dotted path among matching documents.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Transport`] when the store is unreachable.
-    fn distinct(&self, path: &str, filter: &Filter) -> Result<Vec<Value>, StoreError>;
-
-    /// Removes every document (indexes stay declared).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's errors, or [`StoreError::Transport`].
-    fn clear(&self) -> Result<(), StoreError>;
-
-    /// Every document in the collection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Transport`] when the store is unreachable.
-    fn all(&self) -> Result<Vec<Value>, StoreError>;
+/// Emits [`Collection`]'s delegation: its inherent method does the work,
+/// and an infallible answer is wrapped in `Ok`.
+macro_rules! emit_collection_delegate {
+    ([] collection { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* } store { $($store:tt)* }) => {
+        $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*) -> Result<$ret, StoreError> {
+            let answer = Collection::$method(self $(, $arg)*);
+            row_if!([$($degrades)?] { Ok(answer) } { answer })
+        })*
+    };
 }
 
 impl CollectionOps for Collection {
-    fn insert_one(&self, doc: Value) -> Result<DocId, StoreError> {
-        Collection::insert_one(self, doc)
-    }
-
-    fn insert_many(&self, docs: Vec<Value>) -> Result<Vec<DocId>, StoreError> {
-        Collection::insert_many(self, docs)
-    }
-
-    fn get(&self, id: DocId) -> Result<Option<Value>, StoreError> {
-        Ok(Collection::get(self, id))
-    }
-
-    fn len(&self) -> Result<usize, StoreError> {
-        Ok(Collection::len(self))
-    }
-
-    fn find(&self, filter: &Filter) -> Result<Vec<Value>, StoreError> {
-        Collection::find(self, filter)
-    }
-
-    fn find_with_options(
-        &self,
-        filter: &Filter,
-        options: &FindOptions,
-    ) -> Result<Vec<Value>, StoreError> {
-        Collection::find_with_options(self, filter, options)
-    }
-
-    fn count(&self, filter: &Filter) -> Result<usize, StoreError> {
-        Collection::count(self, filter)
-    }
-
-    fn update_many(&self, filter: &Filter, update: &Update) -> Result<usize, StoreError> {
-        Collection::update_many(self, filter, update)
-    }
-
-    fn delete_many(&self, filter: &Filter) -> Result<usize, StoreError> {
-        Collection::delete_many(self, filter)
-    }
-
-    fn create_index(&self, path: &str) -> Result<(), StoreError> {
-        Collection::create_index(self, path)
-    }
-
-    fn drop_index(&self, path: &str) -> Result<(), StoreError> {
-        Collection::drop_index(self, path)
-    }
-
-    fn has_index(&self, path: &str) -> Result<bool, StoreError> {
-        Ok(Collection::has_index(self, path))
-    }
-
-    fn index_cardinality(&self, path: &str) -> Result<Option<usize>, StoreError> {
-        Ok(Collection::index_cardinality(self, path))
-    }
-
-    fn distinct(&self, path: &str, filter: &Filter) -> Result<Vec<Value>, StoreError> {
-        Ok(Collection::distinct(self, path, filter))
-    }
-
-    fn clear(&self) -> Result<(), StoreError> {
-        Collection::clear(self)
-    }
-
-    fn all(&self) -> Result<Vec<Value>, StoreError> {
-        Ok(Collection::all(self))
-    }
+    docstore_ops!(emit_collection_delegate);
 }
 
 /// A cheap clonable handle over any [`CollectionOps`] implementation,
@@ -250,155 +286,35 @@ pub struct CollectionHandle {
     ops: Arc<dyn CollectionOps>,
 }
 
+/// Emits [`CollectionHandle`]'s methods: the trait's, with by-value
+/// arguments widened to `impl Into<_>` and the `degrades` rows answering
+/// their default instead of an error.
+macro_rules! emit_handle {
+    ([] collection { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* } store { $($store:tt)* }) => {
+        $($(#[$doc])*
+        pub fn $method(&self $(, $arg: $(&$rty)? $(impl Into<$vty>)?)*)
+            -> row_if!([$($degrades)?] { $ret } { Result<$ret, StoreError> }) {
+            let answer = self.ops.$method($(row_if!([$($rty)?] { $arg } { $arg.into() })),*);
+            row_if!([$($degrades)?] { answer.unwrap_or_default() } { answer })
+        })*
+    };
+}
+
 impl CollectionHandle {
     /// Wraps any [`CollectionOps`] implementation.
     pub fn new(ops: Arc<dyn CollectionOps>) -> Self {
         Self { ops }
     }
 
-    /// Inserts one document, returning its id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's validation errors, or
-    /// [`StoreError::Transport`].
-    pub fn insert_one(&self, doc: Value) -> Result<DocId, StoreError> {
-        self.ops.insert_one(doc)
-    }
-
-    /// Inserts a batch of documents, returning their ids in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's validation errors, or
-    /// [`StoreError::Transport`].
-    pub fn insert_many(
-        &self,
-        docs: impl IntoIterator<Item = Value>,
-    ) -> Result<Vec<DocId>, StoreError> {
-        self.ops.insert_many(docs.into_iter().collect())
-    }
-
-    /// Fetches a document by id (`None` if missing *or* unreachable).
-    pub fn get(&self, id: DocId) -> Option<Value> {
-        self.ops.get(id).unwrap_or_default()
-    }
-
-    /// Number of documents (`0` when the store is unreachable).
-    pub fn len(&self) -> usize {
-        self.ops.len().unwrap_or_default()
-    }
+    docstore_ops!(emit_handle);
 
     /// Whether the collection holds no documents (also `true` when the
     /// store is unreachable — pair with fallible calls where the
     /// distinction matters).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Documents matching a filter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter errors, or
-    /// [`StoreError::Transport`].
-    pub fn find(&self, filter: &Filter) -> Result<Vec<Value>, StoreError> {
-        self.ops.find(filter)
-    }
-
-    /// Documents matching a filter, with sort/skip/limit/projection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter/sort errors, or
-    /// [`StoreError::Transport`].
-    pub fn find_with_options(
-        &self,
-        filter: &Filter,
-        options: &FindOptions,
-    ) -> Result<Vec<Value>, StoreError> {
-        self.ops.find_with_options(filter, options)
-    }
-
-    /// Number of documents matching a filter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter errors, or
-    /// [`StoreError::Transport`].
-    pub fn count(&self, filter: &Filter) -> Result<usize, StoreError> {
-        self.ops.count(filter)
-    }
-
-    /// Applies an update to every matching document, returning how many
-    /// changed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter/update errors, or
-    /// [`StoreError::Transport`].
-    pub fn update_many(&self, filter: &Filter, update: &Update) -> Result<usize, StoreError> {
-        self.ops.update_many(filter, update)
-    }
-
-    /// Deletes every matching document, returning how many were removed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's filter errors, or
-    /// [`StoreError::Transport`].
-    pub fn delete_many(&self, filter: &Filter) -> Result<usize, StoreError> {
-        self.ops.delete_many(filter)
-    }
-
-    /// Creates (or rebuilds) a secondary index on a dotted path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's errors, or [`StoreError::Transport`].
-    pub fn create_index(&self, path: &str) -> Result<(), StoreError> {
-        self.ops.create_index(path)
-    }
-
-    /// Drops the index on a dotted path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's errors, or [`StoreError::Transport`].
-    pub fn drop_index(&self, path: &str) -> Result<(), StoreError> {
-        self.ops.drop_index(path)
-    }
-
-    /// Whether an index exists on a dotted path (`false` when
-    /// unreachable).
-    pub fn has_index(&self, path: &str) -> bool {
-        self.ops.has_index(path).unwrap_or_default()
-    }
-
-    /// Number of distinct keys in an index, if one exists on the path
-    /// (`None` when unreachable).
-    pub fn index_cardinality(&self, path: &str) -> Option<usize> {
-        self.ops.index_cardinality(path).unwrap_or_default()
-    }
-
-    /// Distinct values at a dotted path among matching documents (empty
-    /// when unreachable).
-    pub fn distinct(&self, path: &str, filter: &Filter) -> Vec<Value> {
-        self.ops.distinct(path, filter).unwrap_or_default()
-    }
-
-    /// Removes every document (indexes stay declared).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's errors, or [`StoreError::Transport`].
-    pub fn clear(&self) -> Result<(), StoreError> {
-        self.ops.clear()
-    }
-
-    /// Every document in the collection (empty when unreachable).
-    pub fn all(&self) -> Vec<Value> {
-        self.ops.all().unwrap_or_default()
     }
 }
 
@@ -408,30 +324,43 @@ impl From<Collection> for CollectionHandle {
     }
 }
 
-/// The store-level operations a client may perform, over any transport.
-/// Object-safe mirror of [`Store`]'s public API.
+/// Emits the [`DocstoreTransport`] methods: one per `store` row.
+macro_rules! emit_store_trait {
+    ([] collection { $($collection:tt)* } store { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* }) => {
+        $($(#[$doc])*
+        fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
+            -> row_if!([$($degrades)?] { $ret } { Result<$ret, StoreError> });)*
+    };
+}
+
+/// The store-level operations a client may perform, over any transport
+/// — the `store` rows of [`docstore_ops!`](crate::docstore_ops), plus
+/// [`collection`](DocstoreTransport::collection), which is no RPC: it
+/// names the collection the handle's operations will carry. Object-safe
+/// mirror of [`Store`]'s public API.
 pub trait DocstoreTransport: fmt::Debug + Send + Sync {
     /// A handle to the named collection, created on first use.
     fn collection(&self, name: &str) -> CollectionHandle;
 
-    /// Whether a collection with this name exists (`false` when the
-    /// store is unreachable).
-    fn has_collection(&self, name: &str) -> bool;
+    docstore_ops!(emit_store_trait);
+}
 
-    /// Names of every collection (empty when the store is unreachable).
-    fn collection_names(&self) -> Vec<String>;
-
-    /// Removes a collection and its documents.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoreError::CollectionNotFound`], or
-    /// [`StoreError::Transport`].
-    fn drop_collection(&self, name: &str) -> Result<(), StoreError>;
-
-    /// Documents across every collection (`0` when the store is
-    /// unreachable).
-    fn total_documents(&self) -> usize;
+/// Emits every `store` row as a method forwarding to
+/// `$target::method(receiver, args…)`, where `receiver` is an expression
+/// over `$this` (the method's `self`).
+macro_rules! emit_store_delegate {
+    ([|$this:ident| $target:ty, $receiver:expr] collection { $($collection:tt)* } store {
+        $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* }) => {
+        $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
+            -> row_if!([$($degrades)?] { $ret } { Result<$ret, StoreError> }) {
+            let $this = self;
+            <$target>::$method($receiver $(, $arg)*)
+        })*
+    };
 }
 
 impl DocstoreTransport for Store {
@@ -439,21 +368,7 @@ impl DocstoreTransport for Store {
         CollectionHandle::from(Store::collection(self, name))
     }
 
-    fn has_collection(&self, name: &str) -> bool {
-        Store::has_collection(self, name)
-    }
-
-    fn collection_names(&self) -> Vec<String> {
-        Store::collection_names(self)
-    }
-
-    fn drop_collection(&self, name: &str) -> Result<(), StoreError> {
-        Store::drop_collection(self, name)
-    }
-
-    fn total_documents(&self) -> usize {
-        Store::total_documents(self)
-    }
+    docstore_ops!(emit_store_delegate, |this| Store, this);
 }
 
 /// Shared transports are transports: lets `Arc<Store>` (or any shared
@@ -464,21 +379,7 @@ impl<T: DocstoreTransport + ?Sized> DocstoreTransport for Arc<T> {
         (**self).collection(name)
     }
 
-    fn has_collection(&self, name: &str) -> bool {
-        (**self).has_collection(name)
-    }
-
-    fn collection_names(&self) -> Vec<String> {
-        (**self).collection_names()
-    }
-
-    fn drop_collection(&self, name: &str) -> Result<(), StoreError> {
-        (**self).drop_collection(name)
-    }
-
-    fn total_documents(&self) -> usize {
-        (**self).total_documents()
-    }
+    docstore_ops!(emit_store_delegate, |this| T, &**this);
 }
 
 #[cfg(test)]

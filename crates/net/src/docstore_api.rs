@@ -1,18 +1,25 @@
-//! Docstore opcodes: the server-side [`DocstoreService`] and the
-//! client-side [`RemoteStore`] / remote collection handles.
+//! The docstore over the wire: the server-side [`DocstoreService`] and
+//! the client-side [`RemoteStore`] / remote collection handles.
 //!
-//! Every collection operation carries its collection name as the first
-//! field, so one connection serves any number of collections. Documents,
-//! filters and updates travel as canonical JSON — filters via
-//! [`mps_docstore::Filter::to_doc`], updates via
+//! All three are generated from `mps_docstore::docstore_ops!`, the
+//! store's operation table: every row — a method of
+//! [`mps_docstore::CollectionOps`] or [`mps_docstore::DocstoreTransport`]
+//! — is one opcode in [`op`], one entry of [`OPS`], one stub and one
+//! dispatch arm. Every collection operation carries its collection name
+//! as the first field, so one connection serves any number of
+//! collections. Documents, filters and updates travel as canonical JSON
+//! — filters via [`mps_docstore::Filter::to_doc`], updates via
 //! [`mps_docstore::Update::to_doc`] — making the payloads readable in a
 //! wire capture and implementable without this codebase. The layouts are
 //! specified normatively in `docs/WIRE_PROTOCOL.md` §6.
 
-use crate::client::{ClientConfig, ClientPool, NetError};
-use crate::rpc::STATUS_BAD_REQUEST;
+use crate::client::{ClientConfig, ClientPool};
 use crate::server::{ServiceError, WireService};
-use crate::wire::{WireError, WireReader, WireWriter};
+use crate::wire::field::*;
+use crate::wire::{
+    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, Wire, WireError, WireReader,
+    WireWriter,
+};
 use mps_docstore::{
     CollectionHandle, CollectionOps, DocId, DocstoreTransport, Filter, FindOptions, SortOrder,
     StoreError, Update,
@@ -20,50 +27,6 @@ use mps_docstore::{
 use serde_json::{json, Value};
 use std::fmt;
 use std::sync::Arc;
-
-/// Docstore opcode table (`1..=20`); see `docs/WIRE_PROTOCOL.md` §6.
-pub mod op {
-    /// `insert_one(coll, doc) -> id`
-    pub const INSERT_ONE: u8 = 1;
-    /// `insert_many(coll, docs) -> ids`
-    pub const INSERT_MANY: u8 = 2;
-    /// `get(coll, id) -> doc?`
-    pub const GET: u8 = 3;
-    /// `len(coll) -> count`
-    pub const LEN: u8 = 4;
-    /// `find(coll, filter) -> docs`
-    pub const FIND: u8 = 5;
-    /// `find_with_options(coll, filter, options) -> docs`
-    pub const FIND_WITH_OPTIONS: u8 = 6;
-    /// `count(coll, filter) -> count`
-    pub const COUNT: u8 = 7;
-    /// `update_many(coll, filter, update) -> modified`
-    pub const UPDATE_MANY: u8 = 8;
-    /// `delete_many(coll, filter) -> deleted`
-    pub const DELETE_MANY: u8 = 9;
-    /// `create_index(coll, path)`
-    pub const CREATE_INDEX: u8 = 10;
-    /// `drop_index(coll, path)`
-    pub const DROP_INDEX: u8 = 11;
-    /// `has_index(coll, path) -> bool`
-    pub const HAS_INDEX: u8 = 12;
-    /// `index_cardinality(coll, path) -> count?`
-    pub const INDEX_CARDINALITY: u8 = 13;
-    /// `distinct(coll, path, filter) -> values`
-    pub const DISTINCT: u8 = 14;
-    /// `clear(coll)`
-    pub const CLEAR: u8 = 15;
-    /// `all(coll) -> docs`
-    pub const ALL: u8 = 16;
-    /// `has_collection(name) -> bool`
-    pub const HAS_COLLECTION: u8 = 17;
-    /// `collection_names() -> names`
-    pub const COLLECTION_NAMES: u8 = 18;
-    /// `drop_collection(name)`
-    pub const DROP_COLLECTION: u8 = 19;
-    /// `total_documents() -> count`
-    pub const TOTAL_DOCUMENTS: u8 = 20;
-}
 
 /// Docstore error status codes (`16..=23`); see `docs/WIRE_PROTOCOL.md` §7.
 pub mod err {
@@ -88,38 +51,18 @@ pub mod err {
 /// Encodes a [`StoreError`] as a wire status + payload.
 #[must_use]
 pub fn encode_store_error(error: &StoreError) -> ServiceError {
-    let mut w = WireWriter::new();
-    let code = match error {
-        StoreError::NotAnObject => err::NOT_AN_OBJECT,
-        StoreError::BadFilter(msg) => {
-            w.string(msg);
-            err::BAD_FILTER
-        }
-        StoreError::BadUpdate(msg) => {
-            w.string(msg);
-            err::BAD_UPDATE
-        }
-        StoreError::BadPipeline(msg) => {
-            w.string(msg);
-            err::BAD_PIPELINE
-        }
-        StoreError::CollectionNotFound(name) => {
-            w.string(name);
-            err::COLLECTION_NOT_FOUND
-        }
-        StoreError::Unorderable(path) => {
-            w.string(path);
-            err::UNORDERABLE
-        }
-        StoreError::Durability(msg) => {
-            w.string(msg);
-            err::DURABILITY
-        }
-        StoreError::Transport(msg) => {
-            w.string(msg);
-            err::TRANSPORT
-        }
+    let (code, text) = match error {
+        StoreError::NotAnObject => return ServiceError::msg(err::NOT_AN_OBJECT, ""),
+        StoreError::BadFilter(msg) => (err::BAD_FILTER, msg),
+        StoreError::BadUpdate(msg) => (err::BAD_UPDATE, msg),
+        StoreError::BadPipeline(msg) => (err::BAD_PIPELINE, msg),
+        StoreError::CollectionNotFound(name) => (err::COLLECTION_NOT_FOUND, name),
+        StoreError::Unorderable(path) => (err::UNORDERABLE, path),
+        StoreError::Durability(msg) => (err::DURABILITY, msg),
+        StoreError::Transport(msg) => (err::TRANSPORT, msg),
     };
+    let mut w = WireWriter::new();
+    w.string(text);
     ServiceError {
         code,
         payload: w.finish(),
@@ -152,15 +95,41 @@ pub fn decode_store_error(code: u8, payload: &[u8]) -> StoreError {
     })
 }
 
-fn encode_json(value: &Value) -> Vec<u8> {
-    // `serde_json::Value` always serializes; fall back to `null` rather
-    // than panicking if that invariant ever changes.
-    serde_json::to_vec(value).unwrap_or_else(|_| b"null".to_vec())
+wire_scalar! {
+    DocId => u64 [8]: |id, w| w.u64(id.0), |r, field| DocId(r.u64(field)?);
 }
 
-fn decode_json(bytes: &[u8], what: &str) -> Result<Value, StoreError> {
-    serde_json::from_slice(bytes)
-        .map_err(|err| StoreError::Transport(format!("undecodable {what}: {err}")))
+/// Implements [`Wire<json>`](Wire): canonical JSON text inside a `bytes`
+/// field. Text that is not JSON, and JSON that is not a `$ty`, are
+/// rejections, not field errors — the field itself was read.
+macro_rules! wire_json {
+    ($($ty:ty [$what:literal]: |$v:ident| $to_doc:expr, |$doc:ident| $from_doc:expr;)*) => {$(
+        impl Wire<json> for $ty {
+            const MIN_WIRE_BYTES: usize = 4;
+            fn put(&self, w: &mut WireWriter) {
+                let $v = self;
+                // `serde_json::Value` always serializes; fall back to `null`
+                // rather than panicking if that invariant ever changes.
+                w.bytes(&serde_json::to_vec($to_doc).unwrap_or_else(|_| b"null".to_vec()));
+            }
+            fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<$ty> {
+                let parsed = serde_json::from_slice::<Value>(r.bytes(field)?).map_err(|err| {
+                    StoreError::Transport(format!(concat!("undecodable ", $what, ": {}"), err))
+                });
+                Ok(parsed
+                    .and_then(|$doc| $from_doc)
+                    .map_err(|error| encode_store_error(&error)))
+            }
+        }
+    )*};
+}
+
+wire_json! {
+    Value ["document"]: |doc| doc, |doc| Ok(doc);
+    Filter ["filter"]: |filter| &filter.to_doc(), |doc| Filter::parse(&doc);
+    Update ["update"]: |update| &update.to_doc(), |doc| Update::parse(&doc);
+    FindOptions ["find options"]:
+        |options| &find_options_to_doc(options), |doc| find_options_from_doc(&doc);
 }
 
 /// Encodes [`FindOptions`] as its canonical JSON document.
@@ -190,78 +159,35 @@ pub fn find_options_to_doc(options: &FindOptions) -> Value {
 /// Returns [`StoreError::Transport`] on a malformed document.
 pub fn find_options_from_doc(doc: &Value) -> Result<FindOptions, StoreError> {
     let bad = |what: &str| StoreError::Transport(format!("bad find options: {what}"));
-    let sort_doc = doc.get("sort").unwrap_or(&Value::Null);
-    let sort = if sort_doc.is_null() {
-        None
-    } else {
-        let path = sort_doc
-            .get("path")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("sort.path"))?;
-        let order = match sort_doc.get("order").and_then(Value::as_str) {
+    // A member that is absent and one that is `null` mean the same.
+    let member = |key: &str| doc.get(key).filter(|value| !value.is_null());
+    let sort = member("sort").map(|sort| {
+        let path = sort.get("path").and_then(Value::as_str);
+        let path = path.ok_or_else(|| bad("sort.path"))?;
+        let order = match sort.get("order").and_then(Value::as_str) {
             Some("asc") => SortOrder::Ascending,
             Some("desc") => SortOrder::Descending,
             _ => return Err(bad("sort.order")),
         };
-        Some((path.to_string(), order))
-    };
-    let skip = doc
-        .get("skip")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| bad("skip"))? as usize;
-    let limit_doc = doc.get("limit").unwrap_or(&Value::Null);
-    let limit = if limit_doc.is_null() {
-        None
-    } else {
-        Some(limit_doc.as_u64().ok_or_else(|| bad("limit"))? as usize)
-    };
-    let projection_doc = doc.get("projection").unwrap_or(&Value::Null);
-    let projection = if projection_doc.is_null() {
-        None
-    } else {
-        let paths = projection_doc
-            .as_array()
-            .ok_or_else(|| bad("projection"))?
+        Ok((path.to_string(), order))
+    });
+    let skip = doc.get("skip").and_then(Value::as_u64);
+    let limit = member("limit").map(|limit| limit.as_u64().ok_or_else(|| bad("limit")));
+    let projection = member("projection").map(|paths| {
+        let paths = paths.as_array().ok_or_else(|| bad("projection"))?;
+        let path = |p: &Value| p.as_str().map(str::to_string);
+        let paths = paths
             .iter()
-            .map(|p| {
-                p.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| bad("projection entry"))
-            })
-            .collect::<Result<Vec<String>, StoreError>>()?;
-        Some(paths)
-    };
+            .map(|p| path(p).ok_or_else(|| bad("projection entry")));
+        paths.collect::<Result<Vec<String>, StoreError>>()
+    });
     Ok(FindOptions {
-        sort,
-        skip,
-        limit,
-        projection,
+        sort: sort.transpose()?,
+        skip: skip.ok_or_else(|| bad("skip"))? as usize,
+        limit: limit.transpose()?.map(|n| n as usize),
+        projection: projection.transpose()?,
     })
 }
-
-fn encode_docs(docs: &[Value]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u32(docs.len() as u32);
-    for doc in docs {
-        w.bytes(&encode_json(doc));
-    }
-    w.finish()
-}
-
-fn decode_docs(payload: &[u8]) -> Result<Vec<Value>, StoreError> {
-    let bad = |err: WireError| StoreError::Transport(format!("bad reply: {err}"));
-    let mut r = WireReader::new(payload);
-    let count = r.u32("doc count").map_err(bad)?;
-    let mut docs = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let bytes = r.bytes("doc").map_err(bad)?;
-        docs.push(decode_json(bytes, "document")?);
-    }
-    r.expect_end().map_err(bad)?;
-    Ok(docs)
-}
-
-// ---------------------------------------------------------------- server
 
 /// Serves any [`DocstoreTransport`] — usually a local
 /// [`mps_docstore::Store`] — over the wire protocol.
@@ -281,226 +207,11 @@ impl DocstoreService {
     pub fn new(inner: Arc<dyn DocstoreTransport>) -> DocstoreService {
         DocstoreService { inner }
     }
-
-    fn read_filter(r: &mut WireReader<'_>) -> Result<Result<Filter, StoreError>, WireError> {
-        let bytes = r.bytes("filter")?;
-        Ok(decode_json(bytes, "filter").and_then(|doc| Filter::parse(&doc)))
-    }
-
-    fn dispatch(&self, opcode: u8, body: &[u8]) -> Result<Result<Vec<u8>, StoreError>, WireError> {
-        let mut r = WireReader::new(body);
-        let reply = match opcode {
-            op::HAS_COLLECTION => {
-                let name = r.string("collection")?;
-                Ok(vec![u8::from(self.inner.has_collection(&name))])
-            }
-            op::COLLECTION_NAMES => {
-                let names = self.inner.collection_names();
-                let mut w = WireWriter::new();
-                w.u32(names.len() as u32);
-                for name in names {
-                    w.string(&name);
-                }
-                Ok(w.finish())
-            }
-            op::DROP_COLLECTION => self
-                .inner
-                .drop_collection(&r.string("collection")?)
-                .map(|()| Vec::new()),
-            op::TOTAL_DOCUMENTS => {
-                let mut w = WireWriter::new();
-                w.u64(self.inner.total_documents() as u64);
-                Ok(w.finish())
-            }
-            _ => {
-                let name = r.string("collection")?;
-                let coll = self.inner.collection(&name);
-                self.dispatch_collection(opcode, &coll, &mut r)?
-            }
-        };
-        r.expect_end()?;
-        Ok(reply)
-    }
-
-    fn dispatch_collection(
-        &self,
-        opcode: u8,
-        coll: &CollectionHandle,
-        r: &mut WireReader<'_>,
-    ) -> Result<Result<Vec<u8>, StoreError>, WireError> {
-        let u64_reply = |value: Result<usize, StoreError>| {
-            value.map(|n| {
-                let mut w = WireWriter::new();
-                w.u64(n as u64);
-                w.finish()
-            })
-        };
-        Ok(match opcode {
-            op::INSERT_ONE => {
-                let bytes = r.bytes("document")?;
-                decode_json(bytes, "document")
-                    .and_then(|doc| coll.insert_one(doc))
-                    .map(|id| {
-                        let mut w = WireWriter::new();
-                        w.u64(id.0);
-                        w.finish()
-                    })
-            }
-            op::INSERT_MANY => {
-                let count = r.u32("doc count")?;
-                let mut docs = Vec::with_capacity(count as usize);
-                let mut parse_failure = None;
-                for _ in 0..count {
-                    let bytes = r.bytes("document")?;
-                    match decode_json(bytes, "document") {
-                        Ok(doc) => docs.push(doc),
-                        Err(err) => parse_failure = Some(err),
-                    }
-                }
-                match parse_failure {
-                    Some(err) => Err(err),
-                    None => coll.insert_many(docs).map(|ids| {
-                        let mut w = WireWriter::new();
-                        w.u32(ids.len() as u32);
-                        for id in ids {
-                            w.u64(id.0);
-                        }
-                        w.finish()
-                    }),
-                }
-            }
-            op::GET => {
-                let id = DocId(r.u64("doc id")?);
-                let mut w = WireWriter::new();
-                match coll.get(id) {
-                    None => {
-                        w.u8(0);
-                    }
-                    Some(doc) => {
-                        w.u8(1).bytes(&encode_json(&doc));
-                    }
-                }
-                Ok(w.finish())
-            }
-            op::LEN => {
-                let mut w = WireWriter::new();
-                w.u64(coll.len() as u64);
-                Ok(w.finish())
-            }
-            op::FIND => Self::read_filter(r)?
-                .and_then(|filter| coll.find(&filter))
-                .map(|docs| encode_docs(&docs)),
-            op::FIND_WITH_OPTIONS => {
-                let filter = Self::read_filter(r)?;
-                let options_bytes = r.bytes("find options")?;
-                filter
-                    .and_then(|filter| {
-                        let options = decode_json(options_bytes, "find options")
-                            .and_then(|doc| find_options_from_doc(&doc))?;
-                        coll.find_with_options(&filter, &options)
-                    })
-                    .map(|docs| encode_docs(&docs))
-            }
-            op::COUNT => u64_reply(Self::read_filter(r)?.and_then(|filter| coll.count(&filter))),
-            op::UPDATE_MANY => {
-                let filter = Self::read_filter(r)?;
-                let update_bytes = r.bytes("update")?;
-                u64_reply(filter.and_then(|filter| {
-                    let update =
-                        decode_json(update_bytes, "update").and_then(|doc| Update::parse(&doc))?;
-                    coll.update_many(&filter, &update)
-                }))
-            }
-            op::DELETE_MANY => {
-                u64_reply(Self::read_filter(r)?.and_then(|filter| coll.delete_many(&filter)))
-            }
-            op::CREATE_INDEX => coll.create_index(&r.string("path")?).map(|()| Vec::new()),
-            op::DROP_INDEX => coll.drop_index(&r.string("path")?).map(|()| Vec::new()),
-            op::HAS_INDEX => {
-                let path = r.string("path")?;
-                Ok(vec![u8::from(coll.has_index(&path))])
-            }
-            op::INDEX_CARDINALITY => {
-                let path = r.string("path")?;
-                let mut w = WireWriter::new();
-                match coll.index_cardinality(&path) {
-                    None => {
-                        w.u8(0);
-                    }
-                    Some(cardinality) => {
-                        w.u8(1).u64(cardinality as u64);
-                    }
-                }
-                Ok(w.finish())
-            }
-            op::DISTINCT => {
-                let path = r.string("path")?;
-                Self::read_filter(r)?.map(|filter| encode_docs(&coll.distinct(&path, &filter)))
-            }
-            op::CLEAR => coll.clear().map(|()| Vec::new()),
-            op::ALL => Ok(encode_docs(&coll.all())),
-            other => {
-                return Err(WireError::BadDiscriminant {
-                    field: "docstore opcode",
-                    value: other,
-                })
-            }
-        })
-    }
 }
-
-impl WireService for DocstoreService {
-    fn handle(
-        &self,
-        opcode: u8,
-        _headers: &[(String, String)],
-        body: &[u8],
-    ) -> Result<Vec<u8>, ServiceError> {
-        match self.dispatch(opcode, body) {
-            Ok(Ok(reply)) => Ok(reply),
-            Ok(Err(store_error)) => Err(encode_store_error(&store_error)),
-            Err(wire_error) => Err(ServiceError::msg(
-                STATUS_BAD_REQUEST,
-                &wire_error.to_string(),
-            )),
-        }
-    }
-
-    fn role(&self) -> &'static str {
-        "docstore"
-    }
-
-    fn opcode_name(&self, opcode: u8) -> Option<&'static str> {
-        Some(match opcode {
-            op::INSERT_ONE => "INSERT_ONE",
-            op::INSERT_MANY => "INSERT_MANY",
-            op::GET => "GET",
-            op::LEN => "LEN",
-            op::FIND => "FIND",
-            op::FIND_WITH_OPTIONS => "FIND_WITH_OPTIONS",
-            op::COUNT => "COUNT",
-            op::UPDATE_MANY => "UPDATE_MANY",
-            op::DELETE_MANY => "DELETE_MANY",
-            op::CREATE_INDEX => "CREATE_INDEX",
-            op::DROP_INDEX => "DROP_INDEX",
-            op::HAS_INDEX => "HAS_INDEX",
-            op::INDEX_CARDINALITY => "INDEX_CARDINALITY",
-            op::DISTINCT => "DISTINCT",
-            op::CLEAR => "CLEAR",
-            op::ALL => "ALL",
-            op::HAS_COLLECTION => "HAS_COLLECTION",
-            op::COLLECTION_NAMES => "COLLECTION_NAMES",
-            op::DROP_COLLECTION => "DROP_COLLECTION",
-            op::TOTAL_DOCUMENTS => "TOTAL_DOCUMENTS",
-            _ => return None,
-        })
-    }
-}
-
-// ---------------------------------------------------------------- client
 
 /// A [`DocstoreTransport`] forwarding every call to a remote
-/// [`DocstoreService`] over a shared [`ClientPool`].
+/// [`DocstoreService`] over a [`ClientPool`] its collection handles
+/// share.
 #[derive(Debug)]
 pub struct RemoteStore {
     pool: Arc<ClientPool>,
@@ -515,229 +226,105 @@ impl RemoteStore {
         }
     }
 
-    fn transport_error(err: NetError) -> StoreError {
-        match err {
-            NetError::Remote { code, payload } => decode_store_error(code, &payload),
-            other => StoreError::Transport(other.to_string()),
-        }
+    fn request(&self) -> WireWriter {
+        WireWriter::new()
     }
 
-    fn call(&self, opcode: u8, body: Vec<u8>) -> Result<Vec<u8>, StoreError> {
+    fn call<M, T: Wire<M, Owned = T>>(
+        &self,
+        opcode: u8,
+        headers: &[(String, String)],
+        body: Vec<u8>,
+    ) -> Result<T, StoreError> {
+        let transport = StoreError::Transport;
         self.pool
-            .call(opcode, &[], &body)
-            .map_err(Self::transport_error)
-    }
-}
-
-impl DocstoreTransport for RemoteStore {
-    fn collection(&self, name: &str) -> CollectionHandle {
-        CollectionHandle::new(Arc::new(RemoteCollection {
-            pool: Arc::clone(&self.pool),
-            name: name.to_string(),
-        }))
-    }
-
-    fn has_collection(&self, name: &str) -> bool {
-        let mut w = WireWriter::new();
-        w.string(name);
-        self.call(op::HAS_COLLECTION, w.finish())
-            .map(|reply| reply.first().copied() == Some(1))
-            .unwrap_or(false)
-    }
-
-    fn collection_names(&self) -> Vec<String> {
-        let Ok(reply) = self.call(op::COLLECTION_NAMES, Vec::new()) else {
-            return Vec::new();
-        };
-        let mut r = WireReader::new(&reply);
-        let Ok(count) = r.u32("name count") else {
-            return Vec::new();
-        };
-        let mut names = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            match r.string("name") {
-                Ok(name) => names.push(name),
-                Err(_) => return Vec::new(),
-            }
-        }
-        names
-    }
-
-    fn drop_collection(&self, name: &str) -> Result<(), StoreError> {
-        let mut w = WireWriter::new();
-        w.string(name);
-        self.call(op::DROP_COLLECTION, w.finish()).map(|_| ())
-    }
-
-    fn total_documents(&self) -> usize {
-        let Ok(reply) = self.call(op::TOTAL_DOCUMENTS, Vec::new()) else {
-            return 0;
-        };
-        let mut r = WireReader::new(&reply);
-        r.u64("total").map(|n| n as usize).unwrap_or(0)
+            .call_as::<M, T, _>(opcode, headers, &body, decode_store_error, transport)
     }
 }
 
 /// One collection's operations forwarded over the wire; obtained via
 /// [`RemoteStore::collection`] wrapped in a [`CollectionHandle`].
+#[derive(Debug)]
 struct RemoteCollection {
-    pool: Arc<ClientPool>,
+    store: RemoteStore,
     name: String,
 }
 
-impl fmt::Debug for RemoteCollection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RemoteCollection")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
-
 impl RemoteCollection {
-    fn writer(&self) -> WireWriter {
+    fn request(&self) -> WireWriter {
         let mut w = WireWriter::new();
         w.string(&self.name);
         w
     }
 
-    fn call(&self, opcode: u8, w: WireWriter) -> Result<Vec<u8>, StoreError> {
-        self.pool
-            .call(opcode, &[], &w.finish())
-            .map_err(RemoteStore::transport_error)
-    }
-
-    fn call_u64(&self, opcode: u8, w: WireWriter) -> Result<usize, StoreError> {
-        let reply = self.call(opcode, w)?;
-        let mut r = WireReader::new(&reply);
-        r.u64("result")
-            .map(|n| n as usize)
-            .map_err(|err| StoreError::Transport(format!("bad reply: {err}")))
-    }
-}
-
-impl CollectionOps for RemoteCollection {
-    fn insert_one(&self, doc: Value) -> Result<DocId, StoreError> {
-        let mut w = self.writer();
-        w.bytes(&encode_json(&doc));
-        self.call_u64(op::INSERT_ONE, w).map(|id| DocId(id as u64))
-    }
-
-    fn insert_many(&self, docs: Vec<Value>) -> Result<Vec<DocId>, StoreError> {
-        let mut w = self.writer();
-        w.u32(docs.len() as u32);
-        for doc in &docs {
-            w.bytes(&encode_json(doc));
-        }
-        let reply = self.call(op::INSERT_MANY, w)?;
-        let bad = |err: WireError| StoreError::Transport(format!("bad reply: {err}"));
-        let mut r = WireReader::new(&reply);
-        let count = r.u32("id count").map_err(bad)?;
-        let mut ids = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            ids.push(DocId(r.u64("id").map_err(bad)?));
-        }
-        Ok(ids)
-    }
-
-    fn get(&self, id: DocId) -> Result<Option<Value>, StoreError> {
-        let mut w = self.writer();
-        w.u64(id.0);
-        let reply = self.call(op::GET, w)?;
-        let bad = |err: WireError| StoreError::Transport(format!("bad reply: {err}"));
-        let mut r = WireReader::new(&reply);
-        if r.u8("present").map_err(bad)? == 0 {
-            return Ok(None);
-        }
-        let bytes = r.bytes("document").map_err(bad)?;
-        decode_json(bytes, "document").map(Some)
-    }
-
-    fn len(&self) -> Result<usize, StoreError> {
-        self.call_u64(op::LEN, self.writer())
-    }
-
-    fn find(&self, filter: &Filter) -> Result<Vec<Value>, StoreError> {
-        let mut w = self.writer();
-        w.bytes(&encode_json(&filter.to_doc()));
-        decode_docs(&self.call(op::FIND, w)?)
-    }
-
-    fn find_with_options(
+    fn call<M, T: Wire<M, Owned = T>>(
         &self,
-        filter: &Filter,
-        options: &FindOptions,
-    ) -> Result<Vec<Value>, StoreError> {
-        let mut w = self.writer();
-        w.bytes(&encode_json(&filter.to_doc()));
-        w.bytes(&encode_json(&find_options_to_doc(options)));
-        decode_docs(&self.call(op::FIND_WITH_OPTIONS, w)?)
-    }
-
-    fn count(&self, filter: &Filter) -> Result<usize, StoreError> {
-        let mut w = self.writer();
-        w.bytes(&encode_json(&filter.to_doc()));
-        self.call_u64(op::COUNT, w)
-    }
-
-    fn update_many(&self, filter: &Filter, update: &Update) -> Result<usize, StoreError> {
-        let mut w = self.writer();
-        w.bytes(&encode_json(&filter.to_doc()));
-        w.bytes(&encode_json(&update.to_doc()));
-        self.call_u64(op::UPDATE_MANY, w)
-    }
-
-    fn delete_many(&self, filter: &Filter) -> Result<usize, StoreError> {
-        let mut w = self.writer();
-        w.bytes(&encode_json(&filter.to_doc()));
-        self.call_u64(op::DELETE_MANY, w)
-    }
-
-    fn create_index(&self, path: &str) -> Result<(), StoreError> {
-        let mut w = self.writer();
-        w.string(path);
-        self.call(op::CREATE_INDEX, w).map(|_| ())
-    }
-
-    fn drop_index(&self, path: &str) -> Result<(), StoreError> {
-        let mut w = self.writer();
-        w.string(path);
-        self.call(op::DROP_INDEX, w).map(|_| ())
-    }
-
-    fn has_index(&self, path: &str) -> Result<bool, StoreError> {
-        let mut w = self.writer();
-        w.string(path);
-        let reply = self.call(op::HAS_INDEX, w)?;
-        Ok(reply.first().copied() == Some(1))
-    }
-
-    fn index_cardinality(&self, path: &str) -> Result<Option<usize>, StoreError> {
-        let mut w = self.writer();
-        w.string(path);
-        let reply = self.call(op::INDEX_CARDINALITY, w)?;
-        let bad = |err: WireError| StoreError::Transport(format!("bad reply: {err}"));
-        let mut r = WireReader::new(&reply);
-        if r.u8("present").map_err(bad)? == 0 {
-            return Ok(None);
-        }
-        Ok(Some(r.u64("cardinality").map_err(bad)? as usize))
-    }
-
-    fn distinct(&self, path: &str, filter: &Filter) -> Result<Vec<Value>, StoreError> {
-        let mut w = self.writer();
-        w.string(path);
-        w.bytes(&encode_json(&filter.to_doc()));
-        decode_docs(&self.call(op::DISTINCT, w)?)
-    }
-
-    fn clear(&self) -> Result<(), StoreError> {
-        self.call(op::CLEAR, self.writer()).map(|_| ())
-    }
-
-    fn all(&self) -> Result<Vec<Value>, StoreError> {
-        decode_docs(&self.call(op::ALL, self.writer())?)
+        opcode: u8,
+        headers: &[(String, String)],
+        body: Vec<u8>,
+    ) -> Result<T, StoreError> {
+        self.store.call::<M, T>(opcode, headers, body)
     }
 }
+
+/// Expands the store's operation table into this module's share of it.
+macro_rules! docstore_wire {
+    ([] collection { $($collection:tt)* } store { $($store:tt)* }) => {
+        wire_ops! { "§6" [true] { $($collection)* } [false] { $($store)* } }
+
+        impl WireService for DocstoreService {
+            fn handle(
+                &self,
+                opcode: u8,
+                _headers: &[(String, String)],
+                body: &[u8],
+            ) -> Result<Vec<u8>, ServiceError> {
+                let mut r = WireReader::new(body);
+                wire_dispatch! {
+                    [opcode, r, self.inner, encode_store_error, {
+                        // Everything else addresses a collection, named first.
+                        let coll = self.inner.collection(&r.string("collection")?);
+                        let unknown = WireError::BadDiscriminant {
+                            field: "docstore opcode",
+                            value: opcode,
+                        };
+                        wire_dispatch! {
+                            [opcode, r, coll, encode_store_error, Err(unknown.into())]
+                            $($collection)*
+                        }
+                    }]
+                    $($store)*
+                }
+            }
+
+            fn role(&self) -> &'static str {
+                "docstore"
+            }
+
+            fn opcode_name(&self, opcode: u8) -> Option<&'static str> {
+                OPS.iter().find(|op| op.value == opcode).map(|op| op.name)
+            }
+        }
+
+        impl DocstoreTransport for RemoteStore {
+            fn collection(&self, name: &str) -> CollectionHandle {
+                CollectionHandle::new(Arc::new(RemoteCollection {
+                    store: RemoteStore {
+                        pool: Arc::clone(&self.pool),
+                    },
+                    name: name.to_string(),
+                }))
+            }
+
+            wire_stubs! { [StoreError, bare] $($store)* }
+        }
+
+        impl CollectionOps for RemoteCollection {
+            wire_stubs! { [StoreError, result] $($collection)* }
+        }
+    };
+}
+mps_docstore::docstore_ops!(docstore_wire);
 
 #[cfg(test)]
 mod tests {
@@ -883,49 +470,37 @@ mod tests {
         }
     }
 
-    /// Every docstore opcode, by name: the dispatcher knows its
-    /// mnemonic and no two opcodes share a value. mps-lint L006
-    /// additionally cross-checks this table against
-    /// `docs/WIRE_PROTOCOL.md` §6.
+    /// What the hand-kept opcode table used to be checked for, now a
+    /// property of the generated inventory: every row is in the §6 band,
+    /// no two share a value or a name, the collection rows (and only
+    /// they) are scoped, and the dispatcher's telemetry label is the
+    /// row's mnemonic. (mps-lint L006 holds the rows to
+    /// `docs/WIRE_PROTOCOL.md`; `tests/wire_corpus.rs` holds their bytes.)
     #[test]
-    fn opcode_table_is_complete_unique_and_named() {
+    fn ops_inventory_is_unique_in_band_and_named() {
         let store: Arc<dyn DocstoreTransport> = Arc::new(Store::new());
         let service = DocstoreService::new(store);
-        let table: &[(u8, &str)] = &[
-            (op::INSERT_ONE, "INSERT_ONE"),
-            (op::INSERT_MANY, "INSERT_MANY"),
-            (op::GET, "GET"),
-            (op::LEN, "LEN"),
-            (op::FIND, "FIND"),
-            (op::FIND_WITH_OPTIONS, "FIND_WITH_OPTIONS"),
-            (op::COUNT, "COUNT"),
-            (op::UPDATE_MANY, "UPDATE_MANY"),
-            (op::DELETE_MANY, "DELETE_MANY"),
-            (op::CREATE_INDEX, "CREATE_INDEX"),
-            (op::DROP_INDEX, "DROP_INDEX"),
-            (op::HAS_INDEX, "HAS_INDEX"),
-            (op::INDEX_CARDINALITY, "INDEX_CARDINALITY"),
-            (op::DISTINCT, "DISTINCT"),
-            (op::CLEAR, "CLEAR"),
-            (op::ALL, "ALL"),
-            (op::HAS_COLLECTION, "HAS_COLLECTION"),
-            (op::COLLECTION_NAMES, "COLLECTION_NAMES"),
-            (op::DROP_COLLECTION, "DROP_COLLECTION"),
-            (op::TOTAL_DOCUMENTS, "TOTAL_DOCUMENTS"),
-        ];
-        let mut seen = std::collections::BTreeSet::new();
-        for &(opcode, name) in table {
+        let values: std::collections::BTreeSet<u8> = OPS.iter().map(|op| op.value).collect();
+        let names: std::collections::BTreeSet<&str> = OPS.iter().map(|op| op.name).collect();
+        assert_eq!(values.len(), OPS.len(), "an opcode value collides");
+        assert_eq!(names.len(), OPS.len(), "an opcode name collides");
+        assert_eq!(values, (1..=20).collect(), "the band is dense from 1");
+        for info in OPS {
+            assert_eq!(service.opcode_name(info.value), Some(info.name));
             assert_eq!(
-                service.opcode_name(opcode),
-                Some(name),
-                "mnemonic of {name}"
-            );
-            assert!(seen.insert(opcode), "opcode value of {name} collides");
-            assert!(
-                (1..=20).contains(&opcode),
-                "{name} outside the docstore band"
+                info.scoped,
+                info.value < op::HAS_COLLECTION,
+                "{}",
+                info.name
             );
         }
-        assert_eq!(seen.len(), 20, "every §6 opcode is present");
+        assert_eq!(service.opcode_name(0), None);
+        let update_many = OPS[op::UPDATE_MANY as usize - 1];
+        assert_eq!(update_many.name, "UPDATE_MANY");
+        assert_eq!(
+            update_many.request,
+            [("json", "filter"), ("json", "update")]
+        );
+        assert_eq!(update_many.reply, "u64");
     }
 }

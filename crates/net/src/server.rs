@@ -66,6 +66,14 @@ impl ServiceError {
     }
 }
 
+/// A body the field decoders reject is answered [`STATUS_BAD_REQUEST`],
+/// with the decoder's complaint as the text.
+impl From<crate::wire::WireError> for ServiceError {
+    fn from(error: crate::wire::WireError) -> ServiceError {
+        ServiceError::msg(STATUS_BAD_REQUEST, &error.to_string())
+    }
+}
+
 /// The request handler a [`WireServer`] dispatches to.
 ///
 /// Implementations must be thread-safe: every connection thread calls

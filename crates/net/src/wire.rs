@@ -1,11 +1,19 @@
-//! Primitive field encoding inside frame payloads.
+//! Field encoding inside frame payloads, and what is generated from it.
 //!
 //! Frame payloads are flat sequences of little-endian fixed-width
 //! integers and `u32`-length-prefixed byte strings — no self-describing
-//! envelope, no varints. The opcode tables in [`crate::broker_api`] and
-//! [`crate::docstore_api`] define which fields appear in which order;
-//! `docs/WIRE_PROTOCOL.md` is the normative reference.
+//! envelope, no varints; `docs/WIRE_PROTOCOL.md` is the normative
+//! reference. [`WireWriter`] / [`WireReader`] are the primitives. On top
+//! of them sits one codec trait, [`Wire`], implemented once per
+//! *(Rust type, wire field)* pair — the [`field`] markers are the field
+//! names the spec's tables use — and three emitters that turn an
+//! operation table (`mps_broker::broker_ops!`,
+//! `mps_docstore::docstore_ops!`) into the part of it this crate owns:
+//! `wire_ops!` (the `op` constants and the [`OpInfo`] inventory),
+//! `wire_stubs!` (a client's trait impl) and `wire_dispatch!` (a
+//! server's `match`). No operation is written out anywhere else.
 
+use crate::server::ServiceError;
 use std::fmt;
 
 /// A field-level decoding failure inside an already checksum-verified
@@ -84,12 +92,6 @@ impl WireWriter {
 
     /// Appends a little-endian `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
@@ -189,18 +191,6 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(arr))
     }
 
-    /// Reads a little-endian `i64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Truncated`] if the payload is exhausted.
-    pub fn i64(&mut self, field: &'static str) -> Result<i64, WireError> {
-        let bytes = self.take(8, field)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(bytes);
-        Ok(i64::from_le_bytes(arr))
-    }
-
     /// Reads a `u32`-length-prefixed byte string.
     ///
     /// # Errors
@@ -223,6 +213,336 @@ impl<'a> WireReader<'a> {
     }
 }
 
+/// The wire-field names of `docs/WIRE_PROTOCOL.md`, as marker types: the
+/// `M` of [`Wire<M>`]. The integer and `bool` fields are marked by the
+/// Rust primitive of the same name.
+#[allow(non_camel_case_types)]
+pub mod field {
+    use std::marker::PhantomData;
+
+    /// `u32` byte length, then that many bytes of UTF-8.
+    #[derive(Debug)]
+    pub enum string {}
+    /// `u32` byte length, then that many raw bytes.
+    #[derive(Debug)]
+    pub enum bytes {}
+    /// Canonical JSON text inside a `bytes` field.
+    #[derive(Debug)]
+    pub enum json {}
+    /// No bytes at all: the reply of an operation that returns nothing.
+    #[derive(Debug)]
+    pub enum empty {}
+    /// `u8` tag; `0` is absent, `1` is followed by one `T`.
+    #[derive(Debug)]
+    pub struct option<T>(PhantomData<T>);
+    /// `u32` count, then that many `T`.
+    #[derive(Debug)]
+    pub struct seq<T>(PhantomData<T>);
+    /// `string routing_key, bytes payload, u16 header count, (string
+    /// name, string value)*` — a broker message.
+    #[derive(Debug)]
+    pub enum message {}
+    /// `u64 tag, bool redelivered`, then a [`message`].
+    #[derive(Debug)]
+    pub enum delivery {}
+    /// `u32 max_delivery_attempts, string target`.
+    #[derive(Debug)]
+    pub enum policy {}
+    /// The `CONSUME` reply.
+    pub type deliveries = seq<delivery>;
+    /// A docs reply: JSON values, one `bytes` field each.
+    pub type docs = seq<json>;
+}
+use field::{bytes, empty, option, seq, string};
+
+/// What decoding one field yields. `Err` — the bytes are not this field;
+/// the request is answered `STATUS_BAD_REQUEST`. `Ok(Err(_))` — the
+/// field was read whole, but what it carries (JSON, a filter, an update)
+/// does not parse; that is answered as the typed service error, and only
+/// after every other field has been read. `Ok(Ok(_))` — the value.
+pub type Decoded<T> = Result<Result<T, ServiceError>, WireError>;
+
+/// The codec of one wire field `M` for one Rust type: the only place
+/// that field's bytes are written or read. Implemented on the borrowed
+/// form an argument is passed as (`str`, `[u8]`, `Filter`); decoding
+/// yields its owned form.
+pub trait Wire<M>: ToOwned {
+    /// The fewest bytes one value can occupy — what bounds how many
+    /// elements a [`seq`] may announce in the bytes that remain.
+    const MIN_WIRE_BYTES: usize;
+
+    /// Appends the value.
+    fn put(&self, w: &mut WireWriter);
+
+    /// Reads one value; `field` names it in a [`WireError`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Decoded`].
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<Self::Owned>;
+
+    /// Copies whatever part of the value must also ride the request
+    /// envelope's headers (a message's trace context); nothing, for most.
+    fn envelope(&self, _headers: &mut Vec<(String, String)>) {}
+}
+
+/// Implements [`Wire`] for `Copy` types that are one fixed-width field.
+macro_rules! wire_scalar {
+    ($($ty:ty => $marker:ty [$size:literal]:
+        |$v:ident, $w:ident| $put:expr, |$r:ident, $field:ident| $get:expr;)*) => {$(
+        impl $crate::wire::Wire<$marker> for $ty {
+            const MIN_WIRE_BYTES: usize = $size;
+            fn put(&self, $w: &mut $crate::wire::WireWriter) {
+                let $v = *self;
+                $put;
+            }
+            fn get(
+                $r: &mut $crate::wire::WireReader<'_>,
+                $field: &'static str,
+            ) -> $crate::wire::Decoded<$ty> {
+                Ok(Ok($get))
+            }
+        }
+    )*};
+}
+pub(crate) use wire_scalar;
+
+wire_scalar! {
+    u32 => u32 [4]: |v, w| w.u32(v), |r, field| r.u32(field)?;
+    u64 => u64 [8]: |v, w| w.u64(v), |r, field| r.u64(field)?;
+    usize => u64 [8]: |v, w| w.u64(v as u64), |r, field| r.u64(field)? as usize;
+    usize => u32 [4]: |v, w| w.u32(v.min(u32::MAX as usize) as u32), |r, field| r.u32(field)? as usize;
+    bool => bool [1]: |v, w| w.u8(u8::from(v)), |r, field| r.u8(field)? != 0;
+}
+
+impl Wire<empty> for () {
+    const MIN_WIRE_BYTES: usize = 0;
+    fn put(&self, _w: &mut WireWriter) {}
+    fn get(_r: &mut WireReader<'_>, _field: &'static str) -> Decoded<()> {
+        Ok(Ok(()))
+    }
+}
+
+impl Wire<string> for str {
+    const MIN_WIRE_BYTES: usize = 4;
+    fn put(&self, w: &mut WireWriter) {
+        w.string(self);
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<String> {
+        r.string(field).map(Ok)
+    }
+}
+
+impl Wire<string> for String {
+    const MIN_WIRE_BYTES: usize = 4;
+    fn put(&self, w: &mut WireWriter) {
+        w.string(self);
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<String> {
+        r.string(field).map(Ok)
+    }
+}
+
+impl Wire<bytes> for [u8] {
+    const MIN_WIRE_BYTES: usize = 4;
+    fn put(&self, w: &mut WireWriter) {
+        w.bytes(self);
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<Vec<u8>> {
+        Ok(Ok(r.bytes(field)?.to_vec()))
+    }
+}
+
+impl<M, T: Wire<M, Owned = T> + Clone> Wire<option<M>> for Option<T> {
+    const MIN_WIRE_BYTES: usize = 1;
+    fn put(&self, w: &mut WireWriter) {
+        match self {
+            None => {
+                w.u8(0);
+            }
+            Some(value) => {
+                w.u8(1);
+                value.put(w);
+            }
+        }
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<Option<T>> {
+        if r.u8(field)? == 0 {
+            return Ok(Ok(None));
+        }
+        Ok(T::get(r, field)?.map(Some))
+    }
+}
+
+impl<M, T: Wire<M, Owned = T> + Clone> Wire<seq<M>> for [T] {
+    const MIN_WIRE_BYTES: usize = 4;
+    fn put(&self, w: &mut WireWriter) {
+        w.u32(self.len() as u32);
+        for item in self {
+            item.put(w);
+        }
+    }
+    /// Reserves for no more elements than the remaining bytes could
+    /// hold: a count the payload cannot back is `Truncated` before
+    /// anything is allocated. When elements are rejected the last
+    /// rejection answers.
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<Vec<T>> {
+        let count = r.u32(field)? as usize;
+        if count > r.remaining() / T::MIN_WIRE_BYTES.max(1) {
+            return Err(WireError::Truncated { field });
+        }
+        let mut items = Ok(Vec::with_capacity(count));
+        for _ in 0..count {
+            match (T::get(r, field)?, &mut items) {
+                (Ok(item), Ok(items)) => items.push(item),
+                (Ok(_), Err(_)) => {}
+                (Err(rejected), _) => items = Err(rejected),
+            }
+        }
+        Ok(items)
+    }
+}
+
+impl<M, T: Wire<M, Owned = T> + Clone> Wire<seq<M>> for Vec<T> {
+    const MIN_WIRE_BYTES: usize = 4;
+    fn put(&self, w: &mut WireWriter) {
+        <[T] as Wire<seq<M>>>::put(self, w);
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<Vec<T>> {
+        <[T] as Wire<seq<M>>>::get(r, field)
+    }
+}
+
+/// Decodes a whole reply body as the one field `M`.
+///
+/// # Errors
+///
+/// See [`Decoded`]; bytes after the field are [`WireError::TrailingBytes`].
+pub fn reply<M, T: Wire<M, Owned = T>>(body: &[u8]) -> Decoded<T> {
+    let mut r = WireReader::new(body);
+    let value = T::get(&mut r, "reply")?;
+    r.expect_end()?;
+    Ok(value)
+}
+
+/// One row of a service's operation table, as data: what
+/// `wire_ops!` keeps of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpInfo {
+    /// The opcode.
+    pub value: u8,
+    /// Its `SCREAMING_SNAKE` mnemonic, as in `docs/WIRE_PROTOCOL.md`.
+    pub name: &'static str,
+    /// Whether the body starts with the `string` name of the collection
+    /// the operation addresses.
+    pub scoped: bool,
+    /// The request fields in wire order: `(field marker, argument name)`,
+    /// the marker as `stringify!` spells it (`seq < u64 >`).
+    pub request: &'static [(&'static str, &'static str)],
+    /// The success reply's field marker.
+    pub reply: &'static str,
+}
+
+/// Picks `then` when the bracket holds a token and `otherwise` when it is
+/// empty: how the emitters branch on a row's optional parts (`degrades`,
+/// a by-reference argument).
+macro_rules! row_if {
+    ([] { $($then:tt)* } { $($otherwise:tt)* }) => { $($otherwise)* };
+    ([$present:tt] { $($then:tt)* } { $($otherwise:tt)* }) => { $($then)* };
+}
+pub(crate) use row_if;
+
+/// Picks `then` for a `degrades` row of a `bare` stub set, `otherwise`
+/// for every other row.
+macro_rules! bare_if {
+    ([bare $degrades:ident] { $($then:tt)* } { $($otherwise:tt)* }) => { $($then)* };
+    ([$($other:ident)*] { $($then:tt)* } { $($otherwise:tt)* }) => { $($otherwise)* };
+}
+pub(crate) use bare_if;
+
+/// Emits, from one or more groups of table rows, `pub mod op` (a `u8`
+/// constant per row) and `pub const OPS: &[OpInfo]`. A group is
+/// `[scoped] { rows… }`, `scoped` saying whether its operations carry a
+/// leading collection name.
+macro_rules! wire_ops {
+    ($table:literal $([$scoped:literal] { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* })+) => {
+        #[doc = concat!("The opcodes; see `docs/WIRE_PROTOCOL.md` ", $table, ".")]
+        pub mod op {
+            $($(#[doc = concat!("`", stringify!($method), "`; see [`OPS`](super::OPS).")]
+            pub const $NAME: u8 = $op;)*)+
+        }
+
+        #[doc = concat!("The operation table of `docs/WIRE_PROTOCOL.md` ", $table, ", in opcode order.")]
+        pub const OPS: &[$crate::wire::OpInfo] = &[$($($crate::wire::OpInfo {
+            value: $op,
+            name: stringify!($NAME),
+            scoped: $scoped,
+            request: &[$((stringify!($wire), stringify!($arg))),*],
+            reply: stringify!($rwire),
+        },)*)+];
+    };
+}
+pub(crate) use wire_ops;
+
+/// Emits a client's methods, one per row: encode the arguments in order,
+/// `self.call` the opcode, decode the reply as the row's reply field.
+/// `self.request()` starts the body (a collection's stub puts its name
+/// there) and `self.call::<M, T>(opcode, headers, body)` does the round
+/// trip. In a `bare` set (as opposed to a `result` set) a `degrades` row
+/// returns its value unwrapped and answers the default on any failure.
+macro_rules! wire_stubs {
+    ([$error:ty, $mode:ident] $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
+        $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
+            -> $crate::wire::bare_if!([$mode $($degrades)?] { $ret } { Result<$ret, $error> }) {
+            #[allow(unused_mut)]
+            let (mut w, mut headers) = (self.request(), Vec::new());
+            $(let field = $crate::wire::row_if!([$($rty)?] { $arg } { &$arg });
+            $crate::wire::Wire::<$wire>::put(field, &mut w);
+            $crate::wire::Wire::<$wire>::envelope(field, &mut headers);)*
+            let answer = self.call::<$rwire, $ret>(op::$NAME, &headers, w.finish());
+            $crate::wire::bare_if!([$mode $($degrades)?] { answer.unwrap_or_default() } { answer })
+        })*
+    };
+}
+pub(crate) use wire_stubs;
+
+/// Emits a server's `match` arms, one per row, as the body of a
+/// `match opcode { … }` over `($r, $inner)`: decode every argument,
+/// require the body to end there, surface the first rejected argument,
+/// call the operation on `$inner` and encode its answer as the row's
+/// reply field. `$encode` maps the operation's error to a
+/// [`ServiceError`]; `$unknown` is the fallback arm's value.
+macro_rules! wire_dispatch {
+    ([$opcode:expr, $r:ident, $inner:expr, $encode:path, $unknown:expr]
+        $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
+            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
+        match $opcode {
+            $(op::$NAME => {
+                $(let $arg = <$($rty)? $($vty)? as $crate::wire::Wire<$wire>>::get(
+                    &mut $r,
+                    stringify!($arg),
+                )?;)*
+                $r.expect_end()?;
+                $(let $arg = $arg?;)*
+                let answer = $inner.$method($($crate::wire::row_if!([$($rty)?] { &$arg } { $arg })),*);
+                let answer: $ret = $crate::wire::row_if!(
+                    [$($degrades)?] { answer } { answer.map_err(|error| $encode(&error))? }
+                );
+                let mut w = $crate::wire::WireWriter::new();
+                $crate::wire::Wire::<$rwire>::put(&answer, &mut w);
+                Ok(w.finish())
+            })*
+            _ => $unknown,
+        }
+    };
+}
+pub(crate) use wire_dispatch;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +554,6 @@ mod tests {
             .u16(300)
             .u32(70_000)
             .u64(u64::MAX)
-            .i64(-42)
             .string("città")
             .bytes(b"\x00\xff");
         let buf = w.finish();
@@ -244,7 +563,6 @@ mod tests {
         assert_eq!(r.u16("b").unwrap(), 300);
         assert_eq!(r.u32("c").unwrap(), 70_000);
         assert_eq!(r.u64("d").unwrap(), u64::MAX);
-        assert_eq!(r.i64("e").unwrap(), -42);
         assert_eq!(r.string("f").unwrap(), "città");
         assert_eq!(r.bytes("g").unwrap(), b"\x00\xff");
         r.expect_end().unwrap();

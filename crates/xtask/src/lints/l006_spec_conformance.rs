@@ -2,24 +2,31 @@
 //! the one the spec documents.
 //!
 //! The normative tables in `docs/WIRE_PROTOCOL.md` (see
-//! `mps-lint.toml` `protocol_spec`) and the constants declared in the
-//! `wire_api` modules are two copies of the same facts — frame-type
-//! bytes, handshake statuses, opcodes, error codes. PRs 7–8 made the
-//! spec third-party-implementable; this pass makes divergence a CI
+//! `mps-lint.toml` `protocol_spec`) and the declarations in the
+//! `wire_api` files are two copies of the same facts — frame-type bytes,
+//! handshake statuses, opcodes, error codes. A service's opcodes are the
+//! rows of its operation table (`<n> NAME class fn method(arg: T =>
+//! field, …) -> R => field;`, the one place an operation is stated);
+//! every other band is plain constants. This pass makes divergence a CI
 //! failure instead of a silent protocol fork:
 //!
-//! * a spec row with no declared constant, and a constant with no spec
-//!   row, are both findings;
+//! * a spec row with no declaration, and a declaration with no spec row,
+//!   are both findings;
 //! * a name whose value differs between spec and code is a finding
 //!   anchored at the *value token* in the code;
 //! * value collisions within a band, and values outside their band's
 //!   reserved layout (service opcodes `1..=199`, admin `240..=255`,
 //!   errors `16..`, handshake statuses `0..=15`), are findings;
-//! * every opcode must have a dispatch arm (`NAME =>`) in non-test
-//!   code and be referenced from at least one test in its crate;
-//! * client helpers with a fixed reply shape (`call_unit` → `empty`,
-//!   `call_u64` → `u64 …`, `call_bool` → `bool`) must match the spec's
-//!   success-reply column.
+//! * a table row's request and reply fields must put the same §1
+//!   primitives on the wire, in the same order, as the spec's request
+//!   and success-reply columns say;
+//! * an opcode declared as a bare constant (the admin band, which is not
+//!   a trait surface and has no table) must have a dispatch arm
+//!   (`NAME =>`) in non-test code and be referenced from at least one
+//!   test in its crate. Table rows need neither check: their stub and
+//!   dispatch arm are generated from the row, and the golden corpus
+//!   (`crates/net/tests/wire_corpus.rs`) refuses a table with an opcode
+//!   it has no frames for.
 //!
 //! The merged spec+code inventory feeds the generated
 //! `docs/OPCODES.md` (see [`crate::opcodes_doc`]), staleness-gated the
@@ -61,6 +68,22 @@ pub struct CodeConst {
     pub value_col: u32,
     /// Caret width of the value token.
     pub value_len: u32,
+    /// For an operation-table row: the field markers of its request
+    /// (a leading `string` for a `by_collection` row, then one per
+    /// argument) and of its reply, as written.
+    pub fields: Option<(String, String)>,
+}
+
+impl CodeConst {
+    /// A finding anchored at the name, or (`on_value`) at the value token.
+    fn finding(&self, on_value: bool, message: String, help: impl Into<String>) -> Finding {
+        let (line, col, len) = if on_value {
+            (self.value_line, self.value_col, self.value_len)
+        } else {
+            (self.line, self.col, self.len)
+        };
+        Finding::new(LintId::L006, &self.file, line, col, len, message).with_help(help)
+    }
 }
 
 /// One row of the merged spec+code inventory (`docs/OPCODES.md`).
@@ -110,6 +133,7 @@ fn extract(role: &str, file: &SourceFile, out: &mut Vec<CodeConst>) {
         extract_frame_arms(file, out);
         return;
     }
+    extract_rows(role, file, out);
     let tokens = &file.tokens;
     let mut depth = 0u32;
     // Innermost named module and the brace depth of its body.
@@ -167,6 +191,84 @@ fn extract(role: &str, file: &SourceFile, out: &mut Vec<CodeConst>) {
         }
         i += 1;
     }
+}
+
+/// Extracts the rows of an operation table:
+/// `<n> NAME class fn method(arg: T => field, …) -> R => field;`.
+fn extract_rows(role: &str, file: &SourceFile, out: &mut Vec<CodeConst>) {
+    let tokens = &file.tokens;
+    let is_kind = |i: usize, kind| tokens.get(i).is_some_and(|t: &Token| t.kind == kind);
+    for (i, value_tok) in tokens.iter().enumerate() {
+        let is_row = is_kind(i, TokenKind::Num)
+            && is_kind(i + 1, TokenKind::Ident)
+            && is_kind(i + 2, TokenKind::Ident)
+            && is_ident(tokens, i + 3, "fn")
+            && is_kind(i + 4, TokenKind::Ident)
+            && is_punct(tokens, i + 5, '(')
+            && !file.is_test_line(value_tok.line);
+        let Some(value) = parse_num(&value_tok.text).filter(|_| is_row) else {
+            continue;
+        };
+        // `name:&str=>string,kind:T=>u8)->()=>empty`, spaces gone.
+        let signature: String = tokens[i + 6..]
+            .iter()
+            .map(|t| t.text.as_str())
+            .take_while(|text| *text != ";")
+            .collect();
+        let Some((arguments, reply)) = signature.split_once(")->") else {
+            continue;
+        };
+        let mut request = markers(arguments);
+        if tokens[i + 2].text == "by_collection" {
+            request.insert(0, "string");
+        }
+        let mut row = make_const(format!("{role} op"), file, &tokens[i + 1], value_tok, value);
+        row.fields = Some((request.join(", "), markers(reply).join(", ")));
+        out.push(row);
+    }
+}
+
+/// What follows each `=>` in a `,`-separated list: the field markers.
+fn markers(part: &str) -> Vec<&str> {
+    let fields = part.split(',').filter_map(|field| field.split_once("=>"));
+    fields.map(|(_, marker)| marker).collect()
+}
+
+/// The §1 primitives a table row's field markers put on the wire, in
+/// order: what the composite markers are made of.
+fn marker_primitives(markers: &str) -> Vec<&str> {
+    markers
+        .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .flat_map(|word| match word {
+            "" | "empty" => vec![],
+            "json" => vec!["bytes"],
+            "seq" => vec!["u32"],
+            "policy" => vec!["u32", "string"],
+            "message" => vec!["string", "bytes", "u16", "string", "string"],
+            "delivery" => vec!["u64", "bool", "string", "bytes", "u16", "string", "string"],
+            word => vec![word],
+        })
+        .collect()
+}
+
+/// The §1 primitives a spec cell names, in order; field names and prose
+/// drop out.
+fn cell_primitives(cell: &str) -> Vec<&str> {
+    const PRIMITIVES: &[&str] = &[
+        "u8",
+        "u16",
+        "u32",
+        "u64",
+        "bool",
+        "string",
+        "bytes",
+        "option",
+        "docs",
+        "deliveries",
+    ];
+    cell.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .filter(|word| PRIMITIVES.contains(word))
+        .collect()
 }
 
 /// Reads `const NAME: Ty = <num>` starting at the `const` keyword;
@@ -240,6 +342,7 @@ fn make_const(
         value_line: value_tok.line,
         value_col: value_tok.col,
         value_len: value_tok.len,
+        fields: None,
     }
 }
 
@@ -352,80 +455,74 @@ fn cross_check(
         let mut by_value: BTreeMap<i64, &str> = BTreeMap::new();
         for c in band_consts {
             match spec_names.and_then(|m| m.get(c.name.as_str())) {
-                None => findings.push(
-                    Finding::new(
-                        LintId::L006,
-                        &c.file,
-                        c.line,
-                        c.col,
-                        c.len,
-                        format!(
-                            "`{}` (value {}) has no row in the `{band}` table of {spec_path}",
-                            c.name, c.value
-                        ),
-                    )
-                    .with_help(format!(
-                        "the spec is normative: add a `{band}` row for it to {spec_path} \
-                         (or delete the constant), then regenerate {}",
-                        config.opcodes_doc
-                    )),
-                ),
-                Some(row) if row.value != c.value => findings.push(
-                    Finding::new(
-                        LintId::L006,
-                        &c.file,
-                        c.value_line,
-                        c.value_col,
-                        c.value_len,
-                        format!(
-                            "`{}` is {} on the wire but {spec_path}:{} says {}",
-                            c.name, c.value, row.line, row.value
-                        ),
-                    )
-                    .with_help(
-                        "the code and the normative spec disagree — a third-party \
-                         implementation built from the spec cannot interoperate; fix \
-                         whichever side is wrong",
+                None => findings.push(c.finding(
+                    false,
+                    format!(
+                        "`{}` (value {}) has no row in the `{band}` table of {spec_path}",
+                        c.name, c.value
                     ),
-                ),
-                Some(_) => {}
+                    format!(
+                        "the spec is normative: add a `{band}` row for it to {spec_path} \
+                         (or delete the declaration), then regenerate {}",
+                        config.opcodes_doc
+                    ),
+                )),
+                Some(row) if row.value != c.value => findings.push(c.finding(
+                    true,
+                    format!(
+                        "`{}` is {} on the wire but {spec_path}:{} says {}",
+                        c.name, c.value, row.line, row.value
+                    ),
+                    "the code and the normative spec disagree — a third-party \
+                     implementation built from the spec cannot interoperate; fix \
+                     whichever side is wrong",
+                )),
+                Some(row) => {
+                    let fields = c.fields.iter().flat_map(|(request, reply)| {
+                        [
+                            ("request", request, &row.request),
+                            ("reply", reply, &row.reply),
+                        ]
+                    });
+                    for (column, declared, cell) in fields {
+                        if marker_primitives(declared) != cell_primitives(cell) {
+                            findings.push(c.finding(
+                                false,
+                                format!(
+                                    "the {column} of `{}` is `{declared}` in the table \
+                                     but {spec_path}:{} says `{cell}`",
+                                    c.name, row.line
+                                ),
+                                "the row's field markers and the spec column must name \
+                                 the same primitives in the same order; fix whichever \
+                                 side is wrong",
+                            ));
+                        }
+                    }
+                }
             }
             let (lo, hi) = band_range(band);
             if c.value < lo || c.value > hi {
-                findings.push(
-                    Finding::new(
-                        LintId::L006,
-                        &c.file,
-                        c.value_line,
-                        c.value_col,
-                        c.value_len,
-                        format!(
-                            "value {} of `{}` is outside the `{band}` range {lo}..={hi}",
-                            c.value, c.name
-                        ),
-                    )
-                    .with_help(
-                        "see the reserved-range layout (service opcodes 1..=199, \
-                         200..=239 reserved, 240..=255 admin, error codes 16..)",
+                findings.push(c.finding(
+                    true,
+                    format!(
+                        "value {} of `{}` is outside the `{band}` range {lo}..={hi}",
+                        c.value, c.name
                     ),
-                );
+                    "see the reserved-range layout (service opcodes 1..=199, \
+                     200..=239 reserved, 240..=255 admin, error codes 16..)",
+                ));
             }
             if let Some(prev) = by_value.insert(c.value, &c.name) {
                 if prev != c.name {
-                    findings.push(
-                        Finding::new(
-                            LintId::L006,
-                            &c.file,
-                            c.value_line,
-                            c.value_col,
-                            c.value_len,
-                            format!(
-                                "value {} of `{}` collides with `{prev}` in band `{band}`",
-                                c.value, c.name
-                            ),
-                        )
-                        .with_help("every value in a band must be unique on the wire"),
-                    );
+                    findings.push(c.finding(
+                        true,
+                        format!(
+                            "value {} of `{}` collides with `{prev}` in band `{band}`",
+                            c.value, c.name
+                        ),
+                        "every value in a band must be unique on the wire",
+                    ));
                 }
             }
         }
@@ -449,21 +546,21 @@ fn cross_check(
                         row.display_name, row.value, row.band
                     ),
                 )
-                .with_help("declare it in the band's wire_api module or remove the row"),
+                .with_help("declare it in the band's wire_api file or remove the row"),
             );
         }
     }
 
-    // Dispatch-arm, test-coverage, and reply-shape checks (opcodes only).
-    let op_consts: Vec<&CodeConst> = consts.iter().filter(|c| c.band.ends_with(" op")).collect();
+    // Dispatch-arm and test-coverage checks: opcodes declared as bare
+    // constants only (a table row's arm is generated from the row).
+    let op_consts: Vec<&CodeConst> = consts
+        .iter()
+        .filter(|c| c.band.ends_with(" op") && c.fields.is_none())
+        .collect();
     let op_crates: BTreeSet<&str> = op_consts.iter().map(|c| c.crate_name.as_str()).collect();
     let op_names: BTreeSet<&str> = op_consts.iter().map(|c| c.name.as_str()).collect();
     let mut dispatched: BTreeSet<(&str, &str)> = BTreeSet::new();
     let mut tested: BTreeSet<(&str, &str)> = BTreeSet::new();
-    let mut spec_ops: BTreeMap<&str, Vec<&SpecRow>> = BTreeMap::new();
-    for row in spec_rows.iter().filter(|r| r.band.ends_with(" op")) {
-        spec_ops.entry(&row.name).or_default().push(row);
-    }
     for file in files {
         if !op_crates.contains(file.crate_name.as_str()) {
             continue;
@@ -486,111 +583,33 @@ fn cross_check(
                     dispatched.insert(key);
                 }
             }
-            // Fixed-reply client helpers: check the spec's reply shape.
-            let expected = match tok.text.as_str() {
-                "call_unit" => Some("empty"),
-                "call_u64" => Some("u64"),
-                "call_bool" => Some("bool"),
-                _ => None,
-            };
-            if let Some(expected) = expected {
-                if is_punct(tokens, i.wrapping_sub(1), '.')
-                    && is_punct(tokens, i + 1, '(')
-                    && !file.is_test_line(tok.line)
-                {
-                    if let Some(name) = first_arg_last_ident(tokens, i + 2) {
-                        for row in spec_ops.get(name.as_str()).into_iter().flatten() {
-                            let reply = row.reply.as_str();
-                            let ok = if expected == "empty" {
-                                reply == "empty"
-                            } else {
-                                reply.starts_with(expected)
-                            };
-                            if !ok {
-                                findings.push(
-                                    Finding::new(
-                                        LintId::L006,
-                                        &file.rel_path,
-                                        tok.line,
-                                        tok.col,
-                                        tok.len,
-                                        format!(
-                                            "`{name}` is invoked via `{}` but the spec \
-                                             success reply is `{reply}`",
-                                            tok.text
-                                        ),
-                                    )
-                                    .with_help(format!(
-                                        "{spec_path}:{} declares the reply shape; use the \
-                                         matching call helper or fix the spec",
-                                        row.line
-                                    )),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
     for c in &op_consts {
         let key = (c.crate_name.as_str(), c.name.as_str());
         if !dispatched.contains(&key) {
-            findings.push(
-                Finding::new(
-                    LintId::L006,
-                    &c.file,
-                    c.line,
-                    c.col,
-                    c.len,
-                    format!(
-                        "opcode `{}` has no dispatch arm in crate `{}`",
-                        c.name, c.crate_name
-                    ),
-                )
-                .with_help("add a `NAME => …` match arm in the server dispatch"),
-            );
+            findings.push(c.finding(
+                false,
+                format!(
+                    "opcode `{}` has no dispatch arm in crate `{}`",
+                    c.name, c.crate_name
+                ),
+                "add a `NAME => …` match arm in the server dispatch",
+            ));
         }
         if !tested.contains(&key) {
-            findings.push(
-                Finding::new(
-                    LintId::L006,
-                    &c.file,
-                    c.line,
-                    c.col,
-                    c.len,
-                    format!(
-                        "opcode `{}` is not referenced by any test in crate `{}`",
-                        c.name, c.crate_name
-                    ),
-                )
-                .with_help("cover it with a codec round-trip or dispatch test"),
-            );
+            findings.push(c.finding(
+                false,
+                format!(
+                    "opcode `{}` is not referenced by any test in crate `{}`",
+                    c.name, c.crate_name
+                ),
+                "cover it with a codec round-trip or dispatch test",
+            ));
         }
     }
 
     assemble_rows(config, spec_rows, consts, &dispatched, &tested)
-}
-
-/// Last identifier of the first call argument starting at `open + 1`
-/// (`op::PUBLISH, body` → `PUBLISH`); `open` is the index of `(`.
-fn first_arg_last_ident(tokens: &[Token], open: usize) -> Option<String> {
-    let mut depth = 0i32;
-    let mut last = None;
-    for tok in tokens.iter().skip(open + 1) {
-        if tok.kind == TokenKind::Punct {
-            match tok.text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" if depth == 0 => break,
-                ")" | "]" => depth -= 1,
-                "," if depth == 0 => break,
-                _ => {}
-            }
-        } else if tok.kind == TokenKind::Ident && depth == 0 {
-            last = Some(tok.text.clone());
-        }
-    }
-    last
 }
 
 /// Merges spec and code into the ordered inventory for OPCODES.md.
@@ -629,7 +648,7 @@ fn assemble_rows(
         let mut merged: BTreeMap<(i64, String), WireRow> = BTreeMap::new();
         for c in consts.iter().filter(|c| &c.band == band) {
             let key = (c.crate_name.as_str(), c.name.as_str());
-            let is_op = band.ends_with(" op");
+            let is_op = band.ends_with(" op") && c.fields.is_none();
             merged.insert(
                 (c.value, c.name.clone()),
                 WireRow {
@@ -765,6 +784,73 @@ mod tests {
         assert_eq!(consts[0].name, "Hello");
         assert_eq!(consts[0].value, 1);
         assert_eq!(consts[1].name, "Request");
+    }
+
+    #[test]
+    fn extracts_operation_table_rows_with_their_field_markers() {
+        let file = api_file(
+            "macro_rules! widget_ops {\n    ($emit:path) => {\n        $emit! {\n\
+             /// Docs.\n            1 PING first fn ping() -> () => empty;\n\
+             7 PUT by_collection\n            fn put(key: &str => string, ids: &[u64] => seq<u64>) \
+             -> Option<usize> => option<u64>, degrades;\n        }\n    };\n}\n\
+             macro_rules! emit { ($($op:literal $NAME:ident $class:ident fn $m:ident()),*) => {}; }\n",
+        );
+        let mut consts = Vec::new();
+        extract("widget", &file, &mut consts);
+        assert_eq!(
+            consts.len(),
+            2,
+            "an emitter's `$op:literal $NAME:ident` is no row"
+        );
+        assert_eq!((consts[0].name.as_str(), consts[0].value), ("PING", 1));
+        assert_eq!(consts[0].fields, Some((String::new(), "empty".to_owned())));
+        assert_eq!(consts[1].band, "widget op");
+        assert_eq!((consts[1].line, consts[1].value_col), (6, 1));
+        // A `by_collection` row carries its collection's name first.
+        assert_eq!(
+            consts[1].fields,
+            Some((
+                "string, string, seq<u64>".to_owned(),
+                "option<u64>".to_owned()
+            ))
+        );
+    }
+
+    #[test]
+    fn row_markers_and_spec_cells_reduce_to_the_same_primitives() {
+        for (markers, cell) in [
+            ("", "empty"),
+            ("string, u8", "string name, u8 exchange_type"),
+            (
+                "string, seq<json>",
+                "string coll, u32 count, count × bytes document",
+            ),
+            (
+                "option<policy>",
+                "option<u32 max_delivery_attempts, string target>",
+            ),
+            (
+                "string, message",
+                "string exchange, string routing_key, bytes payload, u16 header count, \
+                 (string name, string value)*",
+            ),
+            (
+                "docs",
+                "docs (below; entries are JSON values, not necessarily objects)",
+            ),
+            ("deliveries", "deliveries (below)"),
+        ] {
+            assert_eq!(
+                marker_primitives(markers),
+                cell_primitives(cell),
+                "{markers}"
+            );
+        }
+        assert_ne!(marker_primitives("u64"), cell_primitives("option<u64 n>"));
+        assert_ne!(
+            marker_primitives("string, u32"),
+            cell_primitives("u32 n, string s")
+        );
     }
 
     #[test]

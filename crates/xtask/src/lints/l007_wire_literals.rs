@@ -14,8 +14,12 @@
 //! Three syntactic patterns are flagged:
 //!
 //! * a numeric literal as the **first argument** of an opcode-taking
-//!   call helper (`.call(`, `.call_unit(`, `.call_u64(`, `.call_bool(`,
-//!   `.call_with_headers(`);
+//!   call (`.call(`, `.call_as(` — `ClientPool`'s, `WireConn`'s and
+//!   every wrapper's; the broker and docstore stubs that used to be
+//!   such call sites are generated from their operation table and name
+//!   `op::NAME` by construction, but the admin plane, the fleet
+//!   scraper, the smoke binary and the tests still write theirs by
+//!   hand);
 //! * a comparison of an `opcode`/`frame_type` identifier against a
 //!   numeric literal (either side of `==`/`!=`);
 //! * a struct-literal field init `opcode: <num>` / `frame_type: <num>`.
@@ -30,14 +34,8 @@ use crate::lexer::TokenKind;
 use crate::lints::is_punct;
 use crate::scan::SourceFile;
 
-/// Call helpers whose first argument is an opcode byte.
-const OPCODE_CALLS: &[&str] = &[
-    "call",
-    "call_unit",
-    "call_u64",
-    "call_bool",
-    "call_with_headers",
-];
+/// Calls whose first argument is an opcode byte.
+const OPCODE_CALLS: &[&str] = &["call", "call_as"];
 
 /// Identifiers whose comparison/field value is a wire constant.
 const WIRE_IDENTS: &[&str] = &["opcode", "frame_type"];
@@ -143,7 +141,7 @@ mod tests {
     fn flags_literal_first_call_argument() {
         let findings = run(
             "crates/net/src/client.rs",
-            "fn f(c: &C) { c.call(7, body); c.call_unit(op::ACK, body); }",
+            "fn f(c: &C) { c.call(7, body); c.call_as(op::ACK, body); }",
         );
         assert_eq!(findings.len(), 1);
         assert_eq!(

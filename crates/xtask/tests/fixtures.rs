@@ -9,16 +9,17 @@
 //!   no panic paths, convention-conforming metric names, header
 //!   literals confined to `headers_home`, a current metrics doc, and
 //!   exactly one justified-and-used waiver.
-//! * `tests/fixtures/l006` — spec↔code drift: a renumbered opcode, an
-//!   unspecced constant, a value collision, a spec-only row, and a
-//!   stale `docs/OPCODES.md`.
+//! * `tests/fixtures/l006` — spec↔table drift: a renumbered row, an
+//!   unspecced row, a value collision, a row whose request fields and
+//!   one whose reply field disagree with the spec's columns, a
+//!   spec-only row, and a stale `docs/OPCODES.md`.
 //! * `tests/fixtures/l007` — raw wire integers at call, comparison and
 //!   field-init sites (including inside test code).
 //! * `tests/fixtures/l008` — a lock-order cycle and blocking I/O under
 //!   a live guard, next to two clean patterns that must not fire.
 //! * `tests/fixtures/conformant` — L006/L007/L008 all enabled on a
-//!   crate that conforms: nothing fires and the checked-in
-//!   `docs/OPCODES.md` is current.
+//!   crate whose operation table conforms: nothing fires and the
+//!   checked-in `docs/OPCODES.md` is current.
 
 use std::path::{Path, PathBuf};
 use xtask::findings::LintId;
@@ -183,15 +184,15 @@ fn clean_fixture_metrics_doc_is_current() {
 fn l006_fixture_matches_expected_findings() {
     let outcome = lint("l006");
     assert_snapshot("l006", &outcome);
-    assert_eq!(outcome.error_count, 6, "{}", outcome.report);
+    assert_eq!(outcome.error_count, 8, "{}", outcome.report);
     assert!(outcome.findings.iter().all(|f| f.lint == LintId::L006));
 }
 
 #[test]
 fn l006_value_mismatch_is_span_accurate() {
     // The acceptance criterion: a deliberately renumbered opcode (the
-    // fixture declares SET = 4 where the spec says 3) is caught with a
-    // span anchored exactly on the value token.
+    // fixture's table row says `4 SET` where the spec says 3) is caught
+    // with a span anchored exactly on the value token.
     let outcome = lint("l006");
     let mismatch = outcome
         .findings
@@ -203,10 +204,12 @@ fn l006_value_mismatch_is_span_accurate() {
         "`SET` is 4 on the wire but docs/SPEC.md:10 says 3"
     );
     assert_eq!(mismatch.file, "crates/widget/src/api.rs");
-    // `    pub const SET: u8 = 4;` — line 9, the `4` at column 25.
-    assert_eq!((mismatch.line, mismatch.col, mismatch.len), (9, 25, 1));
+    // `            4 SET first fn set(…` — line 12, the `4` at column 13.
+    assert_eq!((mismatch.line, mismatch.col, mismatch.len), (12, 13, 1));
     // The rendered report quotes the line and carets the value.
-    assert!(outcome.report.contains("pub const SET: u8 = 4;"));
+    assert!(outcome
+        .report
+        .contains("4 SET first fn set(value: u64 => u64)"));
 }
 
 #[test]
@@ -234,6 +237,26 @@ fn l006_reports_spec_only_rows_and_stale_doc() {
     assert!(collision
         .message
         .contains("value 1 of `DUP` collides with `PING` in band `widget op`"));
+}
+
+#[test]
+fn l006_holds_table_rows_to_the_spec_columns() {
+    // The row's field markers are expanded to §1 primitives and compared
+    // with the primitives the spec's cell names, in order.
+    let outcome = lint("l006");
+    let messages: Vec<&str> = outcome
+        .findings
+        .iter()
+        .map(|f| f.message.as_str())
+        .filter(|m| m.contains("in the table but"))
+        .collect();
+    assert_eq!(
+        messages,
+        [
+            "the request of `GET` is `string` in the table but docs/SPEC.md:11 says `u64 key`",
+            "the reply of `COUNT` is `u64` in the table but docs/SPEC.md:12 says `option<u64 n>`",
+        ]
+    );
 }
 
 #[test]

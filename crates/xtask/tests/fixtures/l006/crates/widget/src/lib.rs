@@ -1,28 +1,5 @@
-//! Fixture widget service: every opcode has a dispatch arm and a test
-//! reference, so only the spec-conformance checks fire.
+//! Fixture widget service: its opcodes are the rows of `widget_ops!`
+//! (stub and dispatch arm would be generated from them), so only the
+//! spec-conformance checks fire.
 
 pub mod api;
-
-/// Names an opcode, the dispatch-arm shape L006 looks for.
-pub fn dispatch(opcode: u8) -> &'static str {
-    match opcode {
-        api::op::PING => "PING",
-        api::op::SET => "SET",
-        api::op::EXTRA => "EXTRA",
-        api::op::DUP => "DUP",
-        _ => "?",
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::api::op;
-
-    #[test]
-    fn known_opcodes_have_names() {
-        assert_eq!(super::dispatch(op::PING), "PING");
-        assert_eq!(super::dispatch(op::SET), "SET");
-        assert_eq!(super::dispatch(op::EXTRA), "EXTRA");
-        assert_eq!(super::dispatch(op::DUP), "DUP");
-    }
-}
