@@ -192,6 +192,17 @@ macro_rules! broker_ops {
             /// [`BrokerError::Transport`].
             19 NACK custom
             fn nack(queue: &str => string, tag: u64 => u64, requeue: bool => bool) -> () => empty;
+            /// Acknowledges a batch of deliveries from one queue, in order: one
+            /// group-committed log append on a durable broker, and one round
+            /// trip however far away the broker is.
+            ///
+            /// # Errors
+            ///
+            /// Propagates [`BrokerError::UnknownDeliveryTag`] for the first
+            /// unknown tag (the tags before it stay settled, the ones after it
+            /// are not looked at), or [`BrokerError::Transport`].
+            20 ACK_MANY custom
+            fn ack_many(queue: &str => string, tags: &[u64] => seq<u64>) -> () => empty;
         }
     };
 }
@@ -232,23 +243,6 @@ macro_rules! emit_trait {
 ///   server (and counts the failure in its own metrics).
 pub trait BrokerTransport: fmt::Debug + Send + Sync {
     broker_ops!(emit_trait);
-
-    /// Acknowledges a batch of deliveries from one queue. The default
-    /// implementation loops [`ack`](BrokerTransport::ack), so remote
-    /// transports work unchanged; the embedded broker overrides it with
-    /// a single group-committed log append for the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BrokerError::UnknownDeliveryTag`] (tags settled
-    /// before the unknown one stay settled), or
-    /// [`BrokerError::Transport`].
-    fn ack_many(&self, queue: &str, tags: &[u64]) -> Result<(), BrokerError> {
-        for &tag in tags {
-            self.ack(queue, tag)?;
-        }
-        Ok(())
-    }
 }
 
 /// Emits every row as a method forwarding to `$target::method(receiver,
@@ -271,10 +265,6 @@ macro_rules! emit_delegate {
 /// methods, which makes the embedded path zero-cost.
 impl BrokerTransport for Broker {
     broker_ops!(emit_delegate, |this| Broker, this);
-
-    fn ack_many(&self, queue: &str, tags: &[u64]) -> Result<(), BrokerError> {
-        Broker::ack_many(self, queue, tags)
-    }
 }
 
 /// Shared transports are transports: lets `Arc<Broker>` (or any shared
@@ -282,10 +272,6 @@ impl BrokerTransport for Broker {
 /// is expected.
 impl<T: BrokerTransport + ?Sized> BrokerTransport for Arc<T> {
     broker_ops!(emit_delegate, |this| T, &**this);
-
-    fn ack_many(&self, queue: &str, tags: &[u64]) -> Result<(), BrokerError> {
-        (**self).ack_many(queue, tags)
-    }
 }
 
 #[cfg(test)]
@@ -338,74 +324,19 @@ mod tests {
         assert!(broker.queue_exists("q"));
     }
 
+    /// A wrapper around a transport is one `emit_delegate` line, whatever
+    /// the table holds — here every row, the batched ack included,
+    /// reaches the wrapped broker as the same call.
     #[test]
-    fn ack_many_default_loops_ack() {
-        /// A transport that only implements `ack`, exercising the
-        /// trait-default batch path a remote client would use.
+    fn table_emitted_wrapper_forwards_every_row() {
         #[derive(Debug)]
-        struct CountingAcks(Arc<Broker>);
-        impl BrokerTransport for CountingAcks {
-            fn declare_exchange(&self, n: &str, k: ExchangeType) -> Result<(), BrokerError> {
-                self.0.declare_exchange(n, k)
-            }
-            fn declare_queue(&self, n: &str) -> Result<(), BrokerError> {
-                self.0.declare_queue(n)
-            }
-            fn declare_queue_with_capacity(&self, n: &str, c: usize) -> Result<(), BrokerError> {
-                self.0.declare_queue_with_capacity(n, c)
-            }
-            fn exchange_exists(&self, n: &str) -> bool {
-                self.0.exchange_exists(n)
-            }
-            fn queue_exists(&self, n: &str) -> bool {
-                self.0.queue_exists(n)
-            }
-            fn bind_queue(&self, e: &str, q: &str, p: &str) -> Result<(), BrokerError> {
-                self.0.bind_queue(e, q, p)
-            }
-            fn bind_exchange(&self, s: &str, d: &str, p: &str) -> Result<(), BrokerError> {
-                self.0.bind_exchange(s, d, p)
-            }
-            fn unbind_queue(&self, e: &str, q: &str, p: &str) -> Result<(), BrokerError> {
-                self.0.unbind_queue(e, q, p)
-            }
-            fn delete_exchange(&self, n: &str) -> Result<(), BrokerError> {
-                self.0.delete_exchange(n)
-            }
-            fn delete_queue(&self, n: &str) -> Result<(), BrokerError> {
-                self.0.delete_queue(n)
-            }
-            fn purge_queue(&self, n: &str) -> Result<usize, BrokerError> {
-                self.0.purge_queue(n)
-            }
-            fn configure_dead_letter(&self, q: &str, m: u32, t: &str) -> Result<(), BrokerError> {
-                self.0.configure_dead_letter(q, m, t)
-            }
-            fn dead_letter_policy(&self, q: &str) -> Result<Option<DeadLetterPolicy>, BrokerError> {
-                self.0.dead_letter_policy(q)
-            }
-            fn queue_depth(&self, n: &str) -> Result<usize, BrokerError> {
-                self.0.queue_depth(n)
-            }
-            fn publish(&self, e: &str, k: &str, p: &[u8]) -> Result<usize, BrokerError> {
-                self.0.publish(e, k, p)
-            }
-            fn publish_message(&self, e: &str, m: Message) -> Result<usize, BrokerError> {
-                self.0.publish_message(e, m)
-            }
-            fn consume(&self, q: &str, max: usize) -> Result<Vec<Delivery>, BrokerError> {
-                self.0.consume(q, max)
-            }
-            fn ack(&self, q: &str, tag: u64) -> Result<(), BrokerError> {
-                self.0.ack(q, tag)
-            }
-            fn nack(&self, q: &str, tag: u64, requeue: bool) -> Result<(), BrokerError> {
-                self.0.nack(q, tag, requeue)
-            }
+        struct Wrapped(Arc<Broker>);
+        impl BrokerTransport for Wrapped {
+            broker_ops!(emit_delegate, |this| Broker, &this.0);
         }
 
         let broker = Arc::new(Broker::new());
-        let t = CountingAcks(Arc::clone(&broker));
+        let t: &dyn BrokerTransport = &Wrapped(Arc::clone(&broker));
         t.declare_exchange("ex", ExchangeType::Topic).unwrap();
         t.declare_queue("q").unwrap();
         t.bind_queue("ex", "q", "#").unwrap();
@@ -415,6 +346,13 @@ mod tests {
         let tags: Vec<u64> = t.consume("q", 3).unwrap().iter().map(|d| d.tag).collect();
         t.ack_many("q", &tags).unwrap();
         assert_eq!(broker.metrics().acked, 3);
+        assert_eq!(
+            t.ack_many("q", &tags[..1]).unwrap_err(),
+            BrokerError::UnknownDeliveryTag {
+                queue: "q".into(),
+                tag: tags[0]
+            }
+        );
     }
 
     #[test]
