@@ -606,4 +606,69 @@ mod tests {
         let mut r = WireReader::new(&buf);
         assert!(matches!(r.bytes("s"), Err(WireError::Truncated { .. })));
     }
+
+    fn encoded<M, T: Wire<M> + ?Sized>(value: &T) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        value.put(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn field_codecs_round_trip_through_their_markers() {
+        use field::{option, seq, string};
+        let names = vec!["a".to_string(), "città".to_string()];
+        assert_eq!(
+            reply::<seq<string>, Vec<String>>(&encoded(&names)),
+            Ok(Ok(names))
+        );
+        let some: Option<usize> = Some(7);
+        assert_eq!(
+            encoded::<option<u64>, _>(&some),
+            [1, 7, 0, 0, 0, 0, 0, 0, 0]
+        );
+        assert_eq!(reply::<option<u64>, Option<usize>>(&[0]), Ok(Ok(None)));
+        assert_eq!(reply::<field::empty, ()>(&[]), Ok(Ok(())));
+        // The same `usize` is a different field under a different marker,
+        // and saturates rather than wraps into the narrower one.
+        assert_eq!(encoded::<u64, usize>(&9), 9u64.to_le_bytes());
+        assert_eq!(encoded::<u32, usize>(&usize::MAX), u32::MAX.to_le_bytes());
+        // `bool` decodes any non-zero byte as true and is written as 1.
+        assert_eq!(reply::<bool, bool>(&[2]), Ok(Ok(true)));
+        assert_eq!(encoded::<bool, _>(&true), [1]);
+    }
+
+    #[test]
+    fn a_reply_is_exactly_one_field() {
+        assert_eq!(reply::<u64, u64>(&[0; 9]), Err(WireError::TrailingBytes(1)));
+        assert_eq!(
+            reply::<u64, u64>(&[0; 7]),
+            Err(WireError::Truncated { field: "reply" })
+        );
+    }
+
+    #[test]
+    fn seq_reserves_no_more_than_the_payload_could_hold() {
+        use field::{seq, string};
+        // `u32::MAX` elements announced, 8 bytes present: refused before
+        // any element is read (and before anything is reserved).
+        let mut hostile = u32::MAX.to_le_bytes().to_vec();
+        hostile.extend_from_slice(&[0; 8]);
+        let mut r = WireReader::new(&hostile);
+        assert_eq!(
+            <[u64] as Wire<seq<u64>>>::get(&mut r, "tags"),
+            Err(WireError::Truncated { field: "tags" })
+        );
+        assert_eq!(r.remaining(), 8, "only the count was consumed");
+        // One element too many for the bytes that follow is refused the
+        // same way; exactly enough decodes.
+        let mut two = 3u32.to_le_bytes().to_vec();
+        two.extend_from_slice(&[0; 16]);
+        assert!(reply::<seq<u64>, Vec<u64>>(&two).is_err());
+        two[0] = 2;
+        assert_eq!(reply::<seq<u64>, Vec<u64>>(&two), Ok(Ok(vec![0, 0])));
+        // A length-prefixed element is at least its 4-byte prefix.
+        let mut strings = 3u32.to_le_bytes().to_vec();
+        strings.extend_from_slice(&[0; 8]);
+        assert!(reply::<seq<string>, Vec<String>>(&strings).is_err());
+    }
 }

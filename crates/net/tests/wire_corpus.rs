@@ -11,6 +11,10 @@
 //! the services, fed the golden requests directly, must answer with
 //! exactly the golden replies. A refactor of either side that moves one
 //! byte fails here, by opcode name.
+//!
+//! The same frames are the seed corpus of a totality check: damaged
+//! (truncated, extended, bit-flipped) under 256 seeds, no request makes
+//! a dispatcher panic or over-allocate and no reply a stub.
 
 use mps_broker::{
     Broker, BrokerDurabilityConfig, BrokerError, BrokerTransport, ExchangeType, Message,
@@ -23,9 +27,11 @@ use mps_net::docstore_api::{self, decode_store_error, encode_store_error};
 use mps_net::rpc::{STATUS_BAD_REQUEST, STATUS_OK};
 use mps_net::wire::{OpInfo, WireWriter};
 use mps_net::{
-    BrokerService, ClientConfig, DocstoreService, RemoteBroker, RemoteStore, ServerConfig,
-    ServiceError, WireServer, WireService,
+    BrokerService, ClientConfig, ClientPool, DocstoreService, NetError, RemoteBroker, RemoteStore,
+    ServerConfig, ServiceError, WireServer, WireService,
 };
+use mps_simcore::check::check;
+use mps_simcore::SimRng;
 use mps_types::headers::{SENT_MS_HEADER, TRACE_HEADER};
 use serde_json::{json, Value};
 use std::sync::{Arc, Mutex};
@@ -1318,4 +1324,158 @@ fn malformed_bodies_answer_bad_request_or_a_typed_error_as_pinned() {
             }
         }
     }
+}
+
+// ------------------------------------------- totality over arbitrary bytes
+
+/// Answers every request with whatever was last put in it.
+struct Canned(Mutex<(u8, Vec<u8>)>);
+
+impl WireService for Canned {
+    fn handle(&self, _: u8, _: &[(String, String)], _: &[u8]) -> Result<Vec<u8>, ServiceError> {
+        let (status, body) = self.0.lock().unwrap().clone();
+        if status == STATUS_OK {
+            Ok(body)
+        } else {
+            Err(ServiceError {
+                code: status,
+                payload: body,
+            })
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Damage {
+    Truncated,
+    Extended,
+    Flipped,
+}
+
+/// One seeded mutation of `bytes`; `None` when there is nothing to cut.
+fn damage(r: &mut SimRng, bytes: &[u8]) -> Option<(Damage, Vec<u8>)> {
+    let kind = *r.pick(&[Damage::Truncated, Damage::Extended, Damage::Flipped]);
+    let mut out = bytes.to_vec();
+    match kind {
+        Damage::Truncated | Damage::Flipped if bytes.is_empty() => return None,
+        Damage::Truncated => out.truncate(r.index(bytes.len())),
+        Damage::Extended => out.extend((0..1 + r.index(8)).map(|_| r.index(256) as u8)),
+        Damage::Flipped => out[r.index(bytes.len())] ^= 1 << r.index(8),
+    }
+    Some((kind, out))
+}
+
+/// What a stub makes of a reply it cannot use: an error, or — for the
+/// operations whose signature cannot fail — the default answer.
+fn is_failure(rendered: &str) -> bool {
+    rendered.starts_with("Err(") || matches!(rendered, "false" | "0" | "None" | "[]")
+}
+
+/// Every decoder of the RPC layer is total: for 256 seeds, every golden
+/// request and reply is truncated, extended or bit-flipped and fed to
+/// the dispatcher / the stub's decoder. Nothing panics (or aborts on an
+/// allocation the frame could not back); a truncated or extended body is
+/// always refused — `STATUS_BAD_REQUEST` from a service, an error (or
+/// the degraded default) from a stub; a flipped one decodes or errors.
+fn decoders_are_total<C>(
+    calls: &[Call<C>],
+    frames: &[Frame],
+    service: &dyn WireService,
+    connect: impl Fn(String) -> C,
+) {
+    let canned = Arc::new(Canned(Mutex::new((STATUS_OK, Vec::new()))));
+    let mut server = serve(canned.clone());
+    let client = connect(server.local_addr().to_string());
+    check(|r| {
+        for (call, frame) in calls.iter().zip(frames) {
+            if let Some((kind, request)) = damage(r, &unhex(frame.request)) {
+                let (status, _) = answer(service, call.opcode, &request);
+                if kind != Damage::Flipped {
+                    assert_eq!(
+                        status, STATUS_BAD_REQUEST,
+                        "{}: {kind:?} request",
+                        call.name
+                    );
+                }
+            }
+            if let Some((kind, reply)) = damage(r, &unhex(frame.reply)) {
+                *canned.0.lock().unwrap() = (frame.status, reply);
+                let rendered = (call.call)(&client);
+                if kind != Damage::Flipped {
+                    assert!(
+                        is_failure(&rendered),
+                        "{}: {kind:?} reply -> {rendered}",
+                        call.name
+                    );
+                }
+            }
+        }
+    });
+    server.shutdown();
+}
+
+#[test]
+fn broker_decoders_are_total_over_damaged_frames() {
+    let service = BrokerService::new(broker_state());
+    decoders_are_total(BROKER_CALLS, BROKER_FRAMES, &service, |addr| {
+        RemoteBroker::connect(addr, ClientConfig::default())
+    });
+}
+
+#[test]
+fn docstore_decoders_are_total_over_damaged_frames() {
+    let service = DocstoreService::new(store_state());
+    decoders_are_total(DOCSTORE_CALLS, DOCSTORE_FRAMES, &service, |addr| {
+        RemoteStore::connect(addr, ClientConfig::default())
+    });
+}
+
+/// A count the frame cannot back is refused before anything is reserved.
+/// The hand-written decoders sized a `Vec` from the wire's `u32`: this
+/// 30-byte `INSERT_MANY` asked `mps-docstored` for `u32::MAX` values —
+/// on the order of 100 GB — and the failed allocation aborted the daemon.
+#[test]
+fn a_hostile_element_count_is_a_bad_request_and_the_server_lives() {
+    let mut server = serve(Arc::new(DocstoreService::new(store_state())));
+    let addr = server.local_addr().to_string();
+    let pool = ClientPool::new(addr.clone(), ClientConfig::default());
+    let mut w = WireWriter::new();
+    w.string("obs").u32(u32::MAX).bytes(br#"{"spl":61.5000}"#);
+    let body = w.finish();
+    assert_eq!(body.len(), 30);
+    match pool.call(dop::INSERT_MANY, &[], &body) {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, STATUS_BAD_REQUEST),
+        other => panic!("expected a bad-request answer, got {other:?}"),
+    }
+    // Same connection, next request: the thread that refused it serves on.
+    let remote = RemoteStore::connect(addr, ClientConfig::default());
+    assert_eq!(pool.call(dop::TOTAL_DOCUMENTS, &[], &[]).unwrap().len(), 8);
+    assert_eq!(remote.collection("obs").len(), 3);
+    server.shutdown();
+}
+
+/// The same count in a *reply* — a hostile or corrupted server — is an
+/// error at the client, not an allocation.
+#[test]
+fn a_hostile_element_count_in_a_reply_is_an_error_at_the_client() {
+    let mut count_only = WireWriter::new();
+    count_only.u32(u32::MAX);
+    let canned = Arc::new(Canned(Mutex::new((STATUS_OK, count_only.finish()))));
+    let mut server = serve(canned);
+    let addr = server.local_addr().to_string();
+    let broker = RemoteBroker::connect(addr.clone(), ClientConfig::default());
+    assert!(matches!(
+        broker.consume("inbox", 10),
+        Err(BrokerError::Transport(_))
+    ));
+    let store = RemoteStore::connect(addr, ClientConfig::default());
+    let obs = store.collection("obs");
+    assert!(matches!(obs.find(&paris()), Err(StoreError::Transport(_))));
+    assert!(matches!(
+        obs.insert_many(vec![json!({})]),
+        Err(StoreError::Transport(_))
+    ));
+    assert!(obs.all().is_empty());
+    assert!(store.collection_names().is_empty());
+    server.shutdown();
 }
