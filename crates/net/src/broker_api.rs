@@ -12,11 +12,11 @@
 //! headers on publishes, so a wire capture attributes every message to
 //! its trace without decoding broker payloads.
 
-use crate::client::{ClientConfig, ClientPool};
+use crate::client::ClientConfig;
 use crate::server::{ServiceError, WireService};
 use crate::wire::field::*;
 use crate::wire::{
-    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, Wire, WireError, WireReader,
+    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, Stub, Wire, WireError, WireReader,
     WireWriter,
 };
 use mps_broker::{BrokerError, BrokerTransport, DeadLetterPolicy, Delivery, ExchangeType, Message};
@@ -209,34 +209,18 @@ impl BrokerService {
 }
 
 /// A [`BrokerTransport`] that forwards every call to a remote
-/// [`BrokerService`] over a [`ClientPool`].
+/// [`BrokerService`] over a [`ClientPool`](crate::ClientPool).
 #[derive(Debug)]
 pub struct RemoteBroker {
-    pool: Arc<ClientPool>,
+    stub: Stub<BrokerError>,
 }
 
 impl RemoteBroker {
     /// Creates a remote broker dialling `addr` lazily.
     #[must_use]
     pub fn connect(addr: impl Into<String>, config: ClientConfig) -> RemoteBroker {
-        RemoteBroker {
-            pool: Arc::new(ClientPool::new(addr, config)),
-        }
-    }
-
-    fn request(&self) -> WireWriter {
-        WireWriter::new()
-    }
-
-    fn call<M, T: Wire<M, Owned = T>>(
-        &self,
-        opcode: u8,
-        headers: &[(String, String)],
-        body: Vec<u8>,
-    ) -> Result<T, BrokerError> {
-        let transport = BrokerError::Transport;
-        self.pool
-            .call_as::<M, T, _>(opcode, headers, &body, decode_broker_error, transport)
+        let stub = Stub::connect(addr, config, decode_broker_error, BrokerError::Transport);
+        RemoteBroker { stub }
     }
 }
 
@@ -252,13 +236,12 @@ macro_rules! broker_wire {
                 _headers: &[(String, String)],
                 body: &[u8],
             ) -> Result<Vec<u8>, ServiceError> {
-                let mut r = WireReader::new(body);
                 let unknown = WireError::BadDiscriminant {
                     field: "broker opcode",
                     value: opcode,
                 };
                 wire_dispatch! {
-                    [opcode, r, self.inner, encode_broker_error, Err(unknown.into())]
+                    [opcode, r in body, self.inner, encode_broker_error, Err(unknown.into())]
                     $($rows)*
                 }
             }

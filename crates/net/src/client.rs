@@ -12,7 +12,7 @@ use crate::frame::{decode_frame, encode_frame, Decoded, Frame, FrameError, Frame
 use crate::rpc::{RequestEnvelope, ResponseEnvelope, STATUS_OK};
 use crate::server::{HELLO_BAD_VERSION, HELLO_OK, HELLO_SHED};
 use crate::telemetry::{pool_connections, telemetry};
-use crate::wire::{Wire, WireError};
+use crate::wire::WireError;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -439,33 +439,6 @@ impl ClientPool {
             }
         }
         result
-    }
-
-    /// One typed round trip: sends `body` and decodes the reply as the
-    /// single field `M`. `remote` rebuilds the service's typed error from
-    /// a status and payload; `local` wraps a failure that never reached
-    /// the service, or a reply that is not an `M`.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `remote` / `local` make of the failure.
-    pub fn call_as<M, T: Wire<M, Owned = T>, E>(
-        &self,
-        opcode: u8,
-        headers: &[(String, String)],
-        body: &[u8],
-        remote: impl Fn(u8, &[u8]) -> E,
-        local: impl Fn(String) -> E,
-    ) -> Result<T, E> {
-        let reply = self.call(opcode, headers, body).map_err(|err| match err {
-            NetError::Remote { code, payload } => remote(code, &payload),
-            other => local(other.to_string()),
-        })?;
-        match crate::wire::reply::<M, T>(&reply) {
-            Ok(Ok(value)) => Ok(value),
-            Ok(Err(rejected)) => Err(remote(rejected.code, &rejected.payload)),
-            Err(err) => Err(local(format!("bad reply: {err}"))),
-        }
     }
 
     fn call_once(

@@ -13,11 +13,11 @@
 //! wire capture and implementable without this codebase. The layouts are
 //! specified normatively in `docs/WIRE_PROTOCOL.md` §6.
 
-use crate::client::{ClientConfig, ClientPool};
+use crate::client::ClientConfig;
 use crate::server::{ServiceError, WireService};
 use crate::wire::field::*;
 use crate::wire::{
-    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, Wire, WireError, WireReader,
+    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, Stub, Wire, WireError, WireReader,
     WireWriter,
 };
 use mps_docstore::{
@@ -210,61 +210,28 @@ impl DocstoreService {
 }
 
 /// A [`DocstoreTransport`] forwarding every call to a remote
-/// [`DocstoreService`] over a [`ClientPool`] its collection handles
-/// share.
+/// [`DocstoreService`] over a [`ClientPool`](crate::ClientPool) its
+/// collection handles share.
 #[derive(Debug)]
 pub struct RemoteStore {
-    pool: Arc<ClientPool>,
+    stub: Stub<StoreError>,
 }
 
 impl RemoteStore {
     /// Creates a remote store dialling `addr` lazily.
     #[must_use]
     pub fn connect(addr: impl Into<String>, config: ClientConfig) -> RemoteStore {
-        RemoteStore {
-            pool: Arc::new(ClientPool::new(addr, config)),
-        }
-    }
-
-    fn request(&self) -> WireWriter {
-        WireWriter::new()
-    }
-
-    fn call<M, T: Wire<M, Owned = T>>(
-        &self,
-        opcode: u8,
-        headers: &[(String, String)],
-        body: Vec<u8>,
-    ) -> Result<T, StoreError> {
-        let transport = StoreError::Transport;
-        self.pool
-            .call_as::<M, T, _>(opcode, headers, &body, decode_store_error, transport)
+        let stub = Stub::connect(addr, config, decode_store_error, StoreError::Transport);
+        RemoteStore { stub }
     }
 }
 
-/// One collection's operations forwarded over the wire; obtained via
+/// One collection's operations forwarded over the wire — every body
+/// starts with the collection's name; obtained via
 /// [`RemoteStore::collection`] wrapped in a [`CollectionHandle`].
 #[derive(Debug)]
 struct RemoteCollection {
-    store: RemoteStore,
-    name: String,
-}
-
-impl RemoteCollection {
-    fn request(&self) -> WireWriter {
-        let mut w = WireWriter::new();
-        w.string(&self.name);
-        w
-    }
-
-    fn call<M, T: Wire<M, Owned = T>>(
-        &self,
-        opcode: u8,
-        headers: &[(String, String)],
-        body: Vec<u8>,
-    ) -> Result<T, StoreError> {
-        self.store.call::<M, T>(opcode, headers, body)
-    }
+    stub: Stub<StoreError>,
 }
 
 /// Expands the store's operation table into this module's share of it.
@@ -279,9 +246,8 @@ macro_rules! docstore_wire {
                 _headers: &[(String, String)],
                 body: &[u8],
             ) -> Result<Vec<u8>, ServiceError> {
-                let mut r = WireReader::new(body);
                 wire_dispatch! {
-                    [opcode, r, self.inner, encode_store_error, {
+                    [opcode, r in body, self.inner, encode_store_error, {
                         // Everything else addresses a collection, named first.
                         let coll = self.inner.collection(&r.string("collection")?);
                         let unknown = WireError::BadDiscriminant {
@@ -308,12 +274,8 @@ macro_rules! docstore_wire {
 
         impl DocstoreTransport for RemoteStore {
             fn collection(&self, name: &str) -> CollectionHandle {
-                CollectionHandle::new(Arc::new(RemoteCollection {
-                    store: RemoteStore {
-                        pool: Arc::clone(&self.pool),
-                    },
-                    name: name.to_string(),
-                }))
+                let stub = self.stub.scoped(name);
+                CollectionHandle::new(Arc::new(RemoteCollection { stub }))
             }
 
             wire_stubs! { [StoreError, bare] $($store)* }
@@ -484,7 +446,11 @@ mod tests {
         let names: std::collections::BTreeSet<&str> = OPS.iter().map(|op| op.name).collect();
         assert_eq!(values.len(), OPS.len(), "an opcode value collides");
         assert_eq!(names.len(), OPS.len(), "an opcode name collides");
-        assert_eq!(values, (1..=20).collect(), "the band is dense from 1");
+        assert_eq!(
+            values,
+            (1..=OPS.len() as u8).collect(),
+            "the band is dense from 1"
+        );
         for info in OPS {
             assert_eq!(service.opcode_name(info.value), Some(info.name));
             assert_eq!(

@@ -13,8 +13,10 @@
 //! `wire_stubs!` (a client's trait impl) and `wire_dispatch!` (a
 //! server's `match`). No operation is written out anywhere else.
 
+use crate::client::{ClientConfig, ClientPool, NetError};
 use crate::server::ServiceError;
 use std::fmt;
+use std::sync::Arc;
 
 /// A field-level decoding failure inside an already checksum-verified
 /// payload — always a protocol bug or version skew, never line noise.
@@ -425,6 +427,76 @@ pub fn reply<M, T: Wire<M, Owned = T>>(body: &[u8]) -> Decoded<T> {
     Ok(value)
 }
 
+/// What every generated client stub calls: a shared [`ClientPool`], the
+/// collection name (if any) each of its request bodies starts with, and
+/// how its service spells an error.
+#[derive(Debug)]
+pub(crate) struct Stub<E> {
+    pool: Arc<ClientPool>,
+    scope: Option<String>,
+    /// Rebuilds the service's typed error from a status and payload.
+    remote: fn(u8, &[u8]) -> E,
+    /// Wraps a failure that never reached the service, or a reply that
+    /// is not the field it should be.
+    local: fn(String) -> E,
+}
+
+impl<E> Stub<E> {
+    /// A stub dialling `addr` lazily.
+    pub(crate) fn connect(
+        addr: impl Into<String>,
+        config: ClientConfig,
+        remote: fn(u8, &[u8]) -> E,
+        local: fn(String) -> E,
+    ) -> Stub<E> {
+        let pool = Arc::new(ClientPool::new(addr, config));
+        Stub {
+            pool,
+            scope: None,
+            remote,
+            local,
+        }
+    }
+
+    /// The same connection pool, addressing the collection `name`.
+    pub(crate) fn scoped(&self, name: &str) -> Stub<E> {
+        let scope = Some(name.to_string());
+        Stub {
+            pool: Arc::clone(&self.pool),
+            scope,
+            ..*self
+        }
+    }
+
+    /// Starts a request body.
+    pub(crate) fn request(&self) -> WireWriter {
+        let mut w = WireWriter::new();
+        if let Some(scope) = &self.scope {
+            w.string(scope);
+        }
+        w
+    }
+
+    /// One round trip, the reply decoded as the single field `M`.
+    pub(crate) fn call<M, T: Wire<M, Owned = T>>(
+        &self,
+        opcode: u8,
+        headers: &[(String, String)],
+        body: &[u8],
+    ) -> Result<T, E> {
+        let remote = |rejected: ServiceError| (self.remote)(rejected.code, &rejected.payload);
+        let answered = self.pool.call(opcode, headers, body);
+        let body = answered.map_err(|err| match err {
+            NetError::Remote { code, payload } => remote(ServiceError { code, payload }),
+            other => (self.local)(other.to_string()),
+        })?;
+        match reply::<M, T>(&body) {
+            Ok(value) => value.map_err(remote),
+            Err(err) => Err((self.local)(format!("bad reply: {err}"))),
+        }
+    }
+}
+
 /// One row of a service's operation table, as data: what
 /// `wire_ops!` keeps of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -486,12 +558,11 @@ macro_rules! wire_ops {
 }
 pub(crate) use wire_ops;
 
-/// Emits a client's methods, one per row: encode the arguments in order,
-/// `self.call` the opcode, decode the reply as the row's reply field.
-/// `self.request()` starts the body (a collection's stub puts its name
-/// there) and `self.call::<M, T>(opcode, headers, body)` does the round
-/// trip. In a `bare` set (as opposed to a `result` set) a `degrades` row
-/// returns its value unwrapped and answers the default on any failure.
+/// Emits a client's methods, one per row, over its `self.stub` (a
+/// [`Stub`]): encode the arguments in order, call the opcode, decode the
+/// reply as the row's reply field. In a `bare` set (as opposed to a
+/// `result` set) a `degrades` row returns its value unwrapped and
+/// answers the default on any failure.
 macro_rules! wire_stubs {
     ([$error:ty, $mode:ident] $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
@@ -499,24 +570,29 @@ macro_rules! wire_stubs {
         $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
             -> $crate::wire::bare_if!([$mode $($degrades)?] { $ret } { Result<$ret, $error> }) {
             #[allow(unused_mut)]
-            let (mut w, mut headers) = (self.request(), Vec::new());
+            let (mut w, mut headers) = (self.stub.request(), Vec::new());
             $(let field = $crate::wire::row_if!([$($rty)?] { $arg } { &$arg });
             $crate::wire::Wire::<$wire>::put(field, &mut w);
             $crate::wire::Wire::<$wire>::envelope(field, &mut headers);)*
-            let answer = self.call::<$rwire, $ret>(op::$NAME, &headers, w.finish());
+            let answer = self.stub.call::<$rwire, $ret>(op::$NAME, &headers, &w.finish());
             $crate::wire::bare_if!([$mode $($degrades)?] { answer.unwrap_or_default() } { answer })
         })*
     };
 }
 pub(crate) use wire_stubs;
 
-/// Emits a server's `match` arms, one per row, as the body of a
-/// `match opcode { … }` over `($r, $inner)`: decode every argument,
-/// require the body to end there, surface the first rejected argument,
-/// call the operation on `$inner` and encode its answer as the row's
-/// reply field. `$encode` maps the operation's error to a
-/// [`ServiceError`]; `$unknown` is the fallback arm's value.
+/// Emits a server's `match $opcode { … }`, one arm per row, reading the
+/// body through the reader `$r` (opened here with `$r in body`, or
+/// already open): decode every argument, require the body to end there,
+/// surface the first rejected argument, call the operation on `$inner`
+/// and encode its answer as the row's reply field. `$encode` maps the
+/// operation's error to a [`ServiceError`]; `$unknown` is the fallback
+/// arm's value.
 macro_rules! wire_dispatch {
+    ([$opcode:expr, $r:ident in $body:expr, $($context:tt)*] $($rows:tt)*) => {{
+        let mut $r = $crate::wire::WireReader::new($body);
+        $crate::wire::wire_dispatch! { [$opcode, $r, $($context)*] $($rows)* }
+    }};
     ([$opcode:expr, $r:ident, $inner:expr, $encode:path, $unknown:expr]
         $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)

@@ -14,8 +14,8 @@
 //! Three syntactic patterns are flagged:
 //!
 //! * a numeric literal as the **first argument** of an opcode-taking
-//!   call (`.call(`, `.call_as(` — `ClientPool`'s, `WireConn`'s and
-//!   every wrapper's; the broker and docstore stubs that used to be
+//!   call (`.call(` — `ClientPool`'s, `WireConn`'s and every
+//!   wrapper's; the broker and docstore stubs that used to be
 //!   such call sites are generated from their operation table and name
 //!   `op::NAME` by construction, but the admin plane, the fleet
 //!   scraper, the smoke binary and the tests still write theirs by
@@ -35,7 +35,7 @@ use crate::lints::is_punct;
 use crate::scan::SourceFile;
 
 /// Calls whose first argument is an opcode byte.
-const OPCODE_CALLS: &[&str] = &["call", "call_as"];
+const OPCODE_CALLS: &[&str] = &["call"];
 
 /// Identifiers whose comparison/field value is a wire constant.
 const WIRE_IDENTS: &[&str] = &["opcode", "frame_type"];
@@ -141,7 +141,7 @@ mod tests {
     fn flags_literal_first_call_argument() {
         let findings = run(
             "crates/net/src/client.rs",
-            "fn f(c: &C) { c.call(7, body); c.call_as(op::ACK, body); }",
+            "fn f(c: &C) { c.call(7, body); c.call(op::ACK, body); }",
         );
         assert_eq!(findings.len(), 1);
         assert_eq!(
