@@ -16,8 +16,8 @@ use crate::client::ClientConfig;
 use crate::server::{ServiceError, WireService};
 use crate::wire::field::*;
 use crate::wire::{
-    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, Stub, Wire, WireError, WireReader,
-    WireWriter,
+    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, OpInfo, Stub, Wire, WireError,
+    WireReader, WireWriter,
 };
 use mps_broker::{BrokerError, BrokerTransport, DeadLetterPolicy, Delivery, ExchangeType, Message};
 use mps_types::headers::{SENT_MS_HEADER, TRACE_HEADER};
@@ -99,8 +99,7 @@ impl Wire<message> for Message {
 impl Wire<delivery> for Delivery {
     const MIN_WIRE_BYTES: usize = 19;
     fn put(&self, w: &mut WireWriter) {
-        w.u64(self.tag);
-        self.redelivered.put(w);
+        w.u64(self.tag).u8(u8::from(self.redelivered));
         self.message.put(w);
     }
     fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<Delivery> {
@@ -251,7 +250,7 @@ macro_rules! broker_wire {
             }
 
             fn opcode_name(&self, opcode: u8) -> Option<&'static str> {
-                OPS.iter().find(|op| op.value == opcode).map(|op| op.name)
+                OpInfo::name_of(OPS, opcode)
             }
         }
 

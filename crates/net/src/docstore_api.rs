@@ -17,8 +17,8 @@ use crate::client::ClientConfig;
 use crate::server::{ServiceError, WireService};
 use crate::wire::field::*;
 use crate::wire::{
-    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, Stub, Wire, WireError, WireReader,
-    WireWriter,
+    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, OpInfo, Stub, Wire, WireError,
+    WireReader, WireWriter,
 };
 use mps_docstore::{
     CollectionHandle, CollectionOps, DocId, DocstoreTransport, Filter, FindOptions, SortOrder,
@@ -268,7 +268,7 @@ macro_rules! docstore_wire {
             }
 
             fn opcode_name(&self, opcode: u8) -> Option<&'static str> {
-                OPS.iter().find(|op| op.value == opcode).map(|op| op.name)
+                OpInfo::name_of(OPS, opcode)
             }
         }
 

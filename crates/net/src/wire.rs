@@ -335,13 +335,14 @@ impl Wire<string> for str {
     }
 }
 
+/// A sequence's elements are owned: `seq<string>` is a `Vec<String>`.
 impl Wire<string> for String {
-    const MIN_WIRE_BYTES: usize = 4;
+    const MIN_WIRE_BYTES: usize = <str as Wire<string>>::MIN_WIRE_BYTES;
     fn put(&self, w: &mut WireWriter) {
-        w.string(self);
+        self.as_str().put(w);
     }
     fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<String> {
-        r.string(field).map(Ok)
+        <str as Wire<string>>::get(r, field)
     }
 }
 
@@ -513,6 +514,17 @@ pub struct OpInfo {
     pub request: &'static [(&'static str, &'static str)],
     /// The success reply's field marker.
     pub reply: &'static str,
+}
+
+impl OpInfo {
+    /// The mnemonic of `opcode` in `ops`, a table in opcode order and
+    /// dense from 1 (what a service's telemetry labels its requests
+    /// with, once per request — hence an index, not a search).
+    #[must_use]
+    pub fn name_of(ops: &[OpInfo], opcode: u8) -> Option<&'static str> {
+        let row = ops.get(usize::from(opcode).checked_sub(1)?)?;
+        (row.value == opcode).then_some(row.name)
+    }
 }
 
 /// Picks `then` when the bracket holds a token and `otherwise` when it is
