@@ -742,6 +742,7 @@ pub(crate) fn replay(recovered: &Recovered) -> Result<ReplayedState, BrokerError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Broker, RoutingKey};
 
     #[test]
     fn hex_roundtrips() {
@@ -873,6 +874,246 @@ mod tests {
         let state = replay(&recovered).unwrap();
         assert_eq!(state.topology, ReplayedTopology::default());
         assert_eq!(state.next_id, 3);
+    }
+
+    /// A fresh directory per test.
+    fn temp_dir(tag: &str) -> PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "mps-broker-golden-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn quiet() -> mps_wal::WalConfig {
+        mps_wal::WalConfig::default().telemetry(false)
+    }
+
+    /// Opens the durable broker in `dir`, automatic snapshots off.
+    fn open(dir: &PathBuf) -> Broker {
+        let config = BrokerDurabilityConfig::new(dir)
+            .wal(quiet())
+            .snapshot_every(0);
+        Broker::open_durable(config).unwrap()
+    }
+
+    /// The calls behind [`GOLDEN_BROKER_LOG`]: every topology and queue
+    /// transition a broker logs, each at least once.
+    fn golden_calls(b: &Broker) {
+        b.declare_exchange("client", ExchangeType::Topic).unwrap();
+        b.declare_exchange("app", ExchangeType::Direct).unwrap();
+        b.declare_exchange("old", ExchangeType::Fanout).unwrap();
+        b.declare_queue_with_capacity("q", 8).unwrap();
+        b.declare_queue("dlq").unwrap();
+        b.declare_queue("spill").unwrap();
+        b.bind_exchange("client", "app", "#").unwrap();
+        b.bind_queue("app", "q", "obs.a").unwrap();
+        b.bind_queue("client", "spill", "obs.*").unwrap();
+        b.unbind_queue("client", "spill", "obs.*").unwrap();
+        b.configure_dead_letter("q", 2, "dlq").unwrap();
+        b.delete_exchange("old").unwrap();
+        let key = RoutingKey::new("obs.a").unwrap();
+        let m1 = Message::new(key, &b"m1"[..]).with_header("x-client", "c1");
+        b.publish_message("client", m1).unwrap();
+        for payload in [&b"m2"[..], b"m3", b"m4", b"m5"] {
+            assert_eq!(b.publish("client", "obs.a", payload).unwrap(), 1);
+        }
+        let d = b.consume("q", 3).unwrap();
+        b.ack("q", d[0].tag).unwrap();
+        b.nack("q", d[1].tag, true).unwrap();
+        b.nack("q", d[2].tag, false).unwrap();
+        // m2 again: its second delivery exhausts the policy.
+        let d = b.consume("q", 1).unwrap();
+        b.nack("q", d[0].tag, true).unwrap();
+        assert_eq!(b.purge_queue("q").unwrap(), 2);
+        b.delete_queue("spill").unwrap();
+        b.publish("client", "obs.a", &b"m6"[..]).unwrap();
+        b.publish("client", "obs.a", &[0x00, 0xff][..]).unwrap();
+        let d = b.consume("q", 1).unwrap();
+        b.nack("q", d[0].tag, true).unwrap();
+        // In flight when the broker goes away: a delivery is not logged.
+        assert_eq!(b.consume("q", 1).unwrap().len(), 1);
+    }
+
+    /// One literal payload per `op` at least, as durable brokers have
+    /// written them since topology became durable: what
+    /// [`golden_calls`] logs.
+    const GOLDEN_BROKER_LOG: [&[u8]; 26] = [
+        br#"{"kind":"topic","name":"client","op":"declare_exchange"}"#,
+        br#"{"kind":"direct","name":"app","op":"declare_exchange"}"#,
+        br#"{"kind":"fanout","name":"old","op":"declare_exchange"}"#,
+        br#"{"capacity":8,"name":"q","op":"declare_queue"}"#,
+        br#"{"capacity":null,"name":"dlq","op":"declare_queue"}"#,
+        br#"{"capacity":null,"name":"spill","op":"declare_queue"}"#,
+        br##"{"destination":"app","op":"bind_exchange","pattern":"#","source":"client"}"##,
+        br#"{"exchange":"app","op":"bind_queue","pattern":"obs.a","queue":"q"}"#,
+        br#"{"exchange":"client","op":"bind_queue","pattern":"obs.*","queue":"spill"}"#,
+        br#"{"exchange":"client","op":"unbind_queue","pattern":"obs.*","queue":"spill"}"#,
+        br#"{"max_attempts":2,"op":"dead_letter_policy","queue":"q","target":"dlq"}"#,
+        br#"{"name":"old","op":"delete_exchange"}"#,
+        br#"{"deliveries":0,"headers":{"x-client":"c1"},"id":1,"key":"obs.a","op":"enqueue","payload":"6d31","queue":"q"}"#,
+        br#"{"deliveries":0,"headers":{},"id":2,"key":"obs.a","op":"enqueue","payload":"6d32","queue":"q"}"#,
+        br#"{"deliveries":0,"headers":{},"id":3,"key":"obs.a","op":"enqueue","payload":"6d33","queue":"q"}"#,
+        br#"{"deliveries":0,"headers":{},"id":4,"key":"obs.a","op":"enqueue","payload":"6d34","queue":"q"}"#,
+        br#"{"deliveries":0,"headers":{},"id":5,"key":"obs.a","op":"enqueue","payload":"6d35","queue":"q"}"#,
+        br#"{"id":1,"op":"ack","queue":"q"}"#,
+        br#"{"attempts":1,"id":2,"op":"requeue","queue":"q"}"#,
+        br#"{"id":3,"op":"discard","queue":"q"}"#,
+        br#"{"id":2,"op":"dead_letter","queue":"q","to":"dlq"}"#,
+        br#"{"ids":[4,5],"op":"purge","queue":"q"}"#,
+        br#"{"op":"delete_queue","queue":"spill"}"#,
+        br#"{"deliveries":0,"headers":{},"id":6,"key":"obs.a","op":"enqueue","payload":"6d36","queue":"q"}"#,
+        br#"{"deliveries":0,"headers":{},"id":7,"key":"obs.a","op":"enqueue","payload":"00ff","queue":"q"}"#,
+        br#"{"attempts":1,"id":6,"op":"requeue","queue":"q"}"#,
+    ];
+
+    /// What a checkpoint after [`golden_calls`] writes. The delivery in
+    /// flight is folded back behind the ready copies with its count.
+    const GOLDEN_BROKER_SNAPSHOT: &str = r##"{"next_id":8,"queues":{"dlq":[{"deliveries":0,"headers":{},"id":2,"key":"obs.a","payload":"6d32"}],"q":[{"deliveries":0,"headers":{},"id":7,"key":"obs.a","payload":"00ff"},{"deliveries":2,"headers":{},"id":6,"key":"obs.a","payload":"6d36"}]},"topology":{"dead_letters":{"q":{"max_attempts":2,"target":"dlq"}},"exchange_bindings":[["client","app","#"]],"exchanges":{"app":"direct","client":"topic"},"queue_bindings":[["app","q","obs.a"]],"queue_capacities":{"dlq":null,"q":8}}}"##;
+
+    /// A snapshot from before topology became durable, and the one
+    /// record a log must hold for it to cover.
+    const LEGACY_RECORD: &[u8] = br#"{"deliveries":3,"headers":{"h":"v"},"id":100,"key":"old.k","op":"enqueue","payload":"6f6c64","queue":"legacy"}"#;
+    const LEGACY_SNAPSHOT: &str = r#"{"next_id":101,"queues":{"legacy":[{"deliveries":3,"headers":{"h":"v"},"id":100,"key":"old.k","payload":"6f6c64"}]}}"#;
+
+    fn view(durable_id: u64, deliveries: u32, payload: &[u8]) -> MessageView {
+        MessageView {
+            durable_id,
+            deliveries,
+            key: "obs.a".to_owned(),
+            payload: payload.to_vec(),
+        }
+    }
+
+    /// What a broker reopened on the golden bytes holds: the topology as
+    /// the management views and a publish show it, `q` as given — every
+    /// copy ready — and `next_id` the durable id its next copy gets.
+    fn assert_golden_state(b: &Broker, q: &[MessageView], next_id: u64) {
+        let exchanges: Vec<_> = b
+            .exchanges()
+            .into_iter()
+            .map(|e| (e.name, e.kind, e.bindings))
+            .collect();
+        let golden = [
+            ("app".to_owned(), ExchangeType::Direct, 1),
+            ("client".to_owned(), ExchangeType::Topic, 1),
+        ];
+        assert_eq!(exchanges, golden);
+        let queues: Vec<_> = b
+            .queues()
+            .into_iter()
+            .filter(|info| info.name != "legacy")
+            .map(|info| (info.name, info.capacity, info.dead_letter_to))
+            .collect();
+        let golden = [
+            ("dlq".to_owned(), None, None),
+            ("q".to_owned(), Some(8), Some("dlq".to_owned())),
+        ];
+        assert_eq!(queues, golden);
+        let policy = b.dead_letter_policy("q").unwrap().unwrap();
+        assert_eq!(policy.max_delivery_attempts, 2);
+
+        let held = b.queue_snapshot("q").unwrap();
+        assert_eq!(held.ready, q);
+        assert!(held.unacked.is_empty());
+        assert_eq!(b.queue_snapshot("dlq").unwrap().ready, [view(2, 0, b"m2")]);
+        let info = b.queues().into_iter().find(|info| info.name == "q");
+        assert_eq!(info.unwrap().enqueued_total, q.len() as u64);
+
+        // The bindings, as a publish sees them: `client` feeds `app`,
+        // which routes `obs.a` alone, to `q` alone.
+        assert_eq!(b.publish("client", "obs.b", &b"unrouted"[..]).unwrap(), 0);
+        assert_eq!(b.publish("client", "obs.a", &b"next"[..]).unwrap(), 1);
+        let held = b.queue_snapshot("q").unwrap();
+        assert_eq!(held.ready.last(), Some(&view(next_id, 0, b"next")));
+    }
+
+    #[test]
+    fn the_same_calls_write_the_golden_log() {
+        let dir = temp_dir("write");
+        let b = open(&dir);
+        golden_calls(&b);
+        drop(b);
+        let (_wal, recovered) = mps_wal::Wal::open(&dir, quiet()).unwrap();
+        assert!(recovered.snapshot.is_none());
+        let written: Vec<&str> = recovered
+            .entries
+            .iter()
+            .map(|(_, payload)| std::str::from_utf8(payload).unwrap())
+            .collect();
+        let golden = GOLDEN_BROKER_LOG.map(|payload| std::str::from_utf8(payload).unwrap());
+        assert_eq!(written, golden);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn golden_log_replays_to_the_golden_state() {
+        let from_the_log = [view(6, 1, b"m6"), view(7, 0, &[0x00, 0xff])];
+
+        // The log alone.
+        let dir = temp_dir("replay-log");
+        let (mut wal, _) = mps_wal::Wal::open(&dir, quiet()).unwrap();
+        wal.append_batch(&GOLDEN_BROKER_LOG.map(<[u8]>::to_vec))
+            .unwrap();
+        drop(wal);
+        assert_golden_state(&open(&dir), &from_the_log, 8);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Behind a snapshot older than durable topology, and ahead of
+        // deltas for ids and queues no replay holds: ignored, as the
+        // records of a torn enqueue's survivors are.
+        let dir = temp_dir("replay-legacy");
+        let (mut wal, _) = mps_wal::Wal::open(&dir, quiet()).unwrap();
+        wal.append(LEGACY_RECORD).unwrap();
+        wal.snapshot(LEGACY_SNAPSHOT.as_bytes()).unwrap();
+        wal.append_batch(&GOLDEN_BROKER_LOG.map(<[u8]>::to_vec))
+            .unwrap();
+        wal.append(br#"{"id":99,"op":"ack","queue":"q"}"#).unwrap();
+        wal.append(br#"{"attempts":4,"id":98,"op":"requeue","queue":"nowhere"}"#)
+            .unwrap();
+        wal.append(br#"{"ids":[97],"op":"purge","queue":"dlq"}"#)
+            .unwrap();
+        drop(wal);
+        let b = open(&dir);
+        assert_golden_state(&b, &from_the_log, 101);
+        assert!(!b.queue_exists("nowhere"));
+        let legacy = b.consume("legacy", 2).unwrap();
+        assert_eq!(legacy.len(), 1);
+        assert_eq!(legacy[0].message.header("h"), Some("v"));
+        assert_eq!(legacy[0].payload().as_ref(), b"old");
+        assert!(legacy[0].redelivered);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // The golden snapshot alone.
+        let dir = temp_dir("replay-snapshot");
+        let (mut wal, _) = mps_wal::Wal::open(&dir, quiet()).unwrap();
+        wal.append(GOLDEN_BROKER_LOG[0]).unwrap();
+        wal.snapshot(GOLDEN_BROKER_SNAPSHOT.as_bytes()).unwrap();
+        drop(wal);
+        let from_the_snapshot = [view(7, 0, &[0x00, 0xff]), view(6, 2, b"m6")];
+        assert_golden_state(&open(&dir), &from_the_snapshot, 8);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_writes_the_golden_snapshot() {
+        let dir = temp_dir("checkpoint");
+        let b = open(&dir);
+        golden_calls(&b);
+        assert_eq!(b.checkpoint().unwrap(), GOLDEN_BROKER_LOG.len() as u64);
+        drop(b);
+        let (_wal, recovered) = mps_wal::Wal::open(&dir, quiet()).unwrap();
+        assert!(recovered.entries.is_empty());
+        let written = recovered.snapshot.unwrap();
+        assert_eq!(
+            std::str::from_utf8(&written).unwrap(),
+            GOLDEN_BROKER_SNAPSHOT
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
