@@ -72,7 +72,8 @@ impl Wire<message> for Message {
     }
     fn get(r: &mut WireReader<'_>, _field: &'static str) -> Decoded<Message> {
         let key = r.string("routing key")?;
-        let payload = r.bytes("payload")?.to_vec();
+        // Borrowed: `Message::new` makes the one copy, into its `Arc<[u8]>`.
+        let payload = r.bytes("payload")?;
         let header_count = r.u16("header count")?;
         let routing_key = key.parse().map_err(|_| WireError::BadDiscriminant {
             field: "routing key",
