@@ -142,7 +142,7 @@ fn run(mut docs: Vec<&Value>, stages: &[Stage]) -> Result<Vec<Value>, StoreError
                 continue;
             }
             Stage::Count(name) => vec![json!({ name.as_str(): docs.len() })],
-            Stage::Project(paths) => docs.iter().map(|doc| project(*doc, paths)).collect(),
+            Stage::Project(paths) => docs.iter().map(|doc| project(doc, paths)).collect(),
             Stage::Group(spec) => group(&docs, spec)?,
         };
         return match &stages[i + 1..] {

@@ -20,7 +20,7 @@
 //! and `drop_collection` carry nothing more.
 //!
 //! **Written from rows, byte for byte.** Deltas, snapshots and exports
-//! are written by `Row::write_json` from the collection's rows (see
+//! are written by `RowRef::write_json` from the collection's rows (see
 //! `crate::row`), and the bytes are the ones `Value` documents gave: a
 //! row's members are in `str` order, the order `serde_json::Map` wrote
 //! them in; each `"key":` comes from the same JSON string writer, once
@@ -65,7 +65,7 @@
 //! once its handles are done writing.
 
 use crate::collection::Collection;
-use crate::row::Row;
+use crate::row::RowRef;
 use crate::telemetry::telemetry;
 use crate::value::DocId;
 use crate::{Store, StoreError};
@@ -197,7 +197,7 @@ impl Journal {
 
     /// `insert` / `update`: the id and the full resulting document,
     /// written from the stored row straight into the record.
-    pub(crate) fn doc(&mut self, op: &str, id: DocId, doc: &Row) {
+    pub(crate) fn doc(&mut self, op: &str, id: DocId, doc: RowRef<'_>) {
         let mut text = self.record();
         text.push_str(r#""doc":"#);
         doc.write_json(&mut text);
@@ -303,14 +303,14 @@ fn export_json(map: &CollectionMap) -> String {
         let inner = collection.inner.lock();
         let comma = if c > 0 { "," } else { "" };
         let _ = write!(out, r#"{comma}{}:{{"docs":["#, Value::from(name.as_str()));
-        for (d, doc) in inner.docs.values().enumerate() {
+        for (d, (_, doc)) in inner.rows().enumerate() {
             if d > 0 {
                 out.push(',');
             }
             let start = out.len();
             doc.write_json(&mut out);
             if d == 0 {
-                out.reserve((out.len() - start + 1) * (inner.docs.len() - 1));
+                out.reserve((out.len() - start + 1) * (inner.len() - 1));
             }
         }
         let indexes: Vec<&str> = inner.indexes.keys().map(String::as_str).collect();
@@ -333,7 +333,7 @@ pub(crate) fn export_value(map: &CollectionMap) -> Value {
     let mut collections = serde_json::Map::new();
     for (name, collection) in map.lock().iter() {
         let inner = collection.inner.lock();
-        let docs: Vec<Value> = inner.docs.values().map(Row::to_value).collect();
+        let docs: Vec<Value> = inner.rows().map(|(_, row)| row.to_value()).collect();
         let indexes: Vec<String> = inner.indexes.keys().cloned().collect();
         collections.insert(
             name.clone(),

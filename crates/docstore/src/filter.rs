@@ -400,11 +400,12 @@ impl Filter {
 
     /// Whether this filter matches `doc`.
     pub fn matches(&self, doc: &Value) -> bool {
-        self.matches_doc(doc)
+        self.matches_doc(&doc)
     }
 
-    /// [`Filter::matches`] over either document representation.
-    pub(crate) fn matches_doc(&self, doc: &impl Doc) -> bool {
+    /// [`Filter::matches`] over any document representation: the one
+    /// evaluator.
+    pub(crate) fn matches_doc<'v>(&self, doc: &impl Doc<'v>) -> bool {
         match self {
             Filter::True => true,
             Filter::And(filters) => filters.iter().all(|f| f.matches_doc(doc)),

@@ -1,6 +1,6 @@
 //! Query planner: choose secondary indexes before touching documents.
 //!
-//! The planner inspects a [`Filter`]'s indexable predicates (each non-null
+//! The planner inspects a [`Filter`](crate::Filter)'s indexable predicates (each non-null
 //! equality and each merged range over a top-level `And`) and asks the
 //! collection's secondary indexes for each one's candidate ids: an
 //! equality's set is *borrowed* from the index, a range's is gathered
@@ -11,18 +11,19 @@
 //! re-check each against the full filter, so the planner only ever has to
 //! be *conservative* (a superset of the true matches is always safe).
 //!
-//! The same holds for the second mechanism built on these predicates:
-//! where no index serves, the scan drops whole blocks of `_id`s on their
-//! numeric summaries (see [`crate::collection`]) and re-checks every row
-//! of the rest. That is not a plan of its own — the planner chose, and
-//! reports, a full scan.
+//! The same holds for the mechanisms a scan has: where no index serves,
+//! it drops whole blocks of `_id`s on their numeric summaries, and the
+//! rows of sealed blocks on their columns (see [`crate::collection`]),
+//! and re-checks what is left. That is not a plan of its own — the
+//! planner chose, and reports, a full scan. The filter is taken apart for
+//! all of them once per query; the planner is handed its share.
 //!
 //! Which plan ran is exported as
 //! `docstore_query_plans_total{plan=...}` — watching `full_scan` climb on
 //! a hot collection is the signal that an index is missing, whether or
 //! not its scans skip.
 
-use crate::filter::{Filter, IndexablePredicate};
+use crate::filter::IndexablePredicate;
 use crate::index::PathIndex;
 use crate::value::DocId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -87,14 +88,18 @@ impl IdSet<'_> {
     }
 }
 
-/// Plans `filter` against the collection's `indexes`: every indexable
-/// predicate backed by an index contributes a candidate set, the others
-/// are left to the execution-time re-check.
-pub(crate) fn plan_query(filter: &Filter, indexes: &BTreeMap<String, PathIndex>) -> QueryPlan {
+/// Plans a filter, by its
+/// [`indexable_predicates`](crate::Filter::indexable_predicates), against the
+/// collection's `indexes`: every predicate backed by an index contributes
+/// a candidate set, the others are left to the execution-time re-check.
+pub(crate) fn plan_query(
+    predicates: &[IndexablePredicate<'_>],
+    indexes: &BTreeMap<String, PathIndex>,
+) -> QueryPlan {
     let mut sets: Vec<IdSet<'_>> = Vec::new();
     let mut kind = PlanKind::FullScan;
-    for predicate in filter.indexable_predicates() {
-        let (set, alone) = match predicate {
+    for predicate in predicates {
+        let (set, alone) = match *predicate {
             IndexablePredicate::Eq { path, value } => match indexes.get(path) {
                 Some(index) => {
                     let ids = index.eq_set(value).map(IdSet::Borrowed);
@@ -145,6 +150,7 @@ pub(crate) fn intersect(mut sets: Vec<IdSet<'_>>) -> Vec<DocId> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::filter::Filter;
     use serde_json::{json, Value};
 
     /// Intersection of two ascending id slices, by linear merge: how the
@@ -166,6 +172,10 @@ pub(crate) mod tests {
         out
     }
 
+    fn plan(filter: &Filter, indexes: &BTreeMap<String, PathIndex>) -> QueryPlan {
+        plan_query(&filter.indexable_predicates(), indexes)
+    }
+
     fn index_on(entries: &[(Value, u64)]) -> PathIndex {
         let mut index = PathIndex::new();
         for (value, id) in entries {
@@ -177,7 +187,7 @@ pub(crate) mod tests {
     #[test]
     fn no_index_means_full_scan() {
         let indexes = BTreeMap::new();
-        let plan = plan_query(&Filter::eq("model", "A"), &indexes);
+        let plan = plan(&Filter::eq("model", "A"), &indexes);
         assert_eq!(plan.kind, PlanKind::FullScan);
         assert!(plan.candidates.is_none());
     }
@@ -189,7 +199,7 @@ pub(crate) mod tests {
             "model".to_owned(),
             index_on(&[(json!("A"), 2), (json!("A"), 0), (json!("B"), 1)]),
         );
-        let plan = plan_query(&Filter::eq("model", "A"), &indexes);
+        let plan = plan(&Filter::eq("model", "A"), &indexes);
         assert_eq!(plan.kind, PlanKind::IndexEq);
         assert_eq!(plan.candidates, Some(vec![DocId(0), DocId(2)]));
     }
@@ -202,7 +212,7 @@ pub(crate) mod tests {
             "spl".to_owned(),
             index_on(&[(json!(40.0), 3), (json!(55.0), 1), (json!(70.0), 0)]),
         );
-        let plan = plan_query(&Filter::gt("spl", 30.0), &indexes);
+        let plan = plan(&Filter::gt("spl", 30.0), &indexes);
         assert_eq!(plan.kind, PlanKind::IndexRange);
         assert_eq!(plan.candidates, Some(vec![DocId(0), DocId(1), DocId(3)]));
     }
@@ -219,7 +229,7 @@ pub(crate) mod tests {
             index_on(&[(json!(40.0), 0), (json!(55.0), 1), (json!(70.0), 2)]),
         );
         let filter = Filter::and(vec![Filter::eq("model", "A"), Filter::gt("spl", 50.0)]);
-        let plan = plan_query(&filter, &indexes);
+        let plan = plan(&filter, &indexes);
         assert_eq!(plan.kind, PlanKind::IndexIntersect);
         assert_eq!(plan.candidates, Some(vec![DocId(2)]));
     }
@@ -232,7 +242,7 @@ pub(crate) mod tests {
             index_on(&[(json!("A"), 0), (json!("B"), 1)]),
         );
         let filter = Filter::and(vec![Filter::eq("model", "A"), Filter::gt("spl", 50.0)]);
-        let plan = plan_query(&filter, &indexes);
+        let plan = plan(&filter, &indexes);
         assert_eq!(plan.kind, PlanKind::IndexEq);
         assert_eq!(plan.candidates, Some(vec![DocId(0)]));
     }
@@ -243,7 +253,7 @@ pub(crate) mod tests {
         indexes.insert("a".to_owned(), index_on(&[(json!(1), 0)]));
         indexes.insert("b".to_owned(), index_on(&[(json!(1), 1)]));
         let filter = Filter::and(vec![Filter::eq("a", 1), Filter::eq("b", 1)]);
-        let plan = plan_query(&filter, &indexes);
+        let plan = plan(&filter, &indexes);
         assert_eq!(plan.kind, PlanKind::IndexIntersect);
         assert_eq!(plan.candidates, Some(Vec::new()));
     }

@@ -31,8 +31,13 @@ pub(crate) struct StoreTelemetry {
     pub(crate) query_plan_index_intersect: Counter,
     /// Blocks full scans walked: their summaries could not rule them out.
     pub(crate) scan_blocks_visited: Counter,
-    /// Blocks full scans passed over on their summaries alone.
+    /// Blocks full scans passed over, on their summaries or because no
+    /// row of a sealed one passed the column pass.
     pub(crate) scan_blocks_skipped: Counter,
+    /// Blocks held as columns now, across all collections.
+    pub(crate) blocks_sealed: Gauge,
+    /// Sealed blocks copied back into rows by a write to one of their rows.
+    pub(crate) blocks_unsealed: Counter,
     /// Latency of one insert call (one document or a batch), in seconds.
     pub(crate) collection_insert_seconds: Histogram,
     /// Latency of one find, in seconds.
@@ -107,7 +112,15 @@ pub(crate) fn telemetry() -> &'static StoreTelemetry {
             ),
             scan_blocks_skipped: registry.counter(
                 "docstore_scan_blocks_skipped_total",
-                "Blocks of 1024 ids that full scans skipped on their summaries",
+                "Blocks of 1024 ids that full scans skipped on their summaries or columns",
+            ),
+            blocks_sealed: registry.gauge(
+                "docstore_blocks_sealed",
+                "Blocks of 1024 ids held as columns across all collections",
+            ),
+            blocks_unsealed: registry.counter(
+                "docstore_blocks_unsealed_total",
+                "Sealed blocks copied back into rows by an update or delete of one of their rows",
             ),
             collection_insert_seconds: registry.histogram(
                 "docstore_collection_insert_seconds",
@@ -183,6 +196,8 @@ mod tests {
             "docstore_collection_delete_total",
             "docstore_scan_blocks_visited_total",
             "docstore_scan_blocks_skipped_total",
+            "docstore_blocks_sealed",
+            "docstore_blocks_unsealed_total",
             "docstore_collection_insert_seconds",
             "docstore_collection_find_seconds",
             "docstore_collection_count_seconds",

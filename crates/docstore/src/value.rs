@@ -35,7 +35,7 @@ impl fmt::Display for DocId {
 /// assert_eq!(get_path(&doc, "location.provider"), None);
 /// ```
 pub fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
-    doc.at(path)
+    Doc::at(&doc, path)
 }
 
 /// Writes `value` at a dotted path, creating intermediate objects as

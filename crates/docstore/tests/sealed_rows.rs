@@ -1,0 +1,111 @@
+//! A sealed row is the document it was made from, to the byte: read back
+//! as a `Value` and written as JSON, before and after its block seals, at
+//! the sizes a build uses (a block is 1 024 ids, a dictionary at most 255
+//! distinct values). In a process of its own, to read the sealed-block
+//! gauge exactly.
+
+use mps_docstore::{DocId, Filter, FindOptions, Store};
+use mps_telemetry::Registry;
+use serde_json::{json, Value};
+
+/// Values `Value`'s `==` merges or that print alike only by accident:
+/// zero and negative zero, an integer and its float, integers one `f64`
+/// cannot tell apart, and text that needs every kind of escape.
+fn awkward() -> Vec<Value> {
+    let two_53 = 9_007_199_254_740_992u64;
+    vec![
+        json!(-0.0),
+        json!(0.0),
+        json!(0),
+        json!(1),
+        json!(1.0),
+        json!(two_53),
+        json!(two_53 + 1),
+        json!(two_53 as f64),
+        json!(-1),
+        json!(-1.0),
+        Value::Null,
+        json!(true),
+        json!(false),
+        json!(""),
+        json!("quote \" backslash \\ slash / newline \n tab \t nul \u{0} bell \u{7}"),
+        json!("é √ 😀"),
+        json!([-0.0, 0.0, 1, 1.0]),
+        json!([0.0, -0.0, 1.0, 1]),
+        json!({"a": -0.0, "b": [1]}),
+        json!({"a": 0.0, "b": [1.0]}),
+    ]
+}
+
+#[test]
+fn sealed_rows_read_back_byte_for_byte() {
+    let awkward = awkward();
+    // `few` holds the awkward values only (a dictionary column); `many`
+    // holds them between more than 255 others (a value column).
+    let docs: Vec<Value> = (0..1_024u64)
+        .map(|i| {
+            let few = awkward[i as usize % awkward.len()].clone();
+            let many = match i % 3 {
+                0 => awkward[(i as usize / 3) % awkward.len()].clone(),
+                1 => json!(i as f64 / 8.0),
+                _ => json!(format!("row \"{i}\"")),
+            };
+            json!({"few": few, "many": many, "same": "x"})
+        })
+        .collect();
+    let store = Store::new();
+    let c = store.collection("c");
+    c.insert_many(docs.clone()).unwrap();
+    let sealed = || {
+        Registry::global()
+            .gauge_value("docstore_blocks_sealed")
+            .unwrap_or(0)
+    };
+    assert_eq!(sealed(), 0, "the block is full, but not yet passed");
+
+    let texts =
+        |values: Vec<Value>| -> Vec<String> { values.iter().map(Value::to_string).collect() };
+    let read = || {
+        let projected = FindOptions::new().project(vec!["few".into(), "many".into()]);
+        (
+            texts(c.all()),
+            texts(c.find(&Filter::True).unwrap()),
+            texts(c.find_with_options(&Filter::True, &projected).unwrap()),
+            store.export_json(),
+        )
+    };
+    let (all, found, projected, export) = read();
+    let expected: Vec<String> = docs
+        .iter()
+        .enumerate()
+        .map(|(id, doc)| {
+            let mut doc = doc.clone();
+            doc.as_object_mut().unwrap().insert("_id".into(), json!(id));
+            doc.to_string()
+        })
+        .collect();
+    assert_eq!(all, expected);
+
+    // The next insert passes the block, which seals.
+    c.insert_one(json!({"few": 0, "many": 0, "same": "x"}))
+        .unwrap();
+    assert_eq!(sealed(), 1);
+    let (all_after, found_after, projected_after, export_after) = read();
+    assert_eq!(all_after[..1_024], all[..]);
+    assert_eq!(found_after[..1_024], found[..]);
+    assert_eq!(projected_after[..1_024], projected[..]);
+    // The export written from the columns is the one written from the
+    // rows, with the new document after them.
+    let docs_end = export.find("],\"indexes\"").unwrap();
+    assert_eq!(export_after[..docs_end], export[..docs_end]);
+    assert!(export_after[docs_end..].starts_with(",{\"_id\":1024,"));
+    for (id, text) in expected.iter().enumerate() {
+        let doc = c.get(DocId(id as u64)).unwrap();
+        assert_eq!(&doc.to_string(), text);
+    }
+    // And a filter reads the columns as it read the rows: `-0.0` and `0`
+    // are equal numbers, `1` and `1.0` too, the two integers are not.
+    let count = |filter: Value| c.count(&Filter::parse(&filter).unwrap()).unwrap();
+    assert_eq!(count(json!({"few": 0})), 3 * 1_024 / 20 + 3 + 1);
+    assert_eq!(count(json!({"few": 9_007_199_254_740_993u64})), 1_024 / 20);
+}
