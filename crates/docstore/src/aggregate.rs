@@ -138,7 +138,7 @@ fn run(mut docs: Vec<&Value>, stages: &[Stage]) -> Result<Vec<Value>, StoreError
                 continue;
             }
             Stage::Sort(path, order) => {
-                docs = sorted_by_path(docs.into_iter(), path, *order)?;
+                docs = sorted_by_path(docs.into_iter(), path, *order, usize::MAX)?;
                 continue;
             }
             Stage::Count(name) => vec![json!({ name.as_str(): docs.len() })],
@@ -200,7 +200,7 @@ fn group(docs: &[&Value], spec: &GroupSpec) -> Result<Vec<Value>, StoreError> {
         .into_iter()
         .map(|(key, acc)| {
             let mut out = Map::new();
-            out.insert("_id".to_owned(), key.value().clone());
+            out.insert("_id".to_owned(), key.value());
             for (i, (name, a)) in spec.accumulators.iter().enumerate() {
                 let value = match a {
                     Accumulator::Count => Value::from(acc.count),

@@ -16,9 +16,11 @@
 //! index the rows a scan cannot rule out, re-checked against the full
 //! filter in `_id` order. `count` consumes it without building anything,
 //! an unsorted `find` stops it when the window is full, and a sorted one
-//! reads each match's key once, stable-sorts `(key, RowRef)` pairs and
-//! converts only the window. **Writes** share `Collection::mutate` (see
-//! [`crate::durability`]).
+//! reads each match's key once, selects the `skip + limit` first
+//! `(key, arrival, RowRef)` triples, sorts only those and converts only
+//! the window. **Writes** share `Collection::mutate` (see
+//! [`crate::durability`]); each index's path is resolved against a
+//! row's shape once per shape, not once per row ([`IndexSlots`]).
 //!
 //! **Block summaries** are what lets a scan skip: the store is an append
 //! log in arrival order, arrival is very nearly capture order, and what
@@ -54,7 +56,7 @@ use crate::durability::{journaled, DurableCtx, Journal};
 use crate::filter::{Filter, IndexablePredicate, RangeBound};
 use crate::index::PathIndex;
 use crate::planner::plan_query;
-use crate::row::{slot_in, Conjunct, Doc, Row, RowRef, Sealed, Shapes, Slots};
+use crate::row::{slot_in, Conjunct, Doc, IndexSlots, Row, RowRef, Sealed, Shapes, Slots};
 use crate::telemetry::telemetry;
 use crate::update::Update;
 use crate::value::{compare_numbers, compare_values, set_path, DocId};
@@ -383,6 +385,8 @@ pub(crate) struct CollectionInner {
     rows: usize,
     pub(crate) next_id: u64,
     pub(crate) indexes: BTreeMap<String, PathIndex>,
+    /// The indexes' paths as slots of the shape last indexed.
+    index_slots: IndexSlots,
     shapes: Shapes,
     /// A summary per block that holds a row, by [`block_of`]: sparse, so
     /// nothing is sized by an `_id`.
@@ -390,10 +394,14 @@ pub(crate) struct CollectionInner {
 }
 
 impl CollectionInner {
-    fn index_doc(&mut self, id: DocId, doc: RowRef<'_>) {
-        for (path, index) in &mut self.indexes {
-            if let Some(value) = doc.at(path) {
-                index.insert(value, id);
+    /// Hands `each` every index that `row` holds a value at the path of,
+    /// with that value.
+    fn each_index(&mut self, row: &Row, mut each: impl FnMut(&mut PathIndex, &Value)) {
+        let paths = self.indexes.keys().map(String::as_str);
+        let slots = self.index_slots.resolve(row.shape(), paths);
+        for ((path, index), &slot) in self.indexes.iter_mut().zip(slots) {
+            if let Some(value) = row.at_slot(slot, path) {
+                each(index, value);
             }
         }
     }
@@ -511,7 +519,7 @@ impl CollectionInner {
     /// Indexes `row`, logs it as `op` and stores it at `id`, where no
     /// indexed row may be (see [`take`](Self::take)).
     fn file(&mut self, id: DocId, row: Row, op: &str, log: Option<&mut Journal>) {
-        self.index_doc(id, RowRef::Open(&row));
+        self.each_index(&row, |index, value| index.insert(value, id));
         if let Some(log) = log {
             log.doc(op, id, RowRef::Open(&row));
         }
@@ -533,11 +541,7 @@ impl CollectionInner {
             block.remove();
         }
         self.rows -= 1;
-        for (path, index) in &mut self.indexes {
-            if let Some(value) = RowRef::Open(&row).at(path) {
-                index.remove(value, id);
-            }
-        }
+        self.each_index(&row, |index, value| index.remove(value, id));
         Some(row)
     }
 
@@ -554,6 +558,7 @@ impl CollectionInner {
         self.blocks.clear();
         self.rows = 0;
         self.shapes = Shapes::default();
+        self.index_slots = IndexSlots::default();
         for index in self.indexes.values_mut() {
             *index = PathIndex::new();
         }
@@ -643,7 +648,14 @@ impl CollectionInner {
             }
         }
         self.indexes.insert(path.to_owned(), index);
+        self.index_slots = IndexSlots::default();
         true
+    }
+
+    /// Drops the index on `path`; returns whether there was one.
+    pub(crate) fn drop_index(&mut self, path: &str) -> bool {
+        self.index_slots = IndexSlots::default();
+        self.indexes.remove(path).is_some()
     }
 }
 
@@ -665,33 +677,43 @@ impl CollectionInner {
     }
 }
 
-/// `docs` in the order of the value at `path`, a missing value sorting as
-/// null. Each document's key is read once; the sort is stable, so ties
-/// stay in arrival (`_id`) order either way round. Arrays and objects
-/// have no order: one among two or more keys is
-/// [`StoreError::Unorderable`] — found before the sort, which is then
-/// never handed a comparison that is no total order (it may panic on
-/// one).
+/// The first `keep` of `docs` in the order of the value at `path`, a
+/// missing value sorting as null. Each document's key is read once; ties
+/// stay in arrival (`_id`) order either way round, because arrival breaks
+/// them: the order is total, so of more than `keep` documents the `keep`
+/// first are selected unordered and only they are sorted, and the result
+/// is exactly the head of the full stable sort. Arrays and objects have
+/// no order: one among two or more keys is [`StoreError::Unorderable`] —
+/// found before the sort, which is then never handed a comparison that is
+/// no total order (it may panic on one).
 pub(crate) fn sorted_by_path<'v, D: Doc<'v>>(
     docs: impl Iterator<Item = D>,
     path: &str,
     order: SortOrder,
+    keep: usize,
 ) -> Result<Vec<D>, StoreError> {
-    let mut keyed: Vec<(&Value, D)> = docs
-        .map(|doc| (doc.at(path).unwrap_or(&Value::Null), doc))
+    let mut keyed: Vec<(&Value, usize, D)> = docs
+        .enumerate()
+        .map(|(at, doc)| (doc.at(path).unwrap_or(&Value::Null), at, doc))
         .collect();
-    let compound = |(key, _): &(&Value, D)| key.is_array() || key.is_object();
+    let compound = |(key, _, _): &(&Value, usize, D)| key.is_array() || key.is_object();
     if keyed.len() > 1 && keyed.iter().any(compound) {
         return Err(StoreError::Unorderable(path.to_owned()));
     }
-    keyed.sort_by(|(a, _), (b, _)| {
+    let rank = |(a, a_at, _): &(&Value, usize, D), (b, b_at, _): &(&Value, usize, D)| {
         let ordering = compare_values(a, b).unwrap_or(Ordering::Equal);
         match order {
             SortOrder::Ascending => ordering,
             SortOrder::Descending => ordering.reverse(),
         }
-    });
-    Ok(keyed.into_iter().map(|(_, doc)| doc).collect())
+        .then(a_at.cmp(b_at))
+    };
+    if keep < keyed.len() {
+        keyed.select_nth_unstable_by(keep, rank);
+        keyed.truncate(keep);
+    }
+    keyed.sort_unstable_by(rank);
+    Ok(keyed.into_iter().map(|(_, _, doc)| doc).collect())
 }
 
 /// A new document holding only `_id` and the given dotted paths of `doc`.
@@ -815,9 +837,9 @@ impl Collection {
     /// The query planner consults secondary indexes first (see
     /// `crate::planner`); unsorted queries additionally stop visiting
     /// documents once `skip + limit` results have been produced, and
-    /// sorted queries read each match's sort key once, order references,
-    /// and build documents only for the requested window (and of it only
-    /// the projected paths).
+    /// sorted queries read each match's sort key once, order references
+    /// to the first `skip + limit` only, and build documents only for the
+    /// requested window (and of it only the projected paths).
     ///
     /// # Errors
     ///
@@ -838,7 +860,10 @@ impl Collection {
             // window is full.
             return Ok(window(matches, options));
         };
-        let sorted = sorted_by_path(matches, path, *order)?;
+        let keep = options
+            .skip
+            .saturating_add(options.limit.unwrap_or(usize::MAX));
+        let sorted = sorted_by_path(matches, path, *order, keep)?;
         Ok(window(sorted.into_iter(), options))
     }
 
@@ -933,7 +958,7 @@ impl Collection {
     /// [`StoreError::Durability`] when the drop cannot be logged.
     pub fn drop_index(&self, path: &str) -> Result<(), StoreError> {
         self.mutate(|inner, log| {
-            if let (Some(_), Some(log)) = (inner.indexes.remove(path), log) {
+            if let (true, Some(log)) = (inner.drop_index(path), log) {
                 log.index("drop_index", path);
             }
         })

@@ -1,33 +1,101 @@
 //! Secondary indexes.
 //!
-//! An index maps the scalar value at one dotted path to the set of document
-//! ids holding that value. The collection's query planner consults indexes
-//! for equality and range predicates (see
+//! An index maps the scalar value at one dotted path to the ids of the
+//! documents holding that value. The collection's query planner consults
+//! indexes for equality and range predicates (see
 //! [`Collection::create_index`](crate::Collection::create_index)).
+//!
+//! **How an entry lies in memory.** An index is one `BTreeMap` from
+//! [`IndexKey`] to [`Ids`]. A key is a scalar of 24 bytes — null, a
+//! number as parsed, a boxed string or a bool — not a 32-byte `Value`.
+//! Its ids are a *posting*: while one document holds the key, its id
+//! lies in the map slot itself (`Ids::One`), and only a second one moves
+//! them into a boxed set of their own (`Ids::Many`), which falls back to
+//! `One` when all but one leave. A key held by one document, as a
+//! capture timestamp is, thus costs 40 bytes in a tree node, not a set
+//! and a node of its own besides.
+//!
+//! Keys order and compare exactly as
+//! [`compare_values`](crate::compare_values) does: `1` and `1.0` are one
+//! key, and so are `0.0` and `-0.0`; 2⁵³ and 2⁵³ + 1 are two. Indexes are
+//! derived state: nothing of them reaches the disk, and a reopen rebuilds
+//! them from the documents.
 
-use crate::value::{compare_values, DocId};
-use serde_json::Value;
+use crate::value::{compare_numbers, DocId};
+use serde_json::{Number, Value};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeSet;
 use std::ops::Bound;
 
-/// A totally-ordered wrapper over scalar JSON values, usable as a B-tree
-/// key. Arrays and objects are not indexable and are skipped at insert.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexKey(Value);
+/// A scalar JSON value, totally ordered as
+/// [`compare_values`](crate::compare_values) orders scalars (null <
+/// numbers < strings < booleans, numbers by exact value), usable as a
+/// B-tree key. Arrays and objects are not indexable and are skipped at
+/// insert.
+///
+/// `==` is that order's equality, so `1` and `1.0` are one key.
+///
+/// # Examples
+///
+/// ```
+/// use mps_docstore::IndexKey;
+/// use serde_json::json;
+///
+/// let one = IndexKey::new(&json!(1)).unwrap();
+/// assert_eq!(one, IndexKey::new(&json!(1.0)).unwrap());
+/// assert!(one < IndexKey::new(&json!("1")).unwrap());
+/// assert_eq!(one.value(), json!(1));
+/// assert!(IndexKey::new(&json!([1])).is_none());
+/// ```
+#[derive(Debug, Clone)]
+pub enum IndexKey {
+    /// `null`.
+    Null,
+    /// A number, of the kind it was parsed as.
+    Number(Number),
+    /// A string.
+    String(Box<str>),
+    /// `true` or `false`.
+    Bool(bool),
+}
 
 impl IndexKey {
-    /// Wraps a scalar value; returns `None` for arrays and objects.
+    /// The key for a scalar value; `None` for arrays and objects.
     pub fn new(value: &Value) -> Option<IndexKey> {
-        match value {
-            Value::Array(_) | Value::Object(_) => None,
-            v => Some(IndexKey(v.clone())),
+        Some(match value {
+            Value::Null => IndexKey::Null,
+            Value::Number(n) => IndexKey::Number(*n),
+            Value::String(s) => IndexKey::String(s.as_str().into()),
+            Value::Bool(b) => IndexKey::Bool(*b),
+            Value::Array(_) | Value::Object(_) => return None,
+        })
+    }
+
+    /// The value the key was made from.
+    pub fn value(&self) -> Value {
+        match self {
+            IndexKey::Null => Value::Null,
+            IndexKey::Number(n) => Value::Number(*n),
+            IndexKey::String(s) => Value::from(&**s),
+            IndexKey::Bool(b) => Value::Bool(*b),
         }
     }
 
-    /// The wrapped value.
-    pub fn value(&self) -> &Value {
-        &self.0
+    /// Position among the types, as `compare_values` ranks them.
+    fn rank(&self) -> u8 {
+        match self {
+            IndexKey::Null => 0,
+            IndexKey::Number(_) => 1,
+            IndexKey::String(_) => 2,
+            IndexKey::Bool(_) => 3,
+        }
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
@@ -41,16 +109,81 @@ impl PartialOrd for IndexKey {
 
 impl Ord for IndexKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        compare_values(&self.0, &other.0)
-            // mps-lint: allow(L003) -- IndexKey construction rejects non-scalars, and same-or-cross-type scalars always compare
-            .expect("IndexKey wraps only scalar values")
+        match (self, other) {
+            // Every `Number` is finite, so two always compare.
+            (IndexKey::Number(x), IndexKey::Number(y)) => {
+                compare_numbers(x, y).unwrap_or(Ordering::Equal)
+            }
+            (IndexKey::String(x), IndexKey::String(y)) => x.cmp(y),
+            (IndexKey::Bool(x), IndexKey::Bool(y)) => x.cmp(y),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
+/// The ids of the documents holding one key: a *posting*. One id lies
+/// inline; more share a boxed set, which is never left holding one.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Ids {
+    One(DocId),
+    /// Two or more ids. Boxed, so that a posting is 16 bytes, not 32.
+    #[allow(clippy::box_collection)]
+    Many(Box<BTreeSet<DocId>>),
+}
+
+impl Ids {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Ids::One(_) => 1,
+            Ids::Many(ids) => ids.len(),
+        }
+    }
+
+    pub(crate) fn contains(&self, id: &DocId) -> bool {
+        match self {
+            Ids::One(held) => held == id,
+            Ids::Many(ids) => ids.contains(id),
+        }
+    }
+
+    /// The ids, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = DocId> + '_ {
+        let (one, many) = match self {
+            Ids::One(id) => (Some(*id), None),
+            Ids::Many(ids) => (None, Some(ids.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    fn insert(&mut self, id: DocId) {
+        match self {
+            Ids::One(held) if *held == id => {}
+            Ids::One(held) => *self = Ids::Many(Box::new(BTreeSet::from([*held, id]))),
+            Ids::Many(ids) => {
+                ids.insert(id);
+            }
+        }
+    }
+
+    /// Removes `id`; returns whether no id is left.
+    fn remove(&mut self, id: DocId) -> bool {
+        match self {
+            Ids::One(held) => *held == id,
+            Ids::Many(ids) => {
+                ids.remove(&id);
+                if let (1, Some(&last)) = (ids.len(), ids.first()) {
+                    *self = Ids::One(last);
+                }
+                false
+            }
+        }
     }
 }
 
 /// A single-path secondary index.
 #[derive(Debug, Default)]
 pub(crate) struct PathIndex {
-    entries: BTreeMap<IndexKey, BTreeSet<DocId>>,
+    entries: BTreeMap<IndexKey, Ids>,
 }
 
 impl PathIndex {
@@ -61,25 +194,28 @@ impl PathIndex {
     /// Indexes `id` under `value` (no-op for non-scalar values).
     pub(crate) fn insert(&mut self, value: &Value, id: DocId) {
         if let Some(key) = IndexKey::new(value) {
-            self.entries.entry(key).or_default().insert(id);
+            match self.entries.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Ids::One(id));
+                }
+                Entry::Occupied(mut slot) => slot.get_mut().insert(id),
+            }
         }
     }
 
     /// Removes `id` from under `value`.
     pub(crate) fn remove(&mut self, value: &Value, id: DocId) {
-        if let Some(key) = IndexKey::new(value) {
-            if let Some(set) = self.entries.get_mut(&key) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.entries.remove(&key);
-                }
+        if let Some(Entry::Occupied(mut slot)) = IndexKey::new(value).map(|k| self.entries.entry(k))
+        {
+            if slot.get_mut().remove(id) {
+                slot.remove();
             }
         }
     }
 
     /// Ids of documents whose indexed value equals `value`, borrowed:
-    /// the planner walks or probes the set where it lies.
-    pub(crate) fn eq_set(&self, value: &Value) -> Option<&BTreeSet<DocId>> {
+    /// the planner walks or probes them where they lie.
+    pub(crate) fn eq_set(&self, value: &Value) -> Option<&Ids> {
         self.entries.get(&IndexKey::new(value)?)
     }
 
@@ -89,44 +225,29 @@ impl PathIndex {
         lo: Option<(&Value, bool)>,
         hi: Option<(&Value, bool)>,
     ) -> Vec<DocId> {
+        let bound = |end: Option<(&Value, bool)>| match end {
+            None => Some(Bound::Unbounded),
+            Some((v, true)) => IndexKey::new(v).map(Bound::Included),
+            Some((v, false)) => IndexKey::new(v).map(Bound::Excluded),
+        };
+        let (Some(lo), Some(hi)) = (bound(lo), bound(hi)) else {
+            return Vec::new();
+        };
         // Bounds that cross hold nothing, and `BTreeMap::range` panics on
-        // them — as it does on one value excluded from both sides.
-        if let (Some((lo, lo_inclusive)), Some((hi, hi_inclusive))) = (lo, hi) {
-            match compare_values(lo, hi) {
-                Some(Ordering::Greater) => return Vec::new(),
-                Some(Ordering::Equal) if !(lo_inclusive && hi_inclusive) => return Vec::new(),
-                _ => {}
+        // them — as it does on one key excluded from both sides.
+        let crossed = match (&lo, &hi) {
+            (Bound::Included(l), Bound::Included(h)) => l > h,
+            (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => {
+                l >= h
             }
+            _ => false,
+        };
+        if crossed {
+            return Vec::new();
         }
-        let lo_bound = match lo {
-            None => Bound::Unbounded,
-            Some((v, inclusive)) => match IndexKey::new(v) {
-                None => return Vec::new(),
-                Some(k) => {
-                    if inclusive {
-                        Bound::Included(k)
-                    } else {
-                        Bound::Excluded(k)
-                    }
-                }
-            },
-        };
-        let hi_bound = match hi {
-            None => Bound::Unbounded,
-            Some((v, inclusive)) => match IndexKey::new(v) {
-                None => return Vec::new(),
-                Some(k) => {
-                    if inclusive {
-                        Bound::Included(k)
-                    } else {
-                        Bound::Excluded(k)
-                    }
-                }
-            },
-        };
         self.entries
-            .range((lo_bound, hi_bound))
-            .flat_map(|(_, ids)| ids.iter().copied())
+            .range((lo, hi))
+            .flat_map(|(_, ids)| ids.iter())
             .collect()
     }
 
@@ -143,7 +264,7 @@ mod tests {
 
     impl PathIndex {
         fn lookup_eq(&self, value: &Value) -> Vec<DocId> {
-            self.eq_set(value).into_iter().flatten().copied().collect()
+            self.eq_set(value).into_iter().flat_map(Ids::iter).collect()
         }
     }
 
@@ -152,7 +273,7 @@ mod tests {
         assert!(IndexKey::new(&json!([1])).is_none());
         assert!(IndexKey::new(&json!({"a": 1})).is_none());
         assert!(IndexKey::new(&json!(1)).is_some());
-        assert_eq!(IndexKey::new(&json!("s")).unwrap().value(), &json!("s"));
+        assert_eq!(IndexKey::new(&json!("s")).unwrap().value(), json!("s"));
     }
 
     #[test]
@@ -160,6 +281,12 @@ mod tests {
         let a = IndexKey::new(&json!(1)).unwrap();
         let b = IndexKey::new(&json!(2.5)).unwrap();
         assert!(a < b);
+    }
+
+    #[test]
+    fn an_entry_costs_a_key_and_an_id() {
+        assert!(std::mem::size_of::<IndexKey>() <= 24);
+        assert!(std::mem::size_of::<Ids>() <= 16);
     }
 
     #[test]
@@ -214,10 +341,11 @@ mod tests {
             ((&five, false), (&five, false)),
             ((&five, true), (&five, false)),
             ((&five, false), (&five, true)),
+            ((&json!(5.0), false), (&five, true)),
         ] {
             assert!(idx.lookup_range(Some(lo), Some(hi)).is_empty());
         }
-        let ids = idx.lookup_range(Some((&five, true)), Some((&five, true)));
+        let ids = idx.lookup_range(Some((&five, true)), Some((&json!(5.0), true)));
         assert_eq!(ids, vec![DocId(5)]);
     }
 

@@ -24,9 +24,9 @@
 //! not its scans skip.
 
 use crate::filter::IndexablePredicate;
-use crate::index::PathIndex;
+use crate::index::{Ids, PathIndex};
 use crate::value::DocId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Which strategy the planner selected for a query, in increasing order
 /// of selectivity.
@@ -67,7 +67,7 @@ pub(crate) struct QueryPlan {
 #[derive(Debug)]
 pub(crate) enum IdSet<'a> {
     /// An equality's ids, where the index keeps them.
-    Borrowed(&'a BTreeSet<DocId>),
+    Borrowed(&'a Ids),
     /// A range's ids, gathered in key order and sorted by id.
     Sorted(Vec<DocId>),
 }
@@ -139,7 +139,7 @@ pub(crate) fn intersect(mut sets: Vec<IdSet<'_>>) -> Vec<DocId> {
     let driver = sets.swap_remove(smallest);
     let in_the_rest = |id: &DocId| sets.iter().all(|set| set.contains(id));
     match driver {
-        IdSet::Borrowed(ids) => ids.iter().copied().filter(in_the_rest).collect(),
+        IdSet::Borrowed(ids) => ids.iter().filter(in_the_rest).collect(),
         IdSet::Sorted(mut ids) => {
             ids.retain(in_the_rest);
             ids

@@ -1,8 +1,9 @@
 //! In-crate property tests over store invariants: seeded loops over a
 //! small splitmix64, so they run wherever the unit tests do.
 
-use crate::collection::{project, Split};
+use crate::collection::{project, sorted_by_path, Split};
 use crate::durability::export_value;
+use crate::index::{Ids, IndexKey, PathIndex};
 use crate::planner::tests::intersect_sorted;
 use crate::planner::{intersect, IdSet};
 use crate::row::{Row, RowRef, Shapes, Slots};
@@ -14,7 +15,7 @@ use crate::{
 use serde_json::{json, Value};
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 /// Cases per property.
@@ -997,6 +998,16 @@ fn filters_match_rows_as_they_match_documents() {
     });
 }
 
+/// `ids` as an index holds them, if there are any: one inline, more in a
+/// set.
+fn posting(ids: &BTreeSet<DocId>) -> Option<Ids> {
+    match ids.len() {
+        0 => None,
+        1 => ids.first().copied().map(Ids::One),
+        _ => Some(Ids::Many(Box::new(ids.clone()))),
+    }
+}
+
 /// Probing the other sets for the smallest one's ids gives what merging
 /// them pairwise gave: over borrowed and materialised sets, empty ones,
 /// disjoint ones (the two id ranges) and a single set.
@@ -1014,14 +1025,182 @@ fn probe_intersection_equals_merge_intersection() {
             .map(as_vec)
             .reduce(|a, b| intersect_sorted(&a, &b))
             .unwrap();
+        // An index holds no empty posting: an empty set is a range's.
+        let postings: Vec<Option<Ids>> = sets.iter().map(posting).collect();
         let probed = sets
             .iter()
-            .map(|set| match rng.flag() {
-                true => IdSet::Borrowed(set),
-                false => IdSet::Sorted(as_vec(set)),
+            .zip(&postings)
+            .map(|(set, posting)| match (rng.flag(), posting) {
+                (true, Some(ids)) => IdSet::Borrowed(ids),
+                _ => IdSet::Sorted(as_vec(set)),
             })
             .collect();
         assert_eq!(intersect(probed), expected);
+    });
+}
+
+/// What the index-key property draws: any comparable value, or one of
+/// those where a key could part from `compare_values` — zeros of both
+/// signs, an integer and its float, integers one `f64` apart, the ends of
+/// `i64` and `u64` — or a string, a bool or null.
+fn key_value(rng: &mut Rng) -> Value {
+    let two_53 = 1u64 << 53;
+    let pinned = [
+        json!(0),
+        json!(0.0),
+        json!(-0.0),
+        json!(1),
+        json!(1.0),
+        json!(two_53),
+        json!(two_53 + 1),
+        json!(two_53 as f64),
+        json!(i64::MIN),
+        json!(i64::MIN as f64),
+        json!(u64::MAX),
+        json!(u64::MAX as f64),
+        json!(""),
+        json!("a"),
+        json!("1"),
+        json!(false),
+        json!(true),
+        Value::Null,
+    ];
+    match rng.flag() {
+        true => pinned[rng.size(0, pinned.len())].clone(),
+        false => rng.comparable(),
+    }
+}
+
+#[test]
+fn index_keys_order_as_compare_values() {
+    check(|rng| {
+        for _ in 0..8 {
+            let (a, b) = (key_value(rng), key_value(rng));
+            let (ka, kb) = (IndexKey::new(&a).unwrap(), IndexKey::new(&b).unwrap());
+            let expected = compare_values(&a, &b).unwrap();
+            assert_eq!(ka.cmp(&kb), expected, "{a} against {b}");
+            assert_eq!(ka.partial_cmp(&kb), Some(expected), "{a} against {b}");
+            assert_eq!(ka == kb, expected == Ordering::Equal, "{a} == {b}");
+            // A key gives back the value it was made from, kind and all.
+            assert_eq!(ka.value().to_string(), a.to_string());
+        }
+    });
+}
+
+/// Random inserts and removes of a few ids under a few keys: the index
+/// holds what a naive map of sets holds, with a posting inline exactly
+/// when it has one id, and no key that has none.
+#[test]
+fn path_index_equals_a_map_of_sets() {
+    // Postings seen going from one id to two, from two to one, and away.
+    let (grew, shrank, emptied) = (Cell::new(0), Cell::new(0), Cell::new(0));
+    check(|rng| {
+        let mut index = PathIndex::new();
+        let mut model: BTreeMap<IndexKey, BTreeSet<DocId>> = BTreeMap::new();
+        // `1` and `1.0` are one key, as are `0` and `-0.0`; an array none.
+        let values = [
+            json!(1),
+            json!(1.0),
+            json!(0),
+            json!(-0.0),
+            json!("a"),
+            json!(true),
+            Value::Null,
+            json!([1]),
+        ];
+        for _ in 0..rng.size(0, 60) {
+            let value = &values[rng.size(0, values.len())];
+            let id = DocId(rng.size(0, 5) as u64);
+            let key = IndexKey::new(value);
+            let held = |model: &BTreeMap<IndexKey, BTreeSet<DocId>>| {
+                let ids = key.as_ref().and_then(|key| model.get(key));
+                ids.map_or(0, BTreeSet::len)
+            };
+            let before = held(&model);
+            if rng.size(0, 3) > 0 {
+                index.insert(value, id);
+                if let Some(key) = &key {
+                    model.entry(key.clone()).or_default().insert(id);
+                }
+            } else {
+                index.remove(value, id);
+                if let Some(ids) = key.as_ref().and_then(|key| model.get_mut(key)) {
+                    ids.remove(&id);
+                    if ids.is_empty() {
+                        model.remove(key.as_ref().unwrap());
+                    }
+                }
+            }
+            match (before, held(&model)) {
+                (1, 2) => grew.set(grew.get() + 1),
+                (2, 1) => shrank.set(shrank.get() + 1),
+                (1, 0) => emptied.set(emptied.get() + 1),
+                _ => {}
+            }
+            assert_eq!(index.cardinality(), model.len());
+            for (key, ids) in &model {
+                assert_eq!(index.eq_set(&key.value()), posting(ids).as_ref(), "{key:?}");
+            }
+            let all: Vec<DocId> = model.values().flatten().copied().collect();
+            assert_eq!(index.lookup_range(None, None), all);
+        }
+    });
+    let (grew, shrank, emptied) = (grew.get(), shrank.get(), emptied.get());
+    assert!(
+        grew > 256 && shrank > 64 && emptied > 64,
+        "{grew} grew, {shrank} shrank, {emptied} emptied"
+    );
+}
+
+/// A sorted find keeps only the first `skip + limit` rows: they must be
+/// the head of the full stable sort, for every length of window — none,
+/// some, all and beyond — either way round, over keys that tie heavily
+/// (`1` and `1.0`, `0` and `-0.0`, missing and null are one key each).
+#[test]
+fn a_sorted_window_is_the_head_of_the_stable_sort() {
+    check(|rng| {
+        let keys = [
+            json!(1),
+            json!(1.0),
+            json!(0),
+            json!(-0.0),
+            Value::Null,
+            json!("a"),
+            json!(2.5),
+            json!(true),
+        ];
+        let docs: Vec<Value> = (0..rng.size(0, 24))
+            .map(|i| match rng.size(0, 6) {
+                0 => json!({ "i": i }),
+                _ => json!({ "i": i, "k": keys[rng.size(0, keys.len())] }),
+            })
+            .collect();
+        let key = |doc: &Value| get_path(doc, "k").cloned().unwrap_or(Value::Null);
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
+            let mut stable: Vec<&Value> = docs.iter().collect();
+            stable.sort_by(|a, b| {
+                let ordering = compare_values(&key(a), &key(b)).unwrap();
+                match order {
+                    SortOrder::Ascending => ordering,
+                    SortOrder::Descending => ordering.reverse(),
+                }
+            });
+            for keep in 0..=docs.len() + 2 {
+                let window = sorted_by_path(docs.iter(), "k", order, keep).unwrap();
+                assert_eq!(window, stable[..keep.min(docs.len())], "{order:?}, {keep}");
+            }
+            let c = Collection::new();
+            c.insert_many(docs.iter().cloned()).unwrap();
+            let (skip, limit) = (rng.size(0, docs.len() + 3), rng.size(0, docs.len() + 3));
+            let options = FindOptions::new().sort("k", order).skip(skip).limit(limit);
+            // Document `i` is stored at `_id` `i`.
+            let stored = |doc: &&Value| c.get(DocId(doc["i"].as_u64().unwrap())).unwrap();
+            let expected: Vec<Value> = stable.iter().skip(skip).take(limit).map(stored).collect();
+            assert_eq!(
+                c.find_with_options(&Filter::True, &options).unwrap(),
+                expected
+            );
+        }
     });
 }
 

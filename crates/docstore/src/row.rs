@@ -38,6 +38,8 @@
 //! per (query, shape) — it remembers the last shape it saw — so a scan
 //! pays one pointer comparison per row and an indexed load per
 //! predicate; nested segments continue through the `Value` in the slot.
+//! [`IndexSlots`] does the same for the collection's index paths on the
+//! write path, holding its shape rather than borrowing it.
 //! Before a sealed block is walked, [`Sealed::pass`] decides the
 //! conjuncts of the filter that read one member each on that member's
 //! column alone (see its docs), with the same evaluator.
@@ -262,6 +264,45 @@ impl Row {
     /// The member values, in the order of [`keys`](Self::keys).
     pub(crate) fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The value at dotted `path`, whose first segment is member `slot`
+    /// of this row's shape (as [`IndexSlots`] resolved it).
+    pub(crate) fn at_slot(&self, slot: Option<usize>, path: &str) -> Option<&Value> {
+        descend(self.values.get(slot?)?, split_head(path).1)
+    }
+}
+
+/// The collection's index paths, their first segments resolved against
+/// the shape of the row last indexed: an insert into a stream of one
+/// shape looks no member up by name. Unlike [`Slots`], which borrows its
+/// shape for one query, this outlives every borrow of the collection, so
+/// it holds the shape itself — an address it remembered could otherwise
+/// be a later shape's. Made anew whenever the set of indexes changes.
+#[derive(Debug, Default)]
+pub(crate) struct IndexSlots {
+    shape: Option<Arc<Shape>>,
+    slots: Vec<Option<usize>>,
+}
+
+impl IndexSlots {
+    /// Where each of `paths` — the indexes', in order — starts in `shape`.
+    pub(crate) fn resolve<'p>(
+        &mut self,
+        shape: &Arc<Shape>,
+        paths: impl Iterator<Item = &'p str>,
+    ) -> &[Option<usize>] {
+        if !self
+            .shape
+            .as_ref()
+            .is_some_and(|known| Arc::ptr_eq(known, shape))
+        {
+            self.slots.clear();
+            self.slots
+                .extend(paths.map(|path| shape.slot(split_head(path).0)));
+            self.shape = Some(Arc::clone(shape));
+        }
+        &self.slots
     }
 }
 
