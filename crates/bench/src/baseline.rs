@@ -61,7 +61,10 @@ pub fn median_ns_per_op(samples: usize, iters: usize, mut op: impl FnMut()) -> f
     let iters = iters.max(1);
     let mut timings = Vec::with_capacity(samples);
     for _ in 0..samples {
-        #[allow(clippy::disallowed_methods)] // a benchmark exists to read the wall clock
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a benchmark exists to read the wall clock"
+        )]
         let start = Instant::now();
         for _ in 0..iters {
             op();
@@ -459,7 +462,10 @@ pub fn ingest_batching(batch: usize, rounds: usize) -> (f64, f64, f64, f64) {
         let fsyncs_before = registry.counter_value("wal_fsyncs_total").unwrap_or(0);
         let now = SimTime::from_hms(0, 12, 5, 0);
         let mut stored = 0usize;
-        #[allow(clippy::disallowed_methods)] // a benchmark exists to read the wall clock
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a benchmark exists to read the wall clock"
+        )]
         let start = Instant::now();
         for chunk in payloads.chunks(drain_size) {
             for (key, payload) in chunk {

@@ -24,7 +24,7 @@
 //! cell passes, 1 otherwise.
 
 // A CLI's job is to print.
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, reason = "the matrix is a report on stdout")]
 
 use mps_broker::{Broker, BrokerDurabilityConfig, BrokerTransport, ExchangeType};
 use mps_docstore::{Durability, DurabilityConfig, Filter, Store, Update};

@@ -901,10 +901,13 @@ impl Broker {
             } else {
                 0
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "accept set was built from existing queues under the same lock; no deletion can interleave"
+            )]
             let q = state
                 .queues
                 .get_mut(queue_name)
-                // mps-lint: allow(L003) -- accept set was built from existing queues under the same lock; no deletion can interleave
                 .expect("accept set built from existing queues");
             q.ready.push_back((Arc::clone(&shared), 0, id));
             q.enqueued_total += 1;

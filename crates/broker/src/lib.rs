@@ -50,6 +50,17 @@
 //! # Ok::<(), mps_broker::BrokerError>(())
 //! ```
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod broker;
 pub mod durability;
 mod error;

@@ -35,8 +35,8 @@ use std::sync::Arc;
 /// crate generates the part it owns: this one the trait, the delegating
 /// impls and the sharded fan-out; `mps-net` the opcode constants, the
 /// client stub and the server dispatch. Adding an operation is adding a
-/// row (and its `docs/WIRE_PROTOCOL.md` line, which `mps-lint` L006
-/// holds the row to).
+/// row (and its `docs/WIRE_PROTOCOL.md` line, which
+/// `crates/net/tests/wire_spec.rs` holds the row to).
 ///
 /// [`ShardedBroker`]: crate::ShardedBroker
 #[macro_export]

@@ -31,7 +31,10 @@ pub(crate) enum IndexablePredicate<'a> {
 /// A comparison operator on a document path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[doc(hidden)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "hidden; the operator names are the documentation"
+)]
 pub enum CmpOp {
     Eq,
     Ne,

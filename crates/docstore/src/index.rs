@@ -127,7 +127,10 @@ impl Ord for IndexKey {
 pub(crate) enum Ids {
     One(DocId),
     /// Two or more ids. Boxed, so that a posting is 16 bytes, not 32.
-    #[allow(clippy::box_collection)]
+    #[expect(
+        clippy::box_collection,
+        reason = "a boxed set keeps a posting at 16 bytes"
+    )]
     Many(Box<BTreeSet<DocId>>),
 }
 

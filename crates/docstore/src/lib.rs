@@ -37,6 +37,17 @@
 //! # Ok::<(), mps_docstore::StoreError>(())
 //! ```
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod aggregate;
 mod collection;
 pub mod durability;

@@ -44,7 +44,7 @@ use std::sync::Arc;
 /// impls, [`CollectionHandle`] and the sharded routing; `mps-net` the
 /// opcode constants, the client stubs and the server dispatch. Adding
 /// an operation is adding a row (and its `docs/WIRE_PROTOCOL.md` line,
-/// which `mps-lint` L006 holds the row to).
+/// which `crates/net/tests/wire_spec.rs` holds the row to).
 ///
 /// [`ShardedStore`]: crate::ShardedStore
 #[macro_export]

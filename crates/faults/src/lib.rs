@@ -65,6 +65,17 @@
 //! assert_eq!(arrived + stats.dropped + stats.blackholed, 100 + stats.duplicated);
 //! ```
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod crash;
 mod link;
 mod plan;

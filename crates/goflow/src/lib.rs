@@ -47,6 +47,17 @@
 //! # Ok::<(), mps_goflow::GoFlowError>(())
 //! ```
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod accounts;
 mod analytics;
 pub mod api;

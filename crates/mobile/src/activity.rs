@@ -35,6 +35,10 @@ const STICKINESS: f64 = 0.75;
 /// let pi = chain.stationary(100);
 /// assert!((pi[3] - 0.70).abs() < 1e-9); // still
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "rows form a square stochastic matrix by construction, which MarkovChain::new accepts"
+)]
 pub fn activity_chain() -> MarkovChain<Activity> {
     let n = Activity::ALL.len();
     let mut rows = Vec::with_capacity(n);
@@ -46,7 +50,6 @@ pub fn activity_chain() -> MarkovChain<Activity> {
         row[i] += STICKINESS;
         rows.push(row);
     }
-    // mps-lint: allow(L003) -- rows form a square stochastic matrix by construction, which MarkovChain::new accepts
     MarkovChain::new(Activity::ALL.to_vec(), rows).expect("valid by construction")
 }
 

@@ -307,7 +307,10 @@ impl GoFlowClient {
         }
         let outcome = if self.version.is_buffering() {
             // One batch message carrying the whole buffer.
-            // mps-lint: allow(L003) -- serde_json::to_vec of plain derived-Serialize structs cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "serde_json::to_vec of plain derived-Serialize structs cannot fail"
+            )]
             let payload = serde_json::to_vec(&self.buffer).expect("observations serialize");
             broker.publish(&self.exchange, &self.routing_key, &payload)?;
             SendOutcome {
@@ -318,7 +321,10 @@ impl GoFlowClient {
             // One message — one transfer — per observation.
             let mut sent = 0;
             for obs in &self.buffer {
-                // mps-lint: allow(L003) -- serde_json::to_vec of plain derived-Serialize structs cannot fail
+                #[expect(
+                    clippy::expect_used,
+                    reason = "serde_json::to_vec of plain derived-Serialize structs cannot fail"
+                )]
                 let payload = serde_json::to_vec(obs).expect("observation serializes");
                 broker.publish(&self.exchange, &self.routing_key, &payload)?;
                 sent += 1;
@@ -456,7 +462,10 @@ impl GoFlowClient {
             })
             .collect();
         if self.version.is_buffering() {
-            // mps-lint: allow(L003) -- serde_json::to_vec of plain derived-Serialize structs cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "serde_json::to_vec of plain derived-Serialize structs cannot fail"
+            )]
             let payload = serde_json::to_vec(&self.buffer).expect("observations serialize");
             let observations = self.buffer.len();
             self.buffer.clear();
@@ -471,13 +480,19 @@ impl GoFlowClient {
             self.buffer
                 .drain(..)
                 .zip(contexts)
-                .map(|(obs, ctx)| PendingUpload {
-                    // mps-lint: allow(L003) -- serde_json::to_vec of plain derived-Serialize structs cannot fail
-                    payload: serde_json::to_vec(&obs).expect("observation serializes"),
-                    observations: 1,
-                    attempts: 0,
-                    contexts: vec![ctx],
-                    parked_at_ms: now_ms,
+                .map(|(obs, ctx)| {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "serde_json::to_vec of plain derived-Serialize structs cannot fail"
+                    )]
+                    let payload = serde_json::to_vec(&obs).expect("observation serializes");
+                    PendingUpload {
+                        payload,
+                        observations: 1,
+                        attempts: 0,
+                        contexts: vec![ctx],
+                        parked_at_ms: now_ms,
+                    }
                 })
                 .collect()
         }

@@ -121,6 +121,10 @@ impl Journey {
 
     /// Position along the path at parameter `t` in `[0, 1]` (by arc
     /// length).
+    #[expect(
+        clippy::expect_used,
+        reason = "Journey::new rejects empty waypoint lists, so last() always resolves"
+    )]
     pub fn position_at(&self, t: f64) -> GeoPoint {
         let total = self.path_length_m();
         if total <= 0.0 {
@@ -137,7 +141,6 @@ impl Journey {
             }
             walked += leg;
         }
-        // mps-lint: allow(L003) -- Journey::new rejects empty waypoint lists, so last() always resolves
         *self.waypoints.last().expect("non-empty")
     }
 

@@ -48,6 +48,17 @@
 //! assert_eq!(obs.model, DeviceModel::LgeNexus5);
 //! ```
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod activity;
 mod battery;
 mod behavior;

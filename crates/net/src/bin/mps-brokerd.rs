@@ -18,6 +18,17 @@
 //! when a client sends the shutdown opcode. See `docs/DEPLOYMENT.md`,
 //! `docs/SHARDING.md` and `docs/OBSERVABILITY.md`.
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use mps_broker::{Broker, BrokerDurabilityConfig, BrokerTransport, ShardedBroker};
 use mps_net::broker_api::BrokerService;
 use mps_net::server::{ServerConfig, WireServer};

@@ -19,6 +19,17 @@
 //! `docs/DEPLOYMENT.md`, `docs/SHARDING.md` and
 //! `docs/OBSERVABILITY.md`.
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use mps_docstore::{DocstoreTransport, Durability, DurabilityConfig, ShardedStore, Store};
 use mps_net::docstore_api::DocstoreService;
 use mps_net::server::{ServerConfig, WireServer};

@@ -14,6 +14,17 @@
 //! at the first divergence, so CI can gate on it. See
 //! `docs/DEPLOYMENT.md`.
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use mps_broker::{BrokerTransport, ExchangeType, Message};
 use mps_docstore::{DocstoreTransport, Filter};
 use mps_net::broker_api::RemoteBroker;

@@ -391,8 +391,8 @@ mod tests {
     /// What the hand-kept opcode table used to be checked for, now a
     /// property of the generated inventory: every row is in the §5 band,
     /// no two share a value or a name, and the dispatcher's telemetry
-    /// label is the row's mnemonic. (mps-lint L006 holds the rows to
-    /// `docs/WIRE_PROTOCOL.md`; `tests/wire_corpus.rs` holds their bytes.)
+    /// label is the row's mnemonic. (`tests/wire_spec.rs` holds the rows
+    /// to `docs/WIRE_PROTOCOL.md`; `tests/wire_corpus.rs` their bytes.)
     #[test]
     fn ops_inventory_is_unique_in_band_and_named() {
         let broker: Arc<dyn BrokerTransport> = Arc::new(Broker::new());

@@ -226,7 +226,10 @@ impl WireConn {
     }
 
     fn recv_frame(&mut self) -> Result<Frame, NetError> {
-        #[allow(clippy::disallowed_methods)] // a socket deadline is real host time
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a socket deadline is real host time"
+        )]
         let started = Instant::now();
         let mut chunk = [0u8; 16 * 1024];
         loop {
@@ -406,7 +409,7 @@ impl ClientPool {
     ) -> Result<Vec<u8>, NetError> {
         let shared = telemetry();
         shared.client_requests.inc();
-        #[allow(clippy::disallowed_methods)] // RPC latency is real host time
+        #[expect(clippy::disallowed_methods, reason = "RPC latency is real host time")]
         let started = Instant::now();
         let result = self.call_once(opcode, headers, body).or_else(|err| {
             if err.is_transport() {

@@ -436,8 +436,8 @@ mod tests {
     /// property of the generated inventory: every row is in the §6 band,
     /// no two share a value or a name, the collection rows (and only
     /// they) are scoped, and the dispatcher's telemetry label is the
-    /// row's mnemonic. (mps-lint L006 holds the rows to
-    /// `docs/WIRE_PROTOCOL.md`; `tests/wire_corpus.rs` holds their bytes.)
+    /// row's mnemonic. (`tests/wire_spec.rs` holds the rows to
+    /// `docs/WIRE_PROTOCOL.md`; `tests/wire_corpus.rs` their bytes.)
     #[test]
     fn ops_inventory_is_unique_in_band_and_named() {
         let store: Arc<dyn DocstoreTransport> = Arc::new(Store::new());

@@ -439,7 +439,11 @@ pub fn rpc_p99_seconds(metrics: &str) -> Option<f64> {
     if total == 0 {
         return None;
     }
-    #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "a bucket count far below 2^52, and a non-negative rank"
+    )]
     let target = ((total as f64) * 0.99).ceil() as u64;
     let mut p99 = f64::INFINITY;
     for (bound, cumulative) in buckets.values() {

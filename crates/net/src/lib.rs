@@ -70,6 +70,17 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod admin;
 pub mod broker_api;
 pub mod client;

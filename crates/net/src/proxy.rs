@@ -112,7 +112,10 @@ fn accept_loop(
     plan: &Arc<Mutex<FaultPlan>>,
     shutdown: &Arc<AtomicBool>,
 ) {
-    #[allow(clippy::disallowed_methods)] // the fault plan runs on the proxy's real uptime
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the fault plan runs on the proxy's real uptime"
+    )]
     let started = Instant::now();
     let workers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
     while !shutdown.load(Ordering::SeqCst) {

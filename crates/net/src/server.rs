@@ -197,7 +197,7 @@ impl WireServer {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        #[allow(clippy::disallowed_methods)] // uptime is real host time
+        #[expect(clippy::disallowed_methods, reason = "uptime is real host time")]
         let started = Instant::now();
         let shared = Arc::new(ServerShared {
             active: AtomicUsize::new(0),
@@ -350,7 +350,7 @@ fn serve_connection(
         let response = match RequestEnvelope::decode(&frame.payload) {
             Ok(request) => {
                 counters.server_requests.inc();
-                #[allow(clippy::disallowed_methods)] // RPC latency is real host time
+                #[expect(clippy::disallowed_methods, reason = "RPC latency is real host time")]
                 let started = Instant::now();
                 let label = opcode_label(&*shared.service, request.opcode);
                 if request.opcode == OP_SHUTDOWN {

@@ -219,7 +219,10 @@ impl<'a> WireReader<'a> {
 /// The wire-field names of `docs/WIRE_PROTOCOL.md`, as marker types: the
 /// `M` of [`Wire<M>`]. The integer and `bool` fields are marked by the
 /// Rust primitive of the same name.
-#[allow(non_camel_case_types)]
+#[allow(
+    non_camel_case_types,
+    reason = "the markers spell the spec's field names"
+)]
 pub mod field {
     use std::marker::PhantomData;
 
@@ -599,7 +602,7 @@ macro_rules! wire_stubs {
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
         $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
             -> $crate::wire::bare_if!([$mode $($degrades)?] { $ret } { Result<$ret, $error> }) {
-            #[allow(unused_mut)]
+            #[allow(unused_mut, reason = "a row without arguments writes nothing")]
             let (mut w, mut headers) = (self.stub.request(), Vec::new());
             $(let field = $crate::wire::row_if!([$($rty)?] { $arg } { &$arg });
             $crate::wire::Wire::<$wire>::put(field, &mut w);

@@ -34,8 +34,10 @@ pub struct SpanTimer {
 impl SpanTimer {
     /// Starts timing into `histogram` (units: seconds).
     pub fn start(histogram: &Histogram) -> Self {
-        #[allow(clippy::disallowed_methods)]
-        // mps-lint: allow(L001) -- SpanTimer measures real host latency by contract; sim-path stages time themselves with SimSpanTimer instead
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "SpanTimer measures real host latency by contract; sim-path stages time themselves with SimSpanTimer instead"
+        )]
         let started = Instant::now();
         Self {
             histogram: Some(histogram.clone()),

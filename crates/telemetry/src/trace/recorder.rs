@@ -254,7 +254,10 @@ mod tests {
         let r = FlightRecorder::with_capacity(8192);
         let base = SpanRecord::new(TraceId::from_raw(7), Hop::LinkTransmit, 42);
         let n = 100_000u32;
-        #[allow(clippy::disallowed_methods)] // measuring real latency is this test's purpose
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measuring real latency is this test's purpose"
+        )]
         let started = std::time::Instant::now();
         for _ in 0..n {
             r.record(base.clone());

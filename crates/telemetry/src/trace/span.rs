@@ -9,7 +9,10 @@ use std::fmt;
 /// through, in pipeline order. [`Hop::ALL`] iterates them in that order,
 /// which is what the latency waterfall renders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)] // the as_str strings + module docs are the taxonomy
+#[allow(
+    missing_docs,
+    reason = "the as_str strings and module docs are the taxonomy"
+)]
 pub enum Hop {
     /// Observation captured on the device (trace root).
     Sensed,

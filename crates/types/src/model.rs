@@ -43,7 +43,7 @@ macro_rules! device_models {
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
             Serialize, Deserialize,
         )]
-        #[allow(missing_docs)] // variant names mirror the paper's table rows
+        #[allow(missing_docs, reason = "variant names mirror the paper's table rows")]
         pub enum DeviceModel {
             $($variant),+
         }

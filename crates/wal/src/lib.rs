@@ -44,6 +44,17 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// Pipeline code returns errors: one malformed upload must not panic the
+// middleware. Tests may unwrap, expect and panic (clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod error;
 mod inspect;
 mod kill;

@@ -12,35 +12,14 @@ use std::path::Path;
 /// Parsed `mps-lint.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Crates (short names, e.g. `broker`) whose non-test code must be
-    /// deterministic: no wall clock, no ambient RNG (L001), no
-    /// order-leaking hash collections (L002).
-    pub sim_path: Vec<String>,
-    /// Crates whose non-test code must not contain panic paths (L003).
-    pub pipeline: Vec<String>,
-    /// Crates scanned for metric registrations (L004).
-    pub metrics: Vec<String>,
-    /// Workspace-relative path of the generated metric inventory.
-    pub metrics_doc: String,
     /// Workspace-relative path of the canonical header-key constants
     /// (the one file allowed to contain `x-…` literals, L005).
     pub headers_home: String,
     /// Crates skipped entirely (the lint tool itself: its sources and
     /// tests are full of deliberately-violating examples).
     pub exclude: Vec<String>,
-    /// Workspace-relative path of the normative wire-protocol spec
-    /// whose tables L006 cross-checks against the code. Empty (the
-    /// default) disables L006.
-    pub protocol_spec: String,
-    /// Workspace-relative path of the generated wire-constant
-    /// inventory (the L006 counterpart of `metrics_doc`).
-    pub opcodes_doc: String,
-    /// `role=path` pairs naming the files that declare wire constants
-    /// for each protocol band. Roles `frame` and `handshake` are
-    /// special (enum arms / `HELLO_*` consts); every other role owns a
-    /// `mod op` / `mod err` pair or top-level `OP_*` consts, and the
-    /// role literally named `admin` must stay inside the admin band
-    /// (240..=255). A role may map to several files.
+    /// `role=path` pairs naming the files that declare wire constants,
+    /// the only files allowed to spell raw opcode values (L007).
     pub wire_api: Vec<(String, String)>,
     /// Crates (short names) whose lock acquisition order and
     /// guard-held blocking calls L008 analyses. Empty disables L008.
@@ -71,7 +50,7 @@ impl Config {
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
         let mut values: BTreeMap<String, Vec<String>> = BTreeMap::new();
         let mut scalars: BTreeMap<String, String> = BTreeMap::new();
-        let mut lines = text.lines().enumerate().peekable();
+        let mut lines = text.lines().enumerate();
         while let Some((idx, raw)) = lines.next() {
             let line = strip_comment(raw).trim();
             if line.is_empty() {
@@ -114,24 +93,12 @@ impl Config {
             }
         }
         let take_list = |key: &str| values.get(key).cloned().unwrap_or_default();
-        let config = Self {
-            sim_path: take_list("sim_path"),
-            pipeline: take_list("pipeline"),
-            metrics: take_list("metrics"),
-            metrics_doc: scalars
-                .get("metrics_doc")
-                .cloned()
-                .unwrap_or_else(|| "docs/METRICS.md".to_owned()),
+        Ok(Self {
             headers_home: scalars
                 .get("headers_home")
                 .cloned()
                 .unwrap_or_else(|| "crates/types/src/headers.rs".to_owned()),
             exclude: take_list("exclude"),
-            protocol_spec: scalars.get("protocol_spec").cloned().unwrap_or_default(),
-            opcodes_doc: scalars
-                .get("opcodes_doc")
-                .cloned()
-                .unwrap_or_else(|| "docs/OPCODES.md".to_owned()),
             wire_api: take_list("wire_api")
                 .into_iter()
                 .map(|entry| match entry.split_once('=') {
@@ -144,24 +111,14 @@ impl Config {
                 })
                 .collect::<Result<Vec<_>, _>>()?,
             lock_discipline: take_list("lock_discipline"),
-        };
-        if config.sim_path.is_empty() {
-            return Err(ConfigError(
-                "`sim_path` must list at least one crate".to_owned(),
-            ));
-        }
-        Ok(config)
+        })
     }
 }
 
 fn strip_comment(line: &str) -> &str {
     // Only strip `#` outside quotes; config values never contain `#`.
     match line.find('#') {
-        Some(pos)
-            if !line[..pos].contains('"') || line[..pos].matches('"').count().is_multiple_of(2) =>
-        {
-            &line[..pos]
-        }
+        Some(pos) if line[..pos].matches('"').count().is_multiple_of(2) => &line[..pos],
         _ => line,
     }
 }
@@ -185,40 +142,28 @@ mod tests {
     fn parses_lists_scalars_and_comments() {
         let cfg = Config::parse(
             r#"
-# sim-path crates
-sim_path = ["simcore", "broker"]
-pipeline = [
+# lock-checked crates
+lock_discipline = [
     "broker",  # the broker
     "goflow",
 ]
-metrics = ["broker"]
-metrics_doc = "docs/METRICS.md"
 headers_home = "crates/types/src/headers.rs"
 "#,
         )
         .unwrap();
-        assert_eq!(cfg.sim_path, vec!["simcore", "broker"]);
-        assert_eq!(cfg.pipeline, vec!["broker", "goflow"]);
-        assert_eq!(cfg.metrics_doc, "docs/METRICS.md");
-    }
-
-    #[test]
-    fn missing_sim_path_is_an_error() {
-        assert!(Config::parse("pipeline = [\"a\"]").is_err());
+        assert_eq!(cfg.lock_discipline, vec!["broker", "goflow"]);
+        assert_eq!(cfg.headers_home, "crates/types/src/headers.rs");
     }
 
     #[test]
     fn unquoted_values_are_rejected() {
-        assert!(Config::parse("sim_path = [broker]").is_err());
+        assert!(Config::parse("exclude = [xtask]").is_err());
     }
 
     #[test]
     fn defaults_for_paths() {
-        let cfg = Config::parse("sim_path = [\"a\"]").unwrap();
-        assert_eq!(cfg.metrics_doc, "docs/METRICS.md");
+        let cfg = Config::parse("").unwrap();
         assert_eq!(cfg.headers_home, "crates/types/src/headers.rs");
-        assert_eq!(cfg.protocol_spec, "");
-        assert_eq!(cfg.opcodes_doc, "docs/OPCODES.md");
         assert!(cfg.wire_api.is_empty());
         assert!(cfg.lock_discipline.is_empty());
     }
@@ -226,12 +171,9 @@ headers_home = "crates/types/src/headers.rs"
     #[test]
     fn wire_api_entries_split_into_role_and_path() {
         let cfg = Config::parse(
-            "sim_path = [\"a\"]\n\
-             protocol_spec = \"docs/WIRE.md\"\n\
-             wire_api = [\"frame=crates/net/src/frame.rs\", \"admin=crates/net/src/admin.rs\"]\n",
+            "wire_api = [\"frame=crates/net/src/frame.rs\", \"admin=crates/net/src/admin.rs\"]\n",
         )
         .unwrap();
-        assert_eq!(cfg.protocol_spec, "docs/WIRE.md");
         assert_eq!(
             cfg.wire_api,
             vec![
@@ -243,7 +185,7 @@ headers_home = "crates/types/src/headers.rs"
 
     #[test]
     fn malformed_wire_api_entry_is_an_error() {
-        assert!(Config::parse("sim_path = [\"a\"]\nwire_api = [\"no-equals-sign\"]").is_err());
-        assert!(Config::parse("sim_path = [\"a\"]\nwire_api = [\"=path-only\"]").is_err());
+        assert!(Config::parse("wire_api = [\"no-equals-sign\"]").is_err());
+        assert!(Config::parse("wire_api = [\"=path-only\"]").is_err());
     }
 }

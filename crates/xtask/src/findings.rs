@@ -5,23 +5,9 @@ use std::fmt::Write as _;
 /// Stable identifiers for every rule the tool can report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LintId {
-    /// Nondeterminism: wall clock or ambient RNG in a sim-path crate.
-    L001,
-    /// Iteration-order leak: `HashMap`/`HashSet` in a sim-path crate.
-    L002,
-    /// Panic path: `unwrap`/`expect`/`panic!`/`unreachable!` in
-    /// non-test pipeline code.
-    L003,
-    /// Metric hygiene: naming convention, literal names, near-duplicate
-    /// detection, and the generated inventory.
-    L004,
     /// Ad-hoc message-header key literal outside the canonical
     /// constants module.
     L005,
-    /// Spec↔code conformance: the normative wire-protocol tables and
-    /// the declared constants must agree (names, values, reply shapes,
-    /// dispatch arms, test coverage, the generated inventory).
-    L006,
     /// Wire-constant confinement: raw opcode/frame-type integer
     /// literals in call, comparison, or field-init position instead of
     /// a named constant.
@@ -36,15 +22,19 @@ pub enum LintId {
 }
 
 impl LintId {
-    /// The stable ID string (`L001`, …).
+    /// Every ID, in declaration order.
+    pub const ALL: [LintId; 5] = [
+        LintId::L005,
+        LintId::L007,
+        LintId::L008,
+        LintId::W001,
+        LintId::W002,
+    ];
+
+    /// The stable ID string (`L005`, …).
     pub fn as_str(self) -> &'static str {
         match self {
-            LintId::L001 => "L001",
-            LintId::L002 => "L002",
-            LintId::L003 => "L003",
-            LintId::L004 => "L004",
             LintId::L005 => "L005",
-            LintId::L006 => "L006",
             LintId::L007 => "L007",
             LintId::L008 => "L008",
             LintId::W001 => "W001",
@@ -52,21 +42,9 @@ impl LintId {
         }
     }
 
-    /// Parses an ID as written in a waiver (`allow(L003)`).
+    /// Parses an ID as written in a waiver (`allow(L005)`).
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "L001" => Some(LintId::L001),
-            "L002" => Some(LintId::L002),
-            "L003" => Some(LintId::L003),
-            "L004" => Some(LintId::L004),
-            "L005" => Some(LintId::L005),
-            "L006" => Some(LintId::L006),
-            "L007" => Some(LintId::L007),
-            "L008" => Some(LintId::L008),
-            "W001" => Some(LintId::W001),
-            "W002" => Some(LintId::W002),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|id| id.as_str() == s)
     }
 }
 
@@ -147,7 +125,7 @@ impl Finding {
     }
 
     /// The compact one-line form used in fixture snapshots:
-    /// `L003 crates/pipe/src/lib.rs:4:19`.
+    /// `L005 crates/pipe/src/lib.rs:4:19`.
     pub fn compact(&self) -> String {
         format!("{} {}:{}:{}", self.lint, self.file, self.line, self.col)
     }
@@ -160,47 +138,36 @@ mod tests {
     #[test]
     fn render_includes_span_and_caret() {
         let f = Finding::new(
-            LintId::L001,
+            LintId::L005,
             "crates/x/src/lib.rs",
             3,
             9,
-            12,
-            "wall-clock read".to_owned(),
+            9,
+            "header key literal".to_owned(),
         )
-        .with_help("use the sim clock");
-        let rendered = f.render(Some("let t = Instant::now();"));
-        assert!(rendered.contains("error[L001]: wall-clock read"));
+        .with_help("import the constant");
+        let rendered = f.render(Some("let k = \"x-trace\";"));
+        assert!(rendered.contains("error[L005]: header key literal"));
         assert!(rendered.contains("--> crates/x/src/lib.rs:3:9"));
-        assert!(rendered.contains("^^^^^^^^^^^^"));
-        assert!(rendered.contains("help: use the sim clock"));
+        assert!(rendered.contains("^^^^^^^^^"));
+        assert!(rendered.contains("help: import the constant"));
     }
 
     #[test]
     fn waived_findings_render_as_waived() {
-        let mut f = Finding::new(LintId::L003, "a.rs", 1, 1, 6, "panic path".to_owned());
+        let mut f = Finding::new(LintId::L007, "a.rs", 1, 1, 1, "raw opcode".to_owned());
         f.waived = true;
-        f.justification = Some("constructor invariant".to_owned());
+        f.justification = Some("codec test".to_owned());
         let rendered = f.render(None);
-        assert!(rendered.starts_with("waived[L003]"));
-        assert!(rendered.contains("waived: constructor invariant"));
+        assert!(rendered.starts_with("waived[L007]"));
+        assert!(rendered.contains("waived: codec test"));
     }
 
     #[test]
     fn ids_round_trip() {
-        for id in [
-            LintId::L001,
-            LintId::L002,
-            LintId::L003,
-            LintId::L004,
-            LintId::L005,
-            LintId::L006,
-            LintId::L007,
-            LintId::L008,
-            LintId::W001,
-            LintId::W002,
-        ] {
+        for id in LintId::ALL {
             assert_eq!(LintId::parse(id.as_str()), Some(id));
         }
-        assert_eq!(LintId::parse("L999"), None);
+        assert_eq!(LintId::parse("L001"), None, "retired");
     }
 }

@@ -59,22 +59,20 @@ pub struct Lexed {
     pub comments: Vec<Comment>,
 }
 
-struct Cursor<'a> {
+struct Cursor {
     chars: Vec<char>,
     pos: usize,
     line: u32,
     col: u32,
-    src: std::marker::PhantomData<&'a str>,
 }
 
-impl Cursor<'_> {
+impl Cursor {
     fn new(src: &str) -> Self {
         Self {
             chars: src.chars().collect(),
             pos: 0,
             line: 1,
             col: 1,
-            src: std::marker::PhantomData,
         }
     }
 
@@ -246,7 +244,7 @@ pub fn lex(src: &str) -> Lexed {
 /// Does the cursor sit on a raw/byte string or byte char literal
 /// (`r"`, `r#…#"`, `b"`, `b'`, `br"`, `br#…#"`)? Raw *identifiers*
 /// (`r#fn`) must not match — hence the hashes-then-quote lookahead.
-fn starts_prefixed_literal(cur: &Cursor<'_>) -> bool {
+fn starts_prefixed_literal(cur: &Cursor) -> bool {
     let hashes_then_quote = |mut ahead: usize| {
         while cur.peek_at(ahead) == Some('#') {
             ahead += 1;
@@ -265,7 +263,7 @@ fn starts_prefixed_literal(cur: &Cursor<'_>) -> bool {
 
 /// Lexes `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#` or `b'…'` after the check
 /// in [`starts_prefixed_literal`].
-fn lex_prefixed_literal(cur: &mut Cursor<'_>, line: u32, col: u32) -> Token {
+fn lex_prefixed_literal(cur: &mut Cursor, line: u32, col: u32) -> Token {
     let mut raw = false;
     let mut consumed = 0u32;
     if cur.peek() == Some('b') {
@@ -341,7 +339,7 @@ fn lex_prefixed_literal(cur: &mut Cursor<'_>, line: u32, col: u32) -> Token {
 
 /// Lexes a `"…"` string starting at the opening quote; returns the
 /// decoded contents and raw character length including quotes.
-fn lex_string(cur: &mut Cursor<'_>) -> (String, u32) {
+fn lex_string(cur: &mut Cursor) -> (String, u32) {
     let mut text = String::new();
     let mut len = 1u32;
     cur.bump(); // opening quote
@@ -374,7 +372,7 @@ fn lex_string(cur: &mut Cursor<'_>) -> (String, u32) {
 
 /// Lexes either a lifetime (`'a`) or a character literal (`'x'`,
 /// `'\n'`) starting at the `'`.
-fn lex_quote(cur: &mut Cursor<'_>, line: u32, col: u32) -> Token {
+fn lex_quote(cur: &mut Cursor, line: u32, col: u32) -> Token {
     cur.bump(); // the quote
                 // `'\…'` is always a char literal.
     if cur.peek() == Some('\\') {
@@ -484,10 +482,10 @@ mod tests {
 
     #[test]
     fn line_comments_are_captured_not_tokenized() {
-        let lexed = lex("let a = 1; // mps-lint: allow(L001) -- because\nlet b = 2;");
+        let lexed = lex("let a = 1; // mps-lint: allow(L005) -- because\nlet b = 2;");
         assert_eq!(lexed.comments.len(), 1);
         assert_eq!(lexed.comments[0].line, 1);
-        assert!(lexed.comments[0].text.contains("mps-lint: allow(L001)"));
+        assert!(lexed.comments[0].text.contains("mps-lint: allow(L005)"));
         assert!(!lexed.tokens.iter().any(|t| t.text.contains("mps-lint")));
     }
 

@@ -2,22 +2,10 @@
 //!
 //! Run as `cargo run -p xtask -- lint`. The tool lexes every workspace
 //! source file (a small hand-rolled lexer; no external dependencies)
-//! and enforces eight invariants the compiler cannot see but the paper's
-//! methodology depends on:
+//! and enforces the invariants only a token scan can see:
 //!
-//! * **L001 determinism** — no wall clock / ambient RNG in sim-path
-//!   crates;
-//! * **L002 iteration order** — no `HashMap`/`HashSet` in sim-path
-//!   crates;
-//! * **L003 panic paths** — no `unwrap`/`expect`/`panic!` in non-test
-//!   pipeline code;
-//! * **L004 metric hygiene** — literal, convention-conforming metric
-//!   names, no near-duplicates, and a fresh generated `docs/METRICS.md`;
 //! * **L005 header keys** — message-header literals only in the shared
 //!   constants module;
-//! * **L006 spec conformance** — the normative wire-protocol tables
-//!   and the declared constants must agree (and `docs/OPCODES.md` must
-//!   be fresh);
 //! * **L007 wire-constant confinement** — raw opcode literals only in
 //!   the declaring api modules;
 //! * **L008 lock discipline** — no lock-order cycles, no blocking I/O
@@ -25,17 +13,15 @@
 //!
 //! Violations are waived inline with
 //! `// mps-lint: allow(<id>) -- <justification>`; unjustified (W001)
-//! and unused (W002) waivers are themselves findings. See
-//! `docs/STATIC_ANALYSIS.md` for the rationale and workflow.
+//! and unused (W002) waivers are themselves findings. What clippy or a
+//! typed test can hold is held there instead; `docs/STATIC_ANALYSIS.md`
+//! says where each rule lives.
 
 pub mod config;
 pub mod findings;
 pub mod lexer;
 pub mod lints;
-pub mod metrics_doc;
-pub mod opcodes_doc;
 pub mod scan;
-pub mod spec;
 pub mod waivers;
 
 use std::collections::BTreeMap;
@@ -52,61 +38,30 @@ pub struct LintOutcome {
     pub findings: Vec<Finding>,
     /// The full rustc-style report.
     pub report: String,
-    /// The rendered metric inventory (`docs/METRICS.md` content).
-    pub metrics_doc: String,
-    /// The rendered wire-constant inventory (`docs/OPCODES.md`
-    /// content; empty when L006 is disabled).
-    pub opcodes_doc: String,
     /// Unwaived findings — nonzero means the run failed.
     pub error_count: usize,
 }
 
 /// Runs every lint over the workspace at `root`.
-///
-/// With `write_metrics_doc` / `write_opcodes_doc` the corresponding
-/// generated inventory is written to disk (and its staleness check
-/// trivially passes); without them a stale or missing inventory is a
-/// finding.
-pub fn run_lint(
-    root: &Path,
-    write_metrics_doc: bool,
-    write_opcodes_doc: bool,
-) -> Result<LintOutcome, String> {
+pub fn run_lint(root: &Path) -> Result<LintOutcome, String> {
     let config = Config::load(&root.join("mps-lint.toml")).map_err(|e| e.to_string())?;
     let files = scan::load_workspace(root)
         .map_err(|e| format!("cannot scan workspace at {}: {e}", root.display()))?;
-    Ok(run_lint_on(
-        &config,
-        &files,
-        root,
-        write_metrics_doc,
-        write_opcodes_doc,
-    ))
+    Ok(run_lint_on(&config, &files))
 }
 
-/// Runs every lint over already-loaded files. Split out so fixture
-/// tests can lint an in-memory workspace.
-pub fn run_lint_on(
-    config: &Config,
-    files: &[scan::SourceFile],
-    root: &Path,
-    write_metrics_doc: bool,
-    write_opcodes_doc: bool,
-) -> LintOutcome {
+/// Runs every lint over already-loaded files. Split out so tests can
+/// lint an in-memory workspace.
+pub fn run_lint_on(config: &Config, files: &[scan::SourceFile]) -> LintOutcome {
     let files: Vec<&scan::SourceFile> = files
         .iter()
         .filter(|f| !config.exclude.contains(&f.crate_name))
         .collect();
     let mut findings: Vec<Finding> = Vec::new();
     let mut all_waivers = Vec::new();
-    let mut sites = Vec::new();
 
     let mut lock_graphs: BTreeMap<&str, lints::l008_lock_discipline::CrateGraph> = BTreeMap::new();
     for file in &files {
-        lints::l001_determinism::check(file, config, &mut findings);
-        lints::l002_iteration_order::check(file, config, &mut findings);
-        lints::l003_panic_path::check(file, config, &mut findings);
-        lints::l004_metric_hygiene::collect(file, config, &mut sites, &mut findings);
         lints::l005_header_keys::check(file, config, &mut findings);
         lints::l007_wire_literals::check(file, config, &mut findings);
         if config.lock_discipline.contains(&file.crate_name) {
@@ -117,73 +72,9 @@ pub fn run_lint_on(
         all_waivers.extend(waivers);
         findings.extend(waiver_findings);
     }
-
-    lints::l004_metric_hygiene::check_cross(&sites, &mut findings);
     for (crate_name, graph) in &lock_graphs {
         lints::l008_lock_discipline::check_crate_graph(crate_name, graph, &mut findings);
     }
-    let wire_rows = lints::l006_spec_conformance::check(config, &files, root, &mut findings);
-
-    // Metric inventory: regenerate, then either write it or gate on
-    // the checked-in copy being current.
-    let rendered_doc = metrics_doc::render(&sites);
-    let doc_path = root.join(&config.metrics_doc);
-    if write_metrics_doc {
-        if let Some(parent) = doc_path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(&doc_path, &rendered_doc) {
-            findings.push(Finding::new(
-                findings::LintId::L004,
-                &config.metrics_doc,
-                1,
-                1,
-                1,
-                format!("cannot write {}: {e}", config.metrics_doc),
-            ));
-        }
-    } else {
-        let checked_in = std::fs::read_to_string(&doc_path).ok();
-        metrics_doc::check_stale(
-            &rendered_doc,
-            checked_in.as_deref(),
-            &config.metrics_doc,
-            &mut findings,
-        );
-    }
-
-    // Wire-constant inventory: same write-or-gate cycle as the metric
-    // inventory, but only when L006 is enabled (a spec is configured).
-    let rendered_opcodes = if config.protocol_spec.is_empty() {
-        String::new()
-    } else {
-        let rendered = opcodes_doc::render(&wire_rows, &config.protocol_spec);
-        let doc_path = root.join(&config.opcodes_doc);
-        if write_opcodes_doc {
-            if let Some(parent) = doc_path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = std::fs::write(&doc_path, &rendered) {
-                findings.push(Finding::new(
-                    findings::LintId::L006,
-                    &config.opcodes_doc,
-                    1,
-                    1,
-                    1,
-                    format!("cannot write {}: {e}", config.opcodes_doc),
-                ));
-            }
-        } else {
-            let checked_in = std::fs::read_to_string(&doc_path).ok();
-            opcodes_doc::check_stale(
-                &rendered,
-                checked_in.as_deref(),
-                &config.opcodes_doc,
-                &mut findings,
-            );
-        }
-        rendered
-    };
 
     waivers::apply_waivers(&mut findings, &mut all_waivers);
     findings
@@ -209,8 +100,6 @@ pub fn run_lint_on(
     LintOutcome {
         findings,
         report,
-        metrics_doc: rendered_doc,
-        opcodes_doc: rendered_opcodes,
         error_count,
     }
 }
@@ -220,35 +109,35 @@ mod tests {
     use super::*;
     use scan::SourceFile;
 
-    fn config() -> Config {
-        Config::parse(
-            r#"
-sim_path = ["pipe"]
-pipeline = ["pipe"]
-metrics = ["pipe"]
-"#,
-        )
-        .unwrap()
-    }
-
     #[test]
     fn end_to_end_waiver_lifecycle() {
         let files = vec![SourceFile::parse(
             "crates/pipe/src/lib.rs",
             "pipe",
-            "fn f() {\n    // mps-lint: allow(L003) -- invariant: queue is non-empty here\n    x.unwrap();\n    y.unwrap();\n}\n",
+            "fn f() {\n    // mps-lint: allow(L005) -- mirrors the shared constant\n    h(\"x-trace\");\n    h(\"x-trace\");\n}\n",
         )];
-        let outcome = run_lint_on(&config(), &files, Path::new("/nonexistent"), false, false);
-        // Line 3 waived; line 4 not. (The missing metrics doc also
-        // reports, under L004 — filtered out here.)
-        let l003: Vec<_> = outcome
-            .findings
-            .iter()
-            .filter(|f| f.lint == findings::LintId::L003)
-            .collect();
-        assert_eq!(l003.len(), 2);
-        assert!(l003[0].waived);
-        assert!(!l003[1].waived);
+        let outcome = run_lint_on(&Config::default(), &files);
+        // Line 3 waived; line 4 not.
+        assert_eq!(outcome.findings.len(), 2);
+        assert!(outcome.findings[0].waived);
+        assert!(!outcome.findings[1].waived);
+        assert_eq!(outcome.error_count, 1);
+    }
+
+    #[test]
+    fn excluded_crates_are_not_scanned() {
+        let files = vec![SourceFile::parse(
+            "crates/tool/src/lib.rs",
+            "tool",
+            "fn f() { h(\"x-trace\"); }\n",
+        )];
+        let config = Config {
+            exclude: vec!["tool".to_owned()],
+            ..Config::default()
+        };
+        let outcome = run_lint_on(&config, &files);
+        assert!(outcome.findings.is_empty());
+        assert!(outcome.report.contains("0 file(s) scanned"));
     }
 
     #[test]
@@ -256,12 +145,12 @@ metrics = ["pipe"]
         let files = vec![SourceFile::parse(
             "crates/pipe/src/lib.rs",
             "pipe",
-            "fn f() { let t = Instant::now(); }\n",
+            "fn f() { h(\"x-trace\"); }\n",
         )];
-        let outcome = run_lint_on(&config(), &files, Path::new("/nonexistent"), false, false);
-        assert!(outcome.report.contains("error[L001]"));
-        assert!(outcome.report.contains("--> crates/pipe/src/lib.rs:1:18"));
-        assert!(outcome.report.contains("^^^^^^^^^^^^"));
-        assert!(outcome.error_count >= 1);
+        let outcome = run_lint_on(&Config::default(), &files);
+        assert!(outcome.report.contains("error[L005]"));
+        assert!(outcome.report.contains("--> crates/pipe/src/lib.rs:1:12"));
+        assert!(outcome.report.contains("^^^^^^^^^"));
+        assert_eq!(outcome.error_count, 1);
     }
 }

@@ -64,7 +64,7 @@ mod tests {
 
     fn run(path: &str, src: &str) -> Vec<Finding> {
         let file = SourceFile::parse(path, "pipe", src);
-        let config = Config::parse("sim_path = [\"pipe\"]").unwrap();
+        let config = Config::parse("").unwrap();
         let mut findings = Vec::new();
         check(&file, &config, &mut findings);
         findings

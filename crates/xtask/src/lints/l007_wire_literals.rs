@@ -128,10 +128,8 @@ mod tests {
 
     fn run(path: &str, src: &str) -> Vec<Finding> {
         let file = SourceFile::parse(path, "net", src);
-        let config = Config::parse(
-            "sim_path = [\"net\"]\nwire_api = [\"broker=crates/net/src/broker_api.rs\"]\n",
-        )
-        .unwrap();
+        let config =
+            Config::parse("wire_api = [\"broker=crates/net/src/broker_api.rs\"]\n").unwrap();
         let mut findings = Vec::new();
         check(&file, &config, &mut findings);
         findings

@@ -2,16 +2,11 @@
 //!
 //! Each lint has a stable ID, walks the token stream of already-lexed
 //! [`SourceFile`](crate::scan::SourceFile)s, and reports span-accurate
-//! [`Finding`](crate::findings::Finding)s. All lints skip test code
-//! (see `scan` for what counts as test code); inline waivers are
-//! applied afterwards by [`crate::waivers`].
+//! [`Finding`](crate::findings::Finding)s. L005 and L008 skip test code
+//! (see `scan` for what counts as test code), L007 does not; inline
+//! waivers are applied afterwards by [`crate::waivers`].
 
-pub mod l001_determinism;
-pub mod l002_iteration_order;
-pub mod l003_panic_path;
-pub mod l004_metric_hygiene;
 pub mod l005_header_keys;
-pub mod l006_spec_conformance;
 pub mod l007_wire_literals;
 pub mod l008_lock_discipline;
 
@@ -29,63 +24,4 @@ pub(crate) fn is_punct(tokens: &[Token], i: usize, p: char) -> bool {
     tokens
         .get(i)
         .is_some_and(|t| t.kind == TokenKind::Punct && t.text.len() == 1 && t.text.starts_with(p))
-}
-
-/// Matches a path-like token sequence starting at `i`, where `"::"` in
-/// `segments` consumes two consecutive `:` tokens. Returns the number
-/// of tokens consumed.
-pub(crate) fn match_path(tokens: &[Token], i: usize, segments: &[&str]) -> Option<usize> {
-    let mut pos = i;
-    for segment in segments {
-        if *segment == "::" {
-            if !(is_punct(tokens, pos, ':') && is_punct(tokens, pos + 1, ':')) {
-                return None;
-            }
-            pos += 2;
-        } else {
-            if !is_ident(tokens, pos, segment) {
-                return None;
-            }
-            pos += 1;
-        }
-    }
-    Some(pos - i)
-}
-
-/// Levenshtein distance, used for near-duplicate metric names.
-pub(crate) fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lexer::lex;
-
-    #[test]
-    fn match_path_consumes_double_colon() {
-        let toks = lex("Instant::now()").tokens;
-        assert_eq!(match_path(&toks, 0, &["Instant", "::", "now"]), Some(4));
-        assert_eq!(match_path(&toks, 0, &["SystemTime", "::", "now"]), None);
-    }
-
-    #[test]
-    fn levenshtein_basics() {
-        assert_eq!(levenshtein("abc", "abc"), 0);
-        assert_eq!(levenshtein("abc", "abd"), 1);
-        assert_eq!(levenshtein("abc", "ab"), 1);
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-    }
 }

@@ -1,7 +1,6 @@
 //! CLI entry point: `cargo run -p xtask -- <lint|wal-inspect|obs> [options]`.
 
-// A CLI's job is to print.
-#![allow(clippy::print_stdout)]
+#![expect(clippy::print_stdout, reason = "a CLI's job is to print")]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -11,11 +10,9 @@ usage: cargo run -p xtask -- lint [options]
        cargo run -p xtask -- wal-inspect <log-dir>
        cargo run -p xtask --features obs -- obs <name=host:port>... [options]
 
-lint: runs mps-lint, the workspace invariant checker (L001–L008).
+lint: runs mps-lint, the workspace invariant checker (L005, L007, L008).
 
 options:
-  --write-metrics-doc   regenerate docs/METRICS.md instead of gating on it
-  --write-opcodes-doc   regenerate docs/OPCODES.md instead of gating on it
   --report <path>       also write the full report to <path>
   --root <path>         workspace root (default: current directory)
   -h, --help            this message
@@ -39,8 +36,7 @@ exit status: 0 clean/healthy, 1 findings/unhealthy, 2 usage or config error
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else {
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("a command is needed");
     };
     if command == "-h" || command == "--help" {
         print!("{USAGE}");
@@ -53,48 +49,30 @@ fn main() -> ExitCode {
         return obs(args.collect());
     }
     if command != "lint" {
-        eprintln!("unknown command `{command}`\n");
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
+        return usage_error(&format!("unknown command `{command}`"));
     }
 
-    let mut write_metrics_doc = false;
-    let mut write_opcodes_doc = false;
     let mut report_path: Option<PathBuf> = None;
     let mut root = PathBuf::from(".");
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--write-metrics-doc" => write_metrics_doc = true,
-            "--write-opcodes-doc" => write_opcodes_doc = true,
             "--report" => match args.next() {
                 Some(p) => report_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--report needs a path\n");
-                    eprint!("{USAGE}");
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--report needs a path"),
             },
             "--root" => match args.next() {
                 Some(p) => root = PathBuf::from(p),
-                None => {
-                    eprintln!("--root needs a path\n");
-                    eprint!("{USAGE}");
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--root needs a path"),
             },
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown option `{other}`\n");
-                eprint!("{USAGE}");
-                return ExitCode::from(2);
-            }
+            other => return usage_error(&format!("unknown option `{other}`")),
         }
     }
 
-    let outcome = match xtask::run_lint(&root, write_metrics_doc, write_opcodes_doc) {
+    let outcome = match xtask::run_lint(&root) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("mps-lint: {e}");
@@ -113,6 +91,13 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Prints `message` and the usage to stderr; exit status 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("{message}\n");
+    eprint!("{USAGE}");
+    ExitCode::from(2)
 }
 
 /// `obs <name=addr>...`: scrape the fleet and print the ops dashboard.
@@ -136,42 +121,24 @@ fn obs(args: Vec<String>) -> ExitCode {
             "--drain" => drain = true,
             "--slo-p99-ms" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(ms) => slo_p99_ms = ms,
-                None => {
-                    eprintln!("--slo-p99-ms needs a number\n");
-                    eprint!("{USAGE}");
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--slo-p99-ms needs a number"),
             },
             "--merged-metrics" => match it.next() {
                 Some(p) => merged_metrics_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--merged-metrics needs a path\n");
-                    eprint!("{USAGE}");
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--merged-metrics needs a path"),
             },
             "--spans" => match it.next() {
                 Some(p) => spans_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--spans needs a path\n");
-                    eprint!("{USAGE}");
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--spans needs a path"),
             },
             spec => match Endpoint::parse(spec) {
                 Ok(endpoint) => endpoints.push(endpoint),
-                Err(e) => {
-                    eprintln!("{e}\n");
-                    eprint!("{USAGE}");
-                    return ExitCode::from(2);
-                }
+                Err(e) => return usage_error(&e.to_string()),
             },
         }
     }
     if endpoints.is_empty() {
-        eprintln!("obs needs at least one name=host:port endpoint\n");
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("obs needs at least one name=host:port endpoint");
     }
 
     let snapshot = FleetSnapshot::scrape(&endpoints, &ClientConfig::default(), drain);
@@ -227,11 +194,7 @@ fn wal_inspect(args: Vec<String>) -> ExitCode {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        _ => {
-            eprintln!("wal-inspect needs exactly one log directory\n");
-            eprint!("{USAGE}");
-            return ExitCode::from(2);
-        }
+        _ => return usage_error("wal-inspect needs exactly one log directory"),
     };
     let report = match mps_wal::inspect(&path) {
         Ok(report) => report,

@@ -84,38 +84,48 @@ impl SourceFile {
     }
 }
 
+/// Scans the attribute whose `[` is at `open`: the index of its closing
+/// `]` (`tokens.len()` when unterminated), and whether it is a `cfg`
+/// mentioning `test` (`#[cfg(test)]`, `#[cfg(all(test, …))]`, …).
+fn attribute(tokens: &[Token], open: usize) -> (usize, bool) {
+    let mut depth = 0usize;
+    let mut body: Vec<&str> = Vec::new();
+    for (j, token) in tokens.iter().enumerate().skip(open) {
+        match token.text.as_str() {
+            "[" => depth += 1,
+            "]" => {
+                depth -= 1;
+                if depth == 0 {
+                    return (j, body.first() == Some(&"cfg") && body.contains(&"test"));
+                }
+            }
+            other => body.push(other),
+        }
+    }
+    (tokens.len(), false)
+}
+
+/// Is token `i` the `#` of an outer attribute (`#[`)?
+fn outer_attribute_at(tokens: &[Token], i: usize) -> bool {
+    tokens[i].kind == TokenKind::Punct
+        && tokens[i].text == "#"
+        && tokens.get(i + 1).is_some_and(|t| t.text == "[")
+}
+
 /// Does the file start with `#![cfg(test)]` (possibly after other inner
 /// attributes)?
 fn has_inner_cfg_test(tokens: &[Token]) -> bool {
     let mut i = 0;
-    while i + 1 < tokens.len() && tokens[i].text == "#" && tokens[i + 1].text == "!" {
-        // Scan the `[ … ]` group.
-        let Some(open) = tokens[i + 2..].first() else {
-            return false;
-        };
-        if open.text != "[" {
-            return false;
-        }
-        let mut depth = 0usize;
-        let mut j = i + 2;
-        let mut body = Vec::new();
-        while j < tokens.len() {
-            match tokens[j].text.as_str() {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => body.push(tokens[j].text.as_str()),
-            }
-            j += 1;
-        }
-        if body.first() == Some(&"cfg") && body.contains(&"test") {
+    while i + 2 < tokens.len()
+        && tokens[i].text == "#"
+        && tokens[i + 1].text == "!"
+        && tokens[i + 2].text == "["
+    {
+        let (close, cfg_test) = attribute(tokens, i + 2);
+        if cfg_test {
             return true;
         }
-        i = j + 1;
+        i = close + 1;
     }
     false
 }
@@ -127,35 +137,13 @@ fn cfg_test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        if tokens[i].text != "#" || tokens[i].kind != TokenKind::Punct {
-            i += 1;
-            continue;
-        }
-        // Outer attribute: `#[ … ]`.
-        let Some(next) = tokens.get(i + 1) else { break };
-        if next.text != "[" {
+        if !outer_attribute_at(tokens, i) {
             i += 1;
             continue;
         }
         let start_line = tokens[i].line;
-        let mut depth = 0usize;
-        let mut j = i + 1;
-        let mut body: Vec<&str> = Vec::new();
-        while j < tokens.len() {
-            match tokens[j].text.as_str() {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                other => body.push(other),
-            }
-            j += 1;
-        }
-        let is_cfg_test = body.first() == Some(&"cfg") && body.contains(&"test");
-        if !is_cfg_test {
+        let (j, cfg_test) = attribute(tokens, i + 1);
+        if !cfg_test {
             i = j + 1;
             continue;
         }
@@ -164,57 +152,29 @@ fn cfg_test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
         // a gated single item (e.g. `#[cfg(test)] fn helper()`) is
         // brace-matched the same way.
         let mut k = j + 1;
-        while k + 1 < tokens.len() && tokens[k].text == "#" && tokens[k + 1].text == "[" {
-            let mut d = 0usize;
-            k += 1;
-            while k < tokens.len() {
-                match tokens[k].text.as_str() {
-                    "[" => d += 1,
-                    "]" => {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            k += 1;
+        while k < tokens.len() && outer_attribute_at(tokens, k) {
+            k = attribute(tokens, k + 1).0 + 1;
         }
-        // Find the opening `{` of the item (stop at `;` — e.g.
+        // The item's `{ … }` body; none when a `;` comes first (e.g.
         // `#[cfg(test)] mod proptests;` has no body in this file).
-        let mut open = None;
-        let mut m = k;
-        while m < tokens.len() {
-            match tokens[m].text.as_str() {
-                "{" => {
-                    open = Some(m);
-                    break;
-                }
-                ";" => break,
-                _ => m += 1,
-            }
-        }
-        let Some(open) = open else {
+        let body = tokens[k..]
+            .iter()
+            .position(|t| t.text == "{" || t.text == ";");
+        let Some(open) = body.map(|p| p + k).filter(|&p| tokens[p].text == "{") else {
             i = j + 1;
             continue;
         };
-        let mut brace_depth = 0usize;
-        let mut end = open;
-        while end < tokens.len() {
-            match tokens[end].text.as_str() {
-                "{" => brace_depth += 1,
-                "}" => {
-                    brace_depth -= 1;
-                    if brace_depth == 0 {
-                        break;
-                    }
+        let mut depth = 0usize;
+        let end = (open..tokens.len())
+            .find(|&end| {
+                match tokens[end].text.as_str() {
+                    "{" => depth += 1,
+                    "}" => depth -= 1,
+                    _ => {}
                 }
-                _ => {}
-            }
-            end += 1;
-        }
+                depth == 0
+            })
+            .unwrap_or(tokens.len());
         let end_line = tokens.get(end).map_or(u32::MAX, |t| t.line);
         regions.push((start_line, end_line));
         i = end + 1;

@@ -69,7 +69,7 @@ pub fn parse_waivers(file: &str, comments: &[Comment]) -> (Vec<Waiver>, Vec<Find
                     0,
                     format!("unknown lint id `{bad}` in waiver"),
                 )
-                .with_help("known ids: L001, L002, L003, L004, L005, L006, L007, L008"),
+                .with_help("known ids: L005, L007, L008"),
             );
             continue;
         }
@@ -162,19 +162,19 @@ mod tests {
         let (waivers, findings) = parse_waivers(
             "a.rs",
             &[comment(
-                "mps-lint: allow(L001, L003) -- sim clock not available here",
+                "mps-lint: allow(L005, L007) -- a codec test spells the wire",
                 7,
             )],
         );
         assert!(findings.is_empty());
         assert_eq!(waivers.len(), 1);
-        assert_eq!(waivers[0].ids, vec![LintId::L001, LintId::L003]);
-        assert_eq!(waivers[0].justification, "sim clock not available here");
+        assert_eq!(waivers[0].ids, vec![LintId::L005, LintId::L007]);
+        assert_eq!(waivers[0].justification, "a codec test spells the wire");
     }
 
     #[test]
     fn missing_justification_is_w001() {
-        let (waivers, findings) = parse_waivers("a.rs", &[comment("mps-lint: allow(L002)", 3)]);
+        let (waivers, findings) = parse_waivers("a.rs", &[comment("mps-lint: allow(L005)", 3)]);
         assert_eq!(waivers.len(), 1);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].lint, LintId::W001);
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn unknown_id_is_w001() {
         let (waivers, findings) =
-            parse_waivers("a.rs", &[comment("mps-lint: allow(L900) -- nope", 3)]);
+            parse_waivers("a.rs", &[comment("mps-lint: allow(L003) -- retired", 3)]);
         assert!(waivers.is_empty());
         assert_eq!(findings[0].lint, LintId::W001);
     }
@@ -193,14 +193,14 @@ mod tests {
         let mut waivers = vec![Waiver {
             file: "a.rs".into(),
             line: 10,
-            ids: vec![LintId::L003],
+            ids: vec![LintId::L005],
             justification: "invariant".into(),
             used: false,
         }];
         let mut findings = vec![
-            Finding::new(LintId::L003, "a.rs", 10, 1, 1, "same line".into()),
-            Finding::new(LintId::L003, "a.rs", 11, 1, 1, "next line".into()),
-            Finding::new(LintId::L003, "a.rs", 12, 1, 1, "too far".into()),
+            Finding::new(LintId::L005, "a.rs", 10, 1, 1, "same line".into()),
+            Finding::new(LintId::L005, "a.rs", 11, 1, 1, "next line".into()),
+            Finding::new(LintId::L005, "a.rs", 12, 1, 1, "too far".into()),
         ];
         apply_waivers(&mut findings, &mut waivers);
         assert!(findings[0].waived);
@@ -214,7 +214,7 @@ mod tests {
         let mut waivers = vec![Waiver {
             file: "a.rs".into(),
             line: 4,
-            ids: vec![LintId::L001],
+            ids: vec![LintId::L007],
             justification: "why".into(),
             used: false,
         }];
@@ -229,13 +229,13 @@ mod tests {
         let mut waivers = vec![Waiver {
             file: "a.rs".into(),
             line: 5,
-            ids: vec![LintId::L001],
+            ids: vec![LintId::L007],
             justification: "why".into(),
             used: false,
         }];
         let mut findings = vec![
-            Finding::new(LintId::L002, "a.rs", 5, 1, 1, "other lint".into()),
-            Finding::new(LintId::L001, "b.rs", 5, 1, 1, "other file".into()),
+            Finding::new(LintId::L008, "a.rs", 5, 1, 1, "other lint".into()),
+            Finding::new(LintId::L007, "b.rs", 5, 1, 1, "other file".into()),
         ];
         apply_waivers(&mut findings, &mut waivers);
         assert!(!findings[0].waived);

@@ -1,42 +1,24 @@
-//! Conforming fixture: a sim-path pipeline crate that passes every
-//! lint. Ordered collections, no panic paths, convention-conforming
-//! metric names, header literals only in `headers.rs`, and exactly one
-//! waiver — justified and used.
+//! Conforming fixture: a crate that passes every lint. Header literals
+//! only in `headers.rs`, and exactly one waiver — justified and used.
 
 pub mod headers;
 
-use std::collections::BTreeMap;
-
-/// Drains ready values deterministically (BTreeMap iteration order).
-pub fn drain(queue: &BTreeMap<String, u64>) -> Option<u64> {
-    queue.values().next().copied()
+/// Tags a message with the shared constant.
+pub fn tag(message: &mut Message, trace: &str) {
+    message.set_header(headers::TRACE_HEADER, trace);
 }
 
-/// The one legitimate panic path, waived with a justification.
-pub fn first_waypoint(route: &[u64]) -> u64 {
-    // mps-lint: allow(L003) -- fixture: routes are validated non-empty at parse time
-    *route.first().unwrap()
-}
-
-/// Convention-conforming metric registrations.
-pub fn register(registry: &Registry) {
-    registry.counter("sensor_pipe_events_total", "Events accepted");
-    registry.counter_labeled(
-        "sensor_pipe_dropped_total",
-        &[("reason", reason)],
-        "Events dropped",
-    );
-    registry.histogram("sensor_pipe_delay_ms", "Delivery delay", &[10.0, 100.0]);
-    registry.gauge("sensor_pipe_queue_depth", "Queued events");
+/// The one legitimate literal, waived with a justification.
+pub fn legacy_header() -> &'static str {
+    // mps-lint: allow(L005) -- fixture: an old client's header, read once and dropped
+    "x-legacy-trace"
 }
 
 #[cfg(test)]
 mod tests {
-    // Test code may use std collections, the wall clock and unwrap.
+    // Test code may spell header keys.
     #[test]
-    fn drains_in_order() {
-        let mut q = std::collections::HashMap::new();
-        q.insert("a".to_owned(), 1u64);
-        assert_eq!(q.values().next().copied().unwrap(), 1);
+    fn legacy_header_is_an_extension() {
+        assert_eq!(super::legacy_header(), "x-legacy-trace");
     }
 }

@@ -1,59 +1,37 @@
-//! Deliberately violating fixture: every mps-lint rule fires at least
-//! once in this file, and every waiver behaviour is exercised. The
-//! expected findings live in `../../expected.txt`; this file never
-//! compiles as part of the workspace (it is lexed, not built).
+//! Deliberately violating fixture: L005 fires, and every waiver
+//! behaviour is exercised. The expected findings live in
+//! `../../expected.txt`; this file never compiles as part of the
+//! workspace (it is lexed, not built).
 
-use std::collections::HashMap;
-use std::time::Instant;
-
-/// L001 (wall clock), L002 (hash map), L003 (unwrap + panic) and
-/// L005 (ad-hoc header literal) all fire in this one function.
-pub fn drain(queue: &HashMap<String, u64>) -> u64 {
-    let _started = Instant::now();
-    let first = queue.get("x-request-id").unwrap();
-    if *first == 0 {
-        panic!("fixture: empty queue");
-    }
-    *first
+/// L005 (ad-hoc header literal) fires twice in this one function.
+pub fn tag(message: &mut Message) -> String {
+    message.set_header("x-request-id", "r-1");
+    message.header("x-trace").unwrap_or_default()
 }
 
 /// A justified waiver: the finding is reported as waived, not an error.
-pub fn checked(values: &[u64]) -> u64 {
-    // mps-lint: allow(L003) -- fixture: values is non-empty by construction
-    *values.first().unwrap()
+pub fn mirrored() -> &'static str {
+    // mps-lint: allow(L005) -- fixture: mirrors the shared constant
+    "x-trace-sent-ms"
 }
 
 /// An unjustified waiver: still suppresses, but reports W001.
-pub fn shrugged(values: &[u64]) -> u64 {
-    // mps-lint: allow(L003)
-    *values.last().unwrap()
+pub fn shrugged() -> &'static str {
+    // mps-lint: allow(L005)
+    "x-trace"
 }
 
-/// An unused waiver: nothing on the covered lines violates L001 (W002).
+/// An unused waiver: nothing on the covered lines violates L007 (W002).
 pub fn tidy() -> u64 {
-    // mps-lint: allow(L001) -- fixture: nothing to waive here
+    // mps-lint: allow(L007) -- fixture: nothing to waive here
     42
-}
-
-/// Metric registrations violating L004 in every distinct way.
-pub fn register(registry: &Registry) {
-    let name = "sensor_pipe_dynamic_total";
-    registry.counter(name, "non-literal metric name");
-    registry.counter("sensor_pipe_events", "counter missing _total");
-    registry.counter("sensor_pipe_event_total", "near-duplicate (edit distance 1)");
-    registry.counter("sensor_pipe_events_total", "the canonical series");
-    registry.histogram("sensor_pipe_delay", "histogram without a unit suffix", &[1.0]);
-    registry.gauge("depth", "missing crate prefix and segments");
 }
 
 #[cfg(test)]
 mod tests {
-    // Test code is exempt: none of these fire.
+    // Test code is exempt: this literal does not fire.
     #[test]
-    fn unwrap_is_fine_here() {
-        let t = std::time::Instant::now();
-        let v: Vec<u64> = vec![1];
-        assert_eq!(*v.first().unwrap(), 1);
-        let _ = t.elapsed();
+    fn mirrors_the_trace_header() {
+        assert_eq!(super::mirrored(), "x-trace-sent-ms");
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 // Examples exist to print.
-#![allow(clippy::print_stdout)]
+#![expect(clippy::print_stdout, reason = "an example reports to stdout")]
 
 use soundcity::analytics::ExposureReport;
 use soundcity::assim::{CrowdCalibrator, CrowdObservation, Grid};

@@ -9,7 +9,7 @@
 //! ```
 
 // Examples exist to print.
-#![allow(clippy::print_stdout)]
+#![expect(clippy::print_stdout, reason = "an example reports to stdout")]
 
 use soundcity::core::{BatteryLab, BatteryScenario};
 use soundcity::mobile::{BatteryModel, BatteryParams, RadioKind};

@@ -11,7 +11,7 @@
 //! ```
 
 // Examples exist to print.
-#![allow(clippy::print_stdout)]
+#![expect(clippy::print_stdout, reason = "an example reports to stdout")]
 
 use serde_json::json;
 use soundcity::broker::Broker;

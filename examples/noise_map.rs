@@ -10,7 +10,7 @@
 //! ```
 
 // Examples exist to print.
-#![allow(clippy::print_stdout)]
+#![expect(clippy::print_stdout, reason = "an example reports to stdout")]
 
 use soundcity::assim::{Blue, CityModel, ComplaintProcess, Grid, NoiseSimulator, PointObservation};
 use soundcity::core::{CalibrationStrategy, CalibrationStudy};

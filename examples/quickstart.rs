@@ -6,7 +6,7 @@
 //! ```
 
 // Examples exist to print.
-#![allow(clippy::print_stdout)]
+#![expect(clippy::print_stdout, reason = "an example reports to stdout")]
 
 use soundcity::analytics::{ActivityReport, ModelTable, ProviderByModeReport};
 use soundcity::core::{Deployment, ExperimentConfig};
