@@ -26,7 +26,7 @@
 // A CLI's job is to print.
 #![allow(clippy::print_stdout, reason = "the matrix is a report on stdout")]
 
-use mps_broker::{Broker, BrokerDurabilityConfig, BrokerTransport, ExchangeType};
+use mps_broker::{Broker, BrokerTransport, ExchangeType};
 use mps_docstore::{Durability, DurabilityConfig, Filter, Store, Update};
 use mps_faults::{CrashPlan, CrashTarget};
 use mps_goflow::{GoFlowServer, Role};
@@ -351,7 +351,7 @@ fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
     // Armed only after the topology is declared, so `skip` counts the
     // workload's appends, not the setup's.
     let kill = KillSwitch::new();
-    let config = BrokerDurabilityConfig::new(&dir)
+    let config = DurabilityConfig::new(&dir)
         .wal(wal_config().kill(kill.clone()))
         .snapshot_every(SNAPSHOT_EVERY);
     let broker = Broker::open_durable(config).map_err(|e| format!("faulted open: {e}"))?;
@@ -439,7 +439,7 @@ fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
 
     // Two independent replays must agree snapshot-for-snapshot.
     let reopen = || -> Result<(mps_broker::QueueSnapshot, mps_broker::QueueSnapshot), String> {
-        let config = BrokerDurabilityConfig::new(&dir)
+        let config = DurabilityConfig::new(&dir)
             .wal(wal_config())
             .snapshot_every(SNAPSHOT_EVERY);
         let broker = Broker::open_durable(config).map_err(|e| format!("reopen: {e}"))?;

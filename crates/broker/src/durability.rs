@@ -1,85 +1,43 @@
-//! Durable brokers: write-ahead logging of queue transitions, recovery.
+//! Durable brokers: the log's delta vocabulary, and its replay.
 //!
 //! A broker opened with [`Broker::open_durable`](crate::Broker::open_durable)
-//! assigns every enqueued message copy a **durable id** and logs each
-//! queue-state transition to an [`mps_wal::Wal`]: `enqueue` (with key,
-//! headers and payload), `ack`, `discard`, `requeue`, `dead_letter`,
-//! `purge` and `delete_queue`. A publish fanned out to several queues
-//! appends all its enqueue deltas with **one** group-committed fsync.
+//! journals every declaration and queue transition through an
+//! [`mps_wal::Journal`]: each call's deltas are **one** group-committed
+//! batch (a publish fanned out to several queues costs one fsync), and a
+//! snapshot is taken when half of what a reopen would read is dead —
+//! copies acked, discarded or purged, and the records that settled them.
+//! A backlog nobody acks is never rewritten; recovery replays it from the
+//! log.
 //!
-//! Recovery replays the newest snapshot plus the log tail. Deliveries
-//! (`consume`) are deliberately *not* logged: a message that was
-//! in-flight (unacked) at the crash is restored as ready and will be
-//! redelivered — standard at-least-once semantics — while an acked
-//! message is never resurrected, because its `ack` delta survives.
+//! Every enqueued copy of a message gets a **durable id**. The topology's
+//! deltas are `declare_exchange`, `declare_queue` (with its capacity),
+//! `bind_queue`, `bind_exchange`, `unbind_queue`, `delete_exchange` and
+//! `dead_letter_policy`; the queues' are `enqueue` (key, headers, hex
+//! payload, deliveries), `ack`, `discard`, `requeue`, `dead_letter`,
+//! `purge` and `delete_queue`. A snapshot holds the topology, the next
+//! durable id and every copy still owed, those in flight folded back
+//! behind the ready ones.
 //!
-//! **Topology is durable too**: exchange and queue declarations (with
-//! capacities), bindings and dead-letter policies are logged as
-//! `declare_exchange` / `declare_queue` / `bind_queue` / `bind_exchange`
-//! / `unbind_queue` / `delete_exchange` / `dead_letter_policy` deltas
-//! and restored *before* queue transitions are replayed, so applications
-//! no longer have to re-declare capacities and DLQ policies on startup
-//! (re-declaring stays idempotent and harmless).
-//!
-//! **Snapshots** hold the topology and every message copy still owed
-//! (ready or unacked), and are taken when the log's cadence
-//! ([`mps_wal::Wal::snapshot_due`]) says half of what a reopen would read
-//! is dead: copies acked, discarded or purged, and the records that
-//! settled them. A backlog nobody acks is never rewritten, however long
-//! it grows; recovery replays it from the log.
+//! **Replay** applies the snapshot, then each delta in log order, straight
+//! to the broker's state through the methods the live calls change it
+//! with: a dead-letter policy outlives its target queue as it does live,
+//! and a delta naming a queue, exchange or id replay no longer holds (a
+//! torn batch's survivor) changes nothing. Deliveries are not logged: a
+//! copy in flight at the crash comes back ready with its count —
+//! at-least-once — while an acked copy never comes back, because its
+//! `ack` survives. An integer beyond its field's range is corruption.
 //!
 //! **Limits.** Per-queue session counters (`enqueued_total`, delivery
-//! tags) restart. As with the docstore, a durability failure
-//! mid-operation can leave memory ahead of the log; the instance must
-//! be discarded and reopened.
+//! tags) restart. A durability failure mid-call can leave memory ahead of
+//! the log; the instance must be discarded and reopened.
 
-use crate::{BrokerError, ExchangeType, Message};
+use crate::broker::{Queued, State, Target};
+use crate::{BindingPattern, BrokerError, DeadLetterPolicy, ExchangeType, Message, RoutingKey};
 use mps_wal::Recovered;
 use serde_json::{json, Map, Value};
-use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
-use std::sync::{Mutex as StdMutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-/// Configuration for a durable broker.
-#[derive(Debug, Clone)]
-pub struct BrokerDurabilityConfig {
-    /// Directory holding the broker's WAL segments and snapshots.
-    pub dir: PathBuf,
-    /// The underlying log's tuning (fsync policy, segment size,
-    /// telemetry, recovery span, crash-kill switch).
-    pub wal: mps_wal::WalConfig,
-    /// Take a snapshot (and compact) once at least this many records
-    /// were logged since the last one **and**, of the records a reopen
-    /// would read, at least this many and at least half are dead
-    /// ([`mps_wal::Wal::snapshot_due`]) — a backlog nobody acks is never
-    /// rewritten; `0` disables automatic snapshots
-    /// ([`Broker::checkpoint`](crate::Broker::checkpoint) still works).
-    pub snapshot_every: u64,
-}
-
-impl BrokerDurabilityConfig {
-    /// Durability in `dir` with default WAL tuning and a snapshot floor
-    /// of 4096 logged records.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            wal: mps_wal::WalConfig::default(),
-            snapshot_every: 4096,
-        }
-    }
-
-    /// Replaces the WAL tuning.
-    pub fn wal(mut self, wal: mps_wal::WalConfig) -> Self {
-        self.wal = wal;
-        self
-    }
-
-    /// Sets the automatic snapshot floor (`0` = manual only).
-    pub fn snapshot_every(mut self, records: u64) -> Self {
-        self.snapshot_every = records;
-        self
-    }
-}
+pub use mps_wal::DurabilityConfig;
 
 /// One message copy in a [`QueueSnapshot`] — enough to compare two
 /// recovered brokers for identical queue state.
@@ -107,120 +65,6 @@ pub struct QueueSnapshot {
     pub unacked: Vec<MessageView>,
 }
 
-/// A message copy reconstructed from the log during recovery.
-#[derive(Debug, Clone)]
-pub(crate) struct RecoveredEntry {
-    pub(crate) id: u64,
-    pub(crate) key: String,
-    pub(crate) headers: Vec<(String, String)>,
-    pub(crate) payload: Vec<u8>,
-    pub(crate) deliveries: u32,
-}
-
-/// Durable topology as recovered from (or encoded into) the log: the
-/// declarative broker state that is *not* per-message. Also serves as
-/// the snapshot-time view the broker builds from its live state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct ReplayedTopology {
-    /// Exchange name → type.
-    pub(crate) exchanges: BTreeMap<String, ExchangeType>,
-    /// Declared queues and their capacity limits.
-    pub(crate) queue_capacities: BTreeMap<String, Option<usize>>,
-    /// `(exchange, queue, pattern)` bindings, in declaration order.
-    pub(crate) queue_bindings: Vec<(String, String, String)>,
-    /// `(source, destination, pattern)` exchange-to-exchange bindings.
-    pub(crate) exchange_bindings: Vec<(String, String, String)>,
-    /// Queue → (max delivery attempts, dead-letter target).
-    pub(crate) dead_letters: BTreeMap<String, (u32, String)>,
-}
-
-/// The replayed topology and queue contents plus the next durable id.
-pub(crate) struct ReplayedState {
-    pub(crate) topology: ReplayedTopology,
-    pub(crate) queues: BTreeMap<String, VecDeque<RecoveredEntry>>,
-    pub(crate) next_id: u64,
-    /// Message copies the snapshot held, before the tail was applied.
-    pub(crate) snapshot_held: u64,
-}
-
-/// Broker-wide durable state: the log plus the snapshot cadence.
-///
-/// All broker mutations happen under the broker's state lock, which
-/// also orders their log appends; the wal mutex is always taken *after*
-/// the state lock (state → wal), never the other way around.
-#[derive(Debug)]
-pub(crate) struct BrokerDurable {
-    /// The log and, under the same lock, the message copies its newest
-    /// snapshot held when it was taken: what the cadence is asked with.
-    log: StdMutex<(mps_wal::Wal, u64)>,
-    snapshot_every: u64,
-}
-
-impl BrokerDurable {
-    pub(crate) fn new(wal: mps_wal::Wal, held: u64, snapshot_every: u64) -> Self {
-        Self {
-            log: StdMutex::new((wal, held)),
-            snapshot_every,
-        }
-    }
-
-    fn lock_log(&self) -> MutexGuard<'_, (mps_wal::Wal, u64)> {
-        self.log.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Appends `deltas` as one group-committed batch.
-    pub(crate) fn append(&self, deltas: &[Value]) -> Result<(), BrokerError> {
-        if deltas.is_empty() {
-            return Ok(());
-        }
-        let mut payloads = Vec::with_capacity(deltas.len());
-        for delta in deltas {
-            payloads.push(serde_json::to_vec(delta).map_err(corrupt)?);
-        }
-        self.lock_log().0.append_batch(&payloads).map_err(wal_err)?;
-        Ok(())
-    }
-
-    /// Whether the log's cadence asks for a snapshot now, of the `live`
-    /// message copies one would hold.
-    pub(crate) fn snapshot_due(&self, live: u64) -> bool {
-        let log = self.lock_log();
-        log.0.snapshot_due(self.snapshot_every, log.1, live)
-    }
-
-    /// Writes the snapshot bytes, a state of `live` message copies, and
-    /// compacts covered segments.
-    pub(crate) fn write_snapshot(&self, state: &[u8], live: u64) -> Result<u64, BrokerError> {
-        let mut log = self.lock_log();
-        let (wal, held) = &mut *log;
-        let covered = wal.snapshot_holding(state, *held, live).map_err(wal_err)?;
-        *held = live;
-        Ok(covered)
-    }
-}
-
-/// The loggable form of one enqueued message copy.
-pub(crate) fn entry_of(message: &Message, deliveries: u32, id: u64) -> RecoveredEntry {
-    RecoveredEntry {
-        id,
-        key: message.routing_key().as_str().to_owned(),
-        headers: message
-            .headers()
-            .map(|(k, v)| (k.to_owned(), v.to_owned()))
-            .collect(),
-        payload: message.payload().to_vec(),
-        deliveries,
-    }
-}
-
-pub(crate) fn wal_err(e: mps_wal::WalError) -> BrokerError {
-    BrokerError::Durability(e.to_string())
-}
-
-fn corrupt(why: impl std::fmt::Display) -> BrokerError {
-    BrokerError::Durability(format!("log replay failed: {why}"))
-}
-
 // ----- payload hex codec (dependency-free, JSON-safe) -------------------
 
 pub(crate) fn to_hex(bytes: &[u8]) -> String {
@@ -233,49 +77,26 @@ pub(crate) fn to_hex(bytes: &[u8]) -> String {
     out
 }
 
-pub(crate) fn from_hex(s: &str) -> Result<Vec<u8>, BrokerError> {
-    fn nibble(c: u8) -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            _ => None,
-        }
+fn from_hex(s: &str) -> Parsed<Vec<u8>> {
+    let nibble = |c: u8| match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        _ => None,
+    };
+    if !s.len().is_multiple_of(2) {
+        return Err("odd-length hex payload".into());
     }
-    let raw = s.as_bytes();
-    if !raw.len().is_multiple_of(2) {
-        return Err(corrupt("odd-length hex payload"));
-    }
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for pair in raw.chunks_exact(2) {
-        match (nibble(pair[0]), nibble(pair[1])) {
-            (Some(hi), Some(lo)) => out.push((hi << 4) | lo),
-            _ => return Err(corrupt("non-hex byte in payload")),
-        }
-    }
-    Ok(out)
+    let pairs = s.as_bytes().chunks_exact(2);
+    let bytes = pairs.map(|pair| Some((nibble(pair[0])? << 4) | nibble(pair[1])?));
+    bytes
+        .collect::<Option<_>>()
+        .ok_or_else(|| "non-hex byte in payload".into())
 }
 
-// ----- delta builders ---------------------------------------------------
-
-fn kind_str(kind: ExchangeType) -> &'static str {
-    match kind {
-        ExchangeType::Direct => "direct",
-        ExchangeType::Fanout => "fanout",
-        ExchangeType::Topic => "topic",
-    }
-}
-
-fn parse_kind(s: &str) -> Result<ExchangeType, BrokerError> {
-    match s {
-        "direct" => Ok(ExchangeType::Direct),
-        "fanout" => Ok(ExchangeType::Fanout),
-        "topic" => Ok(ExchangeType::Topic),
-        other => Err(corrupt(format!("unknown exchange kind `{other}`"))),
-    }
-}
+// ----- deltas and snapshots ----------------------------------------------
 
 pub(crate) fn declare_exchange_delta(name: &str, kind: ExchangeType) -> Value {
-    json!({"op": "declare_exchange", "name": name, "kind": kind_str(kind)})
+    json!({"op": "declare_exchange", "name": name, "kind": kind.to_string()})
 }
 
 pub(crate) fn declare_queue_delta(name: &str, capacity: Option<usize>) -> Value {
@@ -302,20 +123,14 @@ pub(crate) fn dead_letter_policy_delta(queue: &str, max_attempts: u32, target: &
     json!({"op": "dead_letter_policy", "queue": queue, "max_attempts": max_attempts, "target": target})
 }
 
-pub(crate) fn enqueue_delta(queue: &str, entry: &RecoveredEntry) -> Value {
-    let mut headers = Map::new();
-    for (k, v) in &entry.headers {
-        headers.insert(k.clone(), Value::String(v.clone()));
+/// A fresh copy of `message` on `queue`, written from the message itself.
+pub(crate) fn enqueue_delta(queue: &str, message: &Message, id: u64) -> Value {
+    let mut delta = copy(message, 0, id);
+    if let Some(members) = delta.as_object_mut() {
+        members.insert("op".to_owned(), json!("enqueue"));
+        members.insert("queue".to_owned(), json!(queue));
     }
-    json!({
-        "op": "enqueue",
-        "queue": queue,
-        "id": entry.id,
-        "key": entry.key,
-        "headers": headers,
-        "payload": to_hex(&entry.payload),
-        "deliveries": entry.deliveries,
-    })
+    delta
 }
 
 pub(crate) fn ack_delta(queue: &str, id: u64) -> Value {
@@ -342,407 +157,272 @@ pub(crate) fn delete_queue_delta(queue: &str) -> Value {
     json!({"op": "delete_queue", "queue": queue})
 }
 
-// ----- snapshot + replay ------------------------------------------------
+/// One copy as snapshots and `enqueue` deltas hold it.
+fn copy(message: &Message, deliveries: u32, id: u64) -> Value {
+    let headers: Map<String, Value> = message
+        .headers()
+        .map(|(name, value)| (name.to_owned(), json!(value)))
+        .collect();
+    json!({
+        "id": id,
+        "key": message.routing_key().as_str(),
+        "headers": headers,
+        "payload": to_hex(message.payload()),
+        "deliveries": deliveries,
+    })
+}
 
-/// Encodes the full queue state (ready + unacked folded together, queue
-/// order) plus the declared topology as canonical snapshot bytes.
-pub(crate) fn encode_snapshot(
-    queues: &BTreeMap<String, Vec<RecoveredEntry>>,
-    next_id: u64,
-    topology: &ReplayedTopology,
-) -> Result<Vec<u8>, BrokerError> {
-    let mut out = Map::new();
-    for (name, entries) in queues {
-        let list: Vec<Value> = entries
-            .iter()
-            .map(|e| {
-                let mut headers = Map::new();
-                for (k, v) in &e.headers {
-                    headers.insert(k.clone(), Value::String(v.clone()));
-                }
-                json!({
-                    "id": e.id,
-                    "key": e.key,
-                    "headers": headers,
-                    "payload": to_hex(&e.payload),
-                    "deliveries": e.deliveries,
-                })
-            })
-            .collect();
-        out.insert(name.clone(), Value::Array(list));
+/// The snapshot of `state`: the next durable id, the topology, and each
+/// queue's copies still owed — the ready ones, then those in flight in
+/// tag order, with the deliveries that count them.
+pub(crate) fn encode_snapshot(state: &State) -> Vec<u8> {
+    let (mut exchanges, mut queue_bindings, mut exchange_bindings) = (Map::new(), vec![], vec![]);
+    for (name, exchange) in &state.exchanges {
+        exchanges.insert(name.clone(), json!(exchange.kind.to_string()));
+        for binding in &exchange.bindings {
+            let (list, to) = match &binding.target {
+                Target::Queue(queue) => (&mut queue_bindings, queue),
+                Target::Exchange(exchange) => (&mut exchange_bindings, exchange),
+            };
+            list.push(json!([name, to, binding.pattern.as_str()]));
+        }
     }
-    let exchanges: Map<String, Value> = topology
-        .exchanges
-        .iter()
-        .map(|(name, kind)| (name.clone(), Value::String(kind_str(*kind).to_owned())))
-        .collect();
-    let capacities: Map<String, Value> = topology
-        .queue_capacities
-        .iter()
-        .map(|(name, cap)| (name.clone(), json!(cap)))
-        .collect();
-    let triple = |(a, b, c): &(String, String, String)| json!([a, b, c]);
-    let dead_letters: Map<String, Value> = topology
-        .dead_letters
-        .iter()
-        .map(|(queue, (max, target))| {
-            (
-                queue.clone(),
-                json!({"max_attempts": max, "target": target}),
-            )
-        })
-        .collect();
-    serde_json::to_vec(&json!({
-        "next_id": next_id,
-        "queues": out,
-        "topology": {
-            "exchanges": exchanges,
-            "queue_capacities": capacities,
-            "queue_bindings": topology.queue_bindings.iter().map(triple).collect::<Vec<_>>(),
-            "exchange_bindings": topology.exchange_bindings.iter().map(triple).collect::<Vec<_>>(),
-            "dead_letters": dead_letters,
+    let (mut queues, mut capacities, mut dead_letters) = (Map::new(), Map::new(), Map::new());
+    for (name, queue) in &state.queues {
+        capacities.insert(name.clone(), json!(queue.capacity));
+        if let Some(policy) = &queue.dead_letter {
+            let policy =
+                json!({"max_attempts": policy.max_delivery_attempts, "target": policy.target});
+            dead_letters.insert(name.clone(), policy);
+        }
+        let owed = queue.ready.iter().chain(queue.unacked.values());
+        let copies: Vec<Value> = owed.map(|(m, d, id)| copy(m, *d, *id)).collect();
+        if !copies.is_empty() {
+            queues.insert(name.clone(), Value::Array(copies));
+        }
+    }
+    let topology = json!({
+        "exchanges": exchanges,
+        "queue_capacities": capacities,
+        "queue_bindings": queue_bindings,
+        "exchange_bindings": exchange_bindings,
+        "dead_letters": dead_letters,
+    });
+    let snapshot =
+        json!({"next_id": state.next_durable_id, "queues": queues, "topology": topology});
+    snapshot.to_string().into_bytes()
+}
+
+// ----- replay -----------------------------------------------------------
+
+/// What a record or snapshot held, or why it is corrupt.
+type Parsed<T> = Result<T, String>;
+
+/// Rebuilds `state` from a recovered snapshot and log tail; returns the
+/// message copies the snapshot held.
+pub(crate) fn replay(state: &mut State, recovered: Recovered) -> Result<u64, BrokerError> {
+    // 0 is an in-memory broker's id.
+    state.next_durable_id = 1;
+    let corrupt = |at: String, why: String| {
+        BrokerError::Durability(format!("log replay failed: {at}: {why}"))
+    };
+    let held = match &recovered.snapshot {
+        Some(bytes) => restore(state, bytes).map_err(|why| corrupt("snapshot".into(), why))?,
+        None => 0,
+    };
+    for (lsn, record) in &recovered.entries {
+        apply(state, record).map_err(|why| corrupt(format!("record at lsn {lsn}"), why))?;
+    }
+    for queue in state.queues.values_mut() {
+        queue.enqueued_total = queue.ready.len() as u64;
+    }
+    Ok(held)
+}
+
+/// Applies a snapshot to the empty `state`; returns the copies it held.
+fn restore(state: &mut State, bytes: &[u8]) -> Parsed<u64> {
+    let snapshot: Value = serde_json::from_slice(bytes).map_err(|e| e.to_string())?;
+    state.next_durable_id = required(&snapshot, "next_id")?;
+    // A snapshot from before topology was durable has none.
+    let section = |name: &str| snapshot.get("topology").and_then(|t| t.get(name));
+    let (map, list) = (Map::new(), Vec::new());
+    let members = |name: &str| section(name).and_then(Value::as_object).unwrap_or(&map);
+    let elements = |name: &str| section(name).and_then(Value::as_array).unwrap_or(&list);
+    for (name, kind) in members("exchanges") {
+        let _ = state.declare_exchange(name, parse_kind(kind.as_str().unwrap_or_default())?);
+    }
+    for (name, capacity) in members("queue_capacities") {
+        state.declare_queue(name, int(Some(capacity), "capacity")?);
+    }
+    let lists = ["queue_bindings", "exchange_bindings"];
+    let targets: [fn(String) -> Target; 2] = [Target::Queue, Target::Exchange];
+    for (list, target) in lists.into_iter().zip(targets) {
+        for binding in elements(list) {
+            let parts = binding.as_array().into_iter().flatten().map(Value::as_str);
+            let Some(&[from, to, pattern]) = parts.collect::<Option<Vec<_>>>().as_deref() else {
+                return Err(format!("binding {binding} is not three strings"));
+            };
+            let _ = state.bind(from, parse_pattern(pattern)?, target(to.to_owned()));
+        }
+    }
+    for (queue, policy) in members("dead_letters") {
+        let _ = state.set_dead_letter(queue, parse_policy(policy)?);
+    }
+    let queues = snapshot.get("queues").and_then(Value::as_object);
+    let mut held = 0;
+    for (name, copies) in queues.ok_or("no queues")? {
+        // Declared, unless the snapshot is older than durable topology.
+        let queue = state.queues.entry(name.clone()).or_default();
+        for copy in copies.as_array().into_iter().flatten() {
+            queue.ready.push_back(parse_copy(copy)?);
+            held += 1;
+        }
+    }
+    Ok(held)
+}
+
+/// Applies one logged delta to `state`, as the live call it records did.
+fn apply(state: &mut State, record: &[u8]) -> Parsed<()> {
+    let delta: Value = serde_json::from_slice(record).map_err(|e| e.to_string())?;
+    let field = |key: &str| text(&delta, key);
+    match field("op")? {
+        "declare_exchange" => {
+            let _ = state.declare_exchange(field("name")?, parse_kind(field("kind")?)?);
+        }
+        "declare_queue" => {
+            state.declare_queue(field("name")?, int(delta.get("capacity"), "capacity")?);
+        }
+        "bind_queue" => {
+            let (pattern, queue) = (parse_pattern(field("pattern")?)?, field("queue")?);
+            let _ = state.bind(field("exchange")?, pattern, Target::Queue(queue.to_owned()));
+        }
+        "bind_exchange" => {
+            let (pattern, to) = (parse_pattern(field("pattern")?)?, field("destination")?);
+            let _ = state.bind(field("source")?, pattern, Target::Exchange(to.to_owned()));
+        }
+        "unbind_queue" => {
+            let target = Target::Queue(field("queue")?.to_owned());
+            let pattern = parse_pattern(field("pattern")?)?;
+            let _ = state.unbind(field("exchange")?, &pattern, &target);
+        }
+        "delete_exchange" => {
+            let _ = state.delete_exchange(field("name")?);
+        }
+        "dead_letter_policy" => {
+            let _ = state.set_dead_letter(field("queue")?, parse_policy(&delta)?);
+        }
+        "delete_queue" => {
+            let _ = state.delete_queue(field("queue")?);
+        }
+        "enqueue" => {
+            let (message, deliveries, id) = parse_copy(&delta)?;
+            state.next_durable_id = state.next_durable_id.max(id.saturating_add(1));
+            // Declared, unless the log is older than durable topology.
+            let queue = state.queues.entry(field("queue")?.to_owned()).or_default();
+            queue.ready.push_back((message, deliveries, id));
+        }
+        "ack" | "discard" => {
+            take(state, field("queue")?, required(&delta, "id")?);
+        }
+        "requeue" => {
+            let attempts = int(delta.get("attempts"), "attempts")?.unwrap_or(0);
+            let queue = field("queue")?;
+            if let Some((message, _, id)) = take(state, queue, required(&delta, "id")?) {
+                let home = state.queues.entry(queue.to_owned()).or_default();
+                home.ready.push_front((message, attempts, id));
+            }
+        }
+        "dead_letter" => {
+            let to = field("to")?;
+            if let Some((message, _, id)) = take(state, field("queue")?, required(&delta, "id")?) {
+                let dlq = state.queues.entry(to.to_owned()).or_default();
+                dlq.ready.push_back((message, 0, id));
+            }
+        }
+        "purge" => {
+            let (queue, ids) = (field("queue")?, delta.get("ids").and_then(Value::as_array));
+            for id in ids.into_iter().flatten().filter_map(Value::as_u64) {
+                take(state, queue, id);
+            }
+        }
+        other => return Err(format!("unknown op `{other}`")),
+    }
+    Ok(())
+}
+
+/// Removes copy `id` from `queue`, if replay holds it there: every copy a
+/// replay holds is ready.
+fn take(state: &mut State, queue: &str, id: u64) -> Option<Queued> {
+    let ready = &mut state.queues.get_mut(queue)?.ready;
+    let at = ready.iter().position(|(_, _, held)| *held == id)?;
+    ready.remove(at)
+}
+
+/// `value` as an integer that fits `T`: `None` when absent or null, and
+/// corrupt when anything else — a fraction, a negative, a count past
+/// `T`'s range.
+fn int<T: TryFrom<u64>>(value: Option<&Value>, what: &str) -> Parsed<Option<T>> {
+    match value {
+        None | Some(Value::Null) => Ok(None),
+        Some(n) => match n.as_u64().map(T::try_from) {
+            Some(Ok(n)) => Ok(Some(n)),
+            _ => Err(format!("`{what}` {n} is out of range")),
         },
-    }))
-    .map_err(corrupt)
+    }
 }
 
-fn parse_triples(
-    value: Option<&Value>,
-    at: &str,
-) -> Result<Vec<(String, String, String)>, BrokerError> {
-    let mut out = Vec::new();
-    for entry in value.and_then(Value::as_array).into_iter().flatten() {
-        let parts = entry
-            .as_array()
-            .filter(|a| a.len() == 3)
-            .ok_or_else(|| corrupt(format!("{at}: binding is not a 3-tuple")))?;
-        let mut strings = Vec::with_capacity(3);
-        for p in parts {
-            strings.push(
-                p.as_str()
-                    .ok_or_else(|| corrupt(format!("{at}: non-string binding part")))?
-                    .to_owned(),
-            );
-        }
-        let c = strings.pop().unwrap_or_default();
-        let b = strings.pop().unwrap_or_default();
-        let a = strings.pop().unwrap_or_default();
-        out.push((a, b, c));
-    }
-    Ok(out)
+/// Member `key` of `value`, a string.
+fn text<'v>(value: &'v Value, key: &str) -> Parsed<&'v str> {
+    let text = value.get(key).and_then(Value::as_str);
+    text.ok_or_else(|| format!("no string `{key}`"))
 }
 
-/// Parses the topology section of a snapshot; snapshots written before
-/// topology became durable simply lack the key and recover empty.
-fn parse_topology(snapshot: &Value) -> Result<ReplayedTopology, BrokerError> {
-    let mut topology = ReplayedTopology::default();
-    let Some(section) = snapshot.get("topology") else {
-        return Ok(topology);
-    };
-    for (name, kind) in section
-        .get("exchanges")
-        .and_then(Value::as_object)
-        .into_iter()
-        .flatten()
-    {
-        let kind = kind
-            .as_str()
-            .ok_or_else(|| corrupt(format!("exchange {name}: non-string kind")))?;
-        topology.exchanges.insert(name.clone(), parse_kind(kind)?);
-    }
-    for (name, cap) in section
-        .get("queue_capacities")
-        .and_then(Value::as_object)
-        .into_iter()
-        .flatten()
-    {
-        let capacity = if cap.is_null() {
-            None
-        } else {
-            Some(
-                cap.as_u64()
-                    .ok_or_else(|| corrupt(format!("queue {name}: bad capacity")))?
-                    as usize,
-            )
-        };
-        topology.queue_capacities.insert(name.clone(), capacity);
-    }
-    topology.queue_bindings = parse_triples(section.get("queue_bindings"), "queue_bindings")?;
-    topology.exchange_bindings =
-        parse_triples(section.get("exchange_bindings"), "exchange_bindings")?;
-    for (queue, policy) in section
-        .get("dead_letters")
-        .and_then(Value::as_object)
-        .into_iter()
-        .flatten()
-    {
-        let max = policy
-            .get("max_attempts")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| corrupt(format!("dead letter on {queue}: missing max_attempts")))?;
-        let target = policy
-            .get("target")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt(format!("dead letter on {queue}: missing target")))?;
-        topology
-            .dead_letters
-            .insert(queue.clone(), (max as u32, target.to_owned()));
-    }
-    Ok(topology)
+/// Member `key` of `value`, an integer that fits `T`.
+fn required<T: TryFrom<u64>>(value: &Value, key: &str) -> Parsed<T> {
+    int(value.get(key), key)?.ok_or_else(|| format!("no `{key}`"))
 }
 
-fn parse_entry(value: &Value, at: &str) -> Result<RecoveredEntry, BrokerError> {
-    let id = value
-        .get("id")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| corrupt(format!("{at}: missing id")))?;
-    let key = value
-        .get("key")
-        .and_then(Value::as_str)
-        .ok_or_else(|| corrupt(format!("{at}: missing key")))?
-        .to_owned();
-    let payload = from_hex(
-        value
-            .get("payload")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt(format!("{at}: missing payload")))?,
-    )?;
-    let deliveries = value.get("deliveries").and_then(Value::as_u64).unwrap_or(0) as u32;
-    let mut headers = Vec::new();
-    for (k, v) in value
-        .get("headers")
-        .and_then(Value::as_object)
-        .into_iter()
-        .flatten()
-    {
-        if let Some(v) = v.as_str() {
-            headers.push((k.clone(), v.to_owned()));
+/// A copy as snapshots and `enqueue` deltas hold it.
+fn parse_copy(value: &Value) -> Parsed<Queued> {
+    let key = RoutingKey::new(text(value, "key")?).map_err(|e| e.to_string())?;
+    let mut message = Message::new(key, from_hex(text(value, "payload")?)?);
+    let headers = value.get("headers").and_then(Value::as_object);
+    for (name, header) in headers.into_iter().flatten() {
+        if let Some(header) = header.as_str() {
+            message = message.with_header(name.as_str(), header);
         }
     }
-    Ok(RecoveredEntry {
-        id,
-        key,
-        headers,
-        payload,
-        deliveries,
+    let deliveries = int(value.get("deliveries"), "deliveries")?.unwrap_or(0);
+    Ok((Arc::new(message), deliveries, required(value, "id")?))
+}
+
+fn parse_policy(value: &Value) -> Parsed<DeadLetterPolicy> {
+    Ok(DeadLetterPolicy {
+        max_delivery_attempts: required(value, "max_attempts")?,
+        target: text(value, "target")?.to_owned(),
     })
 }
 
-fn remove_by_id(queue: &mut VecDeque<RecoveredEntry>, id: u64) -> Option<RecoveredEntry> {
-    let pos = queue.iter().position(|e| e.id == id)?;
-    queue.remove(pos)
+fn parse_pattern(pattern: &str) -> Parsed<BindingPattern> {
+    BindingPattern::new(pattern).map_err(|e| e.to_string())
 }
 
-/// Rebuilds topology and queue contents from a recovered snapshot +
-/// log tail.
-///
-/// Deltas referring to ids the replay no longer holds (e.g. an `ack`
-/// logged after a crash-killed `enqueue` append) are ignored: the
-/// message was never durably enqueued, so there is nothing to remove.
-pub(crate) fn replay(recovered: &Recovered) -> Result<ReplayedState, BrokerError> {
-    let mut queues: BTreeMap<String, VecDeque<RecoveredEntry>> = BTreeMap::new();
-    let mut topology = ReplayedTopology::default();
-    let mut next_id: u64 = 1;
-    let mut snapshot_held = 0;
-
-    if let Some(bytes) = &recovered.snapshot {
-        let state: Value = serde_json::from_slice(bytes).map_err(corrupt)?;
-        next_id = state
-            .get("next_id")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| corrupt("snapshot missing next_id"))?;
-        topology = parse_topology(&state)?;
-        for (name, list) in state
-            .get("queues")
-            .and_then(Value::as_object)
-            .ok_or_else(|| corrupt("snapshot missing queues"))?
-        {
-            let mut entries = VecDeque::new();
-            for value in list.as_array().into_iter().flatten() {
-                entries.push_back(parse_entry(value, &format!("snapshot queue {name}"))?);
-            }
-            snapshot_held += entries.len() as u64;
-            queues.insert(name.clone(), entries);
-        }
-    }
-
-    let field = |delta: &Value, name: &'static str, lsn: &u64| -> Result<String, BrokerError> {
-        Ok(delta
-            .get(name)
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt(format!("delta at lsn {lsn} has no {name}")))?
-            .to_owned())
-    };
-    for (lsn, payload) in &recovered.entries {
-        let delta: Value = serde_json::from_slice(payload)
-            .map_err(|e| corrupt(format!("bad delta at lsn {lsn}: {e}")))?;
-        let op = delta
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt(format!("delta at lsn {lsn} has no op")))?;
-
-        // Topology deltas carry their own fields; handle them before the
-        // queue-transition ops, which all require a `queue` field.
-        match op {
-            "declare_exchange" => {
-                let name = field(&delta, "name", lsn)?;
-                let kind = parse_kind(&field(&delta, "kind", lsn)?)?;
-                topology.exchanges.insert(name, kind);
-                continue;
-            }
-            "declare_queue" => {
-                let name = field(&delta, "name", lsn)?;
-                let capacity = match delta.get("capacity") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(v.as_u64().ok_or_else(|| {
-                        corrupt(format!("declare_queue at lsn {lsn}: bad capacity"))
-                    })? as usize),
-                };
-                topology.queue_capacities.entry(name).or_insert(capacity);
-                continue;
-            }
-            "bind_queue" => {
-                let binding = (
-                    field(&delta, "exchange", lsn)?,
-                    field(&delta, "queue", lsn)?,
-                    field(&delta, "pattern", lsn)?,
-                );
-                if !topology.queue_bindings.contains(&binding) {
-                    topology.queue_bindings.push(binding);
-                }
-                continue;
-            }
-            "bind_exchange" => {
-                let binding = (
-                    field(&delta, "source", lsn)?,
-                    field(&delta, "destination", lsn)?,
-                    field(&delta, "pattern", lsn)?,
-                );
-                if !topology.exchange_bindings.contains(&binding) {
-                    topology.exchange_bindings.push(binding);
-                }
-                continue;
-            }
-            "unbind_queue" => {
-                let binding = (
-                    field(&delta, "exchange", lsn)?,
-                    field(&delta, "queue", lsn)?,
-                    field(&delta, "pattern", lsn)?,
-                );
-                topology.queue_bindings.retain(|b| *b != binding);
-                continue;
-            }
-            "delete_exchange" => {
-                let name = field(&delta, "name", lsn)?;
-                topology.exchanges.remove(&name);
-                topology
-                    .queue_bindings
-                    .retain(|(source, _, _)| *source != name);
-                topology
-                    .exchange_bindings
-                    .retain(|(source, destination, _)| *source != name && *destination != name);
-                continue;
-            }
-            "dead_letter_policy" => {
-                let queue = field(&delta, "queue", lsn)?;
-                let target = field(&delta, "target", lsn)?;
-                let max = delta
-                    .get("max_attempts")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| {
-                        corrupt(format!("dead_letter_policy at lsn {lsn}: no max_attempts"))
-                    })? as u32;
-                topology.dead_letters.insert(queue, (max, target));
-                continue;
-            }
-            _ => {}
-        }
-
-        let queue_name = delta
-            .get("queue")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt(format!("delta at lsn {lsn} has no queue")))?;
-        let id = delta.get("id").and_then(Value::as_u64);
-        match op {
-            "enqueue" => {
-                let entry = parse_entry(&delta, &format!("enqueue at lsn {lsn}"))?;
-                next_id = next_id.max(entry.id + 1);
-                queues
-                    .entry(queue_name.to_owned())
-                    .or_default()
-                    .push_back(entry);
-            }
-            "ack" | "discard" => {
-                let id = id.ok_or_else(|| corrupt(format!("{op} at lsn {lsn} has no id")))?;
-                if let Some(queue) = queues.get_mut(queue_name) {
-                    remove_by_id(queue, id);
-                }
-            }
-            "requeue" => {
-                let id = id.ok_or_else(|| corrupt(format!("requeue at lsn {lsn} has no id")))?;
-                let attempts = delta.get("attempts").and_then(Value::as_u64).unwrap_or(0) as u32;
-                if let Some(queue) = queues.get_mut(queue_name) {
-                    if let Some(mut entry) = remove_by_id(queue, id) {
-                        entry.deliveries = attempts;
-                        queue.push_front(entry);
-                    }
-                }
-            }
-            "dead_letter" => {
-                let id =
-                    id.ok_or_else(|| corrupt(format!("dead_letter at lsn {lsn} has no id")))?;
-                let to = delta
-                    .get("to")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| corrupt(format!("dead_letter at lsn {lsn} has no target")))?
-                    .to_owned();
-                let moved = queues
-                    .get_mut(queue_name)
-                    .and_then(|queue| remove_by_id(queue, id));
-                if let Some(mut entry) = moved {
-                    entry.deliveries = 0;
-                    queues.entry(to).or_default().push_back(entry);
-                }
-            }
-            "purge" => {
-                if let Some(queue) = queues.get_mut(queue_name) {
-                    for id in delta
-                        .get("ids")
-                        .and_then(Value::as_array)
-                        .into_iter()
-                        .flatten()
-                        .filter_map(Value::as_u64)
-                    {
-                        remove_by_id(queue, id);
-                    }
-                }
-            }
-            "delete_queue" => {
-                queues.remove(queue_name);
-                topology.queue_capacities.remove(queue_name);
-                topology.dead_letters.remove(queue_name);
-                topology
-                    .queue_bindings
-                    .retain(|(_, queue, _)| queue != queue_name);
-            }
-            other => {
-                return Err(corrupt(format!("unknown op `{other}` at lsn {lsn}")));
-            }
-        }
-    }
-
-    Ok(ReplayedState {
-        topology,
-        queues,
-        next_id,
-        snapshot_held,
-    })
+/// The kind `kind` spells, as its `Display` writes it.
+fn parse_kind(kind: &str) -> Parsed<ExchangeType> {
+    let kinds = [
+        ExchangeType::Direct,
+        ExchangeType::Fanout,
+        ExchangeType::Topic,
+    ];
+    let known = kinds.into_iter().find(|known| known.to_string() == kind);
+    known.ok_or_else(|| format!("unknown exchange kind `{kind}`"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Broker, RoutingKey};
+    use crate::Broker;
+    use std::path::PathBuf;
 
     #[test]
     fn hex_roundtrips() {
@@ -753,45 +433,50 @@ mod tests {
         assert!(from_hex("zz").is_err());
     }
 
+    fn records(deltas: &[Value]) -> Vec<Vec<u8>> {
+        deltas.iter().map(|d| d.to_string().into_bytes()).collect()
+    }
+
+    /// A fresh state replayed from `snapshot` and `records` behind it.
+    fn replayed(snapshot: Option<&[u8]>, records: &[Vec<u8>]) -> Result<State, BrokerError> {
+        let recovered = Recovered {
+            snapshot: snapshot.map(<[u8]>::to_vec),
+            snapshot_lsn: u64::from(snapshot.is_some()),
+            entries: (2..).zip(records.iter().cloned()).collect(),
+            report: Default::default(),
+        };
+        let mut state = State::default();
+        replay(&mut state, recovered)?;
+        Ok(state)
+    }
+
     #[test]
     fn replay_applies_deltas_in_order() {
-        let entry = |id: u64| RecoveredEntry {
-            id,
-            key: "obs.k".into(),
-            headers: vec![("h".into(), "v".into())],
-            payload: vec![id as u8],
-            deliveries: 0,
-        };
+        let key = RoutingKey::new("obs.k").unwrap();
+        let message = |id: u8| Message::new(key.clone(), vec![id]).with_header("h", "v");
         let deltas = [
-            enqueue_delta("q", &entry(1)),
-            enqueue_delta("q", &entry(2)),
-            enqueue_delta("q", &entry(3)),
+            enqueue_delta("q", &message(1), 1),
+            enqueue_delta("q", &message(2), 2),
+            enqueue_delta("q", &message(3), 3),
             ack_delta("q", 1),
             requeue_delta("q", 3, 2),
             dead_letter_delta("q", 2, "dlq"),
         ];
-        let recovered = Recovered {
-            snapshot: None,
-            snapshot_lsn: 0,
-            entries: deltas
-                .iter()
-                .enumerate()
-                .map(|(i, d)| (i as u64 + 1, serde_json::to_vec(d).unwrap()))
-                .collect(),
-            report: Default::default(),
+        let state = replayed(None, &records(&deltas)).unwrap();
+        assert_eq!(state.next_durable_id, 4);
+        let held = |queue: &str| -> Vec<(u64, u32)> {
+            let ready = state.queues[queue].ready.iter();
+            ready
+                .map(|(_, deliveries, id)| (*id, *deliveries))
+                .collect()
         };
-        let state = replay(&recovered).unwrap();
-        assert_eq!(state.next_id, 4);
-        let q: Vec<u64> = state.queues["q"].iter().map(|e| e.id).collect();
         assert_eq!(
-            q,
-            vec![3],
+            held("q"),
+            [(3, 2)],
             "acked and dead-lettered removed, requeued at front"
         );
-        assert_eq!(state.queues["q"][0].deliveries, 2);
-        let dlq: Vec<u64> = state.queues["dlq"].iter().map(|e| e.id).collect();
-        assert_eq!(dlq, vec![2]);
-        assert_eq!(state.queues["dlq"][0].deliveries, 0);
+        assert_eq!(held("dlq"), [(2, 0)]);
+        assert_eq!(state.queues["q"].ready[0].0.header("h"), Some("v"));
     }
 
     #[test]
@@ -809,71 +494,67 @@ mod tests {
             unbind_queue_delta("obs", "q", "never.bound"), // no-op
             delete_exchange_delta("doomed"),
         ];
-        let recovered = Recovered {
-            snapshot: None,
-            snapshot_lsn: 0,
-            entries: deltas
-                .iter()
-                .enumerate()
-                .map(|(i, d)| (i as u64 + 1, serde_json::to_vec(d).unwrap()))
-                .collect(),
-            report: Default::default(),
-        };
-        let state = replay(&recovered).unwrap();
-        let topology = &state.topology;
+        let state = replayed(None, &records(&deltas)).unwrap();
+        let kinds: Vec<_> = state
+            .exchanges
+            .iter()
+            .map(|(n, e)| (n.as_str(), e.kind))
+            .collect();
         assert_eq!(
-            topology.exchanges,
-            BTreeMap::from([("obs".to_owned(), ExchangeType::Topic)]),
+            kinds,
+            [("obs", ExchangeType::Topic)],
             "deleted exchange must not survive replay"
         );
-        assert_eq!(topology.queue_capacities["q"], Some(64));
-        assert_eq!(topology.queue_capacities["unbounded"], None);
+        assert_eq!(state.queues["q"].capacity, Some(64));
+        assert_eq!(state.queues["unbounded"].capacity, None);
+        let bindings = state.exchanges["obs"].bindings.iter();
+        let bindings: Vec<_> = bindings.map(|b| (b.pattern.as_str(), &b.target)).collect();
         assert_eq!(
-            topology.queue_bindings,
-            vec![("obs".to_owned(), "q".to_owned(), "obs.#".to_owned())],
-            "duplicate binds collapse; bindings from a deleted exchange drop"
+            bindings,
+            [("obs.#", &Target::Queue("q".into()))],
+            "duplicate binds collapse; bindings to a deleted exchange drop"
         );
-        assert!(topology.exchange_bindings.is_empty());
-        assert_eq!(topology.dead_letters["q"], (5, "dlq".to_owned()));
+        let policy = DeadLetterPolicy {
+            max_delivery_attempts: 5,
+            target: "dlq".into(),
+        };
+        assert_eq!(state.queues["q"].dead_letter, Some(policy));
     }
 
     #[test]
     fn snapshot_roundtrips_topology() {
-        let mut topology = ReplayedTopology::default();
-        topology.exchanges.insert("obs".into(), ExchangeType::Topic);
-        topology.queue_capacities.insert("q".into(), Some(8));
-        topology.queue_capacities.insert("dlq".into(), None);
-        topology
-            .queue_bindings
-            .push(("obs".into(), "q".into(), "obs.*.temp".into()));
-        topology
-            .exchange_bindings
-            .push(("obs".into(), "audit".into(), "#".into()));
-        topology.dead_letters.insert("q".into(), (3, "dlq".into()));
-        let bytes = encode_snapshot(&BTreeMap::new(), 7, &topology).unwrap();
-        let recovered = Recovered {
-            snapshot: Some(bytes),
-            snapshot_lsn: 1,
-            entries: vec![],
-            report: Default::default(),
+        let mut state = State::default();
+        state.next_durable_id = 7;
+        state.declare_exchange("obs", ExchangeType::Topic).unwrap();
+        state
+            .declare_exchange("audit", ExchangeType::Fanout)
+            .unwrap();
+        state.declare_queue("q", Some(8));
+        state.declare_queue("dlq", None);
+        let pattern = |p: &str| BindingPattern::new(p).unwrap();
+        let queue = Target::Queue("q".into());
+        state.bind("obs", pattern("obs.*.temp"), queue).unwrap();
+        let audit = Target::Exchange("audit".into());
+        state.bind("obs", pattern("#"), audit).unwrap();
+        let policy = DeadLetterPolicy {
+            max_delivery_attempts: 3,
+            target: "dlq".into(),
         };
-        let state = replay(&recovered).unwrap();
-        assert_eq!(state.next_id, 7);
-        assert_eq!(state.topology, topology);
+        state.set_dead_letter("q", policy).unwrap();
+        let bytes = encode_snapshot(&state);
+        let restored = replayed(Some(&bytes), &[]).unwrap();
+        assert_eq!(restored.next_durable_id, 7);
+        assert_eq!(
+            std::str::from_utf8(&encode_snapshot(&restored)),
+            std::str::from_utf8(&bytes)
+        );
     }
 
     #[test]
     fn pre_topology_snapshots_recover_with_empty_topology() {
-        let bytes = serde_json::to_vec(&json!({"next_id": 3, "queues": {}})).unwrap();
-        let recovered = Recovered {
-            snapshot: Some(bytes),
-            snapshot_lsn: 1,
-            entries: vec![],
-            report: Default::default(),
-        };
-        let state = replay(&recovered).unwrap();
-        assert_eq!(state.topology, ReplayedTopology::default());
-        assert_eq!(state.next_id, 3);
+        let state = replayed(Some(br#"{"next_id":3,"queues":{}}"#), &[]).unwrap();
+        assert!(state.exchanges.is_empty() && state.queues.is_empty());
+        assert_eq!(state.next_durable_id, 3);
     }
 
     /// A fresh directory per test.
@@ -895,9 +576,7 @@ mod tests {
 
     /// Opens the durable broker in `dir`, automatic snapshots off.
     fn open(dir: &PathBuf) -> Broker {
-        let config = BrokerDurabilityConfig::new(dir)
-            .wal(quiet())
-            .snapshot_every(0);
+        let config = DurabilityConfig::new(dir).wal(quiet()).snapshot_every(0);
         Broker::open_durable(config).unwrap()
     }
 
@@ -1118,13 +797,141 @@ mod tests {
 
     #[test]
     fn replay_ignores_deltas_for_unknown_ids() {
-        let recovered = Recovered {
-            snapshot: None,
-            snapshot_lsn: 0,
-            entries: vec![(1, serde_json::to_vec(&ack_delta("q", 99)).unwrap())],
-            report: Default::default(),
-        };
-        let state = replay(&recovered).unwrap();
+        let state = replayed(None, &records(&[ack_delta("q", 99)])).unwrap();
         assert!(!state.queues.contains_key("q"));
+    }
+
+    /// The live broker keeps a dead-letter policy whose target queue was
+    /// deleted (and drops what it would dead-letter until a queue of that
+    /// name is declared again); a reopen, from the log or a snapshot,
+    /// keeps it too.
+    #[test]
+    fn a_policy_whose_target_was_deleted_survives_a_reopen() {
+        let dir = temp_dir("orphan-policy");
+        let b = open(&dir);
+        b.declare_queue("q").unwrap();
+        b.declare_queue("dlq").unwrap();
+        b.configure_dead_letter("q", 2, "dlq").unwrap();
+        b.delete_queue("dlq").unwrap();
+        let live = b.dead_letter_policy("q").unwrap();
+        let policy = DeadLetterPolicy {
+            max_delivery_attempts: 2,
+            target: "dlq".into(),
+        };
+        assert_eq!(live, Some(policy));
+        drop(b);
+        let b = open(&dir);
+        assert_eq!(b.dead_letter_policy("q").unwrap(), live, "from the log");
+        b.checkpoint().unwrap();
+        drop(b);
+        let b = open(&dir);
+        assert_eq!(b.dead_letter_policy("q").unwrap(), live, "from a snapshot");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Replays a snapshot and records that must be rejected as corrupt
+    /// for what they hold in `field`.
+    fn assert_corrupt(snapshot: Option<&[u8]>, records: &[&[u8]], field: &str) {
+        let records: Vec<Vec<u8>> = records.iter().map(|r| r.to_vec()).collect();
+        match replayed(snapshot, &records) {
+            Err(BrokerError::Durability(why)) => assert!(why.contains(field), "{why}"),
+            other => panic!("{field} out of range replayed: {other:?}"),
+        }
+    }
+
+    const ENQUEUED: &[u8] = br#"{"deliveries":0,"headers":{},"id":1,"key":"k","op":"enqueue","payload":"","queue":"q"}"#;
+
+    #[test]
+    fn replay_rejects_deliveries_past_u32() {
+        // Truncated, this was a copy delivered no times: not redelivered.
+        let record = br#"{"deliveries":4294967296,"headers":{},"id":1,"key":"k","op":"enqueue","payload":"","queue":"q"}"#;
+        assert_corrupt(None, &[record], "deliveries");
+        let snapshot = br#"{"next_id":2,"queues":{"q":[{"deliveries":4294967296,"headers":{},"id":1,"key":"k","payload":""}]}}"#;
+        assert_corrupt(Some(snapshot), &[], "deliveries");
+    }
+
+    #[test]
+    fn replay_rejects_attempts_past_u32() {
+        let record = br#"{"attempts":4294967296,"id":1,"op":"requeue","queue":"q"}"#;
+        assert_corrupt(None, &[ENQUEUED, record], "attempts");
+    }
+
+    #[test]
+    fn replay_rejects_max_attempts_past_u32() {
+        let record =
+            br#"{"max_attempts":4294967296,"op":"dead_letter_policy","queue":"q","target":"dlq"}"#;
+        assert_corrupt(None, &[record], "max_attempts");
+        let snapshot = br#"{"next_id":1,"queues":{},"topology":{"dead_letters":{"q":{"max_attempts":4294967296,"target":"dlq"}},"queue_capacities":{"q":null}}}"#;
+        assert_corrupt(Some(snapshot), &[], "max_attempts");
+    }
+
+    #[test]
+    fn replay_rejects_capacity_past_usize() {
+        // One past `u64::MAX`: no `usize` holds it.
+        let record = br#"{"capacity":18446744073709551616,"name":"q","op":"declare_queue"}"#;
+        assert_corrupt(None, &[record], "capacity");
+        let snapshot = br#"{"next_id":1,"queues":{},"topology":{"queue_capacities":{"q":18446744073709551616}}}"#;
+        assert_corrupt(Some(snapshot), &[], "capacity");
+    }
+
+    /// The store's `a_swallowed_snapshot_failure_is_counted`, on a broker:
+    /// a snapshot the cadence takes and cannot write is counted, and the
+    /// call that happened to trigger it succeeds, for what it logged is
+    /// durable.
+    #[test]
+    fn a_swallowed_snapshot_failure_is_counted() {
+        let registry = mps_telemetry::Registry::global();
+        // Other tests snapshot too: lower bounds only.
+        let failures = || {
+            registry
+                .counter_value("wal_snapshot_failures_total")
+                .unwrap_or(0)
+        };
+        let dir = temp_dir("snapfail");
+        let kill = mps_wal::KillSwitch::new();
+        let wal = mps_wal::WalConfig::default().kill(kill.clone());
+        let config = DurabilityConfig::new(&dir).wal(wal).snapshot_every(2);
+        let b = Broker::open_durable(config).unwrap();
+        let newest = || {
+            mps_wal::inspect(&dir)
+                .unwrap()
+                .snapshots
+                .first()
+                .map(|s| s.lsn)
+        };
+        b.declare_exchange("e", ExchangeType::Fanout).unwrap();
+        b.declare_queue("q").unwrap();
+        // Two records no message copy holds: as dead as the floor.
+        assert_eq!(newest(), Some(2));
+        b.bind_queue("e", "q", "#").unwrap();
+        b.publish("e", "k", &b"m1"[..]).unwrap();
+        // The ack leaves three records dead: a snapshot is due and fails
+        // (its temp path is taken); the ack is durable and says so.
+        let blocker = dir.join(format!("snap-{:020}.snap.tmp", 5));
+        std::fs::create_dir(&blocker).unwrap();
+        let before = failures();
+        let d = b.consume("q", 1).unwrap();
+        b.ack("q", d[0].tag).unwrap();
+        assert!(failures() > before);
+        std::fs::remove_dir(&blocker).unwrap();
+        // Not again at the next record, which would have succeeded, but
+        // `snapshot_every` records after the failure.
+        b.publish("e", "k", &b"m2"[..]).unwrap();
+        assert_eq!(newest(), Some(2), "retried one record on");
+        b.publish("e", "k", &b"m3"[..]).unwrap();
+        assert_eq!(newest(), Some(7));
+
+        // A snapshot that dies takes the instance with it.
+        let before = failures();
+        kill.arm(mps_wal::KillPoint::MidSnapshot, 0);
+        let tags: Vec<u64> = b.consume("q", 2).unwrap().iter().map(|d| d.tag).collect();
+        b.ack_many("q", &tags).unwrap();
+        assert_eq!(kill.dead(), Some(mps_wal::KillPoint::MidSnapshot));
+        assert!(failures() > before);
+        assert!(b.publish("e", "k", &b"m4"[..]).is_err());
+        drop(b);
+        let b = open(&dir);
+        assert_eq!(b.queue_depth("q").unwrap(), 0, "both acks were durable");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -67,6 +67,12 @@ impl fmt::Display for BrokerError {
 
 impl Error for BrokerError {}
 
+impl From<mps_wal::WalError> for BrokerError {
+    fn from(e: mps_wal::WalError) -> Self {
+        BrokerError::Durability(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

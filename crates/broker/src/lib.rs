@@ -74,7 +74,7 @@ mod topic;
 mod transport;
 
 pub use broker::{Broker, DeadLetterPolicy, ExchangeInfo, ExchangeType, QueueInfo};
-pub use durability::{BrokerDurabilityConfig, MessageView, QueueSnapshot};
+pub use durability::{DurabilityConfig, MessageView, QueueSnapshot};
 pub use error::BrokerError;
 pub use message::{Delivery, Message};
 pub use metrics::{BrokerMetrics, MetricsSnapshot};

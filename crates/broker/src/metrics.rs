@@ -144,11 +144,6 @@ impl BrokerMetrics {
         shared().delivered.add(n);
     }
 
-    pub(crate) fn on_acked(&self) {
-        self.acked.inc();
-        shared().acked.inc();
-    }
-
     pub(crate) fn on_acked_many(&self, n: u64) {
         self.acked.add(n);
         shared().acked.add(n);
@@ -242,7 +237,7 @@ mod tests {
         m.on_routed(3);
         m.on_routed(0);
         m.on_delivered(2);
-        m.on_acked();
+        m.on_acked_many(1);
         m.on_requeued();
         m.on_dropped();
         m.on_delivery_failed();

@@ -28,7 +28,7 @@
 //! than a single broker would.
 
 use crate::broker::{Broker, DeadLetterPolicy, ExchangeType};
-use crate::durability::BrokerDurabilityConfig;
+use crate::durability::DurabilityConfig;
 use crate::error::BrokerError;
 use crate::message::{Delivery, Message};
 use crate::transport::{row_if, BrokerTransport};
@@ -80,10 +80,7 @@ impl ShardedBroker {
     ///
     /// Returns [`BrokerError::Durability`] if any shard's log cannot be
     /// opened or replayed.
-    pub fn open_durable(
-        shards: usize,
-        config: BrokerDurabilityConfig,
-    ) -> Result<Self, BrokerError> {
+    pub fn open_durable(shards: usize, config: DurabilityConfig) -> Result<Self, BrokerError> {
         let shards = shards.max(1);
         let mut built = Vec::with_capacity(shards);
         for i in 0..shards {
@@ -433,7 +430,7 @@ mod tests {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let config =
-            BrokerDurabilityConfig::new(&dir).wal(mps_wal::WalConfig::default().telemetry(false));
+            DurabilityConfig::new(&dir).wal(mps_wal::WalConfig::default().telemetry(false));
         let sharded = ShardedBroker::open_durable(3, config.clone()).unwrap();
         topo(&sharded);
         let keys: Vec<String> = (0..12).map(|i| format!("obs.c{i}.gps")).collect();

@@ -52,7 +52,7 @@
 //! `docstore_blocks_sealed` and `docstore_blocks_unsealed_total` what
 //! was sealed and undone.
 
-use crate::durability::{journaled, DurableCtx, Journal};
+use crate::durability::{journaled, Deltas, DurableCtx};
 use crate::filter::{Filter, IndexablePredicate, RangeBound};
 use crate::index::PathIndex;
 use crate::planner::plan_query;
@@ -518,7 +518,7 @@ impl CollectionInner {
 
     /// Indexes `row`, logs it as `op` and stores it at `id`, where no
     /// indexed row may be (see [`take`](Self::take)).
-    fn file(&mut self, id: DocId, row: Row, op: &str, log: Option<&mut Journal>) {
+    fn file(&mut self, id: DocId, row: Row, op: &str, log: Option<&mut Deltas>) {
         self.each_index(&row, |index, value| index.insert(value, id));
         if let Some(log) = log {
             log.doc(op, id, RowRef::Open(&row));
@@ -626,7 +626,7 @@ impl CollectionInner {
         self.matches(filter).map(|(id, _)| id).collect()
     }
 
-    fn insert(&mut self, doc: Value, log: Option<&mut Journal>) -> Result<DocId, StoreError> {
+    fn insert(&mut self, doc: Value, log: Option<&mut Deltas>) -> Result<DocId, StoreError> {
         let id = DocId(self.next_id);
         let row = self.row_of(doc, Some(id))?;
         telemetry().collection_insert.inc();
@@ -765,7 +765,7 @@ impl Collection {
     /// the deltas that [`journaled`] then makes durable.
     pub(crate) fn mutate<T>(
         &self,
-        apply: impl FnOnce(&mut CollectionInner, Option<&mut Journal>) -> T,
+        apply: impl FnOnce(&mut CollectionInner, Option<&mut Deltas>) -> T,
     ) -> Result<T, StoreError> {
         let journal = self.durable.as_deref();
         let journal = journal.map(|ctx| (&*ctx.shared, ctx.name.as_str()));

@@ -1,81 +1,51 @@
-//! Durable stores: the journal behind the one mutation path.
+//! Durable stores: the deltas behind the one mutation path, and their
+//! replay.
 //!
-//! Every mutation of a [`Store`] or [`Collection`] has a single body,
-//! and it runs the same way in both modes: **apply** the change under
-//! the collection (or collections-map) lock, and — only when the store
-//! was opened with [`Durability::Durable`] — **encode** one delta per
-//! change into the call's `Journal`, straight from the stored row: the
-//! bytes the log will hold are written once, and nothing is cloned or
-//! rebuilt as a tree on the way. The **log tail** in
-//! `journaled` takes the store-wide WAL lock *before* the apply, so log
-//! order is apply order; appends the call's records as **one**
-//! group-committed `append_batch` (`insert_many` and `update_many` of any
-//! size cost one fsync); and then checks the snapshot cadence. `Ok`
-//! means applied and durable. An in-memory store runs the same body with
-//! no journal: no delta is encoded and no document cloned for one.
+//! Every mutation of a [`Store`] or [`Collection`] has one body in both
+//! modes: **apply** the change under the collection (or collections-map)
+//! lock and — only on a store opened with [`Durability::Durable`] —
+//! **encode** one delta per change into the call's `Deltas`, straight
+//! from the stored row: nothing is cloned or rebuilt as a tree for it.
+//! `journaled` takes the store's [`Journal`] lock *before* the apply, so
+//! log order is apply order, and commits the call's records as one
+//! group-committed batch (an `insert_many` or `update_many` of any size
+//! costs one fsync); `Ok` means applied and durable. In memory the same
+//! body runs with no journal, and no delta is encoded.
 //!
 //! Deltas name their `op` and `coll`: `insert` and `update` carry the
 //! `id` and the full resulting `doc`, `delete` the `ids`, `create_index`
-//! and `drop_index` the `path`; `touch` (collection created), `clear`
-//! and `drop_collection` carry nothing more.
+//! and `drop_index` the `path`; `touch` (collection created), `clear` and
+//! `drop_collection` nothing more. Deltas, snapshots and exports are
+//! written by `RowRef::write_json` (see `crate::row`) in the bytes `Value`
+//! documents gave, which the golden log and export below pin.
 //!
-//! **Written from rows, byte for byte.** Deltas, snapshots and exports
-//! are written by `RowRef::write_json` from the collection's rows (see
-//! `crate::row`), and the bytes are the ones `Value` documents gave: a
-//! row's members are in `str` order, the order `serde_json::Map` wrote
-//! them in; each `"key":` comes from the same JSON string writer, once
-//! per shape instead of once per document; each value goes through
-//! `Value`'s own writer. A directory written before documents were rows
-//! opens to the same export, and the reverse; the golden log and export
-//! in this module's tests pin that.
+//! [`Store::open`] replays the newest snapshot and the log tail, moving
+//! each parsed document's values into its row, and rebuilds the indexes:
+//! the same contents, `_id` assignment and index definitions. A snapshot
+//! is the [`Store::export_json`] stream, taken when the journal's cadence
+//! says half of what a reopen would read is dead — never for a store that
+//! only receives documents, as the paper's did ([`Store::checkpoint`]
+//! forces one).
 //!
-//! [`Store::open`] replays the newest snapshot plus the log tail and
-//! rebuilds secondary indexes from the recovered documents, reproducing
-//! identical collection contents, `_id` assignment and index
-//! definitions; recovered documents' values move out of the parsed
-//! snapshot and deltas into their rows, they are not copied (the key
-//! strings are dropped there and then, which the store used to leave to
-//! its own drop). Snapshots are taken automatically when the log's
-//! cadence says so (below; manually via [`Store::checkpoint`]); the WAL
-//! then compacts covered segments.
-//!
-//! **What a snapshot costs.** The state is streamed once from the locked
-//! collections into one buffer (the writer behind [`Store::export_json`])
-//! and handed to the log, which checksums it and writes it without
-//! another copy. The writer that reached the cadence does this holding
-//! the WAL lock, so every writer waits for the export, the fsync and the
-//! compaction (`docstore_snapshot_seconds`). Each snapshot rewrites the
-//! whole state, so the cadence ([`Wal::snapshot_due`], asked under that
-//! lock) takes one only for what it reclaims: once at least
-//! [`DurabilityConfig::snapshot_every`] of the records a reopen would
-//! read, and at least half of them, are dead (updated, deleted,
-//! cleared). A store that only receives documents, as the paper's did,
-//! is never rewritten and reopens from its log ([`Store::checkpoint`]
-//! still forces a snapshot); one that churns is rewritten when it has
-//! mostly turned over (`docs/DURABILITY.md` derives the bounds).
-//!
-//! **Limits.** A durability failure mid-operation (disk error, crash
-//! kill) leaves the in-memory state *ahead* of the log — callers must
-//! treat the instance as dead and reopen, which is exactly what a
-//! crashed process does; every later mutation fails too. A [`Collection`]
-//! handle obtained before [`Store::drop_collection`] stays usable and
-//! keeps logging under its old name, while the store no longer holds
-//! it: such writes are replayed into a collection the live store does
-//! not have, so replay diverges from live state. Drop a collection only
-//! once its handles are done writing.
+//! **Limits.** A durability failure mid-operation leaves memory *ahead*
+//! of the log: treat the instance as dead and reopen, as a crashed
+//! process would; every later mutation fails too. A [`Collection`] handle
+//! kept past [`Store::drop_collection`] keeps logging under its old
+//! name, and replay then diverges from live state: drop a collection
+//! only once its handles are done writing.
 
 use crate::collection::Collection;
 use crate::row::RowRef;
 use crate::telemetry::telemetry;
 use crate::value::DocId;
 use crate::{Store, StoreError};
-use mps_telemetry::SpanTimer;
-use mps_wal::{Recovered, Wal, WalConfig};
+use mps_wal::{Journal, Recovered};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Weak};
+
+pub use mps_wal::DurabilityConfig;
 
 /// How (and whether) a [`Store`] persists its mutations.
 #[derive(Debug, Clone, Default)]
@@ -88,55 +58,12 @@ pub enum Durability {
     Durable(DurabilityConfig),
 }
 
-/// Configuration for a durable store.
-#[derive(Debug, Clone)]
-pub struct DurabilityConfig {
-    /// Directory holding the store's WAL segments and snapshots.
-    pub dir: PathBuf,
-    /// The underlying log's tuning (fsync policy, segment size,
-    /// telemetry, recovery span, crash-kill switch).
-    pub wal: WalConfig,
-    /// Take a snapshot (and compact) once at least this many records
-    /// were logged since the last one **and**, of the records a reopen
-    /// would read, at least this many and at least half are dead
-    /// ([`Wal::snapshot_due`]): never for inserts alone. `0` disables
-    /// automatic snapshots ([`Store::checkpoint`] still works).
-    pub snapshot_every: u64,
-}
-
-impl DurabilityConfig {
-    /// Durability in `dir` with default WAL tuning and a snapshot floor
-    /// of 4096 logged records.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            wal: WalConfig::default(),
-            snapshot_every: 4096,
-        }
-    }
-
-    /// Replaces the WAL tuning.
-    pub fn wal(mut self, wal: WalConfig) -> Self {
-        self.wal = wal;
-        self
-    }
-
-    /// Sets the automatic snapshot floor (`0` = manual only).
-    pub fn snapshot_every(mut self, records: u64) -> Self {
-        self.snapshot_every = records;
-        self
-    }
-}
-
 type CollectionMap = Arc<parking_lot::Mutex<BTreeMap<String, Collection>>>;
 
 /// Store-wide durable state shared by every collection handle.
 #[derive(Debug)]
 pub(crate) struct DurableShared {
-    /// The log and, under the same lock, the documents its newest
-    /// snapshot held when it was taken: what the cadence is asked with.
-    log: StdMutex<(Wal, u64)>,
-    snapshot_every: u64,
+    journal: Journal,
     collections: Weak<parking_lot::Mutex<BTreeMap<String, Collection>>>,
 }
 
@@ -147,8 +74,14 @@ pub(crate) struct DurableCtx {
     pub(crate) shared: Arc<DurableShared>,
 }
 
-fn wal_err(e: mps_wal::WalError) -> StoreError {
-    StoreError::Durability(e.to_string())
+impl DurableCtx {
+    /// The link of collection `name` to `shared`.
+    pub(crate) fn new(name: &str, shared: &Arc<DurableShared>) -> Arc<Self> {
+        Arc::new(Self {
+            name: name.to_owned(),
+            shared: Arc::clone(shared),
+        })
+    }
 }
 
 fn corrupt(why: impl std::fmt::Display) -> StoreError {
@@ -161,13 +94,13 @@ fn corrupt(why: impl std::fmt::Display) -> StoreError {
 /// `id`, `ids`, `op`, `path`) — the order `serde_json` gives an object's
 /// members, and so the bytes every existing log holds.
 #[derive(Debug)]
-pub(crate) struct Journal {
+pub(crate) struct Deltas {
     /// The collection's name as JSON text, escaped once per call.
     coll: String,
     payloads: Vec<Vec<u8>>,
 }
 
-impl Journal {
+impl Deltas {
     fn new(coll: &str) -> Self {
         Self {
             coll: Value::from(coll).to_string(),
@@ -224,70 +157,37 @@ impl Journal {
 
 /// Runs one mutation of the collection named by `journal` — or of an
 /// in-memory store, when there is none. `apply` makes the change under
-/// the lock it needs and, given a [`Journal`], records what it changed.
+/// the lock it needs and, given [`Deltas`], records what it changed.
 /// Returns `apply`'s result beside the log's: the change is in memory
 /// either way, durable only on `Ok`.
 ///
-/// Lock order everywhere: wal → collections-map → collection-inner.
+/// Lock order everywhere: journal → collections-map → collection-inner.
 pub(crate) fn journaled<T>(
     journal: Option<(&DurableShared, &str)>,
-    apply: impl FnOnce(Option<&mut Journal>) -> T,
+    apply: impl FnOnce(Option<&mut Deltas>) -> T,
 ) -> (T, Result<(), StoreError>) {
     let Some((shared, coll)) = journal else {
         return (apply(None), Ok(()));
     };
-    let mut log = shared.lock_log();
-    let mut journal = Journal::new(coll);
-    let out = apply(Some(&mut journal));
-    let logged = match journal.payloads.as_slice() {
-        [] => Ok(()),
-        // One call's records are one group-committed batch.
-        payloads => log.0.append_batch(payloads).map(drop).map_err(wal_err),
+    let mut log = shared.journal.lock();
+    let mut deltas = Deltas::new(coll);
+    let out = apply(Some(&mut deltas));
+    let logged = match shared.collections.upgrade() {
+        Some(map) => log.commit(&deltas.payloads, live(&map), || export(&map)),
+        // A handle that outlived its store logs on; nothing is left to
+        // snapshot, so none is ever due (more live than a reopen reads).
+        None => log.commit(&deltas.payloads, u64::MAX, Vec::new),
     };
-    // Decided under the lock the append took, so of two writers that
-    // cross the cadence together one snapshots. A failure is counted
-    // (`docstore_snapshot_failures_total`) but not reported to the
-    // mutation that happened to trigger it: that mutation is durable, the
-    // log itself is still intact, and a crash-killed instance fails its
-    // next mutation anyway.
-    let (wal, held) = &*log;
-    if logged.is_ok() && wal.snapshot_due(shared.snapshot_every, *held, shared.live()) {
-        let _ = shared.snapshot(&mut log);
-    }
-    (out, logged)
+    (out, logged.map_err(StoreError::from))
 }
 
-impl DurableShared {
-    fn lock_log(&self) -> MutexGuard<'_, (Wal, u64)> {
-        self.log.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// Documents over all collections: what a snapshot taken now holds.
+fn live(map: &CollectionMap) -> u64 {
+    map.lock().values().map(|c| c.len() as u64).sum()
+}
 
-    /// Documents over all collections: what a snapshot taken now holds.
-    fn live(&self) -> u64 {
-        let map = self.collections.upgrade();
-        map.map_or(0, |map| map.lock().values().map(|c| c.len() as u64).sum())
-    }
-
-    /// Snapshots the full store state and compacts covered segments.
-    /// The wal lock is held throughout, so every writer waits for the
-    /// export, the fsync and the compaction: `docstore_snapshot_seconds`.
-    fn snapshot(&self, (wal, held): &mut (Wal, u64)) -> Result<u64, StoreError> {
-        let Some(map) = self.collections.upgrade() else {
-            return Ok(0);
-        };
-        let metrics = telemetry();
-        let _timer = SpanTimer::start(&metrics.snapshot_seconds);
-        let state = export_json(&map);
-        metrics.snapshot_bytes.set(state.len() as i64);
-        let live = self.live();
-        let snapshot = wal.snapshot_holding(state.as_bytes(), *held, live);
-        let covered = snapshot.map_err(|e| {
-            metrics.snapshot_failures.inc();
-            wal_err(e)
-        })?;
-        *held = live;
-        Ok(covered)
-    }
+fn export(map: &CollectionMap) -> Vec<u8> {
+    export_json(map).into_bytes()
 }
 
 /// The full-store state as canonical JSON text,
@@ -325,153 +225,30 @@ fn export_json(map: &CollectionMap) -> String {
     out
 }
 
-/// The same state as a deep-cloned tree: the route `export_json` took
-/// before it streamed, kept verbatim as the reference the property tests
-/// hold the streamed bytes to.
-#[cfg(test)]
-pub(crate) fn export_value(map: &CollectionMap) -> Value {
-    let mut collections = serde_json::Map::new();
-    for (name, collection) in map.lock().iter() {
-        let inner = collection.inner.lock();
-        let docs: Vec<Value> = inner.rows().map(|(_, row)| row.to_value()).collect();
-        let indexes: Vec<String> = inner.indexes.keys().cloned().collect();
-        collections.insert(
-            name.clone(),
-            json!({
-                "next_id": inner.next_id,
-                "indexes": indexes,
-                "docs": docs,
-            }),
-        );
-    }
-    Value::Object({
-        let mut root = serde_json::Map::new();
-        root.insert("collections".to_owned(), Value::Object(collections));
-        root
-    })
-}
-
 /// Removes member `key` from a JSON object, by value.
 fn take(object: &mut Value, key: &str) -> Option<Value> {
     object.as_object_mut()?.remove(key)
 }
 
+/// Index paths per collection, collected through a replay and built once
+/// at its end, over the final documents: what maintaining them through
+/// the replay gives, in linear time instead of quadratic.
+type IndexPaths = BTreeMap<String, BTreeSet<String>>;
+
 /// Rebuilds collections from a recovered snapshot + log tail. The parsed
 /// trees are taken apart by value: every document's values move into its
 /// row, none is cloned. Returns how many documents the snapshot held.
 fn restore(store: &Store, recovered: Recovered) -> Result<u64, StoreError> {
-    // Index definitions are collected first and built once at the end,
-    // over the final document set — equivalent to maintaining them
-    // through the replay, and linear instead of quadratic.
-    let mut index_paths: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut held = 0;
-
-    if let Some(bytes) = recovered.snapshot {
-        let mut state: Value = serde_json::from_slice(&bytes).map_err(corrupt)?;
-        // Megabytes, and done with: freed before the collections fill.
-        drop(bytes);
-        let Some(Value::Object(collections)) = take(&mut state, "collections") else {
-            return Err(corrupt("snapshot has no collections object"));
-        };
-        for (name, mut cstate) in collections {
-            let collection = store.get_or_create(&name);
-            let mut inner = collection.inner.lock();
-            inner.next_id = cstate.get("next_id").and_then(Value::as_u64).unwrap_or(0);
-            if let Some(Value::Array(docs)) = take(&mut cstate, "docs") {
-                held += docs.len() as u64;
-                for doc in docs {
-                    let id = doc
-                        .get("_id")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| corrupt("snapshot document without _id"))?;
-                    let row = inner.row_of(doc, None).map_err(corrupt)?;
-                    inner.put(DocId(id), row);
-                }
-            }
-            let paths = index_paths.entry(name).or_default();
-            if let Some(Value::Array(indexes)) = take(&mut cstate, "indexes") {
-                for path in indexes {
-                    if let Value::String(path) = path {
-                        paths.insert(path);
-                    }
-                }
-            }
-        }
+    let mut index_paths = IndexPaths::new();
+    let held = match recovered.snapshot {
+        Some(bytes) => restore_snapshot(store, &mut index_paths, bytes)
+            .map_err(|why| corrupt(format!("snapshot: {why}")))?,
+        None => 0,
+    };
+    for (lsn, record) in recovered.entries {
+        apply(store, &mut index_paths, &record)
+            .map_err(|why| corrupt(format!("record at lsn {lsn}: {why}")))?;
     }
-
-    for (lsn, payload) in recovered.entries {
-        let mut delta: Value = serde_json::from_slice(&payload)
-            .map_err(|e| corrupt(format!("bad delta at lsn {lsn}: {e}")))?;
-        let Some(Value::String(op)) = take(&mut delta, "op") else {
-            return Err(corrupt(format!("delta at lsn {lsn} has no op")));
-        };
-        let Some(Value::String(name)) = take(&mut delta, "coll") else {
-            return Err(corrupt(format!("delta at lsn {lsn} has no coll")));
-        };
-        let (op, name) = (op.as_str(), name.as_str());
-        match op {
-            "insert" | "update" => {
-                let id = delta
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| corrupt(format!("{op} delta at lsn {lsn} has no id")))?;
-                let doc = take(&mut delta, "doc")
-                    .ok_or_else(|| corrupt(format!("{op} delta at lsn {lsn} has no doc")))?;
-                let collection = store.get_or_create(name);
-                let mut inner = collection.inner.lock();
-                let row = inner
-                    .row_of(doc, None)
-                    .map_err(|e| corrupt(format!("{op} delta at lsn {lsn}: {e}")))?;
-                inner.put(DocId(id), row);
-                inner.next_id = inner.next_id.max(id + 1);
-            }
-            "delete" => {
-                let collection = store.get_or_create(name);
-                let mut inner = collection.inner.lock();
-                for id in delta
-                    .get("ids")
-                    .and_then(Value::as_array)
-                    .into_iter()
-                    .flatten()
-                {
-                    if let Some(id) = id.as_u64() {
-                        inner.discard(DocId(id));
-                    }
-                }
-            }
-            "create_index" | "drop_index" => {
-                let path = delta
-                    .get("path")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| corrupt(format!("{op} delta at lsn {lsn} has no path")))?;
-                let _ = store.get_or_create(name);
-                let paths = index_paths.entry(name.to_owned()).or_default();
-                if op == "create_index" {
-                    paths.insert(path.to_owned());
-                } else {
-                    paths.remove(path);
-                }
-            }
-            "touch" => {
-                let _ = store.get_or_create(name);
-            }
-            "clear" => {
-                let collection = store.get_or_create(name);
-                collection.inner.lock().clear();
-            }
-            "drop_collection" => {
-                if store.collections.lock().remove(name).is_some() {
-                    telemetry().store_collections.dec();
-                }
-                index_paths.remove(name);
-            }
-            other => {
-                return Err(corrupt(format!("unknown op `{other}` at lsn {lsn}")));
-            }
-        }
-    }
-
-    // Secondary-index rebuild over the recovered documents.
     for (name, paths) in index_paths {
         let Some(collection) = store.collections.lock().get(&name).cloned() else {
             continue;
@@ -482,6 +259,92 @@ fn restore(store: &Store, recovered: Recovered) -> Result<u64, StoreError> {
         }
     }
     Ok(held)
+}
+
+/// Fills `store` from a snapshot; returns the documents it held.
+fn restore_snapshot(store: &Store, paths: &mut IndexPaths, bytes: Vec<u8>) -> Result<u64, String> {
+    let mut state: Value = serde_json::from_slice(&bytes).map_err(|e| e.to_string())?;
+    // Megabytes, and done with: freed before the collections fill.
+    drop(bytes);
+    let Some(Value::Object(collections)) = take(&mut state, "collections") else {
+        return Err("no collections object".into());
+    };
+    let mut held = 0;
+    for (name, mut cstate) in collections {
+        let collection = store.get_or_create(&name);
+        let mut inner = collection.inner.lock();
+        inner.next_id = cstate.get("next_id").and_then(Value::as_u64).unwrap_or(0);
+        if let Some(Value::Array(docs)) = take(&mut cstate, "docs") {
+            held += docs.len() as u64;
+            for doc in docs {
+                let id = doc.get("_id").and_then(Value::as_u64);
+                let id = id.ok_or("a document without `_id`")?;
+                let row = inner.row_of(doc, None).map_err(|e| e.to_string())?;
+                inner.put(DocId(id), row);
+            }
+        }
+        let defined = paths.entry(name).or_default();
+        if let Some(Value::Array(indexes)) = take(&mut cstate, "indexes") {
+            for path in indexes {
+                if let Value::String(path) = path {
+                    defined.insert(path);
+                }
+            }
+        }
+    }
+    Ok(held)
+}
+
+/// Applies one logged delta to `store`, as the mutation it records did.
+fn apply(store: &Store, index_paths: &mut IndexPaths, record: &[u8]) -> Result<(), String> {
+    let mut delta: Value = serde_json::from_slice(record).map_err(|e| e.to_string())?;
+    let (Some(Value::String(op)), Some(Value::String(name))) =
+        (take(&mut delta, "op"), take(&mut delta, "coll"))
+    else {
+        return Err("no string `op` and `coll`".into());
+    };
+    let (op, name) = (op.as_str(), name.as_str());
+    let collection = || store.get_or_create(name);
+    match op {
+        "insert" | "update" => {
+            let id = delta.get("id").and_then(Value::as_u64).ok_or("no `id`")?;
+            let doc = take(&mut delta, "doc").ok_or("no `doc`")?;
+            let collection = collection();
+            let mut inner = collection.inner.lock();
+            let row = inner.row_of(doc, None).map_err(|e| e.to_string())?;
+            inner.put(DocId(id), row);
+            inner.next_id = inner.next_id.max(id + 1);
+        }
+        "delete" => {
+            let collection = collection();
+            let mut inner = collection.inner.lock();
+            let ids = delta.get("ids").and_then(Value::as_array);
+            for id in ids.into_iter().flatten().filter_map(Value::as_u64) {
+                inner.discard(DocId(id));
+            }
+        }
+        "create_index" | "drop_index" => {
+            let path = delta.get("path").and_then(Value::as_str);
+            let path = path.ok_or("no `path`")?;
+            collection();
+            let paths = index_paths.entry(name.to_owned()).or_default();
+            if op == "create_index" {
+                paths.insert(path.to_owned());
+            } else {
+                paths.remove(path);
+            }
+        }
+        "touch" => drop(collection()),
+        "clear" => collection().inner.lock().clear(),
+        "drop_collection" => {
+            if store.collections.lock().remove(name).is_some() {
+                telemetry().store_collections.dec();
+            }
+            index_paths.remove(name);
+        }
+        other => return Err(format!("unknown op `{other}`")),
+    }
+    Ok(())
 }
 
 impl Store {
@@ -495,24 +358,24 @@ impl Store {
     /// Returns [`StoreError::Durability`] when the directory cannot be
     /// opened or the log is corrupt beyond torn-tail repair.
     pub fn open(durability: Durability) -> Result<Self, StoreError> {
-        match durability {
-            Durability::InMemory => Ok(Self::new()),
-            Durability::Durable(config) => {
-                let (wal, recovered) = Wal::open(&config.dir, config.wal).map_err(wal_err)?;
-                let collections: CollectionMap = Arc::default();
-                let shared = Arc::new(DurableShared {
-                    log: StdMutex::new((wal, 0)),
-                    snapshot_every: config.snapshot_every,
-                    collections: Arc::downgrade(&collections),
-                });
-                let store = Self {
-                    collections,
-                    durable: Some(Arc::clone(&shared)),
-                };
-                shared.lock_log().1 = restore(&store, recovered)?;
-                Ok(store)
-            }
+        let Durability::Durable(config) = durability else {
+            return Ok(Self::new());
+        };
+        // Replayed in memory, then linked to the journal: no handle to a
+        // collection exists before this returns.
+        let store = Self::new();
+        let journal = Journal::open(&config, |recovered| restore(&store, recovered))?;
+        let shared = Arc::new(DurableShared {
+            journal,
+            collections: Arc::downgrade(&store.collections),
+        });
+        for (name, collection) in store.collections.lock().iter_mut() {
+            collection.durable = Some(DurableCtx::new(name, &shared));
         }
+        Ok(Self {
+            durable: Some(shared),
+            ..store
+        })
     }
 
     /// True when this store write-ahead-logs its mutations.
@@ -528,10 +391,12 @@ impl Store {
     /// Returns [`StoreError::Durability`] when the snapshot cannot be
     /// written.
     pub fn checkpoint(&self) -> Result<u64, StoreError> {
-        match &self.durable {
-            Some(shared) => shared.snapshot(&mut shared.lock_log()),
-            None => Ok(0),
-        }
+        let Some(shared) = &self.durable else {
+            return Ok(0);
+        };
+        let mut log = shared.journal.lock();
+        let live = live(&self.collections);
+        Ok(log.snapshot(live, || export(&self.collections))?)
     }
 
     /// The full store state as canonical JSON: collections sorted by
@@ -547,7 +412,8 @@ impl Store {
 mod tests {
     use super::*;
     use crate::{Filter, Update};
-    use mps_wal::KillPoint;
+    use mps_wal::{KillPoint, Wal, WalConfig};
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64 as TestSeq, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -683,13 +549,13 @@ mod tests {
         // Other tests snapshot too: lower bounds only.
         let failures = || {
             registry
-                .counter_value("docstore_snapshot_failures_total")
+                .counter_value("wal_snapshot_failures_total")
                 .unwrap_or(0)
         };
         let dir = temp_dir("snapfail");
         let kill = mps_wal::KillSwitch::new();
         let config = DurabilityConfig::new(&dir)
-            .wal(WalConfig::default().telemetry(false).kill(kill.clone()))
+            .wal(WalConfig::default().kill(kill.clone()))
             .snapshot_every(2);
         let store = Store::open(Durability::Durable(config)).unwrap();
         let c = store.collection("obs");
@@ -707,7 +573,6 @@ mod tests {
         std::fs::create_dir(&blocker).unwrap();
         update(1);
         assert!(failures() > before);
-        assert!(registry.gauge_value("docstore_snapshot_bytes").unwrap_or(0) > 0);
         // Not again at the next record, which would have succeeded, but
         // `snapshot_every` records after the failure.
         update(2);

@@ -49,6 +49,12 @@ impl fmt::Display for StoreError {
 
 impl Error for StoreError {}
 
+impl From<mps_wal::WalError> for StoreError {
+    fn from(e: mps_wal::WalError) -> Self {
+        StoreError::Durability(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,12 +71,10 @@ impl Store {
         telemetry().store_collections.inc();
         let collection = Collection {
             inner: Arc::default(),
-            durable: self.durable.as_ref().map(|shared| {
-                Arc::new(DurableCtx {
-                    name: name.to_owned(),
-                    shared: Arc::clone(shared),
-                })
-            }),
+            durable: self
+                .durable
+                .as_ref()
+                .map(|shared| DurableCtx::new(name, shared)),
         };
         collections.insert(name.to_owned(), collection.clone());
         collection

@@ -48,13 +48,6 @@ pub(crate) struct StoreTelemetry {
     pub(crate) collection_update_seconds: Histogram,
     /// Live collections per store, with a high watermark.
     pub(crate) store_collections: Gauge,
-    /// Snapshots that failed (the automatic ones report it nowhere else).
-    pub(crate) snapshot_failures: Counter,
-    /// Duration of one snapshot — export, write + fsync, compaction —
-    /// which is how long writers wait behind it, in seconds.
-    pub(crate) snapshot_seconds: Histogram,
-    /// Size of the last snapshot's state, in bytes.
-    pub(crate) snapshot_bytes: Gauge,
     /// Distinct key sets (row shapes) live across all collections.
     pub(crate) shapes: Gauge,
 }
@@ -146,19 +139,6 @@ pub(crate) fn telemetry() -> &'static StoreTelemetry {
                 "docstore_store_collections",
                 "Live collections across all stores",
             ),
-            snapshot_failures: registry.counter(
-                "docstore_snapshot_failures_total",
-                "Snapshots that failed, automatic or requested",
-            ),
-            snapshot_seconds: registry.histogram(
-                "docstore_snapshot_seconds",
-                "Duration of one snapshot: export, write + fsync, compaction; writers wait (s)",
-                &Histogram::exponential_buckets(1e-4, 4.0, 9),
-            ),
-            snapshot_bytes: registry.gauge(
-                "docstore_snapshot_bytes",
-                "Size of the last snapshot's state (bytes)",
-            ),
             shapes: registry.gauge(
                 "docstore_row_shapes",
                 "Distinct document key sets (row shapes) live across all collections",
@@ -203,9 +183,6 @@ mod tests {
             "docstore_collection_count_seconds",
             "docstore_collection_update_seconds",
             "docstore_store_collections",
-            "docstore_snapshot_failures_total",
-            "docstore_snapshot_seconds",
-            "docstore_snapshot_bytes",
             "docstore_row_shapes",
         ] {
             assert!(names.iter().any(|n| n == name), "missing {name}");

@@ -29,7 +29,7 @@
     clippy::unimplemented
 )]
 
-use mps_broker::{Broker, BrokerDurabilityConfig, BrokerTransport, ShardedBroker};
+use mps_broker::{Broker, BrokerTransport, DurabilityConfig, ShardedBroker};
 use mps_net::broker_api::BrokerService;
 use mps_net::server::{ServerConfig, WireServer};
 use std::process::ExitCode;
@@ -101,7 +101,7 @@ fn main() -> ExitCode {
         match &flags.wal_dir {
             None => Arc::new(ShardedBroker::new(flags.shards)),
             Some(dir) => {
-                match ShardedBroker::open_durable(flags.shards, BrokerDurabilityConfig::new(dir)) {
+                match ShardedBroker::open_durable(flags.shards, DurabilityConfig::new(dir)) {
                     Ok(broker) => Arc::new(broker),
                     Err(err) => {
                         eprintln!(
@@ -116,7 +116,7 @@ fn main() -> ExitCode {
     } else {
         match &flags.wal_dir {
             None => Arc::new(Broker::new()),
-            Some(dir) => match Broker::open_durable(BrokerDurabilityConfig::new(dir)) {
+            Some(dir) => match Broker::open_durable(DurabilityConfig::new(dir)) {
                 Ok(broker) => Arc::new(broker),
                 Err(err) => {
                     eprintln!("cannot open durable broker in {dir}: {err}");

@@ -16,9 +16,7 @@
 //! (truncated, extended, bit-flipped) under 256 seeds, no request makes
 //! a dispatcher panic or over-allocate and no reply a stub.
 
-use mps_broker::{
-    Broker, BrokerDurabilityConfig, BrokerError, BrokerTransport, ExchangeType, Message,
-};
+use mps_broker::{Broker, BrokerError, BrokerTransport, DurabilityConfig, ExchangeType, Message};
 use mps_docstore::{
     DocId, DocstoreTransport, Filter, FindOptions, SortOrder, Store, StoreError, Update,
 };
@@ -977,7 +975,7 @@ fn wal_counter(name: &str) -> u64 {
 fn ack_many_over_tcp_is_one_request_and_one_group_commit() {
     let dir = std::env::temp_dir().join(format!("mps-wire-corpus-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let broker = Broker::open_durable(BrokerDurabilityConfig::new(&dir)).unwrap();
+    let broker = Broker::open_durable(DurabilityConfig::new(&dir)).unwrap();
     let tap = Tap::new(Arc::new(BrokerService::new(Arc::new(broker))));
     let mut server = serve(tap.clone());
     let remote = RemoteBroker::connect(server.local_addr().to_string(), ClientConfig::default());

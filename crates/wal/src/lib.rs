@@ -11,12 +11,14 @@
 //! compaction** once a snapshot covers them.
 //!
 //! The log stores opaque byte payloads; each append is assigned a
-//! monotonically increasing [`Lsn`]. Callers (see `mps-docstore` and
-//! `mps-broker`) serialise their own deltas, replay
-//! [`Recovered::entries`] on open, and hand a full-state snapshot back
-//! via [`Wal::snapshot`] when [`Wal::snapshot_due`] says half of what a
-//! reopen would read is dead. A log whose records are never superseded
-//! is never snapshotted: it is the store.
+//! monotonically increasing [`Lsn`]. Its clients (`mps-docstore` and
+//! `mps-broker`) serialise their own deltas and replay their own
+//! records; the rest they share through one [`Journal`]: it hands
+//! [`Recovered`] to the client's replay on open, commits each change as
+//! one group-committed batch, and snapshots the client's state when
+//! [`Wal::snapshot_due`] says half of what a reopen would read is dead. A
+//! log whose records are never superseded is never snapshotted: it is
+//! the store.
 //!
 //! Crash faults are first-class: a [`KillSwitch`] armed at one of the
 //! [`KillPoint`]s makes the instance die exactly the way a process
@@ -57,6 +59,7 @@
 
 mod error;
 mod inspect;
+mod journal;
 mod kill;
 #[cfg(test)]
 mod proptests;
@@ -66,6 +69,7 @@ mod wal;
 
 pub use error::WalError;
 pub use inspect::{inspect, InspectReport, SegmentInfo, SnapshotInfo};
+pub use journal::{DurabilityConfig, Journal, JournalGuard};
 pub use kill::{KillPoint, KillSwitch};
 pub use record::{crc32, decode_one, encode_into, Decoded, RECORD_HEADER_BYTES};
 pub use wal::{Lsn, Recovered, RecoveryReport, Wal, WalConfig};

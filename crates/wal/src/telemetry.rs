@@ -7,7 +7,7 @@
 //!
 //! [`WalConfig::telemetry`]: crate::WalConfig
 
-use mps_telemetry::{Counter, Gauge, Registry};
+use mps_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::sync::OnceLock;
 
 /// Shared WAL metric handles.
@@ -33,6 +33,12 @@ pub(crate) struct WalTelemetry {
     /// have read beyond what the snapshot holds. Snapshot bytes over
     /// this is what the cadence pays per record it reclaims.
     pub(crate) records_reclaimed: Counter,
+    /// Snapshots a journal could not write, automatic or requested (an
+    /// automatic one's failure reports itself nowhere else).
+    pub(crate) snapshot_failures: Counter,
+    /// Duration of one journal snapshot — export, write + fsync,
+    /// compaction — which is how long its writers wait, in seconds.
+    pub(crate) snapshot_seconds: Histogram,
     /// Segment files (closed + active) across live `Wal` instances —
     /// each instance contributes deltas and withdraws them on drop, so
     /// the readiness probe sees compaction keeping the count bounded.
@@ -71,6 +77,15 @@ pub(crate) fn telemetry() -> &'static WalTelemetry {
                 "wal_records_reclaimed_total",
                 "Dead records dropped by committed snapshots",
             ),
+            snapshot_failures: registry.counter(
+                "wal_snapshot_failures_total",
+                "Journal snapshots that failed, automatic or requested",
+            ),
+            snapshot_seconds: registry.histogram(
+                "wal_snapshot_seconds",
+                "Duration of one journal snapshot: export, write + fsync, compaction; writers wait (s)",
+                &Histogram::exponential_buckets(1e-4, 4.0, 9),
+            ),
             open_segments: registry.gauge(
                 "wal_open_segments",
                 "Segment files (closed + active) across live WAL instances",
@@ -98,6 +113,8 @@ mod tests {
             "wal_snapshots_total",
             "wal_snapshot_bytes_written_total",
             "wal_records_reclaimed_total",
+            "wal_snapshot_failures_total",
+            "wal_snapshot_seconds",
             "wal_open_segments",
         ] {
             assert!(names.iter().any(|n| n == name), "missing {name}");
@@ -110,6 +127,8 @@ mod tests {
             &t.snapshots,
             &t.snapshot_bytes_written,
             &t.records_reclaimed,
+            &t.snapshot_failures,
+            &t.snapshot_seconds,
         );
     }
 }

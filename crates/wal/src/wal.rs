@@ -125,7 +125,7 @@ struct ClosedSegment {
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
-    config: WalConfig,
+    pub(crate) config: WalConfig,
     active: File,
     active_start: Lsn,
     active_bytes: u64,
@@ -446,8 +446,8 @@ impl Wal {
     /// The snapshot cadence: whether a snapshot taken now would reclaim
     /// enough to be worth writing. `held_then` is the number of records
     /// (documents, message copies) the newest snapshot held when it was
-    /// taken — `0` without one; the client keeps it beside the log and
-    /// counts it again from the snapshot it restores on open — and
+    /// taken — `0` without one; a [`Journal`](crate::Journal) keeps it
+    /// beside the log, and on open takes it from its client's replay — and
     /// `held_now` the number a snapshot taken now would hold. A reopen
     /// would read `held_then` plus every record logged since; what it
     /// reads beyond `held_now` is dead. Due when at least `min_records`

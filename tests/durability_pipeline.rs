@@ -19,7 +19,7 @@
 //!    survive recovery although ingest saw their batch fail; the replay
 //!    finds them stored and skips them.
 
-use soundcity::broker::{Broker, BrokerDurabilityConfig};
+use soundcity::broker::Broker;
 use soundcity::docstore::{Durability, DurabilityConfig, Store};
 use soundcity::faults::{CrashPlan, CrashTarget, FaultPlan, FaultSpec, FaultyLink};
 use soundcity::goflow::{GoFlowServer, ObservationQuery, Role};
@@ -69,8 +69,8 @@ fn store_config(dir: &PathBuf, wal: WalConfig) -> Durability {
     Durability::Durable(DurabilityConfig::new(dir).wal(wal).snapshot_every(64))
 }
 
-fn broker_config(dir: &PathBuf, wal: WalConfig) -> BrokerDurabilityConfig {
-    BrokerDurabilityConfig::new(dir).wal(wal).snapshot_every(64)
+fn broker_config(dir: &PathBuf, wal: WalConfig) -> DurabilityConfig {
+    DurabilityConfig::new(dir).wal(wal).snapshot_every(64)
 }
 
 #[test]
