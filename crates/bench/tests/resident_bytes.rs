@@ -155,12 +155,14 @@ fn holds_few_bytes(docs: u64) {
     let indexed = bytes_per_document(docs, &["model", "provider", "captured_ms"]);
     let index = indexed - plain;
     println!("resident bytes per document over {docs} documents: {plain:.1} without indexes, {indexed:.1} with model/provider/captured_ms indexed, {index:.1} of them the indexes'");
+    // Sealed, an observation's ten numeric members are 8-byte words and
+    // its nine repetitive ones 1-byte codes: ~95 bytes in all.
     assert!(
-        plain <= 400.0,
+        plain <= 110.0,
         "{plain:.1} bytes per document without indexes"
     );
     assert!(
-        indexed <= 480.0,
+        indexed <= 230.0,
         "{indexed:.1} bytes per document with indexes"
     );
     assert!(index <= 130.0, "{index:.1} bytes per document of index");

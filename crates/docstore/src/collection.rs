@@ -37,9 +37,10 @@
 //! the **column pass** ([`Sealed::pass`]) on each sealed block before
 //! walking it: every top-level conjunct that reads one undotted member is
 //! decided on that member's column alone — once per distinct value of a
-//! dictionary column, once per row of a value column — and a block no row
-//! of which passes is skipped. The survivors are re-checked against the
-//! full filter like any other row unless the pass decided every conjunct.
+//! dictionary column, once per row of a number or value column — and a
+//! block no row of which passes is skipped. The survivors are re-checked
+//! against the full filter like any other row unless the pass decided
+//! every conjunct.
 //! A `take` or replacing `put` on a sealed row — an update, a delete, the
 //! replay of either — first **unseals** the block (its columns copied
 //! back into rows), for good: `update_many` over a block would otherwise
@@ -64,6 +65,7 @@ use crate::StoreError;
 use mps_telemetry::SpanTimer;
 use parking_lot::Mutex;
 use serde_json::{Number, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
@@ -644,7 +646,7 @@ impl CollectionInner {
         let mut index = PathIndex::new();
         for (id, doc) in self.rows() {
             if let Some(value) = doc.at(path) {
-                index.insert(value, id);
+                index.insert(&value, id);
             }
         }
         self.indexes.insert(path.to_owned(), index);
@@ -667,6 +669,12 @@ impl CollectionInner {
         (sealed, self.blocks.values().filter(|b| b.unsealed).count())
     }
 
+    /// Columns of the sealed blocks that keep numbers as words.
+    pub(crate) fn number_columns(&self) -> usize {
+        let sealed = self.blocks.values().filter_map(|b| b.sealed.as_ref());
+        sealed.map(Sealed::number_columns).sum()
+    }
+
     /// Blocks a scan for `filter` skips on their summaries alone.
     pub(crate) fn ruled_out(&self, filter: &Filter) -> usize {
         let ranges = Split::of(filter).ranges;
@@ -676,6 +684,9 @@ impl CollectionInner {
             .count()
     }
 }
+
+/// A document to sort: its sort key, its place in arrival order, itself.
+type Keyed<'v, D> = (Cow<'v, Value>, usize, D);
 
 /// The first `keep` of `docs` in the order of the value at `path`, a
 /// missing value sorting as null. Each document's key is read once; ties
@@ -692,15 +703,15 @@ pub(crate) fn sorted_by_path<'v, D: Doc<'v>>(
     order: SortOrder,
     keep: usize,
 ) -> Result<Vec<D>, StoreError> {
-    let mut keyed: Vec<(&Value, usize, D)> = docs
+    let mut keyed: Vec<Keyed<'v, D>> = docs
         .enumerate()
-        .map(|(at, doc)| (doc.at(path).unwrap_or(&Value::Null), at, doc))
+        .map(|(at, doc)| (doc.at(path).unwrap_or(Cow::Borrowed(&Value::Null)), at, doc))
         .collect();
-    let compound = |(key, _, _): &(&Value, usize, D)| key.is_array() || key.is_object();
+    let compound = |(key, _, _): &Keyed<'v, D>| key.is_array() || key.is_object();
     if keyed.len() > 1 && keyed.iter().any(compound) {
         return Err(StoreError::Unorderable(path.to_owned()));
     }
-    let rank = |(a, a_at, _): &(&Value, usize, D), (b, b_at, _): &(&Value, usize, D)| {
+    let rank = |(a, a_at, _): &Keyed<'v, D>, (b, b_at, _): &Keyed<'v, D>| {
         let ordering = compare_values(a, b).unwrap_or(Ordering::Equal);
         match order {
             SortOrder::Ascending => ordering,
@@ -721,7 +732,7 @@ pub(crate) fn project<'v>(doc: &impl Doc<'v>, paths: &[String]) -> Value {
     let mut projected = Value::Object(serde_json::Map::new());
     for path in std::iter::once("_id").chain(paths.iter().map(String::as_str)) {
         if let Some(value) = doc.at(path) {
-            set_path(&mut projected, path, value.clone());
+            set_path(&mut projected, path, value.into_owned());
         }
     }
     projected
@@ -979,7 +990,7 @@ impl Collection {
     /// skipped; MongoDB's `distinct` with our scalar ordering).
     pub fn distinct(&self, path: &str, filter: &Filter) -> Vec<serde_json::Value> {
         let inner = self.inner.lock();
-        let mut values: Vec<&Value> = inner
+        let mut values: Vec<Cow<'_, Value>> = inner
             .matches(filter)
             .filter_map(|(_, row)| row.at(path))
             .filter(|v| !v.is_array() && !v.is_object())
@@ -988,7 +999,7 @@ impl Collection {
         // lowest `_id` is the one kept.
         values.sort_by(|a, b| compare_values(a, b).unwrap_or(Ordering::Equal));
         values.dedup_by(|b, a| compare_values(a, b) == Some(Ordering::Equal));
-        values.into_iter().cloned().collect()
+        values.into_iter().map(Cow::into_owned).collect()
     }
 
     /// Removes every document (indexes stay defined, but empty).

@@ -416,6 +416,7 @@ impl Filter {
             Filter::Not(inner) => !inner.matches_doc(doc),
             Filter::Cmp { path, op, value } => {
                 let found = doc.at(path);
+                let found = found.as_deref();
                 match op {
                     CmpOp::Eq => match found {
                         Some(v) => values_equal(v, value),
@@ -455,7 +456,7 @@ impl Filter {
                 negated,
             } => {
                 let hit = match doc.at(path) {
-                    Some(v) => values.iter().any(|candidate| values_equal(v, candidate)),
+                    Some(v) => values.iter().any(|candidate| values_equal(&v, candidate)),
                     None => values.iter().any(Value::is_null),
                 };
                 hit != *negated
@@ -463,8 +464,7 @@ impl Filter {
             Filter::Exists { path, expected } => doc.at(path).is_some() == *expected,
             Filter::Contains { path, needle } => doc
                 .at(path)
-                .and_then(Value::as_str)
-                .is_some_and(|s| s.contains(needle.as_str())),
+                .is_some_and(|v| v.as_str().is_some_and(|s| s.contains(needle.as_str()))),
         }
     }
 

@@ -246,19 +246,43 @@ impl Rng {
         doc
     }
 
-    /// A document of the one key set `_id`, `m`, `n`, `t`, `w`: runs of
-    /// them fill blocks that seal. `m` holds a few letters, `w` a few
+    /// A document of the one key set `_id`, `m`, `n`, `t`, `u`, `w`: runs
+    /// of them fill blocks that seal. `m` holds a few letters, `w` a few
     /// values of mixed types and `n` a few objects (dictionary columns);
     /// `t` is stamped as [`Rng::stamp`] does, a null where it would be
-    /// absent (mostly a value column, of every type).
+    /// absent (mostly a value column, of every type); `u` is drawn as
+    /// [`Rng::word`] does (mostly a number column).
     fn uniform(&mut self, at: u64, edge: Option<i128>) -> Value {
         let w = [json!(1), json!(1.0), json!(-2), json!("1")];
         json!({
             "m": self.letters("abc", 1, 1),
             "n": {"x": self.int(-1, 2)},
             "t": self.stamp(at, edge).unwrap_or(Value::Null),
+            "u": self.word(at),
             "w": w[self.size(0, 4)],
         })
+    }
+
+    /// What [`Rng::uniform`] files under `u` at insertion number `at`:
+    /// one kind of number per eight insertions (a block, under test) —
+    /// integers of both signs; integers none negative, some beyond
+    /// `i64::MAX`; floats, among them both zeros and integral ones — or
+    /// every kind at once, `1` beside `1.0`; and now and then a null.
+    fn word(&mut self, at: u64) -> Value {
+        if self.size(0, 6) == 0 {
+            return Value::Null;
+        }
+        let small = self.int(-40, 40);
+        match at / 8 % 4 {
+            0 => Value::from(small),
+            1 if self.flag() => Value::from(u64::MAX - small.unsigned_abs()),
+            1 => Value::from(small.unsigned_abs()),
+            2 => {
+                let zeros_and_one = [-0.0, 0.0, 1.0].get(self.size(0, 6)).copied();
+                Value::from(zeros_and_one.unwrap_or(small as f64 / 4.0))
+            }
+            _ => [json!(1), json!(1.0), json!(small), self.edge_number()][self.size(0, 4)].clone(),
+        }
     }
 
     /// A conjunct that reads one member alone, as the column pass decides
@@ -267,7 +291,7 @@ impl Rng {
     /// `$or` / `$not` of such on that same member. `value` draws what it
     /// compares with, beside the kinds [`Rng::probe`] draws.
     fn lone(&mut self, value: &mut impl FnMut(&mut Rng) -> Value) -> Filter {
-        let member = self.pick(&["m", "n", "t", "w", "zz", "_id"]);
+        let member = self.pick(&["m", "n", "t", "u", "w", "zz", "_id"]);
         self.lone_on(member, 2, value)
     }
 
@@ -637,8 +661,12 @@ fn op(rng: &mut Rng) -> (String, Op) {
         0 => Op::Touch,
         1..=4 => Op::Insert(rng.doc()),
         5 => Op::InsertMany(rng.vec(0, 4, Rng::doc)),
-        // A run of one key set: the blocks it fills seal.
-        16 => Op::InsertMany(rng.vec(8, 24, |r| r.uniform(0, None))),
+        // A run of one key set: the blocks it fills seal, its `u` (see
+        // `Rng::word`) of one kind throughout.
+        16 => {
+            let kind = rng.next() % 4 * 8;
+            Op::InsertMany(rng.vec(8, 24, |r| r.uniform(kind, None)))
+        }
         6..=8 => Op::Update(rng.int(-60, 60), rng.float(-10.0, 10.0)),
         9..=10 => Op::Delete(rng.int(-60, 60)),
         11..=12 => Op::CreateIndex(rng.pick(&PATHS).to_owned()),
@@ -1020,6 +1048,41 @@ fn filters_match_rows_as_they_match_documents() {
             }
         }
     });
+}
+
+/// A sealed number column gives back the very numbers it was made of:
+/// over runs of documents whose `u` holds one kind of number per block
+/// (see [`Rng::word`]) and nulls, every document reads back as its own
+/// text — both zeros, `1` and `1.0`, the ends of `i64` and `u64` — and a
+/// filter on `u` counts what it counts in the documents. Fails if no
+/// column was ever kept as words.
+#[test]
+fn number_columns_give_back_their_numbers() {
+    let columns = Cell::new(0);
+    check(|rng| {
+        let c = Collection::new();
+        let docs: Vec<Value> = (0..rng.size(8, 80) as u64)
+            .map(|at| rng.uniform(at, None))
+            .collect();
+        c.insert_many(docs.iter().cloned()).unwrap();
+        columns.set(columns.get() + c.inner.lock().number_columns());
+        let stored: Vec<String> = c.all().iter().map(Value::to_string).collect();
+        let expected: Vec<String> = (0u64..)
+            .zip(&docs)
+            .map(|(id, doc)| {
+                let mut doc = doc.clone();
+                doc.as_object_mut().unwrap().insert("_id".into(), json!(id));
+                doc.to_string()
+            })
+            .collect();
+        assert_eq!(stored, expected);
+        for _ in 0..8 {
+            let filter = rng.lone_on("u", 2, &mut Rng::edge_number);
+            let counted = docs.iter().filter(|doc| filter.matches(doc)).count();
+            assert_eq!(c.count(&filter).unwrap(), counted, "{filter:?}");
+        }
+    });
+    assert!(columns.get() > 256, "{} number columns", columns.get());
 }
 
 /// `ids` as an index holds them, if there are any: one inline, more in a

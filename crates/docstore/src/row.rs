@@ -14,16 +14,19 @@
 //! rows become a [`Sealed`] block: one [`Column`] per member, in `_id`
 //! order. A member with at most [`DICTIONARY_MAX`] distinct values in the
 //! block — a model, an activity, a day — keeps each of them once and a
-//! one-byte code per row; any other keeps its values in one contiguous
-//! slice. Values are not retyped: a column lends out the very `Value`
-//! the row held, so every reader still reads `&Value`.
+//! one-byte code per row. Any other member that holds only numbers of one
+//! [`Kind`] and null — an id, a timestamp, a level, a coordinate — keeps
+//! each number as one 8-byte word (a 32-byte `Value` before) and its null
+//! rows as a bitmap; the rest keep their values in one contiguous slice.
 //!
 //! **One read path.** `Value` stays the type at the API boundary and only
 //! there; in between, everything reads a stored document through one
 //! [`RowRef`] — an open row, or a sealed block and an offset into it —
 //! which implements [`Doc`], as `Value` does: filters, paths, sorting,
 //! projection, index builds, `to_value` and `write_json` each have a
-//! single body for both.
+//! single body for both. A member comes out as a `Cow`: borrowed where a
+//! `Value` is stored, and made on the spot — a `Value::Number`, no heap —
+//! from a number column's word.
 //!
 //! **Why bytes cannot differ.** [`RowRef::write_json`] writes members in
 //! shape order, which is `str` order, which is `Map` order; the key text
@@ -31,7 +34,8 @@
 //! values go through it. A dictionary keeps a value once per *identity*
 //! ([`identical`]: a float by its bits, so `-0.0` is not `0.0` though
 //! `Value`'s `==` says so, and `1` is not `1.0`), never once per equality.
-//! A row therefore serialises to exactly the text of the `Value` it was
+//! A number column's word gives back the very `Number` (see [`Kind`]). A
+//! row therefore serialises to exactly the text of the `Value` it was
 //! made from, sealed or not.
 //!
 //! **Scans.** [`Slots`] resolves each of a filter's paths to a slot once
@@ -55,14 +59,15 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 /// What every reader of a document needs: one top-level member by name,
-/// borrowed for as long as the document's values live (`'v`).
+/// borrowed for as long as the document's values live (`'v`) — or, for a
+/// number a sealed block keeps as a word, made on the spot.
 pub(crate) trait Doc<'v> {
     /// The top-level member `key`, if the document has it.
-    fn member(&self, key: &str) -> Option<&'v Value>;
+    fn member(&self, key: &str) -> Option<Cow<'v, Value>>;
 
     /// The value at a dotted `path`: the first segment is the document's
     /// to resolve, the rest walk the `Value` found there.
-    fn at(&self, path: &str) -> Option<&'v Value> {
+    fn at(&self, path: &str) -> Option<Cow<'v, Value>> {
         let (head, rest) = split_head(path);
         descend(self.member(head)?, rest)
     }
@@ -76,17 +81,28 @@ fn split_head(path: &str) -> (&str, Option<&str>) {
     }
 }
 
-fn descend<'a>(mut value: &'a Value, rest: Option<&str>) -> Option<&'a Value> {
+/// The value at the segments `rest` of `value`, if it has one.
+fn walk<'a>(mut value: &'a Value, rest: Option<&str>) -> Option<&'a Value> {
     for segment in rest.into_iter().flat_map(|rest| rest.split('.')) {
         value = value.as_object()?.get(segment)?;
     }
     Some(value)
 }
 
+/// [`walk`], from a value that may have been made on the spot: such a
+/// value is a number, which has no members.
+fn descend<'a>(value: Cow<'a, Value>, rest: Option<&str>) -> Option<Cow<'a, Value>> {
+    match (value, rest) {
+        (value, None) => Some(value),
+        (Cow::Borrowed(value), rest) => walk(value, rest).map(Cow::Borrowed),
+        (Cow::Owned(_), Some(_)) => None,
+    }
+}
+
 impl<'v> Doc<'v> for &'v Value {
-    fn member(&self, key: &str) -> Option<&'v Value> {
+    fn member(&self, key: &str) -> Option<Cow<'v, Value>> {
         let value: &'v Value = self;
-        value.as_object()?.get(key)
+        value.as_object()?.get(key).map(Cow::Borrowed)
     }
 }
 
@@ -269,7 +285,7 @@ impl Row {
     /// The value at dotted `path`, whose first segment is member `slot`
     /// of this row's shape (as [`IndexSlots`] resolved it).
     pub(crate) fn at_slot(&self, slot: Option<usize>, path: &str) -> Option<&Value> {
-        descend(self.values.get(slot?)?, split_head(path).1)
+        walk(self.values.get(slot?)?, split_head(path).1)
     }
 }
 
@@ -320,16 +336,103 @@ enum Column {
         values: Box<[Value]>,
         codes: Box<[u8]>,
     },
+    /// Every row's number as one word of one [`Kind`], but for the rows
+    /// in `nulls`, which hold null.
+    Numbers {
+        kind: Kind,
+        words: Box<[u64]>,
+        nulls: Option<Box<Picked>>,
+    },
     /// Every row's value.
     Values(Box<[Value]>),
 }
 
 impl Column {
-    /// The value at row `at`.
-    fn get(&self, at: usize) -> &Value {
+    /// The value at row `at`: a number is made from its word.
+    fn get(&self, at: usize) -> Cow<'_, Value> {
         match self {
-            Column::Dictionary { values, codes } => &values[usize::from(codes[at])],
-            Column::Values(values) => &values[at],
+            Column::Dictionary { values, codes } => Cow::Borrowed(&values[usize::from(codes[at])]),
+            Column::Numbers { nulls, .. } if nulls.as_ref().is_some_and(|n| n.has(at)) => {
+                Cow::Borrowed(&Value::Null)
+            }
+            Column::Numbers { kind, words, .. } => Cow::Owned(kind.value(words[at])),
+            Column::Values(values) => Cow::Borrowed(&values[at]),
+        }
+    }
+}
+
+/// What the words of a [`Column::Numbers`] are. Each kind gives back the
+/// very `Number` a word was made from: an integer its sign and digits, a
+/// float its bits (`-0.0` stays `-0.0`, and `1.0` never meets `1`).
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// Integers that all fit an `i64`, as one.
+    Int,
+    /// Integers none of them negative, some beyond `i64::MAX`, as `u64`s.
+    UInt,
+    /// Floats, as their bits.
+    Float,
+}
+
+impl Kind {
+    // What a member's values have been, as flags [`Kind::of`] reads: null;
+    // an integer both an `i64` and a `u64` hold, one only a `u64` holds,
+    // one only an `i64` holds; a float; anything else.
+    const NULL: u8 = 1;
+    const SMALL: u8 = 2;
+    const NEGATIVE: u8 = 4;
+    const HUGE: u8 = 8;
+    const FLOAT: u8 = 16;
+    const OTHER: u8 = 32;
+
+    /// What `value` adds to a member's [`Kind::of`] flags.
+    fn flag(value: &Value) -> u8 {
+        let Value::Number(n) = value else {
+            return if value.is_null() {
+                Kind::NULL
+            } else {
+                Kind::OTHER
+            };
+        };
+        match (n.as_u64(), n.as_i64()) {
+            (Some(_), Some(_)) => Kind::SMALL,
+            (Some(_), None) => Kind::HUGE,
+            (None, Some(_)) => Kind::NEGATIVE,
+            (None, None) => Kind::FLOAT,
+        }
+    }
+
+    /// The kind that holds every number of a member whose values set
+    /// `flags`, if one does and they are all numbers or null.
+    fn of(flags: u8) -> Option<Kind> {
+        match flags & !Kind::NULL {
+            Kind::FLOAT => Some(Kind::Float),
+            0 => None,
+            numbers if numbers & (Kind::FLOAT | Kind::OTHER) != 0 => None,
+            integers if integers & Kind::HUGE == 0 => Some(Kind::Int),
+            integers if integers & Kind::NEGATIVE == 0 => Some(Kind::UInt),
+            _ => None,
+        }
+    }
+
+    /// `value`'s word, or `None` for null.
+    fn word(self, value: &Value) -> Option<u64> {
+        let Value::Number(n) = value else {
+            return None;
+        };
+        match self {
+            Kind::Int => n.as_i64().map(i64::cast_unsigned),
+            Kind::UInt => n.as_u64(),
+            Kind::Float => n.as_f64().map(f64::to_bits),
+        }
+    }
+
+    /// The number `word` was made from.
+    fn value(self, word: u64) -> Value {
+        match self {
+            Kind::Int => Value::from(word.cast_signed()),
+            Kind::UInt => Value::from(word),
+            Kind::Float => Value::from(f64::from_bits(word)),
         }
     }
 }
@@ -337,17 +440,19 @@ impl Column {
 /// One member's dictionary while its block is sealed: a code per row —
 /// the position of its value among the distinct values, in the order met
 /// — and the row each distinct value was first met in, until more than
-/// [`DICTIONARY_MAX`] are distinct (then `codes` is `None`). A value is
-/// looked up by an identity hash in a table twice the dictionary's size,
-/// after a check against the row before (what repeats, repeats in runs).
-/// The hash is not keyed, but the table holds at most
-/// [`DICTIONARY_MAX`] values: values crafted to collide cost at most that
-/// many comparisons each.
+/// [`DICTIONARY_MAX`] are distinct (then `codes` is `None`, and from then
+/// on `kinds` gathers the [`Kind::flag`]s of every value met, for a
+/// number column). A value is looked up by an identity hash in a table
+/// twice the dictionary's size, after a check against the row before
+/// (what repeats, repeats in runs). The hash is not keyed, but the table
+/// holds at most [`DICTIONARY_MAX`] values: values crafted to collide
+/// cost at most that many comparisons each.
 struct Coder {
     /// By hash: the row a distinct value was first met in.
     table: [u16; 1 << Coder::BITS],
     codes: Option<Vec<u8>>,
     firsts: Vec<u16>,
+    kinds: u8,
 }
 
 impl Coder {
@@ -359,6 +464,7 @@ impl Coder {
             table: [Coder::EMPTY; 1 << Coder::BITS],
             codes: Some(Vec::with_capacity(BLOCK_IDS as usize)),
             firsts: Vec::with_capacity(DICTIONARY_MAX),
+            kinds: 0,
         }
     }
 
@@ -366,6 +472,7 @@ impl Coder {
     /// value in an earlier row.
     fn code<'v>(&mut self, at: usize, value: &Value, met: impl Fn(usize) -> &'v Value) {
         let Some(codes) = &mut self.codes else {
+            self.kinds |= Kind::flag(value);
             return;
         };
         if let Some(&code) = codes.last().filter(|_| identical(value, met(at - 1))) {
@@ -389,7 +496,12 @@ impl Coder {
         };
         match code {
             Some(code) => codes.push(code),
-            None => self.codes = None,
+            None => {
+                // Every value met before is one first met in `firsts`.
+                let before = self.firsts.iter().map(|&first| met(usize::from(first)));
+                self.kinds = before.fold(Kind::flag(value), |kinds, v| kinds | Kind::flag(v));
+                self.codes = None;
+            }
         }
     }
 }
@@ -440,8 +552,48 @@ fn identity_hash(value: &Value) -> u64 {
     }
 }
 
-/// A column being made: the values it keeps, and a dictionary's codes.
-type Making = (Vec<Value>, Option<Box<[u8]>>);
+/// A column being made: a dictionary's distinct values and codes, a
+/// number column's words and null rows, or every value.
+enum Making {
+    Dictionary(Vec<Value>, Box<[u8]>),
+    Numbers(Kind, Vec<u64>, Option<Box<Picked>>),
+    Values(Vec<Value>),
+}
+
+impl Making {
+    /// Takes row `at`'s value, unless a dictionary already holds it.
+    fn take(&mut self, at: usize, value: Value) {
+        match self {
+            Making::Dictionary(..) => {}
+            Making::Numbers(kind, words, nulls) => match kind.word(&value) {
+                Some(word) => words.push(word),
+                None => {
+                    debug_assert!(value.is_null(), "{value} in a {kind:?} column");
+                    words.push(0);
+                    if let Some(nulls) = nulls {
+                        nulls.add(at);
+                    }
+                }
+            },
+            Making::Values(values) => values.push(value),
+        }
+    }
+
+    fn done(self) -> Column {
+        match self {
+            Making::Dictionary(values, codes) => Column::Dictionary {
+                values: values.into_boxed_slice(),
+                codes,
+            },
+            Making::Numbers(kind, words, nulls) => Column::Numbers {
+                kind,
+                words: words.into_boxed_slice(),
+                nulls,
+            },
+            Making::Values(values) => Column::Values(values.into_boxed_slice()),
+        }
+    }
+}
 
 /// A full block of rows of one shape, as one [`Column`] per member. Held
 /// on the block's summary; counted in the `docstore_blocks_sealed` gauge
@@ -455,10 +607,12 @@ pub(crate) struct Sealed {
 impl Sealed {
     /// Makes columns of `rows` — a block's [`BLOCK_IDS`], in `_id` order,
     /// each of `shape`. The rows are read twice, row by row: once to code
-    /// every member still a dictionary candidate, once to move out the
-    /// distinct values of the dictionaries and every value of the other
+    /// every member still a dictionary candidate and to note what kinds
+    /// of value each other member holds, once to move out the distinct values
+    /// of the dictionaries, every number of a member that holds numbers
+    /// of one [`Kind`] (and null) as a word, and every value of the other
     /// columns. Nothing is cloned; what no column keeps — the repeats a
-    /// dictionary holds once — goes with the rows.
+    /// dictionary holds once, the numbers now words — goes with the rows.
     ///
     /// Everything is allocated before the first small chunk is freed (a
     /// repeat): glibc merges every small chunk freed since on the next
@@ -478,30 +632,29 @@ impl Sealed {
         let mut columns: Vec<Making> = coders
             .into_iter()
             .enumerate()
-            .map(|(member, coder)| match coder.codes {
-                Some(codes) => {
-                    let firsts = coder.firsts.iter().map(|&at| usize::from(at));
-                    let values = firsts.map(|at| std::mem::take(&mut rows[at].values[member]));
-                    (values.collect(), Some(codes.into_boxed_slice()))
-                }
-                None => (Vec::with_capacity(rows.len()), None),
-            })
+            .map(
+                |(member, coder)| match (coder.codes, Kind::of(coder.kinds)) {
+                    (Some(codes), _) => {
+                        let firsts = coder.firsts.iter().map(|&at| usize::from(at));
+                        let values = firsts.map(|at| std::mem::take(&mut rows[at].values[member]));
+                        Making::Dictionary(values.collect(), codes.into_boxed_slice())
+                    }
+                    (None, Some(kind)) => {
+                        let nulls = coder.kinds & Kind::NULL != 0;
+                        let nulls = nulls.then(|| Box::new(Picked::none()));
+                        Making::Numbers(kind, Vec::with_capacity(rows.len()), nulls)
+                    }
+                    (None, None) => Making::Values(Vec::with_capacity(rows.len())),
+                },
+            )
             .collect();
         let mut kept = Vec::with_capacity(columns.len());
-        for row in rows {
-            for ((column, codes), value) in columns.iter_mut().zip(row.values.into_vec()) {
-                if codes.is_none() {
-                    column.push(value);
-                }
+        for (at, row) in rows.into_iter().enumerate() {
+            for (column, value) in columns.iter_mut().zip(row.values.into_vec()) {
+                column.take(at, value);
             }
         }
-        kept.extend(columns.into_iter().map(|(values, codes)| match codes {
-            Some(codes) => Column::Dictionary {
-                values: values.into_boxed_slice(),
-                codes,
-            },
-            None => Column::Values(values.into_boxed_slice()),
-        }));
+        kept.extend(columns.into_iter().map(Making::done));
         telemetry().blocks_sealed.inc();
         Sealed {
             shape,
@@ -520,7 +673,11 @@ impl Sealed {
     pub(crate) fn into_rows(self) -> impl Iterator<Item = Row> {
         (0..BLOCK_IDS as usize).map(move |at| Row {
             shape: Arc::clone(&self.shape),
-            values: self.columns.iter().map(|c| c.get(at).clone()).collect(),
+            values: self
+                .columns
+                .iter()
+                .map(|c| c.get(at).into_owned())
+                .collect(),
         })
     }
 
@@ -529,17 +686,23 @@ impl Sealed {
     /// [`Conjunct`]), so it is decided by [`Filter::matches_doc`] on that
     /// member alone: once for the block where the shape has no such
     /// member, once per distinct value of a dictionary column (a per-code
-    /// truth table), and once per row of a value column — those last
-    /// after the others, and only for rows still in. Nothing else
+    /// truth table), and once per row of a number or value column — those
+    /// last after the others, and only for rows still in. Nothing else
     /// compares a value.
     pub(crate) fn pass(&self, conjuncts: &[Conjunct<'_>]) -> Option<Picked> {
         let column = |key: Option<&str>| Some(&self.columns[self.shape.slot(key?)?]);
-        let by_row = |(key, _): &&Conjunct<'_>| matches!(column(*key), Some(Column::Values(_)));
+        let by_row = |(key, _): &&Conjunct<'_>| {
+            matches!(
+                column(*key),
+                Some(Column::Numbers { .. } | Column::Values(_))
+            )
+        };
         let once = conjuncts.iter().filter(|conjunct| !by_row(conjunct));
         let mut picked = Picked::all();
         for &(key, conjunct) in once.chain(conjuncts.iter().filter(by_row)) {
             let member = key.unwrap_or_default();
-            let holds = |value| conjunct.matches_doc(&Member { key: member, value });
+            let holds =
+                |value: Option<&Value>| conjunct.matches_doc(&Member { key: member, value });
             match column(key) {
                 None if holds(None) => continue,
                 None => return None,
@@ -547,13 +710,22 @@ impl Sealed {
                     let truth: Vec<bool> = values.iter().map(|v| holds(Some(v))).collect();
                     picked.and(|at| truth[usize::from(codes[at])]);
                 }
-                Some(Column::Values(values)) => picked.keep(|at| holds(Some(&values[at]))),
+                Some(column) => picked.keep(|at| holds(Some(&column.get(at)))),
             }
             if picked.is_empty() {
                 return None;
             }
         }
         Some(picked)
+    }
+}
+
+#[cfg(test)]
+impl Sealed {
+    /// Columns that keep numbers as words.
+    pub(crate) fn number_columns(&self) -> usize {
+        let numbers = |column: &&Column| matches!(column, Column::Numbers { .. });
+        self.columns.iter().filter(numbers).count()
     }
 }
 
@@ -574,8 +746,8 @@ struct Member<'k, 'v> {
 }
 
 impl<'v> Doc<'v> for Member<'_, 'v> {
-    fn member(&self, key: &str) -> Option<&'v Value> {
-        self.value.filter(|_| key == self.key)
+    fn member(&self, key: &str) -> Option<Cow<'v, Value>> {
+        self.value.filter(|_| key == self.key).map(Cow::Borrowed)
     }
 }
 
@@ -594,6 +766,21 @@ impl Picked {
             words[WORDS - 1] = (1u64 << (BLOCK_IDS % 64)) - 1;
         }
         Picked(words)
+    }
+
+    /// No row of a block.
+    fn none() -> Picked {
+        Picked([0; WORDS])
+    }
+
+    /// Adds row `at`.
+    fn add(&mut self, at: usize) {
+        self.0[at / 64] |= 1 << (at % 64);
+    }
+
+    /// Whether row `at` is in.
+    fn has(&self, at: usize) -> bool {
+        self.0[at / 64] & 1 << (at % 64) != 0
     }
 
     fn is_empty(&self) -> bool {
@@ -639,7 +826,8 @@ impl Picked {
 
 /// A stored row as every reader sees it: an open [`Row`], or a row of a
 /// [`Sealed`] block by its offset there. Either way it lends out the
-/// `Value`s it holds for as long as the collection is borrowed.
+/// `Value`s it holds for as long as the collection is borrowed, and makes
+/// those of a sealed number column from their words.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RowRef<'a> {
     Open(&'a Row),
@@ -661,15 +849,15 @@ impl<'a> RowRef<'a> {
     }
 
     /// The value of member `slot` of the shape.
-    fn value(self, slot: usize) -> &'a Value {
+    fn value(self, slot: usize) -> Cow<'a, Value> {
         match self {
-            RowRef::Open(row) => &row.values[slot],
+            RowRef::Open(row) => Cow::Borrowed(&row.values[slot]),
             RowRef::Sealed(sealed, at) => sealed.columns[slot].get(at),
         }
     }
 
     /// The member values, in shape order.
-    fn values(self) -> impl Iterator<Item = &'a Value> {
+    fn values(self) -> impl Iterator<Item = Cow<'a, Value>> {
         (0..self.shape().keys.len()).map(move |slot| self.value(slot))
     }
 
@@ -683,7 +871,7 @@ impl<'a> RowRef<'a> {
         let mut map = blank.clone();
         for (key, value) in keys.iter().zip(self.values()) {
             if let Some(member) = map.get_mut(key) {
-                *member = value.clone();
+                *member = value.into_owned();
             }
         }
         Value::Object(map)
@@ -705,7 +893,7 @@ impl<'a> RowRef<'a> {
 }
 
 impl<'a> Doc<'a> for RowRef<'a> {
-    fn member(&self, key: &str) -> Option<&'a Value> {
+    fn member(&self, key: &str) -> Option<Cow<'a, Value>> {
         Some(self.value(self.shape().slot(key)?))
     }
 }
@@ -759,11 +947,11 @@ pub(crate) struct View<'s> {
 }
 
 impl<'s> Doc<'s> for View<'s> {
-    fn member(&self, key: &str) -> Option<&'s Value> {
+    fn member(&self, key: &str) -> Option<Cow<'s, Value>> {
         self.row.member(key)
     }
 
-    fn at(&self, path: &str) -> Option<&'s Value> {
+    fn at(&self, path: &str) -> Option<Cow<'s, Value>> {
         match self.paths.iter().position(|(p, _)| std::ptr::eq(*p, path)) {
             Some(i) => descend(self.row.value(self.slots[i]?), self.paths[i].1),
             None => self.row.at(path),

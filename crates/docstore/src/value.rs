@@ -1,6 +1,5 @@
 //! JSON value helpers: dotted-path access and a total scalar ordering.
 
-use crate::row::Doc;
 use serde::{Deserialize, Serialize};
 use serde_json::{Number, Value};
 use std::cmp::Ordering;
@@ -35,7 +34,8 @@ impl fmt::Display for DocId {
 /// assert_eq!(get_path(&doc, "location.provider"), None);
 /// ```
 pub fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
-    Doc::at(&doc, path)
+    path.split('.')
+        .try_fold(doc, |value, segment| value.as_object()?.get(segment))
 }
 
 /// Writes `value` at a dotted path, creating intermediate objects as

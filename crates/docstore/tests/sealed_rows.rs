@@ -1,8 +1,9 @@
 //! A sealed row is the document it was made from, to the byte: read back
 //! as a `Value` and written as JSON, before and after its block seals, at
 //! the sizes a build uses (a block is 1 024 ids, a dictionary at most 255
-//! distinct values). In a process of its own, to read the sealed-block
-//! gauge exactly.
+//! distinct values), whether a member becomes a dictionary, a number
+//! column or a value column. In a process of its own, to read the
+//! sealed-block gauge exactly.
 
 use mps_docstore::{DocId, Filter, FindOptions, Store};
 use mps_telemetry::Registry;
@@ -37,11 +38,59 @@ fn awkward() -> Vec<Value> {
     ]
 }
 
+/// Document `i`'s numbers, more than 255 distinct of each kind, so that
+/// each member keeps them as words: integers out to both ends of `i64`;
+/// integers none negative, out to the end of `u64`; floats, among them
+/// both zeros, integral ones and the smallest normal ones. A null in
+/// every member now and then.
+fn numbers(i: u64) -> Value {
+    let n = i as i64;
+    let int = match i % 4 {
+        0 => json!(i64::MIN + n),
+        1 => json!(-n),
+        2 => json!(i64::MAX - n),
+        _ => Value::Null,
+    };
+    let uint = match i % 4 {
+        0 => json!(u64::MAX - i),
+        1 => json!(i),
+        2 => json!((1u64 << 63) + i),
+        _ => Value::Null,
+    };
+    let float = match i % 5 {
+        0 => json!(-0.0),
+        1 => json!(0.0),
+        2 => json!(i as f64 / 8.0),
+        3 => json!(-f64::MIN_POSITIVE * i as f64),
+        _ => Value::Null,
+    };
+    json!({"int": int, "uint": uint, "float": float})
+}
+
+/// What the counts below compare: comparisons on each kind of number
+/// column, its nulls, and its zeros of both signs.
+fn number_filters() -> Vec<Filter> {
+    let filters = [
+        json!({"int": {"$lt": 0}}),
+        json!({"int": {"$gte": i64::MAX - 1_000}}),
+        json!({"int": null}),
+        json!({"uint": {"$gt": 1u64 << 63}}),
+        json!({"uint": {"$lte": 512}}),
+        json!({"float": 0}),
+        json!({"float": {"$gt": 100.0}}),
+        json!({"float": {"$lt": 0}}),
+        json!({"float": {"$in": [1, 2.5]}}),
+        json!({"float": {"$exists": true}, "uint": {"$ne": null}}),
+    ];
+    filters.iter().map(|f| Filter::parse(f).unwrap()).collect()
+}
+
 #[test]
 fn sealed_rows_read_back_byte_for_byte() {
     let awkward = awkward();
     // `few` holds the awkward values only (a dictionary column); `many`
-    // holds them between more than 255 others (a value column).
+    // holds them between more than 255 others (a value column); `int`,
+    // `uint` and `float` hold numbers of one kind (number columns).
     let docs: Vec<Value> = (0..1_024u64)
         .map(|i| {
             let few = awkward[i as usize % awkward.len()].clone();
@@ -50,7 +99,12 @@ fn sealed_rows_read_back_byte_for_byte() {
                 1 => json!(i as f64 / 8.0),
                 _ => json!(format!("row \"{i}\"")),
             };
-            json!({"few": few, "many": many, "same": "x"})
+            let mut doc = numbers(i);
+            let members = doc.as_object_mut().unwrap();
+            members.insert("few".into(), few);
+            members.insert("many".into(), many);
+            members.insert("same".into(), json!("x"));
+            doc
         })
         .collect();
     let store = Store::new();
@@ -75,6 +129,17 @@ fn sealed_rows_read_back_byte_for_byte() {
         )
     };
     let (all, found, projected, export) = read();
+    // A count reads the columns as a filter reads the documents.
+    let counts_agree = || {
+        let all = c.all();
+        for filter in number_filters() {
+            let matched = all.iter().filter(|doc| filter.matches(doc)).count();
+            assert_eq!(c.count(&filter).unwrap(), matched, "{filter:?}");
+        }
+    };
+    counts_agree();
+    let distinct = || c.distinct("float", &Filter::lt("_id", 1_024));
+    let floats = distinct();
     let expected: Vec<String> = docs
         .iter()
         .enumerate()
@@ -94,6 +159,8 @@ fn sealed_rows_read_back_byte_for_byte() {
     assert_eq!(all_after[..1_024], all[..]);
     assert_eq!(found_after[..1_024], found[..]);
     assert_eq!(projected_after[..1_024], projected[..]);
+    counts_agree();
+    assert_eq!(distinct(), floats);
     // The export written from the columns is the one written from the
     // rows, with the new document after them.
     let docs_end = export.find("],\"indexes\"").unwrap();
