@@ -14,11 +14,9 @@
 
 use mps_assim::{Blue, Grid, Localization, PointObservation};
 use mps_broker::{
-    topic_matches, Broker, BrokerTransport, CompiledPattern, ExchangeType, ShardedBroker, TopicTrie,
+    topic_matches, Broker, BrokerTransport, CompiledPattern, ExchangeType, TopicTrie,
 };
-use mps_docstore::{
-    Collection, DocstoreTransport, Durability, DurabilityConfig, Filter, ShardedStore, Store,
-};
+use mps_docstore::{Collection, DocstoreTransport, Durability, DurabilityConfig, Filter, Store};
 use mps_goflow::{GoFlowServer, Role};
 use mps_mobile::Fleet;
 use mps_net::{BrokerService, ClientConfig, RemoteBroker, ServerConfig, WireServer};
@@ -342,28 +340,24 @@ pub fn wal_append(batch: usize, samples: usize, iters: usize, telemetry: bool) -
 }
 
 /// Concurrent ingest workers (one registered app each) driving the
-/// sustained-throughput bench — fixed across shard counts so the offered
-/// load is identical and only the substrate parallelism varies.
+/// sustained-throughput bench.
 pub const SUSTAINED_WORKERS: usize = 8;
 
 /// Median ns per observation of the **end-to-end pipeline** —
-/// fleet-captured observations published into a [`ShardedBroker`] and
-/// drained through a [`GoFlowServer`] into a [`ShardedStore`] — with
-/// [`SUSTAINED_WORKERS`] concurrent workers over `shards` partitions.
+/// fleet-captured observations published into a [`Broker`] and drained
+/// through a [`GoFlowServer`] into a [`Store`] — with
+/// [`SUSTAINED_WORKERS`] concurrent workers.
 ///
 /// Every worker owns one app (its own GF queue and collection) and
 /// drives its round-robin slice of a million-device [`Fleet`]:
 /// publish its pre-serialized observations, then drain until all of
-/// them are stored. `shards: 1` is the single-broker/single-store
-/// reference; larger counts split both the broker's routing locks (by
-/// routing-key hash) and the store's collection locks (by collection
-/// name hash) so the workers stop serialising against each other.
+/// them are stored.
 ///
 /// The reciprocal of the returned ns/observation is the sustained
 /// observations-per-second headline in `BENCH_pipeline.json`.
-pub fn sustained_throughput(shards: usize, total_obs: usize, samples: usize) -> f64 {
-    let broker: Arc<dyn BrokerTransport> = Arc::new(ShardedBroker::new(shards));
-    let store: Arc<dyn DocstoreTransport> = Arc::new(ShardedStore::new(shards));
+pub fn sustained_throughput(total_obs: usize, samples: usize) -> f64 {
+    let broker: Arc<dyn BrokerTransport> = Arc::new(Broker::new());
+    let store: Arc<dyn DocstoreTransport> = Arc::new(Store::new());
     let server = GoFlowServer::over(Arc::clone(&broker), Arc::clone(&store));
     let fleet = Fleet::new(11, 1_000_000);
     let per_worker = (total_obs / SUSTAINED_WORKERS).max(1);
@@ -614,20 +608,12 @@ pub fn baseline_measurements(quick: bool, telemetry: bool) -> Vec<Measurement> {
 
     let sustained_obs = if quick { 1_600 } else { 8_000 };
     let sustained_samples = if quick { 3 } else { 5 };
-    for (shards, variant) in [
-        (1usize, "shards_1"),
-        (2, "shards_2"),
-        (4, "shards_4"),
-        (8, "shards_8"),
-    ] {
-        let ns = sustained_throughput(shards, sustained_obs, sustained_samples);
-        out.push(Measurement {
-            bench: "sustained_throughput",
-            variant,
-            size: sustained_obs,
-            median_ns_per_op: ns,
-        });
-    }
+    out.push(Measurement {
+        bench: "sustained_throughput",
+        variant: "single",
+        size: sustained_obs,
+        median_ns_per_op: sustained_throughput(sustained_obs, sustained_samples),
+    });
 
     let ingest_rounds = if quick { 6 } else { 40 };
     let (batched, per_message, batched_fsyncs, per_message_fsyncs) =
@@ -808,10 +794,9 @@ mod tests {
     #[test]
     fn sustained_throughput_pipeline_stores_everything() {
         // Tiny load: a plumbing check (apps register, workers publish
-        // through the sharded broker, every observation drains into the
-        // sharded store — the bench asserts zero loss internally), not a
-        // measurement.
-        let ns = sustained_throughput(2, 160, 1);
+        // through the broker, every observation drains into the store —
+        // the bench asserts zero loss internally), not a measurement.
+        let ns = sustained_throughput(160, 1);
         assert!(ns > 0.0, "sustained pass must be timed");
     }
 

@@ -794,6 +794,17 @@ fn main() {
     } else {
         None
     };
+    // A stored document that does not decode would silently shrink every
+    // figure computed from its replay.
+    for replay in dataset.iter().chain(&longitudinal) {
+        if replay.undecoded > 0 {
+            eprintln!(
+                "BUG: {} stored documents do not decode as observations",
+                replay.undecoded
+            );
+            std::process::exit(1);
+        }
+    }
 
     for figure in wanted {
         match figure {

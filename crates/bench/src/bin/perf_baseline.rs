@@ -71,7 +71,6 @@ fn print_speedups(measurements: &[Measurement]) {
         "blue_analysis" => "global",
         "wal_append" => "per_record",
         "net_round_trip" => "tcp",
-        "sustained_throughput" => "shards_1",
         "batched_ingest" | "batched_ingest_fsyncs_per_obs" => "per_message",
         _ => "full_scan",
     };

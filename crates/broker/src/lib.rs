@@ -29,10 +29,6 @@
 //! write-ahead-logs topology and every queue transition and replays the
 //! log on reopen — see [`mod@durability`].
 //!
-//! For fleet-scale throughput, [`ShardedBroker`] partitions messages by
-//! routing-key hash across N independent brokers behind the same
-//! [`BrokerTransport`] surface — see [`mod@sharded`].
-//!
 //! # Examples
 //!
 //! ```
@@ -69,7 +65,6 @@ mod metrics;
 #[cfg(test)]
 mod proptests;
 pub mod router;
-pub mod sharded;
 mod topic;
 mod transport;
 
@@ -79,6 +74,5 @@ pub use error::BrokerError;
 pub use message::{Delivery, Message};
 pub use metrics::{BrokerMetrics, MetricsSnapshot};
 pub use router::TopicTrie;
-pub use sharded::{shard_for_key, ShardedBroker};
 pub use topic::{topic_matches, BindingPattern, CompiledPattern, PatternWord, RoutingKey};
 pub use transport::BrokerTransport;

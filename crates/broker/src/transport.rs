@@ -25,20 +25,16 @@ use std::sync::Arc;
 /// The broker's operation table: every client-facing operation, stated
 /// once. A row is what `docs/WIRE_PROTOCOL.md` §5 tabulates — opcode,
 /// `NAME`, each argument's Rust type `=>` its wire field, the reply's —
-/// plus the method's documentation, how a [`ShardedBroker`] fans it out
-/// (`broadcast` to every shard, answer from the `first`, `sum` the
-/// answers, or a `custom` body in `sharded.rs`) and, marked `degrades`,
-/// whether the signature is infallible (a remote client then answers the
-/// default when it cannot reach its server).
+/// plus the method's documentation and, marked `degrades`, whether the
+/// signature is infallible (a remote client then answers the default
+/// when it cannot reach its server).
 ///
 /// `broker_ops!(emit, ctx…)` expands to `emit! { [ctx…] rows… }`, so each
-/// crate generates the part it owns: this one the trait, the delegating
-/// impls and the sharded fan-out; `mps-net` the opcode constants, the
-/// client stub and the server dispatch. Adding an operation is adding a
-/// row (and its `docs/WIRE_PROTOCOL.md` line, which
-/// `crates/net/tests/wire_spec.rs` holds the row to).
-///
-/// [`ShardedBroker`]: crate::ShardedBroker
+/// crate generates the part it owns: this one the trait and the
+/// delegating impls; `mps-net` the opcode constants, the client stub and
+/// the server dispatch. Adding an operation is adding a row (and its
+/// `docs/WIRE_PROTOCOL.md` line, which `crates/net/tests/wire_spec.rs`
+/// holds the row to).
 #[macro_export]
 macro_rules! broker_ops {
     ($emit:path $(, $($ctx:tt)*)?) => {
@@ -51,29 +47,29 @@ macro_rules! broker_ops {
             ///
             /// Returns [`BrokerError::ExchangeTypeMismatch`] on a type conflict,
             /// or [`BrokerError::Transport`] when the broker is unreachable.
-            1 DECLARE_EXCHANGE broadcast
+            1 DECLARE_EXCHANGE
             fn declare_exchange(name: &str => string, kind: ExchangeType => u8) -> () => empty;
             /// Declares an unbounded queue. Redeclaring is a no-op.
             ///
             /// # Errors
             ///
             /// Returns [`BrokerError::Transport`] when the broker is unreachable.
-            2 DECLARE_QUEUE broadcast
+            2 DECLARE_QUEUE
             fn declare_queue(name: &str => string) -> () => empty;
             /// Declares a queue holding at most `capacity` ready messages.
             ///
             /// # Errors
             ///
             /// Returns [`BrokerError::Transport`] when the broker is unreachable.
-            3 DECLARE_QUEUE_WITH_CAPACITY custom
+            3 DECLARE_QUEUE_WITH_CAPACITY
             fn declare_queue_with_capacity(name: &str => string, capacity: usize => u64) -> () => empty;
             /// Whether an exchange with this name exists (`false` when the
             /// broker cannot be reached).
-            4 EXCHANGE_EXISTS first
+            4 EXCHANGE_EXISTS
             fn exchange_exists(name: &str => string) -> bool => bool, degrades;
             /// Whether a queue with this name exists (`false` when the broker
             /// cannot be reached).
-            5 QUEUE_EXISTS first
+            5 QUEUE_EXISTS
             fn queue_exists(name: &str => string) -> bool => bool, degrades;
             /// Binds `queue` to `exchange` with a topic `pattern`.
             ///
@@ -81,7 +77,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates the broker's not-found / invalid-pattern errors, or
             /// [`BrokerError::Transport`].
-            6 BIND_QUEUE broadcast
+            6 BIND_QUEUE
             fn bind_queue(exchange: &str => string, queue: &str => string, pattern: &str => string) -> () => empty;
             /// Binds exchange `destination` to exchange `source` with `pattern`.
             ///
@@ -89,7 +85,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates the broker's not-found / invalid-pattern errors, or
             /// [`BrokerError::Transport`].
-            7 BIND_EXCHANGE broadcast
+            7 BIND_EXCHANGE
             fn bind_exchange(source: &str => string, destination: &str => string, pattern: &str => string) -> () => empty;
             /// Removes a queue binding. Removing a non-existent binding is a
             /// no-op.
@@ -98,7 +94,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates [`BrokerError::ExchangeNotFound`], or
             /// [`BrokerError::Transport`].
-            8 UNBIND_QUEUE broadcast
+            8 UNBIND_QUEUE
             fn unbind_queue(exchange: &str => string, queue: &str => string, pattern: &str => string) -> () => empty;
             /// Deletes an exchange and every binding pointing at it.
             ///
@@ -106,7 +102,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates [`BrokerError::ExchangeNotFound`], or
             /// [`BrokerError::Transport`].
-            9 DELETE_EXCHANGE broadcast
+            9 DELETE_EXCHANGE
             fn delete_exchange(name: &str => string) -> () => empty;
             /// Deletes a queue and any messages still buffered in it.
             ///
@@ -114,7 +110,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates [`BrokerError::QueueNotFound`], or
             /// [`BrokerError::Transport`].
-            10 DELETE_QUEUE broadcast
+            10 DELETE_QUEUE
             fn delete_queue(name: &str => string) -> () => empty;
             /// Discards every ready message in a queue, returning how many were
             /// removed.
@@ -123,7 +119,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates [`BrokerError::QueueNotFound`], or
             /// [`BrokerError::Transport`].
-            11 PURGE_QUEUE sum
+            11 PURGE_QUEUE
             fn purge_queue(name: &str => string) -> usize => u64;
             /// Installs a dead-letter policy on `queue`.
             ///
@@ -131,7 +127,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates the broker's validation errors, or
             /// [`BrokerError::Transport`].
-            12 CONFIGURE_DEAD_LETTER broadcast
+            12 CONFIGURE_DEAD_LETTER
             fn configure_dead_letter(queue: &str => string, max_delivery_attempts: u32 => u32, target: &str => string) -> () => empty;
             /// The dead-letter policy of a queue, if one is configured.
             ///
@@ -139,7 +135,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates [`BrokerError::QueueNotFound`], or
             /// [`BrokerError::Transport`].
-            13 DEAD_LETTER_POLICY first
+            13 DEAD_LETTER_POLICY
             fn dead_letter_policy(queue: &str => string) -> Option<DeadLetterPolicy> => option<policy>;
             /// Number of ready messages in a queue.
             ///
@@ -147,7 +143,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates [`BrokerError::QueueNotFound`], or
             /// [`BrokerError::Transport`].
-            14 QUEUE_DEPTH sum
+            14 QUEUE_DEPTH
             fn queue_depth(name: &str => string) -> usize => u64;
             /// Publishes `payload` to `exchange` under routing key `key`,
             /// returning how many queues received it.
@@ -156,7 +152,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates the broker's routing errors, or
             /// [`BrokerError::Transport`].
-            15 PUBLISH custom
+            15 PUBLISH
             fn publish(exchange: &str => string, key: &str => string, payload: &[u8] => bytes) -> usize => u64;
             /// Publishes a full [`Message`] (routing key, payload and headers)
             /// to `exchange`, returning how many queues received it.
@@ -165,7 +161,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates the broker's routing errors, or
             /// [`BrokerError::Transport`].
-            16 PUBLISH_MESSAGE custom
+            16 PUBLISH_MESSAGE
             fn publish_message(exchange: &str => string, message: Message => message) -> usize => u64;
             /// Takes up to `max` ready messages from a queue for processing.
             ///
@@ -173,7 +169,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates [`BrokerError::QueueNotFound`], or
             /// [`BrokerError::Transport`].
-            17 CONSUME custom
+            17 CONSUME
             fn consume(queue: &str => string, max: usize => u32) -> Vec<Delivery> => deliveries;
             /// Acknowledges a delivery, removing it permanently.
             ///
@@ -181,7 +177,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates [`BrokerError::UnknownDeliveryTag`], or
             /// [`BrokerError::Transport`].
-            18 ACK custom
+            18 ACK
             fn ack(queue: &str => string, tag: u64 => u64) -> () => empty;
             /// Rejects a delivery; with `requeue` it is redelivered (subject to
             /// the queue's dead-letter policy), otherwise dropped (counted).
@@ -190,7 +186,7 @@ macro_rules! broker_ops {
             ///
             /// Propagates [`BrokerError::UnknownDeliveryTag`], or
             /// [`BrokerError::Transport`].
-            19 NACK custom
+            19 NACK
             fn nack(queue: &str => string, tag: u64 => u64, requeue: bool => bool) -> () => empty;
             /// Acknowledges a batch of deliveries from one queue, in order: one
             /// group-committed log append on a durable broker, and one round
@@ -201,7 +197,7 @@ macro_rules! broker_ops {
             /// Propagates [`BrokerError::UnknownDeliveryTag`] for the first
             /// unknown tag (the tags before it stay settled, the ones after it
             /// are not looked at), or [`BrokerError::Transport`].
-            20 ACK_MANY custom
+            20 ACK_MANY
             fn ack_many(queue: &str => string, tags: &[u64] => seq<u64>) -> () => empty;
         }
     };
@@ -214,12 +210,11 @@ macro_rules! row_if {
     ([] { $($then:tt)* } { $($otherwise:tt)* }) => { $($otherwise)* };
     ([$present:tt] { $($then:tt)* } { $($otherwise:tt)* }) => { $($then)* };
 }
-pub(crate) use row_if;
 
 /// Emits the [`BrokerTransport`] methods: one per row, carrying the
 /// row's documentation.
 macro_rules! emit_trait {
-    ([] $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+    ([] $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
         $($(#[$doc])*
@@ -250,7 +245,7 @@ pub trait BrokerTransport: fmt::Debug + Send + Sync {
 /// `self`).
 macro_rules! emit_delegate {
     ([|$this:ident| $target:ty, $receiver:expr]
-        $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
         $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)

@@ -28,6 +28,11 @@ pub struct Dataset {
     pub undelivered: u64,
     /// Broker counters at the end of the replay.
     pub broker_metrics: MetricsSnapshot,
+    /// Stored documents that did not decode as observations (foreign
+    /// schema). They are left out of [`observations`](Self::observations),
+    /// so a non-zero count means every figure is computed from fewer
+    /// observations than the store holds.
+    pub undecoded: u64,
 }
 
 fn parse_observation(doc: &Value) -> Option<Observation> {
@@ -68,7 +73,8 @@ fn parse_observation(doc: &Value) -> Option<Observation> {
 
 impl Dataset {
     /// Reconstructs typed observations from GoFlow storage documents.
-    /// Documents that do not decode (foreign schema) are skipped.
+    /// Documents that do not decode (foreign schema) are left out and
+    /// counted in [`undecoded`](Self::undecoded).
     pub fn from_documents(
         docs: &[Value],
         devices: u64,
@@ -76,8 +82,9 @@ impl Dataset {
         undelivered: u64,
         broker_metrics: MetricsSnapshot,
     ) -> Self {
-        let observations = docs.iter().filter_map(parse_observation).collect();
+        let observations: Vec<Observation> = docs.iter().filter_map(parse_observation).collect();
         Self {
+            undecoded: (docs.len() - observations.len()) as u64,
             observations,
             devices,
             captured,
@@ -162,6 +169,7 @@ mod tests {
             MetricsSnapshot::default(),
         );
         assert_eq!(ds.stored(), 1);
+        assert_eq!(ds.undecoded, 1);
     }
 
     #[test]

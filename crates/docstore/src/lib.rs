@@ -17,10 +17,6 @@
 //! one with [`Store::open`] and [`Durability::Durable`] write-ahead-logs
 //! every mutation and replays the log on reopen — see [`mod@durability`].
 //!
-//! For fleet-scale throughput, [`ShardedStore`] partitions collections by
-//! name hash across N independent stores behind the same
-//! [`DocstoreTransport`] surface, mirroring the broker's sharding scheme.
-//!
 //! # Examples
 //!
 //! ```
@@ -58,7 +54,6 @@ mod planner;
 #[cfg(test)]
 mod proptests;
 mod row;
-mod sharded;
 mod store;
 mod telemetry;
 mod transport;
@@ -72,7 +67,6 @@ pub use error::StoreError;
 pub use filter::Filter;
 pub use index::IndexKey;
 pub use planner::PlanKind;
-pub use sharded::{shard_for_collection, ShardedStore};
 pub use store::Store;
 pub use transport::{CollectionHandle, CollectionOps, DocstoreTransport};
 pub use update::Update;

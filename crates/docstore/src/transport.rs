@@ -29,24 +29,20 @@ use std::sync::Arc;
 /// The store's operation table: every client-facing operation, stated
 /// once. A row is what `docs/WIRE_PROTOCOL.md` §6 tabulates — opcode,
 /// `NAME`, each argument's Rust type `=>` its wire field, the reply's —
-/// plus the method's documentation, where a [`ShardedStore`] sends it
-/// (`by_collection` / `by_name` to the shard owning that name, `sum`
-/// over the shards, or their `sorted` union) and, marked `degrades`,
-/// whether the embedded answer is infallible (the handle or a remote
-/// client then answers the default when the store cannot be reached).
-/// The `collection` rows are [`CollectionOps`] — on the wire each carries
+/// plus the method's documentation and, marked `degrades`, whether the
+/// embedded answer is infallible (the handle or a remote client then
+/// answers the default when the store cannot be reached). The
+/// `collection` rows are [`CollectionOps`] — on the wire each carries
 /// its collection's name as a leading `string` — and the `store` rows
 /// are [`DocstoreTransport`].
 ///
 /// `docstore_ops!(emit, ctx…)` expands to
 /// `emit! { [ctx…] collection { rows… } store { rows… } }`, so each
 /// crate generates the part it owns: this one the traits, the delegating
-/// impls, [`CollectionHandle`] and the sharded routing; `mps-net` the
-/// opcode constants, the client stubs and the server dispatch. Adding
-/// an operation is adding a row (and its `docs/WIRE_PROTOCOL.md` line,
-/// which `crates/net/tests/wire_spec.rs` holds the row to).
-///
-/// [`ShardedStore`]: crate::ShardedStore
+/// impls and [`CollectionHandle`]; `mps-net` the opcode constants, the
+/// client stubs and the server dispatch. Adding an operation is adding a
+/// row (and its `docs/WIRE_PROTOCOL.md` line, which
+/// `crates/net/tests/wire_spec.rs` holds the row to).
 #[macro_export]
 macro_rules! docstore_ops {
     ($emit:path $(, $($ctx:tt)*)?) => {
@@ -59,7 +55,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Propagates the store's validation errors, or
                 /// [`StoreError::Transport`].
-                1 INSERT_ONE by_collection
+                1 INSERT_ONE
                 fn insert_one(doc: Value => json) -> DocId => u64;
                 /// Inserts a batch of documents, returning their ids in order.
                 ///
@@ -67,7 +63,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Propagates the store's validation errors, or
                 /// [`StoreError::Transport`].
-                2 INSERT_MANY by_collection
+                2 INSERT_MANY
                 fn insert_many(docs: Vec<Value> => seq<json>) -> Vec<DocId> => seq<u64>;
                 /// Fetches a document by id (the handle answers `None` if it
                 /// is missing *or* the store is unreachable).
@@ -76,7 +72,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Returns [`StoreError::Transport`] when the store is
                 /// unreachable.
-                3 GET by_collection
+                3 GET
                 fn get(id: DocId => u64) -> Option<Value> => option<json>, degrades;
                 /// Number of documents in the collection (the handle answers
                 /// `0` when the store is unreachable).
@@ -85,7 +81,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Returns [`StoreError::Transport`] when the store is
                 /// unreachable.
-                4 LEN by_collection
+                4 LEN
                 fn len() -> usize => u64, degrades;
                 /// Documents matching a filter.
                 ///
@@ -93,7 +89,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Propagates the store's filter errors, or
                 /// [`StoreError::Transport`].
-                5 FIND by_collection
+                5 FIND
                 fn find(filter: &Filter => json) -> Vec<Value> => docs;
                 /// Documents matching a filter, with sort/skip/limit/projection.
                 ///
@@ -101,7 +97,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Propagates the store's filter/sort errors, or
                 /// [`StoreError::Transport`].
-                6 FIND_WITH_OPTIONS by_collection
+                6 FIND_WITH_OPTIONS
                 fn find_with_options(filter: &Filter => json, options: &FindOptions => json) -> Vec<Value> => docs;
                 /// Number of documents matching a filter.
                 ///
@@ -109,7 +105,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Propagates the store's filter errors, or
                 /// [`StoreError::Transport`].
-                7 COUNT by_collection
+                7 COUNT
                 fn count(filter: &Filter => json) -> usize => u64;
                 /// Applies an update to every matching document, returning how
                 /// many changed.
@@ -118,7 +114,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Propagates the store's filter/update errors, or
                 /// [`StoreError::Transport`].
-                8 UPDATE_MANY by_collection
+                8 UPDATE_MANY
                 fn update_many(filter: &Filter => json, update: &Update => json) -> usize => u64;
                 /// Deletes every matching document, returning how many were
                 /// removed.
@@ -127,21 +123,21 @@ macro_rules! docstore_ops {
                 ///
                 /// Propagates the store's filter errors, or
                 /// [`StoreError::Transport`].
-                9 DELETE_MANY by_collection
+                9 DELETE_MANY
                 fn delete_many(filter: &Filter => json) -> usize => u64;
                 /// Creates (or rebuilds) a secondary index on a dotted path.
                 ///
                 /// # Errors
                 ///
                 /// Propagates the store's errors, or [`StoreError::Transport`].
-                10 CREATE_INDEX by_collection
+                10 CREATE_INDEX
                 fn create_index(path: &str => string) -> () => empty;
                 /// Drops the index on a dotted path.
                 ///
                 /// # Errors
                 ///
                 /// Propagates the store's errors, or [`StoreError::Transport`].
-                11 DROP_INDEX by_collection
+                11 DROP_INDEX
                 fn drop_index(path: &str => string) -> () => empty;
                 /// Whether an index exists on a dotted path (the handle answers
                 /// `false` when the store is unreachable).
@@ -150,7 +146,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Returns [`StoreError::Transport`] when the store is
                 /// unreachable.
-                12 HAS_INDEX by_collection
+                12 HAS_INDEX
                 fn has_index(path: &str => string) -> bool => bool, degrades;
                 /// Number of distinct keys in an index, if one exists on the
                 /// path (the handle answers `None` when the store is
@@ -160,7 +156,7 @@ macro_rules! docstore_ops {
                 ///
                 /// Returns [`StoreError::Transport`] when the store is
                 /// unreachable.
-                13 INDEX_CARDINALITY by_collection
+                13 INDEX_CARDINALITY
                 fn index_cardinality(path: &str => string) -> Option<usize> => option<u64>, degrades;
                 /// Distinct values at a dotted path among matching documents
                 /// (the handle answers the empty vector when the store is
@@ -170,14 +166,14 @@ macro_rules! docstore_ops {
                 ///
                 /// Returns [`StoreError::Transport`] when the store is
                 /// unreachable.
-                14 DISTINCT by_collection
+                14 DISTINCT
                 fn distinct(path: &str => string, filter: &Filter => json) -> Vec<Value> => docs, degrades;
                 /// Removes every document (indexes stay declared).
                 ///
                 /// # Errors
                 ///
                 /// Propagates the store's errors, or [`StoreError::Transport`].
-                15 CLEAR by_collection
+                15 CLEAR
                 fn clear() -> () => empty;
                 /// Every document in the collection (the handle answers the
                 /// empty vector when the store is unreachable).
@@ -186,17 +182,17 @@ macro_rules! docstore_ops {
                 ///
                 /// Returns [`StoreError::Transport`] when the store is
                 /// unreachable.
-                16 ALL by_collection
+                16 ALL
                 fn all() -> Vec<Value> => docs, degrades;
             }
             store {
                 /// Whether a collection with this name exists (`false` when the
                 /// store is unreachable).
-                17 HAS_COLLECTION by_name
+                17 HAS_COLLECTION
                 fn has_collection(name: &str => string) -> bool => bool, degrades;
                 /// Names of every collection, sorted (empty when the store is
                 /// unreachable).
-                18 COLLECTION_NAMES sorted
+                18 COLLECTION_NAMES
                 fn collection_names() -> Vec<String> => seq<string>, degrades;
                 /// Removes a collection and its documents.
                 ///
@@ -204,11 +200,11 @@ macro_rules! docstore_ops {
                 ///
                 /// Propagates [`StoreError::CollectionNotFound`], or
                 /// [`StoreError::Transport`].
-                19 DROP_COLLECTION by_name
+                19 DROP_COLLECTION
                 fn drop_collection(name: &str => string) -> () => empty;
                 /// Documents across every collection (`0` when the store is
                 /// unreachable).
-                20 TOTAL_DOCUMENTS sum
+                20 TOTAL_DOCUMENTS
                 fn total_documents() -> usize => u64, degrades;
             }
         }
@@ -222,12 +218,11 @@ macro_rules! row_if {
     ([] { $($then:tt)* } { $($otherwise:tt)* }) => { $($otherwise)* };
     ([$present:tt] { $($then:tt)* } { $($otherwise:tt)* }) => { $($then)* };
 }
-pub(crate) use row_if;
 
 /// Emits the [`CollectionOps`] methods: one per `collection` row, each
 /// returning `Result` whether or not the embedded answer can fail.
 macro_rules! emit_collection_trait {
-    ([] collection { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+    ([] collection { $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* } store { $($store:tt)* }) => {
         $($(#[$doc])*
@@ -258,7 +253,7 @@ pub trait CollectionOps: fmt::Debug + Send + Sync {
 /// Emits [`Collection`]'s delegation: its inherent method does the work,
 /// and an infallible answer is wrapped in `Ok`.
 macro_rules! emit_collection_delegate {
-    ([] collection { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+    ([] collection { $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* } store { $($store:tt)* }) => {
         $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*) -> Result<$ret, StoreError> {
@@ -290,7 +285,7 @@ pub struct CollectionHandle {
 /// arguments widened to `impl Into<_>` and the `degrades` rows answering
 /// their default instead of an error.
 macro_rules! emit_handle {
-    ([] collection { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+    ([] collection { $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* } store { $($store:tt)* }) => {
         $($(#[$doc])*
@@ -326,7 +321,7 @@ impl From<Collection> for CollectionHandle {
 
 /// Emits the [`DocstoreTransport`] methods: one per `store` row.
 macro_rules! emit_store_trait {
-    ([] collection { $($collection:tt)* } store { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+    ([] collection { $($collection:tt)* } store { $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* }) => {
         $($(#[$doc])*
@@ -352,7 +347,7 @@ pub trait DocstoreTransport: fmt::Debug + Send + Sync {
 /// over `$this` (the method's `self`).
 macro_rules! emit_store_delegate {
     ([|$this:ident| $target:ty, $receiver:expr] collection { $($collection:tt)* } store {
-        $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* }) => {
         $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)

@@ -2,21 +2,18 @@
 //!
 //! ```text
 //! mps-brokerd [--listen ADDR] [--wal-dir DIR] [--max-connections N]
-//!             [--instance NAME] [--shards N]
+//!             [--instance NAME]
 //! ```
 //!
 //! Serves an `mps-broker` instance over the mps-net wire protocol.
 //! With `--wal-dir` the broker write-ahead-logs every queue transition
 //! to that directory and replays it on restart; without it the broker
-//! is in-memory. `--shards N` (default 1) serves a key-hash-partitioned
-//! `ShardedBroker` instead of a single broker — same wire protocol,
-//! N-way internal parallelism; with `--wal-dir` each shard logs to its
-//! own `shard-{i}` subdirectory. `--instance` names this process in the
-//! fleet: the admin health report echoes it and `xtask obs` labels
-//! merged metrics with it. Prints the bound address on stderr
-//! (`listening on ...`) so wrappers can scrape it, and exits cleanly
-//! when a client sends the shutdown opcode. See `docs/DEPLOYMENT.md`,
-//! `docs/SHARDING.md` and `docs/OBSERVABILITY.md`.
+//! is in-memory. `--instance` names this process in the fleet: the
+//! admin health report echoes it and `xtask obs` labels merged metrics
+//! with it. Prints the bound address on stderr (`listening on ...`) so
+//! wrappers can scrape it, and exits cleanly when a client sends the
+//! shutdown opcode. See `docs/DEPLOYMENT.md` and
+//! `docs/OBSERVABILITY.md`.
 
 // Pipeline code returns errors: one malformed upload must not panic the
 // middleware. Tests may unwrap, expect and panic (clippy.toml).
@@ -29,7 +26,7 @@
     clippy::unimplemented
 )]
 
-use mps_broker::{Broker, BrokerTransport, DurabilityConfig, ShardedBroker};
+use mps_broker::{Broker, BrokerTransport, DurabilityConfig};
 use mps_net::broker_api::BrokerService;
 use mps_net::server::{ServerConfig, WireServer};
 use std::process::ExitCode;
@@ -40,7 +37,6 @@ struct Flags {
     wal_dir: Option<String>,
     max_connections: usize,
     instance: String,
-    shards: usize,
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -49,7 +45,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         wal_dir: None,
         max_connections: ServerConfig::default().max_connections,
         instance: "brokerd".to_string(),
-        shards: 1,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -67,17 +62,10 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .map_err(|_| "--max-connections needs an integer".to_string())?;
             }
             "--instance" => flags.instance = value_for("--instance")?,
-            "--shards" => {
-                flags.shards = value_for("--shards")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| "--shards needs an integer >= 1".to_string())?;
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: mps-brokerd [--listen ADDR] [--wal-dir DIR] [--max-connections N] \
-                     [--instance NAME] [--shards N]"
+                     [--instance NAME]"
                         .to_string(),
                 )
             }
@@ -97,33 +85,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let broker: Arc<dyn BrokerTransport> = if flags.shards > 1 {
-        match &flags.wal_dir {
-            None => Arc::new(ShardedBroker::new(flags.shards)),
-            Some(dir) => {
-                match ShardedBroker::open_durable(flags.shards, DurabilityConfig::new(dir)) {
-                    Ok(broker) => Arc::new(broker),
-                    Err(err) => {
-                        eprintln!(
-                            "cannot open durable {}-shard broker in {dir}: {err}",
-                            flags.shards
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
+    let broker: Arc<dyn BrokerTransport> = match &flags.wal_dir {
+        None => Arc::new(Broker::new()),
+        Some(dir) => match Broker::open_durable(DurabilityConfig::new(dir)) {
+            Ok(broker) => Arc::new(broker),
+            Err(err) => {
+                eprintln!("cannot open durable broker in {dir}: {err}");
+                return ExitCode::FAILURE;
             }
-        }
-    } else {
-        match &flags.wal_dir {
-            None => Arc::new(Broker::new()),
-            Some(dir) => match Broker::open_durable(DurabilityConfig::new(dir)) {
-                Ok(broker) => Arc::new(broker),
-                Err(err) => {
-                    eprintln!("cannot open durable broker in {dir}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
+        },
     };
     let config = ServerConfig {
         max_connections: flags.max_connections,

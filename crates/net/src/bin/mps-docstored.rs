@@ -2,22 +2,17 @@
 //!
 //! ```text
 //! mps-docstored [--listen ADDR] [--wal-dir DIR] [--max-connections N]
-//!               [--instance NAME] [--shards N]
+//!               [--instance NAME]
 //! ```
 //!
 //! Serves an `mps-docstore` instance over the mps-net wire protocol.
 //! With `--wal-dir` every mutation is write-ahead-logged to that
 //! directory and replayed on restart; without it the store is
-//! in-memory. `--shards N` (default 1) serves a
-//! collection-name-hash-partitioned `ShardedStore` instead of a single
-//! store — same wire protocol, N-way internal parallelism; with
-//! `--wal-dir` each shard logs to its own `shard-{i}` subdirectory.
-//! `--instance` names this process in the fleet: the admin
+//! in-memory. `--instance` names this process in the fleet: the admin
 //! health report echoes it and `xtask obs` labels merged metrics with
-//! it. Prints the bound address on stderr (`listening on ...`)
-//! and exits cleanly when a client sends the shutdown opcode. See
-//! `docs/DEPLOYMENT.md`, `docs/SHARDING.md` and
-//! `docs/OBSERVABILITY.md`.
+//! it. Prints the bound address on stderr (`listening on ...`) and
+//! exits cleanly when a client sends the shutdown opcode. See
+//! `docs/DEPLOYMENT.md` and `docs/OBSERVABILITY.md`.
 
 // Pipeline code returns errors: one malformed upload must not panic the
 // middleware. Tests may unwrap, expect and panic (clippy.toml).
@@ -30,7 +25,7 @@
     clippy::unimplemented
 )]
 
-use mps_docstore::{DocstoreTransport, Durability, DurabilityConfig, ShardedStore, Store};
+use mps_docstore::{DocstoreTransport, Durability, DurabilityConfig, Store};
 use mps_net::docstore_api::DocstoreService;
 use mps_net::server::{ServerConfig, WireServer};
 use std::process::ExitCode;
@@ -41,7 +36,6 @@ struct Flags {
     wal_dir: Option<String>,
     max_connections: usize,
     instance: String,
-    shards: usize,
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -50,7 +44,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         wal_dir: None,
         max_connections: ServerConfig::default().max_connections,
         instance: "docstored".to_string(),
-        shards: 1,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -68,17 +61,10 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .map_err(|_| "--max-connections needs an integer".to_string())?;
             }
             "--instance" => flags.instance = value_for("--instance")?,
-            "--shards" => {
-                flags.shards = value_for("--shards")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| "--shards needs an integer >= 1".to_string())?;
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: mps-docstored [--listen ADDR] [--wal-dir DIR] [--max-connections N] \
-                     [--instance NAME] [--shards N]"
+                     [--instance NAME]"
                         .to_string(),
                 )
             }
@@ -98,29 +84,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let store: Arc<dyn DocstoreTransport> = if flags.shards > 1 {
-        let opened = match &flags.wal_dir {
-            None => Ok(ShardedStore::new(flags.shards)),
-            Some(dir) => ShardedStore::open_durable(flags.shards, DurabilityConfig::new(dir)),
-        };
-        match opened {
-            Ok(store) => Arc::new(store),
-            Err(err) => {
-                eprintln!("cannot open {}-shard store: {err}", flags.shards);
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let durability = match &flags.wal_dir {
-            None => Durability::InMemory,
-            Some(dir) => Durability::Durable(DurabilityConfig::new(dir)),
-        };
-        match Store::open(durability) {
-            Ok(store) => Arc::new(store),
-            Err(err) => {
-                eprintln!("cannot open store: {err}");
-                return ExitCode::FAILURE;
-            }
+    let durability = match &flags.wal_dir {
+        None => Durability::InMemory,
+        Some(dir) => Durability::Durable(DurabilityConfig::new(dir)),
+    };
+    let store: Arc<dyn DocstoreTransport> = match Store::open(durability) {
+        Ok(store) => Arc::new(store),
+        Err(err) => {
+            eprintln!("cannot open store: {err}");
+            return ExitCode::FAILURE;
         }
     };
     let config = ServerConfig {

@@ -570,7 +570,7 @@ pub(crate) use bare_if;
 /// `[scoped] { rows… }`, `scoped` saying whether its operations carry a
 /// leading collection name.
 macro_rules! wire_ops {
-    ($table:literal $([$scoped:literal] { $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+    ($table:literal $([$scoped:literal] { $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)* })+) => {
         #[doc = concat!("The opcodes; see `docs/WIRE_PROTOCOL.md` ", $table, ".")]
@@ -597,7 +597,7 @@ pub(crate) use wire_ops;
 /// `result` set) a `degrades` row returns its value unwrapped and
 /// answers the default on any failure.
 macro_rules! wire_stubs {
-    ([$error:ty, $mode:ident] $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+    ([$error:ty, $mode:ident] $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
         $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
@@ -628,7 +628,7 @@ macro_rules! wire_dispatch {
         $crate::wire::wire_dispatch! { [$opcode, $r, $($context)*] $($rows)* }
     }};
     ([$opcode:expr, $r:ident, $inner:expr, $encode:path, $unknown:expr]
-        $($(#[$doc:meta])* $op:literal $NAME:ident $class:ident
+        $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
         match $opcode {

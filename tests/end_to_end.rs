@@ -82,6 +82,7 @@ fn pipeline_telemetry_is_live() {
 fn pipeline_conserves_observations() {
     let ds = crowd_dataset();
     assert!(ds.stored() > 10_000, "stored {}", ds.stored());
+    assert_eq!(ds.undecoded, 0, "every stored document decodes");
     assert_eq!(ds.captured, ds.stored() + ds.undelivered);
     // Broker accounting: everything stored was published and acked.
     assert!(ds.broker_metrics.acked >= ds.broker_metrics.published / 2);

@@ -1,7 +1,7 @@
 //! The metric inventory, read from the registry the process builds.
 //!
 //! Every layer is driven once — the quick pipeline and a BLUE pass, a
-//! durable store, a sharded broker and store with a retrying client and a
+//! durable store, a broker and store with a retrying client and a
 //! fault plan, one loopback RPC and one admin call — and
 //! `Registry::global().render_text()`
 //! is parsed back into one row per series: name, kind, label keys, help.
@@ -13,9 +13,9 @@
 //! `cargo test --test metrics_inventory -- --ignored`.
 
 use soundcity::assim::{Blue, Grid, PointObservation};
-use soundcity::broker::{BrokerTransport, ShardedBroker};
+use soundcity::broker::{Broker, BrokerTransport};
 use soundcity::core::{Deployment, ExperimentConfig};
-use soundcity::docstore::{DocstoreTransport, Durability, DurabilityConfig, ShardedStore, Store};
+use soundcity::docstore::{DocstoreTransport, Durability, DurabilityConfig, Store};
 use soundcity::faults::{FaultPlan, FaultSpec};
 use soundcity::goflow::{GoFlowServer, Role};
 use soundcity::mobile::{BrokerLink, GoFlowClient, RetryPolicy};
@@ -76,11 +76,11 @@ fn drive_every_layer() {
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // A sharded broker and store under GoFlow: one upload, one into an
+    // A broker and store under GoFlow: one upload, one into an
     // exchange that does not exist (a visible failure the client parks for
     // retry), a delivery nacked into the dead-letter queue, one fault plan.
-    let broker = Arc::new(ShardedBroker::new(2));
-    let store = Arc::new(ShardedStore::new(2));
+    let broker = Arc::new(Broker::new());
+    let store = Arc::new(Store::new());
     let server = GoFlowServer::over(
         Arc::clone(&broker) as Arc<dyn BrokerTransport>,
         Arc::clone(&store) as Arc<dyn DocstoreTransport>,

@@ -5,15 +5,20 @@
 //! a crash-looping consumer that exercises the broker's dead-letter
 //! policy.
 //!
-//! The invariant under test is **zero silent loss**: every observation the
-//! client recorded is either stored, parked in quarantine, parked in the
-//! dead-letter queue, or counted as an injected drop/black-hole — and the
-//! books balance exactly, duplicates included.
+//! The scenario runs twice: once with the server draining the queue in
+//! one batch after the run, once with capped batches drained every 25
+//! simulated minutes while the faults are live. Under both, the
+//! invariants are **zero silent loss** — every observation the client
+//! recorded is either stored, parked in quarantine, parked in the
+//! dead-letter queue, or counted as an injected drop/black-hole, and the
+//! books balance exactly, duplicates included — and **every observation
+//! trace reaches exactly one primary terminal outcome**.
 
 use soundcity::broker::Broker;
 use soundcity::faults::{FaultPlan, FaultSpec, FaultyLink, Link, LinkError};
 use soundcity::goflow::{GoFlowServer, Role};
 use soundcity::mobile::{BrokerLink, GoFlowClient, RetryPolicy};
+use soundcity::telemetry::trace::{FlightRecorder, TraceId, TraceIndex};
 use soundcity::telemetry::Registry;
 use soundcity::types::{
     AppId, AppVersion, DeviceModel, Observation, SimDuration, SimTime, SoundLevel,
@@ -43,6 +48,20 @@ fn observation(i: i64) -> Observation {
 
 #[test]
 fn no_silent_loss_under_faults_outage_and_dead_letters() {
+    // (minutes between drains during the run, batch size): one drain
+    // after the run, then capped drains while the faults are live.
+    for (drain_every, batch) in [(None, 1_000_000), (Some(25), 64)] {
+        run(drain_every, batch);
+    }
+}
+
+/// Runs the scenario, the server draining the GF queue in batches of at
+/// most `batch`, every `drain_every` minutes of the run (if set) and
+/// again after it.
+fn run(drain_every: Option<i64>, batch: usize) {
+    let recorder = FlightRecorder::global();
+    recorder.clear();
+
     let broker = Arc::new(Broker::new());
     let server = GoFlowServer::new(Arc::clone(&broker), soundcity::docstore::Store::new());
     let app = AppId::soundcity();
@@ -90,16 +109,32 @@ fn no_silent_loss_under_faults_outage_and_dead_letters() {
     // visibly down during minutes 200-230.
     const CYCLES: i64 = 600;
     const OUTAGE: std::ops::Range<i64> = 200..230;
+    let mut expected: Vec<TraceId> = Vec::with_capacity(CYCLES as usize);
+    let mut mid_run_stored = 0u64;
     for i in 0..CYCLES {
         let now = SimTime::EPOCH + SimDuration::from_mins(i);
-        client.record(observation(i));
+        let obs = observation(i);
+        expected.push(TraceId::for_observation(4, obs.captured_at.as_millis()));
+        client.record(obs);
         if OUTAGE.contains(&i) {
             client.on_cycle_at(&DownLink, true, now);
         } else {
             faulty.advance_to(now).unwrap();
             client.on_cycle_at(&faulty.at(now), true, now);
         }
+        if drain_every.is_some_and(|minutes| i % minutes == minutes - 1) {
+            let outcome = server.ingest_pending(&app, now, batch).unwrap();
+            assert!(outcome.stored <= batch);
+            assert_eq!(outcome.requeued, 0);
+            assert_eq!(outcome.quarantined, 0);
+            mid_run_stored += outcome.stored as u64;
+        }
     }
+    assert_eq!(
+        mid_run_stored > 0,
+        drain_every.is_some(),
+        "mid-run drains must make progress"
+    );
 
     // The outage forced visible failures into the retry queue, and the
     // backlog later drained through the faulty link.
@@ -132,7 +167,7 @@ fn no_silent_loss_under_faults_outage_and_dead_letters() {
     // Fault-layer conservation: what the broker received is exactly the
     // sends plus duplicates minus counted losses.
     let gf_queue = "gf-SC-queue";
-    let arrived = broker.queue_depth(gf_queue).unwrap() as u64;
+    let arrived = mid_run_stored + broker.queue_depth(gf_queue).unwrap() as u64;
     assert_eq!(
         arrived + stats.dropped + stats.blackholed,
         sent + stats.duplicated
@@ -158,12 +193,21 @@ fn no_silent_loss_under_faults_outage_and_dead_letters() {
     let dlq = server.dead_letter_queue(&app);
     assert_eq!(broker.queue_depth(&dlq).unwrap() as u64, DEAD_LETTERED);
 
-    // Ingest everything that survived.
-    let outcome = server.ingest_pending(&app, end, 1_000_000).unwrap();
+    // Ingest everything that survived, in the drain's batch size.
+    let (mut stored, mut malformed, mut quarantined) = (mid_run_stored, 0u64, 0u64);
+    loop {
+        let outcome = server.ingest_pending(&app, end, batch).unwrap();
+        assert_eq!(outcome.requeued, 0);
+        stored += outcome.stored as u64;
+        malformed += outcome.malformed as u64;
+        quarantined += outcome.quarantined as u64;
+        if outcome.stored + outcome.quarantined == 0 {
+            break;
+        }
+    }
     assert_eq!(broker.queue_depth(gf_queue).unwrap(), 0);
-    assert_eq!(outcome.requeued, 0);
-    assert_eq!(outcome.malformed as u64, MALFORMED);
-    assert_eq!(outcome.quarantined as u64, MALFORMED);
+    assert_eq!(malformed, MALFORMED);
+    assert_eq!(quarantined, MALFORMED);
     assert_eq!(
         server.quarantine(&app).unwrap().len() as u64,
         MALFORMED,
@@ -173,10 +217,9 @@ fn no_silent_loss_under_faults_outage_and_dead_letters() {
     // --- The zero-silent-loss ledger -----------------------------------
     // stored + quarantined + dead-lettered + injected drops + black-holed
     //   == sent + duplicates + malformed probes.
-    let stored = outcome.stored as u64;
     assert!(stored > 0);
     assert_eq!(
-        stored + outcome.quarantined as u64 + DEAD_LETTERED + stats.dropped + stats.blackholed,
+        stored + quarantined + DEAD_LETTERED + stats.dropped + stats.blackholed,
         sent + stats.duplicated + MALFORMED
     );
 
@@ -199,5 +242,18 @@ fn no_silent_loss_under_faults_outage_and_dead_letters() {
             registry.counter_value(counter).unwrap_or(0) > 0,
             "counter {counter} should be non-zero after the run"
         );
+    }
+
+    // --- one primary terminal per observation trace --------------------
+    assert_eq!(recorder.dropped(), 0, "ring must retain the whole run");
+    let index = TraceIndex::from_spans(recorder.snapshot());
+    assert!(
+        index.unterminated().is_empty(),
+        "every trace must reach a terminal outcome (drain every {drain_every:?})"
+    );
+    for trace in &expected {
+        let tree = index.get(*trace).expect("observation trace retained");
+        let primaries = tree.terminals().filter(|s| !s.duplicate).count();
+        assert_eq!(primaries, 1, "trace {trace} must terminate exactly once");
     }
 }
