@@ -12,15 +12,18 @@
 //!
 //! **Reads** share one iterator, `CollectionInner::matches`, which splits
 //! the filter once (`Split`) into what the planner, the summaries and the
-//! column pass each use: the planner's candidates, or without a usable
-//! index the rows a scan cannot rule out, re-checked against the full
-//! filter in `_id` order. `count` consumes it without building anything,
-//! an unsorted `find` stops it when the window is full, and a sorted one
-//! reads each match's key once, selects the `skip + limit` first
-//! `(key, arrival, RowRef)` triples, sorts only those and converts only
-//! the window. **Writes** share `Collection::mutate` (see
-//! [`crate::durability`]); each index's path is resolved against a
-//! row's shape once per shape, not once per row ([`IndexSlots`]).
+//! column pass each use. With a usable index the planner's candidates are
+//! open rows, and the sealed blocks are reached as a scan reaches them —
+//! summary, then column pass — the two streams merged in `_id` order;
+//! without one, a scan reaches both. What is not known to match is
+//! re-checked against the full filter. `count` consumes it without
+//! building anything, an unsorted `find` stops it when the window is
+//! full, and a sorted one reads each match's key once, selects the
+//! `skip + limit` first `(key, arrival, RowRef)` triples, sorts only
+//! those and converts only the window. **Writes** share
+//! `Collection::mutate` (see [`crate::durability`]); each index's path
+//! is resolved against a row's shape once per shape, not once per row
+//! ([`IndexSlots`]).
 //!
 //! **Block summaries** are what lets a scan skip: the store is an append
 //! log in arrival order, arrival is very nearly capture order, and what
@@ -28,8 +31,12 @@
 //! and per key set met there, the collection keeps bounds on the numbers
 //! stored at each top-level member — widened in `put`, the one place a
 //! row is stored, never narrowed, dropped with the block's last row. A
-//! full scan passes over every block in which no key set can satisfy the
-//! filter's numeric equalities and range bounds on undotted paths.
+//! scan passes over every block in which no key set can satisfy the
+//! filter's numeric equalities and range bounds on undotted paths. Every
+//! read walks every summary, so the walk resolves a key set's slots once
+//! per query, not once per block, and compares the summary's `f64`s with
+//! the query's bounds made `f64`s once ([`NumericRange`]): a few
+//! nanoseconds a block.
 //!
 //! **Sealing.** When `put` first stores an `_id` past a block that holds
 //! all its ids, of one shape, and was never unsealed, the block is sealed:
@@ -37,8 +44,9 @@
 //! the **column pass** ([`Sealed::pass`]) on each sealed block before
 //! walking it: every top-level conjunct that reads one undotted member is
 //! decided on that member's column alone — once per distinct value of a
-//! dictionary column, once per row of a number or value column — and a
-//! block no row of which passes is skipped. The survivors are re-checked
+//! dictionary column, by a compare of words for a comparison with a
+//! number on a number column, once per row of any other — and a block no
+//! row of which passes is skipped. The survivors are re-checked
 //! against the full filter like any other row unless the pass decided
 //! every conjunct.
 //! A `take` or replacing `put` on a sealed row — an update, a delete, the
@@ -46,21 +54,31 @@
 //! back into rows), for good: `update_many` over a block would otherwise
 //! transpose it once per row.
 //!
+//! **Indexes hold the open rows only** ([`Indexes`]). Sealing a block
+//! takes its rows out of every index and unsealing puts them back;
+//! `create_index`, and so replay, index the open rows alone. A sealed
+//! block answers an indexed predicate as it answers a scan, from its
+//! summary and its columns, which hold the same values as one-byte codes
+//! and eight-byte words: an index costs the open blocks' entries, not the
+//! collection's. Blocks that never seal — of mixed shapes, or unsealed
+//! by a write — keep every row's entry, and read as they did.
+//!
 //! Like the planner's candidates, summaries and the pass only ever narrow,
 //! and they are derived state: no byte on disk, rebuilt by replay through
-//! `put`. A pruned scan is still `PlanKind::FullScan`;
-//! `docstore_scan_blocks_{visited,skipped}_total` count what it saved,
+//! `put`. A pruned scan is still `PlanKind::FullScan`, and a read an
+//! index serves keeps its index plan though it scans the sealed blocks;
+//! `docstore_scan_blocks_{visited,skipped}_total` count what either saved,
 //! `docstore_blocks_sealed` and `docstore_blocks_unsealed_total` what
 //! was sealed and undone.
 
 use crate::durability::{journaled, Deltas, DurableCtx};
 use crate::filter::{Filter, IndexablePredicate, RangeBound};
-use crate::index::PathIndex;
+use crate::index::{IndexKey, PathIndex};
 use crate::planner::plan_query;
-use crate::row::{slot_in, Conjunct, Doc, IndexSlots, Row, RowRef, Sealed, Shapes, Slots};
+use crate::row::{Conjunct, Doc, IndexSlots, KeySlots, Picked, Row, RowRef, Sealed, Shapes, Slots};
 use crate::telemetry::telemetry;
 use crate::update::Update;
-use crate::value::{compare_numbers, compare_values, set_path, DocId};
+use crate::value::{compare_values, f64_above, f64_below, set_path, DocId};
 use crate::StoreError;
 use mps_telemetry::SpanTimer;
 use mps_wal::{Rank, Ranked};
@@ -68,6 +86,7 @@ use serde_json::{Number, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Sort direction for [`FindOptions`].
@@ -154,8 +173,8 @@ fn block_of(id: DocId) -> u64 {
 /// and the largest, exactly, of floats and of integers below 2⁵³ (every
 /// id, count and timestamp); an integer beyond is bracketed by the
 /// `f64`s either side of its own, so bounds there err outward by an ulp
-/// and never inward. A query's number is compared with a bound exactly
-/// ([`compare_numbers`] rounds neither). `(∞, −∞)`: no number yet.
+/// and never inward. A query's bounds are compared with them exactly
+/// (see [`NumericRange`]). `(∞, −∞)`: no number yet.
 type Bounds = (f64, f64);
 const NO_NUMBER: Bounds = (f64::INFINITY, f64::NEG_INFINITY);
 /// 2⁵³: every integer of smaller magnitude is an `f64`.
@@ -223,31 +242,22 @@ impl Block {
     /// key set has each member, with numbers on the right side of each
     /// bound. A member that is absent or has held no number satisfies
     /// none — a number is equal to, and ordered against, numbers only.
-    fn may_hold(&self, ranges: &[NumericRange<'_>]) -> bool {
-        // Whether `end`, the bound of what is held on the side that
-        // matters, is not `beyond` the query's `bound`.
-        let reaches = |end: f64, bound: Option<(&Number, bool)>, beyond: Ordering| {
-            let (Some(end), Some((n, inclusive))) = (Number::from_f64(end), bound) else {
-                return true; // unbounded, on one side or the other
-            };
-            match compare_numbers(&end, n) {
-                Some(Ordering::Equal) => inclusive,
-                side => side != Some(beyond),
-            }
-        };
-        let within = |keys: &[String], bounds: &[Bounds], range: &NumericRange<'_>| {
-            let Some(&(min, max)) = slot_in(keys, range.key).map(|slot| &bounds[slot]) else {
-                return false;
-            };
-            min <= max
-                && reaches(max, range.lo, Ordering::Less)
-                && reaches(min, range.hi, Ordering::Greater)
+    /// `slots` remembers where the ranges' members lie in the key set
+    /// last met: a scan of blocks of one key set looks none up twice.
+    fn may_hold<'k>(&'k self, ranges: &[NumericRange<'_>], slots: &mut KeySlots<'k>) -> bool {
+        let within = |bounds: &[Bounds], slots: &[Option<usize>]| {
+            ranges.iter().zip(slots).all(|(range, slot)| {
+                let Some(&(min, max)) = slot.map(|slot| &bounds[slot]) else {
+                    return false;
+                };
+                min <= max && max >= range.lo && min <= range.hi
+            })
         };
         self.key_sets.len() > BLOCK_KEY_SETS
-            || self
-                .key_sets
-                .iter()
-                .any(|(keys, bounds)| ranges.iter().all(|range| within(keys, bounds, range)))
+            || self.key_sets.iter().any(|(keys, bounds)| {
+                let members = ranges.iter().map(|range| Some(range.key));
+                within(bounds, slots.of(keys, members))
+            })
     }
 
     /// Whether the block may be sealed: it holds every one of its ids,
@@ -259,24 +269,27 @@ impl Block {
             && !self.unsealed
     }
 
-    /// Puts a sealed block's rows, starting at `_id` `first`, back into
-    /// `docs` as open rows, for good.
-    fn unseal(&mut self, first: u64, docs: &mut BTreeMap<DocId, Row>) {
-        if let Some(sealed) = self.sealed.take() {
-            docs.extend((first..).map(DocId).zip(sealed.into_rows()));
-            self.unsealed = true;
-            telemetry().blocks_unsealed.inc();
-        }
+    /// Unseals the block for good: hands back its columns, if it was
+    /// sealed, for [`Indexes::reopen`] to make rows of.
+    fn unseal(&mut self) -> Option<Sealed> {
+        let sealed = self.sealed.take()?;
+        self.unsealed = true;
+        telemetry().blocks_unsealed.inc();
+        Some(sealed)
     }
 }
 
 /// A conjunct of a filter that summaries can rule a block out by: the
-/// top-level member `key` is a number within these bounds.
+/// top-level member `key` is a number within bounds, here the `f64`s
+/// `lo..=hi` — the smallest at or beyond the lower bound and the largest
+/// at or within the upper ([`f64_above`], [`f64_below`]), so that an
+/// `f64` [`Bounds`] is on the right side of a bound exactly when it is
+/// on the right side of one of these.
 #[derive(Debug)]
 struct NumericRange<'a> {
     key: &'a str,
-    lo: Option<(&'a Number, bool)>,
-    hi: Option<(&'a Number, bool)>,
+    lo: f64,
+    hi: f64,
 }
 
 /// The [`NumericRange`]s among a filter's indexable `predicates`:
@@ -285,9 +298,10 @@ struct NumericRange<'a> {
 /// nested members — is left to the column pass and the re-check, and
 /// rules no block out.
 fn numeric_ranges<'a>(predicates: &[IndexablePredicate<'a>]) -> Vec<NumericRange<'a>> {
-    fn number(bound: Option<RangeBound<'_>>) -> Option<(&Number, bool)> {
+    /// The `f64` end of a bound against a number, by `end`.
+    fn number(bound: Option<RangeBound<'_>>, end: fn(&Number, bool) -> Option<f64>) -> Option<f64> {
         match bound {
-            Some((Value::Number(n), inclusive)) => Some((n, inclusive)),
+            Some((Value::Number(n), inclusive)) => end(n, inclusive),
             _ => None,
         }
     }
@@ -298,9 +312,13 @@ fn numeric_ranges<'a>(predicates: &[IndexablePredicate<'a>]) -> Vec<NumericRange
             }
             IndexablePredicate::Range(range) => range,
         };
-        let (lo, hi) = (number(lo), number(hi));
+        let (lo, hi) = (number(lo, f64_above), number(hi, f64_below));
         let prunes = !key.contains('.') && (lo.is_some() || hi.is_some());
-        prunes.then_some(NumericRange { key, lo, hi })
+        prunes.then_some(NumericRange {
+            key,
+            lo: lo.unwrap_or(f64::NEG_INFINITY),
+            hi: hi.unwrap_or(f64::INFINITY),
+        })
     });
     ranges.collect()
 }
@@ -379,6 +397,88 @@ impl Drop for BlockTally {
     }
 }
 
+/// The secondary indexes by path, over the open rows alone (see the
+/// module docs), and their paths as slots of the shape last indexed.
+#[derive(Debug, Default)]
+pub(crate) struct Indexes {
+    pub(crate) paths: BTreeMap<String, PathIndex>,
+    slots: IndexSlots,
+}
+
+impl Indexes {
+    /// Hands `each` every index that `row` holds a value at the path of,
+    /// with that value.
+    fn each(&mut self, row: &Row, mut each: impl FnMut(&mut PathIndex, &Value)) {
+        let paths = self.paths.keys().map(String::as_str);
+        let slots = self.slots.resolve(row.shape(), paths);
+        for ((path, index), &slot) in self.paths.iter_mut().zip(slots) {
+            if let Some(value) = row.at_slot(slot, path) {
+                each(index, value);
+            }
+        }
+    }
+
+    /// Indexes `row`, stored at `id`.
+    fn add(&mut self, id: DocId, row: &Row) {
+        self.each(row, |index, value| index.insert(value, id));
+    }
+
+    /// Takes `row`, stored at `id`, out of every index.
+    fn remove(&mut self, id: DocId, row: &Row) {
+        self.each(row, |index, value| index.remove(value, id));
+    }
+
+    /// Takes `rows`, a block being sealed, out of every index. Where the
+    /// open rows left are `few`, as behind a stream's writer, the indexes
+    /// hold little beyond the block: each is built anew without it, in
+    /// one pass, not searched once per row.
+    fn seal(&mut self, rows: &BTreeMap<DocId, Row>, few: bool) {
+        let (Some((&first, _)), Some((&last, _))) = (rows.first_key_value(), rows.last_key_value())
+        else {
+            return;
+        };
+        if few {
+            for index in self.paths.values_mut() {
+                index.retain(|id| !(first..=last).contains(&id));
+            }
+        } else {
+            for (id, row) in rows {
+                self.remove(*id, row);
+            }
+        }
+    }
+
+    /// Makes `sealed`, the block at `first`, open rows of `docs` again,
+    /// each indexed.
+    fn reopen(&mut self, first: u64, sealed: Sealed, docs: &mut BTreeMap<DocId, Row>) {
+        for (id, row) in (first..).map(DocId).zip(sealed.into_rows()) {
+            self.add(id, &row);
+            docs.insert(id, row);
+        }
+    }
+}
+
+/// A row a read yields: its id, the row, and whether it is known to
+/// match without a re-check.
+type Found<'a> = (DocId, RowRef<'a>, bool);
+
+/// The rows of `a` and `b`, each in `_id` order, in `_id` order.
+fn in_id_order<'a>(
+    a: impl Iterator<Item = Found<'a>>,
+    b: impl Iterator<Item = Found<'a>>,
+) -> impl Iterator<Item = Found<'a>> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || {
+        let Some(next) = a.peek() else {
+            return b.next();
+        };
+        match b.peek() {
+            Some(other) if other.0 < next.0 => b.next(),
+            _ => a.next(),
+        }
+    })
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct CollectionInner {
     /// The open rows: those of the blocks that are not sealed.
@@ -386,28 +486,17 @@ pub(crate) struct CollectionInner {
     /// Rows stored, open and sealed.
     rows: usize,
     pub(crate) next_id: u64,
-    pub(crate) indexes: BTreeMap<String, PathIndex>,
-    /// The indexes' paths as slots of the shape last indexed.
-    index_slots: IndexSlots,
+    pub(crate) indexes: Indexes,
     shapes: Shapes,
     /// A summary per block that holds a row, by [`block_of`]: sparse, so
     /// nothing is sized by an `_id`.
     blocks: BTreeMap<u64, Block>,
+    /// The name the collection had when its store dropped it: from then
+    /// on every mutation, through any handle, fails and logs nothing.
+    pub(crate) dropped: Option<String>,
 }
 
 impl CollectionInner {
-    /// Hands `each` every index that `row` holds a value at the path of,
-    /// with that value.
-    fn each_index(&mut self, row: &Row, mut each: impl FnMut(&mut PathIndex, &Value)) {
-        let paths = self.indexes.keys().map(String::as_str);
-        let slots = self.index_slots.resolve(row.shape(), paths);
-        for ((path, index), &slot) in self.indexes.iter_mut().zip(slots) {
-            if let Some(value) = row.at_slot(slot, path) {
-                each(index, value);
-            }
-        }
-    }
-
     /// Number of rows stored.
     pub(crate) fn len(&self) -> usize {
         self.rows
@@ -474,7 +563,9 @@ impl CollectionInner {
             Entry::Occupied(block) => (block.into_mut(), false),
             Entry::Vacant(block) => (block.insert(Block::default()), true),
         };
-        block.unseal(first, &mut self.docs);
+        if let Some(sealed) = block.unseal() {
+            self.indexes.reopen(first, sealed, &mut self.docs);
+        }
         block.widen(&row);
         match self.docs.insert(id, row) {
             Some(replaced) => self.shapes.release(replaced),
@@ -490,7 +581,7 @@ impl CollectionInner {
 
     /// Seals the last block before `first` if it can be (see
     /// [`Block::sealable`]) and its rows share one shape: the writer has
-    /// just passed it.
+    /// just passed it. Its rows leave the indexes with the map.
     fn seal_before(&mut self, first: u64) {
         let Some((&from, block)) = self.blocks.range_mut(..first).next_back() else {
             return;
@@ -515,13 +606,15 @@ impl CollectionInner {
                 .filter_map(|id| self.docs.remove_entry(&DocId(id)))
                 .collect(),
         };
+        let few = self.docs.len() <= BLOCK_IDS as usize;
+        self.indexes.seal(&rows, few);
         block.sealed = Some(Sealed::new(shape, rows.into_values()));
     }
 
     /// Indexes `row`, logs it as `op` and stores it at `id`, where no
     /// indexed row may be (see [`take`](Self::take)).
     fn file(&mut self, id: DocId, row: Row, op: &str, log: Option<&mut Deltas>) {
-        self.each_index(&row, |index, value| index.insert(value, id));
+        self.indexes.add(id, &row);
         if let Some(log) = log {
             log.doc(op, id, RowRef::Open(&row));
         }
@@ -536,14 +629,16 @@ impl CollectionInner {
         let Entry::Occupied(mut block) = self.blocks.entry(first) else {
             return None;
         };
-        block.get_mut().unseal(first, &mut self.docs);
+        if let Some(sealed) = block.get_mut().unseal() {
+            self.indexes.reopen(first, sealed, &mut self.docs);
+        }
         let row = self.docs.remove(&id)?;
         block.get_mut().rows -= 1;
         if block.get().rows == 0 {
             block.remove();
         }
         self.rows -= 1;
-        self.each_index(&row, |index, value| index.remove(value, id));
+        self.indexes.remove(id, &row);
         Some(row)
     }
 
@@ -560,66 +655,77 @@ impl CollectionInner {
         self.blocks.clear();
         self.rows = 0;
         self.shapes = Shapes::default();
-        self.index_slots = IndexSlots::default();
-        for index in self.indexes.values_mut() {
+        self.indexes.slots = IndexSlots::default();
+        for index in self.indexes.paths.values_mut() {
             *index = PathIndex::new();
         }
     }
 
-    /// The rows a full scan has to look at, in `_id` order, each with
-    /// whether it is known to match: the open rows of the blocks whose
-    /// summaries cannot rule out one of the filter's numeric conjuncts,
-    /// and of such sealed blocks those the column pass keeps — known to
-    /// match when it decided every conjunct.
+    /// The rows a scan has to look at, in `_id` order, each with whether
+    /// it is known to match: of the sealed blocks whose summaries cannot
+    /// rule out one of the filter's numeric conjuncts, the rows the column
+    /// pass keeps — known to match when it decided every conjunct — and,
+    /// unless an index serves them (`open` false), all open rows of such
+    /// blocks.
     pub(crate) fn scan<'a>(
         &'a self,
         split: Split<'a>,
-    ) -> impl Iterator<Item = (DocId, RowRef<'a>, bool)> + 'a {
+        open: bool,
+    ) -> impl Iterator<Item = Found<'a>> + 'a {
         let mut tally = BlockTally::default();
-        let walk = move |(&first, block): (&'a u64, &'a Block)| {
-            let held = block.may_hold(&split.ranges);
-            let sealed = block.sealed.as_ref().filter(|_| held);
-            let picked = sealed.and_then(|sealed| Some((sealed, sealed.pass(&split.conjuncts)?)));
-            let open = held && block.sealed.is_none();
-            tally.note(open || picked.is_some());
-            let decided = split.decided;
+        let (mut key_slots, mut conjunct_slots) = (KeySlots::default(), KeySlots::default());
+        let decided = split.decided;
+        // Each block the summaries and the pass leave in: its first id and
+        // either its open rows or the sealed rows picked.
+        let held = move |(&first, block): (&'a u64, &'a Block)| {
+            let held = block.may_hold(&split.ranges, &mut key_slots);
+            let picked = match &block.sealed {
+                Some(sealed) if held => sealed
+                    .pass(&split.conjuncts, &mut conjunct_slots)
+                    .map(|picked| Some((sealed, picked))),
+                None if held && open => Some(None),
+                _ => None,
+            };
+            tally.note(picked.is_some());
+            Some((first, block, picked?))
+        };
+        let rows = move |(first, block, picked): (u64, &'a Block, Option<(&'a Sealed, Picked)>)| {
             let sealed_rows = picked.into_iter().flat_map(move |(sealed, picked)| {
                 let rows = picked.rows();
                 rows.map(move |at| {
-                    (
-                        DocId(first + at as u64),
-                        RowRef::Sealed(sealed, at),
-                        decided,
-                    )
+                    let id = DocId(first + at as u64);
+                    (id, RowRef::Sealed(sealed, at), decided)
                 })
             });
-            let open_rows = open.then(|| self.block_rows(first, block));
+            let open_rows = picked.is_none().then(|| self.block_rows(first, block));
             let open_rows = open_rows.into_iter().flatten();
             sealed_rows.chain(open_rows.map(|(id, row)| (id, row, false)))
         };
-        self.blocks.iter().flat_map(walk)
+        let blocks = self.blocks.iter();
+        let blocks = blocks.filter(move |(_, block)| open || block.sealed.is_some());
+        blocks.filter_map(held).flat_map(rows)
     }
 
     /// Rows matching `filter` in `_id` order — the one read path under
     /// find, count, distinct, update and delete. The filter is split once
-    /// ([`Split`]); the planner's candidates are fetched and re-checked
-    /// against the full filter; without a usable index what
-    /// [`scan`](Self::scan) yields is, unless known to match. The chosen
-    /// plan is recorded in `docstore_query_plans_total{plan=...}`.
+    /// ([`Split`]). With a usable index, the planner's candidates — open
+    /// rows — are fetched, and merged by `_id` with what
+    /// [`scan`](Self::scan) yields of the sealed blocks; without one, the
+    /// scan yields both. What is not known to match is re-checked against
+    /// the full filter. The chosen plan is recorded in
+    /// `docstore_query_plans_total{plan=...}`.
     pub(crate) fn matches<'a>(
         &'a self,
         filter: &'a Filter,
     ) -> impl Iterator<Item = (DocId, RowRef<'a>)> + 'a {
         let split = Split::of(filter);
-        let plan = plan_query(&split.indexable, &self.indexes);
+        let plan = plan_query(&split.indexable, &self.indexes.paths);
         telemetry().record_plan(plan.kind);
-        let scan = plan.candidates.is_none().then(|| self.scan(split));
+        let scan = self.scan(split, plan.candidates.is_none());
+        let indexed = plan.candidates.into_iter().flatten();
+        let indexed = indexed.filter_map(move |id| Some((id, self.get(id)?, false)));
         let mut slots = Slots::of(filter);
-        plan.candidates
-            .into_iter()
-            .flatten()
-            .filter_map(move |id| Some((id, self.get(id)?, false)))
-            .chain(scan.into_iter().flatten())
+        in_id_order(indexed, scan)
             .filter(move |&(_, row, known)| known || filter.matches_doc(&slots.view(row)))
             .map(|(id, row, _)| (id, row))
     }
@@ -637,27 +743,43 @@ impl CollectionInner {
         Ok(id)
     }
 
-    /// Builds an index on `path` over the current documents; returns
-    /// whether a new index was actually created.
+    /// Builds an index on `path` over the open rows; returns whether a
+    /// new index was actually created.
     pub(crate) fn create_index(&mut self, path: &str) -> bool {
-        if self.indexes.contains_key(path) {
+        if self.indexes.paths.contains_key(path) {
             return false;
         }
         let mut index = PathIndex::new();
-        for (id, doc) in self.rows() {
-            if let Some(value) = doc.at(path) {
-                index.insert(&value, id);
+        for (id, row) in &self.docs {
+            if let Some(value) = RowRef::Open(row).at(path) {
+                index.insert(&value, *id);
             }
         }
-        self.indexes.insert(path.to_owned(), index);
-        self.index_slots = IndexSlots::default();
+        self.indexes.paths.insert(path.to_owned(), index);
+        self.indexes.slots = IndexSlots::default();
         true
     }
 
     /// Drops the index on `path`; returns whether there was one.
     pub(crate) fn drop_index(&mut self, path: &str) -> bool {
-        self.index_slots = IndexSlots::default();
-        self.indexes.remove(path).is_some()
+        self.indexes.slots = IndexSlots::default();
+        self.indexes.paths.remove(path).is_some()
+    }
+
+    /// Distinct indexable values at `path` over every row, if an index
+    /// exists there: its keys, which are the open rows', and the values
+    /// the sealed blocks hold there.
+    pub(crate) fn index_cardinality(&self, path: &str) -> Option<usize> {
+        let index = self.indexes.paths.get(path)?;
+        let mut keys: BTreeSet<IndexKey> = index.keys().cloned().collect();
+        for sealed in self
+            .blocks
+            .values()
+            .filter_map(|block| block.sealed.as_ref())
+        {
+            sealed.each_at(path, |value| keys.extend(IndexKey::new(value)));
+        }
+        Some(keys.len())
     }
 }
 
@@ -675,13 +797,27 @@ impl CollectionInner {
         sealed.map(Sealed::number_columns).sum()
     }
 
+    /// Whether each index holds exactly what one built anew over the
+    /// open rows would: every open row, under its value, and nothing of
+    /// a sealed block.
+    pub(crate) fn indexes_hold_the_open_rows(&self) -> bool {
+        self.indexes.paths.iter().all(|(path, index)| {
+            let mut fresh = PathIndex::new();
+            for (id, row) in &self.docs {
+                if let Some(value) = RowRef::Open(row).at(path) {
+                    fresh.insert(&value, *id);
+                }
+            }
+            fresh == *index
+        })
+    }
+
     /// Blocks a scan for `filter` skips on their summaries alone.
     pub(crate) fn ruled_out(&self, filter: &Filter) -> usize {
         let ranges = Split::of(filter).ranges;
-        self.blocks
-            .values()
-            .filter(|b| !b.may_hold(&ranges))
-            .count()
+        let mut slots = KeySlots::default();
+        let blocks = self.blocks.values();
+        blocks.filter(|b| !b.may_hold(&ranges, &mut slots)).count()
     }
 }
 
@@ -782,14 +918,23 @@ impl Collection {
 
     /// Every mutation below runs through here: `apply` changes the
     /// collection under its lock and, on a journaled store only, encodes
-    /// the deltas that [`journaled`] then makes durable.
+    /// the deltas that [`journaled`] then makes durable. Once the store
+    /// has dropped the collection, `apply` does not run: the mutation is
+    /// [`StoreError::CollectionNotFound`] and logs nothing.
     pub(crate) fn mutate<T>(
         &self,
         apply: impl FnOnce(&mut CollectionInner, Option<&mut Deltas>) -> T,
     ) -> Result<T, StoreError> {
         let journal = self.durable.as_deref();
         let journal = journal.map(|ctx| (&*ctx.shared, ctx.name.as_str()));
-        let (out, logged) = journaled(journal, |log| apply(&mut self.inner.lock(), log));
+        let (out, logged) = journaled(journal, |log| {
+            let mut inner = self.inner.lock();
+            match &inner.dropped {
+                Some(name) => Err(StoreError::CollectionNotFound(name.clone())),
+                None => Ok(apply(&mut inner, log)),
+            }
+        });
+        let out = out?;
         logged.map(|()| out)
     }
 
@@ -986,12 +1131,13 @@ impl Collection {
 
     /// Whether an index exists on `path`.
     pub fn has_index(&self, path: &str) -> bool {
-        self.inner.lock().indexes.contains_key(path)
+        self.inner.lock().indexes.paths.contains_key(path)
     }
 
-    /// Distinct indexed values on `path`, if an index exists there.
+    /// Distinct indexable values on `path` over every document, if an
+    /// index exists there.
     pub fn index_cardinality(&self, path: &str) -> Option<usize> {
-        self.inner.lock().indexes.get(path).map(|i| i.cardinality())
+        self.inner.lock().index_cardinality(path)
     }
 
     /// Distinct scalar values at `path` among documents matching
@@ -1268,7 +1414,7 @@ mod tests {
     fn visited(c: &Collection, filter: &Value) -> Vec<u64> {
         let filter = Filter::parse(filter).unwrap();
         let inner = c.inner.lock();
-        let scanned = inner.scan(Split::of(&filter)).map(|(id, _, _)| id.0);
+        let scanned = inner.scan(Split::of(&filter), true).map(|(id, _, _)| id.0);
         scanned.collect()
     }
 
@@ -1428,6 +1574,65 @@ mod tests {
         assert_eq!(c.index_cardinality("device"), Some(2));
         assert_eq!(c.find(&filter).unwrap(), scanned);
         assert_eq!(c.distinct("device", &Filter::True).len(), 2);
+    }
+
+    /// The open rows' ids an index on `path` holds.
+    fn indexed(c: &Collection, path: &str) -> Vec<u64> {
+        let inner = c.inner.lock();
+        let index = &inner.indexes.paths[path];
+        let mut ids: Vec<u64> = index
+            .lookup_range(None, None)
+            .iter()
+            .map(|id| id.0)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn indexes_hold_the_open_rows_and_answer_for_all() {
+        // Blocks of eight under test: 0..8 and 8..16 seal once 16 and 17
+        // are stored; 16 and 17 stay open.
+        let c = Collection::new();
+        c.create_index("v").unwrap();
+        c.insert_many((0..18).map(|i| json!({"v": i % 5, "w": i})))
+            .unwrap();
+        c.create_index("w").unwrap();
+        assert_eq!(c.inner.lock().seals(), (2, 0));
+        assert_eq!(indexed(&c, "v"), [16, 17]);
+        assert_eq!(indexed(&c, "w"), [16, 17]);
+        assert_eq!(c.index_cardinality("v"), Some(5));
+        assert_eq!(c.index_cardinality("w"), Some(18));
+        let ids = |filter: Value| -> Vec<u64> {
+            let found = c.find(&Filter::parse(&filter).unwrap()).unwrap();
+            found
+                .iter()
+                .map(|doc| doc["_id"].as_u64().unwrap())
+                .collect()
+        };
+        assert_eq!(ids(json!({"v": 1})), [1, 6, 11, 16]);
+        assert_eq!(
+            ids(json!({"w": {"$gte": 7, "$lt": 17}})),
+            (7..17).collect::<Vec<_>>()
+        );
+        assert_eq!(ids(json!({"v": 2, "w": {"$gt": 2.5}})), [7, 12, 17]);
+        // An update unseals its block, whose rows come back into the
+        // indexes: the changed one under its new value.
+        c.update_many(&Filter::eq("_id", 3), &Update::set("v", 9))
+            .unwrap();
+        assert_eq!(c.inner.lock().seals(), (1, 1));
+        assert_eq!(indexed(&c, "v"), [0, 1, 2, 3, 4, 5, 6, 7, 16, 17]);
+        assert_eq!(ids(json!({"v": 9})), [3]);
+        assert_eq!(ids(json!({"v": 3})), [8, 13]);
+        assert_eq!(c.index_cardinality("v"), Some(6));
+        // A delete unseals too, and takes its row out.
+        c.delete_many(&Filter::eq("_id", 13)).unwrap();
+        assert_eq!(
+            indexed(&c, "w"),
+            (0..18).filter(|&i| i != 13).collect::<Vec<_>>()
+        );
+        assert_eq!(ids(json!({"v": 3})), [8]);
+        assert!(c.inner.lock().indexes_hold_the_open_rows());
     }
 
     #[test]

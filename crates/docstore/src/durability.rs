@@ -29,10 +29,13 @@
 //!
 //! **Limits.** A durability failure mid-operation leaves memory *ahead*
 //! of the log: treat the instance as dead and reopen, as a crashed
-//! process would; every later mutation fails too. A [`Collection`] handle
-//! kept past [`Store::drop_collection`] keeps logging under its old
-//! name, and replay then diverges from live state: drop a collection
-//! only once its handles are done writing.
+//! process would; every later mutation fails too.
+//!
+//! [`Store::drop_collection`] marks the collection dropped under its
+//! lock, inside the drop's own journal section: a handle kept past it
+//! reads what the collection held, but every mutation through it is
+//! [`StoreError::CollectionNotFound`] and logs nothing, so replay and
+//! live state agree.
 
 use crate::collection::Collection;
 use crate::row::RowRef;
@@ -215,7 +218,7 @@ fn export_json(map: &CollectionMap) -> String {
                 out.reserve((out.len() - start + 1) * (inner.len() - 1));
             }
         }
-        let indexes: Vec<&str> = inner.indexes.keys().map(String::as_str).collect();
+        let indexes: Vec<&str> = inner.indexes.paths.keys().map(String::as_str).collect();
         let next_id = inner.next_id;
         let _ = write!(
             out,
@@ -519,6 +522,45 @@ mod tests {
         assert!(recovered.collection("obs").is_empty());
         assert!(recovered.collection("obs").has_index("model"));
         assert!(!recovered.has_collection("meta"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every mutation a collection handle has, through `stale`.
+    fn mutations(stale: &Collection) -> Vec<Result<(), StoreError>> {
+        let doc = || json!({"model": "Z", "spl": 1.0});
+        vec![
+            stale.insert_one(doc()).map(drop),
+            stale.insert_many([doc(), doc()]).map(drop),
+            stale
+                .update_many(&Filter::True, &Update::set("x", 1))
+                .map(drop),
+            stale.delete_many(&Filter::True).map(drop),
+            stale.create_index("spl"),
+            stale.drop_index("model"),
+            stale.clear(),
+        ]
+    }
+
+    #[test]
+    fn a_handle_kept_past_its_drop_changes_and_logs_nothing() {
+        let dir = temp_dir("stale");
+        let store = Store::open(durable(&dir)).unwrap();
+        seed(&store);
+        let stale = store.collection("obs");
+        let held = stale.all();
+        store.drop_collection("obs").unwrap();
+        let gone = Err(StoreError::CollectionNotFound("obs".to_owned()));
+        assert!(mutations(&stale).into_iter().all(|result| result == gone));
+        // It still reads what the collection held; a new one of the name
+        // is another collection, and logs as one.
+        assert_eq!(stale.all(), held);
+        store.collection("obs").insert_one(json!({"k": 1})).unwrap();
+        assert_eq!(stale.insert_one(json!({"k": 2})).map(drop), gone);
+        let live = store.export_json();
+        drop(store);
+
+        let recovered = Store::open(durable(&dir)).unwrap();
+        assert_eq!(recovered.export_json(), live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

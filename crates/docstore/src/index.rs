@@ -1,9 +1,14 @@
 //! Secondary indexes.
 //!
 //! An index maps the scalar value at one dotted path to the ids of the
-//! documents holding that value. The collection's query planner consults
+//! documents holding that value — of the *open* rows only, those of the
+//! blocks that are not sealed: a sealed block's rows leave every index
+//! when it seals and come back when a write unseals it (see
+//! [`crate::collection`]). The collection's query planner consults
 //! indexes for equality and range predicates (see
-//! [`Collection::create_index`](crate::Collection::create_index)).
+//! [`Collection::create_index`](crate::Collection::create_index)); the
+//! sealed blocks answer the same predicates from their summaries and
+//! columns.
 //!
 //! **How an entry lies in memory.** An index is one `BTreeMap` from
 //! [`IndexKey`] to [`Ids`]. A key is a scalar of 24 bytes — null, a
@@ -19,7 +24,7 @@
 //! [`compare_values`](crate::compare_values) does: `1` and `1.0` are one
 //! key, and so are `0.0` and `-0.0`; 2⁵³ and 2⁵³ + 1 are two. Indexes are
 //! derived state: nothing of them reaches the disk, and a reopen rebuilds
-//! them from the documents.
+//! them from the open rows.
 
 use crate::value::{compare_numbers, DocId};
 use serde_json::{Number, Value};
@@ -168,6 +173,24 @@ impl Ids {
         }
     }
 
+    /// Keeps the ids `keep` holds for; returns whether any is left.
+    fn retain(&mut self, keep: impl Fn(DocId) -> bool) -> bool {
+        match self {
+            Ids::One(id) => keep(*id),
+            Ids::Many(ids) => {
+                ids.retain(|id| keep(*id));
+                match (ids.len(), ids.first()) {
+                    (0, _) => false,
+                    (1, Some(&last)) => {
+                        *self = Ids::One(last);
+                        true
+                    }
+                    _ => true,
+                }
+            }
+        }
+    }
+
     /// Removes `id`; returns whether no id is left.
     fn remove(&mut self, id: DocId) -> bool {
         match self {
@@ -185,6 +208,7 @@ impl Ids {
 
 /// A single-path secondary index.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct PathIndex {
     entries: BTreeMap<IndexKey, Ids>,
 }
@@ -214,6 +238,15 @@ impl PathIndex {
                 slot.remove();
             }
         }
+    }
+
+    /// Removes every id `keep` is false for, in one pass over the index
+    /// that builds it anew: cheaper than a removal per id when they are
+    /// most of what it holds.
+    pub(crate) fn retain(&mut self, keep: impl Fn(DocId) -> bool) {
+        let entries = std::mem::take(&mut self.entries).into_iter();
+        let kept = entries.filter_map(|(key, mut ids)| ids.retain(&keep).then_some((key, ids)));
+        self.entries = kept.collect();
     }
 
     /// Ids of documents whose indexed value equals `value`, borrowed:
@@ -254,9 +287,9 @@ impl PathIndex {
             .collect()
     }
 
-    /// Number of distinct indexed values.
-    pub(crate) fn cardinality(&self) -> usize {
-        self.entries.len()
+    /// The distinct indexed values, ascending.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &IndexKey> {
+        self.entries.keys()
     }
 }
 
@@ -268,6 +301,10 @@ mod tests {
     impl PathIndex {
         fn lookup_eq(&self, value: &Value) -> Vec<DocId> {
             self.eq_set(value).into_iter().flat_map(Ids::iter).collect()
+        }
+
+        fn cardinality(&self) -> usize {
+            self.keys().count()
         }
     }
 

@@ -11,12 +11,16 @@
 //! re-check each against the full filter, so the planner only ever has to
 //! be *conservative* (a superset of the true matches is always safe).
 //!
-//! The same holds for the mechanisms a scan has: where no index serves,
-//! it drops whole blocks of `_id`s on their numeric summaries, and the
-//! rows of sealed blocks on their columns (see [`crate::collection`]),
-//! and re-checks what is left. That is not a plan of its own — the
-//! planner chose, and reports, a full scan. The filter is taken apart for
-//! all of them once per query; the planner is handed its share.
+//! An index holds the rows of the open blocks only (see
+//! [`crate::index`]), so its candidates are open rows, never all of the
+//! matches: the executor reads the sealed blocks beside them the way a
+//! scan does — their numeric summaries drop whole blocks of `_id`s, the
+//! column pass drops rows (see [`crate::collection`]) — and merges the
+//! two in `_id` order. Where no index serves, the same mechanisms narrow
+//! a full scan. Neither is a plan of its own: the plan, and its label,
+//! say only which indexes served the open rows. The filter is taken
+//! apart for all of them once per query; the planner is handed its
+//! share.
 //!
 //! Which plan ran is exported as
 //! `docstore_query_plans_total{plan=...}` — watching `full_scan` climb on

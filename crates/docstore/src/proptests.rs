@@ -833,7 +833,7 @@ fn export_value(store: &Store) -> Value {
     for (name, collection) in store.collections.lock().iter() {
         let inner = collection.inner.lock();
         let docs: Vec<Value> = inner.rows().map(|(_, row)| row.to_value()).collect();
-        let indexes: Vec<String> = inner.indexes.keys().cloned().collect();
+        let indexes: Vec<String> = inner.indexes.paths.keys().cloned().collect();
         collections.insert(
             name.clone(),
             json!({
@@ -1224,7 +1224,7 @@ fn path_index_equals_a_map_of_sets() {
                 (1, 0) => emptied.set(emptied.get() + 1),
                 _ => {}
             }
-            assert_eq!(index.cardinality(), model.len());
+            assert_eq!(index.keys().count(), model.len());
             for (key, ids) in &model {
                 assert_eq!(index.eq_set(&key.value()), posting(ids).as_ref(), "{key:?}");
             }
@@ -1442,7 +1442,10 @@ fn pruned_scans_equal_unpruned_scans() {
                 };
                 let found: Vec<DocId> = inner.matches(&filter).map(|(id, _)| id).collect();
                 assert_eq!(found, walk(&filter), "step {step}: {filter:?}");
-                let scanned: Vec<bool> = inner.scan(Split::of(&filter)).map(|(.., k)| k).collect();
+                let scanned: Vec<bool> = inner
+                    .scan(Split::of(&filter), true)
+                    .map(|(.., k)| k)
+                    .collect();
                 visited.set(visited.get() + scanned.len());
                 known.set(known.get() + scanned.iter().filter(|&&k| k).count());
                 stored.set(stored.get() + inner.len());
@@ -1653,6 +1656,189 @@ fn the_collection_equals_a_naive_scan_store() {
                     naive.distinct(path, &filter),
                     "step {step}: distinct {path} where {filter:?}"
                 );
+            }
+        }
+    });
+    let (sealed, unsealed) = (sealed.get(), unsealed.get());
+    assert!(
+        sealed > 256 && unsealed > 64,
+        "{sealed} sealed, {unsealed} unsealed"
+    );
+}
+
+/// The numbers a typed compare must tell apart: small integers of both
+/// signs, the ends of `i64` and `u64`, integers either side of 2⁵³ that
+/// one `f64` stands for, and floats — fractional, both zeros, integral
+/// ones, and ones beyond every `i64`.
+fn typed_edge(rng: &mut Rng) -> Value {
+    const TWO_53: i64 = 1 << 53;
+    match rng.size(0, 12) {
+        0 => Value::from(i64::MIN + rng.int(0, 2)),
+        1 => Value::from(i64::MAX - rng.int(0, 2)),
+        2 => Value::from(u64::MAX - rng.int(0, 2) as u64),
+        3 => Value::from(TWO_53 + rng.int(-1, 2)),
+        4 => Value::from(-TWO_53 + rng.int(-1, 2)),
+        5 => Value::from([-0.0, 0.0][rng.size(0, 2)]),
+        6 => Value::from(rng.int(-3, 4) as f64 + [0.0, 0.5][rng.size(0, 2)]),
+        7 => Value::from([TWO_53 as f64, 9.3e18, -9.3e18, 1.9e19][rng.size(0, 4)]),
+        _ => Value::from(rng.int(-3, 4)),
+    }
+}
+
+/// What [`typed_compares_agree_with_the_filter`] files under `u` in a
+/// block of `kind`: integers of both signs (0), integers none negative,
+/// some beyond `i64::MAX` (1), or floats (2) — each near another
+/// ([`typed_edge`]) — and now and then a null.
+fn typed_word(rng: &mut Rng, kind: usize) -> Value {
+    if rng.size(0, 8) == 0 {
+        return Value::Null;
+    }
+    loop {
+        let value = typed_edge(rng);
+        let fits = match kind {
+            0 => value.as_i64().is_some(),
+            1 => value.as_u64().is_some(),
+            _ => value.as_i64().is_none() && value.as_u64().is_none(),
+        };
+        if fits {
+            return value;
+        }
+    }
+}
+
+/// The column pass decides `$eq`, `$gt`, `$gte`, `$lt` and `$lte` against
+/// a number on a number column by comparing words: on columns of every
+/// kind, with null rows, against integer and fractional bounds, `-0.0`,
+/// 2⁵³ ± 1, `i64::MIN` and `u64::MAX`, a read keeps exactly the rows the
+/// filter matches one by one — alone, as a range's two ends, and beside
+/// an index on another member.
+#[test]
+fn typed_compares_agree_with_the_filter() {
+    let columns = Cell::new(0);
+    check(|rng| {
+        let c = Collection::new();
+        if rng.flag() {
+            c.create_index("m").unwrap();
+        }
+        // One kind of number per block of eight (the block size under
+        // test), and a row past the last, so that they all seal.
+        let kinds = rng.vec(1, 6, |r| r.size(0, 3));
+        let docs: Vec<Value> = (0..kinds.len() * 8 + 1)
+            .map(|at| {
+                let kind = kinds[(at / 8).min(kinds.len() - 1)];
+                json!({"m": rng.letters("ab", 1, 1), "u": typed_word(rng, kind)})
+            })
+            .collect();
+        c.insert_many(docs.iter().cloned()).unwrap();
+        let inner = c.inner.lock();
+        columns.set(columns.get() + inner.number_columns());
+        for _ in 0..16 {
+            let mut compare = |rng: &mut Rng| {
+                let ops: [fn(String, Value) -> Filter; 5] =
+                    [Filter::eq, Filter::gt, Filter::gte, Filter::lt, Filter::lte];
+                ops[rng.size(0, ops.len())]("u".to_owned(), typed_edge(rng))
+            };
+            let mut conjuncts = rng.vec(1, 3, &mut compare);
+            if rng.flag() {
+                conjuncts.push(Filter::eq("m", "a"));
+            }
+            let filter = Filter::and(conjuncts);
+            let found: Vec<DocId> = inner.matches(&filter).map(|(id, _)| id).collect();
+            let walked = inner.rows().filter(|(_, row)| filter.matches_doc(row));
+            assert_eq!(
+                found,
+                walked.map(|(id, _)| id).collect::<Vec<_>>(),
+                "{filter:?}"
+            );
+        }
+    });
+    assert!(columns.get() > 256, "{} number columns", columns.get());
+}
+
+/// Distinct scalar values at `path` over `docs`, told apart as the store
+/// orders them (`1` and `1.0` are one).
+fn distinct_at(docs: &[Value], path: &str) -> usize {
+    let mut values: Vec<&Value> = docs.iter().filter_map(|doc| get_path(doc, path)).collect();
+    values.retain(|v| !v.is_array() && !v.is_object());
+    values.sort_by(|a, b| compare_values(a, b).unwrap());
+    values.dedup_by(|a, b| compare_values(a, b) == Some(Ordering::Equal));
+    values.len()
+}
+
+/// After any history — indexes made before and after blocks seal,
+/// inserts that seal them, updates and deletes that unseal them, index
+/// drops and clears — every index holds exactly the open rows, its
+/// cardinality is the distinct count over every row, open or sealed, and
+/// a read an index serves keeps exactly the rows the filter matches.
+#[test]
+fn indexes_hold_the_open_rows_through_any_history() {
+    const INDEXED: [&str; 5] = ["m", "t", "u", "w", "n.x"];
+    let (sealed, unsealed) = (Cell::new(0), Cell::new(0));
+    check(|rng| {
+        let c = Collection::new();
+        let mut at = 0u64;
+        for step in 0..rng.size(1, 12) {
+            let next_id = c.inner.lock().next_id as i64;
+            match rng.size(0, 12) {
+                0..=3 => {
+                    let docs = rng.vec(8, 30, |r| {
+                        at += 1;
+                        r.uniform(at, None)
+                    });
+                    c.insert_many(docs).unwrap();
+                }
+                4 => {
+                    at += 1;
+                    c.insert_one(rng.timed(at, None)).unwrap();
+                }
+                5 | 6 => {
+                    let from = rng.int(0, next_id + 1);
+                    let filter = Filter::range("_id", from, from + rng.int(0, 10));
+                    let update = match rng.size(0, 3) {
+                        0 => Update::set(rng.pick(&["m", "u", "t"]), rng.probe()),
+                        1 => Update::set("n.x", rng.int(-2, 3)),
+                        _ => Update::parse(&json!({"$unset": {"w": 1}})).unwrap(),
+                    };
+                    let _ = c.update_many(&filter, &update);
+                }
+                7 | 8 => {
+                    let from = rng.int(0, next_id + 1);
+                    let filter = Filter::range("_id", from, from + rng.int(0, 4));
+                    c.delete_many(&filter).unwrap();
+                }
+                9 | 10 => c.create_index(rng.pick(&INDEXED)).unwrap(),
+                _ => match rng.flag() {
+                    true => c.drop_index(rng.pick(&INDEXED)).unwrap(),
+                    false => c.clear().unwrap(),
+                },
+            }
+            let all = c.all();
+            let inner = c.inner.lock();
+            let seals = inner.seals();
+            sealed.set(sealed.get() + seals.0);
+            unsealed.set(unsealed.get() + seals.1);
+            assert!(inner.indexes_hold_the_open_rows(), "step {step}");
+            let paths: Vec<String> = inner.indexes.paths.keys().cloned().collect();
+            for path in &paths {
+                let cardinality = inner.index_cardinality(path);
+                assert_eq!(
+                    cardinality,
+                    Some(distinct_at(&all, path)),
+                    "step {step}: {path}"
+                );
+            }
+            for _ in 0..4 {
+                let path = rng.pick(&INDEXED).to_owned();
+                let value = rng.probe();
+                let filter = match rng.size(0, 3) {
+                    0 => Filter::eq(path, value),
+                    1 => Filter::and(vec![Filter::gte(path.clone(), value), Filter::eq("w", 1)]),
+                    _ => Filter::range(path, rng.int(-6, 0), rng.int(0, 6)),
+                };
+                let found: Vec<DocId> = inner.matches(&filter).map(|(id, _)| id).collect();
+                let walked = inner.rows().filter(|(_, row)| filter.matches_doc(row));
+                let walked: Vec<DocId> = walked.map(|(id, _)| id).collect();
+                assert_eq!(found, walked, "step {step}: {filter:?}");
             }
         }
     });

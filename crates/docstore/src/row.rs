@@ -46,12 +46,16 @@
 //! write path, holding its shape rather than borrowing it.
 //! Before a sealed block is walked, [`Sealed::pass`] decides the
 //! conjuncts of the filter that read one member each on that member's
-//! column alone (see its docs), with the same evaluator.
+//! column alone (see its docs), with the same evaluator — but for a
+//! comparison with a number on a number column, which is a compare of
+//! the words with bounds made once, exact as `compare_numbers` orders.
+//! Scans beside an index and without one both run it, so it is also
+//! what answers an indexed predicate on a sealed block.
 
 use crate::collection::BLOCK_IDS;
-use crate::filter::Filter;
+use crate::filter::{CmpOp, Filter};
 use crate::telemetry::telemetry;
-use crate::value::DocId;
+use crate::value::{f64_above, f64_below, integer_above, integer_below, DocId};
 use serde_json::{Map, Number, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -153,7 +157,7 @@ impl Shape {
 }
 
 /// Position of `key` in a key list (ascending, as every shape's is).
-pub(crate) fn slot_in(keys: &[String], key: &str) -> Option<usize> {
+fn slot_in(keys: &[String], key: &str) -> Option<usize> {
     keys.binary_search_by(|k| k.as_str().cmp(key)).ok()
 }
 
@@ -435,6 +439,109 @@ impl Kind {
             Kind::Float => Value::from(f64::from_bits(word)),
         }
     }
+
+    /// The words of this kind at or above `lo` and at or below `hi` (each
+    /// a number and whether it is inclusive), as [`compare_numbers`]
+    /// orders them: one closed interval of words. `None` for a number no
+    /// `f64` is near.
+    ///
+    /// [`compare_numbers`]: crate::value::compare_numbers
+    fn within(self, lo: Option<(&Number, bool)>, hi: Option<(&Number, bool)>) -> Option<Words> {
+        // The integers within the bounds and `min..=max`; `(max, min)`,
+        // which holds none, where there are none.
+        let integers = |min: i128, max: i128| -> Option<(i128, i128)> {
+            let lo = lo.map_or(Some(min), |(n, inclusive)| integer_above(n, inclusive))?;
+            let hi = hi.map_or(Some(max), |(n, inclusive)| integer_below(n, inclusive))?;
+            let (lo, hi) = (lo.max(min), hi.min(max));
+            Some(if lo <= hi { (lo, hi) } else { (max, min) })
+        };
+        Some(match self {
+            Kind::Int => {
+                let (lo, hi) = integers(i64::MIN.into(), i64::MAX.into())?;
+                Words::Int(i64::try_from(lo).ok()?, i64::try_from(hi).ok()?)
+            }
+            Kind::UInt => {
+                let (lo, hi) = integers(0, u64::MAX.into())?;
+                Words::UInt(u64::try_from(lo).ok()?, u64::try_from(hi).ok()?)
+            }
+            Kind::Float => Words::Float(
+                lo.map_or(Some(f64::NEG_INFINITY), |(n, inclusive)| {
+                    f64_above(n, inclusive)
+                })?,
+                hi.map_or(Some(f64::INFINITY), |(n, inclusive)| {
+                    f64_below(n, inclusive)
+                })?,
+            ),
+        })
+    }
+}
+
+/// The words of a [`Column::Numbers`] that one comparison with a number
+/// keeps: a closed interval in the order of the column's [`Kind`].
+#[derive(Debug, Clone, Copy)]
+enum Words {
+    Int(i64, i64),
+    UInt(u64, u64),
+    Float(f64, f64),
+}
+
+impl Words {
+    /// What `conjunct` keeps of a column of `kind`, if it is an `$eq`,
+    /// `$gt`, `$gte`, `$lt` or `$lte` against a number: then it holds for
+    /// a row exactly when the row's word is within, and never for a null.
+    fn of(kind: Kind, conjunct: &Filter) -> Option<Words> {
+        let Filter::Cmp {
+            op,
+            value: Value::Number(n),
+            ..
+        } = conjunct
+        else {
+            return None;
+        };
+        let (lo, hi) = match op {
+            CmpOp::Eq => (Some((n, true)), Some((n, true))),
+            CmpOp::Gt => (Some((n, false)), None),
+            CmpOp::Gte => (Some((n, true)), None),
+            CmpOp::Lt => (None, Some((n, false))),
+            CmpOp::Lte => (None, Some((n, true))),
+            CmpOp::Ne => return None,
+        };
+        kind.within(lo, hi)
+    }
+
+    /// The words both `self` and `other`, of one column, keep.
+    fn and(self, other: Words) -> Option<Words> {
+        Some(match (self, other) {
+            (Words::Int(a, b), Words::Int(c, d)) => Words::Int(a.max(c), b.min(d)),
+            (Words::UInt(a, b), Words::UInt(c, d)) => Words::UInt(a.max(c), b.min(d)),
+            (Words::Float(a, b), Words::Float(c, d)) => Words::Float(a.max(c), b.min(d)),
+            _ => return None,
+        })
+    }
+
+    /// Drops from `picked` the rows in `nulls` and those whose word is
+    /// not within: one or two compares per row, no `Value` made. An
+    /// integer is within `lo..=hi` when its distance above `lo`, taken
+    /// modulo 2⁶⁴, is at most `hi - lo`.
+    fn keep(self, words: &[u64], nulls: Option<&Picked>, picked: &mut Picked) {
+        let mut integers = |lo: u64, span: u64| {
+            picked.and_each(words, |word| word.wrapping_sub(lo) <= span);
+        };
+        match self {
+            Words::Int(lo, hi) if lo <= hi => {
+                integers(lo.cast_unsigned(), hi.wrapping_sub(lo).cast_unsigned());
+            }
+            Words::UInt(lo, hi) if lo <= hi => integers(lo, hi - lo),
+            Words::Float(lo, hi) => picked.and_each(words, |word| {
+                let x = f64::from_bits(word);
+                (lo <= x) & (x <= hi)
+            }),
+            Words::Int(..) | Words::UInt(..) => *picked = Picked::none(),
+        }
+        if let Some(nulls) = nulls {
+            picked.without(nulls);
+        }
+    }
 }
 
 /// One member's dictionary while its block is sealed: a code per row —
@@ -681,42 +788,149 @@ impl Sealed {
         })
     }
 
+    /// Hands `visit` the value at dotted `path` of every row that has one
+    /// — of a dictionary column, each distinct value once.
+    pub(crate) fn each_at(&self, path: &str, mut visit: impl FnMut(&Value)) {
+        let (head, rest) = split_head(path);
+        let Some(column) = self.shape.slot(head).map(|slot| &self.columns[slot]) else {
+            return;
+        };
+        match column {
+            Column::Dictionary { values, .. } => {
+                values.iter().filter_map(|v| walk(v, rest)).for_each(visit);
+            }
+            column => {
+                for at in 0..BLOCK_IDS as usize {
+                    if let Some(value) = descend(column.get(at), rest) {
+                        visit(&value);
+                    }
+                }
+            }
+        }
+    }
+
     /// The rows of the block that may satisfy every one of `conjuncts`,
     /// or `None` if none can. Each conjunct reads at most one member (see
-    /// [`Conjunct`]), so it is decided by [`Filter::matches_doc`] on that
-    /// member alone: once for the block where the shape has no such
-    /// member, once per distinct value of a dictionary column (a per-code
-    /// truth table), and once per row of a number or value column — those
-    /// last after the others, and only for rows still in. Nothing else
-    /// compares a value.
-    pub(crate) fn pass(&self, conjuncts: &[Conjunct<'_>]) -> Option<Picked> {
-        let column = |key: Option<&str>| Some(&self.columns[self.shape.slot(key?)?]);
-        let by_row = |(key, _): &&Conjunct<'_>| {
-            matches!(
-                column(*key),
-                Some(Column::Numbers { .. } | Column::Values(_))
-            )
-        };
-        let once = conjuncts.iter().filter(|conjunct| !by_row(conjunct));
+    /// [`Conjunct`]), so it is decided on that member's column alone, the
+    /// cheapest first ([`Step`]): a member the shape lacks, by
+    /// [`Filter::matches_doc`] once for the block; an `$eq` / `$gt` /
+    /// `$gte` / `$lt` / `$lte` against a number on a number column, by
+    /// comparing each row's word with bounds made once ([`Words`]); a
+    /// dictionary column, by a per-code truth table (or, for fewer rows
+    /// still in than it has values, per row); any other column, once per
+    /// row still in. `slots` remembers where the members lie in the key list
+    /// last passed ([`KeySlots`]).
+    pub(crate) fn pass<'s>(
+        &'s self,
+        conjuncts: &[Conjunct<'_>],
+        slots: &mut KeySlots<'s>,
+    ) -> Option<Picked> {
+        let slots = slots.of(&self.shape.keys, conjuncts.iter().map(|(key, _)| *key));
+        let mut steps: Vec<(Step<'_>, &Filter, &str)> = Vec::with_capacity(conjuncts.len());
+        for (&(key, conjunct), slot) in conjuncts.iter().zip(slots) {
+            let step = match slot.map(|slot| &self.columns[slot]) {
+                None => Step::Absent,
+                Some(Column::Dictionary { values, codes }) => Step::Codes(values, codes),
+                Some(column @ Column::Numbers { kind, words, nulls }) => {
+                    match Words::of(*kind, conjunct) {
+                        Some(within) => Step::Words(within, words, nulls.as_deref()),
+                        None => Step::Rows(column),
+                    }
+                }
+                Some(column) => Step::Rows(column),
+            };
+            // Two compares of one column's words — a range's two ends —
+            // are one compare with the interval both keep.
+            if let Step::Words(within, words, _) = step {
+                let same = steps.iter_mut().find_map(|(step, ..)| match step {
+                    Step::Words(held, other, _) if std::ptr::eq(*other, words) => Some(held),
+                    _ => None,
+                });
+                if let Some(held) = same {
+                    if let Some(both) = held.and(within) {
+                        *held = both;
+                        continue;
+                    }
+                }
+            }
+            steps.push((step, conjunct, key.unwrap_or_default()));
+        }
+        steps.sort_by_key(|(step, ..)| step.cost());
         let mut picked = Picked::all();
-        for &(key, conjunct) in once.chain(conjuncts.iter().filter(by_row)) {
-            let member = key.unwrap_or_default();
+        for (step, conjunct, member) in steps {
             let holds =
                 |value: Option<&Value>| conjunct.matches_doc(&Member { key: member, value });
-            match column(key) {
-                None if holds(None) => continue,
-                None => return None,
-                Some(Column::Dictionary { values, codes }) => {
-                    let truth: Vec<bool> = values.iter().map(|v| holds(Some(v))).collect();
-                    picked.and(|at| truth[usize::from(codes[at])]);
+            match step {
+                Step::Absent if holds(None) => continue,
+                Step::Absent => return None,
+                Step::Words(within, words, nulls) => within.keep(words, nulls, &mut picked),
+                Step::Codes(values, codes) if picked.len() < values.len() => {
+                    picked.keep(|at| holds(Some(&values[usize::from(codes[at])])));
                 }
-                Some(column) => picked.keep(|at| holds(Some(&column.get(at)))),
+                Step::Codes(values, codes) => {
+                    let mut truth = [false; 256];
+                    for (truth, value) in truth.iter_mut().zip(values) {
+                        *truth = holds(Some(value));
+                    }
+                    picked.and_each(codes, |code| truth[usize::from(code)]);
+                }
+                Step::Rows(column) => picked.keep(|at| holds(Some(&column.get(at)))),
             }
             if picked.is_empty() {
                 return None;
             }
         }
         Some(picked)
+    }
+}
+
+/// How [`Sealed::pass`] decides one conjunct, in the order it does.
+enum Step<'c> {
+    /// The shape lacks the member.
+    Absent,
+    /// A compare of a number column's words, but for its null rows.
+    Words(Words, &'c [u64], Option<&'c Picked>),
+    /// A dictionary column's values and codes.
+    Codes(&'c [Value], &'c [u8]),
+    /// Any other column, row by row.
+    Rows(&'c Column),
+}
+
+impl Step<'_> {
+    fn cost(&self) -> u8 {
+        match self {
+            Step::Absent => 0,
+            Step::Words(..) => 1,
+            Step::Codes(..) => 2,
+            Step::Rows(_) => 3,
+        }
+    }
+}
+
+/// Where a query's members lie in the key list last met, by its
+/// address: a scan of blocks of one key set — the summaries' ranges, the
+/// column pass's conjuncts — resolves them once, not once per block.
+#[derive(Debug, Default)]
+pub(crate) struct KeySlots<'k> {
+    keys: Option<&'k [String]>,
+    slots: Vec<Option<usize>>,
+}
+
+impl<'k> KeySlots<'k> {
+    /// The slots in `keys` of `members`, in order (`None`: no member, or
+    /// one `keys` lacks), as resolved when `keys` was last met.
+    pub(crate) fn of<'m>(
+        &mut self,
+        keys: &'k [String],
+        members: impl Iterator<Item = Option<&'m str>>,
+    ) -> &[Option<usize>] {
+        if !self.keys.is_some_and(|known| std::ptr::eq(known, keys)) {
+            self.slots.clear();
+            self.slots
+                .extend(members.map(|member| slot_in(keys, member?)));
+            self.keys = Some(keys);
+        }
+        &self.slots
     }
 }
 
@@ -787,13 +1001,28 @@ impl Picked {
         self.0.iter().all(|&word| word == 0)
     }
 
-    /// Drops the rows `holds` is false for, asking for every row: it is a
-    /// table lookup, cheaper than finding the rows still in.
-    fn and(&mut self, holds: impl Fn(usize) -> bool) {
-        for (w, word) in self.0.iter_mut().enumerate() {
-            let rows = (w * 64)..(w * 64 + 64).min(BLOCK_IDS as usize);
-            let kept = rows.fold(0, |bits, at| bits | u64::from(holds(at)) << (at % 64));
-            *word &= kept;
+    /// How many rows are in.
+    fn len(&self) -> usize {
+        self.0.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
+    /// Drops the rows whose entry in `column` — one per row of the block,
+    /// in order — `holds` is false for, asking for every row of each 64
+    /// with one still in: a table lookup or a compare, cheaper than
+    /// finding the rows still in.
+    fn and_each<T: Copy>(&mut self, column: &[T], holds: impl Fn(T) -> bool) {
+        for (word, rows) in self.0.iter_mut().zip(column.chunks(64)) {
+            if *word != 0 {
+                let kept = rows.iter().enumerate();
+                *word &= kept.fold(0, |bits, (at, &row)| bits | u64::from(holds(row)) << at);
+            }
+        }
+    }
+
+    /// Drops the rows of `other`.
+    fn without(&mut self, other: &Picked) {
+        for (word, out) in self.0.iter_mut().zip(other.0) {
+            *word &= !out;
         }
     }
 

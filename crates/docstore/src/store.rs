@@ -103,7 +103,9 @@ impl Store {
         self.collections.lock().keys().cloned().collect()
     }
 
-    /// Drops a collection and its documents.
+    /// Drops a collection and its documents. A handle to it kept past
+    /// this still reads what it held, but every mutation through it is
+    /// [`StoreError::CollectionNotFound`].
     ///
     /// # Errors
     ///
@@ -112,14 +114,17 @@ impl Store {
     /// cannot log the drop.
     pub fn drop_collection(&self, name: &str) -> Result<(), StoreError> {
         let (removed, logged) = journaled(self.journal(name), |log| {
-            let removed = self.collections.lock().remove(name).is_some();
-            if removed {
+            let removed = self.collections.lock().remove(name);
+            if let Some(collection) = &removed {
+                // Under the journal lock: no mutation through a handle
+                // kept past this can log between the drop and the mark.
+                collection.inner.lock().dropped = Some(name.to_owned());
                 telemetry().store_collections.dec();
                 if let Some(log) = log {
                     log.bare("drop_collection");
                 }
             }
-            removed
+            removed.is_some()
         });
         logged?;
         if removed {
@@ -169,6 +174,28 @@ mod tests {
             store.drop_collection("tmp"),
             Err(StoreError::CollectionNotFound(_))
         ));
+    }
+
+    #[test]
+    fn a_handle_kept_past_its_drop_changes_nothing() {
+        let store = Store::new();
+        let stale = store.collection("tmp");
+        stale.insert_one(json!({"a": 1})).unwrap();
+        store.drop_collection("tmp").unwrap();
+        let gone = Err(StoreError::CollectionNotFound("tmp".to_owned()));
+        assert_eq!(stale.insert_one(json!({"a": 2})).map(drop), gone);
+        assert_eq!(stale.create_index("a"), gone);
+        assert_eq!(stale.clear(), gone);
+        assert_eq!(stale.len(), 1);
+        assert!(!stale.has_index("a"));
+        let fresh = store.collection("tmp");
+        assert!(fresh.is_empty());
+        fresh.insert_one(json!({"a": 3})).unwrap();
+        assert_eq!(stale.delete_many(&crate::Filter::True).map(drop), gone);
+        assert_eq!(
+            store.export_json(),
+            r#"{"collections":{"tmp":{"docs":[{"_id":0,"a":3}],"indexes":[],"next_id":1}}}"#
+        );
     }
 
     #[test]

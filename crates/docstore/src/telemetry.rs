@@ -29,10 +29,11 @@ pub(crate) struct StoreTelemetry {
     pub(crate) query_plan_index_range: Counter,
     /// Queries intersecting several indexes (`plan="index_intersect"`).
     pub(crate) query_plan_index_intersect: Counter,
-    /// Blocks full scans walked: their summaries could not rule them out.
+    /// Blocks scans walked — full scans, and the sealed blocks beside an
+    /// index: their summaries and columns could not rule them out.
     pub(crate) scan_blocks_visited: Counter,
-    /// Blocks full scans passed over, on their summaries or because no
-    /// row of a sealed one passed the column pass.
+    /// Blocks scans passed over, on their summaries or because no row of
+    /// a sealed one passed the column pass.
     pub(crate) scan_blocks_skipped: Counter,
     /// Blocks held as columns now, across all collections.
     pub(crate) blocks_sealed: Gauge,
@@ -105,11 +106,11 @@ impl StoreTelemetry {
             ),
             scan_blocks_visited: registry.counter(
                 "docstore_scan_blocks_visited_total",
-                "Blocks of 1024 ids that full scans walked",
+                "Blocks of 1024 ids that scans walked, full or beside an index",
             ),
             scan_blocks_skipped: registry.counter(
                 "docstore_scan_blocks_skipped_total",
-                "Blocks of 1024 ids that full scans skipped on their summaries or columns",
+                "Blocks of 1024 ids that scans skipped on their summaries or columns",
             ),
             blocks_sealed: registry.gauge(
                 "docstore_blocks_sealed",

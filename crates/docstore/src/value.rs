@@ -141,14 +141,64 @@ pub fn compare_values(a: &Value, b: &Value) -> Option<Ordering> {
     }
 }
 
+/// `n` if it is an integer, exactly: every JSON integer the parser keeps
+/// as one fits `i128`. `None` for a float.
+pub(crate) fn integer(n: &Number) -> Option<i128> {
+    match n.as_u64() {
+        Some(u) => Some(i128::from(u)),
+        None => n.as_i64().map(i128::from),
+    }
+}
+
+/// The smallest `f64` at or above `n` — above it, where the bound is not
+/// `inclusive` — as [`compare_numbers`] orders them: of all `f64`s,
+/// exactly those from it on satisfy the bound. `None` for a number no
+/// `f64` is near, which JSON has not.
+pub(crate) fn f64_above(n: &Number, inclusive: bool) -> Option<f64> {
+    let f = n.as_f64()?;
+    Some(match compare_numbers(&Number::from_f64(f)?, n)? {
+        Ordering::Equal if inclusive => f,
+        Ordering::Equal | Ordering::Less => f.next_up(),
+        Ordering::Greater => f,
+    })
+}
+
+/// The largest `f64` at or below `n` (below it, where not `inclusive`):
+/// [`f64_above`] the other way round.
+pub(crate) fn f64_below(n: &Number, inclusive: bool) -> Option<f64> {
+    let f = n.as_f64()?;
+    Some(match compare_numbers(&Number::from_f64(f)?, n)? {
+        Ordering::Equal if inclusive => f,
+        Ordering::Equal | Ordering::Greater => f.next_down(),
+        Ordering::Less => f,
+    })
+}
+
+/// The smallest integer at or above `n` (above it, where not
+/// `inclusive`), saturating at the ends of `i128`.
+pub(crate) fn integer_above(n: &Number, inclusive: bool) -> Option<i128> {
+    Some(match (integer(n), inclusive) {
+        (Some(i), true) => i,
+        (Some(i), false) => i + 1,
+        (None, true) => n.as_f64()?.ceil() as i128,
+        (None, false) => (n.as_f64()?.floor() as i128).saturating_add(1),
+    })
+}
+
+/// The largest integer at or below `n` (below it, where not
+/// `inclusive`): [`integer_above`] the other way round.
+pub(crate) fn integer_below(n: &Number, inclusive: bool) -> Option<i128> {
+    Some(match (integer(n), inclusive) {
+        (Some(i), true) => i,
+        (Some(i), false) => i - 1,
+        (None, true) => n.as_f64()?.floor() as i128,
+        (None, false) => (n.as_f64()?.ceil() as i128).saturating_sub(1),
+    })
+}
+
 /// Orders two numbers as the reals they denote, never rounding an
 /// integer through `f64` (where 2⁵³ and 2⁵³ + 1 are one value).
 pub(crate) fn compare_numbers(x: &Number, y: &Number) -> Option<Ordering> {
-    // Every JSON integer the parser keeps as one fits `i128`.
-    let int = |n: &Number| match n.as_u64() {
-        Some(u) => Some(i128::from(u)),
-        None => n.as_i64().map(i128::from),
-    };
     // An integer against a float: against the float's whole part, which
     // `i128` holds exactly inside ±2¹²⁶, then that part against the float.
     // A float beyond that is beyond every integer, as it is beyond zero.
@@ -158,7 +208,7 @@ pub(crate) fn compare_numbers(x: &Number, y: &Number) -> Option<Ordering> {
         }
         _ => 0.0.partial_cmp(&f),
     };
-    match (int(x), int(y)) {
+    match (integer(x), integer(y)) {
         (Some(x), Some(y)) => Some(x.cmp(&y)),
         (Some(x), None) => int_float(x, y.as_f64()?),
         (None, Some(y)) => int_float(y, x.as_f64()?).map(Ordering::reverse),
