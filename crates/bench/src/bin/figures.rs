@@ -351,15 +351,13 @@ fn tracing(export: Option<&str>) {
     use mps_assim::{Blue, CityModel, DiurnalAnalysis, HourlyObservation, NoiseSimulator};
     use mps_broker::Broker;
     use mps_faults::{FaultPlan, FaultSpec, FaultyLink, Link, LinkError};
-    use mps_goflow::{GoFlowServer, ObservationQuery, Role};
+    use mps_goflow::{GoFlowServer, ObservationQuery, ObservationRecord, Role};
     use mps_mobile::{BrokerLink, GoFlowClient, RetryPolicy};
     use mps_simcore::SimRng;
     use mps_telemetry::trace::{
         FlightRecorder, LatencyWaterfall, LossAttribution, TraceId, TraceIndex,
     };
-    use mps_types::{
-        AppId, GeoBounds, GeoPoint, LocationFix, Observation, SimDuration, SimTime, SoundLevel,
-    };
+    use mps_types::{AppId, GeoBounds, LocationFix, Observation, SimDuration, SimTime, SoundLevel};
     use std::sync::Arc;
 
     struct DownLink;
@@ -457,23 +455,17 @@ fn tracing(export: Option<&str>) {
     let docs = server.query(&app, &ObservationQuery::new()).expect("query");
     let mut members: Vec<TraceId> = Vec::new();
     let mut observations = Vec::new();
-    for doc in &docs {
-        let (Some(lat), Some(lon), Some(spl), Some(hour)) = (
-            doc["lat"].as_f64(),
-            doc["lon"].as_f64(),
-            doc["spl"].as_f64(),
-            doc["hour"].as_u64(),
-        ) else {
-            continue;
-        };
-        if let Some(trace) = doc["trace"].as_str().and_then(|t| t.parse().ok()) {
-            members.push(trace);
-        }
+    let stored = docs
+        .iter()
+        .filter_map(|doc| Some((ObservationRecord::from_document(doc)?, doc)));
+    for (obs, doc) in stored {
+        let Some(fix) = obs.location else { continue };
+        members.extend(ObservationRecord::trace(doc));
         observations.push(HourlyObservation {
-            at: GeoPoint { lat, lon },
-            value_db: spl,
+            at: fix.point,
+            value_db: obs.spl.db(),
             sigma_db: 1.5,
-            hour: hour as u32,
+            hour: obs.captured_at.hour_of_day(),
         });
     }
     let city = CityModel::synthetic(bounds, 4, 30, &mut rng);

@@ -29,7 +29,7 @@
 use mps_broker::{Broker, BrokerTransport, ExchangeType};
 use mps_docstore::{Durability, DurabilityConfig, Filter, Store, Update};
 use mps_faults::{CrashPlan, CrashTarget};
-use mps_goflow::{GoFlowServer, Role};
+use mps_goflow::{GoFlowServer, ObservationRecord, Role};
 use mps_types::{AppId, DeviceModel, Observation, SimTime, SoundLevel};
 use mps_wal::{KillPoint, KillSwitch, WalConfig};
 use serde_json::json;
@@ -592,8 +592,8 @@ fn ingest_cell(point: KillPoint, skip: u64, batches: u64) -> Result<Cell, String
             .collection("obs-SC")
             .all()
             .iter()
-            .filter_map(|d| d.get("spl").and_then(serde_json::Value::as_f64))
-            .map(|spl| spl as u64)
+            .filter_map(ObservationRecord::from_document)
+            .map(|obs| obs.spl.db() as u64)
             .collect();
         Ok((export, seqs))
     };

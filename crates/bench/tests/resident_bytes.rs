@@ -1,8 +1,8 @@
 //! Live heap bytes per stored observation, as the allocator counts them:
-//! 100 000 generated 18-member observation documents (the benchmark's
-//! document, GoFlow's `ObservationRecord::to_document`) inserted in
-//! batches of 16 into one collection, without indexes and with GoFlow's
-//! three; the difference is what the indexes cost, which is what the
+//! 100 000 generated observations written by GoFlow's
+//! `ObservationRecord::to_document` and inserted in batches of 16 into
+//! one collection, without indexes and with the ones GoFlow creates; the
+//! difference is what the indexes cost, which is what the
 //! open block's rows cost in them: sealed blocks are not indexed. Deterministic — no
 //! `/proc`, no timing — because the allocator is this binary's own and
 //! counts the bytes asked for; run with `--nocapture` for the numbers.
@@ -15,8 +15,12 @@
 //! does not.
 
 use mps_docstore::Store;
-use mps_types::{Activity, AppVersion, DeviceModel, LocationProvider, SensingMode};
-use serde_json::{json, Value};
+use mps_goflow::{ObservationRecord, PrivacyPolicy};
+use mps_types::{
+    Activity, AppVersion, DeviceModel, GeoPoint, LocationFix, LocationProvider, Observation,
+    SensingMode, SimDuration, SimTime, SoundLevel,
+};
+use serde_json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
@@ -67,8 +71,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const BATCH: u64 = 16;
-const MS_PER_HOUR: i64 = 3_600_000;
-const MS_PER_DAY: i64 = 24 * MS_PER_HOUR;
+const MS_PER_DAY: i64 = 24 * 3_600_000;
 
 /// splitmix64, as the benchmark's generator draws.
 struct Draw(u64);
@@ -83,47 +86,34 @@ impl Draw {
     }
 }
 
-/// Observation `i`: one arrives every 4.32 s and was captured up to a
-/// minute before; two in five carry a location fix.
+/// Observation `i`, as GoFlow stores it: one arrives every 4.32 s and
+/// was captured up to a minute before; two in five carry a location fix.
 fn observation(draw: &mut Draw, i: u64) -> Value {
-    let arrived = MS_PER_DAY + i as i64 * 4_320;
-    let captured = arrived - 1_000 - draw.below(59_000) as i64;
+    let arrived = SimTime::from_millis(MS_PER_DAY + i as i64 * 4_320);
+    let captured = arrived - SimDuration::from_millis(1_000 + draw.below(59_000) as i64);
     let device = draw.below(2_091);
-    let day = captured.div_euclid(MS_PER_DAY);
     let pick = |draw: &mut Draw, len: usize| draw.below(len as u64) as usize;
-    let mut doc = json!({
-        "device": device,
-        "user": device,
-        "model": DeviceModel::ALL[(device * 7) as usize % DeviceModel::ALL.len()].label(),
-        "captured_ms": captured,
-        "arrived_ms": arrived,
-        "delay_ms": arrived - captured,
-        "hour": captured.rem_euclid(MS_PER_DAY) / MS_PER_HOUR,
-        "day": day,
-        "month": day.div_euclid(30),
-        "spl": (300 + draw.below(600)) as f64 / 10.0,
-        "localized": false,
-        "provider": null,
-        "accuracy": null,
-        "lat": null,
-        "lon": null,
-        "activity": Activity::ALL[pick(draw, Activity::ALL.len())].name(),
-        "mode": SensingMode::ALL[pick(draw, SensingMode::ALL.len())].name(),
-        "app_version": AppVersion::ALL[pick(draw, AppVersion::ALL.len())].name(),
-    });
+    let mut obs = Observation::builder()
+        .device(device.into())
+        .user(device.into())
+        .model(DeviceModel::ALL[(device * 7) as usize % DeviceModel::ALL.len()])
+        .captured_at(captured)
+        .spl(SoundLevel::new((300 + draw.below(600)) as f64 / 10.0))
+        .activity(Activity::ALL[pick(draw, Activity::ALL.len())])
+        .mode(SensingMode::ALL[pick(draw, SensingMode::ALL.len())])
+        .app_version(AppVersion::ALL[pick(draw, AppVersion::ALL.len())]);
     if draw.below(5) < 2 {
-        let fix = doc.as_object_mut().expect("an object");
         let provider = LocationProvider::ALL[pick(draw, LocationProvider::ALL.len())];
-        fix.insert("localized".into(), json!(true));
-        fix.insert("provider".into(), json!(provider.name()));
-        fix.insert(
-            "accuracy".into(),
-            json!((30 + draw.below(4_970)) as f64 / 10.0),
-        );
-        fix.insert("lat".into(), json!(48.82 + draw.below(80_000) as f64 / 1e6));
-        fix.insert("lon".into(), json!(2.26 + draw.below(150_000) as f64 / 1e6));
+        let accuracy = (30 + draw.below(4_970)) as f64 / 10.0;
+        let lat = 48.82 + draw.below(80_000) as f64 / 1e6;
+        let lon = 2.26 + draw.below(150_000) as f64 / 1e6;
+        obs = obs.location(LocationFix::new(
+            GeoPoint::new(lat, lon),
+            accuracy,
+            provider,
+        ));
     }
-    doc
+    ObservationRecord::to_document(&obs.build(), arrived, &PrivacyPolicy::default(), None)
 }
 
 /// Bytes the store holds per document once `docs` are in, with `indexes`.
@@ -153,9 +143,11 @@ fn holds_few_bytes(docs: u64) {
         .insert_one(observation(&mut Draw(0), 0))
         .expect("stored");
     let plain = bytes_per_document(docs, &[]);
-    let indexed = bytes_per_document(docs, &["model", "provider", "captured_ms"]);
+    let goflow: Vec<_> = ObservationRecord::indexed().collect();
+    let indexed = bytes_per_document(docs, &goflow);
     let index = indexed - plain;
-    println!("resident bytes per document over {docs} documents: {plain:.1} without indexes, {indexed:.1} with model/provider/captured_ms indexed, {index:.1} of them the indexes'");
+    let goflow = goflow.join("/");
+    println!("resident bytes per document over {docs} documents: {plain:.1} without indexes, {indexed:.1} with {goflow} indexed, {index:.1} of them the indexes'");
     // Sealed, an observation's ten numeric members are 8-byte words and
     // its nine repetitive ones 1-byte codes: ~95 bytes in all. An index
     // holds the rows of the open block alone, at most 1 024 entries of

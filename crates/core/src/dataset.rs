@@ -1,10 +1,8 @@
 //! The dataset produced by a deployment replay.
 
 use mps_broker::MetricsSnapshot;
-use mps_types::{
-    Activity, AppVersion, DeviceModel, GeoPoint, LocationFix, LocationProvider, Observation,
-    SensingMode, SimTime, SoundLevel,
-};
+use mps_goflow::ObservationRecord;
+use mps_types::Observation;
 use serde_json::Value;
 
 /// Everything a replay leaves behind: the observations *as stored by the
@@ -35,42 +33,6 @@ pub struct Dataset {
     pub undecoded: u64,
 }
 
-fn parse_observation(doc: &Value) -> Option<Observation> {
-    let model: DeviceModel = doc.get("model")?.as_str()?.parse().ok()?;
-    let captured = SimTime::from_millis(doc.get("captured_ms")?.as_i64()?);
-    let arrived = SimTime::from_millis(doc.get("arrived_ms")?.as_i64()?);
-    let spl = SoundLevel::new(doc.get("spl")?.as_f64()?);
-    let activity: Activity = doc.get("activity")?.as_str()?.parse().ok()?;
-    let mode: SensingMode = doc.get("mode")?.as_str()?.parse().ok()?;
-    let version: AppVersion = doc.get("app_version")?.as_str()?.parse().ok()?;
-    let device = doc.get("device")?.as_u64()?;
-    let user = doc.get("user")?.as_u64()?;
-
-    let mut builder = Observation::builder()
-        .device(device.into())
-        .user(user.into())
-        .model(model)
-        .captured_at(captured)
-        .arrived_at(arrived)
-        .spl(spl)
-        .activity(activity)
-        .mode(mode)
-        .app_version(version);
-
-    if doc.get("localized")?.as_bool()? {
-        let provider: LocationProvider = doc.get("provider")?.as_str()?.parse().ok()?;
-        let accuracy = doc.get("accuracy")?.as_f64()?;
-        let lat = doc.get("lat")?.as_f64()?;
-        let lon = doc.get("lon")?.as_f64()?;
-        builder = builder.location(LocationFix::new(
-            GeoPoint::new(lat, lon),
-            accuracy,
-            provider,
-        ));
-    }
-    Some(builder.build())
-}
-
 impl Dataset {
     /// Reconstructs typed observations from GoFlow storage documents.
     /// Documents that do not decode (foreign schema) are left out and
@@ -82,7 +44,10 @@ impl Dataset {
         undelivered: u64,
         broker_metrics: MetricsSnapshot,
     ) -> Self {
-        let observations: Vec<Observation> = docs.iter().filter_map(parse_observation).collect();
+        let observations: Vec<Observation> = docs
+            .iter()
+            .filter_map(ObservationRecord::from_document)
+            .collect();
         Self {
             undecoded: (docs.len() - observations.len()) as u64,
             observations,
@@ -114,24 +79,29 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mps_goflow::PrivacyPolicy;
+    use mps_types::{
+        Activity, AppVersion, DeviceModel, GeoPoint, LocationFix, LocationProvider, SensingMode,
+        SimDuration, SimTime, SoundLevel,
+    };
     use serde_json::json;
 
     fn doc(localized: bool) -> Value {
-        json!({
-            "device": 111, "user": 222,
-            "model": "LGE NEXUS 5",
-            "captured_ms": 1_000_000, "arrived_ms": 1_009_000, "delay_ms": 9_000,
-            "hour": 0, "day": 0, "month": 0,
-            "spl": 61.5,
-            "localized": localized,
-            "provider": if localized { json!("gps") } else { Value::Null },
-            "accuracy": if localized { json!(12.5) } else { Value::Null },
-            "lat": if localized { json!(48.85) } else { Value::Null },
-            "lon": if localized { json!(2.35) } else { Value::Null },
-            "activity": "still",
-            "mode": "manual",
-            "app_version": "1.2.9",
-        })
+        let mut obs = Observation::builder()
+            .device(111.into())
+            .user(222.into())
+            .model(DeviceModel::LgeNexus5)
+            .captured_at(SimTime::from_millis(1_000_000))
+            .spl(SoundLevel::new(61.5))
+            .activity(Activity::Still)
+            .mode(SensingMode::Manual)
+            .app_version(AppVersion::V1_2_9);
+        if localized {
+            let fix = LocationFix::new(GeoPoint::new(48.85, 2.35), 12.5, LocationProvider::Gps);
+            obs = obs.location(fix);
+        }
+        let arrived = SimTime::from_millis(1_000_000) + SimDuration::from_secs(9);
+        ObservationRecord::to_document(&obs.build(), arrived, &PrivacyPolicy::default(), None)
     }
 
     #[test]
@@ -140,7 +110,10 @@ mod tests {
         assert_eq!(ds.stored(), 1);
         let obs = &ds.observations[0];
         assert_eq!(obs.model, DeviceModel::LgeNexus5);
-        assert_eq!(obs.device.raw(), 111);
+        assert_eq!(
+            obs.device.raw(),
+            PrivacyPolicy::default().pseudonymize(111).raw()
+        );
         assert_eq!(obs.spl.db(), 61.5);
         assert_eq!(obs.mode, SensingMode::Manual);
         assert_eq!(obs.app_version, AppVersion::V1_2_9);

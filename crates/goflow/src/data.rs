@@ -5,14 +5,15 @@
 //! json stream, ...)" (Figure 2). [`ObservationQuery`] is the typed filter
 //! surface; [`Packaging`] selects the output encoding.
 
+use crate::record::{ACCURACY, CAPTURED, LAT, LOCALIZED, LON, MODE, MODEL, PROVIDER, VERSION};
 use mps_docstore::Filter;
 use mps_types::{AppVersion, DeviceModel, GeoBounds, LocationProvider, SensingMode, SimTime};
 use serde_json::Value;
 
 /// A typed query over stored observations.
 ///
-/// Builds a document-store [`Filter`] over the fields written by the
-/// ingest component.
+/// Builds a document-store [`Filter`] over the members of the stored
+/// document ([`ObservationRecord`](crate::ObservationRecord)).
 ///
 /// # Examples
 ///
@@ -110,30 +111,30 @@ impl ObservationQuery {
     pub fn to_filter(&self) -> Filter {
         let mut clauses = Vec::new();
         if let Some((from, to)) = self.time_range {
-            clauses.push(Filter::gte("captured_ms", from.as_millis()));
-            clauses.push(Filter::lt("captured_ms", to.as_millis()));
+            clauses.push(Filter::gte(CAPTURED.name, from.as_millis()));
+            clauses.push(Filter::lt(CAPTURED.name, to.as_millis()));
         }
         if let Some(bounds) = self.bbox {
-            clauses.push(Filter::range("lat", bounds.lat_min, bounds.lat_max));
-            clauses.push(Filter::range("lon", bounds.lon_min, bounds.lon_max));
+            clauses.push(Filter::range(LAT.name, bounds.lat_min, bounds.lat_max));
+            clauses.push(Filter::range(LON.name, bounds.lon_min, bounds.lon_max));
         }
         if let Some(model) = self.model {
-            clauses.push(Filter::eq("model", model.label()));
+            clauses.push(Filter::eq(MODEL.name, model.label()));
         }
         if let Some(provider) = self.provider {
-            clauses.push(Filter::eq("provider", provider.name()));
+            clauses.push(Filter::eq(PROVIDER.name, provider.name()));
         }
         if let Some(bound) = self.max_accuracy_m {
-            clauses.push(Filter::lte("accuracy", bound));
+            clauses.push(Filter::lte(ACCURACY.name, bound));
         }
         if self.localized_only {
-            clauses.push(Filter::eq("localized", true));
+            clauses.push(Filter::eq(LOCALIZED.name, true));
         }
         if let Some(mode) = self.mode {
-            clauses.push(Filter::eq("mode", mode.name()));
+            clauses.push(Filter::eq(MODE.name, mode.name()));
         }
         if let Some(version) = self.app_version {
-            clauses.push(Filter::eq("app_version", version.name()));
+            clauses.push(Filter::eq(VERSION.name, version.name()));
         }
         match clauses.pop() {
             None => Filter::True,

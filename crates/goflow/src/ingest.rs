@@ -12,7 +12,9 @@
 //! * **malformed** payloads are parked in the app's quarantine collection
 //!   (with the decode error and the raw payload) and acknowledged;
 //! * **late** observations — older on arrival than an opt-in threshold —
-//!   are quarantined the same way instead of polluting the analyses;
+//!   are quarantined the same way instead of polluting the analyses, and
+//!   so are observations from the **future**, captured after they
+//!   arrived, whose delay would be negative;
 //! * **storage failures** nack the message back for redelivery, so the
 //!   broker's dead-letter policy eventually parks repeat offenders in the
 //!   GF dead-letter queue rather than cycling or dropping them.
@@ -22,10 +24,11 @@
 //! group-committed WAL append on a durable store), then settles the
 //! drained messages with a single `ack_many` (one group-committed append
 //! on a durable broker). If the batch insert fails, the pass falls back to
-//! the per-message path — one insert and one ack/nack per message — which
-//! attributes the loss to individual messages exactly as ingest always
-//! has. Both paths build documents from the same observations with the
-//! same code, so they store byte-identical documents.
+//! per-message storage — one insert and one ack/nack per message — which
+//! attributes the loss to individual messages. Both are one function,
+//! over the whole batch or over one message: it classifies each
+//! observation once (already stored, quarantined, or stored) and builds
+//! its document once, so both store byte-identical documents.
 //!
 //! Delivery into storage is at-least-once, and a failed `insert_many` on
 //! a durable store may still have put a prefix of its documents on disk
@@ -41,15 +44,16 @@
 //! skip is only trusted while no storage call has failed since the last
 //! one that succeeded.
 
+use crate::record::{ObservationRecord, TRACE};
 use crate::telemetry::telemetry;
 use crate::{PrivacyPolicy, UsageAnalytics};
 use mps_broker::BrokerTransport;
-use mps_docstore::{CollectionHandle, Filter};
+use mps_docstore::{CollectionHandle, Filter, StoreError};
 use mps_telemetry::trace::{
-    parse_contexts, FlightRecorder, Hop, Outcome, SpanRecord, TraceContext, SENT_MS_HEADER,
-    TRACE_HEADER,
+    parse_contexts, FlightRecorder, Hop, Outcome, SpanRecord, TraceContext, TraceId,
+    SENT_MS_HEADER, TRACE_HEADER,
 };
-use mps_telemetry::{SimSpanTimer, SpanTimer};
+use mps_telemetry::{Counter, SimSpanTimer, SpanTimer};
 use mps_types::{AppId, Observation, SimDuration, SimTime};
 use serde_json::{json, Value};
 use std::collections::BTreeSet;
@@ -64,7 +68,8 @@ pub struct IngestOutcome {
     /// Messages that could not be decoded (quarantined, not dropped).
     pub malformed: usize,
     /// Documents parked in the quarantine collection — malformed payloads
-    /// plus observations that exceeded the late-data threshold.
+    /// plus observations that exceeded the late-data threshold or were
+    /// captured after they arrived.
     pub quarantined: usize,
     /// Messages nacked back for redelivery after a storage failure (they
     /// dead-letter once the queue's delivery attempts are exhausted).
@@ -72,44 +77,6 @@ pub struct IngestOutcome {
     /// Observations a replay pass skipped because the collection already
     /// holds their trace (always 0 for an ordinary pass).
     pub already_stored: usize,
-}
-
-/// Conversion of wire observations into stored documents.
-///
-/// The stored document keeps everything the empirical analyses (Figures
-/// 9–21) need — including derived buckets (`hour`, `day`, `month`,
-/// `delay_ms`) — while replacing the raw device/user identifiers with
-/// pseudonyms.
-#[derive(Debug, Clone, Copy)]
-pub struct ObservationRecord;
-
-impl ObservationRecord {
-    /// Builds the stored document for an observation that arrived at
-    /// `arrived_at`.
-    pub fn to_document(obs: &Observation, arrived_at: SimTime, policy: &PrivacyPolicy) -> Value {
-        let delay_ms = arrived_at.since(obs.captured_at).as_millis();
-        let location = obs.location.as_ref();
-        json!({
-            "device": policy.pseudonymize(obs.device.raw()).raw(),
-            "user": policy.pseudonymize(obs.user.raw()).raw(),
-            "model": obs.model.label(),
-            "captured_ms": obs.captured_at.as_millis(),
-            "arrived_ms": arrived_at.as_millis(),
-            "delay_ms": delay_ms,
-            "hour": obs.captured_at.hour_of_day(),
-            "day": obs.captured_at.day(),
-            "month": obs.captured_at.month(),
-            "spl": obs.spl.db(),
-            "localized": location.is_some(),
-            "provider": location.map(|l| l.provider.name()),
-            "accuracy": location.map(|l| l.accuracy_m),
-            "lat": location.map(|l| l.point.lat),
-            "lon": location.map(|l| l.point.lon),
-            "activity": obs.activity.name(),
-            "mode": obs.mode.name(),
-            "app_version": obs.app_version.name(),
-        })
-    }
 }
 
 /// Drains GF queues into storage. Works over any [`BrokerTransport`]
@@ -169,22 +136,18 @@ impl Ingestor {
         (ms >= 0).then(|| SimDuration::from_millis(ms))
     }
 
-    /// Inserts a stored-observation document, honouring the test hook that
+    /// Inserts the documents to store, honouring the test hook that
     /// simulates storage failures.
-    fn insert_observation(
-        &self,
-        collection: &CollectionHandle,
-        doc: Value,
-    ) -> Result<mps_docstore::DocId, mps_docstore::StoreError> {
+    fn insert(&self, collection: &CollectionHandle, docs: Vec<Value>) -> Result<(), StoreError> {
         #[cfg(test)]
         if self
             .force_storage_failures
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()
         {
-            return self.stored(Err(mps_docstore::StoreError::NotAnObject));
+            return self.stored(Err(StoreError::NotAnObject));
         }
-        self.stored(collection.insert_one(doc))
+        self.stored(collection.insert_many(docs)).map(drop)
     }
 
     /// Decodes a payload into one or more observations (v1.3 clients send
@@ -209,14 +172,7 @@ impl Ingestor {
     /// batch falls back to per-message storage (see the [module
     /// docs](self)).
     pub(crate) fn drain(&self, pass: &DrainPass<'_>, max_messages: usize) -> IngestOutcome {
-        let DrainPass {
-            app,
-            queue,
-            quarantine,
-            analytics,
-            now,
-            ..
-        } = *pass;
+        let (queue, now) = (pass.queue, pass.now);
         let metrics = telemetry();
         let _drain_timer = SpanTimer::start(&metrics.ingest_drain_seconds);
         let mut outcome = IngestOutcome::default();
@@ -225,8 +181,7 @@ impl Ingestor {
         };
 
         // Decode pass. Malformed payloads are quarantined and settled
-        // immediately — both storage paths treat them identically —
-        // while decoded messages join the batch.
+        // immediately, while decoded messages join the batch.
         let mut decoded = Vec::new();
         for delivery in deliveries {
             // Trace context: one entry per observation in the payload, in
@@ -242,25 +197,14 @@ impl Ingestor {
                 Err(err) => {
                     outcome.malformed += 1;
                     metrics.ingest_malformed.inc();
-                    let parked = self.stored(quarantine.insert_one(json!({
+                    let envelope = json!({
                         "reason": "malformed",
                         "error": err.to_string(),
                         "payload": String::from_utf8_lossy(delivery.payload()).as_ref(),
                         "arrived_ms": now.as_millis(),
-                    })));
-                    if parked.is_ok() {
-                        outcome.quarantined += 1;
-                        metrics.ingest_quarantined_malformed.inc();
-                        for ctx in &contexts {
-                            record_ingest_span(
-                                Some(*ctx),
-                                Hop::Quarantine,
-                                Outcome::Quarantined,
-                                "malformed",
-                                now,
-                            );
-                        }
-                    }
+                    });
+                    let counter = &metrics.ingest_quarantined_malformed;
+                    self.park(pass, "malformed", counter, envelope, contexts, &mut outcome);
                     // The payload is preserved in quarantine, so the broker
                     // copy can be discarded without silent loss.
                     let _ = self.broker.nack(queue, delivery.tag, false);
@@ -276,30 +220,34 @@ impl Ingestor {
             already_stored: self.already_stored(pass, &decoded),
         };
         metrics.ingest_batches.inc();
-        if let Some(batch) = self.try_store_batch(pass, &screen, &decoded) {
-            for ctx in batch.already_stored {
-                Self::skip_stored(ctx, now, &mut outcome);
-            }
-            for late in batch.late {
-                self.quarantine_late(pass, late, &mut outcome);
-            }
-            for stored in batch.stored {
-                outcome.stored += 1;
-                metrics.ingest_stored.inc();
-                metrics
-                    .ingest_delivery_delay_ms
-                    .observe(stored.delay.as_millis() as f64);
-                analytics.record(app, now, stored.localized);
-                record_ingest_span(stored.ctx, Hop::DocstoreWrite, Outcome::Ok, "stored", now);
-            }
+        // The test hooks send a pass straight to per-message storage.
+        #[cfg(test)]
+        let batch_first = self.force_storage_failures.load(Ordering::SeqCst) == 0
+            && !self.force_batch_fallback.load(Ordering::Relaxed);
+        #[cfg(not(test))]
+        let batch_first = true;
+        if batch_first && self.store(pass, &screen, &decoded, &mut outcome) {
             let tags: Vec<u64> = decoded.iter().map(|m| m.tag).collect();
             let _ = self.broker.ack_many(queue, &tags);
             return outcome;
         }
 
+        // The batch did not store: store message by message, so that a
+        // failure is pinned on the message that meets it.
         metrics.ingest_batch_fallbacks.inc();
-        for message in decoded {
-            self.store_per_message(pass, &screen, message, &mut outcome);
+        for message in &decoded {
+            if self.store(pass, &screen, std::slice::from_ref(message), &mut outcome) {
+                let _ = self.broker.ack(queue, message.tag);
+            } else {
+                // Redeliver the whole message: the broker counts the
+                // attempt and dead-letters it once the queue's policy is
+                // exhausted, so nothing is lost silently. This is
+                // at-least-once — a durable store may keep a prefix of a
+                // failed insert, which redelivery stores again.
+                outcome.requeued += 1;
+                metrics.ingest_storage_failures.inc();
+                let _ = self.broker.nack(queue, message.tag, true);
+            }
         }
         outcome
     }
@@ -307,7 +255,11 @@ impl Ingestor {
     /// The traces among `decoded` that the collection already holds:
     /// what a replay pass skips. Empty for an ordinary pass, and empty
     /// while the store is suspect (see the [module docs](self)).
-    fn already_stored(&self, pass: &DrainPass<'_>, decoded: &[DecodedMessage]) -> BTreeSet<String> {
+    fn already_stored(
+        &self,
+        pass: &DrainPass<'_>,
+        decoded: &[DecodedMessage],
+    ) -> BTreeSet<TraceId> {
         if !pass.replay || self.storage_suspect.load(Ordering::SeqCst) {
             return BTreeSet::new();
         }
@@ -317,174 +269,117 @@ impl Ingestor {
             .map(|ctx| json!(ctx.trace.to_string()))
             .collect();
         pass.collection
-            .distinct("trace", &Filter::is_in("trace", traces))
+            .distinct(TRACE, &Filter::is_in(TRACE, traces))
             .iter()
-            .filter_map(|t| t.as_str().map(str::to_owned))
+            .filter_map(|t| t.as_str()?.parse().ok())
             .collect()
-    }
-
-    /// Accounts for one observation a replay pass found already stored.
-    fn skip_stored(ctx: TraceContext, now: SimTime, outcome: &mut IngestOutcome) {
-        outcome.already_stored += 1;
-        record_ingest_span(
-            Some(ctx),
-            Hop::DocstoreWrite,
-            Outcome::Ok,
-            "already_stored",
-            now,
-        );
     }
 
     /// Passes a storage call's result through, remembering whether the
     /// store can be trusted: a journaled store that accepts a write is
     /// alive, one that refused may be ahead of its log.
-    fn stored<T>(
-        &self,
-        result: Result<T, mps_docstore::StoreError>,
-    ) -> Result<T, mps_docstore::StoreError> {
+    fn stored<T>(&self, result: Result<T, StoreError>) -> Result<T, StoreError> {
         self.storage_suspect
             .store(result.is_err(), Ordering::SeqCst);
         result
     }
 
-    /// Attempts the batched store: classifies every decoded observation
-    /// (without side effects) and inserts all on-time documents with one
-    /// `insert_many`. `None` means the batch insert failed and the caller
-    /// must fall back to per-message storage.
-    fn try_store_batch(
+    /// Stores `messages`: decides where each of their observations goes
+    /// and builds the document it goes there as, inserts the documents to
+    /// store with one `insert_many` and, once that succeeded, settles
+    /// every observation — counts it and records its span, and parks a
+    /// late or future one in the quarantine collection. False, with
+    /// nothing settled, when the insert failed.
+    fn store(
         &self,
         pass: &DrainPass<'_>,
         screen: &Screen,
-        decoded: &[DecodedMessage],
-    ) -> Option<StoredBatch> {
-        #[cfg(test)]
-        if self.force_storage_failures.load(Ordering::SeqCst) > 0
-            || self.force_batch_fallback.load(Ordering::Relaxed)
-        {
-            return None;
-        }
+        messages: &[DecodedMessage],
+        outcome: &mut IngestOutcome,
+    ) -> bool {
         let mut docs = Vec::new();
-        let mut batch = StoredBatch::default();
-        for message in decoded {
+        let mut classified = Vec::new();
+        for message in messages {
             for (i, obs) in message.observations.iter().enumerate() {
                 let ctx = message.contexts.get(i).copied();
-                if let Some(ctx) = ctx.filter(|c| screen.holds(c)) {
-                    batch.already_stored.push(ctx);
-                    continue;
-                }
-                let delay = pass.now.saturating_since(obs.captured_at);
-                if screen.is_late(delay) {
-                    batch.late.push(LateObservation {
-                        ctx,
-                        delay,
-                        document: ObservationRecord::to_document(obs, pass.now, &self.policy),
-                    });
-                    continue;
-                }
-                let mut doc = ObservationRecord::to_document(obs, pass.now, &self.policy);
-                if let (Some(ctx), Some(fields)) = (ctx, doc.as_object_mut()) {
-                    fields.insert("trace".to_owned(), json!(ctx.trace.to_string()));
-                }
-                docs.push(doc);
-                batch.stored.push(StoredObservation {
-                    ctx,
-                    delay,
-                    localized: obs.is_localized(),
-                });
-            }
-        }
-        if !docs.is_empty() {
-            self.stored(pass.collection.insert_many(docs)).ok()?;
-        }
-        Some(batch)
-    }
-
-    /// The per-message storage path: one insert per observation, one
-    /// ack/nack per message. This is both the fallback after a failed
-    /// batch insert and the reference semantics the batched path must
-    /// match.
-    fn store_per_message(
-        &self,
-        pass: &DrainPass<'_>,
-        screen: &Screen,
-        message: DecodedMessage,
-        outcome: &mut IngestOutcome,
-    ) {
-        let metrics = telemetry();
-        let mut storage_failed = false;
-        for (i, obs) in message.observations.iter().enumerate() {
-            let ctx = message.contexts.get(i).copied();
-            if let Some(ctx) = ctx.filter(|c| screen.holds(c)) {
-                Self::skip_stored(ctx, pass.now, outcome);
-                continue;
-            }
-            let delay = pass.now.saturating_since(obs.captured_at);
-            if screen.is_late(delay) {
-                let late = LateObservation {
-                    ctx,
-                    delay,
-                    document: ObservationRecord::to_document(obs, pass.now, &self.policy),
+                let delay = pass.now.since(obs.captured_at);
+                // A stored document carries its trace, a quarantined one's
+                // envelope does.
+                let document =
+                    |trace| ObservationRecord::to_document(obs, pass.now, &self.policy, trace);
+                let fate = if ctx.is_some_and(|c| screen.already_stored.contains(&c.trace)) {
+                    Fate::AlreadyStored
+                } else if delay.is_negative() {
+                    Fate::Future(document(None))
+                } else if screen.late_threshold.is_some_and(|limit| delay > limit) {
+                    Fate::Late(document(None))
+                } else {
+                    docs.push(document(ctx.map(|c| c.trace)));
+                    Fate::Stored
                 };
-                self.quarantine_late(pass, late, outcome);
-                continue;
-            }
-            let mut doc = ObservationRecord::to_document(obs, pass.now, &self.policy);
-            if let (Some(ctx), Some(fields)) = (ctx, doc.as_object_mut()) {
-                fields.insert("trace".to_owned(), json!(ctx.trace.to_string()));
-            }
-            if self.insert_observation(pass.collection, doc).is_ok() {
-                outcome.stored += 1;
-                metrics.ingest_stored.inc();
-                metrics
-                    .ingest_delivery_delay_ms
-                    .observe(delay.as_millis() as f64);
-                pass.analytics
-                    .record(pass.app, pass.now, obs.is_localized());
-                record_ingest_span(ctx, Hop::DocstoreWrite, Outcome::Ok, "stored", pass.now);
-            } else {
-                storage_failed = true;
-                break;
+                classified.push((ctx, delay, obs.is_localized(), fate));
             }
         }
-        if storage_failed {
-            // Redeliver the whole message: the broker counts the
-            // attempt and dead-letters it once the queue's policy
-            // is exhausted, so nothing is lost silently. This is
-            // at-least-once — observations stored before the
-            // failure may be stored again on redelivery.
-            outcome.requeued += 1;
-            metrics.ingest_storage_failures.inc();
-            let _ = self.broker.nack(pass.queue, message.tag, true);
-        } else {
-            let _ = self.broker.ack(pass.queue, message.tag);
+        if !docs.is_empty() && self.insert(pass.collection, docs).is_err() {
+            return false;
         }
+        let metrics = telemetry();
+        for (ctx, delay, localized, fate) in classified {
+            let (reason, counter, document) = match fate {
+                Fate::AlreadyStored => {
+                    outcome.already_stored += 1;
+                    let reason = "already_stored";
+                    record_ingest_spans(ctx, Hop::DocstoreWrite, Outcome::Ok, reason, pass.now);
+                    continue;
+                }
+                Fate::Stored => {
+                    outcome.stored += 1;
+                    metrics.ingest_stored.inc();
+                    let delay_ms = delay.as_millis() as f64;
+                    metrics.ingest_delivery_delay_ms.observe(delay_ms);
+                    pass.analytics.record(pass.app, pass.now, localized);
+                    record_ingest_spans(ctx, Hop::DocstoreWrite, Outcome::Ok, "stored", pass.now);
+                    continue;
+                }
+                Fate::Late(document) => ("late", &metrics.ingest_quarantined_late, document),
+                Fate::Future(document) => ("future", &metrics.ingest_quarantined_future, document),
+            };
+            let envelope = json!({
+                "reason": reason,
+                "delay_ms": delay.as_millis(),
+                "arrived_ms": pass.now.as_millis(),
+                "trace": ctx.map(|c| c.trace.to_string()),
+                "observation": document,
+            });
+            self.park(pass, reason, counter, envelope, ctx, outcome);
+        }
+        true
     }
 
-    /// Parks one late observation in the quarantine collection.
-    fn quarantine_late(
+    /// Parks `envelope` in the quarantine collection and, once it is
+    /// there, counts it and ends the trace of each of `contexts` there,
+    /// both under `reason`.
+    fn park(
         &self,
         pass: &DrainPass<'_>,
-        late: LateObservation,
+        reason: &str,
+        counter: &Counter,
+        envelope: Value,
+        contexts: impl IntoIterator<Item = TraceContext>,
         outcome: &mut IngestOutcome,
     ) {
-        let parked = self.stored(pass.quarantine.insert_one(json!({
-            "reason": "late",
-            "delay_ms": late.delay.as_millis(),
-            "arrived_ms": pass.now.as_millis(),
-            "trace": late.ctx.map(|c| c.trace.to_string()),
-            "observation": late.document,
-        })));
-        if parked.is_ok() {
-            outcome.quarantined += 1;
-            telemetry().ingest_quarantined_late.inc();
-            record_ingest_span(
-                late.ctx,
-                Hop::Quarantine,
-                Outcome::Quarantined,
-                "late",
-                pass.now,
-            );
+        if self.stored(pass.quarantine.insert_one(envelope)).is_err() {
+            return;
         }
+        outcome.quarantined += 1;
+        counter.inc();
+        record_ingest_spans(
+            contexts,
+            Hop::Quarantine,
+            Outcome::Quarantined,
+            reason,
+            pass.now,
+        );
     }
 }
 
@@ -508,18 +403,7 @@ pub(crate) struct DrainPass<'a> {
 struct Screen {
     late_threshold: Option<SimDuration>,
     /// Traces the collection already holds (replay passes only).
-    already_stored: BTreeSet<String>,
-}
-
-impl Screen {
-    fn is_late(&self, delay: SimDuration) -> bool {
-        self.late_threshold.is_some_and(|limit| delay > limit)
-    }
-
-    fn holds(&self, ctx: &TraceContext) -> bool {
-        // Empty on every ordinary pass, which then builds no string.
-        !self.already_stored.is_empty() && self.already_stored.contains(&ctx.trace.to_string())
-    }
+    already_stored: BTreeSet<TraceId>,
 }
 
 /// A decoded GF message awaiting storage: the broker tag to settle, the
@@ -530,26 +414,16 @@ struct DecodedMessage {
     contexts: Vec<TraceContext>,
 }
 
-/// Classification result of a successful batched store attempt.
-#[derive(Default)]
-struct StoredBatch {
-    already_stored: Vec<TraceContext>,
-    late: Vec<LateObservation>,
-    stored: Vec<StoredObservation>,
-}
-
-/// A late observation to park in quarantine.
-struct LateObservation {
-    ctx: Option<TraceContext>,
-    delay: SimDuration,
-    document: Value,
-}
-
-/// Bookkeeping for one observation stored by the batched path.
-struct StoredObservation {
-    ctx: Option<TraceContext>,
-    delay: SimDuration,
-    localized: bool,
+/// Where one decoded observation goes: skipped, quarantined as a
+/// document, or stored.
+enum Fate {
+    /// A replay pass found its trace already stored.
+    AlreadyStored,
+    /// Older on arrival than the late-data threshold.
+    Late(Value),
+    /// Captured after it arrived: its delay would be negative.
+    Future(Value),
+    Stored,
 }
 
 /// Parses the trace contexts off a delivered message and closes each
@@ -587,23 +461,24 @@ fn ingest_contexts(message: &mps_broker::Message, now: SimTime) -> Vec<TraceCont
         .collect()
 }
 
-/// Records one ingest-side span for an observation's context, if it has
-/// one: the terminal `docstore_write` / `quarantine` ends of a trace.
-fn record_ingest_span(
-    ctx: Option<TraceContext>,
+/// Records one ingest-side span for each of `contexts`: the terminal
+/// `docstore_write` / `quarantine` ends of their traces.
+fn record_ingest_spans(
+    contexts: impl IntoIterator<Item = TraceContext>,
     hop: Hop,
     outcome: Outcome,
     reason: &str,
     now: SimTime,
 ) {
-    let Some(ctx) = ctx else { return };
-    FlightRecorder::global().record(
-        SpanRecord::new(ctx.trace, hop, now.as_millis())
-            .parent(ctx.parent)
-            .duplicate(ctx.duplicate)
-            .outcome(outcome)
-            .attr("reason", reason.to_owned()),
-    );
+    for ctx in contexts {
+        FlightRecorder::global().record(
+            SpanRecord::new(ctx.trace, hop, now.as_millis())
+                .parent(ctx.parent)
+                .duplicate(ctx.duplicate)
+                .outcome(outcome)
+                .attr("reason", reason.to_owned()),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -636,7 +511,7 @@ mod tests {
     fn document_has_derived_fields() {
         let obs = sample_obs();
         let arrived = obs.captured_at + SimDuration::from_secs(9);
-        let doc = ObservationRecord::to_document(&obs, arrived, &PrivacyPolicy::default());
+        let doc = ObservationRecord::to_document(&obs, arrived, &PrivacyPolicy::default(), None);
         assert_eq!(doc["model"], json!("ONEPLUS A0001"));
         assert_eq!(doc["hour"], json!(14));
         assert_eq!(doc["day"], json!(40));
@@ -653,11 +528,13 @@ mod tests {
     #[test]
     fn document_pseudonymises_ids() {
         let obs = sample_obs();
-        let doc = ObservationRecord::to_document(&obs, obs.captured_at, &PrivacyPolicy::default());
+        let doc =
+            ObservationRecord::to_document(&obs, obs.captured_at, &PrivacyPolicy::default(), None);
         assert_ne!(doc["device"], json!(7));
         assert_ne!(doc["user"], json!(3));
         // Stable across calls.
-        let doc2 = ObservationRecord::to_document(&obs, obs.captured_at, &PrivacyPolicy::default());
+        let doc2 =
+            ObservationRecord::to_document(&obs, obs.captured_at, &PrivacyPolicy::default(), None);
         assert_eq!(doc["device"], doc2["device"]);
     }
 
@@ -665,7 +542,8 @@ mod tests {
     fn unlocalized_observation_has_null_location_fields() {
         let mut obs = sample_obs();
         obs.location = None;
-        let doc = ObservationRecord::to_document(&obs, obs.captured_at, &PrivacyPolicy::default());
+        let doc =
+            ObservationRecord::to_document(&obs, obs.captured_at, &PrivacyPolicy::default(), None);
         assert_eq!(doc["localized"], json!(false));
         assert!(doc["provider"].is_null());
         assert!(doc["accuracy"].is_null());

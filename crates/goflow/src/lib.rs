@@ -14,7 +14,8 @@
 //! * [`ChannelManager`] — creates the exchanges, queues and bindings of
 //!   Figure 3 on behalf of clients ("Channel management").
 //! * ingest — drains the GF queue, validates, stamps arrival times,
-//!   pseudonymises and stores observations ("Data storage"). It degrades
+//!   pseudonymises and stores observations ("Data storage") as
+//!   [`ObservationRecord`] documents. It degrades
 //!   gracefully: malformed payloads and (opt-in) late observations are
 //!   parked in a per-app quarantine collection, and storage failures are
 //!   redelivered until the broker's dead-letter policy parks them in the
@@ -69,6 +70,7 @@ mod jobs;
 mod privacy;
 #[cfg(test)]
 mod proptests;
+mod record;
 mod server;
 mod telemetry;
 
@@ -77,7 +79,8 @@ pub use analytics::UsageAnalytics;
 pub use channels::{ChannelManager, ClientSession};
 pub use data::{ObservationQuery, Packaging};
 pub use error::GoFlowError;
-pub use ingest::{IngestOutcome, ObservationRecord};
+pub use ingest::IngestOutcome;
 pub use jobs::{JobId, JobRegistry, JobStatus};
 pub use privacy::{PrivacyPolicy, Pseudonym};
+pub use record::ObservationRecord;
 pub use server::GoFlowServer;

@@ -1,10 +1,55 @@
 //! In-crate property tests over middleware invariants: seeded loops over
 //! [`SimRng`], so they run wherever the unit tests do.
 
-use crate::{AccountManager, PrivacyPolicy, Role};
+use crate::{AccountManager, ObservationRecord, PrivacyPolicy, Role};
 use mps_simcore::check::{any_u64, check, text};
-use mps_types::AppId;
+use mps_types::{
+    Activity, AppId, AppVersion, DeviceModel, GeoPoint, LocationFix, LocationProvider, Observation,
+    SensingMode, SimDuration, SimTime, SoundLevel,
+};
 use std::collections::BTreeSet;
+
+/// A stored document reads back as the observation it was written from,
+/// with its ids pseudonymised and its arrival time set, before and after
+/// a trip through JSON text.
+#[test]
+fn stored_documents_read_back_as_their_observation() {
+    check(|r| {
+        let policy = PrivacyPolicy::new(any_u64(r));
+        let captured_at = SimTime::from_millis(any_u64(r) as i64 >> 20);
+        let arrived_at = captured_at + SimDuration::from_millis(r.index(1 << 40) as i64);
+        let mut builder = Observation::builder()
+            .device(any_u64(r).into())
+            .user(any_u64(r).into())
+            .model(*r.pick(&DeviceModel::ALL))
+            .captured_at(captured_at)
+            .spl(SoundLevel::new(r.uniform_in(20.0, 120.0)))
+            .activity(*r.pick(&Activity::ALL))
+            .mode(*r.pick(&SensingMode::ALL))
+            .app_version(*r.pick(&AppVersion::ALL));
+        if r.chance(0.5) {
+            builder = builder.location(LocationFix::new(
+                GeoPoint::new(r.uniform_in(-90.0, 90.0), r.uniform_in(-180.0, 180.0)),
+                r.uniform_in(1.0, 5_000.0),
+                *r.pick(&LocationProvider::ALL),
+            ));
+        }
+        let obs = builder.build();
+        let doc = ObservationRecord::to_document(&obs, arrived_at, &policy, None);
+        let expected = Observation {
+            device: policy.pseudonymize(obs.device.raw()).raw().into(),
+            user: policy.pseudonymize(obs.user.raw()).raw().into(),
+            arrived_at: Some(arrived_at),
+            ..obs
+        };
+        assert_eq!(
+            ObservationRecord::from_document(&doc),
+            Some(expected.clone())
+        );
+        let text: serde_json::Value = serde_json::from_str(&doc.to_string()).unwrap();
+        assert_eq!(ObservationRecord::from_document(&text), Some(expected));
+    });
+}
 
 #[test]
 fn pseudonyms_are_injective_on_samples() {

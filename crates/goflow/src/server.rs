@@ -7,10 +7,11 @@ use crate::data::{ObservationQuery, Packaging};
 use crate::ingest::{DrainPass, IngestOutcome, Ingestor};
 use crate::jobs::{JobId, JobRegistry, JobStatus};
 use crate::privacy::PrivacyPolicy;
+use crate::record::{ObservationRecord, USER};
 use crate::telemetry::telemetry;
 use crate::GoFlowError;
 use mps_broker::{Broker, BrokerTransport};
-use mps_docstore::{CollectionHandle, DocstoreTransport, FindOptions, Store};
+use mps_docstore::{CollectionHandle, DocstoreTransport, Filter, FindOptions, Store};
 use mps_types::{AppId, SimDuration, SimTime, UserId};
 use serde_json::Value;
 use std::sync::Arc;
@@ -127,9 +128,9 @@ impl GoFlowServer {
         self.accounts.register_app(app);
         self.channels.setup_app(app)?;
         let collection = self.store.collection(&collection_name(app));
-        collection.create_index("model")?;
-        collection.create_index("provider")?;
-        collection.create_index("captured_ms")?;
+        for member in ObservationRecord::indexed() {
+            collection.create_index(member)?;
+        }
         Ok(())
     }
 
@@ -195,17 +196,21 @@ impl GoFlowServer {
     }
 
     /// CNIL right to erasure: revokes the user's credentials and deletes
-    /// every observation they contributed to the app (located via their
-    /// stable pseudonym). Returns how many documents were deleted.
+    /// every observation they contributed to the app, stored or parked in
+    /// quarantine as late (located via their stable pseudonym). Returns
+    /// how many documents were deleted.
     ///
     /// # Errors
     ///
     /// Returns [`GoFlowError::UnknownApp`] for an unregistered app.
     pub fn erase_user(&self, app: &AppId, user: UserId) -> Result<usize, GoFlowError> {
         let collection = self.collection(app)?;
+        let quarantine = self.quarantine(app)?;
         self.accounts.revoke_user(app, user);
         let pseudonym = self.privacy.pseudonymize(user.raw()).raw();
-        Ok(collection.delete_many(&mps_docstore::Filter::eq("user", pseudonym))?)
+        let stored = collection.delete_many(&Filter::eq(USER.name, pseudonym))?;
+        let parked = format!("observation.{}", USER.name);
+        Ok(stored + quarantine.delete_many(&Filter::eq(parked, pseudonym))?)
     }
 
     // ----- sessions -----------------------------------------------------------
@@ -534,6 +539,36 @@ mod tests {
         assert_eq!(outcome.quarantined, 0);
     }
 
+    /// An observation captured after it arrived would be stored with a
+    /// negative delay: it is quarantined instead, whatever the late-data
+    /// setting.
+    #[test]
+    fn observations_from_the_future_are_quarantined() {
+        let (broker, server, app) = server();
+        let token = server
+            .register_user(&app, 1.into(), Role::Contributor)
+            .unwrap();
+        let session = server.login(&token).unwrap();
+        let now = SimTime::from_hms(2, 10, 0, 0);
+        let future = obs(1, 60.0, now + SimDuration::from_hours(1));
+        broker
+            .publish(
+                session.exchange(),
+                &session.observation_key("noise", "FR75013"),
+                &serde_json::to_vec(&future).unwrap(),
+            )
+            .unwrap();
+        let outcome = server.ingest_pending(&app, now, 10).unwrap();
+        assert_eq!((outcome.stored, outcome.quarantined), (0, 1));
+        assert_eq!(server.collection(&app).unwrap().len(), 0);
+        assert_eq!(server.observation_total(&app), 0);
+        let parked = server.quarantine(&app).unwrap().all();
+        assert_eq!(parked.len(), 1);
+        assert_eq!(parked[0]["reason"], json!("future"));
+        assert_eq!(parked[0]["delay_ms"], json!(-3_600_000));
+        assert_eq!(parked[0]["observation"]["spl"], json!(60.0));
+    }
+
     #[test]
     fn storage_failures_requeue_then_dead_letter() {
         let (broker, server, app) = server();
@@ -689,7 +724,7 @@ mod tests {
             let session = server.login(&token).unwrap();
             let key = session.observation_key("noise", "FR75013");
             // Mixed traffic: singles, a buffered batch payload, a
-            // malformed payload and a late observation.
+            // malformed payload, and a late and a future observation.
             for i in 0..3 {
                 let o = obs(1, 50.0 + i as f64, SimTime::from_hms(2, 9, i as u32, 0));
                 broker
@@ -710,11 +745,12 @@ mod tests {
                 .publish(session.exchange(), &key, &b"garbage"[..])
                 .unwrap();
             let stale = obs(1, 70.0, SimTime::from_hms(0, 0, 0, 0));
+            let future = obs(1, 75.0, SimTime::from_hms(2, 11, 0, 0));
             broker
                 .publish(
                     session.exchange(),
                     &key,
-                    &serde_json::to_vec(&stale).unwrap(),
+                    &serde_json::to_vec(&vec![stale, future]).unwrap(),
                 )
                 .unwrap();
             server.set_late_quarantine(Some(SimDuration::from_hours(24)));
@@ -733,7 +769,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.stored, 8);
         assert_eq!(a.malformed, 1);
-        assert_eq!(a.quarantined, 2);
+        assert_eq!(a.quarantined, 3);
         assert_eq!(
             batched.collection(&app).unwrap().all(),
             per_message.collection(&app).unwrap().all()
@@ -933,6 +969,36 @@ mod tests {
         assert_eq!(server.erase_user(&app, 1.into()).unwrap(), 0);
         // Unknown app is rejected.
         assert!(server.erase_user(&AppId::new("GHOST"), 1.into()).is_err());
+    }
+
+    #[test]
+    fn erase_user_removes_their_parked_late_observations() {
+        let (broker, server, app) = server();
+        for user in [1u64, 2] {
+            let token = server
+                .register_user(&app, user.into(), Role::Contributor)
+                .unwrap();
+            let session = server.login(&token).unwrap();
+            let stale = obs(user, 60.0, SimTime::EPOCH);
+            broker
+                .publish(
+                    session.exchange(),
+                    &session.observation_key("noise", "FR75001"),
+                    &serde_json::to_vec(&stale).unwrap(),
+                )
+                .unwrap();
+        }
+        server.set_late_quarantine(Some(SimDuration::from_hours(24)));
+        let outcome = server
+            .ingest_pending(&app, SimTime::from_hms(2, 0, 0, 0), 10)
+            .unwrap();
+        assert_eq!(outcome.quarantined, 2);
+
+        assert_eq!(server.erase_user(&app, 1.into()).unwrap(), 1);
+        let parked = server.quarantine(&app).unwrap().all();
+        assert_eq!(parked.len(), 1);
+        let kept = server.privacy().pseudonymize(2).raw();
+        assert_eq!(parked[0]["observation"]["user"], json!(kept));
     }
 
     #[test]

@@ -17,6 +17,9 @@ pub(crate) struct GoFlowTelemetry {
     /// Quarantined documents that exceeded the late-data threshold
     /// (`goflow_ingest_quarantined_total{reason="late"}`).
     pub(crate) ingest_quarantined_late: Counter,
+    /// Quarantined observations captured after they arrived
+    /// (`goflow_ingest_quarantined_total{reason="future"}`).
+    pub(crate) ingest_quarantined_future: Counter,
     /// Quarantined documents that could not be decoded
     /// (`goflow_ingest_quarantined_total{reason="malformed"}`).
     pub(crate) ingest_quarantined_malformed: Counter,
@@ -51,6 +54,14 @@ pub(crate) fn telemetry() -> &'static GoFlowTelemetry {
     static TELEMETRY: OnceLock<GoFlowTelemetry> = OnceLock::new();
     TELEMETRY.get_or_init(|| {
         let registry = Registry::global();
+        let quarantined = |reason| {
+            let help = "Documents parked in a quarantine collection, by reason";
+            registry.counter_labeled(
+                "goflow_ingest_quarantined_total",
+                &[("reason", reason)],
+                help,
+            )
+        };
         GoFlowTelemetry {
             ingest_stored: registry.counter(
                 "goflow_ingest_stored_total",
@@ -60,16 +71,9 @@ pub(crate) fn telemetry() -> &'static GoFlowTelemetry {
                 "goflow_ingest_malformed_total",
                 "Messages ingest could not decode",
             ),
-            ingest_quarantined_late: registry.counter_labeled(
-                "goflow_ingest_quarantined_total",
-                &[("reason", "late")],
-                "Documents parked in a quarantine collection, by reason",
-            ),
-            ingest_quarantined_malformed: registry.counter_labeled(
-                "goflow_ingest_quarantined_total",
-                &[("reason", "malformed")],
-                "Documents parked in a quarantine collection, by reason",
-            ),
+            ingest_quarantined_late: quarantined("late"),
+            ingest_quarantined_future: quarantined("future"),
+            ingest_quarantined_malformed: quarantined("malformed"),
             ingest_storage_failures: registry.counter(
                 "goflow_ingest_storage_failures_total",
                 "Storage failures that sent a message back for redelivery",
