@@ -44,9 +44,9 @@
 //! the **column pass** ([`Sealed::pass`]) on each sealed block before
 //! walking it: every top-level conjunct that reads one undotted member is
 //! decided on that member's column alone — once per distinct value of a
-//! dictionary column, by a compare of words for a comparison with a
-//! number on a number column, once per row of any other — and a block no
-//! row of which passes is skipped. The survivors are re-checked
+//! dictionary column, by a compare of packed offsets for a comparison
+//! with a number on a number column, once per row of any other — and a
+//! block no row of which passes is skipped. The survivors are re-checked
 //! against the full filter like any other row unless the pass decided
 //! every conjunct.
 //! A `take` or replacing `put` on a sealed row — an update, a delete, the
@@ -59,7 +59,7 @@
 //! `create_index`, and so replay, index the open rows alone. A sealed
 //! block answers an indexed predicate as it answers a scan, from its
 //! summary and its columns, which hold the same values as one-byte codes
-//! and eight-byte words: an index costs the open blocks' entries, not the
+//! and packed offsets: an index costs the open blocks' entries, not the
 //! collection's. Blocks that never seal — of mixed shapes, or unsealed
 //! by a write — keep every row's entry, and read as they did.
 //!
@@ -791,10 +791,11 @@ impl CollectionInner {
         (sealed, self.blocks.values().filter(|b| b.unsealed).count())
     }
 
-    /// Columns of the sealed blocks that keep numbers as words.
-    pub(crate) fn number_columns(&self) -> usize {
+    /// The bytes an offset takes, for each column of the sealed blocks
+    /// that keeps numbers packed.
+    pub(crate) fn offset_widths(&self) -> Vec<usize> {
         let sealed = self.blocks.values().filter_map(|b| b.sealed.as_ref());
-        sealed.map(Sealed::number_columns).sum()
+        sealed.flat_map(Sealed::offset_widths).collect()
     }
 
     /// Whether each index holds exactly what one built anew over the

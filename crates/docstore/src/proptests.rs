@@ -5,7 +5,7 @@ use crate::collection::{project, sorted_by_path, Split};
 use crate::index::{Ids, IndexKey, PathIndex};
 use crate::planner::tests::intersect_sorted;
 use crate::planner::{intersect, IdSet};
-use crate::row::{Row, RowRef, Shapes, Slots};
+use crate::row::{Doc, Row, RowRef, Sealed, Shapes, Slots};
 use crate::value::{compare_values, get_path, DocId};
 use crate::{
     Collection, Durability, DurabilityConfig, Filter, FindOptions, SortOrder, Store, StoreError,
@@ -16,6 +16,7 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Cases per property.
 const CASES: u64 = 256;
@@ -1055,7 +1056,7 @@ fn filters_match_rows_as_they_match_documents() {
 /// (see [`Rng::word`]) and nulls, every document reads back as its own
 /// text — both zeros, `1` and `1.0`, the ends of `i64` and `u64` — and a
 /// filter on `u` counts what it counts in the documents. Fails if no
-/// column was ever kept as words.
+/// column was ever kept packed.
 #[test]
 fn number_columns_give_back_their_numbers() {
     let columns = Cell::new(0);
@@ -1065,7 +1066,7 @@ fn number_columns_give_back_their_numbers() {
             .map(|at| rng.uniform(at, None))
             .collect();
         c.insert_many(docs.iter().cloned()).unwrap();
-        columns.set(columns.get() + c.inner.lock().number_columns());
+        columns.set(columns.get() + c.inner.lock().offset_widths().len());
         let stored: Vec<String> = c.all().iter().map(Value::to_string).collect();
         let expected: Vec<String> = (0u64..)
             .zip(&docs)
@@ -1706,15 +1707,122 @@ fn typed_word(rng: &mut Rng, kind: usize) -> Value {
     }
 }
 
+/// How far apart a packed block's least and greatest integer lie: either
+/// side of where an offset stops fitting 1, 2 and 4 bytes, and all of
+/// `i64` (or of `u64`).
+const SPANS: [u64; 7] = [
+    (1 << 8) - 1,
+    1 << 8,
+    (1 << 16) - 1,
+    1 << 16,
+    (1 << 32) - 1,
+    1 << 32,
+    u64::MAX,
+];
+
+/// `n` as JSON: an `i64` if it is one, else a `u64`.
+fn integer_value(n: i128) -> Value {
+    match (i64::try_from(n), u64::try_from(n)) {
+        (Ok(n), _) => Value::from(n),
+        (_, Ok(n)) => Value::from(n),
+        _ => panic!("{n} is neither an i64 nor a u64"),
+    }
+}
+
+/// A block (eight rows, under test) of integers whose offsets take each
+/// width in turn: one of the [`SPANS`] apart at the least and greatest,
+/// of both signs or none negative, some beyond `i64::MAX`, in any row
+/// order. Nulls now and then, or in every row but four (the most nulls
+/// a number column of eight rows can have: null and four numbers are
+/// five distinct values, one more than a dictionary holds under test),
+/// or in every row but one (then the member is a dictionary). Also the
+/// block's least and greatest, for the bounds ([`near_bound`]).
+fn packed_block(rng: &mut Rng) -> (Vec<Value>, (i128, i128)) {
+    let span = SPANS[rng.size(0, SPANS.len())];
+    let wide = i128::from(span);
+    let scale = |rng: &mut Rng| rng.next() >> rng.size(1, 64);
+    let least = match (rng.flag(), span) {
+        (true, u64::MAX) => i64::MIN.into(),
+        (true, _) => i128::from(scale(rng).cast_signed() - (1 << 62)).min(i64::MAX as i128 - wide),
+        (false, u64::MAX) => 0,
+        (false, _) => (i128::from(scale(rng)) + (1 << 63)).min(u64::MAX as i128 - wide),
+    };
+    let mut values = vec![least, least + wide];
+    values.extend((2..8).map(|_| match span {
+        u64::MAX => least + i128::from(rng.next()),
+        _ => least + i128::from(rng.next() % (span + 1)),
+    }));
+    let kept = match rng.size(0, 6) {
+        0 => 1,
+        1 => 4,
+        _ => 8,
+    };
+    let mut block: Vec<Value> = values
+        .iter()
+        .enumerate()
+        .map(|(at, &n)| {
+            let null = at >= kept || (at >= 2 && rng.size(0, 8) == 0);
+            if null {
+                Value::Null
+            } else {
+                integer_value(n)
+            }
+        })
+        .collect();
+    for at in (1..block.len()).rev() {
+        block.swap(at, rng.size(0, at + 1));
+    }
+    (block, (least, least + wide))
+}
+
+/// A bound near one of `ends` — a block's least or greatest integer —
+/// within one of it, or beyond it either way by a width's span or more:
+/// an integer, clamped to where `i64` and `u64` end, or a float a half
+/// off it.
+fn near_bound(rng: &mut Rng, ends: &[(i128, i128)]) -> Value {
+    let (least, most) = ends[rng.size(0, ends.len())];
+    let end = if rng.flag() { least } else { most };
+    let far = [0, 1, 1 << 8, 1 << 16, 1 << 32, 1 << 63][rng.size(0, 6)];
+    let n = end + rng.int(-1, 2) as i128 + if rng.flag() { far } else { -far };
+    let n = n.clamp(i64::MIN.into(), u64::MAX.into());
+    match rng.size(0, 4) {
+        0 => Value::from(n as f64 + [-0.5, 0.5][rng.size(0, 2)]),
+        _ => integer_value(n),
+    }
+}
+
+/// Packed number columns seen, by the bytes an offset takes.
+#[derive(Default)]
+struct Widths(Cell<[usize; 9]>);
+
+impl Widths {
+    fn count(&self, widths: impl IntoIterator<Item = usize>) {
+        let mut seen = self.0.get();
+        for width in widths {
+            seen[width] += 1;
+        }
+        self.0.set(seen);
+    }
+
+    /// Fails unless more than 32 columns had each width.
+    fn assert_each_seen(&self) {
+        let seen = self.0.get();
+        for width in [1, 2, 4, 8] {
+            assert!(seen[width] > 32, "{seen:?} columns by offset bytes");
+        }
+    }
+}
+
 /// The column pass decides `$eq`, `$gt`, `$gte`, `$lt` and `$lte` against
-/// a number on a number column by comparing words: on columns of every
-/// kind, with null rows, against integer and fractional bounds, `-0.0`,
-/// 2⁵³ ± 1, `i64::MIN` and `u64::MAX`, a read keeps exactly the rows the
-/// filter matches one by one — alone, as a range's two ends, and beside
-/// an index on another member.
+/// a number on a number column by comparing packed offsets: on columns of
+/// every kind and every width, with null rows, against integer and
+/// fractional bounds, `-0.0`, 2⁵³ ± 1, `i64::MIN` and `u64::MAX`, and
+/// bounds within one of a block's least or greatest and far beyond them,
+/// a read keeps exactly the rows the filter matches one by one — alone,
+/// as a range's two ends, and beside an index on another member.
 #[test]
 fn typed_compares_agree_with_the_filter() {
-    let columns = Cell::new(0);
+    let widths = Widths::default();
     check(|rng| {
         let c = Collection::new();
         if rng.flag() {
@@ -1722,21 +1830,34 @@ fn typed_compares_agree_with_the_filter() {
         }
         // One kind of number per block of eight (the block size under
         // test), and a row past the last, so that they all seal.
-        let kinds = rng.vec(1, 6, |r| r.size(0, 3));
-        let docs: Vec<Value> = (0..kinds.len() * 8 + 1)
-            .map(|at| {
-                let kind = kinds[(at / 8).min(kinds.len() - 1)];
-                json!({"m": rng.letters("ab", 1, 1), "u": typed_word(rng, kind)})
-            })
-            .collect();
-        c.insert_many(docs.iter().cloned()).unwrap();
+        let mut us = Vec::new();
+        let mut ends = Vec::new();
+        for _ in 0..rng.size(1, 7) {
+            match rng.size(0, 5) {
+                kind @ 0..=2 => us.extend((0..8).map(|_| typed_word(rng, kind))),
+                _ => {
+                    let (block, block_ends) = packed_block(rng);
+                    us.extend(block);
+                    ends.push(block_ends);
+                }
+            }
+        }
+        us.push(typed_word(rng, 0));
+        let docs = us
+            .into_iter()
+            .map(|u| json!({"m": rng.letters("ab", 1, 1), "u": u}));
+        c.insert_many(docs).unwrap();
         let inner = c.inner.lock();
-        columns.set(columns.get() + inner.number_columns());
+        widths.count(inner.offset_widths());
         for _ in 0..16 {
             let mut compare = |rng: &mut Rng| {
                 let ops: [fn(String, Value) -> Filter; 5] =
                     [Filter::eq, Filter::gt, Filter::gte, Filter::lt, Filter::lte];
-                ops[rng.size(0, ops.len())]("u".to_owned(), typed_edge(rng))
+                let bound = match ends.is_empty() || rng.flag() {
+                    true => typed_edge(rng),
+                    false => near_bound(rng, &ends),
+                };
+                ops[rng.size(0, ops.len())]("u".to_owned(), bound)
             };
             let mut conjuncts = rng.vec(1, 3, &mut compare);
             if rng.flag() {
@@ -1752,7 +1873,65 @@ fn typed_compares_agree_with_the_filter() {
             );
         }
     });
-    assert!(columns.get() > 256, "{} number columns", columns.get());
+    widths.assert_each_seen();
+}
+
+/// A sealed block reads back exactly as its rows did while open, at
+/// every width and with any nulls: each row's `write_json`, the values
+/// `each_at` hands out (each distinct one once, of a dictionary), and the
+/// rows `into_rows` gives back — what unsealing stores — byte for byte.
+#[test]
+fn sealed_blocks_read_back_as_their_open_rows() {
+    let widths = Widths::default();
+    check(|rng| {
+        let mut shapes = Shapes::default();
+        let (packed, _) = packed_block(rng);
+        let kind = rng.size(0, 3);
+        let rows: Vec<Row> = (0..8)
+            .zip(packed)
+            .map(|(id, u)| {
+                let doc = json!({"f": typed_word(rng, kind), "m": rng.letters("ab", 1, 1), "u": u});
+                let Value::Object(map) = doc else {
+                    panic!("{doc} is an object")
+                };
+                Row::from_map(map, Some(DocId(id)), None, &mut shapes)
+            })
+            .collect();
+        let text = |row: RowRef<'_>| {
+            let mut text = String::new();
+            row.write_json(&mut text);
+            text
+        };
+        let open: Vec<String> = rows.iter().map(|row| text(RowRef::Open(row))).collect();
+        let at = |path: &str| -> Vec<String> {
+            let values = rows.iter().filter_map(|row| RowRef::Open(row).at(path));
+            values.map(|value| value.to_string()).collect()
+        };
+        let open_at: Vec<(&str, Vec<String>)> =
+            ["_id", "f", "m", "u"].map(|path| (path, at(path))).into();
+        let shape = Arc::clone(rows[0].shape());
+        let sealed = Sealed::new(shape, rows.into_iter());
+        widths.count(sealed.offset_widths());
+        let read: Vec<String> = (0..8).map(|at| text(RowRef::Sealed(&sealed, at))).collect();
+        assert_eq!(read, open);
+        for (path, mut expected) in open_at {
+            let mut values = Vec::new();
+            sealed.each_at(path, |value| values.push(value.to_string()));
+            if values.len() < expected.len() {
+                // A dictionary hands out each distinct value once.
+                expected.sort();
+                expected.dedup();
+                values.sort();
+            }
+            assert_eq!(values, expected, "{path}");
+        }
+        let back: Vec<String> = sealed
+            .into_rows()
+            .map(|row| text(RowRef::Open(&row)))
+            .collect();
+        assert_eq!(back, open);
+    });
+    widths.assert_each_seen();
 }
 
 /// Distinct scalar values at `path` over `docs`, told apart as the store

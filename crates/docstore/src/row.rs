@@ -15,9 +15,17 @@
 //! order. A member with at most [`DICTIONARY_MAX`] distinct values in the
 //! block — a model, an activity, a day — keeps each of them once and a
 //! one-byte code per row. Any other member that holds only numbers of one
-//! [`Kind`] and null — an id, a timestamp, a level, a coordinate — keeps
-//! each number as one 8-byte word (a 32-byte `Value` before) and its null
-//! rows as a bitmap; the rest keep their values in one contiguous slice.
+//! [`Kind`] and null — an id, a timestamp, a level, a coordinate — is a
+//! [`Numbers`] column: its null rows as a bitmap, and only the rows that
+//! are not null as numbers, packed. An integer is kept as its offset
+//! from the block's smallest, all of them in the narrowest of 1, 2, 4 or
+//! 8 bytes that holds the largest (frame-of-reference coding: a block's
+//! `_id`s take 2 bytes a row, its capture times 4); a float keeps its 8
+//! bytes of bits. The null bitmap maps a row to its number by a popcount
+//! rank, so a null row costs one bit. A GoFlow observation's ten number
+//! members take ~46 bytes together where one 8-byte word a row took 80
+//! (its pseudonyms span all of `u64`; its fix is null in three rows of
+//! five). The rest keep their values in one contiguous slice.
 //!
 //! **One read path.** `Value` stays the type at the API boundary and only
 //! there; in between, everything reads a stored document through one
@@ -26,7 +34,7 @@
 //! projection, index builds, `to_value` and `write_json` each have a
 //! single body for both. A member comes out as a `Cow`: borrowed where a
 //! `Value` is stored, and made on the spot — a `Value::Number`, no heap —
-//! from a number column's word.
+//! from a number column's offset.
 //!
 //! **Why bytes cannot differ.** [`RowRef::write_json`] writes members in
 //! shape order, which is `str` order, which is `Map` order; the key text
@@ -34,9 +42,9 @@
 //! values go through it. A dictionary keeps a value once per *identity*
 //! ([`identical`]: a float by its bits, so `-0.0` is not `0.0` though
 //! `Value`'s `==` says so, and `1` is not `1.0`), never once per equality.
-//! A number column's word gives back the very `Number` (see [`Kind`]). A
-//! row therefore serialises to exactly the text of the `Value` it was
-//! made from, sealed or not.
+//! A number column's offset plus its base is a word that gives back the
+//! very `Number` (see [`Kind`]). A row therefore serialises to exactly
+//! the text of the `Value` it was made from, sealed or not.
 //!
 //! **Scans.** [`Slots`] resolves each of a filter's paths to a slot once
 //! per (query, shape) — it remembers the last shape it saw — so a scan
@@ -47,15 +55,16 @@
 //! Before a sealed block is walked, [`Sealed::pass`] decides the
 //! conjuncts of the filter that read one member each on that member's
 //! column alone (see its docs), with the same evaluator — but for a
-//! comparison with a number on a number column, which is a compare of
-//! the words with bounds made once, exact as `compare_numbers` orders.
+//! comparison with a number on a number column, which compares the packed
+//! offsets where they lie with bounds made once per block, exact as
+//! `compare_numbers` orders.
 //! Scans beside an index and without one both run it, so it is also
 //! what answers an indexed predicate on a sealed block.
 
 use crate::collection::BLOCK_IDS;
 use crate::filter::{CmpOp, Filter};
 use crate::telemetry::telemetry;
-use crate::value::{f64_above, f64_below, integer_above, integer_below, DocId};
+use crate::value::{f64_above, f64_below, integer, integer_above, integer_below, DocId};
 use serde_json::{Map, Number, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -64,7 +73,7 @@ use std::sync::{Arc, OnceLock};
 
 /// What every reader of a document needs: one top-level member by name,
 /// borrowed for as long as the document's values live (`'v`) — or, for a
-/// number a sealed block keeps as a word, made on the spot.
+/// number a sealed block keeps packed, made on the spot.
 pub(crate) trait Doc<'v> {
     /// The top-level member `key`, if the document has it.
     fn member(&self, key: &str) -> Option<Cow<'v, Value>>;
@@ -340,34 +349,29 @@ enum Column {
         values: Box<[Value]>,
         codes: Box<[u8]>,
     },
-    /// Every row's number as one word of one [`Kind`], but for the rows
-    /// in `nulls`, which hold null.
-    Numbers {
-        kind: Kind,
-        words: Box<[u64]>,
-        nulls: Option<Box<Picked>>,
-    },
+    /// Numbers of one [`Kind`], packed, and null.
+    Numbers(Numbers),
     /// Every row's value.
     Values(Box<[Value]>),
 }
 
 impl Column {
-    /// The value at row `at`: a number is made from its word.
+    /// The value at row `at`: a number is made from its offset.
     fn get(&self, at: usize) -> Cow<'_, Value> {
         match self {
             Column::Dictionary { values, codes } => Cow::Borrowed(&values[usize::from(codes[at])]),
-            Column::Numbers { nulls, .. } if nulls.as_ref().is_some_and(|n| n.has(at)) => {
-                Cow::Borrowed(&Value::Null)
-            }
-            Column::Numbers { kind, words, .. } => Cow::Owned(kind.value(words[at])),
+            Column::Numbers(numbers) => numbers
+                .get(at)
+                .map_or(Cow::Borrowed(&Value::Null), Cow::Owned),
             Column::Values(values) => Cow::Borrowed(&values[at]),
         }
     }
 }
 
-/// What the words of a [`Column::Numbers`] are. Each kind gives back the
-/// very `Number` a word was made from: an integer its sign and digits, a
-/// float its bits (`-0.0` stays `-0.0`, and `1.0` never meets `1`).
+/// What the words of a number column are — the word of a number is its
+/// offset plus the column's base. Each kind gives back the very `Number`
+/// a word was made from: an integer its sign and digits, a float its bits
+/// (`-0.0` stays `-0.0`, and `1.0` never meets `1`).
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     /// Integers that all fit an `i64`, as one.
@@ -440,30 +444,30 @@ impl Kind {
         }
     }
 
-    /// The words of this kind at or above `lo` and at or below `hi` (each
-    /// a number and whether it is inclusive), as [`compare_numbers`]
-    /// orders them: one closed interval of words. `None` for a number no
-    /// `f64` is near.
+    /// The integer an integer kind's `word` stands for.
+    fn integer(self, word: u64) -> i128 {
+        match self {
+            Kind::Int => word.cast_signed().into(),
+            Kind::UInt | Kind::Float => word.into(),
+        }
+    }
+
+    /// The numbers of this kind at or above `lo` and at or below `hi`
+    /// (each a number and whether it is inclusive), as
+    /// [`compare_numbers`] orders them: one closed interval. `None` for a
+    /// number no `f64` is near.
     ///
     /// [`compare_numbers`]: crate::value::compare_numbers
     fn within(self, lo: Option<(&Number, bool)>, hi: Option<(&Number, bool)>) -> Option<Words> {
-        // The integers within the bounds and `min..=max`; `(max, min)`,
-        // which holds none, where there are none.
-        let integers = |min: i128, max: i128| -> Option<(i128, i128)> {
-            let lo = lo.map_or(Some(min), |(n, inclusive)| integer_above(n, inclusive))?;
-            let hi = hi.map_or(Some(max), |(n, inclusive)| integer_below(n, inclusive))?;
-            let (lo, hi) = (lo.max(min), hi.min(max));
-            Some(if lo <= hi { (lo, hi) } else { (max, min) })
-        };
         Some(match self {
-            Kind::Int => {
-                let (lo, hi) = integers(i64::MIN.into(), i64::MAX.into())?;
-                Words::Int(i64::try_from(lo).ok()?, i64::try_from(hi).ok()?)
-            }
-            Kind::UInt => {
-                let (lo, hi) = integers(0, u64::MAX.into())?;
-                Words::UInt(u64::try_from(lo).ok()?, u64::try_from(hi).ok()?)
-            }
+            Kind::Int | Kind::UInt => Words::Integers(
+                lo.map_or(Some(i128::MIN), |(n, inclusive)| {
+                    integer_above(n, inclusive)
+                })?,
+                hi.map_or(Some(i128::MAX), |(n, inclusive)| {
+                    integer_below(n, inclusive)
+                })?,
+            ),
             Kind::Float => Words::Float(
                 lo.map_or(Some(f64::NEG_INFINITY), |(n, inclusive)| {
                     f64_above(n, inclusive)
@@ -476,19 +480,245 @@ impl Kind {
     }
 }
 
-/// The words of a [`Column::Numbers`] that one comparison with a number
-/// keeps: a closed interval in the order of the column's [`Kind`].
+/// A number column's offsets, one per row that is not null, in the
+/// narrowest width that holds the largest. Each is made with room for
+/// every offset, so it is never grown.
+#[derive(Debug)]
+enum Offsets {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+    U64(Vec<u64>),
+}
+
+/// `$body`, with `$offsets` the slice of an [`Offsets`] of any width.
+macro_rules! each_width {
+    ($of:expr, $offsets:ident => $body:expr) => {
+        match $of {
+            Offsets::U8($offsets) => $body,
+            Offsets::U16($offsets) => $body,
+            Offsets::U32($offsets) => $body,
+            Offsets::U64($offsets) => $body,
+        }
+    };
+}
+
+impl Offsets {
+    /// Room for `len` offsets, none above `span`.
+    fn with_capacity(len: usize, span: u64) -> Offsets {
+        if span <= u8::MAX.into() {
+            Offsets::U8(Vec::with_capacity(len))
+        } else if span <= u16::MAX.into() {
+            Offsets::U16(Vec::with_capacity(len))
+        } else if span <= u32::MAX.into() {
+            Offsets::U32(Vec::with_capacity(len))
+        } else {
+            Offsets::U64(Vec::with_capacity(len))
+        }
+    }
+
+    /// Appends `offset`, which the width holds.
+    fn push(&mut self, offset: u64) {
+        debug_assert!(offset <= self.max(), "{offset} in {self:?}");
+        match self {
+            Offsets::U8(offsets) => offsets.push(offset as u8),
+            Offsets::U16(offsets) => offsets.push(offset as u16),
+            Offsets::U32(offsets) => offsets.push(offset as u32),
+            Offsets::U64(offsets) => offsets.push(offset),
+        }
+    }
+
+    /// The offset at `position`.
+    fn get(&self, position: usize) -> u64 {
+        each_width!(self, offsets => widen(offsets[position]))
+    }
+
+    /// The largest offset the width holds.
+    fn max(&self) -> u64 {
+        match self {
+            Offsets::U8(_) => u8::MAX.into(),
+            Offsets::U16(_) => u16::MAX.into(),
+            Offsets::U32(_) => u32::MAX.into(),
+            Offsets::U64(_) => u64::MAX,
+        }
+    }
+}
+
+/// The numbers of a sealed block's member that holds only numbers of one
+/// [`Kind`] and null. Only the rows that are not null have a number, in
+/// row order; each is kept as its offset from `base` in the narrowest
+/// width that holds the largest ([`Offsets`]: frame-of-reference
+/// coding). The null rows map a row to its offset's position.
+#[derive(Debug)]
+struct Numbers {
+    kind: Kind,
+    /// The word of the block's smallest integer; 0 for floats, whose
+    /// offsets are their bits.
+    base: u64,
+    offsets: Offsets,
+    nulls: Option<Box<Nulls>>,
+}
+
+impl Numbers {
+    /// Room for the numbers of a block of `kind`, whose integers run from
+    /// `least` to `most` and whose null rows are `nulls`.
+    fn with_room(kind: Kind, least: i128, most: i128, nulls: Picked) -> Numbers {
+        // An integer kind's integers are all `i64`s or all `u64`s: the low
+        // 64 bits of the least are its word, and `most - least` fits.
+        let (base, span) = match kind {
+            Kind::Int | Kind::UInt => (least as u64, (most - least) as u64),
+            Kind::Float => (0, u64::MAX),
+        };
+        let len = BLOCK_IDS as usize - nulls.len();
+        Numbers {
+            kind,
+            base,
+            offsets: Offsets::with_capacity(len, span),
+            nulls: (!nulls.is_empty()).then(|| Box::new(Nulls::new(nulls))),
+        }
+    }
+
+    /// Takes the next row's value, which is a number of the column's kind
+    /// or null.
+    fn take(&mut self, value: &Value) {
+        match self.kind.word(value) {
+            Some(word) => self.offsets.push(word.wrapping_sub(self.base)),
+            None => debug_assert!(value.is_null(), "{value} in a {:?} column", self.kind),
+        }
+    }
+
+    /// The number in row `at`, or `None` for a null row.
+    fn get(&self, at: usize) -> Option<Value> {
+        let position = match &self.nulls {
+            Some(nulls) => nulls.rank(at)?,
+            None => at,
+        };
+        let word = self.base.wrapping_add(self.offsets.get(position));
+        Some(self.kind.value(word))
+    }
+
+    /// Drops from `picked` the null rows and those whose number is not
+    /// `within`, comparing the offsets where they lie with bounds made
+    /// once: an integer interval turns into an interval of offsets —
+    /// exactly, in `i128`, and clamped to what the width holds.
+    fn keep(&self, within: Words, picked: &mut Picked) {
+        let nulls = self.nulls.as_deref();
+        match within {
+            Words::Integers(lo, hi) => {
+                let from = self.kind.integer(self.base);
+                let lo = lo.saturating_sub(from).max(0);
+                let hi = hi.saturating_sub(from).min(self.offsets.max().into());
+                if lo > hi {
+                    *picked = Picked::none();
+                    return;
+                }
+                each_width!(&self.offsets, offsets => keep_between(offsets, nulls, picked, lo, hi));
+            }
+            Words::Float(lo, hi) => {
+                let base = self.base;
+                each_width!(&self.offsets, offsets => keep_each(offsets, nulls, picked, |offset| {
+                    let x = f64::from_bits(base.wrapping_add(widen(offset)));
+                    (lo <= x) & (x <= hi)
+                }));
+            }
+        }
+    }
+}
+
+/// An offset of any width, as a `u64`.
+fn widen(offset: impl Into<u64>) -> u64 {
+    offset.into()
+}
+
+/// Drops from `picked` the null rows and those whose offset is not within
+/// `lo..=hi`, which the width `T` holds.
+fn keep_between<T>(offsets: &[T], nulls: Option<&Nulls>, picked: &mut Picked, lo: i128, hi: i128)
+where
+    T: Copy + PartialOrd + TryFrom<i128>,
+{
+    match (T::try_from(lo), T::try_from(hi)) {
+        (Ok(lo), Ok(hi)) => keep_each(offsets, nulls, picked, |offset| {
+            (lo <= offset) & (offset <= hi)
+        }),
+        _ => *picked = Picked::none(),
+    }
+}
+
+/// Drops from `picked` the null rows, and the rows whose offset — the
+/// next of `offsets` for each row that is not null, in order — `holds` is
+/// false for, asking for every row of each 64 with one still in.
+fn keep_each<T: Copy>(
+    offsets: &[T],
+    nulls: Option<&Nulls>,
+    picked: &mut Picked,
+    holds: impl Fn(T) -> bool,
+) {
+    let Some(nulls) = nulls else {
+        picked.and_each(offsets, holds);
+        return;
+    };
+    let mut next = 0;
+    for ((word, all), null) in picked.0.iter_mut().zip(Picked::all().0).zip(nulls.rows.0) {
+        let present = all & !null;
+        let count = present.count_ones() as usize;
+        if *word != 0 {
+            let mut rest = present;
+            let mut kept = 0;
+            for &offset in &offsets[next..next + count] {
+                kept |= u64::from(holds(offset)) << rest.trailing_zeros();
+                rest &= rest - 1;
+            }
+            *word &= kept;
+        }
+        next += count;
+    }
+}
+
+/// A number column's null rows, and how many of them come before each
+/// word of the bitmap: a row's offset lies at the row less the null rows
+/// before it (a rank by popcount).
+#[derive(Debug)]
+struct Nulls {
+    rows: Picked,
+    before: [u16; WORDS],
+}
+
+impl Nulls {
+    fn new(rows: Picked) -> Nulls {
+        let mut before = [0; WORDS];
+        let mut count = 0;
+        for (before, word) in before.iter_mut().zip(rows.0) {
+            *before = count;
+            count += word.count_ones() as u16;
+        }
+        Nulls { rows, before }
+    }
+
+    /// The position of row `at`'s offset, or `None` if the row is null.
+    fn rank(&self, at: usize) -> Option<usize> {
+        let (word, bit) = (self.rows.0[at / 64], at % 64);
+        if word >> bit & 1 != 0 {
+            return None;
+        }
+        let below = (word & ((1 << bit) - 1)).count_ones() as usize;
+        Some(at - usize::from(self.before[at / 64]) - below)
+    }
+}
+
+/// The numbers of a number column that one comparison with a number
+/// keeps: a closed interval of integers — exact, whatever the column's
+/// [`Kind`] holds — or of floats.
 #[derive(Debug, Clone, Copy)]
 enum Words {
-    Int(i64, i64),
-    UInt(u64, u64),
+    Integers(i128, i128),
     Float(f64, f64),
 }
 
 impl Words {
     /// What `conjunct` keeps of a column of `kind`, if it is an `$eq`,
     /// `$gt`, `$gte`, `$lt` or `$lte` against a number: then it holds for
-    /// a row exactly when the row's word is within, and never for a null.
+    /// a row exactly when the row's number is within, and never for a
+    /// null.
     fn of(kind: Kind, conjunct: &Filter) -> Option<Words> {
         let Filter::Cmp {
             op,
@@ -509,38 +739,13 @@ impl Words {
         kind.within(lo, hi)
     }
 
-    /// The words both `self` and `other`, of one column, keep.
+    /// The numbers both `self` and `other`, of one column, keep.
     fn and(self, other: Words) -> Option<Words> {
         Some(match (self, other) {
-            (Words::Int(a, b), Words::Int(c, d)) => Words::Int(a.max(c), b.min(d)),
-            (Words::UInt(a, b), Words::UInt(c, d)) => Words::UInt(a.max(c), b.min(d)),
+            (Words::Integers(a, b), Words::Integers(c, d)) => Words::Integers(a.max(c), b.min(d)),
             (Words::Float(a, b), Words::Float(c, d)) => Words::Float(a.max(c), b.min(d)),
             _ => return None,
         })
-    }
-
-    /// Drops from `picked` the rows in `nulls` and those whose word is
-    /// not within: one or two compares per row, no `Value` made. An
-    /// integer is within `lo..=hi` when its distance above `lo`, taken
-    /// modulo 2⁶⁴, is at most `hi - lo`.
-    fn keep(self, words: &[u64], nulls: Option<&Picked>, picked: &mut Picked) {
-        let mut integers = |lo: u64, span: u64| {
-            picked.and_each(words, |word| word.wrapping_sub(lo) <= span);
-        };
-        match self {
-            Words::Int(lo, hi) if lo <= hi => {
-                integers(lo.cast_unsigned(), hi.wrapping_sub(lo).cast_unsigned());
-            }
-            Words::UInt(lo, hi) if lo <= hi => integers(lo, hi - lo),
-            Words::Float(lo, hi) => picked.and_each(words, |word| {
-                let x = f64::from_bits(word);
-                (lo <= x) & (x <= hi)
-            }),
-            Words::Int(..) | Words::UInt(..) => *picked = Picked::none(),
-        }
-        if let Some(nulls) = nulls {
-            picked.without(nulls);
-        }
     }
 }
 
@@ -548,8 +753,8 @@ impl Words {
 /// the position of its value among the distinct values, in the order met
 /// — and the row each distinct value was first met in, until more than
 /// [`DICTIONARY_MAX`] are distinct (then `codes` is `None`, and from then
-/// on `kinds` gathers the [`Kind::flag`]s of every value met, for a
-/// number column). A value is looked up by an identity hash in a table
+/// on the coder notes what a number column needs of every value met:
+/// [`Coder::see`]). A value is looked up by an identity hash in a table
 /// twice the dictionary's size, after a check against the row before
 /// (what repeats, repeats in runs). The hash is not keyed, but the table
 /// holds at most [`DICTIONARY_MAX`] values: values crafted to collide
@@ -559,7 +764,12 @@ struct Coder {
     table: [u16; 1 << Coder::BITS],
     codes: Option<Vec<u8>>,
     firsts: Vec<u16>,
+    /// The [`Kind::flag`]s of the values seen, the least and the greatest
+    /// integer among them, and the rows they were null in.
     kinds: u8,
+    least: i128,
+    most: i128,
+    nulls: Picked,
 }
 
 impl Coder {
@@ -572,6 +782,24 @@ impl Coder {
             codes: Some(Vec::with_capacity(BLOCK_IDS as usize)),
             firsts: Vec::with_capacity(DICTIONARY_MAX),
             kinds: 0,
+            least: i128::MAX,
+            most: i128::MIN,
+            nulls: Picked::none(),
+        }
+    }
+
+    /// Notes `value`, the member's value in row `at`.
+    fn see(&mut self, at: usize, value: &Value) {
+        self.kinds |= Kind::flag(value);
+        match value {
+            Value::Number(n) => {
+                if let Some(n) = integer(n) {
+                    self.least = self.least.min(n);
+                    self.most = self.most.max(n);
+                }
+            }
+            Value::Null => self.nulls.add(at),
+            _ => {}
         }
     }
 
@@ -579,7 +807,7 @@ impl Coder {
     /// value in an earlier row.
     fn code<'v>(&mut self, at: usize, value: &Value, met: impl Fn(usize) -> &'v Value) {
         let Some(codes) = &mut self.codes else {
-            self.kinds |= Kind::flag(value);
+            self.see(at, value);
             return;
         };
         if let Some(&code) = codes.last().filter(|_| identical(value, met(at - 1))) {
@@ -604,10 +832,11 @@ impl Coder {
         match code {
             Some(code) => codes.push(code),
             None => {
-                // Every value met before is one first met in `firsts`.
-                let before = self.firsts.iter().map(|&first| met(usize::from(first)));
-                self.kinds = before.fold(Kind::flag(value), |kinds, v| kinds | Kind::flag(v));
                 self.codes = None;
+                for earlier in 0..at {
+                    self.see(earlier, met(earlier));
+                }
+                self.see(at, value);
             }
         }
     }
@@ -660,28 +889,19 @@ fn identity_hash(value: &Value) -> u64 {
 }
 
 /// A column being made: a dictionary's distinct values and codes, a
-/// number column's words and null rows, or every value.
+/// number column, or every value.
 enum Making {
     Dictionary(Vec<Value>, Box<[u8]>),
-    Numbers(Kind, Vec<u64>, Option<Box<Picked>>),
+    Numbers(Numbers),
     Values(Vec<Value>),
 }
 
 impl Making {
-    /// Takes row `at`'s value, unless a dictionary already holds it.
-    fn take(&mut self, at: usize, value: Value) {
+    /// Takes the next row's value, unless a dictionary already holds it.
+    fn take(&mut self, value: Value) {
         match self {
             Making::Dictionary(..) => {}
-            Making::Numbers(kind, words, nulls) => match kind.word(&value) {
-                Some(word) => words.push(word),
-                None => {
-                    debug_assert!(value.is_null(), "{value} in a {kind:?} column");
-                    words.push(0);
-                    if let Some(nulls) = nulls {
-                        nulls.add(at);
-                    }
-                }
-            },
+            Making::Numbers(numbers) => numbers.take(&value),
             Making::Values(values) => values.push(value),
         }
     }
@@ -692,11 +912,7 @@ impl Making {
                 values: values.into_boxed_slice(),
                 codes,
             },
-            Making::Numbers(kind, words, nulls) => Column::Numbers {
-                kind,
-                words: words.into_boxed_slice(),
-                nulls,
-            },
+            Making::Numbers(numbers) => Column::Numbers(numbers),
             Making::Values(values) => Column::Values(values.into_boxed_slice()),
         }
     }
@@ -714,12 +930,14 @@ pub(crate) struct Sealed {
 impl Sealed {
     /// Makes columns of `rows` — a block's [`BLOCK_IDS`], in `_id` order,
     /// each of `shape`. The rows are read twice, row by row: once to code
-    /// every member still a dictionary candidate and to note what kinds
-    /// of value each other member holds, once to move out the distinct values
-    /// of the dictionaries, every number of a member that holds numbers
-    /// of one [`Kind`] (and null) as a word, and every value of the other
-    /// columns. Nothing is cloned; what no column keeps — the repeats a
-    /// dictionary holds once, the numbers now words — goes with the rows.
+    /// every member still a dictionary candidate and to note what each
+    /// other member holds — the kinds of value, the least and greatest
+    /// integer, the null rows — once to move out the distinct values of
+    /// the dictionaries, every number of a member that holds numbers of
+    /// one [`Kind`] (and null) as an offset ([`Numbers`]), and every
+    /// value of the other columns. Nothing is cloned; what no column
+    /// keeps — the repeats a dictionary holds once, the numbers now
+    /// offsets — goes with the rows.
     ///
     /// Everything is allocated before the first small chunk is freed (a
     /// repeat): glibc merges every small chunk freed since on the next
@@ -746,19 +964,20 @@ impl Sealed {
                         let values = firsts.map(|at| std::mem::take(&mut rows[at].values[member]));
                         Making::Dictionary(values.collect(), codes.into_boxed_slice())
                     }
-                    (None, Some(kind)) => {
-                        let nulls = coder.kinds & Kind::NULL != 0;
-                        let nulls = nulls.then(|| Box::new(Picked::none()));
-                        Making::Numbers(kind, Vec::with_capacity(rows.len()), nulls)
-                    }
+                    (None, Some(kind)) => Making::Numbers(Numbers::with_room(
+                        kind,
+                        coder.least,
+                        coder.most,
+                        coder.nulls,
+                    )),
                     (None, None) => Making::Values(Vec::with_capacity(rows.len())),
                 },
             )
             .collect();
         let mut kept = Vec::with_capacity(columns.len());
-        for (at, row) in rows.into_iter().enumerate() {
+        for row in rows {
             for (column, value) in columns.iter_mut().zip(row.values.into_vec()) {
-                column.take(at, value);
+                column.take(value);
             }
         }
         kept.extend(columns.into_iter().map(Making::done));
@@ -815,7 +1034,8 @@ impl Sealed {
     /// cheapest first ([`Step`]): a member the shape lacks, by
     /// [`Filter::matches_doc`] once for the block; an `$eq` / `$gt` /
     /// `$gte` / `$lt` / `$lte` against a number on a number column, by
-    /// comparing each row's word with bounds made once ([`Words`]); a
+    /// comparing each row's packed offset with bounds made once for the
+    /// block ([`Numbers::keep`]); a
     /// dictionary column, by a per-code truth table (or, for fewer rows
     /// still in than it has values, per row); any other column, once per
     /// row still in. `slots` remembers where the members lie in the key list
@@ -831,19 +1051,19 @@ impl Sealed {
             let step = match slot.map(|slot| &self.columns[slot]) {
                 None => Step::Absent,
                 Some(Column::Dictionary { values, codes }) => Step::Codes(values, codes),
-                Some(column @ Column::Numbers { kind, words, nulls }) => {
-                    match Words::of(*kind, conjunct) {
-                        Some(within) => Step::Words(within, words, nulls.as_deref()),
+                Some(column @ Column::Numbers(numbers)) => {
+                    match Words::of(numbers.kind, conjunct) {
+                        Some(within) => Step::Words(within, numbers),
                         None => Step::Rows(column),
                     }
                 }
                 Some(column) => Step::Rows(column),
             };
-            // Two compares of one column's words — a range's two ends —
+            // Two compares of one number column — a range's two ends —
             // are one compare with the interval both keep.
-            if let Step::Words(within, words, _) = step {
+            if let Step::Words(within, numbers) = step {
                 let same = steps.iter_mut().find_map(|(step, ..)| match step {
-                    Step::Words(held, other, _) if std::ptr::eq(*other, words) => Some(held),
+                    Step::Words(held, other) if std::ptr::eq(*other, numbers) => Some(held),
                     _ => None,
                 });
                 if let Some(held) = same {
@@ -863,7 +1083,7 @@ impl Sealed {
             match step {
                 Step::Absent if holds(None) => continue,
                 Step::Absent => return None,
-                Step::Words(within, words, nulls) => within.keep(words, nulls, &mut picked),
+                Step::Words(within, numbers) => numbers.keep(within, &mut picked),
                 Step::Codes(values, codes) if picked.len() < values.len() => {
                     picked.keep(|at| holds(Some(&values[usize::from(codes[at])])));
                 }
@@ -888,8 +1108,8 @@ impl Sealed {
 enum Step<'c> {
     /// The shape lacks the member.
     Absent,
-    /// A compare of a number column's words, but for its null rows.
-    Words(Words, &'c [u64], Option<&'c Picked>),
+    /// A compare of a number column's offsets, but for its null rows.
+    Words(Words, &'c Numbers),
     /// A dictionary column's values and codes.
     Codes(&'c [Value], &'c [u8]),
     /// Any other column, row by row.
@@ -936,10 +1156,15 @@ impl<'k> KeySlots<'k> {
 
 #[cfg(test)]
 impl Sealed {
-    /// Columns that keep numbers as words.
-    pub(crate) fn number_columns(&self) -> usize {
-        let numbers = |column: &&Column| matches!(column, Column::Numbers { .. });
-        self.columns.iter().filter(numbers).count()
+    /// The bytes an offset takes, for each column that keeps numbers
+    /// packed.
+    pub(crate) fn offset_widths(&self) -> impl Iterator<Item = usize> + '_ {
+        self.columns.iter().filter_map(|column| match column {
+            Column::Numbers(numbers) => Some(each_width!(&numbers.offsets, offsets => {
+                std::mem::size_of_val(&offsets[0])
+            })),
+            _ => None,
+        })
     }
 }
 
@@ -992,11 +1217,6 @@ impl Picked {
         self.0[at / 64] |= 1 << (at % 64);
     }
 
-    /// Whether row `at` is in.
-    fn has(&self, at: usize) -> bool {
-        self.0[at / 64] & 1 << (at % 64) != 0
-    }
-
     fn is_empty(&self) -> bool {
         self.0.iter().all(|&word| word == 0)
     }
@@ -1016,13 +1236,6 @@ impl Picked {
                 let kept = rows.iter().enumerate();
                 *word &= kept.fold(0, |bits, (at, &row)| bits | u64::from(holds(row)) << at);
             }
-        }
-    }
-
-    /// Drops the rows of `other`.
-    fn without(&mut self, other: &Picked) {
-        for (word, out) in self.0.iter_mut().zip(other.0) {
-            *word &= !out;
         }
     }
 
@@ -1056,7 +1269,7 @@ impl Picked {
 /// A stored row as every reader sees it: an open [`Row`], or a row of a
 /// [`Sealed`] block by its offset there. Either way it lends out the
 /// `Value`s it holds for as long as the collection is borrowed, and makes
-/// those of a sealed number column from their words.
+/// those of a sealed number column from their offsets.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RowRef<'a> {
     Open(&'a Row),

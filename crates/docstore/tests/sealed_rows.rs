@@ -39,7 +39,7 @@ fn awkward() -> Vec<Value> {
 }
 
 /// Document `i`'s numbers, more than 255 distinct of each kind, so that
-/// each member keeps them as words: integers out to both ends of `i64`;
+/// each member keeps them packed: integers out to both ends of `i64`;
 /// integers none negative, out to the end of `u64`; floats, among them
 /// both zeros, integral ones and the smallest normal ones. A null in
 /// every member now and then.

@@ -16,7 +16,9 @@
 use serde_json::json;
 use soundcity::broker::Broker;
 use soundcity::docstore::Store;
-use soundcity::goflow::{GoFlowServer, ObservationQuery, Packaging, PrivacyPolicy, Role};
+use soundcity::goflow::{
+    GoFlowServer, ObservationQuery, ObservationRecord, Packaging, PrivacyPolicy, Role,
+};
 use soundcity::types::{
     AppId, DeviceModel, GeoPoint, LocationFix, LocationProvider, Observation, SimTime, SoundLevel,
 };
@@ -103,12 +105,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_accuracy_m(20.0);
     let hits = server.query(&app, &query)?;
     println!("query [gps, ≤20 m]: {} hit(s)", hits.len());
-    println!("  stored delay: {} ms", hits[0]["delay_ms"]);
+    let hit = hits.first().and_then(ObservationRecord::from_document);
+    let delay = hit.and_then(|obs| obs.delay()).ok_or("no stored hit")?;
+    println!("  stored delay: {} ms", delay.as_millis());
 
     // 8. A manager submits a background job over the stored data.
     let job = server.submit_job(&manager, "mean-spl", |collection| {
         let docs = collection.all();
-        let spls: Vec<f64> = docs.iter().filter_map(|d| d["spl"].as_f64()).collect();
+        let observations = docs.iter().filter_map(ObservationRecord::from_document);
+        let spls: Vec<f64> = observations.map(|obs| obs.spl.db()).collect();
         if spls.is_empty() {
             return Err("no data".into());
         }
