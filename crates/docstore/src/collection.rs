@@ -17,10 +17,10 @@
 //! summary, then column pass — the two streams merged in `_id` order;
 //! without one, a scan reaches both. What is not known to match is
 //! re-checked against the full filter. `count` consumes it without
-//! building anything, an unsorted `find` stops it when the window is
-//! full, and a sorted one reads each match's key once, selects the
-//! `skip + limit` first `(key, arrival, RowRef)` triples, sorts only
-//! those and converts only the window. **Writes** share
+//! building anything, an unsorted `find` stops it at the limit, and a
+//! sorted one reads each match's key once, selects the `limit` first
+//! `(key, arrival, RowRef)` triples, sorts only those and converts only
+//! them. **Writes** share
 //! `Collection::mutate` (see [`crate::durability`]); each index's path
 //! is resolved against a row's shape once per shape, not once per row
 //! ([`IndexSlots`]).
@@ -42,13 +42,13 @@
 //! all its ids, of one shape, and was never unsealed, the block is sealed:
 //! its rows leave the map for columns on its summary. A scan then runs
 //! the **column pass** ([`Sealed::pass`]) on each sealed block before
-//! walking it: every top-level conjunct that reads one undotted member is
-//! decided on that member's column alone — once per distinct value of a
-//! dictionary column, by a compare of packed offsets for a comparison
-//! with a number on a number column, once per row of any other — and a
-//! block no row of which passes is skipped. The survivors are re-checked
+//! walking it: every clause on an undotted member is decided on that
+//! member's column alone — once per distinct value of a dictionary
+//! column, by a compare of packed offsets for a comparison with a number
+//! on a number column, once per row of any other — and a block no row of
+//! which passes is skipped. The survivors are re-checked
 //! against the full filter like any other row unless the pass decided
-//! every conjunct.
+//! every clause.
 //! A `take` or replacing `put` on a sealed row — an update, a delete, the
 //! replay of either — first **unseals** the block (its columns copied
 //! back into rows), for good: `update_many` over a block would otherwise
@@ -72,13 +72,13 @@
 //! was sealed and undone.
 
 use crate::durability::{journaled, Deltas, DurableCtx};
-use crate::filter::{Filter, IndexablePredicate, RangeBound};
+use crate::filter::{Clause, Filter, IndexablePredicate, RangeBound};
 use crate::index::{IndexKey, PathIndex};
 use crate::planner::plan_query;
-use crate::row::{Conjunct, Doc, IndexSlots, KeySlots, Picked, Row, RowRef, Sealed, Shapes, Slots};
+use crate::row::{Doc, IndexSlots, KeySlots, Picked, Row, RowRef, Sealed, Shapes, Slots};
 use crate::telemetry::telemetry;
 use crate::update::Update;
-use crate::value::{compare_values, f64_above, f64_below, set_path, DocId};
+use crate::value::{compare_values, f64_above, f64_below, DocId};
 use crate::StoreError;
 use mps_telemetry::SpanTimer;
 use mps_wal::{Rank, Ranked};
@@ -99,7 +99,8 @@ pub enum SortOrder {
     Descending,
 }
 
-/// Options controlling a [`Collection::find_with_options`] query.
+/// Options controlling a [`Collection::find_with_options`] query: a
+/// sort and a limit, the two GoFlow's reads ask for.
 ///
 /// # Examples
 ///
@@ -108,7 +109,6 @@ pub enum SortOrder {
 ///
 /// let options = FindOptions::new()
 ///     .sort("spl", SortOrder::Descending)
-///     .skip(10)
 ///     .limit(5);
 /// assert_eq!(options.limit, Some(5));
 /// ```
@@ -116,16 +116,12 @@ pub enum SortOrder {
 pub struct FindOptions {
     /// Sort by this dotted path, if set.
     pub sort: Option<(String, SortOrder)>,
-    /// Skip this many documents after sorting.
-    pub skip: usize,
-    /// Return at most this many documents.
+    /// Return at most this many documents, the first after sorting.
     pub limit: Option<usize>,
-    /// Keep only these dotted paths (plus `_id`), if set.
-    pub projection: Option<Vec<String>>,
 }
 
 impl FindOptions {
-    /// Creates default options: no sort, no skip, no limit, no projection.
+    /// Creates default options: no sort, no limit.
     pub fn new() -> Self {
         Self::default()
     }
@@ -136,21 +132,9 @@ impl FindOptions {
         self
     }
 
-    /// Skips the first `n` results.
-    pub fn skip(mut self, n: usize) -> Self {
-        self.skip = n;
-        self
-    }
-
     /// Limits the result count to `n`.
     pub fn limit(mut self, n: usize) -> Self {
         self.limit = Some(n);
-        self
-    }
-
-    /// Projects results onto the given dotted paths (plus `_id`).
-    pub fn project(mut self, paths: Vec<String>) -> Self {
-        self.projection = Some(paths);
         self
     }
 }
@@ -255,7 +239,7 @@ impl Block {
         };
         self.key_sets.len() > BLOCK_KEY_SETS
             || self.key_sets.iter().any(|(keys, bounds)| {
-                let members = ranges.iter().map(|range| Some(range.key));
+                let members = ranges.iter().map(|range| range.key);
                 within(bounds, slots.of(keys, members))
             })
     }
@@ -294,9 +278,8 @@ struct NumericRange<'a> {
 
 /// The [`NumericRange`]s among a filter's indexable `predicates`:
 /// equalities and range bounds against a number, on an undotted path.
-/// Anything else — other types, `$ne`, `$in`, `$exists`, `$or`, `$not`,
-/// nested members — is left to the column pass and the re-check, and
-/// rules no block out.
+/// Anything else — other types, `$in`, nested members — is left to the
+/// column pass and the re-check, and rules no block out.
 fn numeric_ranges<'a>(predicates: &[IndexablePredicate<'a>]) -> Vec<NumericRange<'a>> {
     /// The `f64` end of a bound against a number, by `end`.
     fn number(bound: Option<RangeBound<'_>>, end: fn(&Number, bool) -> Option<f64>) -> Option<f64> {
@@ -325,50 +308,29 @@ fn numeric_ranges<'a>(predicates: &[IndexablePredicate<'a>]) -> Vec<NumericRange
 
 /// A filter taken apart once per query into what each mechanism that
 /// narrows a read uses: the planner its indexable predicates, the block
-/// summaries their numeric ranges, the column pass the conjuncts it can
+/// summaries their numeric ranges, the column pass the clauses it can
 /// decide on one column.
 #[derive(Debug)]
 pub(crate) struct Split<'a> {
     indexable: Vec<IndexablePredicate<'a>>,
     ranges: Vec<NumericRange<'a>>,
-    /// The top-level conjuncts (looking through nested `$and`s) that read
-    /// at most one member, an undotted one: a function of that alone.
-    conjuncts: Vec<Conjunct<'a>>,
-    /// Whether `conjuncts` is all of them: then what the column pass
+    /// The clauses on an undotted path: a function of one member alone.
+    members: Vec<&'a Clause>,
+    /// Whether `members` is every clause: then what the column pass
     /// keeps matches, and needs no re-check.
     decided: bool,
 }
 
 impl<'a> Split<'a> {
     pub(crate) fn of(filter: &'a Filter) -> Self {
-        fn top_level<'a>(filter: &'a Filter, out: &mut Vec<&'a Filter>) {
-            match filter {
-                Filter::And(inner) => inner.iter().for_each(|f| top_level(f, out)),
-                conjunct => out.push(conjunct),
-            }
-        }
-        /// The one member `conjunct` reads (`Some(None)`: none), unless it
-        /// reads more or a dotted path.
-        fn lone_member(conjunct: &Filter) -> Option<Option<&str>> {
-            let (mut member, mut lone) = (None, true);
-            conjunct.each_path(&mut |path| {
-                lone &= !path.contains('.') && member.is_none_or(|m| m == path);
-                member = Some(path);
-            });
-            lone.then_some(member)
-        }
         let indexable = filter.indexable_predicates();
-        let mut all = Vec::new();
-        top_level(filter, &mut all);
-        let conjuncts: Vec<Conjunct<'a>> = all
-            .iter()
-            .filter_map(|&conjunct| Some((lone_member(conjunct)?, conjunct)))
-            .collect();
+        let clauses = filter.clauses.iter();
+        let members: Vec<&Clause> = clauses.filter(|c| !c.path.contains('.')).collect();
         Split {
             ranges: numeric_ranges(&indexable),
             indexable,
-            decided: conjuncts.len() == all.len(),
-            conjuncts,
+            decided: members.len() == filter.clauses.len(),
+            members,
         }
     }
 }
@@ -673,7 +635,7 @@ impl CollectionInner {
         open: bool,
     ) -> impl Iterator<Item = Found<'a>> + 'a {
         let mut tally = BlockTally::default();
-        let (mut key_slots, mut conjunct_slots) = (KeySlots::default(), KeySlots::default());
+        let (mut key_slots, mut member_slots) = (KeySlots::default(), KeySlots::default());
         let decided = split.decided;
         // Each block the summaries and the pass leave in: its first id and
         // either its open rows or the sealed rows picked.
@@ -681,7 +643,7 @@ impl CollectionInner {
             let held = block.may_hold(&split.ranges, &mut key_slots);
             let picked = match &block.sealed {
                 Some(sealed) if held => sealed
-                    .pass(&split.conjuncts, &mut conjunct_slots)
+                    .pass(&split.members, &mut member_slots)
                     .map(|picked| Some((sealed, picked))),
                 None if held && open => Some(None),
                 _ => None,
@@ -864,29 +826,6 @@ pub(crate) fn sorted_by_path<'v, D: Doc<'v>>(
     Ok(keyed.into_iter().map(|(_, _, doc)| doc).collect())
 }
 
-/// A new document holding only `_id` and the given dotted paths of `doc`.
-pub(crate) fn project<'v>(doc: &impl Doc<'v>, paths: &[String]) -> Value {
-    let mut projected = Value::Object(serde_json::Map::new());
-    for path in std::iter::once("_id").chain(paths.iter().map(String::as_str)) {
-        if let Some(value) = doc.at(path) {
-            set_path(&mut projected, path, value.into_owned());
-        }
-    }
-    projected
-}
-
-/// Skip, limit and projection, applied in that order to rows that are
-/// already in their final order: the only rows a find turns into values.
-fn window<'a>(rows: impl Iterator<Item = RowRef<'a>>, options: &FindOptions) -> Vec<Value> {
-    rows.skip(options.skip)
-        .take(options.limit.unwrap_or(usize::MAX))
-        .map(|row| match &options.projection {
-            Some(paths) => project(&row, paths),
-            None => row.to_value(),
-        })
-        .collect()
-}
-
 /// A named collection of JSON documents.
 ///
 /// `Collection` is a cheaply-cloneable handle; clones share the same
@@ -997,15 +936,14 @@ impl Collection {
         self.find_with_options(filter, &FindOptions::new())
     }
 
-    /// Returns documents matching `filter` with sorting, paging and
-    /// projection applied (in that order).
+    /// Returns documents matching `filter`, sorted and then limited as
+    /// `options` ask.
     ///
     /// The query planner consults secondary indexes first (see
     /// `crate::planner`); unsorted queries additionally stop visiting
-    /// documents once `skip + limit` results have been produced, and
-    /// sorted queries read each match's sort key once, order references
-    /// to the first `skip + limit` only, and build documents only for the
-    /// requested window (and of it only the projected paths).
+    /// documents once `limit` results have been produced, and sorted
+    /// queries read each match's sort key once, order references to the
+    /// first `limit` only, and build documents only for those.
     ///
     /// # Errors
     ///
@@ -1021,16 +959,13 @@ impl Collection {
         let _timer = SpanTimer::start(&metrics.collection_find_seconds);
         let inner = self.inner.lock();
         let matches = inner.matches(filter).map(|(_, row)| row);
+        let keep = options.limit.unwrap_or(usize::MAX);
         let Some((path, order)) = &options.sort else {
-            // Matches arrive in `_id` order: the scan stops once the
-            // window is full.
-            return Ok(window(matches, options));
+            // Matches arrive in `_id` order: the scan stops at the limit.
+            return Ok(matches.take(keep).map(RowRef::to_value).collect());
         };
-        let keep = options
-            .skip
-            .saturating_add(options.limit.unwrap_or(usize::MAX));
         let sorted = sorted_by_path(matches, path, *order, keep)?;
-        Ok(window(sorted.into_iter(), options))
+        Ok(sorted.into_iter().map(RowRef::to_value).collect())
     }
 
     /// Counts documents matching `filter`.
@@ -1226,7 +1161,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         let r = c.find(&Filter::gt("spl", 60.0)).unwrap();
         assert_eq!(r.len(), 2);
-        let r = c.find(&Filter::exists("loc", false)).unwrap();
+        let r = c.find(&Filter::eq("loc", Value::Null)).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(c.count(&Filter::True).unwrap(), 4);
     }
@@ -1243,9 +1178,11 @@ mod tests {
 
         let opts = FindOptions::new()
             .sort("spl", SortOrder::Ascending)
-            .skip(1)
-            .limit(2);
-        let r = c.find_with_options(&Filter::True, &opts).unwrap();
+            .limit(3);
+        let r = c
+            .find_with_options(&Filter::gt("spl", 50.0), &opts)
+            .unwrap();
+        assert_eq!(r.len(), 3);
         assert_eq!(r[0]["spl"], json!(55.0));
         assert_eq!(r[1]["spl"], json!(62.0));
     }
@@ -1287,17 +1224,6 @@ mod tests {
                 Err(StoreError::Unorderable("v".to_owned()))
             );
         }
-    }
-
-    #[test]
-    fn projection_keeps_id_and_paths() {
-        let c = seeded();
-        let opts = FindOptions::new().project(vec!["loc.acc".into()]);
-        let r = c
-            .find_with_options(&Filter::eq("model", "B"), &opts)
-            .unwrap();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0], json!({"_id": 1, "loc": {"acc": 30.0}}));
     }
 
     #[test]
@@ -1378,14 +1304,14 @@ mod tests {
 
     #[test]
     fn unsorted_limit_short_circuits_consistently() {
-        // The windowed (skip/limit-pushdown) path must agree with the
-        // full query on both the scan and the indexed path.
+        // The limit-pushdown path must agree with the full query on both
+        // the scan and the indexed path.
         let c = seeded();
-        let opts = FindOptions::new().skip(1).limit(1);
+        let opts = FindOptions::new().limit(1);
         let filter = Filter::eq("model", "A");
         let full = c.find(&filter).unwrap();
         let window = c.find_with_options(&filter, &opts).unwrap();
-        assert_eq!(window.as_slice(), &full[1..2]);
+        assert_eq!(window.as_slice(), &full[..1]);
         c.create_index("model").unwrap();
         assert_eq!(c.find_with_options(&filter, &opts).unwrap(), window);
     }
@@ -1439,19 +1365,16 @@ mod tests {
             all[..8]
         );
         assert_eq!(visited(&c, &json!({"day": 7})), [] as [u64; 0]);
-        // What is not a number, not at the top, or not a conjunct rules
+        // What is not a number, not at the top, or a set of values rules
         // nothing out — nor does a member's absence from *some* key set.
         for filter in [
             json!({}),
             json!({"kind": "a"}),
-            json!({"day": {"$ne": 2}}),
             json!({"day": {"$in": [2]}}),
             json!({"day": {"$gt": "2"}}),
             json!({"day.x": 2}),
-            json!({"$or": [{"day": 2}, {"day": 3}]}),
-            json!({"$not": {"day": 2}}),
             json!({"day": null}),
-            json!({"note": {"$exists": false}}),
+            json!({"note": null}),
         ] {
             assert_eq!(visited(&c, &filter), all, "{filter}");
         }

@@ -1,9 +1,10 @@
-//! Mongo-style filter documents.
+//! Filter documents: the queries GoFlow makes of its store, a conjunction
+//! of clauses that each test the value at one path.
 
 use crate::row::Doc;
 use crate::value::compare_values;
 use crate::StoreError;
-use serde_json::Value;
+use serde_json::{json, Map, Value};
 use std::cmp::Ordering;
 
 /// Inclusive/exclusive range bound used by the query planner:
@@ -28,36 +29,22 @@ pub(crate) enum IndexablePredicate<'a> {
     Range(RangePredicate<'a>),
 }
 
-/// A comparison operator on a document path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[doc(hidden)]
-#[allow(
-    missing_docs,
-    reason = "hidden; the operator names are the documentation"
-)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Gt,
-    Gte,
-    Lt,
-    Lte,
-}
-
-/// A parsed query filter.
+/// A parsed query filter: a conjunction of clauses, each an equality, an
+/// interval or an in-set on one dotted path.
 ///
 /// Filters are usually written as Mongo-style JSON documents and parsed
 /// with [`Filter::parse`]; a typed builder API ([`Filter::eq`],
 /// [`Filter::range`], [`Filter::and`], …) is provided for programmatic
-/// construction.
+/// construction. Either way the filter is flat: `$and` and
+/// [`Filter::and`] splice their operands' clauses in, and the two ends of
+/// an interval on one path are one clause.
 ///
-/// Supported operators: implicit equality, `$eq`, `$ne`, `$gt`, `$gte`,
-/// `$lt`, `$lte`, `$in`, `$nin`, `$exists`, `$contains` (substring test on
-/// strings), and the combinators `$and`, `$or`, `$not`.
+/// Supported operators: implicit equality, `$eq`, `$gt`, `$gte`, `$lt`,
+/// `$lte`, `$in` and `$and`. Any other is [`StoreError::BadFilter`].
 ///
 /// Semantics follow MongoDB where GoFlow depends on them: an equality
-/// against `null` matches missing fields, ordered comparisons never match
-/// missing fields, and `$ne` is the negation of equality.
+/// against `null` matches missing fields, and ordered comparisons never
+/// match missing fields or values of another type.
 ///
 /// # Examples
 ///
@@ -76,51 +63,28 @@ pub enum CmpOp {
 /// # Ok::<(), mps_docstore::StoreError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub enum Filter {
-    /// Matches every document (the empty filter `{}`).
-    True,
-    /// All sub-filters must match.
-    And(Vec<Filter>),
-    /// At least one sub-filter must match.
-    Or(Vec<Filter>),
-    /// The sub-filter must not match.
-    Not(Box<Filter>),
-    /// Comparison of the value at `path` against a constant.
-    #[doc(hidden)]
-    Cmp {
-        /// Dotted document path.
-        path: String,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Right-hand constant.
-        value: Value,
-    },
-    /// The value at `path` equals one of `values`.
-    #[doc(hidden)]
-    In {
-        /// Dotted document path.
-        path: String,
-        /// Accepted values.
-        values: Vec<Value>,
-        /// True for `$nin` (negated membership).
-        negated: bool,
-    },
-    /// The path is present (or absent, when `expected` is false).
-    #[doc(hidden)]
-    Exists {
-        /// Dotted document path.
-        path: String,
-        /// Expected presence.
-        expected: bool,
-    },
-    /// The string at `path` contains `needle` as a substring.
-    #[doc(hidden)]
-    Contains {
-        /// Dotted document path.
-        path: String,
-        /// Substring to search for.
-        needle: String,
-    },
+pub struct Filter {
+    pub(crate) clauses: Vec<Clause>,
+}
+
+/// One conjunct of a [`Filter`]: a test of the value at `path`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Clause {
+    /// Dotted document path.
+    pub(crate) path: String,
+    pub(crate) test: Test,
+}
+
+/// What a [`Clause`] asks of the value at its path.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Test {
+    /// Equal to the value; a missing member equals null.
+    Eq(Value),
+    /// On the right side of each end present, `(value, inclusive)`, and
+    /// of that end's type.
+    Range(Option<(Value, bool)>, Option<(Value, bool)>),
+    /// Equal to one of the values.
+    In(Vec<Value>),
 }
 
 fn values_equal(a: &Value, b: &Value) -> bool {
@@ -134,94 +98,152 @@ fn values_equal(a: &Value, b: &Value) -> bool {
     }
 }
 
-impl Filter {
-    // ----- builders --------------------------------------------------------
+/// Whether `value` is on the right side of `end` (`None`: unbounded),
+/// the side away from `outside`. Ordered comparisons only match
+/// same-type scalars (Mongo semantics: cross-type never matches a range
+/// predicate).
+fn within(value: &Value, end: &Option<(Value, bool)>, outside: Ordering) -> bool {
+    let Some((end, inclusive)) = end else {
+        return true;
+    };
+    std::mem::discriminant(value) == std::mem::discriminant(end)
+        && compare_values(value, end)
+            .is_some_and(|ord| ord != outside && (*inclusive || ord != Ordering::Equal))
+}
 
-    /// Equality on a path.
-    pub fn eq(path: impl Into<String>, value: impl Into<Value>) -> Filter {
-        Filter::Cmp {
-            path: path.into(),
-            op: CmpOp::Eq,
-            value: value.into(),
+impl Clause {
+    /// Whether the clause holds of `found`, the value at its path
+    /// (`None`: there is none).
+    pub(crate) fn holds(&self, found: Option<&Value>) -> bool {
+        match (&self.test, found) {
+            (Test::Eq(value), Some(v)) => values_equal(v, value),
+            // Equality with null matches a missing field.
+            (Test::Eq(value), None) => value.is_null(),
+            (Test::Range(lo, hi), Some(v)) => {
+                within(v, lo, Ordering::Less) && within(v, hi, Ordering::Greater)
+            }
+            (Test::Range(..), None) => false,
+            (Test::In(values), Some(v)) => {
+                values.iter().any(|candidate| values_equal(v, candidate))
+            }
+            (Test::In(values), None) => values.iter().any(Value::is_null),
         }
     }
 
-    /// Inequality on a path.
-    pub fn ne(path: impl Into<String>, value: impl Into<Value>) -> Filter {
-        Filter::Cmp {
-            path: path.into(),
-            op: CmpOp::Ne,
-            value: value.into(),
+    fn to_doc(&self) -> Value {
+        let mut ops = Map::new();
+        match &self.test {
+            Test::Eq(value) => {
+                ops.insert("$eq".to_owned(), value.clone());
+            }
+            Test::Range(lo, hi) => {
+                let ends = [(lo, "$gt", "$gte"), (hi, "$lt", "$lte")];
+                for (end, exclusive, inclusive) in ends {
+                    if let Some((value, closed)) = end {
+                        let op = if *closed { inclusive } else { exclusive };
+                        ops.insert(op.to_owned(), value.clone());
+                    }
+                }
+            }
+            Test::In(values) => {
+                ops.insert("$in".to_owned(), Value::Array(values.clone()));
+            }
         }
+        let mut doc = Map::new();
+        doc.insert(self.path.clone(), Value::Object(ops));
+        Value::Object(doc)
+    }
+}
+
+impl Filter {
+    /// Matches every document (the empty filter `{}`).
+    #[allow(
+        non_upper_case_globals,
+        reason = "reads as the filter it names, where a variant stood"
+    )]
+    pub const True: Filter = Filter {
+        clauses: Vec::new(),
+    };
+
+    // ----- builders --------------------------------------------------------
+
+    fn of(path: impl Into<String>, test: Test) -> Filter {
+        Filter {
+            clauses: vec![Clause {
+                path: path.into(),
+                test,
+            }],
+        }
+    }
+
+    /// Equality on a path.
+    pub fn eq(path: impl Into<String>, value: impl Into<Value>) -> Filter {
+        Filter::of(path, Test::Eq(value.into()))
     }
 
     /// Strictly-greater comparison on a path.
     pub fn gt(path: impl Into<String>, value: impl Into<Value>) -> Filter {
-        Filter::Cmp {
-            path: path.into(),
-            op: CmpOp::Gt,
-            value: value.into(),
-        }
+        Filter::of(path, Test::Range(Some((value.into(), false)), None))
     }
 
     /// Greater-or-equal comparison on a path.
     pub fn gte(path: impl Into<String>, value: impl Into<Value>) -> Filter {
-        Filter::Cmp {
-            path: path.into(),
-            op: CmpOp::Gte,
-            value: value.into(),
-        }
+        Filter::of(path, Test::Range(Some((value.into(), true)), None))
     }
 
     /// Strictly-less comparison on a path.
     pub fn lt(path: impl Into<String>, value: impl Into<Value>) -> Filter {
-        Filter::Cmp {
-            path: path.into(),
-            op: CmpOp::Lt,
-            value: value.into(),
-        }
+        Filter::of(path, Test::Range(None, Some((value.into(), false))))
     }
 
     /// Less-or-equal comparison on a path.
     pub fn lte(path: impl Into<String>, value: impl Into<Value>) -> Filter {
-        Filter::Cmp {
-            path: path.into(),
-            op: CmpOp::Lte,
-            value: value.into(),
-        }
+        Filter::of(path, Test::Range(None, Some((value.into(), true))))
     }
 
     /// Inclusive range `lo <= path <= hi`.
     pub fn range(path: impl Into<String>, lo: impl Into<Value>, hi: impl Into<Value>) -> Filter {
-        let path = path.into();
-        Filter::And(vec![Filter::gte(path.clone(), lo), Filter::lte(path, hi)])
+        let (lo, hi) = (Some((lo.into(), true)), Some((hi.into(), true)));
+        Filter::of(path, Test::Range(lo, hi))
     }
 
     /// Membership test on a path.
     pub fn is_in(path: impl Into<String>, values: Vec<Value>) -> Filter {
-        Filter::In {
-            path: path.into(),
-            values,
-            negated: false,
-        }
+        Filter::of(path, Test::In(values))
     }
 
-    /// Presence test on a path.
-    pub fn exists(path: impl Into<String>, expected: bool) -> Filter {
-        Filter::Exists {
-            path: path.into(),
-            expected,
-        }
-    }
-
-    /// Conjunction of filters.
+    /// Conjunction of filters: their clauses, in order.
     pub fn and(filters: Vec<Filter>) -> Filter {
-        Filter::And(filters)
+        let mut all = Filter::True;
+        for clause in filters.into_iter().flat_map(|filter| filter.clauses) {
+            all.push(clause);
+        }
+        all
     }
 
-    /// Disjunction of filters.
-    pub fn or(filters: Vec<Filter>) -> Filter {
-        Filter::Or(filters)
+    /// Appends `clause`, or merges it into the last clause where both are
+    /// intervals on one path with no end given twice: `$gte` and `$lte`
+    /// on a path, a range, are one clause.
+    fn push(&mut self, clause: Clause) {
+        match (self.clauses.last_mut(), clause) {
+            (
+                Some(Clause {
+                    path,
+                    test: Test::Range(lo, hi),
+                }),
+                Clause {
+                    path: new_path,
+                    test: Test::Range(new_lo, new_hi),
+                },
+            ) if *path == new_path
+                && (lo.is_none() || new_lo.is_none())
+                && (hi.is_none() || new_hi.is_none()) =>
+            {
+                *lo = lo.take().or(new_lo);
+                *hi = hi.take().or(new_hi);
+            }
+            (_, clause) => self.clauses.push(clause),
+        }
     }
 
     // ----- parsing ----------------------------------------------------------
@@ -231,171 +253,88 @@ impl Filter {
     /// # Errors
     ///
     /// Returns [`StoreError::BadFilter`] when the document is not an
-    /// object, uses an unknown operator, or gives an operator a malformed
-    /// argument.
+    /// object, uses an operator outside the grammar above, or gives an
+    /// operator a malformed argument.
     pub fn parse(doc: &Value) -> Result<Filter, StoreError> {
         let map = doc
             .as_object()
             .ok_or_else(|| StoreError::BadFilter("filter must be an object".into()))?;
-        if map.is_empty() {
-            return Ok(Filter::True);
-        }
-        let mut clauses = Vec::with_capacity(map.len());
+        let mut filter = Filter::True;
         for (key, value) in map {
-            if let Some(op) = key.strip_prefix('$') {
-                clauses.push(Self::parse_logical(op, value)?);
-            } else {
-                clauses.push(Self::parse_path_clause(key, value)?);
+            match key.as_str() {
+                "$and" => {
+                    let items = value
+                        .as_array()
+                        .ok_or_else(|| StoreError::BadFilter("$and expects an array".into()))?;
+                    for item in items {
+                        for clause in Filter::parse(item)?.clauses {
+                            filter.push(clause);
+                        }
+                    }
+                }
+                op if op.starts_with('$') => {
+                    return Err(StoreError::BadFilter(format!("unknown operator {op}")))
+                }
+                path => filter.parse_path_clause(path, value)?,
             }
         }
-        Ok(match clauses.pop() {
-            Some(single) if clauses.is_empty() => single,
-            Some(last) => {
-                clauses.push(last);
-                Filter::And(clauses)
-            }
-            None => Filter::True,
-        })
+        Ok(filter)
     }
 
-    fn parse_logical(op: &str, value: &Value) -> Result<Filter, StoreError> {
-        match op {
-            "and" | "or" => {
-                let items = value
-                    .as_array()
-                    .ok_or_else(|| StoreError::BadFilter(format!("${op} expects an array")))?;
-                let parsed: Result<Vec<Filter>, StoreError> =
-                    items.iter().map(Self::parse).collect();
-                let parsed = parsed?;
-                Ok(if op == "and" {
-                    Filter::And(parsed)
-                } else {
-                    Filter::Or(parsed)
-                })
-            }
-            "not" => Ok(Filter::Not(Box::new(Self::parse(value)?))),
-            other => Err(StoreError::BadFilter(format!("unknown operator ${other}"))),
-        }
-    }
-
-    fn parse_path_clause(path: &str, value: &Value) -> Result<Filter, StoreError> {
-        let Some(obj) = value.as_object() else {
-            return Ok(Filter::eq(path, value.clone()));
+    fn parse_path_clause(&mut self, path: &str, value: &Value) -> Result<(), StoreError> {
+        let mut push = |test| {
+            self.push(Clause {
+                path: path.to_owned(),
+                test,
+            });
         };
         // An object that contains no $-operators is an implicit deep
         // equality against that object.
-        if !obj.keys().any(|k| k.starts_with('$')) {
-            return Ok(Filter::eq(path, value.clone()));
-        }
-        let mut clauses = Vec::with_capacity(obj.len());
-        for (op, arg) in obj {
-            let filter = match op.as_str() {
-                "$eq" => Filter::eq(path, arg.clone()),
-                "$ne" => Filter::ne(path, arg.clone()),
-                "$gt" => Filter::gt(path, arg.clone()),
-                "$gte" => Filter::gte(path, arg.clone()),
-                "$lt" => Filter::lt(path, arg.clone()),
-                "$lte" => Filter::lte(path, arg.clone()),
-                "$in" | "$nin" => {
-                    let values = arg
-                        .as_array()
-                        .ok_or_else(|| StoreError::BadFilter(format!("{op} expects an array")))?
-                        .clone();
-                    Filter::In {
-                        path: path.to_owned(),
-                        values,
-                        negated: op == "$nin",
-                    }
-                }
-                "$exists" => {
-                    let expected = arg
-                        .as_bool()
-                        .ok_or_else(|| StoreError::BadFilter("$exists expects a boolean".into()))?;
-                    Filter::exists(path, expected)
-                }
-                "$contains" => {
-                    let needle = arg
-                        .as_str()
-                        .ok_or_else(|| StoreError::BadFilter("$contains expects a string".into()))?
-                        .to_owned();
-                    Filter::Contains {
-                        path: path.to_owned(),
-                        needle,
-                    }
-                }
+        let ops = match value.as_object() {
+            Some(ops) if ops.keys().any(|k| k.starts_with('$')) => ops,
+            _ => {
+                push(Test::Eq(value.clone()));
+                return Ok(());
+            }
+        };
+        for (op, arg) in ops {
+            let end = |inclusive| Some((arg.clone(), inclusive));
+            let test = match op.as_str() {
+                "$eq" => Test::Eq(arg.clone()),
+                "$gt" => Test::Range(end(false), None),
+                "$gte" => Test::Range(end(true), None),
+                "$lt" => Test::Range(None, end(false)),
+                "$lte" => Test::Range(None, end(true)),
+                "$in" => Test::In(
+                    arg.as_array()
+                        .ok_or_else(|| StoreError::BadFilter("$in expects an array".into()))?
+                        .clone(),
+                ),
                 other => {
                     return Err(StoreError::BadFilter(format!(
                         "unknown operator {other} on path {path}"
                     )))
                 }
             };
-            clauses.push(filter);
+            push(test);
         }
-        Ok(match clauses.pop() {
-            Some(single) if clauses.is_empty() => single,
-            Some(last) => {
-                clauses.push(last);
-                Filter::And(clauses)
-            }
-            None => Filter::True,
-        })
+        Ok(())
     }
 
     // ----- encoding ---------------------------------------------------------
 
     /// Encodes this filter back into a Mongo-style filter document, the
     /// inverse of [`Filter::parse`]: `Filter::parse(&f.to_doc())` always
-    /// succeeds and yields a filter that matches exactly the same
-    /// documents. Remote transports use this to carry typed filters over
-    /// the wire without a bespoke codec.
+    /// succeeds and yields this very filter. Remote transports use this
+    /// to carry typed filters over the wire without a bespoke codec.
     ///
-    /// The encoding is canonical rather than source-preserving — e.g. a
-    /// filter built with [`Filter::range`] encodes as an `$and` of two
-    /// comparison clauses.
+    /// A clause encodes as `{path: {op: value, ..}}`, and a filter of
+    /// several clauses as their `$and`.
     pub fn to_doc(&self) -> Value {
-        use serde_json::{json, Map};
-        match self {
-            Filter::True => json!({}),
-            Filter::And(filters) => {
-                json!({"$and": filters.iter().map(Filter::to_doc).collect::<Vec<_>>()})
-            }
-            Filter::Or(filters) => {
-                json!({"$or": filters.iter().map(Filter::to_doc).collect::<Vec<_>>()})
-            }
-            Filter::Not(inner) => json!({"$not": inner.to_doc()}),
-            Filter::Cmp { path, op, value } => {
-                let op = match op {
-                    CmpOp::Eq => "$eq",
-                    CmpOp::Ne => "$ne",
-                    CmpOp::Gt => "$gt",
-                    CmpOp::Gte => "$gte",
-                    CmpOp::Lt => "$lt",
-                    CmpOp::Lte => "$lte",
-                };
-                let mut doc = Map::new();
-                doc.insert(path.clone(), json!({ op: value.clone() }));
-                Value::Object(doc)
-            }
-            Filter::In {
-                path,
-                values,
-                negated,
-            } => {
-                let op = if *negated { "$nin" } else { "$in" };
-                let mut doc = Map::new();
-                doc.insert(path.clone(), json!({ op: values.clone() }));
-                Value::Object(doc)
-            }
-            Filter::Exists { path, expected } => {
-                let mut doc = Map::new();
-                doc.insert(path.clone(), json!({"$exists": expected}));
-                Value::Object(doc)
-            }
-            Filter::Contains { path, needle } => {
-                let mut doc = Map::new();
-                doc.insert(path.clone(), json!({"$contains": needle}));
-                Value::Object(doc)
-            }
+        match &self.clauses[..] {
+            [] => json!({}),
+            [clause] => clause.to_doc(),
+            clauses => json!({"$and": clauses.iter().map(Clause::to_doc).collect::<Vec<_>>()}),
         }
     }
 
@@ -409,86 +348,12 @@ impl Filter {
     /// [`Filter::matches`] over any document representation: the one
     /// evaluator.
     pub(crate) fn matches_doc<'v>(&self, doc: &impl Doc<'v>) -> bool {
-        match self {
-            Filter::True => true,
-            Filter::And(filters) => filters.iter().all(|f| f.matches_doc(doc)),
-            Filter::Or(filters) => filters.iter().any(|f| f.matches_doc(doc)),
-            Filter::Not(inner) => !inner.matches_doc(doc),
-            Filter::Cmp { path, op, value } => {
-                let found = doc.at(path);
-                let found = found.as_deref();
-                match op {
-                    CmpOp::Eq => match found {
-                        Some(v) => values_equal(v, value),
-                        // Equality with null matches a missing field.
-                        None => value.is_null(),
-                    },
-                    CmpOp::Ne => match found {
-                        Some(v) => !values_equal(v, value),
-                        None => !value.is_null(),
-                    },
-                    CmpOp::Gt | CmpOp::Gte | CmpOp::Lt | CmpOp::Lte => {
-                        // Ordered comparisons only match same-type scalars
-                        // (Mongo semantics: cross-type never matches a
-                        // range predicate).
-                        let Some(v) = found else { return false };
-                        match compare_values(v, value) {
-                            Some(ord)
-                                if std::mem::discriminant(v) == std::mem::discriminant(value) =>
-                            {
-                                match op {
-                                    CmpOp::Gt => ord == Ordering::Greater,
-                                    CmpOp::Gte => ord != Ordering::Less,
-                                    CmpOp::Lt => ord == Ordering::Less,
-                                    CmpOp::Lte => ord != Ordering::Greater,
-                                    // Eq/Ne are handled by the outer arms.
-                                    CmpOp::Eq | CmpOp::Ne => false,
-                                }
-                            }
-                            _ => false,
-                        }
-                    }
-                }
-            }
-            Filter::In {
-                path,
-                values,
-                negated,
-            } => {
-                let hit = match doc.at(path) {
-                    Some(v) => values.iter().any(|candidate| values_equal(&v, candidate)),
-                    None => values.iter().any(Value::is_null),
-                };
-                hit != *negated
-            }
-            Filter::Exists { path, expected } => doc.at(path).is_some() == *expected,
-            Filter::Contains { path, needle } => doc
-                .at(path)
-                .is_some_and(|v| v.as_str().is_some_and(|s| s.contains(needle.as_str()))),
-        }
-    }
-
-    /// Visits every path this filter reads — the very `&str`s evaluation
-    /// will ask a document for, which is how
-    /// [`Slots`](crate::row::Slots) recognises them.
-    pub(crate) fn each_path<'a>(&'a self, visit: &mut impl FnMut(&'a str)) {
-        match self {
-            Filter::True => {}
-            Filter::And(filters) | Filter::Or(filters) => {
-                filters.iter().for_each(|f| f.each_path(visit));
-            }
-            Filter::Not(inner) => inner.each_path(visit),
-            Filter::Cmp { path, .. }
-            | Filter::In { path, .. }
-            | Filter::Exists { path, .. }
-            | Filter::Contains { path, .. } => visit(path),
-        }
+        let mut clauses = self.clauses.iter();
+        clauses.all(|clause| clause.holds(doc.at(&clause.path).as_deref()))
     }
 
     /// Every predicate of this filter that a secondary index could
-    /// answer: each non-null equality, plus one merged range per path,
-    /// looking through conjunctions at any depth (`Filter::parse` nests
-    /// multi-operator path objects as an inner `And`).
+    /// answer: each non-null equality, plus one merged range per path.
     ///
     /// Bounds repeated on the same side of the same path keep the tighter
     /// one (see `tighten`); what is extracted is always a superset of the
@@ -518,50 +383,26 @@ impl Filter {
                 *kept = new;
             }
         }
-        fn range_of(f: &Filter) -> Option<RangePredicate<'_>> {
-            match f {
-                Filter::Cmp { path, op, value } => match op {
-                    CmpOp::Gt => Some((path, Some((value, false)), None)),
-                    CmpOp::Gte => Some((path, Some((value, true)), None)),
-                    CmpOp::Lt => Some((path, None, Some((value, false)))),
-                    CmpOp::Lte => Some((path, None, Some((value, true)))),
-                    _ => None,
-                },
-                _ => None,
-            }
-        }
-        fn collect<'a>(
-            clauses: &'a [Filter],
-            eqs: &mut Vec<IndexablePredicate<'a>>,
-            ranges: &mut Vec<RangePredicate<'a>>,
-        ) {
-            for clause in clauses {
-                match clause {
-                    Filter::And(inner) => collect(inner, eqs, ranges),
-                    Filter::Cmp {
-                        path,
-                        op: CmpOp::Eq,
-                        value,
-                    } if !value.is_null() => {
-                        eqs.push(IndexablePredicate::Eq { path, value });
-                    }
-                    _ => {
-                        if let Some((path, lo, hi)) = range_of(clause) {
-                            match ranges.iter_mut().find(|(p, _, _)| *p == path) {
-                                Some((_, mlo, mhi)) => {
-                                    tighten(mlo, lo, Ordering::Greater);
-                                    tighten(mhi, hi, Ordering::Less);
-                                }
-                                None => ranges.push((path, lo, hi)),
-                            }
-                        }
-                    }
-                }
-            }
+        fn end(end: &Option<(Value, bool)>) -> Option<RangeBound<'_>> {
+            end.as_ref().map(|(value, inclusive)| (value, *inclusive))
         }
         let mut predicates: Vec<IndexablePredicate<'_>> = Vec::new();
         let mut ranges: Vec<RangePredicate<'_>> = Vec::new();
-        collect(std::slice::from_ref(self), &mut predicates, &mut ranges);
+        for Clause { path, test } in &self.clauses {
+            match test {
+                Test::Eq(value) if !value.is_null() => {
+                    predicates.push(IndexablePredicate::Eq { path, value });
+                }
+                Test::Range(lo, hi) => match ranges.iter_mut().find(|(p, _, _)| p == path) {
+                    Some((_, kept_lo, kept_hi)) => {
+                        tighten(kept_lo, end(lo), Ordering::Greater);
+                        tighten(kept_hi, end(hi), Ordering::Less);
+                    }
+                    None => ranges.push((path, end(lo), end(hi))),
+                },
+                _ => {}
+            }
+        }
         predicates.extend(ranges.into_iter().map(IndexablePredicate::Range));
         predicates
     }
@@ -570,7 +411,6 @@ impl Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
 
     fn doc() -> Value {
         json!({
@@ -647,22 +487,8 @@ mod tests {
         assert!(!Filter::parse(&json!({"model": {"$gt": 0}}))
             .unwrap()
             .matches(&d));
-    }
-
-    #[test]
-    fn ne_semantics() {
-        let d = doc();
-        assert!(Filter::parse(&json!({"model": {"$ne": "X"}}))
-            .unwrap()
-            .matches(&d));
-        assert!(!Filter::parse(&json!({"model": {"$ne": "SONY D5803"}}))
-            .unwrap()
-            .matches(&d));
-        // Missing field is "not equal" to any non-null value.
-        assert!(Filter::parse(&json!({"missing": {"$ne": 1}}))
-            .unwrap()
-            .matches(&d));
-        assert!(!Filter::parse(&json!({"missing": {"$ne": null}}))
+        // Each end is held to its own type.
+        assert!(!Filter::parse(&json!({"spl": {"$gt": 0, "$lt": "z"}}))
             .unwrap()
             .matches(&d));
     }
@@ -681,62 +507,40 @@ mod tests {
         let d = doc();
         let f = Filter::parse(&json!({"model": {"$in": ["A", "SONY D5803"]}})).unwrap();
         assert!(f.matches(&d));
-        let f = Filter::parse(&json!({"model": {"$nin": ["A", "B"]}})).unwrap();
-        assert!(f.matches(&d));
         let f = Filter::parse(&json!({"model": {"$in": ["A", "B"]}})).unwrap();
         assert!(!f.matches(&d));
         // Missing path: $in matches only if the list contains null.
         let f = Filter::parse(&json!({"missing": {"$in": [null]}})).unwrap();
         assert!(f.matches(&d));
-    }
-
-    #[test]
-    fn exists() {
-        let d = doc();
-        assert!(Filter::parse(&json!({"location": {"$exists": true}}))
-            .unwrap()
-            .matches(&d));
-        assert!(Filter::parse(&json!({"ghost": {"$exists": false}}))
-            .unwrap()
-            .matches(&d));
-        assert!(!Filter::parse(&json!({"ghost": {"$exists": true}}))
-            .unwrap()
-            .matches(&d));
-    }
-
-    #[test]
-    fn contains() {
-        let d = doc();
-        assert!(Filter::parse(&json!({"model": {"$contains": "SONY"}}))
-            .unwrap()
-            .matches(&d));
-        assert!(!Filter::parse(&json!({"model": {"$contains": "HTC"}}))
-            .unwrap()
-            .matches(&d));
-        // Non-string values never $contains.
-        assert!(!Filter::parse(&json!({"spl": {"$contains": "6"}}))
-            .unwrap()
-            .matches(&d));
+        // `$nin` is not in the grammar.
+        assert!(Filter::parse(&json!({"model": {"$nin": ["A", "B"]}})).is_err());
     }
 
     #[test]
     fn logical_combinators() {
+        // `$and` is the one combinator, and it nests into one flat
+        // conjunction, as `Filter::and` does.
         let d = doc();
         let f = Filter::parse(&json!({
-            "$or": [
-                {"model": "X"},
-                {"spl": {"$gt": 60}},
-            ]
-        }))
-        .unwrap();
-        assert!(f.matches(&d));
-        let f = Filter::parse(&json!({
-            "$and": [{"shared": true}, {"spl": {"$lt": 60}}]
+            "$and": [{"shared": true}, {"$and": [{"spl": {"$lt": 60}}]}]
         }))
         .unwrap();
         assert!(!f.matches(&d));
-        let f = Filter::parse(&json!({"$not": {"model": "X"}})).unwrap();
-        assert!(f.matches(&d));
+        assert_eq!(
+            f,
+            Filter::and(vec![
+                Filter::eq("shared", true),
+                Filter::and(vec![Filter::lt("spl", 60)])
+            ])
+        );
+        assert_eq!(f.clauses.len(), 2);
+        for removed in ["$or", "$not", "$nor"] {
+            let error = Filter::parse(&json!({ removed: [{"model": "X"}] })).unwrap_err();
+            assert_eq!(
+                error,
+                StoreError::BadFilter(format!("unknown operator {removed}"))
+            );
+        }
     }
 
     #[test]
@@ -765,15 +569,20 @@ mod tests {
         assert!(Filter::parse(&json!({"$bogus": []})).is_err());
         assert!(Filter::parse(&json!({"a": {"$bogus": 1}})).is_err());
         assert!(Filter::parse(&json!({"$and": "not array"})).is_err());
+        assert!(Filter::parse(&json!({"$and": [5]})).is_err());
         assert!(Filter::parse(&json!({"a": {"$in": 5}})).is_err());
-        assert!(Filter::parse(&json!({"a": {"$exists": "yes"}})).is_err());
-        assert!(Filter::parse(&json!({"a": {"$contains": 5}})).is_err());
+        assert!(Filter::parse(&json!({"a": {"$gt": 1, "b": 2}})).is_err());
     }
 
     #[test]
     fn builder_equivalence() {
         let parsed = Filter::parse(&json!({"spl": {"$gte": 10, "$lte": 20}})).unwrap();
         let built = Filter::range("spl", 10, 20);
+        assert_eq!(parsed, built, "a range is one clause either way");
+        assert_eq!(
+            Filter::and(vec![Filter::gte("spl", 10), Filter::lte("spl", 20)]),
+            built
+        );
         let probe = json!({"spl": 15});
         assert_eq!(parsed.matches(&probe), built.matches(&probe));
         let probe = json!({"spl": 25});
@@ -830,8 +639,8 @@ mod tests {
         // `eq null` also matches missing fields — never indexable.
         let f = Filter::parse(&json!({"loc": null})).unwrap();
         assert!(f.indexable_predicates().is_empty());
-        // Disjunctions cannot narrow to one candidate set.
-        let f = Filter::parse(&json!({"$or": [{"a": 1}, {"b": 2}]})).unwrap();
+        // Neither is a set of values, which no single probe answers.
+        let f = Filter::parse(&json!({"a": {"$in": [1, 2]}})).unwrap();
         assert!(f.indexable_predicates().is_empty());
     }
 
@@ -907,21 +716,23 @@ mod tests {
                 {"spl": {"$lt": 80.5}},
                 {"location.provider": {"$eq": "gps"}},
             ]}),
-            json!({"$or": [
-                {"model": {"$in": ["SONY D5803", "LG G3"]}},
-                {"$not": {"shared": {"$exists": true}}},
-            ]}),
-            json!({"tags": {"$contains": "paris"}}),
-            json!({"spl": {"$nin": [1, 2]}}),
+            json!({"model": {"$in": ["SONY D5803", "LG G3"]}, "spl": {"$gt": 1, "$gte": 2}}),
+            json!({"$and": [{"t": {"$lte": 9}}, {"t": {"$gte": 1, "$lt": 8}}]}),
+            json!({"tags": ["a", {"b": 1}]}),
         ];
         for doc in docs {
             let filter = Filter::parse(&doc).unwrap();
             let encoded = filter.to_doc();
             let reparsed = Filter::parse(&encoded).unwrap();
+            assert_eq!(reparsed, filter, "for {doc}");
             // The canonical encoding is a fixed point: encoding the
             // reparsed filter reproduces it byte for byte.
             assert_eq!(reparsed.to_doc(), encoded, "for {doc}");
         }
+        assert_eq!(
+            Filter::range("spl", 40, 80).to_doc(),
+            json!({"spl": {"$gte": 40, "$lte": 80}})
+        );
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The GoFlow middleware stores crowd-sensed contributions in MongoDB
 //! ("Data storage … builds upon MongoDB", Section 3.1 of the paper). This
 //! crate is an in-process substitute covering the access patterns GoFlow
-//! makes: JSON documents in named collections, Mongo-style filter queries
-//! with dotted-path addressing, update operators, secondary indexes with a
-//! small query planner, sorted/paged cursors and an aggregation-pipeline
-//! subset.
+//! makes, and no more: JSON documents in named collections, Mongo-style
+//! filters that are one conjunction of per-path equalities, intervals and
+//! in-sets with dotted-path addressing, `$set` updates, secondary indexes
+//! with a small query planner, sorted and limited finds and a `$group`
+//! by one member. Any other operator is refused with a typed error.
 //!
 //! Documents go in and come out as [`serde_json::Value`] objects; every
 //! stored document gets a numeric `_id`. In between they are kept as

@@ -52,9 +52,9 @@
 //! predicate; nested segments continue through the `Value` in the slot.
 //! [`IndexSlots`] does the same for the collection's index paths on the
 //! write path, holding its shape rather than borrowing it.
-//! Before a sealed block is walked, [`Sealed::pass`] decides the
-//! conjuncts of the filter that read one member each on that member's
-//! column alone (see its docs), with the same evaluator — but for a
+//! Before a sealed block is walked, [`Sealed::pass`] decides each clause
+//! of the filter on an undotted member from that member's column alone
+//! (see its docs), with the same evaluator — but for a
 //! comparison with a number on a number column, which compares the packed
 //! offsets where they lie with bounds made once per block, exact as
 //! `compare_numbers` orders.
@@ -62,7 +62,7 @@
 //! what answers an indexed predicate on a sealed block.
 
 use crate::collection::BLOCK_IDS;
-use crate::filter::{CmpOp, Filter};
+use crate::filter::{Clause, Filter, Test};
 use crate::telemetry::telemetry;
 use crate::value::{f64_above, f64_below, integer, integer_above, integer_below, DocId};
 use serde_json::{Map, Number, Value};
@@ -715,37 +715,24 @@ enum Words {
 }
 
 impl Words {
-    /// What `conjunct` keeps of a column of `kind`, if it is an `$eq`,
-    /// `$gt`, `$gte`, `$lt` or `$lte` against a number: then it holds for
-    /// a row exactly when the row's number is within, and never for a
+    /// What `clause` keeps of a column of `kind`, if it is an equality
+    /// with a number or an interval whose ends are numbers: then it holds
+    /// for a row exactly when the row's number is within, and never for a
     /// null.
-    fn of(kind: Kind, conjunct: &Filter) -> Option<Words> {
-        let Filter::Cmp {
-            op,
-            value: Value::Number(n),
-            ..
-        } = conjunct
-        else {
-            return None;
-        };
-        let (lo, hi) = match op {
-            CmpOp::Eq => (Some((n, true)), Some((n, true))),
-            CmpOp::Gt => (Some((n, false)), None),
-            CmpOp::Gte => (Some((n, true)), None),
-            CmpOp::Lt => (None, Some((n, false))),
-            CmpOp::Lte => (None, Some((n, true))),
-            CmpOp::Ne => return None,
-        };
-        kind.within(lo, hi)
-    }
-
-    /// The numbers both `self` and `other`, of one column, keep.
-    fn and(self, other: Words) -> Option<Words> {
-        Some(match (self, other) {
-            (Words::Integers(a, b), Words::Integers(c, d)) => Words::Integers(a.max(c), b.min(d)),
-            (Words::Float(a, b), Words::Float(c, d)) => Words::Float(a.max(c), b.min(d)),
-            _ => return None,
-        })
+    fn of(kind: Kind, clause: &Clause) -> Option<Words> {
+        /// The end as a number's, if it is absent or a number.
+        fn number(end: &Option<(Value, bool)>) -> Option<Option<(&Number, bool)>> {
+            match end {
+                None => Some(None),
+                Some((Value::Number(n), inclusive)) => Some(Some((n, *inclusive))),
+                Some(_) => None,
+            }
+        }
+        match &clause.test {
+            Test::Eq(Value::Number(n)) => kind.within(Some((n, true)), Some((n, true))),
+            Test::Range(lo, hi) => kind.within(number(lo)?, number(hi)?),
+            _ => None,
+        }
     }
 }
 
@@ -1028,73 +1015,55 @@ impl Sealed {
         }
     }
 
-    /// The rows of the block that may satisfy every one of `conjuncts`,
-    /// or `None` if none can. Each conjunct reads at most one member (see
-    /// [`Conjunct`]), so it is decided on that member's column alone, the
-    /// cheapest first ([`Step`]): a member the shape lacks, by
-    /// [`Filter::matches_doc`] once for the block; an `$eq` / `$gt` /
-    /// `$gte` / `$lt` / `$lte` against a number on a number column, by
-    /// comparing each row's packed offset with bounds made once for the
-    /// block ([`Numbers::keep`]); a
+    /// The rows of the block that may satisfy every one of `clauses`, or
+    /// `None` if none can. Each reads one undotted member, so it is
+    /// decided on that member's column alone, the cheapest first
+    /// ([`Step`]): a member the shape lacks, by [`Clause::holds`] once
+    /// for the block; an equality with a number or an interval between
+    /// numbers on a number column, by comparing each row's packed offset
+    /// with bounds made once for the block ([`Numbers::keep`]); a
     /// dictionary column, by a per-code truth table (or, for fewer rows
     /// still in than it has values, per row); any other column, once per
     /// row still in. `slots` remembers where the members lie in the key list
     /// last passed ([`KeySlots`]).
     pub(crate) fn pass<'s>(
         &'s self,
-        conjuncts: &[Conjunct<'_>],
+        clauses: &[&Clause],
         slots: &mut KeySlots<'s>,
     ) -> Option<Picked> {
-        let slots = slots.of(&self.shape.keys, conjuncts.iter().map(|(key, _)| *key));
-        let mut steps: Vec<(Step<'_>, &Filter, &str)> = Vec::with_capacity(conjuncts.len());
-        for (&(key, conjunct), slot) in conjuncts.iter().zip(slots) {
+        let members = clauses.iter().map(|clause| clause.path.as_str());
+        let slots = slots.of(&self.shape.keys, members);
+        let mut steps: Vec<(Step<'_>, &Clause)> = Vec::with_capacity(clauses.len());
+        for (&clause, slot) in clauses.iter().zip(slots) {
             let step = match slot.map(|slot| &self.columns[slot]) {
                 None => Step::Absent,
                 Some(Column::Dictionary { values, codes }) => Step::Codes(values, codes),
-                Some(column @ Column::Numbers(numbers)) => {
-                    match Words::of(numbers.kind, conjunct) {
-                        Some(within) => Step::Words(within, numbers),
-                        None => Step::Rows(column),
-                    }
-                }
+                Some(column @ Column::Numbers(numbers)) => match Words::of(numbers.kind, clause) {
+                    Some(within) => Step::Words(within, numbers),
+                    None => Step::Rows(column),
+                },
                 Some(column) => Step::Rows(column),
             };
-            // Two compares of one number column — a range's two ends —
-            // are one compare with the interval both keep.
-            if let Step::Words(within, numbers) = step {
-                let same = steps.iter_mut().find_map(|(step, ..)| match step {
-                    Step::Words(held, other) if std::ptr::eq(*other, numbers) => Some(held),
-                    _ => None,
-                });
-                if let Some(held) = same {
-                    if let Some(both) = held.and(within) {
-                        *held = both;
-                        continue;
-                    }
-                }
-            }
-            steps.push((step, conjunct, key.unwrap_or_default()));
+            steps.push((step, clause));
         }
-        steps.sort_by_key(|(step, ..)| step.cost());
+        steps.sort_by_key(|(step, _)| step.cost());
         let mut picked = Picked::all();
-        for (step, conjunct, member) in steps {
-            let holds =
-                |value: Option<&Value>| conjunct.matches_doc(&Member { key: member, value });
+        for (step, clause) in steps {
             match step {
-                Step::Absent if holds(None) => continue,
+                Step::Absent if clause.holds(None) => continue,
                 Step::Absent => return None,
                 Step::Words(within, numbers) => numbers.keep(within, &mut picked),
                 Step::Codes(values, codes) if picked.len() < values.len() => {
-                    picked.keep(|at| holds(Some(&values[usize::from(codes[at])])));
+                    picked.keep(|at| clause.holds(Some(&values[usize::from(codes[at])])));
                 }
                 Step::Codes(values, codes) => {
                     let mut truth = [false; 256];
                     for (truth, value) in truth.iter_mut().zip(values) {
-                        *truth = holds(Some(value));
+                        *truth = clause.holds(Some(value));
                     }
                     picked.and_each(codes, |code| truth[usize::from(code)]);
                 }
-                Step::Rows(column) => picked.keep(|at| holds(Some(&column.get(at)))),
+                Step::Rows(column) => picked.keep(|at| clause.holds(Some(&column.get(at)))),
             }
             if picked.is_empty() {
                 return None;
@@ -1137,17 +1106,17 @@ pub(crate) struct KeySlots<'k> {
 }
 
 impl<'k> KeySlots<'k> {
-    /// The slots in `keys` of `members`, in order (`None`: no member, or
-    /// one `keys` lacks), as resolved when `keys` was last met.
+    /// The slots in `keys` of `members`, in order (`None`: one `keys`
+    /// lacks), as resolved when `keys` was last met.
     pub(crate) fn of<'m>(
         &mut self,
         keys: &'k [String],
-        members: impl Iterator<Item = Option<&'m str>>,
+        members: impl Iterator<Item = &'m str>,
     ) -> &[Option<usize>] {
         if !self.keys.is_some_and(|known| std::ptr::eq(known, keys)) {
             self.slots.clear();
             self.slots
-                .extend(members.map(|member| slot_in(keys, member?)));
+                .extend(members.map(|member| slot_in(keys, member)));
             self.keys = Some(keys);
         }
         &self.slots
@@ -1171,22 +1140,6 @@ impl Sealed {
 impl Drop for Sealed {
     fn drop(&mut self) {
         telemetry().blocks_sealed.dec();
-    }
-}
-
-/// A top-level conjunct of a filter that reads at most one member, an
-/// undotted one, and that member (`None`: it reads none).
-pub(crate) type Conjunct<'a> = (Option<&'a str>, &'a Filter);
-
-/// One member of a document, alone: all a [`Conjunct`] reads.
-struct Member<'k, 'v> {
-    key: &'k str,
-    value: Option<&'v Value>,
-}
-
-impl<'v> Doc<'v> for Member<'_, 'v> {
-    fn member(&self, key: &str) -> Option<Cow<'v, Value>> {
-        self.value.filter(|_| key == self.key).map(Cow::Borrowed)
     }
 }
 
@@ -1354,8 +1307,10 @@ pub(crate) struct Slots<'a> {
 impl<'a> Slots<'a> {
     /// For the paths `filter` reads.
     pub(crate) fn of(filter: &'a Filter) -> Self {
-        let mut paths = Vec::new();
-        filter.each_path(&mut |path| paths.push((path, split_head(path).1)));
+        let clauses = filter.clauses.iter();
+        let paths: Vec<_> = clauses
+            .map(|c| (c.path.as_str(), split_head(&c.path).1))
+            .collect();
         Self {
             slots: Vec::with_capacity(paths.len()),
             paths,

@@ -91,7 +91,7 @@ macro_rules! docstore_ops {
                 /// [`StoreError::Transport`].
                 5 FIND
                 fn find(filter: &Filter => json) -> Vec<Value> => docs;
-                /// Documents matching a filter, with sort/skip/limit/projection.
+                /// Documents matching a filter, sorted and limited.
                 ///
                 /// # Errors
                 ///
@@ -428,7 +428,7 @@ mod tests {
             c.insert_one(json!({"n": i})).unwrap();
         }
         let changed = c
-            .update_many(&Filter::lt("n", 2), &Update::inc("n", 10.0))
+            .update_many(&Filter::lt("n", 2), &Update::set("n", 11))
             .unwrap();
         assert_eq!(changed, 2);
         let top = c
@@ -439,7 +439,7 @@ mod tests {
                     .limit(1),
             )
             .unwrap();
-        assert_eq!(top[0]["n"], json!(11.0));
+        assert_eq!(top[0]["n"], json!(11));
     }
 
     #[test]

@@ -1,24 +1,12 @@
-//! Mongo-style update documents.
+//! Update documents: `$set`, the one operation GoFlow's writes make.
 
-use crate::value::{get_path, set_path, unset_path};
+use crate::value::set_path;
 use crate::StoreError;
-use serde_json::Value;
+use serde_json::{Map, Value};
 
-/// One update operation on a document path.
-#[derive(Debug, Clone, PartialEq)]
-enum Op {
-    /// `$set`: write a value at the path.
-    Set(String, Value),
-    /// `$inc`: add a number to the (numeric or missing) value at the path.
-    Inc(String, f64),
-    /// `$unset`: remove the path.
-    Unset(String),
-    /// `$push`: append a value to the (array or missing) value at the path.
-    Push(String, Value),
-}
-
-/// A parsed update document: an ordered list of `$set` / `$inc` / `$unset`
-/// / `$push` operations.
+/// A parsed update document: an ordered list of `$set` writes, each a
+/// value put at a dotted path. Any other operator is
+/// [`StoreError::BadUpdate`].
 ///
 /// # Examples
 ///
@@ -27,17 +15,16 @@ enum Op {
 /// use serde_json::json;
 ///
 /// let update = Update::parse(&json!({
-///     "$set": {"status": "processed"},
-///     "$inc": {"retries": 1},
+///     "$set": {"status": "processed", "meta.retries": 3},
 /// }))?;
-/// let mut doc = json!({"retries": 2});
+/// let mut doc = json!({"status": "new"});
 /// update.apply(&mut doc)?;
-/// assert_eq!(doc, json!({"retries": 3.0, "status": "processed"}));
+/// assert_eq!(doc, json!({"meta": {"retries": 3}, "status": "processed"}));
 /// # Ok::<(), mps_docstore::StoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Update {
-    ops: Vec<Op>,
+    sets: Vec<(String, Value)>,
 }
 
 impl Update {
@@ -46,152 +33,60 @@ impl Update {
     /// # Errors
     ///
     /// Returns [`StoreError::BadUpdate`] if the document is not an object,
-    /// uses an unknown operator, or gives `$inc` a non-numeric argument.
+    /// uses an operator other than `$set` — checked before any argument —
+    /// or gives `$set` something other than an object of paths, or no
+    /// path at all.
     pub fn parse(doc: &Value) -> Result<Update, StoreError> {
         let map = doc
             .as_object()
             .ok_or_else(|| StoreError::BadUpdate("update must be an object".into()))?;
-        let mut ops = Vec::new();
-        for (op, args) in map {
-            let args = args
-                .as_object()
-                .ok_or_else(|| StoreError::BadUpdate(format!("{op} expects an object of paths")))?;
-            for (path, arg) in args {
-                let parsed = match op.as_str() {
-                    "$set" => Op::Set(path.clone(), arg.clone()),
-                    "$inc" => {
-                        let delta = arg.as_f64().ok_or_else(|| {
-                            StoreError::BadUpdate(format!("$inc on {path} expects a number"))
-                        })?;
-                        Op::Inc(path.clone(), delta)
-                    }
-                    "$unset" => Op::Unset(path.clone()),
-                    "$push" => Op::Push(path.clone(), arg.clone()),
-                    other => {
-                        return Err(StoreError::BadUpdate(format!("unknown operator {other}")))
-                    }
-                };
-                ops.push(parsed);
-            }
+        if let Some(op) = map.keys().find(|op| *op != "$set") {
+            return Err(StoreError::BadUpdate(format!("unknown operator {op}")));
         }
-        if ops.is_empty() {
+        let Some(args) = map.get("$set") else {
+            return Err(StoreError::BadUpdate("update has no operations".into()));
+        };
+        let args = args
+            .as_object()
+            .ok_or_else(|| StoreError::BadUpdate("$set expects an object of paths".into()))?;
+        if args.is_empty() {
             return Err(StoreError::BadUpdate("update has no operations".into()));
         }
-        Ok(Update { ops })
+        let sets = args.iter().map(|(path, v)| (path.clone(), v.clone()));
+        let sets = sets.collect();
+        Ok(Update { sets })
     }
 
     /// Builds a single-field `$set` update.
     pub fn set(path: impl Into<String>, value: impl Into<Value>) -> Update {
         Update {
-            ops: vec![Op::Set(path.into(), value.into())],
-        }
-    }
-
-    /// Builds a single-field `$inc` update.
-    pub fn inc(path: impl Into<String>, delta: f64) -> Update {
-        Update {
-            ops: vec![Op::Inc(path.into(), delta)],
+            sets: vec![(path.into(), value.into())],
         }
     }
 
     /// Encodes the update back to a Mongo-style document — the inverse of
-    /// [`Update::parse`]. Operations are grouped by operator, so the result
-    /// always has the canonical shape `{"$set": {..}, "$inc": {..}, ...}`.
-    ///
-    /// Two encodings are not perfectly lossless: a document key can appear
-    /// only once, so two operations through the *same* operator on the
-    /// *same* path collapse to the last one, and [`Update::parse`] replays
-    /// operators in document order rather than original insertion order.
-    /// Neither shape is constructible through the public builders, which
-    /// makes `parse(to_doc(u))` equivalent to `u` for every update that
-    /// crossed the wire. (The wire protocol spec documents this as the
-    /// canonical update encoding.)
+    /// [`Update::parse`]: `{"$set": {path: value, ..}}`, the canonical
+    /// update encoding of the wire protocol.
     #[must_use]
     pub fn to_doc(&self) -> Value {
-        use serde_json::Map;
-        let mut groups: Map<String, Value> = Map::new();
-        let mut entry = |operator: &str, path: &str, arg: Value| {
-            groups
-                .entry(operator.to_string())
-                .or_insert_with(|| Value::Object(Map::new()))
-                .as_object_mut()
-                .map(|fields| fields.insert(path.to_string(), arg));
-        };
-        for op in &self.ops {
-            match op {
-                Op::Set(path, value) => entry("$set", path, value.clone()),
-                Op::Inc(path, delta) => entry("$inc", path, Value::from(*delta)),
-                Op::Unset(path) => entry("$unset", path, Value::from(1)),
-                Op::Push(path, value) => entry("$push", path, value.clone()),
-            }
-        }
-        Value::Object(groups)
+        let sets: Map<String, Value> = self.sets.iter().cloned().collect();
+        let mut doc = Map::new();
+        doc.insert("$set".to_owned(), Value::Object(sets));
+        Value::Object(doc)
     }
 
     /// Applies the update to `doc` in place.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::BadUpdate`] if `$inc` targets a non-numeric
-    /// value or `$push` targets a non-array value; earlier operations in
-    /// the update may already have been applied.
+    /// Returns [`StoreError::BadUpdate`] if a dotted path runs through a
+    /// value that is not an object; the writes before it stay applied.
     pub fn apply(&self, doc: &mut Value) -> Result<(), StoreError> {
-        for op in &self.ops {
-            match op {
-                Op::Set(path, value) => {
-                    if !set_path(doc, path, value.clone()) {
-                        return Err(StoreError::BadUpdate(format!(
-                            "$set cannot traverse non-object at {path}"
-                        )));
-                    }
-                }
-                Op::Inc(path, delta) => {
-                    let current = match get_path(doc, path) {
-                        None => 0.0,
-                        Some(v) => v.as_f64().ok_or_else(|| {
-                            StoreError::BadUpdate(format!("$inc target {path} is not a number"))
-                        })?,
-                    };
-                    if !set_path(doc, path, Value::from(current + delta)) {
-                        return Err(StoreError::BadUpdate(format!(
-                            "$inc cannot traverse non-object at {path}"
-                        )));
-                    }
-                }
-                Op::Unset(path) => {
-                    let _ = unset_path(doc, path);
-                }
-                Op::Push(path, value) => {
-                    match get_path(doc, path) {
-                        None => {
-                            if !set_path(doc, path, Value::Array(vec![value.clone()])) {
-                                return Err(StoreError::BadUpdate(format!(
-                                    "$push cannot traverse non-object at {path}"
-                                )));
-                            }
-                        }
-                        Some(Value::Array(_)) => {
-                            // Re-borrow mutably to push. `get_path`
-                            // verified the full path, so every step
-                            // resolves; if it somehow didn't, the push
-                            // degrades to a no-op instead of a panic.
-                            let mut current = Some(&mut *doc);
-                            for segment in path.split('.') {
-                                current = current
-                                    .and_then(Value::as_object_mut)
-                                    .and_then(|m| m.get_mut(segment));
-                            }
-                            if let Some(array) = current.and_then(Value::as_array_mut) {
-                                array.push(value.clone());
-                            }
-                        }
-                        Some(_) => {
-                            return Err(StoreError::BadUpdate(format!(
-                                "$push target {path} is not an array"
-                            )))
-                        }
-                    }
-                }
+        for (path, value) in &self.sets {
+            if !set_path(doc, path, value.clone()) {
+                return Err(StoreError::BadUpdate(format!(
+                    "$set cannot traverse non-object at {path}"
+                )));
             }
         }
         Ok(())
@@ -212,63 +107,34 @@ mod tests {
     }
 
     #[test]
-    fn inc_from_missing_and_existing() {
-        let u = Update::inc("n", 2.5);
-        let mut doc = json!({});
-        u.apply(&mut doc).unwrap();
-        u.apply(&mut doc).unwrap();
-        assert_eq!(doc, json!({"n": 5.0}));
-    }
-
-    #[test]
-    fn inc_non_number_fails() {
-        let u = Update::inc("s", 1.0);
-        let mut doc = json!({"s": "text"});
-        assert!(matches!(u.apply(&mut doc), Err(StoreError::BadUpdate(_))));
-    }
-
-    #[test]
-    fn unset_removes_and_tolerates_missing() {
-        let u = Update::parse(&json!({"$unset": {"a.b": 1, "ghost": 1}})).unwrap();
-        let mut doc = json!({"a": {"b": 2, "keep": 3}});
-        u.apply(&mut doc).unwrap();
-        assert_eq!(doc, json!({"a": {"keep": 3}}));
-    }
-
-    #[test]
-    fn push_appends_or_creates() {
-        let u = Update::parse(&json!({"$push": {"tags": "new"}})).unwrap();
-        let mut doc = json!({"tags": ["old"]});
-        u.apply(&mut doc).unwrap();
-        assert_eq!(doc, json!({"tags": ["old", "new"]}));
-
-        let mut empty = json!({});
-        u.apply(&mut empty).unwrap();
-        assert_eq!(empty, json!({"tags": ["new"]}));
-    }
-
-    #[test]
-    fn push_non_array_fails() {
-        let u = Update::parse(&json!({"$push": {"n": 1}})).unwrap();
-        let mut doc = json!({"n": 5});
-        assert!(u.apply(&mut doc).is_err());
-    }
-
-    #[test]
-    fn push_into_nested_array() {
-        let u = Update::parse(&json!({"$push": {"a.b": 2}})).unwrap();
-        let mut doc = json!({"a": {"b": [1]}});
-        u.apply(&mut doc).unwrap();
-        assert_eq!(doc, json!({"a": {"b": [1, 2]}}));
-    }
-
-    #[test]
     fn parse_errors() {
         assert!(Update::parse(&json!(5)).is_err());
         assert!(Update::parse(&json!({"$set": 5})).is_err());
         assert!(Update::parse(&json!({"$bogus": {"a": 1}})).is_err());
-        assert!(Update::parse(&json!({"$inc": {"a": "one"}})).is_err());
         assert!(Update::parse(&json!({})).is_err(), "empty update rejected");
+        assert!(Update::parse(&json!({"$set": {}})).is_err());
+    }
+
+    #[test]
+    fn an_unknown_operator_is_refused_whatever_its_arguments() {
+        // Beside a good `$set`, with no paths, or with no object: the
+        // operator is checked first, so no argument hides it.
+        for doc in [
+            json!({"$set": {"a": 1}, "$bogus": {}}),
+            json!({"$set": {"a": 1}, "$unset": {}}),
+            json!({"$nope": {}}),
+            json!({"$inc": 5}),
+        ] {
+            let op = doc.as_object().unwrap().keys().find(|k| *k != "$set");
+            assert_eq!(
+                Update::parse(&doc),
+                Err(StoreError::BadUpdate(format!(
+                    "unknown operator {}",
+                    op.unwrap()
+                ))),
+                "{doc}"
+            );
+        }
     }
 
     #[test]
@@ -283,16 +149,16 @@ mod tests {
         let u = Update::set("a.b", 1);
         let mut doc = json!({"a": 3});
         assert!(u.apply(&mut doc).is_err());
+        // Part-way: the writes before the failing one stay.
+        let u = Update::parse(&json!({"$set": {"a.b": 1, "c": 2, "d.e": 3}})).unwrap();
+        let mut doc = json!({"d": 4});
+        assert!(u.apply(&mut doc).is_err());
+        assert_eq!(doc, json!({"a": {"b": 1}, "c": 2, "d": 4}));
     }
 
     #[test]
     fn to_doc_round_trips_through_parse() {
-        let original = json!({
-            "$inc": {"retries": 1.0},
-            "$push": {"tags": "late"},
-            "$set": {"status": "processed", "meta.reason": "ok"},
-            "$unset": {"ghost": 1},
-        });
+        let original = json!({"$set": {"status": "processed", "meta.reason": "ok", "n": 1.5}});
         let update = Update::parse(&original).unwrap();
         let encoded = update.to_doc();
         assert_eq!(encoded, original);
@@ -302,6 +168,5 @@ mod tests {
     #[test]
     fn to_doc_encodes_builders_canonically() {
         assert_eq!(Update::set("k", 7).to_doc(), json!({"$set": {"k": 7}}));
-        assert_eq!(Update::inc("n", 2.5).to_doc(), json!({"$inc": {"n": 2.5}}));
     }
 }

@@ -36,7 +36,7 @@ fn shapes_live_exactly_as_long_as_their_rows() {
     }))
     .unwrap();
     assert_eq!(shapes(), 1_000);
-    assert_eq!(c.delete_many(&Filter::exists("k7", true)).unwrap(), 1);
+    assert_eq!(c.delete_many(&Filter::eq("k7", 7)).unwrap(), 1);
     assert_eq!(shapes(), 999);
     assert_eq!(c.delete_many(&Filter::True).unwrap(), 999);
     assert_eq!(shapes(), 0);

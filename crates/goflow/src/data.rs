@@ -136,14 +136,7 @@ impl ObservationQuery {
         if let Some(version) = self.app_version {
             clauses.push(Filter::eq(VERSION.name, version.name()));
         }
-        match clauses.pop() {
-            None => Filter::True,
-            Some(single) if clauses.is_empty() => single,
-            Some(last) => {
-                clauses.push(last);
-                Filter::And(clauses)
-            }
-        }
+        Filter::and(clauses)
     }
 }
 

@@ -132,7 +132,8 @@ wire_json! {
         |options| &find_options_to_doc(options), |doc| find_options_from_doc(&doc);
 }
 
-/// Encodes [`FindOptions`] as its canonical JSON document.
+/// Encodes [`FindOptions`] as its canonical JSON document,
+/// `{"limit": .., "sort": {"order": .., "path": ..}}`.
 #[must_use]
 pub fn find_options_to_doc(options: &FindOptions) -> Value {
     let sort = options.sort.as_ref().map(|(path, order)| {
@@ -144,23 +145,27 @@ pub fn find_options_to_doc(options: &FindOptions) -> Value {
             },
         })
     });
-    json!({
-        "sort": sort,
-        "skip": options.skip,
-        "limit": options.limit,
-        "projection": options.projection,
-    })
+    json!({"sort": sort, "limit": options.limit})
 }
 
 /// Decodes [`FindOptions`] from its canonical JSON document.
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Transport`] on a malformed document.
+/// Returns [`StoreError::Transport`] on a malformed document, one
+/// member of which is not `sort` or `limit` among them: an option this
+/// store does not apply is refused, never ignored.
 pub fn find_options_from_doc(doc: &Value) -> Result<FindOptions, StoreError> {
     let bad = |what: &str| StoreError::Transport(format!("bad find options: {what}"));
+    let members = doc.as_object().ok_or_else(|| bad("not an object"))?;
+    if let Some(unknown) = members
+        .keys()
+        .find(|key| !["sort", "limit"].contains(&key.as_str()))
+    {
+        return Err(bad(unknown));
+    }
     // A member that is absent and one that is `null` mean the same.
-    let member = |key: &str| doc.get(key).filter(|value| !value.is_null());
+    let member = |key: &str| members.get(key).filter(|value| !value.is_null());
     let sort = member("sort").map(|sort| {
         let path = sort.get("path").and_then(Value::as_str);
         let path = path.ok_or_else(|| bad("sort.path"))?;
@@ -171,21 +176,10 @@ pub fn find_options_from_doc(doc: &Value) -> Result<FindOptions, StoreError> {
         };
         Ok((path.to_string(), order))
     });
-    let skip = doc.get("skip").and_then(Value::as_u64);
     let limit = member("limit").map(|limit| limit.as_u64().ok_or_else(|| bad("limit")));
-    let projection = member("projection").map(|paths| {
-        let paths = paths.as_array().ok_or_else(|| bad("projection"))?;
-        let path = |p: &Value| p.as_str().map(str::to_string);
-        let paths = paths
-            .iter()
-            .map(|p| path(p).ok_or_else(|| bad("projection entry")));
-        paths.collect::<Result<Vec<String>, StoreError>>()
-    });
     Ok(FindOptions {
         sort: sort.transpose()?,
-        skip: skip.ok_or_else(|| bad("skip"))? as usize,
         limit: limit.transpose()?.map(|n| n as usize),
-        projection: projection.transpose()?,
     })
 }
 
@@ -352,7 +346,7 @@ mod tests {
         let modified = coll
             .update_many(
                 &Filter::parse(&json!({"city": "paris"})).unwrap(),
-                &Update::inc("n", 5.0),
+                &Update::set("n", 5.0),
             )
             .unwrap();
         assert_eq!(modified, 2);
@@ -398,20 +392,102 @@ mod tests {
     fn find_options_doc_round_trips() {
         let options = FindOptions::new()
             .sort("spl", SortOrder::Descending)
-            .skip(3)
-            .limit(10)
-            .project(vec!["spl".into(), "city".into()]);
+            .limit(10);
         let doc = find_options_to_doc(&options);
         let back = find_options_from_doc(&doc).unwrap();
         assert_eq!(back.sort, options.sort);
-        assert_eq!(back.skip, options.skip);
         assert_eq!(back.limit, options.limit);
-        assert_eq!(back.projection, options.projection);
 
         let defaults =
             find_options_from_doc(&find_options_to_doc(&FindOptions::default())).unwrap();
         assert!(defaults.sort.is_none());
-        assert_eq!(defaults.skip, 0);
+        assert!(defaults.limit.is_none());
+    }
+
+    /// Every filter operator, update operator and find-options member
+    /// the store does not have, with the typed error it answers — in
+    /// process, from the parsers, and over a loopback connection. The
+    /// typed client cannot express them, so the wire requests are built
+    /// by hand, as an older peer or another implementation would send
+    /// them; and the collection is left as it was.
+    #[test]
+    fn removed_grammar_is_refused_in_process_and_over_the_wire() {
+        use crate::client::{NetError, WireConn};
+        let bad_filter = |op: &str| StoreError::BadFilter(format!("unknown operator {op}"));
+        let on_path = |op: &str| bad_filter(&format!("{op} on path a"));
+        let filters = [
+            (json!({"a": {"$ne": 1}}), on_path("$ne")),
+            (json!({"a": {"$nin": [1]}}), on_path("$nin")),
+            (json!({"a": {"$exists": true}}), on_path("$exists")),
+            (json!({"a": {"$contains": "x"}}), on_path("$contains")),
+            (json!({"$or": [{"a": 1}]}), bad_filter("$or")),
+            (json!({"$not": {"a": 1}}), bad_filter("$not")),
+        ];
+        let bad_update = |op: &str| StoreError::BadUpdate(format!("unknown operator {op}"));
+        let updates = [
+            (json!({"$inc": {"a": 1}}), bad_update("$inc")),
+            (json!({"$unset": {"a": 1}}), bad_update("$unset")),
+            (json!({"$push": {"a": 1}}), bad_update("$push")),
+            (
+                json!({"$set": {"b": 1}, "$inc": {"a": 1}}),
+                bad_update("$inc"),
+            ),
+        ];
+        let bad_options = |m: &str| StoreError::Transport(format!("bad find options: {m}"));
+        let options = [
+            (json!({"skip": 1}), bad_options("skip")),
+            (
+                json!({"projection": ["a"], "limit": 1}),
+                bad_options("projection"),
+            ),
+            (json!({"limit": 1, "skip": 0}), bad_options("skip")),
+        ];
+        for (doc, error) in &filters {
+            assert_eq!(Filter::parse(doc).as_ref(), Err(error), "{doc}");
+        }
+        for (doc, error) in &updates {
+            assert_eq!(Update::parse(doc).as_ref(), Err(error), "{doc}");
+        }
+        for (doc, error) in &options {
+            assert_eq!(
+                find_options_from_doc(doc).as_ref().err(),
+                Some(error),
+                "{doc}"
+            );
+        }
+
+        let store = Arc::new(Store::new());
+        store.collection("obs").insert_one(json!({"a": 1})).unwrap();
+        let before = store.export_json();
+        let served: Arc<dyn DocstoreTransport> = store.clone();
+        let server = DocstoreService::new(served);
+        let mut server =
+            WireServer::bind("127.0.0.1:0", Arc::new(server), ServerConfig::default()).unwrap();
+        let mut conn =
+            WireConn::connect(server.local_addr().to_string(), &ClientConfig::default()).unwrap();
+        let mut ask = |opcode: u8, docs: &[&Value]| {
+            let mut body = WireWriter::new();
+            body.string("obs");
+            for doc in docs {
+                body.bytes(doc.to_string().as_bytes());
+            }
+            match conn.call(opcode, &[], &body.finish()) {
+                Err(NetError::Remote { code, payload }) => decode_store_error(code, &payload),
+                other => panic!("{docs:?} answered {other:?}"),
+            }
+        };
+        for (doc, error) in &filters {
+            assert_eq!(&ask(op::FIND, &[doc]), error, "{doc}");
+        }
+        for (doc, error) in &updates {
+            assert_eq!(&ask(op::UPDATE_MANY, &[&json!({}), doc]), error, "{doc}");
+        }
+        for (doc, error) in &options {
+            let answer = ask(op::FIND_WITH_OPTIONS, &[&json!({}), doc]);
+            assert_eq!(&answer, error, "{doc}");
+        }
+        assert_eq!(store.export_json(), before);
+        server.shutdown();
     }
 
     #[test]

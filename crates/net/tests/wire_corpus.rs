@@ -632,9 +632,7 @@ const DOCSTORE_CALLS: &[Call<RemoteStore>] = &[
         call: |s| {
             let options = FindOptions::new()
                 .sort("spl", SortOrder::Descending)
-                .skip(1)
-                .limit(2)
-                .project(vec!["city".into()]);
+                .limit(2);
             docs(
                 s.collection("obs")
                     .find_with_options(&Filter::gte("spl", 40.0), &options),
@@ -652,7 +650,7 @@ const DOCSTORE_CALLS: &[Call<RemoteStore>] = &[
         call: |s| {
             shown(
                 s.collection("obs")
-                    .update_many(&Filter::eq("city", "lyon"), &Update::inc("spl", 1.5)),
+                    .update_many(&Filter::eq("city", "lyon"), &Update::set("spl", 41.5)),
             )
         },
     },
@@ -795,10 +793,10 @@ const DOCSTORE_FRAMES: &[Frame] = &[
     },
     Frame {
         name: "FIND_WITH_OPTIONS",
-        request: "030000006f6273150000007b2273706c223a7b2224677465223a34302e307d7d4f0000007b226c696d6974223a322c2270726f6a656374696f6e223a5b2263697479225d2c22736b6970223a312c22736f7274223a7b226f72646572223a2264657363222c2270617468223a2273706c227d7d",
+        request: "030000006f6273150000007b2273706c223a7b2224677465223a34302e307d7d300000007b226c696d6974223a322c22736f7274223a7b226f72646572223a2264657363222c2270617468223a2273706c227d7d",
         status: 0,
-        reply: "02000000180000007b225f6964223a302c2263697479223a227061726973227d170000007b225f6964223a332c2263697479223a226e696365227d",
-        decoded: "[{\"_id\":0,\"city\":\"paris\"},{\"_id\":3,\"city\":\"nice\"}]",
+        reply: "02000000240000007b225f6964223a322c2263697479223a227061726973222c2273706c223a37322e32357d230000007b225f6964223a302c2263697479223a227061726973222c2273706c223a36312e357d",
+        decoded: "[{\"_id\":2,\"city\":\"paris\",\"spl\":72.25},{\"_id\":0,\"city\":\"paris\",\"spl\":61.5}]",
     },
     Frame {
         name: "COUNT",
@@ -809,7 +807,7 @@ const DOCSTORE_FRAMES: &[Frame] = &[
     },
     Frame {
         name: "UPDATE_MANY",
-        request: "030000006f6273170000007b2263697479223a7b22246571223a226c796f6e227d7d140000007b2224696e63223a7b2273706c223a312e357d7d",
+        request: "030000006f6273170000007b2263697479223a7b22246571223a226c796f6e227d7d150000007b2224736574223a7b2273706c223a34312e357d7d",
         status: 0,
         reply: "0100000000000000",
         decoded: "Ok(1)",
@@ -921,7 +919,7 @@ const DOCSTORE_FRAMES: &[Frame] = &[
     },
     Frame {
         name: "FIND_WITH_OPTIONS (Unorderable)",
-        request: "050000006d69786564020000007b7d4b0000007b226c696d6974223a6e756c6c2c2270726f6a656374696f6e223a6e756c6c2c22736b6970223a302c22736f7274223a7b226f72646572223a22617363222c2270617468223a226b227d7d",
+        request: "050000006d69786564020000007b7d300000007b226c696d6974223a6e756c6c2c22736f7274223a7b226f72646572223a22617363222c2270617468223a226b227d7d",
         status: 21,
         reply: "010000006b",
         decoded: "Err(Unorderable(\"k\"))",
@@ -1159,6 +1157,21 @@ struct Malformed {
     reply: &'static str,
 }
 
+/// What a peer that still sends `skip`, `projection` and `$inc` puts on
+/// the wire for the `FIND_WITH_OPTIONS`, `FIND_WITH_OPTIONS
+/// (Unorderable)` and `UPDATE_MANY` calls: each must be refused, never
+/// half-applied.
+const OLD_FIND_WITH_OPTIONS: &str = "030000006f6273150000007b2273706c223a7b2224677465223a34302e307d7d4f0000007b226c696d6974223a322c2270726f6a656374696f6e223a5b2263697479225d2c22736b6970223a312c22736f7274223a7b226f72646572223a2264657363222c2270617468223a2273706c227d7d";
+const OLD_FIND_WITH_OPTIONS_UNORDERABLE: &str = "050000006d69786564020000007b7d4b0000007b226c696d6974223a6e756c6c2c2270726f6a656374696f6e223a6e756c6c2c22736b6970223a302c22736f7274223a7b226f72646572223a22617363222c2270617468223a226b227d7d";
+const OLD_UPDATE_MANY: &str = "030000006f6273170000007b2263697479223a7b22246571223a226c796f6e227d7d140000007b2224696e63223a7b2273706c223a312e357d7d";
+
+/// Writes a hex literal's bytes as they stand.
+fn write_hex(w: &mut WireWriter, hex: &str) {
+    for byte in unhex(hex) {
+        w.u8(byte);
+    }
+}
+
 const MALFORMED_DOCSTORE: &[Malformed] = &[
     Malformed {
         name: "FIND: filter is not JSON -> typed, after the fields were read",
@@ -1203,7 +1216,7 @@ const MALFORMED_DOCSTORE: &[Malformed] = &[
             w.string("obs").bytes(b"{}").bytes(br#"{"$nope":{}}"#);
         },
         status: docstore_api::err::BAD_UPDATE,
-        reply: "1800000075706461746520686173206e6f206f7065726174696f6e73",
+        reply: "16000000756e6b6e6f776e206f70657261746f7220246e6f7065",
     },
     Malformed {
         name: "FIND_WITH_OPTIONS: good filter, bad options -> typed",
@@ -1213,6 +1226,27 @@ const MALFORMED_DOCSTORE: &[Malformed] = &[
         },
         status: docstore_api::err::TRANSPORT,
         reply: "160000006261642066696e64206f7074696f6e733a20736b6970",
+    },
+    Malformed {
+        name: "FIND_WITH_OPTIONS: the skip and projection an older peer sends -> refused",
+        opcode: dop::FIND_WITH_OPTIONS,
+        body: |w| write_hex(w, OLD_FIND_WITH_OPTIONS),
+        status: docstore_api::err::TRANSPORT,
+        reply: "1c0000006261642066696e64206f7074696f6e733a2070726f6a656374696f6e",
+    },
+    Malformed {
+        name: "FIND_WITH_OPTIONS (Unorderable): an older peer's null projection, zero skip -> refused",
+        opcode: dop::FIND_WITH_OPTIONS,
+        body: |w| write_hex(w, OLD_FIND_WITH_OPTIONS_UNORDERABLE),
+        status: docstore_api::err::TRANSPORT,
+        reply: "1c0000006261642066696e64206f7074696f6e733a2070726f6a656374696f6e",
+    },
+    Malformed {
+        name: "UPDATE_MANY: an older peer's $inc -> BadUpdate",
+        opcode: dop::UPDATE_MANY,
+        body: |w| write_hex(w, OLD_UPDATE_MANY),
+        status: docstore_api::err::BAD_UPDATE,
+        reply: "15000000756e6b6e6f776e206f70657261746f722024696e63",
     },
     Malformed {
         name: "INSERT_MANY: two unparsable documents -> the last one's error answers",

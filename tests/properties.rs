@@ -324,13 +324,13 @@ fn filters_never_panic_on_arbitrary_documents() {
         });
         let filters = [
             Filter::eq("n", n),
-            Filter::ne("s", "x"),
+            Filter::is_in("s", vec!["x".into(), serde_json::Value::Null]),
             Filter::gt("nested.n", 0),
             Filter::range("n", -10, 10),
-            Filter::exists("arr", true),
+            Filter::lte("arr", 1),
             Filter::eq("arr", serde_json::json!([n, s])),
-            Filter::Not(Box::new(Filter::eq("flag", true))),
-            Filter::or(vec![Filter::eq("missing", 1), Filter::lt("n", 0)]),
+            Filter::eq("flag", serde_json::Value::Null),
+            Filter::and(vec![Filter::eq("missing", 1), Filter::lt("n", 0)]),
         ];
         for f in &filters {
             let _ = f.matches(&doc); // must not panic
