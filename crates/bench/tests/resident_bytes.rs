@@ -5,14 +5,12 @@
 //! difference is what the indexes cost, which is what the
 //! open block's rows cost in them: sealed blocks are not indexed. Deterministic — no
 //! `/proc`, no timing — because the allocator is this binary's own and
-//! counts the bytes asked for; run with `--nocapture` for the numbers.
-//! The same count at 1 000 000 documents, the scale the residency target
-//! is stated at, is `#[ignore]`d (run it with `--release -- --ignored`).
-//!
-//! It lives here rather than beside the store: a `#[global_allocator]`
-//! needs an `unsafe impl`, which every crate that inherits the
-//! workspace's lint table forbids, and `mps-bench` is the member that
-//! does not.
+//! counts the bytes asked for (`counting`); run with `--nocapture` for
+//! the numbers. The same count at 1 000 000 documents, the scale the
+//! residency target is stated at, is `#[ignore]`d (run it with
+//! `--release -- --ignored`).
+
+mod counting;
 
 use mps_docstore::Store;
 use mps_goflow::{ObservationRecord, PrivacyPolicy};
@@ -21,59 +19,12 @@ use mps_types::{
     SensingMode, SimDuration, SimTime, SoundLevel,
 };
 use serde_json::Value;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 use std::sync::{Mutex, PoisonError};
 
-/// `System`, with a running total of the bytes it holds.
-struct Counting;
-
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-/// Held by each count: `LIVE` is the whole process's, so two counts run
-/// side by side (`--include-ignored`) would each see the other's bytes.
+/// Held by each count: the live bytes are the whole process's, so two
+/// counts run side by side (`--include-ignored`) would each see the
+/// other's bytes.
 static COUNTING: Mutex<()> = Mutex::new(());
-
-// SAFETY: every call goes to `System` unchanged; only sizes are counted.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's guarantees for `layout` are `System`'s.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: as for `alloc`.
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, so from `System`, with
-        // `layout`: the caller guarantees it.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size() as isize, Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as for `dealloc`, and the caller's guarantees for
-        // `new_size` are `System`'s.
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        if !moved.is_null() {
-            LIVE.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
-        }
-        moved
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const BATCH: u64 = 16;
 const MS_PER_DAY: i64 = 24 * 3_600_000;
@@ -129,12 +80,12 @@ fn bytes_per_document(docs: u64, indexes: &[&str]) -> f64 {
         observations.create_index(path).expect("an index");
     }
     let mut draw = Draw(1);
-    let before = LIVE.load(Relaxed);
+    let before = counting::live_bytes();
     for batch in 0..docs / BATCH {
         let docs = (batch * BATCH..(batch + 1) * BATCH).map(|i| observation(&mut draw, i));
         observations.insert_many(docs).expect("stored");
     }
-    let held = LIVE.load(Relaxed) - before;
+    let held = counting::live_bytes() - before;
     assert_eq!(observations.len() as u64, docs);
     held as f64 / docs as f64
 }

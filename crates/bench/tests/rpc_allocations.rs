@@ -5,55 +5,14 @@
 //! the hot path must not allocate: a histogram is resolved once per
 //! connection and opcode, and an observation is an atomic add. So the
 //! two counts are equal — the per-RPC allowance is zero allocations —
-//! however loaded the machine is: no clock is read.
-//!
-//! It lives here rather than beside the server: a `#[global_allocator]`
-//! needs an `unsafe impl`, which every crate that inherits the
-//! workspace's lint table forbids, and `mps-bench` is the member that
-//! does not. One test, so that no other test's allocations land in the
-//! counts.
+//! however loaded the machine is: no clock is read (`counting`). One
+//! test, so that no other test's allocations land in the counts.
+
+mod counting;
 
 use mps_broker::{Broker, BrokerTransport, ExchangeType};
 use mps_net::{ClientConfig, RemoteBroker, ServerConfig, WireServer};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
-
-/// `System`, with a running count of the blocks it hands out.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call goes to `System` unchanged; only calls are counted.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, SeqCst);
-        // SAFETY: the caller's guarantees for `layout` are `System`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, SeqCst);
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, so from `System`, with
-        // `layout`: the caller guarantees it.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, SeqCst);
-        // SAFETY: as for `dealloc`, and the caller's guarantees for
-        // `new_size` are `System`'s.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// RPCs per count.
 const RPCS: u64 = 200;
@@ -68,11 +27,11 @@ fn allocations(remote: &RemoteBroker, payload: &[u8]) -> u64 {
     for _ in 0..RPCS {
         publish();
     }
-    let before = ALLOCATIONS.load(SeqCst);
+    let before = counting::allocations();
     for _ in 0..RPCS {
         publish();
     }
-    ALLOCATIONS.load(SeqCst) - before
+    counting::allocations() - before
 }
 
 #[test]

@@ -13,8 +13,9 @@
 //! * **Fanout** — every binding matches; no index needed.
 //!
 //! On top of the indexes sits a bounded `RouteCache` memoizing the full
-//! breadth-first destination set per `(entry exchange, routing key)`; the
-//! broker invalidates it on every bind/unbind/delete. The naive matcher
+//! breadth-first destination set per `(entry exchange, routing key)`; a
+//! bind, unbind or delete drops the entries of the exchanges that reach
+//! the one it changed. The naive matcher
 //! ([`crate::topic_matches`] / `BindingPattern::matches`) is retained as
 //! the reference implementation the trie is property-tested against.
 
@@ -25,8 +26,11 @@ use std::sync::Arc;
 
 /// How many `(exchange, key)` entries the routing-result cache may hold
 /// before it flushes. Flush-on-full keeps the policy deterministic and
-/// the memory bound hard; steady-state key sets far smaller than this
-/// (GoFlow's are per-district) never evict at all.
+/// the memory bound hard. A steady-state key set smaller than this never
+/// flushes; GoFlow's is not one past 1 024 keys: every observation key
+/// starts with the client's id (`{client}.obs.{datatype}.{location}`),
+/// so a crowd of more clients than that flushes the whole cache once
+/// every 1 024 new keys.
 pub(crate) const ROUTE_CACHE_CAPACITY: usize = 1024;
 
 /// A word-segmented trie over topic binding patterns.
@@ -280,10 +284,11 @@ impl ExchangeIndex {
 /// Keyed by `(entry exchange, routing key)`; the value is the sorted set
 /// of destination queues the breadth-first exchange walk produced
 /// (before per-queue capacity checks, which depend on queue fill and are
-/// never cached). The broker clears the cache on every topology change
-/// — bind, unbind, queue/exchange deletion — and the cache flushes
-/// itself wholesale when it reaches capacity, keeping both the staleness
-/// rule and the memory bound trivially auditable.
+/// never cached). On every topology change — bind, unbind, queue or
+/// exchange deletion — the broker drops the entries whose entry exchange
+/// reaches the changed one ([`RouteCache::invalidate_exchanges`]), and
+/// the cache flushes itself wholesale when it reaches capacity, keeping
+/// both the staleness rule and the memory bound auditable.
 #[derive(Debug)]
 pub(crate) struct RouteCache {
     capacity: usize,

@@ -10,17 +10,20 @@
 //! apart, `find` / `get` / `all` build one per document *returned*,
 //! `update_many` converts the document it changes there and back.
 //!
-//! **Reads** share one iterator, `CollectionInner::matches`, which splits
-//! the filter once (`Split`) into what the planner, the summaries and the
-//! column pass each use. With a usable index the planner's candidates are
-//! open rows, and the sealed blocks are reached as a scan reaches them —
-//! summary, then column pass — the two streams merged in `_id` order;
-//! without one, a scan reaches both. What is not known to match is
-//! re-checked against the full filter. `count` consumes it without
-//! building anything, an unsorted `find` stops it at the limit, and a
-//! sorted one reads each match's key once, selects the `limit` first
-//! `(key, arrival, RowRef)` triples, sorts only those and converts only
-//! them. **Writes** share
+//! **Reads** share one iterator, `CollectionInner::matches`, which takes
+//! the filter apart once, into a [`Plan`]: one [`Term`] per clause, with
+//! its path's head and rest and, where a summary can use it, its numeric
+//! bounds as `f64`s. Every stage reads the one plan, and resolves the
+//! heads against a key list through its one [`KeySlots`]. The index
+//! [`probe`] gives the open rows' candidates, if an index serves; the
+//! sealed blocks are reached as a scan reaches them — summary, then
+//! column pass — and the two streams are merged in `_id` order; without
+//! an index, a scan reaches both. What is not known to match is
+//! re-checked, term by term. The stages are a pull pipeline: `count`
+//! consumes it without building anything, an unsorted `find` stops it at
+//! the limit, and a sorted one reads each match's key once, selects the
+//! `limit` first `(key, arrival, RowRef)` triples, sorts only those and
+//! converts only them. **Writes** share
 //! `Collection::mutate` (see [`crate::durability`]); each index's path
 //! is resolved against a row's shape once per shape, not once per row
 //! ([`IndexSlots`]).
@@ -35,8 +38,8 @@
 //! filter's numeric equalities and range bounds on undotted paths. Every
 //! read walks every summary, so the walk resolves a key set's slots once
 //! per query, not once per block, and compares the summary's `f64`s with
-//! the query's bounds made `f64`s once ([`NumericRange`]): a few
-//! nanoseconds a block.
+//! the terms' bounds made `f64`s once ([`Term`]): a few nanoseconds a
+//! block.
 //!
 //! **Sealing.** When `put` first stores an `_id` past a block that holds
 //! all its ids, of one shape, and was never unsealed, the block is sealed:
@@ -63,7 +66,7 @@
 //! collection's. Blocks that never seal — of mixed shapes, or unsealed
 //! by a write — keep every row's entry, and read as they did.
 //!
-//! Like the planner's candidates, summaries and the pass only ever narrow,
+//! Like the probe's candidates, summaries and the pass only ever narrow,
 //! and they are derived state: no byte on disk, rebuilt by replay through
 //! `put`. A pruned scan is still `PlanKind::FullScan`, and a read an
 //! index serves keeps its index plan though it scans the sealed blocks;
@@ -72,21 +75,21 @@
 //! was sealed and undone.
 
 use crate::durability::{journaled, Deltas, DurableCtx};
-use crate::filter::{Clause, Filter, IndexablePredicate, RangeBound};
-use crate::index::{IndexKey, PathIndex};
-use crate::planner::plan_query;
-use crate::row::{Doc, IndexSlots, KeySlots, Picked, Row, RowRef, Sealed, Shapes, Slots};
+use crate::filter::{Clause, Filter};
+use crate::index::{probe, IndexKey, PathIndex};
+use crate::row::{split_head, Doc, IndexSlots, KeySlots, Picked, Row, RowRef, Sealed, Shapes};
 use crate::telemetry::telemetry;
 use crate::update::Update;
-use crate::value::{compare_values, f64_above, f64_below, DocId};
+use crate::value::{compare_values, f64_within, DocId};
 use crate::StoreError;
 use mps_telemetry::SpanTimer;
 use mps_wal::{Rank, Ranked};
-use serde_json::{Number, Value};
+use serde_json::Value;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Sort direction for [`FindOptions`].
@@ -158,7 +161,7 @@ fn block_of(id: DocId) -> u64 {
 /// id, count and timestamp); an integer beyond is bracketed by the
 /// `f64`s either side of its own, so bounds there err outward by an ulp
 /// and never inward. A query's bounds are compared with them exactly
-/// (see [`NumericRange`]). `(∞, −∞)`: no number yet.
+/// (see [`Term`]). `(∞, −∞)`: no number yet.
 type Bounds = (f64, f64);
 const NO_NUMBER: Bounds = (f64::INFINITY, f64::NEG_INFINITY);
 /// 2⁵³: every integer of smaller magnitude is an `f64`.
@@ -222,25 +225,23 @@ impl Block {
         }
     }
 
-    /// Whether a row of the block may satisfy every one of `ranges`: some
-    /// key set has each member, with numbers on the right side of each
-    /// bound. A member that is absent or has held no number satisfies
-    /// none — a number is equal to, and ordered against, numbers only.
-    /// `slots` remembers where the ranges' members lie in the key set
-    /// last met: a scan of blocks of one key set looks none up twice.
-    fn may_hold<'k>(&'k self, ranges: &[NumericRange<'_>], slots: &mut KeySlots<'k>) -> bool {
-        let within = |bounds: &[Bounds], slots: &[Option<usize>]| {
-            ranges.iter().zip(slots).all(|(range, slot)| {
-                let Some(&(min, max)) = slot.map(|slot| &bounds[slot]) else {
-                    return false;
-                };
-                min <= max && max >= range.lo && min <= range.hi
-            })
-        };
+    /// Whether a row of the block may satisfy every term of `plan` that
+    /// bounds a number: some key set has each such member, with numbers
+    /// on the right side of each bound. A member that is absent or has
+    /// held no number satisfies none — a number is equal to, and ordered
+    /// against, numbers only.
+    fn may_hold<'a>(&'a self, plan: &Plan<'a>) -> bool {
         self.key_sets.len() > BLOCK_KEY_SETS
             || self.key_sets.iter().any(|(keys, bounds)| {
-                let members = ranges.iter().map(|range| range.key);
-                within(bounds, slots.of(keys, members))
+                plan.at(keys)
+                    .all(|(term, slot)| match (term.numbers, slot) {
+                        (None, _) => true,
+                        (Some(_), None) => false,
+                        (Some((lo, hi)), Some(slot)) => {
+                            let (min, max) = bounds[slot];
+                            min <= max && max >= lo && min <= hi
+                        }
+                    })
             })
     }
 
@@ -263,75 +264,70 @@ impl Block {
     }
 }
 
-/// A conjunct of a filter that summaries can rule a block out by: the
-/// top-level member `key` is a number within bounds, here the `f64`s
-/// `lo..=hi` — the smallest at or beyond the lower bound and the largest
-/// at or within the upper ([`f64_above`], [`f64_below`]), so that an
-/// `f64` [`Bounds`] is on the right side of a bound exactly when it is
-/// on the right side of one of these.
+/// One clause of a query, taken apart for every stage of its read.
 #[derive(Debug)]
-struct NumericRange<'a> {
-    key: &'a str,
-    lo: f64,
-    hi: f64,
+pub(crate) struct Term<'a> {
+    pub(crate) clause: &'a Clause,
+    /// The path's first segment, which a key list resolves, and the
+    /// segments after it, which walk the `Value` found there.
+    head: &'a str,
+    pub(crate) rest: Option<&'a str>,
+    /// For an undotted clause that holds for numbers alone, the `f64`s
+    /// `lo..=hi` that a summary's [`Bounds`] are compared with
+    /// ([`f64_within`]): a summary is on the right side of a bound
+    /// exactly when it is on the right side of one of these. Any other
+    /// clause — of another type, `$in`, a nested member — rules no block
+    /// out.
+    numbers: Option<Bounds>,
 }
 
-/// The [`NumericRange`]s among a filter's indexable `predicates`:
-/// equalities and range bounds against a number, on an undotted path.
-/// Anything else — other types, `$in`, nested members — is left to the
-/// column pass and the re-check, and rules no block out.
-fn numeric_ranges<'a>(predicates: &[IndexablePredicate<'a>]) -> Vec<NumericRange<'a>> {
-    /// The `f64` end of a bound against a number, by `end`.
-    fn number(bound: Option<RangeBound<'_>>, end: fn(&Number, bool) -> Option<f64>) -> Option<f64> {
-        match bound {
-            Some((Value::Number(n), inclusive)) => end(n, inclusive),
-            _ => None,
+impl<'a> Term<'a> {
+    fn of(clause: &'a Clause) -> Self {
+        let (head, rest) = split_head(&clause.path);
+        let numbers = clause.test.numbers().filter(|_| rest.is_none());
+        let numbers = numbers.and_then(|(lo, hi)| f64_within(lo, hi));
+        Term {
+            clause,
+            head,
+            rest,
+            numbers,
         }
     }
-    let ranges = predicates.iter().filter_map(|predicate| {
-        let (key, lo, hi) = match *predicate {
-            IndexablePredicate::Eq { path, value } => {
-                (path, Some((value, true)), Some((value, true)))
-            }
-            IndexablePredicate::Range(range) => range,
-        };
-        let (lo, hi) = (number(lo, f64_above), number(hi, f64_below));
-        let prunes = !key.contains('.') && (lo.is_some() || hi.is_some());
-        prunes.then_some(NumericRange {
-            key,
-            lo: lo.unwrap_or(f64::NEG_INFINITY),
-            hi: hi.unwrap_or(f64::INFINITY),
-        })
-    });
-    ranges.collect()
 }
 
-/// A filter taken apart once per query into what each mechanism that
-/// narrows a read uses: the planner its indexable predicates, the block
-/// summaries their numeric ranges, the column pass the clauses it can
-/// decide on one column.
+/// A filter taken apart once per read: a [`Term`] per clause, which the
+/// index probe, the block summaries, the column pass and the re-check
+/// all read, and the one memo of where the terms' heads lie in the key
+/// list last met.
 #[derive(Debug)]
-pub(crate) struct Split<'a> {
-    indexable: Vec<IndexablePredicate<'a>>,
-    ranges: Vec<NumericRange<'a>>,
-    /// The clauses on an undotted path: a function of one member alone.
-    members: Vec<&'a Clause>,
-    /// Whether `members` is every clause: then what the column pass
-    /// keeps matches, and needs no re-check.
-    decided: bool,
+pub(crate) struct Plan<'a> {
+    pub(crate) terms: Vec<Term<'a>>,
+    slots: KeySlots<'a>,
 }
 
-impl<'a> Split<'a> {
+impl<'a> Plan<'a> {
     pub(crate) fn of(filter: &'a Filter) -> Self {
-        let indexable = filter.indexable_predicates();
-        let clauses = filter.clauses.iter();
-        let members: Vec<&Clause> = clauses.filter(|c| !c.path.contains('.')).collect();
-        Split {
-            ranges: numeric_ranges(&indexable),
-            indexable,
-            decided: members.len() == filter.clauses.len(),
-            members,
+        Plan {
+            terms: filter.clauses.iter().map(Term::of).collect(),
+            slots: KeySlots::new(filter.clauses.len()),
         }
+    }
+
+    /// Each term, with the slot of its head in `keys` (`None`: `keys`
+    /// lacks it).
+    pub(crate) fn at(
+        &self,
+        keys: &'a [String],
+    ) -> impl Iterator<Item = (&Term<'a>, Option<usize>)> {
+        let slots = self.slots.of(keys, self.terms.iter().map(|term| term.head));
+        let terms = self.terms.iter();
+        terms.zip(slots).map(|(term, slot)| (term, slot.get()))
+    }
+
+    /// Whether `row` satisfies every term: the re-check.
+    pub(crate) fn holds(&self, row: RowRef<'a>) -> bool {
+        let mut terms = self.at(row.keys());
+        terms.all(|(term, slot)| term.clause.holds(row.at_slot(slot, term.rest).as_deref()))
     }
 }
 
@@ -625,26 +621,22 @@ impl CollectionInner {
 
     /// The rows a scan has to look at, in `_id` order, each with whether
     /// it is known to match: of the sealed blocks whose summaries cannot
-    /// rule out one of the filter's numeric conjuncts, the rows the column
-    /// pass keeps — known to match when it decided every conjunct — and,
-    /// unless an index serves them (`open` false), all open rows of such
-    /// blocks.
+    /// rule out one of the plan's numeric terms, the rows the column pass
+    /// keeps — known to match when it decided every term — and, unless an
+    /// index serves them (`open` false), all open rows of such blocks.
     pub(crate) fn scan<'a>(
         &'a self,
-        split: Split<'a>,
+        plan: Rc<Plan<'a>>,
         open: bool,
     ) -> impl Iterator<Item = Found<'a>> + 'a {
         let mut tally = BlockTally::default();
-        let (mut key_slots, mut member_slots) = (KeySlots::default(), KeySlots::default());
-        let decided = split.decided;
+        let decided = plan.terms.iter().all(|term| term.rest.is_none());
         // Each block the summaries and the pass leave in: its first id and
         // either its open rows or the sealed rows picked.
         let held = move |(&first, block): (&'a u64, &'a Block)| {
-            let held = block.may_hold(&split.ranges, &mut key_slots);
+            let held = block.may_hold(&plan);
             let picked = match &block.sealed {
-                Some(sealed) if held => sealed
-                    .pass(&split.members, &mut member_slots)
-                    .map(|picked| Some((sealed, picked))),
+                Some(sealed) if held => sealed.pass(&plan).map(|picked| Some((sealed, picked))),
                 None if held && open => Some(None),
                 _ => None,
             };
@@ -669,26 +661,25 @@ impl CollectionInner {
     }
 
     /// Rows matching `filter` in `_id` order — the one read path under
-    /// find, count, distinct, update and delete. The filter is split once
-    /// ([`Split`]). With a usable index, the planner's candidates — open
-    /// rows — are fetched, and merged by `_id` with what
-    /// [`scan`](Self::scan) yields of the sealed blocks; without one, the
-    /// scan yields both. What is not known to match is re-checked against
-    /// the full filter. The chosen plan is recorded in
-    /// `docstore_query_plans_total{plan=...}`.
+    /// find, count, distinct, update and delete. The filter is taken
+    /// apart once ([`Plan`]). Where an index serves, the [`probe`]'s
+    /// candidates — open rows — are fetched, and merged by `_id` with what
+    /// [`scan`](Self::scan) yields of the sealed blocks; otherwise the
+    /// scan yields both. What is not known to match is re-checked. The
+    /// plan that ran is recorded in `docstore_query_plans_total{plan=...}`.
     pub(crate) fn matches<'a>(
         &'a self,
         filter: &'a Filter,
     ) -> impl Iterator<Item = (DocId, RowRef<'a>)> + 'a {
-        let split = Split::of(filter);
-        let plan = plan_query(&split.indexable, &self.indexes.paths);
-        telemetry().record_plan(plan.kind);
-        let scan = self.scan(split, plan.candidates.is_none());
-        let indexed = plan.candidates.into_iter().flatten();
+        let plan = Rc::new(Plan::of(filter));
+        let clauses = plan.terms.iter().map(|term| term.clause);
+        let (kind, candidates) = probe(&self.indexes.paths, clauses);
+        telemetry().record_plan(kind);
+        let scan = self.scan(Rc::clone(&plan), candidates.is_none());
+        let indexed = candidates.into_iter().flatten();
         let indexed = indexed.filter_map(move |id| Some((id, self.get(id)?, false)));
-        let mut slots = Slots::of(filter);
         in_id_order(indexed, scan)
-            .filter(move |&(_, row, known)| known || filter.matches_doc(&slots.view(row)))
+            .filter(move |&(_, row, known)| known || plan.holds(row))
             .map(|(id, row, _)| (id, row))
     }
 
@@ -777,10 +768,8 @@ impl CollectionInner {
 
     /// Blocks a scan for `filter` skips on their summaries alone.
     pub(crate) fn ruled_out(&self, filter: &Filter) -> usize {
-        let ranges = Split::of(filter).ranges;
-        let mut slots = KeySlots::default();
-        let blocks = self.blocks.values();
-        blocks.filter(|b| !b.may_hold(&ranges, &mut slots)).count()
+        let plan = Plan::of(filter);
+        self.blocks.values().filter(|b| !b.may_hold(&plan)).count()
     }
 }
 
@@ -939,8 +928,8 @@ impl Collection {
     /// Returns documents matching `filter`, sorted and then limited as
     /// `options` ask.
     ///
-    /// The query planner consults secondary indexes first (see
-    /// `crate::planner`); unsorted queries additionally stop visiting
+    /// Secondary indexes are probed for the open rows first (see
+    /// `crate::index`); unsorted queries additionally stop visiting
     /// documents once `limit` results have been produced, and sorted
     /// queries read each match's sort key once, order references to the
     /// first `limit` only, and build documents only for those.
@@ -1341,7 +1330,8 @@ mod tests {
     fn visited(c: &Collection, filter: &Value) -> Vec<u64> {
         let filter = Filter::parse(filter).unwrap();
         let inner = c.inner.lock();
-        let scanned = inner.scan(Split::of(&filter), true).map(|(id, _, _)| id.0);
+        let scanned = inner.scan(Rc::new(Plan::of(&filter)), true);
+        let scanned = scanned.map(|(id, _, _)| id.0);
         scanned.collect()
     }
 
@@ -1505,7 +1495,7 @@ mod tests {
         let inner = c.inner.lock();
         let index = &inner.indexes.paths[path];
         let mut ids: Vec<u64> = index
-            .lookup_range(None, None)
+            .lookup_range(&None, &None)
             .iter()
             .map(|id| id.0)
             .collect();
@@ -1560,8 +1550,107 @@ mod tests {
     }
 
     #[test]
+    fn each_read_records_the_plan_its_indexes_gave() {
+        use crate::index::PlanKind::{FullScan, IndexEq, IndexIntersect, IndexRange};
+        let (c, unindexed) = (seeded(), seeded());
+        c.create_index("model").unwrap();
+        c.create_index("spl").unwrap();
+        let a_then_b =
+            |a: Value, b: Value| json!({"$and": [{"spl": a}, {"model": "A"}, {"spl": b}]});
+        let table = [
+            (json!({"model": "A"}), IndexEq, vec![0, 2]),
+            (json!({"spl": {"$gt": 50}}), IndexRange, vec![1, 2, 3]),
+            (
+                json!({"spl": {"$gte": 40, "$lt": 60}}),
+                IndexRange,
+                vec![0, 1],
+            ),
+            // Consecutive bounds on one path are one interval.
+            (
+                json!({"$and": [{"spl": {"$gte": 40}}, {"spl": {"$lt": 60}}]}),
+                IndexRange,
+                vec![0, 1],
+            ),
+            (
+                json!({"model": "A", "spl": {"$gt": 50}}),
+                IndexIntersect,
+                vec![2],
+            ),
+            (
+                json!({"model": "B", "spl": {"$gt": 60}}),
+                IndexIntersect,
+                vec![],
+            ),
+            // Bounds apart are two intervals, each probed on its own.
+            (
+                a_then_b(json!({"$gte": 40}), json!({"$lt": 60})),
+                IndexIntersect,
+                vec![0],
+            ),
+            // An unindexed clause leaves the indexed one to serve.
+            (
+                json!({"model": "A", "loc.acc": {"$gt": 5}}),
+                IndexEq,
+                vec![0],
+            ),
+            (json!({"loc.acc": {"$lt": 50}}), FullScan, vec![0, 1]),
+            // Null also matches a missing member, and neither a set of
+            // values nor an array is a key: no index enumerates them.
+            (json!({"model": null}), FullScan, vec![]),
+            (
+                json!({"model": {"$in": ["A", "B"]}}),
+                FullScan,
+                vec![0, 1, 2],
+            ),
+            (json!({"model": ["A"]}), FullScan, vec![]),
+        ];
+        let ids_of = |c: &Collection, filter: &Filter| -> Vec<u64> {
+            let inner = c.inner.lock();
+            inner.matches(filter).map(|(id, _)| id.0).collect()
+        };
+        for (filter, kind, ids) in table {
+            let filter = Filter::parse(&filter).unwrap();
+            let plan = Plan::of(&filter);
+            let clauses = plan.terms.iter().map(|term| term.clause);
+            let probed = probe(&c.inner.lock().indexes.paths, clauses).0;
+            assert_eq!(probed, kind, "{filter:?}");
+            assert_eq!(ids_of(&c, &filter), ids, "{filter:?}");
+            assert_eq!(ids_of(&unindexed, &filter), ids, "{filter:?}");
+        }
+    }
+
+    #[test]
+    fn an_array_or_object_equality_reads_the_open_rows_of_an_indexed_path() {
+        // No index holds an array or an object, so no probe answers an
+        // equality with one: the open rows are read as a scan reads them.
+        let c = Collection::new();
+        c.insert_many([
+            json!({"tags": ["a", "b"], "loc": {"x": 1}}),
+            json!({"tags": "a", "loc": 1}),
+            json!({"tags": ["a"], "loc": {"x": 2}}),
+        ])
+        .unwrap();
+        let filters = [
+            Filter::eq("tags", json!(["a", "b"])),
+            Filter::eq("loc", json!({"x": 1})),
+            Filter::and(vec![
+                Filter::eq("tags", json!(["a", "b"])),
+                Filter::eq("loc", json!({"x": 1})),
+            ]),
+        ];
+        let scanned: Vec<_> = filters.iter().map(|f| c.find(f).unwrap()).collect();
+        assert!(scanned.iter().all(|docs| docs.len() == 1), "{scanned:?}");
+        c.create_index("tags").unwrap();
+        c.create_index("loc").unwrap();
+        for (filter, scanned) in filters.iter().zip(&scanned) {
+            assert_eq!(&c.find(filter).unwrap(), scanned, "{filter:?}");
+            assert_eq!(c.count(filter).unwrap(), 1, "{filter:?}");
+        }
+    }
+
+    #[test]
     fn eq_null_does_not_use_index() {
-        // `eq null` matches docs missing the path; the planner must scan.
+        // `eq null` matches docs missing the path; no index may serve it.
         let c = seeded();
         c.create_index("loc.acc").unwrap();
         let r = c.find(&Filter::eq("loc.acc", Value::Null)).unwrap();

@@ -2,32 +2,10 @@
 //! of clauses that each test the value at one path.
 
 use crate::row::Doc;
-use crate::value::compare_values;
+use crate::value::{compare_values, NumberEnd};
 use crate::StoreError;
 use serde_json::{json, Map, Value};
 use std::cmp::Ordering;
-
-/// Inclusive/exclusive range bound used by the query planner:
-/// `(value, inclusive)`.
-pub(crate) type RangeBound<'a> = (&'a Value, bool);
-/// Planner view of a range predicate: `(path, lower, upper)`.
-pub(crate) type RangePredicate<'a> = (&'a str, Option<RangeBound<'a>>, Option<RangeBound<'a>>);
-
-/// One predicate of a filter that a secondary index could answer,
-/// extracted by [`Filter::indexable_predicates`] for the query planner.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum IndexablePredicate<'a> {
-    /// Equality against a non-null scalar (`eq null` also matches missing
-    /// fields, which no index can enumerate).
-    Eq {
-        /// Dotted document path.
-        path: &'a str,
-        /// Matched value.
-        value: &'a Value,
-    },
-    /// A (half-)bounded range on one path.
-    Range(RangePredicate<'a>),
-}
 
 /// A parsed query filter: a conjunction of clauses, each an equality, an
 /// interval or an in-set on one dotted path.
@@ -109,6 +87,27 @@ fn within(value: &Value, end: &Option<(Value, bool)>, outside: Ordering) -> bool
     std::mem::discriminant(value) == std::mem::discriminant(end)
         && compare_values(value, end)
             .is_some_and(|ord| ord != outside && (*inclusive || ord != Ordering::Equal))
+}
+
+impl Test {
+    /// Where the test holds for numbers alone — an equality with a
+    /// number, or an interval whose ends are numbers or absent — the
+    /// interval it holds for: then it holds for a value exactly when that
+    /// is a number within.
+    pub(crate) fn numbers(&self) -> Option<(NumberEnd<'_>, NumberEnd<'_>)> {
+        fn number(end: &Option<(Value, bool)>) -> Option<NumberEnd<'_>> {
+            match end {
+                None => Some(None),
+                Some((Value::Number(n), inclusive)) => Some(Some((n, *inclusive))),
+                Some(_) => None,
+            }
+        }
+        match self {
+            Test::Eq(Value::Number(n)) => Some((Some((n, true)), Some((n, true)))),
+            Test::Range(lo, hi) => Some((number(lo)?, number(hi)?)),
+            Test::Eq(_) | Test::In(_) => None,
+        }
+    }
 }
 
 impl Clause {
@@ -345,72 +344,21 @@ impl Filter {
         self.matches_doc(&doc)
     }
 
-    /// [`Filter::matches`] over any document representation: the one
-    /// evaluator.
+    /// [`Filter::matches`] over any document representation. A
+    /// collection's reads ask [`Clause::holds`] the same through their
+    /// plan, which resolves the paths once per key list.
     pub(crate) fn matches_doc<'v>(&self, doc: &impl Doc<'v>) -> bool {
         let mut clauses = self.clauses.iter();
         clauses.all(|clause| clause.holds(doc.at(&clause.path).as_deref()))
-    }
-
-    /// Every predicate of this filter that a secondary index could
-    /// answer: each non-null equality, plus one merged range per path.
-    ///
-    /// Bounds repeated on the same side of the same path keep the tighter
-    /// one (see `tighten`); what is extracted is always a superset of the
-    /// matches, because candidates are re-checked against the full filter.
-    pub(crate) fn indexable_predicates(&self) -> Vec<IndexablePredicate<'_>> {
-        /// Replaces `kept` by `new` where `new` is the tighter bound: for
-        /// a lower bound the `Greater` one, for an upper the `Less`, and
-        /// of two equal ones the exclusive. Bounds of different types do
-        /// not compare (no value satisfies both): the first stays, the
-        /// other is left to the re-check.
-        fn tighten<'a>(
-            kept: &mut Option<RangeBound<'a>>,
-            new: Option<RangeBound<'a>>,
-            tighter: Ordering,
-        ) {
-            let (Some((old, old_inclusive)), Some((value, inclusive))) = (*kept, new) else {
-                *kept = kept.or(new);
-                return;
-            };
-            let same_type = std::mem::discriminant(old) == std::mem::discriminant(value);
-            let replace = match compare_values(value, old) {
-                Some(Ordering::Equal) => old_inclusive && !inclusive,
-                Some(ordering) => same_type && ordering == tighter,
-                None => false,
-            };
-            if replace {
-                *kept = new;
-            }
-        }
-        fn end(end: &Option<(Value, bool)>) -> Option<RangeBound<'_>> {
-            end.as_ref().map(|(value, inclusive)| (value, *inclusive))
-        }
-        let mut predicates: Vec<IndexablePredicate<'_>> = Vec::new();
-        let mut ranges: Vec<RangePredicate<'_>> = Vec::new();
-        for Clause { path, test } in &self.clauses {
-            match test {
-                Test::Eq(value) if !value.is_null() => {
-                    predicates.push(IndexablePredicate::Eq { path, value });
-                }
-                Test::Range(lo, hi) => match ranges.iter_mut().find(|(p, _, _)| p == path) {
-                    Some((_, kept_lo, kept_hi)) => {
-                        tighten(kept_lo, end(lo), Ordering::Greater);
-                        tighten(kept_hi, end(hi), Ordering::Less);
-                    }
-                    None => ranges.push((path, end(lo), end(hi))),
-                },
-                _ => {}
-            }
-        }
-        predicates.extend(ranges.into_iter().map(IndexablePredicate::Range));
-        predicates
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::PlanKind;
+    use crate::planner::tests::{doc_ids, index_on, plan};
+    use std::collections::BTreeMap;
 
     fn doc() -> Value {
         json!({
@@ -589,26 +537,39 @@ mod tests {
         assert_eq!(parsed.matches(&probe), built.matches(&probe));
     }
 
+    fn clause(path: &str, test: Test) -> Clause {
+        let path = path.to_owned();
+        Clause { path, test }
+    }
+
     #[test]
     fn indexable_eq_extraction() {
         let f = Filter::parse(&json!({"model": "X", "spl": {"$gt": 3}})).unwrap();
-        assert!(f.indexable_predicates().contains(&IndexablePredicate::Eq {
-            path: "model",
-            value: &json!("X"),
-        }));
+        assert!(f.clauses.contains(&clause("model", Test::Eq(json!("X")))));
+        let indexes = BTreeMap::from([(
+            "model".to_owned(),
+            index_on(&[(json!("X"), 0), (json!("Y"), 1)]),
+        )]);
+        assert_eq!(plan(&f, &indexes), (PlanKind::IndexEq, Some(doc_ids(&[0]))));
     }
 
     #[test]
     fn indexable_range_extraction() {
         let f = Filter::parse(&json!({"spl": {"$gte": 10, "$lt": 20}})).unwrap();
-        let preds = f.indexable_predicates();
+        let interval = Test::Range(Some((json!(10), true)), Some((json!(20), false)));
+        assert_eq!(f.clauses, vec![clause("spl", interval)]);
+        let indexes = BTreeMap::from([(
+            "spl".to_owned(),
+            index_on(&[
+                (json!(5), 3),
+                (json!(10), 2),
+                (json!(15), 1),
+                (json!(20), 0),
+            ]),
+        )]);
         assert_eq!(
-            preds,
-            vec![IndexablePredicate::Range((
-                "spl",
-                Some((&json!(10), true)),
-                Some((&json!(20), false)),
-            ))]
+            plan(&f, &indexes),
+            (PlanKind::IndexRange, Some(doc_ids(&[1, 2])))
         );
     }
 
@@ -617,93 +578,65 @@ mod tests {
         let f =
             Filter::parse(&json!({"model": "X", "spl": {"$gte": 10, "$lt": 20}, "city": "paris"}))
                 .unwrap();
-        let preds = f.indexable_predicates();
-        assert_eq!(preds.len(), 3);
-        assert!(preds.contains(&IndexablePredicate::Eq {
-            path: "model",
-            value: &json!("X"),
-        }));
-        assert!(preds.contains(&IndexablePredicate::Eq {
-            path: "city",
-            value: &json!("paris"),
-        }));
-        assert!(preds.contains(&IndexablePredicate::Range((
+        assert_eq!(f.clauses.len(), 3);
+        let model = (
+            "model",
+            [("X", 0), ("X", 1), ("Y", 2), ("X", 3)].map(|(v, id)| (json!(v), id)),
+        );
+        let spl = (
             "spl",
-            Some((&json!(10), true)),
-            Some((&json!(20), false)),
-        ))));
+            [(15, 0), (15, 1), (15, 2), (25, 3)].map(|(v, id)| (json!(v), id)),
+        );
+        let city = (
+            "city",
+            [("paris", 0), ("london", 1), ("paris", 2), ("paris", 3)].map(|(v, id)| (json!(v), id)),
+        );
+        // Each clause alone is probed through its index...
+        for ((path, entries), kind) in [
+            (&model, PlanKind::IndexEq),
+            (&spl, PlanKind::IndexRange),
+            (&city, PlanKind::IndexEq),
+        ] {
+            let indexes = BTreeMap::from([(path.to_string(), index_on(entries))]);
+            assert_eq!(plan(&f, &indexes).0, kind, "{path}");
+        }
+        // ...and all three together, intersected.
+        let indexes =
+            [model, spl, city].map(|(path, entries)| (path.to_owned(), index_on(&entries)));
+        assert_eq!(
+            plan(&f, &BTreeMap::from(indexes)),
+            (PlanKind::IndexIntersect, Some(doc_ids(&[0])))
+        );
     }
 
     #[test]
     fn indexable_predicates_skips_null_eq_and_or() {
         // `eq null` also matches missing fields — never indexable.
         let f = Filter::parse(&json!({"loc": null})).unwrap();
-        assert!(f.indexable_predicates().is_empty());
+        let indexes = BTreeMap::from([("loc".to_owned(), index_on(&[(json!(null), 0)]))]);
+        assert_eq!(plan(&f, &indexes), (PlanKind::FullScan, None));
         // Neither is a set of values, which no single probe answers.
         let f = Filter::parse(&json!({"a": {"$in": [1, 2]}})).unwrap();
-        assert!(f.indexable_predicates().is_empty());
+        let indexes = BTreeMap::from([("a".to_owned(), index_on(&[(json!(1), 0), (json!(2), 1)]))]);
+        assert_eq!(plan(&f, &indexes), (PlanKind::FullScan, None));
     }
 
     #[test]
     fn indexable_predicates_merges_ranges_per_path() {
         let f = Filter::parse(&json!({"spl": {"$gt": 5}, "acc": {"$lte": 30}})).unwrap();
-        let preds = f.indexable_predicates();
-        assert_eq!(preds.len(), 2, "one merged range per path");
-    }
-
-    #[test]
-    fn repeated_bounds_on_one_path_keep_the_tighter() {
-        let range_of = |doc: Value| match Filter::parse(&doc).unwrap().indexable_predicates()[..] {
-            [IndexablePredicate::Range((_, lo, hi))] => (
-                lo.map(|(v, inclusive)| (v.clone(), inclusive)),
-                hi.map(|(v, inclusive)| (v.clone(), inclusive)),
-            ),
-            ref other => panic!("one range expected, got {other:?}"),
-        };
-        let and = |a: Value, b: Value| json!({"$and": [{"t": a}, {"t": b}]});
-        // Whichever comes last: last-wins planned `t >= 1` for the first.
-        for (a, b) in [
-            (json!({"$gte": 100}), json!({"$gte": 1})),
-            (json!({"$gte": 1}), json!({"$gte": 100})),
-        ] {
-            assert_eq!(range_of(and(a, b)), (Some((json!(100), true)), None));
-        }
+        assert_eq!(f.clauses.len(), 2, "one range per path");
+        // Consecutive bounds on one path are one interval, probed once.
+        let f =
+            Filter::parse(&json!({"$and": [{"spl": {"$gt": 5}}, {"spl": {"$lte": 30}}]})).unwrap();
+        let interval = Test::Range(Some((json!(5), false)), Some((json!(30), true)));
+        assert_eq!(f.clauses, vec![clause("spl", interval)]);
+        let indexes = BTreeMap::from([(
+            "spl".to_owned(),
+            index_on(&[(json!(5), 0), (json!(20), 1), (json!(40), 2)]),
+        )]);
         assert_eq!(
-            range_of(and(
-                json!({"$lt": 7, "$gt": 2.5}),
-                json!({"$lte": 3, "$gte": 2})
-            )),
-            (Some((json!(2.5), false)), Some((json!(3), true)))
-        );
-        // Equal values: the exclusive bound is the tighter, either way
-        // round, and `1` against `1.0` is such a tie.
-        for (a, b) in [
-            (
-                json!({"$gt": 1, "$lte": 9}),
-                json!({"$gte": 1.0, "$lt": 9.0}),
-            ),
-            (
-                json!({"$gte": 1, "$lt": 9}),
-                json!({"$gt": 1.0, "$lte": 9.0}),
-            ),
-        ] {
-            let (lo, hi) = range_of(and(a, b));
-            assert_eq!((lo.unwrap().1, hi.unwrap().1), (false, false));
-        }
-        // Integers `f64` cannot tell apart still order.
-        let two_53 = 9_007_199_254_740_992u64;
-        assert_eq!(
-            range_of(and(json!({"$gt": two_53}), json!({"$gt": two_53 + 1}))).0,
-            Some((json!(two_53 + 1), false))
-        );
-        // Different types do not compare: the first is kept.
-        assert_eq!(
-            range_of(and(json!({"$gte": 5}), json!({"$gte": "a"}))).0,
-            Some((json!(5), true))
-        );
-        assert_eq!(
-            range_of(and(json!({"$lt": "a"}), json!({"$lt": 5}))).1,
-            Some((json!("a"), false))
+            plan(&f, &indexes),
+            (PlanKind::IndexRange, Some(doc_ids(&[1])))
         );
     }
 

@@ -1,14 +1,14 @@
-//! Secondary indexes.
+//! Secondary indexes, and the probe that asks them for a query's rows.
 //!
 //! An index maps the scalar value at one dotted path to the ids of the
 //! documents holding that value — of the *open* rows only, those of the
 //! blocks that are not sealed: a sealed block's rows leave every index
 //! when it seals and come back when a write unseals it (see
-//! [`crate::collection`]). The collection's query planner consults
-//! indexes for equality and range predicates (see
-//! [`Collection::create_index`](crate::Collection::create_index)); the
-//! sealed blocks answer the same predicates from their summaries and
-//! columns.
+//! [`crate::collection`]). A query's clauses reach the indexes through
+//! [`probe`]: each equality with a non-null scalar and each interval on
+//! an indexed path gives the open rows' ids it may hold for, and the sets
+//! are intersected. The sealed blocks answer the same clauses from their
+//! summaries and columns.
 //!
 //! **How an entry lies in memory.** An index is one `BTreeMap` from
 //! [`IndexKey`] to [`Ids`]. A key is a scalar of 24 bytes — null, a
@@ -25,7 +25,13 @@
 //! key, and so are `0.0` and `-0.0`; 2⁵³ and 2⁵³ + 1 are two. Indexes are
 //! derived state: nothing of them reaches the disk, and a reopen rebuilds
 //! them from the open rows.
+//!
+//! Which indexes served a read is exported as
+//! `docstore_query_plans_total{plan=...}` ([`PlanKind`]) — watching
+//! `full_scan` climb on a hot collection is the signal that an index is
+//! missing, whether or not its scans skip.
 
+use crate::filter::{Clause, Test};
 use crate::value::{compare_numbers, DocId};
 use serde_json::{Number, Value};
 use std::cmp::Ordering;
@@ -249,19 +255,20 @@ impl PathIndex {
         self.entries = kept.collect();
     }
 
-    /// Ids of documents whose indexed value equals `value`, borrowed:
-    /// the planner walks or probes them where they lie.
-    pub(crate) fn eq_set(&self, value: &Value) -> Option<&Ids> {
-        self.entries.get(&IndexKey::new(value)?)
+    /// Ids of documents whose indexed value is `key`, borrowed: the
+    /// probe walks or probes them where they lie.
+    pub(crate) fn eq_set(&self, key: &IndexKey) -> Option<&Ids> {
+        self.entries.get(key)
     }
 
-    /// Ids of documents whose indexed value falls in the given bounds.
+    /// Ids of documents whose indexed value falls within `lo` and `hi`,
+    /// each `(value, inclusive)` or unbounded, in key order.
     pub(crate) fn lookup_range(
         &self,
-        lo: Option<(&Value, bool)>,
-        hi: Option<(&Value, bool)>,
+        lo: &Option<(Value, bool)>,
+        hi: &Option<(Value, bool)>,
     ) -> Vec<DocId> {
-        let bound = |end: Option<(&Value, bool)>| match end {
+        let bound = |end: &Option<(Value, bool)>| match end {
             None => Some(Bound::Unbounded),
             Some((v, true)) => IndexKey::new(v).map(Bound::Included),
             Some((v, false)) => IndexKey::new(v).map(Bound::Excluded),
@@ -293,6 +300,116 @@ impl PathIndex {
     }
 }
 
+/// Which indexes served a query's open rows, in increasing order of
+/// selectivity: the `plan` label of `docstore_query_plans_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanKind {
+    /// No usable index: every open row is visited.
+    FullScan,
+    /// One equality answered by an index.
+    IndexEq,
+    /// One interval answered by an index.
+    IndexRange,
+    /// Two or more indexed clauses, candidate sets intersected.
+    IndexIntersect,
+}
+
+impl PlanKind {
+    /// The `plan` label value this kind is exported under.
+    pub fn label(self) -> &'static str {
+        match self {
+            PlanKind::FullScan => "full_scan",
+            PlanKind::IndexEq => "index_eq",
+            PlanKind::IndexRange => "index_range",
+            PlanKind::IndexIntersect => "index_intersect",
+        }
+    }
+}
+
+/// One indexed clause's candidate ids, in ascending `_id` order.
+#[derive(Debug)]
+pub(crate) enum IdSet<'a> {
+    /// An equality's ids, where the index keeps them.
+    Borrowed(&'a Ids),
+    /// An interval's ids, gathered in key order and sorted by id.
+    Sorted(Vec<DocId>),
+}
+
+impl IdSet<'_> {
+    fn len(&self) -> usize {
+        match self {
+            IdSet::Borrowed(ids) => ids.len(),
+            IdSet::Sorted(ids) => ids.len(),
+        }
+    }
+
+    fn contains(&self, id: &DocId) -> bool {
+        match self {
+            IdSet::Borrowed(ids) => ids.contains(id),
+            IdSet::Sorted(ids) => ids.binary_search(id).is_ok(),
+        }
+    }
+}
+
+/// The open rows that may satisfy every one of `clauses`, ascending, and
+/// the plan that found them. Each clause on an indexed path that the
+/// index can enumerate gives a set: an equality with a scalar other than
+/// null (null also matches a missing member, and an array or object is
+/// no key), or an interval. `None` where no clause does: every open row
+/// is then a candidate. Either way the candidates are a superset, which
+/// the re-check narrows.
+pub(crate) fn probe<'c>(
+    indexes: &BTreeMap<String, PathIndex>,
+    clauses: impl Iterator<Item = &'c Clause>,
+) -> (PlanKind, Option<Vec<DocId>>) {
+    let mut sets = Vec::new();
+    let mut kind = PlanKind::FullScan;
+    for Clause { path, test } in clauses {
+        let Some(index) = indexes.get(path) else {
+            continue;
+        };
+        let (set, alone) = match test {
+            Test::Eq(value) => match IndexKey::new(value) {
+                None | Some(IndexKey::Null) => continue,
+                Some(key) => {
+                    let ids = index.eq_set(&key).map(IdSet::Borrowed);
+                    (ids.unwrap_or(IdSet::Sorted(Vec::new())), PlanKind::IndexEq)
+                }
+            },
+            Test::Range(lo, hi) => {
+                let mut ids = index.lookup_range(lo, hi);
+                ids.sort_unstable();
+                (IdSet::Sorted(ids), PlanKind::IndexRange)
+            }
+            Test::In(_) => continue,
+        };
+        kind = match sets.len() {
+            0 => alone,
+            _ => PlanKind::IndexIntersect,
+        };
+        sets.push(set);
+    }
+    (kind, (!sets.is_empty()).then(|| intersect(sets)))
+}
+
+/// The ids every one of `sets` holds, ascending: the smallest set is
+/// walked, the others are only probed, and none is copied but the result
+/// — a 139-id window against a 10 000-id model costs 139 lookups.
+pub(crate) fn intersect(mut sets: Vec<IdSet<'_>>) -> Vec<DocId> {
+    let Some(smallest) = (0..sets.len()).min_by_key(|&i| sets[i].len()) else {
+        return Vec::new();
+    };
+    let driver = sets.swap_remove(smallest);
+    let in_the_rest = |id: &DocId| sets.iter().all(|set| set.contains(id));
+    match driver {
+        IdSet::Borrowed(ids) => ids.iter().filter(in_the_rest).collect(),
+        IdSet::Sorted(mut ids) => {
+            ids.retain(in_the_rest);
+            ids
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +417,8 @@ mod tests {
 
     impl PathIndex {
         fn lookup_eq(&self, value: &Value) -> Vec<DocId> {
-            self.eq_set(value).into_iter().flat_map(Ids::iter).collect()
+            let key = IndexKey::new(value).unwrap();
+            self.eq_set(&key).into_iter().flat_map(Ids::iter).collect()
         }
 
         fn cardinality(&self) -> usize {
@@ -361,11 +479,11 @@ mod tests {
         for i in 0..10 {
             idx.insert(&json!(i), DocId(i as u64));
         }
-        let ids = idx.lookup_range(Some((&json!(3), true)), Some((&json!(6), false)));
+        let ids = idx.lookup_range(&Some((json!(3), true)), &Some((json!(6), false)));
         assert_eq!(ids, vec![DocId(3), DocId(4), DocId(5)]);
-        let ids = idx.lookup_range(None, Some((&json!(2), true)));
+        let ids = idx.lookup_range(&None, &Some((json!(2), true)));
         assert_eq!(ids, vec![DocId(0), DocId(1), DocId(2)]);
-        let ids = idx.lookup_range(Some((&json!(8), false)), None);
+        let ids = idx.lookup_range(&Some((json!(8), false)), &None);
         assert_eq!(ids, vec![DocId(9)]);
     }
 
@@ -383,9 +501,10 @@ mod tests {
             ((&five, false), (&five, true)),
             ((&json!(5.0), false), (&five, true)),
         ] {
-            assert!(idx.lookup_range(Some(lo), Some(hi)).is_empty());
+            let (lo, hi) = (Some((lo.0.clone(), lo.1)), Some((hi.0.clone(), hi.1)));
+            assert!(idx.lookup_range(&lo, &hi).is_empty());
         }
-        let ids = idx.lookup_range(Some((&five, true)), Some((&json!(5.0), true)));
+        let ids = idx.lookup_range(&Some((five, true)), &Some((json!(5.0), true)));
         assert_eq!(ids, vec![DocId(5)]);
     }
 
@@ -393,7 +512,9 @@ mod tests {
     fn range_with_compound_bound_is_empty() {
         let mut idx = PathIndex::new();
         idx.insert(&json!(1), DocId(1));
-        assert!(idx.lookup_range(Some((&json!([1]), true)), None).is_empty());
+        assert!(idx
+            .lookup_range(&Some((json!([1]), true)), &None)
+            .is_empty());
     }
 
     #[test]

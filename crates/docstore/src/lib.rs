@@ -6,8 +6,8 @@
 //! makes, and no more: JSON documents in named collections, Mongo-style
 //! filters that are one conjunction of per-path equalities, intervals and
 //! in-sets with dotted-path addressing, `$set` updates, secondary indexes
-//! with a small query planner, sorted and limited finds and a `$group`
-//! by one member. Any other operator is refused with a typed error.
+//! that a read probes for its open rows, sorted and limited finds and a
+//! `$group` by one member. Any other operator is refused with a typed error.
 //!
 //! Documents go in and come out as [`serde_json::Value`] objects; every
 //! stored document gets a numeric `_id`. In between they are kept as
@@ -51,6 +51,7 @@ pub mod durability;
 mod error;
 mod filter;
 mod index;
+#[cfg(test)]
 mod planner;
 #[cfg(test)]
 mod proptests;
@@ -66,8 +67,7 @@ pub use collection::{Collection, FindOptions, SortOrder};
 pub use durability::{Durability, DurabilityConfig};
 pub use error::StoreError;
 pub use filter::Filter;
-pub use index::IndexKey;
-pub use planner::PlanKind;
+pub use index::{IndexKey, PlanKind};
 pub use store::Store;
 pub use transport::{CollectionHandle, CollectionOps, DocstoreTransport};
 pub use update::Update;

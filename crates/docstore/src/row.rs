@@ -46,27 +46,31 @@
 //! very `Number` (see [`Kind`]). A row therefore serialises to exactly
 //! the text of the `Value` it was made from, sealed or not.
 //!
-//! **Scans.** [`Slots`] resolves each of a filter's paths to a slot once
-//! per (query, shape) — it remembers the last shape it saw — so a scan
-//! pays one pointer comparison per row and an indexed load per
-//! predicate; nested segments continue through the `Value` in the slot.
-//! [`IndexSlots`] does the same for the collection's index paths on the
-//! write path, holding its shape rather than borrowing it.
-//! Before a sealed block is walked, [`Sealed::pass`] decides each clause
-//! of the filter on an undotted member from that member's column alone
-//! (see its docs), with the same evaluator — but for a
-//! comparison with a number on a number column, which compares the packed
-//! offsets where they lie with bounds made once per block, exact as
-//! `compare_numbers` orders.
-//! Scans beside an index and without one both run it, so it is also
-//! what answers an indexed predicate on a sealed block.
+//! **Reads.** A query's plan (see [`crate::collection`]) resolves the
+//! first segment of each clause's path against a key list once, through
+//! one [`KeySlots`] that remembers the list it last met, by address: a
+//! block summary's key set, a sealed block's shape and an open row's
+//! shape are one list where they are one key set, so a scan of one
+//! stream resolves its paths once, and pays a pointer comparison per
+//! row and an indexed load per clause; nested segments continue through
+//! the `Value` in the slot. [`IndexSlots`] does the same for the
+//! collection's index paths on the write path, holding its shape rather
+//! than borrowing it. Before a sealed block is walked, [`Sealed::pass`]
+//! decides each clause on an undotted member from that member's column
+//! alone (see its docs), with the same evaluator — but for a comparison
+//! with a number on a number column, which compares the packed offsets
+//! where they lie with bounds made once per block, exact as
+//! `compare_numbers` orders. Scans beside an index and without one both
+//! run it, so it is also what answers an indexed clause on a sealed
+//! block.
 
-use crate::collection::BLOCK_IDS;
-use crate::filter::{Clause, Filter, Test};
+use crate::collection::{Plan, BLOCK_IDS};
+use crate::filter::{Clause, Test};
 use crate::telemetry::telemetry;
-use crate::value::{f64_above, f64_below, integer, integer_above, integer_below, DocId};
+use crate::value::{f64_within, integer, integer_above, integer_below, DocId};
 use serde_json::{Map, Number, Value};
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
@@ -87,7 +91,7 @@ pub(crate) trait Doc<'v> {
 }
 
 /// A path's first segment, and the segments after it if it has any.
-fn split_head(path: &str) -> (&str, Option<&str>) {
+pub(crate) fn split_head(path: &str) -> (&str, Option<&str>) {
     match path.split_once('.') {
         Some((head, rest)) => (head, Some(rest)),
         None => (path, None),
@@ -304,8 +308,8 @@ impl Row {
 
 /// The collection's index paths, their first segments resolved against
 /// the shape of the row last indexed: an insert into a stream of one
-/// shape looks no member up by name. Unlike [`Slots`], which borrows its
-/// shape for one query, this outlives every borrow of the collection, so
+/// shape looks no member up by name. Unlike a query's [`KeySlots`], which
+/// borrows its key lists, this outlives every borrow of the collection, so
 /// it holds the shape itself — an address it remembered could otherwise
 /// be a later shape's. Made anew whenever the set of indexes changes.
 #[derive(Debug, Default)]
@@ -452,13 +456,15 @@ impl Kind {
         }
     }
 
-    /// The numbers of this kind at or above `lo` and at or below `hi`
-    /// (each a number and whether it is inclusive), as
-    /// [`compare_numbers`] orders them: one closed interval. `None` for a
+    /// The numbers of this kind that `test` holds for, if it holds for
+    /// numbers alone ([`Test::numbers`]): then it holds for a row exactly
+    /// when the row's number is within, and never for a null. One closed
+    /// interval, as [`compare_numbers`] orders them; `None` also for a
     /// number no `f64` is near.
     ///
     /// [`compare_numbers`]: crate::value::compare_numbers
-    fn within(self, lo: Option<(&Number, bool)>, hi: Option<(&Number, bool)>) -> Option<Words> {
+    fn within(self, test: &Test) -> Option<Words> {
+        let (lo, hi) = test.numbers()?;
         Some(match self {
             Kind::Int | Kind::UInt => Words::Integers(
                 lo.map_or(Some(i128::MIN), |(n, inclusive)| {
@@ -468,14 +474,7 @@ impl Kind {
                     integer_below(n, inclusive)
                 })?,
             ),
-            Kind::Float => Words::Float(
-                lo.map_or(Some(f64::NEG_INFINITY), |(n, inclusive)| {
-                    f64_above(n, inclusive)
-                })?,
-                hi.map_or(Some(f64::INFINITY), |(n, inclusive)| {
-                    f64_below(n, inclusive)
-                })?,
-            ),
+            Kind::Float => Words::Float(f64_within(lo, hi)?),
         })
     }
 }
@@ -614,7 +613,7 @@ impl Numbers {
                 }
                 each_width!(&self.offsets, offsets => keep_between(offsets, nulls, picked, lo, hi));
             }
-            Words::Float(lo, hi) => {
+            Words::Float((lo, hi)) => {
                 let base = self.base;
                 each_width!(&self.offsets, offsets => keep_each(offsets, nulls, picked, |offset| {
                     let x = f64::from_bits(base.wrapping_add(widen(offset)));
@@ -711,29 +710,7 @@ impl Nulls {
 #[derive(Debug, Clone, Copy)]
 enum Words {
     Integers(i128, i128),
-    Float(f64, f64),
-}
-
-impl Words {
-    /// What `clause` keeps of a column of `kind`, if it is an equality
-    /// with a number or an interval whose ends are numbers: then it holds
-    /// for a row exactly when the row's number is within, and never for a
-    /// null.
-    fn of(kind: Kind, clause: &Clause) -> Option<Words> {
-        /// The end as a number's, if it is absent or a number.
-        fn number(end: &Option<(Value, bool)>) -> Option<Option<(&Number, bool)>> {
-            match end {
-                None => Some(None),
-                Some((Value::Number(n), inclusive)) => Some(Some((n, *inclusive))),
-                Some(_) => None,
-            }
-        }
-        match &clause.test {
-            Test::Eq(Value::Number(n)) => kind.within(Some((n, true)), Some((n, true))),
-            Test::Range(lo, hi) => kind.within(number(lo)?, number(hi)?),
-            _ => None,
-        }
-    }
+    Float((f64, f64)),
 }
 
 /// One member's dictionary while its block is sealed: a code per row —
@@ -1015,33 +992,32 @@ impl Sealed {
         }
     }
 
-    /// The rows of the block that may satisfy every one of `clauses`, or
-    /// `None` if none can. Each reads one undotted member, so it is
-    /// decided on that member's column alone, the cheapest first
+    /// The rows of the block that may satisfy every clause of `plan` on
+    /// an undotted path, or `None` if none can. Each reads one member, so
+    /// it is decided on that member's column alone, the cheapest first
     /// ([`Step`]): a member the shape lacks, by [`Clause::holds`] once
     /// for the block; an equality with a number or an interval between
     /// numbers on a number column, by comparing each row's packed offset
     /// with bounds made once for the block ([`Numbers::keep`]); a
     /// dictionary column, by a per-code truth table (or, for fewer rows
     /// still in than it has values, per row); any other column, once per
-    /// row still in. `slots` remembers where the members lie in the key list
-    /// last passed ([`KeySlots`]).
-    pub(crate) fn pass<'s>(
-        &'s self,
-        clauses: &[&Clause],
-        slots: &mut KeySlots<'s>,
-    ) -> Option<Picked> {
-        let members = clauses.iter().map(|clause| clause.path.as_str());
-        let slots = slots.of(&self.shape.keys, members);
-        let mut steps: Vec<(Step<'_>, &Clause)> = Vec::with_capacity(clauses.len());
-        for (&clause, slot) in clauses.iter().zip(slots) {
+    /// row still in.
+    pub(crate) fn pass<'s>(&'s self, plan: &Plan<'s>) -> Option<Picked> {
+        let mut steps: Vec<(Step<'_>, &Clause)> = Vec::with_capacity(plan.terms.len());
+        let members = plan
+            .at(&self.shape.keys)
+            .filter(|(term, _)| term.rest.is_none());
+        for (term, slot) in members {
+            let clause = term.clause;
             let step = match slot.map(|slot| &self.columns[slot]) {
                 None => Step::Absent,
                 Some(Column::Dictionary { values, codes }) => Step::Codes(values, codes),
-                Some(column @ Column::Numbers(numbers)) => match Words::of(numbers.kind, clause) {
-                    Some(within) => Step::Words(within, numbers),
-                    None => Step::Rows(column),
-                },
+                Some(column @ Column::Numbers(numbers)) => {
+                    match numbers.kind.within(&clause.test) {
+                        Some(within) => Step::Words(within, numbers),
+                        None => Step::Rows(column),
+                    }
+                }
                 Some(column) => Step::Rows(column),
             };
             steps.push((step, clause));
@@ -1096,28 +1072,38 @@ impl Step<'_> {
     }
 }
 
-/// Where a query's members lie in the key list last met, by its
-/// address: a scan of blocks of one key set — the summaries' ranges, the
-/// column pass's conjuncts — resolves them once, not once per block.
-#[derive(Debug, Default)]
+/// Where a query's path heads lie in the key list last met, by its
+/// address: the block summaries, the column pass and the re-check of a
+/// scan over one key set resolve them once, not once per block or row.
+/// Cells, so that every stage of a read shares the one memo.
+#[derive(Debug)]
 pub(crate) struct KeySlots<'k> {
-    keys: Option<&'k [String]>,
-    slots: Vec<Option<usize>>,
+    keys: Cell<Option<&'k [String]>>,
+    slots: Box<[Cell<Option<usize>>]>,
 }
 
 impl<'k> KeySlots<'k> {
-    /// The slots in `keys` of `members`, in order (`None`: one `keys`
-    /// lacks), as resolved when `keys` was last met.
+    /// A memo for `heads` heads, resolved against no list yet.
+    pub(crate) fn new(heads: usize) -> Self {
+        KeySlots {
+            keys: Cell::new(None),
+            slots: (0..heads).map(|_| Cell::new(None)).collect(),
+        }
+    }
+
+    /// The slots in `keys` of `heads`, in order (`None`: `keys` lacks
+    /// one), as resolved when `keys` was last met.
     pub(crate) fn of<'m>(
-        &mut self,
+        &self,
         keys: &'k [String],
-        members: impl Iterator<Item = &'m str>,
-    ) -> &[Option<usize>] {
-        if !self.keys.is_some_and(|known| std::ptr::eq(known, keys)) {
-            self.slots.clear();
-            self.slots
-                .extend(members.map(|member| slot_in(keys, member)));
-            self.keys = Some(keys);
+        heads: impl Iterator<Item = &'m str>,
+    ) -> &[Cell<Option<usize>>] {
+        let known = self.keys.get();
+        if !known.is_some_and(|known| std::ptr::eq(known, keys)) {
+            for (slot, head) in self.slots.iter().zip(heads) {
+                slot.set(slot_in(keys, head));
+            }
+            self.keys.set(Some(keys));
         }
         &self.slots
     }
@@ -1243,12 +1229,22 @@ impl<'a> RowRef<'a> {
         }
     }
 
+    /// The member names, in `str` order: the shape's list.
+    pub(crate) fn keys(self) -> &'a [String] {
+        &self.shape().keys
+    }
+
     /// The value of member `slot` of the shape.
     fn value(self, slot: usize) -> Cow<'a, Value> {
         match self {
             RowRef::Open(row) => Cow::Borrowed(&row.values[slot]),
             RowRef::Sealed(sealed, at) => sealed.columns[slot].get(at),
         }
+    }
+
+    /// The value at the segments `rest` of member `slot`, if there is one.
+    pub(crate) fn at_slot(self, slot: Option<usize>, rest: Option<&str>) -> Option<Cow<'a, Value>> {
+        descend(self.value(slot?), rest)
     }
 
     /// The member values, in shape order.
@@ -1290,68 +1286,5 @@ impl<'a> RowRef<'a> {
 impl<'a> Doc<'a> for RowRef<'a> {
     fn member(&self, key: &str) -> Option<Cow<'a, Value>> {
         Some(self.value(self.shape().slot(key)?))
-    }
-}
-
-/// A query's paths, their first segments resolved against the shape of
-/// the row in hand — once per run of same-shaped rows, not once per row.
-#[derive(Debug)]
-pub(crate) struct Slots<'a> {
-    /// Each path as the query will ask for it (matched by address), with
-    /// the segments after its first.
-    paths: Vec<(&'a str, Option<&'a str>)>,
-    shape: Option<&'a Shape>,
-    slots: Vec<Option<usize>>,
-}
-
-impl<'a> Slots<'a> {
-    /// For the paths `filter` reads.
-    pub(crate) fn of(filter: &'a Filter) -> Self {
-        let clauses = filter.clauses.iter();
-        let paths: Vec<_> = clauses
-            .map(|c| (c.path.as_str(), split_head(&c.path).1))
-            .collect();
-        Self {
-            slots: Vec::with_capacity(paths.len()),
-            paths,
-            shape: None,
-        }
-    }
-
-    /// `row`, with the remembered slots in front of its key search.
-    pub(crate) fn view<'s>(&'s mut self, row: RowRef<'a>) -> View<'s> {
-        let shape = row.shape();
-        if !self.shape.is_some_and(|known| std::ptr::eq(known, shape)) {
-            self.shape = Some(shape);
-            self.slots.clear();
-            let heads = self.paths.iter().map(|(path, _)| split_head(path).0);
-            self.slots.extend(heads.map(|head| shape.slot(head)));
-        }
-        View {
-            row,
-            paths: &self.paths,
-            slots: &self.slots,
-        }
-    }
-}
-
-/// A row read through a query's [`Slots`].
-#[derive(Debug)]
-pub(crate) struct View<'s> {
-    row: RowRef<'s>,
-    paths: &'s [(&'s str, Option<&'s str>)],
-    slots: &'s [Option<usize>],
-}
-
-impl<'s> Doc<'s> for View<'s> {
-    fn member(&self, key: &str) -> Option<Cow<'s, Value>> {
-        self.row.member(key)
-    }
-
-    fn at(&self, path: &str) -> Option<Cow<'s, Value>> {
-        match self.paths.iter().position(|(p, _)| std::ptr::eq(*p, path)) {
-            Some(i) => descend(self.row.value(self.slots[i]?), self.paths[i].1),
-            None => self.row.at(path),
-        }
     }
 }

@@ -5,7 +5,7 @@
 //! (the GoFlow server, the bench harness, a test) sees combined storage
 //! health without plumbing handles through constructors.
 
-use crate::planner::PlanKind;
+use crate::index::PlanKind;
 use mps_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::sync::OnceLock;
 

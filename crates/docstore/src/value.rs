@@ -174,6 +174,24 @@ pub(crate) fn f64_below(n: &Number, inclusive: bool) -> Option<f64> {
     })
 }
 
+/// One end of an interval of numbers, `(number, inclusive)`; `None`:
+/// unbounded.
+pub(crate) type NumberEnd<'a> = Option<(&'a Number, bool)>;
+
+/// The `f64`s `lo..=hi` an interval's ends make by [`f64_above`] and
+/// [`f64_below`]: an `f64` is within the interval exactly when it is
+/// within these.
+pub(crate) fn f64_within(lo: NumberEnd<'_>, hi: NumberEnd<'_>) -> Option<(f64, f64)> {
+    Some((
+        lo.map_or(Some(f64::NEG_INFINITY), |(n, inclusive)| {
+            f64_above(n, inclusive)
+        })?,
+        hi.map_or(Some(f64::INFINITY), |(n, inclusive)| {
+            f64_below(n, inclusive)
+        })?,
+    ))
+}
+
 /// The smallest integer at or above `n` (above it, where not
 /// `inclusive`), saturating at the ends of `i128`.
 pub(crate) fn integer_above(n: &Number, inclusive: bool) -> Option<i128> {

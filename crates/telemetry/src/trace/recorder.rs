@@ -242,30 +242,4 @@ mod tests {
         assert!(FlightRecorder::global().recorded() > before);
         assert_eq!(FlightRecorder::global().capacity(), DEFAULT_CAPACITY);
     }
-
-    #[test]
-    fn recording_overhead_is_loosely_within_budget() {
-        // The documented budget is < 100ns/span on the recording path in
-        // release builds (the benchmark's `telemetry.flight_record_ns`
-        // reads it). Asserted loosely here so a debug-build test run
-        // still passes with wide margin while catching order-of-magnitude
-        // regressions (e.g. a global lock or per-record allocation of the
-        // whole ring).
-        let r = FlightRecorder::with_capacity(8192);
-        let base = SpanRecord::new(TraceId::from_raw(7), Hop::LinkTransmit, 42);
-        let n = 100_000u32;
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "measuring real latency is this test's purpose"
-        )]
-        let started = std::time::Instant::now();
-        for _ in 0..n {
-            r.record(base.clone());
-        }
-        let per_span = started.elapsed().as_nanos() / u128::from(n);
-        assert!(
-            per_span < 10_000,
-            "recording took {per_span}ns/span (budget: loosely < 10µs in debug, < 100ns in release)"
-        );
-    }
 }
