@@ -16,9 +16,11 @@
 //! # How a day is scheduled
 //!
 //! The day's observations are checked and dealt into 24 buckets in one
-//! pass; the 24 backgrounds come from one
-//! [`NoiseSimulator::simulate_day`], which measures every cell against
-//! every source once for the whole day. The 24 analyses share nothing, so
+//! pass; the 24 backgrounds are copies of the day the simulator keeps
+//! ([`NoiseSimulator::simulate_day`]): it measures every cell against
+//! every source once per grid shape, on the first call of any of its
+//! `simulate` methods, and every later run on that shape reads those
+//! maps. The 24 analyses share nothing, so
 //! `std::thread::available_parallelism()` workers, the calling thread
 //! among them, each take the next unstarted hour from a shared counter
 //! until none is left. Which worker solves which hour varies from run to
@@ -283,6 +285,7 @@ mod tests {
     use super::*;
     use crate::city::CityModel;
     use crate::grid::assert_same_bits;
+    use crate::noise::per_cell_map;
     use mps_simcore::check::{check, size};
     use mps_simcore::SimRng;
     use mps_types::GeoBounds;
@@ -377,8 +380,9 @@ mod tests {
     }
 
     /// The run written out hour after hour on one thread, each hour
-    /// simulating its own background and picking its observations out of
-    /// the day: the oracle for the shared geometry pass and the workers.
+    /// writing its own background cell by cell and picking its
+    /// observations out of the day: the oracle for the simulator's day
+    /// and the workers.
     fn sequential_reference(
         blue: Blue,
         (nx, ny): (usize, usize),
@@ -387,7 +391,7 @@ mod tests {
     ) -> Vec<Grid> {
         (0..24u32)
             .map(|hour| {
-                let background = model.simulate_at_hour(nx, ny, hour);
+                let background = per_cell_map(model, nx, ny, hour);
                 let hour_obs: Vec<PointObservation> = observations
                     .iter()
                     .filter(|o| o.hour == hour)

@@ -9,7 +9,10 @@
 
 use crate::city::CityModel;
 use crate::grid::Grid;
+use crate::telemetry::telemetry;
 use mps_types::{GeoPoint, SoundLevel};
+use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Reference distance of source emission levels, metres.
 const REF_DISTANCE_M: f64 = 10.0;
@@ -20,15 +23,41 @@ const MIN_DISTANCE_M: f64 = 3.0;
 const AMBIENT_DB: f64 = 30.0;
 
 /// Computes noise levels for a [`CityModel`].
-#[derive(Debug, Clone)]
+///
+/// Every grid it returns is read from one day of backgrounds, computed
+/// once for the last grid shape asked for (see
+/// [`NoiseSimulator::simulate_day`]). A clone starts without one.
 pub struct NoiseSimulator {
     city: CityModel,
+    /// The day's map for each distinct hourly modulation, paired with
+    /// that modulation in dB, on the last grid shape asked for; empty
+    /// until a grid is.
+    day: Mutex<Vec<(f64, Grid)>>,
+}
+
+impl Clone for NoiseSimulator {
+    fn clone(&self) -> Self {
+        Self::new(self.city.clone())
+    }
+}
+
+impl fmt::Debug for NoiseSimulator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let shape = self.lock_day().first().map(|(_, map)| (map.nx(), map.ny()));
+        f.debug_struct("NoiseSimulator")
+            .field("city", &self.city)
+            .field("day_shape", &shape)
+            .finish()
+    }
 }
 
 impl NoiseSimulator {
     /// Creates a simulator over a city.
     pub fn new(city: CityModel) -> Self {
-        Self { city }
+        Self {
+            city,
+            day: Mutex::new(Vec::new()),
+        }
     }
 
     /// The simulated city.
@@ -87,54 +116,83 @@ impl NoiseSimulator {
         self.simulate_at_hour(nx, ny, 8)
     }
 
-    /// Computes the full noise map at a given hour.
+    /// The full noise map at a given hour: a copy of the day's map for
+    /// the hour's modulation (see [`simulate_day`](Self::simulate_day)).
+    /// Hours from 24 on have 23:00's modulation and get its map.
     pub fn simulate_at_hour(&self, nx: usize, ny: usize, hour: u32) -> Grid {
-        let modulation = Self::hourly_modulation_db(hour);
-        let mut heard = Vec::new();
-        Grid::from_fn(self.city.bounds(), nx, ny, |p| {
-            self.hear(p, &mut heard);
-            level(modulation, &heard).db()
-        })
+        background(&self.kept_day(nx, ny), hour).clone()
     }
 
-    /// Computes the 24 hourly noise maps, `[h]` bit for bit the grid
-    /// [`simulate_at_hour(nx, ny, h)`](Self::simulate_at_hour) returns.
+    /// The 24 hourly noise maps, `[h]` the map of hour `h`.
     ///
     /// The distance from a cell to a source, and with it the attenuation,
-    /// is the same at every hour, so each cell measures its sources once
-    /// and the hours differ only in the modulation added before the
-    /// energies are summed: one geometry pass for the day instead of 24,
-    /// and one energy sum for all the hours that share a modulation.
+    /// is the same at every hour; the hours differ only in the modulation
+    /// added before the energies are summed, and a day has five distinct
+    /// modulations. So the forward model is one geometry pass: each cell
+    /// measures its sources once and sums energies once per modulation.
+    /// The simulator keeps those five maps for the last grid shape asked
+    /// for, and this method, [`simulate`](Self::simulate) and
+    /// [`simulate_at_hour`](Self::simulate_at_hour) copy from them; only
+    /// a call on a new shape runs a pass (counted by
+    /// `assim_forward_passes_total`). Each map is bit for bit the grid of
+    /// [`level_at_hour`](Self::level_at_hour) at the cell centres.
     pub fn simulate_day(&self, nx: usize, ny: usize) -> Vec<Grid> {
-        let modulation: Vec<f64> = (0..24).map(Self::hourly_modulation_db).collect();
-        // The first hour of the day with this hour's modulation: the hour
-        // itself, or an earlier one whose level it repeats.
-        let first_alike: Vec<usize> = modulation
-            .iter()
-            .map(|m| {
-                modulation
-                    .iter()
-                    .take_while(|earlier| *earlier != m)
-                    .count()
-            })
-            .collect();
-        let mut maps = vec![Grid::constant(self.city.bounds(), nx, ny, 0.0); 24];
+        let day = self.kept_day(nx, ny);
+        (0..24).map(|hour| background(&day, hour).clone()).collect()
+    }
+
+    /// The day's maps on an `nx × ny` grid, locked, after a forward pass
+    /// unless the last shape asked for was this one. The lock is held
+    /// through the pass, so callers that arrive during it wait for its
+    /// maps instead of running a pass of their own.
+    fn kept_day(&self, nx: usize, ny: usize) -> MutexGuard<'_, Vec<(f64, Grid)>> {
+        let mut day = self.lock_day();
+        let stale = day
+            .first()
+            .is_none_or(|(_, map)| (map.nx(), map.ny()) != (nx, ny));
+        if stale {
+            *day = self.forward_pass(nx, ny);
+            telemetry().forward_passes.inc();
+        }
+        day
+    }
+
+    fn lock_day(&self) -> MutexGuard<'_, Vec<(f64, Grid)>> {
+        // A pass panics (on a zero dimension) before its maps are stored,
+        // so a poisoned lock still guards a whole day, or none.
+        self.day.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One geometry pass: the map of every distinct modulation of the
+    /// day, in order of the first hour that has it.
+    fn forward_pass(&self, nx: usize, ny: usize) -> Vec<(f64, Grid)> {
+        let blank = Grid::constant(self.city.bounds(), nx, ny, 0.0);
+        let mut day: Vec<(f64, Grid)> = Vec::new();
+        for modulation in (0..24).map(Self::hourly_modulation_db) {
+            if day.iter().all(|(m, _)| *m != modulation) {
+                day.push((modulation, blank.clone()));
+            }
+        }
         let mut heard = Vec::new();
         for iy in 0..ny {
             for ix in 0..nx {
-                self.hear(maps[0].cell_center(ix, iy), &mut heard);
-                for hour in (0..24).filter(|&hour| first_alike[hour] == hour) {
-                    maps[hour].values_mut()[iy * nx + ix] = level(modulation[hour], &heard).db();
+                self.hear(blank.cell_center(ix, iy), &mut heard);
+                for (modulation, map) in &mut day {
+                    map.values_mut()[iy * nx + ix] = level(*modulation, &heard).db();
                 }
             }
         }
-        for hour in 0..24 {
-            if first_alike[hour] != hour {
-                maps[hour] = maps[first_alike[hour]].clone();
-            }
-        }
-        maps
+        day
     }
+}
+
+/// The map of the day for `hour`'s modulation.
+fn background(day: &[(f64, Grid)], hour: u32) -> &Grid {
+    let modulation = NoiseSimulator::hourly_modulation_db(hour);
+    day.iter()
+        .find(|(m, _)| *m == modulation)
+        .map(|(_, map)| map)
+        .expect("an hour past the day has one of the day's modulations")
 }
 
 /// Energy sum of the ambient floor and every source of `heard` still
@@ -154,6 +212,16 @@ fn level(modulation: f64, heard: &[(f64, f64)]) -> SoundLevel {
         }
     }
     SoundLevel::from_energy(energy)
+}
+
+/// The map at `hour` written cell by cell from
+/// [`NoiseSimulator::level_at_hour`]: the oracle the day's maps are held
+/// to.
+#[cfg(test)]
+pub(crate) fn per_cell_map(sim: &NoiseSimulator, nx: usize, ny: usize, hour: u32) -> Grid {
+    Grid::from_fn(sim.city().bounds(), nx, ny, |p| {
+        sim.level_at_hour(p, hour).db()
+    })
 }
 
 #[cfg(test)]
@@ -279,13 +347,31 @@ mod tests {
             // order are exercised; non-square grids.
             let city = CityModel::synthetic(GeoBounds::paris(), size(r, 1, 5), size(r, 0, 20), r);
             let sim = NoiseSimulator::new(city);
-            let (nx, ny) = (size(r, 1, 9), size(r, 1, 9));
-            let day = sim.simulate_day(nx, ny);
-            assert_eq!(day.len(), 24);
-            for (hour, map) in (0u32..).zip(&day) {
-                let alone = sim.simulate_at_hour(nx, ny, hour);
-                assert_same_bits(map, &alone, &format!("hour {hour}"));
-            }
+            let a = (size(r, 1, 9), size(r, 1, 9));
+            // Never the shape of `a`: the switch drops the day of `a`.
+            let b = (a.1 + 1, a.0);
+            let agrees = |sim: &NoiseSimulator, (nx, ny): (usize, usize), what: &str| {
+                let day = sim.simulate_day(nx, ny);
+                assert_eq!(day.len(), 24);
+                // Hours 24 and 30 share 23:00's modulation.
+                for hour in (0..24).chain([24, 30]) {
+                    let oracle = per_cell_map(sim, nx, ny, hour);
+                    if let Some(map) = day.get(hour as usize) {
+                        assert_same_bits(map, &oracle, &format!("{what}: day, hour {hour}"));
+                    }
+                    let alone = sim.simulate_at_hour(nx, ny, hour);
+                    assert_same_bits(&alone, &oracle, &format!("{what}: hour {hour}"));
+                }
+                let reference = per_cell_map(sim, nx, ny, 8);
+                assert_same_bits(&sim.simulate(nx, ny), &reference, what);
+                assert!(format!("{sim:?}").contains(&format!("day_shape: Some(({nx}, {ny}))")));
+            };
+            agrees(&sim, a, "shape A");
+            agrees(&sim, b, "shape B");
+            agrees(&sim, a, "shape A again");
+            let clone = sim.clone();
+            assert!(format!("{clone:?}").contains("day_shape: None"));
+            agrees(&clone, b, "clone");
         });
     }
 

@@ -24,6 +24,9 @@ pub(crate) struct AssimTelemetry {
     pub(crate) hourly_runs: Counter,
     /// Wall-clock duration of one diurnal run, in seconds.
     pub(crate) hourly_run_seconds: Histogram,
+    /// Forward-model passes: a day of backgrounds computed for a
+    /// simulator and grid shape.
+    pub(crate) forward_passes: Counter,
 }
 
 /// The lazily-registered assimilation metric set.
@@ -66,6 +69,10 @@ pub(crate) fn telemetry() -> &'static AssimTelemetry {
                 // 1 ms to 33 s, a bucket per doubling.
                 &Histogram::exponential_buckets(1e-3, 2.0, 16),
             ),
+            forward_passes: registry.counter(
+                "assim_forward_passes_total",
+                "Forward-model passes: a day of backgrounds computed for a simulator and grid shape",
+            ),
         }
     })
 }
@@ -87,6 +94,7 @@ mod tests {
             "assim_blue_pass_seconds",
             "assim_hourly_runs_total",
             "assim_hourly_run_seconds",
+            "assim_forward_passes_total",
         ] {
             assert!(names.iter().any(|n| n == name), "missing {name}");
         }
