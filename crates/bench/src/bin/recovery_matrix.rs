@@ -4,9 +4,10 @@
 //! cargo run -p mps-bench --release --bin recovery_matrix -- [--long] [--out PATH]
 //! ```
 //!
-//! Drives every WAL kill point (mid-append, post-append-pre-ack,
-//! mid-snapshot, mid-compaction) through both durable components (the
-//! docstore and the broker), then asserts the recovery contract:
+//! Drives every WAL kill point of the write path (mid-append,
+//! post-append-pre-ack, mid-snapshot, mid-compaction) through both durable
+//! components (the docstore and the broker), kills a docstore's reopen
+//! mid-replay, then asserts the recovery contract:
 //!
 //! * **Zero silent loss** — every operation that was acknowledged before
 //!   the crash is present after reopen; the single in-flight operation
@@ -17,6 +18,9 @@
 //! * **Determinism** — two independent replays of the same log produce
 //!   byte-identical docstore exports and identical broker queue
 //!   snapshots.
+//! * **A replay only reads** — a replay killed part-way leaves the
+//!   directory's bytes as the open left them, and the next reopen
+//!   exports what the store held before it was closed.
 //!
 //! `--long` widens the matrix (more operations, several kill offsets per
 //! point) for the nightly CI run; `--out` names the recovery-report
@@ -34,8 +38,9 @@ use mps_types::{AppId, DeviceModel, Observation, SimTime, SoundLevel};
 use mps_wal::{KillPoint, KillSwitch, WalConfig};
 use serde_json::json;
 use std::collections::BTreeSet;
+use std::ffi::OsString;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The snapshot floor in every cell — small, so the mid-snapshot and
@@ -79,6 +84,9 @@ fn main() {
     let ops: u64 = if long { 512 } else { 48 };
     let append_skips: &[u64] = if long { &[2, 10, 25] } else { &[6] };
     let snapshot_skips: &[u64] = if long { &[0, 1, 2] } else { &[1] };
+    // Records of the tail applied before the replay dies: none, or some
+    // segments' worth.
+    let replay_skips: &[u64] = if long { &[0, 17, 250] } else { &[20] };
 
     let mut report = String::new();
     let _ = writeln!(
@@ -98,6 +106,8 @@ fn main() {
             let skips = match point {
                 KillPoint::MidAppend | KillPoint::PostAppendPreAck => append_skips,
                 KillPoint::MidSnapshot | KillPoint::MidCompaction => snapshot_skips,
+                // Not a write-path point: its cells follow.
+                KillPoint::MidReplay => &[],
             };
             for &skip in skips {
                 let outcome = match target {
@@ -116,6 +126,13 @@ fn main() {
             let outcome = ingest_cell(point, skip, batches);
             record(line("ingest", point, skip, outcome));
         }
+    }
+
+    // The replay cells: a docstore reopened with its replay killed
+    // part-way, then reopened again.
+    for &skip in replay_skips {
+        let outcome = replay_cell(skip, ops);
+        record(line("docstore", KillPoint::MidReplay, skip, outcome));
     }
 
     let verdict = if failures == 0 {
@@ -336,6 +353,93 @@ fn docstore_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> 
         recovered: seqs.len(),
         snapshots: snapshots.taken,
         torn,
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(cell)
+}
+
+// ---------------------------------------------------------------------
+// Replay: a docstore's inserts, updates and deletes behind a snapshot
+// taken half-way; a reopen killed mid-replay, then two more.
+// ---------------------------------------------------------------------
+
+/// Every file in `dir` with its bytes, by name.
+fn image(dir: &Path) -> Result<Vec<(OsString, Vec<u8>)>, String> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(|e| format!("list: {e}"))? {
+        let path = entry.map_err(|e| format!("list: {e}"))?.path();
+        let bytes = std::fs::read(&path).map_err(|e| format!("read: {e}"))?;
+        files.push((path.file_name().unwrap_or_default().to_owned(), bytes));
+    }
+    files.sort();
+    Ok(files)
+}
+
+fn replay_cell(skip: u64, ops: u64) -> Result<Cell, String> {
+    let dir = scratch("replay", KillPoint::MidReplay, skip);
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = |kill: KillSwitch| {
+        let config = DurabilityConfig::new(&dir)
+            .wal(wal_config().kill(kill))
+            .snapshot_every(0);
+        Store::open(Durability::Durable(config))
+    };
+    let store = open(KillSwitch::new()).map_err(|e| format!("open: {e}"))?;
+    let obs = store.collection("obs");
+    let write = |e: mps_docstore::StoreError| format!("write: {e}");
+    obs.create_index("seq").map_err(write)?;
+    for i in 0..ops {
+        obs.insert_one(json!({"seq": i, "zone": format!("z{}", i % 4)}))
+            .map_err(write)?;
+        if let Some(earlier) = i.checked_sub(1) {
+            obs.update_many(&Filter::eq("seq", earlier), &Update::set("seen", true))
+                .map_err(write)?;
+        }
+        if i % 5 == 4 {
+            obs.delete_many(&Filter::eq("seq", i - 2)).map_err(write)?;
+        }
+        if i == ops / 2 {
+            store.checkpoint().map_err(write)?;
+        }
+    }
+    let closed = store.export_json();
+    let committed = obs.len();
+    drop(obs);
+    drop(store);
+    let on_disk = image(&dir)?;
+
+    let kill = KillSwitch::new();
+    kill.arm(KillPoint::MidReplay, skip);
+    let killed = open(kill.clone());
+    if kill.dead() != Some(KillPoint::MidReplay) {
+        return Err(format!("kill never fired (dead={:?})", kill.dead()));
+    }
+    if killed.is_ok() {
+        return Err("a reopen whose replay was killed returned a store".to_owned());
+    }
+    drop(killed);
+    if image(&dir)? != on_disk {
+        return Err("the killed replay changed the directory".to_owned());
+    }
+
+    let reopen = || -> Result<(String, usize), String> {
+        let store = open(KillSwitch::new()).map_err(|e| format!("reopen: {e}"))?;
+        Ok((store.export_json(), store.collection("obs").len()))
+    };
+    let (export_a, recovered) = reopen()?;
+    let (export_b, _) = reopen()?;
+    if export_a != export_b {
+        return Err("replay is not deterministic: exports differ".to_owned());
+    }
+    if export_a != closed {
+        return Err("the reopen after the killed replay exports another store".to_owned());
+    }
+    let cell = Cell {
+        committed,
+        ambiguous: 0,
+        recovered,
+        snapshots: 1,
+        torn: false,
     };
     let _ = std::fs::remove_dir_all(&dir);
     Ok(cell)

@@ -1,6 +1,7 @@
 //! The counting `#[global_allocator]` of the tests that weigh what code
 //! asks of the heap instead of timing it: `System`, with a running count
-//! of the blocks it hands out and of the bytes it holds. A test binary
+//! of the blocks it hands out, of the bytes it holds, and of the most it
+//! has held since the last [`reset_peak`]. A test binary
 //! gets it by declaring `mod counting;`. The counts are the whole
 //! process's, so a binary that reads them runs one test, or serialises
 //! its counts.
@@ -20,6 +21,7 @@ struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 
 /// Blocks handed out so far, a reallocation counted as one.
 pub fn allocations() -> u64 {
@@ -31,11 +33,25 @@ pub fn live_bytes() -> isize {
     LIVE.load(SeqCst)
 }
 
+/// The most bytes held at once since the last [`reset_peak`]: the
+/// high-water mark. A reallocation counts once, at its new size.
+pub fn peak_bytes() -> isize {
+    PEAK.load(SeqCst)
+}
+
+/// Starts a new high-water mark at the bytes held now, and returns them.
+pub fn reset_peak() -> isize {
+    let live = LIVE.load(SeqCst);
+    PEAK.store(live, SeqCst);
+    live
+}
+
 /// Counts a block of `bytes` more, if `ptr` is one.
 fn took(ptr: *mut u8, bytes: isize) -> *mut u8 {
     if !ptr.is_null() {
         ALLOCATIONS.fetch_add(1, SeqCst);
-        LIVE.fetch_add(bytes, SeqCst);
+        let live = LIVE.fetch_add(bytes, SeqCst) + bytes;
+        PEAK.fetch_max(live, SeqCst);
     }
     ptr
 }

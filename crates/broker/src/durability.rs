@@ -218,8 +218,8 @@ pub(crate) fn encode_snapshot(state: &State) -> Vec<u8> {
 /// What a record or snapshot held, or why it is corrupt.
 type Parsed<T> = Result<T, String>;
 
-/// Rebuilds `state` from a recovered snapshot and log tail; returns the
-/// message copies the snapshot held.
+/// Rebuilds `state` from a recovered snapshot and log tail, streamed one
+/// segment at a time; returns the message copies the snapshot held.
 pub(crate) fn replay(state: &mut State, recovered: Recovered) -> Result<u64, BrokerError> {
     // 0 is an in-memory broker's id.
     state.next_durable_id = 1;
@@ -230,9 +230,9 @@ pub(crate) fn replay(state: &mut State, recovered: Recovered) -> Result<u64, Bro
         Some(bytes) => restore(state, bytes).map_err(|why| corrupt("snapshot".into(), why))?,
         None => 0,
     };
-    for (lsn, record) in &recovered.entries {
-        apply(state, record).map_err(|why| corrupt(format!("record at lsn {lsn}"), why))?;
-    }
+    recovered.entries.replay(|lsn, record| {
+        apply(state, record).map_err(|why| corrupt(format!("record at lsn {lsn}"), why))
+    })?;
     for queue in state.queues.values_mut() {
         queue.enqueued_total = queue.ready.len() as u64;
     }
@@ -437,17 +437,22 @@ mod tests {
         deltas.iter().map(|d| d.to_string().into_bytes()).collect()
     }
 
-    /// A fresh state replayed from `snapshot` and `records` behind it.
+    /// A fresh state replayed from a log of `records` behind `snapshot`,
+    /// which covers one record before them.
     fn replayed(snapshot: Option<&[u8]>, records: &[Vec<u8>]) -> Result<State, BrokerError> {
-        let recovered = Recovered {
-            snapshot: snapshot.map(<[u8]>::to_vec),
-            snapshot_lsn: u64::from(snapshot.is_some()),
-            entries: (2..).zip(records.iter().cloned()).collect(),
-            report: Default::default(),
-        };
+        let dir = temp_dir("replayed");
+        let (mut wal, _) = mps_wal::Wal::open(&dir, quiet()).unwrap();
+        if let Some(snapshot) = snapshot {
+            wal.append(b"covered").unwrap();
+            wal.snapshot(snapshot).unwrap();
+        }
+        wal.append_batch(records).unwrap();
+        drop(wal);
+        let (_wal, recovered) = mps_wal::Wal::open(&dir, quiet()).unwrap();
         let mut state = State::default();
-        replay(&mut state, recovered)?;
-        Ok(state)
+        let replayed = replay(&mut state, recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+        replayed.map(|_| state)
     }
 
     #[test]
@@ -719,11 +724,14 @@ mod tests {
         drop(b);
         let (_wal, recovered) = mps_wal::Wal::open(&dir, quiet()).unwrap();
         assert!(recovered.snapshot.is_none());
-        let written: Vec<&str> = recovered
+        let mut written = Vec::new();
+        recovered
             .entries
-            .iter()
-            .map(|(_, payload)| std::str::from_utf8(payload).unwrap())
-            .collect();
+            .replay(|_, payload| {
+                written.push(String::from_utf8(payload.to_vec()).unwrap());
+                Ok::<_, mps_wal::WalError>(())
+            })
+            .unwrap();
         let golden = GOLDEN_BROKER_LOG.map(|payload| std::str::from_utf8(payload).unwrap());
         assert_eq!(written, golden);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -242,7 +242,9 @@ type IndexPaths = BTreeMap<String, BTreeSet<String>>;
 
 /// Rebuilds collections from a recovered snapshot + log tail. The parsed
 /// trees are taken apart by value: every document's values move into its
-/// row, none is cloned. Returns how many documents the snapshot held.
+/// row, none is cloned. The tail is streamed: one segment of it is in
+/// memory at a time, one record parsed. Returns how many documents the
+/// snapshot held.
 fn restore(store: &Store, recovered: Recovered) -> Result<u64, StoreError> {
     let mut index_paths = IndexPaths::new();
     let held = match recovered.snapshot {
@@ -250,10 +252,10 @@ fn restore(store: &Store, recovered: Recovered) -> Result<u64, StoreError> {
             .map_err(|why| corrupt(format!("snapshot: {why}")))?,
         None => 0,
     };
-    for (lsn, record) in recovered.entries {
-        apply(store, &mut index_paths, &record)
-            .map_err(|why| corrupt(format!("record at lsn {lsn}: {why}")))?;
-    }
+    recovered.entries.replay(|lsn, record| {
+        apply(store, &mut index_paths, record)
+            .map_err(|why| corrupt(format!("record at lsn {lsn}: {why}")))
+    })?;
     for (name, paths) in index_paths {
         let Some(collection) = store.collections.lock().get(&name).cloned() else {
             continue;
@@ -960,11 +962,14 @@ mod tests {
         drop((store, obs, tmp));
 
         let (_wal, recovered) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
-        let written: Vec<&str> = recovered
+        let mut written = Vec::new();
+        recovered
             .entries
-            .iter()
-            .map(|(_, payload)| std::str::from_utf8(payload).unwrap())
-            .collect();
+            .replay(|_, payload| {
+                written.push(String::from_utf8(payload.to_vec()).unwrap());
+                Ok::<_, mps_wal::WalError>(())
+            })
+            .unwrap();
         let golden = GOLDEN_LOG.map(|payload| std::str::from_utf8(payload).unwrap());
         assert_eq!(written, golden);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -872,11 +872,14 @@ fn logged_payloads_equal_the_tree_route() {
         drop(store);
 
         let (_wal, recovered) = mps_wal::Wal::open(&dir, wal).unwrap();
-        let logged: Vec<&str> = recovered
+        let mut logged = Vec::new();
+        recovered
             .entries
-            .iter()
-            .map(|(_, payload)| std::str::from_utf8(payload).unwrap())
-            .collect();
+            .replay(|_, payload| {
+                logged.push(String::from_utf8(payload.to_vec()).unwrap());
+                Ok::<_, mps_wal::WalError>(())
+            })
+            .unwrap();
         assert_eq!(logged, expected);
         std::fs::remove_dir_all(&dir).unwrap();
     });

@@ -10,8 +10,10 @@
 //! a half-written batch, a durable-but-unacknowledged batch, an
 //! orphaned snapshot temp file, or a half-finished compaction.
 //!
-//! The CI recovery matrix drives every kill point through both durable
-//! stores and asserts recovery-on-reopen loses nothing it should not.
+//! The CI recovery matrix drives every write-path kill point
+//! ([`mps_wal::KillPoint::ALL`], the points a plan draws from) through
+//! both durable stores and asserts recovery-on-reopen loses nothing it
+//! should not.
 
 use mps_simcore::SimRng;
 use mps_wal::{KillPoint, KillSwitch};

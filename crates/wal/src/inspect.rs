@@ -6,7 +6,8 @@
 //!
 //! [`Wal::open`]: crate::Wal::open
 
-use crate::record::{decode_one, snapshot_state, Decoded};
+use crate::record::snapshot_state;
+use crate::scan;
 use crate::WalError;
 use std::path::{Path, PathBuf};
 
@@ -66,64 +67,41 @@ impl InspectReport {
     }
 }
 
-/// Scans `dir` without modifying anything; see the module docs.
+/// Scans `dir` without modifying anything; see the module docs. The
+/// listing and the walk of each segment are [`Wal::open`]'s own.
+///
+/// [`Wal::open`]: crate::Wal::open
 pub fn inspect(dir: impl AsRef<Path>) -> Result<InspectReport, WalError> {
-    let dir = dir.as_ref();
-    let mut report = InspectReport::default();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if name.ends_with(".tmp") {
-            report.orphan_tmp.push(path);
-        } else if let Some(start) = parse(name, "wal-", ".log") {
-            let bytes = std::fs::read(&path)?;
-            let mut offset = 0usize;
-            let mut records = 0usize;
-            let mut torn = false;
-            loop {
-                match decode_one(&bytes[offset..]) {
-                    Decoded::End => break,
-                    Decoded::Record { consumed, .. } => {
-                        offset += consumed;
-                        records += 1;
-                    }
-                    Decoded::Torn => {
-                        torn = true;
-                        break;
-                    }
-                }
-            }
-            report.segments.push(SegmentInfo {
-                path,
-                start_lsn: start,
-                records,
-                bytes: bytes.len() as u64,
-                valid_bytes: offset as u64,
-                torn,
-            });
-        } else if let Some(lsn) = parse(name, "snap-", ".snap") {
-            let bytes = std::fs::read(&path)?;
-            report.snapshots.push(SnapshotInfo {
-                path,
-                lsn,
-                bytes: bytes.len() as u64,
-                valid: snapshot_state(&bytes).is_some(),
-            });
-        }
+    let listing = scan::list(dir.as_ref())?;
+    let mut buf = Vec::new();
+    let mut segments = Vec::with_capacity(listing.segments.len());
+    for (start_lsn, path) in listing.segments {
+        scan::read_into(&path, &mut buf)?;
+        let walk = scan::walk(&buf, 0);
+        segments.push(SegmentInfo {
+            path,
+            start_lsn,
+            records: walk.records as usize,
+            bytes: buf.len() as u64,
+            valid_bytes: walk.valid as u64,
+            torn: walk.torn,
+        });
     }
-    report.segments.sort_by_key(|s| s.start_lsn);
-    report.snapshots.sort_by_key(|s| std::cmp::Reverse(s.lsn));
-    Ok(report)
-}
-
-fn parse(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
+    let mut snapshots = Vec::with_capacity(listing.snapshots.len());
+    for (lsn, path) in listing.snapshots {
+        scan::read_into(&path, &mut buf)?;
+        snapshots.push(SnapshotInfo {
+            path,
+            lsn,
+            bytes: buf.len() as u64,
+            valid: snapshot_state(&buf).is_some(),
+        });
+    }
+    Ok(InspectReport {
+        segments,
+        snapshots,
+        orphan_tmp: listing.orphans,
+    })
 }
 
 #[cfg(test)]

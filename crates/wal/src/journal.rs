@@ -83,7 +83,9 @@ pub struct JournalGuard<'a>(RankedGuard<'a, Log>);
 impl Journal {
     /// Opens (or creates) the log in `config.dir` and hands what it
     /// recovered to `restore`, the client's replay, which returns how many
-    /// records the snapshot it restored held.
+    /// records the snapshot it restored held. The replay applies the log's
+    /// records through [`Tail::replay`](crate::Tail::replay), one segment
+    /// in memory at a time.
     ///
     /// # Errors
     ///
@@ -181,10 +183,13 @@ mod tests {
     impl Registers {
         fn restore(&mut self, recovered: Recovered) -> Result<u64, WalError> {
             let snapshot = recovered.snapshot.unwrap_or_default();
-            let records = recovered.entries.into_iter().map(|(_, record)| record);
-            for pair in snapshot.chunks_exact(2).map(<[u8]>::to_vec).chain(records) {
+            for pair in snapshot.chunks_exact(2) {
                 self.0.insert(pair[0], pair[1]);
             }
+            recovered.entries.replay(|_, pair| {
+                self.0.insert(pair[0], pair[1]);
+                Ok::<_, WalError>(())
+            })?;
             Ok(snapshot.len() as u64 / 2)
         }
 

@@ -29,11 +29,18 @@ pub enum KillPoint {
     /// Mid-way through compaction: only some covered segments were
     /// deleted. Recovery must tolerate the survivors.
     MidCompaction,
+    /// Mid-way through a replay of the recovered tail: the client has
+    /// applied some records and dies before the rest. Replay only reads,
+    /// so the directory stays as the open left it, and the next open
+    /// replays everything.
+    MidReplay,
 }
 
 impl KillPoint {
-    /// Every kill point, in pipeline order — the CI crash-kill matrix
-    /// iterates this.
+    /// Every kill point of the write path, in pipeline order — the CI
+    /// crash-kill matrix iterates this. [`KillPoint::MidReplay`] fires
+    /// while a log is opened, not while it is written, and has a cell
+    /// of its own.
     pub const ALL: [KillPoint; 4] = [
         KillPoint::MidAppend,
         KillPoint::PostAppendPreAck,
@@ -48,6 +55,7 @@ impl KillPoint {
             KillPoint::PostAppendPreAck => "post_append_pre_ack",
             KillPoint::MidSnapshot => "mid_snapshot",
             KillPoint::MidCompaction => "mid_compaction",
+            KillPoint::MidReplay => "mid_replay",
         }
     }
 }

@@ -23,9 +23,14 @@
 //! Crash faults are first-class: a [`KillSwitch`] armed at one of the
 //! [`KillPoint`]s makes the instance die exactly the way a process
 //! crash would — a half-written batch, a durable-but-unacknowledged
-//! batch, an orphaned snapshot temp file, or a half-finished
-//! compaction — which is what the CI crash-kill recovery matrix
-//! exercises.
+//! batch, an orphaned snapshot temp file, a half-finished compaction,
+//! or a replay cut short — which is what the CI crash-kill recovery
+//! matrix exercises.
+//!
+//! Recovery holds one segment, not the log: [`Wal::open`] walks each
+//! segment after the snapshot to validate it and drops it, and the
+//! [`Tail`] it returns reads them back one at a time for the client's
+//! replay.
 //!
 //! # Examples
 //!
@@ -40,8 +45,13 @@
 //! drop(wal);
 //!
 //! let (_wal, recovered) = Wal::open(&dir, WalConfig::default())?;
-//! let payloads: Vec<&[u8]> = recovered.entries.iter().map(|(_, p)| p.as_slice()).collect();
-//! assert_eq!(payloads, vec![b"insert a".as_slice(), b"insert b".as_slice()]);
+//! assert_eq!(recovered.entries.len(), 2);
+//! let mut applied = Vec::new();
+//! recovered.entries.replay(|lsn, payload| {
+//!     applied.push((lsn, payload.to_vec()));
+//!     Ok::<_, mps_wal::WalError>(())
+//! })?;
+//! assert_eq!(applied, vec![(1, b"insert a".to_vec()), (2, b"insert b".to_vec())]);
 //! # std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -65,6 +75,7 @@ mod kill;
 mod proptests;
 mod ranked;
 mod record;
+mod scan;
 mod telemetry;
 mod wal;
 
@@ -74,4 +85,5 @@ pub use journal::{DurabilityConfig, Journal, JournalGuard};
 pub use kill::{KillPoint, KillSwitch};
 pub use ranked::{Rank, Ranked, RankedGuard};
 pub use record::{crc32, decode_one, encode_into, Decoded, RECORD_HEADER_BYTES};
+pub use scan::Tail;
 pub use wal::{Lsn, Recovered, RecoveryReport, Wal, WalConfig};

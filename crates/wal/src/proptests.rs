@@ -3,7 +3,7 @@
 //! they run wherever the unit tests do.
 
 use crate::record::crc32_bytewise;
-use crate::{crc32, decode_one, encode_into, Decoded, Wal, WalConfig};
+use crate::{crc32, decode_one, encode_into, Decoded, Lsn, Wal, WalConfig};
 
 /// Cases per property.
 const CASES: u64 = 256;
@@ -128,8 +128,10 @@ fn any_truncation_recovers_a_prefix_without_panic() {
             .unwrap();
 
         let (_wal, recovered) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
-        assert!(recovered.entries.len() <= payloads.len());
-        for (i, (lsn, payload)) in recovered.entries.iter().enumerate() {
+        let records = recovered.entries.collected();
+        assert_eq!(records.len(), recovered.entries.len());
+        assert!(records.len() <= payloads.len());
+        for (i, (lsn, payload)) in records.iter().enumerate() {
             assert_eq!(*lsn, i as u64 + 1);
             assert_eq!(payload, &payloads[i]);
         }
@@ -143,14 +145,72 @@ fn any_truncation_recovers_a_prefix_without_panic() {
             }))
             .collect();
         let records_covered = boundaries.iter().filter(|b| **b <= cut).count() - 1;
-        assert_eq!(recovered.entries.len(), records_covered);
+        assert_eq!(records.len(), records_covered);
         assert_eq!(recovered.report.torn_tail, !boundaries.contains(&cut));
 
         // Recovery repaired the tail in place: a second open is clean
         // and sees the same prefix.
         let (_wal2, again) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
         assert!(!again.report.torn_tail);
-        assert_eq!(again.entries.len(), recovered.entries.len());
+        assert_eq!(again.entries.collected(), records);
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
+}
+
+/// Over any log — segments of any size, a snapshot anywhere or none —
+/// and any truncation of its last segment, the streamed replay hands
+/// over exactly the written records after the snapshot that survive the
+/// cut, in LSN order; a second replay of the same tail hands over the
+/// same, and so does a replay after a second open.
+#[test]
+fn a_streamed_replay_is_the_written_prefix_and_replays_alike() {
+    check(|rng| {
+        let dir = temp_dir();
+        let config = WalConfig::default()
+            .telemetry(false)
+            .segment_max_bytes(rng.size(16, 400) as u64);
+        let (mut wal, _) = Wal::open(&dir, config.clone()).unwrap();
+        let mut written: Vec<Vec<u8>> = Vec::new();
+        let mut covered = 0;
+        for _ in 0..rng.size(1, 12) {
+            if rng.size(0, 5) == 0 {
+                covered = wal.snapshot(b"state").unwrap();
+            } else {
+                let batch = rng.payloads(0, 6, 48);
+                wal.append_batch(&batch).unwrap();
+                written.extend(batch);
+            }
+        }
+        drop(wal);
+        // Cut the last segment anywhere; the records it loses are the
+        // last ones written.
+        let last = crate::inspect(&dir).unwrap().segments.pop().unwrap();
+        let cut = rng.size(0, last.bytes as usize + 1);
+        let file = std::fs::OpenOptions::new().write(true).open(&last.path);
+        file.unwrap().set_len(cut as u64).unwrap();
+        let mut offset = 0;
+        let kept = written[last.start_lsn as usize - 1..]
+            .iter()
+            .take_while(|p| {
+                offset += crate::RECORD_HEADER_BYTES + p.len();
+                offset <= cut
+            })
+            .count();
+        written.truncate(last.start_lsn as usize - 1 + kept);
+
+        let (_wal, recovered) = Wal::open(&dir, config.clone()).unwrap();
+        assert_eq!(recovered.snapshot_lsn, covered);
+        let expected: Vec<(Lsn, Vec<u8>)> = (1..).zip(written).skip(covered as usize).collect();
+        let first = recovered.entries.collected();
+        assert_eq!(first, expected);
+        assert_eq!(recovered.entries.len(), first.len());
+        assert_eq!(recovered.entries.collected(), first, "a second replay");
+        let (_wal, again) = Wal::open(&dir, config).unwrap();
+        assert_eq!(
+            again.entries.collected(),
+            first,
+            "a replay after a second open"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     });
 }

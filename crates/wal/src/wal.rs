@@ -1,9 +1,8 @@
 //! The log itself: segments, group commit, snapshots, recovery.
 
 use crate::kill::{KillPoint, KillSwitch};
-use crate::record::{
-    decode_one, encode_into, header, snapshot_state, Decoded, RECORD_HEADER_BYTES,
-};
+use crate::record::{encode_into, header, snapshot_state, RECORD_HEADER_BYTES};
+use crate::scan::{self, Tail, SEGMENT_PREFIX, SEGMENT_SUFFIX, SNAPSHOT_PREFIX, SNAPSHOT_SUFFIX};
 use crate::telemetry::telemetry;
 use crate::WalError;
 use mps_telemetry::trace::{FlightRecorder, Hop, Outcome, SpanRecord, TraceId};
@@ -14,12 +13,6 @@ use std::path::{Path, PathBuf};
 /// A log sequence number: the 1-based position of a record in the log.
 /// `0` means "nothing" (no snapshot, empty log).
 pub type Lsn = u64;
-
-const SEGMENT_PREFIX: &str = "wal-";
-const SEGMENT_SUFFIX: &str = ".log";
-const SNAPSHOT_PREFIX: &str = "snap-";
-const SNAPSHOT_SUFFIX: &str = ".snap";
-const TMP_SUFFIX: &str = ".tmp";
 
 /// Tuning and instrumentation knobs for a [`Wal`] instance.
 #[derive(Debug, Clone)]
@@ -90,8 +83,9 @@ pub struct Recovered {
     pub snapshot: Option<Vec<u8>>,
     /// The LSN the snapshot covers through (`0` when none).
     pub snapshot_lsn: Lsn,
-    /// Log records *after* the snapshot, in LSN order.
-    pub entries: Vec<(Lsn, Vec<u8>)>,
+    /// Log records *after* the snapshot, in LSN order: validated, and
+    /// read back one segment at a time by [`Tail::replay`].
+    pub entries: Tail,
     /// What the recovery scan did.
     pub report: RecoveryReport,
 }
@@ -101,7 +95,7 @@ pub struct Recovered {
 pub struct RecoveryReport {
     /// Segment files read (fully covered segments are skipped).
     pub segments_scanned: usize,
-    /// Records handed back in [`Recovered::entries`].
+    /// Records [`Recovered::entries`] replays.
     pub records_replayed: usize,
     /// True when a torn tail was truncated off the last segment.
     pub torn_tail: bool,
@@ -144,39 +138,27 @@ pub struct Wal {
 impl Wal {
     /// Opens (creating if needed) the log in `dir` and scans it:
     /// orphan temp files are removed, the newest valid snapshot is
-    /// loaded, records after it are collected, and a torn tail on the
-    /// last segment is truncated. Returns the instance plus everything
-    /// the caller must replay to rebuild its state.
+    /// loaded, the records after it are validated and counted, and a
+    /// torn tail on the last segment is truncated. Returns the instance
+    /// plus everything the caller must replay to rebuild its state: the
+    /// snapshot, and a [`Tail`] that reads the records back one segment
+    /// at a time.
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<(Self, Recovered), WalError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-
-        let mut segments: Vec<(Lsn, PathBuf)> = Vec::new();
-        let mut snapshots: Vec<(Lsn, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if name.ends_with(TMP_SUFFIX) {
-                // Orphaned by a crash mid-snapshot; never committed.
-                std::fs::remove_file(&path)?;
-            } else if let Some(start) = parse_name(name, SEGMENT_PREFIX, SEGMENT_SUFFIX) {
-                segments.push((start, path));
-            } else if let Some(lsn) = parse_name(name, SNAPSHOT_PREFIX, SNAPSHOT_SUFFIX) {
-                snapshots.push((lsn, path));
-            }
+        let listing = scan::list(&dir)?;
+        for orphan in &listing.orphans {
+            // Orphaned by a crash mid-snapshot; never committed.
+            std::fs::remove_file(orphan)?;
         }
-        segments.sort_by_key(|(start, _)| *start);
-        snapshots.sort_by_key(|(lsn, _)| std::cmp::Reverse(*lsn));
+        let segments = listing.segments;
 
         // Newest snapshot whose framing checks out wins; damaged ones
         // are skipped (an uncommitted snapshot never gets renamed into
         // place, so damage here means external corruption).
         let mut snapshot: Option<Vec<u8>> = None;
         let mut snapshot_lsn: Lsn = 0;
-        for (lsn, path) in &snapshots {
+        for (lsn, path) in &listing.snapshots {
             let mut bytes = std::fs::read(path)?;
             if snapshot_state(&bytes).is_some() {
                 // The buffer becomes the state: no second copy of it.
@@ -188,8 +170,12 @@ impl Wal {
         }
         let replay_from = snapshot_lsn + 1;
 
+        // Every segment the snapshot does not cover is read and walked,
+        // one at a time through one buffer; the tail keeps where its
+        // records are, not the records.
         let mut report = RecoveryReport::default();
-        let mut entries: Vec<(Lsn, Vec<u8>)> = Vec::new();
+        let mut entries = Tail::new(config.kill.clone());
+        let mut buf = Vec::new();
         let mut expected: Option<Lsn> = None;
         let mut max_lsn: Lsn = 0;
         let mut closed: Vec<ClosedSegment> = Vec::new();
@@ -215,36 +201,31 @@ impl Wal {
                     continue;
                 }
             }
-            let bytes = std::fs::read(path)?;
+            scan::read_into(path, &mut buf)?;
             report.segments_scanned += 1;
-            let mut offset = 0usize;
-            let mut lsn = *start;
-            loop {
-                match decode_one(&bytes[offset..]) {
-                    Decoded::End => break,
-                    Decoded::Record { payload, consumed } => {
-                        if lsn >= replay_from {
-                            entries.push((lsn, payload.to_vec()));
-                        }
-                        offset += consumed;
-                        lsn += 1;
-                    }
-                    Decoded::Torn => {
-                        if i != last_index {
-                            return Err(WalError::Corrupt(format!(
-                                "bad record at lsn {lsn} in non-final segment {}",
-                                path.display()
-                            )));
-                        }
-                        report.torn_tail = true;
-                        report.torn_bytes_truncated = (bytes.len() - offset) as u64;
-                        let file = OpenOptions::new().write(true).open(path)?;
-                        file.set_len(offset as u64)?;
-                        file.sync_all()?;
-                        break;
-                    }
+            let walk = scan::walk(&buf, replay_from.saturating_sub(*start));
+            let lsn = start + walk.records;
+            if walk.torn {
+                if i != last_index {
+                    return Err(WalError::Corrupt(format!(
+                        "bad record at lsn {lsn} in non-final segment {}",
+                        path.display()
+                    )));
                 }
+                report.torn_tail = true;
+                report.torn_bytes_truncated = (buf.len() - walk.valid) as u64;
+                let file = OpenOptions::new().write(true).open(path)?;
+                file.set_len(walk.valid as u64)?;
+                file.sync_all()?;
             }
+            let first = (*start).max(replay_from);
+            entries.push(
+                path,
+                first,
+                walk.kept_from,
+                walk.valid,
+                lsn.saturating_sub(first),
+            );
             if lsn > *start {
                 max_lsn = max_lsn.max(lsn - 1);
             }
@@ -256,8 +237,9 @@ impl Wal {
                 });
             }
         }
-        if let Some((first, _)) = entries.first() {
-            if *first != replay_from {
+        drop(buf);
+        if let Some(first) = entries.first_lsn() {
+            if first != replay_from {
                 return Err(WalError::Corrupt(format!(
                     "log starts at lsn {first} but the snapshot only covers through \
                      {snapshot_lsn}"
@@ -597,14 +579,6 @@ fn snapshot_path(dir: &Path, lsn: Lsn) -> PathBuf {
     dir.join(format!("{SNAPSHOT_PREFIX}{lsn:020}{SNAPSHOT_SUFFIX}"))
 }
 
-/// Parses `prefix{lsn}suffix` file names.
-fn parse_name(name: &str, prefix: &str, suffix: &str) -> Option<Lsn> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
-}
-
 /// Best-effort directory fsync (makes renames and creations durable on
 /// platforms that support opening directories; a no-op elsewhere).
 fn sync_dir(dir: &Path) {
@@ -670,9 +644,10 @@ mod tests {
 
         let (wal, recovered) = Wal::open(&dir, quiet()).unwrap();
         assert_eq!(wal.next_lsn(), 5);
-        let lsns: Vec<Lsn> = recovered.entries.iter().map(|(l, _)| *l).collect();
+        let records = recovered.entries.collected();
+        let lsns: Vec<Lsn> = records.iter().map(|(l, _)| *l).collect();
         assert_eq!(lsns, vec![1, 2, 3, 4]);
-        assert_eq!(recovered.entries[3].1, b"solo");
+        assert_eq!(records[3].1, b"solo");
         assert!(!recovered.report.torn_tail);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -691,7 +666,7 @@ mod tests {
         let (wal, recovered) = Wal::open(&dir, config).unwrap();
         assert_eq!(recovered.entries.len(), 40);
         assert_eq!(wal.next_lsn(), 41);
-        for (i, (lsn, payload)) in recovered.entries.iter().enumerate() {
+        for (i, (lsn, payload)) in recovered.entries.collected().iter().enumerate() {
             assert_eq!(*lsn, i as u64 + 1);
             assert_eq!(payload, format!("record-{i}").as_bytes());
         }
@@ -740,7 +715,12 @@ mod tests {
             Some(b"state-at-24".as_slice())
         );
         assert_eq!(recovered.snapshot_lsn, 24);
-        let lsns: Vec<Lsn> = recovered.entries.iter().map(|(l, _)| *l).collect();
+        let lsns: Vec<Lsn> = recovered
+            .entries
+            .collected()
+            .iter()
+            .map(|(l, _)| *l)
+            .collect();
         assert_eq!(lsns, vec![25, 26]);
         assert_eq!(wal.next_lsn(), 27);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -832,7 +812,7 @@ mod tests {
         assert_eq!(recovered.snapshot_lsn, 20);
         // Not `assert_eq!`: a failure would print 64 MiB twice.
         assert!(recovered.snapshot.as_deref() == Some(state.as_slice()));
-        assert_eq!(recovered.entries, vec![(21, b"after".to_vec())]);
+        assert_eq!(recovered.entries.collected(), vec![(21, b"after".to_vec())]);
         assert_eq!(wal.next_lsn(), 22);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -924,7 +904,9 @@ mod tests {
         // The first three records and the durable prefix of the batch
         // survive; the torn final record does not.
         assert!(recovered.entries.len() >= 3 && recovered.entries.len() < 6);
-        for (i, (lsn, payload)) in recovered.entries.iter().enumerate() {
+        let records = recovered.entries.collected();
+        assert_eq!(records.len(), recovered.entries.len());
+        for (i, (lsn, payload)) in records.iter().enumerate() {
             assert_eq!(*lsn, i as u64 + 1);
             assert_eq!(payload, format!("record-{i}").as_bytes());
         }
@@ -1017,7 +999,12 @@ mod tests {
         let (_, second) = Wal::open(&dir, quiet()).unwrap();
         assert_eq!(first.snapshot, second.snapshot);
         assert_eq!(first.snapshot_lsn, second.snapshot_lsn);
-        assert_eq!(first.entries, second.entries);
+        assert_eq!(first.entries.collected(), second.entries.collected());
+        assert_eq!(
+            first.entries.collected(),
+            first.entries.collected(),
+            "a tail replays twice"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1041,6 +1028,130 @@ mod tests {
             .attrs
             .iter()
             .any(|(k, v)| *k == "records_replayed" && v == "1"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file in `dir` with its bytes, by name.
+    fn image(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                (
+                    path.file_name().unwrap().to_owned(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_replay_reads_the_tail_behind_a_snapshot_across_segments() {
+        let dir = temp_dir("tail");
+        let config = quiet().segment_max_bytes(64);
+        let (mut wal, _) = Wal::open(&dir, config.clone()).unwrap();
+        for batch in 0..3u64 {
+            wal.append_batch(&payloads(batch * 3..batch * 3 + 3))
+                .unwrap();
+        }
+        // Covers records 1..=9; the segment holding 10.. is not covered.
+        wal.snapshot(b"nine").unwrap();
+        for batch in 3..9u64 {
+            wal.append_batch(&payloads(batch * 3..batch * 3 + 3))
+                .unwrap();
+        }
+        drop(wal);
+        let (_wal, recovered) = Wal::open(&dir, config).unwrap();
+        assert!(recovered.report.segments_scanned > 2, "several segments");
+        assert_eq!(recovered.entries.len(), 18);
+        assert_eq!(recovered.entries.first_lsn(), Some(10));
+        let records = recovered.entries.collected();
+        let expected: Vec<(Lsn, Vec<u8>)> = (10..=27).zip(payloads(9..27)).collect();
+        assert_eq!(records, expected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_replay_stops_at_the_first_error_of_its_client() {
+        let dir = temp_dir("replay-error");
+        let (mut wal, _) = Wal::open(&dir, quiet()).unwrap();
+        wal.append_batch(&payloads(0..5)).unwrap();
+        drop(wal);
+        let (_wal, recovered) = Wal::open(&dir, quiet()).unwrap();
+        let mut seen = Vec::new();
+        let stopped = recovered.entries.replay(|lsn, _| {
+            seen.push(lsn);
+            if lsn == 3 {
+                return Err(WalError::Corrupt("refused".into()));
+            }
+            Ok(())
+        });
+        assert!(matches!(stopped, Err(WalError::Corrupt(why)) if why == "refused"));
+        assert_eq!(seen, vec![1, 2, 3]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_segment_changed_after_the_open_fails_its_replay() {
+        let dir = temp_dir("replay-changed");
+        let (mut wal, _) = Wal::open(&dir, quiet()).unwrap();
+        wal.append_batch(&payloads(0..5)).unwrap();
+        drop(wal);
+        let (_wal, recovered) = Wal::open(&dir, quiet()).unwrap();
+        let seg = segment_path(&dir, 1);
+        let len = std::fs::metadata(&seg).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&seg)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let mut applied = 0;
+        let failed = recovered.entries.replay(|_, _| {
+            applied += 1;
+            Ok::<_, WalError>(())
+        });
+        assert!(matches!(failed, Err(WalError::Corrupt(_))), "{failed:?}");
+        assert_eq!(applied, 4, "the records still whole were handed over");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mid_replay_kill_leaves_the_directory_as_the_open_left_it() {
+        let dir = temp_dir("kill-replay");
+        let config = quiet().segment_max_bytes(64);
+        let (mut wal, _) = Wal::open(&dir, config.clone()).unwrap();
+        for batch in 0..4u64 {
+            wal.append_batch(&payloads(batch * 4..batch * 4 + 4))
+                .unwrap();
+        }
+        drop(wal);
+        let before = image(&dir);
+
+        let kill = KillSwitch::new();
+        kill.arm(KillPoint::MidReplay, 9);
+        let (mut wal, recovered) = Wal::open(&dir, config.clone().kill(kill.clone())).unwrap();
+        let mut applied = 0;
+        let killed = recovered.entries.replay(|_, _| {
+            applied += 1;
+            Ok::<_, WalError>(())
+        });
+        assert!(matches!(
+            killed,
+            Err(WalError::Killed(KillPoint::MidReplay))
+        ));
+        assert_eq!(applied, 9);
+        assert!(wal.append(b"x").is_err(), "the instance is dead");
+        drop(wal);
+        assert_eq!(image(&dir), before);
+
+        let (_wal, again) = Wal::open(&dir, config).unwrap();
+        assert_eq!(
+            again.entries.collected(),
+            (1..=16).zip(payloads(0..16)).collect::<Vec<_>>()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

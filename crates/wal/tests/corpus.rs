@@ -6,7 +6,7 @@
 //! stay pristine), opens it, and checks exactly which prefix survives —
 //! then opens it again to confirm the repair left a clean log.
 
-use mps_wal::{Wal, WalConfig};
+use mps_wal::{Lsn, Recovered, Wal, WalConfig, WalError};
 use std::path::{Path, PathBuf};
 
 struct Case {
@@ -63,7 +63,20 @@ fn scratch_log_dir(tag: &str) -> PathBuf {
     ))
 }
 
-fn open_copy(case: &Case) -> (PathBuf, mps_wal::Recovered) {
+/// What a replay of `recovered`'s tail hands over, collected.
+fn replayed(recovered: &Recovered) -> Vec<(Lsn, Vec<u8>)> {
+    let mut records = Vec::new();
+    recovered
+        .entries
+        .replay(|lsn, payload| {
+            records.push((lsn, payload.to_vec()));
+            Ok::<_, WalError>(())
+        })
+        .unwrap();
+    records
+}
+
+fn open_copy(case: &Case) -> (PathBuf, Recovered) {
     let src = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/corpus")
         .join(case.file);
@@ -78,12 +91,12 @@ fn open_copy(case: &Case) -> (PathBuf, mps_wal::Recovered) {
 fn corpus_recovers_exactly_the_valid_prefix() {
     for case in CASES {
         let (dir, recovered) = open_copy(case);
-        let payloads: Vec<&[u8]> = recovered
-            .entries
-            .iter()
-            .map(|(_, p)| p.as_slice())
-            .collect();
+        let records = replayed(&recovered);
+        let lsns: Vec<Lsn> = records.iter().map(|(lsn, _)| *lsn).collect();
+        let payloads: Vec<&[u8]> = records.iter().map(|(_, p)| p.as_slice()).collect();
         assert_eq!(payloads, case.expect, "{}", case.file);
+        assert_eq!(lsns, (1..=case.expect.len() as Lsn).collect::<Vec<_>>());
+        assert_eq!(recovered.entries.len(), records.len(), "{}", case.file);
         assert_eq!(recovered.report.torn_tail, case.torn, "{}", case.file);
         if case.torn {
             assert!(
@@ -107,8 +120,8 @@ fn recovery_repairs_the_corpus_in_place() {
             case.file
         );
         assert_eq!(
-            second.entries.len(),
-            first.entries.len(),
+            replayed(&second),
+            replayed(&first),
             "{}: repair must not lose valid records",
             case.file
         );
@@ -130,8 +143,8 @@ fn appends_continue_after_corpus_recovery() {
             let (_wal, after) = Wal::open(&dir, WalConfig::default().telemetry(false)).unwrap();
             assert_eq!(after.entries.len(), before + 1, "{}", case.file);
             assert_eq!(
-                after.entries.last().map(|(_, p)| p.as_slice()),
-                Some(&b"appended after repair"[..]),
+                replayed(&after).pop(),
+                Some((before as Lsn + 1, b"appended after repair".to_vec())),
                 "{}",
                 case.file
             );
