@@ -13,9 +13,7 @@
 //! mean.
 
 use mps_assim::{Blue, Grid, Localization, PointObservation};
-use mps_broker::{
-    topic_matches, Broker, BrokerTransport, CompiledPattern, ExchangeType, TopicTrie,
-};
+use mps_broker::{topic_matches, Broker, BrokerTransport, CompiledPattern, TopicTrie};
 use mps_docstore::{Collection, DocstoreTransport, Durability, DurabilityConfig, Filter, Store};
 use mps_goflow::{GoFlowServer, Role};
 use mps_mobile::Fleet;
@@ -234,7 +232,7 @@ pub fn blue_analysis(m: usize, samples: usize) -> (f64, f64) {
 pub fn net_round_trip(payload_bytes: usize, samples: usize, iters: usize) -> (f64, f64, f64) {
     let backend: Arc<dyn BrokerTransport> = Arc::new(Broker::new());
     backend
-        .declare_exchange("bench", ExchangeType::Topic)
+        .declare_exchange("bench")
         .expect("declare bench exchange");
     backend
         .declare_queue("bench.q")

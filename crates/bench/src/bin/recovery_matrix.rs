@@ -30,7 +30,7 @@
 // A CLI's job is to print.
 #![allow(clippy::print_stdout, reason = "the matrix is a report on stdout")]
 
-use mps_broker::{Broker, BrokerTransport, ExchangeType};
+use mps_broker::{Broker, BrokerTransport};
 use mps_docstore::{Durability, DurabilityConfig, Filter, Store, Update};
 use mps_faults::{CrashPlan, CrashTarget};
 use mps_goflow::{GoFlowServer, ObservationRecord, Role};
@@ -460,7 +460,7 @@ fn broker_cell(point: KillPoint, skip: u64, ops: u64) -> Result<Cell, String> {
         .snapshot_every(SNAPSHOT_EVERY);
     let broker = Broker::open_durable(config).map_err(|e| format!("faulted open: {e}"))?;
     let setup = || -> Result<(), mps_broker::BrokerError> {
-        broker.declare_exchange("app", ExchangeType::Topic)?;
+        broker.declare_exchange("app")?;
         broker.declare_queue("q")?;
         broker.declare_queue("dlq")?;
         broker.bind_queue("app", "q", "obs.#")?;

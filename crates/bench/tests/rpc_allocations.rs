@@ -10,7 +10,7 @@
 
 mod counting;
 
-use mps_broker::{Broker, BrokerTransport, ExchangeType};
+use mps_broker::{Broker, BrokerTransport};
 use mps_net::{ClientConfig, RemoteBroker, ServerConfig, WireServer};
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ fn allocations(remote: &RemoteBroker, payload: &[u8]) -> u64 {
 fn rpc_telemetry_allocates_nothing_per_rpc() {
     let backend: Arc<dyn BrokerTransport> = Arc::new(Broker::new());
     backend
-        .declare_exchange("bench", ExchangeType::Topic)
+        .declare_exchange("bench")
         .expect("declare the exchange");
     let server = |rpc_telemetry| {
         let service = Arc::new(mps_net::BrokerService::new(Arc::clone(&backend)));

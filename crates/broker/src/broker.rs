@@ -2,7 +2,7 @@
 
 use crate::durability::{self, DurabilityConfig, MessageView, QueueSnapshot};
 use crate::metrics::MetricsSnapshot;
-use crate::router::{ExchangeIndex, RouteCache};
+use crate::router::{RouteCache, TopicTrie};
 use crate::topic::CompiledPattern;
 use crate::{BindingPattern, BrokerError, BrokerMetrics, Delivery, Message, RoutingKey};
 use mps_telemetry::trace::{
@@ -12,30 +12,7 @@ use mps_telemetry::trace::{
 use mps_wal::{Journal, Rank, Ranked};
 use serde_json::Value;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
 use std::sync::Arc;
-
-/// The kind of an exchange, determining its routing rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExchangeType {
-    /// Routes to bindings whose key equals the message routing key.
-    Direct,
-    /// Routes to every binding, ignoring the routing key.
-    Fanout,
-    /// Routes to bindings whose pattern matches the routing key
-    /// (`*` = one word, `#` = zero or more words).
-    Topic,
-}
-
-impl fmt::Display for ExchangeType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ExchangeType::Direct => "direct",
-            ExchangeType::Fanout => "fanout",
-            ExchangeType::Topic => "topic",
-        })
-    }
-}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Target {
@@ -52,25 +29,17 @@ pub(crate) struct Binding {
     pub(crate) target: Target,
 }
 
-#[derive(Debug)]
+/// A topic exchange: its bindings, and the trie that routes by them.
+#[derive(Debug, Default)]
 pub(crate) struct ExchangeState {
-    pub(crate) kind: ExchangeType,
     pub(crate) bindings: Vec<Binding>,
-    /// Routing index over `bindings` (trie for topic, key map for
-    /// direct); rebuilt whenever bindings are removed, appended to on
-    /// bind. Binding ids are positions in `bindings`.
-    index: ExchangeIndex,
+    /// Routing index over `bindings`; rebuilt whenever bindings are
+    /// removed, appended to on bind. Binding ids are positions in
+    /// `bindings`.
+    trie: TopicTrie,
 }
 
 impl ExchangeState {
-    fn new(kind: ExchangeType) -> Self {
-        Self {
-            kind,
-            bindings: Vec::new(),
-            index: ExchangeIndex::empty(kind),
-        }
-    }
-
     /// Appends a binding unless an identical one exists; returns whether
     /// the topology changed.
     fn add_binding(&mut self, binding: Binding) -> bool {
@@ -81,8 +50,7 @@ impl ExchangeState {
         {
             return false;
         }
-        let id = self.bindings.len();
-        self.index.insert(&binding.pattern, &binding.compiled, id);
+        self.trie.insert(&binding.compiled, self.bindings.len());
         self.bindings.push(binding);
         true
     }
@@ -95,10 +63,7 @@ impl ExchangeState {
         if self.bindings.len() == before {
             return false;
         }
-        self.index = ExchangeIndex::rebuild(
-            self.kind,
-            self.bindings.iter().map(|b| (&b.pattern, &b.compiled)),
-        );
+        self.trie = self.bindings.iter().map(|b| &b.compiled).collect();
         true
     }
 }
@@ -129,7 +94,6 @@ pub(crate) struct QueueState {
     /// Unacked deliveries, keyed by tag.
     pub(crate) unacked: BTreeMap<u64, Queued>,
     next_tag: u64,
-    pub(crate) capacity: Option<usize>,
     pub(crate) enqueued_total: u64,
     pub(crate) dead_letter: Option<DeadLetterPolicy>,
 }
@@ -144,7 +108,7 @@ pub(crate) struct State {
     /// 1 on durable brokers, unused (0) on in-memory ones.
     pub(crate) next_durable_id: u64,
     /// Memoized `(entry exchange, key)` → destination-queue sets;
-    /// invalidated on every bind/unbind/delete.
+    /// invalidated on every bind and delete.
     route_cache: RouteCache,
 }
 
@@ -156,34 +120,21 @@ impl State {
     }
 
     /// Declares exchange `name`; returns whether it is new.
-    pub(crate) fn declare_exchange(
-        &mut self,
-        name: &str,
-        kind: ExchangeType,
-    ) -> Result<bool, BrokerError> {
-        match self.exchanges.get(name) {
-            Some(existing) if existing.kind != kind => {
-                Err(BrokerError::ExchangeTypeMismatch { name: name.into() })
-            }
-            Some(_) => Ok(false),
-            None => {
-                self.exchanges
-                    .insert(name.to_owned(), ExchangeState::new(kind));
-                Ok(true)
-            }
+    pub(crate) fn declare_exchange(&mut self, name: &str) -> bool {
+        if self.exchanges.contains_key(name) {
+            return false;
         }
+        self.exchanges
+            .insert(name.to_owned(), ExchangeState::default());
+        true
     }
 
     /// Declares queue `name`; returns whether it is new.
-    pub(crate) fn declare_queue(&mut self, name: &str, capacity: Option<usize>) -> bool {
+    pub(crate) fn declare_queue(&mut self, name: &str) -> bool {
         if self.queues.contains_key(name) {
             return false;
         }
-        let queue = QueueState {
-            capacity,
-            ..QueueState::default()
-        };
-        self.queues.insert(name.to_owned(), queue);
+        self.queues.insert(name.to_owned(), QueueState::default());
         true
     }
 
@@ -214,25 +165,6 @@ impl State {
             compiled,
             target,
         });
-        if changed {
-            self.invalidate_routes_through(exchange);
-        }
-        Ok(changed)
-    }
-
-    /// Removes the binding of `target` to `exchange` by `pattern`, if
-    /// there is one; returns whether there was.
-    pub(crate) fn unbind(
-        &mut self,
-        exchange: &str,
-        pattern: &BindingPattern,
-        target: &Target,
-    ) -> Result<bool, BrokerError> {
-        let ex = self
-            .exchanges
-            .get_mut(exchange)
-            .ok_or_else(|| BrokerError::ExchangeNotFound(exchange.into()))?;
-        let changed = ex.retain_bindings(|b| !(b.pattern == *pattern && b.target == *target));
         if changed {
             self.invalidate_routes_through(exchange);
         }
@@ -302,13 +234,11 @@ impl State {
     }
 }
 
-/// Management view of an exchange.
+/// Management view of an exchange (every exchange is a topic exchange).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExchangeInfo {
     /// Exchange name.
     pub name: String,
-    /// Exchange type.
-    pub kind: ExchangeType,
     /// Number of bindings out of this exchange.
     pub bindings: usize,
 }
@@ -324,10 +254,8 @@ pub struct QueueInfo {
     pub unacked: usize,
     /// Total messages ever enqueued.
     pub enqueued_total: u64,
-    /// Capacity limit, if bounded.
-    pub capacity: Option<usize>,
-    /// Dead-letter target, if the queue has a dead-letter policy.
-    pub dead_letter_to: Option<String>,
+    /// The queue's dead-letter policy, if it has one.
+    pub dead_letter: Option<DeadLetterPolicy>,
 }
 
 /// An in-process AMQP-style message broker.
@@ -367,10 +295,10 @@ impl Broker {
     /// write-ahead-logs every subsequent declaration and queue
     /// transition.
     ///
-    /// Topology (exchanges, bindings, capacities, dead-letter policies)
-    /// is persisted and restored with the messages, so applications need
-    /// not re-declare anything on startup (re-declaring stays idempotent
-    /// and keeps recovered messages). Messages that were unacked at the
+    /// Topology (exchanges, bindings, dead-letter policies) is persisted
+    /// and restored with the messages, so applications need not
+    /// re-declare anything on startup (re-declaring stays idempotent and
+    /// keeps recovered messages). Messages that were unacked at the
     /// crash come back as ready (at-least-once).
     ///
     /// # Errors
@@ -459,18 +387,17 @@ impl Broker {
 
     // ----- management -----------------------------------------------------
 
-    /// Declares an exchange. Redeclaring with the same type is a no-op
-    /// (and logs nothing on a durable broker).
+    /// Declares a topic exchange. Redeclaring is a no-op (and logs
+    /// nothing on a durable broker).
     ///
     /// # Errors
     ///
-    /// Returns [`BrokerError::ExchangeTypeMismatch`] if the exchange exists
-    /// with a different type, or [`BrokerError::Durability`] if a durable
-    /// broker fails to log the declaration.
-    pub fn declare_exchange(&self, name: &str, kind: ExchangeType) -> Result<(), BrokerError> {
+    /// Returns [`BrokerError::Durability`] if a durable broker fails to
+    /// log the declaration.
+    pub fn declare_exchange(&self, name: &str) -> Result<(), BrokerError> {
         let mut state = self.state.lock();
-        if state.declare_exchange(name, kind)? {
-            self.commit(&state, || [durability::declare_exchange_delta(name, kind)])?;
+        if state.declare_exchange(name) {
+            self.commit(&state, || [durability::declare_exchange_delta(name)])?;
         }
         Ok(())
     }
@@ -483,40 +410,11 @@ impl Broker {
     /// Returns [`BrokerError::Durability`] if a durable broker fails to
     /// log the declaration.
     pub fn declare_queue(&self, name: &str) -> Result<(), BrokerError> {
-        self.declare_queue_inner(name, None)
-    }
-
-    /// Declares a queue that holds at most `capacity` ready messages;
-    /// further publishes to it are dropped (and counted in the metrics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::Durability`] if a durable broker fails to
-    /// log the declaration.
-    pub fn declare_queue_with_capacity(
-        &self,
-        name: &str,
-        capacity: usize,
-    ) -> Result<(), BrokerError> {
-        self.declare_queue_inner(name, Some(capacity))
-    }
-
-    fn declare_queue_inner(&self, name: &str, capacity: Option<usize>) -> Result<(), BrokerError> {
         let mut state = self.state.lock();
-        if state.declare_queue(name, capacity) {
-            self.commit(&state, || [durability::declare_queue_delta(name, capacity)])?;
+        if state.declare_queue(name) {
+            self.commit(&state, || [durability::declare_queue_delta(name)])?;
         }
         Ok(())
-    }
-
-    /// Whether an exchange with this name exists.
-    pub fn exchange_exists(&self, name: &str) -> bool {
-        self.state.lock().exchanges.contains_key(name)
-    }
-
-    /// Whether a queue with this name exists.
-    pub fn queue_exists(&self, name: &str) -> bool {
-        self.state.lock().queues.contains_key(name)
     }
 
     /// Binds `queue` to `exchange` with a topic `pattern`. Duplicate
@@ -566,27 +464,6 @@ impl Broker {
                     destination,
                     pattern,
                 )]
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Removes a queue binding. Removing a non-existent binding is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::ExchangeNotFound`] if the exchange is missing.
-    pub fn unbind_queue(
-        &self,
-        exchange: &str,
-        queue: &str,
-        pattern: &str,
-    ) -> Result<(), BrokerError> {
-        let parsed = BindingPattern::new(pattern)?;
-        let mut state = self.state.lock();
-        if state.unbind(exchange, &parsed, &Target::Queue(queue.to_owned()))? {
-            self.commit(&state, || {
-                [durability::unbind_queue_delta(exchange, queue, pattern)]
             })?;
         }
         Ok(())
@@ -650,7 +527,6 @@ impl Broker {
             .iter()
             .map(|(name, ex)| ExchangeInfo {
                 name: name.clone(),
-                kind: ex.kind,
                 bindings: ex.bindings.len(),
             })
             .collect()
@@ -667,8 +543,7 @@ impl Broker {
                 ready: q.ready.len(),
                 unacked: q.unacked.len(),
                 enqueued_total: q.enqueued_total,
-                capacity: q.capacity,
-                dead_letter_to: q.dead_letter.as_ref().map(|p| p.target.clone()),
+                dead_letter: q.dead_letter.clone(),
             })
             .collect()
     }
@@ -715,20 +590,6 @@ impl Broker {
             })?;
         }
         Ok(())
-    }
-
-    /// The dead-letter policy of a queue, if one is configured.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::QueueNotFound`] if the queue does not exist.
-    pub fn dead_letter_policy(&self, queue: &str) -> Result<Option<DeadLetterPolicy>, BrokerError> {
-        let state = self.state.lock();
-        state
-            .queues
-            .get(queue)
-            .map(|q| q.dead_letter.clone())
-            .ok_or_else(|| BrokerError::QueueNotFound(queue.into()))
     }
 
     /// Number of ready messages in a queue.
@@ -783,7 +644,7 @@ impl Broker {
         // topology has not changed since this (exchange, key) was last
         // routed, else recomputed by the indexed breadth-first walk.
         let key = message.routing_key().clone();
-        let targets = match state.route_cache.get(exchange, key.as_str()) {
+        let route = match state.route_cache.get(exchange, key.as_str()) {
             Some(cached) => {
                 self.metrics.on_route_cache_hit();
                 cached
@@ -798,36 +659,32 @@ impl Broker {
             }
         };
 
-        // Settle the capacity-aware accept set before freezing the message
-        // behind an `Arc`, so the broker-publish trace span can carry the
-        // routed count and the trace header can be re-parented under it.
-        let mut accepting: Vec<String> = Vec::new();
-        for queue_name in targets.iter() {
-            if let Some(q) = state.queues.get(queue_name) {
-                if q.capacity.is_some_and(|cap| q.ready.len() >= cap) {
-                    self.metrics.on_dropped();
-                    continue;
-                }
-                accepting.push(queue_name.clone());
-            }
-        }
-        let enqueued = accepting.len();
-        let message = trace_publish(message, enqueued, targets.is_empty());
+        // Deleting a queue drops the cached routes that could name it, so
+        // every queue a route names should exist; the filter makes sure.
+        let targets: Vec<&str> = route
+            .iter()
+            .map(String::as_str)
+            .filter(|queue| state.queues.contains_key(*queue))
+            .collect();
+        let enqueued = targets.len();
+        // Re-parent the trace header under the broker-publish span, which
+        // carries the routed count, before freezing the message.
+        let message = trace_publish(message, enqueued);
 
         let shared = Arc::new(message);
-        // A durable id per copy, in accept order; 0 on in-memory brokers.
+        // A durable id per copy, in route order; 0 on in-memory brokers.
         let durable = self.journal.is_some();
         let first_id = state.next_durable_id;
-        for (queue_name, id) in accepting.iter().zip(first_id..) {
+        for (queue_name, id) in targets.iter().zip(first_id..) {
             let id = if durable { id } else { 0 };
             #[expect(
                 clippy::expect_used,
-                reason = "accept set was built from existing queues under the same lock; no deletion can interleave"
+                reason = "targets were filtered to existing queues under the same lock; no deletion can interleave"
             )]
             let q = state
                 .queues
-                .get_mut(queue_name)
-                .expect("accept set built from existing queues");
+                .get_mut(*queue_name)
+                .expect("targets are existing queues");
             q.ready.push_back((Arc::clone(&shared), 0, id));
             q.enqueued_total += 1;
             self.metrics.sample_queue_depth(queue_name, q.ready.len());
@@ -837,7 +694,7 @@ impl Broker {
         }
         // One group-committed append (one fsync) covers the whole fan-out.
         self.commit(&state, || {
-            let copies = accepting.iter().zip(first_id..);
+            let copies = targets.iter().zip(first_id..);
             copies.map(|(queue, id)| durability::enqueue_delta(queue, &shared, id))
         })?;
         self.metrics.on_routed(enqueued as u64);
@@ -1012,10 +869,10 @@ impl Broker {
                     }
                 },
                 // Delivery attempts are exhausted: the message leaves its home
-                // queue for good. A full or deleted dead-letter queue degrades
-                // to a counted drop — never a silent loss.
+                // queue for good. A deleted dead-letter queue degrades to a
+                // counted drop — never a silent loss.
                 Some(target) => match state.queues.get_mut(&target) {
-                    Some(dlq) if dlq.capacity.is_none_or(|cap| dlq.ready.len() < cap) => {
+                    Some(dlq) => {
                         dlq.ready.push_back((Arc::clone(&message), 0, durable_id));
                         dlq.enqueued_total += 1;
                         self.metrics.on_dead_lettered();
@@ -1029,7 +886,7 @@ impl Broker {
                         durable_on
                             .then(|| durability::dead_letter_delta(queue, durable_id, &target))
                     }
-                    _ => {
+                    None => {
                         self.metrics.on_dropped();
                         trace_message_terminal(
                             &message,
@@ -1102,7 +959,7 @@ fn compute_route(state: &State, entry: &str, key: &RoutingKey) -> Vec<String> {
         let Some(ex) = state.exchanges.get(&name) else {
             continue;
         };
-        for id in ex.index.matching_bindings(key.as_str(), &key_words) {
+        for id in ex.trie.matches(&key_words) {
             let Some(binding) = ex.bindings.get(id) else {
                 continue;
             };
@@ -1124,10 +981,10 @@ fn compute_route(state: &State, entry: &str, key: &RoutingKey) -> Vec<String> {
 /// Records one `broker_publish` span per trace context carried in the
 /// message's `x-trace` header and re-parents the header under those
 /// spans. A publish that lands on no queue is a terminal counted drop
-/// (`unroutable` or `queue_full`); the broker is time-agnostic, so spans
-/// are stamped with the sender's `x-trace-sent-ms`. Untraced messages
-/// pass through unchanged.
-fn trace_publish(message: Message, enqueued: usize, unroutable: bool) -> Message {
+/// (`unroutable`); the broker is time-agnostic, so spans are stamped
+/// with the sender's `x-trace-sent-ms`. Untraced messages pass through
+/// unchanged.
+fn trace_publish(message: Message, enqueued: usize) -> Message {
     let Some(header) = message.header(TRACE_HEADER) else {
         return message;
     };
@@ -1146,14 +1003,9 @@ fn trace_publish(message: Message, enqueued: usize, unroutable: bool) -> Message
             .parent(ctx.parent)
             .duplicate(ctx.duplicate);
         if enqueued == 0 {
-            let reason = if unroutable {
-                "unroutable"
-            } else {
-                "queue_full"
-            };
             span = span
                 .outcome(Outcome::Dropped)
-                .attr("reason", reason.to_owned());
+                .attr("reason", "unroutable".to_owned());
         } else {
             span = span.attr("routed", enqueued.to_string());
         }
@@ -1203,7 +1055,7 @@ mod tests {
 
     fn broker_with_topic_setup() -> Broker {
         let b = Broker::new();
-        b.declare_exchange("app", ExchangeType::Topic).unwrap();
+        b.declare_exchange("app").unwrap();
         b.declare_queue("q1").unwrap();
         b.declare_queue("q2").unwrap();
         b
@@ -1211,13 +1063,15 @@ mod tests {
 
     #[test]
     fn declare_exchange_idempotent_same_type() {
-        let b = Broker::new();
-        b.declare_exchange("e", ExchangeType::Topic).unwrap();
-        b.declare_exchange("e", ExchangeType::Topic).unwrap();
-        assert_eq!(
-            b.declare_exchange("e", ExchangeType::Direct).unwrap_err(),
-            BrokerError::ExchangeTypeMismatch { name: "e".into() }
-        );
+        let b = broker_with_topic_setup();
+        b.bind_queue("app", "q1", "#").unwrap();
+        // Every exchange is a topic exchange: redeclaring one is a no-op
+        // that keeps its bindings.
+        b.declare_exchange("app").unwrap();
+        let info = b.exchanges();
+        assert_eq!(info.len(), 1);
+        assert_eq!(info[0].bindings, 1);
+        assert_eq!(b.publish("app", "any.key", &b""[..]).unwrap(), 1);
     }
 
     #[test]
@@ -1234,40 +1088,9 @@ mod tests {
     }
 
     #[test]
-    fn direct_exchange_requires_exact_match() {
-        let b = Broker::new();
-        b.declare_exchange("d", ExchangeType::Direct).unwrap();
-        b.declare_queue("q").unwrap();
-        b.bind_queue("d", "q", "exact.key").unwrap();
-        assert_eq!(b.publish("d", "exact.key", &b""[..]).unwrap(), 1);
-        assert_eq!(b.publish("d", "exact.other", &b""[..]).unwrap(), 0);
-    }
-
-    #[test]
-    fn direct_exchange_treats_star_literally() {
-        let b = Broker::new();
-        b.declare_exchange("d", ExchangeType::Direct).unwrap();
-        b.declare_queue("q").unwrap();
-        b.bind_queue("d", "q", "a.*").unwrap();
-        // Direct exchanges compare keys literally, so "a.b" must not match.
-        assert_eq!(b.publish("d", "a.b", &b""[..]).unwrap(), 0);
-    }
-
-    #[test]
-    fn fanout_ignores_key() {
-        let b = Broker::new();
-        b.declare_exchange("f", ExchangeType::Fanout).unwrap();
-        b.declare_queue("q1").unwrap();
-        b.declare_queue("q2").unwrap();
-        b.bind_queue("f", "q1", "ignored").unwrap();
-        b.bind_queue("f", "q2", "also-ignored").unwrap();
-        assert_eq!(b.publish("f", "whatever.key", &b""[..]).unwrap(), 2);
-    }
-
-    #[test]
     fn fanned_out_message_shares_one_payload_allocation() {
         let b = Broker::new();
-        b.declare_exchange("f", ExchangeType::Fanout).unwrap();
+        b.declare_exchange("f").unwrap();
         b.declare_queue("q1").unwrap();
         b.declare_queue("q2").unwrap();
         b.bind_queue("f", "q1", "#").unwrap();
@@ -1296,8 +1119,8 @@ mod tests {
         // Reproduces the paper's Figure 3: client exchange -> app exchange
         // -> GF queue.
         let b = Broker::new();
-        b.declare_exchange("E1", ExchangeType::Topic).unwrap();
-        b.declare_exchange("SC", ExchangeType::Topic).unwrap();
+        b.declare_exchange("E1").unwrap();
+        b.declare_exchange("SC").unwrap();
         b.declare_queue("GF").unwrap();
         b.bind_exchange("E1", "SC", "#").unwrap();
         b.bind_queue("SC", "GF", "#").unwrap();
@@ -1308,8 +1131,8 @@ mod tests {
     #[test]
     fn exchange_cycles_terminate() {
         let b = Broker::new();
-        b.declare_exchange("a", ExchangeType::Fanout).unwrap();
-        b.declare_exchange("x", ExchangeType::Fanout).unwrap();
+        b.declare_exchange("a").unwrap();
+        b.declare_exchange("x").unwrap();
         b.declare_queue("q").unwrap();
         b.bind_exchange("a", "x", "#").unwrap();
         b.bind_exchange("x", "a", "#").unwrap(); // cycle
@@ -1370,7 +1193,7 @@ mod tests {
 
     fn broker_with_dead_letter(max_attempts: u32) -> Broker {
         let b = Broker::new();
-        b.declare_exchange("e", ExchangeType::Fanout).unwrap();
+        b.declare_exchange("e").unwrap();
         b.declare_queue("work").unwrap();
         b.declare_queue("graveyard").unwrap();
         b.bind_queue("e", "work", "#").unwrap();
@@ -1415,7 +1238,7 @@ mod tests {
         // Unique queue names: the gauges live in the process-global
         // registry and other tests sample their own queues in parallel.
         let b = Broker::new();
-        b.declare_exchange("dg-e", ExchangeType::Fanout).unwrap();
+        b.declare_exchange("dg-e").unwrap();
         b.declare_queue("dg-work").unwrap();
         b.declare_queue("dg-grave").unwrap();
         b.bind_queue("dg-e", "dg-work", "#").unwrap();
@@ -1445,20 +1268,21 @@ mod tests {
     }
 
     #[test]
-    fn dead_letter_to_full_queue_degrades_to_counted_drop() {
-        let b = Broker::new();
-        b.declare_exchange("e", ExchangeType::Fanout).unwrap();
-        b.declare_queue("work").unwrap();
-        b.declare_queue_with_capacity("graveyard", 0).unwrap();
-        b.bind_queue("e", "work", "#").unwrap();
-        b.configure_dead_letter("work", 1, "graveyard").unwrap();
+    fn dead_letter_to_deleted_queue_degrades_to_counted_drop() {
+        let b = broker_with_dead_letter(1);
+        b.delete_queue("graveyard").unwrap();
         b.publish("e", "k", &b"x"[..]).unwrap();
         let d = b.consume("work", 1).unwrap().remove(0);
         b.nack("work", d.tag, true).unwrap();
         assert_eq!(b.queue_depth("work").unwrap(), 0);
-        assert_eq!(b.queue_depth("graveyard").unwrap(), 0);
         assert_eq!(b.metrics().dead_lettered, 0);
         assert_eq!(b.metrics().dropped, 1);
+        // Declared again, the target receives what the policy moves.
+        b.declare_queue("graveyard").unwrap();
+        b.publish("e", "k", &b"y"[..]).unwrap();
+        let d = b.consume("work", 1).unwrap().remove(0);
+        b.nack("work", d.tag, true).unwrap();
+        assert_eq!(b.queue_depth("graveyard").unwrap(), 1);
     }
 
     #[test]
@@ -1484,30 +1308,19 @@ mod tests {
             BrokerError::QueueNotFound("ghost".into())
         );
 
-        assert_eq!(b.dead_letter_policy("work").unwrap(), None);
+        let policy_of = |queue: &str| {
+            let info = b.queues().into_iter().find(|q| q.name == queue);
+            info.unwrap().dead_letter
+        };
+        assert_eq!(policy_of("work"), None);
         b.configure_dead_letter("work", 3, "graveyard").unwrap();
         assert_eq!(
-            b.dead_letter_policy("work").unwrap(),
+            policy_of("work"),
             Some(DeadLetterPolicy {
                 max_delivery_attempts: 3,
                 target: "graveyard".into(),
             })
         );
-        let work = b.queues().iter().find(|q| q.name == "work").cloned();
-        assert_eq!(work.unwrap().dead_letter_to.as_deref(), Some("graveyard"));
-    }
-
-    #[test]
-    fn bounded_queue_drops_overflow() {
-        let b = Broker::new();
-        b.declare_exchange("e", ExchangeType::Fanout).unwrap();
-        b.declare_queue_with_capacity("q", 2).unwrap();
-        b.bind_queue("e", "q", "#").unwrap();
-        assert_eq!(b.publish("e", "k", &b"1"[..]).unwrap(), 1);
-        assert_eq!(b.publish("e", "k", &b"2"[..]).unwrap(), 1);
-        assert_eq!(b.publish("e", "k", &b"3"[..]).unwrap(), 0);
-        assert_eq!(b.queue_depth("q").unwrap(), 2);
-        assert_eq!(b.metrics().dropped, 1);
     }
 
     #[test]
@@ -1551,21 +1364,11 @@ mod tests {
     }
 
     #[test]
-    fn unbind_stops_routing() {
-        let b = broker_with_topic_setup();
-        b.bind_queue("app", "q1", "obs.#").unwrap();
-        b.unbind_queue("app", "q1", "obs.#").unwrap();
-        assert_eq!(b.publish("app", "obs.x", &b""[..]).unwrap(), 0);
-        // Unbinding a non-existent binding is a no-op.
-        b.unbind_queue("app", "q1", "other.#").unwrap();
-    }
-
-    #[test]
     fn delete_queue_removes_bindings() {
         let b = broker_with_topic_setup();
         b.bind_queue("app", "q1", "#").unwrap();
         b.delete_queue("q1").unwrap();
-        assert!(!b.queue_exists("q1"));
+        assert!(b.queues().iter().all(|q| q.name != "q1"));
         assert_eq!(b.publish("app", "k", &b""[..]).unwrap(), 0);
         assert!(b.delete_queue("q1").is_err());
         assert_eq!(b.exchanges()[0].bindings, 0);
@@ -1574,11 +1377,11 @@ mod tests {
     #[test]
     fn delete_exchange_removes_e2e_bindings() {
         let b = Broker::new();
-        b.declare_exchange("src", ExchangeType::Fanout).unwrap();
-        b.declare_exchange("dst", ExchangeType::Fanout).unwrap();
+        b.declare_exchange("src").unwrap();
+        b.declare_exchange("dst").unwrap();
         b.bind_exchange("src", "dst", "#").unwrap();
         b.delete_exchange("dst").unwrap();
-        assert!(!b.exchange_exists("dst"));
+        assert_eq!(b.exchanges().len(), 1, "only src is left");
         assert_eq!(b.exchanges()[0].bindings, 0);
         assert!(b.delete_exchange("dst").is_err());
     }
@@ -1600,8 +1403,8 @@ mod tests {
     #[test]
     fn queue_info_reports_totals() {
         let b = Broker::new();
-        b.declare_exchange("e", ExchangeType::Fanout).unwrap();
-        b.declare_queue_with_capacity("q", 10).unwrap();
+        b.declare_exchange("e").unwrap();
+        b.declare_queue("q").unwrap();
         b.bind_queue("e", "q", "#").unwrap();
         b.publish("e", "k", &b""[..]).unwrap();
         b.publish("e", "k", &b""[..]).unwrap();
@@ -1610,17 +1413,16 @@ mod tests {
         assert_eq!(info.ready, 1);
         assert_eq!(info.unacked, 1);
         assert_eq!(info.enqueued_total, 2);
-        assert_eq!(info.capacity, Some(10));
+        assert_eq!(info.dead_letter, None);
     }
 
     #[test]
     fn exchange_info_lists_sorted() {
         let b = Broker::new();
-        b.declare_exchange("zeta", ExchangeType::Direct).unwrap();
-        b.declare_exchange("alpha", ExchangeType::Topic).unwrap();
+        b.declare_exchange("zeta").unwrap();
+        b.declare_exchange("alpha").unwrap();
         let infos = b.exchanges();
         assert_eq!(infos[0].name, "alpha");
-        assert_eq!(infos[0].kind, ExchangeType::Topic);
         assert_eq!(infos[1].name, "zeta");
     }
 
@@ -1640,7 +1442,7 @@ mod tests {
     fn concurrent_publishers_lose_nothing() {
         use std::sync::Arc;
         let b = Arc::new(Broker::new());
-        b.declare_exchange("e", ExchangeType::Fanout).unwrap();
+        b.declare_exchange("e").unwrap();
         b.declare_queue("q").unwrap();
         b.bind_queue("e", "q", "#").unwrap();
         let threads: Vec<_> = (0..8)
@@ -1751,27 +1553,23 @@ mod tests {
     }
 
     #[test]
-    fn route_cache_invalidated_by_bind_and_unbind() {
+    fn route_cache_invalidated_by_bind() {
         let b = broker_with_topic_setup();
         b.bind_queue("app", "q1", "obs.#").unwrap();
         assert_eq!(b.publish("app", "obs.a", &b""[..]).unwrap(), 1);
         // A new binding must be visible to the very next publish.
         b.bind_queue("app", "q2", "obs.*").unwrap();
         assert_eq!(b.publish("app", "obs.a", &b""[..]).unwrap(), 2);
-        // And an unbind must stop routing immediately.
-        b.unbind_queue("app", "q1", "obs.#").unwrap();
-        b.unbind_queue("app", "q2", "obs.*").unwrap();
-        assert_eq!(b.publish("app", "obs.a", &b""[..]).unwrap(), 0);
         let m = b.metrics();
         assert_eq!(m.route_cache_hits, 0);
-        assert_eq!(m.route_cache_misses, 3);
+        assert_eq!(m.route_cache_misses, 2);
     }
 
     #[test]
     fn route_cache_invalidated_by_deletes() {
         let b = Broker::new();
-        b.declare_exchange("src", ExchangeType::Topic).unwrap();
-        b.declare_exchange("dst", ExchangeType::Fanout).unwrap();
+        b.declare_exchange("src").unwrap();
+        b.declare_exchange("dst").unwrap();
         b.declare_queue("q").unwrap();
         b.bind_exchange("src", "dst", "#").unwrap();
         b.bind_queue("dst", "q", "#").unwrap();
@@ -1787,21 +1585,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_route_still_respects_queue_capacity() {
-        let b = Broker::new();
-        b.declare_exchange("e", ExchangeType::Topic).unwrap();
-        b.declare_queue_with_capacity("q", 1).unwrap();
-        b.bind_queue("e", "q", "#").unwrap();
-        assert_eq!(b.publish("e", "k", &b"1"[..]).unwrap(), 1);
-        // Second publish hits the cache but the queue is full: the
-        // capacity check runs per publish, never from the cache.
-        assert_eq!(b.publish("e", "k", &b"2"[..]).unwrap(), 0);
-        let m = b.metrics();
-        assert_eq!(m.route_cache_hits, 1);
-        assert_eq!(m.dropped, 1);
-    }
-
-    #[test]
     fn duplicate_bind_keeps_cache_warm() {
         let b = broker_with_topic_setup();
         b.bind_queue("app", "q1", "obs.#").unwrap();
@@ -1811,13 +1594,6 @@ mod tests {
         b.bind_queue("app", "q1", "obs.#").unwrap();
         b.publish("app", "obs.a", &b""[..]).unwrap();
         assert_eq!(b.metrics().route_cache_hits, 1);
-    }
-
-    #[test]
-    fn exchange_type_display() {
-        assert_eq!(ExchangeType::Direct.to_string(), "direct");
-        assert_eq!(ExchangeType::Fanout.to_string(), "fanout");
-        assert_eq!(ExchangeType::Topic.to_string(), "topic");
     }
 
     // ----- durability ------------------------------------------------------
@@ -1838,7 +1614,7 @@ mod tests {
 
     /// Re-declares the topology apps set up on startup.
     fn declare_app(b: &Broker) {
-        b.declare_exchange("app", ExchangeType::Topic).unwrap();
+        b.declare_exchange("app").unwrap();
         b.declare_queue("q").unwrap();
         b.declare_queue("dlq").unwrap();
         b.bind_queue("app", "q", "obs.#").unwrap();
@@ -2087,33 +1863,35 @@ mod tests {
     fn topology_survives_recovery_without_redeclare() {
         let dir = temp_dir("topo");
         let b = Broker::open_durable(durable_config(&dir)).unwrap();
-        b.declare_exchange("client", ExchangeType::Topic).unwrap();
-        b.declare_exchange("app", ExchangeType::Topic).unwrap();
-        b.declare_exchange("old", ExchangeType::Fanout).unwrap();
-        b.declare_queue_with_capacity("q", 8).unwrap();
+        b.declare_exchange("client").unwrap();
+        b.declare_exchange("app").unwrap();
+        b.declare_exchange("old").unwrap();
+        b.declare_queue("q").unwrap();
         b.declare_queue("dlq").unwrap();
         b.declare_queue("spill").unwrap();
         b.bind_exchange("client", "app", "#").unwrap();
         b.bind_queue("app", "q", "obs.#").unwrap();
         b.bind_queue("app", "spill", "obs.#").unwrap();
-        b.unbind_queue("app", "spill", "obs.#").unwrap();
+        b.delete_queue("spill").unwrap();
         b.configure_dead_letter("q", 2, "dlq").unwrap();
         b.delete_exchange("old").unwrap();
         b.publish("client", "obs.x", &b"m"[..]).unwrap();
         drop(b);
 
-        // No re-declaration: the recovered broker routes, bounds and
-        // dead-letters exactly like the one that crashed.
+        // No re-declaration: the recovered broker routes and dead-letters
+        // exactly like the one that crashed.
         let b = Broker::open_durable(durable_config(&dir)).unwrap();
-        assert!(b.exchange_exists("client") && b.exchange_exists("app"));
-        assert!(!b.exchange_exists("old"), "deleted exchange stays deleted");
+        let names: Vec<String> = b.exchanges().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["app", "client"], "deleted exchange stays deleted");
         assert_eq!(b.publish("client", "obs.y", &b"n"[..]).unwrap(), 1);
         assert_eq!(b.queue_depth("q").unwrap(), 2);
-        assert_eq!(b.queue_depth("spill").unwrap(), 0, "unbind survives");
+        assert!(
+            b.queue_depth("spill").is_err(),
+            "deleted queue stays deleted"
+        );
         let info = b.queues().into_iter().find(|q| q.name == "q").unwrap();
-        assert_eq!(info.capacity, Some(8), "capacity survives");
         assert_eq!(
-            b.dead_letter_policy("q").unwrap(),
+            info.dead_letter,
             Some(DeadLetterPolicy {
                 max_delivery_attempts: 2,
                 target: "dlq".into()
@@ -2140,11 +1918,9 @@ mod tests {
         drop(b);
 
         let b = Broker::open_durable(durable_config(&dir)).unwrap();
-        assert!(b.exchange_exists("app"));
-        assert_eq!(
-            b.dead_letter_policy("q").unwrap().map(|p| p.target),
-            Some("dlq".into())
-        );
+        assert_eq!(b.exchanges()[0].name, "app");
+        let info = b.queues().into_iter().find(|q| q.name == "q").unwrap();
+        assert_eq!(info.dead_letter.map(|p| p.target), Some("dlq".into()));
         assert_eq!(b.publish("app", "obs.y", &b"n"[..]).unwrap(), 1);
         assert_eq!(b.queue_depth("q").unwrap(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2153,8 +1929,8 @@ mod tests {
     #[test]
     fn route_cache_survives_unrelated_churn() {
         let b = Broker::new();
-        b.declare_exchange("hot", ExchangeType::Topic).unwrap();
-        b.declare_exchange("churn", ExchangeType::Topic).unwrap();
+        b.declare_exchange("hot").unwrap();
+        b.declare_exchange("churn").unwrap();
         b.declare_queue("hq").unwrap();
         b.declare_queue("cq").unwrap();
         b.bind_queue("hot", "hq", "obs.#").unwrap();
@@ -2169,7 +1945,8 @@ mod tests {
         // Churn on an unrelated exchange must not evict the hot entry.
         for _ in 0..16 {
             b.bind_queue("churn", "cq", "obs.#").unwrap();
-            b.unbind_queue("churn", "cq", "obs.#").unwrap();
+            b.delete_queue("cq").unwrap();
+            b.declare_queue("cq").unwrap();
         }
         b.publish("hot", "obs.x", &b"3"[..]).unwrap();
         let after = b.metrics();
@@ -2185,8 +1962,8 @@ mod tests {
     #[test]
     fn route_cache_invalidation_follows_exchange_chains() {
         let b = Broker::new();
-        b.declare_exchange("entry", ExchangeType::Topic).unwrap();
-        b.declare_exchange("inner", ExchangeType::Topic).unwrap();
+        b.declare_exchange("entry").unwrap();
+        b.declare_exchange("inner").unwrap();
         b.declare_queue("q").unwrap();
         b.bind_exchange("entry", "inner", "#").unwrap();
         b.publish("entry", "obs.x", &b"1"[..]).unwrap();

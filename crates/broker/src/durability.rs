@@ -10,13 +10,12 @@
 //! log.
 //!
 //! Every enqueued copy of a message gets a **durable id**. The topology's
-//! deltas are `declare_exchange`, `declare_queue` (with its capacity),
-//! `bind_queue`, `bind_exchange`, `unbind_queue`, `delete_exchange` and
-//! `dead_letter_policy`; the queues' are `enqueue` (key, headers, hex
-//! payload, deliveries), `ack`, `discard`, `requeue`, `dead_letter`,
-//! `purge` and `delete_queue`. A snapshot holds the topology, the next
-//! durable id and every copy still owed, those in flight folded back
-//! behind the ready ones.
+//! deltas are `declare_exchange`, `declare_queue`, `bind_queue`,
+//! `bind_exchange`, `delete_exchange` and `dead_letter_policy`; the
+//! queues' are `enqueue` (key, headers, hex payload, deliveries), `ack`,
+//! `discard`, `requeue`, `dead_letter`, `purge` and `delete_queue`. A
+//! snapshot holds the topology, the next durable id and every copy still
+//! owed, those in flight folded back behind the ready ones.
 //!
 //! **Replay** applies the snapshot, then each delta in log order, straight
 //! to the broker's state through the methods the live calls change it
@@ -27,12 +26,19 @@
 //! at-least-once — while an acked copy never comes back, because its
 //! `ack` survives. An integer beyond its field's range is corruption.
 //!
+//! **Retired records.** A `declare_exchange` still writes `"kind":"topic"`
+//! and a `declare_queue` `"capacity":null`, as every GoFlow deployment's
+//! log holds them. What named a capability the broker no longer has — a
+//! `direct` or `fanout` exchange, a bounded queue, an `unbind_queue` — is
+//! refused on reopen with an error naming the record or snapshot entry,
+//! never reinterpreted as something else.
+//!
 //! **Limits.** Per-queue session counters (`enqueued_total`, delivery
 //! tags) restart. A durability failure mid-call can leave memory ahead of
 //! the log; the instance must be discarded and reopened.
 
 use crate::broker::{Queued, State, Target};
-use crate::{BindingPattern, BrokerError, DeadLetterPolicy, ExchangeType, Message, RoutingKey};
+use crate::{BindingPattern, BrokerError, DeadLetterPolicy, Message, RoutingKey};
 use mps_wal::Recovered;
 use serde_json::{json, Map, Value};
 use std::sync::Arc;
@@ -95,12 +101,15 @@ fn from_hex(s: &str) -> Parsed<Vec<u8>> {
 
 // ----- deltas and snapshots ----------------------------------------------
 
-pub(crate) fn declare_exchange_delta(name: &str, kind: ExchangeType) -> Value {
-    json!({"op": "declare_exchange", "name": name, "kind": kind.to_string()})
+/// The kind every exchange is logged with: the one kind there is.
+const TOPIC: &str = "topic";
+
+pub(crate) fn declare_exchange_delta(name: &str) -> Value {
+    json!({"op": "declare_exchange", "name": name, "kind": TOPIC})
 }
 
-pub(crate) fn declare_queue_delta(name: &str, capacity: Option<usize>) -> Value {
-    json!({"op": "declare_queue", "name": name, "capacity": capacity})
+pub(crate) fn declare_queue_delta(name: &str) -> Value {
+    json!({"op": "declare_queue", "name": name, "capacity": null})
 }
 
 pub(crate) fn bind_queue_delta(exchange: &str, queue: &str, pattern: &str) -> Value {
@@ -109,10 +118,6 @@ pub(crate) fn bind_queue_delta(exchange: &str, queue: &str, pattern: &str) -> Va
 
 pub(crate) fn bind_exchange_delta(source: &str, destination: &str, pattern: &str) -> Value {
     json!({"op": "bind_exchange", "source": source, "destination": destination, "pattern": pattern})
-}
-
-pub(crate) fn unbind_queue_delta(exchange: &str, queue: &str, pattern: &str) -> Value {
-    json!({"op": "unbind_queue", "exchange": exchange, "queue": queue, "pattern": pattern})
 }
 
 pub(crate) fn delete_exchange_delta(name: &str) -> Value {
@@ -178,7 +183,7 @@ fn copy(message: &Message, deliveries: u32, id: u64) -> Value {
 pub(crate) fn encode_snapshot(state: &State) -> Vec<u8> {
     let (mut exchanges, mut queue_bindings, mut exchange_bindings) = (Map::new(), vec![], vec![]);
     for (name, exchange) in &state.exchanges {
-        exchanges.insert(name.clone(), json!(exchange.kind.to_string()));
+        exchanges.insert(name.clone(), json!(TOPIC));
         for binding in &exchange.bindings {
             let (list, to) = match &binding.target {
                 Target::Queue(queue) => (&mut queue_bindings, queue),
@@ -189,7 +194,8 @@ pub(crate) fn encode_snapshot(state: &State) -> Vec<u8> {
     }
     let (mut queues, mut capacities, mut dead_letters) = (Map::new(), Map::new(), Map::new());
     for (name, queue) in &state.queues {
-        capacities.insert(name.clone(), json!(queue.capacity));
+        // Every queue is unbounded; the member names the queues.
+        capacities.insert(name.clone(), Value::Null);
         if let Some(policy) = &queue.dead_letter {
             let policy =
                 json!({"max_attempts": policy.max_delivery_attempts, "target": policy.target});
@@ -249,10 +255,13 @@ fn restore(state: &mut State, bytes: &[u8]) -> Parsed<u64> {
     let members = |name: &str| section(name).and_then(Value::as_object).unwrap_or(&map);
     let elements = |name: &str| section(name).and_then(Value::as_array).unwrap_or(&list);
     for (name, kind) in members("exchanges") {
-        let _ = state.declare_exchange(name, parse_kind(kind.as_str().unwrap_or_default())?);
+        topic(kind.as_str().unwrap_or_default())
+            .map_err(|why| format!("exchange `{name}`: {why}"))?;
+        state.declare_exchange(name);
     }
     for (name, capacity) in members("queue_capacities") {
-        state.declare_queue(name, int(Some(capacity), "capacity")?);
+        unbounded(Some(capacity)).map_err(|why| format!("queue `{name}`: {why}"))?;
+        state.declare_queue(name);
     }
     let lists = ["queue_bindings", "exchange_bindings"];
     let targets: [fn(String) -> Target; 2] = [Target::Queue, Target::Exchange];
@@ -287,10 +296,12 @@ fn apply(state: &mut State, record: &[u8]) -> Parsed<()> {
     let field = |key: &str| text(&delta, key);
     match field("op")? {
         "declare_exchange" => {
-            let _ = state.declare_exchange(field("name")?, parse_kind(field("kind")?)?);
+            topic(field("kind")?)?;
+            state.declare_exchange(field("name")?);
         }
         "declare_queue" => {
-            state.declare_queue(field("name")?, int(delta.get("capacity"), "capacity")?);
+            unbounded(delta.get("capacity"))?;
+            state.declare_queue(field("name")?);
         }
         "bind_queue" => {
             let (pattern, queue) = (parse_pattern(field("pattern")?)?, field("queue")?);
@@ -299,11 +310,6 @@ fn apply(state: &mut State, record: &[u8]) -> Parsed<()> {
         "bind_exchange" => {
             let (pattern, to) = (parse_pattern(field("pattern")?)?, field("destination")?);
             let _ = state.bind(field("source")?, pattern, Target::Exchange(to.to_owned()));
-        }
-        "unbind_queue" => {
-            let target = Target::Queue(field("queue")?.to_owned());
-            let pattern = parse_pattern(field("pattern")?)?;
-            let _ = state.unbind(field("exchange")?, &pattern, &target);
         }
         "delete_exchange" => {
             let _ = state.delete_exchange(field("name")?);
@@ -345,6 +351,8 @@ fn apply(state: &mut State, record: &[u8]) -> Parsed<()> {
                 take(state, queue, id);
             }
         }
+        // Among them `unbind_queue`: bindings now go only with what they
+        // bind.
         other => return Err(format!("unknown op `{other}`")),
     }
     Ok(())
@@ -407,15 +415,24 @@ fn parse_pattern(pattern: &str) -> Parsed<BindingPattern> {
     BindingPattern::new(pattern).map_err(|e| e.to_string())
 }
 
-/// The kind `kind` spells, as its `Display` writes it.
-fn parse_kind(kind: &str) -> Parsed<ExchangeType> {
-    let kinds = [
-        ExchangeType::Direct,
-        ExchangeType::Fanout,
-        ExchangeType::Topic,
-    ];
-    let known = kinds.into_iter().find(|known| known.to_string() == kind);
-    known.ok_or_else(|| format!("unknown exchange kind `{kind}`"))
+/// Accepts the one exchange kind there is; a `direct` or `fanout`
+/// exchange routed differently, so it is refused, not made a topic one.
+fn topic(kind: &str) -> Parsed<()> {
+    if kind == TOPIC {
+        return Ok(());
+    }
+    Err(format!(
+        "exchange kind `{kind}`: only topic exchanges exist"
+    ))
+}
+
+/// Accepts an absent or null capacity; a bounded queue dropped on full,
+/// so it is refused, not made an unbounded one.
+fn unbounded(capacity: Option<&Value>) -> Parsed<()> {
+    match capacity {
+        None | Some(Value::Null) => Ok(()),
+        Some(capacity) => Err(format!("`capacity` {capacity}: queues are unbounded")),
+    }
 }
 
 #[cfg(test)]
@@ -487,37 +504,30 @@ mod tests {
     #[test]
     fn replay_restores_topology_from_deltas() {
         let deltas = [
-            declare_exchange_delta("obs", ExchangeType::Topic),
-            declare_exchange_delta("doomed", ExchangeType::Fanout),
-            declare_queue_delta("q", Some(64)),
-            declare_queue_delta("unbounded", None),
+            declare_exchange_delta("obs"),
+            declare_exchange_delta("doomed"),
+            declare_queue_delta("q"),
+            declare_queue_delta("gone"),
             bind_queue_delta("obs", "q", "obs.#"),
             bind_queue_delta("obs", "q", "obs.#"), // idempotent re-bind
+            bind_queue_delta("obs", "gone", "#"),
             bind_queue_delta("doomed", "q", "#"),
             bind_exchange_delta("obs", "doomed", "#"),
             dead_letter_policy_delta("q", 5, "dlq"),
-            unbind_queue_delta("obs", "q", "never.bound"), // no-op
+            delete_queue_delta("gone"),
             delete_exchange_delta("doomed"),
         ];
         let state = replayed(None, &records(&deltas)).unwrap();
-        let kinds: Vec<_> = state
-            .exchanges
-            .iter()
-            .map(|(n, e)| (n.as_str(), e.kind))
-            .collect();
-        assert_eq!(
-            kinds,
-            [("obs", ExchangeType::Topic)],
-            "deleted exchange must not survive replay"
-        );
-        assert_eq!(state.queues["q"].capacity, Some(64));
-        assert_eq!(state.queues["unbounded"].capacity, None);
+        let names: Vec<&str> = state.exchanges.keys().map(String::as_str).collect();
+        assert_eq!(names, ["obs"], "deleted exchange must not survive replay");
+        let queues: Vec<&str> = state.queues.keys().map(String::as_str).collect();
+        assert_eq!(queues, ["q"], "deleted queue must not survive replay");
         let bindings = state.exchanges["obs"].bindings.iter();
         let bindings: Vec<_> = bindings.map(|b| (b.pattern.as_str(), &b.target)).collect();
         assert_eq!(
             bindings,
             [("obs.#", &Target::Queue("q".into()))],
-            "duplicate binds collapse; bindings to a deleted exchange drop"
+            "duplicate binds collapse; bindings to a deleted queue or exchange drop"
         );
         let policy = DeadLetterPolicy {
             max_delivery_attempts: 5,
@@ -530,12 +540,10 @@ mod tests {
     fn snapshot_roundtrips_topology() {
         let mut state = State::default();
         state.next_durable_id = 7;
-        state.declare_exchange("obs", ExchangeType::Topic).unwrap();
-        state
-            .declare_exchange("audit", ExchangeType::Fanout)
-            .unwrap();
-        state.declare_queue("q", Some(8));
-        state.declare_queue("dlq", None);
+        state.declare_exchange("obs");
+        state.declare_exchange("audit");
+        state.declare_queue("q");
+        state.declare_queue("dlq");
         let pattern = |p: &str| BindingPattern::new(p).unwrap();
         let queue = Target::Queue("q".into());
         state.bind("obs", pattern("obs.*.temp"), queue).unwrap();
@@ -588,16 +596,17 @@ mod tests {
     /// The calls behind [`GOLDEN_BROKER_LOG`]: every topology and queue
     /// transition a broker logs, each at least once.
     fn golden_calls(b: &Broker) {
-        b.declare_exchange("client", ExchangeType::Topic).unwrap();
-        b.declare_exchange("app", ExchangeType::Direct).unwrap();
-        b.declare_exchange("old", ExchangeType::Fanout).unwrap();
-        b.declare_queue_with_capacity("q", 8).unwrap();
+        b.declare_exchange("client").unwrap();
+        b.declare_exchange("app").unwrap();
+        b.declare_exchange("old").unwrap();
+        b.declare_queue("q").unwrap();
         b.declare_queue("dlq").unwrap();
         b.declare_queue("spill").unwrap();
         b.bind_exchange("client", "app", "#").unwrap();
         b.bind_queue("app", "q", "obs.a").unwrap();
         b.bind_queue("client", "spill", "obs.*").unwrap();
-        b.unbind_queue("client", "spill", "obs.*").unwrap();
+        // Deleting the queue is what takes its binding away.
+        b.delete_queue("spill").unwrap();
         b.configure_dead_letter("q", 2, "dlq").unwrap();
         b.delete_exchange("old").unwrap();
         let key = RoutingKey::new("obs.a").unwrap();
@@ -614,7 +623,6 @@ mod tests {
         let d = b.consume("q", 1).unwrap();
         b.nack("q", d[0].tag, true).unwrap();
         assert_eq!(b.purge_queue("q").unwrap(), 2);
-        b.delete_queue("spill").unwrap();
         b.publish("client", "obs.a", &b"m6"[..]).unwrap();
         b.publish("client", "obs.a", &[0x00, 0xff][..]).unwrap();
         let d = b.consume("q", 1).unwrap();
@@ -626,17 +634,17 @@ mod tests {
     /// One literal payload per `op` at least, as durable brokers have
     /// written them since topology became durable: what
     /// [`golden_calls`] logs.
-    const GOLDEN_BROKER_LOG: [&[u8]; 26] = [
+    const GOLDEN_BROKER_LOG: [&[u8]; 25] = [
         br#"{"kind":"topic","name":"client","op":"declare_exchange"}"#,
-        br#"{"kind":"direct","name":"app","op":"declare_exchange"}"#,
-        br#"{"kind":"fanout","name":"old","op":"declare_exchange"}"#,
-        br#"{"capacity":8,"name":"q","op":"declare_queue"}"#,
+        br#"{"kind":"topic","name":"app","op":"declare_exchange"}"#,
+        br#"{"kind":"topic","name":"old","op":"declare_exchange"}"#,
+        br#"{"capacity":null,"name":"q","op":"declare_queue"}"#,
         br#"{"capacity":null,"name":"dlq","op":"declare_queue"}"#,
         br#"{"capacity":null,"name":"spill","op":"declare_queue"}"#,
         br##"{"destination":"app","op":"bind_exchange","pattern":"#","source":"client"}"##,
         br#"{"exchange":"app","op":"bind_queue","pattern":"obs.a","queue":"q"}"#,
         br#"{"exchange":"client","op":"bind_queue","pattern":"obs.*","queue":"spill"}"#,
-        br#"{"exchange":"client","op":"unbind_queue","pattern":"obs.*","queue":"spill"}"#,
+        br#"{"op":"delete_queue","queue":"spill"}"#,
         br#"{"max_attempts":2,"op":"dead_letter_policy","queue":"q","target":"dlq"}"#,
         br#"{"name":"old","op":"delete_exchange"}"#,
         br#"{"deliveries":0,"headers":{"x-client":"c1"},"id":1,"key":"obs.a","op":"enqueue","payload":"6d31","queue":"q"}"#,
@@ -649,7 +657,6 @@ mod tests {
         br#"{"id":3,"op":"discard","queue":"q"}"#,
         br#"{"id":2,"op":"dead_letter","queue":"q","to":"dlq"}"#,
         br#"{"ids":[4,5],"op":"purge","queue":"q"}"#,
-        br#"{"op":"delete_queue","queue":"spill"}"#,
         br#"{"deliveries":0,"headers":{},"id":6,"key":"obs.a","op":"enqueue","payload":"6d36","queue":"q"}"#,
         br#"{"deliveries":0,"headers":{},"id":7,"key":"obs.a","op":"enqueue","payload":"00ff","queue":"q"}"#,
         br#"{"attempts":1,"id":6,"op":"requeue","queue":"q"}"#,
@@ -657,7 +664,7 @@ mod tests {
 
     /// What a checkpoint after [`golden_calls`] writes. The delivery in
     /// flight is folded back behind the ready copies with its count.
-    const GOLDEN_BROKER_SNAPSHOT: &str = r##"{"next_id":8,"queues":{"dlq":[{"deliveries":0,"headers":{},"id":2,"key":"obs.a","payload":"6d32"}],"q":[{"deliveries":0,"headers":{},"id":7,"key":"obs.a","payload":"00ff"},{"deliveries":2,"headers":{},"id":6,"key":"obs.a","payload":"6d36"}]},"topology":{"dead_letters":{"q":{"max_attempts":2,"target":"dlq"}},"exchange_bindings":[["client","app","#"]],"exchanges":{"app":"direct","client":"topic"},"queue_bindings":[["app","q","obs.a"]],"queue_capacities":{"dlq":null,"q":8}}}"##;
+    const GOLDEN_BROKER_SNAPSHOT: &str = r##"{"next_id":8,"queues":{"dlq":[{"deliveries":0,"headers":{},"id":2,"key":"obs.a","payload":"6d32"}],"q":[{"deliveries":0,"headers":{},"id":7,"key":"obs.a","payload":"00ff"},{"deliveries":2,"headers":{},"id":6,"key":"obs.a","payload":"6d36"}]},"topology":{"dead_letters":{"q":{"max_attempts":2,"target":"dlq"}},"exchange_bindings":[["client","app","#"]],"exchanges":{"app":"topic","client":"topic"},"queue_bindings":[["app","q","obs.a"]],"queue_capacities":{"dlq":null,"q":null}}}"##;
 
     /// A snapshot from before topology became durable, and the one
     /// record a log must hold for it to cover.
@@ -680,26 +687,22 @@ mod tests {
         let exchanges: Vec<_> = b
             .exchanges()
             .into_iter()
-            .map(|e| (e.name, e.kind, e.bindings))
+            .map(|e| (e.name, e.bindings))
             .collect();
-        let golden = [
-            ("app".to_owned(), ExchangeType::Direct, 1),
-            ("client".to_owned(), ExchangeType::Topic, 1),
-        ];
+        let golden = [("app".to_owned(), 1), ("client".to_owned(), 1)];
         assert_eq!(exchanges, golden);
         let queues: Vec<_> = b
             .queues()
             .into_iter()
             .filter(|info| info.name != "legacy")
-            .map(|info| (info.name, info.capacity, info.dead_letter_to))
+            .map(|info| (info.name, info.dead_letter))
             .collect();
-        let golden = [
-            ("dlq".to_owned(), None, None),
-            ("q".to_owned(), Some(8), Some("dlq".to_owned())),
-        ];
+        let policy = DeadLetterPolicy {
+            max_delivery_attempts: 2,
+            target: "dlq".into(),
+        };
+        let golden = [("dlq".to_owned(), None), ("q".to_owned(), Some(policy))];
         assert_eq!(queues, golden);
-        let policy = b.dead_letter_policy("q").unwrap().unwrap();
-        assert_eq!(policy.max_delivery_attempts, 2);
 
         let held = b.queue_snapshot("q").unwrap();
         assert_eq!(held.ready, q);
@@ -767,7 +770,7 @@ mod tests {
         drop(wal);
         let b = open(&dir);
         assert_golden_state(&b, &from_the_log, 101);
-        assert!(!b.queue_exists("nowhere"));
+        assert!(b.queues().iter().all(|info| info.name != "nowhere"));
         let legacy = b.consume("legacy", 2).unwrap();
         assert_eq!(legacy.len(), 1);
         assert_eq!(legacy[0].message.header("h"), Some("v"));
@@ -821,7 +824,8 @@ mod tests {
         b.declare_queue("dlq").unwrap();
         b.configure_dead_letter("q", 2, "dlq").unwrap();
         b.delete_queue("dlq").unwrap();
-        let live = b.dead_letter_policy("q").unwrap();
+        let policy_of = |b: &Broker| b.queues().remove(0).dead_letter;
+        let live = policy_of(&b);
         let policy = DeadLetterPolicy {
             max_delivery_attempts: 2,
             target: "dlq".into(),
@@ -829,11 +833,11 @@ mod tests {
         assert_eq!(live, Some(policy));
         drop(b);
         let b = open(&dir);
-        assert_eq!(b.dead_letter_policy("q").unwrap(), live, "from the log");
+        assert_eq!(policy_of(&b), live, "from the log");
         b.checkpoint().unwrap();
         drop(b);
         let b = open(&dir);
-        assert_eq!(b.dead_letter_policy("q").unwrap(), live, "from a snapshot");
+        assert_eq!(policy_of(&b), live, "from a snapshot");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -875,11 +879,70 @@ mod tests {
 
     #[test]
     fn replay_rejects_capacity_past_usize() {
-        // One past `u64::MAX`: no `usize` holds it.
+        // One past `u64::MAX`: no `usize` holds it, and no queue is bounded.
         let record = br#"{"capacity":18446744073709551616,"name":"q","op":"declare_queue"}"#;
         assert_corrupt(None, &[record], "capacity");
         let snapshot = br#"{"next_id":1,"queues":{},"topology":{"queue_capacities":{"q":18446744073709551616}}}"#;
         assert_corrupt(Some(snapshot), &[], "capacity");
+    }
+
+    /// What a log or snapshot holds of a retired capability — a direct or
+    /// fanout exchange, a bounded queue, an unbind — is refused on reopen,
+    /// by an error naming the record, and never replayed as a topic
+    /// exchange, an unbounded queue or a no-op.
+    #[test]
+    fn records_of_removed_capabilities_are_refused() {
+        let refused: [(&[u8], &str); 5] = [
+            (
+                br#"{"kind":"direct","name":"app","op":"declare_exchange"}"#,
+                "exchange kind `direct`: only topic exchanges exist",
+            ),
+            (
+                br#"{"kind":"fanout","name":"old","op":"declare_exchange"}"#,
+                "exchange kind `fanout`: only topic exchanges exist",
+            ),
+            (
+                br#"{"name":"app","op":"declare_exchange"}"#,
+                "no string `kind`",
+            ),
+            (
+                br#"{"capacity":8,"name":"q","op":"declare_queue"}"#,
+                "`capacity` 8: queues are unbounded",
+            ),
+            (
+                br#"{"exchange":"client","op":"unbind_queue","pattern":"obs.*","queue":"spill"}"#,
+                "unknown op `unbind_queue`",
+            ),
+        ];
+        for (record, why) in refused {
+            // Behind the kept records of the golden log, at lsn 26.
+            let mut log: Vec<&[u8]> = GOLDEN_BROKER_LOG.to_vec();
+            log.push(record);
+            let expected = format!("log replay failed: record at lsn 26: {why}");
+            match replayed(None, &log.iter().map(|r| r.to_vec()).collect::<Vec<_>>()) {
+                Err(BrokerError::Durability(message)) => assert_eq!(message, expected),
+                other => panic!("{} replayed: {other:?}", String::from_utf8_lossy(record)),
+            }
+        }
+        let snapshots = [
+            (
+                GOLDEN_BROKER_SNAPSHOT.replace(r#""app":"topic""#, r#""app":"direct""#),
+                "exchange `app`: exchange kind `direct`: only topic exchanges exist",
+            ),
+            (
+                GOLDEN_BROKER_SNAPSHOT.replace(r#""q":null"#, r#""q":8"#),
+                "queue `q`: `capacity` 8: queues are unbounded",
+            ),
+        ];
+        for (snapshot, why) in snapshots {
+            assert_ne!(snapshot, GOLDEN_BROKER_SNAPSHOT);
+            match replayed(Some(snapshot.as_bytes()), &[]) {
+                Err(BrokerError::Durability(message)) => {
+                    assert_eq!(message, format!("log replay failed: snapshot: {why}"));
+                }
+                other => panic!("{snapshot} restored: {other:?}"),
+            }
+        }
     }
 
     /// The store's `a_swallowed_snapshot_failure_is_counted`, on a broker:
@@ -907,7 +970,7 @@ mod tests {
                 .first()
                 .map(|s| s.lsn)
         };
-        b.declare_exchange("e", ExchangeType::Fanout).unwrap();
+        b.declare_exchange("e").unwrap();
         b.declare_queue("q").unwrap();
         // Two records no message copy holds: as dead as the floor.
         assert_eq!(newest(), Some(2));

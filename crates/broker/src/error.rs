@@ -10,12 +10,6 @@ pub enum BrokerError {
     ExchangeNotFound(String),
     /// No queue with the given name exists.
     QueueNotFound(String),
-    /// An exchange with this name already exists with a different type
-    /// (AMQP calls this a *precondition failure*).
-    ExchangeTypeMismatch {
-        /// Name of the conflicting exchange.
-        name: String,
-    },
     /// A routing key or binding pattern was syntactically invalid.
     InvalidKey(String),
     /// The delivery tag is unknown for this queue (already acked, or never
@@ -26,8 +20,6 @@ pub enum BrokerError {
         /// The unrecognised tag.
         tag: u64,
     },
-    /// The queue's capacity is exhausted and the message was rejected.
-    QueueFull(String),
     /// A dead-letter configuration was rejected (zero attempts, or a queue
     /// targeting itself).
     InvalidDeadLetter(String),
@@ -48,14 +40,10 @@ impl fmt::Display for BrokerError {
         match self {
             BrokerError::ExchangeNotFound(name) => write!(f, "exchange not found: {name}"),
             BrokerError::QueueNotFound(name) => write!(f, "queue not found: {name}"),
-            BrokerError::ExchangeTypeMismatch { name } => {
-                write!(f, "exchange {name} already exists with a different type")
-            }
             BrokerError::InvalidKey(key) => write!(f, "invalid routing key or pattern: {key:?}"),
             BrokerError::UnknownDeliveryTag { queue, tag } => {
                 write!(f, "unknown delivery tag {tag} on queue {queue}")
             }
-            BrokerError::QueueFull(name) => write!(f, "queue full: {name}"),
             BrokerError::InvalidDeadLetter(reason) => {
                 write!(f, "invalid dead-letter configuration: {reason}")
             }
@@ -82,10 +70,6 @@ mod tests {
         let cases: Vec<(BrokerError, &str)> = vec![
             (BrokerError::ExchangeNotFound("e1".into()), "e1"),
             (BrokerError::QueueNotFound("q1".into()), "q1"),
-            (
-                BrokerError::ExchangeTypeMismatch { name: "sc".into() },
-                "sc",
-            ),
             (BrokerError::InvalidKey("a..b".into()), "a..b"),
             (
                 BrokerError::UnknownDeliveryTag {
@@ -94,7 +78,6 @@ mod tests {
                 },
                 "42",
             ),
-            (BrokerError::QueueFull("gf".into()), "gf"),
             (
                 BrokerError::InvalidDeadLetter("self target".into()),
                 "self target",

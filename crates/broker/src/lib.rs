@@ -7,7 +7,9 @@
 //! patterns. This crate is a faithful in-process substitute implementing
 //! the subset GoFlow relies on (Section 3.2, Figure 3 of the paper):
 //!
-//! * direct, fanout and topic exchanges;
+//! * topic exchanges — GoFlow declares no other kind, and a `#` binding
+//!   does what a fanout exchange would;
+//! * unbounded queues;
 //! * queue and **exchange-to-exchange** bindings (GoFlow chains a
 //!   per-client exchange into the application exchange into the GF queue);
 //! * AMQP topic patterns (`*` matches exactly one word, `#` matches zero or
@@ -21,6 +23,9 @@
 //! * a management API (declare / bind / purge / delete) and broker-wide
 //!   metrics, including delivery-failure and dead-letter counters.
 //!
+//! A binding goes when its queue or exchange is deleted; there is no
+//! unbind, as GoFlow's topology never takes one back.
+//!
 //! The broker is thread-safe and deliberately unclocked: delivery is
 //! immediate, and the *simulated* network delays of the experiment are
 //! modelled where they belong, in the mobile client's connectivity model.
@@ -32,10 +37,10 @@
 //! # Examples
 //!
 //! ```
-//! use mps_broker::{Broker, ExchangeType};
+//! use mps_broker::Broker;
 //!
 //! let broker = Broker::new();
-//! broker.declare_exchange("app", ExchangeType::Topic)?;
+//! broker.declare_exchange("app")?;
 //! broker.declare_queue("inbox")?;
 //! broker.bind_queue("app", "inbox", "obs.paris.*")?;
 //!
@@ -68,7 +73,7 @@ pub mod router;
 mod topic;
 mod transport;
 
-pub use broker::{Broker, DeadLetterPolicy, ExchangeInfo, ExchangeType, QueueInfo};
+pub use broker::{Broker, DeadLetterPolicy, ExchangeInfo, QueueInfo};
 pub use durability::{DurabilityConfig, MessageView, QueueSnapshot};
 pub use error::BrokerError;
 pub use message::{Delivery, Message};

@@ -50,7 +50,7 @@ fn shared() -> &'static SharedCounters {
             ),
             dropped: registry.counter(
                 "broker_core_dropped_total",
-                "Messages rejected because a queue was full",
+                "Messages discarded by a nack, or whose dead-letter queue was deleted",
             ),
             delivery_failed: registry.counter(
                 "broker_core_delivery_failures_total",
@@ -110,7 +110,8 @@ pub struct MetricsSnapshot {
     pub acked: u64,
     /// Deliveries negatively acknowledged and requeued.
     pub requeued: u64,
-    /// Messages rejected because a queue was full.
+    /// Messages discarded by a nack, or nacked past their delivery
+    /// attempts while their dead-letter queue was deleted.
     pub dropped: u64,
     /// Deliveries negatively acknowledged by a consumer (with or without
     /// requeue — every nack is a failed delivery attempt).

@@ -2,8 +2,8 @@
 //! [`SimRng`], so they run wherever the unit tests do.
 
 use crate::{
-    topic_matches, Broker, BrokerError, CompiledPattern, DurabilityConfig, ExchangeType,
-    MessageView, RoutingKey, TopicTrie,
+    topic_matches, Broker, BrokerError, CompiledPattern, DurabilityConfig, MessageView, RoutingKey,
+    TopicTrie,
 };
 use mps_faults::{FaultPlan, FaultSpec, FaultyLink, Link, LinkError};
 use mps_simcore::check::{check, size, text, vec};
@@ -103,7 +103,7 @@ fn publish_consume_ack_conserves() {
     check(|r| {
         let keys = vec(r, 1, 25, key);
         let broker = Broker::new();
-        broker.declare_exchange("e", ExchangeType::Topic).unwrap();
+        broker.declare_exchange("e").unwrap();
         broker.declare_queue("q").unwrap();
         broker.bind_queue("e", "q", "#").unwrap();
         for k in &keys {
@@ -132,7 +132,7 @@ fn nack_requeue_never_loses() {
         let n = size(r, 1, 20);
         let requeue_mask = r.index(1 << 32) as u32;
         let broker = Broker::new();
-        broker.declare_exchange("e", ExchangeType::Fanout).unwrap();
+        broker.declare_exchange("e").unwrap();
         broker.declare_queue("q").unwrap();
         broker.bind_queue("e", "q", "#").unwrap();
         for i in 0..n {
@@ -164,7 +164,7 @@ fn fault_plan_conserves_messages_for_any_seed() {
         let spec = spec(r);
         let sends = size(r, 50, 200);
         let broker = Broker::new();
-        broker.declare_exchange("e", ExchangeType::Topic).unwrap();
+        broker.declare_exchange("e").unwrap();
         broker.declare_queue("q").unwrap();
         broker.bind_queue("e", "q", "#").unwrap();
         let link = FaultyLink::new(
@@ -198,7 +198,7 @@ fn dead_letter_policy_conserves_messages() {
         let (n, max_attempts) = (size(r, 1, 15), size(r, 1, 6) as u32);
         let ack_mask = r.index(1 << 16) as u16;
         let broker = Broker::new();
-        broker.declare_exchange("e", ExchangeType::Fanout).unwrap();
+        broker.declare_exchange("e").unwrap();
         broker.declare_queue("q").unwrap();
         broker.declare_queue("dlq").unwrap();
         broker.bind_queue("e", "q", "#").unwrap();
@@ -271,7 +271,7 @@ fn published_routes_equal_naive_expectation() {
         // queue count must equal the naive per-binding scan, on the cold
         // publish and again on the cached one.
         let broker = Broker::new();
-        broker.declare_exchange("e", ExchangeType::Topic).unwrap();
+        broker.declare_exchange("e").unwrap();
         for q in 0..4 {
             broker.declare_queue(&format!("q{q}")).unwrap();
         }
@@ -288,33 +288,6 @@ fn published_routes_equal_naive_expectation() {
             let cached = broker.publish("e", key, &b""[..]).unwrap();
             assert_eq!(cold, expected.len(), "cold route for {key}");
             assert_eq!(cached, expected.len(), "cached route for {key}");
-        }
-    });
-}
-
-#[test]
-fn direct_index_equals_literal_scan() {
-    check(|r| {
-        let bindings = vec(r, 1, 25, |r| (r.index(4), small_key(r)));
-        let keys = vec(r, 1, 10, small_key);
-        // Direct exchanges compare byte-for-byte; the BTreeMap key index
-        // must agree with a literal scan of the binding list.
-        let broker = Broker::new();
-        broker.declare_exchange("d", ExchangeType::Direct).unwrap();
-        for q in 0..4 {
-            broker.declare_queue(&format!("q{q}")).unwrap();
-        }
-        for (q, pattern) in &bindings {
-            broker.bind_queue("d", &format!("q{q}"), pattern).unwrap();
-        }
-        for key in &keys {
-            let expected: BTreeSet<usize> = bindings
-                .iter()
-                .filter(|(_, p)| p == key)
-                .map(|(q, _)| *q)
-                .collect();
-            let routed = broker.publish("d", key, &b""[..]).unwrap();
-            assert_eq!(routed, expected.len(), "direct route for {key}");
         }
     });
 }
@@ -336,42 +309,33 @@ fn durable_step(r: &mut SimRng, b: &Broker, tags: &mut Vec<(&'static str, u64)>)
     let settle = |r: &mut SimRng, tags: &mut Vec<(&'static str, u64)>| {
         (!tags.is_empty()).then(|| tags.swap_remove(r.index(tags.len())))
     };
-    let result = match r.index(20) {
-        0 => {
-            let kinds = [
-                ExchangeType::Direct,
-                ExchangeType::Fanout,
-                ExchangeType::Topic,
-            ];
-            b.declare_exchange(exchange, *r.pick(&kinds))
-        }
+    let result = match r.index(18) {
+        0 => b.declare_exchange(exchange),
         1 => b.delete_exchange(exchange),
         2 => b.declare_queue(queue),
-        3 => b.declare_queue_with_capacity(queue, size(r, 0, 4)),
-        4 => b.delete_queue(queue),
-        5 => b.bind_queue(exchange, queue, pattern),
-        6 => b.bind_exchange(exchange, to_exchange, pattern),
-        7 => b.unbind_queue(exchange, queue, pattern),
-        8 => b.configure_dead_letter(queue, size(r, 1, 3) as u32, to_queue),
-        9..=11 => b
+        3 => b.delete_queue(queue),
+        4 => b.bind_queue(exchange, queue, pattern),
+        5 => b.bind_exchange(exchange, to_exchange, pattern),
+        6 => b.configure_dead_letter(queue, size(r, 1, 3) as u32, to_queue),
+        7..=9 => b
             .publish(exchange, &small_key(r), vec![r.index(256) as u8])
             .map(drop),
-        12 | 13 => b
+        10 | 11 => b
             .consume(queue, size(r, 1, 4))
             .map(|got| tags.extend(got.iter().map(|d| (queue, d.tag)))),
-        14 => settle(r, tags).map_or(Ok(()), |(queue, tag)| b.ack(queue, tag)),
-        15 => {
+        12 => settle(r, tags).map_or(Ok(()), |(queue, tag)| b.ack(queue, tag)),
+        13 => {
             let batch: Vec<(&str, u64)> = (0..3).filter_map(|_| settle(r, tags)).collect();
             let tags: Vec<u64> = batch.iter().map(|(_, tag)| *tag).collect();
             batch
                 .first()
                 .map_or(Ok(()), |(queue, _)| b.ack_many(queue, &tags))
         }
-        16 | 17 => {
+        14 | 15 => {
             let requeue = r.chance(0.7);
             settle(r, tags).map_or(Ok(()), |(queue, tag)| b.nack(queue, tag, requeue))
         }
-        18 => b.purge_queue(queue).map(drop),
+        16 => b.purge_queue(queue).map(drop),
         _ => b.checkpoint().map(drop),
     };
     assert!(
@@ -387,15 +351,12 @@ fn assert_reopened_equal(live: &Broker, reopened: &Broker) {
     assert_eq!(reopened.exchanges(), live.exchanges());
     let queue_view = |b: &Broker| -> Vec<_> {
         let queues = b.queues().into_iter();
-        let view =
-            |q: crate::QueueInfo| (q.name, q.ready + q.unacked, q.capacity, q.dead_letter_to);
+        let view = |q: crate::QueueInfo| (q.name, q.ready + q.unacked, q.dead_letter);
         queues.map(view).collect()
     };
     assert_eq!(queue_view(reopened), queue_view(live));
     for info in live.queues() {
         let name = info.name.as_str();
-        let policy = reopened.dead_letter_policy(name);
-        assert_eq!(policy, live.dead_letter_policy(name), "policy of {name}");
         let (was, now) = (
             live.queue_snapshot(name).unwrap(),
             reopened.queue_snapshot(name).unwrap(),
@@ -472,26 +433,5 @@ fn durable_replay_equals_live() {
         }
         drop(live);
         std::fs::remove_dir_all(&dir).unwrap();
-    });
-}
-
-#[test]
-fn bounded_queue_never_exceeds_capacity() {
-    check(|r| {
-        let (cap, publishes) = (size(r, 1, 10), size(r, 1, 40));
-        let broker = Broker::new();
-        broker.declare_exchange("e", ExchangeType::Fanout).unwrap();
-        broker.declare_queue_with_capacity("q", cap).unwrap();
-        broker.bind_queue("e", "q", "#").unwrap();
-        for _ in 0..publishes {
-            broker.publish("e", "k", &b"m"[..]).unwrap();
-        }
-        assert!(broker.queue_depth("q").unwrap() <= cap);
-        let m = broker.metrics();
-        assert_eq!(
-            m.routed + m.dropped,
-            publishes as u64,
-            "every publish either routed or dropped"
-        );
     });
 }

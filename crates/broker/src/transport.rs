@@ -16,18 +16,19 @@
 //! snapshots stay on the concrete type — they are operator concerns of
 //! the process that owns the broker, not part of the wire contract.
 
-use crate::broker::{Broker, DeadLetterPolicy, ExchangeType};
+use crate::broker::Broker;
 use crate::error::BrokerError;
 use crate::message::{Delivery, Message};
+use crate::RoutingKey;
 use std::fmt;
 use std::sync::Arc;
 
 /// The broker's operation table: every client-facing operation, stated
 /// once. A row is what `docs/WIRE_PROTOCOL.md` §5 tabulates — opcode,
 /// `NAME`, each argument's Rust type `=>` its wire field, the reply's —
-/// plus the method's documentation and, marked `degrades`, whether the
-/// signature is infallible (a remote client then answers the default
-/// when it cannot reach its server).
+/// plus the method's documentation. Every row is fallible. The rows are
+/// what GoFlow and the mobile client call; an opcode missing from the
+/// sequence is retired, reserved and never reused (§5).
 ///
 /// `broker_ops!(emit, ctx…)` expands to `emit! { [ctx…] rows… }`, so each
 /// crate generates the part it owns: this one the trait and the
@@ -40,15 +41,13 @@ macro_rules! broker_ops {
     ($emit:path $(, $($ctx:tt)*)?) => {
         $emit! {
             [$($($ctx)*)?]
-            /// Declares an exchange of the given type. Redeclaring with the same
-            /// type is a no-op.
+            /// Declares a topic exchange. Redeclaring is a no-op.
             ///
             /// # Errors
             ///
-            /// Returns [`BrokerError::ExchangeTypeMismatch`] on a type conflict,
-            /// or [`BrokerError::Transport`] when the broker is unreachable.
+            /// Returns [`BrokerError::Transport`] when the broker is unreachable.
             1 DECLARE_EXCHANGE
-            fn declare_exchange(name: &str => string, kind: ExchangeType => u8) -> () => empty;
+            fn declare_exchange(name: &str => string) -> () => empty;
             /// Declares an unbounded queue. Redeclaring is a no-op.
             ///
             /// # Errors
@@ -56,21 +55,6 @@ macro_rules! broker_ops {
             /// Returns [`BrokerError::Transport`] when the broker is unreachable.
             2 DECLARE_QUEUE
             fn declare_queue(name: &str => string) -> () => empty;
-            /// Declares a queue holding at most `capacity` ready messages.
-            ///
-            /// # Errors
-            ///
-            /// Returns [`BrokerError::Transport`] when the broker is unreachable.
-            3 DECLARE_QUEUE_WITH_CAPACITY
-            fn declare_queue_with_capacity(name: &str => string, capacity: usize => u64) -> () => empty;
-            /// Whether an exchange with this name exists (`false` when the
-            /// broker cannot be reached).
-            4 EXCHANGE_EXISTS
-            fn exchange_exists(name: &str => string) -> bool => bool, degrades;
-            /// Whether a queue with this name exists (`false` when the broker
-            /// cannot be reached).
-            5 QUEUE_EXISTS
-            fn queue_exists(name: &str => string) -> bool => bool, degrades;
             /// Binds `queue` to `exchange` with a topic `pattern`.
             ///
             /// # Errors
@@ -87,15 +71,6 @@ macro_rules! broker_ops {
             /// [`BrokerError::Transport`].
             7 BIND_EXCHANGE
             fn bind_exchange(source: &str => string, destination: &str => string, pattern: &str => string) -> () => empty;
-            /// Removes a queue binding. Removing a non-existent binding is a
-            /// no-op.
-            ///
-            /// # Errors
-            ///
-            /// Propagates [`BrokerError::ExchangeNotFound`], or
-            /// [`BrokerError::Transport`].
-            8 UNBIND_QUEUE
-            fn unbind_queue(exchange: &str => string, queue: &str => string, pattern: &str => string) -> () => empty;
             /// Deletes an exchange and every binding pointing at it.
             ///
             /// # Errors
@@ -129,14 +104,6 @@ macro_rules! broker_ops {
             /// [`BrokerError::Transport`].
             12 CONFIGURE_DEAD_LETTER
             fn configure_dead_letter(queue: &str => string, max_delivery_attempts: u32 => u32, target: &str => string) -> () => empty;
-            /// The dead-letter policy of a queue, if one is configured.
-            ///
-            /// # Errors
-            ///
-            /// Propagates [`BrokerError::QueueNotFound`], or
-            /// [`BrokerError::Transport`].
-            13 DEAD_LETTER_POLICY
-            fn dead_letter_policy(queue: &str => string) -> Option<DeadLetterPolicy> => option<policy>;
             /// Number of ready messages in a queue.
             ///
             /// # Errors
@@ -145,15 +112,6 @@ macro_rules! broker_ops {
             /// [`BrokerError::Transport`].
             14 QUEUE_DEPTH
             fn queue_depth(name: &str => string) -> usize => u64;
-            /// Publishes `payload` to `exchange` under routing key `key`,
-            /// returning how many queues received it.
-            ///
-            /// # Errors
-            ///
-            /// Propagates the broker's routing errors, or
-            /// [`BrokerError::Transport`].
-            15 PUBLISH
-            fn publish(exchange: &str => string, key: &str => string, payload: &[u8] => bytes) -> usize => u64;
             /// Publishes a full [`Message`] (routing key, payload and headers)
             /// to `exchange`, returning how many queues received it.
             ///
@@ -171,14 +129,6 @@ macro_rules! broker_ops {
             /// [`BrokerError::Transport`].
             17 CONSUME
             fn consume(queue: &str => string, max: usize => u32) -> Vec<Delivery> => deliveries;
-            /// Acknowledges a delivery, removing it permanently.
-            ///
-            /// # Errors
-            ///
-            /// Propagates [`BrokerError::UnknownDeliveryTag`], or
-            /// [`BrokerError::Transport`].
-            18 ACK
-            fn ack(queue: &str => string, tag: u64 => u64) -> () => empty;
             /// Rejects a delivery; with `requeue` it is redelivered (subject to
             /// the queue's dead-letter policy), otherwise dropped (counted).
             ///
@@ -203,41 +153,50 @@ macro_rules! broker_ops {
     };
 }
 
-/// Picks `then` when the bracket holds a token and `otherwise` when it is
-/// empty: how the emitters branch on a row's optional parts (`degrades`,
-/// a by-reference argument).
-macro_rules! row_if {
-    ([] { $($then:tt)* } { $($otherwise:tt)* }) => { $($otherwise)* };
-    ([$present:tt] { $($then:tt)* } { $($otherwise:tt)* }) => { $($then)* };
-}
-
 /// Emits the [`BrokerTransport`] methods: one per row, carrying the
 /// row's documentation.
 macro_rules! emit_trait {
     ([] $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
-            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
+            -> $ret:ty => $rwire:ty;)*) => {
         $($(#[$doc])*
-        fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
-            -> row_if!([$($degrades)?] { $ret } { Result<$ret, BrokerError> });)*
+        fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*) -> Result<$ret, BrokerError>;)*
     };
 }
 
 /// The broker operations a client may perform, over any transport — the
-/// rows of [`broker_ops!`](crate::broker_ops).
+/// rows of [`broker_ops!`](crate::broker_ops), and two conveniences built
+/// on them.
 ///
-/// Mirrors the inherent [`Broker`] API method for method, with two
-/// deliberate deviations that keep the trait object-safe and
-/// wire-friendly:
-///
-/// * [`publish`](BrokerTransport::publish) takes `&[u8]` instead of
-///   `impl Into<Bytes>`;
-/// * existence probes ([`exchange_exists`](BrokerTransport::exchange_exists),
-///   [`queue_exists`](BrokerTransport::queue_exists)) stay infallible —
-///   a remote implementation reports `false` when it cannot reach the
-///   server (and counts the failure in its own metrics).
+/// Mirrors the inherent [`Broker`] API method for method, except that
+/// [`publish`](BrokerTransport::publish) takes `&[u8]` instead of
+/// `impl Into<Arc<[u8]>>`, which keeps the trait object-safe.
 pub trait BrokerTransport: fmt::Debug + Send + Sync {
     broker_ops!(emit_trait);
+
+    /// Publishes `payload` to `exchange` under routing key `key`,
+    /// returning how many queues received it: a
+    /// [`publish_message`](BrokerTransport::publish_message) without
+    /// headers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BrokerError::InvalidKey`] for a malformed key, and
+    /// otherwise what `publish_message` returns.
+    fn publish(&self, exchange: &str, key: &str, payload: &[u8]) -> Result<usize, BrokerError> {
+        let key = RoutingKey::new(key)?;
+        self.publish_message(exchange, Message::new(key, payload))
+    }
+
+    /// Acknowledges a delivery, removing it permanently: an
+    /// [`ack_many`](BrokerTransport::ack_many) of one tag.
+    ///
+    /// # Errors
+    ///
+    /// What `ack_many` returns.
+    fn ack(&self, queue: &str, tag: u64) -> Result<(), BrokerError> {
+        self.ack_many(queue, &[tag])
+    }
 }
 
 /// Emits every row as a method forwarding to `$target::method(receiver,
@@ -247,9 +206,8 @@ macro_rules! emit_delegate {
     ([|$this:ident| $target:ty, $receiver:expr]
         $($(#[$doc:meta])* $op:literal $NAME:ident
         fn $method:ident($($arg:ident: $(&$rty:tt)? $($vty:path)? => $wire:ty),*)
-            -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
-        $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*)
-            -> row_if!([$($degrades)?] { $ret } { Result<$ret, BrokerError> }) {
+            -> $ret:ty => $rwire:ty;)*) => {
+        $(fn $method(&self $(, $arg: $(&$rty)? $($vty)?)*) -> Result<$ret, BrokerError> {
             let $this = self;
             <$target>::$method($receiver $(, $arg)*)
         })*
@@ -279,16 +237,16 @@ mod tests {
     fn broker_implements_transport_by_delegation() {
         let broker = Broker::new();
         let transport: &dyn BrokerTransport = &broker;
-        transport
-            .declare_exchange("ex", ExchangeType::Topic)
-            .unwrap();
+        transport.declare_exchange("ex").unwrap();
         transport.declare_queue("q").unwrap();
         transport.declare_queue("dlq").unwrap();
         transport.bind_queue("ex", "q", "obs.#").unwrap();
         transport.configure_dead_letter("q", 2, "dlq").unwrap();
-        assert!(transport.exchange_exists("ex"));
-        assert!(transport.queue_exists("q"));
-        assert!(!transport.queue_exists("ghost"));
+        assert_eq!(broker.exchanges()[0].name, "ex");
+        assert_eq!(
+            transport.queue_depth("ghost"),
+            Err(BrokerError::QueueNotFound("ghost".into()))
+        );
 
         assert_eq!(transport.publish("ex", "obs.noise", b"hello").unwrap(), 1);
         assert_eq!(transport.queue_depth("q").unwrap(), 1);
@@ -304,9 +262,7 @@ mod tests {
         transport.nack("q", redelivered[0].tag, true).unwrap();
         assert_eq!(transport.queue_depth("q").unwrap(), 0);
         assert_eq!(transport.queue_depth("dlq").unwrap(), 1);
-        let policy = transport.dead_letter_policy("q").unwrap().unwrap();
-        assert_eq!(policy.max_delivery_attempts, 2);
-        assert_eq!(policy.target, "dlq");
+        assert_eq!(broker.metrics().dead_lettered, 1);
     }
 
     #[test]
@@ -316,7 +272,7 @@ mod tests {
             t.declare_queue("q").unwrap();
         }
         takes_transport(&broker);
-        assert!(broker.queue_exists("q"));
+        assert_eq!(broker.queue_depth("q"), Ok(0));
     }
 
     /// A wrapper around a transport is one `emit_delegate` line, whatever
@@ -332,7 +288,7 @@ mod tests {
 
         let broker = Arc::new(Broker::new());
         let t: &dyn BrokerTransport = &Wrapped(Arc::clone(&broker));
-        t.declare_exchange("ex", ExchangeType::Topic).unwrap();
+        t.declare_exchange("ex").unwrap();
         t.declare_queue("q").unwrap();
         t.bind_queue("ex", "q", "#").unwrap();
         for i in 0..3u8 {
@@ -354,9 +310,7 @@ mod tests {
     fn publish_message_round_trips_headers() {
         let broker = Broker::new();
         let transport: &dyn BrokerTransport = &broker;
-        transport
-            .declare_exchange("ex", ExchangeType::Topic)
-            .unwrap();
+        transport.declare_exchange("ex").unwrap();
         transport.declare_queue("q").unwrap();
         transport.bind_queue("ex", "q", "#").unwrap();
         let message =

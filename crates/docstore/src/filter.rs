@@ -356,8 +356,8 @@ impl Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::tests::{doc_ids, index_on, plan};
     use crate::index::PlanKind;
-    use crate::planner::tests::{doc_ids, index_on, plan};
     use std::collections::BTreeMap;
 
     fn doc() -> Value {

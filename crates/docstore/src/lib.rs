@@ -52,8 +52,6 @@ mod error;
 mod filter;
 mod index;
 #[cfg(test)]
-mod planner;
-#[cfg(test)]
 mod proptests;
 mod row;
 mod store;

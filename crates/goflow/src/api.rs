@@ -206,7 +206,7 @@ mod tests {
                 client_id,
             } => {
                 assert!(exchange.contains(&client_id));
-                assert!(server.broker().queue_exists(&queue));
+                assert_eq!(server.broker().queue_depth(&queue), Ok(0));
             }
             other => panic!("expected session, got {other:?}"),
         }

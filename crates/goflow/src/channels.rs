@@ -15,7 +15,7 @@
 //!   client queues.
 
 use crate::GoFlowError;
-use mps_broker::{BrokerTransport, ExchangeType};
+use mps_broker::BrokerTransport;
 use mps_types::{AppId, ClientId, UserId};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -133,8 +133,8 @@ impl ChannelManager {
         let gf_ex = gf_exchange(app);
         let gf_q = gf_queue(app);
         let gf_dlq = gf_dlq(app);
-        self.broker.declare_exchange(&app_ex, ExchangeType::Topic)?;
-        self.broker.declare_exchange(&gf_ex, ExchangeType::Topic)?;
+        self.broker.declare_exchange(&app_ex)?;
+        self.broker.declare_exchange(&gf_ex)?;
         self.broker.declare_queue(&gf_q)?;
         self.broker.declare_queue(&gf_dlq)?;
         self.broker
@@ -174,8 +174,7 @@ impl ChannelManager {
         let client_id = ClientId::new(format!("c{serial:08x}"));
         let exchange = format!("client-{client_id}-ex");
         let queue = format!("client-{client_id}-q");
-        self.broker
-            .declare_exchange(&exchange, ExchangeType::Topic)?;
+        self.broker.declare_exchange(&exchange)?;
         self.broker.declare_queue(&queue)?;
         // Security: only keys prefixed with the shared-secret client id
         // cross from the client exchange into the application exchange.
@@ -205,7 +204,7 @@ impl ChannelManager {
         location: &str,
     ) -> Result<(), GoFlowError> {
         let sub_ex = sub_exchange(&session.app, datatype, location);
-        self.broker.declare_exchange(&sub_ex, ExchangeType::Topic)?;
+        self.broker.declare_exchange(&sub_ex)?;
         // Any client's message (first word = client id) of the right
         // datatype and location reaches the subscription exchange.
         self.broker.bind_exchange(
@@ -246,13 +245,14 @@ mod tests {
     #[test]
     fn setup_app_creates_topology() {
         let (broker, manager, app) = setup();
-        assert!(broker.exchange_exists("app-SC"));
-        assert!(broker.exchange_exists("gf-SC"));
-        assert!(broker.queue_exists("gf-SC-queue"));
-        assert!(broker.queue_exists("gf-SC-dlq"));
+        let exchanges: Vec<String> = broker.exchanges().into_iter().map(|e| e.name).collect();
+        assert_eq!(exchanges, ["app-SC", "gf-SC"]);
+        let queues = broker.queues();
+        let names: Vec<&str> = queues.iter().map(|q| q.name.as_str()).collect();
+        assert_eq!(names, ["gf-SC-dlq", "gf-SC-queue"]);
         assert_eq!(manager.collection_queue(&app), "gf-SC-queue");
         assert_eq!(manager.dead_letter_queue(&app), "gf-SC-dlq");
-        let policy = broker.dead_letter_policy("gf-SC-queue").unwrap().unwrap();
+        let policy = queues[1].dead_letter.clone().unwrap();
         assert_eq!(policy.max_delivery_attempts, GF_MAX_DELIVERY_ATTEMPTS);
         assert_eq!(policy.target, "gf-SC-dlq");
         // Idempotent.
@@ -269,6 +269,41 @@ mod tests {
             .unwrap();
         assert_eq!(routed, 1);
         assert_eq!(broker.queue_depth("gf-SC-queue").unwrap(), 1);
+    }
+
+    /// The broker's route cache at GoFlow's crowd sizes: `n` clients log
+    /// in, and each publishes its one observation key (a `GoFlowClient`
+    /// has one routing key) into its own client exchange, round-robin,
+    /// three rounds. Every client is one `(exchange, key)` entry. Read
+    /// from `broker.metrics()` (and printed): 25 clients miss once each
+    /// and then hit; 2 091 clients — more keys than the cache's 1 024 —
+    /// flush it before any key comes round again, and never hit.
+    #[test]
+    fn route_cache_counted_at_goflow_crowd() {
+        const ROUNDS: u64 = 3;
+        for (n, hits, misses) in [(25u64, 50, 25), (2_091, 0, 6_273)] {
+            let (broker, manager, app) = setup();
+            let sessions: Vec<ClientSession> = (0..n)
+                .map(|user| manager.open_client(&app, user.into()).unwrap())
+                .collect();
+            let keys: Vec<String> = sessions
+                .iter()
+                .map(|s| s.observation_key("noise", "FR75013"))
+                .collect();
+            for _ in 0..ROUNDS {
+                for (session, key) in sessions.iter().zip(&keys) {
+                    broker.publish(session.exchange(), key, &b"o"[..]).unwrap();
+                }
+            }
+            let m = broker.metrics();
+            eprintln!(
+                "route cache, {n} clients x {ROUNDS} rounds: {} hits, {} misses",
+                m.route_cache_hits, m.route_cache_misses
+            );
+            assert_eq!((m.route_cache_hits, m.route_cache_misses), (hits, misses));
+            let depth = broker.queue_depth("gf-SC-queue").unwrap() as u64;
+            assert_eq!(depth, ROUNDS * n);
+        }
     }
 
     #[test]
@@ -373,8 +408,9 @@ mod tests {
         let (broker, manager, app) = setup();
         let session = manager.open_client(&app, 1.into()).unwrap();
         manager.close_client(&session).unwrap();
-        assert!(!broker.exchange_exists(session.exchange()));
-        assert!(!broker.queue_exists(session.queue()));
+        let exchanges = broker.exchanges();
+        assert!(exchanges.iter().all(|e| e.name != session.exchange()));
+        assert!(broker.queue_depth(session.queue()).is_err());
         assert!(manager.close_client(&session).is_err());
     }
 

@@ -44,7 +44,7 @@
 //! server.register_app(&AppId::soundcity())?;
 //! let token = server.register_user(&AppId::soundcity(), 1.into(), Role::Contributor)?;
 //! let session = server.login(&token)?;
-//! assert!(broker.queue_exists(session.queue()));
+//! assert_eq!(broker.queue_depth(session.queue()), Ok(0));
 //! # Ok::<(), mps_goflow::GoFlowError>(())
 //! ```
 

@@ -1023,7 +1023,7 @@ mod tests {
             .unwrap();
         let session = server.login(&token).unwrap();
         server.logout(&session).unwrap();
-        assert!(!broker.queue_exists(session.queue()));
+        assert!(broker.queue_depth(session.queue()).is_err());
     }
 
     #[test]

@@ -122,12 +122,12 @@ pub struct SendOutcome {
 /// # Examples
 ///
 /// ```
-/// use mps_broker::{Broker, ExchangeType};
+/// use mps_broker::Broker;
 /// use mps_mobile::GoFlowClient;
 /// use mps_types::{AppVersion, DeviceModel, Observation, SimTime, SoundLevel};
 ///
 /// let broker = Broker::new();
-/// broker.declare_exchange("ex", ExchangeType::Topic)?;
+/// broker.declare_exchange("ex")?;
 /// broker.declare_queue("q")?;
 /// broker.bind_queue("ex", "q", "#")?;
 ///
@@ -541,12 +541,11 @@ fn record_retry_spans(upload: &PendingUpload, outcome: Outcome, reason: &str, no
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mps_broker::ExchangeType;
     use mps_types::{DeviceModel, SimDuration, SoundLevel};
 
     fn broker() -> Broker {
         let b = Broker::new();
-        b.declare_exchange("ex", ExchangeType::Topic).unwrap();
+        b.declare_exchange("ex").unwrap();
         b.declare_queue("q").unwrap();
         b.bind_queue("ex", "q", "#").unwrap();
         b

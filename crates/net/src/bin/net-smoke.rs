@@ -25,7 +25,7 @@
     clippy::unimplemented
 )]
 
-use mps_broker::{BrokerTransport, ExchangeType, Message};
+use mps_broker::{BrokerTransport, Message};
 use mps_docstore::{DocstoreTransport, Filter};
 use mps_net::broker_api::RemoteBroker;
 use mps_net::client::{ClientConfig, ClientPool};
@@ -87,7 +87,7 @@ fn check(condition: bool, what: &str) -> Result<(), String> {
 fn smoke_broker(addr: &str) -> Result<(), String> {
     let broker = RemoteBroker::connect(addr, ClientConfig::default());
     broker
-        .declare_exchange("smoke", ExchangeType::Topic)
+        .declare_exchange("smoke")
         .map_err(|e| format!("declare_exchange: {e}"))?;
     broker
         .declare_queue("smoke.q")

@@ -16,49 +16,31 @@ use crate::client::ClientConfig;
 use crate::server::{ServiceError, WireService};
 use crate::wire::field::*;
 use crate::wire::{
-    wire_dispatch, wire_ops, wire_scalar, wire_stubs, Decoded, OpInfo, Stub, Wire, WireError,
-    WireReader, WireWriter,
+    wire_dispatch, wire_ops, wire_stubs, Decoded, OpInfo, Stub, Wire, WireError, WireReader,
+    WireWriter,
 };
-use mps_broker::{BrokerError, BrokerTransport, DeadLetterPolicy, Delivery, ExchangeType, Message};
+use mps_broker::{BrokerError, BrokerTransport, Delivery, Message};
 use mps_telemetry::trace::{SENT_MS_HEADER, TRACE_HEADER};
 use std::fmt;
 use std::sync::Arc;
 
 /// Broker error status codes (`16..=24`); see `docs/WIRE_PROTOCOL.md` §7.
+/// `18` and `21` are retired and reserved: never sent, never reused.
 pub mod err {
     /// [`mps_broker::BrokerError::ExchangeNotFound`]
     pub const EXCHANGE_NOT_FOUND: u8 = 16;
     /// [`mps_broker::BrokerError::QueueNotFound`]
     pub const QUEUE_NOT_FOUND: u8 = 17;
-    /// [`mps_broker::BrokerError::ExchangeTypeMismatch`]
-    pub const EXCHANGE_TYPE_MISMATCH: u8 = 18;
     /// [`mps_broker::BrokerError::InvalidKey`]
     pub const INVALID_KEY: u8 = 19;
     /// [`mps_broker::BrokerError::UnknownDeliveryTag`]
     pub const UNKNOWN_DELIVERY_TAG: u8 = 20;
-    /// [`mps_broker::BrokerError::QueueFull`]
-    pub const QUEUE_FULL: u8 = 21;
     /// [`mps_broker::BrokerError::InvalidDeadLetter`]
     pub const INVALID_DEAD_LETTER: u8 = 22;
     /// [`mps_broker::BrokerError::Durability`]
     pub const DURABILITY: u8 = 23;
     /// [`mps_broker::BrokerError::Transport`]
     pub const TRANSPORT: u8 = 24;
-}
-
-wire_scalar! {
-    ExchangeType => u8 [1]:
-        |kind, w| w.u8(match kind {
-            ExchangeType::Direct => 1,
-            ExchangeType::Fanout => 2,
-            ExchangeType::Topic => 3,
-        }),
-        |r, field| match r.u8(field)? {
-            1 => ExchangeType::Direct,
-            2 => ExchangeType::Fanout,
-            3 => ExchangeType::Topic,
-            value => return Err(WireError::BadDiscriminant { field: "exchange type", value }),
-        };
 }
 
 impl Wire<message> for Message {
@@ -114,19 +96,6 @@ impl Wire<delivery> for Delivery {
     }
 }
 
-impl Wire<policy> for DeadLetterPolicy {
-    const MIN_WIRE_BYTES: usize = 8;
-    fn put(&self, w: &mut WireWriter) {
-        w.u32(self.max_delivery_attempts).string(&self.target);
-    }
-    fn get(r: &mut WireReader<'_>, _field: &'static str) -> Decoded<DeadLetterPolicy> {
-        Ok(Ok(DeadLetterPolicy {
-            max_delivery_attempts: r.u32("max delivery attempts")?,
-            target: r.string("target")?,
-        }))
-    }
-}
-
 /// Encodes a [`BrokerError`] as a wire status + payload.
 #[must_use]
 pub fn encode_broker_error(error: &BrokerError) -> ServiceError {
@@ -134,7 +103,6 @@ pub fn encode_broker_error(error: &BrokerError) -> ServiceError {
     let (code, text) = match error {
         BrokerError::ExchangeNotFound(name) => (err::EXCHANGE_NOT_FOUND, name),
         BrokerError::QueueNotFound(name) => (err::QUEUE_NOT_FOUND, name),
-        BrokerError::ExchangeTypeMismatch { name } => (err::EXCHANGE_TYPE_MISMATCH, name),
         BrokerError::InvalidKey(key) => (err::INVALID_KEY, key),
         BrokerError::UnknownDeliveryTag { queue, tag } => {
             w.string(queue).u64(*tag);
@@ -143,7 +111,6 @@ pub fn encode_broker_error(error: &BrokerError) -> ServiceError {
                 payload: w.finish(),
             };
         }
-        BrokerError::QueueFull(name) => (err::QUEUE_FULL, name),
         BrokerError::InvalidDeadLetter(reason) => (err::INVALID_DEAD_LETTER, reason),
         BrokerError::Durability(msg) => (err::DURABILITY, msg),
         BrokerError::Transport(msg) => (err::TRANSPORT, msg),
@@ -156,23 +123,20 @@ pub fn encode_broker_error(error: &BrokerError) -> ServiceError {
 }
 
 /// Decodes a wire status + payload back into the exact [`BrokerError`].
-/// Unknown codes degrade to [`BrokerError::Transport`], never a panic —
-/// a newer server must not crash an older client.
+/// Unknown codes — the reserved ones among them — degrade to
+/// [`BrokerError::Transport`], never a panic: a newer server must not
+/// crash an older client.
 #[must_use]
 pub fn decode_broker_error(code: u8, payload: &[u8]) -> BrokerError {
     let mut r = WireReader::new(payload);
     let decoded = match code {
         err::EXCHANGE_NOT_FOUND => r.string("name").map(BrokerError::ExchangeNotFound),
         err::QUEUE_NOT_FOUND => r.string("name").map(BrokerError::QueueNotFound),
-        err::EXCHANGE_TYPE_MISMATCH => r
-            .string("name")
-            .map(|name| BrokerError::ExchangeTypeMismatch { name }),
         err::INVALID_KEY => r.string("key").map(BrokerError::InvalidKey),
         err::UNKNOWN_DELIVERY_TAG => r.string("queue").and_then(|queue| {
             r.u64("tag")
                 .map(|tag| BrokerError::UnknownDeliveryTag { queue, tag })
         }),
-        err::QUEUE_FULL => r.string("name").map(BrokerError::QueueFull),
         err::INVALID_DEAD_LETTER => r.string("reason").map(BrokerError::InvalidDeadLetter),
         err::DURABILITY => r.string("msg").map(BrokerError::Durability),
         err::TRANSPORT => r.string("msg").map(BrokerError::Transport),
@@ -256,7 +220,7 @@ macro_rules! broker_wire {
         }
 
         impl BrokerTransport for RemoteBroker {
-            wire_stubs! { [BrokerError, bare] $($rows)* }
+            wire_stubs! { [BrokerError, result] $($rows)* }
         }
     };
 }
@@ -284,12 +248,14 @@ mod tests {
     #[test]
     fn full_topology_and_message_flow_over_tcp() {
         let (mut server, remote) = start_remote();
-        remote.declare_exchange("app", ExchangeType::Topic).unwrap();
+        remote.declare_exchange("app").unwrap();
         remote.declare_queue("inbox").unwrap();
         remote.bind_queue("app", "inbox", "obs.#").unwrap();
-        assert!(remote.exchange_exists("app"));
-        assert!(remote.queue_exists("inbox"));
-        assert!(!remote.queue_exists("ghost"));
+        assert_eq!(remote.queue_depth("inbox").unwrap(), 0);
+        assert_eq!(
+            remote.queue_depth("ghost").unwrap_err(),
+            BrokerError::QueueNotFound("ghost".into())
+        );
 
         let fanout = remote.publish("app", "obs.paris.noise", b"{}").unwrap();
         assert_eq!(fanout, 1);
@@ -306,17 +272,11 @@ mod tests {
     #[test]
     fn headers_and_dead_letters_cross_the_wire() {
         let (mut server, remote) = start_remote();
-        remote
-            .declare_exchange("app", ExchangeType::Direct)
-            .unwrap();
+        remote.declare_exchange("app").unwrap();
         remote.declare_queue("work").unwrap();
         remote.declare_queue("dead").unwrap();
         remote.bind_queue("app", "work", "job").unwrap();
         remote.configure_dead_letter("work", 1, "dead").unwrap();
-        let policy = remote.dead_letter_policy("work").unwrap().unwrap();
-        assert_eq!(policy.max_delivery_attempts, 1);
-        assert_eq!(policy.target, "dead");
-        assert!(remote.dead_letter_policy("dead").unwrap().is_none());
 
         let message = Message::new("job".parse().unwrap(), b"payload".to_vec())
             .with_header(TRACE_HEADER, "t-1")
@@ -363,7 +323,10 @@ mod tests {
             remote.declare_queue("q").unwrap_err(),
             BrokerError::Transport(_)
         ));
-        assert!(!remote.queue_exists("q"));
+        assert!(matches!(
+            remote.queue_depth("q").unwrap_err(),
+            BrokerError::Transport(_)
+        ));
     }
 
     #[test]
@@ -371,13 +334,11 @@ mod tests {
         let cases = vec![
             BrokerError::ExchangeNotFound("e".into()),
             BrokerError::QueueNotFound("q".into()),
-            BrokerError::ExchangeTypeMismatch { name: "n".into() },
             BrokerError::InvalidKey("a..b".into()),
             BrokerError::UnknownDeliveryTag {
                 queue: "q".into(),
                 tag: 7,
             },
-            BrokerError::QueueFull("q".into()),
             BrokerError::InvalidDeadLetter("self".into()),
             BrokerError::Durability("torn".into()),
             BrokerError::Transport("refused".into()),
@@ -390,22 +351,27 @@ mod tests {
 
     /// What the hand-kept opcode table used to be checked for, now a
     /// property of the generated inventory: every row is in the §5 band,
-    /// no two share a value or a name, and the dispatcher's telemetry
-    /// label is the row's mnemonic. (`tests/wire_spec.rs` holds the rows
-    /// to `docs/WIRE_PROTOCOL.md`; `tests/wire_corpus.rs` their bytes.)
+    /// in opcode order, no two share a value or a name, no retired
+    /// opcode is reused, and the dispatcher's telemetry label is the
+    /// row's mnemonic. (`tests/wire_spec.rs` holds the rows to
+    /// `docs/WIRE_PROTOCOL.md`; `tests/wire_corpus.rs` their bytes.)
     #[test]
     fn ops_inventory_is_unique_in_band_and_named() {
         let broker: Arc<dyn BrokerTransport> = Arc::new(Broker::new());
         let service = BrokerService::new(broker);
-        let values: std::collections::BTreeSet<u8> = OPS.iter().map(|op| op.value).collect();
+        let values: Vec<u8> = OPS.iter().map(|op| op.value).collect();
         let names: std::collections::BTreeSet<&str> = OPS.iter().map(|op| op.name).collect();
-        assert_eq!(values.len(), OPS.len(), "an opcode value collides");
-        assert_eq!(names.len(), OPS.len(), "an opcode name collides");
-        assert_eq!(
-            values,
-            (1..=OPS.len() as u8).collect(),
-            "the band is dense from 1"
+        assert!(
+            values.windows(2).all(|pair| pair[0] < pair[1]),
+            "opcode order, no value twice"
         );
+        assert_eq!(names.len(), OPS.len(), "an opcode name collides");
+        let retired: Vec<u8> = RETIRED.iter().map(|(op, _, _)| *op).collect();
+        let band: Vec<u8> = (1..=20).filter(|op| !retired.contains(op)).collect();
+        assert_eq!(values, band, "the band is 1..=20 less the retired opcodes");
+        for &op in &retired {
+            assert_eq!(service.opcode_name(op), None, "{op} is retired");
+        }
         for info in OPS {
             assert_eq!(service.opcode_name(info.value), Some(info.name));
             assert!(
@@ -415,9 +381,111 @@ mod tests {
             );
         }
         assert_eq!(service.opcode_name(0), None);
-        let consume = OPS[op::CONSUME as usize - 1];
+        let consume = OPS.iter().find(|info| info.value == op::CONSUME).unwrap();
         assert_eq!(consume.name, "CONSUME");
         assert_eq!(consume.request, [("string", "queue"), ("u32", "max")]);
         assert_eq!(consume.reply, "deliveries");
+    }
+
+    /// Writes a request body.
+    type Body = fn(&mut WireWriter);
+
+    /// Each retired opcode, and a request body a version-1 peer from
+    /// before its retirement would send with it to this test's broker.
+    const RETIRED: [(u8, &str, Body); 7] = [
+        (3, "DECLARE_QUEUE_WITH_CAPACITY", |w| {
+            w.string("small").u64(8);
+        }),
+        (4, "EXCHANGE_EXISTS", |w| {
+            w.string("app");
+        }),
+        (5, "QUEUE_EXISTS", |w| {
+            w.string("inbox");
+        }),
+        (8, "UNBIND_QUEUE", |w| {
+            w.string("app").string("inbox").string("obs.#");
+        }),
+        (13, "DEAD_LETTER_POLICY", |w| {
+            w.string("inbox");
+        }),
+        (15, "PUBLISH", |w| {
+            w.string("app")
+                .string("obs.nice.noise")
+                .bytes(b"\x00\x01\xff");
+        }),
+        (18, "ACK", |w| {
+            w.string("inbox").u64(1);
+        }),
+    ];
+
+    /// Each retired opcode's old request, and a `DECLARE_EXCHANGE` that
+    /// still carries a kind byte (1 = direct, 2 = fanout, 3 = topic),
+    /// is refused over a loopback connection with `STATUS_BAD_REQUEST` —
+    /// an unknown opcode, a trailing byte; the same connection serves
+    /// `QUEUE_DEPTH` after each refusal, and the broker holds afterwards
+    /// exactly what it held before.
+    #[test]
+    fn retired_operations_are_refused_over_the_wire() {
+        use crate::client::{NetError, WireConn};
+        use crate::rpc::STATUS_BAD_REQUEST;
+        let broker = Arc::new(Broker::new());
+        broker.declare_exchange("app").unwrap();
+        broker.declare_queue("inbox").unwrap();
+        broker.bind_queue("app", "inbox", "obs.#").unwrap();
+        for payload in [&b"a"[..], b"b"] {
+            broker.publish("app", "obs.paris.noise", payload).unwrap();
+        }
+        let in_flight = broker.consume("inbox", 1).unwrap();
+        assert_eq!(in_flight[0].tag, 0);
+        let held = |b: &Broker| (b.exchanges(), b.queues(), b.queue_snapshot("inbox"));
+        let before = held(&broker);
+
+        let served: Arc<dyn BrokerTransport> = broker.clone();
+        let service = Arc::new(BrokerService::new(served));
+        let mut server = WireServer::bind("127.0.0.1:0", service, ServerConfig::default()).unwrap();
+        let mut conn =
+            WireConn::connect(server.local_addr().to_string(), &ClientConfig::default()).unwrap();
+        let with_kind = |kind: u8| -> Vec<u8> {
+            let mut w = WireWriter::new();
+            w.string("metrics").u8(kind);
+            w.finish()
+        };
+        let mut requests: Vec<(u8, String, Vec<u8>, WireError)> = RETIRED
+            .iter()
+            .map(|(op, name, body)| {
+                let mut w = WireWriter::new();
+                body(&mut w);
+                let unknown = WireError::BadDiscriminant {
+                    field: "broker opcode",
+                    value: *op,
+                };
+                (*op, (*name).to_owned(), w.finish(), unknown)
+            })
+            .collect();
+        for kind in 1..=3 {
+            let name = format!("DECLARE_EXCHANGE with kind {kind}");
+            let trailing = WireError::TrailingBytes(1);
+            requests.push((op::DECLARE_EXCHANGE, name, with_kind(kind), trailing));
+        }
+        let mut depth = WireWriter::new();
+        depth.string("inbox");
+        let depth = depth.finish();
+        for (opcode, name, body, why) in &requests {
+            match conn.call(*opcode, &[], body) {
+                Err(NetError::Remote { code, payload }) => {
+                    assert_eq!(code, STATUS_BAD_REQUEST, "{name}");
+                    assert_eq!(payload, why.to_string().as_bytes(), "{name}");
+                }
+                other => panic!("{name} answered {other:?}"),
+            }
+            let reply = conn.call(op::QUEUE_DEPTH, &[], &depth).unwrap();
+            assert_eq!(
+                reply,
+                1u64.to_le_bytes(),
+                "{name}: the connection serves on"
+            );
+        }
+        assert_eq!(held(&broker), before);
+        server.shutdown();
     }
 }

@@ -47,7 +47,7 @@
 //! # Example: a broker behind TCP
 //!
 //! ```
-//! use mps_broker::{Broker, BrokerTransport, ExchangeType};
+//! use mps_broker::{Broker, BrokerTransport};
 //! use mps_net::client::ClientConfig;
 //! use mps_net::broker_api::{BrokerService, RemoteBroker};
 //! use mps_net::server::{ServerConfig, WireServer};
@@ -62,7 +62,7 @@
 //!
 //! // In another process this would be `RemoteBroker::connect("host:port", ...)`.
 //! let remote = RemoteBroker::connect(server.local_addr().to_string(), ClientConfig::default());
-//! remote.declare_exchange("app", ExchangeType::Topic)?;
+//! remote.declare_exchange("app")?;
 //! remote.declare_queue("inbox")?;
 //! remote.bind_queue("app", "inbox", "obs.#")?;
 //! remote.publish("app", "obs.paris.noise", br#"{"spl": 61.5}"#)?;

@@ -121,8 +121,10 @@ pub struct ServerConfig {
     /// as the `instance` label when a scraper merges registries.
     pub instance: String,
     /// Record per-opcode latency histograms and error counters
-    /// (`net_server_rpc_seconds` / `net_server_rpc_errors_total`). The
-    /// benchmark's attributable-numbers mode switches this off.
+    /// (`net_server_rpc_seconds` / `net_server_rpc_errors_total`).
+    /// `perf_baseline`'s bare loopback server, `rpc_allocations.rs` and
+    /// the server's tests switch this off, to time or count an RPC
+    /// without it.
     pub rpc_telemetry: bool,
 }
 

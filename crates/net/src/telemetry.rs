@@ -132,15 +132,15 @@ mod tests {
 
     #[test]
     fn rpc_series_register_per_opcode_children() {
-        rpc_seconds("PUBLISH").observe(0.002);
-        rpc_errors("PUBLISH", 21).inc();
+        rpc_seconds("PUBLISH_MESSAGE").observe(0.002);
+        rpc_errors("PUBLISH_MESSAGE", 16).inc();
         let registry = Registry::global();
         assert!(registry.histogram_count("net_server_rpc_seconds").unwrap() >= 1);
         assert!(
             registry
                 .counter_value_labeled(
                     "net_server_rpc_errors_total",
-                    &[("code", "21"), ("opcode", "PUBLISH")],
+                    &[("code", "16"), ("opcode", "PUBLISH_MESSAGE")],
                 )
                 .unwrap()
                 >= 1

@@ -251,9 +251,6 @@ pub mod field {
     /// `u64 tag, bool redelivered`, then a [`message`].
     #[derive(Debug)]
     pub enum delivery {}
-    /// `u32 max_delivery_attempts, string target`.
-    #[derive(Debug)]
-    pub enum policy {}
     /// The `CONSUME` reply.
     pub type deliveries = seq<delivery>;
     /// A docs reply: JSON values, one `bytes` field each.
@@ -369,9 +366,8 @@ impl Wire<bytes> for [u8] {
     fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<Vec<u8>> {
         Ok(Ok(r.bytes(field)?.to_vec()))
     }
-    /// A payload passed by reference (`PUBLISH`) is not copied here: the
-    /// one copy between the socket buffer and the queue is the
-    /// `Arc<[u8]>` the broker's `Message` makes of this slice.
+    /// A payload passed by reference is not copied here: the one copy
+    /// between the socket buffer and its owner is the owner's.
     fn get_ref<'a>(r: &mut WireReader<'a>, field: &'static str) -> Decoded<Cow<'a, [u8]>> {
         Ok(Ok(Cow::Borrowed(r.bytes(field)?)))
     }
@@ -538,13 +534,13 @@ pub struct OpInfo {
 }
 
 impl OpInfo {
-    /// The mnemonic of `opcode` in `ops`, a table in opcode order and
-    /// dense from 1 (what a service's telemetry labels its requests
-    /// with, once per request — hence an index, not a search).
+    /// The mnemonic of `opcode` in `ops`, a table in opcode order (what
+    /// a service's telemetry labels its requests with, once per request).
+    /// A retired opcode leaves a gap in the table and has no name.
     #[must_use]
     pub fn name_of(ops: &[OpInfo], opcode: u8) -> Option<&'static str> {
-        let row = ops.get(usize::from(opcode).checked_sub(1)?)?;
-        (row.value == opcode).then_some(row.name)
+        let at = ops.binary_search_by_key(&opcode, |row| row.value).ok()?;
+        Some(ops[at].name)
     }
 }
 

@@ -8,9 +8,10 @@
 //! constants, the error codecs the `err::*` constants feed, and
 //! [`admin_opcode_name`]. A spec row the code lacks, a declaration the
 //! spec lacks, a value that differs, a value outside its band or shared
-//! within one, and an `OPS` row whose request or reply fields put other
-//! §1 primitives on the wire than the spec's cells say are each a
-//! failure. The admin band is also checked by behaviour: a loopback
+//! within one, a retired value or name (the `retired` tables of §5 and
+//! §7) the code declares again, and an `OPS` row whose request or reply
+//! fields put other §1 primitives on the wire than the spec's cells say
+//! are each a failure. The admin band is also checked by behaviour: a loopback
 //! [`WireServer`] answers exactly the opcodes §9 lists.
 
 use mps_broker::{Broker, BrokerError, BrokerTransport};
@@ -166,6 +167,24 @@ fn problems(doc: &str) -> Vec<String> {
         .filter_map(|op| admin_opcode_name(op).map(|name| (format!("OP_{name}"), op)))
         .collect();
 
+    for (band, section, declared) in [
+        ("§5", "5", &ops(broker_api::OPS)),
+        ("§7 Broker", "7", &broker_errors),
+    ] {
+        for row in band_rows(doc, section, "retired", "") {
+            let SpecRow { value, name, .. } = &row;
+            if declared.values().any(|code| code.to_string() == *value) {
+                problems.push(format!(
+                    "{band}: retired {value} (`{name}`) is declared in the code"
+                ));
+            }
+            if declared.contains_key(name) {
+                problems.push(format!(
+                    "{band}: retired `{name}` ({value}) is declared in the code"
+                ));
+            }
+        }
+    }
     let bands: [(&str, &str, &str, Declared, RangeInclusive<u8>); 7] = [
         ("2", "byte", "", frames, 1..=255),
         ("3", "status", "", handshake, 0..=15),
@@ -336,13 +355,14 @@ rejects! {
     a_renumbered_handshake_status: "| 1      | `HELLO_SHED`"
         => |row| Some(row.replacen('1', "3", 1)),
         "`HELLO_SHED` is 3 in the spec but 1 in the code";
-    a_renumbered_broker_opcode: "| 15 | `PUBLISH`" => |row| Some(row.replacen("15", "25", 1)),
-        "`PUBLISH` is 25 in the spec but 15 in the code";
+    a_renumbered_broker_opcode: "| 16 | `PUBLISH_MESSAGE`"
+        => |row| Some(row.replacen("16", "26", 1)),
+        "`PUBLISH_MESSAGE` is 26 in the spec but 16 in the code";
     a_renumbered_docstore_opcode: "| 4  | `LEN`" => |row| Some(row.replacen('4', "24", 1)),
         "`LEN` is 24 in the spec but 4 in the code";
-    a_renamed_broker_error: "| 21   | `QueueFull`"
-        => |row| Some(row.replace("QueueFull", "QueueIsFull")),
-        "§7 Broker: `QueueFull` (21) has no spec row";
+    a_renamed_broker_error: "| 22   | `InvalidDeadLetter`"
+        => |row| Some(row.replace("InvalidDeadLetter", "DeadLetterInvalid")),
+        "§7 Broker: `InvalidDeadLetter` (22) has no spec row";
     a_renumbered_docstore_error: "| 20   | `CollectionNotFound`"
         => |row| Some(row.replacen("20", "24", 1)),
         "`CollectionNotFound` is 24 in the spec but 20 in the code";
@@ -357,10 +377,18 @@ rejects! {
         "`CONSUME` is `string, u32` in `OPS` but `string queue, u64 max` in the spec";
     a_changed_reply_marker: "| 3  | `GET`" => |row| Some(row.replace("option<bytes", "option<u64")),
         "`GET` is `option < json >` in `OPS` but `option<u64 document>` in the spec";
-    a_value_collision: "| 19 | `NACK`" => |row| Some(row.replacen("19", "18", 1)),
-        "`NACK` and `ACK` share 18";
-    an_unparsable_value: "| 15 | `PUBLISH`" => |row| Some(row.replacen("15", "fifteen", 1)),
-        "bad value `fifteen`";
+    a_value_collision: "| 19 | `NACK`" => |row| Some(row.replacen("19", "17", 1)),
+        "`NACK` and `CONSUME` share 17";
+    an_unparsable_value: "| 16 | `PUBLISH_MESSAGE`"
+        => |row| Some(row.replacen("16", "sixteen", 1)),
+        "bad value `sixteen`";
+    a_retired_opcode_reused: "| 15      | `PUBLISH`" => |row| Some(row.replacen("15", "16", 1)),
+        "§5: retired 16 (`PUBLISH`) is declared in the code";
+    a_retired_name_reused: "| 18      | `ACK`" => |row| Some(row.replace("`ACK`", "`NACK`")),
+        "§5: retired `NACK` (18) is declared in the code";
+    a_retired_error_code_reused: "| 21      | `QueueFull`"
+        => |row| Some(row.replacen("21", "22", 1)),
+        "§7 Broker: retired 22 (`QueueFull`) is declared in the code";
     a_frame_type_the_code_lacks: "| 4    | `Response`"
         => |row| Some(format!("{row}\n| 5    | `Ping` | either | none |")),
         "`Ping` (5) is not declared in the code";

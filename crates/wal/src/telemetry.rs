@@ -2,8 +2,9 @@
 //!
 //! Series follow the workspace convention and register lazily in
 //! [`Registry::global`]. Instances opened with
-//! [`WalConfig::telemetry`] set to `false` (the benchmark's
-//! attributable-numbers mode) skip these mirrors entirely.
+//! [`WalConfig::telemetry`] set to `false` (by `perf_baseline
+//! --no-telemetry`, `recovery_matrix` and the tests) skip these mirrors
+//! entirely.
 //!
 //! [`WalConfig::telemetry`]: crate::WalConfig
 

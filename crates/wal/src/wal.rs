@@ -23,7 +23,9 @@ pub struct WalConfig {
     /// benchmarks that measure the in-memory cost of the write path.
     pub fsync: bool,
     /// Mirror activity into the global telemetry registry (`wal_*`
-    /// series). The benchmark's attributable-numbers mode disables it.
+    /// series). `perf_baseline --no-telemetry` disables it, so that its
+    /// WAL timings are the log's own; so do `recovery_matrix` and the
+    /// tests.
     pub telemetry: bool,
     /// When set, [`Wal::open`] records a `wal_recovery` span at this
     /// sim-clock time in the global flight recorder.

@@ -64,7 +64,7 @@ pub mod prelude {
         ModelTable, ProviderByModeReport, ProviderFilter, SplReport,
     };
     pub use mps_assim::{Blue, CityModel, Grid, NoiseSimulator, PointObservation};
-    pub use mps_broker::{Broker, ExchangeType};
+    pub use mps_broker::Broker;
     pub use mps_core::{BatteryLab, CalibrationStudy, Dataset, Deployment, ExperimentConfig};
     pub use mps_docstore::{Filter, Store};
     pub use mps_faults::{FaultPlan, FaultSpec, FaultyLink};

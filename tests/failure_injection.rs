@@ -4,7 +4,7 @@
 //! never corrupt stored data.
 
 use serde_json::json;
-use soundcity::broker::{Broker, BrokerError, ExchangeType};
+use soundcity::broker::{Broker, BrokerError};
 use soundcity::docstore::Store;
 use soundcity::goflow::{GoFlowError, GoFlowServer, ObservationQuery, Role};
 use soundcity::types::{AppId, DeviceModel, Observation, SimDuration, SimTime, SoundLevel};
@@ -71,35 +71,12 @@ fn malformed_traffic_is_quarantined() {
     );
 }
 
-/// A bounded queue under overload drops (and counts) the excess; the
-/// survivors are exactly the oldest messages, in order.
-#[test]
-fn bounded_queue_overload_sheds_predictably() {
-    let broker = Broker::new();
-    broker.declare_exchange("e", ExchangeType::Fanout).unwrap();
-    broker.declare_queue_with_capacity("q", 5).unwrap();
-    broker.bind_queue("e", "q", "#").unwrap();
-
-    for i in 0..20u8 {
-        broker.publish("e", "k", vec![i]).unwrap();
-    }
-    assert_eq!(broker.queue_depth("q").unwrap(), 5);
-    assert_eq!(broker.metrics().dropped, 15);
-    let survivors: Vec<u8> = broker
-        .consume("q", 10)
-        .unwrap()
-        .iter()
-        .map(|d| d.payload()[0])
-        .collect();
-    assert_eq!(survivors, vec![0, 1, 2, 3, 4]);
-}
-
 /// A consumer that takes deliveries and dies: nacking with requeue makes
 /// every message deliverable again, flagged as redelivered, in order.
 #[test]
 fn crashed_consumer_recovers_via_redelivery() {
     let broker = Broker::new();
-    broker.declare_exchange("e", ExchangeType::Fanout).unwrap();
+    broker.declare_exchange("e").unwrap();
     broker.declare_queue("q").unwrap();
     broker.bind_queue("e", "q", "#").unwrap();
     for i in 0..5u8 {

@@ -125,7 +125,7 @@ fn drive_every_layer() {
     )
     .unwrap();
     let remote = RemoteBroker::connect(wire.local_addr().to_string(), ClientConfig::default());
-    assert!(remote.queue_exists(queue));
+    assert!(remote.queue_depth(queue).is_ok());
     assert!(remote.publish("no-such-exchange", "k", b"").is_err());
     let mut conn = WireConn::connect(wire.local_addr(), &ClientConfig::default()).unwrap();
     assert!(!conn.call(OP_HEALTH, &[], b"").unwrap().is_empty());

@@ -3,7 +3,7 @@
 //! without the crowd simulator.
 
 use serde_json::json;
-use soundcity::broker::{Broker, ExchangeType};
+use soundcity::broker::Broker;
 use soundcity::docstore::{Filter, FindOptions, SortOrder, Store};
 use soundcity::goflow::{GoFlowServer, ObservationQuery, Packaging, Role};
 use soundcity::mobile::GoFlowClient;
@@ -217,9 +217,7 @@ fn applications_are_isolated() {
 #[test]
 fn diy_pipeline_with_broker_and_store() {
     let broker = Broker::new();
-    broker
-        .declare_exchange("feed", ExchangeType::Topic)
-        .unwrap();
+    broker.declare_exchange("feed").unwrap();
     broker.declare_queue("loud-events").unwrap();
     broker
         .bind_queue("feed", "loud-events", "obs.*.loud")

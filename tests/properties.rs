@@ -2,7 +2,7 @@
 //! over [`SimRng`], so they run with the rest of tier-1.
 
 use soundcity::analytics::Histogram;
-use soundcity::broker::{topic_matches, Broker, ExchangeType};
+use soundcity::broker::{topic_matches, Broker};
 use soundcity::docstore::{compare_values, get_path, Collection, Filter, Update};
 use soundcity::simcore::check::{check, text, vec};
 use soundcity::simcore::{stats::percentile, EventQueue, SimRng};
@@ -85,7 +85,7 @@ fn broker_conserves_messages() {
     check(|r| {
         let keys = vec(r, 1, 30, routing_key);
         let broker = Broker::new();
-        broker.declare_exchange("e", ExchangeType::Topic).unwrap();
+        broker.declare_exchange("e").unwrap();
         broker.declare_queue("q").unwrap();
         broker.bind_queue("e", "q", "#").unwrap();
         for key in &keys {
