@@ -14,15 +14,20 @@ pub struct DiurnalReport {
 
 impl DiurnalReport {
     /// Figure 18: per-model hourly distributions.
+    /// Grouped by the model itself, labelled once at the end: no label
+    /// string per observation.
     pub fn by_model(observations: &[Observation]) -> Self {
-        let mut groups: BTreeMap<String, [u64; 24]> = BTreeMap::new();
+        let mut per_model: BTreeMap<DeviceModel, [u64; 24]> = BTreeMap::new();
         for obs in observations {
             let hour = obs.captured_at.hour_of_day() as usize;
-            groups
-                .entry(obs.model.label().to_owned())
-                .or_insert([0; 24])[hour] += 1;
+            per_model.entry(obs.model).or_insert([0; 24])[hour] += 1;
         }
-        Self { groups }
+        let groups = per_model.into_iter();
+        Self {
+            groups: groups
+                .map(|(model, counts)| (model.label().to_owned(), counts))
+                .collect(),
+        }
     }
 
     /// Figure 19: hourly distributions of the top `top_n` users (by

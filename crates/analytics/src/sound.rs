@@ -22,15 +22,22 @@ impl SplReport {
     }
 
     /// Figure 14: one SPL distribution per device model.
+    /// Grouped by the model itself, labelled once at the end: no label
+    /// string per observation.
     pub fn by_model(observations: &[Observation]) -> Self {
-        let mut groups: BTreeMap<String, Histogram> = BTreeMap::new();
+        let mut per_model: BTreeMap<DeviceModel, Histogram> = BTreeMap::new();
         for obs in observations {
-            groups
-                .entry(obs.model.label().to_owned())
+            per_model
+                .entry(obs.model)
                 .or_insert_with(Self::empty_histogram)
                 .push(obs.spl.db());
         }
-        Self { groups }
+        let groups = per_model.into_iter();
+        Self {
+            groups: groups
+                .map(|(model, h)| (model.label().to_owned(), h))
+                .collect(),
+        }
     }
 
     /// Figure 15: SPL distributions of the top `top_n` users (by volume)

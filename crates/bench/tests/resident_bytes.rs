@@ -2,13 +2,14 @@
 //! 100 000 generated observations written by GoFlow's
 //! `ObservationRecord::to_document` and inserted in batches of 16 into
 //! one collection, without indexes and with the ones GoFlow creates; the
-//! difference is what the indexes cost, which is what the
-//! open block's rows cost in them: sealed blocks are not indexed. Deterministic — no
+//! difference is what the indexes cost, which for a stream is nothing: its
+//! documents land in columns, which no index holds. Deterministic — no
 //! `/proc`, no timing — because the allocator is this binary's own and
 //! counts the bytes asked for (`counting`); run with `--nocapture` for
 //! the numbers. The same count at 1 000 000 documents, the scale the
 //! residency target is stated at, is `#[ignore]`d (run it with
-//! `--release -- --ignored`).
+//! `--release -- --ignored`). A collection of one batch is weighed too:
+//! what a block holds before it fills.
 
 mod counting;
 mod observations;
@@ -43,15 +44,19 @@ fn bytes_per_document(docs: u64, indexes: &[&str]) -> f64 {
     held as f64 / docs as f64
 }
 
-/// Counts `docs` documents without and with GoFlow's indexes, prints the
-/// three numbers and holds each to its budget.
-fn holds_few_bytes(docs: u64) {
-    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
-    // The process's telemetry registers on first use: not the store's.
+/// Registers the process's telemetry, on first use: not the store's.
+fn warm_up() {
     Store::new()
         .collection("warm-up")
         .insert_one(observation(&mut Draw(0), 0))
         .expect("stored");
+}
+
+/// Counts `docs` documents without and with GoFlow's indexes, prints the
+/// three numbers and holds each to its budget.
+fn holds_few_bytes(docs: u64) {
+    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    warm_up();
     let plain = bytes_per_document(docs, &[]);
     let goflow: Vec<_> = ObservationRecord::indexed().collect();
     let indexed = bytes_per_document(docs, &goflow);
@@ -63,10 +68,11 @@ fn holds_few_bytes(docs: u64) {
     // offset from the block's smallest in 1, 2, 4 or 8 bytes (the `_id`
     // in 2, the times in 4, the delay in 2, the pseudonyms in 8), each
     // float as 8 bytes, a null as one bit: ~46 bytes of numbers, ~59 in
-    // all. The open block's rows add ~4 bytes a document at 100 000. An
-    // index holds the rows of the open block alone, at most 1 024 entries
-    // of ~120 bytes whatever the collection holds: ~1 byte a document at
-    // 100 000, a tenth of that at a million (63.5 and 58.8 in all).
+    // all. The block still filling is columns too, each sized for a whole
+    // block as it opens: it adds ~2.7 bytes a document at 100 000, where
+    // its rows added ~4. No index holds a document of the stream, so the
+    // indexes cost nothing: 59.5 bytes a document with them and without
+    // at 100 000, 58.7 at a million.
     assert!(
         plain <= 70.0,
         "{plain:.1} bytes per document without indexes"
@@ -76,6 +82,20 @@ fn holds_few_bytes(docs: u64) {
         "{indexed:.1} bytes per document with indexes"
     );
     assert!(index <= 4.0, "{index:.1} bytes per document of index");
+}
+
+#[test]
+fn a_small_collection_holds_one_block_of_room() {
+    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    warm_up();
+    let held = bytes_per_document(BATCH, &[]) * BATCH as f64;
+    println!("resident bytes of a collection of {BATCH} documents: {held:.0}");
+    // Its one block is filling, and each of its 19 columns was sized for
+    // a whole block as it opened (room for 255 distinct values and 1 024
+    // codes, and a 512-slot table): ~9.7 KB a member, however few
+    // documents the collection holds. Bounded, so that the room cannot
+    // grow unnoticed.
+    assert!(held <= 200_000.0, "{held:.0} bytes for {BATCH} documents");
 }
 
 #[test]

@@ -68,6 +68,13 @@ fn rpc_telemetry_allocates_nothing_per_rpc() {
             traced, untraced,
             "{RPCS} traced RPCs allocated {traced} times, untraced {untraced}: {counts:?}"
         );
+        // 49 a publish, both ends together: the client writes the frame
+        // from the borrowed key and payload, and the server keeps the key
+        // it reads.
+        assert!(
+            traced <= 49 * RPCS,
+            "{RPCS} publishes allocated {traced} times: {counts:?}"
+        );
     }
     traced.shutdown();
     untraced.shutdown();

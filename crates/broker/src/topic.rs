@@ -63,8 +63,18 @@ impl RoutingKey {
     /// has empty words, or contains wildcard or non-key characters.
     pub fn new(key: impl Into<String>) -> Result<Self, BrokerError> {
         let key = key.into();
-        validate_words(&key, false)?;
+        Self::validate(&key)?;
         Ok(Self(key))
+    }
+
+    /// Checks that `key` is one [`new`](Self::new) accepts, without
+    /// making a key of it.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    pub fn validate(key: &str) -> Result<(), BrokerError> {
+        validate_words(key, false)
     }
 
     /// The key as a string slice.

@@ -225,6 +225,10 @@ impl BrokerTransport for Broker {
 /// is expected.
 impl<T: BrokerTransport + ?Sized> BrokerTransport for Arc<T> {
     broker_ops!(emit_delegate, |this| T, &**this);
+
+    fn publish(&self, exchange: &str, key: &str, payload: &[u8]) -> Result<usize, BrokerError> {
+        (**self).publish(exchange, key, payload)
+    }
 }
 
 #[cfg(test)]

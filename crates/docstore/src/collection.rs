@@ -3,12 +3,14 @@
 //! A collection is its documents by `_id`, its secondary indexes and its
 //! shape registry, behind one lock. The documents lie in blocks of
 //! [`BLOCK_IDS`] consecutive `_id`s, each with a summary (`Block`): a
-//! block still being written holds open [`Row`]s in one ordered map, a
-//! sealed one holds its rows as columns ([`Sealed`], see [`crate::row`]).
-//! Every reader reaches a document through one [`RowRef`], whichever it
-//! is. `Value` documents exist only at the boundary: `insert` takes one
-//! apart, `find` / `get` / `all` build one per document *returned*,
-//! `update_many` converts the document it changes there and back.
+//! block of a stream holds its rows as columns ([`Sealed`], see
+//! [`crate::row`]) from its first row on, filling and then closed; the
+//! rows of a block past its columns, if any, are open [`Row`]s in one
+//! ordered map. Every reader reaches a document through one [`RowRef`],
+//! whichever it is. `Value` documents exist only at the boundary:
+//! `insert` takes one apart, `find` / `get` / `all` build one per
+//! document *returned*, `update_many` converts the document it changes
+//! there and back.
 //!
 //! **Reads** share one iterator, `CollectionInner::matches`, which takes
 //! the filter apart once, into a [`Plan`]: one [`Term`] per clause, with
@@ -16,7 +18,7 @@
 //! bounds as `f64`s. Every stage reads the one plan, and resolves the
 //! heads against a key list through its one [`KeySlots`]. The index
 //! [`probe`] gives the open rows' candidates, if an index serves; the
-//! sealed blocks are reached as a scan reaches them — summary, then
+//! column blocks are reached as a scan reaches them — summary, then
 //! column pass — and the two streams are merged in `_id` order; without
 //! an index, a scan reaches both. What is not known to match is
 //! re-checked, term by term. The stages are a pull pipeline: `count`
@@ -32,8 +34,8 @@
 //! log in arrival order, arrival is very nearly capture order, and what
 //! reads it asks for a numeric window (a day, an hour, a box). Per block
 //! and per key set met there, the collection keeps bounds on the numbers
-//! stored at each top-level member — widened in `put`, the one place a
-//! row is stored, never narrowed, dropped with the block's last row. A
+//! stored at each top-level member — widened as a row is stored or
+//! appended, never narrowed, dropped with the block's last row. A
 //! scan passes over every block in which no key set can satisfy the
 //! filter's numeric equalities and range bounds on undotted paths. Every
 //! read walks every summary, so the walk resolves a key set's slots once
@@ -41,38 +43,51 @@
 //! the terms' bounds made `f64`s once ([`Term`]): a few nanoseconds a
 //! block.
 //!
-//! **Sealing.** When `put` first stores an `_id` past a block that holds
-//! all its ids, of one shape, and was never unsealed, the block is sealed:
-//! its rows leave the map for columns on its summary. A scan then runs
-//! the **column pass** ([`Sealed::pass`]) on each sealed block before
-//! walking it: every clause on an undotted member is decided on that
-//! member's column alone — once per distinct value of a dictionary
-//! column, by a compare of packed offsets for a comparison with a number
-//! on a number column, once per row of any other — and a block no row of
-//! which passes is skipped. The survivors are re-checked
+//! **Documents land in columns.** An insert, and the replay of one, takes
+//! the parsed document apart straight into its block's columns when it
+//! continues them: its id is the block's next, and its member names are
+//! the block's ([`Sealed::fits`]). The first id of an empty block opens
+//! a block of columns for its document. Each value is coded into its
+//! column as it arrives ([`Sealed::append`]) — into a dictionary, as a
+//! packed number, or as itself — and the document is never a `Row`,
+//! never indexed. The block's last row **seals** it: its columns are
+//! closed, exactly the columns its rows would make at once. A scan runs
+//! the **column pass** ([`Sealed::pass`]) on each column block, filling
+//! or sealed, before walking it: every clause on an undotted member is
+//! decided on that member's column alone — once per distinct value of a
+//! dictionary column, by a compare of packed offsets for a comparison
+//! with a number on a number column, once per row of any other — and a
+//! block no row of which passes is skipped. The survivors are re-checked
 //! against the full filter like any other row unless the pass decided
 //! every clause.
-//! A `take` or replacing `put` on a sealed row — an update, a delete, the
-//! replay of either — first **unseals** the block (its columns copied
-//! back into rows), for good: `update_many` over a block would otherwise
-//! transpose it once per row.
 //!
-//! **Indexes hold the open rows only** ([`Indexes`]). Sealing a block
-//! takes its rows out of every index and unsealing puts them back;
-//! `create_index`, and so replay, index the open rows alone. A sealed
-//! block answers an indexed predicate as it answers a scan, from its
-//! summary and its columns, which hold the same values as one-byte codes
-//! and packed offsets: an index costs the open blocks' entries, not the
-//! collection's. Blocks that never seal — of mixed shapes, or unsealed
-//! by a write — keep every row's entry, and read as they did.
+//! A document that does not continue the block's columns — another key
+//! set, or an id past the next (a replay of sparse ids) — closes them
+//! short on the rows they hold, and is stored as an open row past them,
+//! as are the block's later documents. So does opening another block of
+//! columns while one is still filling: a block the writer left keeps no
+//! room for rows it will not get. A write in place of one of the
+//! columns' rows — an update, a delete, the replay of either — first
+//! **unseals** the block: its columns are copied out into rows, for
+//! good, and it is a block of rows from then on.
+//!
+//! **Indexes hold the open rows only** ([`Indexes`]): those past a
+//! block's columns, or of a block without any. A document appended to
+//! columns enters no index, and unsealing puts a block's rows into every
+//! one; `create_index`, and so replay, index the open rows alone. A
+//! column block answers an indexed predicate as it answers a scan, from
+//! its summary and its columns, which hold the same values as one-byte
+//! codes and packed offsets: an index costs the entries of the blocks
+//! written out of order, not the stream's. Open rows — of mixed shapes, or unsealed by a write — keep
+//! every row's entry, and read as they did.
 //!
 //! Like the probe's candidates, summaries and the pass only ever narrow,
 //! and they are derived state: no byte on disk, rebuilt by replay through
-//! `put`. A pruned scan is still `PlanKind::FullScan`, and a read an
-//! index serves keeps its index plan though it scans the sealed blocks;
-//! `docstore_scan_blocks_{visited,skipped}_total` count what either saved,
-//! `docstore_blocks_sealed` and `docstore_blocks_unsealed_total` what
-//! was sealed and undone.
+//! the same appends and rows. A pruned scan is still `PlanKind::FullScan`,
+//! and a read an index serves keeps its index plan though it scans the
+//! column blocks; `docstore_scan_blocks_{visited,skipped}_total` count
+//! what either saved, `docstore_blocks_sealed` the blocks sealed and
+//! `docstore_blocks_unsealed_total` the column blocks made rows.
 
 use crate::durability::{journaled, Deltas, DurableCtx};
 use crate::filter::{Clause, Filter};
@@ -84,7 +99,7 @@ use crate::value::{compare_values, f64_within, DocId};
 use crate::StoreError;
 use mps_telemetry::SpanTimer;
 use mps_wal::{Rank, Ranked};
-use serde_json::Value;
+use serde_json::{Map, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -170,18 +185,21 @@ const EXACT_BELOW: f64 = 9_007_199_254_740_992.0;
 /// What a block of `_id`s has held since it was last empty: per key set,
 /// per top-level member, [`Bounds`] on the *numbers* stored there. They
 /// widen with every row stored and never narrow, so they are a superset
-/// of what the block holds now — all a scan needs to skip it safely. And,
-/// once sealed, the block's rows themselves.
+/// of what the block holds now — all a scan needs to skip it safely. And
+/// the block's first rows, while they are held as columns.
 #[derive(Debug, Default)]
 struct Block {
-    /// Rows in the block now; the summary goes with the last.
+    /// Rows in the block now, in columns or not; the summary goes with
+    /// the last.
     rows: u64,
     /// The key sets met. More than [`BLOCK_KEY_SETS`]: the block has
     /// stopped summarising.
     key_sets: Vec<KeySet>,
-    /// The rows as columns, while sealed; the map holds none of them.
+    /// The block's first rows as columns, filling or closed; the map
+    /// holds none of them, and holds the block's later rows.
     sealed: Option<Sealed>,
-    /// Whether a write has unsealed the block: it is never sealed again.
+    /// Whether its columns were made rows: what the tests count.
+    #[cfg(test)]
     unsealed: bool,
 }
 
@@ -209,20 +227,44 @@ impl Block {
             sets.push((Arc::clone(keys), members));
             sets.len() - 1
         });
-        for ((min, max), value) in sets[at].1.iter_mut().zip(row.values()) {
-            let Value::Number(n) = value else { continue };
-            let (lo, hi) = match n.as_f64() {
-                Some(f) if f.abs() < EXACT_BELOW => (f, f),
-                Some(f) => (f.next_down(), f.next_up()),
-                None => (f64::NEG_INFINITY, f64::INFINITY),
-            };
-            if lo < *min {
-                *min = lo;
-            }
-            if hi > *max {
-                *max = hi;
-            }
+        for (bounds, value) in sets[at].1.iter_mut().zip(row.values()) {
+            hold(bounds, value);
         }
+    }
+
+    /// A block of columns holding `row`, stored at its first id.
+    fn open(row: Row) -> Block {
+        let mut block = Block {
+            rows: 1,
+            ..Block::default()
+        };
+        block.widen(&row);
+        block.sealed = Some(Sealed::open(row));
+        block
+    }
+
+    /// Appends `map` at `id` to the block's columns if it is their next
+    /// row — the block's next id, of their shape (with `_id` set to `id`
+    /// if `stamp`) — its numbers widening the bounds of the block's one
+    /// key set on the way; hands it back otherwise.
+    fn append(
+        &mut self,
+        first: u64,
+        id: DocId,
+        map: Map<String, Value>,
+        stamp: bool,
+    ) -> Result<(), Map<String, Value>> {
+        let (Some(sealed), [(_, bounds)]) = (&mut self.sealed, &mut self.key_sets[..]) else {
+            return Err(map);
+        };
+        if id.0 - first != sealed.len() as u64 || !sealed.fits(&map, stamp) {
+            return Err(map);
+        }
+        sealed.append(map, stamp.then_some(id), |slot, value| {
+            hold(&mut bounds[slot], value);
+        });
+        self.rows += 1;
+        Ok(())
     }
 
     /// Whether a row of the block may satisfy every term of `plan` that
@@ -245,22 +287,49 @@ impl Block {
             })
     }
 
-    /// Whether the block may be sealed: it holds every one of its ids,
-    /// has met one key set, and no write ever unsealed it.
-    fn sealable(&self) -> bool {
-        self.rows == BLOCK_IDS
-            && self.key_sets.len() == 1
-            && self.sealed.is_none()
-            && !self.unsealed
+    /// Whether the block holds rows past its columns, if it has them.
+    fn has_rows(&self) -> bool {
+        self.rows > self.sealed.as_ref().map_or(0, |sealed| sealed.len() as u64)
     }
 
-    /// Unseals the block for good: hands back its columns, if it was
-    /// sealed, for [`Indexes::reopen`] to make rows of.
+    /// Makes way for a row at `at`, the block's `at`th id: one of its
+    /// columns' rows unseals them; one past them closes them, if they
+    /// are filling — the row does not continue them.
+    fn make_way(&mut self, at: u64) -> Option<Sealed> {
+        let sealed = self.sealed.as_mut()?;
+        if at >= sealed.len() as u64 {
+            sealed.close();
+            return None;
+        }
+        self.unseal()
+    }
+
+    /// Unseals the block for good: hands back its columns, if it had
+    /// them, for [`Indexes::reopen`] to make rows of.
     fn unseal(&mut self) -> Option<Sealed> {
         let sealed = self.sealed.take()?;
-        self.unsealed = true;
         telemetry().blocks_unsealed.inc();
+        #[cfg(test)]
+        {
+            self.unsealed = true;
+        }
         Some(sealed)
+    }
+}
+
+/// Widens `(min, max)` to hold `value`, if it is a number.
+fn hold((min, max): &mut Bounds, value: &Value) {
+    let Value::Number(n) = value else { return };
+    let (lo, hi) = match n.as_f64() {
+        Some(f) if f.abs() < EXACT_BELOW => (f, f),
+        Some(f) => (f.next_down(), f.next_up()),
+        None => (f64::NEG_INFINITY, f64::INFINITY),
+    };
+    if lo < *min {
+        *min = lo;
+    }
+    if hi > *max {
+        *max = hi;
     }
 }
 
@@ -386,26 +455,6 @@ impl Indexes {
         self.each(row, |index, value| index.remove(value, id));
     }
 
-    /// Takes `rows`, a block being sealed, out of every index. Where the
-    /// open rows left are `few`, as behind a stream's writer, the indexes
-    /// hold little beyond the block: each is built anew without it, in
-    /// one pass, not searched once per row.
-    fn seal(&mut self, rows: &BTreeMap<DocId, Row>, few: bool) {
-        let (Some((&first, _)), Some((&last, _))) = (rows.first_key_value(), rows.last_key_value())
-        else {
-            return;
-        };
-        if few {
-            for index in self.paths.values_mut() {
-                index.retain(|id| !(first..=last).contains(&id));
-            }
-        } else {
-            for (id, row) in rows {
-                self.remove(*id, row);
-            }
-        }
-    }
-
     /// Makes `sealed`, the block at `first`, open rows of `docs` again,
     /// each indexed.
     fn reopen(&mut self, first: u64, sealed: Sealed, docs: &mut BTreeMap<DocId, Row>) {
@@ -439,7 +488,8 @@ fn in_id_order<'a>(
 
 #[derive(Debug, Default)]
 pub(crate) struct CollectionInner {
-    /// The open rows: those of the blocks that are not sealed.
+    /// The open rows: those past a block's columns, or of a block
+    /// without any.
     docs: BTreeMap<DocId, Row>,
     /// Rows stored, open and sealed.
     rows: usize,
@@ -463,29 +513,38 @@ impl CollectionInner {
     /// The row at `id`, if there is one.
     pub(crate) fn get(&self, id: DocId) -> Option<RowRef<'_>> {
         let first = block_of(id);
-        match &self.blocks.get(&first)?.sealed {
-            Some(sealed) => Some(RowRef::Sealed(sealed, (id.0 - first) as usize)),
-            None => self.docs.get(&id).map(RowRef::Open),
-        }
+        let sealed = self.blocks.get(&first)?.sealed.as_ref();
+        let sealed = sealed.and_then(|sealed| sealed.row((id.0 - first) as usize));
+        sealed.or_else(|| self.docs.get(&id).map(RowRef::Open))
     }
 
-    /// The rows of the block at `first`, in `_id` order.
+    /// The rows of the block at `first`, in `_id` order: its columns',
+    /// then its open rows.
     fn block_rows<'a>(
         &'a self,
         first: u64,
         block: &'a Block,
     ) -> impl Iterator<Item = (DocId, RowRef<'a>)> + 'a {
         let sealed = block.sealed.as_ref().into_iter().flat_map(move |sealed| {
-            let rows = 0..BLOCK_IDS as usize;
+            let rows = 0..sealed.len();
             rows.map(move |at| (DocId(first + at as u64), RowRef::Sealed(sealed, at)))
         });
-        let open = block.sealed.is_none().then(|| {
-            let rows = self
-                .docs
-                .range(DocId(first)..=DocId(first + (BLOCK_IDS - 1)));
-            rows.map(|(id, row)| (*id, RowRef::Open(row)))
+        let open = self.open_rows(first, block);
+        sealed.chain(open.map(|(id, row)| (*id, RowRef::Open(row))))
+    }
+
+    /// The open rows of the block at `first`, in `_id` order: those past
+    /// its columns.
+    fn open_rows<'a>(
+        &'a self,
+        first: u64,
+        block: &'a Block,
+    ) -> impl Iterator<Item = (&'a DocId, &'a Row)> + 'a {
+        let rows = block.has_rows().then(|| {
+            let last = DocId(first + (BLOCK_IDS - 1));
+            self.docs.range(DocId(first)..=last)
         });
-        sealed.chain(open.into_iter().flatten())
+        rows.into_iter().flatten()
     }
 
     /// Every row, in `_id` order.
@@ -494,34 +553,85 @@ impl CollectionInner {
         blocks.flat_map(|(first, block)| self.block_rows(*first, block))
     }
 
-    /// `doc` as a row of this collection — with an `id`, `_id` is set to
-    /// it on the way. Only an object can be one. The shape of the newest
-    /// row, open or sealed, is the guess at its own.
-    pub(crate) fn row_of(&mut self, doc: Value, id: Option<DocId>) -> Result<Row, StoreError> {
+    /// `doc` as a row of this collection. Only an object can be one.
+    fn row_of(&mut self, doc: Value) -> Result<Row, StoreError> {
         let Value::Object(map) = doc else {
             return Err(StoreError::NotAnObject);
         };
-        let sealed = self
-            .blocks
-            .last_key_value()
-            .and_then(|(_, block)| block.sealed.as_ref());
-        let open = || self.docs.last_key_value().map(|(_, row)| row.shape());
-        let newest = sealed.map(Sealed::shape).or_else(open);
-        Ok(Row::from_map(map, id, newest, &mut self.shapes))
+        Ok(self.row(map, None))
     }
 
-    /// Stores `row` at `id` without indexing it: what log replay does
-    /// (it builds the indexes once, at the end). The one place a row is
-    /// stored, and so the one place a block's summary widens, a block is
-    /// sealed (the one before a block's first row) and, for a row that
-    /// replaces a sealed one, unsealed.
-    pub(crate) fn put(&mut self, id: DocId, row: Row) {
+    /// `map` as a row, `_id` set to `id` if one is given. The shape of the
+    /// newest row, open or in columns, is the guess at its own.
+    fn row(&mut self, map: Map<String, Value>, id: Option<DocId>) -> Row {
+        let last = self.blocks.last_key_value().map(|(_, block)| block);
+        let sealed = last.filter(|block| !block.has_rows());
+        let sealed = sealed.and_then(|block| block.sealed.as_ref());
+        let open = || self.docs.last_key_value().map(|(_, row)| row.shape());
+        let newest = sealed.map(Sealed::shape).or_else(open);
+        Row::from_map(map, id, newest, &mut self.shapes)
+    }
+
+    /// Stores `map` at `id` — with `_id` set to `id` if `stamp` — in its
+    /// block's columns if it can go there: as their next row, or as the
+    /// first of a block of columns opened for it, where `id` is the first
+    /// of an empty block. Hands it back otherwise, to be stored as a row.
+    /// Nothing is indexed.
+    fn append(
+        &mut self,
+        id: DocId,
+        map: Map<String, Value>,
+        stamp: bool,
+    ) -> Result<(), Map<String, Value>> {
         let first = block_of(id);
-        let (block, fresh) = match self.blocks.entry(first) {
-            Entry::Occupied(block) => (block.into_mut(), false),
-            Entry::Vacant(block) => (block.insert(Block::default()), true),
+        match self.blocks.get_mut(&first) {
+            Some(block) => block.append(first, id, map, stamp)?,
+            None => {
+                self.leave(first);
+                if id.0 != first {
+                    return Err(map);
+                }
+                let row = self.row(map, stamp.then_some(id));
+                self.blocks.insert(first, Block::open(row));
+            }
+        }
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Closes the columns of the last block before `first` if they are
+    /// still filling: ids only grow, so the writer, storing into the
+    /// empty block at `first`, has left it, and a block it left keeps no
+    /// room for the rows it never got.
+    fn leave(&mut self, first: u64) {
+        let last = self.blocks.range_mut(..first).next_back();
+        if let Some(sealed) = last.and_then(|(_, block)| block.sealed.as_mut()) {
+            sealed.close();
+        }
+    }
+
+    /// Stores `doc`, which carries its `_id`, at `id` without indexing it:
+    /// what log replay does (it builds the indexes once, at the end) — in
+    /// its block's columns where it can go there, else as a row.
+    pub(crate) fn put_doc(&mut self, id: DocId, doc: Value) -> Result<(), StoreError> {
+        let Value::Object(map) = doc else {
+            return Err(StoreError::NotAnObject);
         };
-        if let Some(sealed) = block.unseal() {
+        if let Err(map) = self.append(id, map, false) {
+            let row = self.row(map, None);
+            self.put(id, row);
+        }
+        Ok(())
+    }
+
+    /// Stores `row` at `id` without indexing it: past its block's
+    /// columns, which it does not continue, closing them if they were
+    /// filling; in place of one of their rows, once they are made rows,
+    /// for good. The one place a row is stored.
+    fn put(&mut self, id: DocId, row: Row) {
+        let first = block_of(id);
+        let block = self.blocks.entry(first).or_default();
+        if let Some(sealed) = block.make_way(id.0 - first) {
             self.indexes.reopen(first, sealed, &mut self.docs);
         }
         block.widen(&row);
@@ -532,41 +642,6 @@ impl CollectionInner {
                 self.rows += 1;
             }
         }
-        if fresh {
-            self.seal_before(first);
-        }
-    }
-
-    /// Seals the last block before `first` if it can be (see
-    /// [`Block::sealable`]) and its rows share one shape: the writer has
-    /// just passed it. Its rows leave the indexes with the map.
-    fn seal_before(&mut self, first: u64) {
-        let Some((&from, block)) = self.blocks.range_mut(..first).next_back() else {
-            return;
-        };
-        let ids = DocId(from)..DocId(from + BLOCK_IDS);
-        let mut shapes = self.docs.range(ids.clone()).map(|(_, row)| row.shape());
-        let Some(shape) = shapes.next().filter(|_| block.sealable()) else {
-            return;
-        };
-        if !shapes.all(|other| Arc::ptr_eq(other, shape)) {
-            return;
-        }
-        let shape = Arc::clone(shape);
-        // Mostly no open row comes before the block: the map is split
-        // after it, not emptied of it row by row.
-        let rows = match self.docs.first_key_value() {
-            Some((id, _)) if *id >= ids.start => {
-                let after = self.docs.split_off(&ids.end);
-                std::mem::replace(&mut self.docs, after)
-            }
-            _ => (from..ids.end.0)
-                .filter_map(|id| self.docs.remove_entry(&DocId(id)))
-                .collect(),
-        };
-        let few = self.docs.len() <= BLOCK_IDS as usize;
-        self.indexes.seal(&rows, few);
-        block.sealed = Some(Sealed::new(shape, rows.into_values()));
     }
 
     /// Indexes `row`, logs it as `op` and stores it at `id`, where no
@@ -579,15 +654,16 @@ impl CollectionInner {
         self.put(id, row);
     }
 
-    /// Takes the row at `id` out of the map and the indexes, unsealing
-    /// its block first if it is sealed. The caller gives it back to the
-    /// shape registry once it has read it.
+    /// Takes the row at `id` out of the map and the indexes, its block's
+    /// columns made rows first if it is one of theirs. The caller gives it
+    /// back to the shape registry once it has read it.
     fn take(&mut self, id: DocId) -> Option<Row> {
+        self.get(id)?;
         let first = block_of(id);
         let Entry::Occupied(mut block) = self.blocks.entry(first) else {
             return None;
         };
-        if let Some(sealed) = block.get_mut().unseal() {
+        if let Some(sealed) = block.get_mut().make_way(id.0 - first) {
             self.indexes.reopen(first, sealed, &mut self.docs);
         }
         let row = self.docs.remove(&id)?;
@@ -620,10 +696,10 @@ impl CollectionInner {
     }
 
     /// The rows a scan has to look at, in `_id` order, each with whether
-    /// it is known to match: of the sealed blocks whose summaries cannot
-    /// rule out one of the plan's numeric terms, the rows the column pass
-    /// keeps — known to match when it decided every term — and, unless an
-    /// index serves them (`open` false), all open rows of such blocks.
+    /// it is known to match: of the blocks whose summaries cannot rule out
+    /// one of the plan's numeric terms, the column rows the pass keeps —
+    /// known to match when it decided every term — and, unless an index
+    /// serves them (`open` false), all their open rows.
     pub(crate) fn scan<'a>(
         &'a self,
         plan: Rc<Plan<'a>>,
@@ -631,19 +707,19 @@ impl CollectionInner {
     ) -> impl Iterator<Item = Found<'a>> + 'a {
         let mut tally = BlockTally::default();
         let decided = plan.terms.iter().all(|term| term.rest.is_none());
-        // Each block the summaries and the pass leave in: its first id and
-        // either its open rows or the sealed rows picked.
+        // Each block the summaries and the pass leave in: its first id,
+        // the column rows picked, and whether its open rows are walked.
         let held = move |(&first, block): (&'a u64, &'a Block)| {
             let held = block.may_hold(&plan);
-            let picked = match &block.sealed {
-                Some(sealed) if held => sealed.pass(&plan).map(|picked| Some((sealed, picked))),
-                None if held && open => Some(None),
-                _ => None,
-            };
-            tally.note(picked.is_some());
-            Some((first, block, picked?))
+            let sealed = block.sealed.as_ref().filter(|_| held);
+            let picked = sealed.and_then(|sealed| Some((sealed, sealed.pass(&plan)?)));
+            let walked = held && open && block.has_rows();
+            tally
+                .note(picked.is_some() || walked)
+                .then_some((first, block, picked, walked))
         };
-        let rows = move |(first, block, picked): (u64, &'a Block, Option<(&'a Sealed, Picked)>)| {
+        type Held<'a> = (u64, &'a Block, Option<(&'a Sealed, Picked)>, bool);
+        let rows = move |(first, block, picked, walked): Held<'a>| {
             let sealed_rows = picked.into_iter().flat_map(move |(sealed, picked)| {
                 let rows = picked.rows();
                 rows.map(move |at| {
@@ -651,9 +727,9 @@ impl CollectionInner {
                     (id, RowRef::Sealed(sealed, at), decided)
                 })
             });
-            let open_rows = picked.is_none().then(|| self.block_rows(first, block));
+            let open_rows = walked.then(|| self.open_rows(first, block));
             let open_rows = open_rows.into_iter().flatten();
-            sealed_rows.chain(open_rows.map(|(id, row)| (id, row, false)))
+            sealed_rows.chain(open_rows.map(|(id, row)| (*id, RowRef::Open(row), false)))
         };
         let blocks = self.blocks.iter();
         let blocks = blocks.filter(move |(_, block)| open || block.sealed.is_some());
@@ -664,7 +740,7 @@ impl CollectionInner {
     /// find, count, distinct, update and delete. The filter is taken
     /// apart once ([`Plan`]). Where an index serves, the [`probe`]'s
     /// candidates — open rows — are fetched, and merged by `_id` with what
-    /// [`scan`](Self::scan) yields of the sealed blocks; otherwise the
+    /// [`scan`](Self::scan) yields of the column blocks; otherwise the
     /// scan yields both. What is not known to match is re-checked. The
     /// plan that ran is recorded in `docstore_query_plans_total{plan=...}`.
     pub(crate) fn matches<'a>(
@@ -687,12 +763,27 @@ impl CollectionInner {
         self.matches(filter).map(|(id, _)| id).collect()
     }
 
+    /// Stores `doc` at the next id: in columns, indexed by nothing, where
+    /// it continues a stream (see [`append`](Self::append)), else as an
+    /// indexed row. Either way the log gets the stored document's text.
     fn insert(&mut self, doc: Value, log: Option<&mut Deltas>) -> Result<DocId, StoreError> {
+        let Value::Object(map) = doc else {
+            return Err(StoreError::NotAnObject);
+        };
         let id = DocId(self.next_id);
-        let row = self.row_of(doc, Some(id))?;
         telemetry().collection_insert.inc();
         self.next_id += 1;
-        self.file(id, row, "insert", log);
+        match self.append(id, map, true) {
+            Ok(()) => {
+                if let (Some(log), Some(row)) = (log, self.get(id)) {
+                    log.doc("insert", id, row);
+                }
+            }
+            Err(map) => {
+                let row = self.row(map, Some(id));
+                self.file(id, row, "insert", log);
+            }
+        }
         Ok(id)
     }
 
@@ -738,13 +829,25 @@ impl CollectionInner {
 
 #[cfg(test)]
 impl CollectionInner {
-    /// Blocks sealed now, and blocks a write has unsealed.
+    /// Blocks sealed — full, their columns closed — and blocks whose
+    /// columns were made rows. A block still filling is neither: read it
+    /// through [`column_blocks`](Self::column_blocks).
     pub(crate) fn seals(&self) -> (usize, usize) {
-        let sealed = self.blocks.values().filter(|b| b.sealed.is_some()).count();
+        let full = |sealed: &Sealed| sealed.len() == BLOCK_IDS as usize;
+        let blocks = self.blocks.values();
+        let sealed = blocks
+            .filter(|b| b.sealed.as_ref().is_some_and(full))
+            .count();
         (sealed, self.blocks.values().filter(|b| b.unsealed).count())
     }
 
-    /// The bytes an offset takes, for each column of the sealed blocks
+    /// The blocks held as columns, by their first id.
+    pub(crate) fn column_blocks(&self) -> impl Iterator<Item = (u64, &Sealed)> {
+        let blocks = self.blocks.iter();
+        blocks.filter_map(|(first, block)| Some((*first, block.sealed.as_ref()?)))
+    }
+
+    /// The bytes an offset takes, for each column of the column blocks
     /// that keeps numbers packed.
     pub(crate) fn offset_widths(&self) -> Vec<usize> {
         let sealed = self.blocks.values().filter_map(|b| b.sealed.as_ref());
@@ -753,7 +856,7 @@ impl CollectionInner {
 
     /// Whether each index holds exactly what one built anew over the
     /// open rows would: every open row, under its value, and nothing of
-    /// a sealed block.
+    /// a block held as columns.
     pub(crate) fn indexes_hold_the_open_rows(&self) -> bool {
         self.indexes.paths.iter().all(|(path, index)| {
             let mut fresh = PathIndex::new();
@@ -995,7 +1098,7 @@ impl Collection {
                 // Re-index and log whatever state the document is in,
                 // then propagate any error. The old row goes once the new
                 // one holds their shape, if they share it.
-                let row = inner.row_of(doc, None);
+                let row = inner.row_of(doc);
                 inner.shapes.release(old);
                 inner.file(*id, row?, "update", log.as_deref_mut());
                 result?;
@@ -1316,7 +1419,8 @@ mod tests {
     }
 
     /// Forty documents, `day` rising one per block of eight (the block
-    /// size under test), two key sets interleaved.
+    /// size under test), two key sets interleaved: each block's first
+    /// document is its columns, closed by the second, the rest are rows.
     fn days() -> Collection {
         let c = Collection::new();
         c.insert_many((0..40).map(|i| match i % 2 {
@@ -1350,13 +1454,15 @@ mod tests {
             visited(&c, &json!({"day": {"$lt": 1}, "note": {"$gt": 7}})),
             [] as [u64; 0]
         );
+        // The block's summary holds a `note` of 7; its columns, no `note`.
         assert_eq!(
             visited(&c, &json!({"day": {"$lt": 1}, "note": {"$gte": 7}})),
-            all[..8]
+            all[1..8]
         );
         assert_eq!(visited(&c, &json!({"day": 7})), [] as [u64; 0]);
         // What is not a number, not at the top, or a set of values rules
-        // nothing out — nor does a member's absence from *some* key set.
+        // no block out on its summary — nor does a member's absence from
+        // *some* key set. The open rows are all walked.
         for filter in [
             json!({}),
             json!({"kind": "a"}),
@@ -1366,7 +1472,11 @@ mod tests {
             json!({"day": null}),
             json!({"note": null}),
         ] {
-            assert_eq!(visited(&c, &filter), all, "{filter}");
+            let parsed = Filter::parse(&filter).unwrap();
+            assert_eq!(c.inner.lock().ruled_out(&parsed), 0, "{filter}");
+            let open =
+                |ids: Vec<u64>| -> Vec<u64> { ids.into_iter().filter(|id| id % 8 != 0).collect() };
+            assert_eq!(open(visited(&c, &filter)), open(all.clone()), "{filter}");
         }
         let filter = Filter::parse(&json!({"kind": "a", "day": 2})).unwrap();
         assert_eq!(c.count(&filter).unwrap(), 4);
@@ -1376,19 +1486,20 @@ mod tests {
     #[test]
     fn summaries_widen_with_updates_and_go_with_the_last_row() {
         let c = days();
-        // A value moved outside its block's bounds is found where it is.
+        // A value moved outside its block's bounds is found where it is;
+        // the block's columns (its first row, day 0) rule themselves out.
         c.update_many(&Filter::eq("_id", 3), &Update::set("day", 99))
             .unwrap();
         assert_eq!(
             visited(&c, &json!({"day": {"$gte": 50}})),
-            (0..8).collect::<Vec<_>>()
+            (1..8).collect::<Vec<_>>()
         );
         // Bounds never narrow: the block is still visited for what left.
         c.update_many(&Filter::eq("_id", 3), &Update::set("day", 0))
             .unwrap();
         assert_eq!(
             visited(&c, &json!({"day": {"$gte": 50}})),
-            (0..8).collect::<Vec<_>>()
+            (1..8).collect::<Vec<_>>()
         );
         // Until its last row goes, and the summary with it.
         c.delete_many(&Filter::lt("_id", 8)).unwrap();
@@ -1505,16 +1616,16 @@ mod tests {
 
     #[test]
     fn indexes_hold_the_open_rows_and_answer_for_all() {
-        // Blocks of eight under test: 0..8 and 8..16 seal once 16 and 17
-        // are stored; 16 and 17 stay open.
+        // Blocks of eight under test: 0..8 and 8..16 fill and close, 16
+        // and 17 fill the third. None of them is a row, nor indexed.
         let c = Collection::new();
         c.create_index("v").unwrap();
         c.insert_many((0..18).map(|i| json!({"v": i % 5, "w": i})))
             .unwrap();
         c.create_index("w").unwrap();
         assert_eq!(c.inner.lock().seals(), (2, 0));
-        assert_eq!(indexed(&c, "v"), [16, 17]);
-        assert_eq!(indexed(&c, "w"), [16, 17]);
+        assert_eq!(indexed(&c, "v"), [] as [u64; 0]);
+        assert_eq!(indexed(&c, "w"), [] as [u64; 0]);
         assert_eq!(c.index_cardinality("v"), Some(5));
         assert_eq!(c.index_cardinality("w"), Some(18));
         let ids = |filter: Value| -> Vec<u64> {
@@ -1530,22 +1641,90 @@ mod tests {
             (7..17).collect::<Vec<_>>()
         );
         assert_eq!(ids(json!({"v": 2, "w": {"$gt": 2.5}})), [7, 12, 17]);
-        // An update unseals its block, whose rows come back into the
-        // indexes: the changed one under its new value.
+        // An update makes its block rows, which enter the indexes: the
+        // changed one under its new value.
         c.update_many(&Filter::eq("_id", 3), &Update::set("v", 9))
             .unwrap();
         assert_eq!(c.inner.lock().seals(), (1, 1));
-        assert_eq!(indexed(&c, "v"), [0, 1, 2, 3, 4, 5, 6, 7, 16, 17]);
+        assert_eq!(indexed(&c, "v"), [0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(ids(json!({"v": 9})), [3]);
         assert_eq!(ids(json!({"v": 3})), [8, 13]);
         assert_eq!(c.index_cardinality("v"), Some(6));
-        // A delete unseals too, and takes its row out.
+        // A delete does too, and takes its row out.
         c.delete_many(&Filter::eq("_id", 13)).unwrap();
         assert_eq!(
             indexed(&c, "w"),
-            (0..18).filter(|&i| i != 13).collect::<Vec<_>>()
+            (0..16).filter(|&i| i != 13).collect::<Vec<_>>()
         );
         assert_eq!(ids(json!({"v": 3})), [8]);
+        assert!(c.inner.lock().indexes_hold_the_open_rows());
+    }
+
+    #[test]
+    fn a_stream_fills_columns_until_a_document_does_not_continue_them() {
+        let c = Collection::new();
+        c.create_index("v").unwrap();
+        c.insert_many((0..11).map(|i| json!({"v": i}))).unwrap();
+        // One closed block, and the next filling with 8, 9 and 10.
+        assert_eq!(c.inner.lock().seals(), (1, 0));
+        let columns = |c: &Collection| {
+            let inner = c.inner.lock();
+            let blocks = inner.column_blocks();
+            blocks
+                .map(|(first, sealed)| (first, sealed.len(), sealed.filling()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(columns(&c), [(0, 8, false), (8, 3, true)]);
+        // Another key set: the filling block's columns close on the rows
+        // they hold, and it and the block's later documents are rows,
+        // indexed; the next block opens as columns again.
+        c.insert_one(json!({"v": 11, "x": true})).unwrap();
+        c.insert_one(json!({"v": 12})).unwrap();
+        assert_eq!(columns(&c), [(0, 8, false), (8, 3, false)]);
+        assert_eq!(indexed(&c, "v"), [11, 12]);
+        c.insert_many((13..17).map(|i| json!({"v": i}))).unwrap();
+        assert_eq!(columns(&c), [(0, 8, false), (8, 3, false), (16, 1, true)]);
+        assert_eq!(indexed(&c, "v"), [11, 12, 13, 14, 15]);
+        assert_eq!(c.inner.lock().seals(), (1, 0));
+        assert!(c.inner.lock().indexes_hold_the_open_rows());
+        let all: Vec<Value> = c.all();
+        assert_eq!(all.len(), 17);
+        assert_eq!(all[11], json!({"_id": 11, "v": 11, "x": true}));
+        assert_eq!(c.count(&Filter::gte("v", 9)).unwrap(), 8);
+        assert_eq!(c.count(&Filter::eq("x", true)).unwrap(), 1);
+        assert_eq!(c.find(&Filter::eq("v", 10)).unwrap().len(), 1);
+        // A write into the closed columns makes them rows, for good.
+        c.update_many(&Filter::eq("_id", 9), &Update::set("w", 1))
+            .unwrap();
+        assert_eq!(columns(&c), [(0, 8, false), (16, 1, true)]);
+        assert_eq!(indexed(&c, "v"), (8..16).collect::<Vec<_>>());
+        assert_eq!(c.inner.lock().seals(), (1, 1));
+        assert_eq!(c.all()[9], json!({"_id": 9, "v": 9, "w": 1}));
+        assert!(c.inner.lock().indexes_hold_the_open_rows());
+
+        // A replay whose ids skip a block's last ones: the block's columns
+        // fill until the writer stores into the next block, then close,
+        // short. Replay indexes nothing; the index built after it holds
+        // the one open row.
+        let c = Collection::new();
+        let replay = |ids: std::ops::Range<u64>| {
+            for id in ids {
+                let doc = json!({"_id": id, "v": id});
+                c.inner.lock().put_doc(DocId(id), doc).unwrap();
+            }
+        };
+        replay(0..13);
+        assert_eq!(columns(&c), [(0, 8, false), (8, 5, true)]);
+        replay(16..18);
+        assert_eq!(columns(&c), [(0, 8, false), (8, 5, false), (16, 2, true)]);
+        // One past an empty block's first id is a row: the writer has
+        // left the block before all the same.
+        replay(26..27);
+        assert_eq!(columns(&c), [(0, 8, false), (8, 5, false), (16, 2, false)]);
+        c.create_index("v").unwrap();
+        assert_eq!(indexed(&c, "v"), [26]);
+        assert_eq!(c.count(&Filter::gte("v", 11)).unwrap(), 5);
+        assert_eq!(c.find(&Filter::eq("v", 26)).unwrap().len(), 1);
         assert!(c.inner.lock().indexes_hold_the_open_rows());
     }
 

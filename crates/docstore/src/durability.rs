@@ -20,7 +20,8 @@
 //! documents gave, which the golden log and export below pin.
 //!
 //! [`Store::open`] replays the newest snapshot and the log tail, moving
-//! each parsed document's values into its row, and rebuilds the indexes:
+//! each parsed document's values into its block's columns — or, where it
+//! does not continue them, into a row — and rebuilds the indexes:
 //! the same contents, `_id` assignment and index definitions. A snapshot
 //! is the [`Store::export_json`] stream, taken when the journal's cadence
 //! says half of what a reopen would read is dead — never for a store that
@@ -241,10 +242,10 @@ fn take(object: &mut Value, key: &str) -> Option<Value> {
 type IndexPaths = BTreeMap<String, BTreeSet<String>>;
 
 /// Rebuilds collections from a recovered snapshot + log tail. The parsed
-/// trees are taken apart by value: every document's values move into its
-/// row, none is cloned. The tail is streamed: one segment of it is in
-/// memory at a time, one record parsed. Returns how many documents the
-/// snapshot held.
+/// trees are taken apart by value: every document's values move into
+/// its block's columns or its row, none is cloned. The tail is streamed:
+/// one segment of it is in memory at a time, one record parsed. Returns
+/// how many documents the snapshot held.
 fn restore(store: &Store, recovered: Recovered) -> Result<u64, StoreError> {
     let mut index_paths = IndexPaths::new();
     let held = match recovered.snapshot {
@@ -286,8 +287,7 @@ fn restore_snapshot(store: &Store, paths: &mut IndexPaths, bytes: Vec<u8>) -> Re
             for doc in docs {
                 let id = doc.get("_id").and_then(Value::as_u64);
                 let id = id.ok_or("a document without `_id`")?;
-                let row = inner.row_of(doc, None).map_err(|e| e.to_string())?;
-                inner.put(DocId(id), row);
+                inner.put_doc(DocId(id), doc).map_err(|e| e.to_string())?;
             }
         }
         let defined = paths.entry(name).or_default();
@@ -318,8 +318,7 @@ fn apply(store: &Store, index_paths: &mut IndexPaths, record: &[u8]) -> Result<(
             let doc = take(&mut delta, "doc").ok_or("no `doc`")?;
             let collection = collection();
             let mut inner = collection.inner.lock();
-            let row = inner.row_of(doc, None).map_err(|e| e.to_string())?;
-            inner.put(DocId(id), row);
+            inner.put_doc(DocId(id), doc).map_err(|e| e.to_string())?;
             inner.next_id = inner.next_id.max(id + 1);
         }
         "delete" => {

@@ -1,14 +1,14 @@
 //! Secondary indexes, and the probe that asks them for a query's rows.
 //!
 //! An index maps the scalar value at one dotted path to the ids of the
-//! documents holding that value — of the *open* rows only, those of the
-//! blocks that are not sealed: a sealed block's rows leave every index
-//! when it seals and come back when a write unseals it (see
-//! [`crate::collection`]). A query's clauses reach the indexes through
-//! [`probe`]: each equality with a non-null scalar and each interval on
-//! an indexed path gives the open rows' ids it may hold for, and the sets
-//! are intersected. The sealed blocks answer the same clauses from their
-//! summaries and columns.
+//! documents holding that value — of the *open* rows only: a stream's
+//! documents go into columns and never enter an index, and a block's
+//! rows enter every index when a write turns its columns into rows (see
+//! [`crate::collection`]). A query's
+//! clauses reach the indexes through [`probe`]: each equality with a
+//! non-null scalar and each interval on an indexed path gives the open
+//! rows' ids it may hold for, and the sets are intersected. The column
+//! blocks answer the same clauses from their summaries and columns.
 //!
 //! **How an entry lies in memory.** An index is one `BTreeMap` from
 //! [`IndexKey`] to [`Ids`]. A key is a scalar of 24 bytes — null, a
@@ -179,24 +179,6 @@ impl Ids {
         }
     }
 
-    /// Keeps the ids `keep` holds for; returns whether any is left.
-    fn retain(&mut self, keep: impl Fn(DocId) -> bool) -> bool {
-        match self {
-            Ids::One(id) => keep(*id),
-            Ids::Many(ids) => {
-                ids.retain(|id| keep(*id));
-                match (ids.len(), ids.first()) {
-                    (0, _) => false,
-                    (1, Some(&last)) => {
-                        *self = Ids::One(last);
-                        true
-                    }
-                    _ => true,
-                }
-            }
-        }
-    }
-
     /// Removes `id`; returns whether no id is left.
     fn remove(&mut self, id: DocId) -> bool {
         match self {
@@ -244,15 +226,6 @@ impl PathIndex {
                 slot.remove();
             }
         }
-    }
-
-    /// Removes every id `keep` is false for, in one pass over the index
-    /// that builds it anew: cheaper than a removal per id when they are
-    /// most of what it holds.
-    pub(crate) fn retain(&mut self, keep: impl Fn(DocId) -> bool) {
-        let entries = std::mem::take(&mut self.entries).into_iter();
-        let kept = entries.filter_map(|(key, mut ids)| ids.retain(&keep).then_some((key, ids)));
-        self.entries = kept.collect();
     }
 
     /// Ids of documents whose indexed value is `key`, borrowed: the

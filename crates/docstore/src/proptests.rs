@@ -1959,3 +1959,279 @@ fn indexes_hold_the_open_rows_through_any_history() {
         "{sealed} sealed, {unsealed} unsealed"
     );
 }
+
+/// One block's worth (eight documents, under test) of one key set whose
+/// members end, between them, as every kind of column, most only after
+/// more than [`DICTIONARY_MAX`](crate::row) distinct values have arrived:
+/// `d` a few letters and null (a dictionary); `p` integers whose offsets
+/// take each width, in any order (a number column that rebases and
+/// widens as they come); `k` numbers of one kind — integers of both
+/// signs, integers none negative with some beyond `i64::MAX`, or floats
+/// with both zeros — and nulls, now and then one row of another kind (a
+/// value column from there on); `s` integers none negative or some
+/// negative, and at times one beyond `i64::MAX` in any row (an integer
+/// column made `u64`, or a value column); `v` any scalar.
+fn stream_block(rng: &mut Rng) -> Vec<Value> {
+    let (packed, _) = packed_block(rng);
+    let kind = rng.size(0, 3);
+    let stray = (rng.size(0, 4) == 0).then(|| rng.size(0, 8));
+    let negative = rng.flag();
+    let huge_at = rng.size(0, 12);
+    let letters = [json!("a"), json!("b"), Value::Null];
+    let rows = packed.into_iter().enumerate();
+    rows.map(|(row, p)| {
+        let k = match stray {
+            Some(at) if at == row => typed_edge(rng),
+            _ => typed_word(rng, kind),
+        };
+        let s = match row {
+            row if row == huge_at => Value::from(u64::MAX - rng.next() % 1_000),
+            _ if negative => Value::from(rng.int(-300, 300)),
+            _ => Value::from(rng.int(0, 70_000)),
+        };
+        let d = letters[rng.size(0, 3)].clone();
+        json!({"d": d, "k": k, "p": p, "s": s, "v": rng.scalar()})
+    })
+    .collect()
+}
+
+/// `doc`'s members.
+fn members(doc: &Value) -> serde_json::Map<String, Value> {
+    doc.as_object().cloned().unwrap()
+}
+
+/// Whether `block`'s first rows read as `rows`: each one's JSON, and the
+/// values `each_at` hands out at every member (a dictionary's distinct
+/// ones once each).
+fn reads_as(block: &Sealed, rows: &[Row]) -> bool {
+    let text = |row: RowRef<'_>| {
+        let mut text = String::new();
+        row.write_json(&mut text);
+        text
+    };
+    let held = (0..block.len()).map(|at| text(block.row(at).unwrap()));
+    let open = rows.iter().map(|row| text(RowRef::Open(row)));
+    let same_members = ["_id", "d", "k", "p", "s", "v"].iter().all(|path| {
+        let mut handed = Vec::new();
+        block.each_at(path, |value| handed.push(value.to_string()));
+        let at = rows.iter().filter_map(|row| RowRef::Open(row).at(path));
+        let mut expected: Vec<String> = at.map(|value| value.to_string()).collect();
+        if handed.len() < expected.len() {
+            expected.sort();
+            expected.dedup();
+            handed.sort();
+        }
+        handed == expected
+    });
+    block.len() == rows.len() && held.eq(open) && same_members
+}
+
+/// A block filled one document at a time is, once closed — full, or
+/// short where a stream stops continuing it — the very block
+/// `Sealed::new` makes of its rows at once: column for column the same
+/// variant, a dictionary's values in the order met and its codes, a
+/// number column's kind, base, width, offsets and null rows, a value
+/// column's values. At every fill before that it reads as its rows do.
+/// Documents carry their `_id` (a replay) or are given one (an insert);
+/// one of another key set never fits, nor does any once it is closed.
+#[test]
+fn a_block_filled_by_appends_is_the_block_sealed_at_once() {
+    let widths = Widths::default();
+    // Columns that ended as numbers and as values, over all cases.
+    let (numbers, values) = (Cell::new(0), Cell::new(0));
+    check(|rng| {
+        let mut shapes = Shapes::default();
+        let replayed = rng.flag();
+        let docs: Vec<serde_json::Map<String, Value>> = stream_block(rng)
+            .iter()
+            .enumerate()
+            .map(|(id, doc)| {
+                let mut doc = members(doc);
+                if replayed {
+                    doc.insert("_id".to_owned(), json!(id));
+                }
+                doc
+            })
+            .collect();
+        let id = |at: usize| (!replayed).then_some(DocId(at as u64));
+        // A third of the blocks close short.
+        let len = match rng.size(0, 3) {
+            0 => rng.size(1, docs.len()),
+            _ => docs.len(),
+        };
+        let rows: Vec<Row> = (docs[..len].iter().enumerate())
+            .map(|(at, doc)| Row::from_map(doc.clone(), id(at), None, &mut shapes))
+            .collect();
+        let first = Row::from_map(docs[0].clone(), id(0), None, &mut shapes);
+        let mut block = Sealed::open(first);
+        for (at, doc) in docs[..len].iter().enumerate().skip(1) {
+            assert!(reads_as(&block, &rows[..at]), "after {at} rows");
+            let mut other = doc.clone();
+            other.insert("e".to_owned(), json!(1));
+            assert!(!block.fits(&other, !replayed));
+            other.remove("e");
+            other.remove("d");
+            assert!(!block.fits(&other, !replayed));
+            assert!(block.fits(doc, !replayed));
+            block.append(doc.clone(), id(at), |_, _| {});
+        }
+        assert_eq!(block.filling(), len < docs.len());
+        block.close();
+        assert!(!block.filling());
+        assert!(len == docs.len() || !block.fits(&docs[len], !replayed));
+        assert!(reads_as(&block, &rows));
+        widths.count(block.offset_widths());
+        let kinds = block.column_kinds();
+        numbers.set(numbers.get() + kinds.1);
+        values.set(values.get() + kinds.2);
+        let shape = Arc::clone(rows[0].shape());
+        let oracle = Sealed::new(shape, rows.into_iter());
+        assert!(block.same_columns(&oracle), "{block:#?}\n{oracle:#?}");
+    });
+    widths.assert_each_seen();
+    let (numbers, values) = (numbers.get(), values.get());
+    assert!(numbers > 512 && values > 256, "{numbers} {values}");
+}
+
+/// Every read over a stream — its blocks filling, sealing, closed short
+/// by a document of another key set, made rows by a write into them,
+/// replayed from the log or from a snapshot with the ids deleted before
+/// it missing — answers as the naive store does: `all`, `get`,
+/// `find_with_options`, `count` and `distinct` under filters the column
+/// pass decides. And every closed block is the one `Sealed::new` makes
+/// of its rows.
+#[test]
+fn reads_over_filling_blocks_equal_the_naive_store() {
+    const MEMBERS: [&str; 7] = ["d", "k", "p", "s", "v", "zz", "_id"];
+    // Filling blocks read, full and short closed blocks held to the
+    // oracle, and reopens from a snapshot whose ids had a gap.
+    let (filling, sealed, gaps) = (Cell::new(0), Cell::new(0), Cell::new(0));
+    let short = Cell::new(0);
+    check(|rng| {
+        let dir = prop_temp_dir();
+        let wal = mps_wal::WalConfig::default().telemetry(false).fsync(false);
+        let config = DurabilityConfig::new(&dir).wal(wal).snapshot_every(0);
+        let open = || Store::open(Durability::Durable(config.clone())).unwrap();
+        let mut store = open();
+        if rng.flag() {
+            let path = rng.pick(&MEMBERS[..5]);
+            store.collection("s").create_index(path).unwrap();
+        }
+        let mut naive = Naive::default();
+        let mut pending: Vec<Value> = Vec::new();
+        for step in 0..rng.size(4, 14) {
+            let c = store.collection("s");
+            match rng.size(0, 10) {
+                0..=4 => {
+                    let mut docs = Vec::new();
+                    for _ in 0..rng.size(1, 10) {
+                        if pending.is_empty() {
+                            pending = stream_block(rng);
+                        }
+                        let mut doc = pending.pop().unwrap();
+                        if rng.size(0, 16) == 0 {
+                            doc.as_object_mut()
+                                .unwrap()
+                                .insert("e".to_owned(), json!(1));
+                        }
+                        naive.insert(doc.clone());
+                        docs.push(doc);
+                    }
+                    c.insert_many(docs).unwrap();
+                }
+                5 | 6 => {
+                    // Into the newest block: the filling one, if any.
+                    let id = naive.next_id.saturating_sub(rng.size(1, 4) as u64);
+                    let filter = Filter::eq("_id", id);
+                    if rng.flag() {
+                        let update = Update::set("d", "z");
+                        naive.update(&filter, &update);
+                        c.update_many(&filter, &update).unwrap();
+                    } else {
+                        naive.docs.retain(|doc| !filter.matches(doc));
+                        c.delete_many(&filter).unwrap();
+                    }
+                }
+                7 => {
+                    let ids = naive.docs.iter().map(|doc| doc["_id"].as_u64().unwrap());
+                    let contiguous = ids.clone().eq(0..naive.docs.len() as u64);
+                    gaps.set(gaps.get() + usize::from(!contiguous));
+                    store.checkpoint().unwrap();
+                    drop((c, store));
+                    store = open();
+                }
+                _ => {
+                    drop((c, store));
+                    store = open();
+                }
+            }
+
+            let c = store.collection("s");
+            assert_eq!(c.all(), naive.docs, "step {step}");
+            for doc in &naive.docs {
+                let id = DocId(doc["_id"].as_u64().unwrap());
+                assert_eq!(c.get(id).as_ref(), Some(doc));
+            }
+            let known: Vec<Value> = naive
+                .docs
+                .iter()
+                .flat_map(|doc| doc.as_object().unwrap().values().cloned())
+                .collect();
+            let mut value = |rng: &mut Rng| match known.len() {
+                0 => typed_edge(rng),
+                held => match rng.flag() {
+                    true => known[rng.size(0, held)].clone(),
+                    false => typed_edge(rng),
+                },
+            };
+            for _ in 0..3 {
+                let mut lone = |rng: &mut Rng| {
+                    let member = rng.pick(&MEMBERS);
+                    rng.lone_on(member, &mut value)
+                };
+                let filter = match rng.size(0, 3) {
+                    0 => lone(rng),
+                    1 => Filter::and(rng.vec(1, 4, &mut lone)),
+                    _ => rng.filter(1),
+                };
+                let options = rng.find_options();
+                assert_eq!(
+                    c.find_with_options(&filter, &options),
+                    naive.find(&filter, &options),
+                    "step {step}: {filter:?} {options:?}"
+                );
+                let all = naive.find(&filter, &FindOptions::new()).unwrap();
+                assert_eq!(c.count(&filter).unwrap(), all.len(), "{filter:?}");
+                let path = rng.pick(&MEMBERS);
+                assert_eq!(c.distinct(path, &filter), naive.distinct(path, &filter));
+            }
+            let inner = c.inner.lock();
+            for (first, block) in inner.column_blocks() {
+                if block.filling() {
+                    filling.set(filling.get() + 1);
+                    continue;
+                }
+                let mut shapes = Shapes::default();
+                let ids = first..first + block.len() as u64;
+                let docs = naive.docs.iter();
+                let docs = docs.filter(|doc| ids.contains(&doc["_id"].as_u64().unwrap()));
+                let rows: Vec<Row> = docs
+                    .map(|doc| Row::from_map(members(doc), None, None, &mut shapes))
+                    .collect();
+                let shape = Arc::clone(rows[0].shape());
+                let oracle = Sealed::new(shape, rows.into_iter());
+                assert!(block.same_columns(&oracle), "step {step}: block {first}");
+                let closed = if block.len() < 8 { &short } else { &sealed };
+                closed.set(closed.get() + 1);
+            }
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
+    let (filling, sealed, gaps) = (filling.get(), sealed.get(), gaps.get());
+    let short = short.get();
+    assert!(
+        filling > 256 && sealed > 256 && short > 64 && gaps > 16,
+        "{filling} filling, {sealed} sealed, {short} short, {gaps} gaps"
+    );
+}

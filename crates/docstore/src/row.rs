@@ -1,4 +1,4 @@
-//! Stored documents: shape-shared rows, and sealed blocks of them.
+//! Stored documents: shape-shared rows, and blocks of them as columns.
 //!
 //! A collection keeps a document not as a [`Value`] tree but as a
 //! [`Row`]: its top-level member *values* in one exact-size slice, and an
@@ -9,12 +9,17 @@
 //! so a stored observation costs its values and a pointer, not a tree of
 //! nodes and nineteen key strings.
 //!
-//! **Sealed blocks.** Once the collection's writer has passed a block of
-//! `_id`s whose rows all share one shape (see [`crate::collection`]), the
-//! rows become a [`Sealed`] block: one [`Column`] per member, in `_id`
-//! order. A member with at most [`DICTIONARY_MAX`] distinct values in the
-//! block — a model, an activity, a day — keeps each of them once and a
-//! one-byte code per row. Any other member that holds only numbers of one
+//! **Column blocks.** A stream's documents never become rows: the block
+//! of `_id`s the writer is in is a [`Sealed`] block from its first
+//! document on (see [`crate::collection`]) — one [`Column`] per member,
+//! in `_id` order, each document's values coded into them as it arrives
+//! ([`Sealed::append`]) — and a full block is closed, not transposed; so
+//! is a block a document stops continuing, its rows so far staying
+//! columns and the later ones rows. A
+//! member with at most [`DICTIONARY_MAX`] distinct values in the block —
+//! a model, an activity, a day — keeps each of them once and a one-byte
+//! code per row; a string repeated is kept once, the copy parsed dropped
+//! on arrival. Any other member that holds only numbers of one
 //! [`Kind`] and null — an id, a timestamp, a level, a coordinate — is a
 //! [`Numbers`] column: its null rows as a bitmap, and only the rows that
 //! are not null as numbers, packed. An integer is kept as its offset
@@ -27,14 +32,25 @@
 //! (its pseudonyms span all of `u64`; its fix is null in three rows of
 //! five). The rest keep their values in one contiguous slice.
 //!
+//! While the block fills, each column is a dictionary until its
+//! `DICTIONARY_MAX + 1`th distinct value arrives; then, once per column
+//! per block, it becomes a number column — based at the least number so
+//! far, as wide as the greatest needs — or a value column. A number
+//! column rebases (every offset grows by what the base falls) or widens
+//! in place when a number falls below its base or beyond its width, so a
+//! full block's columns are exactly those made of its rows at once
+//! (`Sealed::new`, the tests' oracle): every column is sized for a whole
+//! block when it is made, and closing a block only gives back the room
+//! its rows did not use.
+//!
 //! **One read path.** `Value` stays the type at the API boundary and only
 //! there; in between, everything reads a stored document through one
-//! [`RowRef`] — an open row, or a sealed block and an offset into it —
-//! which implements [`Doc`], as `Value` does: filters, paths, sorting,
-//! projection, index builds, `to_value` and `write_json` each have a
-//! single body for both. A member comes out as a `Cow`: borrowed where a
-//! `Value` is stored, and made on the spot — a `Value::Number`, no heap —
-//! from a number column's offset.
+//! [`RowRef`] — an open row, or a column block, filling or closed, and an
+//! offset into it — which implements [`Doc`], as `Value` does: filters,
+//! paths, sorting, projection, index builds, `to_value` and `write_json`
+//! each have a single body for both. A member comes out as a `Cow`:
+//! borrowed where a `Value` is stored, and made on the spot — a
+//! `Value::Number`, no heap — from a number column's offset.
 //!
 //! **Why bytes cannot differ.** [`RowRef::write_json`] writes members in
 //! shape order, which is `str` order, which is `Map` order; the key text
@@ -49,13 +65,13 @@
 //! **Reads.** A query's plan (see [`crate::collection`]) resolves the
 //! first segment of each clause's path against a key list once, through
 //! one [`KeySlots`] that remembers the list it last met, by address: a
-//! block summary's key set, a sealed block's shape and an open row's
+//! block summary's key set, a column block's shape and an open row's
 //! shape are one list where they are one key set, so a scan of one
 //! stream resolves its paths once, and pays a pointer comparison per
 //! row and an indexed load per clause; nested segments continue through
 //! the `Value` in the slot. [`IndexSlots`] does the same for the
 //! collection's index paths on the write path, holding its shape rather
-//! than borrowing it. Before a sealed block is walked, [`Sealed::pass`]
+//! than borrowing it. Before a column block is walked, [`Sealed::pass`]
 //! decides each clause on an undotted member from that member's column
 //! alone (see its docs), with the same evaluator — but for a comparison
 //! with a number on a number column, which compares the packed offsets
@@ -77,7 +93,7 @@ use std::sync::{Arc, OnceLock};
 
 /// What every reader of a document needs: one top-level member by name,
 /// borrowed for as long as the document's values live (`'v`) — or, for a
-/// number a sealed block keeps packed, made on the spot.
+/// number a column block keeps packed, made on the spot.
 pub(crate) trait Doc<'v> {
     /// The top-level member `key`, if the document has it.
     fn member(&self, key: &str) -> Option<Cow<'v, Value>>;
@@ -128,10 +144,11 @@ impl<'v> Doc<'v> for &'v Value {
 pub(crate) struct Shape {
     /// Shared with the registry, which finds the shape by them.
     keys: Arc<[String]>,
-    /// Rows of this shape: one made by [`Row::from_map`] counts until it
-    /// is handed to [`Shapes::release`], open or sealed — sealing and
-    /// unsealing move rows, they neither make nor end one. Only the
-    /// collection's lock moves it; atomic because the shape is shared.
+    /// Rows of this shape: one made by [`Row::from_map`] or appended to a
+    /// column block counts until it is handed to [`Shapes::release`], open
+    /// or in columns — opening a block with a row and unsealing one move
+    /// rows, they neither make nor end one. Only the collection's lock
+    /// moves it; atomic because the shape is shared.
     rows: AtomicUsize,
     /// `"k0":` then `,"k1":` … concatenated; `ends[i]` closes member `i`.
     json: Box<str>,
@@ -221,6 +238,29 @@ impl Drop for Shapes {
     }
 }
 
+/// Hands `each` the members of `map` in key order — a shape's order —
+/// with `_id` set to `id` at its place if one is given, instead of any the
+/// map has.
+fn each_member(
+    map: Map<String, Value>,
+    id: Option<DocId>,
+    mut each: impl FnMut(Cow<'_, str>, Value),
+) {
+    let mut id = id.map(|id| Value::from(id.0));
+    for (key, value) in map {
+        if let Some(id) = id.take_if(|_| key.as_str() >= "_id") {
+            each(Cow::Borrowed("_id"), id);
+            if key == "_id" {
+                continue;
+            }
+        }
+        each(Cow::Owned(key), value);
+    }
+    if let Some(id) = id {
+        each(Cow::Borrowed("_id"), id);
+    }
+}
+
 /// One stored document, open: its shape and, in shape order, its values.
 #[derive(Debug)]
 pub(crate) struct Row {
@@ -245,7 +285,7 @@ impl Row {
         let mut guess = like;
         let mut keys = Vec::new();
         let mut values = Vec::with_capacity(len);
-        let mut push = |key: Cow<'_, str>, value: Value| {
+        each_member(map, id, |key, value| {
             if let Some(shape) = guess {
                 if shape.keys.get(values.len()).is_some_and(|k| *k == *key) {
                     values.push(value);
@@ -258,20 +298,7 @@ impl Row {
             }
             keys.push(key.into_owned());
             values.push(value);
-        };
-        let mut id = id.map(|id| Value::from(id.0));
-        for (key, value) in map {
-            if let Some(id) = id.take_if(|_| key.as_str() >= "_id") {
-                push(Cow::Borrowed("_id"), id);
-                if key == "_id" {
-                    continue;
-                }
-            }
-            push(Cow::Owned(key), value);
-        }
-        if let Some(id) = id {
-            push(Cow::Borrowed("_id"), id);
-        }
+        });
         let shape = match guess {
             Some(shape) if shape.keys.len() == values.len() => Arc::clone(shape),
             Some(shape) => shapes.intern(shape.keys[..values.len()].to_vec()),
@@ -339,27 +366,47 @@ impl IndexSlots {
     }
 }
 
-/// Members with at most this many distinct values in a sealed block keep
-/// them in a dictionary; a code is one byte. Four under test, where a
-/// block is eight rows, so that both kinds of column occur there.
+/// Members with at most this many distinct values in a block keep them in
+/// a dictionary; a code is one byte. Four under test, where a block is
+/// eight rows, so that both kinds of column occur there.
 const DICTIONARY_MAX: usize = if cfg!(test) { 4 } else { 255 };
 
-/// One member of a sealed block, in `_id` order.
+/// `$body`, with `$offsets` the offsets of an [`Offsets`] of any width.
+macro_rules! each_width {
+    ($of:expr, $offsets:ident => $body:expr) => {
+        match $of {
+            Offsets::U8($offsets) => $body,
+            Offsets::U16($offsets) => $body,
+            Offsets::U32($offsets) => $body,
+            Offsets::U64($offsets) => $body,
+        }
+    };
+}
+
+/// One member of a column block, in `_id` order.
 #[derive(Debug)]
 enum Column {
     /// Each distinct value once, in the order first met, and per row the
     /// position of its own.
-    Dictionary {
-        values: Box<[Value]>,
-        codes: Box<[u8]>,
-    },
+    Dictionary { values: Vec<Value>, codes: Vec<u8> },
     /// Numbers of one [`Kind`], packed, and null.
     Numbers(Numbers),
     /// Every row's value.
-    Values(Box<[Value]>),
+    Values(Vec<Value>),
 }
 
 impl Column {
+    /// The column of a block just opened: a dictionary, with room for a
+    /// block's codes and for every distinct value it may hold — grown by
+    /// doubling, it would ask for a kilobyte or more mid-block, each
+    /// request merging every small chunk the parser freed since.
+    fn open() -> Column {
+        Column::Dictionary {
+            values: Vec::with_capacity(DICTIONARY_MAX),
+            codes: Vec::with_capacity(BLOCK_IDS as usize),
+        }
+    }
+
     /// The value at row `at`: a number is made from its offset.
     fn get(&self, at: usize) -> Cow<'_, Value> {
         match self {
@@ -370,13 +417,134 @@ impl Column {
             Column::Values(values) => Cow::Borrowed(&values[at]),
         }
     }
+
+    /// Appends `value` as row `at`, the block's next; `table` finds a
+    /// dictionary's values. A value the column cannot take — a
+    /// dictionary's `DICTIONARY_MAX + 1`th distinct one; in a number
+    /// column, anything but null and a number of its kind — first makes
+    /// it the column that can ([`widened`](Self::widened)).
+    fn push(&mut self, at: usize, value: Value, table: &mut Table) {
+        let value = match self {
+            Column::Dictionary { values, codes } => {
+                match table.code(values, codes.last().copied(), value) {
+                    Ok(code) => return codes.push(code),
+                    Err(value) => value,
+                }
+            }
+            Column::Numbers(numbers) => match numbers.push(at, value) {
+                Ok(()) => return,
+                Err(value) => value,
+            },
+            Column::Values(values) => return values.push(value),
+        };
+        *self = self.widened(at, value);
+    }
+
+    /// The column of this one's `at` rows and then `value`, which this one
+    /// cannot take: of a dictionary whose values and `value` are all
+    /// numbers of one [`Kind`] or null, a number column based at the least
+    /// and as wide as the greatest needs; else a value column, each row's
+    /// value copied out. At most twice per column per block.
+    fn widened(&self, at: usize, value: Value) -> Column {
+        if let Column::Dictionary { values, codes } = self {
+            let met = || values.iter().chain([&value]);
+            if let Some(kind) = Kind::of(met().fold(0, |kinds, v| kinds | Kind::flag(v))) {
+                let integers = met().filter_map(|v| match v {
+                    Value::Number(n) => integer(n),
+                    _ => None,
+                });
+                let (least, most) = integers.fold((i128::MAX, i128::MIN), |(least, most), n| {
+                    (least.min(n), most.max(n))
+                });
+                let mut numbers = Numbers::with_room(kind, least, most);
+                for (row, &code) in codes.iter().enumerate() {
+                    numbers.take(row, &values[usize::from(code)]);
+                }
+                numbers.take(at, &value);
+                return Column::Numbers(numbers);
+            }
+        }
+        let mut every = Vec::with_capacity(BLOCK_IDS as usize);
+        every.extend((0..at).map(|row| self.get(row).into_owned()));
+        every.push(value);
+        Column::Values(every)
+    }
+
+    /// Gives back the room the block's column did not use: a
+    /// dictionary's for more values, a number column's for its null
+    /// rows, and, if the block is not full, each one's for its rows.
+    fn close(&mut self) {
+        match self {
+            Column::Dictionary { values, codes } => {
+                exact(values);
+                exact(codes);
+            }
+            Column::Numbers(numbers) => {
+                each_width!(&mut numbers.offsets, offsets => exact(offsets))
+            }
+            Column::Values(values) => exact(values),
+        }
+    }
+}
+
+/// `items` in a buffer of their size, if theirs is larger: moved into a
+/// new one, which frees the old whole. Shrunk in place, the old one would
+/// leave the rest of its chunk free beside a live one, too small for the
+/// next block's buffers of that size, and the heap would grow by a hole
+/// per column per block.
+fn exact<T>(items: &mut Vec<T>) {
+    if items.len() < items.capacity() {
+        let mut exact = Vec::with_capacity(items.len());
+        exact.append(items);
+        *items = exact;
+    }
+}
+
+/// Where a filling block's dictionary keeps each distinct value: by an
+/// identity hash, its code plus one (0: none), in a table twice the
+/// dictionary's size. The hash is not keyed, but a dictionary holds at
+/// most [`DICTIONARY_MAX`] values: values crafted to collide cost at most
+/// that many comparisons each.
+#[derive(Debug, Clone)]
+struct Table([u8; 1 << Table::BITS]);
+
+impl Table {
+    const BITS: u32 = 9;
+    const EMPTY: Table = Table([0; 1 << Table::BITS]);
+
+    /// The code of `value` among `values`, which it joins if it is new and
+    /// there is room; handed back if there is none. `last`, the row
+    /// before's code, is tried first: what repeats, repeats in runs.
+    fn code(
+        &mut self,
+        values: &mut Vec<Value>,
+        last: Option<u8>,
+        value: Value,
+    ) -> Result<u8, Value> {
+        if let Some(code) = last.filter(|&code| identical(&values[usize::from(code)], &value)) {
+            return Ok(code);
+        }
+        let mut slot = (identity_hash(&value) >> (64 - Table::BITS)) as usize;
+        loop {
+            match self.0[slot] {
+                0 if values.len() == DICTIONARY_MAX => return Err(value),
+                0 => {
+                    values.push(value);
+                    self.0[slot] = values.len() as u8;
+                    return Ok(self.0[slot] - 1);
+                }
+                known if identical(&values[usize::from(known - 1)], &value) => return Ok(known - 1),
+                _ => slot = (slot + 1) % self.0.len(),
+            }
+        }
+    }
 }
 
 /// What the words of a number column are — the word of a number is its
 /// offset plus the column's base. Each kind gives back the very `Number`
 /// a word was made from: an integer its sign and digits, a float its bits
 /// (`-0.0` stays `-0.0`, and `1.0` never meets `1`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Kind {
     /// Integers that all fit an `i64`, as one.
     Int,
@@ -480,26 +648,13 @@ impl Kind {
 }
 
 /// A number column's offsets, one per row that is not null, in the
-/// narrowest width that holds the largest. Each is made with room for
-/// every offset, so it is never grown.
-#[derive(Debug)]
+/// narrowest width that holds the largest.
+#[derive(Debug, PartialEq)]
 enum Offsets {
     U8(Vec<u8>),
     U16(Vec<u16>),
     U32(Vec<u32>),
     U64(Vec<u64>),
-}
-
-/// `$body`, with `$offsets` the slice of an [`Offsets`] of any width.
-macro_rules! each_width {
-    ($of:expr, $offsets:ident => $body:expr) => {
-        match $of {
-            Offsets::U8($offsets) => $body,
-            Offsets::U16($offsets) => $body,
-            Offsets::U32($offsets) => $body,
-            Offsets::U64($offsets) => $body,
-        }
-    };
 }
 
 impl Offsets {
@@ -516,15 +671,45 @@ impl Offsets {
         }
     }
 
-    /// Appends `offset`, which the width holds.
+    /// Appends `offset`, every offset first widened to the narrowest
+    /// width that holds it if this one does not.
     fn push(&mut self, offset: u64) {
-        debug_assert!(offset <= self.max(), "{offset} in {self:?}");
+        if offset > self.max() {
+            self.widen_to(offset);
+        }
         match self {
             Offsets::U8(offsets) => offsets.push(offset as u8),
             Offsets::U16(offsets) => offsets.push(offset as u16),
             Offsets::U32(offsets) => offsets.push(offset as u32),
             Offsets::U64(offsets) => offsets.push(offset),
         }
+    }
+
+    /// Adds `by` to every offset, widening them first if the largest
+    /// would not fit: what the column's base falling by `by` asks.
+    fn rebase(&mut self, by: u64) {
+        let most = each_width!(&*self, offsets => offsets.iter().map(|&o| widen(o)).max());
+        let most = most.unwrap_or(0) + by;
+        if most > self.max() {
+            self.widen_to(most);
+        }
+        // Every sum is at most `most`, which the width holds.
+        match self {
+            Offsets::U8(offsets) => offsets.iter_mut().for_each(|o| *o += by as u8),
+            Offsets::U16(offsets) => offsets.iter_mut().for_each(|o| *o += by as u16),
+            Offsets::U32(offsets) => offsets.iter_mut().for_each(|o| *o += by as u32),
+            Offsets::U64(offsets) => offsets.iter_mut().for_each(|o| *o += by),
+        }
+    }
+
+    /// The same offsets in the narrowest width that holds `most`, with
+    /// room for a block's.
+    fn widen_to(&mut self, most: u64) {
+        let mut wider = Offsets::with_capacity(BLOCK_IDS as usize, most);
+        each_width!(&*self, offsets => for &offset in offsets {
+            wider.push(widen(offset));
+        });
+        *self = wider;
     }
 
     /// The offset at `position`.
@@ -543,12 +728,12 @@ impl Offsets {
     }
 }
 
-/// The numbers of a sealed block's member that holds only numbers of one
+/// The numbers of a block's member that holds only numbers of one
 /// [`Kind`] and null. Only the rows that are not null have a number, in
 /// row order; each is kept as its offset from `base` in the narrowest
 /// width that holds the largest ([`Offsets`]: frame-of-reference
 /// coding). The null rows map a row to its offset's position.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Numbers {
     kind: Kind,
     /// The word of the block's smallest integer; 0 for floats, whose
@@ -559,31 +744,56 @@ struct Numbers {
 }
 
 impl Numbers {
-    /// Room for the numbers of a block of `kind`, whose integers run from
-    /// `least` to `most` and whose null rows are `nulls`.
-    fn with_room(kind: Kind, least: i128, most: i128, nulls: Picked) -> Numbers {
+    /// A column of `kind` with room for a block's numbers, its integers so
+    /// far running from `least` to `most`.
+    fn with_room(kind: Kind, least: i128, most: i128) -> Numbers {
         // An integer kind's integers are all `i64`s or all `u64`s: the low
         // 64 bits of the least are its word, and `most - least` fits.
         let (base, span) = match kind {
             Kind::Int | Kind::UInt => (least as u64, (most - least) as u64),
             Kind::Float => (0, u64::MAX),
         };
-        let len = BLOCK_IDS as usize - nulls.len();
         Numbers {
             kind,
             base,
-            offsets: Offsets::with_capacity(len, span),
-            nulls: (!nulls.is_empty()).then(|| Box::new(Nulls::new(nulls))),
+            offsets: Offsets::with_capacity(BLOCK_IDS as usize, span),
+            nulls: None,
         }
     }
 
-    /// Takes the next row's value, which is a number of the column's kind
-    /// or null.
-    fn take(&mut self, value: &Value) {
-        match self.kind.word(value) {
-            Some(word) => self.offsets.push(word.wrapping_sub(self.base)),
-            None => debug_assert!(value.is_null(), "{value} in a {:?} column", self.kind),
+    /// Appends `value` as row `at` if it is null or a number of the kind,
+    /// else hands it back. An integer column that has held no negative
+    /// number takes one only a `u64` holds: as a [`Kind::UInt`] column,
+    /// whose words its words already are.
+    fn push(&mut self, at: usize, value: Value) -> Result<(), Value> {
+        match (self.kind, Kind::flag(&value)) {
+            (_, Kind::NULL)
+            | (Kind::Int, Kind::SMALL | Kind::NEGATIVE)
+            | (Kind::UInt, Kind::SMALL | Kind::HUGE)
+            | (Kind::Float, Kind::FLOAT) => {}
+            (Kind::Int, Kind::HUGE) if self.base.cast_signed() >= 0 => self.kind = Kind::UInt,
+            _ => return Err(value),
         }
+        self.take(at, &value);
+        Ok(())
+    }
+
+    /// Takes `value`, null or a number of the kind, as row `at`: a number
+    /// below the base rebases the column first, so that the base stays
+    /// the least.
+    fn take(&mut self, at: usize, value: &Value) {
+        let Some(word) = self.kind.word(value) else {
+            let nulls = self
+                .nulls
+                .get_or_insert_with(|| Box::new(Nulls::new(Picked::none())));
+            nulls.add(at);
+            return;
+        };
+        if self.kind.integer(word) < self.kind.integer(self.base) {
+            self.offsets.rebase(self.base.wrapping_sub(word));
+            self.base = word;
+        }
+        self.offsets.push(word.wrapping_sub(self.base));
     }
 
     /// The number in row `at`, or `None` for a null row.
@@ -599,8 +809,9 @@ impl Numbers {
     /// Drops from `picked` the null rows and those whose number is not
     /// `within`, comparing the offsets where they lie with bounds made
     /// once: an integer interval turns into an interval of offsets —
-    /// exactly, in `i128`, and clamped to what the width holds.
-    fn keep(&self, within: Words, picked: &mut Picked) {
+    /// exactly, in `i128`, and clamped to what the width holds. `held`
+    /// are the rows the block holds.
+    fn keep(&self, within: Words, held: Picked, picked: &mut Picked) {
         let nulls = self.nulls.as_deref();
         match within {
             Words::Integers(lo, hi) => {
@@ -611,11 +822,11 @@ impl Numbers {
                     *picked = Picked::none();
                     return;
                 }
-                each_width!(&self.offsets, offsets => keep_between(offsets, nulls, picked, lo, hi));
+                each_width!(&self.offsets, offsets => keep_between(offsets, nulls, held, picked, lo, hi));
             }
             Words::Float((lo, hi)) => {
                 let base = self.base;
-                each_width!(&self.offsets, offsets => keep_each(offsets, nulls, picked, |offset| {
+                each_width!(&self.offsets, offsets => keep_each(offsets, nulls, held, picked, |offset| {
                     let x = f64::from_bits(base.wrapping_add(widen(offset)));
                     (lo <= x) & (x <= hi)
                 }));
@@ -631,12 +842,18 @@ fn widen(offset: impl Into<u64>) -> u64 {
 
 /// Drops from `picked` the null rows and those whose offset is not within
 /// `lo..=hi`, which the width `T` holds.
-fn keep_between<T>(offsets: &[T], nulls: Option<&Nulls>, picked: &mut Picked, lo: i128, hi: i128)
-where
+fn keep_between<T>(
+    offsets: &[T],
+    nulls: Option<&Nulls>,
+    held: Picked,
+    picked: &mut Picked,
+    lo: i128,
+    hi: i128,
+) where
     T: Copy + PartialOrd + TryFrom<i128>,
 {
     match (T::try_from(lo), T::try_from(hi)) {
-        (Ok(lo), Ok(hi)) => keep_each(offsets, nulls, picked, |offset| {
+        (Ok(lo), Ok(hi)) => keep_each(offsets, nulls, held, picked, |offset| {
             (lo <= offset) & (offset <= hi)
         }),
         _ => *picked = Picked::none(),
@@ -644,11 +861,13 @@ where
 }
 
 /// Drops from `picked` the null rows, and the rows whose offset — the
-/// next of `offsets` for each row that is not null, in order — `holds` is
-/// false for, asking for every row of each 64 with one still in.
+/// next of `offsets` for each row of `held` that is not null, in order —
+/// `holds` is false for, asking for every row of each 64 with one still
+/// in.
 fn keep_each<T: Copy>(
     offsets: &[T],
     nulls: Option<&Nulls>,
+    held: Picked,
     picked: &mut Picked,
     holds: impl Fn(T) -> bool,
 ) {
@@ -657,7 +876,7 @@ fn keep_each<T: Copy>(
         return;
     };
     let mut next = 0;
-    for ((word, all), null) in picked.0.iter_mut().zip(Picked::all().0).zip(nulls.rows.0) {
+    for ((word, all), null) in picked.0.iter_mut().zip(held.0).zip(nulls.rows.0) {
         let present = all & !null;
         let count = present.count_ones() as usize;
         if *word != 0 {
@@ -676,7 +895,7 @@ fn keep_each<T: Copy>(
 /// A number column's null rows, and how many of them come before each
 /// word of the bitmap: a row's offset lies at the row less the null rows
 /// before it (a rank by popcount).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Nulls {
     rows: Picked,
     before: [u16; WORDS],
@@ -691,6 +910,14 @@ impl Nulls {
             count += word.count_ones() as u16;
         }
         Nulls { rows, before }
+    }
+
+    /// Adds row `at`, which no row after is yet.
+    fn add(&mut self, at: usize) {
+        self.rows.add(at);
+        for before in &mut self.before[at / 64 + 1..] {
+            *before += 1;
+        }
     }
 
     /// The position of row `at`'s offset, or `None` if the row is null.
@@ -711,99 +938,6 @@ impl Nulls {
 enum Words {
     Integers(i128, i128),
     Float((f64, f64)),
-}
-
-/// One member's dictionary while its block is sealed: a code per row —
-/// the position of its value among the distinct values, in the order met
-/// — and the row each distinct value was first met in, until more than
-/// [`DICTIONARY_MAX`] are distinct (then `codes` is `None`, and from then
-/// on the coder notes what a number column needs of every value met:
-/// [`Coder::see`]). A value is looked up by an identity hash in a table
-/// twice the dictionary's size, after a check against the row before
-/// (what repeats, repeats in runs). The hash is not keyed, but the table
-/// holds at most [`DICTIONARY_MAX`] values: values crafted to collide
-/// cost at most that many comparisons each.
-struct Coder {
-    /// By hash: the row a distinct value was first met in.
-    table: [u16; 1 << Coder::BITS],
-    codes: Option<Vec<u8>>,
-    firsts: Vec<u16>,
-    /// The [`Kind::flag`]s of the values seen, the least and the greatest
-    /// integer among them, and the rows they were null in.
-    kinds: u8,
-    least: i128,
-    most: i128,
-    nulls: Picked,
-}
-
-impl Coder {
-    const BITS: u32 = 9;
-    const EMPTY: u16 = u16::MAX;
-
-    fn new() -> Coder {
-        Coder {
-            table: [Coder::EMPTY; 1 << Coder::BITS],
-            codes: Some(Vec::with_capacity(BLOCK_IDS as usize)),
-            firsts: Vec::with_capacity(DICTIONARY_MAX),
-            kinds: 0,
-            least: i128::MAX,
-            most: i128::MIN,
-            nulls: Picked::none(),
-        }
-    }
-
-    /// Notes `value`, the member's value in row `at`.
-    fn see(&mut self, at: usize, value: &Value) {
-        self.kinds |= Kind::flag(value);
-        match value {
-            Value::Number(n) => {
-                if let Some(n) = integer(n) {
-                    self.least = self.least.min(n);
-                    self.most = self.most.max(n);
-                }
-            }
-            Value::Null => self.nulls.add(at),
-            _ => {}
-        }
-    }
-
-    /// Codes `value`, the member's value in row `at`; `met(row)` is its
-    /// value in an earlier row.
-    fn code<'v>(&mut self, at: usize, value: &Value, met: impl Fn(usize) -> &'v Value) {
-        let Some(codes) = &mut self.codes else {
-            self.see(at, value);
-            return;
-        };
-        if let Some(&code) = codes.last().filter(|_| identical(value, met(at - 1))) {
-            codes.push(code);
-            return;
-        }
-        let mut slot = (identity_hash(value) >> (64 - Coder::BITS)) as usize;
-        let code = loop {
-            match self.table[slot] {
-                Coder::EMPTY if self.firsts.len() == DICTIONARY_MAX => break None,
-                Coder::EMPTY => {
-                    self.table[slot] = at as u16;
-                    self.firsts.push(at as u16);
-                    break Some(self.firsts.len() as u8 - 1);
-                }
-                first if identical(met(usize::from(first)), value) => {
-                    break Some(codes[usize::from(first)]);
-                }
-                _ => slot = (slot + 1) % self.table.len(),
-            }
-        };
-        match code {
-            Some(code) => codes.push(code),
-            None => {
-                self.codes = None;
-                for earlier in 0..at {
-                    self.see(earlier, met(earlier));
-                }
-                self.see(at, value);
-            }
-        }
-    }
 }
 
 /// A number's bits as a float: identical numbers share them (as do a
@@ -852,104 +986,43 @@ fn identity_hash(value: &Value) -> u64 {
     }
 }
 
-/// A column being made: a dictionary's distinct values and codes, a
-/// number column, or every value.
-enum Making {
-    Dictionary(Vec<Value>, Box<[u8]>),
-    Numbers(Numbers),
-    Values(Vec<Value>),
-}
-
-impl Making {
-    /// Takes the next row's value, unless a dictionary already holds it.
-    fn take(&mut self, value: Value) {
-        match self {
-            Making::Dictionary(..) => {}
-            Making::Numbers(numbers) => numbers.take(&value),
-            Making::Values(values) => values.push(value),
-        }
-    }
-
-    fn done(self) -> Column {
-        match self {
-            Making::Dictionary(values, codes) => Column::Dictionary {
-                values: values.into_boxed_slice(),
-                codes,
-            },
-            Making::Numbers(numbers) => Column::Numbers(numbers),
-            Making::Values(values) => Column::Values(values.into_boxed_slice()),
-        }
-    }
-}
-
-/// A full block of rows of one shape, as one [`Column`] per member. Held
-/// on the block's summary; counted in the `docstore_blocks_sealed` gauge
-/// from [`Sealed::new`] to its drop.
+/// A block of rows of one shape, as one [`Column`] per member: its rows
+/// are the first `len` of its ids. Filling, it takes the next one
+/// ([`append`](Self::append)); closed — full, or left short — it takes
+/// none. Held on the block's summary; a full one is counted in the
+/// `docstore_blocks_sealed` gauge from [`close`](Self::close) to its
+/// drop.
 #[derive(Debug)]
 pub(crate) struct Sealed {
     shape: Arc<Shape>,
     columns: Box<[Column]>,
+    len: usize,
+    /// While the block fills, each column's dictionary [`Table`]; `None`
+    /// once it is closed.
+    tables: Option<Box<[Table]>>,
 }
 
 impl Sealed {
-    /// Makes columns of `rows` — a block's [`BLOCK_IDS`], in `_id` order,
-    /// each of `shape`. The rows are read twice, row by row: once to code
-    /// every member still a dictionary candidate and to note what each
-    /// other member holds — the kinds of value, the least and greatest
-    /// integer, the null rows — once to move out the distinct values of
-    /// the dictionaries, every number of a member that holds numbers of
-    /// one [`Kind`] (and null) as an offset ([`Numbers`]), and every
-    /// value of the other columns. Nothing is cloned; what no column
-    /// keeps — the repeats a dictionary holds once, the numbers now
-    /// offsets — goes with the rows.
-    ///
-    /// Everything is allocated before the first small chunk is freed (a
-    /// repeat): glibc merges every small chunk freed since on the next
-    /// request of a kilobyte or more, and with a block's repeats in there
-    /// that cost the insert path ~250 ns a row, and the parser the chunks
-    /// it would have reused.
-    pub(crate) fn new(shape: Arc<Shape>, rows: impl Iterator<Item = Row>) -> Sealed {
-        let mut rows: Vec<Row> = rows.collect();
-        debug_assert_eq!(rows.len() as u64, BLOCK_IDS);
-        let mut coders: Vec<Coder> = shape.keys.iter().map(|_| Coder::new()).collect();
-        for (at, row) in rows.iter().enumerate() {
-            debug_assert!(Arc::ptr_eq(&row.shape, &shape));
-            for (member, (coder, value)) in coders.iter_mut().zip(row.values.iter()).enumerate() {
-                coder.code(at, value, |earlier| &rows[earlier].values[member]);
-            }
+    /// A block of `row`'s shape, holding `row` — stored at the block's
+    /// first id — as its first row. Every column is made with room for a
+    /// whole block ([`Column::open`]).
+    pub(crate) fn open(row: Row) -> Sealed {
+        let Row { shape, values } = row;
+        let members = shape.keys.len();
+        let mut columns: Box<[Column]> = (0..members).map(|_| Column::open()).collect();
+        let mut tables = vec![Table::EMPTY; members].into_boxed_slice();
+        let each = columns.iter_mut().zip(tables.iter_mut());
+        for ((column, table), value) in each.zip(values.into_vec()) {
+            column.push(0, value, table);
         }
-        let mut columns: Vec<Making> = coders
-            .into_iter()
-            .enumerate()
-            .map(
-                |(member, coder)| match (coder.codes, Kind::of(coder.kinds)) {
-                    (Some(codes), _) => {
-                        let firsts = coder.firsts.iter().map(|&at| usize::from(at));
-                        let values = firsts.map(|at| std::mem::take(&mut rows[at].values[member]));
-                        Making::Dictionary(values.collect(), codes.into_boxed_slice())
-                    }
-                    (None, Some(kind)) => Making::Numbers(Numbers::with_room(
-                        kind,
-                        coder.least,
-                        coder.most,
-                        coder.nulls,
-                    )),
-                    (None, None) => Making::Values(Vec::with_capacity(rows.len())),
-                },
-            )
-            .collect();
-        let mut kept = Vec::with_capacity(columns.len());
-        for row in rows {
-            for (column, value) in columns.iter_mut().zip(row.values.into_vec()) {
-                column.take(value);
-            }
-        }
-        kept.extend(columns.into_iter().map(Making::done));
-        telemetry().blocks_sealed.inc();
-        Sealed {
+        let mut block = Sealed {
             shape,
-            columns: kept.into_boxed_slice(),
-        }
+            columns,
+            len: 0,
+            tables: Some(tables),
+        };
+        block.filled();
+        block
     }
 
     /// The shape every row of the block has.
@@ -957,11 +1030,100 @@ impl Sealed {
         &self.shape
     }
 
-    /// The block as open rows again, in `_id` order: the values copied
-    /// out of the columns. The rows were never released, so the shape's
-    /// count already holds them.
+    /// Rows held: the block's first `len` ids.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Row `at`, if the block holds it.
+    pub(crate) fn row(&self, at: usize) -> Option<RowRef<'_>> {
+        (at < self.len).then_some(RowRef::Sealed(self, at))
+    }
+
+    /// Whether `map` can be the block's next row: the block is filling,
+    /// and `map` — with `_id` set, if `id`, as [`Row::from_map`] sets it
+    /// — has exactly its member names.
+    pub(crate) fn fits(&self, map: &Map<String, Value>, id: bool) -> bool {
+        if self.tables.is_none() {
+            return false;
+        }
+        let mut keys = self.shape.keys.iter();
+        let mut next = |key: &str| keys.next().is_some_and(|k| k == key);
+        let mut id = id;
+        for key in map.keys() {
+            if id && key.as_str() >= "_id" {
+                id = false;
+                if !next("_id") {
+                    return false;
+                }
+                if key == "_id" {
+                    continue;
+                }
+            }
+            if !next(key) {
+                return false;
+            }
+        }
+        (!id || next("_id")) && keys.next().is_none()
+    }
+
+    /// Appends `map`, which [`fits`](Self::fits), as the block's next row,
+    /// with `_id` set to `id` if one is given: each value goes into its
+    /// column ([`Column::push`]) once `see` has been handed it with its
+    /// member's slot. The row counts in its shape's rows from here on. A
+    /// block this fills is closed; a closed one takes no row.
+    pub(crate) fn append(
+        &mut self,
+        map: Map<String, Value>,
+        id: Option<DocId>,
+        mut see: impl FnMut(usize, &Value),
+    ) {
+        let Some(tables) = &mut self.tables else {
+            return;
+        };
+        let at = self.len;
+        let mut columns = self.columns.iter_mut().zip(tables.iter_mut()).enumerate();
+        each_member(map, id, |_, value| {
+            if let Some((slot, (column, table))) = columns.next() {
+                see(slot, &value);
+                column.push(at, value, table);
+            }
+        });
+        self.shape.rows.fetch_add(1, Relaxed);
+        self.filled();
+    }
+
+    /// Counts the row just appended, and closes the block if it is full.
+    fn filled(&mut self) {
+        self.len += 1;
+        if self.len == BLOCK_IDS as usize {
+            self.close();
+        }
+    }
+
+    /// Closes the block, if it is filling: it takes no more rows, the
+    /// tables go, and each column gives back the room it did not use
+    /// ([`Column::close`]). A full block is sealed from here on.
+    pub(crate) fn close(&mut self) {
+        if self.tables.take().is_none() {
+            return;
+        }
+        self.columns.iter_mut().for_each(Column::close);
+        if self.len == BLOCK_IDS as usize {
+            telemetry().blocks_sealed.inc();
+        }
+    }
+
+    /// The rows the block holds.
+    fn held(&self) -> Picked {
+        Picked::first(self.len)
+    }
+
+    /// The block as open rows, in `_id` order: the values copied out of
+    /// the columns. The rows were never released, so the shape's count
+    /// already holds them.
     pub(crate) fn into_rows(self) -> impl Iterator<Item = Row> {
-        (0..BLOCK_IDS as usize).map(move |at| Row {
+        (0..self.len).map(move |at| Row {
             shape: Arc::clone(&self.shape),
             values: self
                 .columns
@@ -983,7 +1145,7 @@ impl Sealed {
                 values.iter().filter_map(|v| walk(v, rest)).for_each(visit);
             }
             column => {
-                for at in 0..BLOCK_IDS as usize {
+                for at in 0..self.len {
                     if let Some(value) = descend(column.get(at), rest) {
                         visit(&value);
                     }
@@ -1023,12 +1185,13 @@ impl Sealed {
             steps.push((step, clause));
         }
         steps.sort_by_key(|(step, _)| step.cost());
-        let mut picked = Picked::all();
+        let held = self.held();
+        let mut picked = held;
         for (step, clause) in steps {
             match step {
                 Step::Absent if clause.holds(None) => continue,
                 Step::Absent => return None,
-                Step::Words(within, numbers) => numbers.keep(within, &mut picked),
+                Step::Words(within, numbers) => numbers.keep(within, held, &mut picked),
                 Step::Codes(values, codes) if picked.len() < values.len() => {
                     picked.keep(|at| clause.holds(Some(&values[usize::from(codes[at])])));
                 }
@@ -1111,6 +1274,76 @@ impl<'k> KeySlots<'k> {
 
 #[cfg(test)]
 impl Sealed {
+    /// Columns of `rows` — a block's first, at most [`BLOCK_IDS`], in
+    /// `_id` order, each of `shape` — made all at once, straight from the
+    /// definitions in the module docs, and closed: the oracle a block
+    /// filled by [`append`](Self::append) and closed must equal, column
+    /// for column ([`same_columns`](Self::same_columns)).
+    pub(crate) fn new(shape: Arc<Shape>, rows: impl Iterator<Item = Row>) -> Sealed {
+        let rows: Vec<Row> = rows.collect();
+        assert!(!rows.is_empty() && rows.len() as u64 <= BLOCK_IDS);
+        let columns = (0..shape.keys.len()).map(|member| {
+            let values: Vec<&Value> = rows.iter().map(|row| &row.values[member]).collect();
+            column_of(&values)
+        });
+        if rows.len() as u64 == BLOCK_IDS {
+            telemetry().blocks_sealed.inc();
+        }
+        Sealed {
+            columns: columns.collect(),
+            shape,
+            len: rows.len(),
+            tables: None,
+        }
+    }
+
+    /// Whether `other` is this block to the bit: one key set and length,
+    /// and column for column the same variant — a dictionary's values in
+    /// order and its codes; a number column's kind, base, width, offsets
+    /// and null rows; a value column's values — values [`identical`].
+    /// And whether each is closed.
+    pub(crate) fn same_columns(&self, other: &Sealed) -> bool {
+        let same_values = |a: &[Value], b: &[Value]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| identical(a, b))
+        };
+        let same = |pair: (&Column, &Column)| match pair {
+            (
+                Column::Dictionary { values, codes },
+                Column::Dictionary {
+                    values: other_values,
+                    codes: other_codes,
+                },
+            ) => same_values(values, other_values) && codes == other_codes,
+            (Column::Numbers(numbers), Column::Numbers(other)) => numbers == other,
+            (Column::Values(values), Column::Values(other)) => same_values(values, other),
+            _ => false,
+        };
+        self.shape.keys == other.shape.keys
+            && self.len == other.len
+            && self.tables.is_none() == other.tables.is_none()
+            && self.columns.len() == other.columns.len()
+            && self.columns.iter().zip(&other.columns[..]).all(same)
+    }
+
+    /// Whether the block is filling: not yet closed.
+    pub(crate) fn filling(&self) -> bool {
+        self.tables.is_some()
+    }
+
+    /// How many columns are dictionaries, number columns and value
+    /// columns.
+    pub(crate) fn column_kinds(&self) -> (usize, usize, usize) {
+        let mut kinds = (0, 0, 0);
+        for column in &self.columns {
+            match column {
+                Column::Dictionary { .. } => kinds.0 += 1,
+                Column::Numbers(_) => kinds.1 += 1,
+                Column::Values(_) => kinds.2 += 1,
+            }
+        }
+        kinds
+    }
+
     /// The bytes an offset takes, for each column that keeps numbers
     /// packed.
     pub(crate) fn offset_widths(&self) -> impl Iterator<Item = usize> + '_ {
@@ -1123,25 +1356,85 @@ impl Sealed {
     }
 }
 
+/// The column of one member whose values in a block's rows are `values`,
+/// as defined: a dictionary of at most [`DICTIONARY_MAX`] distinct values
+/// told apart by identity, in the order first met; else, if they are all
+/// numbers of one [`Kind`] or null, the numbers as offsets from the least
+/// in the narrowest width that holds the greatest, and the null rows;
+/// else every value.
+#[cfg(test)]
+fn column_of(values: &[&Value]) -> Column {
+    let mut distinct: Vec<&Value> = Vec::new();
+    let mut codes = Vec::with_capacity(values.len());
+    for &value in values {
+        let code = distinct.iter().position(|known| identical(known, value));
+        codes.push(code.unwrap_or_else(|| {
+            distinct.push(value);
+            distinct.len() - 1
+        }) as u8);
+    }
+    if distinct.len() <= DICTIONARY_MAX {
+        let values = distinct.into_iter().cloned().collect();
+        return Column::Dictionary { values, codes };
+    }
+    let Some(kind) = Kind::of(values.iter().fold(0, |kinds, v| kinds | Kind::flag(v))) else {
+        return Column::Values(values.iter().map(|&v| v.clone()).collect());
+    };
+    let integers = values.iter().filter_map(|v| match v {
+        Value::Number(n) => integer(n),
+        _ => None,
+    });
+    let (least, most) = integers.fold((i128::MAX, i128::MIN), |(least, most), n| {
+        (least.min(n), most.max(n))
+    });
+    let (base, span) = match kind {
+        Kind::Int | Kind::UInt => (least as u64, (most - least) as u64),
+        Kind::Float => (0, u64::MAX),
+    };
+    let mut nulls = Picked::none();
+    for (at, value) in values.iter().enumerate() {
+        if value.is_null() {
+            nulls.add(at);
+        }
+    }
+    let mut offsets = Offsets::with_capacity(values.len() - nulls.len(), span);
+    for word in values.iter().filter_map(|v| kind.word(v)) {
+        offsets.push(word.wrapping_sub(base));
+    }
+    let nulls = (!nulls.is_empty()).then(|| Box::new(Nulls::new(nulls)));
+    Column::Numbers(Numbers {
+        kind,
+        base,
+        offsets,
+        nulls,
+    })
+}
+
 impl Drop for Sealed {
     fn drop(&mut self) {
-        telemetry().blocks_sealed.dec();
+        if self.len == BLOCK_IDS as usize {
+            telemetry().blocks_sealed.dec();
+        }
     }
 }
 
 /// Words of a [`Picked`].
 const WORDS: usize = (BLOCK_IDS as usize).div_ceil(64);
 
-/// Rows of a sealed block, as one bit per row in `_id` order.
-#[derive(Debug, Clone, Copy)]
+/// Rows of a column block, as one bit per row in `_id` order.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Picked([u64; WORDS]);
 
 impl Picked {
-    /// Every row of a block.
-    fn all() -> Picked {
-        let mut words = [u64::MAX; WORDS];
-        if !BLOCK_IDS.is_multiple_of(64) {
-            words[WORDS - 1] = (1u64 << (BLOCK_IDS % 64)) - 1;
+    /// The first `len` rows of a block.
+    fn first(len: usize) -> Picked {
+        let mut words = [0; WORDS];
+        for (w, word) in words.iter_mut().enumerate() {
+            *word = match len.saturating_sub(w * 64) {
+                0 => 0,
+                rows @ 1..64 => (1 << rows) - 1,
+                _ => u64::MAX,
+            };
         }
         Picked(words)
     }

@@ -35,9 +35,10 @@ pub(crate) struct StoreTelemetry {
     /// Blocks scans passed over, on their summaries or because no row of
     /// a sealed one passed the column pass.
     pub(crate) scan_blocks_skipped: Counter,
-    /// Blocks held as columns now, across all collections.
+    /// Full blocks sealed as columns now, across all collections.
     pub(crate) blocks_sealed: Gauge,
-    /// Sealed blocks copied back into rows by a write to one of their rows.
+    /// Column blocks copied out into rows, for good, by a write to one of
+    /// their rows.
     pub(crate) blocks_unsealed: Counter,
     /// Latency of one insert call (one document or a batch), in seconds.
     pub(crate) collection_insert_seconds: Histogram,
@@ -114,11 +115,11 @@ impl StoreTelemetry {
             ),
             blocks_sealed: registry.gauge(
                 "docstore_blocks_sealed",
-                "Blocks of 1024 ids held as columns across all collections",
+                "Full blocks of 1024 ids sealed as columns across all collections",
             ),
             blocks_unsealed: registry.counter(
                 "docstore_blocks_unsealed_total",
-                "Sealed blocks copied back into rows by an update or delete of one of their rows",
+                "Column blocks, sealed or filling, copied back into rows by an update or delete of one of their rows",
             ),
             collection_insert_seconds: registry.histogram(
                 "docstore_collection_insert_seconds",

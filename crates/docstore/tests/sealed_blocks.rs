@@ -33,22 +33,22 @@ fn blocks() -> (u64, u64) {
 fn blocks_seal_once_passed_and_unseal_once_written() {
     let store = Store::new();
 
-    // No block is full: nothing seals.
+    // No block is full: nothing seals, though the block fills as columns.
     let few = store.collection("few");
     few.insert_many((0..1_000).map(|i| json!({"i": i, "kind": "a"})))
         .unwrap();
     assert_eq!((sealed(), unsealed()), (0, 0));
 
-    // Four full blocks of one shape: the writer has passed three of them.
-    // The fourth is full too, but nothing is stored past it yet.
+    // Four full blocks of one shape: each sealed as its last row arrived,
+    // whether or not anything is stored past it.
     let c = store.collection("obs");
     c.insert_many((0..4_096).map(|i| json!({"i": i, "kind": if i < 2_048 { "a" } else { "b" }})))
         .unwrap();
-    assert_eq!((sealed(), unsealed()), (3, 0));
+    assert_eq!((sealed(), unsealed()), (4, 0));
 
     // A count over them: the column pass rules out the two sealed blocks
-    // that hold no "b" at all, once per distinct value; the third sealed
-    // block and the open one are walked.
+    // that hold no "b" at all, once per distinct value; the other two are
+    // walked.
     let before = blocks();
     assert_eq!(c.count(&Filter::eq("kind", "b")).unwrap(), 2_048);
     let after = blocks();
@@ -58,19 +58,21 @@ fn blocks_seal_once_passed_and_unseal_once_written() {
     // An update of one row unseals its block, for good; the others stay.
     let changed = c.update_many(&Filter::eq("i", 5), &Update::set("seen", true));
     assert_eq!(changed.unwrap(), 1);
-    assert_eq!((sealed(), unsealed()), (2, 1));
+    assert_eq!((sealed(), unsealed()), (3, 1));
     assert_eq!(c.count(&Filter::eq("seen", true)).unwrap(), 1);
 
     // A delete from a sealed block unseals it as well.
     assert_eq!(c.delete_many(&Filter::eq("i", 1_030)).unwrap(), 1);
-    assert_eq!((sealed(), unsealed()), (1, 2));
+    assert_eq!((sealed(), unsealed()), (2, 2));
 
     // `clear` drops the sealed blocks without unsealing them: the gauge
-    // is back to nothing, the counter keeps what happened.
+    // is back to nothing (a block still filling was never in it), the
+    // counter keeps what happened.
     c.clear().unwrap();
     assert_eq!((sealed(), unsealed()), (0, 2));
 
-    // Dropping the collection's store drops what it sealed.
+    // Dropping the collection's store drops what it sealed: two full
+    // blocks, not the one its last document opened.
     let c = store.collection("again");
     c.insert_many((0..2_048 + 1).map(|i| json!({"i": i})))
         .unwrap();

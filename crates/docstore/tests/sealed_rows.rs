@@ -1,11 +1,12 @@
 //! A sealed row is the document it was made from, to the byte: read back
-//! as a `Value` and written as JSON, before and after its block seals, at
+//! as a `Value` and written as JSON, while its block fills, once it is
+//! sealed and once a write has made it rows again, at
 //! the sizes a build uses (a block is 1 024 ids, a dictionary at most 255
 //! distinct values), whether a member becomes a dictionary, a number
 //! column or a value column. In a process of its own, to read the
 //! sealed-block gauge exactly.
 
-use mps_docstore::{DocId, Filter, FindOptions, Store};
+use mps_docstore::{DocId, Filter, FindOptions, Store, Update};
 use mps_telemetry::Registry;
 use serde_json::{json, Value};
 
@@ -109,14 +110,11 @@ fn sealed_rows_read_back_byte_for_byte() {
         .collect();
     let store = Store::new();
     let c = store.collection("c");
-    c.insert_many(docs.clone()).unwrap();
     let sealed = || {
         Registry::global()
             .gauge_value("docstore_blocks_sealed")
             .unwrap_or(0)
     };
-    assert_eq!(sealed(), 0, "the block is full, but not yet passed");
-
     let texts =
         |values: Vec<Value>| -> Vec<String> { values.iter().map(Value::to_string).collect() };
     let read = || {
@@ -128,7 +126,13 @@ fn sealed_rows_read_back_byte_for_byte() {
             store.export_json(),
         )
     };
+    c.insert_many(docs[..1_023].to_vec()).unwrap();
+    assert_eq!(sealed(), 0, "the block is filling");
+    let filling = texts(c.all());
+    c.insert_many(docs[1_023..].to_vec()).unwrap();
+    assert_eq!(sealed(), 1, "the block's last row seals it");
     let (all, found, limited, export) = read();
+    assert_eq!(all[..1_023], filling[..]);
     // A count reads the columns as a filter reads the documents.
     let counts_agree = || {
         let all = c.all();
@@ -151,18 +155,29 @@ fn sealed_rows_read_back_byte_for_byte() {
         .collect();
     assert_eq!(all, expected);
 
-    // The next insert passes the block, which seals.
+    // A write that changes nothing makes the block rows, for good: they
+    // read as the columns did.
+    let same = c.update_many(&Filter::eq("_id", 0), &Update::set("same", "x"));
+    assert_eq!(same.unwrap(), 1);
+    assert_eq!(sealed(), 0);
+    assert_eq!(
+        read(),
+        (all.clone(), found.clone(), limited.clone(), export.clone())
+    );
+    counts_agree();
+    assert_eq!(distinct(), floats);
+
+    // The next insert opens a block of its own.
     c.insert_one(json!({"few": 0, "many": 0, "same": "x"}))
         .unwrap();
-    assert_eq!(sealed(), 1);
     let (all_after, found_after, limited_after, export_after) = read();
     assert_eq!(all_after[..1_024], all[..]);
     assert_eq!(found_after[..1_024], found[..]);
     assert_eq!(limited_after, limited);
     counts_agree();
     assert_eq!(distinct(), floats);
-    // The export written from the columns is the one written from the
-    // rows, with the new document after them.
+    // The export written from the rows is the one written from the
+    // columns, with the new document after them.
     let docs_end = export.find("],\"indexes\"").unwrap();
     assert_eq!(export_after[..docs_end], export[..docs_end]);
     assert!(export_after[docs_end..].starts_with(",{\"_id\":1024,"));

@@ -19,7 +19,7 @@ use crate::wire::{
     wire_dispatch, wire_ops, wire_stubs, Decoded, OpInfo, Stub, Wire, WireError, WireReader,
     WireWriter,
 };
-use mps_broker::{BrokerError, BrokerTransport, Delivery, Message};
+use mps_broker::{BrokerError, BrokerTransport, Delivery, Message, RoutingKey};
 use mps_telemetry::trace::{SENT_MS_HEADER, TRACE_HEADER};
 use std::fmt;
 use std::sync::Arc;
@@ -43,21 +43,35 @@ pub mod err {
     pub const TRANSPORT: u8 = 24;
 }
 
+/// Writes a message: its routing key, its payload and its `count`
+/// headers. The one encoder of the format, for a [`Message`] and for a
+/// bare publish, which makes none.
+fn put_message<'h>(
+    w: &mut WireWriter,
+    key: &str,
+    payload: &[u8],
+    count: usize,
+    headers: impl Iterator<Item = (&'h str, &'h str)>,
+) {
+    w.string(key).bytes(payload).u16(count as u16);
+    for (name, value) in headers {
+        w.string(name).string(value);
+    }
+}
+
 impl Wire<message> for Message {
     const MIN_WIRE_BYTES: usize = 10;
     fn put(&self, w: &mut WireWriter) {
-        w.string(self.routing_key().as_str()).bytes(self.payload());
-        w.u16(self.headers().count() as u16);
-        for (name, value) in self.headers() {
-            w.string(name).string(value);
-        }
+        let (key, payload) = (self.routing_key().as_str(), self.payload());
+        put_message(w, key, payload, self.headers().count(), self.headers());
     }
     fn get(r: &mut WireReader<'_>, _field: &'static str) -> Decoded<Message> {
         let key = r.string("routing key")?;
         // Borrowed: `Message::new` makes the one copy, into its `Arc<[u8]>`.
         let payload = r.bytes("payload")?;
         let header_count = r.u16("header count")?;
-        let routing_key = key.parse().map_err(|_| WireError::BadDiscriminant {
+        // The key read is the key kept: validated, not copied.
+        let routing_key = RoutingKey::new(key).map_err(|_| WireError::BadDiscriminant {
             field: "routing key",
             value: 0,
         })?;
@@ -221,6 +235,22 @@ macro_rules! broker_wire {
 
         impl BrokerTransport for RemoteBroker {
             wire_stubs! { [BrokerError, result] $($rows)* }
+
+            /// A `PUBLISH_MESSAGE` of no headers, written straight from
+            /// the borrowed key and payload: the bytes a [`Message`] of
+            /// them encodes to, without making one.
+            fn publish(
+                &self,
+                exchange: &str,
+                key: &str,
+                payload: &[u8],
+            ) -> Result<usize, BrokerError> {
+                RoutingKey::validate(key)?;
+                let mut w = self.stub.request();
+                w.string(exchange);
+                put_message(&mut w, key, payload, 0, std::iter::empty());
+                self.stub.call::<u64, usize>(op::PUBLISH_MESSAGE, &[], &w.finish())
+            }
         }
     };
 }

@@ -15,7 +15,6 @@
 
 use crate::client::{ClientConfig, ClientPool, NetError};
 use crate::server::ServiceError;
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -256,7 +255,7 @@ pub mod field {
     /// A docs reply: JSON values, one `bytes` field each.
     pub type docs = seq<json>;
 }
-use field::{bytes, empty, option, seq, string};
+use field::{empty, option, seq, string};
 
 /// What decoding one field yields. `Err` — the bytes are not this field;
 /// the request is answered `STATUS_BAD_REQUEST`. `Ok(Err(_))` — the
@@ -267,7 +266,7 @@ pub type Decoded<T> = Result<Result<T, ServiceError>, WireError>;
 
 /// The codec of one wire field `M` for one Rust type: the only place
 /// that field's bytes are written or read. Implemented on the borrowed
-/// form an argument is passed as (`str`, `[u8]`, `Filter`); decoding
+/// form an argument is passed as (`str`, `Filter`); decoding
 /// yields its owned form.
 pub trait Wire<M>: ToOwned + 'static {
     /// The fewest bytes one value can occupy — what bounds how many
@@ -283,17 +282,6 @@ pub trait Wire<M>: ToOwned + 'static {
     ///
     /// See [`Decoded`].
     fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<Self::Owned>;
-
-    /// Reads one value for an operation that takes it by reference: the
-    /// owned form, unless the field's bytes are the value (`bytes`) and
-    /// can stay a borrow of the request body.
-    ///
-    /// # Errors
-    ///
-    /// See [`Decoded`].
-    fn get_ref<'a>(r: &mut WireReader<'a>, field: &'static str) -> Decoded<Cow<'a, Self>> {
-        Ok(Self::get(r, field)?.map(Cow::Owned))
-    }
 
     /// Copies whatever part of the value must also ride the request
     /// envelope's headers (a message's trace context); nothing, for most.
@@ -355,21 +343,6 @@ impl Wire<string> for String {
     }
     fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<String> {
         <str as Wire<string>>::get(r, field)
-    }
-}
-
-impl Wire<bytes> for [u8] {
-    const MIN_WIRE_BYTES: usize = 4;
-    fn put(&self, w: &mut WireWriter) {
-        w.bytes(self);
-    }
-    fn get(r: &mut WireReader<'_>, field: &'static str) -> Decoded<Vec<u8>> {
-        Ok(Ok(r.bytes(field)?.to_vec()))
-    }
-    /// A payload passed by reference is not copied here: the one copy
-    /// between the socket buffer and its owner is the owner's.
-    fn get_ref<'a>(r: &mut WireReader<'a>, field: &'static str) -> Decoded<Cow<'a, [u8]>> {
-        Ok(Ok(Cow::Borrowed(r.bytes(field)?)))
     }
 }
 
@@ -612,8 +585,7 @@ pub(crate) use wire_stubs;
 
 /// Emits a server's `match $opcode { … }`, one arm per row, reading the
 /// body through the reader `$r` (opened here with `$r in body`, or
-/// already open): decode every argument (a by-reference one with
-/// [`Wire::get_ref`], so a payload stays a borrow of the body), require
+/// already open): decode every argument to its owned form, require
 /// the body to end there, surface the first rejected argument, call the
 /// operation on `$inner` and encode its answer as the row's reply field.
 /// `$encode` maps the operation's error to a [`ServiceError`]; `$unknown`
@@ -629,9 +601,8 @@ macro_rules! wire_dispatch {
             -> $ret:ty => $rwire:ty $(, $degrades:ident)?;)*) => {
         match $opcode {
             $(op::$NAME => {
-                $(let $arg = $crate::wire::row_if!([$($rty)?]
-                    { <$($rty)? as $crate::wire::Wire<$wire>>::get_ref }
-                    { <$($vty)? as $crate::wire::Wire<$wire>>::get })(&mut $r, stringify!($arg))?;)*
+                $(let $arg = <$($rty)? $($vty)? as $crate::wire::Wire<$wire>>::get(
+                    &mut $r, stringify!($arg))?;)*
                 $r.expect_end()?;
                 $(let $arg = $arg?;)*
                 let answer = $inner.$method($($crate::wire::row_if!([$($rty)?] { &$arg } { $arg })),*);
@@ -740,20 +711,6 @@ mod tests {
         // `bool` decodes any non-zero byte as true and is written as 1.
         assert_eq!(reply::<bool, bool>(&[2]), Ok(Ok(true)));
         assert_eq!(encoded::<bool, _>(&true), [1]);
-    }
-
-    #[test]
-    fn a_by_reference_payload_borrows_the_request_body() {
-        let body = encoded::<bytes, [u8]>(b"abc");
-        let mut r = WireReader::new(&body);
-        let payload = <[u8] as Wire<bytes>>::get_ref(&mut r, "payload");
-        match payload {
-            Ok(Ok(Cow::Borrowed(slice))) => assert!(std::ptr::eq(slice, &body[4..])),
-            other => panic!("expected a borrow of the body, got {other:?}"),
-        }
-        // Every other by-reference field decodes to its owned form.
-        let name = <str as Wire<string>>::get_ref(&mut WireReader::new(&body), "name");
-        assert!(matches!(name, Ok(Ok(Cow::Owned(name))) if name == "abc"));
     }
 
     #[test]
